@@ -280,4 +280,13 @@ cargo run -q --release -p bench --bin spill -- --check BENCH_spill.json
 mv BENCH_spill.json.orig BENCH_spill.json
 cargo run -q --release -p bench --bin spill -- --check BENCH_spill.json
 
+echo "== benchmark self-tests and smoke =="
+# The benchmark is a workspace of its own under perfbench/: run its unit
+# tests, then a 2-second on-line workload, which checks every analysis
+# against its known answer and must report itself correct.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload online-tp0-w1 --seed 1 --seconds 2 --trace 0 > "$CKPT_DIR/perfbench.txt"
+grep -q '"correct": true' "$CKPT_DIR/perfbench.txt"
+
 echo "CI OK"

@@ -146,9 +146,11 @@ impl TraceEnv {
         self.cursors.clone()
     }
 
-    /// Restore a previously saved cursor state.
+    /// Restore a previously saved cursor state, reusing the cursor
+    /// buffers rather than allocating new ones.
     pub fn restore(&mut self, saved: &Cursors) {
-        self.cursors = saved.clone();
+        self.cursors.input.clone_from(&saved.input);
+        self.cursors.output.clone_from(&saved.output);
     }
 
     /// All inputs consumed and all checked outputs verified?

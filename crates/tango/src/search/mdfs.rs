@@ -74,11 +74,12 @@ use crate::trace::ResolvedTrace;
 use crate::verdict::{AnalysisReport, InconclusiveReason, Verdict};
 use estelle_frontend::sema::model::AnalyzedModule;
 use estelle_runtime::{FireOutcome, Machine, MachineState, RuntimeError, RuntimeErrorKind};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use super::path::SharedPath;
 use super::snapshot::state_key;
 use super::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
 use super::store::{ShardedStore, StoreHandle};
@@ -86,8 +87,57 @@ use super::{guard, is_fatal, record_error, MAX_RECORDED_ERRORS};
 
 /// How long an idle thief sleeps before re-scanning the deques.
 const IDLE_PARK: Duration = Duration::from_micros(100);
-/// Buffered worker telemetry events per flush.
-const EVENT_FLUSH: usize = 64;
+/// Buffered worker telemetry events per flush. Every flush wakes the
+/// coordinator, which then competes with the workers for a core: at 64
+/// events a flush, the flight recorder cost two workers on two cores
+/// about 25% of their speed; at 1024 it costs a few percent.
+const EVENT_FLUSH: usize = 1024;
+
+/// A node's set of compiled-transition indices. A node holds only a
+/// handful, so a sorted `Vec` beats a hash table: no hashing, and no
+/// allocation until the first insert. Being sorted, it freezes as is.
+#[derive(Clone, Default)]
+struct TransSet(Vec<usize>);
+
+impl TransSet {
+    /// From a checkpoint's list (sorted there, but not trusted to be).
+    fn from_vec(mut v: Vec<usize>) -> Self {
+        v.sort_unstable();
+        v.dedup();
+        TransSet(v)
+    }
+
+    fn contains(&self, t: usize) -> bool {
+        self.0.binary_search(&t).is_ok()
+    }
+
+    fn insert(&mut self, t: usize) {
+        if let Err(i) = self.0.binary_search(&t) {
+            self.0.insert(i, t);
+        }
+    }
+
+    fn remove(&mut self, t: usize) {
+        if let Ok(i) = self.0.binary_search(&t) {
+            self.0.remove(i);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Each transition's name, shared by every path link that fires it.
+fn transition_names(machine: &Machine) -> Vec<Arc<str>> {
+    (0..machine.transition_count())
+        .map(|i| machine.transition_name(i).into())
+        .collect()
+}
 
 /// One saved search-tree node ("thread").
 struct Node {
@@ -101,14 +151,14 @@ struct Node {
     ticket: Option<SpillTicket>,
     cursors: Cursors,
     /// Compiled-transition indices already explored from this node.
-    tried: HashSet<usize>,
+    tried: TransSet,
     /// Transitions whose firing failed only because an output stream was
     /// exhausted-but-growing: retried once new data arrives. Without this
     /// the node would spin on the same transition without ever polling.
-    blocked: HashSet<usize>,
+    blocked: TransSet,
     /// Consecutive barren steps on the path to this node.
     barren: usize,
-    path: Vec<String>,
+    path: SharedPath,
     /// Snapshot bytes proper — the part that moves between RAM and disk.
     state_bytes: usize,
     /// Cursor/bookkeeping bytes — always RAM-resident.
@@ -116,12 +166,7 @@ struct Node {
 }
 
 impl Node {
-    fn new(
-        state: MachineState,
-        cursors: Cursors,
-        barren: usize,
-        path: Vec<String>,
-    ) -> Self {
+    fn new(state: MachineState, cursors: Cursors, barren: usize, path: SharedPath) -> Self {
         let state_bytes = state.approx_bytes();
         let meta_bytes =
             (cursors.input.len() + cursors.output.len()) * std::mem::size_of::<usize>();
@@ -129,8 +174,8 @@ impl Node {
             state: Some(state),
             ticket: None,
             cursors,
-            tried: HashSet::new(),
-            blocked: HashSet::new(),
+            tried: TransSet::default(),
+            blocked: TransSet::default(),
             barren,
             path,
             state_bytes,
@@ -142,10 +187,10 @@ impl Node {
     fn from_parts(
         state: MachineState,
         cursors: Cursors,
-        tried: HashSet<usize>,
-        blocked: HashSet<usize>,
+        tried: TransSet,
+        blocked: TransSet,
         barren: usize,
-        path: Vec<String>,
+        path: SharedPath,
     ) -> Self {
         let mut n = Node::new(state, cursors, barren, path);
         n.tried = tried;
@@ -169,6 +214,14 @@ impl Node {
     fn resident_state(&self) -> &MachineState {
         self.state
             .as_ref()
+            .expect("node is faulted in before expansion")
+    }
+
+    /// The resident snapshot, for Generate: it only reads the state (see
+    /// DESIGN §6.13), so no scratch copy is needed.
+    fn resident_state_mut(&mut self) -> &mut MachineState {
+        self.state
+            .as_mut()
             .expect("node is faulted in before expansion")
     }
 }
@@ -356,17 +409,13 @@ fn finish(
 
 /// Freeze one sequential node into its checkpoint form.
 fn node_to_ckpt(n: Node) -> MdfsNodeCkpt {
-    let mut tried: Vec<usize> = n.tried.into_iter().collect();
-    tried.sort_unstable();
-    let mut blocked: Vec<usize> = n.blocked.into_iter().collect();
-    blocked.sort_unstable();
     MdfsNodeCkpt {
         state: n.state.expect("nodes are faulted in before freezing"),
         cursors: n.cursors,
-        tried,
-        blocked,
+        tried: n.tried.0,
+        blocked: n.blocked.0,
         barren: n.barren,
-        path: n.path,
+        path: n.path.to_vec(),
     }
 }
 
@@ -375,10 +424,10 @@ fn node_from_ckpt(c: MdfsNodeCkpt) -> Node {
     Node::from_parts(
         c.state,
         c.cursors,
-        c.tried.into_iter().collect(),
-        c.blocked.into_iter().collect(),
+        TransSet::from_vec(c.tried),
+        TransSet::from_vec(c.blocked),
         c.barren,
-        c.path,
+        SharedPath::from_names(c.path),
     )
 }
 
@@ -581,7 +630,7 @@ fn run_seq(
         None => {
             let start = machine.initial_state()?;
             stats.saves += 1;
-            let root = Node::new(start, env.save(), 0, Vec::new());
+            let root = Node::new(start, env.save(), 0, SharedPath::default());
             stats.snapshot_bytes = root.charged();
             stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
             if tel.hot() {
@@ -626,10 +675,11 @@ fn run_seq(
     }
 
     let mut last_status: Option<Verdict> = None;
+    let names = transition_names(&machine);
 
     // Per-search *Generate* scratch, refilled in place by `generate_into`
-    // so every node expansion reuses one fireable buffer (the untried list
-    // drains it rather than consuming the whole `Generated`).
+    // so every node expansion reuses one fireable buffer (filtered down
+    // to the untried candidates in place).
     let mut gen = estelle_runtime::Generated::default();
 
     loop {
@@ -823,7 +873,7 @@ fn run_seq(
                 if env.eof {
                     return Ok(finish(
                         Verdict::Valid,
-                        Some(node.path),
+                        Some(node.path.to_vec()),
                         stats,
                         spec_errors,
                         &*source,
@@ -845,15 +895,12 @@ fn run_seq(
                 continue;
             }
 
-            // Generate (or re-generate) this node's transition list.
-            // COW: the scratch copy shares heap chunks with the node's
-            // snapshot; guard side effects break sharing lazily.
-            let mut st = copy_state(node.resident_state(), options);
+            // Generate (or re-generate) this node's transition list,
+            // directly on its snapshot: Generate never writes the state.
+            let st = node.resident_state_mut();
             stats.generates += 1;
             let gen_t0 = tel.timer();
-            match guard("generate", || {
-                machine.generate_into(&mut st, &env, &mut gen)
-            }) {
+            match guard("generate", || machine.generate_into(st, &env, &mut gen)) {
                 Ok(()) => {}
                 Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
                 Err(e) => {
@@ -866,21 +913,19 @@ fn run_seq(
                 }
             };
             let is_pg = gen.incomplete;
-            let untried: Vec<_> = gen
-                .fireable
-                .drain(..)
-                .filter(|f| !node.tried.contains(&f.trans) && !node.blocked.contains(&f.trans))
-                .collect();
+            gen.fireable
+                .retain(|f| !node.tried.contains(f.trans) && !node.blocked.contains(f.trans));
+            let untried = gen.fireable.len();
             // Fanout as the search sees it: candidates not yet explored
             // from this node (a re-generate only offers what new input
             // enabled).
-            tel.on_generate(node.path.len(), untried.len(), is_pg, gen_t0);
-            if !untried.is_empty() {
-                stats.fanout_sum += untried.len() as u64;
+            tel.on_generate(node.path.len(), untried, is_pg, gen_t0);
+            if untried > 0 {
+                stats.fanout_sum += untried as u64;
                 stats.fanout_samples += 1;
             }
 
-            let Some(f) = untried.first().cloned() else {
+            if untried == 0 {
                 if is_pg || !node.blocked.is_empty() {
                     if pg_list.len() >= options.limits.max_pg_nodes {
                         stats.snapshot_bytes += node.charged();
@@ -914,9 +959,11 @@ fn run_seq(
                     pg_list.push(node);
                 }
                 continue;
-            };
+            }
 
-            // Fire the child on a fresh copy of the node's state.
+            // Fire the first untried candidate on a copy of the node's
+            // state — the one copy an expansion makes.
+            let f = gen.fireable.swap_remove(0);
             node.tried.insert(f.trans);
             let mut child_state = copy_state(node.resident_state(), options);
             env.restore(&node.cursors);
@@ -952,19 +999,18 @@ fn run_seq(
             if !fired && env.last_reject == Some(RejectReason::MayGrow) {
                 // The failure was "output not in the trace *yet*": park it
                 // as blocked and retry once data arrives.
-                node.tried.remove(&f.trans);
+                node.tried.remove(f.trans);
                 node.blocked.insert(f.trans);
             }
 
-            let has_more = untried.len() > 1 || is_pg || !node.blocked.is_empty();
+            let has_more = untried > 1 || is_pg || !node.blocked.is_empty();
             if fired {
                 let child_barren = if env.outstanding() < before {
                     0
                 } else {
                     node.barren + 1
                 };
-                let mut child_path = node.path.clone();
-                child_path.push(machine.transition_name(f.trans).to_string());
+                let child_path = node.path.push(names[f.trans].clone());
                 if has_more {
                     stats.snapshot_bytes += node.charged();
                     work.push(node);
@@ -1133,10 +1179,10 @@ fn run_seq(
 struct PNode {
     handle: StoreHandle,
     cursors: Cursors,
-    tried: HashSet<usize>,
-    blocked: HashSet<usize>,
+    tried: TransSet,
+    blocked: TransSet,
     barren: usize,
-    path: Vec<String>,
+    path: SharedPath,
     key: Vec<u32>,
     step: u32,
 }
@@ -1247,16 +1293,20 @@ struct WorkerOut {
 /// briefly when everything is empty, expand nodes with the same
 /// per-step governance as the sequential loop. Every stop site pushes
 /// the in-flight node back to the owner's deque first, so the surviving
-/// front is complete whichever cause wins the stop race.
+/// front is complete whichever cause wins the stop race. `events` carries
+/// buffered telemetry to the coordinator when `tel_on`; either way,
+/// dropping it at exit is what wakes the coordinator.
 #[allow(clippy::too_many_arguments)]
 fn burst_worker(
     widx: usize,
     machine: &Machine,
+    names: &[Arc<str>],
     mut env: TraceEnv,
     options: &AnalysisOptions,
     deadline: Option<Instant>,
     sh: &BurstShared<'_>,
-    events: Option<mpsc::Sender<(u16, Vec<WEvent>)>>,
+    events: mpsc::Sender<(u16, Vec<WEvent>)>,
+    tel_on: bool,
     timed: bool,
 ) -> WorkerOut {
     let n_workers = sh.deques.len();
@@ -1264,14 +1314,11 @@ fn burst_worker(
     let mut out = WorkerOut::default();
     let mut gen = estelle_runtime::Generated::default();
     let mut ebuf: Vec<WEvent> = Vec::new();
-    let tel_on = events.is_some();
     let t_loop = Instant::now();
 
-    fn flush(events: &Option<mpsc::Sender<(u16, Vec<WEvent>)>>, widx: usize, ebuf: &mut Vec<WEvent>) {
-        if let Some(tx) = events {
-            if !ebuf.is_empty() {
-                let _ = tx.send((widx as u16, std::mem::take(ebuf)));
-            }
+    fn flush(events: &mpsc::Sender<(u16, Vec<WEvent>)>, widx: usize, ebuf: &mut Vec<WEvent>) {
+        if !ebuf.is_empty() {
+            let _ = events.send((widx as u16, std::mem::take(ebuf)));
         }
     }
 
@@ -1379,12 +1426,11 @@ fn burst_worker(
             continue;
         }
 
-        // Generate (or re-generate) this node's transition list on a
-        // scratch copy of its snapshot. One store round-trip serves the
-        // whole expansion: `pristine` is the scratch's source *and*
-        // becomes the child's state if a transition fires (generate may
-        // dirty the scratch, so the fire gets the untouched copy).
-        let pristine = match sh.store.materialize(node.handle) {
+        // Generate (or re-generate) this node's transition list. One
+        // store round-trip serves the whole expansion: Generate only
+        // reads `st`, which then becomes the child's state if a
+        // transition fires.
+        let mut st = match sh.store.materialize(node.handle) {
             Ok(st) => st,
             Err(e) => {
                 out.spill_faults.push(e.to_string());
@@ -1393,7 +1439,6 @@ fn burst_worker(
                 break;
             }
         };
-        let mut st = copy_state(&pristine, options);
         out.delta.generates += 1;
         sh.ge.fetch_add(1, Ordering::Relaxed);
         let g0 = if timed { Some(Instant::now()) } else { None };
@@ -1421,25 +1466,23 @@ fn burst_worker(
             }
         };
         let is_pg = gen.incomplete;
-        let untried: Vec<_> = gen
-            .fireable
-            .drain(..)
-            .filter(|f| !node.tried.contains(&f.trans) && !node.blocked.contains(&f.trans))
-            .collect();
+        gen.fireable
+            .retain(|f| !node.tried.contains(f.trans) && !node.blocked.contains(f.trans));
+        let untried = gen.fireable.len();
         if tel_on {
             ebuf.push(WEvent::Generate {
                 depth,
-                fanout: untried.len(),
+                fanout: untried,
                 incomplete: is_pg,
                 lat_us: g0.map(|t| t.elapsed().as_secs_f64() * 1e6),
             });
         }
-        if !untried.is_empty() {
-            out.delta.fanout_sum += untried.len() as u64;
+        if untried > 0 {
+            out.delta.fanout_sum += untried as u64;
             out.delta.fanout_samples += 1;
         }
 
-        let Some(f) = untried.first().cloned() else {
+        if untried == 0 {
             if is_pg || !node.blocked.is_empty() {
                 if sh.pg.load(Ordering::Relaxed) >= options.limits.max_pg_nodes as u64 {
                     sh.deques[widx].lock().expect("deque lock").push_back(node);
@@ -1463,12 +1506,12 @@ fn burst_worker(
                 sh.pending.fetch_sub(1, Ordering::AcqRel);
             }
             continue;
-        };
+        }
 
-        // Fire the child on the untouched copy of the node's state.
+        // Fire the first untried candidate on the materialized copy.
+        let f = gen.fireable.swap_remove(0);
         node.tried.insert(f.trans);
-        drop(st);
-        let mut child_state = pristine;
+        let mut child_state = st;
         env.restore(&node.cursors);
         let before = env.outstanding();
         out.delta.transitions_executed += 1;
@@ -1500,19 +1543,18 @@ fn burst_worker(
             });
         }
         if !fired && env.last_reject == Some(RejectReason::MayGrow) {
-            node.tried.remove(&f.trans);
+            node.tried.remove(f.trans);
             node.blocked.insert(f.trans);
         }
 
-        let has_more = untried.len() > 1 || is_pg || !node.blocked.is_empty();
+        let has_more = untried > 1 || is_pg || !node.blocked.is_empty();
         if fired {
             let child_barren = if env.outstanding() < before {
                 0
             } else {
                 node.barren + 1
             };
-            let mut child_path = node.path.clone();
-            child_path.push(machine.transition_name(f.trans).to_string());
+            let child_path = node.path.push(names[f.trans].clone());
             let mut child_key = node.key.clone();
             child_key.push(s);
             let mut child_opt = None;
@@ -1538,8 +1580,8 @@ fn burst_worker(
                 let child = PNode {
                     handle: h,
                     cursors: env.save(),
-                    tried: HashSet::new(),
-                    blocked: HashSet::new(),
+                    tried: TransSet::default(),
+                    blocked: TransSet::default(),
                     barren: child_barren,
                     path: child_path,
                     key: child_key,
@@ -1585,27 +1627,22 @@ fn burst_worker(
 struct ReplaySeed {
     state: MachineState,
     cursors: Cursors,
-    tried: HashSet<usize>,
-    blocked: HashSet<usize>,
+    tried: TransSet,
+    blocked: TransSet,
     barren: usize,
-    path: Vec<String>,
+    path: SharedPath,
 }
 
 /// Freeze one parallel node into its checkpoint form (materializing its
 /// snapshot out of the store).
 fn pnode_to_ckpt(store: &ShardedStore, n: &PNode) -> Result<MdfsNodeCkpt, SpillError> {
-    let state = store.materialize(n.handle)?;
-    let mut tried: Vec<usize> = n.tried.iter().copied().collect();
-    tried.sort_unstable();
-    let mut blocked: Vec<usize> = n.blocked.iter().copied().collect();
-    blocked.sort_unstable();
     Ok(MdfsNodeCkpt {
-        state,
+        state: store.materialize(n.handle)?,
         cursors: n.cursors.clone(),
-        tried,
-        blocked,
+        tried: n.tried.0.clone(),
+        blocked: n.blocked.0.clone(),
         barren: n.barren,
-        path: n.path.clone(),
+        path: n.path.to_vec(),
     })
 }
 
@@ -1677,6 +1714,7 @@ fn freeze_par(
 #[allow(clippy::too_many_arguments)]
 fn replay_burst(
     machine: &Machine,
+    names: &[Arc<str>],
     env: &mut TraceEnv,
     options: &AnalysisOptions,
     seeds: Vec<ReplaySeed>,
@@ -1743,7 +1781,7 @@ fn replay_burst(
                 // eof holds throughout: the sequential-first witness.
                 return Ok(finish(
                     Verdict::Valid,
-                    Some(node.path),
+                    Some(node.path.to_vec()),
                     stats,
                     spec_errors,
                     source,
@@ -1757,9 +1795,9 @@ fn replay_burst(
                     tel,
                 ));
             }
-            let mut st = copy_state(node.resident_state(), options);
+            let st = node.resident_state_mut();
             stats.generates += 1;
-            match guard("generate", || machine.generate_into(&mut st, env, &mut gen)) {
+            match guard("generate", || machine.generate_into(st, env, &mut gen)) {
                 Ok(()) => {}
                 Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
                 Err(e) => {
@@ -1768,16 +1806,14 @@ fn replay_burst(
                 }
             };
             let is_pg = gen.incomplete;
-            let untried: Vec<_> = gen
-                .fireable
-                .drain(..)
-                .filter(|f| !node.tried.contains(&f.trans) && !node.blocked.contains(&f.trans))
-                .collect();
-            if !untried.is_empty() {
-                stats.fanout_sum += untried.len() as u64;
+            gen.fireable
+                .retain(|f| !node.tried.contains(f.trans) && !node.blocked.contains(f.trans));
+            let untried = gen.fireable.len();
+            if untried > 0 {
+                stats.fanout_sum += untried as u64;
                 stats.fanout_samples += 1;
             }
-            let Some(f) = untried.first().cloned() else {
+            if untried == 0 {
                 if is_pg || !node.blocked.is_empty() {
                     if pg_list.len() >= options.limits.max_pg_nodes {
                         return Ok(finish(
@@ -1800,7 +1836,8 @@ fn replay_burst(
                     pg_list.push(node);
                 }
                 continue;
-            };
+            }
+            let f = gen.fireable.swap_remove(0);
             node.tried.insert(f.trans);
             let mut child_state = copy_state(node.resident_state(), options);
             env.restore(&node.cursors);
@@ -1817,18 +1854,17 @@ fn replay_burst(
                 }
             };
             if !fired && env.last_reject == Some(RejectReason::MayGrow) {
-                node.tried.remove(&f.trans);
+                node.tried.remove(f.trans);
                 node.blocked.insert(f.trans);
             }
-            let has_more = untried.len() > 1 || is_pg || !node.blocked.is_empty();
+            let has_more = untried > 1 || is_pg || !node.blocked.is_empty();
             if fired {
                 let child_barren = if env.outstanding() < before {
                     0
                 } else {
                     node.barren + 1
                 };
-                let mut child_path = node.path.clone();
-                child_path.push(machine.transition_name(f.trans).to_string());
+                let child_path = node.path.push(names[f.trans].clone());
                 if has_more {
                     work.push(node);
                 }
@@ -2000,10 +2036,10 @@ fn run_par(
         PNode {
             handle: h,
             cursors: c.cursors,
-            tried: c.tried.into_iter().collect(),
-            blocked: c.blocked.into_iter().collect(),
+            tried: TransSet::from_vec(c.tried),
+            blocked: TransSet::from_vec(c.blocked),
             barren: c.barren,
-            path: c.path,
+            path: SharedPath::from_names(c.path),
             key: Vec::new(),
             step: 0,
         }
@@ -2019,10 +2055,10 @@ fn run_par(
             work.push(PNode {
                 handle: h,
                 cursors: env.save(),
-                tried: HashSet::new(),
-                blocked: HashSet::new(),
+                tried: TransSet::default(),
+                blocked: TransSet::default(),
                 barren: 0,
-                path: Vec::new(),
+                path: SharedPath::default(),
                 key: vec![0],
                 step: 0,
             });
@@ -2051,6 +2087,7 @@ fn run_par(
     let mut last_status: Option<Verdict> = None;
     let tel_hot = tel.hot();
     let timed = tel.timer().is_some();
+    let names = transition_names(&machine);
 
     loop {
         // Absorb anything the source produced (coordinator only).
@@ -2148,16 +2185,14 @@ fn run_par(
                 envs.push(e2);
             }
 
-            let (txo, rxo) = if tel_hot {
-                let (tx, rx) = mpsc::channel();
-                (Some(tx), Some(rx))
-            } else {
-                (None, None)
-            };
+            // Workers send telemetry batches (when on) and hang up on
+            // exit; the last hang-up ends the coordinator's wait at once.
+            let (txo, rx) = mpsc::channel();
 
             let outs: Vec<WorkerOut> = std::thread::scope(|s| {
                 let shr = &sh;
                 let mref = &machine;
+                let nref = &names[..];
                 let mut handles = Vec::with_capacity(n_workers);
                 for (i, wenv) in envs.into_iter().enumerate() {
                     let tx = txo.clone();
@@ -2169,7 +2204,9 @@ fn run_par(
                         // surviving workers. Flag the stop, then let the
                         // coordinator's join re-raise the panic.
                         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            burst_worker(i, mref, wenv, options, deadline, shr, tx, timed)
+                            burst_worker(
+                                i, mref, nref, wenv, options, deadline, shr, tx, tel_hot, timed,
+                            )
                         }));
                         match r {
                             Ok(o) => o,
@@ -2181,21 +2218,11 @@ fn run_par(
                     }));
                 }
                 drop(txo);
-                match rxo {
-                    Some(rx) => loop {
-                        match rx.recv_timeout(Duration::from_millis(25)) {
-                            Ok((w, batch)) => replay_events(tel, &machine, w, batch),
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                tick_par(tel, &stats, &sh, cap)
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        }
-                    },
-                    None => {
-                        while handles.iter().any(|h| !h.is_finished()) {
-                            std::thread::sleep(Duration::from_millis(25));
-                            tick_par(tel, &stats, &sh, cap);
-                        }
+                loop {
+                    match rx.recv_timeout(Duration::from_millis(25)) {
+                        Ok((w, batch)) => replay_events(tel, &machine, w, batch),
+                        Err(mpsc::RecvTimeoutError::Timeout) => tick_par(tel, &stats, &sh, cap),
+                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
                     }
                 }
                 handles
@@ -2242,6 +2269,7 @@ fn run_par(
                     let seeds = replay_seeds.expect("witness stops only happen post-eof");
                     return replay_burst(
                         &machine,
+                        &names,
                         &mut env,
                         options,
                         seeds,
@@ -2443,6 +2471,43 @@ fn run_par(
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use estelle_frontend::sema::model::StateId;
 
+    #[test]
+    fn a_node_freezes_and_thaws_with_its_path_and_sorted_sets() {
+        let state = MachineState {
+            control: StateId(1),
+            globals: Vec::new(),
+            heap: Default::default(),
+        };
+        let cursors = Cursors {
+            input: vec![1, 0],
+            output: vec![0, 2],
+        };
+        let path = SharedPath::default().push("t3".into()).push("t1".into());
+        let mut node = Node::new(state, cursors, 2, path);
+        for t in [7, 2, 7, 5] {
+            node.tried.insert(t);
+        }
+        node.tried.remove(5);
+        node.blocked.insert(9);
+        node.blocked.insert(4);
 
+        let frozen = node_to_ckpt(node);
+        assert_eq!(frozen.path, ["t3", "t1"]);
+        assert_eq!(frozen.tried, [2, 7], "freeze writes the set sorted");
+        assert_eq!(frozen.blocked, [4, 9]);
 
+        let thawed = node_from_ckpt(frozen);
+        assert_eq!(thawed.path.len(), 2);
+        assert_eq!(thawed.barren, 2);
+        assert!(thawed.tried.contains(7) && !thawed.tried.contains(5));
+        let again = node_to_ckpt(thawed);
+        assert_eq!(again.path, ["t3", "t1"]);
+        assert_eq!((again.tried, again.blocked), (vec![2, 7], vec![4, 9]));
+        assert_eq!(again.cursors.output, [0, 2]);
+    }
+}

@@ -14,6 +14,7 @@
 
 pub mod dfs;
 pub mod mdfs;
+pub(crate) mod path;
 pub(crate) mod snapshot;
 pub mod spill;
 pub(crate) mod store;
