@@ -22,7 +22,7 @@ fn main() {
     for order in [OrderOptions::none(), OrderOptions::full()] {
         let mut rows = Vec::new();
         for (up, down) in [(2usize, 2usize), (3, 3), (4, 4), (5, 5)] {
-            let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, down, 13)).unwrap();
+            let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, down, 20)).unwrap();
             for hashing in [false, true] {
                 let mut options = AnalysisOptions::with_order(order);
                 options.state_hashing = hashing;

@@ -3,17 +3,14 @@
 //! The paper's §4 throughput numbers are dominated by *Generate* and
 //! *Update*: every search node scans the transition declarations,
 //! re-evaluates `provided` clauses and walks action-block trees. This
-//! benchmark runs the same TP0, LAPD and synthetic workloads under
-//! `exec_mode = Compiled` (register bytecode executed by a non-recursive
-//! VM, transitions pre-bucketed by from-control-state), under
-//! `exec_mode = Interp` (the original tree walker with its linear
-//! transition scan), and under *compiled + PGO* (a profiling run feeds
-//! the per-transition fire counts back into the compiler, which reorders
-//! each dispatch bucket by observed fire rate and re-sorts conjunctive
-//! guard terms cheapest-first). It checks that the verdicts and the
-//! TE/GE/RE/SA counters are identical in all three modes, and records
-//! throughput (nodes/sec) and the `search.generate_latency_us`
-//! histogram for each mode in `BENCH_generate.json` at the repo root.
+//! benchmark runs the same TP0, LAPD and synthetic workloads on
+//! `ExecMode::Compiled` (register bytecode executed by a non-recursive
+//! VM, transitions pre-bucketed by from-control-state) and on
+//! `ExecMode::Interp` (the tree walker with its linear transition scan),
+//! each selected through `Machine::exec_view`. It checks that the
+//! verdicts and the TE/GE/RE/SA counters are identical on both, and
+//! records throughput (nodes/sec) and the `search.generate_latency_us`
+//! histogram for each executor in `BENCH_generate.json` at the repo root.
 //!
 //! ```sh
 //! cargo run -p bench --bin generate_exec --release            # full record
@@ -29,21 +26,6 @@ use tango::{
     AnalysisOptions, ChoicePolicy, OrderOptions, StaticSource, Telemetry, Trace, TraceAnalyzer,
     DEFAULT_RING_CAPACITY,
 };
-
-/// Profile one compiled run and feed the fire counts back into the
-/// compiler (the `--pgo-out` → `--pgo-in` round trip, in-process).
-fn apply_pgo(analyzer: &mut TraceAnalyzer, trace: &Trace, order: OrderOptions, cap: u64) {
-    let mut options = AnalysisOptions::with_order(order);
-    options.exec_mode = ExecMode::Compiled;
-    options.limits.max_transitions = cap;
-    let n = analyzer.machine.module.transition_count();
-    let mut tel = Telemetry::off().with_profile(n);
-    analyzer
-        .analyze_with(trace, &options, &mut tel)
-        .expect("profiling run");
-    let profile = analyzer.pgo_snapshot(tel.profile().expect("profile enabled"));
-    analyzer.apply_pgo(&profile).expect("profile matches its own spec");
-}
 
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_generate.json");
 
@@ -69,8 +51,8 @@ fn run_mode(
     max_transitions: u64,
     reps: u32,
 ) -> ModeResult {
+    let analyzer = TraceAnalyzer::from_machine(analyzer.machine.exec_view(exec));
     let mut options = AnalysisOptions::with_order(order);
-    options.exec_mode = exec;
     options.limits.max_transitions = max_transitions;
     // Short workloads repeat the identical analysis `reps` times and
     // report totals, so the throughput column is not at the mercy of a
@@ -141,7 +123,7 @@ struct Workload {
     /// work (identical TE in both modes), rows that finish under it
     /// measure the complete analysis.
     cap: u64,
-    /// Counts toward the ≥3× (PGO-enabled) LAPD acceptance gate.
+    /// Counts toward the ≥3× LAPD acceptance gate.
     gate: bool,
     /// Repetitions of the identical analysis (totals reported), so short
     /// rows measure above timer noise.
@@ -172,7 +154,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         name: format!("tp0-invalid-{0}+{0}-NR", up),
         analyzer: tp0::analyzer(),
         order: OrderOptions::none(),
-        trace: tp0::invalidate_last_data(&tp0::complete_valid_trace(up, up, 13))
+        trace: tp0::invalidate_last_data(&tp0::complete_valid_trace(up, up, 20))
             .expect("complete trace ends in DATA"),
         cap,
         gate: false,
@@ -205,8 +187,8 @@ fn workloads(quick: bool) -> Vec<Workload> {
     // The same spec in the §4 Generate-bound regime: NR order and a
     // setup-phase trace keep the run inside transition-table scans
     // rather than data-phase firing and order bookkeeping, so this row
-    // isolates what the dispatch index, the VM fast paths and PGO
-    // actually buy on an 800-transition table.
+    // isolates what the dispatch index and the VM fast paths actually
+    // buy on an 800-transition table.
     w.push(Workload {
         name: format!("lapd-800-valid-DI{}-NR", di),
         analyzer: lapd::analyzer_expanded(),
@@ -243,7 +225,6 @@ fn workloads(quick: bool) -> Vec<Workload> {
 /// per-run counter signature for the identical-results check.
 fn timed_run(w: &Workload, recorder: bool) -> (f64, (u64, u64, u64, u64), String) {
     let mut options = AnalysisOptions::with_order(w.order);
-    options.exec_mode = ExecMode::Compiled;
     options.limits.max_transitions = w.cap;
     let mut secs = 0.0;
     let mut te_total = 0u64;
@@ -313,7 +294,7 @@ fn mdfs_scaling(quick: bool) -> (String, usize, Vec<ScaleRow>) {
     let up = if quick { 3 } else { 4 };
     let name = format!("tp0-invalid-{0}+{0}-NR", up);
     let analyzer = tp0::analyzer();
-    let trace = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, up, 13))
+    let trace = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, up, 20))
         .expect("complete trace ends in DATA");
     let mut rows = Vec::new();
     for workers in [1usize, 2, 4, 8] {
@@ -385,34 +366,28 @@ fn main() {
         "{:>24} {:>9} {:>12} {:>12} {:>10} {:>12}",
         "workload", "exec", "CPUT(s)", "nodes/s", "GE", "gen-mean(us)"
     );
-    for mut w in workloads(quick) {
+    for w in workloads(quick) {
         let compiled =
             run_mode(&w.analyzer, &w.trace, w.order, ExecMode::Compiled, w.cap, w.reps);
         let interp = run_mode(&w.analyzer, &w.trace, w.order, ExecMode::Interp, w.cap, w.reps);
-        apply_pgo(&mut w.analyzer, &w.trace, w.order, w.cap);
-        let pgo = run_mode(&w.analyzer, &w.trace, w.order, ExecMode::Compiled, w.cap, w.reps);
-        for (label, m) in [("compiled", &compiled), ("interp", &interp), ("pgo", &pgo)] {
+        for (label, m) in [("compiled", &compiled), ("interp", &interp)] {
             println!(
                 "{:>24} {:>9} {:>12.3} {:>12.0} {:>10} {:>12.2}",
                 w.name, label, m.cpu_seconds, m.nodes_per_sec, m.ge, m.gen_mean_us
             );
         }
         let same = compiled.verdict == interp.verdict
-            && pgo.verdict == interp.verdict
             && (compiled.te, compiled.ge, compiled.re, compiled.sa)
                 == (interp.te, interp.ge, interp.re, interp.sa)
-            && (pgo.te, pgo.ge, pgo.re, pgo.sa) == (interp.te, interp.ge, interp.re, interp.sa)
             && compiled.gen_count == compiled.ge
-            && interp.gen_count == interp.ge
-            && pgo.gen_count == pgo.ge;
+            && interp.gen_count == interp.ge;
         assert!(
             same,
-            "{}: executors disagree (verdict {} vs {} vs {}, TE/GE/RE/SA \
-             {}/{}/{}/{} vs {}/{}/{}/{} vs {}/{}/{}/{})",
+            "{}: executors disagree (verdict {} vs {}, TE/GE/RE/SA \
+             {}/{}/{}/{} vs {}/{}/{}/{})",
             w.name,
             compiled.verdict,
             interp.verdict,
-            pgo.verdict,
             compiled.te,
             compiled.ge,
             compiled.re,
@@ -420,19 +395,10 @@ fn main() {
             interp.te,
             interp.ge,
             interp.re,
-            interp.sa,
-            pgo.te,
-            pgo.ge,
-            pgo.re,
-            pgo.sa
+            interp.sa
         );
         let speedup = if interp.nodes_per_sec > 0.0 && compiled.nodes_per_sec > 0.0 {
             compiled.nodes_per_sec / interp.nodes_per_sec
-        } else {
-            0.0
-        };
-        let pgo_speedup = if interp.nodes_per_sec > 0.0 && pgo.nodes_per_sec > 0.0 {
-            pgo.nodes_per_sec / interp.nodes_per_sec
         } else {
             0.0
         };
@@ -442,13 +408,13 @@ fn main() {
             0.0
         };
         if w.gate {
-            gate_speedups.push((w.name.clone(), pgo_speedup));
+            gate_speedups.push((w.name.clone(), speedup));
         }
         rows.push(format!(
             "    {{\"name\": \"{}\", \"order\": \"{}\", \"trace_len\": {}, \
              \"max_transitions\": {},\n     \"compiled\": {},\n     \
-             \"interp\": {},\n     \"pgo\": {},\n     \
-             \"speedup_nodes_per_sec\": {}, \"speedup_pgo_nodes_per_sec\": {}, \
+             \"interp\": {},\n     \
+             \"speedup_nodes_per_sec\": {}, \
              \"generate_latency_ratio\": {}, \"counters_match\": true}}",
             w.name,
             w.order.label(),
@@ -456,9 +422,7 @@ fn main() {
             w.cap,
             mode_json(&compiled),
             mode_json(&interp),
-            mode_json(&pgo),
             json::number(speedup),
-            json::number(pgo_speedup),
             json::number(latency_ratio)
         ));
     }
@@ -573,12 +537,12 @@ fn main() {
     println!("\nwrote {}", OUT_PATH);
 
     for (name, speedup) in &gate_speedups {
-        println!("{}: compiled+pgo {:.2}x interp throughput", name, speedup);
+        println!("{}: compiled {:.2}x interp throughput", name, speedup);
     }
     if !quick {
         assert!(
             gate_speedups.iter().any(|(_, s)| *s >= 3.0),
-            "acceptance gate: expected >=3x compiled+PGO speedup on a LAPD workload, got {:?}",
+            "acceptance gate: expected >=3x compiled speedup on a LAPD workload, got {:?}",
             gate_speedups
         );
         assert!(

@@ -23,7 +23,7 @@ fn main() {
         "variant", "data", "TE", "SA", "CPUT(s)"
     );
     for (up, down) in [(3usize, 3usize), (4, 4)] {
-        let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, down, 13)).unwrap();
+        let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, down, 20)).unwrap();
         for (label, analyzer) in [("heap", &heap), ("array", &bounded)] {
             let mut options = AnalysisOptions::with_order(OrderOptions::none());
             options.limits.max_transitions = 30_000_000;

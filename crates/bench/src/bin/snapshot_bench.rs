@@ -125,7 +125,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         ]
     };
     for &(up, down, cap) in tp0_sizes {
-        let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, down, 13))
+        let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, down, 20))
             .expect("complete trace ends in DATA");
         w.push(Workload {
             name: format!("tp0-invalid-{}+{}-NR", up, down),

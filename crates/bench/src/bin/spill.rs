@@ -150,7 +150,7 @@ fn main() {
     // can reject — peak snapshot residency scales with the blowup.
     let (up, down) = if quick { (2, 2) } else { (4, 4) };
     let analyzer = tp0::analyzer();
-    let trace = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, down, 13))
+    let trace = tp0::invalidate_last_data(&tp0::complete_valid_trace(up, down, 20))
         .expect("complete trace ends in DATA");
 
     println!(

@@ -9,18 +9,12 @@
 //! between declaration count and throughput is the claim to reproduce.
 //! Synthetic ring specifications give a controlled declaration-count
 //! sweep; TP0 and LAPD are measured alongside for reference. Every row
-//! is measured under both fixed executors (`--exec` A/B): the bytecode
-//! VM with its by-control-state dispatch index, and the tree-walking
-//! reference interpreter — the relation must hold in both columns, and
-//! the search totals must be identical across them.
-//!
-//! Each row also records the `auto` column: which executor the default
-//! cost model (`ExecMode::Auto`) resolves to for that spec. Auto
-//! selection happens once at analyzer-build time, so its throughput *is*
-//! the resolved executor's throughput — the row copies it and the
-//! `speedup_auto_trans_per_sec` ratio (auto vs. the tree walker) asserts
-//! the cost model never picks the slower executor. An untimed Auto run
-//! double-checks the verdict and TE/GE/RE/SA totals match.
+//! is measured under both executors, selected through
+//! `Machine::exec_view`: the bytecode VM with its by-control-state
+//! dispatch index, and the tree-walking reference interpreter — the
+//! relation must hold in both columns, and the search totals must be
+//! identical across them. `speedup_trans_per_sec` is the VM's throughput
+//! over the tree walker's.
 //!
 //! Timing: every measurement loops the analysis until a minimum total
 //! duration is reached (200ms full, 5ms quick) and reports the
@@ -51,7 +45,6 @@ struct Row {
     trace_len: usize,
 }
 
-#[derive(Clone)]
 struct ExecResult {
     te: u64,
     /// Search totals that must be identical across executors:
@@ -67,8 +60,8 @@ struct ExecResult {
 /// pass accumulates at least `min_total`, repeat for `passes` passes and
 /// keep the fastest (scheduler noise only ever slows a run down).
 fn run_exec(analyzer: &TraceAnalyzer, trace: &Trace, exec: ExecMode, quick: bool) -> ExecResult {
-    let mut options = AnalysisOptions::with_order(OrderOptions::none());
-    options.exec_mode = exec;
+    let analyzer = TraceAnalyzer::from_machine(analyzer.machine.exec_view(exec));
+    let options = AnalysisOptions::with_order(OrderOptions::none());
     let min_total = if quick {
         Duration::from_millis(5)
     } else {
@@ -134,42 +127,7 @@ fn measure(row: Row, analyzer: &TraceAnalyzer, trace: &Trace, quick: bool, rows:
         row.spec
     );
 
-    // The cost model resolves Auto once per spec; its throughput is the
-    // resolved executor's. An untimed Auto run pins the search totals.
-    let resolved = analyzer.machine.exec_view(ExecMode::Auto).resolved_exec();
-    let auto = match resolved {
-        ExecMode::Interp => interp.clone(),
-        _ => compiled.clone(),
-    };
-    {
-        let mut options = AnalysisOptions::with_order(OrderOptions::none());
-        options.exec_mode = ExecMode::Auto;
-        let check = analyzer.analyze(trace, &options).expect("analysis runs");
-        assert_eq!(
-            (
-                check.stats.transitions_executed,
-                check.stats.generates,
-                check.stats.restores,
-                check.stats.saves,
-                check.verdict.to_string(),
-            ),
-            (
-                auto.totals.0,
-                auto.totals.1,
-                auto.totals.2,
-                auto.totals.3,
-                auto.verdict.clone(),
-            ),
-            "{}: auto mode must match its resolved executor exactly",
-            row.spec
-        );
-    }
-
-    for (label, r) in [
-        ("compiled", &compiled),
-        ("interp", &interp),
-        (resolved.name(), &auto),
-    ] {
+    for (label, r) in [("compiled", &compiled), ("interp", &interp)] {
         println!(
             "{:>14} {:>8} {:>9} {:>12} {:>14.9} {:>14.0}",
             row.spec, row.decls, label, r.te, r.cpu_seconds, r.tps
@@ -179,18 +137,13 @@ fn measure(row: Row, analyzer: &TraceAnalyzer, trace: &Trace, quick: bool, rows:
     rows.push(format!(
         "    {{\"spec\": \"{}\", \"decls\": {}, \"trace_len\": {},\n     \
          \"compiled\": {},\n     \"interp\": {},\n     \
-         \"auto\": {{\"resolved\": \"{}\", \"trans_per_sec\": {}}},\n     \
-         \"speedup_trans_per_sec\": {},\n     \
-         \"speedup_auto_trans_per_sec\": {}}}",
+         \"speedup_trans_per_sec\": {}}}",
         json::escape(&row.spec),
         row.decls,
         row.trace_len,
         exec_json(&compiled),
         exec_json(&interp),
-        resolved.name(),
-        json::number(auto.tps),
         json::number(speedup(compiled.tps, interp.tps)),
-        json::number(speedup(auto.tps, interp.tps)),
     ));
 }
 
@@ -206,40 +159,26 @@ fn check(path: &str) {
         eprintln!("tps_by_spec_size --check: {}: {}", path, e);
         std::process::exit(1);
     }
-    // Row schema: every row carries both executor columns plus the
-    // auto-selection column.
+    // Row schema: every row carries both executor columns and their
+    // ratio.
     for key in [
         "\"benchmark\": \"tps_by_spec_size\"",
         "\"compiled\":",
         "\"interp\":",
-        "\"auto\":",
         "\"speedup_trans_per_sec\":",
-        "\"speedup_auto_trans_per_sec\":",
     ] {
         if !text.contains(key) {
             eprintln!("tps_by_spec_size --check: {}: missing {} in record", path, key);
             std::process::exit(1);
         }
     }
-    // The auto gate: the default executor must never be slower than the
-    // tree walker on any recorded row.
-    let speedups = json::numbers_for_key(&text, "speedup_auto_trans_per_sec");
+    let speedups = json::numbers_for_key(&text, "speedup_trans_per_sec");
     if speedups.is_empty() {
-        eprintln!("tps_by_spec_size --check: {}: no auto speedup values", path);
+        eprintln!("tps_by_spec_size --check: {}: no speedup values", path);
         std::process::exit(1);
     }
-    for s in &speedups {
-        if *s < 1.0 {
-            eprintln!(
-                "tps_by_spec_size --check: {}: a row has speedup_auto_trans_per_sec {} < 1.0 — \
-                 the auto cost model picked the slower executor",
-                path, s
-            );
-            std::process::exit(1);
-        }
-    }
     println!(
-        "{}: well-formed tps_by_spec_size record, auto speedups all >= 1.0 ({} rows)",
+        "{}: well-formed tps_by_spec_size record ({} rows)",
         path,
         speedups.len()
     );

@@ -1,4 +1,4 @@
-//! Register bytecode for the compiled execution mode (`--exec=compiled`).
+//! Register bytecode for the compiled executor ([`crate::ExecMode::Compiled`]).
 //!
 //! The tree-walking interpreter in [`crate::interp`] re-dispatches on the
 //! IR node shape for every expression it touches — the classic interpreter
@@ -323,16 +323,15 @@ pub enum QuickGuard {
 /// holds a defined value**. Over defined operands the terms are total
 /// (comparisons on ordinals and boolean reads never error and never
 /// produce `Undefined`), so evaluation order and short-circuiting are
-/// unobservable under either [`crate::interp::UndefinedPolicy`] — which is
-/// exactly what licenses [`ExecProgram::apply_pgo`] to re-sort the terms
-/// cheapest-first. Any undefined slot or non-boolean term falls back to
-/// the full chunk in source order.
+/// unobservable under either [`crate::interp::UndefinedPolicy`]. Any
+/// undefined slot or non-boolean term falls back to the full chunk in
+/// source order.
 #[derive(Clone, Debug)]
 pub struct ConjGuard {
     /// Global slots any term reads, deduplicated — the definedness
     /// precheck.
     pub slots: Vec<u32>,
-    /// The conjuncts, in source order until PGO re-sorts them.
+    /// The conjuncts, in source order.
     pub terms: Vec<QuickGuard>,
 }
 
@@ -380,12 +379,6 @@ pub struct DispatchEntry {
 #[derive(Clone, Debug, Default)]
 pub struct DispatchIndex {
     pub by_state: Vec<Vec<DispatchEntry>>,
-    /// Set by [`DispatchIndex::reorder_by_fires`] when any bucket left
-    /// declaration order. *Generate* then restores declaration order on
-    /// the fireable list it builds (a sort by `trans`), and replays the
-    /// bucket in declaration order when a guard errors, so invariant 1
-    /// still holds observably.
-    pub reordered: bool,
 }
 
 impl DispatchIndex {
@@ -406,29 +399,7 @@ impl DispatchIndex {
                 }
             }
         }
-        DispatchIndex {
-            by_state,
-            reordered: false,
-        }
-    }
-
-    /// Profile-guided bucket ordering: stable-sort every bucket by
-    /// descending observed fire count, so the candidates most likely to
-    /// fire are probed (and their queue heads cached) first. Ties keep
-    /// declaration order; `fires` is indexed by compiled-transition
-    /// number.
-    pub fn reorder_by_fires(&mut self, fires: &[u64]) {
-        for bucket in &mut self.by_state {
-            bucket.sort_by(|x, y| {
-                let fx = fires.get(x.trans as usize).copied().unwrap_or(0);
-                let fy = fires.get(y.trans as usize).copied().unwrap_or(0);
-                fy.cmp(&fx)
-            });
-        }
-        self.reordered = self
-            .by_state
-            .iter()
-            .any(|b| b.windows(2).any(|w| w[0].trans > w[1].trans));
+        DispatchIndex { by_state }
     }
 
     /// Candidates for a control state (empty for out-of-range states).
@@ -446,16 +417,6 @@ impl DispatchIndex {
     }
 }
 
-/// Profile feedback for [`ExecProgram::apply_pgo`]: per-transition fire
-/// and fail counts, indexed by compiled-transition number. Produced by the
-/// telemetry profiler (`--pgo-out`) and validated against the spec before
-/// it gets anywhere near the dispatch index (`--pgo-in`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PgoHints {
-    pub fires: Vec<u64>,
-    pub fails: Vec<u64>,
-}
-
 /// Everything the compiled execution mode needs, built once per machine
 /// and shared by all policy/exec views.
 #[derive(Clone, Debug, Default)]
@@ -469,8 +430,6 @@ pub struct ExecProgram {
     /// Per transition: the compiled action-block chunk.
     pub bodies: Vec<usize>,
     pub dispatch: DispatchIndex,
-    /// Whether [`ExecProgram::apply_pgo`] has run on this program.
-    pub pgo: bool,
 }
 
 impl ExecProgram {
@@ -490,30 +449,6 @@ impl ExecProgram {
                     .count()
             })
             .sum()
-    }
-
-    /// Apply profile feedback: order every dispatch bucket by observed
-    /// fire rate and re-sort conjunction-guard terms cheapest-first.
-    /// Observable semantics are unchanged — *Generate* restores
-    /// declaration order on the fireable lists it builds (and replays in
-    /// declaration order when a guard errors), and conjunction terms only
-    /// short-circuit over defined values, where order is unobservable.
-    pub fn apply_pgo(&mut self, hints: &PgoHints) {
-        debug_assert_eq!(hints.fires.len(), self.bodies.len());
-        self.dispatch.reorder_by_fires(&hints.fires);
-        for g in self.guards.iter_mut().flatten() {
-            if let Some(cj) = &mut g.conj {
-                // Static term cost: folded constants, then bare boolean
-                // globals, then global/const compares. Stable, so
-                // equal-cost terms keep source order.
-                cj.terms.sort_by_key(|t| match t {
-                    QuickGuard::Const(_) => 0u8,
-                    QuickGuard::Global { .. } => 1,
-                    QuickGuard::GlobalOpConst { .. } => 2,
-                });
-            }
-        }
-        self.pgo = true;
     }
 }
 
@@ -613,7 +548,6 @@ pub fn compile_program(module: &CompiledModule) -> ExecProgram {
         guards,
         bodies,
         dispatch: DispatchIndex::build(module),
-        pgo: false,
     }
 }
 
@@ -1682,46 +1616,5 @@ mod tests {
         assert_eq!(cj.slots.len(), 3, "busy, vs, rc all prechecked");
         assert!(g(1).conj.is_none(), "calls disqualify the conj plan");
         assert!(g(2).conj.is_none(), "single terms stay QuickGuard");
-    }
-
-    #[test]
-    fn pgo_reorders_buckets_by_fires_and_restores_flag() {
-        let m = Machine::from_source(
-            r#"
-            specification p;
-            module M process; end;
-            body MB for M;
-                var n : integer;
-                state A;
-                initialize to A begin n := 0 end;
-                trans
-                from A to A provided n = 0 name T1: begin n := 0 end;
-                from A to A provided n = 1 name T2: begin n := 0 end;
-                from A to A provided n = 2 name T3: begin n := 0 end;
-            end;
-            end.
-        "#,
-        )
-        .unwrap();
-        let mut prog = (*m.program).clone();
-        assert!(!prog.dispatch.reordered);
-        // T3 fired most, then T1; T2 never.
-        prog.apply_pgo(&PgoHints {
-            fires: vec![10, 0, 50],
-            fails: vec![0, 60, 10],
-        });
-        assert!(prog.pgo);
-        assert!(prog.dispatch.reordered);
-        let order: Vec<u32> = prog.dispatch.by_state[0].iter().map(|e| e.trans).collect();
-        assert_eq!(order, vec![2, 0, 1]);
-        // Equal-fire hints keep declaration order and clear the flag.
-        let mut prog2 = (*m.program).clone();
-        prog2.apply_pgo(&PgoHints {
-            fires: vec![5, 5, 5],
-            fails: vec![0, 0, 0],
-        });
-        assert!(!prog2.dispatch.reordered, "stable sort kept decl order");
-        let order2: Vec<u32> = prog2.dispatch.by_state[0].iter().map(|e| e.trans).collect();
-        assert_eq!(order2, vec![0, 1, 2]);
     }
 }

@@ -25,7 +25,7 @@ pub fn to_dot(module: &CompiledModule) -> String {
 /// interpolates gray → red and the pen widens with heat), and
 /// `annotations` adds one extra label line per transition (empty strings
 /// are skipped). Both slices are indexed by compiled transition id;
-/// missing entries render unheated. `exec_mode` names the executor that
+/// missing entries render unheated. `executor` names the executor that
 /// produced the profile (`"compiled"` or `"interp"`) and is stamped into
 /// the graph caption so A/B overlays are never confused for one another.
 /// This is the profile overlay behind `tango analyze --profile-dot`.
@@ -33,9 +33,9 @@ pub fn to_dot_with_heat(
     module: &CompiledModule,
     weights: &[f64],
     annotations: &[String],
-    exec_mode: &str,
+    executor: &str,
 ) -> String {
-    render(module, Some((weights, annotations, exec_mode)))
+    render(module, Some((weights, annotations, executor)))
 }
 
 fn render(module: &CompiledModule, heat: Option<(&[f64], &[String], &str)>) -> String {
@@ -43,11 +43,11 @@ fn render(module: &CompiledModule, heat: Option<(&[f64], &[String], &str)>) -> S
     let mut out = String::new();
     writeln!(out, "digraph {} {{", sanitize(&m.module_name)).unwrap();
     writeln!(out, "  rankdir=LR;").unwrap();
-    if let Some((_, _, exec_mode)) = heat {
+    if let Some((_, _, executor)) = heat {
         writeln!(
             out,
             "  label=\"transition profile (exec={})\"; labelloc=t;",
-            exec_mode.replace('"', "\\\"")
+            executor.replace('"', "\\\"")
         )
         .unwrap();
     }

@@ -2,7 +2,7 @@
 //!
 //! The tree-walking interpreter ([`super::Interp`]) and the bytecode VM
 //! ([`crate::vm`]) must agree *bit-for-bit* on every value they produce and
-//! every error they raise — the trace analyzer's `--exec` A/B contract.
+//! every error they raise — the contract the differential tests check.
 //! Everything here is therefore a free function parameterized by the
 //! [`UndefinedPolicy`], and both executors delegate to it instead of
 //! carrying private copies of the rules: operator semantics, Kleene

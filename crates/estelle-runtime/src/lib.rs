@@ -46,7 +46,7 @@ pub mod normal_form;
 pub mod value;
 pub mod vm;
 
-pub use bytecode::{DispatchIndex, ExecProgram, PgoHints};
+pub use bytecode::{DispatchIndex, ExecProgram};
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use compile::{compile, CompiledModule};
 pub use env::{InputSource, OutputSink, QueueHead};
@@ -54,8 +54,5 @@ pub use error::{RtResult, RuntimeError, RuntimeErrorKind};
 pub use fxhash::FxHasher;
 pub use heap::{Heap, HeapRef, CHUNK_CELLS};
 pub use interp::UndefinedPolicy;
-pub use machine::{
-    BuildError, ExecMode, FireOutcome, Fireable, Generated, Machine, MachineState,
-    AUTO_COMPILED_MIN_TRANSITIONS,
-};
+pub use machine::{BuildError, ExecMode, FireOutcome, Fireable, Generated, Machine, MachineState};
 pub use value::Value;

@@ -127,59 +127,28 @@ pub enum FireOutcome {
 ///
 /// Both modes are bit-identical in every observable: fireable sets and
 /// their order, state updates, emitted outputs, verdicts and errors
-/// (`tests/compiled_exec.rs` enforces this differentially). They differ
-/// only in speed: `Compiled` lowers the tree IR to register bytecode once
-/// at machine construction and dispatches *Generate* through a
-/// by-control-state transition index, while `Interp` walks the tree IR and
-/// linearly scans every transition declaration — kept as the reference
-/// executor and A/B baseline (`--exec=interp`).
+/// (`tests/compiled_exec.rs` enforces this differentially). `Compiled` is
+/// the executor: it lowers the tree IR to register bytecode once at
+/// machine construction and dispatches *Generate* through a
+/// by-control-state transition index. `Interp` walks the tree IR and
+/// linearly scans every transition declaration; it is the differential
+/// oracle the tests compare the VM against, reached through
+/// [`Machine::exec_view`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Pick per spec from the compile-time cost model (the default): the
-    /// bytecode VM for specs with at least
-    /// [`AUTO_COMPILED_MIN_TRANSITIONS`] compiled transitions, the tree
-    /// walker below that. On small specs the VM's fixed per-step overhead
-    /// (scratch setup, chunk dispatch) exceeds what the dispatch index
-    /// saves, and the tree walker wins — `BENCH_tps.json` is the record.
-    /// The choice depends only on the spec, so a resumed checkpoint run
-    /// re-selects the same executor.
-    #[default]
-    Auto,
     /// Bytecode VM + dispatch index.
+    #[default]
     Compiled,
     /// Tree-walking reference interpreter with linear transition scan.
     Interp,
 }
 
-/// [`ExecMode::Auto`]'s cost-model threshold: specs with at least this
-/// many compiled transitions (post `any`-expansion) run the bytecode VM.
-/// Calibrated against `BENCH_tps.json`: the crossover sits between the
-/// 21-transition LAPD table (tree walker faster) and the 50-declaration
-/// synthetic spec (VM ≥2× faster).
-pub const AUTO_COMPILED_MIN_TRANSITIONS: usize = 48;
-
 impl ExecMode {
-    /// Stable lowercase name used by CLI flags and benchmark records.
+    /// Stable lowercase name used by reports and benchmark records.
     pub fn name(self) -> &'static str {
         match self {
-            ExecMode::Auto => "auto",
             ExecMode::Compiled => "compiled",
             ExecMode::Interp => "interp",
-        }
-    }
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(ExecMode::Auto),
-            "compiled" => Ok(ExecMode::Compiled),
-            "interp" => Ok(ExecMode::Interp),
-            other => Err(format!(
-                "unknown exec mode `{}` (expected `auto`, `compiled` or `interp`)",
-                other
-            )),
         }
     }
 }
@@ -220,7 +189,8 @@ impl Machine {
     }
 
     /// A second handle onto the same compiled module with a different
-    /// executor (`--exec` A/B testing).
+    /// executor: how differential tests and benchmarks reach the tree
+    /// walker.
     pub fn exec_view(&self, exec: ExecMode) -> Machine {
         Machine {
             module: Arc::clone(&self.module),
@@ -243,31 +213,6 @@ impl Machine {
         self
     }
 
-    /// The executor this machine actually runs: [`ExecMode::Auto`]
-    /// resolves per spec through the cost model, explicit modes pass
-    /// through. Deterministic for a given spec, so checkpoint resume
-    /// re-selects the same executor.
-    pub fn resolved_exec(&self) -> ExecMode {
-        match self.exec {
-            ExecMode::Auto => {
-                if self.module.transitions.len() >= AUTO_COMPILED_MIN_TRANSITIONS {
-                    ExecMode::Compiled
-                } else {
-                    ExecMode::Interp
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Apply validated profile feedback to the shared bytecode program
-    /// (see [`ExecProgram::apply_pgo`]). Views already split off keep the
-    /// unoptimized program; views created afterwards share the optimized
-    /// one.
-    pub fn apply_pgo(&mut self, hints: &crate::bytecode::PgoHints) {
-        Arc::make_mut(&mut self.program).apply_pgo(hints);
-    }
-
     fn interp(&self) -> Interp<'_> {
         Interp::new(&self.module, self.policy)
     }
@@ -287,7 +232,7 @@ impl Machine {
                 globals: &mut globals,
                 heap: &mut heap,
             };
-            match self.resolved_exec() {
+            match self.exec {
                 ExecMode::Interp => {
                     let mut frame = Vec::new();
                     self.interp().exec_block(
@@ -298,7 +243,7 @@ impl Machine {
                         0,
                     )?;
                 }
-                ExecMode::Compiled | ExecMode::Auto => {
+                ExecMode::Compiled => {
                     let v = Vm::new(&self.program, self.policy);
                     vm::with_scratch(|s| {
                         v.run(self.program.init, Vec::new(), &mut store, sink, s)
@@ -353,9 +298,9 @@ impl Machine {
     ) -> RtResult<()> {
         out.fireable.clear();
         out.incomplete = false;
-        match self.resolved_exec() {
+        match self.exec {
             ExecMode::Interp => self.generate_interp(st, input, out)?,
-            ExecMode::Compiled | ExecMode::Auto => self.generate_compiled(st, input, out)?,
+            ExecMode::Compiled => self.generate_compiled(st, input, out)?,
         }
 
         // Priority filtering: keep only the smallest priority value.
@@ -466,33 +411,7 @@ impl Machine {
             heads.clear();
             heads.resize(self.module.analyzed.ips.len(), None);
             let entries = program.dispatch.candidates(st.control);
-            let mut result =
-                self.generate_candidates(&v, s, &mut heads, st, input, out, entries);
-            if program.dispatch.reordered {
-                match &result {
-                    Ok(()) => {
-                        // A PGO-reordered bucket probes candidates out of
-                        // declaration order; restore it on the fireable
-                        // list so the observable result matches the
-                        // linear scan element-for-element.
-                        out.fireable.sort_by_key(|f| f.trans);
-                    }
-                    Err(_) => {
-                        // A guard error must surface from the *first*
-                        // declaration that raises it. Guard evaluation
-                        // never commits state changes (call-carrying
-                        // guards run on scratch copies), so replaying the
-                        // bucket in declaration order reproduces the
-                        // linear scan's error exactly.
-                        out.fireable.clear();
-                        out.incomplete = false;
-                        let mut decl = entries.to_vec();
-                        decl.sort_by_key(|e| e.trans);
-                        result =
-                            self.generate_candidates(&v, s, &mut heads, st, input, out, &decl);
-                    }
-                }
-            }
+            let result = self.generate_candidates(&v, s, &mut heads, st, input, out, entries);
             s.heads = heads;
             result
         })
@@ -686,12 +605,12 @@ impl Machine {
                 globals: &mut st.globals,
                 heap: &mut st.heap,
             };
-            match self.resolved_exec() {
+            match self.exec {
                 ExecMode::Interp => {
                     self.interp()
                         .exec_block(&t.body, &mut store, &mut frame, env, 0)
                 }
-                ExecMode::Compiled | ExecMode::Auto => {
+                ExecMode::Compiled => {
                     let v = Vm::new(&self.program, self.policy);
                     vm::with_scratch(|s| {
                         v.run(self.program.bodies[f.trans], frame, &mut store, env, s)
@@ -767,7 +686,7 @@ impl Machine {
 /// Evaluate a [`crate::bytecode::ConjGuard`] plan against the globals:
 /// `Some(enabled)` when every referenced slot is defined and every term
 /// evaluates cleanly to a boolean — in that regime the terms are total
-/// and their order (PGO re-sorts them cheapest-first) is unobservable.
+/// and their order is unobservable.
 /// `None` sends the caller to the full chunk, which replays the guard in
 /// exact source order for undefined operands and error cases.
 fn conj_eval(

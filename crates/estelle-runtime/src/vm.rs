@@ -8,8 +8,9 @@
 //! Rust frame. All policy-dependent semantics route through
 //! [`crate::interp::scalar`] and all l-value navigation through
 //! `interp::place` — shared with the tree-walker, which is what makes the
-//! `--exec` A/B contract (bit-identical values, errors, and emission
-//! order) hold by construction rather than by testing alone.
+//! differential contract between the two executors (bit-identical values,
+//! errors, and emission order) hold by construction rather than by testing
+//! alone.
 //!
 //! Register and place-register windows live in a [`VmScratch`] that is
 //! reused across runs via a thread-local ([`with_scratch`]); a machine

@@ -115,13 +115,13 @@ fn usage() -> String {
      <spec.est|checkpoint.bin|file.tangodump|host:port/path> \
      [trace.txt|script.txt] [--order nr|io|ip|full] [--disable-ip NAME] \
      [--unobserved-ip NAME] [--initial-state-search] [--state-hashing] \
-     [--cow=on|off] [--exec=auto|compiled|interp] [--workers N] \
+     [--cow=on|off] [--workers N] \
      [--max-seconds F] [--max-mem N[k|m|g][b]] \
      [--spill=on|off|auto] [--spill-dir PATH] \
      [--max-transitions N] [--checkpoint-file PATH] [--checkpoint-every N] \
      [--resume PATH] [--on-truncate restart|fail] [--seed N] \
      [--trace-out PATH] [--metrics-out PATH] [--progress SECS|jsonl[:SECS]] \
-     [--profile] [--profile-dot PATH] [--pgo-out PATH] [--pgo-in PATH] \
+     [--profile] [--profile-dot PATH] \
      [--chaos-seed N] [--fault-plan SPEC] \
      [--flight-recorder on|off] [--dump-file PATH] [--listen ADDR] [--jsonl]"
         .to_string()
@@ -298,12 +298,6 @@ struct TelemetryFlags {
     profile: bool,
     /// Write the Graphviz heat overlay here.
     profile_dot: Option<PathBuf>,
-    /// Write the serializable PGO profile here after the run
-    /// (`--pgo-out`; implies profile collection).
-    pgo_out: Option<PathBuf>,
-    /// Apply a previously recorded PGO profile before the run
-    /// (`--pgo-in`; validated against the spec like a checkpoint).
-    pgo_in: Option<PathBuf>,
     /// `--flight-recorder off`: disable the always-on black box (the
     /// recorder is the default; this exists for A/B timing and for
     /// proving the recorder changes nothing but the dump).
@@ -334,11 +328,7 @@ impl TelemetryFlags {
         if self.metrics_out.is_some() || self.listen.is_some() {
             tel = tel.with_metrics();
         }
-        if self.profile
-            || self.profile_dot.is_some()
-            || self.pgo_out.is_some()
-            || self.listen.is_some()
-        {
+        if self.profile || self.profile_dot.is_some() || self.listen.is_some() {
             tel = tel.with_profile(transition_count);
         }
         if let Some((mode, every)) = self.progress {
@@ -514,20 +504,6 @@ fn parse_options(
                 let v = it.next().ok_or("--profile-dot needs a path")?;
                 tflags.profile_dot = Some(PathBuf::from(v));
             }
-            "--pgo-out" => {
-                let v = it.next().ok_or("--pgo-out needs a path")?;
-                tflags.pgo_out = Some(PathBuf::from(v));
-            }
-            flag if flag.starts_with("--pgo-out=") => {
-                tflags.pgo_out = Some(PathBuf::from(&flag["--pgo-out=".len()..]));
-            }
-            "--pgo-in" => {
-                let v = it.next().ok_or("--pgo-in needs a path")?;
-                tflags.pgo_in = Some(PathBuf::from(v));
-            }
-            flag if flag.starts_with("--pgo-in=") => {
-                tflags.pgo_in = Some(PathBuf::from(&flag["--pgo-in=".len()..]));
-            }
             "--chaos-seed" => {
                 let v = it.next().ok_or("--chaos-seed needs a value")?;
                 let n: u64 = v
@@ -582,13 +558,6 @@ fn parse_options(
             }
             flag if flag.starts_with("--cow=") => {
                 options.cow_snapshots = parse_cow(&flag["--cow=".len()..])?;
-            }
-            "--exec" => {
-                let v = it.next().ok_or("--exec needs auto|compiled|interp")?;
-                options.exec_mode = v.parse()?;
-            }
-            flag if flag.starts_with("--exec=") => {
-                options.exec_mode = flag["--exec=".len()..].parse()?;
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a count (0 = one per core)")?;
@@ -659,7 +628,7 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
         _ => return Err(usage()),
     };
     let source = read(spec_path)?;
-    let mut analyzer = match Tango::generate(&source) {
+    let analyzer = match Tango::generate(&source) {
         Ok(a) => a,
         Err(tango::TangoError::Build(estelle_runtime::BuildError::Frontend(e))) => {
             eprintln!("{}", e.render(&source));
@@ -667,19 +636,6 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
         }
         Err(e) => return Err(e.to_string()),
     };
-
-    // Profile-guided optimization: validate the recorded profile against
-    // this spec (like a checkpoint) and reorder the compiled program's
-    // dispatch buckets and guard terms by the observed fire rates.
-    if let Some(path) = &tflags.pgo_in {
-        let text = read(&path.display().to_string())?;
-        let pgo = tango::PgoProfile::parse(&text)
-            .map_err(|e| format!("{}: {}", path.display(), e))?;
-        analyzer
-            .apply_pgo(&pgo)
-            .map_err(|e| format!("{}: {}", path.display(), e))?;
-    }
-    let analyzer = analyzer;
 
     // `_server` must outlive the analysis: it serves /status, /metrics
     // and /profile until the final (done=true) push lands in finalize.
@@ -777,18 +733,13 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
         std::fs::write(path, doc)
             .map_err(|e| format!("cannot write {}: {}", path.display(), e))?;
     }
-    if let Some(path) = &tflags.pgo_out {
-        let p = tel.profile().expect("profile enabled by flag");
-        std::fs::write(path, analyzer.pgo_snapshot(p).render())
-            .map_err(|e| format!("cannot write {}: {}", path.display(), e))?;
-    }
     if let Some(path) = &tflags.profile_dot {
         let p = tel.profile().expect("profile enabled by flag");
         let dot = estelle_runtime::graph::to_dot_with_heat(
             &analyzer.machine.module,
             &p.heat_weights(),
             &p.heat_labels(),
-            options.exec_mode.name(),
+            analyzer.machine.exec.name(),
         );
         std::fs::write(path, dot)
             .map_err(|e| format!("cannot write {}: {}", path.display(), e))?;
@@ -1171,38 +1122,18 @@ mod tests {
     }
 
     #[test]
-    fn exec_flag_both_spellings() {
-        use estelle_runtime::ExecMode;
-        let (opts, _, _, _, _, _) = parse_options(&["x".to_string()]).unwrap();
-        assert_eq!(opts.exec_mode, ExecMode::Auto, "auto selection is default");
-        let (opts, _, _, _, _, _) =
-            parse_options(&["--exec=interp".to_string(), "x".to_string()]).unwrap();
-        assert_eq!(opts.exec_mode, ExecMode::Interp);
-        let (opts, _, _, _, _, _) =
-            parse_options(&["--exec".to_string(), "compiled".to_string()]).unwrap();
-        assert_eq!(opts.exec_mode, ExecMode::Compiled);
-        let (opts, _, _, _, _, _) =
-            parse_options(&["--exec=auto".to_string(), "x".to_string()]).unwrap();
-        assert_eq!(opts.exec_mode, ExecMode::Auto);
-        // Unknown modes are rejected up front, naming the accepted set.
-        let e = parse_options(&["--exec=jit".to_string()]).unwrap_err();
-        assert!(e.contains("`auto`"), "{}", e);
-        assert!(e.contains("`compiled`"), "{}", e);
-        assert!(e.contains("`interp`"), "{}", e);
-        assert!(parse_options(&["--exec".to_string()]).is_err());
-    }
-
-    #[test]
-    fn pgo_flags_both_spellings() {
-        let args: Vec<String> = ["--pgo-out", "/tmp/p.pgo", "--pgo-in=/tmp/q.pgo", "x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, _, _, tflags, _, _) = parse_options(&args).unwrap();
-        assert_eq!(tflags.pgo_out.as_deref(), Some(std::path::Path::new("/tmp/p.pgo")));
-        assert_eq!(tflags.pgo_in.as_deref(), Some(std::path::Path::new("/tmp/q.pgo")));
-        assert!(parse_options(&["--pgo-out".to_string()]).is_err());
-        assert!(parse_options(&["--pgo-in".to_string()]).is_err());
+    fn executor_flags_are_unknown() {
+        // The VM is the only production executor: there is no flag to
+        // pick another one or to feed it a profile.
+        for args in [
+            vec!["--exec=interp", "x"],
+            vec!["--pgo-in", "x", "y"],
+            vec!["--pgo-out", "x", "y"],
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let e = parse_options(&args).unwrap_err();
+            assert_eq!(e, format!("unknown flag `{}`", args[0]));
+        }
     }
 
     #[test]

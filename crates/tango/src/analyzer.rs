@@ -14,7 +14,7 @@ use crate::options::AnalysisOptions;
 use crate::search::dfs::{resume_dfs, run_dfs, DfsOutcome};
 use crate::search::mdfs::run_mdfs;
 use crate::stats::SearchStats;
-use crate::telemetry::{PgoError, PgoProfile, Telemetry};
+use crate::telemetry::Telemetry;
 use crate::trace::format::parse_trace;
 use crate::trace::source::TraceSource;
 use crate::trace::{ResolvedTrace, Trace};
@@ -65,32 +65,6 @@ impl TraceAnalyzer {
         (0..self.machine.module.transition_count())
             .map(|i| self.machine.transition_name(i).to_string())
             .collect()
-    }
-
-    /// Snapshot a recorded [`TransitionProfile`] into the serializable
-    /// `--pgo-out` form, tagged with this analyzer's spec name and
-    /// transition names for later validation.
-    pub fn pgo_snapshot(&self, profile: &crate::telemetry::TransitionProfile) -> PgoProfile {
-        PgoProfile::from_profile(&self.module().spec_name, profile, &|i| {
-            self.machine.transition_name(i).to_string()
-        })
-    }
-
-    /// Apply a previously recorded PGO profile to the compiled program:
-    /// dispatch buckets are reordered by observed fire rate and
-    /// conjunctive guard terms are re-sorted cheapest-first. The profile
-    /// is validated like a checkpoint first — spec name, transition
-    /// count and every transition name must match this analyzer, or a
-    /// typed [`PgoError`] is returned and nothing changes. Verdicts and
-    /// the TE/GE/RE/SA counters are identical with or without PGO.
-    pub fn apply_pgo(&mut self, profile: &PgoProfile) -> Result<(), PgoError> {
-        let hints = profile.hints_for(
-            &self.module().spec_name,
-            self.machine.module.transition_count(),
-            &|i| self.machine.transition_name(i).to_string(),
-        )?;
-        self.machine.apply_pgo(&hints);
-        Ok(())
     }
 
     /// Parse a trace file and analyze it (static mode).
@@ -155,10 +129,7 @@ impl TraceAnalyzer {
         options: &AnalysisOptions,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        let machine = self
-            .machine
-            .policy_view(options.policy)
-            .exec_view(options.exec_mode);
+        let machine = self.machine.policy_view(options.policy);
         let mut stats = SearchStats::default();
         tel.begin("dfs", &self.module().module_name);
 
@@ -227,10 +198,7 @@ impl TraceAnalyzer {
         options: &AnalysisOptions,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        let machine = self
-            .machine
-            .policy_view(options.policy)
-            .exec_view(options.exec_mode);
+        let machine = self.machine.policy_view(options.policy);
         checkpoint
             .validate_against(self.module(), self.machine.module.transition_count())
             .map_err(|m| TangoError::Env(crate::env::EnvError(format!("resume: {}", m))))?;

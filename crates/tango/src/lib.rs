@@ -81,7 +81,7 @@ pub use search::spill::{SpillError, SpillFaultPlan, SpillMode, SpillOptions};
 pub use stats::SearchStats;
 pub use telemetry::{
     should_dump, DumpError, EventSink, FlightRecorder, IntrospectHandle, IntrospectionServer,
-    JsonlSink, MetricsRegistry, PgoError, PgoProfile, PostMortemDump, ProgressMode,
+    JsonlSink, MetricsRegistry, PostMortemDump, ProgressMode,
     ProgressReporter, RingBufferSink, SearchEvent, Telemetry, TransitionProfile,
     DEFAULT_RING_CAPACITY,
 };

@@ -6,7 +6,7 @@
 //! tables — NR, IO, IP and FULL — are provided as constructors.
 
 use crate::search::spill::SpillOptions;
-use estelle_runtime::{ExecMode, UndefinedPolicy};
+use estelle_runtime::UndefinedPolicy;
 use std::collections::HashSet;
 use std::time::Duration;
 
@@ -148,15 +148,6 @@ pub struct AnalysisOptions {
     /// deep-clone path (CLI `--cow=off`), kept for A/B measurement; the
     /// verdict and the TE/GE/RE/SA counters are identical either way.
     pub cow_snapshots: bool,
-    /// Which executor runs *Generate*/*Update* (CLI `--exec`): `auto`
-    /// (default) picks per spec from the compile-time cost model — the
-    /// bytecode VM with its by-control-state dispatch index for large
-    /// transition tables, the tree-walking reference interpreter for
-    /// small ones, so the default is never slower than either fixed
-    /// choice. `compiled` and `interp` force one executor (A/B
-    /// measurement). Verdicts, counters and telemetry event streams are
-    /// identical in every mode; only transitions-per-second differ.
-    pub exec_mode: ExecMode,
     /// Disk spill tier for the snapshot store (CLI `--spill`,
     /// `--spill-dir`): under a `max_state_bytes` budget, degrade to disk
     /// bandwidth instead of stopping `Inconclusive(MemoryLimit)`.
@@ -192,7 +183,6 @@ impl Default for AnalysisOptions {
             state_hashing: false,
             mdfs_reorder: true,
             cow_snapshots: true,
-            exec_mode: ExecMode::Auto,
             spill: SpillOptions::default(),
             listen: None,
             workers: 1,
@@ -262,11 +252,6 @@ mod tests {
         assert!(!o.initial_state_search);
         assert!(!o.state_hashing);
         assert!(o.cow_snapshots, "COW Save/Restore is the default path");
-        assert_eq!(
-            o.exec_mode,
-            ExecMode::Auto,
-            "the cost-model auto-selection is the default executor"
-        );
         assert_eq!(
             o.spill,
             crate::search::spill::SpillOptions::default(),

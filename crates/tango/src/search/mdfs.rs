@@ -565,9 +565,7 @@ fn run_seq(
     // Cumulative idle-poll sleep; elapsed minus this is the worker's
     // genuine busy time.
     let mut slept = Duration::ZERO;
-    let machine = machine
-        .policy_view(options.policy)
-        .exec_view(options.exec_mode);
+    let machine = machine.policy_view(options.policy);
     let (mut stats, base_wall, trace0, eof0, seed_front) = match seed {
         Some(s) => {
             let bw = s.stats.wall_time;
@@ -1979,9 +1977,7 @@ fn run_par(
     let t0 = Instant::now();
     let deadline = options.limits.max_wall_time.map(|d| t0 + d);
     let cap = options.limits.max_transitions;
-    let machine = machine
-        .policy_view(options.policy)
-        .exec_view(options.exec_mode);
+    let machine = machine.policy_view(options.policy);
     tel.set_workers(n_workers);
 
     let (mut stats, base_wall, trace0, eof0, seed_front) = match seed {

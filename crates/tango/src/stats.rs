@@ -96,14 +96,6 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Deprecated alias for [`SearchStats::wall_time`]: the measurement
-    /// was always wall-clock, never process CPU time, and the old name
-    /// said otherwise.
-    #[deprecated(since = "0.5.0", note = "renamed to `wall_time`; it was always wall-clock")]
-    pub fn cpu_time(&self) -> Duration {
-        self.wall_time
-    }
-
     /// Average branching factor over the search.
     pub fn average_fanout(&self) -> f64 {
         if self.fanout_samples == 0 {
@@ -316,17 +308,6 @@ mod tests {
         }
         assert_eq!(total.steals, 14);
         assert_eq!(total.steal_failures, 4);
-    }
-
-    #[test]
-    fn deprecated_cpu_time_aliases_wall_time() {
-        let s = SearchStats {
-            wall_time: Duration::from_millis(250),
-            ..Default::default()
-        };
-        #[allow(deprecated)]
-        let aliased = s.cpu_time();
-        assert_eq!(aliased, s.wall_time);
     }
 
     #[test]

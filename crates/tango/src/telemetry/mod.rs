@@ -45,7 +45,7 @@ pub use dump::{
 pub use event::{PruneKind, SearchEvent, TRACE_SCHEMA_VERSION};
 pub use http::{IntrospectHandle, IntrospectionServer, STATUS_SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsRegistry, METRICS_SCHEMA_VERSION};
-pub use profile::{PgoError, PgoProfile, PgoRow, TransitionProfile, TransitionStats};
+pub use profile::{TransitionProfile, TransitionStats};
 pub use progress::{ProgressMode, ProgressReporter};
 pub use recorder::{FlightRecord, FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use sink::{EventSink, JsonlSink, RingBufferSink};

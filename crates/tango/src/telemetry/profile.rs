@@ -5,12 +5,9 @@
 //! how much wall time the fire attempts cost cumulatively. The profile
 //! explains *where the analysis time went* — on the paper's invalid-TP0
 //! blowups a handful of data transitions absorb nearly all TE — and
-//! feeds the CLI's sorted `profile` report section, the Graphviz heat
-//! overlay (`estelle_runtime::graph::to_dot_with_heat`), and — through
-//! the serializable [`PgoProfile`] — the compiler's profile-guided
-//! optimization round trip (`--pgo-out` → `--pgo-in`).
+//! feeds the CLI's sorted `profile` report section and the Graphviz heat
+//! overlay (`estelle_runtime::graph::to_dot_with_heat`).
 
-use estelle_runtime::PgoHints;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -160,260 +157,6 @@ impl TransitionProfile {
     }
 }
 
-/// One serialized transition row of a [`PgoProfile`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PgoRow {
-    pub fires: u64,
-    pub fails: u64,
-    pub nanos: u64,
-    /// Display name of the transition at this index, recorded so a
-    /// profile can be validated against the spec it is applied to.
-    pub name: String,
-}
-
-/// Why a PGO profile file was rejected.
-///
-/// Profiles are validated like checkpoints: a profile recorded against a
-/// different spec (wrong name, wrong transition count, renamed
-/// transitions) is refused with a typed error instead of silently
-/// reordering the wrong dispatch buckets.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PgoError {
-    /// The file does not start with the `tangopgo` magic line.
-    BadMagic,
-    /// The magic line names a format version this build cannot read.
-    UnsupportedVersion(u64),
-    /// A line failed to parse; carries the 1-based line number and a
-    /// short reason.
-    Malformed { line: usize, msg: String },
-    /// The profile was recorded against a differently named spec.
-    SpecMismatch { file: String, spec: String },
-    /// The profile has a different number of transitions than the spec.
-    TransitionCountMismatch { file: usize, spec: usize },
-    /// The transition at `index` has a different name in the profile
-    /// than in the spec.
-    TransitionNameMismatch {
-        index: usize,
-        file: String,
-        spec: String,
-    },
-}
-
-impl std::fmt::Display for PgoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PgoError::BadMagic => write!(f, "not a tango PGO profile (missing `tangopgo` magic)"),
-            PgoError::UnsupportedVersion(v) => {
-                write!(f, "unsupported PGO profile version {} (expected 1)", v)
-            }
-            PgoError::Malformed { line, msg } => {
-                write!(f, "malformed PGO profile at line {}: {}", line, msg)
-            }
-            PgoError::SpecMismatch { file, spec } => write!(
-                f,
-                "PGO profile was recorded for spec `{}`, not `{}`",
-                file, spec
-            ),
-            PgoError::TransitionCountMismatch { file, spec } => write!(
-                f,
-                "PGO profile has {} transitions, spec has {}",
-                file, spec
-            ),
-            PgoError::TransitionNameMismatch { index, file, spec } => write!(
-                f,
-                "PGO profile transition {} is `{}`, spec has `{}`",
-                index, file, spec
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PgoError {}
-
-/// A [`TransitionProfile`] in serializable form, tagged with the spec it
-/// was recorded against (CLI `--pgo-out` / `--pgo-in`).
-///
-/// The file format is line-oriented text, one row per transition in
-/// compiled-transition order:
-///
-/// ```text
-/// tangopgo 1
-/// spec lapd
-/// transitions 21
-/// t 0 152 38 91042 t_sabme_rx
-/// t 1 0 190 15811 t_disc_rx
-/// ...
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PgoProfile {
-    /// Name of the spec the profile was recorded against.
-    pub spec: String,
-    /// One row per compiled transition, in transition-id order.
-    pub rows: Vec<PgoRow>,
-}
-
-impl PgoProfile {
-    /// Snapshot a live in-memory profile. `name` maps a compiled
-    /// transition id to its display name (the same mapping
-    /// [`TransitionProfile::render_table`] uses).
-    pub fn from_profile(
-        spec: &str,
-        profile: &TransitionProfile,
-        name: &dyn Fn(usize) -> String,
-    ) -> Self {
-        PgoProfile {
-            spec: spec.to_string(),
-            rows: profile
-                .entries()
-                .iter()
-                .enumerate()
-                .map(|(i, e)| PgoRow {
-                    fires: e.fires,
-                    fails: e.fails,
-                    nanos: e.nanos,
-                    name: name(i),
-                })
-                .collect(),
-        }
-    }
-
-    /// Serialize to the `tangopgo 1` text format.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "tangopgo 1");
-        let _ = writeln!(out, "spec {}", self.spec);
-        let _ = writeln!(out, "transitions {}", self.rows.len());
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = writeln!(out, "t {} {} {} {} {}", i, r.fires, r.fails, r.nanos, r.name);
-        }
-        out
-    }
-
-    /// Parse the `tangopgo 1` text format.
-    pub fn parse(text: &str) -> Result<Self, PgoError> {
-        let mut lines = text.lines().enumerate();
-        let (_, magic) = lines.next().ok_or(PgoError::BadMagic)?;
-        let mut magic_parts = magic.split_whitespace();
-        if magic_parts.next() != Some("tangopgo") {
-            return Err(PgoError::BadMagic);
-        }
-        let version: u64 = magic_parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or(PgoError::BadMagic)?;
-        if version != 1 {
-            return Err(PgoError::UnsupportedVersion(version));
-        }
-
-        let malformed = |n: usize, msg: &str| PgoError::Malformed {
-            line: n + 1,
-            msg: msg.to_string(),
-        };
-
-        let (n, spec_line) = lines
-            .next()
-            .ok_or(malformed(1, "missing `spec` line"))?;
-        let spec = spec_line
-            .strip_prefix("spec ")
-            .ok_or(malformed(n, "expected `spec <name>`"))?
-            .trim()
-            .to_string();
-
-        let (n, count_line) = lines
-            .next()
-            .ok_or(malformed(2, "missing `transitions` line"))?;
-        let count: usize = count_line
-            .strip_prefix("transitions ")
-            .and_then(|v| v.trim().parse().ok())
-            .ok_or(malformed(n, "expected `transitions <count>`"))?;
-
-        let mut rows = Vec::with_capacity(count);
-        for (n, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("t") {
-                return Err(malformed(n, "expected `t <idx> <fires> <fails> <nanos> <name>`"));
-            }
-            let idx: usize = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or(malformed(n, "bad transition index"))?;
-            if idx != rows.len() {
-                return Err(malformed(n, "transition rows out of order"));
-            }
-            let fires: u64 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or(malformed(n, "bad fires count"))?;
-            let fails: u64 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or(malformed(n, "bad fails count"))?;
-            let nanos: u64 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or(malformed(n, "bad nanos total"))?;
-            let name = parts.next().ok_or(malformed(n, "missing transition name"))?;
-            rows.push(PgoRow {
-                fires,
-                fails,
-                nanos,
-                name: name.to_string(),
-            });
-        }
-        if rows.len() != count {
-            return Err(PgoError::TransitionCountMismatch {
-                file: rows.len(),
-                spec: count,
-            });
-        }
-        Ok(PgoProfile { spec, rows })
-    }
-
-    /// Validate this profile against the spec it is about to optimize and
-    /// convert it to compiler hints. Mirrors checkpoint validation:
-    /// the spec name, the transition count and every transition name must
-    /// match, otherwise a typed [`PgoError`] is returned.
-    pub fn hints_for(
-        &self,
-        spec: &str,
-        transition_count: usize,
-        name: &dyn Fn(usize) -> String,
-    ) -> Result<PgoHints, PgoError> {
-        if self.spec != spec {
-            return Err(PgoError::SpecMismatch {
-                file: self.spec.clone(),
-                spec: spec.to_string(),
-            });
-        }
-        if self.rows.len() != transition_count {
-            return Err(PgoError::TransitionCountMismatch {
-                file: self.rows.len(),
-                spec: transition_count,
-            });
-        }
-        let mut hints = PgoHints {
-            fires: Vec::with_capacity(self.rows.len()),
-            fails: Vec::with_capacity(self.rows.len()),
-        };
-        for (i, row) in self.rows.iter().enumerate() {
-            let expect = name(i);
-            if row.name != expect {
-                return Err(PgoError::TransitionNameMismatch {
-                    index: i,
-                    file: row.name.clone(),
-                    spec: expect,
-                });
-            }
-            hints.fires.push(row.fires);
-            hints.fails.push(row.fails);
-        }
-        Ok(hints)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,89 +209,5 @@ mod tests {
         assert!(!table.contains("t2 "), "untouched transitions omitted");
         assert!(p.heat_labels()[2].is_empty());
         assert!(p.heat_labels()[1].contains("1 fired"));
-    }
-
-    fn sample_pgo() -> PgoProfile {
-        let mut p = TransitionProfile::new(3);
-        p.record(0, true, 120);
-        p.record(1, false, 40);
-        p.record(2, true, 9_000);
-        p.record(2, true, 1_000);
-        PgoProfile::from_profile("lapd", &p, &|i| format!("t{}", i))
-    }
-
-    #[test]
-    fn pgo_profile_round_trips_through_text() {
-        let pgo = sample_pgo();
-        let text = pgo.render();
-        assert!(text.starts_with("tangopgo 1\nspec lapd\ntransitions 3\n"), "{}", text);
-        let back = PgoProfile::parse(&text).expect("parses");
-        assert_eq!(back, pgo);
-        assert_eq!(back.rows[2].fires, 2);
-        assert_eq!(back.rows[2].nanos, 10_000);
-    }
-
-    #[test]
-    fn pgo_hints_carry_fires_and_fails() {
-        let pgo = sample_pgo();
-        let hints = pgo.hints_for("lapd", 3, &|i| format!("t{}", i)).expect("valid");
-        assert_eq!(hints.fires, vec![1, 0, 2]);
-        assert_eq!(hints.fails, vec![0, 1, 0]);
-    }
-
-    #[test]
-    fn pgo_validation_rejects_foreign_profiles_with_typed_errors() {
-        let pgo = sample_pgo();
-        assert_eq!(
-            pgo.hints_for("tp0", 3, &|i| format!("t{}", i)),
-            Err(PgoError::SpecMismatch {
-                file: "lapd".into(),
-                spec: "tp0".into()
-            })
-        );
-        assert_eq!(
-            pgo.hints_for("lapd", 5, &|i| format!("t{}", i)),
-            Err(PgoError::TransitionCountMismatch { file: 3, spec: 5 })
-        );
-        let err = pgo
-            .hints_for("lapd", 3, &|i| format!("renamed{}", i))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            PgoError::TransitionNameMismatch {
-                index: 0,
-                file: "t0".into(),
-                spec: "renamed0".into()
-            }
-        );
-        assert!(err.to_string().contains("transition 0"));
-    }
-
-    #[test]
-    fn pgo_parse_rejects_bad_inputs() {
-        assert_eq!(PgoProfile::parse(""), Err(PgoError::BadMagic));
-        assert_eq!(
-            PgoProfile::parse("checkpoint 1\nspec x\n"),
-            Err(PgoError::BadMagic)
-        );
-        assert_eq!(
-            PgoProfile::parse("tangopgo 9\nspec x\ntransitions 0\n"),
-            Err(PgoError::UnsupportedVersion(9))
-        );
-        let truncated = "tangopgo 1\nspec x\ntransitions 2\nt 0 1 2 3 a\n";
-        assert_eq!(
-            PgoProfile::parse(truncated),
-            Err(PgoError::TransitionCountMismatch { file: 1, spec: 2 })
-        );
-        let garbled = "tangopgo 1\nspec x\ntransitions 1\nt 0 one 2 3 a\n";
-        assert!(matches!(
-            PgoProfile::parse(garbled),
-            Err(PgoError::Malformed { line: 4, .. })
-        ));
-        let out_of_order = "tangopgo 1\nspec x\ntransitions 2\nt 1 1 2 3 a\nt 0 1 2 3 b\n";
-        assert!(matches!(
-            PgoProfile::parse(out_of_order),
-            Err(PgoError::Malformed { .. })
-        ));
     }
 }

@@ -1,8 +1,9 @@
 //! Compiled-vs-interpreted executor equivalence (DESIGN §6.9).
 //!
 //! The bytecode VM with its by-control-state dispatch index
-//! (`exec_mode = Compiled`, the default) and the tree-walking reference
-//! interpreter (`--exec=interp`) must be observationally identical:
+//! (`ExecMode::Compiled`, the only executor production code runs) and the
+//! tree-walking reference interpreter (`ExecMode::Interp`, the oracle)
+//! must be observationally identical:
 //! same fireable sets in the same order, same verdicts, same TE/GE/RE/SA
 //! counters, byte-identical single-worker telemetry streams, identical
 //! profiler attribution — only transitions-per-second may differ. These
@@ -27,11 +28,9 @@ fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
     (s.transitions_executed, s.generates, s.restores, s.saves)
 }
 
-fn with_exec(exec: ExecMode) -> AnalysisOptions {
-    AnalysisOptions {
-        exec_mode: exec,
-        ..AnalysisOptions::default()
-    }
+/// The same analyzer on the given executor.
+fn on(analyzer: &TraceAnalyzer, exec: ExecMode) -> TraceAnalyzer {
+    TraceAnalyzer::from_machine(analyzer.machine.exec_view(exec))
 }
 
 fn invalid_tp0_trace() -> Trace {
@@ -118,8 +117,9 @@ fn matrix() -> Vec<(&'static str, TraceAnalyzer, Trace, Option<Verdict>)> {
 #[test]
 fn exec_modes_agree_across_the_protocol_matrix() {
     for (name, analyzer, trace, want) in matrix() {
-        let compiled = analyzer.analyze(&trace, &with_exec(ExecMode::Compiled)).unwrap();
-        let interp = analyzer.analyze(&trace, &with_exec(ExecMode::Interp)).unwrap();
+        let options = AnalysisOptions::default();
+        let compiled = on(&analyzer, ExecMode::Compiled).analyze(&trace, &options).unwrap();
+        let interp = on(&analyzer, ExecMode::Interp).analyze(&trace, &options).unwrap();
         if let Some(want) = want {
             assert_eq!(compiled.verdict, want, "{}", name);
         }
@@ -141,8 +141,8 @@ fn dfs_streams_are_byte_identical_across_exec_modes() {
     let mut streams = Vec::new();
     for exec in [ExecMode::Compiled, ExecMode::Interp] {
         let (mut tel, buf) = traced_handle();
-        let report = analyzer
-            .analyze_with(&trace, &with_exec(exec), &mut tel)
+        let report = on(&analyzer, exec)
+            .analyze_with(&trace, &AnalysisOptions::default(), &mut tel)
             .unwrap();
         tel.finalize(&report.stats);
         let stream = buf.contents();
@@ -164,8 +164,13 @@ fn mdfs_streams_are_byte_identical_across_exec_modes() {
     for exec in [ExecMode::Compiled, ExecMode::Interp] {
         let (mut tel, buf) = traced_handle();
         let mut source = StaticSource::new(trace.clone());
-        let report = analyzer
-            .analyze_online_with(&mut source, &with_exec(exec), &mut |_| true, &mut tel)
+        let report = on(&analyzer, exec)
+            .analyze_online_with(
+                &mut source,
+                &AnalysisOptions::default(),
+                &mut |_| true,
+                &mut tel,
+            )
             .unwrap();
         tel.finalize(&report.stats);
         let stream = buf.contents();
@@ -186,8 +191,8 @@ fn generate_latency_histogram_counts_ge_in_both_modes() {
     let mut ge = Vec::new();
     for exec in [ExecMode::Compiled, ExecMode::Interp] {
         let mut tel = Telemetry::off().with_metrics();
-        let report = analyzer
-            .analyze_with(&trace, &with_exec(exec), &mut tel)
+        let report = on(&analyzer, exec)
+            .analyze_with(&trace, &AnalysisOptions::default(), &mut tel)
             .unwrap();
         tel.finalize(&report.stats);
         let m = tel.metrics().expect("metrics were requested");
@@ -216,8 +221,8 @@ fn profiler_attribution_is_identical_across_exec_modes() {
     let mut attributions = Vec::new();
     for exec in [ExecMode::Compiled, ExecMode::Interp] {
         let mut tel = Telemetry::off().with_profile(n);
-        let report = analyzer
-            .analyze_with(&trace, &with_exec(exec), &mut tel)
+        let report = on(&analyzer, exec)
+            .analyze_with(&trace, &AnalysisOptions::default(), &mut tel)
             .unwrap();
         let p = tel.profile().expect("profile was requested");
         let counts: Vec<(u64, u64)> = p.entries().iter().map(|e| (e.fires, e.fails)).collect();
@@ -371,138 +376,4 @@ fn dispatch_index_agrees_on_synthetic_and_lapd_machines() {
         );
         assert_eq!(gc.incomplete, gi.incomplete);
     }
-}
-
-// ---------------------------------------------------------------------
-// Auto selection and profile-guided optimization (this PR's additions).
-// ---------------------------------------------------------------------
-
-/// `ExecMode::Auto` must be observationally identical to both fixed
-/// executors on every protocol family — it only ever picks one of them.
-#[test]
-fn auto_mode_agrees_across_the_protocol_matrix() {
-    for (name, analyzer, trace, want) in matrix() {
-        let auto = analyzer.analyze(&trace, &with_exec(ExecMode::Auto)).unwrap();
-        let interp = analyzer.analyze(&trace, &with_exec(ExecMode::Interp)).unwrap();
-        if let Some(want) = want {
-            assert_eq!(auto.verdict, want, "{}", name);
-        }
-        assert_eq!(auto.verdict, interp.verdict, "{}", name);
-        assert_eq!(counters(&auto.stats), counters(&interp.stats), "{}", name);
-        assert_eq!(auto.witness, interp.witness, "{}", name);
-    }
-}
-
-/// The cost model is calibrated on the bench protocols: compact specs
-/// resolve to the tree walker, the 800-transition LAPD expansion to the
-/// VM, and the threshold is a pure function of the compiled spec.
-#[test]
-fn auto_selection_is_deterministic_and_calibrated() {
-    use estelle_runtime::AUTO_COMPILED_MIN_TRANSITIONS;
-    for (analyzer, want) in [
-        (tp0::analyzer(), ExecMode::Interp),
-        (lapd::analyzer(), ExecMode::Interp),
-        (lapd::analyzer_expanded(), ExecMode::Compiled),
-    ] {
-        let m = analyzer.machine.exec_view(ExecMode::Auto);
-        assert_eq!(m.resolved_exec(), want);
-        assert_eq!(
-            m.resolved_exec() == ExecMode::Compiled,
-            m.module.transition_count() >= AUTO_COMPILED_MIN_TRANSITIONS,
-            "selection must follow the documented threshold"
-        );
-        // Fixed modes pass through untouched.
-        assert_eq!(
-            analyzer.machine.exec_view(ExecMode::Interp).resolved_exec(),
-            ExecMode::Interp
-        );
-        assert_eq!(
-            analyzer.machine.exec_view(ExecMode::Compiled).resolved_exec(),
-            ExecMode::Compiled
-        );
-    }
-}
-
-/// A profile-guided program (dispatch buckets reordered by observed fire
-/// rate, conj guards re-sorted) must stay bit-identical to the reference
-/// interpreter: same verdicts, counters, witnesses — and a byte-identical
-/// telemetry stream, which pins the declaration-order restore after
-/// reordered-bucket generates.
-#[test]
-fn pgo_streams_are_byte_identical_to_interp() {
-    for (name, analyzer, trace, _) in matrix() {
-        // Profile one compiled run, feed it back into the compiler.
-        let mut pgo = TraceAnalyzer::from_machine(
-            analyzer.machine.exec_view(ExecMode::Compiled),
-        );
-        let n = pgo.machine.module.transition_count();
-        let mut tel = Telemetry::off().with_profile(n);
-        pgo.analyze_with(&trace, &with_exec(ExecMode::Compiled), &mut tel)
-            .unwrap();
-        let profile = pgo.pgo_snapshot(tel.profile().expect("profile on"));
-        pgo.apply_pgo(&profile).expect("own profile validates");
-
-        let mut streams = Vec::new();
-        for (a, exec) in [(&analyzer, ExecMode::Interp), (&pgo, ExecMode::Compiled)] {
-            let (mut tel, buf) = traced_handle();
-            let report = a.analyze_with(&trace, &with_exec(exec), &mut tel).unwrap();
-            tel.finalize(&report.stats);
-            let stream = buf.contents();
-            assert_counts_match(&report, &stream);
-            streams.push(stream);
-        }
-        assert_eq!(
-            streams[0], streams[1],
-            "{}: the event stream must not betray that PGO reordered the program",
-            name
-        );
-    }
-}
-
-/// PGO profiles are validated like checkpoints: a profile recorded
-/// against a different spec is refused with a typed error and the
-/// program is left untouched.
-#[test]
-fn foreign_pgo_profiles_are_refused() {
-    use tango::PgoError;
-    let tp0a = tp0::analyzer();
-    let n = tp0a.machine.module.transition_count();
-    let mut tel = Telemetry::off().with_profile(n);
-    tp0a.analyze_with(
-        &tp0::complete_valid_trace(2, 2, 1),
-        &with_exec(ExecMode::Compiled),
-        &mut tel,
-    )
-    .unwrap();
-    let profile = tp0a.pgo_snapshot(tel.profile().unwrap());
-
-    let mut lapda = TraceAnalyzer::from_machine(
-        lapd::analyzer().machine.exec_view(ExecMode::Compiled),
-    );
-    let err = lapda.apply_pgo(&profile).unwrap_err();
-    assert!(
-        matches!(err, PgoError::SpecMismatch { .. }),
-        "wrong-spec profile must be a typed spec mismatch, got {}",
-        err
-    );
-
-    // Same spec name, truncated rows → transition count mismatch.
-    let mut truncated = profile.clone();
-    truncated.rows.pop();
-    let mut tp0b =
-        TraceAnalyzer::from_machine(tp0a.machine.exec_view(ExecMode::Compiled));
-    let err = tp0b.apply_pgo(&truncated).unwrap_err();
-    assert!(matches!(err, PgoError::TransitionCountMismatch { .. }), "{}", err);
-
-    // Renamed transition → name mismatch at its index.
-    let mut renamed = profile.clone();
-    renamed.rows[0].name = "imposter".to_string();
-    let err = tp0b.apply_pgo(&renamed).unwrap_err();
-    assert!(matches!(err, PgoError::TransitionNameMismatch { index: 0, .. }), "{}", err);
-
-    // The untouched analyzer still analyzes normally after refusals.
-    let r = tp0b
-        .analyze(&tp0::complete_valid_trace(2, 2, 1), &with_exec(ExecMode::Compiled))
-        .unwrap();
-    assert_eq!(r.verdict, Verdict::Valid);
 }

@@ -12,7 +12,7 @@
 
 use protocols::tp0;
 use std::path::PathBuf;
-use tango::{AnalysisOptions, Checkpoint, SearchStats, Trace, Verdict};
+use tango::{AnalysisOptions, Checkpoint, SearchStats, Trace, TraceAnalyzer, Verdict};
 
 fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
     (s.transitions_executed, s.generates, s.restores, s.saves)
@@ -104,28 +104,27 @@ fn cross_mode_save_and_resume_through_disk() {
 }
 
 /// A checkpoint carries search structure, not executor artifacts: a file
-/// saved while running the tree-walking interpreter (`--exec=interp`)
-/// resumes under the bytecode VM (and vice versa) with the verdict and
-/// TE/GE/RE/SA totals of an uninterrupted run in either mode.
+/// saved by an analyzer on the tree-walking interpreter resumes on one
+/// running the bytecode VM (and vice versa) with the verdict and
+/// TE/GE/RE/SA totals of an uninterrupted run in either direction.
 #[test]
 fn cross_exec_mode_save_and_resume_through_disk() {
     use estelle_runtime::ExecMode;
-    let with_exec = |exec| AnalysisOptions {
-        exec_mode: exec,
-        ..AnalysisOptions::default()
-    };
-    let a = tp0::analyzer();
+    let base = tp0::analyzer();
+    let on = |exec| TraceAnalyzer::from_machine(base.machine.exec_view(exec));
     let bad = invalid_tp0_trace();
-    let baseline = a.analyze(&bad, &with_exec(ExecMode::Compiled)).unwrap();
+    let baseline = on(ExecMode::Compiled)
+        .analyze(&bad, &AnalysisOptions::default())
+        .unwrap();
     assert_eq!(baseline.verdict, Verdict::Invalid);
 
     for (save_exec, resume_exec) in [
         (ExecMode::Interp, ExecMode::Compiled),
         (ExecMode::Compiled, ExecMode::Interp),
     ] {
-        let mut limited = with_exec(save_exec);
+        let mut limited = AnalysisOptions::default();
         limited.limits.max_transitions = (baseline.stats.transitions_executed / 3).max(1);
-        let stopped = a.analyze(&bad, &limited).unwrap();
+        let stopped = on(save_exec).analyze(&bad, &limited).unwrap();
         let cp = stopped.checkpoint.expect("limit stop must be resumable");
 
         let path = temp_file(if save_exec == ExecMode::Interp {
@@ -136,7 +135,9 @@ fn cross_exec_mode_save_and_resume_through_disk() {
         cp.write_to(&path).expect("checkpoint writes");
         let cp = Checkpoint::read_from(&path).expect("checkpoint reads");
 
-        let resumed = a.analyze_resume(cp, &with_exec(resume_exec)).unwrap();
+        let resumed = on(resume_exec)
+            .analyze_resume(cp, &AnalysisOptions::default())
+            .unwrap();
         assert_eq!(
             resumed.verdict,
             Verdict::Invalid,
@@ -226,62 +227,4 @@ fn checkpoint_file_is_reusable() {
     assert_eq!(first.verdict, second.verdict);
     assert_eq!(counters(&first.stats), counters(&second.stats));
     assert_eq!(counters(&first.stats), counters(&baseline.stats));
-}
-
-/// `--exec=auto` round-trips through save/resume: the cost model is a
-/// pure function of the compiled spec (transition count), so a resumed
-/// run re-selects the same executor the saving run used, on both sides
-/// of the selection threshold, with uninterrupted totals.
-#[test]
-fn auto_exec_mode_round_trips_through_checkpoint() {
-    use estelle_runtime::{ExecMode, AUTO_COMPILED_MIN_TRANSITIONS};
-    use protocols::synthetic::SyntheticSpec;
-    use tango::ChoicePolicy;
-
-    let with_auto = || AnalysisOptions {
-        exec_mode: ExecMode::Auto,
-        ..AnalysisOptions::default()
-    };
-
-    // Small spec (below the threshold → interp) and large spec (above
-    // → compiled), both stopped mid-run and resumed under Auto.
-    let small = tp0::analyzer();
-    let small_trace = invalid_tp0_trace();
-
-    let big_spec = SyntheticSpec::new(4, AUTO_COMPILED_MIN_TRANSITIONS + 20);
-    let big = big_spec.analyzer();
-    let big_trace = big
-        .generate_trace(&big_spec.workload(40), ChoicePolicy::First, 100_000)
-        .expect("workload runs");
-
-    for (tag, a, trace, want_exec) in [
-        ("small", &small, &small_trace, ExecMode::Interp),
-        ("big", &big, &big_trace, ExecMode::Compiled),
-    ] {
-        assert_eq!(
-            a.machine.exec_view(ExecMode::Auto).resolved_exec(),
-            want_exec,
-            "{}: cost model must resolve as calibrated",
-            tag
-        );
-        let baseline = a.analyze(trace, &with_auto()).unwrap();
-
-        let mut limited = with_auto();
-        limited.limits.max_transitions = (baseline.stats.transitions_executed / 3).max(1);
-        let stopped = a.analyze(trace, &limited).unwrap();
-        let cp = stopped.checkpoint.expect("limit stop must be resumable");
-        let path = temp_file(&format!("auto-{}", tag));
-        cp.write_to(&path).expect("checkpoint writes");
-
-        let cp = Checkpoint::read_from(&path).expect("checkpoint reads");
-        let resumed = a.analyze_resume(cp, &with_auto()).unwrap();
-        assert_eq!(resumed.verdict, baseline.verdict, "{}", tag);
-        assert_eq!(
-            counters(&resumed.stats),
-            counters(&baseline.stats),
-            "{}: auto resume must re-select the same executor and finish \
-             with uninterrupted totals",
-            tag
-        );
-    }
 }

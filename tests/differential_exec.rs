@@ -1,27 +1,19 @@
-//! Random-spec differential testing: interp vs compiled vs auto vs PGO.
+//! Random-spec differential testing: the bytecode VM against the tree
+//! walker.
 //!
 //! `protocols::randspec` generates small deterministic-per-seed
 //! specifications covering the shapes the bytecode compiler optimizes
 //! (quick guards, conjunctive `and`-chains, superinstruction windows,
-//! `mod`/`div` arithmetic, `if`/`case` control flow). For every seed,
-//! every execution configuration — the tree walker, the plain VM, the
-//! cost-model auto selection, and the VM with a profile-guided program —
-//! must produce identical fireable sets, verdicts, witnesses and
-//! TE/GE/RE/SA counters. This is the seed of the ROADMAP
+//! `mod`/`div` arithmetic, `if`/`case` control flow). For every seed the
+//! VM must produce the same fireable sets, verdicts, witnesses and
+//! TE/GE/RE/SA counters as the tree walker, its oracle. This is the seed of the ROADMAP
 //! scenario-diversity item's differential-fuzzing front (3c).
 
 use estelle_runtime::{ExecMode, Machine};
 use protocols::randspec::RandSpec;
-use tango::{AnalysisOptions, ChoicePolicy, Tango, Telemetry, Trace, TraceAnalyzer, Verdict};
+use tango::{AnalysisOptions, ChoicePolicy, Tango, Trace, TraceAnalyzer, Verdict};
 
 const SEEDS: u64 = 12;
-
-fn with_exec(exec: ExecMode) -> AnalysisOptions {
-    AnalysisOptions {
-        exec_mode: exec,
-        ..AnalysisOptions::default()
-    }
-}
 
 /// Build the analyzer and a self-generated valid trace for a seed.
 fn setup(seed: u64) -> (TraceAnalyzer, Trace) {
@@ -31,19 +23,6 @@ fn setup(seed: u64) -> (TraceAnalyzer, Trace) {
         .generate_trace(&spec.workload(10), ChoicePolicy::First, 100_000)
         .expect("catch-all transitions keep the workload running");
     (analyzer, trace)
-}
-
-/// Clone of `analyzer` with a profile from one compiled run fed back
-/// into the compiler (dispatch reorder + conj-guard re-sort).
-fn pgo_analyzer(analyzer: &TraceAnalyzer, trace: &Trace) -> TraceAnalyzer {
-    let mut opt = TraceAnalyzer::from_machine(analyzer.machine.exec_view(ExecMode::Compiled));
-    let n = opt.machine.module.transition_count();
-    let mut tel = Telemetry::off().with_profile(n);
-    opt.analyze_with(trace, &with_exec(ExecMode::Compiled), &mut tel)
-        .expect("profiling run");
-    let profile = opt.pgo_snapshot(tel.profile().expect("profile on"));
-    opt.apply_pgo(&profile).expect("own profile validates");
-    opt
 }
 
 /// Everything observable about one analysis: verdict, TE/GE/RE/SA,
@@ -56,7 +35,9 @@ struct Signature {
 }
 
 fn signature(analyzer: &TraceAnalyzer, trace: &Trace, exec: ExecMode) -> Signature {
-    let r = analyzer.analyze(trace, &with_exec(exec)).expect("analysis runs");
+    let r = TraceAnalyzer::from_machine(analyzer.machine.exec_view(exec))
+        .analyze(trace, &AnalysisOptions::default())
+        .expect("analysis runs");
     Signature {
         verdict: r.verdict.to_string(),
         totals: (
@@ -73,22 +54,14 @@ fn signature(analyzer: &TraceAnalyzer, trace: &Trace, exec: ExecMode) -> Signatu
 fn all_exec_configurations_agree_on_random_specs() {
     for seed in 0..SEEDS {
         let (analyzer, trace) = setup(seed);
-        let pgo = pgo_analyzer(&analyzer, &trace);
-
         let interp = signature(&analyzer, &trace, ExecMode::Interp);
         assert_eq!(interp.verdict, Verdict::Valid.to_string(), "seed {}: self-trace", seed);
-        for (label, sig) in [
-            ("compiled", signature(&analyzer, &trace, ExecMode::Compiled)),
-            ("auto", signature(&analyzer, &trace, ExecMode::Auto)),
-            ("compiled+pgo", signature(&pgo, &trace, ExecMode::Compiled)),
-            ("auto+pgo", signature(&pgo, &trace, ExecMode::Auto)),
-        ] {
-            assert_eq!(
-                sig, interp,
-                "seed {}: {} must match the tree walker exactly",
-                seed, label
-            );
-        }
+        assert_eq!(
+            signature(&analyzer, &trace, ExecMode::Compiled),
+            interp,
+            "seed {}: the VM must match the tree walker exactly",
+            seed
+        );
     }
 }
 
@@ -111,16 +84,14 @@ fn corrupted_traces_keep_exec_configurations_in_agreement() {
         if let Some(estelle_runtime::Value::Int(v)) = e.params.first_mut() {
             *v += 1000;
         }
-        let pgo = pgo_analyzer(&analyzer, &bad);
         let interp = signature(&analyzer, &bad, ExecMode::Interp);
         assert_ne!(interp.verdict, Verdict::Valid.to_string(), "seed {}: corrupted", seed);
-        for (label, sig) in [
-            ("compiled", signature(&analyzer, &bad, ExecMode::Compiled)),
-            ("auto", signature(&analyzer, &bad, ExecMode::Auto)),
-            ("compiled+pgo", signature(&pgo, &bad, ExecMode::Compiled)),
-        ] {
-            assert_eq!(sig, interp, "seed {}: {} on corrupted trace", seed, label);
-        }
+        assert_eq!(
+            signature(&analyzer, &bad, ExecMode::Compiled),
+            interp,
+            "seed {}: the VM on the corrupted trace",
+            seed
+        );
     }
 }
 
@@ -180,9 +151,9 @@ fn multi_worker_mdfs_agrees_with_single_worker_on_random_specs() {
     }
 }
 
-/// Raw `Machine::generate` differential: the dispatch index (plain and
-/// PGO-reordered) must produce the same fireable list, in declaration
-/// order, as the interpreter's linear scan — stepped through a script.
+/// Raw `Machine::generate` differential: the dispatch index must produce
+/// the same fireable list, in declaration order, as the interpreter's
+/// linear scan — stepped through a script.
 #[test]
 fn machine_level_fireable_sets_match_across_configurations() {
     for seed in 0..SEEDS {
@@ -190,30 +161,15 @@ fn machine_level_fireable_sets_match_across_configurations() {
         let compiled = Machine::from_source(&spec.source()).expect("valid source");
         let interp = compiled.exec_view(ExecMode::Interp);
 
-        // A PGO view with synthetic monotone-decreasing hints: index 0
-        // hottest. This exercises the reordered-bucket replay path
-        // without needing a real profile.
-        let mut pgo = compiled.exec_view(ExecMode::Compiled);
-        let n = pgo.module.transition_count();
-        let hints = estelle_runtime::PgoHints {
-            fires: (0..n as u64).rev().collect(),
-            fails: vec![0; n],
-        };
-        pgo.apply_pgo(&hints);
-
         let mut st_i = interp.initial_state().expect("initializes");
         let mut st_c = compiled.initial_state().expect("initializes");
-        let mut st_p = pgo.initial_state().expect("initializes");
         assert_eq!(st_i, st_c, "seed {}", seed);
-        assert_eq!(st_i, st_p, "seed {}", seed);
 
         let mut env_i = estelle_runtime::env::NullEnv::default();
         let mut env_c = estelle_runtime::env::NullEnv::default();
-        let mut env_p = estelle_runtime::env::NullEnv::default();
         for step in 0..6 {
             let gi = interp.generate(&mut st_i, &env_i).expect("generate");
             let gc = compiled.generate(&mut st_c, &env_c).expect("generate");
-            let gp = pgo.generate(&mut st_p, &env_p).expect("generate");
             let key = |g: &estelle_runtime::Generated| {
                 g.fireable
                     .iter()
@@ -221,21 +177,12 @@ fn machine_level_fireable_sets_match_across_configurations() {
                     .collect::<Vec<_>>()
             };
             assert_eq!(key(&gi), key(&gc), "seed {} step {}: compiled", seed, step);
-            assert_eq!(
-                key(&gi),
-                key(&gp),
-                "seed {} step {}: pgo-reordered dispatch must restore declaration order",
-                seed,
-                step
-            );
             let Some(first) = gi.fireable.first().cloned() else {
                 break;
             };
             interp.fire(&mut st_i, &first, &mut env_i).expect("fire");
             compiled.fire(&mut st_c, &first, &mut env_c).expect("fire");
-            pgo.fire(&mut st_p, &first, &mut env_p).expect("fire");
             assert_eq!(st_i, st_c, "seed {} step {}: post-fire state", seed, step);
-            assert_eq!(st_i, st_p, "seed {} step {}: post-fire state", seed, step);
         }
     }
 }

@@ -390,15 +390,3 @@ fn unified_plan_arms_the_source_site_like_a_hand_built_one() {
         .any(|f| f.contains("injected read error")));
 }
 
-#[test]
-fn deprecated_source_plan_alias_still_compiles() {
-    // `tango::trace::source::FaultPlan` was the site-local name before
-    // the unified `tango::FaultPlan` took it; the alias stays one
-    // release so existing callers get a deprecation warning, not a break.
-    #[allow(deprecated)]
-    let plan: tango::trace::source::FaultPlan = SourceFaultPlan {
-        corrupt_every: 2,
-        ..SourceFaultPlan::default()
-    };
-    assert_eq!(plan.corrupt_every, 2);
-}
