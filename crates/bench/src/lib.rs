@@ -5,22 +5,10 @@
 //! share. The Criterion benches under `benches/` measure the same
 //! workloads at reduced sizes for statistically solid timing.
 
-use tango::{
-    AnalysisOptions, AnalysisReport, MetricsRegistry, OrderOptions, TraceAnalyzer, Verdict,
-};
+use tango::{AnalysisOptions, AnalysisReport, OrderOptions, TraceAnalyzer, Verdict};
 use tango::Trace;
 
 pub mod json;
-
-/// Render a report's counters as a `tango-metrics` JSON document (the
-/// same schema `tango analyze --metrics-out` writes), for embedding in
-/// benchmark records. Hand-rolled like every other record in this crate;
-/// [`json::validate`] guards it against bit-rot.
-pub fn metrics_json(report: &AnalysisReport) -> String {
-    let mut m = MetricsRegistry::new();
-    m.record_stats(&report.stats);
-    m.to_json()
-}
 
 /// One row of a paper-style results table.
 #[derive(Clone, Debug)]
@@ -103,22 +91,6 @@ mod tests {
         assert!(row.verdict.is_valid());
         assert!(row.te > 0);
         assert!(row.ge > 0);
-    }
-
-    #[test]
-    fn metrics_json_is_well_formed_and_matches_counters() {
-        let a = protocols::tp0::analyzer();
-        let t = protocols::tp0::valid_trace(2, 1, 3);
-        let report = a
-            .analyze(&t, &AnalysisOptions::with_order(OrderOptions::full()))
-            .unwrap();
-        let doc = metrics_json(&report);
-        json::validate(&doc).expect("metrics document is well-formed JSON");
-        assert!(doc.contains("\"schema\": \"tango-metrics\""));
-        assert!(doc.contains(&format!(
-            "\"search.te\": {}",
-            report.stats.transitions_executed
-        )));
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! the first time a *write* (`alloc`, `dispose`, `get_mut`) lands in a
 //! chunk that is still shared with some snapshot. A search that saves a
 //! state and then touches three cells pays for one chunk, not for the
-//! whole heap. [`Heap::unshare`] forces every chunk private again, which
-//! is exactly the old eager deep-clone behaviour — the trace analyzer's
-//! `--cow=off` A/B path.
+//! whole heap.
 //!
 //! References carry a generation counter so a dangling pointer (use after
 //! `dispose`) is detected deterministically instead of reading stale data.
@@ -82,9 +80,9 @@ impl Cell {
 }
 
 /// One storage chunk plus a cached content digest. The cache makes the
-/// *whole-heap* hash and byte estimate — computed on every *Save* by the
-/// trace analyzer's snapshot-interning store — O(chunks) instead of
-/// O(cells): only chunks written since the last digest are rescanned,
+/// *whole-heap* hash and byte estimate — the byte estimate is computed on
+/// every *Save* by the trace analyzer's snapshot store — O(chunks) instead
+/// of O(cells): only chunks written since the last digest are rescanned,
 /// which is the same "touched chunks" bound the copy-on-write clone gives
 /// the state copy itself.
 #[derive(Clone, Debug)]
@@ -190,25 +188,14 @@ impl Heap {
             .count()
     }
 
-    /// Force every chunk private, eagerly deep-copying any that are still
-    /// shared with a snapshot. `clone()` + `unshare()` is the old eager
-    /// deep-clone *Save* — kept as the `--cow=off` measurement baseline.
-    /// Content is unchanged, so the cached chunk digests stay valid.
-    pub fn unshare(&mut self) {
-        for c in &mut self.chunks {
-            Arc::make_mut(&mut c.cells);
-        }
-    }
-
     /// Approximate footprint in bytes of everything the heap owns,
     /// including out-of-line storage inside the cell values. Proportional
     /// rather than exact — used for the analyzer's snapshot-memory budget.
     /// Each cell's storage is counted exactly once: a cell contributes its
     /// in-chunk slot plus whatever its value owns *out of line* (the
     /// value's inline portion already lives in the slot). Chunks are
-    /// counted whether shared or not; charging shared chunks once across
-    /// many snapshots is the trace analyzer's job (it dedups whole
-    /// snapshots, see `tango`'s snapshot store).
+    /// counted whether shared or not, so the analyzer's budget charges
+    /// every saved snapshot its full logical size.
     pub fn approx_bytes(&self) -> usize {
         let cells: usize = self.chunks.iter().map(|c| c.meta().1).sum();
         cells
@@ -286,8 +273,7 @@ impl Heap {
     /// and generation bumps, so it must survive exactly). Chunk
     /// boundaries are implied by [`CHUNK_CELLS`]; `live` and `total` are
     /// re-derived on decode. Copy-on-write sharing *between* heaps is
-    /// intentionally not represented — whole-state deduplication is the
-    /// enclosing checkpoint format's job.
+    /// intentionally not represented: a decoded heap owns all its chunks.
     pub fn encode(&self, w: &mut crate::codec::ByteWriter) {
         w.put_u64(self.total as u64);
         for i in 0..self.total {
@@ -467,20 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn unshare_restores_the_eager_deep_clone() {
-        let mut h = Heap::new();
-        let r = h.alloc(Value::Int(5));
-        let mut snapshot = h.clone();
-        assert_eq!(snapshot.shared_chunks(), 1);
-        snapshot.unshare();
-        assert_eq!(snapshot.shared_chunks(), 0);
-        assert_eq!(h.shared_chunks(), 0);
-        // Still logically identical.
-        assert_eq!(snapshot.get(r).unwrap(), h.get(r).unwrap());
-        assert_eq!(snapshot, h);
-    }
-
-    #[test]
     fn dangling_write_does_not_break_sharing() {
         let mut h = Heap::new();
         let r = h.alloc(Value::Int(1));
@@ -512,19 +484,21 @@ mod tests {
         let mut h = Heap::new();
         h.alloc(Value::Int(3));
         let mut shared = h.clone();
-        let mut deep = h.clone();
-        deep.unshare();
+        // The same content allocated afresh: a twin sharing no chunk.
+        let mut fresh = Heap::new();
+        fresh.alloc(Value::Int(3));
+        assert_eq!(fresh.shared_chunks(), 0);
         let digest = |heap: &Heap| {
             let mut s = DefaultHasher::new();
             heap.hash(&mut s);
             s.finish()
         };
         assert_eq!(digest(&h), digest(&shared));
-        assert_eq!(digest(&h), digest(&deep));
-        assert_eq!(shared, deep);
+        assert_eq!(digest(&h), digest(&fresh));
+        assert_eq!(shared, fresh);
         // Diverge one and the digests diverge too.
         shared.alloc(Value::Int(4));
         assert_ne!(digest(&h), digest(&shared));
-        assert_ne!(shared, deep);
+        assert_ne!(shared, fresh);
     }
 }

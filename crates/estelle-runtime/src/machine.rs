@@ -64,15 +64,6 @@ impl MachineState {
         self.clone()
     }
 
-    /// The pre-COW *Save*: a snapshot whose dynamic memory is eagerly
-    /// deep-copied, sharing nothing. Kept as the `--cow=off` baseline the
-    /// benchmark record A/Bs against.
-    pub fn deep_snapshot(&self) -> MachineState {
-        let mut s = self.clone();
-        s.heap.unshare();
-        s
-    }
-
     /// Approximate footprint of one saved snapshot in bytes (globals and
     /// dynamic memory, including out-of-line storage). The trace
     /// analyzer's memory budget charges each saved search node this much.
@@ -913,7 +904,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_shares_heap_and_deep_snapshot_does_not() {
+    fn snapshot_shares_heap_and_isolates_later_writes() {
         let m = Machine::from_source(PINGPONG).unwrap();
         let mut st = m.initial_state().unwrap();
         st.heap.alloc(Value::Int(7));
@@ -922,17 +913,12 @@ mod tests {
         assert_eq!(st.heap.shared_chunks(), 1, "COW snapshot shares chunks");
         assert_eq!(snap, st);
 
-        let deep = st.deep_snapshot();
-        assert_eq!(deep.heap.shared_chunks(), 0, "deep snapshot owns chunks");
-        assert_eq!(deep, st);
-
-        // Mutating the live state never leaks into either snapshot.
+        // Mutating the live state never leaks into the snapshot.
         let mut env = Script::new(vec![(0, vec![Value::Int(5)])]);
         let g = m.generate(&mut st, &env).unwrap();
         m.fire(&mut st, &g.fireable[0], &mut env).unwrap();
         assert_eq!(st.globals[0], Value::Int(5));
         assert_eq!(snap.globals[0], Value::Int(0));
-        assert_eq!(deep.globals[0], Value::Int(0));
     }
 
     #[test]

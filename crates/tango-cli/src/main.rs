@@ -115,7 +115,7 @@ fn usage() -> String {
      <spec.est|checkpoint.bin|file.tangodump|host:port/path> \
      [trace.txt|script.txt] [--order nr|io|ip|full] [--disable-ip NAME] \
      [--unobserved-ip NAME] [--initial-state-search] [--state-hashing] \
-     [--cow=on|off] [--workers N] \
+     [--workers N] \
      [--max-seconds F] [--max-mem N[k|m|g][b]] \
      [--spill=on|off|auto] [--spill-dir PATH] \
      [--max-transitions N] [--checkpoint-file PATH] [--checkpoint-every N] \
@@ -152,16 +152,6 @@ fn parse_bytes(s: &str) -> Result<usize, String> {
     };
     let n: usize = digits.parse().map_err(|_| bad())?;
     n.checked_mul(1usize << shift).ok_or_else(bad)
-}
-
-/// Parse the `--cow` mode: `on` (copy-on-write Save/Restore, the default)
-/// or `off` (the original eager deep-clone path, kept for A/B timing).
-fn parse_cow(v: &str) -> Result<bool, String> {
-    match v.to_ascii_lowercase().as_str() {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("bad --cow mode `{}` (expected on|off)", other)),
-    }
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -552,13 +542,6 @@ fn parse_options(
             }
             "--initial-state-search" => options.initial_state_search = true,
             "--state-hashing" => options.state_hashing = true,
-            "--cow" => {
-                let v = it.next().ok_or("--cow needs on|off")?;
-                options.cow_snapshots = parse_cow(v)?;
-            }
-            flag if flag.starts_with("--cow=") => {
-                options.cow_snapshots = parse_cow(&flag["--cow=".len()..])?;
-            }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a count (0 = one per core)")?;
                 options.workers = v
@@ -1073,18 +1056,6 @@ mod tests {
     }
 
     #[test]
-    fn cow_flag_both_spellings() {
-        let (opts, _, _, _, _, _) =
-            parse_options(&["--cow=off".to_string(), "x".to_string()]).unwrap();
-        assert!(!opts.cow_snapshots);
-        let (opts, _, _, _, _, _) =
-            parse_options(&["--cow".to_string(), "on".to_string()]).unwrap();
-        assert!(opts.cow_snapshots);
-        assert!(parse_options(&["--cow=sideways".to_string()]).is_err());
-        assert!(parse_options(&["--cow".to_string()]).is_err());
-    }
-
-    #[test]
     fn spill_flag_both_spellings_and_validation() {
         use tango::SpillMode;
         let (opts, _, _, _, _, _) = parse_options(&["x".to_string()]).unwrap();
@@ -1124,11 +1095,14 @@ mod tests {
     #[test]
     fn executor_flags_are_unknown() {
         // The VM is the only production executor: there is no flag to
-        // pick another one or to feed it a profile.
+        // pick another one or to feed it a profile. Copy-on-write is the
+        // only snapshot policy, so there is no flag to turn it off.
         for args in [
             vec!["--exec=interp", "x"],
             vec!["--pgo-in", "x", "y"],
             vec!["--pgo-out", "x", "y"],
+            vec!["--cow=off", "x"],
+            vec!["--cow", "on", "x"],
         ] {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
             let e = parse_options(&args).unwrap_err();

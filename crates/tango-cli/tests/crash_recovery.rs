@@ -91,14 +91,8 @@ fn stdout_of(out: &Output) -> String {
 
 /// Kill the analysis once the checkpoint file exists, then resume from
 /// it; returns (verdict line contains `invalid`, counters) of the
-/// resumed run. `save_cow`/`resume_cow` select the snapshot mode of each
-/// phase, proving the file is mode-portable across processes too.
-fn crash_and_resume(
-    tag: &str,
-    save_cow: &str,
-    resume_cow: &str,
-    extra: &[&str],
-) -> (String, (u64, u64, u64, u64)) {
+/// resumed run.
+fn crash_and_resume(tag: &str, extra: &[&str]) -> (String, (u64, u64, u64, u64)) {
     let dir = tmpdir(tag);
     let (spec, trace) = write_inputs(&dir);
     let ckpt = dir.join("autosave.bin");
@@ -108,7 +102,7 @@ fn crash_and_resume(
         .arg("analyze")
         .arg(&spec)
         .arg(&trace)
-        .args(["--checkpoint-every", "2000", "--cow", save_cow])
+        .args(["--checkpoint-every", "2000"])
         .args(extra)
         .arg("--checkpoint-file")
         .arg(&ckpt)
@@ -165,7 +159,6 @@ fn crash_and_resume(
         .arg(&spec)
         .arg("--resume")
         .arg(&ckpt)
-        .args(["--cow", resume_cow])
         .args(extra)
         .output()
         .expect("run resume");
@@ -199,21 +192,11 @@ fn sigkill_mid_analysis_then_resume_matches_uninterrupted_run() {
     assert!(base_text.contains("verdict: invalid"), "{}", base_text);
     let base_counters = parse_counters(&base_text);
 
-    let (text, counters) = crash_and_resume("kill-default", "on", "on", &[]);
+    let (text, counters) = crash_and_resume("kill-default", &[]);
     assert!(text.contains("verdict: invalid"), "{}", text);
     assert_eq!(
         counters, base_counters,
         "kill-9 + resume must reproduce the uninterrupted TE/GE/RE/SA totals"
-    );
-
-    // Cross-mode recovery: crash under the deep-clone baseline, resume
-    // under COW. The checkpoint file carries per-frame intern keys and
-    // byte charges, so the mode switch changes cost only, not totals.
-    let (text, counters) = crash_and_resume("kill-cross-mode", "off", "on", &[]);
-    assert!(text.contains("verdict: invalid"), "{}", text);
-    assert_eq!(
-        counters, base_counters,
-        "--cow=off save / --cow=on resume must reproduce the same totals"
     );
 }
 
@@ -240,7 +223,7 @@ fn sigkill_mid_spill_then_disk_resume_matches_uninterrupted_run() {
     let spill_dir = tmpdir("spill-segments");
     let spill = spill_dir.to_str().unwrap();
     let extra = ["--max-mem", "256", "--spill", "on", "--spill-dir", spill];
-    let (text, counters) = crash_and_resume("kill-spill", "on", "on", &extra);
+    let (text, counters) = crash_and_resume("kill-spill", &extra);
     assert!(text.contains("verdict: invalid"), "{}", text);
     assert_eq!(
         counters, base_counters,

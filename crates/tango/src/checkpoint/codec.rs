@@ -21,20 +21,15 @@
 //!
 //! Sections: `META` (progress numbers + [`SearchStats`], readable without
 //! touching the machine state), `TRACE` (the resolved trace), then the
-//! frozen search itself — for a static checkpoint `STATES` (the
-//! deduplicated machine-state table) and `DFS`; for an on-line
-//! (multi-worker MDFS) checkpoint a single `MDFS` section holding every
-//! worker's deque and parked PG-nodes with their states inline.
-//!
-//! **COW dedup is preserved on disk.** In-memory, frames whose saves were
-//! interned share one `Rc<MachineState>`; the encoder writes each unique
-//! snapshot once into the `STATES` table (keyed by `Rc` pointer identity)
-//! and frames reference it by index, carrying their original intern key
-//! and charged-byte count so [`SnapshotStore::rebuild`] reproduces the
-//! exact resident-byte accounting after a reload.
+//! frozen search itself — for a static checkpoint a `DFS` section whose
+//! backtracking frames carry their states inline, each with the bytes
+//! its save charged so [`SnapshotStore::rebuild`] reproduces the exact
+//! resident-byte accounting after a reload; for an on-line (multi-worker
+//! MDFS) checkpoint a single `MDFS` section holding every worker's deque
+//! and parked PG-nodes, also with their states inline.
 //!
 //! **Failure is typed, never a panic.** Every way a file can be wrong —
-//! empty, truncated, wrong magic, future version, flipped byte — maps to
+//! empty, truncated, wrong magic, other version, flipped byte — maps to
 //! a [`CheckpointError`] variant. Integrity checks run in a fixed order:
 //! magic, version, structural walk (truncation), per-section CRC32 (so a
 //! corrupt byte names its section), then the whole-file digest (covering
@@ -50,40 +45,41 @@
 use super::{Checkpoint, CheckpointBody, MdfsCheckpoint, MdfsNodeCkpt, MdfsWorkerCkpt};
 use crate::env::Cursors;
 use crate::search::dfs::{DfsCheckpoint, Frame};
-use crate::search::snapshot::{FxBuildHasher, SavedState, Slot};
+use crate::search::snapshot::{FxBuildHasher, SavedState};
 use crate::stats::SearchStats;
 use crate::trace::{Dir, ResolvedEvent, ResolvedTrace};
 use estelle_ast::Span;
 use estelle_runtime::codec::{decode_state, decode_value, encode_state, encode_value};
 use estelle_runtime::{
-    ByteReader, ByteWriter, CodecError, Fireable, MachineState, RuntimeError, RuntimeErrorKind,
+    ByteReader, ByteWriter, CodecError, Fireable, RuntimeError, RuntimeErrorKind,
 };
 use crate::fault::{CheckpointFaultInjector, CheckpointWriteFault, RetryOutcome, RetryPolicy};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::time::Duration;
 
 /// First 8 bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"TANGOCKP";
 
-/// Current format version. Bump on any change to the byte layout; old
-/// readers refuse newer files with
-/// [`CheckpointError::UnsupportedVersion`] instead of misreading them.
+/// Current format version. Bump on any change to the byte layout; a
+/// reader refuses every other version with
+/// [`CheckpointError::UnsupportedVersion`] instead of misreading it.
 /// Version 2 added the spill counters to the stats block and the
 /// explicit charges-state flag to each DFS frame. Version 3 added the
 /// per-site fault counters (source/checkpoint retries and giveups,
 /// spill giveups) to the stats block. Version 4 added the work-stealing
 /// counters to the stats block, the mode byte (+ per-worker load table)
-/// to `META`, and the `MDFS` section for on-line checkpoints.
-pub const FORMAT_VERSION: u32 = 4;
+/// to `META`, and the `MDFS` section for on-line checkpoints. Version 5
+/// dropped the `STATES` table and each DFS frame's intern key and
+/// charges-state flag: frames carry their states inline.
+pub const FORMAT_VERSION: u32 = 5;
 
 const SEC_META: u32 = 1;
 const SEC_TRACE: u32 = 2;
-const SEC_STATES: u32 = 3;
+// Tag 3 is retired (the `STATES` table of versions <= 4); never reuse it.
 const SEC_DFS: u32 = 4;
 const SEC_MDFS: u32 = 5;
 
@@ -94,7 +90,6 @@ fn section_name(tag: u32) -> &'static str {
     match tag {
         SEC_META => "meta",
         SEC_TRACE => "trace",
-        SEC_STATES => "states",
         SEC_DFS => "dfs",
         SEC_MDFS => "mdfs",
         _ => "unknown",
@@ -109,7 +104,7 @@ pub enum CheckpointError {
     /// The file does not start with the checkpoint magic — not a
     /// checkpoint at all.
     BadMagic,
-    /// The file was written by a newer format than this build reads.
+    /// The file's format version is not the one this build reads.
     UnsupportedVersion { found: u32, supported: u32 },
     /// The file ends before the structure is complete.
     Truncated { context: String },
@@ -127,7 +122,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::BadMagic => f.write_str("not a tango checkpoint file (bad magic)"),
             CheckpointError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "checkpoint format version {} not supported (this build reads up to {})",
+                "checkpoint format version {} not supported (this build reads only version {})",
                 found, supported
             ),
             CheckpointError::Truncated { context } => {
@@ -286,34 +281,11 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 
 fn encode_checkpoint(cp: &Checkpoint) -> Result<Vec<u8>, CheckpointError> {
     let sections = match &cp.body {
-        CheckpointBody::Dfs(dfs) => {
-            // Unique-state table: frames whose saves were interned share a
-            // snapshot slot, so slot identity recovers the dedup the snapshot
-            // store established. Each unique snapshot is written once. The
-            // search makes every frame resident before checkpointing; a spilled
-            // frame here means that read-back failed, which is not encodable.
-            let mut order: Vec<Rc<MachineState>> = Vec::new();
-            let mut index: HashMap<usize, u32> = HashMap::new();
-            for f in &dfs.stack {
-                let slot = f.state.slot_id();
-                if let std::collections::hash_map::Entry::Vacant(e) = index.entry(slot) {
-                    let rc = f.state.resident_state().ok_or_else(|| {
-                        CheckpointError::Malformed(
-                            "cannot encode a checkpoint while a frame's snapshot is spilled to disk"
-                                .to_string(),
-                        )
-                    })?;
-                    e.insert(order.len() as u32);
-                    order.push(rc);
-                }
-            }
-            vec![
-                (SEC_META, encode_meta(cp)),
-                (SEC_TRACE, encode_trace(&cp.trace)),
-                (SEC_STATES, encode_states(&order)),
-                (SEC_DFS, encode_dfs(dfs, &index)),
-            ]
-        }
+        CheckpointBody::Dfs(dfs) => vec![
+            (SEC_META, encode_meta(cp)),
+            (SEC_TRACE, encode_trace(&cp.trace)),
+            (SEC_DFS, encode_dfs(dfs)?),
+        ],
         CheckpointBody::Mdfs(m) => vec![
             (SEC_META, encode_meta(cp)),
             (SEC_TRACE, encode_trace(&cp.trace)),
@@ -373,6 +345,7 @@ pub(crate) fn encode_stats(w: &mut ByteWriter, s: &SearchStats) {
     w.put_u64(s.error_branches);
     w.put_u64(s.hash_prunes);
     w.put_u64(s.barren_prunes);
+    // Always 0; written so the block's layout stays fixed.
     w.put_u64(s.intern_hits);
     w.put_usize(s.snapshot_bytes);
     w.put_usize(s.peak_snapshot_bytes);
@@ -408,15 +381,6 @@ fn encode_trace(trace: &ResolvedTrace) -> Vec<u8> {
         for p in &e.params {
             encode_value(&mut w, p);
         }
-    }
-    w.into_bytes()
-}
-
-fn encode_states(order: &[Rc<MachineState>]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(order.len() as u32);
-    for st in order {
-        encode_state(&mut w, st);
     }
     w.into_bytes()
 }
@@ -499,17 +463,24 @@ fn encode_path(w: &mut ByteWriter, path: &[String]) {
     }
 }
 
-fn encode_dfs(dfs: &DfsCheckpoint, index: &HashMap<usize, u32>) -> Vec<u8> {
+/// The frozen DFS. The search makes every frame resident before
+/// checkpointing; a spilled frame here means that read-back failed,
+/// which is not encodable.
+fn encode_dfs(dfs: &DfsCheckpoint) -> Result<Vec<u8>, CheckpointError> {
     let mut w = ByteWriter::new();
     encode_state(&mut w, &dfs.state);
     encode_cursors(&mut w, &dfs.cursors);
     encode_path(&mut w, &dfs.path);
     w.put_u32(dfs.stack.len() as u32);
     for f in &dfs.stack {
-        w.put_u32(index[&f.state.slot_id()]);
-        w.put_u64(f.state.key());
+        let state = f.state.resident_state().ok_or_else(|| {
+            CheckpointError::Malformed(
+                "cannot encode a checkpoint while a frame's snapshot is spilled to disk"
+                    .to_string(),
+            )
+        })?;
+        encode_state(&mut w, &state);
         w.put_usize(f.state.bytes());
-        w.put_bool(f.state.charges_state());
         encode_cursors(&mut w, &f.cursors);
         w.put_u32(f.fireable.len() as u32);
         for fr in &f.fireable {
@@ -543,7 +514,7 @@ fn encode_dfs(dfs: &DfsCheckpoint, index: &HashMap<usize, u32>) -> Vec<u8> {
     w.put_usize(dfs.total_events);
     w.put_usize(dfs.barren);
     w.put_bool(dfs.at_node);
-    w.into_bytes()
+    Ok(w.into_bytes())
 }
 
 fn encode_mdfs_node(w: &mut ByteWriter, n: &MdfsNodeCkpt) {
@@ -568,10 +539,7 @@ fn encode_mdfs_nodes(w: &mut ByteWriter, nodes: &[MdfsNodeCkpt]) {
     }
 }
 
-/// The frozen multi-worker search front. Unlike `DFS`, states are inline
-/// per node (MDFS nodes own their snapshots; there is no intern table to
-/// reconstruct) — the store dedup is re-established by the resuming run's
-/// own saves.
+/// The frozen multi-worker search front, states inline per node.
 fn encode_mdfs(m: &MdfsCheckpoint) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(m.workers_at_save);
@@ -715,12 +683,8 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
             CheckpointBody::Mdfs(m)
         }
         _ => {
-            let mut r = ByteReader::new(find_section(&sections, SEC_STATES)?);
-            let states = decode_states(&mut r)?;
-            expect_done(&r, SEC_STATES)?;
-
             let mut r = ByteReader::new(find_section(&sections, SEC_DFS)?);
-            let dfs = decode_dfs(&mut r, &states)?;
+            let dfs = decode_dfs(&mut r)?;
             expect_done(&r, SEC_DFS)?;
             CheckpointBody::Dfs(dfs)
         }
@@ -846,15 +810,6 @@ fn decode_trace(r: &mut ByteReader<'_>) -> Result<ResolvedTrace, CheckpointError
     Ok(out)
 }
 
-fn decode_states(r: &mut ByteReader<'_>) -> Result<Vec<Rc<MachineState>>, CodecError> {
-    let n = r.get_u32("state count")? as usize;
-    let mut states = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        states.push(Rc::new(decode_state(r)?));
-    }
-    Ok(states)
-}
-
 fn decode_cursors(r: &mut ByteReader<'_>) -> Result<Cursors, CodecError> {
     let ni = r.get_u32("input cursors")? as usize;
     let mut input = Vec::with_capacity(ni.min(1024));
@@ -923,40 +878,16 @@ fn decode_path(r: &mut ByteReader<'_>) -> Result<Vec<String>, CodecError> {
     Ok(path)
 }
 
-fn decode_dfs(
-    r: &mut ByteReader<'_>,
-    states: &[Rc<MachineState>],
-) -> Result<DfsCheckpoint, CheckpointError> {
+fn decode_dfs(r: &mut ByteReader<'_>) -> Result<DfsCheckpoint, CheckpointError> {
     let state = decode_state(r)?;
     let cursors = decode_cursors(r)?;
     let path = decode_path(r)?;
     let nframes = r.get_u32("frame count")? as usize;
     let mut stack = Vec::with_capacity(nframes.min(1024));
-    // Frames that shared a snapshot in the saving search must share one
-    // slot again, so the rebuilt store re-derives the same dedup.
-    let mut slots: Vec<Option<Rc<Slot>>> = vec![None; states.len()];
     for i in 0..nframes {
-        let state_index = r.get_u32("frame state index")? as usize;
-        let rc = states.get(state_index).ok_or_else(|| {
-            CheckpointError::Malformed(format!(
-                "frame {} references state {} of {}",
-                i,
-                state_index,
-                states.len()
-            ))
-        })?;
-        let key = r.get_u64("frame intern key")?;
+        let frame_state = decode_state(r)?;
         let bytes = r.get_usize("frame charged bytes")?;
-        let charges_state = r.get_bool("frame charges-state flag")?;
-        let slot = match &slots[state_index] {
-            Some(s) => Rc::clone(s),
-            None => {
-                let s = SavedState::decoded_slot(key, Rc::clone(rc));
-                slots[state_index] = Some(Rc::clone(&s));
-                s
-            }
-        };
-        let saved = SavedState::from_decoded(slot, bytes, charges_state);
+        let saved = SavedState::from_decoded(frame_state, bytes);
         let cursors = decode_cursors(r)?;
         let nf = r.get_u32("frame fireable count")? as usize;
         let mut fireable = Vec::with_capacity(nf.min(64));

@@ -141,13 +141,6 @@ pub struct AnalysisOptions {
     /// search tree on hold"). Disable for the paper's basic MDFS, which
     /// only reconsiders PG-nodes after the rest of the tree is exhausted.
     pub mdfs_reorder: bool,
-    /// Copy-on-write *Save*/*Restore* (on by default): saved search nodes
-    /// share heap chunks with the live state and identical snapshots are
-    /// interned, so a save costs O(touched chunks) instead of O(state) —
-    /// the §3.2 dominant cost. `false` forces the original eager
-    /// deep-clone path (CLI `--cow=off`), kept for A/B measurement; the
-    /// verdict and the TE/GE/RE/SA counters are identical either way.
-    pub cow_snapshots: bool,
     /// Disk spill tier for the snapshot store (CLI `--spill`,
     /// `--spill-dir`): under a `max_state_bytes` budget, degrade to disk
     /// bandwidth instead of stopping `Inconclusive(MemoryLimit)`.
@@ -182,7 +175,6 @@ impl Default for AnalysisOptions {
             policy: UndefinedPolicy::Error,
             state_hashing: false,
             mdfs_reorder: true,
-            cow_snapshots: true,
             spill: SpillOptions::default(),
             listen: None,
             workers: 1,
@@ -251,7 +243,6 @@ mod tests {
         assert_eq!(o.policy, UndefinedPolicy::Error);
         assert!(!o.initial_state_search);
         assert!(!o.state_hashing);
-        assert!(o.cow_snapshots, "COW Save/Restore is the default path");
         assert_eq!(
             o.spill,
             crate::search::spill::SpillOptions::default(),

@@ -14,11 +14,9 @@
 //!   approach §4.2 suggests as future work for taming the exponential
 //!   analysis of invalid TP0 traces;
 //! * copy-on-write *Save*/*Restore* through the [`super::snapshot`]
-//!   store: saved states share heap chunks with the live state and
-//!   identical snapshots are interned (resident and charged once), so a
+//!   store: saved states share heap chunks with the live state, so a
 //!   save costs O(touched chunks) instead of O(state) — §3.2's dominant
-//!   cost. `AnalysisOptions::cow_snapshots = false` forces the old eager
-//!   deep-clone path for A/B measurement (`BENCH_snapshots.json`);
+//!   cost;
 //! * resource governance: a wall-clock deadline and a snapshot-memory
 //!   budget, checked cooperatively *before* each step mutates anything, so
 //!   that stopping on any limit freezes an exactly resumable
@@ -60,8 +58,7 @@ pub struct DfsOutcome {
 
 #[derive(Clone, Debug)]
 pub(crate) struct Frame {
-    /// The saved state, held through the interning snapshot store: an
-    /// identical state saved twice is resident (and charged) once.
+    /// The saved state, held through the snapshot store.
     pub(crate) state: SavedState,
     pub(crate) cursors: crate::env::Cursors,
     pub(crate) fireable: Vec<Fireable>,
@@ -188,7 +185,7 @@ fn search(
     let mut at_node: bool;
 
     // The snapshot pool: owns every saved state on the stack and the
-    // deduplicated byte accounting the memory budget governs.
+    // byte accounting the memory budget governs.
     let mut store: SnapshotStore;
     // Spill-tier faults accumulated over the run (reopen warnings, and
     // the terminal error when the run degrades to `SpillFailure`).
@@ -242,9 +239,8 @@ fn search(
             barren = 0;
             at_node = true;
             store = match tier {
-                Some(t) => SnapshotStore::new(options.cow_snapshots)
-                    .with_spill(budget.unwrap_or(usize::MAX), t),
-                None => SnapshotStore::new(options.cow_snapshots),
+                Some(t) => SnapshotStore::new().with_spill(budget.unwrap_or(usize::MAX), t),
+                None => SnapshotStore::new(),
             };
             stats.snapshot_bytes = 0;
         }
@@ -264,12 +260,7 @@ fn search(
             // Rebuild the pool (and the byte counter) from the surviving
             // frames; charges are re-derived, never blindly subtracted, so
             // the counter cannot wrap across stop/resume rounds.
-            store = SnapshotStore::rebuild(
-                options.cow_snapshots,
-                stack.iter().map(|f| &f.state),
-                budget,
-                tier,
-            );
+            store = SnapshotStore::rebuild(stack.iter().map(|f| &f.state), budget, tier);
             stats.snapshot_bytes = store.resident_bytes();
         }
     }
@@ -387,21 +378,12 @@ fn search(
                 let cursors = env.save();
                 let meta_bytes = (cursors.input.len() + cursors.output.len())
                     * std::mem::size_of::<usize>();
-                let resident_before = stats.snapshot_bytes;
-                let (snapshot, interned) = store.save(&state, meta_bytes);
-                if interned {
-                    stats.intern_hits += 1;
-                }
+                let snapshot = store.save(&state, meta_bytes);
                 stats.snapshot_bytes = store.resident_bytes();
                 stats.peak_snapshot_bytes =
                     stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
                 if tel.hot() {
-                    tel.on_save(
-                        path.len(),
-                        stats.snapshot_bytes.saturating_sub(resident_before),
-                        interned,
-                        stats.snapshot_bytes,
-                    );
+                    tel.on_save(path.len(), snapshot.bytes(), stats.snapshot_bytes);
                 }
                 stack.push(Frame {
                     state: snapshot,
@@ -620,7 +602,7 @@ fn try_fire(
 }
 
 /// Hash of (machine state, trace cursors) for the visited-set extension.
-/// Uses the same fast content hasher as the snapshot-interning cache.
+/// Uses the same fast content hasher as the spill record key.
 pub fn fingerprint(state: &MachineState, cursors: &crate::env::Cursors) -> u64 {
     let mut h = FxHasher::default();
     state.control.hash(&mut h);

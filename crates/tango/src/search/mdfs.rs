@@ -34,7 +34,7 @@
 //! scoped threads pulling from per-worker work-stealing deques (owner
 //! pops LIFO, thieves steal FIFO from the top, round-robin scan, short
 //! parks when every deque is empty). Node snapshots live in the sharded
-//! [`ShardedStore`] so eviction/interning stay lock-light.
+//! [`ShardedStore`] so saves and eviction stay lock-light.
 //!
 //! Determinism: within a burst the trace is frozen, so each node's
 //! expansion is a pure function of (state, cursors, trace) and the search
@@ -258,7 +258,7 @@ fn fault_in(tier: &mut SpillTier, node: &mut Node) -> Result<usize, SpillError> 
     Ok(node.state_bytes)
 }
 
-/// Spill/intern counter values carried in from a resumed run's stats;
+/// Spill counter values carried in from a resumed run's stats;
 /// the fresh tier/store counters are added on top so cross-resume totals
 /// stay cumulative. Zero for a fresh run.
 #[derive(Clone, Copy, Default)]
@@ -268,7 +268,6 @@ struct CarryBase {
     spill_retries: u64,
     spill_evictions: u64,
     spill_giveups: u64,
-    intern_hits: u64,
     peak_snapshot_bytes: usize,
     peak_spilled_bytes: usize,
 }
@@ -281,7 +280,6 @@ impl CarryBase {
             spill_retries: stats.spill_retries,
             spill_evictions: stats.spill_evictions,
             spill_giveups: stats.spill_giveups,
-            intern_hits: stats.intern_hits,
             peak_snapshot_bytes: stats.peak_snapshot_bytes,
             peak_spilled_bytes: stats.peak_spilled_bytes,
         }
@@ -306,7 +304,6 @@ fn stamp_spill(stats: &mut SearchStats, base: &CarryBase, c: SpillCounters, disk
 fn stamp_store(stats: &mut SearchStats, base: &CarryBase, store: &ShardedStore) {
     stats.snapshot_bytes = store.resident_bytes();
     stats.peak_snapshot_bytes = base.peak_snapshot_bytes.max(store.peak_resident_bytes());
-    stats.intern_hits = base.intern_hits + store.intern_hits();
     let c = store.spill_counters();
     stats.spill_writes = base.spill_writes + c.writes;
     stats.spill_reads = base.spill_reads + c.reads;
@@ -315,17 +312,6 @@ fn stamp_store(stats: &mut SearchStats, base: &CarryBase, store: &ShardedStore) 
     stats.spill_giveups = base.spill_giveups + c.giveups;
     stats.spilled_bytes = store.spilled_bytes();
     stats.peak_spilled_bytes = base.peak_spilled_bytes.max(store.peak_spilled_bytes());
-}
-
-/// Copy a node's state for expansion. With COW snapshots (the default)
-/// this is O(globals + chunk table); with `--cow=off` it eagerly
-/// deep-copies, reproducing the pre-COW §3.2.2 cost for A/B measurement.
-fn copy_state(state: &MachineState, options: &AnalysisOptions) -> MachineState {
-    if options.cow_snapshots {
-        state.snapshot()
-    } else {
-        state.deep_snapshot()
-    }
 }
 
 /// One worker's accumulated busy/idle/steal wall-clock split.
@@ -632,7 +618,7 @@ fn run_seq(
             stats.snapshot_bytes = root.charged();
             stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
             if tel.hot() {
-                tel.on_save(0, root.charged(), false, stats.snapshot_bytes);
+                tel.on_save(0, root.charged(), stats.snapshot_bytes);
             }
             work.push(root);
         }
@@ -963,7 +949,7 @@ fn run_seq(
             // state — the one copy an expansion makes.
             let f = gen.fireable.swap_remove(0);
             node.tried.insert(f.trans);
-            let mut child_state = copy_state(node.resident_state(), options);
+            let mut child_state = node.resident_state().snapshot();
             env.restore(&node.cursors);
             let before = env.outstanding();
             stats.transitions_executed += 1;
@@ -1023,7 +1009,7 @@ fn run_seq(
                     stats.peak_snapshot_bytes =
                         stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
                     if tel.hot() {
-                        tel.on_save(child.path.len(), child.charged(), false, stats.snapshot_bytes);
+                        tel.on_save(child.path.len(), child.charged(), stats.snapshot_bytes);
                     }
                     work.push(child);
                 }
@@ -1206,7 +1192,6 @@ enum WEvent {
     Save {
         depth: usize,
         bytes: usize,
-        interned: bool,
         resident: usize,
     },
     Restore {
@@ -1566,12 +1551,11 @@ fn burst_worker(
             } else {
                 out.delta.saves += 1;
                 sh.sa.fetch_add(1, Ordering::Relaxed);
-                let (h, interned) = sh.store.save(child_state);
+                let h = sh.store.save(child_state);
                 if tel_on {
                     ebuf.push(WEvent::Save {
                         depth: child_path.len(),
                         bytes: h.state_bytes,
-                        interned,
                         resident: sh.store.resident_bytes(),
                     });
                 }
@@ -1837,7 +1821,7 @@ fn replay_burst(
             }
             let f = gen.fireable.swap_remove(0);
             node.tried.insert(f.trans);
-            let mut child_state = copy_state(node.resident_state(), options);
+            let mut child_state = node.resident_state().snapshot();
             env.restore(&node.cursors);
             let before = env.outstanding();
             stats.transitions_executed += 1;
@@ -1937,9 +1921,8 @@ fn replay_events(tel: &mut Telemetry, machine: &Machine, worker: u16, batch: Vec
             WEvent::Save {
                 depth,
                 bytes,
-                interned,
                 resident,
-            } => tel.on_save(depth, bytes, interned, resident),
+            } => tel.on_save(depth, bytes, resident),
             WEvent::Restore { depth } => tel.on_restore(depth),
             WEvent::Park { depth, pg_total } => tel.on_park(depth, pg_total),
             WEvent::Prune { depth } => tel.on_prune(depth, PruneKind::Barren),
@@ -1999,7 +1982,7 @@ fn run_par(
     let mut env = TraceEnv::new(module, trace0, options, true)?;
     env.eof = eof0;
 
-    // The sharded snapshot store: per-shard intern maps + (optionally)
+    // The sharded snapshot store: per-shard slot slabs + (optionally)
     // per-shard spill tiers, shared by every worker.
     let store = match ShardedStore::build(options, deadline) {
         Ok(s) => s,
@@ -2028,7 +2011,7 @@ fn run_par(
     let mut pg_list: Vec<PNode> = Vec::new();
 
     let pnode_from_ckpt = |c: MdfsNodeCkpt| -> PNode {
-        let (h, _) = store.save(c.state);
+        let h = store.save(c.state);
         PNode {
             handle: h,
             cursors: c.cursors,
@@ -2044,9 +2027,9 @@ fn run_par(
         None => {
             let start = machine.initial_state()?;
             stats.saves += 1;
-            let (h, _) = store.save(start);
+            let h = store.save(start);
             if tel.hot() {
-                tel.on_save(0, h.state_bytes, false, store.resident_bytes());
+                tel.on_save(0, h.state_bytes, store.resident_bytes());
             }
             work.push(PNode {
                 handle: h,

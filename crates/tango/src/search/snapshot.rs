@@ -1,6 +1,6 @@
-//! Saved-state snapshot pool: copy-on-write *Save*/*Restore* with a
-//! visited-state interning cache, deduplicated byte accounting, and an
-//! optional disk spill tier for bounded-memory searches.
+//! Saved-state snapshot pool: copy-on-write *Save*/*Restore* with exact
+//! byte accounting and an optional disk spill tier for bounded-memory
+//! searches.
 //!
 //! The paper's §3.2 names Save/Restore as the dominant trace-analysis
 //! cost. Two layers attack it:
@@ -8,60 +8,46 @@
 //! 1. **Copy-on-write snapshots** — [`MachineState::snapshot`] shares heap
 //!    chunks with the live state, so *Save* costs O(globals + chunk
 //!    table) and the deep copy happens lazily, only for chunks the search
-//!    actually touches before backtracking.
-//! 2. **Snapshot interning** — backtracking searches repeatedly save
-//!    *identical* machine states under different trace cursors (e.g. the
-//!    same buffer contents reached along permuted event orders). The
-//!    store keys every save by a fast content hash of (control state,
-//!    globals, heap); a hit returns a handle onto the already-resident
-//!    snapshot and charges **zero** additional bytes — shared bytes are
-//!    charged once, so [`crate::SearchStats::snapshot_bytes`] reports true
-//!    deduplicated residency.
+//!    actually touches before backtracking. Each save charges its own
+//!    snapshot's full size plus its cursor metadata to
+//!    [`crate::SearchStats::snapshot_bytes`], and release returns exactly
+//!    that charge.
+//! 2. **Disk spill** — with a [`SpillTier`] attached, the
+//!    `max_state_bytes` budget is a tiering policy instead of a kill
+//!    switch: crossing it evicts the least-recently-touched snapshots to
+//!    CRC-checksummed segment files instead of stopping the search. Every
+//!    handle points at a shared [`Slot`] whose state is either resident or
+//!    spilled (a [`SpillTicket`] claim check); a *Restore* of a spilled
+//!    slot faults the snapshot back in — verifying its checksum — before
+//!    use. Spilling changes **where bytes live, never what the search
+//!    decides**: eviction order is driven by the budget alone, and a
+//!    snapshot's bytes move between the RAM and disk gauges unchanged, so
+//!    `snapshot_bytes + spilled_bytes` equals the all-RAM residency.
 //!
-//! A third layer turns the `max_state_bytes` budget from a kill switch
-//! into a **tiering policy**: with a [`SpillTier`] attached, crossing the
-//! budget evicts the least-recently-touched snapshots to CRC-checksummed
-//! segment files instead of stopping the search. Every handle points at
-//! a shared [`Slot`] whose state is either resident (`Rc<MachineState>`)
-//! or spilled (a [`SpillTicket`] claim check); a *Restore* of a spilled
-//! slot faults the snapshot back in — verifying its checksum — before
-//! use. Spilling changes **where bytes live, never what the search
-//! decides**: intern lookups only match resident entries (a spilled miss
-//! re-saves, perturbing only dedup accounting, not TE/GE/RE/SA), and
-//! eviction order is driven by the budget alone.
-//!
-//! The store also hosts the `--cow=off` A/B baseline: with COW disabled
-//! every save eagerly deep-copies (no interning, no sharing) and every
-//! restore deep-copies again — the exact pre-COW cost model — so the
-//! benchmark record (`BENCH_snapshots.json`) compares like with like.
-//!
-//! Accounting assumes stack (LIFO) release order, which the DFS
-//! guarantees: a deduplicated save always pops before the save that first
-//! charged the bytes, so subtracting each handle's charge on release is
-//! exact. Subtraction still saturates (with a debug assertion) so a
-//! counter rebuilt by checkpoint/resume can never wrap.
+//! Subtraction saturates (with a debug assertion) so a counter rebuilt by
+//! checkpoint/resume can never wrap.
 
 use crate::search::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
 use estelle_runtime::MachineState;
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::{Cell, Ref, RefCell};
+use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::rc::{Rc, Weak};
 
-// The interning key and the DFS visited-set fingerprint both use the
+// The spill record key and the DFS visited-set fingerprint both use the
 // runtime's fast content hasher; the heap side feeds it from cached
-// per-chunk digests, so hashing a state on *Save* is O(chunks), not
-// O(cells).
+// per-chunk digests, so hashing a state is O(chunks), not O(cells).
 pub(crate) use estelle_runtime::FxHasher;
 
-/// Hasher for the intern map and the visited set. Their keys are already
-/// well-mixed 64-bit content hashes; re-hashing them with SipHash would
-/// cost more than the map operation itself at millions of saves/second.
+/// Hasher for the visited set. Its keys are already well-mixed 64-bit
+/// content hashes; re-hashing them with SipHash would cost more than the
+/// set operation itself.
 pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// Content hash of a machine state (control + globals + heap) — the
-/// interning key. Trace cursors are deliberately excluded: two search
-/// nodes at different trace positions can still share one state snapshot.
+/// Content hash of a machine state (control + globals + heap) — the key
+/// a spilled snapshot's segment record carries, which lets a reopened
+/// tier adopt an identical record instead of rewriting it. Trace cursors
+/// are excluded: they are not part of the spilled bytes.
 pub(crate) fn state_key(state: &MachineState) -> u64 {
     let mut h = FxHasher::default();
     state.control.hash(&mut h);
@@ -70,18 +56,17 @@ pub(crate) fn state_key(state: &MachineState) -> u64 {
     h.finish()
 }
 
-/// One saved snapshot's residency cell, shared by every handle onto it.
-/// `state` is `Some` while the snapshot is in RAM and `None` while it
-/// lives only on disk; `ticket` caches the segment record once written
-/// (snapshot content is immutable, so re-evicting a slot whose bytes are
-/// already on disk is write-free).
+/// One saved snapshot's residency cell. `state` is `Some` while the
+/// snapshot is in RAM and `None` while it lives only on disk; `ticket`
+/// caches the segment record once written (snapshot content is
+/// immutable, so re-evicting a slot whose bytes are already on disk is
+/// write-free).
 #[derive(Debug)]
-pub(crate) struct Slot {
-    key: u64,
-    /// Bytes of the snapshot itself (excluding per-handle metadata) —
-    /// the amount that moves between the RAM and disk gauges.
+struct Slot {
+    /// Bytes of the snapshot itself (excluding per-save metadata) — the
+    /// amount that moves between the RAM and disk gauges.
     state_bytes: usize,
-    state: RefCell<Option<Rc<MachineState>>>,
+    state: RefCell<Option<MachineState>>,
     ticket: Cell<Option<SpillTicket>>,
     /// Generation stamp of this slot's newest LRU queue entry; older
     /// queue entries for the slot are stale and skipped lazily.
@@ -89,8 +74,13 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    fn resident(&self) -> Option<Rc<MachineState>> {
-        self.state.borrow().clone()
+    fn new(state: MachineState, state_bytes: usize) -> Rc<Slot> {
+        Rc::new(Slot {
+            state_bytes,
+            state: RefCell::new(Some(state)),
+            ticket: Cell::new(None),
+            touched: Cell::new(0),
+        })
     }
 
     fn is_resident(&self) -> bool {
@@ -105,111 +95,43 @@ impl Slot {
 }
 
 /// A handle onto one saved snapshot. Clone-cheap (`Rc`); carries the
-/// bytes this particular save charged so release can return them.
+/// bytes its save charged so release can return them.
 #[derive(Clone, Debug)]
 pub(crate) struct SavedState {
     slot: Rc<Slot>,
     bytes: usize,
-    /// Whether this handle's charge includes the snapshot itself (the
-    /// first save of a state) or only per-save cursor metadata (a dedup
-    /// hit). Release uncharges the snapshot from whichever tier it is
-    /// resident in when the last charging handle goes.
-    charges_state: bool,
 }
 
 impl SavedState {
-    /// The intern key of the underlying snapshot.
-    pub(crate) fn key(&self) -> u64 {
-        self.slot.key
-    }
-
-    /// The bytes this handle charged at save time.
+    /// The bytes this handle charged at save time: the snapshot plus its
+    /// cursor metadata.
     pub(crate) fn bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// Whether this handle's charge includes the snapshot itself (see
-    /// the field doc). Persisted per frame by the checkpoint codec.
-    pub(crate) fn charges_state(&self) -> bool {
-        self.charges_state
-    }
-
-    /// Identity of the underlying slot — handles sharing a snapshot
-    /// share the slot. Used by the checkpoint codec to build its
-    /// unique-state table.
-    pub(crate) fn slot_id(&self) -> usize {
-        Rc::as_ptr(&self.slot) as usize
     }
 
     /// The resident snapshot, if it is in RAM right now. The checkpoint
     /// codec encodes from here after the search made everything
     /// resident; `None` means a spill read-back failed.
-    pub(crate) fn resident_state(&self) -> Option<Rc<MachineState>> {
-        self.slot.resident()
+    pub(crate) fn resident_state(&self) -> Option<Ref<'_, MachineState>> {
+        Ref::filter_map(self.slot.state.borrow(), Option::as_ref).ok()
     }
 
-    /// Rebuild the slot for a state decoded from a checkpoint file.
-    /// Handles sharing a snapshot must be built from the same slot so
-    /// [`SnapshotStore::rebuild`] re-derives the same deduplicated byte
-    /// accounting the saving search had.
-    pub(crate) fn decoded_slot(key: u64, state: Rc<MachineState>) -> Rc<Slot> {
-        Rc::new(Slot {
-            key,
-            state_bytes: state.approx_bytes(),
-            state: RefCell::new(Some(state)),
-            ticket: Cell::new(None),
-            touched: Cell::new(0),
-        })
-    }
-
-    /// Rebuild a handle decoded from a checkpoint file.
-    pub(crate) fn from_decoded(slot: Rc<Slot>, bytes: usize, charges_state: bool) -> Self {
+    /// Rebuild a handle decoded from a checkpoint file, with the bytes
+    /// its save charged in the checkpointing run.
+    pub(crate) fn from_decoded(state: MachineState, bytes: usize) -> Self {
+        let state_bytes = state.approx_bytes();
         SavedState {
-            slot,
+            slot: Slot::new(state, state_bytes),
             bytes,
-            charges_state,
         }
-    }
-}
-
-/// One interned snapshot: the shared slot plus how many live
-/// [`SavedState`] handles refer to it.
-struct Interned {
-    slot: Rc<Slot>,
-    refs: usize,
-}
-
-/// Collision chain for one content-hash key. The first entry is inline:
-/// true hash collisions are rare, so the common chain of length one costs
-/// no extra allocation per save (at millions of saves per run the chain
-/// `Vec` would otherwise dominate the save path).
-struct Chain {
-    first: Interned,
-    rest: Vec<Interned>,
-}
-
-impl Chain {
-    /// Find the entry holding a snapshot identical to `state`. Spilled
-    /// entries never match: comparing would mean a disk read on the hot
-    /// save path, and a miss merely re-saves the state (dedup accounting
-    /// drifts, search decisions do not).
-    fn find_resident_mut(&mut self, state: &MachineState) -> Option<&mut Interned> {
-        std::iter::once(&mut self.first)
-            .chain(self.rest.iter_mut())
-            .find(|e| match &*e.slot.state.borrow() {
-                Some(resident) => **resident == *state,
-                None => false,
-            })
     }
 }
 
 /// The search's pool of saved snapshots and the single source of truth
 /// for [`crate::SearchStats::snapshot_bytes`] (RAM residency) and
 /// [`crate::SearchStats::spilled_bytes`] (disk residency).
+#[derive(Default)]
 pub(crate) struct SnapshotStore {
-    cow: bool,
-    /// key → collision chain of distinct held states with that key.
-    interned: HashMap<u64, Chain, FxBuildHasher>,
     ram_bytes: usize,
     spilled_bytes: usize,
     /// RAM budget the spill tier enforces (the `--max-mem` value).
@@ -227,19 +149,8 @@ pub(crate) struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    pub fn new(cow: bool) -> Self {
-        SnapshotStore {
-            cow,
-            interned: HashMap::default(),
-            ram_bytes: 0,
-            spilled_bytes: 0,
-            budget: None,
-            spill: None,
-            lru: VecDeque::new(),
-            lru_gen: 0,
-            lru_live_hint: 0,
-            fault: None,
-        }
+    pub fn new() -> Self {
+        SnapshotStore::default()
     }
 
     /// Attach a spill tier: RAM residency above `budget` bytes is evicted
@@ -256,10 +167,9 @@ impl SnapshotStore {
         self.spill.is_some()
     }
 
-    /// True deduplicated bytes of all RAM-resident snapshots (plus
-    /// per-save cursor metadata). Without a spill tier this is what the
-    /// `max_state_bytes` budget governs; with one, it is held at the
-    /// budget by eviction.
+    /// Bytes of all RAM-resident snapshots plus every save's cursor
+    /// metadata. Without a spill tier this is what the `max_state_bytes`
+    /// budget governs; with one, it is held at the budget by eviction.
     pub fn resident_bytes(&self) -> usize {
         self.ram_bytes
     }
@@ -292,218 +202,69 @@ impl SnapshotStore {
         self.fault.take()
     }
 
-    /// *Save* the given state, charging `extra_bytes` of per-save
-    /// metadata (cursors). Returns the handle and whether the save was
-    /// deduplicated against an already-resident identical snapshot.
-    pub fn save(&mut self, state: &MachineState, extra_bytes: usize) -> (SavedState, bool) {
-        if !self.cow {
-            // Pre-COW baseline: eager deep copy, no interning. The key
-            // is only needed for spill adoption, so hashing is skipped
-            // entirely in pure-RAM deep mode.
-            let state_bytes = state.approx_bytes();
-            let bytes = state_bytes + extra_bytes;
-            let key = if self.spill.is_some() {
-                state_key(state)
-            } else {
-                0
-            };
-            let slot = Rc::new(Slot {
-                key,
-                state_bytes,
-                state: RefCell::new(Some(Rc::new(state.deep_snapshot()))),
-                ticket: Cell::new(None),
-                touched: Cell::new(0),
-            });
-            self.ram_bytes += bytes;
-            self.lru_touch(&slot);
-            self.maybe_evict();
-            return (
-                SavedState {
-                    slot,
-                    bytes,
-                    charges_state: true,
-                },
-                false,
-            );
-        }
-
-        let key = state_key(state);
-        let hit = self
-            .interned
-            .get_mut(&key)
-            .and_then(|chain| chain.find_resident_mut(state))
-            .map(|hit| {
-                hit.refs += 1;
-                Rc::clone(&hit.slot)
-            });
-        if let Some(slot) = hit {
-            self.ram_bytes += extra_bytes;
-            self.lru_touch(&slot);
-            self.maybe_evict();
-            return (
-                SavedState {
-                    slot,
-                    bytes: extra_bytes,
-                    charges_state: false,
-                },
-                true,
-            );
-        }
+    /// *Save* a copy-on-write snapshot of `state`, charging its size plus
+    /// `extra_bytes` of per-save metadata (cursors).
+    pub fn save(&mut self, state: &MachineState, extra_bytes: usize) -> SavedState {
         let state_bytes = state.approx_bytes();
         let bytes = state_bytes + extra_bytes;
-        let slot = Rc::new(Slot {
-            key,
-            state_bytes,
-            state: RefCell::new(Some(Rc::new(state.snapshot()))),
-            ticket: Cell::new(None),
-            touched: Cell::new(0),
-        });
-        let entry = Interned {
-            slot: Rc::clone(&slot),
-            refs: 1,
-        };
-        match self.interned.entry(key) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Chain {
-                    first: entry,
-                    rest: Vec::new(),
-                });
-            }
-            std::collections::hash_map::Entry::Occupied(o) => o.into_mut().rest.push(entry),
-        }
+        let slot = Slot::new(state.snapshot(), state_bytes);
         self.ram_bytes += bytes;
         self.lru_touch(&slot);
         self.maybe_evict();
-        (
-            SavedState {
-                slot,
-                bytes,
-                charges_state: true,
-            },
-            false,
-        )
+        SavedState { slot, bytes }
     }
 
-    /// Release one handle, returning its charged bytes to the budget and
-    /// dropping the interning entry with the last reference. A snapshot
-    /// whose last charging handle goes is uncharged from whichever tier
-    /// (RAM or disk) it is resident in.
+    /// Release one handle, returning its charged bytes: the metadata from
+    /// RAM, the snapshot from whichever tier (RAM or disk) holds it.
     pub fn release(&mut self, saved: &SavedState) {
-        let extra = if saved.charges_state {
-            saved.bytes.saturating_sub(saved.slot.state_bytes)
-        } else {
+        let state_bytes = saved.slot.state_bytes;
+        let from_ram = if saved.slot.is_resident() {
             saved.bytes
+        } else {
+            self.spilled_bytes = self.spilled_bytes.saturating_sub(state_bytes);
+            saved.bytes.saturating_sub(state_bytes)
         };
         debug_assert!(
-            self.ram_bytes >= extra,
-            "snapshot byte accounting must never wrap (resident {} < released metadata {})",
+            self.ram_bytes >= from_ram,
+            "snapshot byte accounting must never wrap (resident {} < released {})",
             self.ram_bytes,
-            extra
+            from_ram
         );
-        self.ram_bytes = self.ram_bytes.saturating_sub(extra);
-        let uncharge_state = if self.cow {
-            self.chain_release(saved)
-        } else {
-            saved.charges_state
-        };
-        if uncharge_state {
-            if saved.slot.is_resident() {
-                debug_assert!(
-                    self.ram_bytes >= saved.slot.state_bytes,
-                    "resident snapshot release must not wrap"
-                );
-                self.ram_bytes = self.ram_bytes.saturating_sub(saved.slot.state_bytes);
-            } else {
-                self.spilled_bytes = self.spilled_bytes.saturating_sub(saved.slot.state_bytes);
-            }
-        }
-    }
-
-    /// Decrement the interning reference for `saved`'s slot; true when
-    /// the last reference went and the snapshot's bytes must be
-    /// uncharged. In COW mode only charging handles own the final
-    /// reference (LIFO release pops dedup hits first).
-    fn chain_release(&mut self, saved: &SavedState) -> bool {
-        let Some(chain) = self.interned.get_mut(&saved.slot.key) else {
-            return false;
-        };
-        if Rc::ptr_eq(&chain.first.slot, &saved.slot) {
-            chain.first.refs -= 1;
-            if chain.first.refs == 0 {
-                match chain.rest.pop() {
-                    Some(promoted) => chain.first = promoted,
-                    None => {
-                        self.interned.remove(&saved.slot.key);
-                    }
-                }
-                return true;
-            }
-        } else if let Some(pos) = chain
-            .rest
-            .iter()
-            .position(|e| Rc::ptr_eq(&e.slot, &saved.slot))
-        {
-            chain.rest[pos].refs -= 1;
-            if chain.rest[pos].refs == 0 {
-                chain.rest.swap_remove(pos);
-                return true;
-            }
-        }
-        false
+        self.ram_bytes = self.ram_bytes.saturating_sub(from_ram);
     }
 
     /// *Restore* into a working state without consuming the handle (the
     /// frame may have more children). Faults a spilled snapshot back in
-    /// first; the clone is COW (O(chunk table)) or a deep copy per the
-    /// store's baseline mode. Eviction runs after the clone, so the
-    /// faulted-in slot may immediately spill back out under a tight
-    /// budget — correct, if slow, which is the tier's contract.
+    /// first; the copy is COW (O(chunk table)). Eviction runs after the
+    /// copy, so the faulted-in slot may immediately spill back out under
+    /// a tight budget — correct, if slow, which is the tier's contract.
     pub fn materialize(&mut self, saved: &SavedState) -> Result<MachineState, SpillError> {
         self.fault_in(&saved.slot)?;
-        let resident = saved.slot.resident().expect("just faulted in");
-        let out = if self.cow {
-            resident.snapshot()
-        } else {
-            resident.deep_snapshot()
-        };
-        drop(resident);
+        let out = saved
+            .slot
+            .state
+            .borrow()
+            .as_ref()
+            .expect("just faulted in")
+            .snapshot();
         self.maybe_evict();
         Ok(out)
     }
 
     /// *Restore* consuming the handle (last child of a frame): moves the
-    /// state out without any copy when this was the only reference.
-    /// Call [`SnapshotStore::release`] first so the store's interning
-    /// reference is already dropped. A spilled snapshot is read straight
-    /// from its segment (release already settled the accounting).
+    /// state out without any copy when this was the only reference. Call
+    /// [`SnapshotStore::release`] first. A spilled snapshot is read
+    /// straight from its segment (release already settled the
+    /// accounting).
     pub fn take(&mut self, saved: SavedState) -> Result<MachineState, SpillError> {
-        let cow = self.cow;
-        let SavedState { slot, .. } = saved;
-        match Rc::try_unwrap(slot) {
-            Ok(slot) => match slot.state.into_inner() {
-                Some(resident) => Ok(match Rc::try_unwrap(resident) {
-                    Ok(state) => state,
-                    Err(shared) => {
-                        if cow {
-                            shared.snapshot()
-                        } else {
-                            shared.deep_snapshot()
-                        }
-                    }
-                }),
-                None => self.read_ticket(&slot.ticket.get().expect("spilled slot has a ticket")),
-            },
-            Err(slot) => {
-                let resident = slot.resident();
-                match resident {
-                    Some(shared) => Ok(if cow {
-                        shared.snapshot()
-                    } else {
-                        shared.deep_snapshot()
-                    }),
-                    None => self.read_ticket(&slot.ticket()),
-                }
-            }
+        let ticket = saved.slot.ticket.get();
+        let resident = match Rc::try_unwrap(saved.slot) {
+            Ok(slot) => slot.state.into_inner(),
+            Err(shared) => shared.state.borrow().as_ref().map(MachineState::snapshot),
+        };
+        match resident {
+            Some(state) => Ok(state),
+            None => self.read_ticket(&ticket.expect("a spilled slot holds a ticket")),
         }
     }
 
@@ -531,7 +292,7 @@ impl SnapshotStore {
             .as_mut()
             .expect("spilled slots only exist with a spill tier");
         let state = tier.read_state(&ticket)?;
-        *slot.state.borrow_mut() = Some(Rc::new(state));
+        *slot.state.borrow_mut() = Some(state);
         self.spilled_bytes = self.spilled_bytes.saturating_sub(slot.state_bytes);
         self.ram_bytes += slot.state_bytes;
         self.lru_touch(slot);
@@ -574,7 +335,7 @@ impl SnapshotStore {
         };
         if slot.ticket.get().is_none() {
             let tier = self.spill.as_mut().expect("eviction requires a tier");
-            match tier.write_state(slot.key, &resident) {
+            match tier.write_state(state_key(&resident), &resident) {
                 Ok(ticket) => slot.ticket.set(Some(ticket)),
                 Err(e) => {
                     *slot.state.borrow_mut() = Some(resident);
@@ -611,52 +372,26 @@ impl SnapshotStore {
         }
     }
 
-    /// Rebuild a store from the frames of a resumed checkpoint: re-interns
-    /// every still-held snapshot and re-derives the resident byte total
-    /// (shared bytes still charged once — each handle remembers exactly
-    /// what its save charged). Decoded frames are all resident; any stale
-    /// spill tickets from the checkpointing run are dropped, because
-    /// `tier` (if any) is a fresh reopen whose adoption index makes
-    /// re-eviction of unchanged states write-free.
+    /// Rebuild a store from the frames of a resumed checkpoint,
+    /// re-deriving the resident byte total from what each handle's save
+    /// charged. Decoded frames are all resident; any stale spill tickets
+    /// from the checkpointing run are dropped, because `tier` (if any) is
+    /// a fresh reopen whose adoption index makes re-eviction of unchanged
+    /// states write-free.
     pub fn rebuild<'a>(
-        cow: bool,
         saved: impl Iterator<Item = &'a SavedState>,
         budget: Option<usize>,
         tier: Option<SpillTier>,
     ) -> Self {
-        let mut store = SnapshotStore::new(cow);
-        store.budget = budget;
-        store.spill = tier;
+        let mut store = SnapshotStore {
+            budget,
+            spill: tier,
+            ..SnapshotStore::default()
+        };
         for s in saved {
             s.slot.ticket.set(None);
             store.ram_bytes += s.bytes;
             store.lru_touch(&s.slot);
-            if !cow {
-                continue;
-            }
-            let entry = Interned {
-                slot: Rc::clone(&s.slot),
-                refs: 1,
-            };
-            match store.interned.entry(s.slot.key) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(Chain {
-                        first: entry,
-                        rest: Vec::new(),
-                    });
-                }
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    let chain = o.into_mut();
-                    if let Some(hit) = std::iter::once(&mut chain.first)
-                        .chain(chain.rest.iter_mut())
-                        .find(|e| Rc::ptr_eq(&e.slot, &s.slot))
-                    {
-                        hit.refs += 1;
-                    } else {
-                        chain.rest.push(entry);
-                    }
-                }
-            }
         }
         store
     }
@@ -702,59 +437,31 @@ mod tests {
     }
 
     #[test]
-    fn identical_saves_intern_and_charge_once() {
+    fn each_save_charges_its_own_bytes() {
         let st = some_state();
-        let mut store = SnapshotStore::new(true);
-        let (a, hit_a) = store.save(&st, 16);
-        assert!(!hit_a);
-        let after_first = store.resident_bytes();
-        assert!(after_first >= st.approx_bytes() + 16);
+        let mut store = SnapshotStore::new();
+        let a = store.save(&st, 16);
+        let one = st.approx_bytes() + 16;
+        assert_eq!(a.bytes(), one);
+        assert_eq!(store.resident_bytes(), one);
 
-        let (b, hit_b) = store.save(&st, 16);
-        assert!(hit_b, "identical state must dedup");
-        assert_eq!(
-            store.resident_bytes(),
-            after_first + 16,
-            "a dedup hit charges only its cursor metadata"
-        );
-        assert_eq!(a.slot_id(), b.slot_id());
+        // An identical state saved again is a second snapshot, charged in
+        // full.
+        let b = store.save(&st, 16);
+        assert!(!Rc::ptr_eq(&a.slot, &b.slot));
+        assert_eq!(store.resident_bytes(), 2 * one);
 
-        // LIFO release: the duplicate first, then the original.
         store.release(&b);
-        assert_eq!(store.resident_bytes(), after_first);
+        assert_eq!(store.resident_bytes(), one);
         store.release(&a);
         assert_eq!(store.resident_bytes(), 0);
     }
 
     #[test]
-    fn distinct_states_do_not_intern() {
-        let st = some_state();
-        let mut other = st.clone();
-        other.globals[0] = Value::Int(99);
-        let mut store = SnapshotStore::new(true);
-        let (_, h1) = store.save(&st, 0);
-        let (_, h2) = store.save(&other, 0);
-        assert!(!h1);
-        assert!(!h2);
-    }
-
-    #[test]
-    fn deep_mode_never_interns_or_shares() {
-        let st = some_state();
-        let mut store = SnapshotStore::new(false);
-        let (a, hit1) = store.save(&st, 0);
-        let (b, hit2) = store.save(&st, 0);
-        assert!(!hit1 && !hit2);
-        assert_ne!(a.slot_id(), b.slot_id());
-        assert_eq!(store.resident_bytes(), a.bytes() + b.bytes());
-        assert_eq!(store.materialize(&a).unwrap().heap.shared_chunks(), 0);
-    }
-
-    #[test]
     fn take_moves_out_without_copy_after_release() {
         let st = some_state();
-        let mut store = SnapshotStore::new(true);
-        let (a, _) = store.save(&st, 0);
+        let mut store = SnapshotStore::new();
+        let a = store.save(&st, 0);
         store.release(&a);
         let restored = store.take(a).unwrap();
         assert_eq!(restored, st);
@@ -763,11 +470,8 @@ mod tests {
     #[test]
     fn release_saturates_instead_of_wrapping() {
         let st = some_state();
-        let mut fresh = SnapshotStore::new(true);
-        let (handle, _) = {
-            let mut other = SnapshotStore::new(true);
-            other.save(&st, 8)
-        };
+        let mut fresh = SnapshotStore::new();
+        let handle = SnapshotStore::new().save(&st, 8);
         // Releasing into a store that never charged must not wrap; the
         // debug assertion flags it in debug builds, release saturates.
         if !cfg!(debug_assertions) {
@@ -777,20 +481,15 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_restores_dedup_accounting() {
+    fn rebuild_restores_the_accounting() {
         let st = some_state();
-        let mut store = SnapshotStore::new(true);
-        let (a, _) = store.save(&st, 4);
-        let (b, _) = store.save(&st, 4);
+        let mut store = SnapshotStore::new();
+        let a = store.save(&st, 4);
+        let b = store.save(&st, 4);
         let total = store.resident_bytes();
 
-        let rebuilt = SnapshotStore::rebuild(true, [a.clone(), b.clone()].iter(), None, None);
+        let rebuilt = SnapshotStore::rebuild([a, b].iter(), None, None);
         assert_eq!(rebuilt.resident_bytes(), total);
-
-        // And the rebuilt store still dedups against the adopted entries.
-        let mut rebuilt = rebuilt;
-        let (_, hit) = rebuilt.save(&st, 0);
-        assert!(hit);
     }
 
     #[test]
@@ -800,7 +499,6 @@ mod tests {
         other.globals[0] = Value::Int(1);
         assert_ne!(state_key(&st), state_key(&other));
         assert_eq!(state_key(&st), state_key(&st.snapshot()));
-        assert_eq!(state_key(&st), state_key(&st.deep_snapshot()));
     }
 
     #[test]
@@ -815,8 +513,8 @@ mod tests {
         }
         // Budget below two snapshots: saving eight forces eviction.
         let budget = st.approx_bytes() * 2;
-        let mut store = SnapshotStore::new(true).with_spill(budget, tier(&dir));
-        let handles: Vec<_> = variants.iter().map(|v| store.save(v, 0).0).collect();
+        let mut store = SnapshotStore::new().with_spill(budget, tier(&dir));
+        let handles: Vec<_> = variants.iter().map(|v| store.save(v, 0)).collect();
         assert!(
             store.resident_bytes() <= budget,
             "eviction must hold RAM at the budget ({} > {})",
@@ -825,6 +523,9 @@ mod tests {
         );
         assert!(store.spilled_bytes() > 0);
         assert!(store.spill_counters().evictions > 0);
+        // Eviction moves bytes between the gauges without changing them.
+        let charged: usize = handles.iter().map(SavedState::bytes).sum();
+        assert_eq!(store.resident_bytes() + store.spilled_bytes(), charged);
         // Every snapshot — resident or spilled — restores bit-identically.
         for (h, v) in handles.iter().zip(&variants) {
             assert_eq!(&store.materialize(h).unwrap(), v);
@@ -846,9 +547,9 @@ mod tests {
         let st = some_state();
         let mut other = st.clone();
         other.globals[0] = Value::Int(5);
-        let mut store = SnapshotStore::new(true).with_spill(1, tier(&dir));
-        let (a, _) = store.save(&st, 0);
-        let (_b, _) = store.save(&other, 0);
+        let mut store = SnapshotStore::new().with_spill(1, tier(&dir));
+        let a = store.save(&st, 0);
+        let _b = store.save(&other, 0);
         // Budget 1: everything spills.
         assert_eq!(store.resident_bytes(), 0);
         store.release(&a);
@@ -868,8 +569,8 @@ mod tests {
         let faulty = FaultySpillDir::new(inner, plan);
         let tier = SpillTier::open(Box::new(faulty), 64 << 20, 1).unwrap();
         let st = some_state();
-        let mut store = SnapshotStore::new(true).with_spill(1, tier);
-        let (a, _) = store.save(&st, 0);
+        let mut store = SnapshotStore::new().with_spill(1, tier);
+        let a = store.save(&st, 0);
         let fault = store.take_spill_fault().expect("dead disk must poison");
         assert!(fault.to_string().contains("disk full"), "{}", fault);
         // The snapshot never left RAM, so the search can still checkpoint.

@@ -70,7 +70,7 @@ use crate::fault::RetryPolicy;
 pub const SPILL_MAGIC: [u8; 8] = *b"TANGOSPL";
 
 /// Current segment format version. Bump on any layout change; readers
-/// refuse newer files with [`SpillError::UnsupportedVersion`].
+/// refuse every other version with [`SpillError::UnsupportedVersion`].
 pub const SPILL_VERSION: u32 = 1;
 
 /// Segment header length: magic + version.
@@ -92,7 +92,7 @@ pub enum SpillError {
     },
     /// A segment file does not start with the spill magic.
     BadMagic { segment: u32 },
-    /// A segment was written by a newer format than this build reads.
+    /// A segment's format version is not the one this build reads.
     UnsupportedVersion {
         segment: u32,
         found: u32,
@@ -126,7 +126,7 @@ impl fmt::Display for SpillError {
                 supported,
             } => write!(
                 f,
-                "spill segment {} has format version {} (this build reads up to {})",
+                "spill segment {} has format version {} (this build reads only version {})",
                 segment, found, supported
             ),
             SpillError::Truncated { segment, context } => {
@@ -168,7 +168,7 @@ pub struct SpillTicket {
     pub len: u32,
     /// Expected CRC32 of the payload.
     pub crc: u32,
-    /// Content key of the snapshot (the snapshot-store intern key).
+    /// Content key of the snapshot (`state_key`), used for adoption.
     pub key: u64,
 }
 

@@ -1,47 +1,46 @@
 //! Sharded, thread-safe snapshot store for the multi-worker MDFS.
 //!
-//! The single-threaded searches intern snapshots through
-//! [`super::snapshot::SnapshotStore`], whose one intern map and one LRU
-//! are owned by the search loop. N true workers saving and restoring
-//! concurrently would funnel every operation through one lock, so this
-//! store shards by the **high bits of the pre-mixed FxHasher content
-//! key**: 16 shards, each its own mutex guarding its own slot slab,
-//! intern chains, LRU clock queue and spill tier (rooted at
-//! `shard{i:02}/` under the spill directory). Two workers touching
-//! states that hash to different shards never contend.
+//! The single-threaded DFS holds its snapshots in
+//! [`super::snapshot::SnapshotStore`], whose one LRU is owned by the
+//! search loop. N true workers saving and restoring concurrently would
+//! funnel every operation through one lock, so this store spreads saves
+//! round-robin over 16 shards, each its own mutex guarding its own slot
+//! slab, LRU clock queue and spill tier (rooted at `shard{i:02}/` under
+//! the spill directory). Two workers touching different shards never
+//! contend.
 //!
 //! Residency accounting is atomic and global: the `resident`/`spilled`
 //! byte gauges and their high-water marks are plain atomics updated
 //! under the owning shard's lock, readable lock-free from any worker
 //! (the memory-budget check) and from the coordinator (heartbeats).
+//! Each save charges its own snapshot's full size.
 //!
-//! Eviction under a budget stays **globally coldest-first**: every
-//! resident slot carries a stamp from one shared logical clock; the
-//! evictor peeks each shard's LRU front and evicts the minimum stamp,
-//! so the per-shard split does not change *what* gets evicted, only
-//! which lock the eviction takes. Re-evicting a slot whose snapshot is
-//! already on disk is write-free (the segment record is immutable) —
-//! the same contract the PR 6 tier gives the single-threaded stores —
-//! and a write failure poisons the store instead of returning an error
-//! mid-save: the snapshot stays resident, eviction stops, and the
-//! search degrades to `Inconclusive(SpillFailure)` at its next
-//! governance check, exactly like the single-threaded store.
+//! Eviction under a budget stays **globally coldest-first**: with a
+//! spill tier attached, every resident slot carries a stamp from one
+//! shared logical clock; the evictor peeks each shard's LRU front and
+//! evicts the minimum stamp, so the per-shard split does not change
+//! *what* gets evicted, only which lock the eviction takes. Without a
+//! tier nothing can be evicted, so saves and restores skip the LRU
+//! queue. Re-evicting a slot whose snapshot is already on disk is
+//! write-free (the segment record is immutable), and a write failure
+//! poisons the store instead of returning an error mid-save: the
+//! snapshot stays resident, eviction stops, and the search degrades to
+//! `Inconclusive(SpillFailure)` at its next governance check, exactly
+//! like the single-threaded store.
 
-use super::snapshot::{state_key, FxBuildHasher};
+use super::snapshot::state_key;
 use super::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
 use crate::options::AnalysisOptions;
 use estelle_runtime::MachineState;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Shard count. A power of two so the shard index is a shift of the
-/// pre-mixed key's top bits; 16 is comfortably above any worker count
-/// the search spawns while keeping the fixed footprint trivial.
+/// Shard count. A power of two so the shard index is the low bits of the
+/// save's clock stamp; 16 is comfortably above any worker count the
+/// search spawns while keeping the fixed footprint trivial.
 pub(crate) const SHARD_COUNT: usize = 16;
-
-const SHARD_SHIFT: u32 = 64 - 4; // log2(SHARD_COUNT) top bits
 
 /// Reference to one stored snapshot. Plain `Send + Sync` data — nodes
 /// carry handles across worker threads; the states themselves stay in
@@ -50,23 +49,17 @@ const SHARD_SHIFT: u32 = 64 - 4; // log2(SHARD_COUNT) top bits
 pub(crate) struct StoreHandle {
     shard: u8,
     slot: u32,
-    /// Size of the referenced snapshot. Every handle to a shared slot
-    /// reports the full size (the slot is charged once; `save` returns
-    /// whether this handle was a dedup hit).
+    /// Size of the referenced snapshot — what its save charged.
     pub(crate) state_bytes: usize,
 }
 
 struct SlotEntry {
-    /// FxHasher content key (also the spill record key).
-    key: u64,
     /// Resident snapshot; `None` while evicted to the shard's tier.
     state: Option<MachineState>,
     /// Claim check once the snapshot has ever been written to disk.
     ticket: Option<SpillTicket>,
     /// Bytes of the snapshot itself — what moves between gauges.
     bytes: usize,
-    /// Handles outstanding; the slot is freed when this reaches 0.
-    refs: u32,
     /// Last-touch stamp from the store's shared logical clock; older
     /// LRU queue entries for the slot are stale and skipped.
     stamp: u64,
@@ -75,9 +68,8 @@ struct SlotEntry {
 struct Shard {
     slots: Vec<Option<SlotEntry>>,
     free: Vec<u32>,
-    /// Content-key intern chains (COW dedup): key → slot indices.
-    interned: HashMap<u64, Vec<u32>, FxBuildHasher>,
-    /// Cold-first eviction queue of `(slot, stamp)`.
+    /// Cold-first eviction queue of `(slot, stamp)`; filled only when a
+    /// spill tier is attached.
     lru: VecDeque<(u32, u64)>,
     tier: Option<SpillTier>,
 }
@@ -87,7 +79,6 @@ impl Shard {
         Shard {
             slots: Vec::new(),
             free: Vec::new(),
-            interned: HashMap::default(),
             lru: VecDeque::new(),
             tier,
         }
@@ -125,20 +116,12 @@ impl Shard {
 /// per-shard mutexes plus atomics make it `Sync`.
 pub(crate) struct ShardedStore {
     shards: Vec<Mutex<Shard>>,
-    cow: bool,
     budget: Option<usize>,
     spill_enabled: bool,
-    /// No budget and no tier ⇒ memory pressure is impossible: slots can
-    /// never be evicted, so the content hash, the intern chains and the
-    /// LRU queue buy nothing. This flag selects a plain slot-slab path
-    /// that skips all three — the same per-save cost profile as the
-    /// sequential engine, which holds states in its nodes uninterned.
-    fast: bool,
     resident: AtomicUsize,
     spilled: AtomicUsize,
     peak_resident: AtomicUsize,
     peak_spilled: AtomicUsize,
-    intern_hits: AtomicU64,
     clock: AtomicU64,
     /// Set on the first unrecoverable spill write fault; checked
     /// lock-free by workers at their governance point.
@@ -171,15 +154,12 @@ impl ShardedStore {
         }
         Ok(ShardedStore {
             shards,
-            cow: options.cow_snapshots,
             budget: options.limits.max_state_bytes,
             spill_enabled,
-            fast: options.limits.max_state_bytes.is_none() && !spill_enabled,
             resident: AtomicUsize::new(0),
             spilled: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
             peak_spilled: AtomicUsize::new(0),
-            intern_hits: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             fault: Mutex::new(None),
@@ -200,53 +180,19 @@ impl ShardedStore {
         self.peak_resident.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Save a snapshot; returns its handle and whether it was interned
-    /// into an already-resident identical slot (COW mode only — deep
-    /// mode never dedups, matching the single-threaded stores; spilled
-    /// candidates never match, so a dedup check costs no disk read).
-    pub(crate) fn save(&self, state: MachineState) -> (StoreHandle, bool) {
-        if self.fast {
-            return self.save_fast(state);
-        }
-        let key = state_key(&state);
-        let shard_idx = (key >> SHARD_SHIFT) as usize & (SHARD_COUNT - 1);
+    /// Save a snapshot into a fresh slot. Shards are picked round-robin
+    /// off the logical clock so concurrent workers spread across locks.
+    pub(crate) fn save(&self, state: MachineState) -> StoreHandle {
         let stamp = self.tick();
-        let mut shard = self.shards[shard_idx].lock().expect("store shard lock");
-        if self.cow {
-            let hit = shard.interned.get(&key).and_then(|chain| {
-                chain.iter().copied().find(|&idx| {
-                    shard.slots[idx as usize]
-                        .as_ref()
-                        .and_then(|s| s.state.as_ref())
-                        .is_some_and(|st| *st == state)
-                })
-            });
-            if let Some(idx) = hit {
-                let entry = shard.slot_mut(idx);
-                entry.refs += 1;
-                entry.stamp = stamp;
-                let bytes = entry.bytes;
-                shard.lru.push_back((idx, stamp));
-                self.intern_hits.fetch_add(1, Ordering::Relaxed);
-                return (
-                    StoreHandle {
-                        shard: shard_idx as u8,
-                        slot: idx,
-                        state_bytes: bytes,
-                    },
-                    true,
-                );
-            }
-        }
+        let shard_idx = stamp as usize & (SHARD_COUNT - 1);
         let bytes = state.approx_bytes();
         let entry = SlotEntry {
-            key,
             state: Some(state),
             ticket: None,
             bytes,
-            refs: 1,
             stamp,
         };
+        let mut shard = self.shards[shard_idx].lock().expect("store shard lock");
         let idx = match shard.free.pop() {
             Some(i) => {
                 shard.slots[i as usize] = Some(entry);
@@ -257,61 +203,19 @@ impl ShardedStore {
                 (shard.slots.len() - 1) as u32
             }
         };
-        if self.cow {
-            shard.interned.entry(key).or_default().push(idx);
+        if self.spill_enabled {
+            shard.lru.push_back((idx, stamp));
         }
-        shard.lru.push_back((idx, stamp));
         // Settle the gauge before releasing the shard lock: the evictor
         // can see this slot the moment the lock drops, and its uncharge
         // must never land before our charge (the gauges are unsigned).
         self.charge_resident(bytes);
         drop(shard);
-        (
-            StoreHandle {
-                shard: shard_idx as u8,
-                slot: idx,
-                state_bytes: bytes,
-            },
-            false,
-        )
-    }
-
-    /// Pressure-free save: no content hash, no intern chain, no LRU
-    /// entry. Shards are picked round-robin off the logical clock so
-    /// concurrent workers still spread across locks.
-    fn save_fast(&self, state: MachineState) -> (StoreHandle, bool) {
-        let stamp = self.tick();
-        let shard_idx = stamp as usize & (SHARD_COUNT - 1);
-        let bytes = state.approx_bytes();
-        let entry = SlotEntry {
-            key: stamp,
-            state: Some(state),
-            ticket: None,
-            bytes,
-            refs: 1,
-            stamp,
-        };
-        let mut shard = self.shards[shard_idx].lock().expect("store shard lock");
-        let idx = match shard.free.pop() {
-            Some(i) => {
-                shard.slots[i as usize] = Some(entry);
-                i
-            }
-            None => {
-                shard.slots.push(Some(entry));
-                (shard.slots.len() - 1) as u32
-            }
-        };
-        self.charge_resident(bytes);
-        drop(shard);
-        (
-            StoreHandle {
-                shard: shard_idx as u8,
-                slot: idx,
-                state_bytes: bytes,
-            },
-            false,
-        )
+        StoreHandle {
+            shard: shard_idx as u8,
+            slot: idx,
+            state_bytes: bytes,
+        }
     }
 
     /// Fault the slot's snapshot back in from its shard tier if it is
@@ -340,34 +244,22 @@ impl ShardedStore {
         self.spilled.fetch_sub(bytes, Ordering::Relaxed);
     }
 
-    /// A copy of the stored snapshot for expansion, faulting it back in
-    /// from the shard's spill tier first when evicted. COW mode copies
-    /// O(chunk table); deep mode reproduces the eager-clone cost.
+    /// A copy-on-write copy of the stored snapshot for expansion,
+    /// faulting it back in from the shard's spill tier first when
+    /// evicted.
     pub(crate) fn materialize(&self, h: StoreHandle) -> Result<MachineState, SpillError> {
-        if self.fast {
-            let shard = self.shards[h.shard as usize].lock().expect("store shard lock");
-            let st = shard
-                .slot(h.slot)
-                .state
-                .as_ref()
-                .expect("fast-path slots are always resident");
-            return Ok(if self.cow { st.snapshot() } else { st.deep_snapshot() });
-        }
-        let stamp = self.tick();
-        let mut shard = self.shards[h.shard as usize].lock().expect("store shard lock");
+        let stamp = if self.spill_enabled { self.tick() } else { 0 };
+        let mut shard = self.shards[h.shard as usize]
+            .lock()
+            .expect("store shard lock");
         let faulted = Self::fault_in(&mut shard, h.slot)?;
         let entry = shard.slot_mut(h.slot);
-        entry.stamp = stamp;
+        let copy = entry.state.as_ref().expect("faulted in above").snapshot();
         let bytes = entry.bytes;
-        let copy = {
-            let st = entry.state.as_ref().expect("faulted in above");
-            if self.cow {
-                st.snapshot()
-            } else {
-                st.deep_snapshot()
-            }
-        };
-        shard.lru.push_back((h.slot, stamp));
+        if self.spill_enabled {
+            entry.stamp = stamp;
+            shard.lru.push_back((h.slot, stamp));
+        }
         if faulted {
             self.settle_fault_in(bytes);
         }
@@ -375,32 +267,20 @@ impl ShardedStore {
         Ok(copy)
     }
 
-    /// Drop one reference; the slot (and its bytes, wherever they
-    /// live) is freed with the last reference.
+    /// Free the slot and uncharge its bytes from whichever gauge holds
+    /// them.
     pub(crate) fn release(&self, h: StoreHandle) {
-        let mut shard = self.shards[h.shard as usize].lock().expect("store shard lock");
-        let entry = shard.slot_mut(h.slot);
-        entry.refs -= 1;
-        if entry.refs > 0 {
-            return;
-        }
-        let was_resident = entry.state.is_some();
-        let key = entry.key;
-        let bytes = entry.bytes;
-        shard.slots[h.slot as usize] = None;
+        let mut shard = self.shards[h.shard as usize]
+            .lock()
+            .expect("store shard lock");
+        let entry = shard.slots[h.slot as usize]
+            .take()
+            .expect("live handle references a live slot");
         shard.free.push(h.slot);
-        if self.cow && !self.fast {
-            if let Some(chain) = shard.interned.get_mut(&key) {
-                chain.retain(|&i| i != h.slot);
-                if chain.is_empty() {
-                    shard.interned.remove(&key);
-                }
-            }
-        }
-        if was_resident {
-            self.resident.fetch_sub(bytes, Ordering::Relaxed);
+        if entry.state.is_some() {
+            self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
         } else {
-            self.spilled.fetch_sub(bytes, Ordering::Relaxed);
+            self.spilled.fetch_sub(entry.bytes, Ordering::Relaxed);
         }
         drop(shard);
     }
@@ -451,14 +331,15 @@ impl ShardedStore {
             if !live {
                 continue;
             }
-            let (key, state) = {
-                let entry = shard.slot_mut(slot_idx);
-                (entry.key, entry.state.take().expect("checked resident"))
-            };
+            let state = shard
+                .slot_mut(slot_idx)
+                .state
+                .take()
+                .expect("checked resident");
             let bytes = shard.slot(slot_idx).bytes;
             if shard.slot(slot_idx).ticket.is_none() {
                 let tier = shard.tier.as_mut().expect("spill_enabled checked");
-                match tier.write_state(key, &state) {
+                match tier.write_state(state_key(&state), &state) {
                     Ok(t) => shard.slot_mut(slot_idx).ticket = Some(t),
                     Err(e) => {
                         // Keep the snapshot resident; poison the store.
@@ -509,10 +390,6 @@ impl ShardedStore {
 
     pub(crate) fn peak_spilled_bytes(&self) -> usize {
         self.peak_spilled.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn intern_hits(&self) -> u64 {
-        self.intern_hits.load(Ordering::Relaxed)
     }
 
     /// Spill counters summed across every shard tier.
@@ -569,11 +446,8 @@ mod tests {
         st
     }
 
-    fn store(cow: bool, budget: Option<usize>, dir: Option<std::path::PathBuf>) -> ShardedStore {
-        let mut o = AnalysisOptions {
-            cow_snapshots: cow,
-            ..Default::default()
-        };
+    fn store(budget: Option<usize>, dir: Option<std::path::PathBuf>) -> ShardedStore {
+        let mut o = AnalysisOptions::default();
         o.limits.max_state_bytes = budget;
         if let Some(d) = dir {
             o.spill.mode = SpillMode::On;
@@ -593,61 +467,28 @@ mod tests {
     }
 
     #[test]
-    fn identical_states_intern_in_cow_mode_only() {
-        // A budget engages the pressure path; without one the store
-        // skips interning entirely (see `pressure_free_store_never_interns`).
-        let cow = store(true, Some(usize::MAX), None);
-        let (a, hit_a) = cow.save(state_with(7));
-        let after_first = cow.resident_bytes();
-        let (b, hit_b) = cow.save(state_with(7));
-        assert!(!hit_a);
-        assert!(hit_b, "identical content must share a slot under COW");
-        assert_eq!(cow.intern_hits(), 1);
-        assert_eq!(b.state_bytes, a.state_bytes);
-        let before = cow.resident_bytes();
-        assert_eq!(before, after_first, "a dedup hit charges nothing");
-        cow.release(b);
-        assert_eq!(
-            cow.resident_bytes(),
-            before,
-            "shared slot stays charged while a reference remains"
-        );
-        cow.release(a);
-        assert_eq!(cow.resident_bytes(), 0);
-
-        let deep = store(false, Some(usize::MAX), None);
-        let (_, h1) = deep.save(state_with(7));
-        let (_, h2) = deep.save(state_with(7));
-        assert!(!h1 && !h2, "deep mode never interns");
-        assert_eq!(deep.intern_hits(), 0);
-    }
-
-    #[test]
-    fn pressure_free_store_never_interns_but_keeps_the_gauges() {
-        // No budget, no tier: the fast slab path. Identical states get
-        // distinct slots (like the sequential engine's uninterned
-        // nodes), round-trip intact, and accounting still balances.
-        let st = store(true, None, None);
-        let (a, hit_a) = st.save(state_with(7));
-        let (b, hit_b) = st.save(state_with(7));
-        assert!(!hit_a && !hit_b, "pressure-free saves never dedup");
-        assert_eq!(st.intern_hits(), 0);
-        let both = a.state_bytes + b.state_bytes;
-        assert_eq!(st.resident_bytes(), both);
-        assert_eq!(st.materialize(a).unwrap().globals[0], Value::Int(7));
-        assert_eq!(st.materialize(b).unwrap().globals[0], Value::Int(7));
-        st.release(a);
-        assert_eq!(st.resident_bytes(), b.state_bytes);
-        st.release(b);
-        assert_eq!(st.resident_bytes(), 0);
-        assert_eq!(st.peak_resident_bytes(), both);
+    fn identical_saves_get_their_own_slots_and_charges() {
+        for budget in [None, Some(usize::MAX)] {
+            let st = store(budget, None);
+            let a = st.save(state_with(7));
+            let b = st.save(state_with(7));
+            let both = a.state_bytes + b.state_bytes;
+            assert_eq!(st.resident_bytes(), both, "budget {:?}", budget);
+            assert_eq!(st.materialize(a).unwrap().globals[0], Value::Int(7));
+            assert_eq!(st.materialize(b).unwrap().globals[0], Value::Int(7));
+            st.release(a);
+            assert_eq!(st.resident_bytes(), b.state_bytes);
+            st.release(b);
+            assert_eq!(st.resident_bytes(), 0);
+            assert_eq!(st.peak_resident_bytes(), both);
+        }
     }
 
     #[test]
     fn materialize_roundtrips_through_the_spill_tier() {
         let dir = tmpdir("roundtrip");
-        let st = store(true, Some(1), Some(dir.clone()));
-        let (h, _) = st.save(state_with(42));
+        let st = store(Some(1), Some(dir.clone()));
+        let h = st.save(state_with(42));
         assert!(st.spill_enabled());
         assert!(st.resident_bytes() > 0);
         st.evict_to_budget(0);
@@ -666,10 +507,10 @@ mod tests {
     #[test]
     fn eviction_is_globally_coldest_first_across_shards() {
         let dir = tmpdir("coldest");
-        let st = store(false, Some(usize::MAX), Some(dir.clone()));
+        let st = store(Some(usize::MAX), Some(dir.clone()));
         // Distinct states land in different shards (very likely); the
         // least recently touched must go first regardless of shard.
-        let handles: Vec<_> = (0..8).map(|i| st.save(state_with(i)).0).collect();
+        let handles: Vec<_> = (0..8).map(|i| st.save(state_with(i))).collect();
         // Touch everything but the first, making handle 0 the global LRU.
         for &h in &handles[1..] {
             let _ = st.materialize(h).unwrap();
@@ -687,8 +528,8 @@ mod tests {
     #[test]
     fn release_of_spilled_slot_clears_the_disk_gauge() {
         let dir = tmpdir("release-spilled");
-        let st = store(true, Some(1), Some(dir.clone()));
-        let (h, _) = st.save(state_with(9));
+        let st = store(Some(1), Some(dir.clone()));
+        let h = st.save(state_with(9));
         st.evict_to_budget(0);
         assert!(st.spilled_bytes() > 0);
         st.release(h);
@@ -699,9 +540,9 @@ mod tests {
 
     #[test]
     fn peaks_track_high_water_marks() {
-        let st = store(false, None, None);
-        let (a, _) = st.save(state_with(1));
-        let (b, _) = st.save(state_with(2));
+        let st = store(None, None);
+        let a = st.save(state_with(1));
+        let b = st.save(state_with(2));
         let peak = st.peak_resident_bytes();
         assert_eq!(peak, st.resident_bytes());
         st.release(a);
@@ -723,7 +564,7 @@ mod tests {
             ..SpillFaultPlan::default()
         });
         let st = ShardedStore::build(&o, None).expect("store builds");
-        let (h, _) = st.save(state_with(3));
+        let h = st.save(state_with(3));
         st.evict_to_budget(0);
         assert!(st.is_poisoned(), "dead disk must poison");
         let fault = st.take_fault().expect("fault recorded");

@@ -47,14 +47,14 @@ pub struct SearchStats {
     /// Paths cut by the consecutive-barren-steps bound (non-progress
     /// cycles, unbounded fabrication on unobserved IPs).
     pub barren_prunes: u64,
-    /// Saves deduplicated by the snapshot-interning cache: the state was
-    /// already resident, so it was shared instead of copied (COW mode
-    /// only; always 0 under `--cow=off`).
+    /// Always 0: the snapshot stores do not deduplicate saves. Kept so
+    /// the checkpoint and dump `STATS` layout and existing readers keep
+    /// working.
     pub intern_hits: u64,
     /// Approximate bytes of saved state snapshots currently held by the
     /// search (DFS frames, MDFS work + PG nodes) — the quantity the
-    /// `max_state_bytes` budget governs. Deduplicated: an interned
-    /// snapshot referenced by several frames is charged once.
+    /// `max_state_bytes` budget governs. Each save charges its own
+    /// snapshot's full size plus its cursor metadata.
     pub snapshot_bytes: usize,
     /// High-water mark of `snapshot_bytes` over the run.
     pub peak_snapshot_bytes: usize,
@@ -177,20 +177,18 @@ impl SearchStats {
 impl fmt::Display for SearchStats {
     /// The paper's table columns (`CPUT=` is the documented alias for
     /// wall time) followed by the extension counters discussed in
-    /// DESIGN §6: hash prunes (HP), barren prunes (BP) and snapshot
-    /// intern hits (IH).
+    /// DESIGN §6: hash prunes (HP) and barren prunes (BP).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "CPUT={:.3}s TE={} GE={} RE={} SA={} HP={} BP={} IH={}",
+            "CPUT={:.3}s TE={} GE={} RE={} SA={} HP={} BP={}",
             self.wall_time.as_secs_f64(),
             self.transitions_executed,
             self.generates,
             self.restores,
             self.saves,
             self.hash_prunes,
-            self.barren_prunes,
-            self.intern_hits
+            self.barren_prunes
         )
     }
 }
@@ -333,12 +331,11 @@ mod tests {
         let s = SearchStats {
             hash_prunes: 11,
             barren_prunes: 7,
-            intern_hits: 3,
             ..Default::default()
         };
         let line = s.to_string();
         assert!(line.contains("HP=11"), "{}", line);
         assert!(line.contains("BP=7"), "{}", line);
-        assert!(line.contains("IH=3"), "{}", line);
+        assert!(!line.contains("IH="), "{}", line);
     }
 }

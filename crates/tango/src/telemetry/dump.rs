@@ -52,7 +52,7 @@ use std::path::Path;
 pub const DUMP_MAGIC: [u8; 8] = *b"TANGODMP";
 
 /// Current dump format version. Bump on any change to the byte layout;
-/// old readers refuse newer files instead of misreading them.
+/// a reader refuses every other version instead of misreading it.
 pub const DUMP_FORMAT_VERSION: u32 = 1;
 
 /// Hot-spot rows captured per dump — enough to see where the time went
@@ -102,7 +102,7 @@ impl fmt::Display for DumpError {
             DumpError::BadMagic => f.write_str("not a tango post-mortem dump (bad magic)"),
             DumpError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "dump format version {} not supported (this build reads up to {})",
+                "dump format version {} not supported (this build reads only version {})",
                 found, supported
             ),
             DumpError::Truncated { context } => {

@@ -18,7 +18,8 @@ use std::fmt::Write as _;
 
 /// Bumped on any change to event kinds, field names or field order.
 /// Consumers must refuse streams whose `meta` line names a newer version.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+/// Version 2 dropped the `interned` field from `save` events.
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// Why a search path was cut before exhausting its children.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,12 +66,11 @@ pub enum SearchEvent<'a> {
         fired: bool,
     },
     /// One *Save* (SA) with its byte accounting: `bytes` is what this
-    /// save charged against the memory budget (zero-ish when interned),
-    /// `resident` the deduplicated pool total after the save.
+    /// save charged against the memory budget, `resident` the pool
+    /// total after the save.
     Save {
         depth: usize,
         bytes: usize,
-        interned: bool,
         resident: usize,
     },
     /// One *Restore* (RE): the search backtracked (DFS) or switched to
@@ -184,13 +184,12 @@ impl SearchEvent<'_> {
             SearchEvent::Save {
                 depth,
                 bytes,
-                interned,
                 resident,
             } => {
                 let _ = write!(
                     out,
-                    ",\"depth\":{},\"bytes\":{},\"interned\":{},\"resident\":{}",
-                    depth, bytes, interned, resident
+                    ",\"depth\":{},\"bytes\":{},\"resident\":{}",
+                    depth, bytes, resident
                 );
             }
             SearchEvent::Restore { depth } => {

@@ -184,7 +184,6 @@ impl MetricsRegistry {
         self.set_counter("search.error_branches", stats.error_branches);
         self.set_counter("search.hash_prunes", stats.hash_prunes);
         self.set_counter("search.barren_prunes", stats.barren_prunes);
-        self.set_counter("search.intern_hits", stats.intern_hits);
         self.set_gauge("search.wall_seconds", stats.wall_time.as_secs_f64());
         self.set_gauge(
             "search.transitions_per_second",

@@ -338,7 +338,7 @@ impl Telemetry {
         });
     }
 
-    pub(crate) fn on_save(&mut self, depth: usize, bytes: usize, interned: bool, resident: usize) {
+    pub(crate) fn on_save(&mut self, depth: usize, bytes: usize, resident: usize) {
         if let Some(m) = &mut self.metrics {
             m.observe(
                 "search.snapshot_bytes_at_save",
@@ -349,7 +349,6 @@ impl Telemetry {
         self.emit(&SearchEvent::Save {
             depth,
             bytes,
-            interned,
             resident,
         });
     }

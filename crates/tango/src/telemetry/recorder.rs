@@ -75,7 +75,7 @@ pub(crate) fn kind_name(kind: u8) -> &'static str {
 /// | meta       | —                 | —       | —              | —          |
 /// | generate   | incomplete        | —       | fanout         | —          |
 /// | fire       | fired             | index   | —              | —          |
-/// | save       | interned          | —       | bytes          | resident   |
+/// | save       | reserved, 0       | —       | bytes          | resident   |
 /// | restore    | —                 | —       | —              | —          |
 /// | prune      | 0=hash 1=barren   | —       | —              | —          |
 /// | park       | —                 | —       | pg_nodes       | —          |
@@ -202,12 +202,12 @@ impl FlightRecorder {
             SearchEvent::Save {
                 depth,
                 bytes,
-                interned,
                 resident,
             } => FlightRecord {
                 seq,
                 kind: KIND_SAVE,
-                flag: u8::from(*interned),
+                // Reserved: dump format v1 fixes the record layout.
+                flag: 0,
                 depth: *depth as u32,
                 a: *bytes as u64,
                 b: *resident as u64,

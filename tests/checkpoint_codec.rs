@@ -21,7 +21,7 @@ fn temp_file(tag: &str) -> PathBuf {
     dir.join("checkpoint.bin")
 }
 
-/// Produce a real limit-stopped checkpoint (with frames, interned
+/// Produce a real limit-stopped checkpoint (with frames and their
 /// states, a resolved trace and non-trivial counters) and its file.
 fn stopped_checkpoint() -> Checkpoint {
     let a = tp0::analyzer();
@@ -118,6 +118,31 @@ fn future_version_is_refused_not_misread() {
 }
 
 #[test]
+fn previous_version_is_refused_not_misread() {
+    // Version 4 kept DFS frame states in a separate table; its files are
+    // refused, not decoded with the v5 layout.
+    let (_, mut bytes, path) = checkpoint_bytes("v4");
+    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = Checkpoint::read_from(&path).err();
+    assert!(
+        matches!(
+            err,
+            Some(CheckpointError::UnsupportedVersion {
+                found: 4,
+                supported: 5
+            })
+        ),
+        "v4 must be refused, got {:?}",
+        err
+    );
+    assert!(err
+        .unwrap()
+        .to_string()
+        .contains("this build reads only version 5"));
+}
+
+#[test]
 fn truncation_at_every_length_is_a_typed_error() {
     let (_, bytes, path) = checkpoint_bytes("truncate");
     // Every strict prefix: step through short prefixes exhaustively and
@@ -146,7 +171,7 @@ fn flipped_byte_in_each_section_is_caught_by_its_checksum() {
     // Walk the real section table so each corruption lands squarely
     // inside one section's payload.
     let sections = walk_sections(&bytes);
-    assert_eq!(sections.len(), 4, "META, TRACE, STATES, DFS");
+    assert_eq!(sections.len(), 3, "META, TRACE, DFS");
     for (name, start, len) in &sections {
         if *len == 0 {
             continue;
@@ -253,7 +278,6 @@ fn walk_sections(bytes: &[u8]) -> Vec<(&'static str, usize, usize)> {
         let name = match tag {
             1 => "meta",
             2 => "trace",
-            3 => "states",
             4 => "dfs",
             _ => "unknown",
         };

@@ -1,28 +1,16 @@
-//! Copy-on-write Save/Restore equivalence tests.
+//! Copy-on-write Save/Restore across checkpoint/resume.
 //!
-//! The COW snapshot path (`cow_snapshots = true`, the default) and the
-//! eager deep-clone baseline (`--cow=off`) must be observationally
-//! identical: same verdicts, same TE/GE/RE/SA counters, same behaviour
-//! across checkpoint/resume — only the cost differs. These tests pin that
-//! equivalence, the snapshot-interning dedup, and the saturating
-//! `snapshot_bytes` accounting that must never wrap across stop/resume.
+//! A limit-stopped search rebuilds its snapshot store from the frozen
+//! frames. These tests pin that the resumed search does the same work as
+//! an uninterrupted one and that the `snapshot_bytes` accounting, which
+//! charges every save its own bytes, never wraps across stop/resume.
 
 use protocols::tp0;
-use tango::{
-    AnalysisOptions, ChoicePolicy, ScriptedInput, SearchStats, Tango, Trace, Verdict,
-};
+use tango::{AnalysisOptions, SearchStats, Trace, Verdict};
 
-/// The counters the paper's tables report; `wall_time` is excluded since
-/// the two modes differ precisely in how long the same work takes.
+/// The counters the paper's tables report.
 fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
     (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
-fn with_cow(cow: bool) -> AnalysisOptions {
-    AnalysisOptions {
-        cow_snapshots: cow,
-        ..AnalysisOptions::default()
-    }
 }
 
 fn invalid_tp0_trace() -> Trace {
@@ -31,60 +19,29 @@ fn invalid_tp0_trace() -> Trace {
 }
 
 #[test]
-fn cow_and_deep_agree_on_valid_and_invalid_tp0() {
-    let a = tp0::analyzer();
-    for (trace, want) in [
-        (tp0::complete_valid_trace(3, 3, 1), Verdict::Valid),
-        (invalid_tp0_trace(), Verdict::Invalid),
-    ] {
-        let cow = a.analyze(&trace, &with_cow(true)).unwrap();
-        let deep = a.analyze(&trace, &with_cow(false)).unwrap();
-        assert_eq!(cow.verdict, want);
-        assert_eq!(deep.verdict, want);
-        assert_eq!(counters(&cow.stats), counters(&deep.stats));
-        assert_eq!(
-            deep.stats.intern_hits, 0,
-            "the deep baseline never interns"
-        );
-        assert!(
-            cow.stats.peak_snapshot_bytes <= deep.stats.peak_snapshot_bytes,
-            "deduplicated accounting can only shrink the peak"
-        );
-    }
-}
-
-#[test]
-fn checkpoint_resume_totals_match_under_both_modes() {
+fn checkpoint_resume_totals_match_uninterrupted_run() {
     let a = tp0::analyzer();
     let bad = invalid_tp0_trace();
-    let mut totals = Vec::new();
-    for cow in [true, false] {
-        let opts = with_cow(cow);
-        let baseline = a.analyze(&bad, &opts).unwrap();
-        assert_eq!(baseline.verdict, Verdict::Invalid);
+    let opts = AnalysisOptions::default();
+    let baseline = a.analyze(&bad, &opts).unwrap();
+    assert_eq!(baseline.verdict, Verdict::Invalid);
 
-        // Interrupt a third of the way in, then resume with the cap lifted.
-        let mut limited = opts.clone();
-        limited.limits.max_transitions = (baseline.stats.transitions_executed / 3).max(1);
-        let stopped = a.analyze(&bad, &limited).unwrap();
-        let cp = stopped.checkpoint.expect("limit stop must be resumable");
-        let resumed = a.analyze_resume(*cp, &opts).unwrap();
+    // Interrupt a third of the way in, then resume with the cap lifted.
+    let mut limited = opts.clone();
+    limited.limits.max_transitions = (baseline.stats.transitions_executed / 3).max(1);
+    let stopped = a.analyze(&bad, &limited).unwrap();
+    let cp = stopped.checkpoint.expect("limit stop must be resumable");
+    let resumed = a.analyze_resume(*cp, &opts).unwrap();
 
-        assert_eq!(resumed.verdict, Verdict::Invalid);
-        assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
-        totals.push((baseline.verdict.clone(), counters(&baseline.stats)));
-    }
-    assert_eq!(
-        totals[0], totals[1],
-        "COW and deep-clone modes must do identical search work"
-    );
+    assert_eq!(resumed.verdict, Verdict::Invalid);
+    assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
 }
 
 #[test]
 fn snapshot_bytes_never_wraps_across_stop_resume_rounds() {
     let a = tp0::analyzer();
     let bad = invalid_tp0_trace();
-    let opts = with_cow(true);
+    let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
 
     // Force several stop/resume rounds; a subtraction wrap anywhere in
@@ -121,60 +78,5 @@ fn snapshot_bytes_never_wraps_across_stop_resume_rounds() {
         report.stats.snapshot_bytes, 0,
         "an exhausted search must release every snapshot byte"
     );
-}
-
-/// A specification whose machine state never changes: every consumed
-/// `ping` fires one of two observationally identical transitions, so the
-/// DFS branches at each event while every saved node is the *same* state
-/// — the snapshot-interning cache's best case.
-const PING_SOURCE: &str = r#"
-specification pinger;
-
-channel C(user, station);
-    by user: ping;
-    by station: pong;
-end;
-
-module M process;
-    ip U : C(station);
-end;
-
-body MB for M;
-    state s0;
-    initialize to s0 begin end;
-    trans
-    from s0 to same when U.ping name ta:
-        begin end;
-    from s0 to same when U.ping name tb:
-        begin end;
-end;
-end.
-"#;
-
-#[test]
-fn identical_states_are_interned_in_cow_mode_only() {
-    let a = Tango::generate(PING_SOURCE).expect("pinger spec is valid");
-    let script: Vec<ScriptedInput> = (0..8)
-        .map(|_| ScriptedInput::new("U", "ping", vec![]))
-        .collect();
-    let trace = a
-        .generate_trace(&script, ChoicePolicy::Random(1), 1_000)
-        .expect("pinger consumes its workload");
-
-    let cow = a.analyze(&trace, &with_cow(true)).unwrap();
-    let deep = a.analyze(&trace, &with_cow(false)).unwrap();
-    assert_eq!(cow.verdict, Verdict::Valid);
-    assert_eq!(counters(&cow.stats), counters(&deep.stats));
-    assert!(cow.stats.saves > 1, "two candidates per node force saves");
-    assert!(
-        cow.stats.intern_hits > 0,
-        "every save after the first holds the same machine state"
-    );
-    assert_eq!(deep.stats.intern_hits, 0);
-    assert!(
-        cow.stats.peak_snapshot_bytes < deep.stats.peak_snapshot_bytes,
-        "interned duplicates must be charged once (cow {} vs deep {})",
-        cow.stats.peak_snapshot_bytes,
-        deep.stats.peak_snapshot_bytes
-    );
+    assert_eq!(report.stats.intern_hits, 0, "nothing is interned any more");
 }

@@ -5,8 +5,7 @@
 //! through the on-disk codec: stop, serialize, *forget everything*,
 //! deserialize in what may as well be a different process, resume — and
 //! the verdict and TE/GE/RE/SA totals must still match, including across
-//! `--cow=off`-save/`--cow=on`-resume mode changes and over multiple
-//! rounds of accumulated CPU time. (The actual SIGKILL harness lives in
+//! executor changes and over multiple rounds of accumulated CPU time. (The actual SIGKILL harness lives in
 //! `crates/tango-cli/tests/crash_recovery.rs`, next to the binary it
 //! kills.)
 
@@ -16,13 +15,6 @@ use tango::{AnalysisOptions, Checkpoint, SearchStats, Trace, TraceAnalyzer, Verd
 
 fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
     (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
-fn with_cow(cow: bool) -> AnalysisOptions {
-    AnalysisOptions {
-        cow_snapshots: cow,
-        ..AnalysisOptions::default()
-    }
 }
 
 fn invalid_tp0_trace() -> Trace {
@@ -63,44 +55,6 @@ fn resume_from_disk_with_raised_limits_matches_uninterrupted_run() {
     let resumed = a.analyze_resume(cp, &opts).unwrap();
     assert_eq!(resumed.verdict, Verdict::Invalid);
     assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
-}
-
-/// The checkpoint carries each frame's intern key and charged bytes, so
-/// a file saved under `--cow=off` resumes correctly under `--cow=on` and
-/// vice versa — the search totals are mode-independent.
-#[test]
-fn cross_mode_save_and_resume_through_disk() {
-    let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
-    let baseline = a.analyze(&bad, &with_cow(true)).unwrap();
-    assert_eq!(baseline.verdict, Verdict::Invalid);
-
-    for (save_cow, resume_cow) in [(false, true), (true, false)] {
-        let mut limited = with_cow(save_cow);
-        limited.limits.max_transitions = (baseline.stats.transitions_executed / 3).max(1);
-        let stopped = a.analyze(&bad, &limited).unwrap();
-        let cp = stopped.checkpoint.expect("limit stop must be resumable");
-
-        let path = temp_file(if save_cow { "cow-to-deep" } else { "deep-to-cow" });
-        cp.write_to(&path).expect("checkpoint writes");
-        let cp = Checkpoint::read_from(&path).expect("checkpoint reads");
-
-        let resumed = a.analyze_resume(cp, &with_cow(resume_cow)).unwrap();
-        assert_eq!(
-            resumed.verdict,
-            Verdict::Invalid,
-            "save cow={} resume cow={}",
-            save_cow,
-            resume_cow
-        );
-        assert_eq!(
-            counters(&resumed.stats),
-            counters(&baseline.stats),
-            "save cow={} resume cow={}",
-            save_cow,
-            resume_cow
-        );
-    }
 }
 
 /// A checkpoint carries search structure, not executor artifacts: a file

@@ -53,51 +53,46 @@ fn spill_dir(tag: &str) -> PathBuf {
 }
 
 /// The backbone: DFS vs MDFS vs MDFS×{2,4,8} on a backtracking-heavy
-/// invalid trace and a complete valid one, under both snapshot modes.
-/// DFS and MDFS are different engines with different GE/RE/SA
-/// bookkeeping (PG-node revival re-generates, DFS restores per frame),
-/// so across *modes* the contract is verdict + TE; across *worker
-/// counts* within MDFS it is everything.
+/// invalid trace and a complete valid one. DFS and MDFS are different
+/// engines with different GE/RE/SA bookkeeping (PG-node revival
+/// re-generates, DFS restores per frame), so across *engines* the
+/// contract is verdict + TE; across *worker counts* within MDFS it is
+/// everything.
 #[test]
 fn worker_count_never_changes_verdict_or_counters() {
     let a = tp0::analyzer();
     let bad = invalid_tp0_trace(3);
     let good = tp0::complete_valid_trace(3, 3, 1);
 
-    for cow in [true, false] {
-        for order in [OrderOptions::none(), OrderOptions::full()] {
-            let opts = AnalysisOptions {
-                cow_snapshots: cow,
-                order,
-                ..Default::default()
-            };
-            for (tag, trace, verdict) in [
-                ("invalid", &bad, Verdict::Invalid),
-                ("valid", &good, Verdict::Valid),
-            ] {
-                let dfs = a.analyze(trace, &opts).unwrap();
-                assert_eq!(dfs.verdict, verdict, "cow={} {}", cow, tag);
-                let seq = online(&a, trace, &opts);
-                assert_eq!(seq.verdict, verdict, "cow={} {}", cow, tag);
+    for order in [OrderOptions::none(), OrderOptions::full()] {
+        let opts = AnalysisOptions {
+            order,
+            ..Default::default()
+        };
+        for (tag, trace, verdict) in [
+            ("invalid", &bad, Verdict::Invalid),
+            ("valid", &good, Verdict::Valid),
+        ] {
+            let dfs = a.analyze(trace, &opts).unwrap();
+            assert_eq!(dfs.verdict, verdict, "{}", tag);
+            let seq = online(&a, trace, &opts);
+            assert_eq!(seq.verdict, verdict, "{}", tag);
+            assert_eq!(
+                seq.stats.transitions_executed, dfs.stats.transitions_executed,
+                "DFS and MDFS disagree on TE for a static trace ({})",
+                tag
+            );
+            for n in WORKER_COUNTS {
+                let par = online(&a, trace, &with_workers(&opts, n));
+                assert_eq!(par.verdict, seq.verdict, "workers={} {}", n, tag);
                 assert_eq!(
-                    seq.stats.transitions_executed, dfs.stats.transitions_executed,
-                    "DFS and MDFS disagree on TE for a static trace (cow={}, {})",
-                    cow,
+                    counters(&par.stats),
+                    counters(&seq.stats),
+                    "workers={} changed TE/GE/RE/SA ({})",
+                    n,
                     tag
                 );
-                for n in WORKER_COUNTS {
-                    let par = online(&a, trace, &with_workers(&opts, n));
-                    assert_eq!(par.verdict, seq.verdict, "workers={} cow={} {}", n, cow, tag);
-                    assert_eq!(
-                        counters(&par.stats),
-                        counters(&seq.stats),
-                        "workers={} changed TE/GE/RE/SA (cow={}, {})",
-                        n,
-                        cow,
-                        tag
-                    );
-                    assert_eq!(par.witness, seq.witness, "workers={} cow={} {}", n, cow, tag);
-                }
+                assert_eq!(par.witness, seq.witness, "workers={} {}", n, tag);
             }
         }
     }

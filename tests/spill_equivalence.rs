@@ -4,10 +4,10 @@
 //! Every test runs the same analysis twice — once all in RAM, once under
 //! a snapshot budget tight enough to force constant eviction to disk —
 //! and requires the verdict and the paper's TE/GE/RE/SA counters to be
-//! bit-identical. Covered: static DFS and the on-line MDFS, both
-//! snapshot modes (COW interning and deep clones), and a stop/resume
-//! round whose checkpoint travels through a file while the spill
-//! directory persists across the "processes".
+//! bit-identical. Covered: static DFS and the on-line MDFS, exact byte
+//! accounting across the two tiers, and a stop/resume round whose
+//! checkpoint travels through a file while the spill directory persists
+//! across the "processes".
 
 use protocols::tp0;
 use std::path::PathBuf;
@@ -47,39 +47,69 @@ fn dfs_verdict_and_counters_identical_ram_vs_spill() {
     let a = tp0::analyzer();
     let bad = invalid_tp0_trace();
     let good = tp0::complete_valid_trace(3, 3, 1);
+    let opts = AnalysisOptions::default();
 
-    for cow in [true, false] {
-        let opts = AnalysisOptions {
-            cow_snapshots: cow,
-            ..Default::default()
-        };
+    for (tag, trace, verdict) in [
+        ("invalid", &bad, Verdict::Invalid),
+        ("valid", &good, Verdict::Valid),
+    ] {
+        let baseline = a.analyze(trace, &opts).unwrap();
+        assert_eq!(baseline.verdict, verdict);
 
-        for (tag, trace, verdict) in [
-            ("invalid", &bad, Verdict::Invalid),
-            ("valid", &good, Verdict::Valid),
-        ] {
-            let baseline = a.analyze(trace, &opts).unwrap();
-            assert_eq!(baseline.verdict, verdict);
-
-            let dir = spill_dir(&format!("dfs-{}-cow{}", tag, cow));
-            let tiered = a.analyze(trace, &spilled(&opts, dir.clone())).unwrap();
-            assert_eq!(tiered.verdict, baseline.verdict, "cow={}", cow);
-            assert_eq!(
-                counters(&tiered.stats),
-                counters(&baseline.stats),
-                "spill must not change TE/GE/RE/SA (cow={}, {})",
-                cow,
-                tag
-            );
-            assert!(
-                tiered.stats.spill_evictions > 0,
-                "a 256-byte budget must actually evict (cow={})",
-                cow
-            );
-            assert!(tiered.spill_faults.is_empty(), "{:?}", tiered.spill_faults);
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = spill_dir(&format!("dfs-{}", tag));
+        let tiered = a.analyze(trace, &spilled(&opts, dir.clone())).unwrap();
+        assert_eq!(tiered.verdict, baseline.verdict, "{}", tag);
+        assert_eq!(
+            counters(&tiered.stats),
+            counters(&baseline.stats),
+            "spill must not change TE/GE/RE/SA ({})",
+            tag
+        );
+        assert!(
+            tiered.stats.spill_evictions > 0,
+            "a 256-byte budget must actually evict ({})",
+            tag
+        );
+        assert!(tiered.spill_faults.is_empty(), "{:?}", tiered.spill_faults);
+        std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+#[test]
+fn dfs_spilled_plus_resident_bytes_equal_all_ram_bytes_at_the_same_stop() {
+    let a = tp0::analyzer();
+    let bad = invalid_tp0_trace();
+    let full = a.analyze(&bad, &AnalysisOptions::default()).unwrap();
+    let mut opts = AnalysisOptions::default();
+    opts.limits.max_transitions = full.stats.transitions_executed / 2;
+
+    // Every save charges its own bytes, and eviction moves a snapshot's
+    // bytes between the gauges unchanged, so at the same stop point the
+    // two tiers together hold exactly what the all-RAM run holds.
+    let ram = a.analyze(&bad, &opts).unwrap();
+    assert!(
+        matches!(ram.verdict, Verdict::Inconclusive(_)),
+        "{:?}",
+        ram.verdict
+    );
+    assert!(
+        ram.stats.snapshot_bytes > 0,
+        "the stop must hold saved frames"
+    );
+
+    let dir = spill_dir("exact-bytes");
+    let tiered = a.analyze(&bad, &spilled(&opts, dir.clone())).unwrap();
+    assert_eq!(tiered.verdict, ram.verdict);
+    assert_eq!(counters(&tiered.stats), counters(&ram.stats));
+    assert!(
+        tiered.stats.spilled_bytes > 0,
+        "the 256-byte budget must spill"
+    );
+    assert_eq!(
+        tiered.stats.snapshot_bytes + tiered.stats.spilled_bytes,
+        ram.stats.snapshot_bytes
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -105,42 +135,35 @@ fn mdfs_verdict_and_counters_identical_ram_vs_spill() {
     let a = tp0::analyzer();
     let bad = invalid_tp0_trace();
     let good = tp0::complete_valid_trace(3, 3, 1);
+    let opts = AnalysisOptions::default();
 
-    for cow in [true, false] {
-        let opts = AnalysisOptions {
-            cow_snapshots: cow,
-            ..Default::default()
-        };
+    for (tag, trace, verdict) in [
+        ("invalid", &bad, Verdict::Invalid),
+        ("valid", &good, Verdict::Valid),
+    ] {
+        let mut src = StaticSource::new(trace.clone());
+        let baseline = a.analyze_online(&mut src, &opts, &mut |_| true).unwrap();
+        assert_eq!(baseline.verdict, verdict);
 
-        for (tag, trace, verdict) in [
-            ("invalid", &bad, Verdict::Invalid),
-            ("valid", &good, Verdict::Valid),
-        ] {
-            let mut src = StaticSource::new(trace.clone());
-            let baseline = a.analyze_online(&mut src, &opts, &mut |_| true).unwrap();
-            assert_eq!(baseline.verdict, verdict);
-
-            let dir = spill_dir(&format!("mdfs-{}-cow{}", tag, cow));
-            let mut src = StaticSource::new(trace.clone());
-            let tiered = a
-                .analyze_online(&mut src, &spilled(&opts, dir.clone()), &mut |_| true)
-                .unwrap();
-            assert_eq!(tiered.verdict, baseline.verdict, "cow={}", cow);
-            assert_eq!(
-                counters(&tiered.stats),
-                counters(&baseline.stats),
-                "spill must not change MDFS TE/GE/RE/SA (cow={}, {})",
-                cow,
-                tag
-            );
-            assert!(
-                tiered.stats.spill_evictions > 0,
-                "a 256-byte budget must actually evict (cow={})",
-                cow
-            );
-            assert!(tiered.spill_faults.is_empty(), "{:?}", tiered.spill_faults);
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = spill_dir(&format!("mdfs-{}", tag));
+        let mut src = StaticSource::new(trace.clone());
+        let tiered = a
+            .analyze_online(&mut src, &spilled(&opts, dir.clone()), &mut |_| true)
+            .unwrap();
+        assert_eq!(tiered.verdict, baseline.verdict, "{}", tag);
+        assert_eq!(
+            counters(&tiered.stats),
+            counters(&baseline.stats),
+            "spill must not change MDFS TE/GE/RE/SA ({})",
+            tag
+        );
+        assert!(
+            tiered.stats.spill_evictions > 0,
+            "a 256-byte budget must actually evict ({})",
+            tag
+        );
+        assert!(tiered.spill_faults.is_empty(), "{:?}", tiered.spill_faults);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
