@@ -43,7 +43,7 @@ cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.tx
     && { echo "expected an inconclusive (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
 cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/run.ckpt" \
     > "$CKPT_DIR/run-info.txt"
-grep -q "format version: 5" "$CKPT_DIR/run-info.txt"
+grep -q "format version: 6" "$CKPT_DIR/run-info.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est --resume "$CKPT_DIR/run.ckpt"
 
 echo "== telemetry smoke (trace/metrics/progress) =="

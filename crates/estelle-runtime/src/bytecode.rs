@@ -38,6 +38,7 @@ use crate::ir::{CArg, CCall, CExpr, CPlace, CSetElem, CStmt, Slot};
 use crate::value::{default_value, Value};
 use estelle_ast::{BinOp, Span, UnOp};
 use estelle_frontend::sema::model::StateId;
+use estelle_frontend::sema::types::TypeId;
 
 /// A value-register index within the current chunk's register window.
 pub type Reg = u32;
@@ -338,7 +339,10 @@ pub struct ConjGuard {
 /// A compiled `provided` guard.
 #[derive(Clone, Debug)]
 pub struct GuardCode {
-    pub chunk: usize,
+    /// The guard's chunk; `None` exactly when `quick` is set. A quick
+    /// guard never enters the VM, and a padded table would otherwise keep
+    /// one dead chunk per `any` instance.
+    pub chunk: Option<usize>,
     /// VM-free evaluation for trivial chunk shapes; `None` runs the VM.
     pub quick: Option<QuickGuard>,
     /// VM-free short-circuit plan for call-free `and`-chains; tried when
@@ -365,7 +369,8 @@ pub struct DispatchEntry {
     pub when: Option<(u32, u32, u32)>,
 }
 
-/// Transitions bucketed by from-control-state.
+/// Transitions bucketed by from-control-state, each bucket with the plan
+/// *Generate* follows through it.
 ///
 /// Invariants (asserted by `tests/compiled_exec.rs` against the linear
 /// scan):
@@ -375,14 +380,152 @@ pub struct DispatchEntry {
 /// 2. a transition with `k` source states appears in exactly `k` buckets;
 /// 3. `when` sub-bucketing is by denormalized interaction key on the
 ///    entry: all entries sharing an IP compare against one cached queue
-///    head per generate call instead of re-querying the environment.
+///    head per generate call instead of re-querying the environment;
+/// 4. bucket `s`'s plan covers its entries exactly once, in order, and a
+///    [`PlanStep::Switch`] spans only instances of one declaration.
 #[derive(Clone, Debug, Default)]
 pub struct DispatchIndex {
     pub by_state: Vec<Vec<DispatchEntry>>,
+    /// Per bucket: consecutive steps over its entries. A non-empty bucket
+    /// without equality runs has the one step `Scan(0..len)`.
+    pub plans: Vec<Vec<PlanStep>>,
+}
+
+/// One step of a bucket's plan, over a range of the bucket's entries.
+#[derive(Clone, Debug)]
+pub enum PlanStep {
+    /// Test each entry in the range in order.
+    Scan { start: u32, end: u32 },
+    /// An equality run: test one entry found by key instead of all.
+    Switch(EqualityRun),
+}
+
+/// Two or more consecutive bucket entries that are instances of one
+/// declaration (an `any` family, so they share one `when` clause), each
+/// guarded by exactly the quick compare `global[slot] = k`, with distinct
+/// `Int` or `Enum` keys `k`.
+/// At most one instance can be enabled, and only the one whose key equals
+/// the slot's value: *Generate* reads the slot once and looks that
+/// instance up. A slot holding anything other than a key-typed value
+/// (`Undefined` above all, which enables every instance under the
+/// propagating policy) falls back to testing each entry.
+#[derive(Clone, Debug)]
+pub struct EqualityRun {
+    pub start: u32,
+    pub end: u32,
+    pub slot: u32,
+    /// `None` for `Int` keys, the enum type for `Enum` keys.
+    pub enum_type: Option<TypeId>,
+    /// `(key, offset into the run)`, sorted by key.
+    pub keys: Vec<(i64, u32)>,
+}
+
+impl EqualityRun {
+    /// The offset into the run of the instance `value` can enable:
+    /// `Some(Some(i))` for instance `i`, `Some(None)` when no key matches,
+    /// `None` when `value` is not key-typed and each entry must be tested.
+    pub(crate) fn lookup(&self, value: &Value) -> Option<Option<usize>> {
+        let key = match (value, self.enum_type) {
+            (Value::Int(x), None) => *x,
+            (Value::Enum(t, x), Some(rt)) if *t == rt => *x,
+            _ => return None,
+        };
+        Some(
+            self.keys
+                .binary_search_by_key(&key, |&(k, _)| k)
+                .ok()
+                .map(|i| self.keys[i].1 as usize),
+        )
+    }
+}
+
+/// What the entries of one equality run share: declaration, slot and
+/// key type.
+type RunGroup = (usize, u32, Option<TypeId>);
+
+/// An entry's run group and key, when its guard is exactly the quick
+/// `global = k` compare.
+fn equality_key(
+    module: &CompiledModule,
+    guards: &[Option<GuardCode>],
+    e: &DispatchEntry,
+) -> Option<(RunGroup, i64)> {
+    let g = guards[e.trans as usize].as_ref()?;
+    let Some(QuickGuard::GlobalOpConst {
+        slot,
+        op: BinOp::Eq,
+        k,
+        ..
+    }) = &g.quick
+    else {
+        return None;
+    };
+    let (ty, key) = match k {
+        Value::Int(x) => (None, *x),
+        Value::Enum(t, x) => (Some(*t), *x),
+        _ => return None,
+    };
+    let decl = module.transitions[e.trans as usize].decl_index;
+    Some(((decl, *slot, ty), key))
+}
+
+/// A bucket's plan: maximal equality runs become switches, everything
+/// between them one scan.
+fn bucket_plan(
+    module: &CompiledModule,
+    guards: &[Option<GuardCode>],
+    entries: &[DispatchEntry],
+) -> Vec<PlanStep> {
+    let keyed: Vec<_> = entries
+        .iter()
+        .map(|e| equality_key(module, guards, e))
+        .collect();
+    let same_group = |a: &Option<(RunGroup, i64)>, b: &Option<(RunGroup, i64)>| {
+        matches!((a, b), (Some((x, _)), Some((y, _))) if x == y)
+    };
+    let mut plan = Vec::new();
+    let (mut scan_from, mut end) = (0, 0);
+    for group in keyed.chunk_by(same_group) {
+        let start = end;
+        end += group.len();
+        let Some(((_, slot, enum_type), _)) = group[0] else {
+            continue;
+        };
+        let mut keys: Vec<(i64, u32)> = group
+            .iter()
+            .zip(0..)
+            .filter_map(|(k, off)| k.map(|(_, key)| (key, off)))
+            .collect();
+        keys.sort_unstable();
+        if keys.len() < 2 || keys.windows(2).any(|w| w[0].0 == w[1].0) {
+            continue;
+        }
+        if scan_from < start {
+            plan.push(PlanStep::Scan {
+                start: scan_from as u32,
+                end: start as u32,
+            });
+        }
+        plan.push(PlanStep::Switch(EqualityRun {
+            start: start as u32,
+            end: end as u32,
+            slot,
+            enum_type,
+            keys,
+        }));
+        scan_from = end;
+    }
+    if scan_from < entries.len() {
+        plan.push(PlanStep::Scan {
+            start: scan_from as u32,
+            end: entries.len() as u32,
+        });
+    }
+    plan
 }
 
 impl DispatchIndex {
-    fn build(module: &CompiledModule) -> DispatchIndex {
+    fn build(module: &CompiledModule, guards: &[Option<GuardCode>]) -> DispatchIndex {
         let n_states = module.analyzed.states.len();
         let mut by_state: Vec<Vec<DispatchEntry>> = vec![Vec::new(); n_states];
         for (i, t) in module.transitions.iter().enumerate() {
@@ -399,15 +542,21 @@ impl DispatchIndex {
                 }
             }
         }
-        DispatchIndex { by_state }
+        let plans = by_state
+            .iter()
+            .map(|entries| bucket_plan(module, guards, entries))
+            .collect();
+        DispatchIndex { by_state, plans }
     }
 
-    /// Candidates for a control state (empty for out-of-range states).
-    pub fn candidates(&self, control: StateId) -> &[DispatchEntry] {
-        self.by_state
-            .get(control.0 as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// Candidates for a control state and the plan through them (both
+    /// empty for out-of-range states).
+    pub fn candidates(&self, control: StateId) -> (&[DispatchEntry], &[PlanStep]) {
+        let s = control.0 as usize;
+        match (self.by_state.get(s), self.plans.get(s)) {
+            (Some(entries), Some(plan)) => (entries, plan),
+            _ => (&[], &[]),
+        }
     }
 
     /// Total entries across all buckets (each multi-source transition
@@ -517,37 +666,52 @@ pub fn compile_program(module: &CompiledModule) -> ExecProgram {
             c.const_locals = const_locals;
             let r = c.expr(g);
             c.emit(Op::Halt);
-            let chunk = push_chunk(&mut chunks, c.finish(Some(r)));
-            let needs_frame = chunks[chunk].code.iter().any(|op| match op {
+            let mut chunk = c.finish(Some(r));
+            fuse_superinstructions(&mut chunk);
+            let needs_frame = chunk.code.iter().any(|op| match op {
                 Op::ReadL { .. } | Op::PlaceL { .. } => true,
                 Op::BinFused { asrc, bsrc, .. } => {
                     matches!(asrc, FusedSrc::Local(_)) || matches!(bsrc, FusedSrc::Local(_))
                 }
                 _ => false,
             });
+            let quick = quick_guard(&chunk);
+            let chunk = quick.is_none().then(|| {
+                chunks.push(chunk);
+                chunks.len() - 1
+            });
             GuardCode {
                 chunk,
-                quick: quick_guard(&chunks[chunk]),
+                quick,
                 conj,
                 has_calls,
                 needs_frame,
             }
         }));
-        bodies.push({
-            let mut c = FnCompiler::new(module);
-            c.block(&t.body);
-            c.emit(Op::Halt);
-            push_chunk(&mut chunks, c.finish(None))
-        });
+        // The instances of one `any` declaration share its body chunk:
+        // the bindings live in the frame, so they lower to the same body.
+        let body = match bodies.last() {
+            Some(&prev) if module.transitions[bodies.len() - 1].decl_index == t.decl_index => {
+                prev
+            }
+            _ => {
+                let mut c = FnCompiler::new(module);
+                c.block(&t.body);
+                c.emit(Op::Halt);
+                push_chunk(&mut chunks, c.finish(None))
+            }
+        };
+        bodies.push(body);
     }
 
+    let dispatch = DispatchIndex::build(module, &guards);
     ExecProgram {
         chunks,
         routines,
         init,
         guards,
         bodies,
-        dispatch: DispatchIndex::build(module),
+        dispatch,
     }
 }
 

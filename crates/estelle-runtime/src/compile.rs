@@ -22,6 +22,7 @@ use estelle_ast::{BinOp, Expr, ExprKind, ForDirection, Stmt, StmtKind, UnOp};
 use estelle_frontend::sema::model::{AnalyzedModule, ConstValue, StateId};
 use estelle_frontend::sema::types::{Type, TypeId, TY_BOOLEAN, TY_INTEGER};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A fully compiled, executable module.
 #[derive(Clone, Debug)]
@@ -152,8 +153,12 @@ fn compile_transition(
         frame,
         consts: HashMap::new(),
     };
-    let provided = t.provided.as_ref().map(|p| cx.lower_expr(p)).transpose()?;
-    let body = cx.lower_block(&t.block)?;
+    let provided = t
+        .provided
+        .as_ref()
+        .map(|p| cx.lower_expr(p).map(Arc::new))
+        .transpose()?;
+    let body: Arc<[CStmt]> = cx.lower_block(&t.block)?.into();
 
     // Expand `any` clauses into concrete bindings.
     let mut domains = Vec::new();

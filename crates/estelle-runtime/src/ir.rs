@@ -10,6 +10,7 @@ use crate::value::Value;
 use estelle_ast::{BinOp, Span, UnOp};
 use estelle_frontend::sema::model::StateId;
 use estelle_frontend::sema::types::TypeId;
+use std::sync::Arc;
 
 /// Where a scalar variable lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,7 +152,10 @@ pub struct CompiledTransition {
     /// number of parameters). The parameters are bound to frame slots
     /// `any_bindings.len() ..` in declaration order.
     pub when: Option<(usize, usize, usize)>,
-    pub provided: Option<CExpr>,
+    /// The lowered guard and body are shared by the instances of one
+    /// `any` declaration: the bindings live in the frame, so every
+    /// instance lowers to the same code.
+    pub provided: Option<Arc<CExpr>>,
     pub priority: u32,
     /// Frozen `any` values, bound to the first frame slots.
     pub any_bindings: Vec<i64>,
@@ -161,7 +165,7 @@ pub struct CompiledTransition {
     /// + for-loop temporaries.
     pub frame_size: usize,
     pub slot_types: Vec<TypeId>,
-    pub body: Vec<CStmt>,
+    pub body: Arc<[CStmt]>,
     pub span: Span,
 }
 

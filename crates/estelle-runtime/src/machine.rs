@@ -401,10 +401,83 @@ impl Machine {
             let mut heads = std::mem::take(&mut s.heads);
             heads.clear();
             heads.resize(self.module.analyzed.ips.len(), None);
-            let entries = program.dispatch.candidates(st.control);
-            let result = self.generate_candidates(&v, s, &mut heads, st, input, out, entries);
+            let (entries, plan) = program.dispatch.candidates(st.control);
+            let result = self.generate_plan(&v, s, &mut heads, st, input, out, entries, plan);
             s.heads = heads;
             result
+        })
+    }
+
+    /// Follow a bucket's plan: scans go entry by entry; an equality run
+    /// is narrowed to the entries worth testing first
+    /// ([`Machine::run_candidates`]), so an `any` family costs one lookup
+    /// instead of one guard per instance. The fireable list is the one
+    /// the full scan builds: at most one instance of a run can be
+    /// enabled, and it is pushed in bucket order.
+    #[allow(clippy::too_many_arguments)]
+    fn generate_plan(
+        &self,
+        v: &Vm<'_>,
+        s: &mut vm::VmScratch,
+        heads: &mut [Option<QueueHead>],
+        st: &mut MachineState,
+        input: &dyn InputSource,
+        out: &mut Generated,
+        entries: &[crate::bytecode::DispatchEntry],
+        plan: &[crate::bytecode::PlanStep],
+    ) -> RtResult<()> {
+        use crate::bytecode::PlanStep;
+        for step in plan {
+            let scan = match step {
+                PlanStep::Scan { start, end } => &entries[*start as usize..*end as usize],
+                PlanStep::Switch(run) => {
+                    let run_entries = &entries[run.start as usize..run.end as usize];
+                    self.run_candidates(run, run_entries, heads, st, input, out)?
+                }
+            };
+            self.generate_candidates(v, s, heads, st, input, out, scan)?;
+        }
+        Ok(())
+    }
+
+    /// The entries of an equality run worth testing. The run's shared
+    /// `when` clause is resolved once against the cached queue head, so
+    /// `incomplete` is still set on `EmptyMayGrow`; then the slot is read
+    /// once. None are worth testing when the head does not match or no
+    /// key does; the one matching instance otherwise; and every entry
+    /// when the slot holds a value that is not key-typed.
+    fn run_candidates<'e>(
+        &self,
+        run: &crate::bytecode::EqualityRun,
+        entries: &'e [crate::bytecode::DispatchEntry],
+        heads: &mut [Option<QueueHead>],
+        st: &MachineState,
+        input: &dyn InputSource,
+        out: &mut Generated,
+    ) -> RtResult<&'e [crate::bytecode::DispatchEntry]> {
+        if let Some((ip, interaction, _)) = entries[0].when {
+            let head = heads[ip as usize].get_or_insert_with(|| input.head(ip as usize));
+            match head {
+                QueueHead::Message {
+                    interaction: head_interaction,
+                    ..
+                } if *head_interaction == interaction as usize => {}
+                QueueHead::Message { .. } | QueueHead::Empty => return Ok(&[]),
+                QueueHead::EmptyMayGrow => {
+                    out.incomplete = true;
+                    return Ok(&[]);
+                }
+                QueueHead::Unobserved => {}
+            }
+        }
+        let value = st
+            .globals
+            .get(run.slot as usize)
+            .ok_or_else(|| RuntimeError::internal("global slot out of range"))?;
+        Ok(match run.lookup(value) {
+            Some(Some(i)) => &entries[i..=i],
+            Some(None) => &[],
+            None => entries,
         })
     }
 
@@ -538,6 +611,7 @@ impl Machine {
                 } else {
                     Vec::new()
                 };
+                let chunk = g.chunk.expect("only quick guards drop their chunk");
                 let mut sink = NullEnv::default();
                 let value = if g.has_calls {
                     // Guards containing function calls may have side
@@ -549,13 +623,13 @@ impl Machine {
                         globals: &mut globals,
                         heap: &mut heap,
                     };
-                    v.run(g.chunk, frame, &mut store, &mut sink, s)?
+                    v.run(chunk, frame, &mut store, &mut sink, s)?
                 } else {
                     let mut store = Store {
                         globals: &mut st.globals,
                         heap: &mut st.heap,
                     };
-                    v.run(g.chunk, frame, &mut store, &mut sink, s)?
+                    v.run(chunk, frame, &mut store, &mut sink, s)?
                 };
                 let value = value.ok_or_else(|| {
                     RuntimeError::internal("guard chunk produced no result")

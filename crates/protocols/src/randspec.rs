@@ -14,6 +14,17 @@
 //! random guarded transitions, so a scripted workload always runs to
 //! completion, and every spontaneous transition's body falsifies its
 //! own guard, so the search cannot spin in place.
+//!
+//! [`RandSpec::with_any_families`] adds `any` families whose instances
+//! are guarded `provided g = k` over an integer or an enum global: the
+//! shape the compiled *Generate* answers with one lookup instead of one
+//! guard per instance. Two families have a `when` clause, one ranges
+//! over an enum type, and one has a second `any` variable, so its keys
+//! repeat and it stays a per-instance scan. The enum family is the only
+//! consumer of a second IP `Q` in its state, so an `EmptyMayGrow` head
+//! there is flagged `incomplete` by that family alone. The global `u` is
+//! guarded only by a family, so forcing it to `Undefined` exercises the
+//! fallback scan.
 
 use estelle_runtime::Value;
 use tango::rng::SplitMix64;
@@ -23,11 +34,25 @@ use tango::ScriptedInput;
 #[derive(Clone, Copy, Debug)]
 pub struct RandSpec {
     pub seed: u64,
+    /// Emit `any` families with `provided g = k` guards.
+    pub any_families: bool,
 }
 
 impl RandSpec {
     pub fn new(seed: u64) -> Self {
-        RandSpec { seed }
+        RandSpec {
+            seed,
+            any_families: false,
+        }
+    }
+
+    /// The seed's specification plus `any` families (see the module
+    /// docs).
+    pub fn with_any_families(seed: u64) -> Self {
+        RandSpec {
+            seed,
+            any_families: true,
+        }
     }
 
     /// Render the Estelle source for this seed.
@@ -41,17 +66,29 @@ impl RandSpec {
              channel C(env, m);\n\
              \tby env: step(k : integer);\n\
              \tby m: echo(k : integer);\n\
-             end;\n\
-             module M process; ip P : C(m); end;\n\
-             body MB for M;\n\tvar ",
+             end;\n",
         );
+        if self.any_families {
+            s.push_str(
+                "module M process; ip P : C(m); ip Q : C(m); end;\n\
+                 body MB for M;\n\ttype mode = (m0, m1, m2, m3, m4, m5);\n",
+            );
+        } else {
+            s.push_str("module M process; ip P : C(m); end;\nbody MB for M;\n");
+        }
+        s.push_str("\tvar ");
         for v in 0..vars {
             if v > 0 {
                 s.push_str(", ");
             }
             s.push_str(&format!("v{}", v));
         }
-        s.push_str(" : integer;\n\tstate ");
+        if self.any_families {
+            s.push_str(", u : integer; md : mode");
+        } else {
+            s.push_str(" : integer");
+        }
+        s.push_str(";\n\tstate ");
         for i in 0..states {
             if i > 0 {
                 s.push_str(", ");
@@ -61,6 +98,13 @@ impl RandSpec {
         s.push_str(";\n\tinitialize to S0 begin ");
         for v in 0..vars {
             s.push_str(&format!("v{} := {}; ", v, r.gen_index(5)));
+        }
+        if self.any_families {
+            s.push_str(&format!(
+                "u := {}; md := m{}; ",
+                r.gen_index(8),
+                r.gen_index(6)
+            ));
         }
         s.push_str("end;\n\ttrans\n");
 
@@ -92,6 +136,9 @@ impl RandSpec {
                 from, to, v, hi, t, v, r.gen_index(5), extra
             ));
         }
+        let q_family_state = self
+            .any_families
+            .then(|| gen_families(&mut r, &mut s, states, vars));
         // Progress catch-alls, one per state, declared last so guarded
         // transitions shadow them in declaration order but a step input
         // can always be consumed.
@@ -107,19 +154,92 @@ impl RandSpec {
                 v
             ));
         }
+        // `Q` inputs are consumable in every state: by the enum family
+        // in its state, by a catch-all everywhere else.
+        if let Some(ef) = q_family_state {
+            for i in (0..states).filter(|&i| i != ef) {
+                s.push_str(&format!(
+                    "\tfrom S{} to same when Q.step name QProg{}: begin end;\n",
+                    i, i
+                ));
+            }
+        }
         s.push_str("end;\nend.\n");
         s
     }
 
-    /// A deterministic workload of `n` step inputs for this seed.
+    /// A deterministic workload of `n` step inputs for this seed; with
+    /// `any` families every third one arrives at `Q`.
     pub fn workload(&self, n: usize) -> Vec<ScriptedInput> {
         let mut r = SplitMix64::new(self.seed ^ 0x6a09e667f3bcc909);
         (0..n)
-            .map(|_| {
-                ScriptedInput::new("P", "step", vec![Value::Int(r.gen_range_i64(0, 60))])
+            .map(|i| {
+                let ip = if self.any_families && i % 3 == 2 {
+                    "Q"
+                } else {
+                    "P"
+                };
+                ScriptedInput::new(ip, "step", vec![Value::Int(r.gen_range_i64(0, 60))])
             })
             .collect()
     }
+}
+
+/// The `any` families of [`RandSpec::with_any_families`], all declared
+/// before the catch-alls:
+/// * `WF`, on a step input: `v = j` (or `j = v`) over a small range that
+///   the globals do reach; its body also moves `u`;
+/// * `SF`, spontaneous: `u = j`, with a body that sets `u` above the
+///   range, so it cannot re-enable itself;
+/// * `EF`, on a `Q` step input: `md = e` over the whole enum, so exactly
+///   one instance is enabled in its state, whose index is returned;
+/// * `DF`, spontaneous, two `any` variables: `v = j` repeats each key, so
+///   it is not an equality run; its body falsifies its own guard.
+fn gen_families(r: &mut SplitMix64, s: &mut String, states: usize, vars: usize) -> usize {
+    let lo = r.gen_index(8);
+    let hi = lo + 3 + r.gen_index(12);
+    let v = r.gen_index(vars);
+    let guard = if r.gen_index(2) == 0 {
+        format!("v{} = j", v)
+    } else {
+        format!("j = v{}", v)
+    };
+    s.push_str(&format!(
+        "\tfrom S{} to S{} when P.step any j : {}..{} do provided {} name WF: \
+         begin v{} := (v{} + k) mod 53; u := (u + k) mod 20; end;\n",
+        r.gen_index(states),
+        r.gen_index(states),
+        lo,
+        hi,
+        guard,
+        v,
+        v
+    ));
+    s.push_str(&format!(
+        "\tfrom S{} to S{} any j : 0..19 do provided u = j name SF: \
+         begin u := {}; end;\n",
+        r.gen_index(states),
+        r.gen_index(states),
+        20 + r.gen_index(5)
+    ));
+    let ef = r.gen_index(states);
+    s.push_str(&format!(
+        "\tfrom S{} to S{} when Q.step any e : mode do provided md = e name EF: \
+         begin md := m{}; end;\n",
+        ef,
+        r.gen_index(states),
+        r.gen_index(6)
+    ));
+    let v = r.gen_index(vars);
+    s.push_str(&format!(
+        "\tfrom S{} to S{} any j : 0..9 do any q : 0..1 do provided v{} = j name DF: \
+         begin v{} := 10 + q; end;\n",
+        r.gen_index(states),
+        r.gen_index(states),
+        v,
+        v
+    ));
+    ef
 }
 
 /// A guard: either one comparison (the quick-guard shape) or an
@@ -188,6 +308,23 @@ fn gen_body(r: &mut SplitMix64, vars: usize, with_k: bool) -> String {
 mod tests {
     use super::*;
     use tango::{AnalysisOptions, ChoicePolicy, Tango, Verdict};
+
+    #[test]
+    fn family_specs_build_and_self_analyze_valid() {
+        for seed in 0..20 {
+            let spec = RandSpec::with_any_families(seed);
+            let src = spec.source();
+            let analyzer = Tango::generate(&src)
+                .unwrap_or_else(|e| panic!("seed {}: invalid spec: {}\n{}", seed, e, src));
+            let trace = analyzer
+                .generate_trace(&spec.workload(8), ChoicePolicy::First, 100_000)
+                .unwrap_or_else(|e| panic!("seed {}: workload stuck: {}\n{}", seed, e, src));
+            let r = analyzer
+                .analyze(&trace, &AnalysisOptions::default())
+                .unwrap();
+            assert_eq!(r.verdict, Verdict::Valid, "seed {}: self-trace", seed);
+        }
+    }
 
     #[test]
     fn sources_are_deterministic_per_seed() {

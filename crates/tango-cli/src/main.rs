@@ -115,7 +115,7 @@ fn usage() -> String {
      <spec.est|checkpoint.bin|file.tangodump|host:port/path> \
      [trace.txt|script.txt] [--order nr|io|ip|full] [--disable-ip NAME] \
      [--unobserved-ip NAME] [--initial-state-search] [--state-hashing] \
-     [--workers N] \
+     [--workers N (on-line; default 1, 0 = one per core)] \
      [--max-seconds F] [--max-mem N[k|m|g][b]] \
      [--spill=on|off|auto] [--spill-dir PATH] \
      [--max-transitions N] [--checkpoint-file PATH] [--checkpoint-every N] \
@@ -576,14 +576,9 @@ fn parse_options(
 fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     let (mut options, recovery, ckpt, tflags, positional, chaos) = parse_options(args)?;
     if online {
-        // On-line mode defaults to one worker per core; `--workers 1`
-        // opts back into the single-threaded search.
-        let explicit = args
-            .iter()
-            .any(|a| a == "--workers" || a.starts_with("--workers="));
-        if !explicit {
-            options.workers = 0;
-        }
+        // On-line mode runs one worker unless `--workers` asks for more
+        // (`--workers 0` = one per core): on two cores, two workers are
+        // about twice as slow as one.
         // `--checkpoint-file`/`--resume` work on-line too (save on a limit
         // stop, resume an eof-reached front); only the autosave round loop
         // is static-only.

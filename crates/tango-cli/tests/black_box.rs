@@ -190,7 +190,7 @@ fn checkpoint_info_reports_fault_counters() {
     assert_eq!(info.status.code(), Some(0), "{}", stderr_of(&info));
     let text = stdout_of(&info);
     for needle in [
-        "format version: 5",
+        "format version: 6",
         "source faults: retries=0 giveups=0",
         "spill faults: retries=0 giveups=0",
         "checkpoint faults: retries=0 giveups=0",
@@ -199,6 +199,41 @@ fn checkpoint_info_reports_fault_counters() {
         assert!(text.contains(needle), "missing `{}` in: {}", needle, text);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `tango online` runs one worker unless `--workers` asks for more, and
+/// `--workers 0` still means one per core. A limit stop after eof saves
+/// the front, and `checkpoint-info` reports the saving run's workers.
+#[test]
+fn online_defaults_to_one_worker() {
+    let dir = tmpdir("workers");
+    let (spec, _) = write_inputs(&dir, 4);
+    let trace = dir.join("online.txt");
+    std::fs::write(&trace, "in U.ping\n".repeat(4) + "out U.pong\neof\n").unwrap();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for (extra, workers) in [(&[][..], 1), (&["--workers", "0"][..], cores)] {
+        let ckpt = dir.join(format!("w{}.ckpt", extra.len()));
+        let out = bin()
+            .arg("online")
+            .arg(&spec)
+            .arg(&trace)
+            .args(extra)
+            .args(["--max-transitions", "3", "--checkpoint-file"])
+            .arg(&ckpt)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+        let info = bin().arg("checkpoint-info").arg(&ckpt).output().unwrap();
+        assert_eq!(info.status.code(), Some(0), "{}", stderr_of(&info));
+        let text = stdout_of(&info);
+        assert!(
+            text.contains(&format!("workers at save: {}\n", workers)),
+            "{:?}: expected {} worker(s) in: {}",
+            extra,
+            workers,
+            text
+        );
+    }
 }
 
 #[test]

@@ -13,6 +13,7 @@ use crate::genimpl::{run_implementation, ChoicePolicy, ScriptedInput};
 use crate::options::AnalysisOptions;
 use crate::search::dfs::{resume_dfs, run_dfs, DfsOutcome};
 use crate::search::mdfs::run_mdfs;
+use crate::search::path::path_names;
 use crate::stats::SearchStats;
 use crate::telemetry::Telemetry;
 use crate::trace::format::parse_trace;
@@ -136,7 +137,7 @@ impl TraceAnalyzer {
         let mut env = TraceEnv::new(self.module(), trace.clone(), options, false)?;
         let start = machine.initial_state()?;
         let outcome = run_dfs(&machine, &mut env, start, options, &mut stats, tel)?;
-        let mut report = report_from_outcome(outcome, stats, &trace);
+        let mut report = report_from_outcome(&machine, outcome, stats, &trace);
 
         // §2.4.1: on failure, "backtrack to the point right after the
         // initialize transition was taken, choose another initial FSM
@@ -157,7 +158,7 @@ impl TraceAnalyzer {
                 report.spill_faults.extend(outcome.spill_faults);
                 if outcome.verdict == Verdict::Valid {
                     report.verdict = Verdict::Valid;
-                    report.witness = outcome.witness;
+                    report.witness = outcome.witness.map(|w| path_names(&machine, &w));
                     report.initial_state_used =
                         Some(self.module().state_name(sid).to_string());
                     break;
@@ -215,7 +216,7 @@ impl TraceAnalyzer {
         tel.begin("dfs", &self.module().module_name);
         let mut env = TraceEnv::new(self.module(), trace.clone(), options, false)?;
         let outcome = resume_dfs(&machine, &mut env, dfs, options, &mut stats, tel)?;
-        Ok(report_from_outcome(outcome, stats, &trace))
+        Ok(report_from_outcome(&machine, outcome, stats, &trace))
     }
 
     /// On-line analysis of a dynamic trace (§3): multi-threaded DFS with
@@ -312,21 +313,23 @@ impl TraceAnalyzer {
 }
 
 /// Assemble a report from a raw DFS outcome: failure localization for
-/// invalid traces, a resumable checkpoint for limit-stopped ones.
+/// invalid traces, a resumable checkpoint for limit-stopped ones. Paths
+/// leave the search here, so this is where they get their names.
 fn report_from_outcome(
+    machine: &Machine,
     outcome: DfsOutcome,
     stats: SearchStats,
     trace: &ResolvedTrace,
 ) -> AnalysisReport {
     let mut report = AnalysisReport::new(outcome.verdict, stats);
-    report.witness = outcome.witness;
+    report.witness = outcome.witness.map(|w| path_names(machine, &w));
     report.spec_errors = outcome.spec_errors;
     report.spill_faults = outcome.spill_faults;
     if report.verdict == Verdict::Invalid {
         report.best_effort = Some(crate::verdict::BestEffort {
             events_explained: outcome.best.0,
             events_total: outcome.total_events,
-            path: outcome.best.1,
+            path: path_names(machine, &outcome.best.1),
         });
     }
     if let Some(dfs) = outcome.checkpoint {

@@ -74,8 +74,11 @@ pub const MAGIC: [u8; 8] = *b"TANGOCKP";
 /// counters to the stats block, the mode byte (+ per-worker load table)
 /// to `META`, and the `MDFS` section for on-line checkpoints. Version 5
 /// dropped the `STATES` table and each DFS frame's intern key and
-/// charges-state flag: frames carry their states inline.
-pub const FORMAT_VERSION: u32 = 5;
+/// charges-state flag: frames carry their states inline. Version 6
+/// stores every path (the DFS path, the DFS best path and each MDFS
+/// node's path) as `u32` compiled-transition indices instead of names,
+/// and drops the DFS best-pending length: the best path is stored whole.
+pub const FORMAT_VERSION: u32 = 6;
 
 const SEC_META: u32 = 1;
 const SEC_TRACE: u32 = 2;
@@ -456,10 +459,10 @@ fn encode_spec_error(w: &mut ByteWriter, e: &RuntimeError) {
     }
 }
 
-fn encode_path(w: &mut ByteWriter, path: &[String]) {
+fn encode_path(w: &mut ByteWriter, path: &[u32]) {
     w.put_u32(path.len() as u32);
-    for p in path {
-        w.put_str(p);
+    for &t in path {
+        w.put_u32(t);
     }
 }
 
@@ -504,13 +507,6 @@ fn encode_dfs(dfs: &DfsCheckpoint) -> Result<Vec<u8>, CheckpointError> {
     }
     w.put_usize(dfs.best.0);
     encode_path(&mut w, &dfs.best.1);
-    match dfs.best_pending_len {
-        None => w.put_u8(0),
-        Some(n) => {
-            w.put_u8(1);
-            w.put_usize(n);
-        }
-    }
     w.put_usize(dfs.total_events);
     w.put_usize(dfs.barren);
     w.put_bool(dfs.at_node);
@@ -869,11 +865,11 @@ fn decode_spec_error(r: &mut ByteReader<'_>) -> Result<RuntimeError, CodecError>
     })
 }
 
-fn decode_path(r: &mut ByteReader<'_>) -> Result<Vec<String>, CodecError> {
-    let n = r.get_u32("path length")? as usize;
-    let mut path = Vec::with_capacity(n.min(1024));
+fn decode_path(r: &mut ByteReader<'_>) -> Result<Vec<u32>, CodecError> {
+    let n = r.get_len(4, "path")?;
+    let mut path = Vec::with_capacity(n);
     for _ in 0..n {
-        path.push(r.get_str("path step")?);
+        path.push(r.get_u32("path step")?);
     }
     Ok(path)
 }
@@ -927,16 +923,6 @@ fn decode_dfs(r: &mut ByteReader<'_>) -> Result<DfsCheckpoint, CheckpointError> 
     }
     let best_explained = r.get_usize("best explained")?;
     let best_path = decode_path(r)?;
-    let best_pending_len = match r.get_u8("best pending tag")? {
-        0 => None,
-        1 => Some(r.get_usize("best pending length")?),
-        other => {
-            return Err(CheckpointError::Malformed(format!(
-                "unknown best-pending tag {}",
-                other
-            )))
-        }
-    };
     let total_events = r.get_usize("total events")?;
     let barren = r.get_usize("barren count")?;
     let at_node = r.get_bool("at-node flag")?;
@@ -948,7 +934,6 @@ fn decode_dfs(r: &mut ByteReader<'_>) -> Result<DfsCheckpoint, CheckpointError> 
         visited,
         spec_errors,
         best: (best_explained, best_path),
-        best_pending_len,
         total_events,
         barren,
         at_node,

@@ -95,7 +95,8 @@ pub(crate) struct MdfsNodeCkpt {
     /// Output-blocked transitions awaiting new data, sorted.
     pub(crate) blocked: Vec<usize>,
     pub(crate) barren: usize,
-    pub(crate) path: Vec<String>,
+    /// Compiled-transition indices fired from the root.
+    pub(crate) path: Vec<u32>,
 }
 
 impl MdfsCheckpoint {
@@ -205,8 +206,21 @@ impl Checkpoint {
             }
             Ok(())
         };
+        // Paths are looked up by index when the witness or the best
+        // attempt is named, so an out-of-range step must not get that far.
+        let check_path = |path: &[u32], what: &str| -> Result<(), String> {
+            match path.iter().find(|&&t| t as usize >= transition_count) {
+                Some(t) => Err(format!(
+                    "{} references transition {} of {}",
+                    what, t, transition_count
+                )),
+                None => Ok(()),
+            }
+        };
         match &self.body {
             CheckpointBody::Dfs(dfs) => {
+                check_path(&dfs.path, "checkpoint path")?;
+                check_path(&dfs.best.1, "best-effort path")?;
                 if dfs.state.control.0 >= state_count {
                     return Err(format!(
                         "checkpoint control state {} out of range ({} states)",
@@ -240,6 +254,7 @@ impl Checkpoint {
                         return Err(format!("node {} control state out of range", i));
                     }
                     check_cursors(&n.cursors, "node")?;
+                    check_path(&n.path, &format!("node {} path", i))?;
                     for &t in n.tried.iter().chain(n.blocked.iter()) {
                         if t >= transition_count {
                             return Err(format!(

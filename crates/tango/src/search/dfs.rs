@@ -42,10 +42,12 @@ use super::{guard, is_fatal, record_error};
 #[derive(Debug)]
 pub struct DfsOutcome {
     pub verdict: Verdict,
-    pub witness: Option<Vec<String>>,
+    /// The valid path, as compiled-transition indices.
+    pub witness: Option<Vec<u32>>,
     pub spec_errors: Vec<RuntimeError>,
-    /// The most-explaining attempt: (events consumed+verified, its path).
-    pub best: (usize, Vec<String>),
+    /// The most-explaining attempt: (events consumed+verified, its path
+    /// as compiled-transition indices).
+    pub best: (usize, Vec<u32>),
     /// Checkable events in the trace (outstanding at search start).
     pub total_events: usize,
     /// Present when the verdict is `Inconclusive`: the frozen search,
@@ -75,12 +77,14 @@ pub(crate) struct Frame {
 pub struct DfsCheckpoint {
     pub(crate) state: MachineState,
     pub(crate) cursors: crate::env::Cursors,
-    pub(crate) path: Vec<String>,
+    /// Compiled-transition indices fired from the root.
+    pub(crate) path: Vec<u32>,
     pub(crate) stack: Vec<Frame>,
     pub(crate) visited: HashSet<u64, FxBuildHasher>,
     pub(crate) spec_errors: Vec<RuntimeError>,
-    pub(crate) best: (usize, Vec<String>),
-    pub(crate) best_pending_len: Option<usize>,
+    /// The most-explaining attempt so far: (events explained, its path
+    /// as transition indices).
+    pub(crate) best: (usize, Vec<u32>),
     pub(crate) total_events: usize,
     pub(crate) barren: usize,
     pub(crate) at_node: bool,
@@ -106,6 +110,44 @@ impl DfsCheckpoint {
 enum Init {
     Fresh(MachineState),
     Resume(Box<DfsCheckpoint>),
+}
+
+/// Failure localization: the attempt that explained the most events.
+/// Its path is a prefix of the live path until a backtrack cuts below
+/// it, so it is recorded as a length into the live path and copied out
+/// only at that cut — a long trace pays no per-step path copy.
+#[derive(Default)]
+struct Best {
+    explained: usize,
+    /// `Some(len)`: the best path is the live path's first `len` steps.
+    live: Option<usize>,
+    /// The best path once copied out (`live` is `None`).
+    copied: Vec<u32>,
+}
+
+impl Best {
+    fn record(&mut self, explained: usize, path_len: usize) {
+        self.explained = explained;
+        self.live = Some(path_len);
+    }
+
+    /// Called before `path` is truncated to `len`.
+    fn before_truncate(&mut self, path: &[u32], len: usize) {
+        if let Some(l) = self.live.filter(|&l| len < l) {
+            self.copied.clear();
+            self.copied.extend_from_slice(&path[..l]);
+            self.live = None;
+        }
+    }
+
+    /// The best attempt as (events explained, path indices).
+    fn get(&self, path: &[u32]) -> (usize, Vec<u32>) {
+        let steps = match self.live {
+            Some(l) => path[..l].to_vec(),
+            None => self.copied.clone(),
+        };
+        (self.explained, steps)
+    }
 }
 
 /// Run a depth-first search from `start` against the trace in `env`.
@@ -165,19 +207,12 @@ fn search(
     tel: &mut Telemetry,
 ) -> Result<DfsOutcome, TangoError> {
     let mut state;
-    let mut path: Vec<String>;
+    let mut path: Vec<u32>;
     let mut stack: Vec<Frame>;
     let mut visited: HashSet<u64, FxBuildHasher>;
     let mut spec_errors: Vec<RuntimeError>;
     let total_events;
-    // Failure localization: the attempt that explained the most events.
-    let mut best: (usize, Vec<String>);
-    // `Some(len)`: `best` was recorded on the first, never-backtracked
-    // attempt without cloning the path (the common valid-trace case stays
-    // O(n)); the first `len` path entries are materialized into `best.1`
-    // lazily, at the first backtrack or at an `Invalid` return — whichever
-    // comes first, while the virgin path is still intact.
-    let mut best_pending_len: Option<usize>;
+    let mut best: Best;
     // Consecutive steps without observable progress on the current path.
     let mut barren: usize;
     // `true`: we just arrived at a (possibly new) node and must expand it;
@@ -234,8 +269,7 @@ fn search(
             visited = HashSet::default();
             spec_errors = Vec::new();
             total_events = env.outstanding();
-            best = (0, Vec::new());
-            best_pending_len = None;
+            best = Best::default();
             barren = 0;
             at_node = true;
             store = match tier {
@@ -253,8 +287,11 @@ fn search(
             visited = cp.visited;
             spec_errors = cp.spec_errors;
             total_events = cp.total_events;
-            best = cp.best;
-            best_pending_len = cp.best_pending_len;
+            best = Best {
+                explained: cp.best.0,
+                live: None,
+                copied: cp.best.1,
+            };
             barren = cp.barren;
             at_node = cp.at_node;
             // Rebuild the pool (and the byte counter) from the surviving
@@ -312,22 +349,16 @@ fn search(
 
         if at_node {
             let explained = total_events - env.outstanding();
-            if explained > best.0 {
-                best.0 = explained;
-                if stats.restores > 0 {
-                    best.1 = path.clone();
-                    best_pending_len = None;
-                } else {
-                    best_pending_len = Some(path.len());
-                }
+            if explained > best.explained {
+                best.record(explained, path.len());
             }
             if env.all_done() {
                 sync_spill_stats(stats, &store, spill_base);
                 return Ok(DfsOutcome {
                     verdict: Verdict::Valid,
+                    best: best.get(&path),
                     witness: Some(path),
                     spec_errors,
-                    best,
                     total_events,
                     checkpoint: None,
                     spill_faults,
@@ -407,17 +438,12 @@ fn search(
                         tel.on_prune(path.len(), PruneKind::Barren);
                         at_node = false;
                     } else {
-                        path.push(machine.transition_name(first.trans).to_string());
+                        path.push(first.trans as u32);
                     }
                 }
                 false => at_node = false,
             }
         } else {
-            // About to abandon the current attempt: if the best attempt so
-            // far is the still-intact virgin path, materialize it now.
-            if let Some(len) = best_pending_len.take() {
-                best.1 = path[..len].to_vec();
-            }
             // Backtrack to the nearest frame with untried children.
             let Some(top) = stack.last_mut() else {
                 sync_spill_stats(stats, &store, spill_base);
@@ -425,7 +451,7 @@ fn search(
                     verdict: Verdict::Invalid,
                     witness: None,
                     spec_errors,
-                    best,
+                    best: best.get(&path),
                     total_events,
                     checkpoint: None,
                     spill_faults,
@@ -458,6 +484,7 @@ fn search(
                     }
                 };
                 env.restore(&frame.cursors);
+                best.before_truncate(&path, frame.path_len);
                 path.truncate(frame.path_len);
                 barren = frame.barren;
             } else {
@@ -472,6 +499,7 @@ fn search(
                     }
                 };
                 env.restore(&top.cursors);
+                best.before_truncate(&path, top.path_len);
                 path.truncate(top.path_len);
                 barren = top.barren;
             }
@@ -488,7 +516,7 @@ fn search(
                         tel.on_prune(path.len(), PruneKind::Barren);
                         // stay backtracking
                     } else {
-                        path.push(machine.transition_name(f.trans).to_string());
+                        path.push(f.trans as u32);
                         at_node = true;
                     }
                 }
@@ -498,6 +526,7 @@ fn search(
     };
 
     sync_spill_stats(stats, &store, spill_base);
+    let best = best.get(&path);
     // A checkpoint carries every frame's snapshot bytes inline, so
     // spilled frames are faulted back in first. A read failure here
     // costs the checkpoint (reported as a fault), never a panic.
@@ -515,7 +544,6 @@ fn search(
             visited,
             spec_errors: spec_errors.clone(),
             best: best.clone(),
-            best_pending_len,
             total_events,
             barren,
             at_node,

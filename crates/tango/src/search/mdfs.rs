@@ -76,7 +76,7 @@ use estelle_frontend::sema::model::AnalyzedModule;
 use estelle_runtime::{FireOutcome, Machine, MachineState, RuntimeError, RuntimeErrorKind};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::path::SharedPath;
@@ -130,13 +130,6 @@ impl TransSet {
     fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-}
-
-/// Each transition's name, shared by every path link that fires it.
-fn transition_names(machine: &Machine) -> Vec<Arc<str>> {
-    (0..machine.transition_count())
-        .map(|i| machine.transition_name(i).into())
-        .collect()
 }
 
 /// One saved search-tree node ("thread").
@@ -401,7 +394,7 @@ fn node_to_ckpt(n: Node) -> MdfsNodeCkpt {
         tried: n.tried.0,
         blocked: n.blocked.0,
         barren: n.barren,
-        path: n.path.to_vec(),
+        path: n.path.to_indices(),
     }
 }
 
@@ -413,7 +406,7 @@ fn node_from_ckpt(c: MdfsNodeCkpt) -> Node {
         TransSet::from_vec(c.tried),
         TransSet::from_vec(c.blocked),
         c.barren,
-        SharedPath::from_names(c.path),
+        SharedPath::from_indices(&c.path),
     )
 }
 
@@ -659,7 +652,6 @@ fn run_seq(
     }
 
     let mut last_status: Option<Verdict> = None;
-    let names = transition_names(&machine);
 
     // Per-search *Generate* scratch, refilled in place by `generate_into`
     // so every node expansion reuses one fireable buffer (filtered down
@@ -857,7 +849,7 @@ fn run_seq(
                 if env.eof {
                     return Ok(finish(
                         Verdict::Valid,
-                        Some(node.path.to_vec()),
+                        Some(node.path.to_vec(&machine)),
                         stats,
                         spec_errors,
                         &*source,
@@ -994,7 +986,7 @@ fn run_seq(
                 } else {
                     node.barren + 1
                 };
-                let child_path = node.path.push(names[f.trans].clone());
+                let child_path = node.path.push(f.trans as u32);
                 if has_more {
                     stats.snapshot_bytes += node.charged();
                     work.push(node);
@@ -1283,7 +1275,6 @@ struct WorkerOut {
 fn burst_worker(
     widx: usize,
     machine: &Machine,
-    names: &[Arc<str>],
     mut env: TraceEnv,
     options: &AnalysisOptions,
     deadline: Option<Instant>,
@@ -1537,7 +1528,7 @@ fn burst_worker(
             } else {
                 node.barren + 1
             };
-            let child_path = node.path.push(names[f.trans].clone());
+            let child_path = node.path.push(f.trans as u32);
             let mut child_key = node.key.clone();
             child_key.push(s);
             let mut child_opt = None;
@@ -1624,7 +1615,7 @@ fn pnode_to_ckpt(store: &ShardedStore, n: &PNode) -> Result<MdfsNodeCkpt, SpillE
         tried: n.tried.0.clone(),
         blocked: n.blocked.0.clone(),
         barren: n.barren,
-        path: n.path.to_vec(),
+        path: n.path.to_indices(),
     })
 }
 
@@ -1696,7 +1687,6 @@ fn freeze_par(
 #[allow(clippy::too_many_arguments)]
 fn replay_burst(
     machine: &Machine,
-    names: &[Arc<str>],
     env: &mut TraceEnv,
     options: &AnalysisOptions,
     seeds: Vec<ReplaySeed>,
@@ -1763,7 +1753,7 @@ fn replay_burst(
                 // eof holds throughout: the sequential-first witness.
                 return Ok(finish(
                     Verdict::Valid,
-                    Some(node.path.to_vec()),
+                    Some(node.path.to_vec(machine)),
                     stats,
                     spec_errors,
                     source,
@@ -1846,7 +1836,7 @@ fn replay_burst(
                 } else {
                     node.barren + 1
                 };
-                let child_path = node.path.push(names[f.trans].clone());
+                let child_path = node.path.push(f.trans as u32);
                 if has_more {
                     work.push(node);
                 }
@@ -2018,7 +2008,7 @@ fn run_par(
             tried: TransSet::from_vec(c.tried),
             blocked: TransSet::from_vec(c.blocked),
             barren: c.barren,
-            path: SharedPath::from_names(c.path),
+            path: SharedPath::from_indices(&c.path),
             key: Vec::new(),
             step: 0,
         }
@@ -2066,7 +2056,6 @@ fn run_par(
     let mut last_status: Option<Verdict> = None;
     let tel_hot = tel.hot();
     let timed = tel.timer().is_some();
-    let names = transition_names(&machine);
 
     loop {
         // Absorb anything the source produced (coordinator only).
@@ -2171,7 +2160,6 @@ fn run_par(
             let outs: Vec<WorkerOut> = std::thread::scope(|s| {
                 let shr = &sh;
                 let mref = &machine;
-                let nref = &names[..];
                 let mut handles = Vec::with_capacity(n_workers);
                 for (i, wenv) in envs.into_iter().enumerate() {
                     let tx = txo.clone();
@@ -2183,9 +2171,7 @@ fn run_par(
                         // surviving workers. Flag the stop, then let the
                         // coordinator's join re-raise the panic.
                         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            burst_worker(
-                                i, mref, nref, wenv, options, deadline, shr, tx, tel_hot, timed,
-                            )
+                            burst_worker(i, mref, wenv, options, deadline, shr, tx, tel_hot, timed)
                         }));
                         match r {
                             Ok(o) => o,
@@ -2248,7 +2234,6 @@ fn run_par(
                     let seeds = replay_seeds.expect("witness stops only happen post-eof");
                     return replay_burst(
                         &machine,
-                        &names,
                         &mut env,
                         options,
                         seeds,
@@ -2466,7 +2451,7 @@ mod tests {
             input: vec![1, 0],
             output: vec![0, 2],
         };
-        let path = SharedPath::default().push("t3".into()).push("t1".into());
+        let path = SharedPath::default().push(3).push(1);
         let mut node = Node::new(state, cursors, 2, path);
         for t in [7, 2, 7, 5] {
             node.tried.insert(t);
@@ -2476,7 +2461,7 @@ mod tests {
         node.blocked.insert(4);
 
         let frozen = node_to_ckpt(node);
-        assert_eq!(frozen.path, ["t3", "t1"]);
+        assert_eq!(frozen.path, [3, 1]);
         assert_eq!(frozen.tried, [2, 7], "freeze writes the set sorted");
         assert_eq!(frozen.blocked, [4, 9]);
 
@@ -2485,7 +2470,7 @@ mod tests {
         assert_eq!(thawed.barren, 2);
         assert!(thawed.tried.contains(7) && !thawed.tried.contains(5));
         let again = node_to_ckpt(thawed);
-        assert_eq!(again.path, ["t3", "t1"]);
+        assert_eq!(again.path, [3, 1]);
         assert_eq!((again.tried, again.blocked), (vec![2, 7], vec![4, 9]));
         assert_eq!(again.cursors.output, [0, 2]);
     }

@@ -1,15 +1,26 @@
 //! Search paths shared between a node and its descendants.
 //!
-//! Every MDFS node remembers the transitions fired on the way to it, for
-//! the witness and for checkpoints. Copying the parent's whole path into
-//! each child costs O(depth) allocations per fire and keeps one private
-//! copy per parked PG-node. A [`SharedPath`] instead is a parent-linked
-//! list: a child adds one link (the transition's name and the new length)
-//! on top of its parent's, and siblings share everything above them. The
-//! `Vec<String>` form is built only where a path leaves the search — the
-//! witness, and checkpoint freeze/thaw.
+//! Both searches record a path as compiled-transition indices; names are
+//! looked up only where a path leaves the search, the witness and the
+//! best-effort localization ([`path_names`]). Indices, not names, are what
+//! checkpoints store: transition names are not unique.
+//!
+//! Every MDFS node remembers the transitions fired on the way to it.
+//! Copying the parent's whole path into each child costs O(depth)
+//! allocations per fire and keeps one private copy per parked PG-node. A
+//! [`SharedPath`] instead is a parent-linked list: a child adds one link
+//! (the transition index and the new length) on top of its parent's, and
+//! siblings share everything above them.
 
+use estelle_runtime::Machine;
 use std::sync::Arc;
+
+/// A path's transition names, root first.
+pub(crate) fn path_names(machine: &Machine, path: &[u32]) -> Vec<String> {
+    path.iter()
+        .map(|&t| machine.transition_name(t as usize).to_string())
+        .collect()
+}
 
 /// A transition sequence from the root, as an `Arc`-shared linked list.
 /// Cloning is one reference-count increment; the empty path allocates
@@ -18,7 +29,7 @@ use std::sync::Arc;
 pub(crate) struct SharedPath(Option<Arc<Link>>);
 
 struct Link {
-    name: Arc<str>,
+    trans: u32,
     /// Length of the path ending at this link.
     len: usize,
     parent: SharedPath,
@@ -31,30 +42,33 @@ impl SharedPath {
     }
 
     /// This path extended by one transition.
-    pub(crate) fn push(&self, name: Arc<str>) -> SharedPath {
+    pub(crate) fn push(&self, trans: u32) -> SharedPath {
         SharedPath(Some(Arc::new(Link {
-            name,
+            trans,
             len: self.len() + 1,
             parent: self.clone(),
         })))
     }
 
-    /// The transition names, root first.
-    pub(crate) fn to_vec(&self) -> Vec<String> {
-        let mut out = vec![String::new(); self.len()];
+    /// The transition indices, root first.
+    pub(crate) fn to_indices(&self) -> Vec<u32> {
+        let mut out = vec![0; self.len()];
         let mut at = self.0.as_deref();
         while let Some(l) = at {
-            out[l.len - 1] = l.name.to_string();
+            out[l.len - 1] = l.trans;
             at = l.parent.0.as_deref();
         }
         out
     }
 
-    /// A path from names, root first (checkpoint thaw).
-    pub(crate) fn from_names(names: Vec<String>) -> SharedPath {
-        names
-            .into_iter()
-            .fold(SharedPath::default(), |p, n| p.push(n.into()))
+    /// The transition names, root first.
+    pub(crate) fn to_vec(&self, machine: &Machine) -> Vec<String> {
+        path_names(machine, &self.to_indices())
+    }
+
+    /// A path from transition indices, root first (checkpoint thaw).
+    pub(crate) fn from_indices(path: &[u32]) -> SharedPath {
+        path.iter().fold(SharedPath::default(), |p, &t| p.push(t))
     }
 }
 
@@ -76,33 +90,28 @@ impl Drop for Link {
 mod tests {
     use super::*;
 
-    fn names(p: &SharedPath) -> Vec<String> {
-        p.to_vec()
-    }
-
     #[test]
     fn children_share_their_parent_and_read_back_root_first() {
         let root = SharedPath::default();
         assert_eq!(root.len(), 0);
-        assert!(names(&root).is_empty());
-        let a = root.push("t1".into());
-        let ab = a.push("t2".into());
-        let ac = a.push("t3".into());
+        assert!(root.to_indices().is_empty());
+        let a = root.push(1);
+        let ab = a.push(2);
+        let ac = a.push(3);
         drop(a);
         assert_eq!(ab.len(), 2);
-        assert_eq!(names(&ab), ["t1", "t2"]);
-        assert_eq!(names(&ac), ["t1", "t3"]);
-        let back = SharedPath::from_names(names(&ac));
+        assert_eq!(ab.to_indices(), [1, 2]);
+        assert_eq!(ac.to_indices(), [1, 3]);
+        let back = SharedPath::from_indices(&ac.to_indices());
         assert_eq!(back.len(), 2);
-        assert_eq!(names(&back), ["t1", "t3"]);
+        assert_eq!(back.to_indices(), [1, 3]);
     }
 
     #[test]
     fn a_million_deep_path_drops_without_overflowing_the_stack() {
-        let name: Arc<str> = "t".into();
         let mut p = SharedPath::default();
         for _ in 0..1_000_000 {
-            p = p.push(name.clone());
+            p = p.push(7);
         }
         assert_eq!(p.len(), 1_000_000);
         // A second owner of the middle of the chain stops the unlink

@@ -158,10 +158,13 @@ impl FlightRecorder {
             // Warm-up: the only allocations the recorder ever performs
             // happen while filling the pre-reserved ring the first time.
             self.ring.push(rec);
-            self.head = self.ring.len() % self.capacity;
         } else {
             self.ring[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
+        }
+        // A compare, not a `%`: this runs once per search event.
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
         }
     }
 

@@ -119,27 +119,27 @@ fn future_version_is_refused_not_misread() {
 
 #[test]
 fn previous_version_is_refused_not_misread() {
-    // Version 4 kept DFS frame states in a separate table; its files are
-    // refused, not decoded with the v5 layout.
-    let (_, mut bytes, path) = checkpoint_bytes("v4");
-    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+    // Version 5 stored paths as transition names; its files are refused,
+    // not decoded with the v6 index layout.
+    let (_, mut bytes, path) = checkpoint_bytes("v5");
+    bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let err = Checkpoint::read_from(&path).err();
     assert!(
         matches!(
             err,
             Some(CheckpointError::UnsupportedVersion {
-                found: 4,
-                supported: 5
+                found: 5,
+                supported: 6
             })
         ),
-        "v4 must be refused, got {:?}",
+        "v5 must be refused, got {:?}",
         err
     );
     assert!(err
         .unwrap()
         .to_string()
-        .contains("this build reads only version 5"));
+        .contains("this build reads only version 6"));
 }
 
 #[test]
@@ -259,6 +259,95 @@ fn resume_refuses_a_checkpoint_from_a_different_specification() {
         err.to_string().contains("resume"),
         "error should point at the resume validation: {}",
         err
+    );
+}
+
+/// CRC-32 (IEEE), written out independently of the codec's.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = u32::MAX;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// A spec whose DFS path is recognizable in the file: three dead
+/// transitions first, so the live ones fire as indices 3, 4, 5, 6.
+const INDEXED: &str = r#"
+    specification indexed;
+    channel C(user, station); by user: a; end;
+    module M process; ip P : C(station); end;
+    body MB for M;
+        state S0, S1, S2, S3, Dead;
+        initialize to S0 begin end;
+        trans
+        from Dead to Dead when P.a name X0: begin end;
+        from Dead to Dead when P.a name X1: begin end;
+        from Dead to Dead when P.a name X2: begin end;
+        from S0 to S1 when P.a name A: begin end;
+        from S1 to S2 when P.a name B: begin end;
+        from S2 to S3 when P.a name C: begin end;
+        from S3 to S3 when P.a name D: begin end;
+    end;
+    end.
+"#;
+
+#[test]
+fn out_of_range_path_index_is_refused_at_resume() {
+    let analyzer = tango::Tango::generate(INDEXED).unwrap();
+    let trace = "in P.a\n".repeat(6);
+    let mut limited = AnalysisOptions::default();
+    limited.limits.max_transitions = 3;
+    let stopped = analyzer.analyze_text(&trace, &limited).unwrap();
+    assert!(matches!(stopped.verdict, Verdict::Inconclusive(_)));
+    let cp = stopped
+        .checkpoint
+        .expect("limit stop must carry a checkpoint");
+    assert_eq!(cp.depth(), 4);
+    let path = temp_file("path-index");
+    cp.write_to(&path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+
+    // The DFS path is stored as its length then one u32 per step.
+    let words: Vec<u8> = [4u32, 3, 4, 5, 6]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    let (_, offset, len) = walk_sections(&bytes)
+        .into_iter()
+        .find(|s| s.0 == "dfs")
+        .unwrap();
+    let payload = &bytes[offset..offset + len];
+    let at = (0..payload.len() - words.len())
+        .find(|&i| payload[i..i + words.len()] == words[..])
+        .expect("the path [3, 4, 5, 6] is in the dfs section");
+    let step = offset + at + 4;
+    bytes[step..step + 4].copy_from_slice(&999u32.to_le_bytes());
+    // Re-seal: the section CRC follows its payload, the file digest
+    // closes the file.
+    let crc = crc32(&bytes[offset..offset + len]);
+    bytes[offset + len..offset + len + 4].copy_from_slice(&crc.to_le_bytes());
+    let end = bytes.len() - 4;
+    let digest = crc32(&bytes[..end]);
+    bytes[end..].copy_from_slice(&digest.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let cp = Checkpoint::read_from(&path).expect("a well-formed file decodes");
+    let err = analyzer
+        .analyze_resume(cp, &AnalysisOptions::default())
+        .expect_err("an out-of-range path index must be refused");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("resume") && msg.contains("transition 999 of 7"),
+        "error should name the bad index: {}",
+        msg
     );
 }
 

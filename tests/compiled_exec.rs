@@ -357,6 +357,87 @@ fn dispatch_index_matches_linear_scan_step_by_step() {
     assert!(!env_c.outputs.is_empty(), "the script must reach an output");
 }
 
+/// Invariant 4 of the dispatch index (DESIGN §6.9): every bucket's plan
+/// covers the bucket exactly once, in order, with non-empty steps; an
+/// equality run spans two or more instances of one declaration, each
+/// guarded by the quick `global[slot] = k` compare, and its key table is
+/// exactly those instances' distinct keys. Returns the switched entries.
+fn assert_plan_invariants(m: &Machine) -> usize {
+    use estelle_runtime::bytecode::{PlanStep, QuickGuard};
+    let idx = &m.program.dispatch;
+    assert_eq!(idx.plans.len(), idx.by_state.len());
+    let mut switched = 0;
+    for (bucket, plan) in idx.by_state.iter().zip(&idx.plans) {
+        let mut next = 0;
+        for step in plan {
+            let (start, end) = match step {
+                PlanStep::Scan { start, end } => (*start as usize, *end as usize),
+                PlanStep::Switch(run) => (run.start as usize, run.end as usize),
+            };
+            assert_eq!(start, next, "plan steps must be contiguous and in order");
+            assert!(end > start, "plan steps must be non-empty");
+            next = end;
+            let PlanStep::Switch(run) = step else {
+                continue;
+            };
+            let entries = &bucket[start..end];
+            assert!(entries.len() >= 2, "a run merges two or more entries");
+            let decl = m.module.transitions[entries[0].trans as usize].decl_index;
+            let mut keys = Vec::new();
+            for (off, e) in entries.iter().enumerate() {
+                assert_eq!(
+                    m.module.transitions[e.trans as usize].decl_index, decl,
+                    "a run merges only instances of one declaration"
+                );
+                let g = m.program.guards[e.trans as usize].as_ref().unwrap();
+                let Some(QuickGuard::GlobalOpConst { slot, op, k, .. }) = &g.quick else {
+                    panic!("a run entry's guard must be a quick compare");
+                };
+                assert_eq!((*slot, *op), (run.slot, estelle_ast::BinOp::Eq));
+                let key = match (k, run.enum_type) {
+                    (Value::Int(x), None) => *x,
+                    (Value::Enum(t, x), Some(rt)) if *t == rt => *x,
+                    other => panic!("key {:?} does not match the run's type", other),
+                };
+                keys.push((key, off as u32));
+            }
+            keys.sort_unstable();
+            assert_eq!(keys, run.keys, "the key table is the instances' keys");
+            assert!(
+                keys.windows(2).all(|w| w[0].0 != w[1].0),
+                "keys are distinct"
+            );
+            switched += entries.len();
+        }
+        assert_eq!(next, bucket.len(), "the plan must cover the whole bucket");
+    }
+    switched
+}
+
+#[test]
+fn dispatch_plans_cover_buckets_and_merge_only_any_families() {
+    // LAPD-800's four padding families of 200 instances each become
+    // equality runs; TP0 has none, so each bucket is one scan.
+    let lapd800 = Machine::from_source(&lapd::source_expanded()).unwrap();
+    assert_eq!(assert_plan_invariants(&lapd800), 800);
+    let tp0 = Machine::from_source(tp0::SOURCE).unwrap();
+    assert_eq!(assert_plan_invariants(&tp0), 0);
+    for plan in &tp0.program.dispatch.plans {
+        assert!(plan.len() <= 1, "TP0 buckets are single scans");
+    }
+    assert_eq!(
+        assert_plan_invariants(&Machine::from_source(BUCKETS).unwrap()),
+        0
+    );
+    assert_plan_invariants(&Machine::from_source(&SyntheticSpec::new(5, 120).source()).unwrap());
+    let mut family_runs = 0;
+    for seed in 0..12 {
+        let spec = protocols::randspec::RandSpec::with_any_families(seed);
+        family_runs += assert_plan_invariants(&Machine::from_source(&spec.source()).unwrap());
+    }
+    assert!(family_runs > 0, "the randspec families must form runs");
+}
+
 #[test]
 fn dispatch_index_agrees_on_synthetic_and_lapd_machines() {
     let mut sources = vec![SyntheticSpec::new(5, 120).source()];

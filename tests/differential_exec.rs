@@ -8,8 +8,16 @@
 //! VM must produce the same fireable sets, verdicts, witnesses and
 //! TE/GE/RE/SA counters as the tree walker, its oracle. This is the seed of the ROADMAP
 //! scenario-diversity item's differential-fuzzing front (3c).
+//!
+//! The same checks run on [`RandSpec::with_any_families`], whose `any`
+//! families the VM answers through equality runs (one lookup per family)
+//! while the tree walker still tests every instance; the machine-level
+//! check there also covers an `Undefined` key slot (the fallback scan)
+//! and every queue-head shape, `EmptyMayGrow` included.
 
-use estelle_runtime::{ExecMode, Machine};
+use estelle_runtime::{
+    ExecMode, InputSource, Machine, MachineState, OutputSink, QueueHead, UndefinedPolicy, Value,
+};
 use protocols::randspec::RandSpec;
 use tango::{AnalysisOptions, ChoicePolicy, Tango, Trace, TraceAnalyzer, Verdict};
 
@@ -17,7 +25,10 @@ const SEEDS: u64 = 12;
 
 /// Build the analyzer and a self-generated valid trace for a seed.
 fn setup(seed: u64) -> (TraceAnalyzer, Trace) {
-    let spec = RandSpec::new(seed);
+    setup_spec(RandSpec::new(seed))
+}
+
+fn setup_spec(spec: RandSpec) -> (TraceAnalyzer, Trace) {
     let analyzer = Tango::generate(&spec.source()).expect("randspec sources are valid");
     let trace = analyzer
         .generate_trace(&spec.workload(10), ChoicePolicy::First, 100_000)
@@ -185,4 +196,161 @@ fn machine_level_fireable_sets_match_across_configurations() {
             assert_eq!(st_i, st_c, "seed {} step {}: post-fire state", seed, step);
         }
     }
+}
+
+/// The VM-vs-tree-walker analysis checks above, on one family spec: the
+/// self-generated valid trace and its corrupted variant.
+fn check_family_spec_analyses(seed: u64) {
+    let (analyzer, trace) = setup_spec(RandSpec::with_any_families(seed));
+    let interp = signature(&analyzer, &trace, ExecMode::Interp);
+    assert_eq!(
+        interp.verdict,
+        Verdict::Valid.to_string(),
+        "seed {}: self-trace",
+        seed
+    );
+    assert_eq!(
+        signature(&analyzer, &trace, ExecMode::Compiled),
+        interp,
+        "seed {}: the VM must match the tree walker on any families",
+        seed
+    );
+    let mut bad = trace.clone();
+    let Some(e) = bad
+        .events
+        .iter_mut()
+        .rev()
+        .find(|e| e.dir == tango::Dir::Out && !e.params.is_empty())
+    else {
+        return;
+    };
+    if let Some(Value::Int(v)) = e.params.first_mut() {
+        *v += 1000;
+    }
+    let interp = signature(&analyzer, &bad, ExecMode::Interp);
+    assert_ne!(
+        interp.verdict,
+        Verdict::Valid.to_string(),
+        "seed {}: corrupted",
+        seed
+    );
+    assert_eq!(
+        signature(&analyzer, &bad, ExecMode::Compiled),
+        interp,
+        "seed {}: the VM on the corrupted family trace",
+        seed
+    );
+}
+
+#[test]
+fn exec_configurations_agree_on_random_specs_with_any_families() {
+    for seed in 0..SEEDS {
+        check_family_spec_analyses(seed);
+    }
+}
+
+/// An environment showing a fixed head per IP (`P`, `Q`) and whose sink
+/// accepts every output.
+struct FixedHeads([QueueHead; 2]);
+
+impl InputSource for FixedHeads {
+    fn head(&self, ip: usize) -> QueueHead {
+        self.0[ip].clone()
+    }
+    fn consume(&mut self, _ip: usize) {}
+}
+
+impl OutputSink for FixedHeads {
+    fn emit(&mut self, _ip: usize, _interaction: usize, _params: Vec<Value>) -> bool {
+        true
+    }
+}
+
+/// A generate result in comparable form: the fireable list and the
+/// `incomplete` flag, or the error.
+fn generated(m: &Machine, st: &MachineState, input: &dyn InputSource) -> String {
+    let mut st = st.clone();
+    match m.generate(&mut st, input) {
+        Ok(g) => format!(
+            "{:?} incomplete={}",
+            g.fireable
+                .iter()
+                .map(|f| (f.trans, f.params.clone(), f.fabricated))
+                .collect::<Vec<_>>(),
+            g.incomplete
+        ),
+        Err(e) => format!("error {:?}: {}", e.kind, e.message),
+    }
+}
+
+/// Machine-level differential on the family specs: at every state of a
+/// scripted walk, the VM's fireable list and `incomplete` flag must equal
+/// the tree walker's for every pair of queue heads at `P` and `Q`
+/// (message, empty, empty but growing, unobserved), under both
+/// undefined-value policies, with the globals as reached and with every
+/// global forced `Undefined`.
+#[test]
+fn machine_level_generate_matches_on_any_families_for_every_head_and_policy() {
+    let heads = |k: i64| {
+        [
+            QueueHead::Message {
+                interaction: 0,
+                params: vec![Value::Int(k)],
+            },
+            QueueHead::Empty,
+            QueueHead::EmptyMayGrow,
+            QueueHead::Unobserved,
+        ]
+    };
+    let mut switched = 0;
+    for seed in 0..SEEDS {
+        let spec = RandSpec::with_any_families(seed);
+        let base = Machine::from_source(&spec.source()).expect("valid source");
+        switched += base
+            .program
+            .dispatch
+            .plans
+            .iter()
+            .flatten()
+            .filter(|p| matches!(p, estelle_runtime::bytecode::PlanStep::Switch(_)))
+            .count();
+        let mut st = base.initial_state().expect("initializes");
+        for (step, input) in spec.workload(8).iter().enumerate() {
+            let Value::Int(k) = input.params[0] else {
+                unreachable!("step inputs carry integers")
+            };
+            let mut undefined = st.clone();
+            undefined.globals.fill(Value::Undefined);
+            for policy in [UndefinedPolicy::Error, UndefinedPolicy::Propagate] {
+                let compiled = base.policy_view(policy);
+                let interp = compiled.exec_view(ExecMode::Interp);
+                for state in [&st, &undefined] {
+                    for p in heads(k) {
+                        for q in heads(k) {
+                            let src = FixedHeads([p.clone(), q]);
+                            assert_eq!(
+                                generated(&compiled, state, &src),
+                                generated(&interp, state, &src),
+                                "seed {} step {} {:?} heads {:?}",
+                                seed,
+                                step,
+                                policy,
+                                src.0
+                            );
+                        }
+                    }
+                }
+            }
+            // Advance on a message at the input's IP, firing the first
+            // candidate.
+            let mut src = FixedHeads([QueueHead::Empty, QueueHead::Empty]);
+            src.0[usize::from(input.ip == "Q")] = heads(k)[0].clone();
+            let g = base.generate(&mut st, &src).expect("generate");
+            let Some(first) = g.fireable.first().cloned() else {
+                break;
+            };
+            base.fire(&mut st, &first, &mut src).expect("fire");
+        }
+    }
+    assert!(switched > 0, "the family specs must produce equality runs");
 }

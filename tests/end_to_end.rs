@@ -244,3 +244,123 @@ fn invalid_traces_carry_failure_localization() {
         .unwrap();
     assert!(r.best_effort.is_none());
 }
+
+/// Invalid traces whose DFS backtracks before it reaches its
+/// most-explaining node, with that node's exact localization: a FULL-order
+/// TP0 3+3 trace with its last data parameter edited, and a FULL-order
+/// LAPD DI=5 trace (on the 821-transition variant) with its last output
+/// parameter edited.
+fn backtracking_invalid_cases() -> Vec<(
+    &'static str,
+    tango::TraceAnalyzer,
+    tango::Trace,
+    usize,
+    &'static str,
+)> {
+    let tp0_bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 9)).unwrap();
+    let mut lapd_bad = lapd::valid_trace(5, 5, 1);
+    let last_out = lapd_bad
+        .events
+        .iter()
+        .rposition(|e| e.dir == tango::Dir::Out && !e.params.is_empty())
+        .unwrap();
+    match &mut lapd_bad.events[last_out].params[0] {
+        tango_repro::runtime::Value::Int(v) => *v += 1,
+        other => panic!("LAPD outputs carry integers, got {:?}", other),
+    }
+    vec![
+        (
+            "tp0",
+            tp0::analyzer(),
+            tp0_bad,
+            15,
+            "t10 t11 t15 t13 t13 t15 t16 t16 t13 t14 t14 t15 t14",
+        ),
+        (
+            "lapd",
+            lapd::analyzer_expanded(),
+            lapd_bad,
+            32,
+            "Tc1 Tc2 Td4 Td3 Td3 Td3 Td3 Td1 Ta1 Td2 Ta1 Td1 Td1 Td1 Td2 Td2 Ta1 Ta1 Ta1 Td1 Td2",
+        ),
+    ]
+}
+
+#[test]
+fn best_effort_localization_is_pinned_and_survives_stop_resume() {
+    let options = AnalysisOptions::with_order(OrderOptions::full());
+    for (name, analyzer, bad, explained, path) in backtracking_invalid_cases() {
+        let full = analyzer.analyze(&bad, &options).unwrap();
+        assert_eq!(full.verdict, Verdict::Invalid, "{}", name);
+        assert!(
+            full.stats.restores > 0,
+            "{}: the search must backtrack",
+            name
+        );
+        let best = full
+            .best_effort
+            .expect("invalid verdicts localize the failure");
+        assert_eq!(
+            (
+                best.events_explained,
+                best.events_total,
+                best.path.join(" ")
+            ),
+            (explained, bad.len(), path.to_string()),
+            "{}: pinned best-effort localization",
+            name
+        );
+
+        // Stop every `step` transitions, round-trip the checkpoint
+        // through its file format, resume: the localization and the
+        // counters must come out as in the uninterrupted run. Stops this
+        // dense also land between recording a best node and the
+        // backtrack that copies its path out.
+        let step = (full.stats.transitions_executed / 40).max(1);
+        let file = std::env::temp_dir().join(format!(
+            "tango-best-effort-{}-{}.ckpt",
+            name,
+            std::process::id()
+        ));
+        let mut limited = options.clone();
+        limited.limits.max_transitions = step;
+        let mut r = analyzer.analyze(&bad, &limited).unwrap();
+        let mut rounds = 0;
+        while let Some(cp) = r.checkpoint.take() {
+            assert!(matches!(r.verdict, Verdict::Inconclusive(_)), "{}", name);
+            cp.write_to(&file).unwrap();
+            let cp = tango::Checkpoint::read_from(&file).unwrap();
+            limited.limits.max_transitions += step;
+            r = analyzer.analyze_resume(cp, &limited).unwrap();
+            rounds += 1;
+        }
+        let _ = std::fs::remove_file(&file);
+        assert!(rounds >= 30, "{}: only {} stop/resume rounds", name, rounds);
+        assert_eq!(r.verdict, Verdict::Invalid, "{}", name);
+        let resumed = r
+            .best_effort
+            .expect("resumed invalid verdicts localize too");
+        assert_eq!(
+            (resumed.events_explained, resumed.events_total, resumed.path),
+            (best.events_explained, best.events_total, best.path),
+            "{}: stop/resume changed the localization",
+            name
+        );
+        assert_eq!(
+            (
+                r.stats.transitions_executed,
+                r.stats.generates,
+                r.stats.restores,
+                r.stats.saves
+            ),
+            (
+                full.stats.transitions_executed,
+                full.stats.generates,
+                full.stats.restores,
+                full.stats.saves
+            ),
+            "{}: stop/resume changed the counters",
+            name
+        );
+    }
+}
