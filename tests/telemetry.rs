@@ -179,3 +179,43 @@ fn mdfs_event_counts_equal_final_stats() {
         );
     }
 }
+
+/// FNV-1a, 64-bit: a dependency-free digest for pinning whole streams.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The one-worker MDFS stream is pinned byte for byte: its digest, its
+/// line count and the report's snapshot-byte peak. Any change to the
+/// sequential engine's event order, its counters or its byte charges
+/// shows up here.
+#[test]
+fn one_worker_mdfs_stream_is_pinned() {
+    let mut options = AnalysisOptions::with_order(OrderOptions::none());
+    options.workers = 1;
+    let pins: [(Trace, u64, usize, usize); 2] = [
+        (invalid_trace(), 0x7c4e_92a8_f341_7c55, 301_676, 8_212),
+        (
+            tp0::complete_valid_trace(3, 3, 1),
+            0x88fb_b342_ad68_cecb,
+            64,
+            6_660,
+        ),
+    ];
+    for (trace, digest, lines, peak) in pins {
+        let (report, stream) = mdfs_run(trace, &options);
+        assert_eq!(
+            (
+                fnv1a64(stream.as_bytes()),
+                stream.lines().count(),
+                report.stats.peak_snapshot_bytes
+            ),
+            (digest, lines, peak),
+        );
+    }
+}
