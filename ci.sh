@@ -178,26 +178,36 @@ echo "== multi-core MDFS smoke (work-stealing online search) =="
 # 4-worker run stopped on a transition limit after eof must checkpoint a
 # worker-split front that checkpoint-info can describe and that resumes
 # at a different worker count to the uninterrupted totals; the library
-# suite runs the full worker matrix first.
+# suite runs the full worker matrix first. Each step echoes its name, so
+# a one-off failure names the step that failed.
+mdfs_step() { echo "-- mdfs smoke: $1"; }
+mdfs_step "library worker matrix (tests/mdfs_parallel.rs)"
 cargo test -q --test mdfs_parallel
+mdfs_step "generate the LAPD trace"
 printf 'in U.dl_est_req\nin L.ua\nin U.dl_data_req(0)\nin U.dl_data_req(1)\nin U.dl_data_req(2)\n' \
     > "$CKPT_DIR/lapd-script.txt"
 cargo run -q --release -p tango-cli -- generate specs/lapd.est "$CKPT_DIR/lapd-script.txt" \
     > "$CKPT_DIR/lapd-trace.txt"
+mdfs_step "online at 1 worker"
 cargo run -q --release -p tango-cli -- online specs/lapd.est "$CKPT_DIR/lapd-trace.txt" \
     --workers 1 > "$CKPT_DIR/online-w1.txt"
+mdfs_step "online at 4 workers"
 cargo run -q --release -p tango-cli -- online specs/lapd.est "$CKPT_DIR/lapd-trace.txt" \
     --workers 4 > "$CKPT_DIR/online-w4.txt"
+mdfs_step "1-worker and 4-worker verdict/counter lines match"
 [ -n "$(verdict_and_counters "$CKPT_DIR/online-w1.txt")" ]
 [ "$(verdict_and_counters "$CKPT_DIR/online-w1.txt")" = "$(verdict_and_counters "$CKPT_DIR/online-w4.txt")" ]
+mdfs_step "4-worker transition-limit stop writes a checkpoint (exit 2)"
 cargo run -q --release -p tango-cli -- online specs/lapd.est "$CKPT_DIR/lapd-trace.txt" \
     --workers 4 --max-transitions 5 --checkpoint-file "$CKPT_DIR/online.ckpt" \
     && { echo "expected an inconclusive (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
+mdfs_step "checkpoint-info describes the 4-worker front"
 cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/online.ckpt" \
     > "$CKPT_DIR/online-info.txt"
 grep -q "mode: mdfs" "$CKPT_DIR/online-info.txt"
 grep -q "workers at save: 4" "$CKPT_DIR/online-info.txt"
 grep -q "worker 0: deque=" "$CKPT_DIR/online-info.txt"
+mdfs_step "resume at 2 workers matches the uninterrupted totals"
 cargo run -q --release -p tango-cli -- online specs/lapd.est --resume "$CKPT_DIR/online.ckpt" \
     --workers 2 > "$CKPT_DIR/online-resumed.txt"
 [ "$(verdict_and_counters "$CKPT_DIR/online-w1.txt")" = "$(verdict_and_counters "$CKPT_DIR/online-resumed.txt")" ]

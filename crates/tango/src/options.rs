@@ -154,13 +154,14 @@ pub struct AnalysisOptions {
     /// nothing. Threaded through options so a multi-session daemon can
     /// mount one endpoint per analysis.
     pub listen: Option<String>,
-    /// On-line MDFS search workers (CLI `--workers N`). `1` (the
-    /// default) runs the single-threaded search unchanged; `0` means
-    /// "one per available core"; `N > 1` runs N true workers over
-    /// per-worker work-stealing deques and the sharded snapshot store.
-    /// Verdicts and the TE/GE/RE/SA counters are identical at every
-    /// worker count (see DESIGN §6.13 for the determinism argument);
-    /// only wall time differs. Static DFS ignores this knob.
+    /// On-line MDFS search workers (CLI `--workers N`). There is one
+    /// engine: `1` (the default) runs its plain loop on the calling
+    /// thread; `0` means "one per available core"; `N > 1` runs the same
+    /// node expansion on N threads over per-worker work-stealing deques,
+    /// one burst per poll of the trace. Verdicts, witnesses and the
+    /// TE/GE/RE/SA counters are identical at every worker count (see
+    /// DESIGN §6.13 for the determinism argument); only wall time and
+    /// the memory peak differ. Static DFS ignores this knob.
     pub workers: usize,
     pub limits: SearchLimits,
 }

@@ -24,17 +24,23 @@
 //!   does not count as explored, so the branch is retried later — the
 //!   output-side dual of an incomplete transition list.
 //!
-//! # Multi-core search (DESIGN §6.13)
+//! # One engine at every worker count (DESIGN §6.13)
 //!
-//! With `workers = 1` (the default) the search runs the classic
-//! single-consumer loop below, byte-for-byte identical in telemetry to
-//! earlier releases. With `workers = N ≥ 2` the search runs in
-//! **burst-barrier** mode: only the coordinator polls the source; each
-//! DFS burst (the work between two polls) fans the work stack out over N
-//! scoped threads pulling from per-worker work-stealing deques (owner
-//! pops LIFO, thieves steal FIFO from the top, round-robin scan, short
-//! parks when every deque is empty). Node snapshots live in the sharded
-//! [`ShardedStore`] so saves and eviction stay lock-light.
+//! A node expansion — restore, all-done/park, Generate, untried
+//! filtering, fire, blocked and barren bookkeeping, child pushes — is one
+//! function, [`Lane::step`], over one node record, [`Node`]. Worker counts
+//! differ only in where a step's nodes go ([`Front`]) and where its events
+//! go ([`Sink`]):
+//!
+//! * `workers = 1` (the default) is the plain loop: [`drain`] pops the
+//!   work stack on the calling thread, with no spawn and no barrier, and
+//!   events go straight into the [`Telemetry`] handle;
+//! * `workers = N ≥ 2` wraps the same step in a **burst**: only the
+//!   coordinator polls the source; each burst (the work between two
+//!   polls) deals the work stack out over N scoped threads pulling from
+//!   per-worker work-stealing deques (owner pops LIFO, thieves steal FIFO
+//!   from the top, round-robin scan, short parks when every deque is
+//!   empty); workers buffer their events for the coordinator to replay.
 //!
 //! Determinism: within a burst the trace is frozen, so each node's
 //! expansion is a pure function of (state, cursors, trace) and the search
@@ -42,21 +48,25 @@
 //! the barrier therefore equal the sequential totals exactly. Pre-eof
 //! bursts can never conclude `Valid` (an all-done node pre-eof parks as a
 //! PGAV), and parked nodes are re-ordered by their deterministic park
-//! labels, so interim verdicts match too. A post-eof burst that finds
-//! *any* witness aborts, discards its deltas, and **replays that burst
-//! sequentially** from clones of the burst's input nodes — recovering the
-//! exact witness (and counters) the single-worker search would report.
-//! Exhaustive (`Invalid`/limit) verdicts keep the parallel deltas, which
-//! are exact by the tiling argument: every popped node-step either runs
-//! to completion (counters recorded, children pushed) or the node is
-//! returned to a deque untouched.
+//! labels ([`Label`]), so interim verdicts match too. A post-eof
+//! burst that finds *any* witness aborts, discards its deltas, and is
+//! **replayed by the one-worker drain** from copies of the burst's input
+//! nodes — recovering the exact witness (and counters) the single-worker
+//! search would report. Exhaustive (`Invalid`/limit) verdicts keep the
+//! parallel deltas, which are exact by the tiling argument: every popped
+//! node-step either runs to completion (counters recorded, children
+//! pushed) or the node is returned to a deque untouched. A limit stop
+//! freezes the surviving front in park-label order — the order one worker
+//! would pop it — so the resumed search reaches the same witness at any
+//! worker count.
 //!
 //! Resource governance: the wall-clock deadline is checked both in the
-//! search burst and in the idle polling loop, so a monitor fed by a
-//! stalled or dead source stops with `Inconclusive(TimeLimit)` instead of
-//! wedging silently; the snapshot-memory budget covers work + PG nodes.
-//! Limit stops additionally freeze the surviving search front into an
-//! [`MdfsCheckpoint`] (worker deques + parked nodes + prior PG-list) so
+//! search and in the idle polling loop, so a monitor fed by a stalled or
+//! dead source stops with `Inconclusive(TimeLimit)` instead of wedging
+//! silently. The snapshot-memory budget covers work + PG nodes under one
+//! charging rule: a node charges its state bytes plus its cursor bytes,
+//! and the gauge is shared by every worker. Limit stops additionally
+//! freeze the surviving search front into an [`MdfsCheckpoint`] so
 //! eof-reached runs can resume — at any worker count. Whatever the
 //! verdict, [`TraceSource::diagnostics`] is folded into
 //! [`AnalysisReport::source_faults`] so feed-level faults (parse errors,
@@ -73,7 +83,9 @@ use crate::trace::source::{Poll, TraceSource};
 use crate::trace::ResolvedTrace;
 use crate::verdict::{AnalysisReport, InconclusiveReason, Verdict};
 use estelle_frontend::sema::model::AnalyzedModule;
-use estelle_runtime::{FireOutcome, Machine, MachineState, RuntimeError, RuntimeErrorKind};
+use estelle_runtime::{
+    FireOutcome, Generated, Machine, MachineState, RuntimeError, RuntimeErrorKind,
+};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -82,7 +94,6 @@ use std::time::{Duration, Instant};
 use super::path::SharedPath;
 use super::snapshot::state_key;
 use super::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
-use super::store::{ShardedStore, StoreHandle};
 use super::{guard, is_fatal, record_error, MAX_RECORDED_ERRORS};
 
 /// How long an idle thief sleeps before re-scanning the deques.
@@ -133,6 +144,7 @@ impl TransSet {
 }
 
 /// One saved search-tree node ("thread").
+#[derive(Clone)]
 struct Node {
     /// The node's snapshot: resident in RAM, or (under memory pressure,
     /// with a spill tier attached) parked in a segment file with the
@@ -176,24 +188,14 @@ impl Node {
         }
     }
 
-    /// Rebuild a node frozen into a checkpoint (or cloned for replay).
-    fn from_parts(
-        state: MachineState,
-        cursors: Cursors,
-        tried: TransSet,
-        blocked: TransSet,
-        barren: usize,
-        path: SharedPath,
-    ) -> Self {
-        let mut n = Node::new(state, cursors, barren, path);
-        n.tried = tried;
-        n.blocked = blocked;
-        n
-    }
-
     /// Bytes currently charged against the RAM gauge for this node.
     fn charged(&self) -> usize {
-        self.meta_bytes + if self.state.is_some() { self.state_bytes } else { 0 }
+        self.meta_bytes
+            + if self.state.is_some() {
+                self.state_bytes
+            } else {
+                0
+            }
     }
 
     /// Bytes the node charges once resident — what the budget check uses
@@ -251,8 +253,12 @@ fn fault_in(tier: &mut SpillTier, node: &mut Node) -> Result<usize, SpillError> 
     Ok(node.state_bytes)
 }
 
+fn lock_tier(tier: &Mutex<SpillTier>) -> std::sync::MutexGuard<'_, SpillTier> {
+    tier.lock().expect("spill tier lock")
+}
+
 /// Spill counter values carried in from a resumed run's stats;
-/// the fresh tier/store counters are added on top so cross-resume totals
+/// the fresh tier's counters are added on top so cross-resume totals
 /// stay cumulative. Zero for a fresh run.
 #[derive(Clone, Copy, Default)]
 struct CarryBase {
@@ -261,8 +267,6 @@ struct CarryBase {
     spill_retries: u64,
     spill_evictions: u64,
     spill_giveups: u64,
-    peak_snapshot_bytes: usize,
-    peak_spilled_bytes: usize,
 }
 
 impl CarryBase {
@@ -273,38 +277,30 @@ impl CarryBase {
             spill_retries: stats.spill_retries,
             spill_evictions: stats.spill_evictions,
             spill_giveups: stats.spill_giveups,
-            peak_snapshot_bytes: stats.peak_snapshot_bytes,
-            peak_spilled_bytes: stats.peak_spilled_bytes,
         }
     }
 }
 
-/// Mirror the spill tier's counters and the disk-residency gauge into
-/// the run's stats (on top of any resumed-in base).
-fn stamp_spill(stats: &mut SearchStats, base: &CarryBase, c: SpillCounters, disk_bytes: usize) {
+/// Mirror the spill tier's counters and the disk gauge into the run's
+/// stats (on top of any resumed-in base).
+fn stamp_spill(stats: &mut SearchStats, base: &CarryBase, c: SpillCounters, gauge: &Gauge) {
     stats.spill_writes = base.spill_writes + c.writes;
     stats.spill_reads = base.spill_reads + c.reads;
     stats.spill_retries = base.spill_retries + c.retries;
     stats.spill_evictions = base.spill_evictions + c.evictions;
     stats.spill_giveups = base.spill_giveups + c.giveups;
-    stats.spilled_bytes = disk_bytes;
-    stats.peak_spilled_bytes = stats.peak_spilled_bytes.max(disk_bytes);
+    stats.spilled_bytes = gauge.disk;
+    stats.peak_spilled_bytes = stats.peak_spilled_bytes.max(gauge.peak_disk);
 }
 
-/// Mirror the sharded store's counters and gauges into the run's stats
-/// (multi-worker runs; the store is rebuilt per run, so resumed-in base
-/// values are added back).
-fn stamp_store(stats: &mut SearchStats, base: &CarryBase, store: &ShardedStore) {
-    stats.snapshot_bytes = store.resident_bytes();
-    stats.peak_snapshot_bytes = base.peak_snapshot_bytes.max(store.peak_resident_bytes());
-    let c = store.spill_counters();
-    stats.spill_writes = base.spill_writes + c.writes;
-    stats.spill_reads = base.spill_reads + c.reads;
-    stats.spill_retries = base.spill_retries + c.retries;
-    stats.spill_evictions = base.spill_evictions + c.evictions;
-    stats.spill_giveups = base.spill_giveups + c.giveups;
-    stats.spilled_bytes = store.spilled_bytes();
-    stats.peak_spilled_bytes = base.peak_spilled_bytes.max(store.peak_spilled_bytes());
+/// The front's byte gauges: RAM-resident charges and spilled snapshot
+/// bytes, each with its high-water mark.
+#[derive(Clone, Copy, Default)]
+struct Gauge {
+    resident: usize,
+    peak: usize,
+    disk: usize,
+    peak_disk: usize,
 }
 
 /// One worker's accumulated busy/idle/steal wall-clock split.
@@ -315,20 +311,13 @@ struct Clock {
     steal: Duration,
 }
 
-/// How the run spent its time, for the per-worker gauges.
-enum WorkerClocks {
-    /// Single-worker loop: elapsed minus the idle-poll sleeps.
-    Seq { slept: Duration },
-    /// One clock per worker, accumulated across bursts.
-    Par(Vec<Clock>),
-}
-
 /// Terminal bookkeeping of one MDFS run: stamp the elapsed time and the
 /// source's fault diagnostics + retry counters, report the per-worker
 /// busy/idle(/steal) splits into the metrics registry (idle-poll and
 /// steal-scan time is not search time), emit the verdict event and the
 /// final heartbeat, attach the frozen checkpoint (limit stops only),
-/// then assemble the report.
+/// then assemble the report. One worker's busy time is its elapsed time
+/// minus its idle-poll sleeps.
 #[allow(clippy::too_many_arguments)]
 fn finish(
     verdict: Verdict,
@@ -338,35 +327,36 @@ fn finish(
     source: &dyn TraceSource,
     t0: Instant,
     base_wall: Duration,
-    clocks: WorkerClocks,
+    mut clocks: Vec<Clock>,
     cap: u64,
     spill_faults: Vec<String>,
     checkpoint: Option<MdfsCheckpoint>,
     trace: &ResolvedTrace,
     tel: &mut Telemetry,
 ) -> AnalysisReport {
-    stats.wall_time = base_wall + t0.elapsed();
+    let elapsed = t0.elapsed();
+    stats.wall_time = base_wall + elapsed;
     stats.source_retries += source.fault_retries();
     stats.source_giveups += source.fault_giveups();
     if let Some(m) = tel.metrics_mut() {
-        match &clocks {
-            WorkerClocks::Seq { slept } => {
-                let busy = stats
-                    .wall_time
-                    .saturating_sub(base_wall)
-                    .saturating_sub(*slept);
-                m.set_gauge("mdfs.worker0.busy_seconds", busy.as_secs_f64());
-                m.set_gauge("mdfs.worker0.idle_seconds", slept.as_secs_f64());
-            }
-            WorkerClocks::Par(cs) => {
-                for (i, c) in cs.iter().enumerate() {
-                    m.set_gauge(&format!("mdfs.worker{}.busy_seconds", i), c.busy.as_secs_f64());
-                    m.set_gauge(&format!("mdfs.worker{}.idle_seconds", i), c.idle.as_secs_f64());
-                    m.set_gauge(
-                        &format!("mdfs.worker{}.steal_seconds", i),
-                        c.steal.as_secs_f64(),
-                    );
-                }
+        let one = clocks.len() == 1;
+        if one {
+            clocks[0].busy = elapsed.saturating_sub(clocks[0].idle);
+        }
+        for (i, c) in clocks.iter().enumerate() {
+            m.set_gauge(
+                &format!("mdfs.worker{}.busy_seconds", i),
+                c.busy.as_secs_f64(),
+            );
+            m.set_gauge(
+                &format!("mdfs.worker{}.idle_seconds", i),
+                c.idle.as_secs_f64(),
+            );
+            if !one {
+                m.set_gauge(
+                    &format!("mdfs.worker{}.steal_seconds", i),
+                    c.steal.as_secs_f64(),
+                );
             }
         }
     }
@@ -386,7 +376,7 @@ fn finish(
     r
 }
 
-/// Freeze one sequential node into its checkpoint form.
+/// Freeze one node into its checkpoint form.
 fn node_to_ckpt(n: Node) -> MdfsNodeCkpt {
     MdfsNodeCkpt {
         state: n.state.expect("nodes are faulted in before freezing"),
@@ -398,16 +388,17 @@ fn node_to_ckpt(n: Node) -> MdfsNodeCkpt {
     }
 }
 
-/// Thaw a checkpointed node back into a sequential node.
+/// Thaw a checkpointed node.
 fn node_from_ckpt(c: MdfsNodeCkpt) -> Node {
-    Node::from_parts(
+    let mut n = Node::new(
         c.state,
         c.cursors,
-        TransSet::from_vec(c.tried),
-        TransSet::from_vec(c.blocked),
         c.barren,
         SharedPath::from_indices(&c.path),
-    )
+    );
+    n.tried = TransSet::from_vec(c.tried);
+    n.blocked = TransSet::from_vec(c.blocked);
+    n
 }
 
 /// A resumed run's starting front, thawed from an [`MdfsCheckpoint`].
@@ -415,8 +406,7 @@ struct MdfsSeed {
     /// Work stack, bottom to top (the saved deques concatenated in
     /// worker order).
     work: Vec<MdfsNodeCkpt>,
-    /// PG-list: prior parks first, then the stopped burst's parks in
-    /// worker order.
+    /// PG-list: prior parks first, then the saved per-worker parks.
     pg: Vec<MdfsNodeCkpt>,
     eof: bool,
     trace: ResolvedTrace,
@@ -449,10 +439,7 @@ pub fn run_mdfs(
     on_status: &mut dyn FnMut(&Verdict) -> bool,
     tel: &mut Telemetry,
 ) -> Result<AnalysisReport, TangoError> {
-    match options.resolved_workers() {
-        0 | 1 => run_seq(machine, module, source, options, on_status, tel, None),
-        n => run_par(machine, module, source, options, on_status, tel, n, None),
-    }
+    run(machine, module, source, options, on_status, tel, None)
 }
 
 /// Resume a stopped on-line analysis from its frozen search front. The
@@ -484,684 +471,136 @@ pub(crate) fn resume_mdfs(
         trace,
         stats,
     };
-    let mut src = EofSource;
-    match options.resolved_workers() {
-        0 | 1 => run_seq(machine, module, &mut src, options, on_status, tel, Some(seed)),
-        n => run_par(machine, module, &mut src, options, on_status, tel, n, Some(seed)),
-    }
+    run(
+        machine,
+        module,
+        &mut EofSource,
+        options,
+        on_status,
+        tel,
+        Some(seed),
+    )
 }
 
-/// Freeze the sequential search front for a limit-stop checkpoint.
-/// Spilled nodes are faulted back in first (checkpoint files are
-/// self-contained); a read failure makes the stop un-checkpointable and
-/// is recorded as a spill fault instead.
-fn freeze_seq(
-    work: &mut Vec<Node>,
-    pg_list: &mut Vec<Node>,
-    mut tier: Option<&mut SpillTier>,
+/// Freeze the search front for a limit-stop checkpoint: the work stack
+/// (already in sequential pop order, see [`Label`]) as one entry, and
+/// the PG-list in park order. Spilled nodes are faulted back in first
+/// (checkpoint files are self-contained); a read failure makes the stop
+/// un-checkpointable and is recorded as a spill fault instead.
+fn freeze(
+    stack: &mut Stack,
+    tier: Option<&Mutex<SpillTier>>,
     eof: bool,
+    workers: usize,
     spill_faults: &mut Vec<String>,
 ) -> Option<MdfsCheckpoint> {
-    for list in [&mut *work, &mut *pg_list] {
-        for n in list.iter_mut() {
-            if n.state.is_none() {
-                let t = tier
-                    .as_deref_mut()
-                    .expect("spilled nodes only exist with a spill tier");
-                if let Err(e) = fault_in(t, n) {
-                    spill_faults.push(format!("checkpoint save skipped: {}", e));
-                    return None;
-                }
+    for n in stack.work.iter_mut().chain(stack.pg.iter_mut()) {
+        if n.state.is_none() {
+            let t = tier.expect("spilled nodes only exist with a spill tier");
+            if let Err(e) = fault_in(&mut lock_tier(t), n) {
+                spill_faults.push(format!("checkpoint save skipped: {}", e));
+                return None;
             }
         }
     }
     Some(MdfsCheckpoint {
-        workers_at_save: 1,
+        workers_at_save: workers as u32,
         eof,
         workers: vec![MdfsWorkerCkpt {
-            deque: work.drain(..).map(node_to_ckpt).collect(),
+            deque: stack.work.drain(..).map(node_to_ckpt).collect(),
             parked: Vec::new(),
         }],
-        pg_prior: pg_list.drain(..).map(node_to_ckpt).collect(),
+        pg_prior: stack.pg.drain(..).map(node_to_ckpt).collect(),
     })
 }
 
-/// The classic single-consumer MDFS loop (`workers = 1`), optionally
-/// seeded from a checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn run_seq(
-    machine: &Machine,
-    module: &AnalyzedModule,
-    source: &mut dyn TraceSource,
-    options: &AnalysisOptions,
-    on_status: &mut dyn FnMut(&Verdict) -> bool,
-    tel: &mut Telemetry,
-    seed: Option<MdfsSeed>,
-) -> Result<AnalysisReport, TangoError> {
-    let t0 = Instant::now();
-    let deadline = options.limits.max_wall_time.map(|d| t0 + d);
-    let cap = options.limits.max_transitions;
-    // Cumulative idle-poll sleep; elapsed minus this is the worker's
-    // genuine busy time.
-    let mut slept = Duration::ZERO;
-    let machine = machine.policy_view(options.policy);
-    let (mut stats, base_wall, trace0, eof0, seed_front) = match seed {
-        Some(s) => {
-            let bw = s.stats.wall_time;
-            (s.stats, bw, s.trace, s.eof, Some((s.work, s.pg)))
-        }
-        None => (
-            SearchStats::default(),
-            Duration::ZERO,
-            ResolvedTrace::empty(module.ips.len()),
-            false,
-            None,
-        ),
-    };
-    let carry = CarryBase::of(&stats);
-    let mut spec_errors: Vec<RuntimeError> = Vec::new();
+/// Where one lane's search events go: the [`Telemetry`] handle itself on
+/// the calling thread, a [`Buffered`] batch on a spawned worker, and
+/// nowhere ([`Quiet`]) during a witness replay. The defaults drop every
+/// event.
+trait Sink {
+    fn tick(&mut self, _stats: &SearchStats, _cap: u64) {}
+    fn timer(&self) -> Option<Instant> {
+        None
+    }
+    fn restore(&mut self, _depth: usize) {}
+    fn park(&mut self, _depth: usize, _pg_nodes: u64) {}
+    fn generate(&mut self, _depth: usize, _fanout: usize, _incomplete: bool, _t0: Option<Instant>) {
+    }
+    fn fire(
+        &mut self,
+        _machine: &Machine,
+        _depth: usize,
+        _trans: usize,
+        _fired: bool,
+        _t0: Option<Instant>,
+    ) {
+    }
+    fn save(&mut self, _depth: usize, _bytes: usize, _resident: usize) {}
+    fn prune(&mut self, _depth: usize) {}
+    fn error(&mut self, _depth: usize, _kind: RuntimeErrorKind) {}
+}
 
-    let mut env = TraceEnv::new(module, trace0, options, true)?;
-    env.eof = eof0;
+impl Sink for Telemetry {
+    fn tick(&mut self, stats: &SearchStats, cap: u64) {
+        Telemetry::tick(self, stats, cap);
+    }
 
-    // Disk spill tier: under a memory budget, park cold node snapshots
-    // in segment files instead of stopping `Inconclusive(MemoryLimit)`.
-    let mut spill_tier = match options.spill.build_tier(options.limits.max_state_bytes) {
-        Ok(t) => t.map(|mut t| {
-            // Spill retry sleeps honor the same wall-clock deadline the
-            // search loop enforces.
-            if let Some(d) = deadline {
-                t.set_deadline(d);
-            }
-            t
-        }),
-        Err(e) => {
-            return Ok(finish(
-                Verdict::Inconclusive(InconclusiveReason::SpillFailure),
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Seq { slept },
-                cap,
-                vec![e.to_string()],
-                None,
-                &env.trace,
-                tel,
-            ));
-        }
-    };
-    let mut spill_faults: Vec<String> = spill_tier
-        .as_mut()
-        .map(SpillTier::take_warnings)
-        .unwrap_or_default();
-    // Snapshot bytes currently parked in spill segments.
-    let mut disk_bytes: usize = 0;
+    fn timer(&self) -> Option<Instant> {
+        Telemetry::timer(self)
+    }
 
-    let mut work: Vec<Node> = Vec::new();
-    let mut pg_list: Vec<Node> = Vec::new();
+    fn restore(&mut self, depth: usize) {
+        self.on_restore(depth);
+    }
 
-    match seed_front {
-        None => {
-            let start = machine.initial_state()?;
-            stats.saves += 1;
-            let root = Node::new(start, env.save(), 0, SharedPath::default());
-            stats.snapshot_bytes = root.charged();
-            stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
-            if tel.hot() {
-                tel.on_save(0, root.charged(), stats.snapshot_bytes);
-            }
-            work.push(root);
-        }
-        Some((wseeds, pseeds)) => {
-            // The resumed nodes arrive resident; the RAM gauge restarts
-            // from their charges (the save faulted everything in).
-            stats.snapshot_bytes = 0;
-            for c in wseeds {
-                let n = node_from_ckpt(c);
-                stats.snapshot_bytes += n.charged();
-                work.push(n);
-            }
-            for c in pseeds {
-                let n = node_from_ckpt(c);
-                stats.snapshot_bytes += n.charged();
-                pg_list.push(n);
-            }
-            stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
+    fn park(&mut self, depth: usize, pg_nodes: u64) {
+        self.on_park(depth, pg_nodes);
+    }
+
+    fn generate(&mut self, depth: usize, fanout: usize, incomplete: bool, t0: Option<Instant>) {
+        self.on_generate(depth, fanout, incomplete, t0);
+    }
+
+    fn fire(
+        &mut self,
+        machine: &Machine,
+        depth: usize,
+        trans: usize,
+        fired: bool,
+        t0: Option<Instant>,
+    ) {
+        if self.hot() {
+            let observable = if self.events_on() {
+                machine.transition_observable(trans)
+            } else {
+                None
+            };
+            let name = machine.transition_name(trans);
+            self.on_fire(depth, trans, name, observable, fired, t0);
         }
     }
 
-    /// Revive parked PG-nodes: fresh data may unblock output-blocked
-    /// transitions, so their blocked sets are cleared. With §3.1.3
-    /// reordering the revived nodes go on top of the LIFO work stack and
-    /// are searched immediately; basic MDFS queues them at the bottom,
-    /// after the rest of the known tree.
-    fn revive(work: &mut Vec<Node>, pg_list: &mut Vec<Node>, reorder: bool) {
-        for n in pg_list.iter_mut() {
-            n.blocked.clear();
-        }
-        if reorder {
-            work.append(pg_list);
-        } else {
-            let rest = std::mem::take(work);
-            work.append(pg_list);
-            work.extend(rest);
+    fn save(&mut self, depth: usize, bytes: usize, resident: usize) {
+        if self.hot() {
+            self.on_save(depth, bytes, resident);
         }
     }
 
-    let mut last_status: Option<Verdict> = None;
+    fn prune(&mut self, depth: usize) {
+        self.on_prune(depth, PruneKind::Barren);
+    }
 
-    // Per-search *Generate* scratch, refilled in place by `generate_into`
-    // so every node expansion reuses one fireable buffer (filtered down
-    // to the untried candidates in place).
-    let mut gen = estelle_runtime::Generated::default();
-
-    loop {
-        // Absorb anything the source produced.
-        let poll = source.poll();
-        let got_new = !poll.events.is_empty();
-        for e in &poll.events {
-            env.trace.push_event(e, module).map_err(TangoError::TraceResolve)?;
-        }
-        if poll.eof {
-            env.eof = true;
-        }
-        if got_new || poll.eof {
-            // Dynamic node reordering: PG-nodes jump the queue.
-            revive(&mut work, &mut pg_list, options.mdfs_reorder);
-        }
-
-        // DFS burst until the work stack drains.
-        while let Some(mut node) = work.pop() {
-            tel.tick(&stats, cap);
-            // The counter is rebuilt from per-node charges across
-            // park/revive cycles; saturate (and flag in debug builds)
-            // rather than ever letting it wrap.
-            debug_assert!(
-                stats.snapshot_bytes >= node.charged(),
-                "snapshot byte accounting must never wrap"
-            );
-            stats.snapshot_bytes = stats.snapshot_bytes.saturating_sub(node.charged());
-            if stats.transitions_executed > options.limits.max_transitions {
-                stats.snapshot_bytes += node.charged();
-                work.push(node);
-                let ckpt = freeze_seq(
-                    &mut work,
-                    &mut pg_list,
-                    spill_tier.as_mut(),
-                    env.eof,
-                    &mut spill_faults,
-                );
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TransitionLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Seq { slept },
-                    cap,
-                    spill_faults,
-                    ckpt,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                stats.snapshot_bytes += node.charged();
-                work.push(node);
-                let ckpt = freeze_seq(
-                    &mut work,
-                    &mut pg_list,
-                    spill_tier.as_mut(),
-                    env.eof,
-                    &mut spill_faults,
-                );
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TimeLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Seq { slept },
-                    cap,
-                    spill_faults,
-                    ckpt,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            if let Some(cap_bytes) = options.limits.max_state_bytes {
-                if let Some(tier) = spill_tier.as_mut() {
-                    // Tiering, not a stop condition: evict parked
-                    // snapshots — parked PG-nodes first, then the work
-                    // stack bottom-up (coldest first) — until the
-                    // resident set plus this node (about to be faulted
-                    // in) fits the budget. If the genuinely live set
-                    // alone exceeds the budget there is nothing left to
-                    // evict and the search continues over budget — the
-                    // tier's contract is degradation, never a stop.
-                    let need = node.resident_footprint();
-                    'evict: for list in [&mut pg_list, &mut work] {
-                        for parked in list.iter_mut() {
-                            if stats.snapshot_bytes + need <= cap_bytes {
-                                break 'evict;
-                            }
-                            match spill_node(tier, parked) {
-                                Ok(moved) => {
-                                    stats.snapshot_bytes =
-                                        stats.snapshot_bytes.saturating_sub(moved);
-                                    disk_bytes += moved;
-                                }
-                                Err(e) => {
-                                    spill_faults.push(e.to_string());
-                                    stamp_spill(&mut stats, &carry, tier.counters(), disk_bytes);
-                                    return Ok(finish(
-                                        Verdict::Inconclusive(
-                                            InconclusiveReason::SpillFailure,
-                                        ),
-                                        None,
-                                        stats,
-                                        spec_errors,
-                                        &*source,
-                                        t0,
-                                        base_wall,
-                                        WorkerClocks::Seq { slept },
-                                        cap,
-                                        spill_faults,
-                                        None,
-                                        &env.trace,
-                                        tel,
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                } else if stats.snapshot_bytes + node.resident_footprint() > cap_bytes {
-                    stats.snapshot_bytes += node.charged();
-                    work.push(node);
-                    let ckpt = freeze_seq(
-                        &mut work,
-                        &mut pg_list,
-                        spill_tier.as_mut(),
-                        env.eof,
-                        &mut spill_faults,
-                    );
-                    return Ok(finish(
-                        Verdict::Inconclusive(InconclusiveReason::MemoryLimit),
-                        None,
-                        stats,
-                        spec_errors,
-                        &*source,
-                        t0,
-                        base_wall,
-                        WorkerClocks::Seq { slept },
-                        cap,
-                        spill_faults,
-                        ckpt,
-                        &env.trace,
-                        tel,
-                    ));
-                }
-            }
-            // Fault the node in before expanding it.
-            if node.state.is_none() {
-                let tier = spill_tier
-                    .as_mut()
-                    .expect("spilled nodes only exist with a spill tier");
-                match fault_in(tier, &mut node) {
-                    Ok(moved) => disk_bytes = disk_bytes.saturating_sub(moved),
-                    Err(e) => {
-                        spill_faults.push(e.to_string());
-                        stamp_spill(&mut stats, &carry, tier.counters(), disk_bytes);
-                        return Ok(finish(
-                            Verdict::Inconclusive(InconclusiveReason::SpillFailure),
-                            None,
-                            stats,
-                            spec_errors,
-                            &*source,
-                            t0,
-                            base_wall,
-                            WorkerClocks::Seq { slept },
-                            cap,
-                            spill_faults,
-                            None,
-                            &env.trace,
-                            tel,
-                        ));
-                    }
-                }
-            }
-            if let Some(t) = spill_tier.as_ref() {
-                stamp_spill(&mut stats, &carry, t.counters(), disk_bytes);
-            }
-            stats.max_depth = stats.max_depth.max(node.path.len());
-            env.restore(&node.cursors);
-            stats.restores += 1;
-            tel.on_restore(node.path.len());
-
-            if env.all_done() {
-                if env.eof {
-                    return Ok(finish(
-                        Verdict::Valid,
-                        Some(node.path.to_vec(&machine)),
-                        stats,
-                        spec_errors,
-                        &*source,
-                        t0,
-                        base_wall,
-                        WorkerClocks::Seq { slept },
-                        cap,
-                        spill_faults,
-                        None,
-                        &env.trace,
-                        tel,
-                    ));
-                }
-                // PGAV: everything so far is explained; park the node.
-                stats.pg_nodes += 1;
-                stats.snapshot_bytes += node.charged();
-                tel.on_park(node.path.len(), stats.pg_nodes);
-                pg_list.push(node);
-                continue;
-            }
-
-            // Generate (or re-generate) this node's transition list,
-            // directly on its snapshot: Generate never writes the state.
-            let st = node.resident_state_mut();
-            stats.generates += 1;
-            let gen_t0 = tel.timer();
-            match guard("generate", || machine.generate_into(st, &env, &mut gen)) {
-                Ok(()) => {}
-                Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
-                Err(e) => {
-                    tel.on_error_branch(node.path.len(), e.kind);
-                    record_error(&mut spec_errors, &mut stats, e);
-                    // Keep GE == generate-events: a failed expansion is an
-                    // event with zero fanout.
-                    tel.on_generate(node.path.len(), 0, false, gen_t0);
-                    continue;
-                }
-            };
-            let is_pg = gen.incomplete;
-            gen.fireable
-                .retain(|f| !node.tried.contains(f.trans) && !node.blocked.contains(f.trans));
-            let untried = gen.fireable.len();
-            // Fanout as the search sees it: candidates not yet explored
-            // from this node (a re-generate only offers what new input
-            // enabled).
-            tel.on_generate(node.path.len(), untried, is_pg, gen_t0);
-            if untried > 0 {
-                stats.fanout_sum += untried as u64;
-                stats.fanout_samples += 1;
-            }
-
-            if untried == 0 {
-                if is_pg || !node.blocked.is_empty() {
-                    if pg_list.len() >= options.limits.max_pg_nodes {
-                        stats.snapshot_bytes += node.charged();
-                        work.push(node);
-                        let ckpt = freeze_seq(
-                            &mut work,
-                            &mut pg_list,
-                            spill_tier.as_mut(),
-                            env.eof,
-                            &mut spill_faults,
-                        );
-                        return Ok(finish(
-                            Verdict::Inconclusive(InconclusiveReason::PgNodeLimit),
-                            None,
-                            stats,
-                            spec_errors,
-                            &*source,
-                            t0,
-                            base_wall,
-                            WorkerClocks::Seq { slept },
-                            cap,
-                            spill_faults,
-                            ckpt,
-                            &env.trace,
-                            tel,
-                        ));
-                    }
-                    stats.pg_nodes += 1;
-                    stats.snapshot_bytes += node.charged();
-                    tel.on_park(node.path.len(), stats.pg_nodes);
-                    pg_list.push(node);
-                }
-                continue;
-            }
-
-            // Fire the first untried candidate on a copy of the node's
-            // state — the one copy an expansion makes.
-            let f = gen.fireable.swap_remove(0);
-            node.tried.insert(f.trans);
-            let mut child_state = node.resident_state().snapshot();
-            env.restore(&node.cursors);
-            let before = env.outstanding();
-            stats.transitions_executed += 1;
-            let fire_t0 = tel.timer();
-            env.begin_fire();
-            let fired = match guard("fire", || machine.fire(&mut child_state, &f, &mut env)) {
-                Ok(FireOutcome::Completed) => env.end_fire(),
-                Ok(FireOutcome::OutputRejected) => false,
-                Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
-                Err(e) => {
-                    tel.on_error_branch(node.path.len(), e.kind);
-                    record_error(&mut spec_errors, &mut stats, e);
-                    false
-                }
-            };
-            if tel.hot() {
-                let observable = if tel.events_on() {
-                    machine.transition_observable(f.trans)
-                } else {
-                    None
-                };
-                tel.on_fire(
-                    node.path.len(),
-                    f.trans,
-                    machine.transition_name(f.trans),
-                    observable,
-                    fired,
-                    fire_t0,
-                );
-            }
-            if !fired && env.last_reject == Some(RejectReason::MayGrow) {
-                // The failure was "output not in the trace *yet*": park it
-                // as blocked and retry once data arrives.
-                node.tried.remove(f.trans);
-                node.blocked.insert(f.trans);
-            }
-
-            let has_more = untried > 1 || is_pg || !node.blocked.is_empty();
-            if fired {
-                let child_barren = if env.outstanding() < before {
-                    0
-                } else {
-                    node.barren + 1
-                };
-                let child_path = node.path.push(f.trans as u32);
-                if has_more {
-                    stats.snapshot_bytes += node.charged();
-                    work.push(node);
-                }
-                if child_barren > options.limits.max_barren_steps {
-                    stats.barren_prunes += 1;
-                    tel.on_prune(child_path.len(), PruneKind::Barren);
-                } else {
-                    stats.saves += 1;
-                    let child = Node::new(child_state, env.save(), child_barren, child_path);
-                    stats.snapshot_bytes += child.charged();
-                    stats.peak_snapshot_bytes =
-                        stats.peak_snapshot_bytes.max(stats.snapshot_bytes);
-                    if tel.hot() {
-                        tel.on_save(child.path.len(), child.charged(), stats.snapshot_bytes);
-                    }
-                    work.push(child);
-                }
-            } else if has_more {
-                stats.snapshot_bytes += node.charged();
-                work.push(node);
-            }
-        }
-
-        // The tree (as currently known) is exhausted.
-        if env.eof {
-            if pg_list.is_empty() {
-                return Ok(finish(
-                    Verdict::Invalid,
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Seq { slept },
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            // EOF makes PG-nodes fully generated: process them once more.
-            revive(&mut work, &mut pg_list, options.mdfs_reorder);
-            continue;
-        }
-        if pg_list.is_empty() {
-            // No PG-node can be revived by future input: conclusively
-            // invalid even though the trace may keep growing (§3.1.2).
-            return Ok(finish(
-                Verdict::Invalid,
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Seq { slept },
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
-        }
-
-        // Interim verdict: PGAV ⇒ valid so far, else likely invalid.
-        let any_av = pg_list.iter().any(|n| {
-            env.restore(&n.cursors);
-            env.all_done()
-        });
-        let status = if any_av {
-            Verdict::ValidSoFar
-        } else {
-            Verdict::LikelyInvalid
-        };
-        if last_status.as_ref() != Some(&status) {
-            tel.on_interim_verdict(&status);
-            last_status = Some(status.clone());
-        }
-        if !on_status(&status) {
-            return Ok(finish(
-                status,
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Seq { slept },
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
-        }
-
-        // Block until the source has more to say — but never past the
-        // deadline: a stalled source must not wedge the monitor. Polls
-        // back off on the shared [`RetryPolicy::mdfs_poll`] schedule
-        // (1ms doubling to 16ms) while the source stays silent; entering
-        // this loop anew (i.e. after data arrived) starts over at the
-        // minimum interval.
-        let mut idle = Backoff::new(RetryPolicy::mdfs_poll());
-        loop {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                let ckpt = freeze_seq(
-                    &mut work,
-                    &mut pg_list,
-                    spill_tier.as_mut(),
-                    env.eof,
-                    &mut spill_faults,
-                );
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TimeLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Seq { slept },
-                    cap,
-                    spill_faults,
-                    ckpt,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            let p = source.poll();
-            if !p.events.is_empty() || p.eof {
-                for e in &p.events {
-                    env.trace.push_event(e, module).map_err(TangoError::TraceResolve)?;
-                }
-                if p.eof {
-                    env.eof = true;
-                }
-                revive(&mut work, &mut pg_list, options.mdfs_reorder);
-                break;
-            }
-            // Never sleep past the deadline — the expiry check above
-            // stays exact to within scheduler latency.
-            let idle_sleep = idle.next_delay();
-            let sleep = match deadline {
-                Some(d) => idle_sleep.min(d.saturating_duration_since(Instant::now())),
-                None => idle_sleep,
-            };
-            std::thread::sleep(sleep);
-            slept += sleep;
-        }
+    fn error(&mut self, depth: usize, kind: RuntimeErrorKind) {
+        self.on_error_branch(depth, kind);
     }
 }
 
-/// One parallel search node; its snapshot lives in the [`ShardedStore`].
-///
-/// `key`/`step` implement the deterministic park labels: the root nodes
-/// of a burst get `key = [i]` (their sequential pop order), every pop of
-/// a node consumes one `step`, and a child created at the parent's step
-/// `s` gets `key = parent.key ++ [s]`. Sequential pop labels are
-/// lexicographically increasing (a child's subtree is fully explored
-/// between its parent's pops `s` and `s+1`), so sorting parked nodes by
-/// their park label `key ++ [step]` reproduces the single-worker park
-/// order no matter which worker parked them.
-struct PNode {
-    handle: StoreHandle,
-    cursors: Cursors,
-    tried: TransSet,
-    blocked: TransSet,
-    barren: usize,
-    path: SharedPath,
-    key: Vec<u32>,
-    step: u32,
-}
+/// The witness replay's sink: its events already streamed live from the
+/// aborted burst.
+struct Quiet;
+
+impl Sink for Quiet {}
 
 /// One buffered telemetry event from a worker thread. The `Telemetry`
 /// handle is not `Send`, so workers record plain data and the
@@ -1202,677 +641,100 @@ enum WEvent {
     },
 }
 
-/// Why a burst stopped early. First setter wins; later causes are
-/// dropped (their worker already pushed its node back, so nothing is
-/// lost either way).
-enum StopCause {
-    /// A valid leaf was found post-eof; the coordinator replays the
-    /// burst sequentially for the deterministic first witness.
-    Witness,
-    /// A resource limit tripped; the surviving front is checkpointed.
-    Limit(InconclusiveReason),
-    /// A fatal runtime error (engine bug class) — propagated as `Err`.
-    Fatal(RuntimeError),
-}
-
-/// Shared state of one burst.
-struct BurstShared<'s> {
-    /// Per-worker deques: owner pushes/pops at the back (LIFO), thieves
-    /// pop at the front (FIFO — the coldest, usually largest subtree).
-    deques: Vec<Mutex<VecDeque<PNode>>>,
-    /// Nodes alive in deques or being processed. A thief that finds
-    /// every deque empty checks this: zero means the burst is done
-    /// (nodes in flight are still counted until retired or parked).
-    pending: AtomicUsize,
-    stop: Mutex<Option<StopCause>>,
-    stopped: AtomicBool,
-    /// Live TE/GE/RE/SA counters (seeded from the cumulative stats at
-    /// burst start) — the TE limit check and the progress heartbeat
-    /// read these; the authoritative merge uses per-worker deltas.
-    te: AtomicU64,
-    ge: AtomicU64,
-    re: AtomicU64,
-    sa: AtomicU64,
-    /// Current parked-PG population (seeded with the prior PG-list len),
-    /// for the `max_pg_nodes` limit.
-    pg: AtomicU64,
-    depth: AtomicUsize,
-    store: &'s ShardedStore,
-}
-
-impl BurstShared<'_> {
-    fn set_stop(&self, cause: StopCause) {
-        let mut s = self.stop.lock().expect("stop lock");
-        if s.is_none() {
-            *s = Some(cause);
-        }
-        self.stopped.store(true, Ordering::Release);
-    }
-}
-
-/// What one worker brings back from a burst: its counter delta (zero
-/// gauges — those are re-stamped from the store), recorded spec errors,
-/// parked PG-nodes with their park labels, and its wall-clock split.
-#[derive(Default)]
-struct WorkerOut {
-    delta: SearchStats,
-    spec_errors: Vec<RuntimeError>,
-    parked: Vec<(Vec<u32>, PNode)>,
-    spill_faults: Vec<String>,
-    busy: Duration,
-    idle: Duration,
-    steal: Duration,
-}
-
-/// One worker's burst loop: pop own-LIFO, steal FIFO round-robin, park
-/// briefly when everything is empty, expand nodes with the same
-/// per-step governance as the sequential loop. Every stop site pushes
-/// the in-flight node back to the owner's deque first, so the surviving
-/// front is complete whichever cause wins the stop race. `events` carries
-/// buffered telemetry to the coordinator when `tel_on`; either way,
-/// dropping it at exit is what wakes the coordinator.
-#[allow(clippy::too_many_arguments)]
-fn burst_worker(
-    widx: usize,
-    machine: &Machine,
-    mut env: TraceEnv,
-    options: &AnalysisOptions,
-    deadline: Option<Instant>,
-    sh: &BurstShared<'_>,
-    events: mpsc::Sender<(u16, Vec<WEvent>)>,
-    tel_on: bool,
+/// A spawned worker's sink: events batch up and go to the coordinator
+/// every [`EVENT_FLUSH`] events and at the end of the burst. `on` is
+/// whether the coordinator's handle wants events at all.
+struct Buffered {
+    tx: mpsc::Sender<(u16, Vec<WEvent>)>,
+    worker: u16,
+    buf: Vec<WEvent>,
+    on: bool,
     timed: bool,
-) -> WorkerOut {
-    let n_workers = sh.deques.len();
-    let cap = options.limits.max_transitions;
-    let mut out = WorkerOut::default();
-    let mut gen = estelle_runtime::Generated::default();
-    let mut ebuf: Vec<WEvent> = Vec::new();
-    let t_loop = Instant::now();
+}
 
-    fn flush(events: &mpsc::Sender<(u16, Vec<WEvent>)>, widx: usize, ebuf: &mut Vec<WEvent>) {
-        if !ebuf.is_empty() {
-            let _ = events.send((widx as u16, std::mem::take(ebuf)));
+impl Buffered {
+    fn push(&mut self, ev: WEvent) {
+        self.buf.push(ev);
+        if self.buf.len() >= EVENT_FLUSH {
+            self.flush();
         }
     }
 
-    loop {
-        if sh.stopped.load(Ordering::Acquire) {
-            break;
+    fn flush(&mut self) {
+        if !self.buf.is_empty() {
+            let _ = self.tx.send((self.worker, std::mem::take(&mut self.buf)));
         }
-        let popped = sh.deques[widx].lock().expect("deque lock").pop_back();
-        let mut node = match popped {
-            Some(n) => n,
-            None => {
-                // Steal-then-park: scan the other deques round-robin
-                // from our right-hand neighbour, taking from the top.
-                let t_steal = Instant::now();
-                let mut stolen = None;
-                for k in 1..n_workers {
-                    let v = (widx + k) % n_workers;
-                    if let Some(n) = sh.deques[v].lock().expect("deque lock").pop_front() {
-                        stolen = Some(n);
-                        break;
-                    }
-                }
-                out.steal += t_steal.elapsed();
-                match stolen {
-                    Some(n) => {
-                        out.delta.steals += 1;
-                        n
-                    }
-                    None => {
-                        out.delta.steal_failures += 1;
-                        if sh.pending.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        let t_idle = Instant::now();
-                        std::thread::sleep(IDLE_PARK);
-                        out.idle += t_idle.elapsed();
-                        continue;
-                    }
-                }
-            }
-        };
+    }
+}
 
-        let depth = node.path.len();
-        // Per-pop governance, mirroring the sequential loop's order.
-        if sh.te.load(Ordering::Relaxed) > cap {
-            sh.deques[widx].lock().expect("deque lock").push_back(node);
-            sh.set_stop(StopCause::Limit(InconclusiveReason::TransitionLimit));
-            break;
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            sh.deques[widx].lock().expect("deque lock").push_back(node);
-            sh.set_stop(StopCause::Limit(InconclusiveReason::TimeLimit));
-            break;
-        }
-        if let Some(cap_bytes) = options.limits.max_state_bytes {
-            if sh.store.spill_enabled() {
-                // Degrade: evict cold slots until this node's expansion
-                // fits; a poisoned store (write failure) stops instead.
-                sh.store.evict_to_budget(node.handle.state_bytes);
-                if sh.store.is_poisoned() {
-                    sh.deques[widx].lock().expect("deque lock").push_back(node);
-                    sh.set_stop(StopCause::Limit(InconclusiveReason::SpillFailure));
-                    break;
-                }
-            } else if sh.store.resident_bytes() + node.handle.state_bytes > cap_bytes {
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
-                sh.set_stop(StopCause::Limit(InconclusiveReason::MemoryLimit));
-                break;
-            }
-        }
+impl Sink for Buffered {
+    fn timer(&self) -> Option<Instant> {
+        self.timed.then(Instant::now)
+    }
 
-        let s = node.step;
-        node.step += 1;
-        out.delta.max_depth = out.delta.max_depth.max(depth);
-        sh.depth.fetch_max(depth, Ordering::Relaxed);
-        env.restore(&node.cursors);
-        out.delta.restores += 1;
-        sh.re.fetch_add(1, Ordering::Relaxed);
-        if tel_on {
-            ebuf.push(WEvent::Restore { depth });
+    fn restore(&mut self, depth: usize) {
+        if self.on {
+            self.push(WEvent::Restore { depth });
         }
+    }
 
-        if env.all_done() {
-            if env.eof {
-                // Witness found: keep the node alive in the deques (a
-                // racing limit stop must still see a complete front)
-                // and let the coordinator replay the burst.
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
-                sh.set_stop(StopCause::Witness);
-                break;
-            }
-            // PGAV: park with its deterministic label.
-            out.delta.pg_nodes += 1;
-            let total = sh.pg.fetch_add(1, Ordering::Relaxed) + 1;
-            if tel_on {
-                ebuf.push(WEvent::Park {
-                    depth,
-                    pg_total: total,
-                });
-            }
-            let mut label = node.key.clone();
-            label.push(s);
-            sh.pending.fetch_sub(1, Ordering::AcqRel);
-            out.parked.push((label, node));
-            continue;
+    fn park(&mut self, depth: usize, pg_total: u64) {
+        if self.on {
+            self.push(WEvent::Park { depth, pg_total });
         }
+    }
 
-        // Generate (or re-generate) this node's transition list. One
-        // store round-trip serves the whole expansion: Generate only
-        // reads `st`, which then becomes the child's state if a
-        // transition fires.
-        let mut st = match sh.store.materialize(node.handle) {
-            Ok(st) => st,
-            Err(e) => {
-                out.spill_faults.push(e.to_string());
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
-                sh.set_stop(StopCause::Limit(InconclusiveReason::SpillFailure));
-                break;
-            }
-        };
-        out.delta.generates += 1;
-        sh.ge.fetch_add(1, Ordering::Relaxed);
-        let g0 = if timed { Some(Instant::now()) } else { None };
-        match guard("generate", || machine.generate_into(&mut st, &env, &mut gen)) {
-            Ok(()) => {}
-            Err(e) if is_fatal(&e) => {
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
-                sh.set_stop(StopCause::Fatal(e));
-                break;
-            }
-            Err(e) => {
-                if tel_on {
-                    ebuf.push(WEvent::ErrorBranch { depth, kind: e.kind });
-                    ebuf.push(WEvent::Generate {
-                        depth,
-                        fanout: 0,
-                        incomplete: false,
-                        lat_us: g0.map(|t| t.elapsed().as_secs_f64() * 1e6),
-                    });
-                }
-                record_error(&mut out.spec_errors, &mut out.delta, e);
-                sh.store.release(node.handle);
-                sh.pending.fetch_sub(1, Ordering::AcqRel);
-                continue;
-            }
-        };
-        let is_pg = gen.incomplete;
-        gen.fireable
-            .retain(|f| !node.tried.contains(f.trans) && !node.blocked.contains(f.trans));
-        let untried = gen.fireable.len();
-        if tel_on {
-            ebuf.push(WEvent::Generate {
+    fn generate(&mut self, depth: usize, fanout: usize, incomplete: bool, t0: Option<Instant>) {
+        if self.on {
+            let lat_us = t0.map(|t| t.elapsed().as_secs_f64() * 1e6);
+            self.push(WEvent::Generate {
                 depth,
-                fanout: untried,
-                incomplete: is_pg,
-                lat_us: g0.map(|t| t.elapsed().as_secs_f64() * 1e6),
+                fanout,
+                incomplete,
+                lat_us,
             });
         }
-        if untried > 0 {
-            out.delta.fanout_sum += untried as u64;
-            out.delta.fanout_samples += 1;
-        }
+    }
 
-        if untried == 0 {
-            if is_pg || !node.blocked.is_empty() {
-                if sh.pg.load(Ordering::Relaxed) >= options.limits.max_pg_nodes as u64 {
-                    sh.deques[widx].lock().expect("deque lock").push_back(node);
-                    sh.set_stop(StopCause::Limit(InconclusiveReason::PgNodeLimit));
-                    break;
-                }
-                out.delta.pg_nodes += 1;
-                let total = sh.pg.fetch_add(1, Ordering::Relaxed) + 1;
-                if tel_on {
-                    ebuf.push(WEvent::Park {
-                        depth,
-                        pg_total: total,
-                    });
-                }
-                let mut label = node.key.clone();
-                label.push(s);
-                sh.pending.fetch_sub(1, Ordering::AcqRel);
-                out.parked.push((label, node));
-            } else {
-                sh.store.release(node.handle);
-                sh.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-            continue;
-        }
-
-        // Fire the first untried candidate on the materialized copy.
-        let f = gen.fireable.swap_remove(0);
-        node.tried.insert(f.trans);
-        let mut child_state = st;
-        env.restore(&node.cursors);
-        let before = env.outstanding();
-        out.delta.transitions_executed += 1;
-        sh.te.fetch_add(1, Ordering::Relaxed);
-        let f0 = if timed { Some(Instant::now()) } else { None };
-        env.begin_fire();
-        let fired = match guard("fire", || machine.fire(&mut child_state, &f, &mut env)) {
-            Ok(FireOutcome::Completed) => env.end_fire(),
-            Ok(FireOutcome::OutputRejected) => false,
-            Err(e) if is_fatal(&e) => {
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
-                sh.set_stop(StopCause::Fatal(e));
-                break;
-            }
-            Err(e) => {
-                if tel_on {
-                    ebuf.push(WEvent::ErrorBranch { depth, kind: e.kind });
-                }
-                record_error(&mut out.spec_errors, &mut out.delta, e);
-                false
-            }
-        };
-        if tel_on {
-            ebuf.push(WEvent::Fire {
+    fn fire(
+        &mut self,
+        _machine: &Machine,
+        depth: usize,
+        trans: usize,
+        fired: bool,
+        t0: Option<Instant>,
+    ) {
+        if self.on {
+            let nanos = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            self.push(WEvent::Fire {
                 depth,
-                trans: f.trans,
+                trans,
                 fired,
-                nanos: f0.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                nanos,
             });
         }
-        if !fired && env.last_reject == Some(RejectReason::MayGrow) {
-            node.tried.remove(f.trans);
-            node.blocked.insert(f.trans);
-        }
+    }
 
-        let has_more = untried > 1 || is_pg || !node.blocked.is_empty();
-        if fired {
-            let child_barren = if env.outstanding() < before {
-                0
-            } else {
-                node.barren + 1
-            };
-            let child_path = node.path.push(f.trans as u32);
-            let mut child_key = node.key.clone();
-            child_key.push(s);
-            let mut child_opt = None;
-            if child_barren > options.limits.max_barren_steps {
-                out.delta.barren_prunes += 1;
-                if tel_on {
-                    ebuf.push(WEvent::Prune {
-                        depth: child_path.len(),
-                    });
-                }
-            } else {
-                out.delta.saves += 1;
-                sh.sa.fetch_add(1, Ordering::Relaxed);
-                let h = sh.store.save(child_state);
-                if tel_on {
-                    ebuf.push(WEvent::Save {
-                        depth: child_path.len(),
-                        bytes: h.state_bytes,
-                        resident: sh.store.resident_bytes(),
-                    });
-                }
-                let child = PNode {
-                    handle: h,
-                    cursors: env.save(),
-                    tried: TransSet::default(),
-                    blocked: TransSet::default(),
-                    barren: child_barren,
-                    path: child_path,
-                    key: child_key,
-                    step: 0,
-                };
-                // Count the child before it becomes visible so `pending`
-                // can never dip to zero while work remains.
-                sh.pending.fetch_add(1, Ordering::AcqRel);
-                child_opt = Some(child);
-            }
-            // Parent first, child last: the owner's next pop is the
-            // child — the sequential loop's depth-first order, which
-            // keeps the frontier (and the resident set) small.
-            if has_more {
-                sh.deques[widx].lock().expect("deque lock").push_back(node);
-            } else {
-                sh.store.release(node.handle);
-                sh.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-            if let Some(c) = child_opt {
-                sh.deques[widx].lock().expect("deque lock").push_back(c);
-            }
-        } else if has_more {
-            sh.deques[widx].lock().expect("deque lock").push_back(node);
-        } else {
-            sh.store.release(node.handle);
-            sh.pending.fetch_sub(1, Ordering::AcqRel);
-        }
-        if ebuf.len() >= EVENT_FLUSH {
-            flush(&events, widx, &mut ebuf);
+    fn save(&mut self, depth: usize, bytes: usize, resident: usize) {
+        if self.on {
+            self.push(WEvent::Save {
+                depth,
+                bytes,
+                resident,
+            });
         }
     }
-    flush(&events, widx, &mut ebuf);
-    out.busy = t_loop
-        .elapsed()
-        .saturating_sub(out.idle)
-        .saturating_sub(out.steal);
-    out
-}
 
-/// A clone of one burst-input node, taken before a post-eof burst
-/// starts so a witness abort can replay the burst sequentially.
-struct ReplaySeed {
-    state: MachineState,
-    cursors: Cursors,
-    tried: TransSet,
-    blocked: TransSet,
-    barren: usize,
-    path: SharedPath,
-}
-
-/// Freeze one parallel node into its checkpoint form (materializing its
-/// snapshot out of the store).
-fn pnode_to_ckpt(store: &ShardedStore, n: &PNode) -> Result<MdfsNodeCkpt, SpillError> {
-    Ok(MdfsNodeCkpt {
-        state: store.materialize(n.handle)?,
-        cursors: n.cursors.clone(),
-        tried: n.tried.0.clone(),
-        blocked: n.blocked.0.clone(),
-        barren: n.barren,
-        path: n.path.to_indices(),
-    })
-}
-
-/// Freeze the multi-worker front: every worker's leftover deque and the
-/// nodes it parked in the stopped burst, plus the prior PG-list. A spill
-/// read failure makes the stop un-checkpointable (recorded as a fault).
-fn freeze_par(
-    store: &ShardedStore,
-    deques: &[Mutex<VecDeque<PNode>>],
-    parked: &[Vec<PNode>],
-    pg_list: &[PNode],
-    eof: bool,
-    spill_faults: &mut Vec<String>,
-) -> Option<MdfsCheckpoint> {
-    let fault = |e: SpillError, spill_faults: &mut Vec<String>| {
-        spill_faults.push(format!("checkpoint save skipped: {}", e));
-    };
-    let mut workers = Vec::with_capacity(deques.len());
-    for (i, dq) in deques.iter().enumerate() {
-        let dq = dq.lock().expect("deque lock");
-        let mut w = MdfsWorkerCkpt {
-            deque: Vec::with_capacity(dq.len()),
-            parked: Vec::with_capacity(parked[i].len()),
-        };
-        for n in dq.iter() {
-            match pnode_to_ckpt(store, n) {
-                Ok(c) => w.deque.push(c),
-                Err(e) => {
-                    fault(e, spill_faults);
-                    return None;
-                }
-            }
-        }
-        for n in &parked[i] {
-            match pnode_to_ckpt(store, n) {
-                Ok(c) => w.parked.push(c),
-                Err(e) => {
-                    fault(e, spill_faults);
-                    return None;
-                }
-            }
-        }
-        workers.push(w);
-    }
-    let mut pg_prior = Vec::with_capacity(pg_list.len());
-    for n in pg_list {
-        match pnode_to_ckpt(store, n) {
-            Ok(c) => pg_prior.push(c),
-            Err(e) => {
-                fault(e, spill_faults);
-                return None;
-            }
+    fn prune(&mut self, depth: usize) {
+        if self.on {
+            self.push(WEvent::Prune { depth });
         }
     }
-    Some(MdfsCheckpoint {
-        workers_at_save: deques.len() as u32,
-        eof,
-        workers,
-        pg_prior,
-    })
-}
 
-/// Replay a witness-aborted post-eof burst sequentially, from clones of
-/// the burst's input nodes, resuming from the burst-start cumulative
-/// stats. Telemetry events are suppressed (phase one already streamed
-/// live) and the memory budget is skipped — the burst just ran inside
-/// it, and the replay stops at the first witness, which is exactly the
-/// witness (and counter total) the single-worker search reports.
-#[allow(clippy::too_many_arguments)]
-fn replay_burst(
-    machine: &Machine,
-    env: &mut TraceEnv,
-    options: &AnalysisOptions,
-    seeds: Vec<ReplaySeed>,
-    mut stats: SearchStats,
-    mut spec_errors: Vec<RuntimeError>,
-    source: &dyn TraceSource,
-    t0: Instant,
-    base_wall: Duration,
-    clocks: Vec<Clock>,
-    cap: u64,
-    deadline: Option<Instant>,
-    spill_faults: Vec<String>,
-    tel: &mut Telemetry,
-) -> Result<AnalysisReport, TangoError> {
-    let mut gen = estelle_runtime::Generated::default();
-    // Seeds arrive in sequential pop order; the stack pops from the end.
-    let mut work: Vec<Node> = seeds
-        .into_iter()
-        .rev()
-        .map(|s| Node::from_parts(s.state, s.cursors, s.tried, s.blocked, s.barren, s.path))
-        .collect();
-    let mut pg_list: Vec<Node> = Vec::new();
-
-    loop {
-        while let Some(mut node) = work.pop() {
-            if stats.transitions_executed > cap {
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TransitionLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Ok(finish(
-                    Verdict::Inconclusive(InconclusiveReason::TimeLimit),
-                    None,
-                    stats,
-                    spec_errors,
-                    source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            stats.max_depth = stats.max_depth.max(node.path.len());
-            env.restore(&node.cursors);
-            stats.restores += 1;
-            if env.all_done() {
-                // eof holds throughout: the sequential-first witness.
-                return Ok(finish(
-                    Verdict::Valid,
-                    Some(node.path.to_vec(machine)),
-                    stats,
-                    spec_errors,
-                    source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
-            }
-            let st = node.resident_state_mut();
-            stats.generates += 1;
-            match guard("generate", || machine.generate_into(st, env, &mut gen)) {
-                Ok(()) => {}
-                Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
-                Err(e) => {
-                    record_error(&mut spec_errors, &mut stats, e);
-                    continue;
-                }
-            };
-            let is_pg = gen.incomplete;
-            gen.fireable
-                .retain(|f| !node.tried.contains(f.trans) && !node.blocked.contains(f.trans));
-            let untried = gen.fireable.len();
-            if untried > 0 {
-                stats.fanout_sum += untried as u64;
-                stats.fanout_samples += 1;
-            }
-            if untried == 0 {
-                if is_pg || !node.blocked.is_empty() {
-                    if pg_list.len() >= options.limits.max_pg_nodes {
-                        return Ok(finish(
-                            Verdict::Inconclusive(InconclusiveReason::PgNodeLimit),
-                            None,
-                            stats,
-                            spec_errors,
-                            source,
-                            t0,
-                            base_wall,
-                            WorkerClocks::Par(clocks),
-                            cap,
-                            spill_faults,
-                            None,
-                            &env.trace,
-                            tel,
-                        ));
-                    }
-                    stats.pg_nodes += 1;
-                    pg_list.push(node);
-                }
-                continue;
-            }
-            let f = gen.fireable.swap_remove(0);
-            node.tried.insert(f.trans);
-            let mut child_state = node.resident_state().snapshot();
-            env.restore(&node.cursors);
-            let before = env.outstanding();
-            stats.transitions_executed += 1;
-            env.begin_fire();
-            let fired = match guard("fire", || machine.fire(&mut child_state, &f, env)) {
-                Ok(FireOutcome::Completed) => env.end_fire(),
-                Ok(FireOutcome::OutputRejected) => false,
-                Err(e) if is_fatal(&e) => return Err(TangoError::Runtime(e)),
-                Err(e) => {
-                    record_error(&mut spec_errors, &mut stats, e);
-                    false
-                }
-            };
-            if !fired && env.last_reject == Some(RejectReason::MayGrow) {
-                node.tried.remove(f.trans);
-                node.blocked.insert(f.trans);
-            }
-            let has_more = untried > 1 || is_pg || !node.blocked.is_empty();
-            if fired {
-                let child_barren = if env.outstanding() < before {
-                    0
-                } else {
-                    node.barren + 1
-                };
-                let child_path = node.path.push(f.trans as u32);
-                if has_more {
-                    work.push(node);
-                }
-                if child_barren > options.limits.max_barren_steps {
-                    stats.barren_prunes += 1;
-                } else {
-                    stats.saves += 1;
-                    work.push(Node::new(child_state, env.save(), child_barren, child_path));
-                }
-            } else if has_more {
-                work.push(node);
-            }
+    fn error(&mut self, depth: usize, kind: RuntimeErrorKind) {
+        if self.on {
+            self.push(WEvent::ErrorBranch { depth, kind });
         }
-        // Post-eof parks are theoretically impossible, but mirror the
-        // sequential exhaustion logic defensively.
-        if pg_list.is_empty() {
-            return Ok(finish(
-                Verdict::Invalid,
-                None,
-                stats,
-                spec_errors,
-                source,
-                t0,
-                base_wall,
-                WorkerClocks::Par(clocks),
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
-        }
-        for n in pg_list.iter_mut() {
-            n.blocked.clear();
-        }
-        work.append(&mut pg_list);
     }
 }
 
@@ -1921,39 +783,997 @@ fn replay_events(tel: &mut Telemetry, machine: &Machine, worker: u16, batch: Vec
     }
 }
 
+/// Where a step's nodes go: the one-worker [`Stack`], or a worker's
+/// handle on a burst's shared deques ([`Deques`]). A step uncharges the
+/// node it pops; every place the node (or its child) lands charges it
+/// again, so the gauge always holds the sum of the front's charges.
+trait Front {
+    /// Transitions executed so far, for the limit check.
+    fn te(&self, local: &SearchStats) -> u64;
+    /// The RAM gauge.
+    fn resident(&self) -> usize;
+    fn uncharge(&mut self, bytes: usize);
+    /// Put a popped node back on this lane's work.
+    fn push(&mut self, node: Node);
+    /// The popped node's expansion starts (it consumes one pop).
+    fn expanding(&mut self) {}
+    /// Push a fired child on top of its parent — or, when the parent has
+    /// nothing left to explore (`None`), retire the parent. Returns the
+    /// RAM gauge after the charges.
+    fn push_child(&mut self, parent: Option<Node>, child: Node) -> usize;
+    /// A popped node leaves the search for good.
+    fn retire(&mut self);
+    /// PG-nodes parked so far, for the `max_pg_nodes` limit.
+    fn pg_len(&self) -> usize;
+    /// Park a PG-node; returns the PG total the park event reports
+    /// (`pg_nodes` is the lane's own count).
+    fn park(&mut self, node: Node, pg_nodes: u64) -> u64;
+    /// Under a spill tier: evict snapshots — parked PG-nodes first, then
+    /// the coldest work — until `resident + need` fits `cap`, or nothing
+    /// is left to evict.
+    fn evict(&mut self, tier: &Mutex<SpillTier>, cap: usize, need: usize)
+        -> Result<(), SpillError>;
+    /// A spilled node was faulted back in: its bytes left the disk.
+    fn unspill(&mut self, bytes: usize);
+}
+
+/// The one-worker front: the work stack (top = next pop), the PG-list in
+/// park order, and the byte gauges. Between bursts it is also the
+/// multi-worker search's front.
+#[derive(Default)]
+struct Stack {
+    work: Vec<Node>,
+    pg: Vec<Node>,
+    gauge: Gauge,
+}
+
+impl Stack {
+    fn charge(&mut self, bytes: usize) -> usize {
+        let g = &mut self.gauge;
+        g.resident += bytes;
+        g.peak = g.peak.max(g.resident);
+        g.resident
+    }
+
+    /// Revive parked PG-nodes: fresh data may unblock output-blocked
+    /// transitions, so their blocked sets are cleared. With §3.1.3
+    /// reordering the revived nodes go on top of the LIFO work stack and
+    /// are searched immediately; basic MDFS queues them at the bottom,
+    /// after the rest of the known tree.
+    fn revive(&mut self, reorder: bool) {
+        for n in self.pg.iter_mut() {
+            n.blocked.clear();
+        }
+        if self.work.is_empty() {
+            // Hand the PG-list's buffer over rather than keep two.
+            std::mem::swap(&mut self.work, &mut self.pg);
+        } else if reorder {
+            self.work.append(&mut self.pg);
+        } else {
+            let rest = std::mem::take(&mut self.work);
+            self.work.append(&mut self.pg);
+            self.work.extend(rest);
+        }
+    }
+}
+
+impl Front for Stack {
+    fn te(&self, local: &SearchStats) -> u64 {
+        local.transitions_executed
+    }
+
+    fn resident(&self) -> usize {
+        self.gauge.resident
+    }
+
+    fn uncharge(&mut self, bytes: usize) {
+        // The gauge is rebuilt from per-node charges across park/revive
+        // cycles; saturate (and flag in debug builds) rather than ever
+        // letting it wrap.
+        debug_assert!(
+            self.gauge.resident >= bytes,
+            "snapshot byte accounting must never wrap"
+        );
+        self.gauge.resident = self.gauge.resident.saturating_sub(bytes);
+    }
+
+    fn push(&mut self, node: Node) {
+        self.charge(node.charged());
+        self.work.push(node);
+    }
+
+    fn push_child(&mut self, parent: Option<Node>, child: Node) -> usize {
+        if let Some(p) = parent {
+            self.push(p);
+        }
+        let resident = self.charge(child.charged());
+        self.work.push(child);
+        resident
+    }
+
+    fn retire(&mut self) {}
+
+    fn pg_len(&self) -> usize {
+        self.pg.len()
+    }
+
+    fn park(&mut self, node: Node, pg_nodes: u64) -> u64 {
+        self.charge(node.charged());
+        self.pg.push(node);
+        pg_nodes
+    }
+
+    fn evict(
+        &mut self,
+        tier: &Mutex<SpillTier>,
+        cap: usize,
+        need: usize,
+    ) -> Result<(), SpillError> {
+        let mut tier = lock_tier(tier);
+        let g = &mut self.gauge;
+        for list in [&mut self.pg, &mut self.work] {
+            for n in list.iter_mut() {
+                if g.resident + need <= cap {
+                    return Ok(());
+                }
+                let moved = spill_node(&mut tier, n)?;
+                g.resident = g.resident.saturating_sub(moved);
+                g.disk += moved;
+                g.peak_disk = g.peak_disk.max(g.disk);
+            }
+        }
+        Ok(())
+    }
+
+    fn unspill(&mut self, bytes: usize) {
+        self.gauge.disk = self.gauge.disk.saturating_sub(bytes);
+    }
+}
+
+/// Why a step ended its lane's loop, or `Next` when it did not.
+enum Step {
+    Next,
+    /// An all-done node after eof.
+    Witness(Node),
+    /// A resource limit tripped before (or, for `PgNodeLimit`, instead
+    /// of) the node's expansion; the node goes back on the front.
+    Stop(Node, InconclusiveReason),
+    /// A spill write or read failed; the stop is not checkpointable.
+    SpillFailure(String),
+    /// A fatal runtime error (engine bug class) — propagated as `Err`.
+    Fatal(RuntimeError),
+}
+
+/// Why the one-worker drain or a burst returned.
+enum Halt {
+    /// The known tree is exhausted.
+    Drained,
+    /// The first witness, in sequential order.
+    Witness(SharedPath),
+    /// A resource limit: the front is intact, in sequential order.
+    Stop(InconclusiveReason),
+    SpillFailure(String),
+}
+
+/// One search lane: the machine, the limits, a cursor view over the trace,
+/// Generate scratch, and the counters its steps charge — cumulative on
+/// the calling thread, a per-burst delta on a spawned worker.
+struct Lane<'a> {
+    machine: &'a Machine,
+    options: &'a AnalysisOptions,
+    tier: Option<&'a Mutex<SpillTier>>,
+    deadline: Option<Instant>,
+    env: TraceEnv,
+    /// Per-lane *Generate* scratch, refilled in place by `generate_into`
+    /// so every node expansion reuses one fireable buffer (filtered down
+    /// to the untried candidates in place).
+    gen: Generated,
+    stats: SearchStats,
+    spec_errors: Vec<RuntimeError>,
+}
+
+impl<'a> Lane<'a> {
+    /// A worker lane over its own cursor view, with zeroed counters.
+    fn fork(&self, env: TraceEnv) -> Lane<'a> {
+        Lane {
+            machine: self.machine,
+            options: self.options,
+            tier: self.tier,
+            deadline: self.deadline,
+            env,
+            gen: Generated::default(),
+            stats: SearchStats::default(),
+            spec_errors: Vec::new(),
+        }
+    }
+
+    /// Govern, then expand, one popped node.
+    fn step<F: Front, S: Sink>(&mut self, front: &mut F, sink: &mut S, mut node: Node) -> Step {
+        front.uncharge(node.charged());
+        let limits = &self.options.limits;
+        if front.te(&self.stats) > limits.max_transitions {
+            return Step::Stop(node, InconclusiveReason::TransitionLimit);
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Step::Stop(node, InconclusiveReason::TimeLimit);
+        }
+        if let Some(cap) = limits.max_state_bytes {
+            if let Some(tier) = self.tier {
+                // Tiering, not a stop condition: evict until the resident
+                // set plus this node (about to be faulted in) fits the
+                // budget. If the genuinely live set alone exceeds the
+                // budget there is nothing left to evict and the search
+                // continues over budget — the tier's contract is
+                // degradation, never a stop.
+                if let Err(e) = front.evict(tier, cap, node.resident_footprint()) {
+                    return Step::SpillFailure(e.to_string());
+                }
+            } else if front.resident() + node.resident_footprint() > cap {
+                return Step::Stop(node, InconclusiveReason::MemoryLimit);
+            }
+        }
+        // Fault the node in before expanding it.
+        if node.state.is_none() {
+            let tier = self
+                .tier
+                .expect("spilled nodes only exist with a spill tier");
+            match fault_in(&mut lock_tier(tier), &mut node) {
+                Ok(moved) => front.unspill(moved),
+                Err(e) => return Step::SpillFailure(e.to_string()),
+            }
+        }
+        self.expand(front, sink, node)
+    }
+
+    /// Expand one governed, resident node: restore its cursors, park it
+    /// or report it as a witness when everything is consumed, otherwise
+    /// Generate on its own snapshot and fire the first untried candidate
+    /// on a copy — the one copy an expansion makes.
+    fn expand<F: Front, S: Sink>(&mut self, front: &mut F, sink: &mut S, mut node: Node) -> Step {
+        let machine = self.machine;
+        let limits = &self.options.limits;
+        let depth = node.path.len();
+        self.stats.max_depth = self.stats.max_depth.max(depth);
+        front.expanding();
+        self.env.restore(&node.cursors);
+        self.stats.restores += 1;
+        sink.restore(depth);
+
+        if self.env.all_done() {
+            if self.env.eof {
+                return Step::Witness(node);
+            }
+            // PGAV: everything so far is explained; park the node.
+            self.stats.pg_nodes += 1;
+            let total = front.park(node, self.stats.pg_nodes);
+            sink.park(depth, total);
+            return Step::Next;
+        }
+
+        // Generate (or re-generate) this node's transition list,
+        // directly on its snapshot: Generate never writes the state.
+        let st = node.resident_state_mut();
+        self.stats.generates += 1;
+        let gen_t0 = sink.timer();
+        let (env, gen) = (&self.env, &mut self.gen);
+        if let Err(e) = guard("generate", || machine.generate_into(st, env, gen)) {
+            if is_fatal(&e) {
+                return Step::Fatal(e);
+            }
+            sink.error(depth, e.kind);
+            record_error(&mut self.spec_errors, &mut self.stats, e);
+            // Keep GE == generate-events: a failed expansion is an event
+            // with zero fanout.
+            sink.generate(depth, 0, false, gen_t0);
+            front.retire();
+            return Step::Next;
+        }
+        let is_pg = self.gen.incomplete;
+        self.gen
+            .fireable
+            .retain(|f| !node.tried.contains(f.trans) && !node.blocked.contains(f.trans));
+        let untried = self.gen.fireable.len();
+        // Fanout as the search sees it: candidates not yet explored from
+        // this node (a re-generate only offers what new input enabled).
+        sink.generate(depth, untried, is_pg, gen_t0);
+        if untried > 0 {
+            self.stats.fanout_sum += untried as u64;
+            self.stats.fanout_samples += 1;
+        }
+
+        if untried == 0 {
+            if is_pg || !node.blocked.is_empty() {
+                if front.pg_len() >= limits.max_pg_nodes {
+                    return Step::Stop(node, InconclusiveReason::PgNodeLimit);
+                }
+                self.stats.pg_nodes += 1;
+                let total = front.park(node, self.stats.pg_nodes);
+                sink.park(depth, total);
+            } else {
+                front.retire();
+            }
+            return Step::Next;
+        }
+
+        let f = self.gen.fireable.swap_remove(0);
+        node.tried.insert(f.trans);
+        let mut child_state = node.resident_state().snapshot();
+        self.env.restore(&node.cursors);
+        let before = self.env.outstanding();
+        self.stats.transitions_executed += 1;
+        let fire_t0 = sink.timer();
+        self.env.begin_fire();
+        let env = &mut self.env;
+        let fired = match guard("fire", || machine.fire(&mut child_state, &f, env)) {
+            Ok(FireOutcome::Completed) => self.env.end_fire(),
+            Ok(FireOutcome::OutputRejected) => false,
+            Err(e) if is_fatal(&e) => return Step::Fatal(e),
+            Err(e) => {
+                sink.error(depth, e.kind);
+                record_error(&mut self.spec_errors, &mut self.stats, e);
+                false
+            }
+        };
+        sink.fire(machine, depth, f.trans, fired, fire_t0);
+        if !fired && self.env.last_reject == Some(RejectReason::MayGrow) {
+            // The failure was "output not in the trace *yet*": park it
+            // as blocked and retry once data arrives.
+            node.tried.remove(f.trans);
+            node.blocked.insert(f.trans);
+        }
+
+        let has_more = untried > 1 || is_pg || !node.blocked.is_empty();
+        let child_barren = if self.env.outstanding() < before {
+            0
+        } else {
+            node.barren + 1
+        };
+        if !fired || child_barren > limits.max_barren_steps {
+            if fired {
+                self.stats.barren_prunes += 1;
+                sink.prune(depth + 1);
+            }
+            if has_more {
+                front.push(node);
+            } else {
+                front.retire();
+            }
+            return Step::Next;
+        }
+        self.stats.saves += 1;
+        let child = Node::new(
+            child_state,
+            self.env.save(),
+            child_barren,
+            node.path.push(f.trans as u32),
+        );
+        let bytes = child.charged();
+        // Parent first, child last: the next pop is the child — the
+        // depth-first order, which keeps the frontier (and the resident
+        // set) small.
+        let resident = front.push_child(has_more.then_some(node), child);
+        sink.save(depth + 1, bytes, resident);
+        Step::Next
+    }
+}
+
+/// The one-worker engine: pop and step until the work stack drains or a
+/// step halts the search. Runs on the calling thread — for `workers = 1`,
+/// and for the witness replay of an aborted burst.
+fn drain<S: Sink>(
+    lane: &mut Lane<'_>,
+    stack: &mut Stack,
+    sink: &mut S,
+    carry: &CarryBase,
+) -> Result<Halt, TangoError> {
+    let cap = lane.options.limits.max_transitions;
+    while let Some(node) = stack.work.pop() {
+        sink.tick(&lane.stats, cap);
+        match lane.step(stack, sink, node) {
+            Step::Next => {}
+            Step::Witness(n) => return Ok(Halt::Witness(n.path)),
+            Step::Stop(n, reason) => {
+                stack.push(n);
+                return Ok(Halt::Stop(reason));
+            }
+            Step::SpillFailure(msg) => return Ok(Halt::SpillFailure(msg)),
+            Step::Fatal(e) => return Err(TangoError::Runtime(e)),
+        }
+        if let Some(t) = lane.tier {
+            let c = lock_tier(t).counters();
+            stamp_spill(&mut lane.stats, carry, c, &stack.gauge);
+        }
+    }
+    Ok(Halt::Drained)
+}
+
+/// Why a burst stopped early. A witness outranks a limit (its replay
+/// decides the limit exactly), and a fatal error outranks both.
+enum StopCause {
+    Limit(InconclusiveReason),
+    Spill(String),
+    Witness,
+    Fatal(RuntimeError),
+}
+
+impl StopCause {
+    fn rank(&self) -> u8 {
+        match self {
+            StopCause::Limit(_) | StopCause::Spill(_) => 0,
+            StopCause::Witness => 1,
+            StopCause::Fatal(_) => 2,
+        }
+    }
+}
+
+/// A node's park label inside a burst. The burst's input `i` (in
+/// sequential pop order) gets `key = [i]`, every pop of a node consumes
+/// one `step`, and a child created at its parent's step `s` gets
+/// `key = parent.key ++ [s]`. Sequential pop labels `key ++ [step]` are
+/// lexicographically increasing (a child's subtree is fully explored
+/// between its parent's pops `s` and `s+1`), so sorting by label
+/// reproduces the one-worker order no matter which worker holds a node.
+/// One worker never needs labels, so [`Node`] does not carry one.
+#[derive(Default)]
+struct Label {
+    key: Vec<u32>,
+    step: u32,
+}
+
+/// `key ++ [step]`: a full park label, or a child's key.
+fn extend(mut key: Vec<u32>, step: u32) -> Vec<u32> {
+    key.push(step);
+    key
+}
+
+/// Shared state of one burst.
+struct Burst {
+    /// The burst's input nodes in sequential pop order. A worker whose
+    /// deque runs dry claims the next one (input `i` has label `[i]`).
+    /// After eof the originals stay in place and workers search copies,
+    /// so a witness replay can restart from the untouched inputs.
+    inputs: Vec<Mutex<Option<Node>>>,
+    next_input: AtomicUsize,
+    keep_inputs: bool,
+    /// Per-worker deques: owner pushes/pops at the back (LIFO), thieves
+    /// pop at the front (FIFO — the coldest, usually largest subtree).
+    deques: Vec<Mutex<VecDeque<(Node, Label)>>>,
+    /// The burst's parks with their park labels.
+    parked: Mutex<Vec<(Vec<u32>, Node)>>,
+    /// Nodes alive in deques or being processed. A thief that finds
+    /// every deque empty checks this: zero means the burst is done
+    /// (nodes in flight are still counted until retired or parked).
+    pending: AtomicUsize,
+    stop: Mutex<Option<StopCause>>,
+    stopped: AtomicBool,
+    /// Live TE/GE/RE/SA counters (seeded from the cumulative stats at
+    /// burst start) — the TE limit check and the progress heartbeat
+    /// read these; the authoritative merge uses per-worker deltas.
+    te: AtomicU64,
+    ge: AtomicU64,
+    re: AtomicU64,
+    sa: AtomicU64,
+    /// Cumulative PG-node count, for park events.
+    pg: AtomicU64,
+    depth: AtomicUsize,
+    /// The shared byte gauges (see [`Gauge`]).
+    resident: AtomicUsize,
+    peak: AtomicUsize,
+    disk: AtomicUsize,
+    peak_disk: AtomicUsize,
+}
+
+impl Burst {
+    fn new(
+        workers: usize,
+        inputs: Vec<Node>,
+        keep_inputs: bool,
+        stats: &SearchStats,
+        g: &Gauge,
+    ) -> Self {
+        Burst {
+            pending: AtomicUsize::new(inputs.len()),
+            inputs: inputs.into_iter().map(|n| Mutex::new(Some(n))).collect(),
+            next_input: AtomicUsize::new(0),
+            keep_inputs,
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            parked: Mutex::new(Vec::new()),
+            stop: Mutex::new(None),
+            stopped: AtomicBool::new(false),
+            te: AtomicU64::new(stats.transitions_executed),
+            ge: AtomicU64::new(stats.generates),
+            re: AtomicU64::new(stats.restores),
+            sa: AtomicU64::new(stats.saves),
+            pg: AtomicU64::new(stats.pg_nodes),
+            depth: AtomicUsize::new(stats.max_depth),
+            resident: AtomicUsize::new(g.resident),
+            peak: AtomicUsize::new(g.peak),
+            disk: AtomicUsize::new(g.disk),
+            peak_disk: AtomicUsize::new(g.peak_disk),
+        }
+    }
+
+    /// Claim the next input in sequential pop order, or a copy of it
+    /// when the originals must survive for a witness replay.
+    fn claim(&self) -> Option<(Node, Label)> {
+        let i = self.next_input.fetch_add(1, Ordering::Relaxed);
+        let mut slot = self.inputs.get(i)?.lock().expect("input lock");
+        let node = if self.keep_inputs {
+            slot.clone()
+        } else {
+            slot.take()
+        };
+        let label = Label {
+            key: vec![i as u32],
+            step: 0,
+        };
+        Some((node.expect("each input is claimed once"), label))
+    }
+
+    fn set_stop(&self, cause: StopCause) {
+        let mut s = self.stop.lock().expect("stop lock");
+        if s.as_ref().is_none_or(|c| cause.rank() > c.rank()) {
+            *s = Some(cause);
+        }
+        self.stopped.store(true, Ordering::Release);
+    }
+
+    fn charge(&self, bytes: usize) -> usize {
+        let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        if now > self.peak.load(Ordering::Relaxed) {
+            self.peak.fetch_max(now, Ordering::Relaxed);
+        }
+        now
+    }
+
+    fn gauge(&self) -> Gauge {
+        Gauge {
+            resident: self.resident.load(Ordering::Relaxed),
+            peak: self.peak.load(Ordering::Relaxed),
+            disk: self.disk.load(Ordering::Relaxed),
+            peak_disk: self.peak_disk.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Evict one node (held under its list's lock) and move its bytes
+    /// between the gauges.
+    fn spill(&self, tier: &Mutex<SpillTier>, node: &mut Node) -> Result<(), SpillError> {
+        let moved = spill_node(&mut lock_tier(tier), node)?;
+        self.resident.fetch_sub(moved, Ordering::Relaxed);
+        let disk = self.disk.fetch_add(moved, Ordering::Relaxed) + moved;
+        self.peak_disk.fetch_max(disk, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// A worker's handle on the burst: its own deque for pushes, everyone's
+/// for eviction, and the label of the node it is expanding.
+struct Deques<'b> {
+    sh: &'b Burst,
+    widx: usize,
+    label: Label,
+}
+
+impl Deques<'_> {
+    fn own(&self) -> std::sync::MutexGuard<'_, VecDeque<(Node, Label)>> {
+        self.sh.deques[self.widx].lock().expect("deque lock")
+    }
+}
+
+impl Front for Deques<'_> {
+    fn te(&self, _local: &SearchStats) -> u64 {
+        self.sh.te.load(Ordering::Relaxed)
+    }
+
+    fn resident(&self) -> usize {
+        self.sh.resident.load(Ordering::Relaxed)
+    }
+
+    fn uncharge(&mut self, bytes: usize) {
+        self.sh.resident.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    fn push(&mut self, node: Node) {
+        self.sh.charge(node.charged());
+        let label = std::mem::take(&mut self.label);
+        self.own().push_back((node, label));
+    }
+
+    fn expanding(&mut self) {
+        self.label.step += 1;
+    }
+
+    fn push_child(&mut self, parent: Option<Node>, child: Node) -> usize {
+        // Count the child before it becomes visible (and before its
+        // parent retires) so `pending` never dips to zero while work
+        // remains.
+        self.sh.pending.fetch_add(1, Ordering::AcqRel);
+        let mut label = std::mem::take(&mut self.label);
+        let key = match parent {
+            Some(_) => label.key.clone(),
+            None => std::mem::take(&mut label.key),
+        };
+        let child_label = Label {
+            key: extend(key, label.step - 1),
+            step: 0,
+        };
+        let kept = parent.map(|p| {
+            self.sh.charge(p.charged());
+            (p, label)
+        });
+        let retired = kept.is_none();
+        let resident = self.sh.charge(child.charged());
+        {
+            let mut own = self.own();
+            own.extend(kept);
+            own.push_back((child, child_label));
+        }
+        if retired {
+            self.retire();
+        }
+        resident
+    }
+
+    fn retire(&mut self) {
+        self.sh.pending.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    fn pg_len(&self) -> usize {
+        self.sh.parked.lock().expect("parked lock").len()
+    }
+
+    fn park(&mut self, node: Node, _pg_nodes: u64) -> u64 {
+        self.sh.charge(node.charged());
+        let label = std::mem::take(&mut self.label);
+        let full = extend(label.key, label.step - 1);
+        self.sh
+            .parked
+            .lock()
+            .expect("parked lock")
+            .push((full, node));
+        self.sh.pending.fetch_sub(1, Ordering::AcqRel);
+        self.sh.pg.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    fn evict(
+        &mut self,
+        tier: &Mutex<SpillTier>,
+        cap: usize,
+        need: usize,
+    ) -> Result<(), SpillError> {
+        let sh = self.sh;
+        let fits = || sh.resident.load(Ordering::Relaxed) + need <= cap;
+        for (_, n) in sh.parked.lock().expect("parked lock").iter_mut() {
+            if fits() {
+                return Ok(());
+            }
+            sh.spill(tier, n)?;
+        }
+        // Unclaimed inputs are the coldest work, the last one coldest.
+        for (i, slot) in sh.inputs.iter().enumerate().rev() {
+            if fits() {
+                return Ok(());
+            }
+            let mut slot = slot.lock().expect("input lock");
+            if i < sh.next_input.load(Ordering::Relaxed) {
+                break;
+            }
+            if let Some(n) = slot.as_mut() {
+                sh.spill(tier, n)?;
+            }
+        }
+        // Each deque's front is its coldest end; it is reached under
+        // that deque's lock, so its owner never sees a half-evicted node.
+        for dq in &sh.deques {
+            for (n, _) in dq.lock().expect("deque lock").iter_mut() {
+                if fits() {
+                    return Ok(());
+                }
+                sh.spill(tier, n)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn unspill(&mut self, bytes: usize) {
+        self.sh.disk.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
+/// What one worker brings back from a burst: its counter delta (zero
+/// gauges — those live in the [`Burst`]), recorded spec errors and its
+/// wall-clock split.
+struct WorkerOut {
+    delta: SearchStats,
+    spec_errors: Vec<RuntimeError>,
+    clock: Clock,
+}
+
+/// One worker's burst loop: pop own-LIFO, else claim the next input,
+/// else steal FIFO round-robin, park briefly when everything is empty,
+/// and run [`Lane::step`] on each node.
+/// A limit stop pushes its node back first, so the surviving front is
+/// complete whichever cause wins the stop race. Dropping the event
+/// sender at exit is what wakes the coordinator.
+fn burst_worker(widx: usize, mut lane: Lane<'_>, sh: &Burst, mut sink: Buffered) -> WorkerOut {
+    let n_workers = sh.deques.len();
+    let mut front = Deques {
+        sh,
+        widx,
+        label: Label::default(),
+    };
+    let mut clock = Clock::default();
+    let mut depth = 0;
+    let t_loop = Instant::now();
+    loop {
+        if sh.stopped.load(Ordering::Acquire) {
+            break;
+        }
+        let popped = front.own().pop_back();
+        let (node, label) = match popped.or_else(|| sh.claim()) {
+            Some(e) => e,
+            None => {
+                // Steal-then-park: scan the other deques round-robin
+                // from our right-hand neighbour, taking from the top.
+                let t_steal = Instant::now();
+                let stolen = (1..n_workers).find_map(|k| {
+                    let v = (widx + k) % n_workers;
+                    sh.deques[v].lock().expect("deque lock").pop_front()
+                });
+                clock.steal += t_steal.elapsed();
+                match stolen {
+                    Some(e) => {
+                        lane.stats.steals += 1;
+                        e
+                    }
+                    None => {
+                        lane.stats.steal_failures += 1;
+                        if sh.pending.load(Ordering::Acquire) == 0 {
+                            break;
+                        }
+                        let t_idle = Instant::now();
+                        std::thread::sleep(IDLE_PARK);
+                        clock.idle += t_idle.elapsed();
+                        continue;
+                    }
+                }
+            }
+        };
+        front.label = label;
+        let s = &lane.stats;
+        let before = [s.transitions_executed, s.generates, s.restores, s.saves];
+        let step = lane.step(&mut front, &mut sink, node);
+        let s = &lane.stats;
+        let after = [s.transitions_executed, s.generates, s.restores, s.saves];
+        for ((live, now), was) in [&sh.te, &sh.ge, &sh.re, &sh.sa]
+            .into_iter()
+            .zip(after)
+            .zip(before)
+        {
+            if now > was {
+                live.fetch_add(now - was, Ordering::Relaxed);
+            }
+        }
+        if s.max_depth > depth {
+            depth = s.max_depth;
+            sh.depth.fetch_max(depth, Ordering::Relaxed);
+        }
+        match step {
+            Step::Next => {}
+            Step::Witness(_) => {
+                sh.set_stop(StopCause::Witness);
+                break;
+            }
+            Step::Stop(n, reason) => {
+                front.push(n);
+                sh.set_stop(StopCause::Limit(reason));
+                break;
+            }
+            Step::SpillFailure(msg) => {
+                sh.set_stop(StopCause::Spill(msg));
+                break;
+            }
+            Step::Fatal(e) => {
+                sh.set_stop(StopCause::Fatal(e));
+                break;
+            }
+        }
+    }
+    sink.flush();
+    clock.busy = t_loop
+        .elapsed()
+        .saturating_sub(clock.idle)
+        .saturating_sub(clock.steal);
+    WorkerOut {
+        delta: lane.stats,
+        spec_errors: lane.spec_errors,
+        clock,
+    }
+}
+
 /// Drive the progress heartbeat mid-burst from the live atomics overlaid
 /// on the cumulative base stats.
-fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &BurstShared<'_>, cap: u64) {
+fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &Burst, cap: u64) {
     let mut s = base.clone();
     s.transitions_executed = sh.te.load(Ordering::Relaxed);
     s.generates = sh.ge.load(Ordering::Relaxed);
     s.restores = sh.re.load(Ordering::Relaxed);
     s.saves = sh.sa.load(Ordering::Relaxed);
     s.max_depth = sh.depth.load(Ordering::Relaxed);
-    s.snapshot_bytes = sh.store.resident_bytes();
+    s.snapshot_bytes = sh.resident.load(Ordering::Relaxed);
     tel.tick(&s, cap);
 }
 
-/// The burst-barrier multi-worker MDFS loop (`workers = N ≥ 2`),
-/// optionally seeded from a checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn run_par(
+/// One burst (`workers = N ≥ 2`): the trace is frozen while N scoped
+/// threads drain the work stack. On return the burst's parks are on the
+/// PG-list in sequential park order and, after a limit stop, the
+/// surviving front is the work stack in sequential pop order. A witness
+/// abort hands the burst to the one-worker drain instead.
+fn burst(
+    lane: &mut Lane<'_>,
+    stack: &mut Stack,
+    module: &AnalyzedModule,
+    tel: &mut Telemetry,
+    clocks: &mut [Clock],
+    carry: &CarryBase,
+) -> Result<Halt, TangoError> {
+    let n_workers = clocks.len();
+    let cap = lane.options.limits.max_transitions;
+    let mut inputs = std::mem::take(&mut stack.work);
+    // Sequential pop order. A post-eof burst may find a witness: keep
+    // its inputs, and the counters they start from, for the replay.
+    inputs.reverse();
+    let keep = lane.env.eof;
+    let base = keep.then(|| (lane.stats.clone(), lane.spec_errors.clone()));
+    let sh = Burst::new(n_workers, inputs, keep, &lane.stats, &stack.gauge);
+    // Workers send telemetry batches (when on) and hang up on exit; the
+    // last hang-up ends the coordinator's wait at once.
+    let (tx, rx) = mpsc::channel();
+    let mut lanes = Vec::with_capacity(n_workers);
+    for w in 0..n_workers {
+        let mut env = TraceEnv::new(module, lane.env.trace.clone(), lane.options, true)?;
+        env.eof = lane.env.eof;
+        let sink = Buffered {
+            tx: tx.clone(),
+            worker: w as u16,
+            buf: Vec::new(),
+            on: tel.hot(),
+            timed: tel.timer().is_some(),
+        };
+        lanes.push((lane.fork(env), sink));
+    }
+    drop(tx);
+
+    let outs: Vec<WorkerOut> = std::thread::scope(|s| {
+        let shr = &sh;
+        let handles: Vec<_> = lanes
+            .into_iter()
+            .enumerate()
+            .map(|(i, (wl, sink))| {
+                s.spawn(move || {
+                    // Spec-level panics are already contained per step
+                    // (`search::guard`); this backstop covers
+                    // infrastructure panics, which would otherwise leave
+                    // `pending` forever non-zero and spin the surviving
+                    // workers. Flag the stop, then let the coordinator's
+                    // join re-raise the panic.
+                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        burst_worker(i, wl, shr, sink)
+                    }));
+                    r.unwrap_or_else(|p| {
+                        shr.stopped.store(true, Ordering::Release);
+                        std::panic::resume_unwind(p)
+                    })
+                })
+            })
+            .collect();
+        loop {
+            match rx.recv_timeout(Duration::from_millis(25)) {
+                Ok((w, batch)) => replay_events(tel, lane.machine, w, batch),
+                Err(mpsc::RecvTimeoutError::Timeout) => tick_par(tel, &lane.stats, shr, cap),
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    tel.set_worker(0);
+    for (c, o) in clocks.iter_mut().zip(&outs) {
+        c.busy += o.clock.busy;
+        c.idle += o.clock.idle;
+        c.steal += o.clock.steal;
+    }
+    let gauge = sh.gauge();
+    let claimed = sh.next_input.load(Ordering::Relaxed);
+    let Burst {
+        inputs,
+        deques,
+        parked,
+        stop,
+        ..
+    } = sh;
+    let inputs = inputs
+        .into_iter()
+        .map(|m| m.into_inner().expect("input lock"));
+    let stop = match stop.into_inner().expect("stop lock") {
+        Some(StopCause::Fatal(e)) => return Err(TangoError::Runtime(e)),
+        Some(StopCause::Witness) => {
+            // Discard the burst's deltas and front; keep the honest
+            // clocks and peaks, and replay the untouched inputs on one
+            // worker, which now holds nothing else.
+            drop((deques, parked, outs));
+            let (stats, errors) = base.expect("witness stops only happen post-eof");
+            lane.stats = stats;
+            lane.spec_errors = errors;
+            stack.work = inputs.rev().map(|n| n.expect("kept input")).collect();
+            stack.gauge.resident = stack.work.iter().map(Node::charged).sum();
+            stack.gauge.disk = stack
+                .work
+                .iter()
+                .filter(|n| n.state.is_none())
+                .map(|n| n.state_bytes)
+                .sum();
+            return drain(lane, stack, &mut Quiet, carry);
+        }
+        other => other,
+    };
+    // Exhausted or limited: the greedy per-worker deltas are exact.
+    for o in outs {
+        lane.stats.absorb(&o.delta);
+        lane.spec_errors.extend(o.spec_errors);
+    }
+    lane.spec_errors.truncate(MAX_RECORDED_ERRORS);
+    stack.gauge = gauge;
+    let mut parked = parked.into_inner().expect("parked lock");
+    parked.sort_by(|a, b| a.0.cmp(&b.0));
+    stack.pg.extend(parked.into_iter().map(|(_, n)| n));
+    Ok(match stop {
+        None => Halt::Drained,
+        Some(StopCause::Spill(msg)) => Halt::SpillFailure(msg),
+        Some(StopCause::Limit(reason)) => {
+            // The surviving front, smallest pop label on top: every
+            // deque, plus the inputs no worker claimed.
+            let unclaimed = inputs
+                .enumerate()
+                .skip(claimed)
+                .filter_map(|(i, n)| Some((vec![i as u32, 0], n?)));
+            let mut front: Vec<(Vec<u32>, Node)> = deques
+                .into_iter()
+                .flat_map(|d| d.into_inner().expect("deque lock"))
+                .map(|(n, l)| (extend(l.key, l.step), n))
+                .chain(unclaimed)
+                .collect();
+            front.sort_by(|a, b| b.0.cmp(&a.0));
+            stack.work = front.into_iter().map(|(_, n)| n).collect();
+            Halt::Stop(reason)
+        }
+        Some(StopCause::Witness | StopCause::Fatal(_)) => unreachable!("handled above"),
+    })
+}
+
+/// The MDFS run at any worker count, optionally seeded from a checkpoint:
+/// poll, revive, search the known tree (one drain, or bursts), then
+/// conclude, report an interim verdict, or wait for input.
+fn run(
     machine: &Machine,
     module: &AnalyzedModule,
     source: &mut dyn TraceSource,
     options: &AnalysisOptions,
     on_status: &mut dyn FnMut(&Verdict) -> bool,
     tel: &mut Telemetry,
-    n_workers: usize,
     seed: Option<MdfsSeed>,
 ) -> Result<AnalysisReport, TangoError> {
     let t0 = Instant::now();
+    let n_workers = options.resolved_workers().max(1);
     let deadline = options.limits.max_wall_time.map(|d| t0 + d);
     let cap = options.limits.max_transitions;
     let machine = machine.policy_view(options.policy);
-    tel.set_workers(n_workers);
-
-    let (mut stats, base_wall, trace0, eof0, seed_front) = match seed {
+    if n_workers > 1 {
+        tel.set_workers(n_workers);
+    }
+    let (stats, base_wall, trace0, eof0, seed_front) = match seed {
         Some(s) => {
             let bw = s.stats.wall_time;
             (s.stats, bw, s.trace, s.eof, Some((s.work, s.pg)))
@@ -1967,25 +1787,31 @@ fn run_par(
         ),
     };
     let carry = CarryBase::of(&stats);
-    let mut spec_errors: Vec<RuntimeError> = Vec::new();
-
     let mut env = TraceEnv::new(module, trace0, options, true)?;
     env.eof = eof0;
+    let mut clocks = vec![Clock::default(); n_workers];
 
-    // The sharded snapshot store: per-shard slot slabs + (optionally)
-    // per-shard spill tiers, shared by every worker.
-    let store = match ShardedStore::build(options, deadline) {
-        Ok(s) => s,
+    // Disk spill tier: under a memory budget, park cold node snapshots
+    // in segment files instead of stopping `Inconclusive(MemoryLimit)`.
+    let tier = match options.spill.build_tier(options.limits.max_state_bytes) {
+        // Spill retry sleeps honor the same wall-clock deadline the
+        // search loop enforces.
+        Ok(t) => t.map(|mut t| {
+            if let Some(d) = deadline {
+                t.set_deadline(d);
+            }
+            Mutex::new(t)
+        }),
         Err(e) => {
             return Ok(finish(
                 Verdict::Inconclusive(InconclusiveReason::SpillFailure),
                 None,
                 stats,
-                spec_errors,
+                Vec::new(),
                 &*source,
                 t0,
                 base_wall,
-                WorkerClocks::Par(vec![Clock::default(); n_workers]),
+                clocks,
                 cap,
                 vec![e.to_string()],
                 None,
@@ -1994,351 +1820,120 @@ fn run_par(
             ));
         }
     };
-    let mut spill_faults: Vec<String> = store.take_warnings();
-    let mut clocks: Vec<Clock> = vec![Clock::default(); n_workers];
+    let mut spill_faults: Vec<String> = tier
+        .as_ref()
+        .map(|t| lock_tier(t).take_warnings())
+        .unwrap_or_default();
 
-    let mut work: Vec<PNode> = Vec::new();
-    let mut pg_list: Vec<PNode> = Vec::new();
-
-    let pnode_from_ckpt = |c: MdfsNodeCkpt| -> PNode {
-        let h = store.save(c.state);
-        PNode {
-            handle: h,
-            cursors: c.cursors,
-            tried: TransSet::from_vec(c.tried),
-            blocked: TransSet::from_vec(c.blocked),
-            barren: c.barren,
-            path: SharedPath::from_indices(&c.path),
-            key: Vec::new(),
-            step: 0,
-        }
+    let mut stack = Stack {
+        gauge: Gauge {
+            peak: stats.peak_snapshot_bytes,
+            peak_disk: stats.peak_spilled_bytes,
+            ..Gauge::default()
+        },
+        ..Stack::default()
+    };
+    let mut lane = Lane {
+        machine: &machine,
+        options,
+        tier: tier.as_ref(),
+        deadline,
+        env,
+        gen: Generated::default(),
+        stats,
+        spec_errors: Vec::new(),
     };
     match seed_front {
         None => {
             let start = machine.initial_state()?;
-            stats.saves += 1;
-            let h = store.save(start);
-            if tel.hot() {
-                tel.on_save(0, h.state_bytes, store.resident_bytes());
+            lane.stats.saves += 1;
+            let root = Node::new(start, lane.env.save(), 0, SharedPath::default());
+            let bytes = root.charged();
+            let resident = stack.push_child(None, root);
+            Sink::save(tel, 0, bytes, resident);
+        }
+        Some((work, pg)) => {
+            // The resumed nodes arrive resident (the save faulted
+            // everything in).
+            for c in work {
+                stack.push(node_from_ckpt(c));
             }
-            work.push(PNode {
-                handle: h,
-                cursors: env.save(),
-                tried: TransSet::default(),
-                blocked: TransSet::default(),
-                barren: 0,
-                path: SharedPath::default(),
-                key: vec![0],
-                step: 0,
-            });
-        }
-        Some((wseeds, pseeds)) => {
-            work.extend(wseeds.into_iter().map(pnode_from_ckpt));
-            pg_list.extend(pseeds.into_iter().map(pnode_from_ckpt));
-        }
-    }
-    stamp_store(&mut stats, &carry, &store);
-
-    // Revive parked PG-nodes (see the sequential `revive`).
-    fn revive_p(work: &mut Vec<PNode>, pg_list: &mut Vec<PNode>, reorder: bool) {
-        for n in pg_list.iter_mut() {
-            n.blocked.clear();
-        }
-        if reorder {
-            work.append(pg_list);
-        } else {
-            let rest = std::mem::take(work);
-            work.append(pg_list);
-            work.extend(rest);
+            for c in pg {
+                let n = node_from_ckpt(c);
+                stack.charge(n.charged());
+                stack.pg.push(n);
+            }
         }
     }
 
     let mut last_status: Option<Verdict> = None;
-    let tel_hot = tel.hot();
-    let timed = tel.timer().is_some();
-
-    loop {
-        // Absorb anything the source produced (coordinator only).
+    let (verdict, witness, checkpoint) = 'search: loop {
+        // Absorb anything the source produced.
         let poll = source.poll();
         let got_new = !poll.events.is_empty();
         for e in &poll.events {
-            env.trace.push_event(e, module).map_err(TangoError::TraceResolve)?;
+            lane.env
+                .trace
+                .push_event(e, module)
+                .map_err(TangoError::TraceResolve)?;
         }
         if poll.eof {
-            env.eof = true;
+            lane.env.eof = true;
         }
         if got_new || poll.eof {
-            revive_p(&mut work, &mut pg_list, options.mdfs_reorder);
+            // Dynamic node reordering: PG-nodes jump the queue.
+            stack.revive(options.mdfs_reorder);
         }
 
-        while !work.is_empty() {
-            // ---- one burst: trace frozen, N workers drain the tree ----
-            let mut inputs: Vec<PNode> = std::mem::take(&mut work);
-            inputs.reverse(); // sequential pop order
-
-            // Post-eof bursts may conclude Valid: clone the inputs now
-            // so a witness abort can replay the burst sequentially.
-            let mut replay_seeds: Option<Vec<ReplaySeed>> = None;
-            let mut burst_base: Option<(SearchStats, Vec<RuntimeError>)> = None;
-            if env.eof {
-                let mut seeds = Vec::with_capacity(inputs.len());
-                for n in &inputs {
-                    match store.materialize(n.handle) {
-                        Ok(state) => seeds.push(ReplaySeed {
-                            state,
-                            cursors: n.cursors.clone(),
-                            tried: n.tried.clone(),
-                            blocked: n.blocked.clone(),
-                            barren: n.barren,
-                            path: n.path.clone(),
-                        }),
-                        Err(e) => {
-                            spill_faults.push(e.to_string());
-                            stamp_store(&mut stats, &carry, &store);
-                            return Ok(finish(
-                                Verdict::Inconclusive(InconclusiveReason::SpillFailure),
-                                None,
-                                stats,
-                                spec_errors,
-                                &*source,
-                                t0,
-                                base_wall,
-                                WorkerClocks::Par(clocks),
-                                cap,
-                                spill_faults,
-                                None,
-                                &env.trace,
-                                tel,
-                            ));
-                        }
-                    }
-                }
-                replay_seeds = Some(seeds);
-                burst_base = Some((stats.clone(), spec_errors.clone()));
+        // Search the known tree until it drains.
+        let halt = if n_workers == 1 {
+            drain(&mut lane, &mut stack, tel, &carry)?
+        } else if !stack.work.is_empty() {
+            burst(&mut lane, &mut stack, module, tel, &mut clocks, &carry)?
+        } else {
+            Halt::Drained
+        };
+        match halt {
+            Halt::Drained => {}
+            Halt::Witness(path) => break (Verdict::Valid, Some(path.to_vec(&machine)), None),
+            Halt::Stop(reason) => {
+                let ckpt = freeze(
+                    &mut stack,
+                    lane.tier,
+                    lane.env.eof,
+                    n_workers,
+                    &mut spill_faults,
+                );
+                break (Verdict::Inconclusive(reason), None, ckpt);
             }
-
-            let n_inputs = inputs.len();
-            let sh = BurstShared {
-                deques: (0..n_workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-                pending: AtomicUsize::new(n_inputs),
-                stop: Mutex::new(None),
-                stopped: AtomicBool::new(false),
-                te: AtomicU64::new(stats.transitions_executed),
-                ge: AtomicU64::new(stats.generates),
-                re: AtomicU64::new(stats.restores),
-                sa: AtomicU64::new(stats.saves),
-                pg: AtomicU64::new(pg_list.len() as u64),
-                depth: AtomicUsize::new(stats.max_depth),
-                store: &store,
-            };
-            // Re-seed the park keys: input i (in sequential pop order)
-            // gets key [i]. Distributed round-robin; pushed in reverse
-            // so each owner pops its earliest input first.
-            for (j, mut n) in inputs.into_iter().rev().enumerate() {
-                let i = n_inputs - 1 - j;
-                n.key.clear();
-                n.key.push(i as u32);
-                n.step = 0;
-                sh.deques[i % n_workers]
-                    .lock()
-                    .expect("deque lock")
-                    .push_back(n);
-            }
-
-            // Each worker gets its own cursor view over the frozen trace.
-            let mut envs = Vec::with_capacity(n_workers);
-            for _ in 0..n_workers {
-                let mut e2 = TraceEnv::new(module, env.trace.clone(), options, true)?;
-                e2.eof = env.eof;
-                envs.push(e2);
-            }
-
-            // Workers send telemetry batches (when on) and hang up on
-            // exit; the last hang-up ends the coordinator's wait at once.
-            let (txo, rx) = mpsc::channel();
-
-            let outs: Vec<WorkerOut> = std::thread::scope(|s| {
-                let shr = &sh;
-                let mref = &machine;
-                let mut handles = Vec::with_capacity(n_workers);
-                for (i, wenv) in envs.into_iter().enumerate() {
-                    let tx = txo.clone();
-                    handles.push(s.spawn(move || {
-                        // Spec-level panics are already contained per
-                        // step (`search::guard`); this backstop covers
-                        // infrastructure panics, which would otherwise
-                        // leave `pending` forever non-zero and spin the
-                        // surviving workers. Flag the stop, then let the
-                        // coordinator's join re-raise the panic.
-                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            burst_worker(i, mref, wenv, options, deadline, shr, tx, tel_hot, timed)
-                        }));
-                        match r {
-                            Ok(o) => o,
-                            Err(p) => {
-                                shr.stopped.store(true, Ordering::Release);
-                                std::panic::resume_unwind(p)
-                            }
-                        }
-                    }));
-                }
-                drop(txo);
-                loop {
-                    match rx.recv_timeout(Duration::from_millis(25)) {
-                        Ok((w, batch)) => replay_events(tel, &machine, w, batch),
-                        Err(mpsc::RecvTimeoutError::Timeout) => tick_par(tel, &stats, &sh, cap),
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(o) => o,
-                        Err(p) => std::panic::resume_unwind(p),
-                    })
-                    .collect()
-            });
-            tel.set_worker(0);
-
-            let stop = sh.stop.lock().expect("stop lock").take();
-            match stop {
-                None => {
-                    // Exhausted: the greedy per-worker deltas are exact.
-                    let mut all_parked: Vec<(Vec<u32>, PNode)> = Vec::new();
-                    for (i, o) in outs.into_iter().enumerate() {
-                        clocks[i].busy += o.busy;
-                        clocks[i].idle += o.idle;
-                        clocks[i].steal += o.steal;
-                        stats.absorb(&o.delta);
-                        spec_errors.extend(o.spec_errors);
-                        spill_faults.extend(o.spill_faults);
-                        all_parked.extend(o.parked);
-                    }
-                    spec_errors.truncate(MAX_RECORDED_ERRORS);
-                    // Deterministic park order (see `PNode::key`).
-                    all_parked.sort_by(|a, b| a.0.cmp(&b.0));
-                    pg_list.extend(all_parked.into_iter().map(|(_, n)| n));
-                    stamp_store(&mut stats, &carry, &store);
-                }
-                Some(StopCause::Fatal(e)) => return Err(TangoError::Runtime(e)),
-                Some(StopCause::Witness) => {
-                    // Discard the burst's deltas; keep the honest clocks.
-                    for (i, o) in outs.into_iter().enumerate() {
-                        clocks[i].busy += o.busy;
-                        clocks[i].idle += o.idle;
-                        clocks[i].steal += o.steal;
-                    }
-                    let (mut bstats, berrors) =
-                        burst_base.expect("witness stops only happen post-eof");
-                    stamp_store(&mut bstats, &carry, &store);
-                    let seeds = replay_seeds.expect("witness stops only happen post-eof");
-                    return replay_burst(
-                        &machine,
-                        &mut env,
-                        options,
-                        seeds,
-                        bstats,
-                        berrors,
-                        &*source,
-                        t0,
-                        base_wall,
-                        clocks,
-                        cap,
-                        deadline,
-                        spill_faults,
-                        tel,
-                    );
-                }
-                Some(StopCause::Limit(reason)) => {
-                    // Completed steps are exact (tiling); freeze the rest.
-                    let mut parked_by_worker: Vec<Vec<PNode>> = Vec::with_capacity(n_workers);
-                    for (i, o) in outs.into_iter().enumerate() {
-                        clocks[i].busy += o.busy;
-                        clocks[i].idle += o.idle;
-                        clocks[i].steal += o.steal;
-                        stats.absorb(&o.delta);
-                        spec_errors.extend(o.spec_errors);
-                        spill_faults.extend(o.spill_faults);
-                        parked_by_worker.push(o.parked.into_iter().map(|(_, n)| n).collect());
-                    }
-                    spec_errors.truncate(MAX_RECORDED_ERRORS);
-                    let ckpt = if matches!(reason, InconclusiveReason::SpillFailure) {
-                        if let Some(f) = store.take_fault() {
-                            spill_faults.push(f.to_string());
-                        }
-                        None
-                    } else {
-                        freeze_par(
-                            &store,
-                            &sh.deques,
-                            &parked_by_worker,
-                            &pg_list,
-                            env.eof,
-                            &mut spill_faults,
-                        )
-                    };
-                    stamp_store(&mut stats, &carry, &store);
-                    return Ok(finish(
-                        Verdict::Inconclusive(reason),
-                        None,
-                        stats,
-                        spec_errors,
-                        &*source,
-                        t0,
-                        base_wall,
-                        WorkerClocks::Par(clocks),
-                        cap,
-                        spill_faults,
-                        ckpt,
-                        &env.trace,
-                        tel,
-                    ));
-                }
+            Halt::SpillFailure(msg) => {
+                spill_faults.push(msg);
+                break (
+                    Verdict::Inconclusive(InconclusiveReason::SpillFailure),
+                    None,
+                    None,
+                );
             }
         }
 
         // The tree (as currently known) is exhausted.
-        if env.eof {
-            if pg_list.is_empty() {
-                return Ok(finish(
-                    Verdict::Invalid,
-                    None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
-                    None,
-                    &env.trace,
-                    tel,
-                ));
+        if lane.env.eof {
+            if stack.pg.is_empty() {
+                break (Verdict::Invalid, None, None);
             }
-            revive_p(&mut work, &mut pg_list, options.mdfs_reorder);
+            // EOF makes PG-nodes fully generated: process them once more.
+            stack.revive(options.mdfs_reorder);
             continue;
         }
-        if pg_list.is_empty() {
-            return Ok(finish(
-                Verdict::Invalid,
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Par(clocks),
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
+        if stack.pg.is_empty() {
+            // No PG-node can be revived by future input: conclusively
+            // invalid even though the trace may keep growing (§3.1.2).
+            break (Verdict::Invalid, None, None);
         }
 
         // Interim verdict: PGAV ⇒ valid so far, else likely invalid.
-        let any_av = pg_list.iter().any(|n| {
+        let env = &mut lane.env;
+        let any_av = stack.pg.iter().any(|n| {
             env.restore(&n.cursors);
             env.all_done()
         });
@@ -2352,87 +1947,86 @@ fn run_par(
             last_status = Some(status.clone());
         }
         if !on_status(&status) {
-            return Ok(finish(
-                status,
-                None,
-                stats,
-                spec_errors,
-                &*source,
-                t0,
-                base_wall,
-                WorkerClocks::Par(clocks),
-                cap,
-                spill_faults,
-                None,
-                &env.trace,
-                tel,
-            ));
+            break (status, None, None);
         }
 
-        // Idle-poll between bursts (coordinator only; workers are gone).
+        // Block until the source has more to say — but never past the
+        // deadline: a stalled source must not wedge the monitor. Polls
+        // back off on the shared [`RetryPolicy::mdfs_poll`] schedule
+        // (1ms doubling to 16ms) while the source stays silent; entering
+        // this loop anew (i.e. after data arrived) starts over at the
+        // minimum interval. Only the one-worker lane counts the sleeps
+        // as its idle time; between bursts there are no workers.
         let mut idle = Backoff::new(RetryPolicy::mdfs_poll());
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                let ckpt = {
-                    let mut pg_prior = Vec::with_capacity(pg_list.len());
-                    let mut ok = true;
-                    for n in &pg_list {
-                        match pnode_to_ckpt(&store, n) {
-                            Ok(c) => pg_prior.push(c),
-                            Err(e) => {
-                                spill_faults.push(format!("checkpoint save skipped: {}", e));
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    ok.then(|| MdfsCheckpoint {
-                        workers_at_save: n_workers as u32,
-                        eof: env.eof,
-                        workers: (0..n_workers)
-                            .map(|_| MdfsWorkerCkpt {
-                                deque: Vec::new(),
-                                parked: Vec::new(),
-                            })
-                            .collect(),
-                        pg_prior,
-                    })
-                };
-                return Ok(finish(
+                let ckpt = freeze(
+                    &mut stack,
+                    lane.tier,
+                    lane.env.eof,
+                    n_workers,
+                    &mut spill_faults,
+                );
+                break 'search (
                     Verdict::Inconclusive(InconclusiveReason::TimeLimit),
                     None,
-                    stats,
-                    spec_errors,
-                    &*source,
-                    t0,
-                    base_wall,
-                    WorkerClocks::Par(clocks),
-                    cap,
-                    spill_faults,
                     ckpt,
-                    &env.trace,
-                    tel,
-                ));
+                );
             }
             let p = source.poll();
             if !p.events.is_empty() || p.eof {
                 for e in &p.events {
-                    env.trace.push_event(e, module).map_err(TangoError::TraceResolve)?;
+                    lane.env
+                        .trace
+                        .push_event(e, module)
+                        .map_err(TangoError::TraceResolve)?;
                 }
                 if p.eof {
-                    env.eof = true;
+                    lane.env.eof = true;
                 }
-                revive_p(&mut work, &mut pg_list, options.mdfs_reorder);
+                stack.revive(options.mdfs_reorder);
                 break;
             }
+            // Never sleep past the deadline — the expiry check above
+            // stays exact to within scheduler latency.
             let idle_sleep = idle.next_delay();
             let sleep = match deadline {
                 Some(d) => idle_sleep.min(d.saturating_duration_since(Instant::now())),
                 None => idle_sleep,
             };
             std::thread::sleep(sleep);
+            if n_workers == 1 {
+                clocks[0].idle += sleep;
+            }
         }
+    };
+
+    let Lane {
+        env,
+        mut stats,
+        spec_errors,
+        ..
+    } = lane;
+    stats.snapshot_bytes = stack.gauge.resident;
+    stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stack.gauge.peak);
+    if let Some(t) = tier.as_ref() {
+        stamp_spill(&mut stats, &carry, lock_tier(t).counters(), &stack.gauge);
     }
+    Ok(finish(
+        verdict,
+        witness,
+        stats,
+        spec_errors,
+        &*source,
+        t0,
+        base_wall,
+        clocks,
+        cap,
+        spill_faults,
+        checkpoint,
+        &env.trace,
+        tel,
+    ))
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@ pub mod mdfs;
 pub(crate) mod path;
 pub(crate) mod snapshot;
 pub mod spill;
-pub(crate) mod store;
 
 use crate::stats::SearchStats;
 use estelle_runtime::{RuntimeError, RuntimeErrorKind};

@@ -314,9 +314,9 @@ fn chaos_fault_counters_reach_the_metrics_registry() {
 }
 
 /// The multi-core cell: a spill-armed plan under the work-stealing
-/// search. Four workers hammer the sharded store through a faulty disk
-/// tier; the run must either recover losslessly to the single-worker
-/// fault-free verdict and counters, or degrade into the typed
+/// search. Four workers evict through one faulty disk tier; the run
+/// must either recover losslessly to the single-worker fault-free
+/// verdict and counters, or degrade into the typed
 /// `Inconclusive(SpillFailure)` with its diagnostic — never panic,
 /// never drift.
 #[test]

@@ -183,9 +183,10 @@ fn mdfs_witness_is_the_dfs_witness_on_valid_traces() {
 /// Stop a valid-trace run on a transition limit after eof, round-trip the
 /// checkpoint through a file, and resume: the frozen nodes' paths come
 /// back from their names, so the witness must be the uninterrupted one
-/// at either worker count on resume. The run is saved at one worker: a
-/// multi-worker stop freezes a schedule-dependent front (DESIGN §6.13),
-/// from which a resumed search may reach a different valid witness.
+/// at either worker count on resume. A multi-worker stop freezes its
+/// front in park-label (sequential pop) order, so saving at 2 or 4
+/// workers must lead to the same witness on every run, whatever the
+/// steal schedule left behind.
 #[test]
 fn witness_survives_a_checkpoint_round_trip() {
     let a = lapd::analyzer();
@@ -196,15 +197,23 @@ fn witness_survives_a_checkpoint_round_trip() {
     assert_eq!(whole.verdict, Verdict::Valid);
     let mut limited = opts.clone();
     limited.limits.max_transitions = whole.stats.transitions_executed / 2;
-    for resume_at in [1, 2] {
+    let mut cells = vec![(1, 1), (1, 2)];
+    for save_at in [2, 4] {
+        for round in 0..16 {
+            cells.push((save_at, 1 + round % 2));
+        }
+    }
+    for (i, &(save_at, resume_at)) in cells.iter().enumerate() {
+        let mut saving = limited.clone();
+        saving.workers = save_at;
         let mut src = StaticSource::new(trace.clone());
-        let stopped = a.analyze_online(&mut src, &limited, &mut |_| true).unwrap();
+        let stopped = a.analyze_online(&mut src, &saving, &mut |_| true).unwrap();
         let cp = stopped
             .checkpoint
             .expect("a post-eof limit stop is checkpointable");
         let file = std::env::temp_dir().join(format!(
             "tango-mdfs-invariants-{}-{}.ckpt",
-            resume_at,
+            i,
             std::process::id()
         ));
         cp.write_to(&file).expect("checkpoint writes");
@@ -214,6 +223,10 @@ fn witness_survives_a_checkpoint_round_trip() {
         resume.workers = resume_at;
         let resumed = a.analyze_online_resume(cp, &resume, &mut |_| true).unwrap();
         assert_eq!(resumed.verdict, Verdict::Valid);
-        assert_eq!(resumed.witness, whole.witness, "resume_at={}", resume_at);
+        assert_eq!(
+            resumed.witness, whole.witness,
+            "save_at={} resume_at={} run {}",
+            save_at, resume_at, i
+        );
     }
 }

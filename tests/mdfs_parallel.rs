@@ -141,7 +141,7 @@ fn parallel_witness_is_the_sequential_witness() {
     }
 }
 
-/// The sharded store must keep the spill tier's guarantees: a 256-byte
+/// Multi-worker eviction must keep the spill tier's guarantees: a 256-byte
 /// budget forces constant eviction, and still nothing about the verdict
 /// or the counters may move at any worker count.
 #[test]
