@@ -37,9 +37,9 @@
 //!   events go straight into the [`Telemetry`] handle;
 //! * `workers = N ≥ 2` wraps the same step in a **burst**: only the
 //!   coordinator polls the source; each burst (the work between two
-//!   polls) deals the work stack out over N scoped threads pulling from
-//!   per-worker work-stealing deques (owner pops LIFO, thieves steal FIFO
-//!   from the top, round-robin scan, short parks when every deque is
+//!   polls) runs N scoped threads over per-worker work-stealing deques
+//!   (owner pops LIFO, a dry worker claims the burst's next input node,
+//!   thieves steal FIFO from the top, short parks when everything is
 //!   empty); workers buffer their events for the coordinator to replay.
 //!
 //! Determinism: within a burst the trace is frozen, so each node's
@@ -48,17 +48,15 @@
 //! the barrier therefore equal the sequential totals exactly. Pre-eof
 //! bursts can never conclude `Valid` (an all-done node pre-eof parks as a
 //! PGAV), and parked nodes are re-ordered by their deterministic park
-//! labels ([`Label`]), so interim verdicts match too. A post-eof
-//! burst that finds *any* witness aborts, discards its deltas, and is
-//! **replayed by the one-worker drain** from copies of the burst's input
-//! nodes — recovering the exact witness (and counters) the single-worker
-//! search would report. Exhaustive (`Invalid`/limit) verdicts keep the
-//! parallel deltas, which are exact by the tiling argument: every popped
-//! node-step either runs to completion (counters recorded, children
-//! pushed) or the node is returned to a deque untouched. A limit stop
-//! freezes the surviving front in park-label order — the order one worker
-//! would pop it — so the resumed search reaches the same witness at any
-//! worker count.
+//! labels ([`Label`]), so interim verdicts match too. A post-eof burst
+//! that finds a witness or hits a limit discards its deltas and is
+//! **replayed by the one-worker drain** from the burst's untouched input
+//! nodes — recovering the exact witness, or the exact stop point and
+//! front, the single-worker search would reach, so a resumed run ends
+//! with the uninterrupted totals at any worker count. An exhausted burst
+//! keeps the parallel deltas, which are exact by the tiling argument:
+//! every popped node-step either runs to completion (counters recorded,
+//! children pushed) or the node is returned to a deque untouched.
 //!
 //! Resource governance: the wall-clock deadline is checked both in the
 //! search and in the idle polling loop, so a monitor fed by a stalled or
@@ -257,33 +255,10 @@ fn lock_tier(tier: &Mutex<SpillTier>) -> std::sync::MutexGuard<'_, SpillTier> {
     tier.lock().expect("spill tier lock")
 }
 
-/// Spill counter values carried in from a resumed run's stats;
-/// the fresh tier's counters are added on top so cross-resume totals
-/// stay cumulative. Zero for a fresh run.
-#[derive(Clone, Copy, Default)]
-struct CarryBase {
-    spill_writes: u64,
-    spill_reads: u64,
-    spill_retries: u64,
-    spill_evictions: u64,
-    spill_giveups: u64,
-}
-
-impl CarryBase {
-    fn of(stats: &SearchStats) -> Self {
-        CarryBase {
-            spill_writes: stats.spill_writes,
-            spill_reads: stats.spill_reads,
-            spill_retries: stats.spill_retries,
-            spill_evictions: stats.spill_evictions,
-            spill_giveups: stats.spill_giveups,
-        }
-    }
-}
-
 /// Mirror the spill tier's counters and the disk gauge into the run's
-/// stats (on top of any resumed-in base).
-fn stamp_spill(stats: &mut SearchStats, base: &CarryBase, c: SpillCounters, gauge: &Gauge) {
+/// stats, on top of the counters a resumed run carried in (`base`), so
+/// cross-resume totals stay cumulative.
+fn stamp_spill(stats: &mut SearchStats, base: &SearchStats, c: SpillCounters, gauge: &Gauge) {
     stats.spill_writes = base.spill_writes + c.writes;
     stats.spill_reads = base.spill_reads + c.reads;
     stats.spill_retries = base.spill_retries + c.retries;
@@ -654,6 +629,9 @@ struct Buffered {
 
 impl Buffered {
     fn push(&mut self, ev: WEvent) {
+        if !self.on {
+            return;
+        }
         self.buf.push(ev);
         if self.buf.len() >= EVENT_FLUSH {
             self.flush();
@@ -667,33 +645,29 @@ impl Buffered {
     }
 }
 
+/// Durations are only measured when the coordinator's handle times
+/// steps, which implies `on`.
 impl Sink for Buffered {
     fn timer(&self) -> Option<Instant> {
         self.timed.then(Instant::now)
     }
 
     fn restore(&mut self, depth: usize) {
-        if self.on {
-            self.push(WEvent::Restore { depth });
-        }
+        self.push(WEvent::Restore { depth });
     }
 
     fn park(&mut self, depth: usize, pg_total: u64) {
-        if self.on {
-            self.push(WEvent::Park { depth, pg_total });
-        }
+        self.push(WEvent::Park { depth, pg_total });
     }
 
     fn generate(&mut self, depth: usize, fanout: usize, incomplete: bool, t0: Option<Instant>) {
-        if self.on {
-            let lat_us = t0.map(|t| t.elapsed().as_secs_f64() * 1e6);
-            self.push(WEvent::Generate {
-                depth,
-                fanout,
-                incomplete,
-                lat_us,
-            });
-        }
+        let lat_us = t0.map(|t| t.elapsed().as_secs_f64() * 1e6);
+        self.push(WEvent::Generate {
+            depth,
+            fanout,
+            incomplete,
+            lat_us,
+        });
     }
 
     fn fire(
@@ -704,37 +678,29 @@ impl Sink for Buffered {
         fired: bool,
         t0: Option<Instant>,
     ) {
-        if self.on {
-            let nanos = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            self.push(WEvent::Fire {
-                depth,
-                trans,
-                fired,
-                nanos,
-            });
-        }
+        let nanos = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        self.push(WEvent::Fire {
+            depth,
+            trans,
+            fired,
+            nanos,
+        });
     }
 
     fn save(&mut self, depth: usize, bytes: usize, resident: usize) {
-        if self.on {
-            self.push(WEvent::Save {
-                depth,
-                bytes,
-                resident,
-            });
-        }
+        self.push(WEvent::Save {
+            depth,
+            bytes,
+            resident,
+        });
     }
 
     fn prune(&mut self, depth: usize) {
-        if self.on {
-            self.push(WEvent::Prune { depth });
-        }
+        self.push(WEvent::Prune { depth });
     }
 
     fn error(&mut self, depth: usize, kind: RuntimeErrorKind) {
-        if self.on {
-            self.push(WEvent::ErrorBranch { depth, kind });
-        }
+        self.push(WEvent::ErrorBranch { depth, kind });
     }
 }
 
@@ -1164,7 +1130,7 @@ fn drain<S: Sink>(
     lane: &mut Lane<'_>,
     stack: &mut Stack,
     sink: &mut S,
-    carry: &CarryBase,
+    carry: &SearchStats,
 ) -> Result<Halt, TangoError> {
     let cap = lane.options.limits.max_transitions;
     while let Some(node) = stack.work.pop() {
@@ -1187,23 +1153,13 @@ fn drain<S: Sink>(
     Ok(Halt::Drained)
 }
 
-/// Why a burst stopped early. A witness outranks a limit (its replay
-/// decides the limit exactly), and a fatal error outranks both.
+/// Why a burst stopped early. The first cause wins, except that a fatal
+/// error outranks every other.
 enum StopCause {
     Limit(InconclusiveReason),
     Spill(String),
     Witness,
     Fatal(RuntimeError),
-}
-
-impl StopCause {
-    fn rank(&self) -> u8 {
-        match self {
-            StopCause::Limit(_) | StopCause::Spill(_) => 0,
-            StopCause::Witness => 1,
-            StopCause::Fatal(_) => 2,
-        }
-    }
 }
 
 /// A node's park label inside a burst. The burst's input `i` (in
@@ -1312,7 +1268,7 @@ impl Burst {
 
     fn set_stop(&self, cause: StopCause) {
         let mut s = self.stop.lock().expect("stop lock");
-        if s.as_ref().is_none_or(|c| cause.rank() > c.rank()) {
+        if s.is_none() || matches!(cause, StopCause::Fatal(_)) {
             *s = Some(cause);
         }
         self.stopped.store(true, Ordering::Release);
@@ -1607,15 +1563,15 @@ fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &Burst, cap: u64) {
 /// One burst (`workers = N ≥ 2`): the trace is frozen while N scoped
 /// threads drain the work stack. On return the burst's parks are on the
 /// PG-list in sequential park order and, after a limit stop, the
-/// surviving front is the work stack in sequential pop order. A witness
-/// abort hands the burst to the one-worker drain instead.
+/// surviving front is the work stack. After eof, a witness or a limit
+/// stop hands the burst to the one-worker drain instead.
 fn burst(
     lane: &mut Lane<'_>,
     stack: &mut Stack,
     module: &AnalyzedModule,
     tel: &mut Telemetry,
     clocks: &mut [Clock],
-    carry: &CarryBase,
+    carry: &SearchStats,
 ) -> Result<Halt, TangoError> {
     let n_workers = clocks.len();
     let cap = lane.options.limits.max_transitions;
@@ -1699,19 +1655,23 @@ fn burst(
         .map(|m| m.into_inner().expect("input lock"));
     let stop = match stop.into_inner().expect("stop lock") {
         Some(StopCause::Fatal(e)) => return Err(TangoError::Runtime(e)),
-        Some(StopCause::Witness) => {
-            // Discard the burst's deltas and front; keep the honest
-            // clocks and peaks, and replay the untouched inputs on one
-            // worker, which now holds nothing else.
+        // After eof, a witness or a limit stop hands the burst to one
+        // worker: parallel workers may have searched past the first
+        // witness, and that work must not be counted, nor may a front
+        // they left be what a resume starts from. Discard the burst's
+        // deltas and front, keep the honest clocks and peaks, and replay
+        // the untouched inputs on one worker, which now holds nothing
+        // else; its witness, or its stop point and front, are exactly
+        // the one-worker run's.
+        Some(StopCause::Witness | StopCause::Limit(_)) if keep => {
             drop((deques, parked, outs));
-            let (stats, errors) = base.expect("witness stops only happen post-eof");
+            let (stats, errors) = base.expect("inputs are kept after eof");
             lane.stats = stats;
             lane.spec_errors = errors;
             stack.work = inputs.rev().map(|n| n.expect("kept input")).collect();
-            stack.gauge.resident = stack.work.iter().map(Node::charged).sum();
-            stack.gauge.disk = stack
-                .work
-                .iter()
+            let held = || stack.work.iter().chain(&stack.pg);
+            stack.gauge.resident = held().map(Node::charged).sum();
+            stack.gauge.disk = held()
                 .filter(|n| n.state.is_none())
                 .map(|n| n.state_bytes)
                 .sum();
@@ -1733,20 +1693,15 @@ fn burst(
         None => Halt::Drained,
         Some(StopCause::Spill(msg)) => Halt::SpillFailure(msg),
         Some(StopCause::Limit(reason)) => {
-            // The surviving front, smallest pop label on top: every
-            // deque, plus the inputs no worker claimed.
-            let unclaimed = inputs
-                .enumerate()
-                .skip(claimed)
-                .filter_map(|(i, n)| Some((vec![i as u32, 0], n?)));
-            let mut front: Vec<(Vec<u32>, Node)> = deques
+            // A stop before eof: the front (every deque, plus the inputs
+            // no worker claimed) is saved but cannot be resumed, so its
+            // order does not matter.
+            stack.work = deques
                 .into_iter()
                 .flat_map(|d| d.into_inner().expect("deque lock"))
-                .map(|(n, l)| (extend(l.key, l.step), n))
-                .chain(unclaimed)
+                .map(|(n, _)| n)
+                .chain(inputs.skip(claimed).flatten())
                 .collect();
-            front.sort_by(|a, b| b.0.cmp(&a.0));
-            stack.work = front.into_iter().map(|(_, n)| n).collect();
             Halt::Stop(reason)
         }
         Some(StopCause::Witness | StopCause::Fatal(_)) => unreachable!("handled above"),
@@ -1786,7 +1741,7 @@ fn run(
             None,
         ),
     };
-    let carry = CarryBase::of(&stats);
+    let carry = stats.clone();
     let mut env = TraceEnv::new(module, trace0, options, true)?;
     env.eof = eof0;
     let mut clocks = vec![Clock::default(); n_workers];

@@ -183,10 +183,10 @@ fn mdfs_witness_is_the_dfs_witness_on_valid_traces() {
 /// Stop a valid-trace run on a transition limit after eof, round-trip the
 /// checkpoint through a file, and resume: the frozen nodes' paths come
 /// back from their names, so the witness must be the uninterrupted one
-/// at either worker count on resume. A multi-worker stop freezes its
-/// front in park-label (sequential pop) order, so saving at 2 or 4
-/// workers must lead to the same witness on every run, whatever the
-/// steal schedule left behind.
+/// at either worker count on resume. A multi-worker stop after eof is
+/// redone by one worker, so saving at 2 or 4 workers must lead to the
+/// same witness and the same TE/GE/RE/SA on every run, whatever the
+/// steal schedule was.
 #[test]
 fn witness_survives_a_checkpoint_round_trip() {
     let a = lapd::analyzer();
@@ -227,6 +227,16 @@ fn witness_survives_a_checkpoint_round_trip() {
             resumed.witness, whole.witness,
             "save_at={} resume_at={} run {}",
             save_at, resume_at, i
+        );
+        let counters =
+            |s: &tango::SearchStats| (s.transitions_executed, s.generates, s.restores, s.saves);
+        assert_eq!(
+            counters(&resumed.stats),
+            counters(&whole.stats),
+            "save_at={} resume_at={} run {}",
+            save_at,
+            resume_at,
+            i
         );
     }
 }
