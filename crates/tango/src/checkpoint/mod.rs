@@ -50,11 +50,11 @@ pub struct Checkpoint {
 pub(crate) enum CheckpointBody {
     /// Static-mode DFS: one path of frames.
     Dfs(DfsCheckpoint),
-    /// On-line MDFS: per-worker deques + parked PG-nodes.
+    /// On-line MDFS: the work front + parked PG-nodes.
     Mdfs(MdfsCheckpoint),
 }
 
-/// Frozen multi-worker MDFS search front.
+/// Frozen MDFS search front.
 #[derive(Clone, Debug)]
 pub(crate) struct MdfsCheckpoint {
     /// Worker count of the run that saved this checkpoint. Informational
@@ -66,20 +66,21 @@ pub(crate) struct MdfsCheckpoint {
     /// position cannot be re-established without replaying events that
     /// are already inside the checkpointed trace.
     pub(crate) eof: bool,
-    /// One entry per worker of the saving run.
+    /// The saved front. A save writes it as one entry — the work stack
+    /// in pop order, parks on `pg_prior` — whatever its worker count;
+    /// resume concatenates however many entries a file holds.
     pub(crate) workers: Vec<MdfsWorkerCkpt>,
-    /// PG-nodes parked in bursts before the one that stopped, in park
-    /// order.
+    /// The PG-list, in park order.
     pub(crate) pg_prior: Vec<MdfsNodeCkpt>,
 }
 
-/// One worker's frozen work.
+/// One entry of a frozen front.
 #[derive(Clone, Debug)]
 pub(crate) struct MdfsWorkerCkpt {
-    /// The worker's deque, bottom to top (owner end last).
+    /// Work nodes, bottom to top (next pop last).
     pub(crate) deque: Vec<MdfsNodeCkpt>,
-    /// PG-nodes this worker parked in the stopped burst, in the burst's
-    /// deterministic park order.
+    /// Parked PG-nodes, in park order; resume appends them to the
+    /// PG-list.
     pub(crate) parked: Vec<MdfsNodeCkpt>,
 }
 

@@ -458,8 +458,7 @@ pub(crate) fn resume_mdfs(
 }
 
 /// Freeze the search front for a limit-stop checkpoint: the work stack
-/// (already in sequential pop order, see [`Label`]) as one entry, and
-/// the PG-list in park order. Spilled nodes are faulted back in first
+/// as one entry, and the PG-list in park order. Spilled nodes are faulted back in first
 /// (checkpoint files are self-contained); a read failure makes the stop
 /// un-checkpointable and is recorded as a spill fault instead.
 fn freeze(
@@ -810,10 +809,7 @@ impl Stack {
         for n in self.pg.iter_mut() {
             n.blocked.clear();
         }
-        if self.work.is_empty() {
-            // Hand the PG-list's buffer over rather than keep two.
-            std::mem::swap(&mut self.work, &mut self.pg);
-        } else if reorder {
+        if reorder {
             self.work.append(&mut self.pg);
         } else {
             let rest = std::mem::take(&mut self.work);
@@ -899,11 +895,11 @@ impl Front for Stack {
 /// Why a step ended its lane's loop, or `Next` when it did not.
 enum Step {
     Next,
-    /// An all-done node after eof.
-    Witness(Node),
+    /// An all-done node after eof: its path is the witness.
+    Witness(SharedPath),
     /// A resource limit tripped before (or, for `PgNodeLimit`, instead
     /// of) the node's expansion; the node goes back on the front.
-    Stop(Node, InconclusiveReason),
+    Stop(Box<Node>, InconclusiveReason),
     /// A spill write or read failed; the stop is not checkpointable.
     SpillFailure(String),
     /// A fatal runtime error (engine bug class) — propagated as `Err`.
@@ -958,10 +954,10 @@ impl<'a> Lane<'a> {
         front.uncharge(node.charged());
         let limits = &self.options.limits;
         if front.te(&self.stats) > limits.max_transitions {
-            return Step::Stop(node, InconclusiveReason::TransitionLimit);
+            return Step::Stop(Box::new(node), InconclusiveReason::TransitionLimit);
         }
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Step::Stop(node, InconclusiveReason::TimeLimit);
+            return Step::Stop(Box::new(node), InconclusiveReason::TimeLimit);
         }
         if let Some(cap) = limits.max_state_bytes {
             if let Some(tier) = self.tier {
@@ -975,7 +971,7 @@ impl<'a> Lane<'a> {
                     return Step::SpillFailure(e.to_string());
                 }
             } else if front.resident() + node.resident_footprint() > cap {
-                return Step::Stop(node, InconclusiveReason::MemoryLimit);
+                return Step::Stop(Box::new(node), InconclusiveReason::MemoryLimit);
             }
         }
         // Fault the node in before expanding it.
@@ -1007,7 +1003,7 @@ impl<'a> Lane<'a> {
 
         if self.env.all_done() {
             if self.env.eof {
-                return Step::Witness(node);
+                return Step::Witness(node.path);
             }
             // PGAV: everything so far is explained; park the node.
             self.stats.pg_nodes += 1;
@@ -1050,7 +1046,7 @@ impl<'a> Lane<'a> {
         if untried == 0 {
             if is_pg || !node.blocked.is_empty() {
                 if front.pg_len() >= limits.max_pg_nodes {
-                    return Step::Stop(node, InconclusiveReason::PgNodeLimit);
+                    return Step::Stop(Box::new(node), InconclusiveReason::PgNodeLimit);
                 }
                 self.stats.pg_nodes += 1;
                 let total = front.park(node, self.stats.pg_nodes);
@@ -1137,9 +1133,9 @@ fn drain<S: Sink>(
         sink.tick(&lane.stats, cap);
         match lane.step(stack, sink, node) {
             Step::Next => {}
-            Step::Witness(n) => return Ok(Halt::Witness(n.path)),
+            Step::Witness(path) => return Ok(Halt::Witness(path)),
             Step::Stop(n, reason) => {
-                stack.push(n);
+                stack.push(*n);
                 return Ok(Halt::Stop(reason));
             }
             Step::SpillFailure(msg) => return Ok(Halt::SpillFailure(msg)),
@@ -1521,7 +1517,7 @@ fn burst_worker(widx: usize, mut lane: Lane<'_>, sh: &Burst, mut sink: Buffered)
                 break;
             }
             Step::Stop(n, reason) => {
-                front.push(n);
+                front.push(*n);
                 sh.set_stop(StopCause::Limit(reason));
                 break;
             }
@@ -1576,6 +1572,9 @@ fn burst(
     let n_workers = clocks.len();
     let cap = lane.options.limits.max_transitions;
     let mut inputs = std::mem::take(&mut stack.work);
+    // The burst parks elsewhere: do not hold the revived PG-list's empty
+    // buffer through it.
+    stack.pg.shrink_to_fit();
     // Sequential pop order. A post-eof burst may find a witness: keep
     // its inputs, and the counters they start from, for the replay.
     inputs.reverse();
