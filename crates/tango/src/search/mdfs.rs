@@ -458,9 +458,10 @@ pub(crate) fn resume_mdfs(
 }
 
 /// Freeze the search front for a limit-stop checkpoint: the work stack
-/// as one entry, and the PG-list in park order. Spilled nodes are faulted back in first
-/// (checkpoint files are self-contained); a read failure makes the stop
-/// un-checkpointable and is recorded as a spill fault instead.
+/// as one entry, and the PG-list in park order. Spilled nodes are
+/// faulted back in first (checkpoint files are self-contained); a read
+/// failure makes the stop un-checkpointable and is recorded as a spill
+/// fault instead.
 fn freeze(
     stack: &mut Stack,
     tier: Option<&Mutex<SpillTier>>,
