@@ -141,3 +141,63 @@ fn online_one_event_per_poll_counters_are_pinned_at_one_and_two_workers() {
         }
     }
 }
+
+/// Where the static search stops on each resource limit over the paper's
+/// invalid 3+3 trace under NR, and what a resume through a checkpoint
+/// file totals to. A limit is checked before the step it would exceed,
+/// so the stop point is exact: its counters, the path depth and the
+/// number of saved nodes awaiting exploration are pinned, and resuming
+/// with the limit lifted reaches the paper's counters.
+#[test]
+fn static_stop_points_are_pinned_and_resume_to_the_paper_counters() {
+    use tango::{Checkpoint, InconclusiveReason};
+    let a = tp0::analyzer();
+    let trace = invalid_3_3(DT_REQ_SEED, "L", "dt_req");
+    let dir = std::env::temp_dir().join(format!("tango-stop-pins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let stops: [(InconclusiveReason, fn(&mut AnalysisOptions), Counters, usize, usize); 3] = [
+        (
+            InconclusiveReason::TransitionLimit,
+            |o| o.limits.max_transitions = 30_000,
+            (30_001, 11_886, 18_115, 11_378),
+            13,
+            6,
+        ),
+        (
+            InconclusiveReason::MemoryLimit,
+            |o| o.limits.max_state_bytes = Some(8_000),
+            (850, 310, 540, 308),
+            13,
+            12,
+        ),
+        (
+            InconclusiveReason::DepthLimit,
+            |o| o.limits.max_depth = 12,
+            (17, 12, 5, 10),
+            12,
+            10,
+        ),
+    ];
+    for (reason, limit, at_stop, depth, pending) in stops {
+        let mut opts = nr();
+        limit(&mut opts);
+        let r = a.analyze(&trace, &opts).unwrap();
+        assert_eq!(r.verdict, Verdict::Inconclusive(reason));
+        let cp = r.checkpoint.expect("a limit stop is resumable");
+        assert_eq!(
+            (counters(&r.stats), cp.depth(), cp.pending_frames()),
+            (at_stop, depth, pending),
+            "{:?}",
+            reason
+        );
+        let path = dir.join(format!("{:?}.ckpt", reason));
+        cp.write_to(&path).unwrap();
+        drop(cp);
+        let resumed = a
+            .analyze_resume(Checkpoint::read_from(&path).unwrap(), &nr())
+            .unwrap();
+        assert_eq!(resumed.verdict, Verdict::Invalid, "{:?}", reason);
+        assert_eq!(counters(&resumed.stats), PAPER_FIG4_NR, "{:?}", reason);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -219,3 +219,39 @@ fn one_worker_mdfs_stream_is_pinned() {
         );
     }
 }
+
+/// The static engine's stream is pinned byte for byte the same way: its
+/// digest, its line count and the report's snapshot-byte peak, on the
+/// backtracking invalid TP0 trace under NR and on a valid LAPD trace
+/// under full order checking.
+#[test]
+fn static_stream_is_pinned() {
+    let tp0_nr = dfs_run(
+        &invalid_trace(),
+        &AnalysisOptions::with_order(OrderOptions::none()),
+    );
+    let lapd = protocols::lapd::analyzer();
+    let (mut tel, buf) = traced_handle();
+    let report = lapd
+        .analyze_with(
+            &protocols::lapd::valid_trace(5, 5, 1),
+            &AnalysisOptions::with_order(OrderOptions::full()),
+            &mut tel,
+        )
+        .unwrap();
+    tel.finalize(&report.stats);
+    assert!(report.verdict.is_valid());
+    let lapd_full = (report, buf.contents());
+    let pins: [(u64, usize, usize); 2] = [
+        (0xab51_8b9a_3fc6_b8f3, 211_100, 8_212),
+        (0x4409_3810_0e48_099a, 72, 3_064),
+    ];
+    for ((report, stream), pin) in [tp0_nr, lapd_full].into_iter().zip(pins) {
+        let got = (
+            fnv1a64(stream.as_bytes()),
+            stream.lines().count(),
+            report.stats.peak_snapshot_bytes,
+        );
+        assert_eq!(got, pin);
+    }
+}
