@@ -7,19 +7,16 @@
 //! ([`TraceAnalyzer::analyze_online`]), supports the runtime options of
 //! §2.4, and doubles as an implementation generator (§4.1's methodology).
 
-use crate::checkpoint::{Checkpoint, CheckpointBody};
+use crate::checkpoint::Checkpoint;
+use crate::env::EnvError;
 use crate::error::TangoError;
 use crate::genimpl::{run_implementation, ChoicePolicy, ScriptedInput};
 use crate::options::AnalysisOptions;
-use crate::search::dfs::{resume_dfs, run_dfs, DfsOutcome};
-use crate::search::mdfs::run_mdfs;
-use crate::search::path::path_names;
-use crate::stats::SearchStats;
+use crate::search::mdfs::{resume, run_mdfs, run_static};
 use crate::telemetry::Telemetry;
 use crate::trace::format::parse_trace;
 use crate::trace::source::TraceSource;
 use crate::trace::{ResolvedTrace, Trace};
-use crate::env::TraceEnv;
 use crate::verdict::{AnalysisReport, Verdict};
 use estelle_frontend::sema::model::{AnalyzedModule, StateId};
 use estelle_runtime::Machine;
@@ -124,20 +121,18 @@ impl TraceAnalyzer {
     /// handle covers the whole analysis: initial-state-search rounds
     /// continue the same event stream (one `meta` line, monotone
     /// sequence numbers).
+    ///
+    /// Static analysis is the one search engine run over a trace that is
+    /// complete before the search starts (DESIGN §6.13).
     pub fn analyze_resolved_with(
         &self,
         trace: ResolvedTrace,
         options: &AnalysisOptions,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        let machine = self.machine.policy_view(options.policy);
-        let mut stats = SearchStats::default();
         tel.begin("dfs", &self.module().module_name);
-
-        let mut env = TraceEnv::new(self.module(), trace.clone(), options, false)?;
-        let start = machine.initial_state()?;
-        let outcome = run_dfs(&machine, &mut env, start, options, &mut stats, tel)?;
-        let mut report = report_from_outcome(&machine, outcome, stats, &trace);
+        let module = self.module();
+        let mut report = run_static(&self.machine, module, trace.clone(), None, options, tel)?;
 
         // §2.4.1: on failure, "backtrack to the point right after the
         // initialize transition was taken, choose another initial FSM
@@ -149,21 +144,17 @@ impl TraceAnalyzer {
                 if sid == default_init {
                     continue;
                 }
-                let mut env = TraceEnv::new(self.module(), trace.clone(), options, false)?;
-                let start = machine.initial_state_at(sid)?;
-                let mut stats = SearchStats::default();
-                let outcome = run_dfs(&machine, &mut env, start, options, &mut stats, tel)?;
-                report.stats.absorb(&stats);
-                report.spec_errors.extend(outcome.spec_errors);
-                report.spill_faults.extend(outcome.spill_faults);
-                if outcome.verdict == Verdict::Valid {
+                let round = run_static(&self.machine, module, trace.clone(), Some(sid), options, tel)?;
+                report.stats.absorb(&round.stats);
+                report.spec_errors.extend(round.spec_errors);
+                report.spill_faults.extend(round.spill_faults);
+                if round.verdict == Verdict::Valid {
                     report.verdict = Verdict::Valid;
-                    report.witness = outcome.witness.map(|w| path_names(&machine, &w));
-                    report.initial_state_used =
-                        Some(self.module().state_name(sid).to_string());
+                    report.witness = round.witness;
+                    report.initial_state_used = Some(module.state_name(sid).to_string());
                     break;
                 }
-                if let Verdict::Inconclusive(r) = outcome.verdict {
+                if let Verdict::Inconclusive(r) = round.verdict {
                     report.verdict = Verdict::Inconclusive(r);
                     break;
                 }
@@ -199,24 +190,22 @@ impl TraceAnalyzer {
         options: &AnalysisOptions,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        let machine = self.machine.policy_view(options.policy);
+        self.validate(&checkpoint)?;
+        if !checkpoint.search.complete {
+            return Err(TangoError::Env(EnvError(
+                "resume: on-line (MDFS) checkpoint — use analyze_online_resume".into(),
+            )));
+        }
+        tel.begin("dfs", &self.module().module_name);
+        resume(&self.machine, self.module(), checkpoint, options, &mut |_| true, tel)
+    }
+
+    /// Refuse a checkpoint that does not fit this analyzer's
+    /// specification.
+    fn validate(&self, checkpoint: &Checkpoint) -> Result<(), TangoError> {
         checkpoint
             .validate_against(self.module(), self.machine.module.transition_count())
-            .map_err(|m| TangoError::Env(crate::env::EnvError(format!("resume: {}", m))))?;
-        let Checkpoint { body, trace, stats } = checkpoint;
-        let dfs = match body {
-            CheckpointBody::Dfs(dfs) => dfs,
-            CheckpointBody::Mdfs(_) => {
-                return Err(TangoError::Env(crate::env::EnvError(
-                    "resume: on-line (MDFS) checkpoint — use analyze_online_resume".into(),
-                )))
-            }
-        };
-        let mut stats = stats;
-        tel.begin("dfs", &self.module().module_name);
-        let mut env = TraceEnv::new(self.module(), trace.clone(), options, false)?;
-        let outcome = resume_dfs(&machine, &mut env, dfs, options, &mut stats, tel)?;
-        Ok(report_from_outcome(&machine, outcome, stats, &trace))
+            .map_err(|m| TangoError::Env(EnvError(format!("resume: {}", m))))
     }
 
     /// On-line analysis of a dynamic trace (§3): multi-threaded DFS with
@@ -270,34 +259,19 @@ impl TraceAnalyzer {
         on_status: &mut dyn FnMut(&Verdict) -> bool,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        checkpoint
-            .validate_against(self.module(), self.machine.module.transition_count())
-            .map_err(|m| TangoError::Env(crate::env::EnvError(format!("resume: {}", m))))?;
-        let Checkpoint { body, trace, stats } = checkpoint;
-        let mdfs = match body {
-            CheckpointBody::Mdfs(m) => m,
-            CheckpointBody::Dfs(_) => {
-                return Err(TangoError::Env(crate::env::EnvError(
-                    "resume: static (DFS) checkpoint — use analyze_resume".into(),
-                )))
-            }
-        };
-        if !mdfs.eof {
-            return Err(TangoError::Env(crate::env::EnvError(
+        self.validate(&checkpoint)?;
+        if checkpoint.search.complete {
+            return Err(TangoError::Env(EnvError(
+                "resume: static (DFS) checkpoint — use analyze_resume".into(),
+            )));
+        }
+        if !checkpoint.search.eof {
+            return Err(TangoError::Env(EnvError(
                 "resume: only eof-reached on-line checkpoints are resumable".into(),
             )));
         }
         tel.begin("mdfs", &self.module().module_name);
-        crate::search::mdfs::resume_mdfs(
-            &self.machine,
-            self.module(),
-            mdfs,
-            trace,
-            stats,
-            options,
-            on_status,
-            tel,
-        )
+        resume(&self.machine, self.module(), checkpoint, options, on_status, tel)
     }
 
     /// Implementation-generation mode (§4.1 methodology): execute the
@@ -310,34 +284,4 @@ impl TraceAnalyzer {
     ) -> Result<Trace, TangoError> {
         run_implementation(&self.machine, script, choice, max_steps)
     }
-}
-
-/// Assemble a report from a raw DFS outcome: failure localization for
-/// invalid traces, a resumable checkpoint for limit-stopped ones. Paths
-/// leave the search here, so this is where they get their names.
-fn report_from_outcome(
-    machine: &Machine,
-    outcome: DfsOutcome,
-    stats: SearchStats,
-    trace: &ResolvedTrace,
-) -> AnalysisReport {
-    let mut report = AnalysisReport::new(outcome.verdict, stats);
-    report.witness = outcome.witness.map(|w| path_names(machine, &w));
-    report.spec_errors = outcome.spec_errors;
-    report.spill_faults = outcome.spill_faults;
-    if report.verdict == Verdict::Invalid {
-        report.best_effort = Some(crate::verdict::BestEffort {
-            events_explained: outcome.best.0,
-            events_total: outcome.total_events,
-            path: path_names(machine, &outcome.best.1),
-        });
-    }
-    if let Some(dfs) = outcome.checkpoint {
-        report.checkpoint = Some(Box::new(Checkpoint {
-            body: CheckpointBody::Dfs(dfs),
-            trace: trace.clone(),
-            stats: report.stats.clone(),
-        }));
-    }
-    report
 }

@@ -19,14 +19,14 @@
 //! +--------------------------------------+
 //! ```
 //!
-//! Sections: `META` (progress numbers + [`SearchStats`], readable without
-//! touching the machine state), `TRACE` (the resolved trace), then the
-//! frozen search itself — for a static checkpoint a `DFS` section whose
-//! backtracking frames carry their states inline, each with the bytes
-//! its save charged so [`SnapshotStore::rebuild`] reproduces the exact
-//! resident-byte accounting after a reload; for an on-line (multi-worker
-//! MDFS) checkpoint a single `MDFS` section holding every worker's deque
-//! and parked PG-nodes, also with their states inline.
+//! Sections: `META` (progress numbers + [`SearchStats`] + the mode,
+//! readable without touching the machine state), `TRACE` (the resolved
+//! trace), then the frozen search itself: one `SEARCH` section for both
+//! modes, holding the work stack and the PG-list as node records with
+//! their states inline (a node saved for backtracking also carries its
+//! pending candidates), then the visited set, the spec errors and the
+//! best attempt. Each node's resident-byte charge is re-derived from its
+//! state on reload, so the accounting continues exactly.
 //!
 //! **Failure is typed, never a panic.** Every way a file can be wrong —
 //! empty, truncated, wrong magic, other version, flipped byte — maps to
@@ -39,13 +39,9 @@
 //! the target directory, fsyncs it, renames it over the destination and
 //! fsyncs the directory: a crash mid-write leaves the previous good
 //! checkpoint intact, never a half-written one.
-//!
-//! [`SnapshotStore::rebuild`]: crate::search::snapshot::SnapshotStore::rebuild
 
-use super::{Checkpoint, CheckpointBody, MdfsCheckpoint, MdfsNodeCkpt, MdfsWorkerCkpt};
+use super::{Checkpoint, NodeCkpt, SearchCheckpoint, WorkerCkpt};
 use crate::env::Cursors;
-use crate::search::dfs::{DfsCheckpoint, Frame};
-use crate::search::snapshot::{FxBuildHasher, SavedState};
 use crate::stats::SearchStats;
 use crate::trace::{Dir, ResolvedEvent, ResolvedTrace};
 use estelle_ast::Span;
@@ -54,7 +50,6 @@ use estelle_runtime::{
     ByteReader, ByteWriter, CodecError, Fireable, RuntimeError, RuntimeErrorKind,
 };
 use crate::fault::{CheckpointFaultInjector, CheckpointWriteFault, RetryOutcome, RetryPolicy};
-use std::collections::HashSet;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -78,13 +73,17 @@ pub const MAGIC: [u8; 8] = *b"TANGOCKP";
 /// stores every path (the DFS path, the DFS best path and each MDFS
 /// node's path) as `u32` compiled-transition indices instead of names,
 /// and drops the DFS best-pending length: the best path is stored whole.
-pub const FORMAT_VERSION: u32 = 6;
+/// Version 7 has one search body for both modes: the `DFS` section is
+/// gone, and the `SEARCH` section's node records gain the pending
+/// candidate list, followed by the visited set, the spec errors, the best
+/// attempt, the event total and the stop depth.
+pub const FORMAT_VERSION: u32 = 7;
 
 const SEC_META: u32 = 1;
 const SEC_TRACE: u32 = 2;
-// Tag 3 is retired (the `STATES` table of versions <= 4); never reuse it.
-const SEC_DFS: u32 = 4;
-const SEC_MDFS: u32 = 5;
+// Tag 3 is retired (the `STATES` table of versions <= 4), and tag 4 (the
+// `DFS` section of versions <= 6); never reuse either.
+const SEC_SEARCH: u32 = 5;
 
 const MODE_DFS: u8 = 0;
 const MODE_MDFS: u8 = 1;
@@ -93,8 +92,7 @@ fn section_name(tag: u32) -> &'static str {
     match tag {
         SEC_META => "meta",
         SEC_TRACE => "trace",
-        SEC_DFS => "dfs",
-        SEC_MDFS => "mdfs",
+        SEC_SEARCH => "search",
         _ => "unknown",
     }
 }
@@ -283,18 +281,11 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 // ------------------------------------------------------------- encoding
 
 fn encode_checkpoint(cp: &Checkpoint) -> Result<Vec<u8>, CheckpointError> {
-    let sections = match &cp.body {
-        CheckpointBody::Dfs(dfs) => vec![
-            (SEC_META, encode_meta(cp)),
-            (SEC_TRACE, encode_trace(&cp.trace)),
-            (SEC_DFS, encode_dfs(dfs)?),
-        ],
-        CheckpointBody::Mdfs(m) => vec![
-            (SEC_META, encode_meta(cp)),
-            (SEC_TRACE, encode_trace(&cp.trace)),
-            (SEC_MDFS, encode_mdfs(m)),
-        ],
-    };
+    let sections = [
+        (SEC_META, encode_meta(cp)),
+        (SEC_TRACE, encode_trace(&cp.trace)),
+        (SEC_SEARCH, encode_search(&cp.search)),
+    ];
 
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
@@ -317,16 +308,16 @@ fn encode_meta(cp: &Checkpoint) -> Vec<u8> {
     w.put_usize(cp.pending_frames());
     w.put_usize(cp.events_total());
     encode_stats(&mut w, &cp.stats);
-    match &cp.body {
-        CheckpointBody::Dfs(_) => w.put_u8(MODE_DFS),
-        CheckpointBody::Mdfs(m) => {
-            w.put_u8(MODE_MDFS);
-            w.put_u32(m.workers_at_save);
-            w.put_u32(m.workers.len() as u32);
-            for wk in &m.workers {
-                w.put_usize(wk.deque.len());
-                w.put_usize(wk.parked.len());
-            }
+    let m = &cp.search;
+    if m.complete {
+        w.put_u8(MODE_DFS);
+    } else {
+        w.put_u8(MODE_MDFS);
+        w.put_u32(m.workers_at_save);
+        w.put_u32(m.workers.len() as u32);
+        for wk in &m.workers {
+            w.put_usize(wk.deque.len());
+            w.put_usize(wk.parked.len());
         }
     }
     w.into_bytes()
@@ -466,54 +457,7 @@ fn encode_path(w: &mut ByteWriter, path: &[u32]) {
     }
 }
 
-/// The frozen DFS. The search makes every frame resident before
-/// checkpointing; a spilled frame here means that read-back failed,
-/// which is not encodable.
-fn encode_dfs(dfs: &DfsCheckpoint) -> Result<Vec<u8>, CheckpointError> {
-    let mut w = ByteWriter::new();
-    encode_state(&mut w, &dfs.state);
-    encode_cursors(&mut w, &dfs.cursors);
-    encode_path(&mut w, &dfs.path);
-    w.put_u32(dfs.stack.len() as u32);
-    for f in &dfs.stack {
-        let state = f.state.resident_state().ok_or_else(|| {
-            CheckpointError::Malformed(
-                "cannot encode a checkpoint while a frame's snapshot is spilled to disk"
-                    .to_string(),
-            )
-        })?;
-        encode_state(&mut w, &state);
-        w.put_usize(f.state.bytes());
-        encode_cursors(&mut w, &f.cursors);
-        w.put_u32(f.fireable.len() as u32);
-        for fr in &f.fireable {
-            encode_fireable(&mut w, fr);
-        }
-        w.put_usize(f.next);
-        w.put_usize(f.path_len);
-        w.put_usize(f.barren);
-    }
-    // Sorted for a deterministic encoding: the same checkpoint always
-    // produces the same bytes.
-    let mut visited: Vec<u64> = dfs.visited.iter().copied().collect();
-    visited.sort_unstable();
-    w.put_u32(visited.len() as u32);
-    for v in visited {
-        w.put_u64(v);
-    }
-    w.put_u32(dfs.spec_errors.len() as u32);
-    for e in &dfs.spec_errors {
-        encode_spec_error(&mut w, e);
-    }
-    w.put_usize(dfs.best.0);
-    encode_path(&mut w, &dfs.best.1);
-    w.put_usize(dfs.total_events);
-    w.put_usize(dfs.barren);
-    w.put_bool(dfs.at_node);
-    Ok(w.into_bytes())
-}
-
-fn encode_mdfs_node(w: &mut ByteWriter, n: &MdfsNodeCkpt) {
+fn encode_node(w: &mut ByteWriter, n: &NodeCkpt) {
     encode_state(w, &n.state);
     encode_cursors(w, &n.cursors);
     w.put_u32(n.tried.len() as u32);
@@ -526,26 +470,49 @@ fn encode_mdfs_node(w: &mut ByteWriter, n: &MdfsNodeCkpt) {
     }
     w.put_usize(n.barren);
     encode_path(w, &n.path);
-}
-
-fn encode_mdfs_nodes(w: &mut ByteWriter, nodes: &[MdfsNodeCkpt]) {
-    w.put_u32(nodes.len() as u32);
-    for n in nodes {
-        encode_mdfs_node(w, n);
+    match &n.pending {
+        None => w.put_bool(false),
+        Some((fireable, next)) => {
+            w.put_bool(true);
+            w.put_u32(fireable.len() as u32);
+            for f in fireable {
+                encode_fireable(w, f);
+            }
+            w.put_usize(*next);
+        }
     }
 }
 
-/// The frozen multi-worker search front, states inline per node.
-fn encode_mdfs(m: &MdfsCheckpoint) -> Vec<u8> {
+fn encode_nodes(w: &mut ByteWriter, nodes: &[NodeCkpt]) {
+    w.put_u32(nodes.len() as u32);
+    for n in nodes {
+        encode_node(w, n);
+    }
+}
+
+/// The frozen search front, states inline per node.
+fn encode_search(m: &SearchCheckpoint) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(m.workers_at_save);
     w.put_bool(m.eof);
     w.put_u32(m.workers.len() as u32);
     for wk in &m.workers {
-        encode_mdfs_nodes(&mut w, &wk.deque);
-        encode_mdfs_nodes(&mut w, &wk.parked);
+        encode_nodes(&mut w, &wk.deque);
+        encode_nodes(&mut w, &wk.parked);
     }
-    encode_mdfs_nodes(&mut w, &m.pg_prior);
+    encode_nodes(&mut w, &m.pg_prior);
+    w.put_u32(m.visited.len() as u32);
+    for &v in &m.visited {
+        w.put_u64(v);
+    }
+    w.put_u32(m.spec_errors.len() as u32);
+    for e in &m.spec_errors {
+        encode_spec_error(&mut w, e);
+    }
+    w.put_usize(m.best.0);
+    encode_path(&mut w, &m.best.1);
+    w.put_usize(m.events_total);
+    w.put_usize(m.depth);
     w.into_bytes()
 }
 
@@ -671,23 +638,12 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
     let trace = decode_trace(&mut r)?;
     expect_done(&r, SEC_TRACE)?;
 
-    let body = match info.mode {
-        "mdfs" => {
-            let mut r = ByteReader::new(find_section(&sections, SEC_MDFS)?);
-            let m = decode_mdfs(&mut r)?;
-            expect_done(&r, SEC_MDFS)?;
-            CheckpointBody::Mdfs(m)
-        }
-        _ => {
-            let mut r = ByteReader::new(find_section(&sections, SEC_DFS)?);
-            let dfs = decode_dfs(&mut r)?;
-            expect_done(&r, SEC_DFS)?;
-            CheckpointBody::Dfs(dfs)
-        }
-    };
+    let mut r = ByteReader::new(find_section(&sections, SEC_SEARCH)?);
+    let search = decode_search(&mut r, info.mode == "dfs")?;
+    expect_done(&r, SEC_SEARCH)?;
 
     Ok(Checkpoint {
-        body,
+        search,
         trace,
         stats: info.stats,
     })
@@ -874,73 +830,7 @@ fn decode_path(r: &mut ByteReader<'_>) -> Result<Vec<u32>, CodecError> {
     Ok(path)
 }
 
-fn decode_dfs(r: &mut ByteReader<'_>) -> Result<DfsCheckpoint, CheckpointError> {
-    let state = decode_state(r)?;
-    let cursors = decode_cursors(r)?;
-    let path = decode_path(r)?;
-    let nframes = r.get_u32("frame count")? as usize;
-    let mut stack = Vec::with_capacity(nframes.min(1024));
-    for i in 0..nframes {
-        let frame_state = decode_state(r)?;
-        let bytes = r.get_usize("frame charged bytes")?;
-        let saved = SavedState::from_decoded(frame_state, bytes);
-        let cursors = decode_cursors(r)?;
-        let nf = r.get_u32("frame fireable count")? as usize;
-        let mut fireable = Vec::with_capacity(nf.min(64));
-        for _ in 0..nf {
-            fireable.push(decode_fireable(r)?);
-        }
-        let next = r.get_usize("frame next")?;
-        let path_len = r.get_usize("frame path length")?;
-        let barren = r.get_usize("frame barren count")?;
-        if next > fireable.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "frame {} cursor {} past its {} fireables",
-                i,
-                next,
-                fireable.len()
-            )));
-        }
-        stack.push(Frame {
-            state: saved,
-            cursors,
-            fireable,
-            next,
-            path_len,
-            barren,
-        });
-    }
-    let nv = r.get_len(8, "visited set")?;
-    let mut visited: HashSet<u64, FxBuildHasher> =
-        HashSet::with_capacity_and_hasher(nv, FxBuildHasher::default());
-    for _ in 0..nv {
-        visited.insert(r.get_u64("visited hash")?);
-    }
-    let ne = r.get_u32("spec error count")? as usize;
-    let mut spec_errors = Vec::with_capacity(ne.min(1024));
-    for _ in 0..ne {
-        spec_errors.push(decode_spec_error(r)?);
-    }
-    let best_explained = r.get_usize("best explained")?;
-    let best_path = decode_path(r)?;
-    let total_events = r.get_usize("total events")?;
-    let barren = r.get_usize("barren count")?;
-    let at_node = r.get_bool("at-node flag")?;
-    Ok(DfsCheckpoint {
-        state,
-        cursors,
-        path,
-        stack,
-        visited,
-        spec_errors,
-        best: (best_explained, best_path),
-        total_events,
-        barren,
-        at_node,
-    })
-}
-
-fn decode_mdfs_node(r: &mut ByteReader<'_>) -> Result<MdfsNodeCkpt, CheckpointError> {
+fn decode_node(r: &mut ByteReader<'_>) -> Result<NodeCkpt, CheckpointError> {
     let state = decode_state(r)?;
     let cursors = decode_cursors(r)?;
     let nt = r.get_u32("tried count")? as usize;
@@ -955,41 +845,80 @@ fn decode_mdfs_node(r: &mut ByteReader<'_>) -> Result<MdfsNodeCkpt, CheckpointEr
     }
     let barren = r.get_usize("node barren count")?;
     let path = decode_path(r)?;
-    Ok(MdfsNodeCkpt {
+    let pending = if r.get_bool("pending flag")? {
+        let nf = r.get_u32("pending count")? as usize;
+        let mut fireable = Vec::with_capacity(nf.min(64));
+        for _ in 0..nf {
+            fireable.push(decode_fireable(r)?);
+        }
+        let next = r.get_usize("pending next")?;
+        if next >= fireable.len() {
+            return Err(CheckpointError::Malformed(format!(
+                "pending cursor {} past its {} candidates",
+                next,
+                fireable.len()
+            )));
+        }
+        Some((fireable, next))
+    } else {
+        None
+    };
+    Ok(NodeCkpt {
         state,
         cursors,
         tried,
         blocked,
         barren,
         path,
+        pending,
     })
 }
 
-fn decode_mdfs_nodes(r: &mut ByteReader<'_>) -> Result<Vec<MdfsNodeCkpt>, CheckpointError> {
+fn decode_nodes(r: &mut ByteReader<'_>) -> Result<Vec<NodeCkpt>, CheckpointError> {
     let n = r.get_u32("node count")? as usize;
     let mut nodes = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        nodes.push(decode_mdfs_node(r)?);
+        nodes.push(decode_node(r)?);
     }
     Ok(nodes)
 }
 
-fn decode_mdfs(r: &mut ByteReader<'_>) -> Result<MdfsCheckpoint, CheckpointError> {
+fn decode_search(r: &mut ByteReader<'_>, complete: bool) -> Result<SearchCheckpoint, CheckpointError> {
     let workers_at_save = r.get_u32("workers at save")?;
     let eof = r.get_bool("eof flag")?;
     let nw = r.get_u32("worker count")? as usize;
     let mut workers = Vec::with_capacity(nw.min(1024));
     for _ in 0..nw {
-        let deque = decode_mdfs_nodes(r)?;
-        let parked = decode_mdfs_nodes(r)?;
-        workers.push(MdfsWorkerCkpt { deque, parked });
+        let deque = decode_nodes(r)?;
+        let parked = decode_nodes(r)?;
+        workers.push(WorkerCkpt { deque, parked });
     }
-    let pg_prior = decode_mdfs_nodes(r)?;
-    Ok(MdfsCheckpoint {
+    let pg_prior = decode_nodes(r)?;
+    let nv = r.get_len(8, "visited set")?;
+    let mut visited = Vec::with_capacity(nv);
+    for _ in 0..nv {
+        visited.push(r.get_u64("visited hash")?);
+    }
+    let ne = r.get_u32("spec error count")? as usize;
+    let mut spec_errors = Vec::with_capacity(ne.min(1024));
+    for _ in 0..ne {
+        spec_errors.push(decode_spec_error(r)?);
+    }
+    let best_explained = r.get_usize("best explained")?;
+    let best_path = decode_path(r)?;
+    let events_total = r.get_usize("events total")?;
+    let depth = r.get_usize("stop depth")?;
+    Ok(SearchCheckpoint {
+        complete,
         workers_at_save,
         eof,
         workers,
         pg_prior,
+        visited,
+        spec_errors,
+        best: (best_explained, best_path),
+        events_total,
+        depth,
     })
 }
 

@@ -1,62 +1,55 @@
 //! Stop/resume checkpoints.
 //!
-//! When a static DFS stops on a resource limit (transition count, depth,
+//! When a search stops on a resource limit (transition count, depth,
 //! wall-clock deadline or snapshot-memory budget), the report carries a
-//! [`Checkpoint`]: the frozen search state plus the resolved trace and the
-//! counters accumulated so far. [`crate::TraceAnalyzer::analyze_resume`]
-//! continues the search exactly where it stopped — no work is repeated,
-//! and the final TE/GE/RE/SA totals across stop + resume equal those of an
-//! uninterrupted run, so figures assembled from budgeted batch runs stay
-//! comparable with the paper's tables.
+//! [`Checkpoint`]: the frozen search front plus the resolved trace and the
+//! counters accumulated so far. Resuming continues the search exactly
+//! where it stopped — no work is repeated, and the final TE/GE/RE/SA
+//! totals across stop + resume equal those of an uninterrupted run, so
+//! figures assembled from budgeted batch runs stay comparable with the
+//! paper's tables.
 //!
-//! On-line (MDFS) analyses checkpoint too, including multi-worker runs:
-//! the [`CheckpointBody::Mdfs`] body freezes every worker's deque and
-//! parked PG-nodes plus the PG-list carried over from earlier bursts.
-//! Each frozen node is a complete search "thread" (state snapshot, trace
-//! cursors, tried/blocked transition sets, barren counter, path), so the
-//! checkpoint is **worker-count independent**: a run stopped at N workers
-//! resumes at any M via [`crate::TraceAnalyzer::analyze_online_resume`].
-//! Because every node-step is either fully completed (its counters
-//! recorded and its children saved) or still queued, resumed exhaustion
-//! verdicts reproduce the uninterrupted TE/GE/RE/SA totals exactly at any
-//! worker count (DESIGN §6.13).
+//! Both expansion rules of the one search engine freeze the same body
+//! ([`SearchCheckpoint`]): the work stack and the PG-list as
+//! [`NodeCkpt`] records, plus the visited set, the recorded spec errors
+//! and the best attempt. Each frozen node is a complete search "thread"
+//! (state snapshot, trace cursors, tried/blocked transition sets, barren
+//! counter, path); a node the complete-trace rule saved for backtracking
+//! also carries its pending candidate list. The mode says which rule the
+//! search ran, so each resume entry point refuses the other kind:
+//! [`crate::TraceAnalyzer::analyze_resume`] takes static checkpoints,
+//! [`crate::TraceAnalyzer::analyze_online_resume`] on-line ones. An
+//! on-line checkpoint is **worker-count independent**: a run stopped at
+//! N workers resumes at any M, with the uninterrupted totals
+//! (DESIGN §6.13).
 
 pub mod codec;
 
 pub use codec::{CheckpointError, CheckpointInfo, FORMAT_VERSION, MAGIC};
 
 use crate::env::Cursors;
-use crate::search::dfs::DfsCheckpoint;
 use crate::stats::SearchStats;
 use crate::trace::ResolvedTrace;
-use estelle_runtime::MachineState;
+use estelle_runtime::{Fireable, MachineState, RuntimeError};
 
 /// A resumable, stopped analysis. Opaque except for the progress
 /// accessors; produce with a limited [`crate::TraceAnalyzer::analyze`]
 /// (or `analyze_online`) call, consume with
-/// [`crate::TraceAnalyzer::analyze_resume`] (static bodies) or
-/// [`crate::TraceAnalyzer::analyze_online_resume`] (on-line bodies).
+/// [`crate::TraceAnalyzer::analyze_resume`] (static checkpoints) or
+/// [`crate::TraceAnalyzer::analyze_online_resume`] (on-line ones).
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    pub(crate) body: CheckpointBody,
+    pub(crate) search: SearchCheckpoint,
     pub(crate) trace: ResolvedTrace,
     pub(crate) stats: SearchStats,
 }
 
-/// Which search the checkpoint freezes. Cold-path value — a handful
-/// exist per run — so the variant size skew costs nothing.
+/// The frozen search front of either expansion rule.
 #[derive(Clone, Debug)]
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum CheckpointBody {
-    /// Static-mode DFS: one path of frames.
-    Dfs(DfsCheckpoint),
-    /// On-line MDFS: the work front + parked PG-nodes.
-    Mdfs(MdfsCheckpoint),
-}
-
-/// Frozen MDFS search front.
-#[derive(Clone, Debug)]
-pub(crate) struct MdfsCheckpoint {
+pub(crate) struct SearchCheckpoint {
+    /// Whether the complete-trace rule ran (a static analysis) rather
+    /// than the on-line rule.
+    pub(crate) complete: bool,
     /// Worker count of the run that saved this checkpoint. Informational
     /// — resume redistributes the nodes over the *resuming* run's
     /// workers.
@@ -69,26 +62,36 @@ pub(crate) struct MdfsCheckpoint {
     /// The saved front. A save writes it as one entry — the work stack
     /// in pop order, parks on `pg_prior` — whatever its worker count;
     /// resume concatenates however many entries a file holds.
-    pub(crate) workers: Vec<MdfsWorkerCkpt>,
+    pub(crate) workers: Vec<WorkerCkpt>,
     /// The PG-list, in park order.
-    pub(crate) pg_prior: Vec<MdfsNodeCkpt>,
+    pub(crate) pg_prior: Vec<NodeCkpt>,
+    /// State-hashing fingerprints already expanded, sorted.
+    pub(crate) visited: Vec<u64>,
+    pub(crate) spec_errors: Vec<RuntimeError>,
+    /// The most-explaining attempt so far: events explained, and its
+    /// path as compiled-transition indices.
+    pub(crate) best: (usize, Vec<u32>),
+    /// Checkable events in the trace under analysis.
+    pub(crate) events_total: usize,
+    /// Depth of the search at the stop point.
+    pub(crate) depth: usize,
 }
 
 /// One entry of a frozen front.
 #[derive(Clone, Debug)]
-pub(crate) struct MdfsWorkerCkpt {
+pub(crate) struct WorkerCkpt {
     /// Work nodes, bottom to top (next pop last).
-    pub(crate) deque: Vec<MdfsNodeCkpt>,
+    pub(crate) deque: Vec<NodeCkpt>,
     /// Parked PG-nodes, in park order; resume appends them to the
     /// PG-list.
-    pub(crate) parked: Vec<MdfsNodeCkpt>,
+    pub(crate) parked: Vec<NodeCkpt>,
 }
 
-/// One frozen MDFS search node ("thread"). States are materialized at
-/// save time (spilled snapshots are faulted back in first), so the
-/// checkpoint file is self-contained.
+/// One frozen search node ("thread"). States are materialized at save
+/// time (spilled snapshots are faulted back in first), so the checkpoint
+/// file is self-contained.
 #[derive(Clone, Debug)]
-pub(crate) struct MdfsNodeCkpt {
+pub(crate) struct NodeCkpt {
     pub(crate) state: MachineState,
     pub(crate) cursors: Cursors,
     /// Compiled-transition indices already explored, sorted.
@@ -98,55 +101,50 @@ pub(crate) struct MdfsNodeCkpt {
     pub(crate) barren: usize,
     /// Compiled-transition indices fired from the root.
     pub(crate) path: Vec<u32>,
+    /// Complete-trace rule only: the candidates of the node's one
+    /// Generate and the index of the next one to fire.
+    pub(crate) pending: Option<(Vec<Fireable>, usize)>,
 }
 
-impl MdfsCheckpoint {
+impl SearchCheckpoint {
     /// Every frozen node, in no particular order.
-    pub(crate) fn nodes(&self) -> impl Iterator<Item = &MdfsNodeCkpt> {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = &NodeCkpt> {
         self.workers
             .iter()
             .flat_map(|w| w.deque.iter().chain(w.parked.iter()))
             .chain(self.pg_prior.iter())
-    }
-
-    pub(crate) fn node_count(&self) -> usize {
-        self.nodes().count()
     }
 }
 
 impl Checkpoint {
     /// `"dfs"` for a static-mode checkpoint, `"mdfs"` for an on-line one.
     pub fn mode(&self) -> &'static str {
-        match &self.body {
-            CheckpointBody::Dfs(_) => "dfs",
-            CheckpointBody::Mdfs(_) => "mdfs",
+        if self.search.complete {
+            "dfs"
+        } else {
+            "mdfs"
         }
     }
 
-    /// Depth of the search at the stop point: the DFS path depth, or the
-    /// deepest frozen MDFS node.
+    /// Depth of the search at the stop point: the static search's path
+    /// depth, or the deepest frozen on-line node.
     pub fn depth(&self) -> usize {
-        match &self.body {
-            CheckpointBody::Dfs(dfs) => dfs.depth(),
-            CheckpointBody::Mdfs(m) => m.nodes().map(|n| n.path.len()).max().unwrap_or(0),
-        }
+        self.search.depth
     }
 
-    /// Saved search nodes awaiting exploration: backtracking frames
-    /// (DFS) or frozen deque + parked nodes (MDFS).
+    /// Saved search nodes awaiting exploration: the nodes saved for
+    /// backtracking (static), or every frozen node (on-line).
     pub fn pending_frames(&self) -> usize {
-        match &self.body {
-            CheckpointBody::Dfs(dfs) => dfs.pending_frames(),
-            CheckpointBody::Mdfs(m) => m.node_count(),
-        }
+        let complete = self.search.complete;
+        self.search
+            .nodes()
+            .filter(|n| !complete || n.pending.is_some())
+            .count()
     }
 
     /// Checkable events in the trace under analysis.
     pub fn events_total(&self) -> usize {
-        match &self.body {
-            CheckpointBody::Dfs(dfs) => dfs.events_total(),
-            CheckpointBody::Mdfs(_) => self.trace.events.len(),
-        }
+        self.search.events_total
     }
 
     /// Counters accumulated up to the stop; resuming continues them.
@@ -218,52 +216,21 @@ impl Checkpoint {
                 None => Ok(()),
             }
         };
-        match &self.body {
-            CheckpointBody::Dfs(dfs) => {
-                check_path(&dfs.path, "checkpoint path")?;
-                check_path(&dfs.best.1, "best-effort path")?;
-                if dfs.state.control.0 >= state_count {
-                    return Err(format!(
-                        "checkpoint control state {} out of range ({} states)",
-                        dfs.state.control.0, state_count
-                    ));
-                }
-                check_cursors(&dfs.cursors, "checkpoint")?;
-                for (i, f) in dfs.stack.iter().enumerate() {
-                    check_cursors(&f.cursors, "frame")?;
-                    // Decoded frames are always resident (spill residency
-                    // is a live-search concern; checkpoints carry the
-                    // bytes inline).
-                    if let Some(state) = f.state.resident_state() {
-                        if state.control.0 >= state_count {
-                            return Err(format!("frame {} control state out of range", i));
-                        }
-                    }
-                    for fireable in &f.fireable {
-                        if fireable.trans >= transition_count {
-                            return Err(format!(
-                                "frame {} references transition {} of {}",
-                                i, fireable.trans, transition_count
-                            ));
-                        }
-                    }
-                }
+        let m = &self.search;
+        check_path(&m.best.1, "best-effort path")?;
+        for (i, n) in m.nodes().enumerate() {
+            if n.state.control.0 >= state_count {
+                return Err(format!("node {} control state out of range", i));
             }
-            CheckpointBody::Mdfs(m) => {
-                for (i, n) in m.nodes().enumerate() {
-                    if n.state.control.0 >= state_count {
-                        return Err(format!("node {} control state out of range", i));
-                    }
-                    check_cursors(&n.cursors, "node")?;
-                    check_path(&n.path, &format!("node {} path", i))?;
-                    for &t in n.tried.iter().chain(n.blocked.iter()) {
-                        if t >= transition_count {
-                            return Err(format!(
-                                "node {} references transition {} of {}",
-                                i, t, transition_count
-                            ));
-                        }
-                    }
+            check_cursors(&n.cursors, "node")?;
+            check_path(&n.path, &format!("node {} path", i))?;
+            let pending = n.pending.iter().flat_map(|(f, _)| f.iter().map(|f| f.trans));
+            for t in n.tried.iter().chain(n.blocked.iter()).copied().chain(pending) {
+                if t >= transition_count {
+                    return Err(format!(
+                        "node {} references transition {} of {}",
+                        i, t, transition_count
+                    ));
                 }
             }
         }

@@ -75,8 +75,9 @@ pub struct TraceEnv {
     order: OrderOptions,
     disabled: Vec<bool>,
     unobserved: Vec<bool>,
-    /// Dynamic mode: streams that run out may still grow until `eof`.
-    pub dynamic: bool,
+    /// Whether the trace is complete. Until `eof` a stream that runs out
+    /// may still grow: the on-line search clears it while the trace is
+    /// arriving.
     pub eof: bool,
     /// Global indices of outputs verified during the current fire.
     fire_outputs: Vec<usize>,
@@ -97,13 +98,12 @@ impl std::fmt::Display for EnvError {
 impl std::error::Error for EnvError {}
 
 impl TraceEnv {
-    /// Build an environment for `trace` under `options`, resolving the
-    /// option IP names against the module.
+    /// Build an environment for the complete `trace` under `options`,
+    /// resolving the option IP names against the module.
     pub fn new(
         module: &AnalyzedModule,
         trace: ResolvedTrace,
         options: &AnalysisOptions,
-        dynamic: bool,
     ) -> Result<Self, EnvError> {
         let n = module.ips.len();
         let mut disabled = vec![false; n];
@@ -134,8 +134,7 @@ impl TraceEnv {
             order: options.order,
             disabled,
             unobserved,
-            dynamic,
-            eof: !dynamic,
+            eof: true,
             fire_outputs: Vec::new(),
             last_reject: None,
         })
@@ -193,6 +192,20 @@ impl TraceEnv {
         self.unobserved[ip]
     }
 
+    /// Count of checkable events already consumed/verified: the events
+    /// the current branch explains. It depends on the cursors alone, so
+    /// it does not move as a growing trace gets longer.
+    pub fn explained(&self) -> usize {
+        let mut n = 0;
+        for ip in 0..self.cursors.input.len() {
+            n += self.cursors.input[ip];
+            if !self.disabled[ip] {
+                n += self.cursors.output[ip];
+            }
+        }
+        n
+    }
+
     /// Count of events not yet consumed/verified (diagnostics).
     pub fn outstanding(&self) -> usize {
         let mut n = 0;
@@ -214,7 +227,7 @@ impl InputSource for TraceEnv {
         let stream = &self.trace.inputs[ip];
         let cur = self.cursors.input[ip];
         let Some(&gidx) = stream.get(cur) else {
-            return if self.dynamic && !self.eof && !self.disabled[ip] {
+            return if !self.eof && !self.disabled[ip] {
                 QueueHead::EmptyMayGrow
             } else {
                 QueueHead::Empty
@@ -267,7 +280,7 @@ impl OutputSink for TraceEnv {
         }
         let cur = self.cursors.output[ip];
         let Some(&gidx) = self.trace.outputs[ip].get(cur) else {
-            self.last_reject = Some(if self.dynamic && !self.eof {
+            self.last_reject = Some(if !self.eof {
                 RejectReason::MayGrow
             } else {
                 RejectReason::Mismatch
@@ -327,7 +340,7 @@ mod tests {
     fn env_for(events: Vec<Event>, order: OrderOptions) -> TraceEnv {
         let m = module();
         let t = ResolvedTrace::resolve(&Trace::new(events), &m).unwrap();
-        TraceEnv::new(&m, t, &AnalysisOptions::with_order(order), false).unwrap()
+        TraceEnv::new(&m, t, &AnalysisOptions::with_order(order)).unwrap()
     }
 
     #[test]
@@ -415,16 +428,12 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_dynamic_output_stream_may_grow() {
+    fn exhausted_output_stream_may_grow_before_eof() {
         let m = module();
         let t = ResolvedTrace::resolve(&Trace::new(vec![]), &m).unwrap();
-        let mut env = TraceEnv::new(
-            &m,
-            t,
-            &AnalysisOptions::with_order(OrderOptions::none()),
-            true,
-        )
-        .unwrap();
+        let mut env =
+            TraceEnv::new(&m, t, &AnalysisOptions::with_order(OrderOptions::none())).unwrap();
+        env.eof = false;
         env.begin_fire();
         assert!(!env.emit(0, 0, vec![Value::Int(1)]));
         assert_eq!(env.last_reject, Some(RejectReason::MayGrow));
@@ -505,7 +514,7 @@ mod tests {
         let m = module();
         let t = ResolvedTrace::resolve(&Trace::new(vec![]), &m).unwrap();
         let opts = AnalysisOptions::with_order(OrderOptions::full()).disable_ip("L");
-        let mut env = TraceEnv::new(&m, t, &opts, false).unwrap();
+        let mut env = TraceEnv::new(&m, t, &opts).unwrap();
         env.begin_fire();
         assert!(env.emit(1, 0, vec![]));
         assert!(env.end_fire());
@@ -517,7 +526,7 @@ mod tests {
         let m = module();
         let t = ResolvedTrace::resolve(&Trace::new(vec![]), &m).unwrap();
         let opts = AnalysisOptions::default().unobserved_ip("L");
-        let env = TraceEnv::new(&m, t, &opts, false).unwrap();
+        let env = TraceEnv::new(&m, t, &opts).unwrap();
         assert_eq!(env.head(1), QueueHead::Unobserved);
         assert!(env.all_done());
     }
@@ -531,6 +540,6 @@ mod tests {
         )
         .unwrap();
         let opts = AnalysisOptions::default().unobserved_ip("L");
-        assert!(TraceEnv::new(&m, t, &opts, false).is_err());
+        assert!(TraceEnv::new(&m, t, &opts).is_err());
     }
 }

@@ -70,8 +70,8 @@
 //! [`AnalysisReport::source_faults`] so feed-level faults (parse errors,
 //! truncation, a dead feeder) survive into the report.
 
-use crate::checkpoint::{Checkpoint, CheckpointBody, MdfsCheckpoint, MdfsNodeCkpt, MdfsWorkerCkpt};
-use crate::env::{Cursors, RejectReason, TraceEnv};
+use crate::checkpoint::{Checkpoint, NodeCkpt, SearchCheckpoint, WorkerCkpt};
+use crate::env::{Cursors, EnvError, RejectReason, TraceEnv};
 use crate::error::TangoError;
 use crate::fault::{Backoff, RetryPolicy};
 use crate::options::AnalysisOptions;
@@ -79,19 +79,22 @@ use crate::stats::SearchStats;
 use crate::telemetry::{PruneKind, Telemetry};
 use crate::trace::source::{Poll, TraceSource};
 use crate::trace::ResolvedTrace;
-use crate::verdict::{AnalysisReport, InconclusiveReason, Verdict};
-use estelle_frontend::sema::model::AnalyzedModule;
+use crate::verdict::{AnalysisReport, BestEffort, InconclusiveReason, Verdict};
+use estelle_frontend::sema::model::{AnalyzedModule, StateId};
 use estelle_runtime::{
-    FireOutcome, Generated, Machine, MachineState, RuntimeError, RuntimeErrorKind,
+    FireOutcome, Fireable, Generated, Machine, MachineState, RuntimeError, RuntimeErrorKind,
 };
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::path::SharedPath;
-use super::snapshot::state_key;
-use super::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
+use super::spill::{
+    hash_state, state_key, FxBuildHasher, FxHasher, SpillCounters, SpillError, SpillTicket,
+    SpillTier,
+};
 use super::{guard, is_fatal, record_error, MAX_RECORDED_ERRORS};
 
 /// How long an idle thief sleeps before re-scanning the deques.
@@ -166,6 +169,17 @@ struct Node {
     state_bytes: usize,
     /// Cursor/bookkeeping bytes — always RAM-resident.
     meta_bytes: usize,
+    /// Complete-trace rule only: the node was saved for backtracking, and
+    /// this is what remains of its one Generate.
+    pending: Option<Pending>,
+}
+
+/// The candidates of a saved node's one Generate and the index of the
+/// next one to fire — DFS's frame cursor.
+#[derive(Clone)]
+struct Pending {
+    fireable: Vec<Fireable>,
+    next: usize,
 }
 
 impl Node {
@@ -183,6 +197,28 @@ impl Node {
             path,
             state_bytes,
             meta_bytes,
+            pending: None,
+        }
+    }
+
+    /// The complete-trace rule's live node: the trace cursors it stands
+    /// at are the lane's, and it is never charged, so it records neither;
+    /// a stop freezes it through [`Node::new`].
+    fn live(state: MachineState, barren: usize, path: SharedPath) -> Self {
+        Node {
+            state: Some(state),
+            ticket: None,
+            cursors: Cursors {
+                input: Vec::new(),
+                output: Vec::new(),
+            },
+            tried: TransSet::default(),
+            blocked: TransSet::default(),
+            barren,
+            path,
+            state_bytes: 0,
+            meta_bytes: 0,
+            pending: None,
         }
     }
 
@@ -207,14 +243,6 @@ impl Node {
     fn resident_state(&self) -> &MachineState {
         self.state
             .as_ref()
-            .expect("node is faulted in before expansion")
-    }
-
-    /// The resident snapshot, for Generate: it only reads the state (see
-    /// DESIGN §6.13), so no scratch copy is needed.
-    fn resident_state_mut(&mut self) -> &mut MachineState {
-        self.state
-            .as_mut()
             .expect("node is faulted in before expansion")
     }
 }
@@ -305,7 +333,7 @@ fn finish(
     mut clocks: Vec<Clock>,
     cap: u64,
     spill_faults: Vec<String>,
-    checkpoint: Option<MdfsCheckpoint>,
+    checkpoint: Option<SearchCheckpoint>,
     trace: &ResolvedTrace,
     tel: &mut Telemetry,
 ) -> AnalysisReport {
@@ -341,9 +369,9 @@ fn finish(
     r.spec_errors = spec_errors;
     r.source_faults = source.diagnostics();
     r.spill_faults = spill_faults;
-    r.checkpoint = checkpoint.map(|m| {
+    r.checkpoint = checkpoint.map(|search| {
         Box::new(Checkpoint {
-            body: CheckpointBody::Mdfs(m),
+            search,
             trace: trace.clone(),
             stats: r.stats.clone(),
         })
@@ -352,19 +380,20 @@ fn finish(
 }
 
 /// Freeze one node into its checkpoint form.
-fn node_to_ckpt(n: Node) -> MdfsNodeCkpt {
-    MdfsNodeCkpt {
+fn node_to_ckpt(n: Node) -> NodeCkpt {
+    NodeCkpt {
         state: n.state.expect("nodes are faulted in before freezing"),
         cursors: n.cursors,
         tried: n.tried.0,
         blocked: n.blocked.0,
         barren: n.barren,
         path: n.path.to_indices(),
+        pending: n.pending.map(|p| (p.fireable, p.next)),
     }
 }
 
 /// Thaw a checkpointed node.
-fn node_from_ckpt(c: MdfsNodeCkpt) -> Node {
+fn node_from_ckpt(c: NodeCkpt) -> Node {
     let mut n = Node::new(
         c.state,
         c.cursors,
@@ -373,19 +402,58 @@ fn node_from_ckpt(c: MdfsNodeCkpt) -> Node {
     );
     n.tried = TransSet::from_vec(c.tried);
     n.blocked = TransSet::from_vec(c.blocked);
+    n.pending = c.pending.map(|(fireable, next)| Pending { fireable, next });
     n
 }
 
-/// A resumed run's starting front, thawed from an [`MdfsCheckpoint`].
-struct MdfsSeed {
-    /// Work stack, bottom to top (the saved deques concatenated in
-    /// worker order).
-    work: Vec<MdfsNodeCkpt>,
-    /// PG-list: prior parks first, then the saved per-worker parks.
-    pg: Vec<MdfsNodeCkpt>,
-    eof: bool,
+/// Hash of (machine state, trace cursors) for the state-hashing visited
+/// set: the same content hasher as the spill record key.
+fn fingerprint(state: &MachineState, cursors: &Cursors) -> u64 {
+    let mut h = FxHasher::default();
+    hash_state(&mut h, state);
+    cursors.hash(&mut h);
+    h.finish()
+}
+
+/// The most-explaining attempt: how many events it explains and its
+/// path. Inside a burst it also keeps the pop label of the node it was
+/// read from, so ties break in sequential order whichever worker saw
+/// them; a best carried in from earlier has no label and wins every tie.
+#[derive(Clone, Default)]
+struct Best {
+    explained: usize,
+    path: SharedPath,
+    label: Option<Vec<u32>>,
+}
+
+impl Best {
+    /// Whether an attempt explaining `explained` events, read at the pop
+    /// label `at` (`key ++ [step]`, or `None` outside a burst), comes
+    /// before this one.
+    fn beaten_by(&self, explained: usize, at: Option<(&[u32], u32)>) -> bool {
+        if explained != self.explained {
+            return explained > self.explained;
+        }
+        match (at, &self.label) {
+            (Some((key, step)), Some(best)) => {
+                key.iter().copied().chain([step]).lt(best.iter().copied())
+            }
+            _ => false,
+        }
+    }
+}
+
+/// What a run starts from.
+struct Seed {
+    /// Whether the complete-trace rule runs: the trace was complete when
+    /// the analysis started.
+    complete: bool,
     trace: ResolvedTrace,
     stats: SearchStats,
+    /// A fresh run's initial FSM state (`None`: the specification's).
+    init: Option<StateId>,
+    /// A resumed run's frozen front.
+    front: Option<SearchCheckpoint>,
 }
 
 /// The source behind a resumed run. Only eof-reached checkpoints are
@@ -405,7 +473,9 @@ impl TraceSource for EofSource {
 
 /// Run MDFS against a dynamic trace source. `on_status` sees every change
 /// of the interim verdict; returning `false` stops the analysis and
-/// reports the interim verdict.
+/// reports the interim verdict. State hashing is refused: with two or
+/// more workers the visited set would make the counters depend on the
+/// schedule.
 pub fn run_mdfs(
     machine: &Machine,
     module: &AnalyzedModule,
@@ -414,78 +484,110 @@ pub fn run_mdfs(
     on_status: &mut dyn FnMut(&Verdict) -> bool,
     tel: &mut Telemetry,
 ) -> Result<AnalysisReport, TangoError> {
-    run(machine, module, source, options, on_status, tel, None)
+    if options.state_hashing {
+        return Err(TangoError::Env(EnvError(
+            "state hashing is a static-analysis option; on-line analysis does not support it"
+                .into(),
+        )));
+    }
+    let seed = Seed {
+        complete: false,
+        trace: ResolvedTrace::empty(module.ips.len()),
+        stats: SearchStats::default(),
+        init: None,
+        front: None,
+    };
+    run(machine, module, source, options, on_status, tel, seed)
 }
 
-/// Resume a stopped on-line analysis from its frozen search front. The
-/// checkpoint is worker-count independent: the saved nodes are
-/// redistributed over this run's `options.resolved_workers()` workers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resume_mdfs(
+/// Static analysis: the engine over a trace that is complete before the
+/// search starts, from the initial FSM state `init` (`None`: the
+/// specification's). Runs the complete-trace rule on one worker and
+/// never polls a source.
+pub(crate) fn run_static(
     machine: &Machine,
     module: &AnalyzedModule,
-    ckpt: MdfsCheckpoint,
     trace: ResolvedTrace,
-    stats: SearchStats,
+    init: Option<StateId>,
+    options: &AnalysisOptions,
+    tel: &mut Telemetry,
+) -> Result<AnalysisReport, TangoError> {
+    let seed = Seed {
+        complete: true,
+        trace,
+        stats: SearchStats::default(),
+        init,
+        front: None,
+    };
+    run(machine, module, &mut EofSource, options, &mut |_| true, tel, seed)
+}
+
+/// Resume a stopped analysis from its frozen search front, under the
+/// rule it stopped in. An on-line checkpoint is worker-count
+/// independent: the saved nodes are redistributed over this run's
+/// `options.resolved_workers()` workers.
+pub(crate) fn resume(
+    machine: &Machine,
+    module: &AnalyzedModule,
+    checkpoint: Checkpoint,
     options: &AnalysisOptions,
     on_status: &mut dyn FnMut(&Verdict) -> bool,
     tel: &mut Telemetry,
 ) -> Result<AnalysisReport, TangoError> {
-    let mut work = Vec::new();
-    let mut parked = Vec::new();
-    for w in ckpt.workers {
-        work.extend(w.deque);
-        parked.extend(w.parked);
-    }
-    let mut pg = ckpt.pg_prior;
-    pg.extend(parked);
-    let seed = MdfsSeed {
-        work,
-        pg,
-        eof: ckpt.eof,
+    let Checkpoint {
+        search,
         trace,
         stats,
+    } = checkpoint;
+    let seed = Seed {
+        complete: search.complete,
+        trace,
+        stats,
+        init: None,
+        front: Some(search),
     };
-    run(
-        machine,
-        module,
-        &mut EofSource,
-        options,
-        on_status,
-        tel,
-        Some(seed),
-    )
+    run(machine, module, &mut EofSource, options, on_status, tel, seed)
 }
 
 /// Freeze the search front for a limit-stop checkpoint: the work stack
-/// as one entry, and the PG-list in park order. Spilled nodes are
-/// faulted back in first (checkpoint files are self-contained); a read
-/// failure makes the stop un-checkpointable and is recorded as a spill
-/// fault instead.
+/// as one entry, and the PG-list in park order, with the lane's visited
+/// set, spec errors and best attempt. Spilled nodes are faulted back in
+/// first (checkpoint files are self-contained); a read failure makes the
+/// stop un-checkpointable and is recorded as a spill fault instead.
 fn freeze(
     stack: &mut Stack,
-    tier: Option<&Mutex<SpillTier>>,
-    eof: bool,
+    lane: &Lane<'_>,
+    complete: bool,
+    depth: usize,
     workers: usize,
     spill_faults: &mut Vec<String>,
-) -> Option<MdfsCheckpoint> {
+) -> Option<SearchCheckpoint> {
     for n in stack.work.iter_mut().chain(stack.pg.iter_mut()) {
         if n.state.is_none() {
-            let t = tier.expect("spilled nodes only exist with a spill tier");
+            let t = lane.tier.expect("spilled nodes only exist with a spill tier");
             if let Err(e) = fault_in(&mut lock_tier(t), n) {
                 spill_faults.push(format!("checkpoint save skipped: {}", e));
                 return None;
             }
         }
     }
-    Some(MdfsCheckpoint {
+    let mut visited: Vec<u64> = lane.visited.iter().copied().collect();
+    // Sorted for a deterministic encoding.
+    visited.sort_unstable();
+    Some(SearchCheckpoint {
+        complete,
         workers_at_save: workers as u32,
-        eof,
-        workers: vec![MdfsWorkerCkpt {
+        eof: lane.env.eof,
+        workers: vec![WorkerCkpt {
             deque: stack.work.drain(..).map(node_to_ckpt).collect(),
             parked: Vec::new(),
         }],
         pg_prior: stack.pg.drain(..).map(node_to_ckpt).collect(),
+        visited,
+        spec_errors: lane.spec_errors.clone(),
+        best: (lane.best.explained, lane.best.path.to_indices()),
+        events_total: lane.env.explained() + lane.env.outstanding(),
+        depth,
     })
 }
 
@@ -512,7 +614,7 @@ trait Sink {
     ) {
     }
     fn save(&mut self, _depth: usize, _bytes: usize, _resident: usize) {}
-    fn prune(&mut self, _depth: usize) {}
+    fn prune(&mut self, _depth: usize, _kind: PruneKind) {}
     fn error(&mut self, _depth: usize, _kind: RuntimeErrorKind) {}
 }
 
@@ -562,8 +664,8 @@ impl Sink for Telemetry {
         }
     }
 
-    fn prune(&mut self, depth: usize) {
-        self.on_prune(depth, PruneKind::Barren);
+    fn prune(&mut self, depth: usize, kind: PruneKind) {
+        self.on_prune(depth, kind);
     }
 
     fn error(&mut self, depth: usize, kind: RuntimeErrorKind) {
@@ -609,6 +711,7 @@ enum WEvent {
     },
     Prune {
         depth: usize,
+        kind: PruneKind,
     },
     ErrorBranch {
         depth: usize,
@@ -695,8 +798,8 @@ impl Sink for Buffered {
         });
     }
 
-    fn prune(&mut self, depth: usize) {
-        self.push(WEvent::Prune { depth });
+    fn prune(&mut self, depth: usize, kind: PruneKind) {
+        self.push(WEvent::Prune { depth, kind });
     }
 
     fn error(&mut self, depth: usize, kind: RuntimeErrorKind) {
@@ -743,7 +846,7 @@ fn replay_events(tel: &mut Telemetry, machine: &Machine, worker: u16, batch: Vec
             } => tel.on_save(depth, bytes, resident),
             WEvent::Restore { depth } => tel.on_restore(depth),
             WEvent::Park { depth, pg_total } => tel.on_park(depth, pg_total),
-            WEvent::Prune { depth } => tel.on_prune(depth, PruneKind::Barren),
+            WEvent::Prune { depth, kind } => tel.on_prune(depth, kind),
             WEvent::ErrorBranch { depth, kind } => tel.on_error_branch(depth, kind),
         }
     }
@@ -763,6 +866,11 @@ trait Front {
     fn push(&mut self, node: Node);
     /// The popped node's expansion starts (it consumes one pop).
     fn expanding(&mut self) {}
+    /// The expanding node's pop label, `key ++ [step]`: only a burst
+    /// worker has one.
+    fn pop_label(&self) -> Option<(&[u32], u32)> {
+        None
+    }
     /// Push a fired child on top of its parent — or, when the parent has
     /// nothing left to explore (`None`), retire the parent. Returns the
     /// RAM gauge after the charges.
@@ -907,7 +1015,8 @@ enum Step {
     Fatal(RuntimeError),
 }
 
-/// Why the one-worker drain or a burst returned.
+/// Why the one-worker drain, the complete-trace descent or a burst
+/// returned.
 enum Halt {
     /// The known tree is exhausted.
     Drained,
@@ -916,6 +1025,21 @@ enum Halt {
     /// A resource limit: the front is intact, in sequential order.
     Stop(InconclusiveReason),
     SpillFailure(String),
+}
+
+/// Why governance refused the next step.
+enum Refusal {
+    Limit(InconclusiveReason),
+    Spill(String),
+}
+
+impl From<Refusal> for Halt {
+    fn from(r: Refusal) -> Halt {
+        match r {
+            Refusal::Limit(reason) => Halt::Stop(reason),
+            Refusal::Spill(msg) => Halt::SpillFailure(msg),
+        }
+    }
 }
 
 /// One search lane: the machine, the limits, a cursor view over the trace,
@@ -933,6 +1057,13 @@ struct Lane<'a> {
     gen: Generated,
     stats: SearchStats,
     spec_errors: Vec<RuntimeError>,
+    best: Best,
+    /// Complete-trace rule: fingerprints of the nodes already expanded
+    /// (`state_hashing`).
+    visited: HashSet<u64, FxBuildHasher>,
+    /// Complete-trace rule: the depth of the live node, or of the node
+    /// whose expansion last failed — where the next backtrack leaves from.
+    at: usize,
 }
 
 impl<'a> Lane<'a> {
@@ -947,43 +1078,156 @@ impl<'a> Lane<'a> {
             gen: Generated::default(),
             stats: SearchStats::default(),
             spec_errors: Vec::new(),
+            best: Best {
+                label: None,
+                ..self.best.clone()
+            },
+            visited: HashSet::default(),
+            at: 0,
         }
     }
 
-    /// Govern, then expand, one popped node.
-    fn step<F: Front, S: Sink>(&mut self, front: &mut F, sink: &mut S, mut node: Node) -> Step {
-        front.uncharge(node.charged());
+    /// The limits checked before every step, before it mutates anything,
+    /// so a stop freezes an exactly resumable front. `need` is what the
+    /// step is about to add to the resident set (a spilled node faulted
+    /// back in). Under a spill tier the budget is a tiering policy, not a
+    /// stop condition: evict until the resident set plus `need` fits. If
+    /// the genuinely live set alone exceeds the budget there is nothing
+    /// left to evict and the search continues over budget — the tier's
+    /// contract is degradation, never a stop.
+    fn govern<F: Front>(&self, front: &mut F, need: usize) -> Result<(), Refusal> {
         let limits = &self.options.limits;
         if front.te(&self.stats) > limits.max_transitions {
-            return Step::Stop(Box::new(node), InconclusiveReason::TransitionLimit);
+            return Err(Refusal::Limit(InconclusiveReason::TransitionLimit));
         }
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Step::Stop(Box::new(node), InconclusiveReason::TimeLimit);
+            return Err(Refusal::Limit(InconclusiveReason::TimeLimit));
         }
         if let Some(cap) = limits.max_state_bytes {
             if let Some(tier) = self.tier {
-                // Tiering, not a stop condition: evict until the resident
-                // set plus this node (about to be faulted in) fits the
-                // budget. If the genuinely live set alone exceeds the
-                // budget there is nothing left to evict and the search
-                // continues over budget — the tier's contract is
-                // degradation, never a stop.
-                if let Err(e) = front.evict(tier, cap, node.resident_footprint()) {
-                    return Step::SpillFailure(e.to_string());
-                }
-            } else if front.resident() + node.resident_footprint() > cap {
-                return Step::Stop(Box::new(node), InconclusiveReason::MemoryLimit);
+                front
+                    .evict(tier, cap, need)
+                    .map_err(|e| Refusal::Spill(e.to_string()))?;
+            } else if front.resident() + need > cap {
+                return Err(Refusal::Limit(InconclusiveReason::MemoryLimit));
             }
         }
-        // Fault the node in before expanding it.
-        if node.state.is_none() {
-            let tier = self
-                .tier
-                .expect("spilled nodes only exist with a spill tier");
-            match fault_in(&mut lock_tier(tier), &mut node) {
-                Ok(moved) => front.unspill(moved),
-                Err(e) => return Step::SpillFailure(e.to_string()),
+        Ok(())
+    }
+
+    /// Fault a popped node's snapshot back in before it is expanded.
+    fn resident<F: Front>(&self, front: &mut F, node: &mut Node) -> Result<(), String> {
+        if node.state.is_some() {
+            return Ok(());
+        }
+        let tier = self
+            .tier
+            .expect("spilled nodes only exist with a spill tier");
+        let moved = fault_in(&mut lock_tier(tier), node).map_err(|e| e.to_string())?;
+        front.unspill(moved);
+        Ok(())
+    }
+
+    /// Record the node about to be expanded as the best attempt if it
+    /// explains more events than any before it — or as many, earlier in
+    /// sequential order. The lane's cursors stand at the node.
+    fn note_best<F: Front>(&mut self, front: &F, path: &SharedPath) {
+        let explained = self.env.explained();
+        if explained < self.best.explained {
+            return;
+        }
+        let at = front.pop_label();
+        if self.best.beaten_by(explained, at) {
+            self.best = Best {
+                explained,
+                path: path.clone(),
+                label: at.map(|(key, step)| extend(key.to_vec(), step)),
+            };
+        }
+    }
+
+    /// *Generate* on `state` into the lane's scratch list, keeping the
+    /// candidates whose transition `keep` accepts, and report the
+    /// expansion. `Ok(false)`: Generate failed on a specification error,
+    /// which is recorded and reported as an expansion with no candidates.
+    fn generate<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        state: &mut MachineState,
+        depth: usize,
+        keep: impl Fn(usize) -> bool,
+    ) -> Result<bool, RuntimeError> {
+        let machine = self.machine;
+        self.stats.generates += 1;
+        let t0 = sink.timer();
+        let (env, gen) = (&self.env, &mut self.gen);
+        if let Err(e) = guard("generate", || machine.generate_into(state, env, gen)) {
+            if is_fatal(&e) {
+                return Err(e);
             }
+            sink.error(depth, e.kind);
+            record_error(&mut self.spec_errors, &mut self.stats, e);
+            // Keep GE == generate-events: a failed expansion is an event
+            // with zero fanout.
+            sink.generate(depth, 0, false, t0);
+            return Ok(false);
+        }
+        self.gen.fireable.retain(|f| keep(f.trans));
+        let fanout = self.gen.fireable.len();
+        sink.generate(depth, fanout, self.gen.incomplete, t0);
+        if fanout > 0 {
+            self.stats.fanout_sum += fanout as u64;
+            self.stats.fanout_samples += 1;
+        }
+        Ok(true)
+    }
+
+    /// Fire `f` on `state` from the lane's cursors; `Ok(true)` when the
+    /// transition completed and all of its outputs were matched.
+    fn fire<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        state: &mut MachineState,
+        f: &Fireable,
+        depth: usize,
+    ) -> Result<bool, RuntimeError> {
+        let machine = self.machine;
+        self.stats.transitions_executed += 1;
+        let t0 = sink.timer();
+        self.env.begin_fire();
+        let env = &mut self.env;
+        let fired = match guard("fire", || machine.fire(state, f, env)) {
+            Ok(FireOutcome::Completed) => self.env.end_fire(),
+            Ok(FireOutcome::OutputRejected) => false,
+            Err(e) if is_fatal(&e) => return Err(e),
+            Err(e) => {
+                sink.error(depth, e.kind);
+                record_error(&mut self.spec_errors, &mut self.stats, e);
+                false
+            }
+        };
+        sink.fire(machine, depth, f.trans, fired, t0);
+        Ok(fired)
+    }
+
+    /// The on-line rule: govern, then expand, one popped node.
+    fn step<F: Front, S: Sink>(&mut self, front: &mut F, sink: &mut S, mut node: Node) -> Step {
+        front.uncharge(node.charged());
+        match self.govern(front, node.resident_footprint()) {
+            Ok(()) => {}
+            Err(Refusal::Limit(reason)) => return Step::Stop(Box::new(node), reason),
+            Err(Refusal::Spill(msg)) => return Step::SpillFailure(msg),
+        }
+        if node.path.len() >= self.options.limits.max_depth {
+            // Too deep to expand, unless everything is explained: a
+            // witness, or a PGAV park, never descends.
+            self.env.restore(&node.cursors);
+            if !self.env.all_done() {
+                return Step::Stop(Box::new(node), InconclusiveReason::DepthLimit);
+            }
+        }
+        if let Err(msg) = self.resident(front, &mut node) {
+            return Step::SpillFailure(msg);
         }
         self.expand(front, sink, node)
     }
@@ -993,7 +1237,6 @@ impl<'a> Lane<'a> {
     /// Generate on its own snapshot and fire the first untried candidate
     /// on a copy — the one copy an expansion makes.
     fn expand<F: Front, S: Sink>(&mut self, front: &mut F, sink: &mut S, mut node: Node) -> Step {
-        let machine = self.machine;
         let limits = &self.options.limits;
         let depth = node.path.len();
         self.stats.max_depth = self.stats.max_depth.max(depth);
@@ -1001,6 +1244,7 @@ impl<'a> Lane<'a> {
         self.env.restore(&node.cursors);
         self.stats.restores += 1;
         sink.restore(depth);
+        self.note_best(front, &node.path);
 
         if self.env.all_done() {
             if self.env.eof {
@@ -1015,34 +1259,23 @@ impl<'a> Lane<'a> {
 
         // Generate (or re-generate) this node's transition list,
         // directly on its snapshot: Generate never writes the state.
-        let st = node.resident_state_mut();
-        self.stats.generates += 1;
-        let gen_t0 = sink.timer();
-        let (env, gen) = (&self.env, &mut self.gen);
-        if let Err(e) = guard("generate", || machine.generate_into(st, env, gen)) {
-            if is_fatal(&e) {
-                return Step::Fatal(e);
+        let (tried, blocked) = (&node.tried, &node.blocked);
+        let st = node
+            .state
+            .as_mut()
+            .expect("node is faulted in before expansion");
+        match self.generate(sink, st, depth, |t| !tried.contains(t) && !blocked.contains(t)) {
+            Err(e) => return Step::Fatal(e),
+            Ok(false) => {
+                front.retire();
+                return Step::Next;
             }
-            sink.error(depth, e.kind);
-            record_error(&mut self.spec_errors, &mut self.stats, e);
-            // Keep GE == generate-events: a failed expansion is an event
-            // with zero fanout.
-            sink.generate(depth, 0, false, gen_t0);
-            front.retire();
-            return Step::Next;
+            Ok(true) => {}
         }
         let is_pg = self.gen.incomplete;
-        self.gen
-            .fireable
-            .retain(|f| !node.tried.contains(f.trans) && !node.blocked.contains(f.trans));
-        let untried = self.gen.fireable.len();
         // Fanout as the search sees it: candidates not yet explored from
         // this node (a re-generate only offers what new input enabled).
-        sink.generate(depth, untried, is_pg, gen_t0);
-        if untried > 0 {
-            self.stats.fanout_sum += untried as u64;
-            self.stats.fanout_samples += 1;
-        }
+        let untried = self.gen.fireable.len();
 
         if untried == 0 {
             if is_pg || !node.blocked.is_empty() {
@@ -1063,21 +1296,10 @@ impl<'a> Lane<'a> {
         let mut child_state = node.resident_state().snapshot();
         self.env.restore(&node.cursors);
         let before = self.env.outstanding();
-        self.stats.transitions_executed += 1;
-        let fire_t0 = sink.timer();
-        self.env.begin_fire();
-        let env = &mut self.env;
-        let fired = match guard("fire", || machine.fire(&mut child_state, &f, env)) {
-            Ok(FireOutcome::Completed) => self.env.end_fire(),
-            Ok(FireOutcome::OutputRejected) => false,
-            Err(e) if is_fatal(&e) => return Step::Fatal(e),
-            Err(e) => {
-                sink.error(depth, e.kind);
-                record_error(&mut self.spec_errors, &mut self.stats, e);
-                false
-            }
+        let fired = match self.fire(sink, &mut child_state, &f, depth) {
+            Ok(fired) => fired,
+            Err(e) => return Step::Fatal(e),
         };
-        sink.fire(machine, depth, f.trans, fired, fire_t0);
         if !fired && self.env.last_reject == Some(RejectReason::MayGrow) {
             // The failure was "output not in the trace *yet*": park it
             // as blocked and retry once data arrives.
@@ -1094,7 +1316,7 @@ impl<'a> Lane<'a> {
         if !fired || child_barren > limits.max_barren_steps {
             if fired {
                 self.stats.barren_prunes += 1;
-                sink.prune(depth + 1);
+                sink.prune(depth + 1, PruneKind::Barren);
             }
             if has_more {
                 front.push(node);
@@ -1118,11 +1340,122 @@ impl<'a> Lane<'a> {
         sink.save(depth + 1, bytes, resident);
         Step::Next
     }
+
+    /// The complete-trace rule on the live node, whose cursors are the
+    /// lane's: Generate once (GE), save a snapshot with the remaining
+    /// candidates only when there are siblings (SA), and fire the first
+    /// candidate in place.
+    fn expand_live<S: Sink>(
+        &mut self,
+        stack: &mut Stack,
+        sink: &mut S,
+        mut node: Node,
+        live: &mut Option<Node>,
+    ) -> Step {
+        let depth = node.path.len();
+        self.at = depth;
+        self.note_best(stack, &node.path);
+        if self.env.all_done() {
+            return Step::Witness(node.path);
+        }
+        if depth >= self.options.limits.max_depth {
+            return Step::Stop(Box::new(node), InconclusiveReason::DepthLimit);
+        }
+        let st = node.state.as_mut().expect("the live node is resident");
+        if self.options.state_hashing && !self.visited.insert(fingerprint(st, &self.env.cursors)) {
+            self.stats.hash_prunes += 1;
+            sink.prune(depth, PruneKind::Hash);
+            return Step::Next;
+        }
+        self.stats.max_depth = self.stats.max_depth.max(depth);
+        match self.generate(sink, st, depth, |_| true) {
+            Err(e) => return Step::Fatal(e),
+            Ok(false) => return Step::Next,
+            Ok(true) => {}
+        }
+        let Some(first) = self.gen.fireable.first().cloned() else {
+            return Step::Next;
+        };
+        if self.gen.fireable.len() > 1 {
+            self.stats.saves += 1;
+            let mut saved = Node::new(st.snapshot(), self.env.save(), node.barren, node.path.clone());
+            saved.pending = Some(Pending {
+                fireable: std::mem::take(&mut self.gen.fireable),
+                next: 1,
+            });
+            let bytes = saved.charged();
+            let resident = stack.charge(bytes);
+            stack.work.push(saved);
+            sink.save(depth, bytes, resident);
+        }
+        self.descend(sink, node, &first, depth, live)
+    }
+
+    /// The complete-trace rule on a popped saved node: one restore (RE)
+    /// per sibling. The node goes back on the stack while siblings remain;
+    /// the last sibling takes its state instead of a copy.
+    fn backtrack<S: Sink>(
+        &mut self,
+        stack: &mut Stack,
+        sink: &mut S,
+        mut node: Node,
+        live: &mut Option<Node>,
+    ) -> Step {
+        self.stats.restores += 1;
+        sink.restore(self.at);
+        let depth = node.path.len();
+        self.at = depth;
+        self.env.restore(&node.cursors);
+        let p = node.pending.as_mut().expect("a saved node holds its candidates");
+        let f = p.fireable[p.next].clone();
+        p.next += 1;
+        let child = if p.next == p.fireable.len() {
+            node.pending = None;
+            node
+        } else {
+            let child = Node::live(node.resident_state().snapshot(), node.barren, node.path.clone());
+            stack.push(node);
+            child
+        };
+        self.descend(sink, child, &f, depth, live)
+    }
+
+    /// Fire `f` in place on `node`, at `depth`; a fire that completes and
+    /// stays within the barren bound makes the node the live child.
+    fn descend<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        mut node: Node,
+        f: &Fireable,
+        depth: usize,
+        live: &mut Option<Node>,
+    ) -> Step {
+        let before = self.env.outstanding();
+        let st = node.state.as_mut().expect("the live node is resident");
+        match self.fire(sink, st, f, depth) {
+            Ok(true) => {}
+            Ok(false) => return Step::Next,
+            Err(e) => return Step::Fatal(e),
+        }
+        node.barren = if self.env.outstanding() < before {
+            0
+        } else {
+            node.barren + 1
+        };
+        if node.barren > self.options.limits.max_barren_steps {
+            self.stats.barren_prunes += 1;
+            sink.prune(depth, PruneKind::Barren);
+            return Step::Next;
+        }
+        node.path = node.path.push(f.trans as u32);
+        *live = Some(node);
+        Step::Next
+    }
 }
 
-/// The one-worker engine: pop and step until the work stack drains or a
-/// step halts the search. Runs on the calling thread — for `workers = 1`,
-/// and for the witness replay of an aborted burst.
+/// The one-worker on-line engine: pop and step until the work stack
+/// drains or a step halts the search. Runs on the calling thread — for
+/// `workers = 1`, and for the witness replay of an aborted burst.
 fn drain<S: Sink>(
     lane: &mut Lane<'_>,
     stack: &mut Stack,
@@ -1148,6 +1481,54 @@ fn drain<S: Sink>(
         }
     }
     Ok(Halt::Drained)
+}
+
+/// The complete-trace engine: the paper's §2.2 DFS. Each iteration is
+/// governed, then either expands the live node or, when there is none,
+/// backtracks to the saved node on top of the stack. Only saved nodes
+/// are charged; the live node stays in `live` (and is frozen from there
+/// on a stop).
+fn descend<S: Sink>(
+    lane: &mut Lane<'_>,
+    stack: &mut Stack,
+    sink: &mut S,
+    carry: &SearchStats,
+    live: &mut Option<Node>,
+) -> Result<Halt, TangoError> {
+    let cap = lane.options.limits.max_transitions;
+    loop {
+        sink.tick(&lane.stats, cap);
+        if let Err(r) = lane.govern(stack, 0) {
+            return Ok(r.into());
+        }
+        let step = match live.take() {
+            Some(node) => lane.expand_live(stack, sink, node, live),
+            None => {
+                let Some(mut node) = stack.work.pop() else {
+                    return Ok(Halt::Drained);
+                };
+                stack.uncharge(node.charged());
+                if let Err(msg) = lane.resident(stack, &mut node) {
+                    return Ok(Halt::SpillFailure(msg));
+                }
+                lane.backtrack(stack, sink, node, live)
+            }
+        };
+        match step {
+            Step::Next => {}
+            Step::Witness(path) => return Ok(Halt::Witness(path)),
+            Step::Stop(n, reason) => {
+                *live = Some(*n);
+                return Ok(Halt::Stop(reason));
+            }
+            Step::SpillFailure(msg) => return Ok(Halt::SpillFailure(msg)),
+            Step::Fatal(e) => return Err(TangoError::Runtime(e)),
+        }
+        if let Some(t) = lane.tier {
+            let c = lock_tier(t).counters();
+            stamp_spill(&mut lane.stats, carry, c, &stack.gauge);
+        }
+    }
 }
 
 /// Why a burst stopped early. The first cause wins, except that a fatal
@@ -1336,6 +1717,10 @@ impl Front for Deques<'_> {
         self.label.step += 1;
     }
 
+    fn pop_label(&self) -> Option<(&[u32], u32)> {
+        Some((&self.label.key, self.label.step - 1))
+    }
+
     fn push_child(&mut self, parent: Option<Node>, child: Node) -> usize {
         // Count the child before it becomes visible (and before its
         // parent retires) so `pending` never dips to zero while work
@@ -1439,6 +1824,7 @@ impl Front for Deques<'_> {
 struct WorkerOut {
     delta: SearchStats,
     spec_errors: Vec<RuntimeError>,
+    best: Best,
     clock: Clock,
 }
 
@@ -1540,6 +1926,7 @@ fn burst_worker(widx: usize, mut lane: Lane<'_>, sh: &Burst, mut sink: Buffered)
     WorkerOut {
         delta: lane.stats,
         spec_errors: lane.spec_errors,
+        best: lane.best,
         clock,
     }
 }
@@ -1587,7 +1974,7 @@ fn burst(
     let (tx, rx) = mpsc::channel();
     let mut lanes = Vec::with_capacity(n_workers);
     for w in 0..n_workers {
-        let mut env = TraceEnv::new(module, lane.env.trace.clone(), lane.options, true)?;
+        let mut env = TraceEnv::new(module, lane.env.trace.clone(), lane.options)?;
         env.eof = lane.env.eof;
         let sink = Buffered {
             tx: tx.clone(),
@@ -1679,11 +2066,17 @@ fn burst(
         }
         other => other,
     };
-    // Exhausted or limited: the greedy per-worker deltas are exact.
+    // Exhausted or limited: the greedy per-worker deltas are exact, and
+    // the best attempts merge in sequential order.
     for o in outs {
         lane.stats.absorb(&o.delta);
         lane.spec_errors.extend(o.spec_errors);
+        let at = o.best.label.as_deref().and_then(<[u32]>::split_last);
+        if lane.best.beaten_by(o.best.explained, at.map(|(step, key)| (key, *step))) {
+            lane.best = o.best;
+        }
     }
+    lane.best.label = None;
     lane.spec_errors.truncate(MAX_RECORDED_ERRORS);
     stack.gauge = gauge;
     let mut parked = parked.into_inner().expect("parked lock");
@@ -1708,9 +2101,12 @@ fn burst(
     })
 }
 
-/// The MDFS run at any worker count, optionally seeded from a checkpoint:
-/// poll, revive, search the known tree (one drain, or bursts), then
-/// conclude, report an interim verdict, or wait for input.
+/// One run of the engine, fresh or resumed. Over a trace that was
+/// complete when the analysis started, the complete-trace rule descends
+/// on one worker and the source is never polled. Otherwise the on-line
+/// rule runs at any worker count: poll, revive, search the known tree
+/// (one drain, or bursts), then conclude, report an interim verdict, or
+/// wait for input.
 fn run(
     machine: &Machine,
     module: &AnalyzedModule,
@@ -1718,33 +2114,31 @@ fn run(
     options: &AnalysisOptions,
     on_status: &mut dyn FnMut(&Verdict) -> bool,
     tel: &mut Telemetry,
-    seed: Option<MdfsSeed>,
+    seed: Seed,
 ) -> Result<AnalysisReport, TangoError> {
     let t0 = Instant::now();
-    let n_workers = options.resolved_workers().max(1);
+    let complete = seed.complete;
+    let n_workers = if complete {
+        1
+    } else {
+        options.resolved_workers().max(1)
+    };
     let deadline = options.limits.max_wall_time.map(|d| t0 + d);
     let cap = options.limits.max_transitions;
     let machine = machine.policy_view(options.policy);
     if n_workers > 1 {
         tel.set_workers(n_workers);
     }
-    let (stats, base_wall, trace0, eof0, seed_front) = match seed {
-        Some(s) => {
-            let bw = s.stats.wall_time;
-            (s.stats, bw, s.trace, s.eof, Some((s.work, s.pg)))
-        }
-        None => (
-            SearchStats::default(),
-            Duration::ZERO,
-            ResolvedTrace::empty(module.ips.len()),
-            false,
-            None,
-        ),
-    };
+    let Seed {
+        trace, stats, init, front, ..
+    } = seed;
+    let base_wall = stats.wall_time;
     let carry = stats.clone();
-    let mut env = TraceEnv::new(module, trace0, options, true)?;
-    env.eof = eof0;
-    let mut clocks = vec![Clock::default(); n_workers];
+    let mut env = TraceEnv::new(module, trace, options)?;
+    env.eof = complete || front.as_ref().is_some_and(|f| f.eof);
+    // Per-worker clocks feed the on-line engine's busy/idle gauges; the
+    // complete-trace rule reports none.
+    let mut clocks = vec![Clock::default(); if complete { 0 } else { n_workers }];
 
     // Disk spill tier: under a memory budget, park cold node snapshots
     // in segment files instead of stopping `Inconclusive(MemoryLimit)`.
@@ -1758,6 +2152,8 @@ fn run(
             Mutex::new(t)
         }),
         Err(e) => {
+            // The spill directory itself is unusable. Degrade before
+            // touching anything; a resume keeps its checkpoint.
             return Ok(finish(
                 Verdict::Inconclusive(InconclusiveReason::SpillFailure),
                 None,
@@ -1769,7 +2165,7 @@ fn run(
                 clocks,
                 cap,
                 vec![e.to_string()],
-                None,
+                front,
                 &env.trace,
                 tel,
             ));
@@ -1797,23 +2193,55 @@ fn run(
         gen: Generated::default(),
         stats,
         spec_errors: Vec::new(),
+        best: Best::default(),
+        visited: HashSet::default(),
+        at: 0,
     };
-    match seed_front {
+    // The complete-trace rule's live node: the node its descent stands
+    // at, with the lane's cursors.
+    let mut live: Option<Node> = None;
+    match front {
         None => {
-            let start = machine.initial_state()?;
-            lane.stats.saves += 1;
-            let root = Node::new(start, lane.env.save(), 0, SharedPath::default());
-            let bytes = root.charged();
-            let resident = stack.push_child(None, root);
-            Sink::save(tel, 0, bytes, resident);
+            let start = match init {
+                Some(sid) => machine.initial_state_at(sid)?,
+                None => machine.initial_state()?,
+            };
+            if complete {
+                live = Some(Node::live(start, 0, SharedPath::default()));
+            } else {
+                lane.stats.saves += 1;
+                let root = Node::new(start, lane.env.save(), 0, SharedPath::default());
+                let bytes = root.charged();
+                let resident = stack.push_child(None, root);
+                Sink::save(tel, 0, bytes, resident);
+            }
         }
-        Some((work, pg)) => {
+        Some(f) => {
+            lane.visited = f.visited.into_iter().collect();
+            lane.spec_errors = f.spec_errors;
+            lane.best.explained = f.best.0;
+            lane.best.path = SharedPath::from_indices(&f.best.1);
+            lane.at = f.depth;
+            // The saved deques concatenate in worker order; the PG-list
+            // is the prior parks, then the saved per-worker parks.
+            let mut work = Vec::new();
+            let mut parked = Vec::new();
+            for w in f.workers {
+                work.extend(w.deque.into_iter().map(node_from_ckpt));
+                parked.extend(w.parked);
+            }
+            // A static stop with a live node froze it on top, uncharged;
+            // the lane stands at its cursors.
+            if complete && work.last().is_some_and(|n| n.pending.is_none()) {
+                live = work.pop();
+                lane.env.restore(&live.as_ref().expect("just popped").cursors);
+            }
             // The resumed nodes arrive resident (the save faulted
             // everything in).
-            for c in work {
-                stack.push(node_from_ckpt(c));
+            for n in work {
+                stack.push(n);
             }
-            for c in pg {
+            for c in f.pg_prior.into_iter().chain(parked) {
                 let n = node_from_ckpt(c);
                 stack.charge(n.charged());
                 stack.pg.push(n);
@@ -1823,25 +2251,29 @@ fn run(
 
     let mut last_status: Option<Verdict> = None;
     let (verdict, witness, checkpoint) = 'search: loop {
-        // Absorb anything the source produced.
-        let poll = source.poll();
-        let got_new = !poll.events.is_empty();
-        for e in &poll.events {
-            lane.env
-                .trace
-                .push_event(e, module)
-                .map_err(TangoError::TraceResolve)?;
-        }
-        if poll.eof {
-            lane.env.eof = true;
-        }
-        if got_new || poll.eof {
-            // Dynamic node reordering: PG-nodes jump the queue.
-            stack.revive(options.mdfs_reorder);
+        if !complete {
+            // Absorb anything the source produced.
+            let poll = source.poll();
+            let got_new = !poll.events.is_empty();
+            for e in &poll.events {
+                lane.env
+                    .trace
+                    .push_event(e, module)
+                    .map_err(TangoError::TraceResolve)?;
+            }
+            if poll.eof {
+                lane.env.eof = true;
+            }
+            if got_new || poll.eof {
+                // Dynamic node reordering: PG-nodes jump the queue.
+                stack.revive(options.mdfs_reorder);
+            }
         }
 
         // Search the known tree until it drains.
-        let halt = if n_workers == 1 {
+        let halt = if complete {
+            descend(&mut lane, &mut stack, tel, &carry, &mut live)?
+        } else if n_workers == 1 {
             drain(&mut lane, &mut stack, tel, &carry)?
         } else if !stack.work.is_empty() {
             burst(&mut lane, &mut stack, module, tel, &mut clocks, &carry)?
@@ -1852,10 +2284,31 @@ fn run(
             Halt::Drained => {}
             Halt::Witness(path) => break (Verdict::Valid, Some(path.to_vec(&machine)), None),
             Halt::Stop(reason) => {
+                let depth = match live.take() {
+                    // The live node freezes on top of the stack with its
+                    // real record, uncharged.
+                    Some(n) => {
+                        let depth = n.path.len();
+                        let state = n.state.expect("the live node is resident");
+                        stack
+                            .work
+                            .push(Node::new(state, lane.env.save(), n.barren, n.path));
+                        depth
+                    }
+                    None if complete => lane.at,
+                    None => stack
+                        .work
+                        .iter()
+                        .chain(&stack.pg)
+                        .map(|n| n.path.len())
+                        .max()
+                        .unwrap_or(0),
+                };
                 let ckpt = freeze(
                     &mut stack,
-                    lane.tier,
-                    lane.env.eof,
+                    &lane,
+                    complete,
+                    depth,
                     n_workers,
                     &mut spill_faults,
                 );
@@ -1915,10 +2368,18 @@ fn run(
         let mut idle = Backoff::new(RetryPolicy::mdfs_poll());
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
+                let depth = stack
+                    .work
+                    .iter()
+                    .chain(&stack.pg)
+                    .map(|n| n.path.len())
+                    .max()
+                    .unwrap_or(0);
                 let ckpt = freeze(
                     &mut stack,
-                    lane.tier,
-                    lane.env.eof,
+                    &lane,
+                    complete,
+                    depth,
                     n_workers,
                     &mut spill_faults,
                 );
@@ -1956,6 +2417,12 @@ fn run(
         }
     };
 
+    let events_total = lane.env.explained() + lane.env.outstanding();
+    let best_effort = (verdict == Verdict::Invalid && lane.env.eof).then(|| BestEffort {
+        events_explained: lane.best.explained,
+        events_total,
+        path: lane.best.path.to_vec(&machine),
+    });
     let Lane {
         env,
         mut stats,
@@ -1967,7 +2434,7 @@ fn run(
     if let Some(t) = tier.as_ref() {
         stamp_spill(&mut stats, &carry, lock_tier(t).counters(), &stack.gauge);
     }
-    Ok(finish(
+    let mut report = finish(
         verdict,
         witness,
         stats,
@@ -1981,7 +2448,9 @@ fn run(
         checkpoint,
         &env.trace,
         tel,
-    ))
+    );
+    report.best_effort = best_effort;
+    Ok(report)
 }
 
 #[cfg(test)]

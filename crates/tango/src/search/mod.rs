@@ -1,21 +1,21 @@
-//! Search strategies.
+//! The search engine.
 //!
-//! * [`dfs`] — the static-mode depth-first search of §2.2, extended with
-//!   cooperative resource governance (wall-clock deadline, snapshot-memory
-//!   budget) and stop/resume checkpointing;
-//! * [`mdfs`] — the multi-threaded depth-first search of §3.1 for
-//!   on-line (dynamic) trace analysis, with PG-nodes, PGAV detection and
-//!   dynamic node reordering, under the same governance.
+//! * [`mdfs`] — the one engine: the multi-threaded depth-first search of
+//!   §3.1 with PG-nodes, PGAV detection and dynamic node reordering for
+//!   traces that are still arriving, and, over a trace that is complete
+//!   before the search starts, the static-mode depth-first search of
+//!   §2.2 as its complete-trace expansion rule. Both rules share one node
+//!   record, one store with an optional disk [`spill`] tier, cooperative
+//!   resource governance (wall-clock deadline, snapshot-memory budget,
+//!   transition and depth limits) and stop/resume checkpointing.
 //!
-//! Both searches execute untrusted compiled specifications, so every
+//! The engine executes untrusted compiled specifications, so every
 //! interpreter step runs inside [`guard`]: a panic that unwinds out of
 //! `generate` or `fire` is converted into a structured per-branch
 //! [`RuntimeError`] instead of tearing down the whole analysis.
 
-pub mod dfs;
 pub mod mdfs;
 pub(crate) mod path;
-pub(crate) mod snapshot;
 pub mod spill;
 
 use crate::stats::SearchStats;

@@ -58,6 +58,7 @@ use estelle_runtime::{ByteReader, ByteWriter, MachineState};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, OpenOptions};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -65,6 +66,33 @@ use std::time::Instant;
 
 use crate::checkpoint::codec::crc32;
 use crate::fault::RetryPolicy;
+
+// The spill record key and the search's visited-set fingerprint both use
+// the runtime's fast content hasher; the heap side feeds it from cached
+// per-chunk digests, so hashing a state is O(chunks), not O(cells).
+pub(crate) use estelle_runtime::FxHasher;
+
+/// Hasher for the visited set. Its keys are already well-mixed 64-bit
+/// content hashes; re-hashing them with SipHash would cost more than the
+/// set operation itself.
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// Feed a machine state (control + globals + heap) into `h`.
+pub(crate) fn hash_state(h: &mut FxHasher, state: &MachineState) {
+    state.control.hash(h);
+    state.globals.hash(h);
+    state.heap.hash(h);
+}
+
+/// Content hash of a machine state — the key a spilled snapshot's
+/// segment record carries, which lets a reopened tier adopt an identical
+/// record instead of rewriting it. Trace cursors are excluded: they are
+/// not part of the spilled bytes.
+pub(crate) fn state_key(state: &MachineState) -> u64 {
+    let mut h = FxHasher::default();
+    hash_state(&mut h, state);
+    h.finish()
+}
 
 /// First 8 bytes of every spill segment file.
 pub const SPILL_MAGIC: [u8; 8] = *b"TANGOSPL";
@@ -1018,6 +1046,13 @@ mod tests {
 
     fn fs_tier(root: &Path) -> SpillTier {
         SpillTier::open(Box::new(FsSpillDir::new(root)), 64 << 20, 3).unwrap()
+    }
+
+    #[test]
+    fn state_key_separates_states_and_ignores_sharing() {
+        let st = state_with(0);
+        assert_ne!(state_key(&st), state_key(&state_with(1)));
+        assert_eq!(state_key(&st), state_key(&st.snapshot()));
     }
 
     #[test]

@@ -111,7 +111,7 @@ mod env_properties {
             let trace = Trace::new(arb_events(&mut rng));
             let resolved = ResolvedTrace::resolve(&trace, &m).unwrap();
             let opts = AnalysisOptions::with_order(OrderOptions::ip());
-            let mut env = TraceEnv::new(&m, resolved, &opts, false).unwrap();
+            let mut env = TraceEnv::new(&m, resolved, &opts).unwrap();
 
             // Drain inputs greedily; at every step at most one IP is
             // consumable, and consumption follows global trace order.
@@ -153,7 +153,7 @@ mod env_properties {
             let steps = rng.gen_index(10);
             let resolved = ResolvedTrace::resolve(&trace, &m).unwrap();
             let opts = AnalysisOptions::with_order(OrderOptions::none());
-            let mut env = TraceEnv::new(&m, resolved, &opts, false).unwrap();
+            let mut env = TraceEnv::new(&m, resolved, &opts).unwrap();
 
             for _ in 0..steps {
                 let Some(ip) = (0..2).find(|&ip| {

@@ -119,27 +119,27 @@ fn future_version_is_refused_not_misread() {
 
 #[test]
 fn previous_version_is_refused_not_misread() {
-    // Version 5 stored paths as transition names; its files are refused,
-    // not decoded with the v6 index layout.
-    let (_, mut bytes, path) = checkpoint_bytes("v5");
-    bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+    // Version 6 kept a separate DFS section for static checkpoints; its
+    // files are refused, not decoded with the v7 one-body layout.
+    let (_, mut bytes, path) = checkpoint_bytes("v6");
+    bytes[8..12].copy_from_slice(&6u32.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let err = Checkpoint::read_from(&path).err();
     assert!(
         matches!(
             err,
             Some(CheckpointError::UnsupportedVersion {
-                found: 5,
-                supported: 6
+                found: 6,
+                supported: 7
             })
         ),
-        "v5 must be refused, got {:?}",
+        "v6 must be refused, got {:?}",
         err
     );
     assert!(err
         .unwrap()
         .to_string()
-        .contains("this build reads only version 6"));
+        .contains("this build reads only version 7"));
 }
 
 #[test]
@@ -171,7 +171,7 @@ fn flipped_byte_in_each_section_is_caught_by_its_checksum() {
     // Walk the real section table so each corruption lands squarely
     // inside one section's payload.
     let sections = walk_sections(&bytes);
-    assert_eq!(sections.len(), 3, "META, TRACE, DFS");
+    assert_eq!(sections.len(), 3, "META, TRACE, SEARCH");
     for (name, start, len) in &sections {
         if *len == 0 {
             continue;
@@ -315,19 +315,19 @@ fn out_of_range_path_index_is_refused_at_resume() {
     cp.write_to(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
 
-    // The DFS path is stored as its length then one u32 per step.
+    // A node's path is stored as its length then one u32 per step.
     let words: Vec<u8> = [4u32, 3, 4, 5, 6]
         .iter()
         .flat_map(|w| w.to_le_bytes())
         .collect();
     let (_, offset, len) = walk_sections(&bytes)
         .into_iter()
-        .find(|s| s.0 == "dfs")
+        .find(|s| s.0 == "search")
         .unwrap();
     let payload = &bytes[offset..offset + len];
     let at = (0..payload.len() - words.len())
         .find(|&i| payload[i..i + words.len()] == words[..])
-        .expect("the path [3, 4, 5, 6] is in the dfs section");
+        .expect("the path [3, 4, 5, 6] is in the search section");
     let step = offset + at + 4;
     bytes[step..step + 4].copy_from_slice(&999u32.to_le_bytes());
     // Re-seal: the section CRC follows its payload, the file digest
@@ -367,7 +367,7 @@ fn walk_sections(bytes: &[u8]) -> Vec<(&'static str, usize, usize)> {
         let name = match tag {
             1 => "meta",
             2 => "trace",
-            4 => "dfs",
+            5 => "search",
             _ => "unknown",
         };
         out.push((name, pos + 12, len));

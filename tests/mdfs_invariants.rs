@@ -47,7 +47,7 @@ fn check_generate_is_pure(analyzer: &TraceAnalyzer, trace: &Trace, tag: &str) ->
     let module = analyzer.module();
     let resolved = ResolvedTrace::resolve(trace, module).expect("trace resolves");
     let opts = AnalysisOptions::default();
-    let mut env = TraceEnv::new(module, resolved, &opts, false).expect("env builds");
+    let mut env = TraceEnv::new(module, resolved, &opts).expect("env builds");
     let interp = analyzer.machine.exec_view(ExecMode::Interp);
     let compiled = analyzer.machine.exec_view(ExecMode::Compiled);
     let mut gen = Generated::default();

@@ -155,7 +155,10 @@ fn static_stop_points_are_pinned_and_resume_to_the_paper_counters() {
     let trace = invalid_3_3(DT_REQ_SEED, "L", "dt_req");
     let dir = std::env::temp_dir().join(format!("tango-stop-pins-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let stops: [(InconclusiveReason, fn(&mut AnalysisOptions), Counters, usize, usize); 3] = [
+    /// The limit, how to set it, and the counters, path depth and saved
+    /// nodes at the stop.
+    type StopPin = (InconclusiveReason, fn(&mut AnalysisOptions), Counters, usize, usize);
+    let stops: [StopPin; 3] = [
         (
             InconclusiveReason::TransitionLimit,
             |o| o.limits.max_transitions = 30_000,
