@@ -45,6 +45,23 @@ cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/run.ckpt" \
     > "$CKPT_DIR/run-info.txt"
 grep -q "format version: 7" "$CKPT_DIR/run-info.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est --resume "$CKPT_DIR/run.ckpt"
+# The same round trip through the static engine's node-based memory
+# charging: a snapshot-memory stop with the spill tier off (exit 2), then
+# a resume without the budget, which must print the unlimited run's
+# verdict and counters.
+cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
+    > "$CKPT_DIR/unlimited.txt"
+cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
+    --max-mem 200 --spill off --checkpoint-file "$CKPT_DIR/mem.ckpt" > "$CKPT_DIR/mem-stop.txt" \
+    && { echo "expected an inconclusive (exit 2) memory stop"; exit 1; } || [ "$?" -eq 2 ]
+grep -q "inconclusive (MemoryLimit)" "$CKPT_DIR/mem-stop.txt"
+cargo run -q --release -p tango-cli -- analyze specs/tp0.est --resume "$CKPT_DIR/mem.ckpt" \
+    > "$CKPT_DIR/mem-resumed.txt"
+verdict_and_counters() {
+    sed -n 's/.*verdict: \([a-z]*\).*\(TE=[0-9]* GE=[0-9]* RE=[0-9]* SA=[0-9]*\).*/\1 \2/p' "$1"
+}
+[ -n "$(verdict_and_counters "$CKPT_DIR/unlimited.txt")" ]
+[ "$(verdict_and_counters "$CKPT_DIR/unlimited.txt")" = "$(verdict_and_counters "$CKPT_DIR/mem-resumed.txt")" ]
 
 echo "== telemetry smoke (trace/metrics/progress) =="
 # Run a short analysis with the full telemetry surface on: the JSONL
@@ -70,9 +87,6 @@ cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.tx
     > "$CKPT_DIR/all-ram.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     --max-mem 256 --spill on --spill-dir "$CKPT_DIR/spill" > "$CKPT_DIR/spilled.txt"
-verdict_and_counters() {
-    sed -n 's/.*verdict: \([a-z]*\).*\(TE=[0-9]* GE=[0-9]* RE=[0-9]* SA=[0-9]*\).*/\1 \2/p' "$1"
-}
 [ -n "$(verdict_and_counters "$CKPT_DIR/all-ram.txt")" ]
 [ "$(verdict_and_counters "$CKPT_DIR/all-ram.txt")" = "$(verdict_and_counters "$CKPT_DIR/spilled.txt")" ]
 ls "$CKPT_DIR/spill"/spill-*.seg > /dev/null

@@ -172,6 +172,27 @@ fn online_mode_follows_a_growing_file() {
     assert!(stdout(&out).contains("verdict: valid"));
 }
 
+/// The visited set would make on-line counters depend on the worker
+/// schedule, so `online --state-hashing` is refused with an option error
+/// instead of being silently ignored.
+#[test]
+fn online_mode_refuses_state_hashing() {
+    let dir = tmpdir();
+    let spec = write_file(&dir, "ack.est", ACK_SPEC);
+    let trace = write_file(&dir, "done.trace", "in A.x\nin B.y\nout A.ack\neof\n");
+    let out = bin()
+        .arg("online")
+        .arg(&spec)
+        .arg(&trace)
+        .arg("--state-hashing")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3), "{}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("state hashing"), "{}", err);
+    assert!(!stdout(&out).contains("verdict"), "{}", stdout(&out));
+}
+
 #[test]
 fn disable_ip_flag_is_honored() {
     let dir = tmpdir();

@@ -12,7 +12,7 @@ use crate::env::EnvError;
 use crate::error::TangoError;
 use crate::genimpl::{run_implementation, ChoicePolicy, ScriptedInput};
 use crate::options::AnalysisOptions;
-use crate::search::mdfs::{resume, run_mdfs, run_static};
+use crate::search::mdfs::{run, Start};
 use crate::telemetry::Telemetry;
 use crate::trace::format::parse_trace;
 use crate::trace::source::TraceSource;
@@ -132,7 +132,8 @@ impl TraceAnalyzer {
     ) -> Result<AnalysisReport, TangoError> {
         tel.begin("dfs", &self.module().module_name);
         let module = self.module();
-        let mut report = run_static(&self.machine, module, trace.clone(), None, options, tel)?;
+        let start = Start::Static(trace.clone(), None);
+        let mut report = run(&self.machine, module, start, options, &mut |_| true, tel)?;
 
         // §2.4.1: on failure, "backtrack to the point right after the
         // initialize transition was taken, choose another initial FSM
@@ -144,7 +145,8 @@ impl TraceAnalyzer {
                 if sid == default_init {
                     continue;
                 }
-                let round = run_static(&self.machine, module, trace.clone(), Some(sid), options, tel)?;
+                let start = Start::Static(trace.clone(), Some(sid));
+                let round = run(&self.machine, module, start, options, &mut |_| true, tel)?;
                 report.stats.absorb(&round.stats);
                 report.spec_errors.extend(round.spec_errors);
                 report.spill_faults.extend(round.spill_faults);
@@ -197,7 +199,8 @@ impl TraceAnalyzer {
             )));
         }
         tel.begin("dfs", &self.module().module_name);
-        resume(&self.machine, self.module(), checkpoint, options, &mut |_| true, tel)
+        let start = Start::Resume(Box::new(checkpoint));
+        run(&self.machine, self.module(), start, options, &mut |_| true, tel)
     }
 
     /// Refuse a checkpoint that does not fit this analyzer's
@@ -232,7 +235,8 @@ impl TraceAnalyzer {
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
         tel.begin("mdfs", &self.module().module_name);
-        run_mdfs(&self.machine, self.module(), source, options, on_status, tel)
+        let start = Start::Online(source);
+        run(&self.machine, self.module(), start, options, on_status, tel)
     }
 
     /// Continue an on-line analysis stopped on a resource limit.
@@ -271,7 +275,8 @@ impl TraceAnalyzer {
             )));
         }
         tel.begin("mdfs", &self.module().module_name);
-        resume(&self.machine, self.module(), checkpoint, options, on_status, tel)
+        let start = Start::Resume(Box::new(checkpoint));
+        run(&self.machine, self.module(), start, options, on_status, tel)
     }
 
     /// Implementation-generation mode (§4.1 methodology): execute the

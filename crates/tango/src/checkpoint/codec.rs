@@ -40,7 +40,7 @@
 //! fsyncs the directory: a crash mid-write leaves the previous good
 //! checkpoint intact, never a half-written one.
 
-use super::{Checkpoint, NodeCkpt, SearchCheckpoint, WorkerCkpt};
+use super::{Checkpoint, NodeCkpt, SearchCheckpoint};
 use crate::env::Cursors;
 use crate::stats::SearchStats;
 use crate::trace::{Dir, ResolvedEvent, ResolvedTrace};
@@ -74,9 +74,10 @@ pub const MAGIC: [u8; 8] = *b"TANGOCKP";
 /// node's path) as `u32` compiled-transition indices instead of names,
 /// and drops the DFS best-pending length: the best path is stored whole.
 /// Version 7 has one search body for both modes: the `DFS` section is
-/// gone, and the `SEARCH` section's node records gain the pending
-/// candidate list, followed by the visited set, the spec errors, the best
-/// attempt, the event total and the stop depth.
+/// gone, and the `SEARCH` section holds the work stack and the PG-list,
+/// node records with the pending candidate list, followed by the visited
+/// set, the spec errors and the best attempt; `META` counts the on-line
+/// front as one (work, PG-list) pair.
 pub const FORMAT_VERSION: u32 = 7;
 
 const SEC_META: u32 = 1;
@@ -180,8 +181,8 @@ pub struct CheckpointInfo {
     pub events_total: usize,
     /// Worker count of the saving run (`mdfs` checkpoints only).
     pub workers_at_save: Option<u32>,
-    /// Per-worker `(deque, parked)` node counts of the saving run
-    /// (`mdfs` checkpoints only; empty for `dfs`).
+    /// The frozen front's `(work stack, PG-list)` node counts, as one
+    /// entry (`mdfs` checkpoints only; empty for `dfs`).
     pub worker_loads: Vec<(usize, usize)>,
     /// Counters accumulated up to the stop.
     pub stats: SearchStats,
@@ -210,15 +211,7 @@ impl Checkpoint {
         policy: &RetryPolicy,
         mut injector: Option<&mut CheckpointFaultInjector>,
     ) -> RetryOutcome<(), CheckpointError> {
-        let bytes = match encode_checkpoint(self) {
-            Ok(b) => b,
-            Err(e) => {
-                return RetryOutcome {
-                    result: Err(e),
-                    retries: 0,
-                }
-            }
-        };
+        let bytes = encode_checkpoint(self);
         policy.run(&mut |_| {
             let fault = injector
                 .as_mut()
@@ -280,7 +273,7 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 
 // ------------------------------------------------------------- encoding
 
-fn encode_checkpoint(cp: &Checkpoint) -> Result<Vec<u8>, CheckpointError> {
+fn encode_checkpoint(cp: &Checkpoint) -> Vec<u8> {
     let sections = [
         (SEC_META, encode_meta(cp)),
         (SEC_TRACE, encode_trace(&cp.trace)),
@@ -299,7 +292,7 @@ fn encode_checkpoint(cp: &Checkpoint) -> Result<Vec<u8>, CheckpointError> {
     }
     let digest = crc32(&out);
     out.extend_from_slice(&digest.to_le_bytes());
-    Ok(out)
+    out
 }
 
 fn encode_meta(cp: &Checkpoint) -> Vec<u8> {
@@ -314,11 +307,8 @@ fn encode_meta(cp: &Checkpoint) -> Vec<u8> {
     } else {
         w.put_u8(MODE_MDFS);
         w.put_u32(m.workers_at_save);
-        w.put_u32(m.workers.len() as u32);
-        for wk in &m.workers {
-            w.put_usize(wk.deque.len());
-            w.put_usize(wk.parked.len());
-        }
+        w.put_usize(m.work.len());
+        w.put_usize(m.pg.len());
     }
     w.into_bytes()
 }
@@ -493,14 +483,9 @@ fn encode_nodes(w: &mut ByteWriter, nodes: &[NodeCkpt]) {
 /// The frozen search front, states inline per node.
 fn encode_search(m: &SearchCheckpoint) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32(m.workers_at_save);
     w.put_bool(m.eof);
-    w.put_u32(m.workers.len() as u32);
-    for wk in &m.workers {
-        encode_nodes(&mut w, &wk.deque);
-        encode_nodes(&mut w, &wk.parked);
-    }
-    encode_nodes(&mut w, &m.pg_prior);
+    encode_nodes(&mut w, &m.work);
+    encode_nodes(&mut w, &m.pg);
     w.put_u32(m.visited.len() as u32);
     for &v in &m.visited {
         w.put_u64(v);
@@ -511,8 +496,6 @@ fn encode_search(m: &SearchCheckpoint) -> Vec<u8> {
     }
     w.put_usize(m.best.0);
     encode_path(&mut w, &m.best.1);
-    w.put_usize(m.events_total);
-    w.put_usize(m.depth);
     w.into_bytes()
 }
 
@@ -639,7 +622,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
     expect_done(&r, SEC_TRACE)?;
 
     let mut r = ByteReader::new(find_section(&sections, SEC_SEARCH)?);
-    let search = decode_search(&mut r, info.mode == "dfs")?;
+    let search = decode_search(&mut r, &info)?;
     expect_done(&r, SEC_SEARCH)?;
 
     Ok(Checkpoint {
@@ -658,14 +641,9 @@ fn decode_meta(r: &mut ByteReader<'_>, version: u32) -> Result<CheckpointInfo, C
         MODE_DFS => ("dfs", None, Vec::new()),
         MODE_MDFS => {
             let workers_at_save = r.get_u32("workers at save")?;
-            let n = r.get_u32("worker load count")? as usize;
-            let mut loads = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let deque = r.get_usize("worker deque length")?;
-                let parked = r.get_usize("worker parked length")?;
-                loads.push((deque, parked));
-            }
-            ("mdfs", Some(workers_at_save), loads)
+            let work = r.get_usize("work stack length")?;
+            let pg = r.get_usize("PG-list length")?;
+            ("mdfs", Some(workers_at_save), vec![(work, pg)])
         }
         other => {
             return Err(CheckpointError::Malformed(format!(
@@ -883,17 +861,15 @@ fn decode_nodes(r: &mut ByteReader<'_>) -> Result<Vec<NodeCkpt>, CheckpointError
     Ok(nodes)
 }
 
-fn decode_search(r: &mut ByteReader<'_>, complete: bool) -> Result<SearchCheckpoint, CheckpointError> {
-    let workers_at_save = r.get_u32("workers at save")?;
+/// The frozen search; its mode, progress numbers and saving worker count
+/// come from `META`.
+fn decode_search(
+    r: &mut ByteReader<'_>,
+    info: &CheckpointInfo,
+) -> Result<SearchCheckpoint, CheckpointError> {
     let eof = r.get_bool("eof flag")?;
-    let nw = r.get_u32("worker count")? as usize;
-    let mut workers = Vec::with_capacity(nw.min(1024));
-    for _ in 0..nw {
-        let deque = decode_nodes(r)?;
-        let parked = decode_nodes(r)?;
-        workers.push(WorkerCkpt { deque, parked });
-    }
-    let pg_prior = decode_nodes(r)?;
+    let work = decode_nodes(r)?;
+    let pg = decode_nodes(r)?;
     let nv = r.get_len(8, "visited set")?;
     let mut visited = Vec::with_capacity(nv);
     for _ in 0..nv {
@@ -906,19 +882,17 @@ fn decode_search(r: &mut ByteReader<'_>, complete: bool) -> Result<SearchCheckpo
     }
     let best_explained = r.get_usize("best explained")?;
     let best_path = decode_path(r)?;
-    let events_total = r.get_usize("events total")?;
-    let depth = r.get_usize("stop depth")?;
     Ok(SearchCheckpoint {
-        complete,
-        workers_at_save,
+        complete: info.mode == "dfs",
+        workers_at_save: info.workers_at_save.unwrap_or(1),
         eof,
-        workers,
-        pg_prior,
+        work,
+        pg,
         visited,
         spec_errors,
         best: (best_explained, best_path),
-        events_total,
-        depth,
+        events_total: info.events_total,
+        depth: info.depth,
     })
 }
 

@@ -59,12 +59,10 @@ pub(crate) struct SearchCheckpoint {
     /// position cannot be re-established without replaying events that
     /// are already inside the checkpointed trace.
     pub(crate) eof: bool,
-    /// The saved front. A save writes it as one entry — the work stack
-    /// in pop order, parks on `pg_prior` — whatever its worker count;
-    /// resume concatenates however many entries a file holds.
-    pub(crate) workers: Vec<WorkerCkpt>,
+    /// The work stack, bottom to top (next pop last).
+    pub(crate) work: Vec<NodeCkpt>,
     /// The PG-list, in park order.
-    pub(crate) pg_prior: Vec<NodeCkpt>,
+    pub(crate) pg: Vec<NodeCkpt>,
     /// State-hashing fingerprints already expanded, sorted.
     pub(crate) visited: Vec<u64>,
     pub(crate) spec_errors: Vec<RuntimeError>,
@@ -75,16 +73,6 @@ pub(crate) struct SearchCheckpoint {
     pub(crate) events_total: usize,
     /// Depth of the search at the stop point.
     pub(crate) depth: usize,
-}
-
-/// One entry of a frozen front.
-#[derive(Clone, Debug)]
-pub(crate) struct WorkerCkpt {
-    /// Work nodes, bottom to top (next pop last).
-    pub(crate) deque: Vec<NodeCkpt>,
-    /// Parked PG-nodes, in park order; resume appends them to the
-    /// PG-list.
-    pub(crate) parked: Vec<NodeCkpt>,
 }
 
 /// One frozen search node ("thread"). States are materialized at save
@@ -106,16 +94,6 @@ pub(crate) struct NodeCkpt {
     pub(crate) pending: Option<(Vec<Fireable>, usize)>,
 }
 
-impl SearchCheckpoint {
-    /// Every frozen node, in no particular order.
-    pub(crate) fn nodes(&self) -> impl Iterator<Item = &NodeCkpt> {
-        self.workers
-            .iter()
-            .flat_map(|w| w.deque.iter().chain(w.parked.iter()))
-            .chain(self.pg_prior.iter())
-    }
-}
-
 impl Checkpoint {
     /// `"dfs"` for a static-mode checkpoint, `"mdfs"` for an on-line one.
     pub fn mode(&self) -> &'static str {
@@ -135,11 +113,9 @@ impl Checkpoint {
     /// Saved search nodes awaiting exploration: the nodes saved for
     /// backtracking (static), or every frozen node (on-line).
     pub fn pending_frames(&self) -> usize {
-        let complete = self.search.complete;
-        self.search
-            .nodes()
-            .filter(|n| !complete || n.pending.is_some())
-            .count()
+        let m = &self.search;
+        let nodes = m.work.iter().chain(&m.pg);
+        nodes.filter(|n| !m.complete || n.pending.is_some()).count()
     }
 
     /// Checkable events in the trace under analysis.
@@ -218,7 +194,7 @@ impl Checkpoint {
         };
         let m = &self.search;
         check_path(&m.best.1, "best-effort path")?;
-        for (i, n) in m.nodes().enumerate() {
+        for (i, n) in m.work.iter().chain(&m.pg).enumerate() {
             if n.state.control.0 >= state_count {
                 return Err(format!("node {} control state out of range", i));
             }

@@ -24,7 +24,7 @@ use estelle_runtime::{InputSource, OutputSink, QueueHead, Value};
 
 /// Cursor state: the part of the environment saved and restored together
 /// with the machine state during backtracking (§2.3 "queue states").
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Cursors {
     pub input: Vec<usize>,
     pub output: Vec<usize>,

@@ -10,8 +10,9 @@
 //!
 //! * relative-order checking presets NR / IO / IP / FULL (§2.4.2);
 //! * IP disabling (§2.4.3) and the initial-state search (§2.4.1);
-//! * static-mode DFS and on-line multi-threaded DFS with PG-nodes and
-//!   dynamic node reordering (§3);
+//! * one search engine: static-mode DFS over a complete trace, and
+//!   on-line multi-threaded DFS with PG-nodes and dynamic node
+//!   reordering (§3) over a trace that is still arriving;
 //! * partial-trace analysis with undefined values and unobserved IPs (§5);
 //! * implementation-generation mode to produce valid traces from the
 //!   specification itself (§4.1's methodology).

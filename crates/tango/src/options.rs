@@ -79,7 +79,8 @@ pub struct SearchLimits {
     pub max_transitions: u64,
     /// Maximum saved PG-nodes in MDFS (§3.2.1 degenerate-case guard).
     pub max_pg_nodes: usize,
-    /// Maximum search depth.
+    /// Maximum search depth: a node this deep is not expanded unless it
+    /// explains the whole trace.
     pub max_depth: usize,
     /// Maximum *consecutive* fired transitions that neither consume an
     /// observed input nor verify an observed output. Bounds the two
@@ -89,18 +90,18 @@ pub struct SearchLimits {
     /// safe for real protocols.
     pub max_barren_steps: usize,
     /// Wall-clock deadline for one search. Checked cooperatively at the
-    /// top of the search loop; on expiry the static DFS stops with
-    /// `Inconclusive(TimeLimit)` and a resumable checkpoint, the on-line
-    /// MDFS stops with the same verdict (including while idle-polling a
-    /// stalled source, so a dead feed can never wedge the monitor).
+    /// top of the search loop; on expiry the search stops with
+    /// `Inconclusive(TimeLimit)` and a checkpoint (on-line: also while
+    /// idle-polling a stalled source, so a dead feed can never wedge the
+    /// monitor).
     pub max_wall_time: Option<Duration>,
     /// Budget, in approximate bytes, for the saved state snapshots held
-    /// by the search (DFS backtracking frames, MDFS work and PG nodes).
+    /// by the search (nodes saved for backtracking, work and PG nodes).
     /// What happens on excess depends on [`AnalysisOptions::spill`]:
     /// with spilling off the search stops with
-    /// `Inconclusive(MemoryLimit)` (the static DFS with a resumable
-    /// checkpoint); with spilling on, cold snapshots are evicted to disk
-    /// and the search continues at disk bandwidth.
+    /// `Inconclusive(MemoryLimit)` and a checkpoint; with spilling on,
+    /// cold snapshots are evicted to disk and the search continues at
+    /// disk bandwidth.
     pub max_state_bytes: Option<usize>,
 }
 
@@ -134,7 +135,8 @@ pub struct AnalysisOptions {
     /// Undefined-value semantics; `Propagate` for partial traces (§5.1).
     pub policy: UndefinedPolicy,
     /// Extension (paper §4.2 "another useful approach"): remember visited
-    /// (state, cursor) pairs in a hash table and prune repeats.
+    /// (state, cursor) pairs in a hash table and prune repeats. Static
+    /// analysis only: on-line analysis refuses it.
     pub state_hashing: bool,
     /// §3.1.3 dynamic node reordering: when new input arrives, revived
     /// PG-nodes go on *top* of the work stack ("putting the rest of the
@@ -161,7 +163,7 @@ pub struct AnalysisOptions {
     /// one burst per poll of the trace. Verdicts, witnesses and the
     /// TE/GE/RE/SA counters are identical at every worker count (see
     /// DESIGN §6.13 for the determinism argument); only wall time and
-    /// the memory peak differ. Static DFS ignores this knob.
+    /// the memory peak differ. Static analysis runs one worker.
     pub workers: usize,
     pub limits: SearchLimits,
 }

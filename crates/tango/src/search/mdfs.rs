@@ -1,4 +1,5 @@
-//! Multi-threaded depth-first search (§3.1) for on-line trace analysis.
+//! The search engine: the depth-first search of §2.2 and its on-line
+//! generalisation, the multi-threaded DFS of §3.1.
 //!
 //! Standard DFS deadlocks on dynamic traces: a branch may be blocked only
 //! because an input queue is temporarily empty, while the real solution is
@@ -24,53 +25,59 @@
 //!   does not count as explored, so the branch is retried later — the
 //!   output-side dual of an incomplete transition list.
 //!
-//! # One engine at every worker count (DESIGN §6.13)
+//! # One engine, two expansion rules (DESIGN §6.13)
 //!
-//! A node expansion — restore, all-done/park, Generate, untried
-//! filtering, fire, blocked and barren bookkeeping, child pushes — is one
-//! function, [`Lane::step`], over one node record, [`Node`]. Worker counts
-//! differ only in where a step's nodes go ([`Front`]) and where its events
-//! go ([`Sink`]):
+//! One node record, [`Node`], one store ([`Stack`] with its charging rule
+//! and spill eviction), one governance check, one `generate` and one
+//! `fire` helper, one event [`Sink`], one checkpoint body. Which rule
+//! expands a node depends only on whether the trace was complete when
+//! the analysis started:
 //!
-//! * `workers = 1` (the default) is the plain loop: [`drain`] pops the
-//!   work stack on the calling thread, with no spawn and no barrier, and
-//!   events go straight into the [`Telemetry`] handle;
-//! * `workers = N ≥ 2` wraps the same step in a **burst**: only the
-//!   coordinator polls the source; each burst (the work between two
-//!   polls) runs N scoped threads over per-worker work-stealing deques
-//!   (owner pops LIFO, a dry worker claims the burst's next input node,
-//!   thieves steal FIFO from the top, short parks when everything is
-//!   empty); workers buffer their events for the coordinator to replay.
+//! * the **complete-trace rule** (static analysis, one worker) is DFS's
+//!   in-place descent: Generate once per node, save a snapshot holding
+//!   the remaining candidates ([`Pending`]) only when siblings remain,
+//!   fire the first candidate on the live node itself, and restore once
+//!   per sibling — so it counts the paper's TE/GE/RE/SA;
+//! * the **on-line rule**, [`Lane::step`], re-generates a popped node and
+//!   fires its first untried candidate on a copy. At `workers = 1` the
+//!   plain loop [`drain`] runs it on the calling thread; at `workers =
+//!   N ≥ 2` it runs in **bursts**: only the coordinator polls the source;
+//!   each burst (the work between two polls) runs N scoped threads over
+//!   per-worker work-stealing deques (owner pops LIFO, a dry worker claims
+//!   the burst's next input node, thieves steal FIFO from the top, short
+//!   parks when everything is empty); workers buffer their events for the
+//!   coordinator to replay.
 //!
 //! Determinism: within a burst the trace is frozen, so each node's
 //! expansion is a pure function of (state, cursors, trace) and the search
 //! *tree* is schedule-independent; per-worker counter deltas merged at
 //! the barrier therefore equal the sequential totals exactly. Pre-eof
 //! bursts can never conclude `Valid` (an all-done node pre-eof parks as a
-//! PGAV), and parked nodes are re-ordered by their deterministic park
-//! labels ([`Label`]), so interim verdicts match too. A post-eof burst
-//! that finds a witness or hits a limit discards its deltas and is
-//! **replayed by the one-worker drain** from the burst's untouched input
-//! nodes — recovering the exact witness, or the exact stop point and
-//! front, the single-worker search would reach, so a resumed run ends
-//! with the uninterrupted totals at any worker count. An exhausted burst
-//! keeps the parallel deltas, which are exact by the tiling argument:
-//! every popped node-step either runs to completion (counters recorded,
-//! children pushed) or the node is returned to a deque untouched.
+//! PGAV), and parked nodes and best attempts are ordered by their
+//! deterministic labels ([`Label`]), so interim verdicts and best-effort
+//! localizations match too. A post-eof burst that finds a witness or
+//! hits a limit discards its deltas and is **replayed by the one-worker
+//! drain** from the burst's untouched input nodes — recovering the exact
+//! witness, or the exact stop point and front, the single-worker search
+//! would reach, so a resumed run ends with the uninterrupted totals at
+//! any worker count. An exhausted burst keeps the parallel deltas, which
+//! are exact by the tiling argument: every popped node-step either runs
+//! to completion (counters recorded, children pushed) or the node is
+//! returned to a deque untouched.
 //!
 //! Resource governance: the wall-clock deadline is checked both in the
 //! search and in the idle polling loop, so a monitor fed by a stalled or
 //! dead source stops with `Inconclusive(TimeLimit)` instead of wedging
-//! silently. The snapshot-memory budget covers work + PG nodes under one
+//! silently. The snapshot-memory budget covers every saved node under one
 //! charging rule: a node charges its state bytes plus its cursor bytes,
-//! and the gauge is shared by every worker. Limit stops additionally
-//! freeze the surviving search front into an [`MdfsCheckpoint`] so
-//! eof-reached runs can resume — at any worker count. Whatever the
-//! verdict, [`TraceSource::diagnostics`] is folded into
+//! and the gauge is shared by every worker. Limit stops freeze the
+//! surviving front into a [`SearchCheckpoint`]; static and eof-reached
+//! on-line runs resume from it, the latter at any worker count. Whatever
+//! the verdict, [`TraceSource::diagnostics`] is folded into
 //! [`AnalysisReport::source_faults`] so feed-level faults (parse errors,
 //! truncation, a dead feeder) survive into the report.
 
-use crate::checkpoint::{Checkpoint, NodeCkpt, SearchCheckpoint, WorkerCkpt};
+use crate::checkpoint::{Checkpoint, NodeCkpt, SearchCheckpoint};
 use crate::env::{Cursors, EnvError, RejectReason, TraceEnv};
 use crate::error::TangoError;
 use crate::fault::{Backoff, RetryPolicy};
@@ -145,7 +152,7 @@ impl TransSet {
 }
 
 /// One saved search-tree node ("thread").
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct Node {
     /// The node's snapshot: resident in RAM, or (under memory pressure,
     /// with a spill tier attached) parked in a segment file with the
@@ -189,15 +196,12 @@ impl Node {
             (cursors.input.len() + cursors.output.len()) * std::mem::size_of::<usize>();
         Node {
             state: Some(state),
-            ticket: None,
             cursors,
-            tried: TransSet::default(),
-            blocked: TransSet::default(),
             barren,
             path,
             state_bytes,
             meta_bytes,
-            pending: None,
+            ..Node::default()
         }
     }
 
@@ -207,18 +211,9 @@ impl Node {
     fn live(state: MachineState, barren: usize, path: SharedPath) -> Self {
         Node {
             state: Some(state),
-            ticket: None,
-            cursors: Cursors {
-                input: Vec::new(),
-                output: Vec::new(),
-            },
-            tried: TransSet::default(),
-            blocked: TransSet::default(),
             barren,
             path,
-            state_bytes: 0,
-            meta_bytes: 0,
-            pending: None,
+            ..Node::default()
         }
     }
 
@@ -444,22 +439,20 @@ impl Best {
 }
 
 /// What a run starts from.
-struct Seed {
-    /// Whether the complete-trace rule runs: the trace was complete when
-    /// the analysis started.
-    complete: bool,
-    trace: ResolvedTrace,
-    stats: SearchStats,
-    /// A fresh run's initial FSM state (`None`: the specification's).
-    init: Option<StateId>,
-    /// A resumed run's frozen front.
-    front: Option<SearchCheckpoint>,
+pub(crate) enum Start<'s> {
+    /// A fresh on-line run: the trace arrives from the source.
+    Online(&'s mut dyn TraceSource),
+    /// A fresh static run over a complete trace, from this initial FSM
+    /// state (`None`: the specification's).
+    Static(ResolvedTrace, Option<StateId>),
+    /// A stopped run, resumed under the rule it stopped in.
+    Resume(Box<Checkpoint>),
 }
 
-/// The source behind a resumed run. Only eof-reached checkpoints are
-/// resumable (a pre-eof source's read position cannot be re-established),
-/// so the resumed search never needs real data: every poll just
-/// re-asserts end-of-file.
+/// The source behind a run that never waits for input: a static run, or
+/// a resumed one. Only eof-reached on-line checkpoints are resumable (a
+/// pre-eof source's read position cannot be re-established), so every
+/// poll just re-asserts end-of-file.
 struct EofSource;
 
 impl TraceSource for EofSource {
@@ -471,94 +464,18 @@ impl TraceSource for EofSource {
     }
 }
 
-/// Run MDFS against a dynamic trace source. `on_status` sees every change
-/// of the interim verdict; returning `false` stops the analysis and
-/// reports the interim verdict. State hashing is refused: with two or
-/// more workers the visited set would make the counters depend on the
-/// schedule.
-pub fn run_mdfs(
-    machine: &Machine,
-    module: &AnalyzedModule,
-    source: &mut dyn TraceSource,
-    options: &AnalysisOptions,
-    on_status: &mut dyn FnMut(&Verdict) -> bool,
-    tel: &mut Telemetry,
-) -> Result<AnalysisReport, TangoError> {
-    if options.state_hashing {
-        return Err(TangoError::Env(EnvError(
-            "state hashing is a static-analysis option; on-line analysis does not support it"
-                .into(),
-        )));
-    }
-    let seed = Seed {
-        complete: false,
-        trace: ResolvedTrace::empty(module.ips.len()),
-        stats: SearchStats::default(),
-        init: None,
-        front: None,
-    };
-    run(machine, module, source, options, on_status, tel, seed)
-}
-
-/// Static analysis: the engine over a trace that is complete before the
-/// search starts, from the initial FSM state `init` (`None`: the
-/// specification's). Runs the complete-trace rule on one worker and
-/// never polls a source.
-pub(crate) fn run_static(
-    machine: &Machine,
-    module: &AnalyzedModule,
-    trace: ResolvedTrace,
-    init: Option<StateId>,
-    options: &AnalysisOptions,
-    tel: &mut Telemetry,
-) -> Result<AnalysisReport, TangoError> {
-    let seed = Seed {
-        complete: true,
-        trace,
-        stats: SearchStats::default(),
-        init,
-        front: None,
-    };
-    run(machine, module, &mut EofSource, options, &mut |_| true, tel, seed)
-}
-
-/// Resume a stopped analysis from its frozen search front, under the
-/// rule it stopped in. An on-line checkpoint is worker-count
-/// independent: the saved nodes are redistributed over this run's
-/// `options.resolved_workers()` workers.
-pub(crate) fn resume(
-    machine: &Machine,
-    module: &AnalyzedModule,
-    checkpoint: Checkpoint,
-    options: &AnalysisOptions,
-    on_status: &mut dyn FnMut(&Verdict) -> bool,
-    tel: &mut Telemetry,
-) -> Result<AnalysisReport, TangoError> {
-    let Checkpoint {
-        search,
-        trace,
-        stats,
-    } = checkpoint;
-    let seed = Seed {
-        complete: search.complete,
-        trace,
-        stats,
-        init: None,
-        front: Some(search),
-    };
-    run(machine, module, &mut EofSource, options, on_status, tel, seed)
-}
-
 /// Freeze the search front for a limit-stop checkpoint: the work stack
-/// as one entry, and the PG-list in park order, with the lane's visited
-/// set, spec errors and best attempt. Spilled nodes are faulted back in
-/// first (checkpoint files are self-contained); a read failure makes the
-/// stop un-checkpointable and is recorded as a spill fault instead.
+/// and the PG-list in park order, with the lane's visited
+/// set, spec errors and best attempt. `depth` is the static search's
+/// depth at the stop; an on-line stop reports its deepest node. Spilled
+/// nodes are faulted back in first (checkpoint files are
+/// self-contained); a read failure makes the stop un-checkpointable and
+/// is recorded as a spill fault instead.
 fn freeze(
     stack: &mut Stack,
     lane: &Lane<'_>,
     complete: bool,
-    depth: usize,
+    depth: Option<usize>,
     workers: usize,
     spill_faults: &mut Vec<String>,
 ) -> Option<SearchCheckpoint> {
@@ -571,6 +488,10 @@ fn freeze(
             }
         }
     }
+    let depth = depth.unwrap_or_else(|| {
+        let nodes = stack.work.iter().chain(&stack.pg);
+        nodes.map(|n| n.path.len()).max().unwrap_or(0)
+    });
     let mut visited: Vec<u64> = lane.visited.iter().copied().collect();
     // Sorted for a deterministic encoding.
     visited.sort_unstable();
@@ -578,11 +499,8 @@ fn freeze(
         complete,
         workers_at_save: workers as u32,
         eof: lane.env.eof,
-        workers: vec![WorkerCkpt {
-            deque: stack.work.drain(..).map(node_to_ckpt).collect(),
-            parked: Vec::new(),
-        }],
-        pg_prior: stack.pg.drain(..).map(node_to_ckpt).collect(),
+        work: stack.work.drain(..).map(node_to_ckpt).collect(),
+        pg: stack.pg.drain(..).map(node_to_ckpt).collect(),
         visited,
         spec_errors: lane.spec_errors.clone(),
         best: (lane.best.explained, lane.best.path.to_indices()),
@@ -1378,7 +1296,8 @@ impl<'a> Lane<'a> {
         };
         if self.gen.fireable.len() > 1 {
             self.stats.saves += 1;
-            let mut saved = Node::new(st.snapshot(), self.env.save(), node.barren, node.path.clone());
+            let path = node.path.clone();
+            let mut saved = Node::new(st.snapshot(), self.env.save(), node.barren, path);
             saved.pending = Some(Pending {
                 fireable: std::mem::take(&mut self.gen.fireable),
                 next: 1,
@@ -1413,7 +1332,8 @@ impl<'a> Lane<'a> {
             node.pending = None;
             node
         } else {
-            let child = Node::live(node.resident_state().snapshot(), node.barren, node.path.clone());
+            let state = node.resident_state().snapshot();
+            let child = Node::live(state, node.barren, node.path.clone());
             stack.push(node);
             child
         };
@@ -1453,72 +1373,60 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// The one-worker on-line engine: pop and step until the work stack
-/// drains or a step halts the search. Runs on the calling thread — for
-/// `workers = 1`, and for the witness replay of an aborted burst.
+/// The one-worker loop on the calling thread: step until the work stack
+/// drains or a step halts the search.
+///
+/// With `live` it runs the complete-trace rule, the paper's §2.2 DFS:
+/// each iteration is governed, then expands the live node or, when there
+/// is none, backtracks to the saved node on top of the stack. Only saved
+/// nodes are charged, and a stop leaves the live node in `live`. Without
+/// `live` it runs the on-line rule, for `workers = 1` and for the replay
+/// of an aborted burst.
 fn drain<S: Sink>(
     lane: &mut Lane<'_>,
     stack: &mut Stack,
     sink: &mut S,
     carry: &SearchStats,
-) -> Result<Halt, TangoError> {
-    let cap = lane.options.limits.max_transitions;
-    while let Some(node) = stack.work.pop() {
-        sink.tick(&lane.stats, cap);
-        match lane.step(stack, sink, node) {
-            Step::Next => {}
-            Step::Witness(path) => return Ok(Halt::Witness(path)),
-            Step::Stop(n, reason) => {
-                stack.push(*n);
-                return Ok(Halt::Stop(reason));
-            }
-            Step::SpillFailure(msg) => return Ok(Halt::SpillFailure(msg)),
-            Step::Fatal(e) => return Err(TangoError::Runtime(e)),
-        }
-        if let Some(t) = lane.tier {
-            let c = lock_tier(t).counters();
-            stamp_spill(&mut lane.stats, carry, c, &stack.gauge);
-        }
-    }
-    Ok(Halt::Drained)
-}
-
-/// The complete-trace engine: the paper's §2.2 DFS. Each iteration is
-/// governed, then either expands the live node or, when there is none,
-/// backtracks to the saved node on top of the stack. Only saved nodes
-/// are charged; the live node stays in `live` (and is frozen from there
-/// on a stop).
-fn descend<S: Sink>(
-    lane: &mut Lane<'_>,
-    stack: &mut Stack,
-    sink: &mut S,
-    carry: &SearchStats,
-    live: &mut Option<Node>,
+    mut live: Option<&mut Option<Node>>,
 ) -> Result<Halt, TangoError> {
     let cap = lane.options.limits.max_transitions;
     loop {
-        sink.tick(&lane.stats, cap);
-        if let Err(r) = lane.govern(stack, 0) {
-            return Ok(r.into());
-        }
-        let step = match live.take() {
-            Some(node) => lane.expand_live(stack, sink, node, live),
+        let step = match live.as_deref_mut() {
             None => {
-                let Some(mut node) = stack.work.pop() else {
+                let Some(node) = stack.work.pop() else {
                     return Ok(Halt::Drained);
                 };
-                stack.uncharge(node.charged());
-                if let Err(msg) = lane.resident(stack, &mut node) {
-                    return Ok(Halt::SpillFailure(msg));
+                sink.tick(&lane.stats, cap);
+                lane.step(stack, sink, node)
+            }
+            Some(live) => {
+                sink.tick(&lane.stats, cap);
+                if let Err(r) = lane.govern(stack, 0) {
+                    return Ok(r.into());
                 }
-                lane.backtrack(stack, sink, node, live)
+                match live.take() {
+                    Some(node) => lane.expand_live(stack, sink, node, live),
+                    None => {
+                        let Some(mut node) = stack.work.pop() else {
+                            return Ok(Halt::Drained);
+                        };
+                        stack.uncharge(node.charged());
+                        if let Err(msg) = lane.resident(stack, &mut node) {
+                            return Ok(Halt::SpillFailure(msg));
+                        }
+                        lane.backtrack(stack, sink, node, live)
+                    }
+                }
             }
         };
         match step {
             Step::Next => {}
             Step::Witness(path) => return Ok(Halt::Witness(path)),
             Step::Stop(n, reason) => {
-                *live = Some(*n);
+                match live {
+                    Some(live) => *live = Some(*n),
+                    None => stack.push(*n),
+                }
                 return Ok(Halt::Stop(reason));
             }
             Step::SpillFailure(msg) => return Ok(Halt::SpillFailure(msg)),
@@ -2062,7 +1970,7 @@ fn burst(
                 .filter(|n| n.state.is_none())
                 .map(|n| n.state_bytes)
                 .sum();
-            return drain(lane, stack, &mut Quiet, carry);
+            return drain(lane, stack, &mut Quiet, carry, None);
         }
         other => other,
     };
@@ -2103,21 +2011,42 @@ fn burst(
 
 /// One run of the engine, fresh or resumed. Over a trace that was
 /// complete when the analysis started, the complete-trace rule descends
-/// on one worker and the source is never polled. Otherwise the on-line
-/// rule runs at any worker count: poll, revive, search the known tree
-/// (one drain, or bursts), then conclude, report an interim verdict, or
-/// wait for input.
-fn run(
+/// on one worker and no source is polled. Otherwise the on-line rule runs
+/// at any worker count: poll, revive, search the known tree (one drain,
+/// or bursts), then conclude, report an interim verdict, or wait for
+/// input. `on_status` sees every change of the interim verdict;
+/// returning `false` stops the analysis and reports the interim verdict.
+/// An on-line run refuses state hashing: with two or more workers the
+/// visited set would make the counters depend on the schedule.
+pub(crate) fn run(
     machine: &Machine,
     module: &AnalyzedModule,
-    source: &mut dyn TraceSource,
+    start: Start<'_>,
     options: &AnalysisOptions,
     on_status: &mut dyn FnMut(&Verdict) -> bool,
     tel: &mut Telemetry,
-    seed: Seed,
 ) -> Result<AnalysisReport, TangoError> {
     let t0 = Instant::now();
-    let complete = seed.complete;
+    let mut no_source = EofSource;
+    let fresh = SearchStats::default;
+    let (complete, source, trace, stats, init, front): (bool, &mut dyn TraceSource, _, _, _, _) =
+        match start {
+            Start::Online(s) => {
+                let empty = ResolvedTrace::empty(module.ips.len());
+                (false, s, empty, fresh(), None, None)
+            }
+            Start::Static(t, init) => (true, &mut no_source, t, fresh(), init, None),
+            Start::Resume(c) => {
+                let complete = c.search.complete;
+                (complete, &mut no_source, c.trace, c.stats, None, Some(c.search))
+            }
+        };
+    if !complete && options.state_hashing {
+        return Err(TangoError::Env(EnvError(
+            "state hashing is a static-analysis option; on-line analysis does not support it"
+                .into(),
+        )));
+    }
     let n_workers = if complete {
         1
     } else {
@@ -2129,9 +2058,6 @@ fn run(
     if n_workers > 1 {
         tel.set_workers(n_workers);
     }
-    let Seed {
-        trace, stats, init, front, ..
-    } = seed;
     let base_wall = stats.wall_time;
     let carry = stats.clone();
     let mut env = TraceEnv::new(module, trace, options)?;
@@ -2222,14 +2148,7 @@ fn run(
             lane.best.explained = f.best.0;
             lane.best.path = SharedPath::from_indices(&f.best.1);
             lane.at = f.depth;
-            // The saved deques concatenate in worker order; the PG-list
-            // is the prior parks, then the saved per-worker parks.
-            let mut work = Vec::new();
-            let mut parked = Vec::new();
-            for w in f.workers {
-                work.extend(w.deque.into_iter().map(node_from_ckpt));
-                parked.extend(w.parked);
-            }
+            let mut work: Vec<Node> = f.work.into_iter().map(node_from_ckpt).collect();
             // A static stop with a live node froze it on top, uncharged;
             // the lane stands at its cursors.
             if complete && work.last().is_some_and(|n| n.pending.is_none()) {
@@ -2241,7 +2160,7 @@ fn run(
             for n in work {
                 stack.push(n);
             }
-            for c in f.pg_prior.into_iter().chain(parked) {
+            for c in f.pg {
                 let n = node_from_ckpt(c);
                 stack.charge(n.charged());
                 stack.pg.push(n);
@@ -2271,10 +2190,9 @@ fn run(
         }
 
         // Search the known tree until it drains.
-        let halt = if complete {
-            descend(&mut lane, &mut stack, tel, &carry, &mut live)?
-        } else if n_workers == 1 {
-            drain(&mut lane, &mut stack, tel, &carry)?
+        let halt = if n_workers == 1 {
+            let live = complete.then_some(&mut live);
+            drain(&mut lane, &mut stack, tel, &carry, live)?
         } else if !stack.work.is_empty() {
             burst(&mut lane, &mut stack, module, tel, &mut clocks, &carry)?
         } else {
@@ -2293,25 +2211,11 @@ fn run(
                         stack
                             .work
                             .push(Node::new(state, lane.env.save(), n.barren, n.path));
-                        depth
+                        Some(depth)
                     }
-                    None if complete => lane.at,
-                    None => stack
-                        .work
-                        .iter()
-                        .chain(&stack.pg)
-                        .map(|n| n.path.len())
-                        .max()
-                        .unwrap_or(0),
+                    None => complete.then_some(lane.at),
                 };
-                let ckpt = freeze(
-                    &mut stack,
-                    &lane,
-                    complete,
-                    depth,
-                    n_workers,
-                    &mut spill_faults,
-                );
+                let ckpt = freeze(&mut stack, &lane, complete, depth, n_workers, &mut spill_faults);
                 break (Verdict::Inconclusive(reason), None, ckpt);
             }
             Halt::SpillFailure(msg) => {
@@ -2368,21 +2272,7 @@ fn run(
         let mut idle = Backoff::new(RetryPolicy::mdfs_poll());
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                let depth = stack
-                    .work
-                    .iter()
-                    .chain(&stack.pg)
-                    .map(|n| n.path.len())
-                    .max()
-                    .unwrap_or(0);
-                let ckpt = freeze(
-                    &mut stack,
-                    &lane,
-                    complete,
-                    depth,
-                    n_workers,
-                    &mut spill_faults,
-                );
+                let ckpt = freeze(&mut stack, &lane, complete, None, n_workers, &mut spill_faults);
                 break 'search (
                     Verdict::Inconclusive(InconclusiveReason::TimeLimit),
                     None,

@@ -1,11 +1,11 @@
 //! Search paths shared between a node and its descendants.
 //!
-//! Both searches record a path as compiled-transition indices; names are
+//! The search records a path as compiled-transition indices; names are
 //! looked up only where a path leaves the search, the witness and the
-//! best-effort localization ([`path_names`]). Indices, not names, are what
-//! checkpoints store: transition names are not unique.
+//! best-effort localization ([`SharedPath::to_vec`]). Indices, not names,
+//! are what checkpoints store: transition names are not unique.
 //!
-//! Every MDFS node remembers the transitions fired on the way to it.
+//! Every search node remembers the transitions fired on the way to it.
 //! Copying the parent's whole path into each child costs O(depth)
 //! allocations per fire and keeps one private copy per parked PG-node. A
 //! [`SharedPath`] instead is a parent-linked list: a child adds one link
@@ -14,13 +14,6 @@
 
 use estelle_runtime::Machine;
 use std::sync::Arc;
-
-/// A path's transition names, root first.
-pub(crate) fn path_names(machine: &Machine, path: &[u32]) -> Vec<String> {
-    path.iter()
-        .map(|&t| machine.transition_name(t as usize).to_string())
-        .collect()
-}
 
 /// A transition sequence from the root, as an `Arc`-shared linked list.
 /// Cloning is one reference-count increment; the empty path allocates
@@ -63,7 +56,8 @@ impl SharedPath {
 
     /// The transition names, root first.
     pub(crate) fn to_vec(&self, machine: &Machine) -> Vec<String> {
-        path_names(machine, &self.to_indices())
+        let name = |&t: &u32| machine.transition_name(t as usize).to_string();
+        self.to_indices().iter().map(name).collect()
     }
 
     /// A path from transition indices, root first (checkpoint thaw).

@@ -101,8 +101,8 @@ pub struct AnalysisReport {
     /// When the §2.4.1 initial-state search succeeded from a non-default
     /// state, its name.
     pub initial_state_used: Option<String>,
-    /// For invalid traces: the most-explaining path found (static DFS
-    /// only), localizing where the trace stops being explainable.
+    /// For invalid traces (on-line: after eof): the most-explaining path
+    /// found, localizing where the trace stops being explainable.
     pub best_effort: Option<BestEffort>,
     /// When a static analysis stopped on a resource limit: the frozen
     /// search state. Feed it to [`crate::TraceAnalyzer::analyze_resume`]

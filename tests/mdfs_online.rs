@@ -232,3 +232,175 @@ fn basic_and_reordering_mdfs_agree() {
         assert_eq!(report.verdict, Verdict::Valid, "reorder={}", reorder);
     }
 }
+
+/// Static analysis is on-line analysis of a complete trace: `analyze` and
+/// `analyze_online` fed the whole trace in one poll with eof agree on the
+/// verdict, the transitions executed and the witness, at one and two
+/// workers. Only the Generate/Restore/Save bookkeeping differs between
+/// the two expansion rules.
+#[test]
+fn static_analysis_is_online_analysis_of_a_complete_trace() {
+    use protocols::randspec::RandSpec;
+    use protocols::tp0;
+    use tango::{ChoicePolicy, Tango, Trace, TraceAnalyzer};
+
+    let agree = |analyzer: &TraceAnalyzer, trace: &Trace, order: OrderOptions, tag: &str| {
+        let options = AnalysisOptions::with_order(order);
+        let fixed = analyzer.analyze(trace, &options).unwrap();
+        for workers in [1, 2] {
+            let mut o = options.clone();
+            o.workers = workers;
+            let mut source = StaticSource::new(trace.clone());
+            let online = analyzer.analyze_online(&mut source, &o, &mut |_| true).unwrap();
+            assert_eq!(
+                (
+                    &online.verdict,
+                    online.stats.transitions_executed,
+                    &online.witness
+                ),
+                (
+                    &fixed.verdict,
+                    fixed.stats.transitions_executed,
+                    &fixed.witness
+                ),
+                "{} at {} worker(s)",
+                tag,
+                workers
+            );
+        }
+        fixed.verdict
+    };
+
+    let a = tp0::analyzer();
+    for seed in [20, 13] {
+        let valid = tp0::complete_valid_trace(3, 3, seed);
+        let invalid = tp0::invalidate_last_data(&valid).expect("a data output to corrupt");
+        for (order, name) in [(OrderOptions::none(), "NR"), (OrderOptions::full(), "FULL")] {
+            let tag = format!("tp0 3+3 seed {} {}", seed, name);
+            assert_eq!(agree(&a, &valid, order, &format!("{} valid", tag)), Verdict::Valid);
+            assert_eq!(
+                agree(&a, &invalid, order, &format!("{} invalid", tag)),
+                Verdict::Invalid
+            );
+        }
+    }
+
+    for seed in 0..4 {
+        let spec = RandSpec::new(seed);
+        let a = Tango::generate(&spec.source()).expect("randspec sources are valid");
+        let trace = a
+            .generate_trace(&spec.workload(10), ChoicePolicy::First, 100_000)
+            .expect("catch-all transitions keep the workload running");
+        let tag = format!("randspec seed {}", seed);
+        assert_eq!(
+            agree(&a, &trace, OrderOptions::full(), &tag),
+            Verdict::Valid
+        );
+    }
+}
+
+/// The on-line engine honours `max_depth`: a depth stop after eof is
+/// resumable, and resuming with the limit lifted reaches the totals of
+/// the uninterrupted run, at one and two workers.
+#[test]
+fn online_depth_limit_after_eof_resumes_to_the_uninterrupted_totals() {
+    use protocols::tp0;
+    use tango::{Checkpoint, InconclusiveReason};
+
+    let a = tp0::analyzer();
+    let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 20))
+        .expect("a data output to corrupt");
+    let counters = |s: &tango::SearchStats| {
+        (s.transitions_executed, s.generates, s.restores, s.saves)
+    };
+    let path = std::env::temp_dir().join(format!(
+        "tango-online-depth-{}.ckpt",
+        std::process::id()
+    ));
+    for workers in [1, 2] {
+        let mut options = nr_options();
+        options.workers = workers;
+        let full = a
+            .analyze_online(&mut StaticSource::new(bad.clone()), &options, &mut |_| true)
+            .unwrap();
+        assert_eq!(full.verdict, Verdict::Invalid);
+
+        let mut shallow = options.clone();
+        shallow.limits.max_depth = 12;
+        let stopped = a
+            .analyze_online(&mut StaticSource::new(bad.clone()), &shallow, &mut |_| true)
+            .unwrap();
+        assert_eq!(
+            stopped.verdict,
+            Verdict::Inconclusive(InconclusiveReason::DepthLimit),
+            "workers {}",
+            workers
+        );
+        assert!(stopped.stats.transitions_executed < full.stats.transitions_executed);
+        let cp = stopped.checkpoint.expect("a depth stop after eof is resumable");
+        assert!(cp.depth() >= 12, "workers {}: depth {}", workers, cp.depth());
+        cp.write_to(&path).unwrap();
+        let resumed = a
+            .analyze_online_resume(Checkpoint::read_from(&path).unwrap(), &options, &mut |_| true)
+            .unwrap();
+        assert_eq!(resumed.verdict, Verdict::Invalid, "workers {}", workers);
+        assert_eq!(
+            counters(&resumed.stats),
+            counters(&full.stats),
+            "workers {}",
+            workers
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Delivers a trace one event per poll; eof comes with the last event.
+struct OnePerPoll(std::vec::IntoIter<Event>);
+
+impl tango::TraceSource for OnePerPoll {
+    fn poll(&mut self) -> tango::trace::source::Poll {
+        let events: Vec<Event> = self.0.next().into_iter().collect();
+        tango::trace::source::Poll {
+            events,
+            eof: self.0.len() == 0,
+        }
+    }
+}
+
+/// On-line `Invalid` verdicts after eof localize the failure from the
+/// node records, and the localization is the same at every worker count:
+/// ties break in sequential order, the earliest burst first. Fed in one
+/// poll, the on-line localization is the static one.
+#[test]
+fn online_best_effort_localization_is_identical_at_every_worker_count() {
+    use protocols::tp0;
+
+    let a = tp0::analyzer();
+    for seed in [20, 13, 1] {
+        let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, seed))
+            .expect("a data output to corrupt");
+        let fixed = a.analyze(&bad, &nr_options()).unwrap();
+        let want = fixed.best_effort.expect("static invalid verdicts localize");
+        let mut per_poll = None;
+        for workers in [1, 2, 4] {
+            let mut options = nr_options();
+            options.workers = workers;
+            let localize = |source: &mut dyn tango::TraceSource| {
+                let r = a.analyze_online(source, &options, &mut |_| true).unwrap();
+                assert_eq!(r.verdict, Verdict::Invalid, "seed {} workers {}", seed, workers);
+                let b = r.best_effort.expect("an invalid verdict after eof localizes");
+                (b.events_explained, b.events_total, b.path)
+            };
+            assert_eq!(
+                localize(&mut StaticSource::new(bad.clone())),
+                (want.events_explained, want.events_total, want.path.clone()),
+                "seed {} workers {}: one poll",
+                seed,
+                workers
+            );
+            let got = localize(&mut OnePerPoll(bad.events.clone().into_iter()));
+            let first = per_poll.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, first, "seed {} workers {}: one event per poll", seed, workers);
+        }
+    }
+}
