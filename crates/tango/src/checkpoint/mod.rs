@@ -200,8 +200,8 @@ impl Checkpoint {
             }
             check_cursors(&n.cursors, "node")?;
             check_path(&n.path, &format!("node {} path", i))?;
-            let pending = n.pending.iter().flat_map(|(f, _)| f.iter().map(|f| f.trans));
-            for t in n.tried.iter().chain(n.blocked.iter()).copied().chain(pending) {
+            let pending = n.pending.iter().flat_map(|(f, _)| f).map(|f| f.trans);
+            for t in n.tried.iter().chain(&n.blocked).copied().chain(pending) {
                 if t >= transition_count {
                     return Err(format!(
                         "node {} references transition {} of {}",

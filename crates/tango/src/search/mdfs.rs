@@ -481,7 +481,9 @@ fn freeze(
 ) -> Option<SearchCheckpoint> {
     for n in stack.work.iter_mut().chain(stack.pg.iter_mut()) {
         if n.state.is_none() {
-            let t = lane.tier.expect("spilled nodes only exist with a spill tier");
+            let t = lane
+                .tier
+                .expect("spilled nodes only exist with a spill tier");
             if let Err(e) = fault_in(&mut lock_tier(t), n) {
                 spill_faults.push(format!("checkpoint save skipped: {}", e));
                 return None;
@@ -1033,17 +1035,16 @@ impl<'a> Lane<'a> {
         Ok(())
     }
 
-    /// Fault a popped node's snapshot back in before it is expanded.
-    fn resident<F: Front>(&self, front: &mut F, node: &mut Node) -> Result<(), String> {
+    /// Fault a spilled node's snapshot back in before it is expanded;
+    /// `Ok(bytes)` moved from the disk gauge back to RAM.
+    fn resident(&self, node: &mut Node) -> Result<usize, String> {
         if node.state.is_some() {
-            return Ok(());
+            return Ok(0);
         }
         let tier = self
             .tier
             .expect("spilled nodes only exist with a spill tier");
-        let moved = fault_in(&mut lock_tier(tier), node).map_err(|e| e.to_string())?;
-        front.unspill(moved);
-        Ok(())
+        fault_in(&mut lock_tier(tier), node).map_err(|e| e.to_string())
     }
 
     /// Record the node about to be expanded as the best attempt if it
@@ -1144,8 +1145,9 @@ impl<'a> Lane<'a> {
                 return Step::Stop(Box::new(node), InconclusiveReason::DepthLimit);
             }
         }
-        if let Err(msg) = self.resident(front, &mut node) {
-            return Step::SpillFailure(msg);
+        match self.resident(&mut node) {
+            Ok(moved) => front.unspill(moved),
+            Err(msg) => return Step::SpillFailure(msg),
         }
         self.expand(front, sink, node)
     }
@@ -1182,7 +1184,9 @@ impl<'a> Lane<'a> {
             .state
             .as_mut()
             .expect("node is faulted in before expansion");
-        match self.generate(sink, st, depth, |t| !tried.contains(t) && !blocked.contains(t)) {
+        match self.generate(sink, st, depth, |t| {
+            !tried.contains(t) && !blocked.contains(t)
+        }) {
             Err(e) => return Step::Fatal(e),
             Ok(false) => {
                 front.retire();
@@ -1262,36 +1266,40 @@ impl<'a> Lane<'a> {
     /// The complete-trace rule on the live node, whose cursors are the
     /// lane's: Generate once (GE), save a snapshot with the remaining
     /// candidates only when there are siblings (SA), and fire the first
-    /// candidate in place.
+    /// candidate in place. The node stays in `live`, so a step down the
+    /// tree moves no node record.
     fn expand_live<S: Sink>(
         &mut self,
         stack: &mut Stack,
         sink: &mut S,
-        mut node: Node,
         live: &mut Option<Node>,
     ) -> Step {
+        let node = live.as_mut().expect("a live node to expand");
         let depth = node.path.len();
         self.at = depth;
         self.note_best(stack, &node.path);
         if self.env.all_done() {
-            return Step::Witness(node.path);
+            return Step::Witness(node.path.clone());
         }
         if depth >= self.options.limits.max_depth {
+            let node = live.take().expect("the live node");
             return Step::Stop(Box::new(node), InconclusiveReason::DepthLimit);
         }
         let st = node.state.as_mut().expect("the live node is resident");
         if self.options.state_hashing && !self.visited.insert(fingerprint(st, &self.env.cursors)) {
             self.stats.hash_prunes += 1;
             sink.prune(depth, PruneKind::Hash);
+            *live = None;
             return Step::Next;
         }
         self.stats.max_depth = self.stats.max_depth.max(depth);
-        match self.generate(sink, st, depth, |_| true) {
+        let first = match self.generate(sink, st, depth, |_| true) {
             Err(e) => return Step::Fatal(e),
-            Ok(false) => return Step::Next,
-            Ok(true) => {}
-        }
-        let Some(first) = self.gen.fireable.first().cloned() else {
+            Ok(true) => self.gen.fireable.first().cloned(),
+            Ok(false) => None,
+        };
+        let Some(first) = first else {
+            *live = None;
             return Step::Next;
         };
         if self.gen.fireable.len() > 1 {
@@ -1307,68 +1315,74 @@ impl<'a> Lane<'a> {
             stack.work.push(saved);
             sink.save(depth, bytes, resident);
         }
-        self.descend(sink, node, &first, depth, live)
+        self.descend(sink, live, &first, depth)
     }
 
-    /// The complete-trace rule on a popped saved node: one restore (RE)
-    /// per sibling. The node goes back on the stack while siblings remain;
-    /// the last sibling takes its state instead of a copy.
+    /// The complete-trace rule on the saved node on top of the stack (the
+    /// caller faulted it in): one restore (RE) per sibling. The node stays
+    /// on the stack while siblings remain; the last sibling takes its
+    /// state instead of a copy.
     fn backtrack<S: Sink>(
         &mut self,
         stack: &mut Stack,
         sink: &mut S,
-        mut node: Node,
         live: &mut Option<Node>,
     ) -> Step {
         self.stats.restores += 1;
         sink.restore(self.at);
-        let depth = node.path.len();
+        let top = stack.work.last_mut().expect("a saved node to restore");
+        let depth = top.path.len();
         self.at = depth;
-        self.env.restore(&node.cursors);
-        let p = node.pending.as_mut().expect("a saved node holds its candidates");
+        self.env.restore(&top.cursors);
+        let p = top
+            .pending
+            .as_mut()
+            .expect("a saved node holds its candidates");
         let f = p.fireable[p.next].clone();
         p.next += 1;
-        let child = if p.next == p.fireable.len() {
+        *live = Some(if p.next < p.fireable.len() {
+            let state = top.resident_state().snapshot();
+            Node::live(state, top.barren, top.path.clone())
+        } else {
+            let mut node = stack.work.pop().expect("the top node");
+            stack.uncharge(node.charged());
             node.pending = None;
             node
-        } else {
-            let state = node.resident_state().snapshot();
-            let child = Node::live(state, node.barren, node.path.clone());
-            stack.push(node);
-            child
-        };
-        self.descend(sink, child, &f, depth, live)
+        });
+        self.descend(sink, live, &f, depth)
     }
 
-    /// Fire `f` in place on `node`, at `depth`; a fire that completes and
-    /// stays within the barren bound makes the node the live child.
+    /// Fire `f` in place on the live node, at `depth`; it stays live as
+    /// its child when the fire completes within the barren bound, and
+    /// dies otherwise.
     fn descend<S: Sink>(
         &mut self,
         sink: &mut S,
-        mut node: Node,
+        live: &mut Option<Node>,
         f: &Fireable,
         depth: usize,
-        live: &mut Option<Node>,
     ) -> Step {
+        let node = live.as_mut().expect("a live node to fire on");
         let before = self.env.outstanding();
         let st = node.state.as_mut().expect("the live node is resident");
-        match self.fire(sink, st, f, depth) {
-            Ok(true) => {}
-            Ok(false) => return Step::Next,
+        let fired = match self.fire(sink, st, f, depth) {
+            Ok(fired) => fired,
             Err(e) => return Step::Fatal(e),
-        }
+        };
         node.barren = if self.env.outstanding() < before {
             0
         } else {
             node.barren + 1
         };
-        if node.barren > self.options.limits.max_barren_steps {
-            self.stats.barren_prunes += 1;
-            sink.prune(depth, PruneKind::Barren);
+        if !fired || node.barren > self.options.limits.max_barren_steps {
+            if fired {
+                self.stats.barren_prunes += 1;
+                sink.prune(depth, PruneKind::Barren);
+            }
+            *live = None;
             return Step::Next;
         }
-        node.path = node.path.push(f.trans as u32);
-        *live = Some(node);
+        node.path.extend(f.trans as u32);
         Step::Next
     }
 }
@@ -1404,18 +1418,22 @@ fn drain<S: Sink>(
                 if let Err(r) = lane.govern(stack, 0) {
                     return Ok(r.into());
                 }
-                match live.take() {
-                    Some(node) => lane.expand_live(stack, sink, node, live),
-                    None => {
-                        let Some(mut node) = stack.work.pop() else {
-                            return Ok(Halt::Drained);
-                        };
-                        stack.uncharge(node.charged());
-                        if let Err(msg) = lane.resident(stack, &mut node) {
-                            return Ok(Halt::SpillFailure(msg));
+                if live.is_some() {
+                    lane.expand_live(stack, sink, live)
+                } else {
+                    let Some(top) = stack.work.last_mut() else {
+                        return Ok(Halt::Drained);
+                    };
+                    // The top stays on the stack: faulting it in moves
+                    // its state bytes back onto the RAM gauge.
+                    match lane.resident(top) {
+                        Ok(moved) => {
+                            stack.unspill(moved);
+                            stack.charge(moved);
                         }
-                        lane.backtrack(stack, sink, node, live)
+                        Err(msg) => return Ok(Halt::SpillFailure(msg)),
                     }
+                    lane.backtrack(stack, sink, live)
                 }
             }
         };
@@ -1980,7 +1998,10 @@ fn burst(
         lane.stats.absorb(&o.delta);
         lane.spec_errors.extend(o.spec_errors);
         let at = o.best.label.as_deref().and_then(<[u32]>::split_last);
-        if lane.best.beaten_by(o.best.explained, at.map(|(step, key)| (key, *step))) {
+        if lane
+            .best
+            .beaten_by(o.best.explained, at.map(|(step, key)| (key, *step)))
+        {
             lane.best = o.best;
         }
     }
@@ -2038,7 +2059,14 @@ pub(crate) fn run(
             Start::Static(t, init) => (true, &mut no_source, t, fresh(), init, None),
             Start::Resume(c) => {
                 let complete = c.search.complete;
-                (complete, &mut no_source, c.trace, c.stats, None, Some(c.search))
+                (
+                    complete,
+                    &mut no_source,
+                    c.trace,
+                    c.stats,
+                    None,
+                    Some(c.search),
+                )
             }
         };
     if !complete && options.state_hashing {
@@ -2153,7 +2181,8 @@ pub(crate) fn run(
             // the lane stands at its cursors.
             if complete && work.last().is_some_and(|n| n.pending.is_none()) {
                 live = work.pop();
-                lane.env.restore(&live.as_ref().expect("just popped").cursors);
+                lane.env
+                    .restore(&live.as_ref().expect("just popped").cursors);
             }
             // The resumed nodes arrive resident (the save faulted
             // everything in).
@@ -2215,7 +2244,14 @@ pub(crate) fn run(
                     }
                     None => complete.then_some(lane.at),
                 };
-                let ckpt = freeze(&mut stack, &lane, complete, depth, n_workers, &mut spill_faults);
+                let ckpt = freeze(
+                    &mut stack,
+                    &lane,
+                    complete,
+                    depth,
+                    n_workers,
+                    &mut spill_faults,
+                );
                 break (Verdict::Inconclusive(reason), None, ckpt);
             }
             Halt::SpillFailure(msg) => {
@@ -2272,7 +2308,14 @@ pub(crate) fn run(
         let mut idle = Backoff::new(RetryPolicy::mdfs_poll());
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                let ckpt = freeze(&mut stack, &lane, complete, None, n_workers, &mut spill_faults);
+                let ckpt = freeze(
+                    &mut stack,
+                    &lane,
+                    complete,
+                    None,
+                    n_workers,
+                    &mut spill_faults,
+                );
                 break 'search (
                     Verdict::Inconclusive(InconclusiveReason::TimeLimit),
                     None,

@@ -43,6 +43,14 @@ impl SharedPath {
         })))
     }
 
+    /// Extend this path by one transition in place: the old head becomes
+    /// the new link's parent without a reference-count round trip.
+    pub(crate) fn extend(&mut self, trans: u32) {
+        let parent = std::mem::take(self);
+        let len = parent.len() + 1;
+        *self = SharedPath(Some(Arc::new(Link { trans, len, parent })));
+    }
+
     /// The transition indices, root first.
     pub(crate) fn to_indices(&self) -> Vec<u32> {
         let mut out = vec![0; self.len()];

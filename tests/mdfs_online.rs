@@ -251,7 +251,9 @@ fn static_analysis_is_online_analysis_of_a_complete_trace() {
             let mut o = options.clone();
             o.workers = workers;
             let mut source = StaticSource::new(trace.clone());
-            let online = analyzer.analyze_online(&mut source, &o, &mut |_| true).unwrap();
+            let online = analyzer
+                .analyze_online(&mut source, &o, &mut |_| true)
+                .unwrap();
             assert_eq!(
                 (
                     &online.verdict,
@@ -277,7 +279,10 @@ fn static_analysis_is_online_analysis_of_a_complete_trace() {
         let invalid = tp0::invalidate_last_data(&valid).expect("a data output to corrupt");
         for (order, name) in [(OrderOptions::none(), "NR"), (OrderOptions::full(), "FULL")] {
             let tag = format!("tp0 3+3 seed {} {}", seed, name);
-            assert_eq!(agree(&a, &valid, order, &format!("{} valid", tag)), Verdict::Valid);
+            assert_eq!(
+                agree(&a, &valid, order, &format!("{} valid", tag)),
+                Verdict::Valid
+            );
             assert_eq!(
                 agree(&a, &invalid, order, &format!("{} invalid", tag)),
                 Verdict::Invalid
@@ -310,13 +315,9 @@ fn online_depth_limit_after_eof_resumes_to_the_uninterrupted_totals() {
     let a = tp0::analyzer();
     let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 20))
         .expect("a data output to corrupt");
-    let counters = |s: &tango::SearchStats| {
-        (s.transitions_executed, s.generates, s.restores, s.saves)
-    };
-    let path = std::env::temp_dir().join(format!(
-        "tango-online-depth-{}.ckpt",
-        std::process::id()
-    ));
+    let counters =
+        |s: &tango::SearchStats| (s.transitions_executed, s.generates, s.restores, s.saves);
+    let path = std::env::temp_dir().join(format!("tango-online-depth-{}.ckpt", std::process::id()));
     for workers in [1, 2] {
         let mut options = nr_options();
         options.workers = workers;
@@ -337,11 +338,20 @@ fn online_depth_limit_after_eof_resumes_to_the_uninterrupted_totals() {
             workers
         );
         assert!(stopped.stats.transitions_executed < full.stats.transitions_executed);
-        let cp = stopped.checkpoint.expect("a depth stop after eof is resumable");
-        assert!(cp.depth() >= 12, "workers {}: depth {}", workers, cp.depth());
+        let cp = stopped
+            .checkpoint
+            .expect("a depth stop after eof is resumable");
+        assert!(
+            cp.depth() >= 12,
+            "workers {}: depth {}",
+            workers,
+            cp.depth()
+        );
         cp.write_to(&path).unwrap();
         let resumed = a
-            .analyze_online_resume(Checkpoint::read_from(&path).unwrap(), &options, &mut |_| true)
+            .analyze_online_resume(Checkpoint::read_from(&path).unwrap(), &options, &mut |_| {
+                true
+            })
             .unwrap();
         assert_eq!(resumed.verdict, Verdict::Invalid, "workers {}", workers);
         assert_eq!(
@@ -387,8 +397,16 @@ fn online_best_effort_localization_is_identical_at_every_worker_count() {
             options.workers = workers;
             let localize = |source: &mut dyn tango::TraceSource| {
                 let r = a.analyze_online(source, &options, &mut |_| true).unwrap();
-                assert_eq!(r.verdict, Verdict::Invalid, "seed {} workers {}", seed, workers);
-                let b = r.best_effort.expect("an invalid verdict after eof localizes");
+                assert_eq!(
+                    r.verdict,
+                    Verdict::Invalid,
+                    "seed {} workers {}",
+                    seed,
+                    workers
+                );
+                let b = r
+                    .best_effort
+                    .expect("an invalid verdict after eof localizes");
                 (b.events_explained, b.events_total, b.path)
             };
             assert_eq!(
@@ -400,7 +418,11 @@ fn online_best_effort_localization_is_identical_at_every_worker_count() {
             );
             let got = localize(&mut OnePerPoll(bad.events.clone().into_iter()));
             let first = per_poll.get_or_insert_with(|| got.clone());
-            assert_eq!(&got, first, "seed {} workers {}: one event per poll", seed, workers);
+            assert_eq!(
+                &got, first,
+                "seed {} workers {}: one event per poll",
+                seed, workers
+            );
         }
     }
 }

@@ -157,7 +157,13 @@ fn static_stop_points_are_pinned_and_resume_to_the_paper_counters() {
     std::fs::create_dir_all(&dir).unwrap();
     /// The limit, how to set it, and the counters, path depth and saved
     /// nodes at the stop.
-    type StopPin = (InconclusiveReason, fn(&mut AnalysisOptions), Counters, usize, usize);
+    type StopPin = (
+        InconclusiveReason,
+        fn(&mut AnalysisOptions),
+        Counters,
+        usize,
+        usize,
+    );
     let stops: [StopPin; 3] = [
         (
             InconclusiveReason::TransitionLimit,
