@@ -192,23 +192,38 @@ impl TraceAnalyzer {
         options: &AnalysisOptions,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        self.validate(&checkpoint)?;
-        if !checkpoint.search.complete {
-            return Err(TangoError::Env(EnvError(
-                "resume: on-line (MDFS) checkpoint — use analyze_online_resume".into(),
-            )));
-        }
-        tel.begin("dfs", &self.module().module_name);
-        let start = Start::Resume(Box::new(checkpoint));
-        run(&self.machine, self.module(), start, options, &mut |_| true, tel)
+        self.resume(checkpoint, false, options, &mut |_| true, tel)
     }
 
-    /// Refuse a checkpoint that does not fit this analyzer's
-    /// specification.
-    fn validate(&self, checkpoint: &Checkpoint) -> Result<(), TangoError> {
+    /// Resume `checkpoint` under the rule it stopped in, refusing one that
+    /// does not fit this specification or that the other mode saved.
+    fn resume(
+        &self,
+        checkpoint: Checkpoint,
+        online: bool,
+        options: &AnalysisOptions,
+        on_status: &mut dyn FnMut(&Verdict) -> bool,
+        tel: &mut Telemetry,
+    ) -> Result<AnalysisReport, TangoError> {
+        let refuse = |m: &str| TangoError::Env(EnvError(format!("resume: {}", m)));
+        let count = self.machine.module.transition_count();
         checkpoint
-            .validate_against(self.module(), self.machine.module.transition_count())
-            .map_err(|m| TangoError::Env(EnvError(format!("resume: {}", m))))
+            .validate_against(self.module(), count)
+            .map_err(|m| refuse(&m))?;
+        let search = &checkpoint.search;
+        if search.complete == online {
+            return Err(refuse(if online {
+                "static (DFS) checkpoint — use analyze_resume"
+            } else {
+                "on-line (MDFS) checkpoint — use analyze_online_resume"
+            }));
+        }
+        if !search.eof {
+            return Err(refuse("only eof-reached on-line checkpoints are resumable"));
+        }
+        tel.begin(checkpoint.mode(), &self.module().module_name);
+        let start = Start::Resume(Box::new(checkpoint));
+        run(&self.machine, self.module(), start, options, on_status, tel)
     }
 
     /// On-line analysis of a dynamic trace (§3): multi-threaded DFS with
@@ -263,20 +278,7 @@ impl TraceAnalyzer {
         on_status: &mut dyn FnMut(&Verdict) -> bool,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        self.validate(&checkpoint)?;
-        if checkpoint.search.complete {
-            return Err(TangoError::Env(EnvError(
-                "resume: static (DFS) checkpoint — use analyze_resume".into(),
-            )));
-        }
-        if !checkpoint.search.eof {
-            return Err(TangoError::Env(EnvError(
-                "resume: only eof-reached on-line checkpoints are resumable".into(),
-            )));
-        }
-        tel.begin("mdfs", &self.module().module_name);
-        let start = Start::Resume(Box::new(checkpoint));
-        run(&self.machine, self.module(), start, options, on_status, tel)
+        self.resume(checkpoint, true, options, on_status, tel)
     }
 
     /// Implementation-generation mode (§4.1 methodology): execute the

@@ -921,45 +921,22 @@ impl Front for Stack {
     }
 }
 
-/// Why a step ended its lane's loop, or `Next` when it did not.
-enum Step {
-    Next,
-    /// An all-done node after eof: its path is the witness.
+/// Why a step ends its lane's loop, and why the one-worker loop or a
+/// burst returned.
+enum Halt {
+    /// The known tree is exhausted.
+    Drained,
+    /// An all-done node after eof: its path is the witness (the first, in
+    /// sequential order).
     Witness(SharedPath),
-    /// A resource limit tripped before (or, for `PgNodeLimit`, instead
-    /// of) the node's expansion; the node goes back on the front.
-    Stop(Box<Node>, InconclusiveReason),
+    /// A resource limit tripped before a node's expansion (for
+    /// `PgNodeLimit`, instead of its park); the node is back on the
+    /// front, which is intact.
+    Stop(InconclusiveReason),
     /// A spill write or read failed; the stop is not checkpointable.
     SpillFailure(String),
     /// A fatal runtime error (engine bug class) — propagated as `Err`.
     Fatal(RuntimeError),
-}
-
-/// Why the one-worker drain, the complete-trace descent or a burst
-/// returned.
-enum Halt {
-    /// The known tree is exhausted.
-    Drained,
-    /// The first witness, in sequential order.
-    Witness(SharedPath),
-    /// A resource limit: the front is intact, in sequential order.
-    Stop(InconclusiveReason),
-    SpillFailure(String),
-}
-
-/// Why governance refused the next step.
-enum Refusal {
-    Limit(InconclusiveReason),
-    Spill(String),
-}
-
-impl From<Refusal> for Halt {
-    fn from(r: Refusal) -> Halt {
-        match r {
-            Refusal::Limit(reason) => Halt::Stop(reason),
-            Refusal::Spill(msg) => Halt::SpillFailure(msg),
-        }
-    }
 }
 
 /// One search lane: the machine, the limits, a cursor view over the trace,
@@ -1015,21 +992,21 @@ impl<'a> Lane<'a> {
     /// the genuinely live set alone exceeds the budget there is nothing
     /// left to evict and the search continues over budget — the tier's
     /// contract is degradation, never a stop.
-    fn govern<F: Front>(&self, front: &mut F, need: usize) -> Result<(), Refusal> {
+    fn govern<F: Front>(&self, front: &mut F, need: usize) -> Result<(), Halt> {
         let limits = &self.options.limits;
         if front.te(&self.stats) > limits.max_transitions {
-            return Err(Refusal::Limit(InconclusiveReason::TransitionLimit));
+            return Err(Halt::Stop(InconclusiveReason::TransitionLimit));
         }
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(Refusal::Limit(InconclusiveReason::TimeLimit));
+            return Err(Halt::Stop(InconclusiveReason::TimeLimit));
         }
         if let Some(cap) = limits.max_state_bytes {
             if let Some(tier) = self.tier {
                 front
                     .evict(tier, cap, need)
-                    .map_err(|e| Refusal::Spill(e.to_string()))?;
+                    .map_err(|e| Halt::SpillFailure(e.to_string()))?;
             } else if front.resident() + need > cap {
-                return Err(Refusal::Limit(InconclusiveReason::MemoryLimit));
+                return Err(Halt::Stop(InconclusiveReason::MemoryLimit));
             }
         }
         Ok(())
@@ -1130,25 +1107,30 @@ impl<'a> Lane<'a> {
     }
 
     /// The on-line rule: govern, then expand, one popped node.
-    fn step<F: Front, S: Sink>(&mut self, front: &mut F, sink: &mut S, mut node: Node) -> Step {
+    fn step<F: Front, S: Sink>(
+        &mut self,
+        front: &mut F,
+        sink: &mut S,
+        mut node: Node,
+    ) -> Result<(), Halt> {
         front.uncharge(node.charged());
-        match self.govern(front, node.resident_footprint()) {
-            Ok(()) => {}
-            Err(Refusal::Limit(reason)) => return Step::Stop(Box::new(node), reason),
-            Err(Refusal::Spill(msg)) => return Step::SpillFailure(msg),
-        }
-        if node.path.len() >= self.options.limits.max_depth {
+        let limit = match self.govern(front, node.resident_footprint()) {
+            Err(Halt::Stop(reason)) => Some(reason),
+            Err(h) => return Err(h),
             // Too deep to expand, unless everything is explained: a
             // witness, or a PGAV park, never descends.
-            self.env.restore(&node.cursors);
-            if !self.env.all_done() {
-                return Step::Stop(Box::new(node), InconclusiveReason::DepthLimit);
+            Ok(()) if node.path.len() >= self.options.limits.max_depth => {
+                self.env.restore(&node.cursors);
+                (!self.env.all_done()).then_some(InconclusiveReason::DepthLimit)
             }
+            Ok(()) => None,
+        };
+        if let Some(reason) = limit {
+            front.push(node);
+            return Err(Halt::Stop(reason));
         }
-        match self.resident(&mut node) {
-            Ok(moved) => front.unspill(moved),
-            Err(msg) => return Step::SpillFailure(msg),
-        }
+        let moved = self.resident(&mut node).map_err(Halt::SpillFailure)?;
+        front.unspill(moved);
         self.expand(front, sink, node)
     }
 
@@ -1156,7 +1138,12 @@ impl<'a> Lane<'a> {
     /// or report it as a witness when everything is consumed, otherwise
     /// Generate on its own snapshot and fire the first untried candidate
     /// on a copy — the one copy an expansion makes.
-    fn expand<F: Front, S: Sink>(&mut self, front: &mut F, sink: &mut S, mut node: Node) -> Step {
+    fn expand<F: Front, S: Sink>(
+        &mut self,
+        front: &mut F,
+        sink: &mut S,
+        mut node: Node,
+    ) -> Result<(), Halt> {
         let limits = &self.options.limits;
         let depth = node.path.len();
         self.stats.max_depth = self.stats.max_depth.max(depth);
@@ -1168,13 +1155,13 @@ impl<'a> Lane<'a> {
 
         if self.env.all_done() {
             if self.env.eof {
-                return Step::Witness(node.path);
+                return Err(Halt::Witness(node.path));
             }
             // PGAV: everything so far is explained; park the node.
             self.stats.pg_nodes += 1;
             let total = front.park(node, self.stats.pg_nodes);
             sink.park(depth, total);
-            return Step::Next;
+            return Ok(());
         }
 
         // Generate (or re-generate) this node's transition list,
@@ -1184,15 +1171,10 @@ impl<'a> Lane<'a> {
             .state
             .as_mut()
             .expect("node is faulted in before expansion");
-        match self.generate(sink, st, depth, |t| {
-            !tried.contains(t) && !blocked.contains(t)
-        }) {
-            Err(e) => return Step::Fatal(e),
-            Ok(false) => {
-                front.retire();
-                return Step::Next;
-            }
-            Ok(true) => {}
+        let keep = |t| !tried.contains(t) && !blocked.contains(t);
+        if !self.generate(sink, st, depth, keep).map_err(Halt::Fatal)? {
+            front.retire();
+            return Ok(());
         }
         let is_pg = self.gen.incomplete;
         // Fanout as the search sees it: candidates not yet explored from
@@ -1202,7 +1184,8 @@ impl<'a> Lane<'a> {
         if untried == 0 {
             if is_pg || !node.blocked.is_empty() {
                 if front.pg_len() >= limits.max_pg_nodes {
-                    return Step::Stop(Box::new(node), InconclusiveReason::PgNodeLimit);
+                    front.push(node);
+                    return Err(Halt::Stop(InconclusiveReason::PgNodeLimit));
                 }
                 self.stats.pg_nodes += 1;
                 let total = front.park(node, self.stats.pg_nodes);
@@ -1210,7 +1193,7 @@ impl<'a> Lane<'a> {
             } else {
                 front.retire();
             }
-            return Step::Next;
+            return Ok(());
         }
 
         let f = self.gen.fireable.swap_remove(0);
@@ -1218,10 +1201,9 @@ impl<'a> Lane<'a> {
         let mut child_state = node.resident_state().snapshot();
         self.env.restore(&node.cursors);
         let before = self.env.outstanding();
-        let fired = match self.fire(sink, &mut child_state, &f, depth) {
-            Ok(fired) => fired,
-            Err(e) => return Step::Fatal(e),
-        };
+        let fired = self
+            .fire(sink, &mut child_state, &f, depth)
+            .map_err(Halt::Fatal)?;
         if !fired && self.env.last_reject == Some(RejectReason::MayGrow) {
             // The failure was "output not in the trace *yet*": park it
             // as blocked and retry once data arrives.
@@ -1245,7 +1227,7 @@ impl<'a> Lane<'a> {
             } else {
                 front.retire();
             }
-            return Step::Next;
+            return Ok(());
         }
         self.stats.saves += 1;
         let child = Node::new(
@@ -1260,7 +1242,7 @@ impl<'a> Lane<'a> {
         // set) small.
         let resident = front.push_child(has_more.then_some(node), child);
         sink.save(depth + 1, bytes, resident);
-        Step::Next
+        Ok(())
     }
 
     /// The complete-trace rule on the live node, whose cursors are the
@@ -1273,34 +1255,31 @@ impl<'a> Lane<'a> {
         stack: &mut Stack,
         sink: &mut S,
         live: &mut Option<Node>,
-    ) -> Step {
+    ) -> Result<(), Halt> {
         let node = live.as_mut().expect("a live node to expand");
         let depth = node.path.len();
         self.at = depth;
         self.note_best(stack, &node.path);
         if self.env.all_done() {
-            return Step::Witness(node.path.clone());
+            return Err(Halt::Witness(node.path.clone()));
         }
         if depth >= self.options.limits.max_depth {
-            let node = live.take().expect("the live node");
-            return Step::Stop(Box::new(node), InconclusiveReason::DepthLimit);
+            return Err(Halt::Stop(InconclusiveReason::DepthLimit));
         }
         let st = node.state.as_mut().expect("the live node is resident");
         if self.options.state_hashing && !self.visited.insert(fingerprint(st, &self.env.cursors)) {
             self.stats.hash_prunes += 1;
             sink.prune(depth, PruneKind::Hash);
             *live = None;
-            return Step::Next;
+            return Ok(());
         }
         self.stats.max_depth = self.stats.max_depth.max(depth);
-        let first = match self.generate(sink, st, depth, |_| true) {
-            Err(e) => return Step::Fatal(e),
-            Ok(true) => self.gen.fireable.first().cloned(),
-            Ok(false) => None,
-        };
-        let Some(first) = first else {
+        let generated = self
+            .generate(sink, st, depth, |_| true)
+            .map_err(Halt::Fatal)?;
+        let Some(first) = self.gen.fireable.first().filter(|_| generated).cloned() else {
             *live = None;
-            return Step::Next;
+            return Ok(());
         };
         if self.gen.fireable.len() > 1 {
             self.stats.saves += 1;
@@ -1327,7 +1306,7 @@ impl<'a> Lane<'a> {
         stack: &mut Stack,
         sink: &mut S,
         live: &mut Option<Node>,
-    ) -> Step {
+    ) -> Result<(), Halt> {
         self.stats.restores += 1;
         sink.restore(self.at);
         let top = stack.work.last_mut().expect("a saved node to restore");
@@ -1361,14 +1340,11 @@ impl<'a> Lane<'a> {
         live: &mut Option<Node>,
         f: &Fireable,
         depth: usize,
-    ) -> Step {
+    ) -> Result<(), Halt> {
         let node = live.as_mut().expect("a live node to fire on");
         let before = self.env.outstanding();
         let st = node.state.as_mut().expect("the live node is resident");
-        let fired = match self.fire(sink, st, f, depth) {
-            Ok(fired) => fired,
-            Err(e) => return Step::Fatal(e),
-        };
+        let fired = self.fire(sink, st, f, depth).map_err(Halt::Fatal)?;
         node.barren = if self.env.outstanding() < before {
             0
         } else {
@@ -1380,10 +1356,10 @@ impl<'a> Lane<'a> {
                 sink.prune(depth, PruneKind::Barren);
             }
             *live = None;
-            return Step::Next;
+            return Ok(());
         }
         node.path.extend(f.trans as u32);
-        Step::Next
+        Ok(())
     }
 }
 
@@ -1402,27 +1378,27 @@ fn drain<S: Sink>(
     sink: &mut S,
     carry: &SearchStats,
     mut live: Option<&mut Option<Node>>,
-) -> Result<Halt, TangoError> {
+) -> Halt {
     let cap = lane.options.limits.max_transitions;
     loop {
         let step = match live.as_deref_mut() {
             None => {
                 let Some(node) = stack.work.pop() else {
-                    return Ok(Halt::Drained);
+                    return Halt::Drained;
                 };
                 sink.tick(&lane.stats, cap);
                 lane.step(stack, sink, node)
             }
             Some(live) => {
                 sink.tick(&lane.stats, cap);
-                if let Err(r) = lane.govern(stack, 0) {
-                    return Ok(r.into());
+                if let Err(h) = lane.govern(stack, 0) {
+                    return h;
                 }
                 if live.is_some() {
                     lane.expand_live(stack, sink, live)
                 } else {
                     let Some(top) = stack.work.last_mut() else {
-                        return Ok(Halt::Drained);
+                        return Halt::Drained;
                     };
                     // The top stays on the stack: faulting it in moves
                     // its state bytes back onto the RAM gauge.
@@ -1431,39 +1407,20 @@ fn drain<S: Sink>(
                             stack.unspill(moved);
                             stack.charge(moved);
                         }
-                        Err(msg) => return Ok(Halt::SpillFailure(msg)),
+                        Err(msg) => return Halt::SpillFailure(msg),
                     }
                     lane.backtrack(stack, sink, live)
                 }
             }
         };
-        match step {
-            Step::Next => {}
-            Step::Witness(path) => return Ok(Halt::Witness(path)),
-            Step::Stop(n, reason) => {
-                match live {
-                    Some(live) => *live = Some(*n),
-                    None => stack.push(*n),
-                }
-                return Ok(Halt::Stop(reason));
-            }
-            Step::SpillFailure(msg) => return Ok(Halt::SpillFailure(msg)),
-            Step::Fatal(e) => return Err(TangoError::Runtime(e)),
+        if let Err(h) = step {
+            return h;
         }
         if let Some(t) = lane.tier {
             let c = lock_tier(t).counters();
             stamp_spill(&mut lane.stats, carry, c, &stack.gauge);
         }
     }
-}
-
-/// Why a burst stopped early. The first cause wins, except that a fatal
-/// error outranks every other.
-enum StopCause {
-    Limit(InconclusiveReason),
-    Spill(String),
-    Witness,
-    Fatal(RuntimeError),
 }
 
 /// A node's park label inside a burst. The burst's input `i` (in
@@ -1504,7 +1461,9 @@ struct Burst {
     /// every deque empty checks this: zero means the burst is done
     /// (nodes in flight are still counted until retired or parked).
     pending: AtomicUsize,
-    stop: Mutex<Option<StopCause>>,
+    /// Why the burst stopped early: the first cause wins, except that a
+    /// fatal error outranks every other.
+    stop: Mutex<Option<Halt>>,
     stopped: AtomicBool,
     /// Live TE/GE/RE/SA counters (seeded from the cumulative stats at
     /// burst start) — the TE limit check and the progress heartbeat
@@ -1570,9 +1529,9 @@ impl Burst {
         Some((node.expect("each input is claimed once"), label))
     }
 
-    fn set_stop(&self, cause: StopCause) {
+    fn set_stop(&self, cause: Halt) {
         let mut s = self.stop.lock().expect("stop lock");
-        if s.is_none() || matches!(cause, StopCause::Fatal(_)) {
+        if s.is_none() || matches!(cause, Halt::Fatal(_)) {
             *s = Some(cause);
         }
         self.stopped.store(true, Ordering::Release);
@@ -1823,25 +1782,9 @@ fn burst_worker(widx: usize, mut lane: Lane<'_>, sh: &Burst, mut sink: Buffered)
             depth = s.max_depth;
             sh.depth.fetch_max(depth, Ordering::Relaxed);
         }
-        match step {
-            Step::Next => {}
-            Step::Witness(_) => {
-                sh.set_stop(StopCause::Witness);
-                break;
-            }
-            Step::Stop(n, reason) => {
-                front.push(*n);
-                sh.set_stop(StopCause::Limit(reason));
-                break;
-            }
-            Step::SpillFailure(msg) => {
-                sh.set_stop(StopCause::Spill(msg));
-                break;
-            }
-            Step::Fatal(e) => {
-                sh.set_stop(StopCause::Fatal(e));
-                break;
-            }
+        if let Err(h) = step {
+            sh.set_stop(h);
+            break;
         }
     }
     sink.flush();
@@ -1967,7 +1910,6 @@ fn burst(
         .into_iter()
         .map(|m| m.into_inner().expect("input lock"));
     let stop = match stop.into_inner().expect("stop lock") {
-        Some(StopCause::Fatal(e)) => return Err(TangoError::Runtime(e)),
         // After eof, a witness or a limit stop hands the burst to one
         // worker: parallel workers may have searched past the first
         // witness, and that work must not be counted, nor may a front
@@ -1976,7 +1918,7 @@ fn burst(
         // the untouched inputs on one worker, which now holds nothing
         // else; its witness, or its stop point and front, are exactly
         // the one-worker run's.
-        Some(StopCause::Witness | StopCause::Limit(_)) if keep => {
+        Some(Halt::Witness(_) | Halt::Stop(_)) if keep => {
             drop((deques, parked, outs));
             let (stats, errors) = base.expect("inputs are kept after eof");
             lane.stats = stats;
@@ -1988,7 +1930,7 @@ fn burst(
                 .filter(|n| n.state.is_none())
                 .map(|n| n.state_bytes)
                 .sum();
-            return drain(lane, stack, &mut Quiet, carry, None);
+            return Ok(drain(lane, stack, &mut Quiet, carry, None));
         }
         other => other,
     };
@@ -2013,8 +1955,7 @@ fn burst(
     stack.pg.extend(parked.into_iter().map(|(_, n)| n));
     Ok(match stop {
         None => Halt::Drained,
-        Some(StopCause::Spill(msg)) => Halt::SpillFailure(msg),
-        Some(StopCause::Limit(reason)) => {
+        Some(Halt::Stop(reason)) => {
             // A stop before eof: the front (every deque, plus the inputs
             // no worker claimed) is saved but cannot be resumed, so its
             // order does not matter.
@@ -2026,7 +1967,7 @@ fn burst(
                 .collect();
             Halt::Stop(reason)
         }
-        Some(StopCause::Witness | StopCause::Fatal(_)) => unreachable!("handled above"),
+        Some(halt) => halt,
     })
 }
 
@@ -2221,7 +2162,7 @@ pub(crate) fn run(
         // Search the known tree until it drains.
         let halt = if n_workers == 1 {
             let live = complete.then_some(&mut live);
-            drain(&mut lane, &mut stack, tel, &carry, live)?
+            drain(&mut lane, &mut stack, tel, &carry, live)
         } else if !stack.work.is_empty() {
             burst(&mut lane, &mut stack, module, tel, &mut clocks, &carry)?
         } else {
@@ -2254,6 +2195,7 @@ pub(crate) fn run(
                 );
                 break (Verdict::Inconclusive(reason), None, ckpt);
             }
+            Halt::Fatal(e) => return Err(TangoError::Runtime(e)),
             Halt::SpillFailure(msg) => {
                 spill_faults.push(msg);
                 break (
