@@ -227,12 +227,6 @@ impl Node {
             }
     }
 
-    /// Bytes the node charges once resident — what the budget check uses
-    /// for the node about to be expanded.
-    fn resident_footprint(&self) -> usize {
-        self.meta_bytes + self.state_bytes
-    }
-
     /// The resident snapshot. The search faults a popped node in before
     /// expanding it, so this never observes a spilled node.
     fn resident_state(&self) -> &MachineState {
@@ -464,36 +458,41 @@ impl TraceSource for EofSource {
     }
 }
 
-/// Freeze the search front for a limit-stop checkpoint: the work stack
-/// and the PG-list in park order, with the lane's visited
-/// set, spec errors and best attempt. `depth` is the static search's
-/// depth at the stop; an on-line stop reports its deepest node. Spilled
-/// nodes are faulted back in first (checkpoint files are
+/// Freeze the search front for a stop's checkpoint: the work stack,
+/// with the complete-trace rule's live node on top, and the PG-list in
+/// park order, with the lane's visited set, spec errors and best attempt.
+/// The depth is DFS's under the complete-trace rule (the live node's, or
+/// that of the node whose expansion last failed) and the deepest node's
+/// on-line. Spilled nodes are faulted back in first (checkpoint files are
 /// self-contained); a read failure makes the stop un-checkpointable and
 /// is recorded as a spill fault instead.
 fn freeze(
     stack: &mut Stack,
+    live: &mut Option<Node>,
     lane: &Lane<'_>,
     complete: bool,
-    depth: Option<usize>,
     workers: usize,
     spill_faults: &mut Vec<String>,
 ) -> Option<SearchCheckpoint> {
+    // The live node freezes with its real record, uncharged.
+    let live_depth = live.take().map(|n| {
+        let depth = n.path.len();
+        let state = n.state.expect("the live node is resident");
+        let frozen = Node::new(state, lane.env.save(), n.barren, n.path);
+        stack.work.push(frozen);
+        depth
+    });
     for n in stack.work.iter_mut().chain(stack.pg.iter_mut()) {
-        if n.state.is_none() {
-            let t = lane
-                .tier
-                .expect("spilled nodes only exist with a spill tier");
-            if let Err(e) = fault_in(&mut lock_tier(t), n) {
-                spill_faults.push(format!("checkpoint save skipped: {}", e));
-                return None;
-            }
+        if let Err(e) = lane.resident(n) {
+            spill_faults.push(format!("checkpoint save skipped: {}", e));
+            return None;
         }
     }
-    let depth = depth.unwrap_or_else(|| {
+    let deepest = || {
         let nodes = stack.work.iter().chain(&stack.pg);
         nodes.map(|n| n.path.len()).max().unwrap_or(0)
-    });
+    };
+    let depth = live_depth.unwrap_or_else(|| if complete { lane.at } else { deepest() });
     let mut visited: Vec<u64> = lane.visited.iter().copied().collect();
     // Sorted for a deterministic encoding.
     visited.sort_unstable();
@@ -819,6 +818,9 @@ struct Stack {
     work: Vec<Node>,
     pg: Vec<Node>,
     gauge: Gauge,
+    /// A spill write that failed while the complete-trace rule saved a
+    /// node; the next step degrades the run.
+    fault: Option<String>,
 }
 
 impl Stack {
@@ -827,6 +829,22 @@ impl Stack {
         g.resident += bytes;
         g.peak = g.peak.max(g.resident);
         g.resident
+    }
+
+    /// Push a node the complete-trace rule saved, and return the RAM
+    /// gauge. Under a spill tier the budget holds from the save on: the
+    /// coldest nodes (this one last) are evicted before the high-water
+    /// mark moves. A failed write leaves the node resident and is kept
+    /// in `fault` for the next step.
+    fn save(&mut self, node: Node, tier: Option<&Mutex<SpillTier>>, cap: Option<usize>) -> usize {
+        self.gauge.resident += node.charged();
+        self.work.push(node);
+        if let (Some(tier), Some(cap)) = (tier, cap) {
+            if let Err(e) = self.evict(tier, cap, 0) {
+                self.fault = Some(e.to_string());
+            }
+        }
+        self.charge(0)
     }
 
     /// Revive parked PG-nodes: fresh data may unblock output-blocked
@@ -1114,7 +1132,8 @@ impl<'a> Lane<'a> {
         mut node: Node,
     ) -> Result<(), Halt> {
         front.uncharge(node.charged());
-        let limit = match self.govern(front, node.resident_footprint()) {
+        // The budget check counts the node as resident: it is about to be.
+        let limit = match self.govern(front, node.meta_bytes + node.state_bytes) {
             Err(Halt::Stop(reason)) => Some(reason),
             Err(h) => return Err(h),
             // Too deep to expand, unless everything is explained: a
@@ -1290,8 +1309,7 @@ impl<'a> Lane<'a> {
                 next: 1,
             });
             let bytes = saved.charged();
-            let resident = stack.charge(bytes);
-            stack.work.push(saved);
+            let resident = stack.save(saved, self.tier, self.options.limits.max_state_bytes);
             sink.save(depth, bytes, resident);
         }
         self.descend(sink, live, &first, depth)
@@ -1391,7 +1409,15 @@ fn drain<S: Sink>(
             }
             Some(live) => {
                 sink.tick(&lane.stats, cap);
-                if let Err(h) = lane.govern(stack, 0) {
+                if let Some(msg) = stack.fault.take() {
+                    return Halt::SpillFailure(msg);
+                }
+                // A spilled top is about to be faulted back in.
+                let need = match (&*live, stack.work.last()) {
+                    (None, Some(top)) if top.state.is_none() => top.state_bytes,
+                    _ => 0,
+                };
+                if let Err(h) = lane.govern(stack, need) {
                     return h;
                 }
                 if live.is_some() {
@@ -2037,34 +2063,20 @@ pub(crate) fn run(
 
     // Disk spill tier: under a memory budget, park cold node snapshots
     // in segment files instead of stopping `Inconclusive(MemoryLimit)`.
-    let tier = match options.spill.build_tier(options.limits.max_state_bytes) {
+    // An unusable spill directory degrades the run before it searches.
+    let (tier, mut tier_fault) = match options.spill.build_tier(options.limits.max_state_bytes) {
         // Spill retry sleeps honor the same wall-clock deadline the
         // search loop enforces.
-        Ok(t) => t.map(|mut t| {
-            if let Some(d) = deadline {
-                t.set_deadline(d);
-            }
-            Mutex::new(t)
-        }),
-        Err(e) => {
-            // The spill directory itself is unusable. Degrade before
-            // touching anything; a resume keeps its checkpoint.
-            return Ok(finish(
-                Verdict::Inconclusive(InconclusiveReason::SpillFailure),
-                None,
-                stats,
-                Vec::new(),
-                &*source,
-                t0,
-                base_wall,
-                clocks,
-                cap,
-                vec![e.to_string()],
-                front,
-                &env.trace,
-                tel,
-            ));
-        }
+        Ok(t) => (
+            t.map(|mut t| {
+                if let Some(d) = deadline {
+                    t.set_deadline(d);
+                }
+                Mutex::new(t)
+            }),
+            None,
+        ),
+        Err(e) => (None, Some(e.to_string())),
     };
     let mut spill_faults: Vec<String> = tier
         .as_ref()
@@ -2160,7 +2172,9 @@ pub(crate) fn run(
         }
 
         // Search the known tree until it drains.
-        let halt = if n_workers == 1 {
+        let halt = if let Some(msg) = tier_fault.take() {
+            Halt::SpillFailure(msg)
+        } else if n_workers == 1 {
             let live = complete.then_some(&mut live);
             drain(&mut lane, &mut stack, tel, &carry, live)
         } else if !stack.work.is_empty() {
@@ -2172,24 +2186,11 @@ pub(crate) fn run(
             Halt::Drained => {}
             Halt::Witness(path) => break (Verdict::Valid, Some(path.to_vec(&machine)), None),
             Halt::Stop(reason) => {
-                let depth = match live.take() {
-                    // The live node freezes on top of the stack with its
-                    // real record, uncharged.
-                    Some(n) => {
-                        let depth = n.path.len();
-                        let state = n.state.expect("the live node is resident");
-                        stack
-                            .work
-                            .push(Node::new(state, lane.env.save(), n.barren, n.path));
-                        Some(depth)
-                    }
-                    None => complete.then_some(lane.at),
-                };
                 let ckpt = freeze(
                     &mut stack,
+                    &mut live,
                     &lane,
                     complete,
-                    depth,
                     n_workers,
                     &mut spill_faults,
                 );
@@ -2198,11 +2199,16 @@ pub(crate) fn run(
             Halt::Fatal(e) => return Err(TangoError::Runtime(e)),
             Halt::SpillFailure(msg) => {
                 spill_faults.push(msg);
-                break (
-                    Verdict::Inconclusive(InconclusiveReason::SpillFailure),
-                    None,
-                    None,
-                );
+                // Under the complete-trace rule the front survives a spill
+                // failure (a node whose write failed stays resident, one
+                // whose read failed is read again by the freeze), so the
+                // stop still checkpoints; an on-line burst may have lost
+                // nodes in flight.
+                let ckpt = complete
+                    .then(|| freeze(&mut stack, &mut live, &lane, true, 1, &mut spill_faults))
+                    .flatten();
+                let reason = InconclusiveReason::SpillFailure;
+                break (Verdict::Inconclusive(reason), None, ckpt);
             }
         }
 
@@ -2252,9 +2258,9 @@ pub(crate) fn run(
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 let ckpt = freeze(
                     &mut stack,
+                    &mut live,
                     &lane,
                     complete,
-                    None,
                     n_workers,
                     &mut spill_faults,
                 );

@@ -235,3 +235,36 @@ fn memory_limit_never_fires_with_the_tier_enabled() {
     assert_eq!(counters(&report.stats), counters(&baseline.stats));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A dead disk under the static search degrades it to
+/// `Inconclusive(SpillFailure)` with the fault on the record, and the
+/// node whose write failed stays resident, so the stop still carries a
+/// checkpoint: resumed all in RAM, it reaches the uninterrupted totals.
+#[test]
+fn static_spill_write_failure_still_checkpoints_and_resumes() {
+    use tango::{InconclusiveReason, SpillFaultPlan};
+    let a = tp0::analyzer();
+    let bad = invalid_tp0_trace();
+    let opts = AnalysisOptions::default();
+    let baseline = a.analyze(&bad, &opts).unwrap();
+
+    let dir = spill_dir("dead-disk");
+    let mut dead = spilled(&opts, dir.clone());
+    dead.spill.fault_plan = Some(SpillFaultPlan {
+        hard_writes_after: Some(3),
+        ..SpillFaultPlan::default()
+    });
+    let stopped = a.analyze(&bad, &dead).unwrap();
+    assert_eq!(
+        stopped.verdict,
+        Verdict::Inconclusive(InconclusiveReason::SpillFailure)
+    );
+    assert!(!stopped.spill_faults.is_empty(), "the fault is on the record");
+    let cp = stopped
+        .checkpoint
+        .expect("a failed write keeps the front, so the stop checkpoints");
+    let resumed = a.analyze_resume(*cp, &opts).unwrap();
+    assert_eq!(resumed.verdict, baseline.verdict);
+    assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
+    std::fs::remove_dir_all(&dir).ok();
+}
