@@ -160,8 +160,9 @@ struct Node {
     state: Option<MachineState>,
     /// Segment record holding this node's snapshot, once written.
     /// Snapshots are immutable, so re-evicting a ticketed node is
-    /// write-free.
-    ticket: Option<SpillTicket>,
+    /// write-free. Boxed: only spilled nodes have one, and every node
+    /// record moves on each park and revive.
+    ticket: Option<Box<SpillTicket>>,
     cursors: Cursors,
     /// Compiled-transition indices already explored from this node.
     tried: TransSet,
@@ -174,8 +175,6 @@ struct Node {
     path: SharedPath,
     /// Snapshot bytes proper — the part that moves between RAM and disk.
     state_bytes: usize,
-    /// Cursor/bookkeeping bytes — always RAM-resident.
-    meta_bytes: usize,
     /// Complete-trace rule only: the node was saved for backtracking, and
     /// this is what remains of its one Generate.
     pending: Option<Pending>,
@@ -191,16 +190,12 @@ struct Pending {
 
 impl Node {
     fn new(state: MachineState, cursors: Cursors, barren: usize, path: SharedPath) -> Self {
-        let state_bytes = state.approx_bytes();
-        let meta_bytes =
-            (cursors.input.len() + cursors.output.len()) * std::mem::size_of::<usize>();
         Node {
+            state_bytes: state.approx_bytes(),
             state: Some(state),
             cursors,
             barren,
             path,
-            state_bytes,
-            meta_bytes,
             ..Node::default()
         }
     }
@@ -217,9 +212,14 @@ impl Node {
         }
     }
 
+    /// Cursor bytes — always RAM-resident.
+    fn meta_bytes(&self) -> usize {
+        (self.cursors.input.len() + self.cursors.output.len()) * std::mem::size_of::<usize>()
+    }
+
     /// Bytes currently charged against the RAM gauge for this node.
     fn charged(&self) -> usize {
-        self.meta_bytes
+        self.meta_bytes()
             + if self.state.is_some() {
                 self.state_bytes
             } else {
@@ -246,7 +246,7 @@ fn spill_node(tier: &mut SpillTier, node: &mut Node) -> Result<usize, SpillError
     };
     if node.ticket.is_none() {
         match tier.write_state(state_key(&state), &state) {
-            Ok(t) => node.ticket = Some(t),
+            Ok(t) => node.ticket = Some(Box::new(t)),
             Err(e) => {
                 node.state = Some(state);
                 return Err(e);
@@ -263,8 +263,8 @@ fn fault_in(tier: &mut SpillTier, node: &mut Node) -> Result<usize, SpillError> 
     if node.state.is_some() {
         return Ok(0);
     }
-    let ticket = node.ticket.expect("a spilled node holds a ticket");
-    node.state = Some(tier.read_state(&ticket)?);
+    let ticket = node.ticket.as_ref().expect("a spilled node holds a ticket");
+    node.state = Some(tier.read_state(ticket)?);
     Ok(node.state_bytes)
 }
 
@@ -1133,7 +1133,7 @@ impl<'a> Lane<'a> {
     ) -> Result<(), Halt> {
         front.uncharge(node.charged());
         // The budget check counts the node as resident: it is about to be.
-        let limit = match self.govern(front, node.meta_bytes + node.state_bytes) {
+        let limit = match self.govern(front, node.meta_bytes() + node.state_bytes) {
             Err(Halt::Stop(reason)) => Some(reason),
             Err(h) => return Err(h),
             // Too deep to expand, unless everything is explained: a
