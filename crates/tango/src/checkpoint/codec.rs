@@ -175,7 +175,8 @@ pub struct CheckpointInfo {
     pub mode: &'static str,
     /// Depth of the search path at the stop point.
     pub depth: usize,
-    /// Saved backtracking frames awaiting exploration.
+    /// Saved search nodes awaiting exploration (see
+    /// [`Checkpoint::pending_frames`]).
     pub pending_frames: usize,
     /// Checkable events in the trace under analysis.
     pub events_total: usize,

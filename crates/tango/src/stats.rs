@@ -52,8 +52,8 @@ pub struct SearchStats {
     /// working.
     pub intern_hits: u64,
     /// Approximate bytes of saved state snapshots currently held by the
-    /// search (DFS frames, MDFS work + PG nodes) — the quantity the
-    /// `max_state_bytes` budget governs. Each save charges its own
+    /// search (nodes saved for backtracking, work and PG nodes) — what
+    /// the `max_state_bytes` budget governs. Each save charges its own
     /// snapshot's full size plus its cursor metadata.
     pub snapshot_bytes: usize,
     /// High-water mark of `snapshot_bytes` over the run.
