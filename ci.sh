@@ -76,6 +76,19 @@ cargo run -q --release -p bench --bin json_check -- "$CKPT_DIR/metrics.json"
 grep -q "progress: TE=" "$CKPT_DIR/progress.txt"
 grep -q '"ev":"verdict"' "$CKPT_DIR/events.jsonl"
 grep -q '"schema": "tango-metrics"' "$CKPT_DIR/metrics.json"
+# At two workers the stream must still be an exact account of the
+# counters: one fire event per transition executed, whichever worker ran
+# it and whether or not a burst was redone by one worker.
+printf 'in U.dl_est_req\nin L.ua\nin U.dl_data_req(0)\nin U.dl_data_req(1)\nin U.dl_data_req(2)\n' \
+    > "$CKPT_DIR/lapd-tel-script.txt"
+cargo run -q --release -p tango-cli -- generate specs/lapd.est "$CKPT_DIR/lapd-tel-script.txt" \
+    > "$CKPT_DIR/lapd-tel-trace.txt"
+cargo run -q --release -p tango-cli -- online specs/lapd.est "$CKPT_DIR/lapd-tel-trace.txt" \
+    --workers 2 --trace-out "$CKPT_DIR/events-w2.jsonl" > "$CKPT_DIR/online-trace-w2.txt"
+cargo run -q --release -p bench --bin json_check -- --jsonl "$CKPT_DIR/events-w2.jsonl"
+TE_W2=$(sed -n 's/^verdict:.* TE=\([0-9]*\) .*/\1/p' "$CKPT_DIR/online-trace-w2.txt")
+[ -n "$TE_W2" ]
+[ "$(grep -c '"ev":"fire"' "$CKPT_DIR/events-w2.jsonl")" = "$TE_W2" ]
 
 echo "== spill tiering smoke =="
 # All-RAM vs spilled-to-disk run of the same analysis: the tier changes

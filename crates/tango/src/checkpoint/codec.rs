@@ -19,6 +19,10 @@
 //! +--------------------------------------+
 //! ```
 //!
+//! The framing is one `Container` (encoder and integrity-checking
+//! parser), which post-mortem dumps (`telemetry::dump`) reuse under their
+//! own magic, version and sections.
+//!
 //! Sections: `META` (progress numbers + [`SearchStats`] + the mode,
 //! readable without touching the machine state), `TRACE` (the resolved
 //! trace), then the frozen search itself: one `SEARCH` section for both
@@ -89,14 +93,16 @@ const SEC_SEARCH: u32 = 5;
 const MODE_DFS: u8 = 0;
 const MODE_MDFS: u8 = 1;
 
-fn section_name(tag: u32) -> &'static str {
-    match tag {
-        SEC_META => "meta",
-        SEC_TRACE => "trace",
-        SEC_SEARCH => "search",
-        _ => "unknown",
-    }
-}
+/// The checkpoint file's layout.
+const CHECKPOINT: Container = Container {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+    names: &[
+        (SEC_META, "meta"),
+        (SEC_TRACE, "trace"),
+        (SEC_SEARCH, "search"),
+    ],
+};
 
 /// Why a checkpoint file could not be written or read.
 #[derive(Debug)]
@@ -246,11 +252,8 @@ impl Checkpoint {
     /// Verify the file's integrity and decode only its progress summary.
     pub fn read_info(path: &Path) -> Result<CheckpointInfo, CheckpointError> {
         let bytes = fs::read(path)?;
-        let (version, sections) = parse_file(&bytes)?;
-        let mut r = ByteReader::new(find_section(&sections, SEC_META)?);
-        let info = decode_meta(&mut r, version)?;
-        expect_done(&r, SEC_META)?;
-        Ok(info)
+        let sections = CHECKPOINT.parse(&bytes)?;
+        sections.read(SEC_META, |r| decode_meta(r, sections.version))
     }
 }
 
@@ -275,25 +278,11 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 // ------------------------------------------------------------- encoding
 
 fn encode_checkpoint(cp: &Checkpoint) -> Vec<u8> {
-    let sections = [
+    CHECKPOINT.encode(&[
         (SEC_META, encode_meta(cp)),
         (SEC_TRACE, encode_trace(&cp.trace)),
         (SEC_SEARCH, encode_search(&cp.search)),
-    ];
-
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    for (tag, payload) in &sections {
-        out.extend_from_slice(&tag.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-    }
-    let digest = crc32(&out);
-    out.extend_from_slice(&digest.to_le_bytes());
-    out
+    ])
 }
 
 fn encode_meta(cp: &Checkpoint) -> Vec<u8> {
@@ -500,132 +489,147 @@ fn encode_search(m: &SearchCheckpoint) -> Vec<u8> {
     w.into_bytes()
 }
 
-// ------------------------------------------------------------- decoding
+// ------------------------------------------------------------ container
 
-/// A section's tag and raw payload, CRC-verified by [`parse_file`].
-type RawSection<'a> = (u32, &'a [u8]);
-
-/// Structural walk + integrity checks. Returns the version and the raw
-/// `(tag, payload)` list; every payload's CRC and the whole-file digest
-/// have been verified when this returns `Ok`.
-fn parse_file(bytes: &[u8]) -> Result<(u32, Vec<RawSection<'_>>), CheckpointError> {
-    let truncated = |context: &str| CheckpointError::Truncated {
-        context: context.to_string(),
-    };
-    if bytes.len() < MAGIC.len() {
-        return Err(truncated("magic"));
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    fn take<'a>(
-        bytes: &'a [u8],
-        pos: &mut usize,
-        n: usize,
-        context: &str,
-    ) -> Result<&'a [u8], CheckpointError> {
-        if bytes.len() - *pos < n {
-            return Err(CheckpointError::Truncated {
-                context: context.to_string(),
-            });
-        }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    }
-    let get_u32 = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4 bytes"));
-
-    let mut pos = MAGIC.len();
-    let version = get_u32(take(bytes, &mut pos, 4, "format version")?);
-    if version != FORMAT_VERSION {
-        return Err(CheckpointError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let nsections = get_u32(take(bytes, &mut pos, 4, "section count")?) as usize;
-
-    let mut sections: Vec<(u32, &[u8], u32)> = Vec::new();
-    for _ in 0..nsections {
-        let tag = get_u32(take(bytes, &mut pos, 4, "section tag")?);
-        let len = u64::from_le_bytes(
-            take(bytes, &mut pos, 8, "section length")?
-                .try_into()
-                .expect("8 bytes"),
-        );
-        let len = usize::try_from(len).map_err(|_| truncated("section payload"))?;
-        let payload = take(bytes, &mut pos, len, "section payload")?;
-        let stored = get_u32(take(bytes, &mut pos, 4, "section checksum")?);
-        sections.push((tag, payload, stored));
-    }
-    let digest_at = pos;
-    let stored_digest = get_u32(take(bytes, &mut pos, 4, "file digest")?);
-    if pos != bytes.len() {
-        return Err(CheckpointError::Malformed(format!(
-            "{} trailing byte(s) after file digest",
-            bytes.len() - pos
-        )));
-    }
-
-    // Per-section checksums first, so a flipped payload byte names its
-    // section; the whole-file digest then covers the headers in between.
-    for &(tag, payload, stored) in &sections {
-        if crc32(payload) != stored {
-            return Err(CheckpointError::ChecksumMismatch {
-                section: section_name(tag),
-            });
-        }
-    }
-    if crc32(&bytes[..digest_at]) != stored_digest {
-        return Err(CheckpointError::ChecksumMismatch { section: "file" });
-    }
-
-    Ok((
-        version,
-        sections.into_iter().map(|(t, p, _)| (t, p)).collect(),
-    ))
+/// A sectioned file, the layout checkpoints and post-mortem dumps share
+/// (`telemetry::dump`): a header of `magic`, `version` and the section
+/// count, then per section its tag, length, payload and CRC32, then the
+/// CRC32 of everything before it. `names` names each tag in errors.
+pub(crate) struct Container {
+    pub magic: [u8; 8],
+    pub version: u32,
+    pub names: &'static [(u32, &'static str)],
 }
 
-fn find_section<'a>(
-    sections: &[RawSection<'a>],
-    tag: u32,
-) -> Result<&'a [u8], CheckpointError> {
-    sections
+fn section_name(names: &[(u32, &'static str)], tag: u32) -> &'static str {
+    names
         .iter()
         .find(|(t, _)| *t == tag)
-        .map(|(_, p)| *p)
-        .ok_or_else(|| {
-            CheckpointError::Malformed(format!("missing {} section", section_name(tag)))
-        })
+        .map_or("unknown", |(_, n)| *n)
 }
 
-fn expect_done(r: &ByteReader<'_>, tag: u32) -> Result<(), CheckpointError> {
-    if r.is_done() {
-        Ok(())
-    } else {
-        Err(CheckpointError::Malformed(format!(
-            "{} trailing byte(s) in {} section",
-            r.remaining(),
-            section_name(tag)
-        )))
+impl Container {
+    pub(crate) fn encode(&self, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&self.magic);
+        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        for (tag, payload) in sections {
+            out.extend_from_slice(&tag.to_le_bytes());
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(payload);
+            out.extend_from_slice(&crc32(payload).to_le_bytes());
+        }
+        let digest = crc32(&out);
+        out.extend_from_slice(&digest.to_le_bytes());
+        out
+    }
+
+    /// Structural walk + integrity checks. When this returns `Ok`, every
+    /// payload's CRC and the whole-file digest have been verified.
+    pub(crate) fn parse<'a>(&self, bytes: &'a [u8]) -> Result<Sections<'a>, CheckpointError> {
+        let truncated = |context: &str| CheckpointError::Truncated {
+            context: context.to_string(),
+        };
+        let magic = self.magic.len();
+        if bytes.len() < magic {
+            return Err(truncated("magic"));
+        }
+        if bytes[..magic] != self.magic {
+            return Err(CheckpointError::BadMagic);
+        }
+        let mut pos = magic;
+        let mut take = |n: usize, context: &str| {
+            if bytes.len() - pos < n {
+                return Err(truncated(context));
+            }
+            pos += n;
+            Ok(&bytes[pos - n..pos])
+        };
+        let get_u32 = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4 bytes"));
+
+        let version = get_u32(take(4, "format version")?);
+        if version != self.version {
+            return Err(CheckpointError::UnsupportedVersion {
+                found: version,
+                supported: self.version,
+            });
+        }
+        let nsections = get_u32(take(4, "section count")?) as usize;
+        let mut sections: Vec<(u32, &[u8], u32)> = Vec::new();
+        for _ in 0..nsections {
+            let tag = get_u32(take(4, "section tag")?);
+            let len = u64::from_le_bytes(take(8, "section length")?.try_into().expect("8 bytes"));
+            let len = usize::try_from(len).map_err(|_| truncated("section payload"))?;
+            let payload = take(len, "section payload")?;
+            let stored = get_u32(take(4, "section checksum")?);
+            sections.push((tag, payload, stored));
+        }
+        let stored_digest = get_u32(take(4, "file digest")?);
+        if pos != bytes.len() {
+            return Err(CheckpointError::Malformed(format!(
+                "{} trailing byte(s) after file digest",
+                bytes.len() - pos
+            )));
+        }
+
+        // Per-section checksums first, so a flipped payload byte names
+        // its section; the whole-file digest then covers the headers in
+        // between.
+        for &(tag, payload, stored) in &sections {
+            if crc32(payload) != stored {
+                return Err(CheckpointError::ChecksumMismatch {
+                    section: section_name(self.names, tag),
+                });
+            }
+        }
+        if crc32(&bytes[..pos - 4]) != stored_digest {
+            return Err(CheckpointError::ChecksumMismatch { section: "file" });
+        }
+        Ok(Sections {
+            version,
+            list: sections.into_iter().map(|(t, p, _)| (t, p)).collect(),
+            names: self.names,
+        })
     }
 }
 
+/// A parsed file's version and its checksum-verified `(tag, payload)`
+/// sections, in file order.
+pub(crate) struct Sections<'a> {
+    pub version: u32,
+    list: Vec<(u32, &'a [u8])>,
+    names: &'static [(u32, &'static str)],
+}
+
+impl<'a> Sections<'a> {
+    /// Decode section `tag` with `decode`, which must consume it whole.
+    pub(crate) fn read<T, E: From<CheckpointError>>(
+        &self,
+        tag: u32,
+        decode: impl FnOnce(&mut ByteReader<'a>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let name = section_name(self.names, tag);
+        let Some(&(_, payload)) = self.list.iter().find(|(t, _)| *t == tag) else {
+            return Err(CheckpointError::Malformed(format!("missing {} section", name)).into());
+        };
+        let mut r = ByteReader::new(payload);
+        let value = decode(&mut r)?;
+        if !r.is_done() {
+            let trailing = format!("{} trailing byte(s) in {} section", r.remaining(), name);
+            return Err(CheckpointError::Malformed(trailing).into());
+        }
+        Ok(value)
+    }
+}
+
+// ------------------------------------------------------------- decoding
+
 fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    let (version, sections) = parse_file(bytes)?;
-
-    let mut r = ByteReader::new(find_section(&sections, SEC_META)?);
-    let info = decode_meta(&mut r, version)?;
-    expect_done(&r, SEC_META)?;
-
-    let mut r = ByteReader::new(find_section(&sections, SEC_TRACE)?);
-    let trace = decode_trace(&mut r)?;
-    expect_done(&r, SEC_TRACE)?;
-
-    let mut r = ByteReader::new(find_section(&sections, SEC_SEARCH)?);
-    let search = decode_search(&mut r, &info)?;
-    expect_done(&r, SEC_SEARCH)?;
-
+    let sections = CHECKPOINT.parse(bytes)?;
+    let info = sections.read(SEC_META, |r| decode_meta(r, sections.version))?;
+    let trace = sections.read(SEC_TRACE, decode_trace)?;
+    let search = sections.read(SEC_SEARCH, |r| decode_search(r, &info))?;
     Ok(Checkpoint {
         search,
         trace,

@@ -83,7 +83,7 @@ pub use stats::SearchStats;
 pub use telemetry::{
     should_dump, DumpError, EventSink, FlightRecorder, IntrospectHandle, IntrospectionServer,
     JsonlSink, MetricsRegistry, PostMortemDump, ProgressMode,
-    ProgressReporter, RingBufferSink, SearchEvent, Telemetry, TransitionProfile,
+    ProgressReporter, SearchEvent, Telemetry, TransitionProfile,
     DEFAULT_RING_CAPACITY,
 };
 pub use trace::format::{parse_trace, render_trace};

@@ -29,9 +29,9 @@
 //!
 //! One node record, [`Node`], one store ([`Stack`] with its charging rule
 //! and spill eviction), one governance check, one `generate` and one
-//! `fire` helper, one event [`Sink`], one checkpoint body. Which rule
-//! expands a node depends only on whether the trace was complete when
-//! the analysis started:
+//! `fire` helper, one step record (`StepRecord`) into one [`Sink`], one
+//! checkpoint body. Which rule expands a node depends only on whether the
+//! trace was complete when the analysis started:
 //!
 //! * the **complete-trace rule** (static analysis, one worker) is DFS's
 //!   in-place descent: Generate once per node, save a snapshot holding
@@ -45,8 +45,9 @@
 //!   each burst (the work between two polls) runs N scoped threads over
 //!   per-worker work-stealing deques (owner pops LIFO, a dry worker claims
 //!   the burst's next input node, thieves steal FIFO from the top, short
-//!   parks when everything is empty); workers buffer their events for the
-//!   coordinator to replay.
+//!   parks when everything is empty); workers send their step records to
+//!   the coordinator in batches, and it hands them to the telemetry
+//!   handle.
 //!
 //! Determinism: within a burst the trace is frozen, so each node's
 //! expansion is a pure function of (state, cursors, trace) and the search
@@ -56,14 +57,18 @@
 //! PGAV), and parked nodes and best attempts are ordered by their
 //! deterministic labels ([`Label`]), so interim verdicts and best-effort
 //! localizations match too. A post-eof burst that finds a witness or
-//! hits a limit discards its deltas and is **replayed by the one-worker
-//! drain** from the burst's untouched input nodes — recovering the exact
-//! witness, or the exact stop point and front, the single-worker search
-//! would reach, so a resumed run ends with the uninterrupted totals at
-//! any worker count. An exhausted burst keeps the parallel deltas, which
-//! are exact by the tiling argument: every popped node-step either runs
-//! to completion (counters recorded, children pushed) or the node is
-//! returned to a deque untouched.
+//! hits a limit discards its deltas and its step records and is
+//! **replayed by the one-worker drain** from the burst's untouched input
+//! nodes — recovering the exact witness, or the exact stop point and
+//! front, the single-worker search would reach, so a resumed run ends
+//! with the uninterrupted totals at any worker count. A post-eof burst's
+//! records therefore reach the telemetry handle only at its barrier, and
+//! only when it is not replayed; the replay's own records stream live.
+//! An exhausted burst keeps the parallel deltas, which are exact by the
+//! tiling argument: every popped node-step either runs to completion
+//! (counters and records, children pushed) or the node is returned to a
+//! deque untouched. So at every worker count the event stream and the
+//! flight recorder count exactly TE/GE/RE/SA.
 //!
 //! Resource governance: the wall-clock deadline is checked both in the
 //! search and in the idle polling loop, so a monitor fed by a stalled or
@@ -83,14 +88,12 @@ use crate::error::TangoError;
 use crate::fault::{Backoff, RetryPolicy};
 use crate::options::AnalysisOptions;
 use crate::stats::SearchStats;
-use crate::telemetry::{PruneKind, Telemetry};
+use crate::telemetry::{PruneKind, StepRecord, Telemetry};
 use crate::trace::source::{Poll, TraceSource};
 use crate::trace::ResolvedTrace;
 use crate::verdict::{AnalysisReport, BestEffort, InconclusiveReason, Verdict};
 use estelle_frontend::sema::model::{AnalyzedModule, StateId};
-use estelle_runtime::{
-    FireOutcome, Fireable, Generated, Machine, MachineState, RuntimeError, RuntimeErrorKind,
-};
+use estelle_runtime::{FireOutcome, Fireable, Generated, Machine, MachineState, RuntimeError};
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -106,7 +109,7 @@ use super::{guard, is_fatal, record_error, MAX_RECORDED_ERRORS};
 
 /// How long an idle thief sleeps before re-scanning the deques.
 const IDLE_PARK: Duration = Duration::from_micros(100);
-/// Buffered worker telemetry events per flush. Every flush wakes the
+/// Buffered worker step records per flush. Every flush wakes the
 /// coordinator, which then competes with the workers for a core: at 64
 /// events a flush, the flight recorder cost two workers on two cores
 /// about 25% of their speed; at 1024 it costs a few percent.
@@ -510,31 +513,15 @@ fn freeze(
     })
 }
 
-/// Where one lane's search events go: the [`Telemetry`] handle itself on
-/// the calling thread, a [`Buffered`] batch on a spawned worker, and
-/// nowhere ([`Quiet`]) during a witness replay. The defaults drop every
-/// event.
+/// Where one lane's step records go: the [`Telemetry`] handle itself on
+/// the calling thread, or a [`Buffered`] batch on a spawned worker.
 trait Sink {
-    fn tick(&mut self, _stats: &SearchStats, _cap: u64) {}
-    fn timer(&self) -> Option<Instant> {
-        None
-    }
-    fn restore(&mut self, _depth: usize) {}
-    fn park(&mut self, _depth: usize, _pg_nodes: u64) {}
-    fn generate(&mut self, _depth: usize, _fanout: usize, _incomplete: bool, _t0: Option<Instant>) {
-    }
-    fn fire(
-        &mut self,
-        _machine: &Machine,
-        _depth: usize,
-        _trans: usize,
-        _fired: bool,
-        _t0: Option<Instant>,
-    ) {
-    }
-    fn save(&mut self, _depth: usize, _bytes: usize, _resident: usize) {}
-    fn prune(&mut self, _depth: usize, _kind: PruneKind) {}
-    fn error(&mut self, _depth: usize, _kind: RuntimeErrorKind) {}
+    /// Per-step progress tick.
+    fn tick(&mut self, stats: &SearchStats, cap: u64);
+    /// Start a step timer, when steps are timed.
+    fn timer(&self) -> Option<Instant>;
+    /// One search step, built once; `machine` resolves its names.
+    fn record(&mut self, machine: &Machine, rec: StepRecord);
 }
 
 impl Sink for Telemetry {
@@ -546,120 +533,28 @@ impl Sink for Telemetry {
         Telemetry::timer(self)
     }
 
-    fn restore(&mut self, depth: usize) {
-        self.on_restore(depth);
-    }
-
-    fn park(&mut self, depth: usize, pg_nodes: u64) {
-        self.on_park(depth, pg_nodes);
-    }
-
-    fn generate(&mut self, depth: usize, fanout: usize, incomplete: bool, t0: Option<Instant>) {
-        self.on_generate(depth, fanout, incomplete, t0);
-    }
-
-    fn fire(
-        &mut self,
-        machine: &Machine,
-        depth: usize,
-        trans: usize,
-        fired: bool,
-        t0: Option<Instant>,
-    ) {
+    #[inline]
+    fn record(&mut self, machine: &Machine, rec: StepRecord) {
         if self.hot() {
-            let observable = if self.events_on() {
-                machine.transition_observable(trans)
-            } else {
-                None
-            };
-            let name = machine.transition_name(trans);
-            self.on_fire(depth, trans, name, observable, fired, t0);
+            Telemetry::record(self, machine, self.worker(), rec);
         }
-    }
-
-    fn save(&mut self, depth: usize, bytes: usize, resident: usize) {
-        if self.hot() {
-            self.on_save(depth, bytes, resident);
-        }
-    }
-
-    fn prune(&mut self, depth: usize, kind: PruneKind) {
-        self.on_prune(depth, kind);
-    }
-
-    fn error(&mut self, depth: usize, kind: RuntimeErrorKind) {
-        self.on_error_branch(depth, kind);
     }
 }
 
-/// The witness replay's sink: its events already streamed live from the
-/// aborted burst.
-struct Quiet;
-
-impl Sink for Quiet {}
-
-/// One buffered telemetry event from a worker thread. The `Telemetry`
-/// handle is not `Send`, so workers record plain data and the
-/// coordinator replays batches through the real handle (stamped with the
-/// worker id). No strings cross the channel — names are resolved at
-/// replay time, and only when the event stream is actually on.
-enum WEvent {
-    Generate {
-        depth: usize,
-        fanout: usize,
-        incomplete: bool,
-        lat_us: Option<f64>,
-    },
-    Fire {
-        depth: usize,
-        trans: usize,
-        fired: bool,
-        nanos: u64,
-    },
-    Save {
-        depth: usize,
-        bytes: usize,
-        resident: usize,
-    },
-    Restore {
-        depth: usize,
-    },
-    Park {
-        depth: usize,
-        pg_total: u64,
-    },
-    Prune {
-        depth: usize,
-        kind: PruneKind,
-    },
-    ErrorBranch {
-        depth: usize,
-        kind: RuntimeErrorKind,
-    },
-}
-
-/// A spawned worker's sink: events batch up and go to the coordinator
-/// every [`EVENT_FLUSH`] events and at the end of the burst. `on` is
-/// whether the coordinator's handle wants events at all.
+/// A spawned worker's sink: records batch up and go to the coordinator
+/// every [`EVENT_FLUSH`] records and at the end of the burst. The
+/// `Telemetry` handle is not `Send`; a record is plain data, and names
+/// are resolved on the coordinator, only when the event stream is on.
+/// `on` is whether the coordinator's handle wants records at all.
 struct Buffered {
-    tx: mpsc::Sender<(u16, Vec<WEvent>)>,
+    tx: mpsc::Sender<(u16, Vec<StepRecord>)>,
     worker: u16,
-    buf: Vec<WEvent>,
+    buf: Vec<StepRecord>,
     on: bool,
     timed: bool,
 }
 
 impl Buffered {
-    fn push(&mut self, ev: WEvent) {
-        if !self.on {
-            return;
-        }
-        self.buf.push(ev);
-        if self.buf.len() >= EVENT_FLUSH {
-            self.flush();
-        }
-    }
-
     fn flush(&mut self) {
         if !self.buf.is_empty() {
             let _ = self.tx.send((self.worker, std::mem::take(&mut self.buf)));
@@ -670,103 +565,18 @@ impl Buffered {
 /// Durations are only measured when the coordinator's handle times
 /// steps, which implies `on`.
 impl Sink for Buffered {
+    fn tick(&mut self, _stats: &SearchStats, _cap: u64) {}
+
     fn timer(&self) -> Option<Instant> {
         self.timed.then(Instant::now)
     }
 
-    fn restore(&mut self, depth: usize) {
-        self.push(WEvent::Restore { depth });
-    }
-
-    fn park(&mut self, depth: usize, pg_total: u64) {
-        self.push(WEvent::Park { depth, pg_total });
-    }
-
-    fn generate(&mut self, depth: usize, fanout: usize, incomplete: bool, t0: Option<Instant>) {
-        let lat_us = t0.map(|t| t.elapsed().as_secs_f64() * 1e6);
-        self.push(WEvent::Generate {
-            depth,
-            fanout,
-            incomplete,
-            lat_us,
-        });
-    }
-
-    fn fire(
-        &mut self,
-        _machine: &Machine,
-        depth: usize,
-        trans: usize,
-        fired: bool,
-        t0: Option<Instant>,
-    ) {
-        let nanos = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        self.push(WEvent::Fire {
-            depth,
-            trans,
-            fired,
-            nanos,
-        });
-    }
-
-    fn save(&mut self, depth: usize, bytes: usize, resident: usize) {
-        self.push(WEvent::Save {
-            depth,
-            bytes,
-            resident,
-        });
-    }
-
-    fn prune(&mut self, depth: usize, kind: PruneKind) {
-        self.push(WEvent::Prune { depth, kind });
-    }
-
-    fn error(&mut self, depth: usize, kind: RuntimeErrorKind) {
-        self.push(WEvent::ErrorBranch { depth, kind });
-    }
-}
-
-/// Replay one worker's buffered telemetry batch through the real
-/// (non-`Send`) handle, stamped with the worker id.
-fn replay_events(tel: &mut Telemetry, machine: &Machine, worker: u16, batch: Vec<WEvent>) {
-    tel.set_worker(worker);
-    for ev in batch {
-        match ev {
-            WEvent::Generate {
-                depth,
-                fanout,
-                incomplete,
-                lat_us,
-            } => tel.on_generate_dur(depth, fanout, incomplete, lat_us),
-            WEvent::Fire {
-                depth,
-                trans,
-                fired,
-                nanos,
-            } => {
-                let observable = if tel.events_on() {
-                    machine.transition_observable(trans)
-                } else {
-                    None
-                };
-                tel.on_fire_dur(
-                    depth,
-                    trans,
-                    machine.transition_name(trans),
-                    observable,
-                    fired,
-                    nanos,
-                );
+    fn record(&mut self, _machine: &Machine, rec: StepRecord) {
+        if self.on {
+            self.buf.push(rec);
+            if self.buf.len() >= EVENT_FLUSH {
+                self.flush();
             }
-            WEvent::Save {
-                depth,
-                bytes,
-                resident,
-            } => tel.on_save(depth, bytes, resident),
-            WEvent::Restore { depth } => tel.on_restore(depth),
-            WEvent::Park { depth, pg_total } => tel.on_park(depth, pg_total),
-            WEvent::Prune { depth, kind } => tel.on_prune(depth, kind),
-            WEvent::ErrorBranch { depth, kind } => tel.on_error_branch(depth, kind),
         }
     }
 }
@@ -1079,16 +889,17 @@ impl<'a> Lane<'a> {
             if is_fatal(&e) {
                 return Err(e);
             }
-            sink.error(depth, e.kind);
+            sink.record(machine, StepRecord::error(depth, e.kind));
             record_error(&mut self.spec_errors, &mut self.stats, e);
             // Keep GE == generate-events: a failed expansion is an event
             // with zero fanout.
-            sink.generate(depth, 0, false, t0);
+            sink.record(machine, StepRecord::generate(depth, 0, false, t0));
             return Ok(false);
         }
         self.gen.fireable.retain(|f| keep(f.trans));
         let fanout = self.gen.fireable.len();
-        sink.generate(depth, fanout, self.gen.incomplete, t0);
+        let incomplete = self.gen.incomplete;
+        sink.record(machine, StepRecord::generate(depth, fanout, incomplete, t0));
         if fanout > 0 {
             self.stats.fanout_sum += fanout as u64;
             self.stats.fanout_samples += 1;
@@ -1115,12 +926,12 @@ impl<'a> Lane<'a> {
             Ok(FireOutcome::OutputRejected) => false,
             Err(e) if is_fatal(&e) => return Err(e),
             Err(e) => {
-                sink.error(depth, e.kind);
+                sink.record(machine, StepRecord::error(depth, e.kind));
                 record_error(&mut self.spec_errors, &mut self.stats, e);
                 false
             }
         };
-        sink.fire(machine, depth, f.trans, fired, t0);
+        sink.record(machine, StepRecord::fire(depth, f.trans, fired, t0));
         Ok(fired)
     }
 
@@ -1169,7 +980,7 @@ impl<'a> Lane<'a> {
         front.expanding();
         self.env.restore(&node.cursors);
         self.stats.restores += 1;
-        sink.restore(depth);
+        sink.record(self.machine, StepRecord::restore(depth));
         self.note_best(front, &node.path);
 
         if self.env.all_done() {
@@ -1179,7 +990,7 @@ impl<'a> Lane<'a> {
             // PGAV: everything so far is explained; park the node.
             self.stats.pg_nodes += 1;
             let total = front.park(node, self.stats.pg_nodes);
-            sink.park(depth, total);
+            sink.record(self.machine, StepRecord::park(depth, total));
             return Ok(());
         }
 
@@ -1208,7 +1019,7 @@ impl<'a> Lane<'a> {
                 }
                 self.stats.pg_nodes += 1;
                 let total = front.park(node, self.stats.pg_nodes);
-                sink.park(depth, total);
+                sink.record(self.machine, StepRecord::park(depth, total));
             } else {
                 front.retire();
             }
@@ -1239,7 +1050,8 @@ impl<'a> Lane<'a> {
         if !fired || child_barren > limits.max_barren_steps {
             if fired {
                 self.stats.barren_prunes += 1;
-                sink.prune(depth + 1, PruneKind::Barren);
+                let rec = StepRecord::prune(depth + 1, PruneKind::Barren);
+                sink.record(self.machine, rec);
             }
             if has_more {
                 front.push(node);
@@ -1260,7 +1072,7 @@ impl<'a> Lane<'a> {
         // depth-first order, which keeps the frontier (and the resident
         // set) small.
         let resident = front.push_child(has_more.then_some(node), child);
-        sink.save(depth + 1, bytes, resident);
+        sink.record(self.machine, StepRecord::save(depth + 1, bytes, resident));
         Ok(())
     }
 
@@ -1288,7 +1100,7 @@ impl<'a> Lane<'a> {
         let st = node.state.as_mut().expect("the live node is resident");
         if self.options.state_hashing && !self.visited.insert(fingerprint(st, &self.env.cursors)) {
             self.stats.hash_prunes += 1;
-            sink.prune(depth, PruneKind::Hash);
+            sink.record(self.machine, StepRecord::prune(depth, PruneKind::Hash));
             *live = None;
             return Ok(());
         }
@@ -1310,7 +1122,7 @@ impl<'a> Lane<'a> {
             });
             let bytes = saved.charged();
             let resident = stack.save(saved, self.tier, self.options.limits.max_state_bytes);
-            sink.save(depth, bytes, resident);
+            sink.record(self.machine, StepRecord::save(depth, bytes, resident));
         }
         self.descend(sink, live, &first, depth)
     }
@@ -1326,7 +1138,7 @@ impl<'a> Lane<'a> {
         live: &mut Option<Node>,
     ) -> Result<(), Halt> {
         self.stats.restores += 1;
-        sink.restore(self.at);
+        sink.record(self.machine, StepRecord::restore(self.at));
         let top = stack.work.last_mut().expect("a saved node to restore");
         let depth = top.path.len();
         self.at = depth;
@@ -1371,7 +1183,7 @@ impl<'a> Lane<'a> {
         if !fired || node.barren > self.options.limits.max_barren_steps {
             if fired {
                 self.stats.barren_prunes += 1;
-                sink.prune(depth, PruneKind::Barren);
+                sink.record(self.machine, StepRecord::prune(depth, PruneKind::Barren));
             }
             *live = None;
             return Ok(());
@@ -1864,9 +1676,13 @@ fn burst(
     let keep = lane.env.eof;
     let base = keep.then(|| (lane.stats.clone(), lane.spec_errors.clone()));
     let sh = Burst::new(n_workers, inputs, keep, &lane.stats, &stack.gauge);
-    // Workers send telemetry batches (when on) and hang up on exit; the
-    // last hang-up ends the coordinator's wait at once.
+    // Workers send record batches (when telemetry is on) and hang up on
+    // exit; the last hang-up ends the coordinator's wait at once. A
+    // post-eof burst may be redone by one worker, so its records reach
+    // the handle only at the barrier, and only if it is not.
     let (tx, rx) = mpsc::channel();
+    let mut held: Vec<(u16, Vec<StepRecord>)> = Vec::new();
+    let machine = lane.machine;
     let mut lanes = Vec::with_capacity(n_workers);
     for w in 0..n_workers {
         let mut env = TraceEnv::new(module, lane.env.trace.clone(), lane.options)?;
@@ -1907,7 +1723,8 @@ fn burst(
             .collect();
         loop {
             match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok((w, batch)) => replay_events(tel, lane.machine, w, batch),
+                Ok(batch) if keep => held.push(batch),
+                Ok((w, batch)) => batch.into_iter().for_each(|r| tel.record(machine, w, r)),
                 Err(mpsc::RecvTimeoutError::Timeout) => tick_par(tel, &lane.stats, shr, cap),
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
@@ -1917,7 +1734,6 @@ fn burst(
             .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
-    tel.set_worker(0);
     for (c, o) in clocks.iter_mut().zip(&outs) {
         c.busy += o.clock.busy;
         c.idle += o.clock.idle;
@@ -1940,12 +1756,12 @@ fn burst(
         // worker: parallel workers may have searched past the first
         // witness, and that work must not be counted, nor may a front
         // they left be what a resume starts from. Discard the burst's
-        // deltas and front, keep the honest clocks and peaks, and replay
-        // the untouched inputs on one worker, which now holds nothing
-        // else; its witness, or its stop point and front, are exactly
-        // the one-worker run's.
+        // deltas, records and front, keep the honest clocks and peaks, and
+        // replay the untouched inputs on one worker, which now holds
+        // nothing else; its witness, or its stop point and front, and its
+        // records are exactly the one-worker run's.
         Some(Halt::Witness(_) | Halt::Stop(_)) if keep => {
-            drop((deques, parked, outs));
+            drop((deques, parked, outs, held));
             let (stats, errors) = base.expect("inputs are kept after eof");
             lane.stats = stats;
             lane.spec_errors = errors;
@@ -1956,10 +1772,13 @@ fn burst(
                 .filter(|n| n.state.is_none())
                 .map(|n| n.state_bytes)
                 .sum();
-            return Ok(drain(lane, stack, &mut Quiet, carry, None));
+            return Ok(drain(lane, stack, tel, carry, None));
         }
         other => other,
     };
+    for (w, batch) in held {
+        batch.into_iter().for_each(|r| tel.record(machine, w, r));
+    }
     // Exhausted or limited: the greedy per-worker deltas are exact, and
     // the best attempts merge in sequential order.
     for o in outs {
@@ -2120,7 +1939,7 @@ pub(crate) fn run(
                 let root = Node::new(start, lane.env.save(), 0, SharedPath::default());
                 let bytes = root.charged();
                 let resident = stack.push_child(None, root);
-                Sink::save(tel, 0, bytes, resident);
+                Sink::record(tel, &machine, StepRecord::save(0, bytes, resident));
             }
         }
         Some(f) => {

@@ -11,8 +11,9 @@
 //! see where the time and memory went, resume from the checkpoint it
 //! names.
 //!
-//! The byte format deliberately mirrors the checkpoint codec (DESIGN
-//! §6.12 holds the section table):
+//! The byte format is the checkpoint codec's sectioned container under
+//! the dump's own magic, version and sections (DESIGN §6.12 holds the
+//! section table):
 //!
 //! ```text
 //! +----------------+---------+-----------+
@@ -36,13 +37,13 @@
 use super::recorder::{kind_name, FlightRecord, KIND_COUNT};
 use super::Telemetry;
 use crate::checkpoint::codec::{
-    crc32, decode_stats, encode_stats, kind_to_u8, write_atomic_once, CheckpointError,
+    decode_stats, encode_stats, write_atomic_once, CheckpointError, Container,
 };
 use crate::fault::FaultPlan;
 use crate::stats::SearchStats;
 use crate::telemetry::event::json_escape;
 use crate::verdict::{AnalysisReport, Verdict};
-use estelle_runtime::{ByteReader, ByteWriter, CodecError, RuntimeErrorKind};
+use estelle_runtime::{ByteWriter, RuntimeErrorKind};
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
@@ -70,20 +71,24 @@ const SEC_RING: u32 = 3;
 const SEC_HOTSPOTS: u32 = 4;
 const SEC_PLAN: u32 = 5;
 
-fn section_name(tag: u32) -> &'static str {
-    match tag {
-        SEC_META => "meta",
-        SEC_STATS => "stats",
-        SEC_RING => "ring",
-        SEC_HOTSPOTS => "hotspots",
-        SEC_PLAN => "plan",
-        _ => "unknown",
-    }
-}
+/// The dump file's layout: the checkpoint codec's container under the
+/// dump's own magic, version and sections.
+const DUMP: Container = Container {
+    magic: DUMP_MAGIC,
+    version: DUMP_FORMAT_VERSION,
+    names: &[
+        (SEC_META, "meta"),
+        (SEC_STATS, "stats"),
+        (SEC_RING, "ring"),
+        (SEC_HOTSPOTS, "hotspots"),
+        (SEC_PLAN, "plan"),
+    ],
+};
 
 /// Why a dump file could not be written or read. Mirrors
-/// [`CheckpointError`] variant-for-variant so the two post-crash
-/// artifact formats fail the same way.
+/// [`CheckpointError`] variant-for-variant — the shared container reports
+/// its failures as that type, and `From` renames them — so the two
+/// post-crash artifact formats fail the same way.
 #[derive(Debug)]
 pub enum DumpError {
     Io(std::io::Error),
@@ -128,17 +133,6 @@ impl std::error::Error for DumpError {
 impl From<std::io::Error> for DumpError {
     fn from(e: std::io::Error) -> Self {
         DumpError::Io(e)
-    }
-}
-
-impl From<CodecError> for DumpError {
-    fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::Truncated { context } => DumpError::Truncated {
-                context: context.to_string(),
-            },
-            CodecError::Malformed(m) => DumpError::Malformed(m),
-        }
     }
 }
 
@@ -320,30 +314,15 @@ impl PostMortemDump {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let sections = [
+        let mut stats = ByteWriter::new();
+        encode_stats(&mut stats, &self.stats);
+        DUMP.encode(&[
             (SEC_META, self.encode_meta()),
-            (SEC_STATS, {
-                let mut w = ByteWriter::new();
-                encode_stats(&mut w, &self.stats);
-                w.into_bytes()
-            }),
+            (SEC_STATS, stats.into_bytes()),
             (SEC_RING, self.encode_ring()),
             (SEC_HOTSPOTS, self.encode_hotspots()),
             (SEC_PLAN, self.encode_plan()),
-        ];
-        let mut out = Vec::new();
-        out.extend_from_slice(&DUMP_MAGIC);
-        out.extend_from_slice(&DUMP_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        for (tag, payload) in &sections {
-            out.extend_from_slice(&tag.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(payload);
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-        }
-        let digest = crc32(&out);
-        out.extend_from_slice(&digest.to_le_bytes());
-        out
+        ])
     }
 
     fn encode_meta(&self) -> Vec<u8> {
@@ -578,197 +557,86 @@ impl PostMortemDump {
 
 // ------------------------------------------------------------- decoding
 
-/// `(tag, payload)` pairs in file order, checksum-verified.
-type Sections<'a> = Vec<(u32, &'a [u8])>;
-
-fn parse_file(bytes: &[u8]) -> Result<(u32, Sections<'_>), DumpError> {
-    let truncated = |context: &str| DumpError::Truncated {
-        context: context.to_string(),
-    };
-    if bytes.len() < DUMP_MAGIC.len() {
-        return Err(truncated("magic"));
-    }
-    if bytes[..DUMP_MAGIC.len()] != DUMP_MAGIC {
-        return Err(DumpError::BadMagic);
-    }
-    fn take<'a>(
-        bytes: &'a [u8],
-        pos: &mut usize,
-        n: usize,
-        context: &str,
-    ) -> Result<&'a [u8], DumpError> {
-        if bytes.len() - *pos < n {
-            return Err(DumpError::Truncated {
-                context: context.to_string(),
-            });
-        }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    }
-    let get_u32 = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4 bytes"));
-
-    let mut pos = DUMP_MAGIC.len();
-    let version = get_u32(take(bytes, &mut pos, 4, "format version")?);
-    if version != DUMP_FORMAT_VERSION {
-        return Err(DumpError::UnsupportedVersion {
-            found: version,
-            supported: DUMP_FORMAT_VERSION,
-        });
-    }
-    let nsections = get_u32(take(bytes, &mut pos, 4, "section count")?) as usize;
-    let mut sections: Vec<(u32, &[u8], u32)> = Vec::new();
-    for _ in 0..nsections {
-        let tag = get_u32(take(bytes, &mut pos, 4, "section tag")?);
-        let len = u64::from_le_bytes(
-            take(bytes, &mut pos, 8, "section length")?
-                .try_into()
-                .expect("8 bytes"),
-        );
-        let len = usize::try_from(len).map_err(|_| truncated("section payload"))?;
-        let payload = take(bytes, &mut pos, len, "section payload")?;
-        let stored = get_u32(take(bytes, &mut pos, 4, "section checksum")?);
-        sections.push((tag, payload, stored));
-    }
-    let digest_at = pos;
-    let stored_digest = get_u32(take(bytes, &mut pos, 4, "file digest")?);
-    if pos != bytes.len() {
-        return Err(DumpError::Malformed(format!(
-            "{} trailing byte(s) after file digest",
-            bytes.len() - pos
-        )));
-    }
-    for &(tag, payload, stored) in &sections {
-        if crc32(payload) != stored {
-            return Err(DumpError::ChecksumMismatch {
-                section: section_name(tag),
-            });
-        }
-    }
-    if crc32(&bytes[..digest_at]) != stored_digest {
-        return Err(DumpError::ChecksumMismatch { section: "file" });
-    }
-    Ok((
-        version,
-        sections.into_iter().map(|(t, p, _)| (t, p)).collect(),
-    ))
-}
-
-fn find_section<'a>(sections: &[(u32, &'a [u8])], tag: u32) -> Result<&'a [u8], DumpError> {
-    sections
-        .iter()
-        .find(|(t, _)| *t == tag)
-        .map(|(_, p)| *p)
-        .ok_or_else(|| DumpError::Malformed(format!("missing {} section", section_name(tag))))
-}
-
-fn expect_done(r: &ByteReader<'_>, tag: u32) -> Result<(), DumpError> {
-    if r.is_done() {
-        Ok(())
-    } else {
-        Err(DumpError::Malformed(format!(
-            "{} trailing byte(s) in {} section",
-            r.remaining(),
-            section_name(tag)
-        )))
-    }
-}
-
 fn decode_dump(bytes: &[u8]) -> Result<PostMortemDump, DumpError> {
-    let (version, sections) = parse_file(bytes)?;
-
-    let mut r = ByteReader::new(find_section(&sections, SEC_META)?);
-    let mode = r.get_str("dump mode")?;
-    let spec = r.get_str("dump spec")?;
-    let reason = r.get_str("dump reason")?;
-    let resident_bytes = r.get_u64("resident bytes")?;
-    let spilled_bytes = r.get_u64("spilled bytes")?;
-    let checkpoint_path = if r.get_bool("checkpoint-path tag")? {
-        Some(r.get_str("checkpoint path")?)
-    } else {
-        None
-    };
-    let nfaults = r.get_u32("fault count")? as usize;
-    let mut faults = Vec::with_capacity(nfaults.min(64));
-    for _ in 0..nfaults {
-        faults.push(r.get_str("fault diagnostic")?);
-    }
-    expect_done(&r, SEC_META)?;
-
-    let mut r = ByteReader::new(find_section(&sections, SEC_STATS)?);
-    let stats = decode_stats(&mut r)?;
-    expect_done(&r, SEC_STATS)?;
-
-    let mut r = ByteReader::new(find_section(&sections, SEC_RING)?);
-    let capacity = r.get_u32("ring capacity")?;
-    let seen = r.get_u64("ring seen")?;
-    let mut counts = [0u64; KIND_COUNT];
-    for c in &mut counts {
-        *c = r.get_u64("ring kind count")?;
-    }
-    let nrecords = r.get_u32("ring record count")? as usize;
-    if nrecords > capacity as usize {
-        return Err(DumpError::Malformed(format!(
-            "ring holds {} records over its capacity {}",
-            nrecords, capacity
-        )));
-    }
-    let mut records = Vec::with_capacity(nrecords.min(65_536));
-    for _ in 0..nrecords {
-        records.push(FlightRecord::decode(&mut r)?);
-    }
-    expect_done(&r, SEC_RING)?;
-
-    let mut r = ByteReader::new(find_section(&sections, SEC_HOTSPOTS)?);
-    let nhot = r.get_u32("hotspot count")? as usize;
-    let mut hotspots = Vec::with_capacity(nhot.min(1024));
-    for _ in 0..nhot {
-        hotspots.push(HotspotRow {
-            trans: r.get_u32("hotspot transition")?,
-            name: r.get_str("hotspot name")?,
-            fires: r.get_u64("hotspot fires")?,
-            fails: r.get_u64("hotspot fails")?,
-            nanos: r.get_u64("hotspot nanos")?,
-        });
-    }
-    expect_done(&r, SEC_HOTSPOTS)?;
-
-    let mut r = ByteReader::new(find_section(&sections, SEC_PLAN)?);
-    let plan = if r.get_bool("plan tag")? {
-        Some(PlanCapture {
-            seed: r.get_u64("plan seed")?,
-            spec: r.get_str("plan spec")?,
+    let sections = DUMP.parse(bytes)?;
+    // Fields are read in declaration order, which is the META layout.
+    let mut dump = sections.read(SEC_META, |r| -> Result<_, CheckpointError> {
+        Ok(PostMortemDump {
+            version: sections.version,
+            mode: r.get_str("dump mode")?,
+            spec: r.get_str("dump spec")?,
+            reason: r.get_str("dump reason")?,
+            resident_bytes: r.get_u64("resident bytes")?,
+            spilled_bytes: r.get_u64("spilled bytes")?,
+            checkpoint_path: if r.get_bool("checkpoint-path tag")? {
+                Some(r.get_str("checkpoint path")?)
+            } else {
+                None
+            },
+            faults: {
+                let n = r.get_u32("fault count")? as usize;
+                let mut faults = Vec::with_capacity(n.min(64));
+                for _ in 0..n {
+                    faults.push(r.get_str("fault diagnostic")?);
+                }
+                faults
+            },
+            stats: SearchStats::default(),
+            ring: RingCapture::default(),
+            hotspots: Vec::new(),
+            plan: None,
         })
-    } else {
-        None
-    };
-    expect_done(&r, SEC_PLAN)?;
-
-    Ok(PostMortemDump {
-        version,
-        mode,
-        spec,
-        reason,
-        resident_bytes,
-        spilled_bytes,
-        checkpoint_path,
-        faults,
-        stats,
-        ring: RingCapture {
+    })?;
+    dump.stats = sections.read(SEC_STATS, |r| decode_stats(r).map_err(CheckpointError::from))?;
+    dump.ring = sections.read(SEC_RING, |r| -> Result<_, CheckpointError> {
+        let capacity = r.get_u32("ring capacity")?;
+        let seen = r.get_u64("ring seen")?;
+        let mut counts = [0u64; KIND_COUNT];
+        for c in &mut counts {
+            *c = r.get_u64("ring kind count")?;
+        }
+        let nrecords = r.get_u32("ring record count")? as usize;
+        if nrecords > capacity as usize {
+            return Err(CheckpointError::Malformed(format!(
+                "ring holds {} records over its capacity {}",
+                nrecords, capacity
+            )));
+        }
+        let mut records = Vec::with_capacity(nrecords.min(65_536));
+        for _ in 0..nrecords {
+            records.push(FlightRecord::decode(r)?);
+        }
+        Ok(RingCapture {
             capacity,
             seen,
             counts,
             records,
-        },
-        hotspots,
-        plan,
-    })
-}
-
-/// Map a runtime-error kind to the recorder's error-branch flag code
-/// (shared with the checkpoint codec's on-disk mapping).
-pub(crate) fn error_kind_code(kind: RuntimeErrorKind) -> u8 {
-    kind_to_u8(kind)
+        })
+    })?;
+    dump.hotspots = sections.read(SEC_HOTSPOTS, |r| -> Result<_, CheckpointError> {
+        let nhot = r.get_u32("hotspot count")? as usize;
+        let mut hotspots = Vec::with_capacity(nhot.min(1024));
+        for _ in 0..nhot {
+            hotspots.push(HotspotRow {
+                trans: r.get_u32("hotspot transition")?,
+                name: r.get_str("hotspot name")?,
+                fires: r.get_u64("hotspot fires")?,
+                fails: r.get_u64("hotspot fails")?,
+                nanos: r.get_u64("hotspot nanos")?,
+            });
+        }
+        Ok(hotspots)
+    })?;
+    dump.plan = sections.read(SEC_PLAN, |r| -> Result<_, CheckpointError> {
+        if !r.get_bool("plan tag")? {
+            return Ok(None);
+        }
+        Ok(Some(PlanCapture {
+            seed: r.get_u64("plan seed")?,
+            spec: r.get_str("plan spec")?,
+        }))
+    })?;
+    Ok(dump)
 }
 
 #[cfg(test)]

@@ -2,17 +2,17 @@
 //! progress and per-transition profiling.
 //!
 //! Four cooperating facilities, all **off by default and zero-cost when
-//! off** (the searches pay a handful of branch checks per step, nothing
+//! off** (the search pays a handful of branch checks per step, nothing
 //! else — no clock reads, no allocation, no formatting):
 //!
 //! * **Event stream** ([`event`], [`sink`]) — every Generate / Fire /
 //!   Save / Restore / Prune / Park / Checkpoint / Verdict step as one
 //!   versioned JSONL line through a pluggable [`EventSink`]. The stream
-//!   is complete and deterministic: for a fixed trace and options the
-//!   bytes are identical across runs, and the final [`SearchStats`]
-//!   counters equal the per-kind event counts (TE = fire events, GE =
-//!   generate, RE = restore, SA = save) — `tests/telemetry.rs` pins
-//!   both for DFS and MDFS.
+//!   is complete: the final [`SearchStats`] counters equal the per-kind
+//!   event counts (TE = fire events, GE = generate, RE = restore, SA =
+//!   save) at every worker count — `tests/telemetry.rs` pins both. At
+//!   one worker it is also deterministic: for a fixed trace and options
+//!   the bytes are identical across runs.
 //! * **Metrics registry** ([`metrics`]) — counters, gauges and
 //!   fixed-bucket histograms (fanout, depth, per-generate latency,
 //!   snapshot-bytes timeline) exported as one JSON document.
@@ -23,8 +23,11 @@
 //!   and the Graphviz heat overlay.
 //!
 //! One [`Telemetry`] handle bundles all four and is threaded through
-//! [`crate::TraceAnalyzer`]'s `*_with` methods into both searches. It
-//! stamps every event with a monotonically increasing sequence number
+//! [`crate::TraceAnalyzer`]'s `*_with` methods into the search. A search
+//! step reaches it as one record (`recorder::StepRecord`), through
+//! `Telemetry::record`: the flight recorder stores it, the metrics and
+//! the profile read it, and the event stream renders it. The handle
+//! stamps every record with a monotonically increasing sequence number
 //! and a worker id, so multi-worker streams stay merge-ordered; it
 //! survives stop/resume rounds, so a CLI autosave run produces one
 //! continuous stream.
@@ -48,12 +51,14 @@ pub use metrics::{Histogram, MetricsRegistry, METRICS_SCHEMA_VERSION};
 pub use profile::{TransitionProfile, TransitionStats};
 pub use progress::{ProgressMode, ProgressReporter};
 pub use recorder::{FlightRecord, FlightRecorder, DEFAULT_RING_CAPACITY};
-pub use sink::{EventSink, JsonlSink, RingBufferSink};
+pub use sink::{EventSink, JsonlSink};
 
 use crate::stats::SearchStats;
 use crate::verdict::Verdict;
-use estelle_runtime::RuntimeErrorKind;
+use estelle_runtime::Machine;
 use event::json_escape;
+pub(crate) use recorder::StepRecord;
+use recorder::{KIND_FIRE, KIND_GENERATE, KIND_SAVE};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -147,12 +152,10 @@ impl Telemetry {
         self
     }
 
-    /// Switch the worker id stamped on subsequent events in place. The
-    /// multi-worker MDFS coordinator replays each worker's buffered
-    /// events through the one (non-`Send`) telemetry handle, setting
-    /// the id per batch so the merged stream stays attributable.
-    pub(crate) fn set_worker(&mut self, worker: u16) {
-        self.worker = worker;
+    /// The worker id stamped on the calling thread's events (a spawned
+    /// worker's records carry their own, see [`Telemetry::record`]).
+    pub(crate) fn worker(&self) -> u16 {
+        self.worker
     }
 
     /// Record the run's search worker count; surfaced on progress
@@ -204,18 +207,11 @@ impl Telemetry {
         self.timing = self.profile.is_some() || self.metrics.is_some();
     }
 
-    /// Whether any per-step hook would do work. The searches gate their
-    /// hook calls on this so the off path evaluates no arguments.
+    /// Whether a step record would reach any view. The search's sink
+    /// drops its records otherwise, before any view is consulted.
     #[inline]
     pub(crate) fn hot(&self) -> bool {
         self.active
-    }
-
-    /// Whether the event stream is on (callers avoid name/observable
-    /// lookups otherwise).
-    #[inline]
-    pub(crate) fn events_on(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Start a step timer — `None` (no clock read) unless profiling or
@@ -229,16 +225,27 @@ impl Telemetry {
         }
     }
 
+    /// Stamp one record with the next merge-order sequence number: the
+    /// ring stores it, and the sink, when one is attached, gets the event
+    /// `event` builds (none for a recorder-only record). The number
+    /// advances only when one of them took the record.
     #[inline]
-    fn emit(&mut self, ev: &SearchEvent<'_>) {
+    fn stamp<'e>(
+        &mut self,
+        worker: u16,
+        rec: &StepRecord,
+        event: impl FnOnce() -> Option<SearchEvent<'e>>,
+    ) {
         let mut advanced = false;
         if let Some(r) = &mut self.flight {
-            r.record(self.seq, ev);
+            r.record(self.seq, rec);
             advanced = true;
         }
         if let Some(sink) = &mut self.sink {
-            sink.emit(self.seq, self.worker, ev);
-            advanced = true;
+            if let Some(ev) = event() {
+                sink.emit(self.seq, worker, &ev);
+                advanced = true;
+            }
         }
         if advanced {
             self.seq += 1;
@@ -258,117 +265,58 @@ impl Telemetry {
             return;
         }
         self.meta_emitted = true;
-        self.emit(&SearchEvent::Meta { mode, spec });
+        let event = || Some(SearchEvent::Meta { mode, spec });
+        self.stamp(self.worker, &StepRecord::meta(), event);
     }
 
-    pub(crate) fn on_generate(
-        &mut self,
-        depth: usize,
-        fanout: usize,
-        incomplete: bool,
-        t0: Option<Instant>,
-    ) {
-        let lat_us = t0.map(|t| t.elapsed().as_secs_f64() * 1e6);
-        self.on_generate_dur(depth, fanout, incomplete, lat_us);
-    }
-
-    /// [`Telemetry::on_generate`] with the latency pre-measured —
-    /// worker threads time their own steps and the coordinator replays
-    /// them here, so the duration must not be re-read from a clock.
-    pub(crate) fn on_generate_dur(
-        &mut self,
-        depth: usize,
-        fanout: usize,
-        incomplete: bool,
-        lat_us: Option<f64>,
-    ) {
-        if let Some(m) = &mut self.metrics {
-            if let Some(lat_us) = lat_us {
-                m.observe(
-                    "search.generate_latency_us",
-                    metrics::LATENCY_US_BOUNDS,
-                    lat_us,
-                );
+    /// The one entry point of a search step: the record reaches the
+    /// ring as is, feeds the metrics histograms (fanout, depth, Generate
+    /// latency, bytes at save) and the profile, and — only when a sink is
+    /// attached — becomes a [`SearchEvent`] stamped with `worker`.
+    /// Inlined, so that at each call site the kind is a constant and the
+    /// views it does not feed fold away.
+    #[inline]
+    pub(crate) fn record(&mut self, machine: &Machine, worker: u16, rec: StepRecord) {
+        match rec.kind {
+            KIND_GENERATE => {
+                if let Some(m) = &mut self.metrics {
+                    if self.timing {
+                        m.observe(
+                            "search.generate_latency_us",
+                            metrics::LATENCY_US_BOUNDS,
+                            rec.nanos as f64 / 1e3,
+                        );
+                    }
+                    if rec.a > 0 {
+                        m.observe("search.fanout", metrics::FANOUT_BOUNDS, rec.a as f64);
+                    }
+                    m.observe("search.depth", metrics::DEPTH_BOUNDS, f64::from(rec.depth));
+                }
             }
-            if fanout > 0 {
-                m.observe("search.fanout", metrics::FANOUT_BOUNDS, fanout as f64);
+            KIND_FIRE => {
+                if let Some(p) = &mut self.profile {
+                    p.record(rec.trans as usize, rec.flag != 0, rec.nanos);
+                }
             }
-            m.observe("search.depth", metrics::DEPTH_BOUNDS, depth as f64);
+            KIND_SAVE => {
+                if let Some(m) = &mut self.metrics {
+                    m.observe(
+                        "search.snapshot_bytes_at_save",
+                        metrics::SNAPSHOT_BYTES_BOUNDS,
+                        rec.b as f64,
+                    );
+                }
+            }
+            _ => {}
         }
-        self.emit(&SearchEvent::Generate {
-            depth,
-            fanout,
-            incomplete,
-        });
-    }
-
-    pub(crate) fn on_fire(
-        &mut self,
-        depth: usize,
-        trans: usize,
-        name: &str,
-        observable: Option<(&str, &str)>,
-        fired: bool,
-        t0: Option<Instant>,
-    ) {
-        let nanos = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        self.on_fire_dur(depth, trans, name, observable, fired, nanos);
-    }
-
-    /// [`Telemetry::on_fire`] with the duration pre-measured (see
-    /// [`Telemetry::on_generate_dur`]).
-    pub(crate) fn on_fire_dur(
-        &mut self,
-        depth: usize,
-        trans: usize,
-        name: &str,
-        observable: Option<(&str, &str)>,
-        fired: bool,
-        nanos: u64,
-    ) {
-        if let Some(p) = &mut self.profile {
-            p.record(trans, fired, nanos);
-        }
-        self.emit(&SearchEvent::Fire {
-            depth,
-            trans,
-            name,
-            observable,
-            fired,
-        });
-    }
-
-    pub(crate) fn on_save(&mut self, depth: usize, bytes: usize, resident: usize) {
-        if let Some(m) = &mut self.metrics {
-            m.observe(
-                "search.snapshot_bytes_at_save",
-                metrics::SNAPSHOT_BYTES_BOUNDS,
-                resident as f64,
-            );
-        }
-        self.emit(&SearchEvent::Save {
-            depth,
-            bytes,
-            resident,
-        });
-    }
-
-    pub(crate) fn on_restore(&mut self, depth: usize) {
-        self.emit(&SearchEvent::Restore { depth });
-    }
-
-    pub(crate) fn on_prune(&mut self, depth: usize, kind: PruneKind) {
-        self.emit(&SearchEvent::Prune { depth, kind });
-    }
-
-    pub(crate) fn on_park(&mut self, depth: usize, pg_nodes: u64) {
-        self.emit(&SearchEvent::Park { depth, pg_nodes });
+        self.stamp(worker, &rec, || rec.event(machine));
     }
 
     /// Record a durable checkpoint write into the stream (the CLI calls
     /// this after each autosave).
     pub fn on_checkpoint(&mut self, te: u64, path: &str) {
-        self.emit(&SearchEvent::Checkpoint { te, path });
+        let event = || Some(SearchEvent::Checkpoint { te, path });
+        self.stamp(self.worker, &StepRecord::checkpoint(te), event);
     }
 
     /// Terminal hook of one search: verdict event plus the forced final
@@ -376,13 +324,17 @@ impl Telemetry {
     pub(crate) fn on_verdict(&mut self, verdict: &Verdict, stats: &SearchStats, cap: u64) {
         if self.sink.is_some() || self.flight.is_some() {
             let v = verdict.to_string();
-            self.emit(&SearchEvent::Verdict {
-                verdict: &v,
-                te: stats.transitions_executed,
-                ge: stats.generates,
-                re: stats.restores,
-                sa: stats.saves,
-            });
+            let (te, ge) = (stats.transitions_executed, stats.generates);
+            let event = || {
+                Some(SearchEvent::Verdict {
+                    verdict: &v,
+                    te,
+                    ge,
+                    re: stats.restores,
+                    sa: stats.saves,
+                })
+            };
+            self.stamp(self.worker, &StepRecord::verdict(te, ge), event);
         }
         if let Some(i) = &mut self.introspect {
             i.verdict = verdict.to_string();
@@ -527,17 +479,6 @@ impl Telemetry {
         out
     }
 
-    /// A branch was abandoned on a runtime error (including isolated
-    /// panics). Recorder-only: the JSONL event stream's schema is pinned
-    /// and does not carry error branches.
-    #[inline]
-    pub(crate) fn on_error_branch(&mut self, depth: usize, kind: RuntimeErrorKind) {
-        if let Some(r) = &mut self.flight {
-            r.record_error(self.seq, depth, dump::error_kind_code(kind));
-            self.seq += 1;
-        }
-    }
-
     /// Fold the analysis's final counters into the metrics registry,
     /// fold trailing fault deltas into the recorder, push the final
     /// (`done`) status to the live endpoint and flush the sink. Call
@@ -607,11 +548,14 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    fn jsonl() -> Box<JsonlSink<Vec<u8>>> {
+        Box::new(JsonlSink::new(Vec::new()))
+    }
+
     #[test]
     fn off_handle_reports_inactive_everywhere() {
         let t = Telemetry::off();
         assert!(!t.hot());
-        assert!(!t.events_on());
         assert!(t.timer().is_none());
         assert!(t.metrics().is_none());
         assert!(t.profile().is_none());
@@ -619,7 +563,7 @@ mod tests {
 
     #[test]
     fn meta_emitted_once_per_handle() {
-        let mut t = Telemetry::off().with_sink(Box::new(RingBufferSink::new(16)));
+        let mut t = Telemetry::off().with_sink(jsonl());
         t.begin("dfs", "tp0");
         t.begin("dfs", "tp0");
         assert_eq!(t.events_emitted(), 1);
@@ -627,10 +571,10 @@ mod tests {
 
     #[test]
     fn seq_numbers_are_contiguous_merge_order() {
-        let mut t = Telemetry::off().with_sink(Box::new(RingBufferSink::new(16)));
+        let mut t = Telemetry::off().with_sink(jsonl());
         t.begin("dfs", "s");
-        t.on_restore(1);
-        t.on_prune(2, PruneKind::Barren);
+        t.on_checkpoint(1, "a.ckpt");
+        t.on_checkpoint(2, "b.ckpt");
         assert_eq!(t.events_emitted(), 3);
     }
 
@@ -639,10 +583,7 @@ mod tests {
         assert!(Telemetry::off().with_profile(4).timer().is_some());
         assert!(Telemetry::off().with_metrics().timer().is_some());
         assert!(
-            Telemetry::off()
-                .with_sink(Box::new(RingBufferSink::new(4)))
-                .timer()
-                .is_none(),
+            Telemetry::off().with_sink(jsonl()).timer().is_none(),
             "the event stream alone must not read clocks"
         );
     }

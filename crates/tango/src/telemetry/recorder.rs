@@ -1,12 +1,13 @@
 //! The flight recorder: an always-affordable black box for searches.
 //!
 //! Unlike the opt-in facilities in this module, the recorder is designed
-//! to be **default on**: a fixed-capacity ring of compact binary records
-//! over the [`SearchEvent`] stream plus fault/retry deltas. Its storage
-//! is fully pre-allocated at construction — recording one event is a
-//! bounds-masked store into a `Vec<FlightRecord>` (no allocation, no
-//! clock read, no formatting), so a multi-hour run pays the same few
-//! nanoseconds per step from first event to last.
+//! to be **default on**: a fixed-capacity ring of the search's own step
+//! records (`StepRecord`, stored as is under their sequence numbers)
+//! plus fault/retry deltas. Its storage is fully pre-allocated at
+//! construction — recording one step is a bounds-masked store into a
+//! `Vec<FlightRecord>` (no allocation, no clock read, no formatting), so
+//! a multi-hour run pays the same few nanoseconds per step from first
+//! event to last.
 //!
 //! The ring retains the *tail* of the run — the part that explains a
 //! verdict — while lifetime per-kind counters retain the whole story in
@@ -17,8 +18,10 @@
 //! `.tangodump` post-mortem file.
 
 use super::event::{PruneKind, SearchEvent};
+use crate::checkpoint::codec::kind_to_u8;
 use crate::stats::SearchStats;
-use estelle_runtime::{ByteReader, ByteWriter, CodecError};
+use estelle_runtime::{ByteReader, ByteWriter, CodecError, Machine, RuntimeErrorKind};
+use std::time::Instant;
 
 /// Default ring capacity (records), used by the CLI's always-on
 /// recorder. 2048 compact records cover the last few thousand search
@@ -118,6 +121,143 @@ impl FlightRecord {
     }
 }
 
+/// One search step as the search reports it: a [`FlightRecord`] without
+/// its sequence number, plus the step's duration. The search builds one
+/// per step — on the calling thread, or on a spawned worker that sends
+/// it to the coordinator in a batch — and every view projects from it:
+/// the ring stores it, the metrics and the profile read it, and the
+/// JSONL stream renders it. Fields mean what they mean in the ring.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct StepRecord {
+    pub kind: u8,
+    pub flag: u8,
+    pub depth: u32,
+    pub trans: u32,
+    pub a: u64,
+    pub b: u64,
+    /// A Generate's or a Fire's duration, measured only when the profile
+    /// or the metrics time steps (0 otherwise).
+    pub nanos: u64,
+}
+
+/// Nanoseconds since a step timer started; 0 when none did.
+fn since(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t| t.elapsed().as_nanos() as u64)
+}
+
+impl StepRecord {
+    fn new(kind: u8, depth: usize, flag: u8, a: u64, b: u64) -> Self {
+        StepRecord {
+            kind,
+            flag,
+            depth: depth as u32,
+            a,
+            b,
+            ..StepRecord::default()
+        }
+    }
+
+    pub(crate) fn generate(
+        depth: usize,
+        fanout: usize,
+        incomplete: bool,
+        t0: Option<Instant>,
+    ) -> Self {
+        StepRecord {
+            nanos: since(t0),
+            ..Self::new(KIND_GENERATE, depth, u8::from(incomplete), fanout as u64, 0)
+        }
+    }
+
+    pub(crate) fn fire(depth: usize, trans: usize, fired: bool, t0: Option<Instant>) -> Self {
+        StepRecord {
+            trans: trans as u32,
+            nanos: since(t0),
+            ..Self::new(KIND_FIRE, depth, u8::from(fired), 0, 0)
+        }
+    }
+
+    /// `flag` is reserved, 0: dump format v1 fixes the record layout.
+    pub(crate) fn save(depth: usize, bytes: usize, resident: usize) -> Self {
+        Self::new(KIND_SAVE, depth, 0, bytes as u64, resident as u64)
+    }
+
+    pub(crate) fn restore(depth: usize) -> Self {
+        Self::new(KIND_RESTORE, depth, 0, 0, 0)
+    }
+
+    /// `flag`: 0 for a hash prune, 1 for a barren one.
+    pub(crate) fn prune(depth: usize, kind: PruneKind) -> Self {
+        let flag = u8::from(kind == PruneKind::Barren);
+        Self::new(KIND_PRUNE, depth, flag, 0, 0)
+    }
+
+    pub(crate) fn park(depth: usize, pg_nodes: u64) -> Self {
+        Self::new(KIND_PARK, depth, 0, pg_nodes, 0)
+    }
+
+    /// A branch abandoned on a runtime error (including isolated panics).
+    pub(crate) fn error(depth: usize, kind: RuntimeErrorKind) -> Self {
+        Self::new(KIND_ERROR, depth, kind_to_u8(kind), 0, 0)
+    }
+
+    /// The ring's records of the stream events that are not search steps.
+    pub(crate) fn meta() -> Self {
+        Self::new(KIND_META, 0, 0, 0, 0)
+    }
+
+    pub(crate) fn checkpoint(te: u64) -> Self {
+        Self::new(KIND_CHECKPOINT, 0, 0, te, 0)
+    }
+
+    pub(crate) fn verdict(te: u64, ge: u64) -> Self {
+        Self::new(KIND_VERDICT, 0, 0, te, ge)
+    }
+
+    /// The JSONL event of a search step, with the transition's name and
+    /// observable resolved from `machine`. Error branches have none: the
+    /// stream's schema does not carry them.
+    pub(crate) fn event<'m>(&self, machine: &'m Machine) -> Option<SearchEvent<'m>> {
+        let depth = self.depth as usize;
+        Some(match self.kind {
+            KIND_GENERATE => SearchEvent::Generate {
+                depth,
+                fanout: self.a as usize,
+                incomplete: self.flag != 0,
+            },
+            KIND_FIRE => {
+                let trans = self.trans as usize;
+                SearchEvent::Fire {
+                    depth,
+                    trans,
+                    name: machine.transition_name(trans),
+                    observable: machine.transition_observable(trans),
+                    fired: self.flag != 0,
+                }
+            }
+            KIND_SAVE => SearchEvent::Save {
+                depth,
+                bytes: self.a as usize,
+                resident: self.b as usize,
+            },
+            KIND_RESTORE => SearchEvent::Restore { depth },
+            KIND_PRUNE => SearchEvent::Prune {
+                depth,
+                kind: if self.flag == 0 {
+                    PruneKind::Hash
+                } else {
+                    PruneKind::Barren
+                },
+            },
+            KIND_PARK => SearchEvent::Park {
+                depth,
+                pg_nodes: self.a,
+            },
+            _ => return None,
+        })
+    }
+}
+
 /// The fixed-capacity event ring plus lifetime per-kind counters.
 pub struct FlightRecorder {
     /// Pre-allocated ring storage; `len <= capacity` during warm-up,
@@ -168,102 +308,19 @@ impl FlightRecorder {
         }
     }
 
-    /// Record one search event (called from the [`super::Telemetry`]
-    /// emit path with the event's merge-order sequence number).
-    pub(crate) fn record(&mut self, seq: u64, ev: &SearchEvent<'_>) {
-        let rec = match ev {
-            SearchEvent::Meta { .. } => FlightRecord {
-                seq,
-                kind: KIND_META,
-                ..FlightRecord::default()
-            },
-            SearchEvent::Generate {
-                depth,
-                fanout,
-                incomplete,
-            } => FlightRecord {
-                seq,
-                kind: KIND_GENERATE,
-                flag: u8::from(*incomplete),
-                depth: *depth as u32,
-                a: *fanout as u64,
-                ..FlightRecord::default()
-            },
-            SearchEvent::Fire {
-                depth,
-                trans,
-                fired,
-                ..
-            } => FlightRecord {
-                seq,
-                kind: KIND_FIRE,
-                flag: u8::from(*fired),
-                depth: *depth as u32,
-                trans: *trans as u32,
-                ..FlightRecord::default()
-            },
-            SearchEvent::Save {
-                depth,
-                bytes,
-                resident,
-            } => FlightRecord {
-                seq,
-                kind: KIND_SAVE,
-                // Reserved: dump format v1 fixes the record layout.
-                flag: 0,
-                depth: *depth as u32,
-                a: *bytes as u64,
-                b: *resident as u64,
-                ..FlightRecord::default()
-            },
-            SearchEvent::Restore { depth } => FlightRecord {
-                seq,
-                kind: KIND_RESTORE,
-                depth: *depth as u32,
-                ..FlightRecord::default()
-            },
-            SearchEvent::Prune { depth, kind } => FlightRecord {
-                seq,
-                kind: KIND_PRUNE,
-                flag: match kind {
-                    PruneKind::Hash => 0,
-                    PruneKind::Barren => 1,
-                },
-                depth: *depth as u32,
-                ..FlightRecord::default()
-            },
-            SearchEvent::Park { depth, pg_nodes } => FlightRecord {
-                seq,
-                kind: KIND_PARK,
-                depth: *depth as u32,
-                a: *pg_nodes,
-                ..FlightRecord::default()
-            },
-            SearchEvent::Checkpoint { te, .. } => FlightRecord {
-                seq,
-                kind: KIND_CHECKPOINT,
-                a: *te,
-                ..FlightRecord::default()
-            },
-            SearchEvent::Verdict { te, ge, .. } => FlightRecord {
-                seq,
-                kind: KIND_VERDICT,
-                a: *te,
-                b: *ge,
-                ..FlightRecord::default()
-            },
-        };
-        self.push(rec);
-    }
-
-    /// Record a panic-isolated (or other runtime-error) branch abort.
-    pub(crate) fn record_error(&mut self, seq: u64, depth: usize, kind_code: u8) {
+    /// Store one record under its merge-order sequence number (called
+    /// from [`super::Telemetry`], which assigns it). The step's duration
+    /// stays behind: the ring holds no clock values.
+    #[inline]
+    pub(crate) fn record(&mut self, seq: u64, rec: &StepRecord) {
         self.push(FlightRecord {
             seq,
-            kind: KIND_ERROR,
-            flag: kind_code,
-            depth: depth as u32,
-            ..FlightRecord::default()
+            kind: rec.kind,
+            flag: rec.flag,
+            depth: rec.depth,
+            trans: rec.trans,
+            a: rec.a,
+            b: rec.b,
         });
     }
 
@@ -358,14 +415,8 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn fire(seq: u64, depth: usize) -> SearchEvent<'static> {
-        SearchEvent::Fire {
-            depth,
-            trans: seq as usize,
-            name: "t",
-            observable: None,
-            fired: true,
-        }
+    fn fire(seq: u64, depth: usize) -> StepRecord {
+        StepRecord::fire(depth, seq as usize, true, None)
     }
 
     #[test]
@@ -383,10 +434,30 @@ mod tests {
     }
 
     #[test]
+    fn a_step_record_reaches_the_ring_without_its_duration() {
+        let mut r = FlightRecorder::new(2);
+        let rec = StepRecord {
+            nanos: 12_345,
+            ..StepRecord::fire(4, 7, true, None)
+        };
+        r.record(3, &rec);
+        let want = FlightRecord {
+            seq: 3,
+            kind: KIND_FIRE,
+            flag: 1,
+            depth: 4,
+            trans: 7,
+            a: 0,
+            b: 0,
+        };
+        assert_eq!(r.records(), [want]);
+    }
+
+    #[test]
     fn warm_up_fills_in_order_without_wrap() {
         let mut r = FlightRecorder::new(8);
         for i in 0..3 {
-            r.record(i, &SearchEvent::Restore { depth: i as usize });
+            r.record(i, &StepRecord::restore(i as usize));
         }
         let recs = r.records();
         assert_eq!(recs.len(), 3);

@@ -2,16 +2,15 @@
 //!
 //! A sink receives every [`SearchEvent`] the searches emit, already
 //! stamped with a monotonically increasing sequence number and a worker
-//! id — sinks see events in merge order and never reorder them. Two
-//! implementations ship: [`JsonlSink`] streams rendered lines into any
-//! writer (a file for `--trace-out`, a `Vec<u8>` in tests), and
-//! [`RingBufferSink`] keeps the last N *rendered lines* in memory.
-//! (The always-on black box over compact binary records is the
-//! [`super::recorder::FlightRecorder`], which needs no sink at all;
-//! a ring of rendered JSONL is for tests and ad-hoc tooling.)
+//! id — sinks see events in merge order and never reorder them. The one
+//! implementation that ships, [`JsonlSink`], streams rendered lines into
+//! any writer (a file for `--trace-out`, a `Vec<u8>` in tests). A sink
+//! sees the JSONL view of the search's step records: each event is built
+//! from one record only when a sink is attached. (The always-on black box
+//! over the records themselves is the [`super::recorder::FlightRecorder`],
+//! which needs no sink at all.)
 
 use super::event::SearchEvent;
-use std::collections::VecDeque;
 use std::io::Write;
 
 /// Receives the stamped event stream. Implementations must be cheap per
@@ -76,49 +75,6 @@ impl<W: Write> EventSink for JsonlSink<W> {
     }
 }
 
-/// Keeps the last `capacity` rendered lines in memory, dropping the
-/// oldest — bounded no matter how long the search runs.
-pub struct RingBufferSink {
-    lines: VecDeque<String>,
-    capacity: usize,
-    /// Total events seen (including those already evicted).
-    emitted: u64,
-}
-
-impl RingBufferSink {
-    pub fn new(capacity: usize) -> Self {
-        RingBufferSink {
-            lines: VecDeque::with_capacity(capacity.min(1024)),
-            capacity: capacity.max(1),
-            emitted: 0,
-        }
-    }
-
-    /// The retained tail of the stream, oldest first.
-    pub fn lines(&self) -> impl Iterator<Item = &str> {
-        self.lines.iter().map(String::as_str)
-    }
-
-    /// Total events emitted into the sink over its lifetime.
-    pub fn total_emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    pub fn into_lines(self) -> Vec<String> {
-        self.lines.into()
-    }
-}
-
-impl EventSink for RingBufferSink {
-    fn emit(&mut self, seq: u64, worker: u16, event: &SearchEvent<'_>) {
-        self.emitted += 1;
-        if self.lines.len() == self.capacity {
-            self.lines.pop_front();
-        }
-        self.lines.push_back(event.to_jsonl(seq, worker));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,19 +93,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"seq\":0"));
         assert!(lines[1].contains("\"depth\":2"));
-    }
-
-    #[test]
-    fn ring_buffer_keeps_only_the_tail() {
-        let mut sink = RingBufferSink::new(3);
-        for i in 0..10 {
-            sink.emit(i, 0, &ev(i as usize));
-        }
-        assert_eq!(sink.total_emitted(), 10);
-        let lines: Vec<_> = sink.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"seq\":7"));
-        assert!(lines[2].contains("\"seq\":9"));
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! RING section, dump coverage of every inconclusive variant, and the
 //! recorder-counts-vs-final-stats consistency the dump format promises.
 
+use estelle_runtime::Value;
 use std::time::Duration;
+use tango::trace::source::Poll;
 use tango::{
-    should_dump, AnalysisOptions, AnalysisReport, InconclusiveReason, PostMortemDump,
-    SearchStats, Tango, Telemetry, TraceAnalyzer, Verdict, DEFAULT_RING_CAPACITY,
+    should_dump, AnalysisOptions, AnalysisReport, ChoicePolicy, Dir, Event, InconclusiveReason,
+    OrderOptions, PostMortemDump, ScriptedInput, SearchStats, Tango, Telemetry, Trace,
+    TraceAnalyzer, TraceSource, Verdict, DEFAULT_RING_CAPACITY,
 };
 
 /// Two observationally identical transitions per `ping` double the
@@ -193,4 +196,99 @@ fn conclusive_clean_runs_never_ask_for_a_dump() {
     let (report, _tel) = run_with_recorder(&analyzer, &fork_trace(4), &AnalysisOptions::default());
     assert_eq!(report.verdict, Verdict::Invalid);
     assert!(!should_dump(&report));
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest for pinning byte strings.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The paper's §4.2 TP0 workload with 3 upper and 3 lower data
+/// interactions, run as an implementation until an interleaving in which
+/// all data is exchanged appears; the last output parameter is then
+/// bumped, the paper's invalid-trace construction.
+fn tp0_invalid_trace(tp0: &TraceAnalyzer) -> Trace {
+    let mut script = vec![
+        ScriptedInput::new("U", "tconreq", vec![]),
+        ScriptedInput::new("L", "cc_ind", vec![]),
+    ];
+    script.extend((0..3).map(|i| ScriptedInput::new("U", "tdatreq", vec![Value::Int(i)])));
+    script.extend((0..3).map(|i| ScriptedInput::new("L", "dt_ind", vec![Value::Int(100 + i)])));
+    script.push(ScriptedInput::new("U", "tdisreq", vec![]));
+    let mut trace = (1..5_000)
+        .map(|seed| {
+            tp0.generate_trace(&script, ChoicePolicy::Random(seed), 100_000)
+                .expect("TP0 consumes its whole workload")
+        })
+        .find(|t| t.len() == 6 + 2 * 6)
+        .expect("a complete interleaving");
+    let last = trace
+        .events
+        .iter_mut()
+        .rev()
+        .find(|e| e.dir == Dir::Out && !e.params.is_empty())
+        .expect("an output data interaction");
+    if let Value::Int(v) = last.params[0] {
+        last.params[0] = Value::Int(v + 1);
+    }
+    trace
+}
+
+/// Delivers one event per poll, then eof: every event starts a new round
+/// of parking and revival.
+struct OneByOne(std::vec::IntoIter<Event>);
+
+impl TraceSource for OneByOne {
+    fn poll(&mut self) -> Poll {
+        let events: Vec<Event> = self.0.next().into_iter().collect();
+        Poll {
+            eof: events.is_empty(),
+            events,
+        }
+    }
+}
+
+/// The recorder is pinned, not only self-consistent: the digest of the
+/// RING section and the lifetime record count of a static TP0 3+3 NR
+/// invalid run and of a one-worker on-line run of the same trace fed one
+/// event per poll. Any change to what a search step records, in which
+/// order, or how a record is encoded shows up here.
+#[test]
+fn ring_section_is_pinned() {
+    let tp0 = Tango::generate(include_str!("../../../specs/tp0.est")).expect("valid TP0");
+    let trace = tp0_invalid_trace(&tp0);
+    let mut options = AnalysisOptions::with_order(OrderOptions::none());
+    options.workers = 1;
+
+    let mut tel = recorder_tel(&tp0);
+    let report = tp0
+        .analyze_with(&trace, &options, &mut tel)
+        .expect("static run");
+    tel.finalize(&report.stats);
+    let static_run = (report, tel);
+
+    let mut tel = recorder_tel(&tp0);
+    let mut source = OneByOne(trace.events.clone().into_iter());
+    let report = tp0
+        .analyze_online_with(&mut source, &options, &mut |_| true, &mut tel)
+        .expect("on-line run");
+    tel.finalize(&report.stats);
+    let online_run = (report, tel);
+
+    let pins: [(u64, u64); 2] = [
+        (0x0f43_f332_5883_24e8, 211_100),
+        (0x692a_a80f_bdf2_79de, 607_271),
+    ];
+    for ((report, tel), pin) in [static_run, online_run].into_iter().zip(pins) {
+        assert_eq!(report.verdict, Verdict::Invalid);
+        let dump = PostMortemDump::capture(&report, &tel, None, None);
+        let recorder = tel.recorder().expect("recorder enabled");
+        let got = (fnv1a64(&dump.ring_section_bytes()), recorder.seen());
+        assert_eq!(got, pin, "{:#x}", got.0);
+    }
 }

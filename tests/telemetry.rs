@@ -8,14 +8,15 @@
 //!   no map iteration order, no addresses in the stream);
 //! * **Completeness** — the final `SearchStats` counters equal the
 //!   per-kind event counts: TE = fire events, GE = generate events,
-//!   RE = restore events, SA = save events, for both DFS and MDFS.
+//!   RE = restore events, SA = save events, for both DFS and MDFS and at
+//!   every worker count.
 
 use protocols::tp0;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use tango::{
     AnalysisOptions, AnalysisReport, JsonlSink, OrderOptions, StaticSource, Telemetry, Trace,
-    Verdict,
+    Verdict, DEFAULT_RING_CAPACITY,
 };
 
 /// A `Write` target the test can still read after the sink is boxed away
@@ -253,5 +254,48 @@ fn static_stream_is_pinned() {
             report.stats.peak_snapshot_bytes,
         );
         assert_eq!(got, pin);
+    }
+}
+
+/// At two and four workers, a trace fed in one poll runs its whole search
+/// in post-eof bursts, and a burst that finds the witness is redone by
+/// one worker. The stream and the flight recorder must then count the
+/// redone work, not the discarded parallel attempt: the per-kind JSONL
+/// counts and the recorder's lifetime counts equal TE/GE/RE/SA on every
+/// run, whatever the schedule.
+#[test]
+fn n_worker_stream_and_recorder_equal_the_counters() {
+    let cases = [
+        (tp0::analyzer(), tp0::valid_trace(3, 3, 20)),
+        (
+            protocols::lapd::analyzer(),
+            protocols::lapd::valid_trace(5, 5, 20),
+        ),
+    ];
+    for (analyzer, trace) in &cases {
+        for workers in [4, 2] {
+            let mut options = AnalysisOptions::with_order(OrderOptions::full());
+            options.workers = workers;
+            for run in 0..20 {
+                let (tel, buf) = traced_handle();
+                let mut tel = tel.with_recorder(DEFAULT_RING_CAPACITY);
+                let mut source = StaticSource::new(trace.clone());
+                let report = analyzer
+                    .analyze_online_with(&mut source, &options, &mut |_| true, &mut tel)
+                    .unwrap();
+                tel.finalize(&report.stats);
+                let at = format!("{} workers, run {}", workers, run);
+                assert!(report.verdict.is_valid(), "{}", at);
+                let stream = buf.contents();
+                let s = &report.stats;
+                let r = tel.recorder().expect("recorder enabled");
+                let counters = [s.transitions_executed, s.generates, s.restores, s.saves];
+                let kinds = ["fire", "generate", "restore", "save"];
+                let events = kinds.map(|k| count_kind(&stream, k));
+                let recorded = [r.fires(), r.generates(), r.restores(), r.saves()];
+                assert_eq!(events, counters, "JSONL: {}", at);
+                assert_eq!(recorded, counters, "recorder: {}", at);
+            }
+        }
     }
 }
