@@ -458,3 +458,85 @@ fn dispatch_index_agrees_on_synthetic_and_lapd_machines() {
         assert_eq!(gc.incomplete, gi.incomplete);
     }
 }
+
+/// FNV-1a-64, fed piecewise.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// `(transition_count, digest of every transition name, digest of every
+/// bucket's entry order and plan, equality runs' `(key, offset)` tables
+/// included)`.
+fn lowering_pin(m: &Machine) -> (usize, u64, u64) {
+    use estelle_runtime::bytecode::PlanStep;
+    let mut names = Fnv::new();
+    for i in 0..m.transition_count() {
+        names.write(format!("{}", m.transition_name(i)).as_bytes());
+        names.write(&[0]);
+    }
+    let idx = &m.program.dispatch;
+    let mut plans = Fnv::new();
+    for (bucket, plan) in idx.by_state.iter().zip(&idx.plans) {
+        for e in bucket {
+            plans.write(&e.trans.to_le_bytes());
+        }
+        plans.write(b"|");
+        for step in plan {
+            match step {
+                PlanStep::Scan { start, end } => {
+                    plans.write(b"S");
+                    plans.write(&start.to_le_bytes());
+                    plans.write(&end.to_le_bytes());
+                }
+                PlanStep::Switch(run) => {
+                    plans.write(b"W");
+                    plans.write(&run.start.to_le_bytes());
+                    plans.write(&run.end.to_le_bytes());
+                    plans.write(&run.slot.to_le_bytes());
+                    for (key, off) in &run.keys {
+                        plans.write(&key.to_le_bytes());
+                        plans.write(&off.to_le_bytes());
+                    }
+                }
+            }
+        }
+        plans.write(b"/");
+    }
+    (m.module.transition_count(), names.0, plans.0)
+}
+
+#[test]
+fn any_family_names_counts_and_dispatch_plans_are_pinned() {
+    // Transition indices, names and fireable order are what paths,
+    // checkpoints, pins and witnesses are built from: how `any` families
+    // are lowered must not move any of them.
+    let lapd800 = Machine::from_source(&lapd::source_expanded()).unwrap();
+    let mut got = vec![lowering_pin(&lapd800)];
+    for seed in 0..8 {
+        let spec = protocols::randspec::RandSpec::with_any_families(seed);
+        got.push(lowering_pin(&Machine::from_source(&spec.source()).unwrap()));
+    }
+    let want = vec![
+        (821, 0x9e99ee7e9465172c, 0x03d7f6037ae9e640),
+        (67, 0xac8870533a222016, 0xcca59d015f7629f3),
+        (71, 0x064b8e988ec1439d, 0x894affc365c71e88),
+        (65, 0xb5d92b1bee8b2914, 0x85b88cf49a705c22),
+        (66, 0xe9ab7fd1d0e9d7d2, 0x17b0df9a9c835926),
+        (70, 0x8c5117f99d60e402, 0x5226737ecda091d2),
+        (66, 0xf00fcb90bba4f2ae, 0x68ccb64967569e5c),
+        (64, 0xf175e7b8db1ff8b0, 0xbf264ca853710ba4),
+        (66, 0xb3e428d550b1bc99, 0xf2d258dec395b80f),
+    ];
+    assert_eq!(got, want);
+}
