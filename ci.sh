@@ -288,4 +288,28 @@ cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
     --workload online-tp0-w1 --seed 1 --seconds 2 --trace 0 > "$CKPT_DIR/perfbench.txt"
 grep -q '"correct": true' "$CKPT_DIR/perfbench.txt"
 
+echo "== full-range any domain (release build) =="
+# Release builds wrap integer overflow instead of panicking, so an `any`
+# domain size computed in i64 turns the full range into an endless
+# expansion that debug-mode tests cannot see. The release CLI must end
+# it in the spanned sema diagnostic (exit 1) well within the time limit.
+cat > "$CKPT_DIR/wide_any.est" <<'EOF'
+specification wide;
+module M process; end;
+body MB for M;
+    var n : integer;
+    state S;
+    initialize to S begin n := 0 end;
+    trans
+    from S to S any k : -9223372036854775807-1..9223372036854775807 do
+        provided n = k name Wide: begin n := 1 end;
+end;
+end.
+EOF
+wide_status=0
+timeout 10 target/release/tango check "$CKPT_DIR/wide_any.est" > "$CKPT_DIR/wide_any.txt" 2>&1 \
+    || wide_status=$?
+[ "$wide_status" -eq 1 ]
+grep -q 'error (sema) at 8:21: `any` domain too large' "$CKPT_DIR/wide_any.txt"
+
 echo "CI OK"

@@ -51,9 +51,18 @@ pub fn analyze_spec(spec: &Specification, opts: SemaOptions) -> FrontendResult<A
 }
 
 /// Limits that keep generated state finite and small enough to search.
-const MAX_SET_SIZE: i64 = 64;
-const MAX_ARRAY_SIZE: i64 = 1 << 20;
-const MAX_ANY_DOMAIN: i64 = 256;
+const MAX_SET_SIZE: i128 = 64;
+const MAX_ARRAY_SIZE: i128 = 1 << 20;
+const MAX_ANY_DOMAIN: i128 = 256;
+/// Instances one transition declaration's `any` clauses may expand to
+/// (the product of their domain sizes).
+const MAX_ANY_EXPANSION: i128 = 4096;
+
+/// The number of values in `lo..hi`, exact for every pair of `i64`
+/// bounds: `hi - lo + 1` overflows `i64` on wide ranges.
+fn range_size(lo: i64, hi: i64) -> i128 {
+    i128::from(hi) - i128::from(lo) + 1
+}
 
 pub(crate) struct Analyzer {
     spec_name: String,
@@ -384,9 +393,9 @@ impl Analyzer {
                         index.span,
                     )
                 })?;
-                if hi - lo + 1 > MAX_ARRAY_SIZE {
+                if range_size(lo, hi) > MAX_ARRAY_SIZE {
                     return Err(FrontendError::sema(
-                        format!("array too large ({} elements)", hi - lo + 1),
+                        format!("array too large ({} elements)", range_size(lo, hi)),
                         ty.span,
                     ));
                 }
@@ -422,11 +431,11 @@ impl Analyzer {
                         base.span,
                     )
                 })?;
-                if hi - lo + 1 > MAX_SET_SIZE {
+                if range_size(lo, hi) > MAX_SET_SIZE {
                     return Err(FrontendError::sema(
                         format!(
                             "set base range too large ({} values; limit {})",
-                            hi - lo + 1,
+                            range_size(lo, hi),
                             MAX_SET_SIZE
                         ),
                         ty.span,
@@ -682,6 +691,7 @@ impl Analyzer {
         // `any` variables come into scope for provided and the block.
         let mut scope = Scope::empty();
         let mut any = Vec::new();
+        let mut instances: i128 = 1;
         for a in &t.any {
             let ty = self.lower_type(&a.ty)?;
             let (lo, hi) = self.types.ordinal_range(ty).ok_or_else(|| {
@@ -690,12 +700,22 @@ impl Analyzer {
                     a.span,
                 )
             })?;
-            if hi - lo + 1 > MAX_ANY_DOMAIN {
+            let size = range_size(lo, hi);
+            if size > MAX_ANY_DOMAIN {
                 return Err(FrontendError::sema(
                     format!(
                         "`any` domain too large ({} values; limit {})",
-                        hi - lo + 1,
-                        MAX_ANY_DOMAIN
+                        size, MAX_ANY_DOMAIN
+                    ),
+                    a.span,
+                ));
+            }
+            instances *= size;
+            if instances > MAX_ANY_EXPANSION {
+                return Err(FrontendError::sema(
+                    format!(
+                        "`any` clauses expand to {} instances (limit {})",
+                        instances, MAX_ANY_EXPANSION
                     ),
                     a.span,
                 ));
@@ -925,6 +945,23 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.to_string().contains("finite ordinal"));
+    }
+
+    #[test]
+    fn any_expansion_limit_is_a_spanned_sema_error() {
+        // Each domain is within its own limit; their product is not.
+        let src = tiny(
+            "trans from Idle to Idle any i : 0..255 do any j : 0..255 do \
+             name Wide: begin count := i + j end;",
+        );
+        let err = analyze(&src).unwrap_err();
+        assert_eq!(err.phase, crate::error::Phase::Sema);
+        assert!(
+            err.message.contains("65536 instances (limit 4096)"),
+            "{}",
+            err.message
+        );
+        assert_eq!(&src[err.span.start as usize..err.span.end as usize], "j : 0..255 do");
     }
 
     #[test]

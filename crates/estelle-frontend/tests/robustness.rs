@@ -118,3 +118,40 @@ fn deep_nesting_is_rejected_or_parsed_without_crash() {
         let _ = parse_specification(&src);
     }
 }
+
+/// Ordinal ranges whose size overflows `i64` end in a spanned sema error:
+/// `hi - lo + 1` must be computed without wrapping, or a full-range `any`
+/// counts as 0 values and expands forever.
+#[test]
+fn ranges_wider_than_i64_are_spanned_errors() {
+    const RANGES: &[&str] = &[
+        "-5..9223372036854775807",
+        "0..9223372036854775807",
+        "-9223372036854775807-1..9223372036854775807",
+    ];
+    for range in RANGES {
+        for (decl, trans, what) in [
+            ("", format!("any k : {} do", range), "`any` domain too large"),
+            (
+                &*format!("a : array [{}] of integer;", range),
+                String::new(),
+                "array too large",
+            ),
+            (
+                &*format!("s : set of {};", range),
+                String::new(),
+                "set base range too large",
+            ),
+        ] {
+            let src = format!(
+                "specification w; module M process; end; body B for M; \
+                 var n : integer; {} state S; initialize to S begin n := 0 end; \
+                 trans from S to S {} name W: begin n := 1 end; end; end.",
+                decl, trans
+            );
+            let err = analyze(&src).expect_err(&src);
+            assert!(err.message.starts_with(what), "{}: {}", src, err.message);
+            assert!(err.span.end > err.span.start, "{}: unspanned", src);
+        }
+    }
+}
