@@ -34,7 +34,7 @@
 
 use crate::compile::CompiledModule;
 use crate::interp::eval_const_expr;
-use crate::ir::{CArg, CCall, CExpr, CPlace, CSetElem, CStmt, Slot};
+use crate::ir::{CArg, CCall, CExpr, CPlace, CSetElem, CStmt, Slot, TransitionFamily};
 use crate::value::{default_value, Value};
 use estelle_ast::{BinOp, Span, UnOp};
 use estelle_frontend::sema::model::StateId;
@@ -336,14 +336,14 @@ pub struct ConjGuard {
     pub terms: Vec<QuickGuard>,
 }
 
-/// A compiled `provided` guard.
+/// A compiled transition's `provided` guard: its family's one chunk plus
+/// the VM-free forms its binding row allows.
 #[derive(Clone, Debug)]
 pub struct GuardCode {
-    /// The guard's chunk; `None` exactly when `quick` is set. A quick
-    /// guard never enters the VM, and a padded table would otherwise keep
-    /// one dead chunk per `any` instance.
-    pub chunk: Option<usize>,
-    /// VM-free evaluation for trivial chunk shapes; `None` runs the VM.
+    /// The family's guard chunk, lowered once and shared by every
+    /// instance; the bindings are read from the frame.
+    pub chunk: usize,
+    /// VM-free evaluation for trivial shapes; `None` runs the VM.
     pub quick: Option<QuickGuard>,
     /// VM-free short-circuit plan for call-free `and`-chains; tried when
     /// `quick` is `None`, falls back to the chunk on undefined operands.
@@ -351,11 +351,9 @@ pub struct GuardCode {
     /// Guards containing routine calls may have side effects and are
     /// evaluated against a scratch state copy, exactly as in interp mode.
     pub has_calls: bool,
-    /// Whether the chunk ever touches the transition frame (`ReadL` /
-    /// `PlaceL`, or a fused frame load). Call-free guards get their frozen
-    /// `any` bindings substituted as constants at compile time, so most
-    /// guards are frameless and *Generate* skips building the frame
-    /// entirely.
+    /// Whether *Generate* must build the instance's frame: the guard is
+    /// not quick and its chunk touches the frame (`ReadL` / `PlaceL`, or a
+    /// fused frame load). Otherwise it skips building the frame entirely.
     pub needs_frame: bool,
 }
 
@@ -439,113 +437,92 @@ impl EqualityRun {
     }
 }
 
-/// What the entries of one equality run share: declaration, slot and
-/// key type.
-type RunGroup = (usize, u32, Option<TypeId>);
-
-/// An entry's run group and key, when its guard is exactly the quick
-/// `global = k` compare.
-fn equality_key(
-    module: &CompiledModule,
-    guards: &[Option<GuardCode>],
-    e: &DispatchEntry,
-) -> Option<(RunGroup, i64)> {
-    let g = guards[e.trans as usize].as_ref()?;
-    let Some(QuickGuard::GlobalOpConst {
-        slot,
-        op: BinOp::Eq,
-        k,
-        ..
-    }) = &g.quick
-    else {
+/// The equality run of a family whose every instance is guarded by
+/// exactly the quick compare `global[slot] = k`, with distinct `Int` or
+/// `Enum` keys: for the `global = binding` shape, the keys are the
+/// family's binding column. It spans rows `0..rows`; each bucket the
+/// family is in places it at the family's entries.
+fn family_run(codes: &[Option<GuardCode>]) -> Option<EqualityRun> {
+    if codes.len() < 2 {
         return None;
-    };
-    let (ty, key) = match k {
-        Value::Int(x) => (None, *x),
-        Value::Enum(t, x) => (Some(*t), *x),
-        _ => return None,
-    };
-    let decl = module.transitions[e.trans as usize].decl_index;
-    Some(((decl, *slot, ty), key))
-}
-
-/// A bucket's plan: maximal equality runs become switches, everything
-/// between them one scan.
-fn bucket_plan(
-    module: &CompiledModule,
-    guards: &[Option<GuardCode>],
-    entries: &[DispatchEntry],
-) -> Vec<PlanStep> {
-    let keyed: Vec<_> = entries
-        .iter()
-        .map(|e| equality_key(module, guards, e))
-        .collect();
-    let same_group = |a: &Option<(RunGroup, i64)>, b: &Option<(RunGroup, i64)>| {
-        matches!((a, b), (Some((x, _)), Some((y, _))) if x == y)
-    };
-    let mut plan = Vec::new();
-    let (mut scan_from, mut end) = (0, 0);
-    for group in keyed.chunk_by(same_group) {
-        let start = end;
-        end += group.len();
-        let Some(((_, slot, enum_type), _)) = group[0] else {
-            continue;
-        };
-        let mut keys: Vec<(i64, u32)> = group
-            .iter()
-            .zip(0..)
-            .filter_map(|(k, off)| k.map(|(_, key)| (key, off)))
-            .collect();
-        keys.sort_unstable();
-        if keys.len() < 2 || keys.windows(2).any(|w| w[0].0 == w[1].0) {
-            continue;
-        }
-        if scan_from < start {
-            plan.push(PlanStep::Scan {
-                start: scan_from as u32,
-                end: start as u32,
-            });
-        }
-        plan.push(PlanStep::Switch(EqualityRun {
-            start: start as u32,
-            end: end as u32,
+    }
+    let mut group = None;
+    let mut keys = Vec::with_capacity(codes.len());
+    for (code, row) in codes.iter().zip(0..) {
+        let Some(QuickGuard::GlobalOpConst {
             slot,
-            enum_type,
-            keys,
-        }));
-        scan_from = end;
+            op: BinOp::Eq,
+            k,
+            ..
+        }) = &code.as_ref()?.quick
+        else {
+            return None;
+        };
+        let (ty, key) = match k {
+            Value::Int(x) => (None, *x),
+            Value::Enum(t, x) => (Some(*t), *x),
+            _ => return None,
+        };
+        if *group.get_or_insert((*slot, ty)) != (*slot, ty) {
+            return None;
+        }
+        keys.push((key, row));
     }
-    if scan_from < entries.len() {
-        plan.push(PlanStep::Scan {
-            start: scan_from as u32,
-            end: entries.len() as u32,
-        });
+    if !keys.is_sorted() {
+        keys.sort_unstable();
     }
-    plan
+    if keys.windows(2).any(|w| w[0].0 == w[1].0) {
+        return None;
+    }
+    let (slot, enum_type) = group?;
+    Some(EqualityRun {
+        start: 0,
+        end: codes.len() as u32,
+        slot,
+        enum_type,
+        keys,
+    })
 }
 
 impl DispatchIndex {
-    fn build(module: &CompiledModule, guards: &[Option<GuardCode>]) -> DispatchIndex {
+    /// Bucket every family's instances under each of its source states,
+    /// in compiled order; a family with an equality run is one switch.
+    fn build(module: &CompiledModule, runs: &[Option<EqualityRun>]) -> DispatchIndex {
         let n_states = module.analyzed.states.len();
         let mut by_state: Vec<Vec<DispatchEntry>> = vec![Vec::new(); n_states];
-        for (i, t) in module.transitions.iter().enumerate() {
-            let when = t
+        let mut plans: Vec<Vec<PlanStep>> = vec![Vec::new(); n_states];
+        for (family, run) in module.families.iter().zip(runs) {
+            let when = family
                 .when
                 .map(|(ip, interaction, nparams)| (ip as u32, interaction as u32, nparams as u32));
-            for sid in &t.from {
+            for sid in &family.from {
                 let s = sid.0 as usize;
-                if s < n_states {
-                    by_state[s].push(DispatchEntry {
+                if s >= n_states {
+                    continue;
+                }
+                let bucket = &mut by_state[s];
+                let start = bucket.len() as u32;
+                bucket.extend((family.first..family.first + family.rows).map(|i| {
+                    DispatchEntry {
                         trans: i as u32,
                         when,
-                    });
+                    }
+                }));
+                let end = bucket.len() as u32;
+                let plan = &mut plans[s];
+                match run {
+                    Some(run) => plan.push(PlanStep::Switch(EqualityRun {
+                        start,
+                        end,
+                        ..run.clone()
+                    })),
+                    None => match plan.last_mut() {
+                        Some(PlanStep::Scan { end: last, .. }) => *last = end,
+                        _ => plan.push(PlanStep::Scan { start, end }),
+                    },
                 }
             }
         }
-        let plans = by_state
-            .iter()
-            .map(|entries| bucket_plan(module, guards, entries))
-            .collect();
         DispatchIndex { by_state, plans }
     }
 
@@ -574,9 +551,10 @@ pub struct ExecProgram {
     pub routines: Vec<RoutineCode>,
     /// Chunk of the `initialize` block.
     pub init: usize,
-    /// Per transition: the compiled guard, if any.
+    /// Per transition: the compiled guard, if any, derived from its
+    /// family's one guard lowering and its binding row.
     pub guards: Vec<Option<GuardCode>>,
-    /// Per transition: the compiled action-block chunk.
+    /// Per transition: its family's action-block chunk.
     pub bodies: Vec<usize>,
     pub dispatch: DispatchIndex,
 }
@@ -632,79 +610,31 @@ pub fn compile_program(module: &CompiledModule) -> ExecProgram {
         push_chunk(&mut chunks, c.finish(None))
     };
 
+    // Each family is lowered once: one body chunk, one guard chunk, and
+    // per instance only what its binding row changes.
     let mut guards = Vec::with_capacity(module.transitions.len());
     let mut bodies = Vec::with_capacity(module.transitions.len());
-    for t in &module.transitions {
-        guards.push(t.provided.as_ref().map(|g| {
-            let has_calls = crate::interp::expr_has_calls(g);
-            let const_locals: Vec<Value> = if has_calls {
-                // Guards with calls keep frame reads — a callee could
-                // take a slot by `var` reference.
-                Vec::new()
-            } else {
-                // A call-free guard cannot write its frame, so the
-                // frozen `any` bindings (the leading slots) are true
-                // constants: substitute them at compile time.
-                t.any_bindings
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &ord)| {
-                        crate::machine::ordinal_to_value(
-                            &module.analyzed.types,
-                            t.any_types[i],
-                            ord,
-                        )
-                    })
-                    .collect()
-            };
-            let conj = if has_calls {
-                None
-            } else {
-                conj_guard(g, &const_locals)
-            };
+    let mut runs = Vec::with_capacity(module.families.len());
+    for family in &module.families {
+        let body = {
             let mut c = FnCompiler::new(module);
-            c.const_locals = const_locals;
-            let r = c.expr(g);
+            c.block(&family.body);
             c.emit(Op::Halt);
-            let mut chunk = c.finish(Some(r));
-            fuse_superinstructions(&mut chunk);
-            let needs_frame = chunk.code.iter().any(|op| match op {
-                Op::ReadL { .. } | Op::PlaceL { .. } => true,
-                Op::BinFused { asrc, bsrc, .. } => {
-                    matches!(asrc, FusedSrc::Local(_)) || matches!(bsrc, FusedSrc::Local(_))
-                }
-                _ => false,
-            });
-            let quick = quick_guard(&chunk);
-            let chunk = quick.is_none().then(|| {
-                chunks.push(chunk);
-                chunks.len() - 1
-            });
-            GuardCode {
-                chunk,
-                quick,
-                conj,
-                has_calls,
-                needs_frame,
-            }
-        }));
-        // The instances of one `any` declaration share its body chunk:
-        // the bindings live in the frame, so they lower to the same body.
-        let body = match bodies.last() {
-            Some(&prev) if module.transitions[bodies.len() - 1].decl_index == t.decl_index => {
-                prev
-            }
-            _ => {
-                let mut c = FnCompiler::new(module);
-                c.block(&t.body);
-                c.emit(Op::Halt);
-                push_chunk(&mut chunks, c.finish(None))
-            }
+            push_chunk(&mut chunks, c.finish(None))
         };
-        bodies.push(body);
+        bodies.extend(std::iter::repeat_n(body, family.rows));
+        let first = guards.len();
+        match &family.provided {
+            Some(g) => {
+                let lowered = FamilyGuard::lower(module, family, g, &mut chunks);
+                guards.extend((0..family.rows).map(|row| Some(lowered.instance(row))));
+            }
+            None => guards.extend(std::iter::repeat_n(None, family.rows)),
+        }
+        runs.push(family_run(&guards[first..]));
     }
 
-    let dispatch = DispatchIndex::build(module, &guards);
+    let dispatch = DispatchIndex::build(module, &runs);
     ExecProgram {
         chunks,
         routines,
@@ -820,84 +750,262 @@ fn fuse_superinstructions(chunk: &mut Chunk) {
     chunk.code = new;
 }
 
-/// Try to read a conjunction plan off a call-free guard expression: an
-/// `and` chain whose terms are all [`QuickGuard`]-shaped (constants —
-/// including frozen `any` bindings — bare global reads, or
-/// global-vs-constant comparisons). Single-term guards are left to
+/// A family's `provided` clause, lowered once. Every instance shares the
+/// chunk; its quick and conjunction forms follow from the guard's shape
+/// and the instance's binding row.
+struct FamilyGuard<'a> {
+    module: &'a CompiledModule,
+    family: &'a TransitionFamily,
+    chunk: usize,
+    has_calls: bool,
+    /// Whether the chunk touches the frame.
+    reads_frame: bool,
+    shape: Shape<'a>,
+}
+
+/// How a family's guard varies with the binding row.
+enum Shape<'a> {
+    /// Reads no binding (or calls a routine, which could take one by
+    /// `var` reference): every instance has this code.
+    Fixed(GuardCode),
+    /// One quick term over the bindings.
+    Quick(Term<'a>),
+    /// An `and`-chain of two or more quick terms over the bindings; the
+    /// global slots they read.
+    Conj(Vec<Term<'a>>, Vec<u32>),
+    /// Nothing VM-free: each instance runs the chunk on its frame.
+    Chunk,
+}
+
+/// A [`QuickGuard`] whose constants are expressions over the bindings,
+/// evaluated per row.
+enum Term<'a> {
+    Const(&'a CExpr),
+    Global(u32),
+    Compare {
+        slot: u32,
+        op: BinOp,
+        k: &'a CExpr,
+        swapped: bool,
+        span: Span,
+    },
+}
+
+impl<'a> FamilyGuard<'a> {
+    fn lower(
+        module: &'a CompiledModule,
+        family: &'a TransitionFamily,
+        g: &'a CExpr,
+        chunks: &mut Vec<Chunk>,
+    ) -> Self {
+        let has_calls = crate::interp::expr_has_calls(g);
+        let mut c = FnCompiler::new(module);
+        let r = c.expr(g);
+        c.emit(Op::Halt);
+        let mut chunk = c.finish(Some(r));
+        fuse_superinstructions(&mut chunk);
+        let reads_frame = chunk.code.iter().any(|op| match op {
+            Op::ReadL { .. } | Op::PlaceL { .. } => true,
+            Op::BinFused { asrc, bsrc, .. } => {
+                matches!(asrc, FusedSrc::Local(_)) || matches!(bsrc, FusedSrc::Local(_))
+            }
+            _ => false,
+        });
+        let quick = quick_guard(&chunk);
+        chunks.push(chunk);
+        let mut lowered = FamilyGuard {
+            module,
+            family,
+            chunk: chunks.len() - 1,
+            has_calls,
+            reads_frame,
+            shape: Shape::Chunk,
+        };
+        let arity = family.arity;
+        lowered.shape = if has_calls || !reads_binding(g, arity) {
+            let conj = if has_calls {
+                None
+            } else {
+                conj_terms(g, arity).and_then(|(terms, slots)| lowered.conj(&terms, &slots, &[]))
+            };
+            Shape::Fixed(lowered.code(quick, conj))
+        } else if let Some(t) = term(g, arity, |op| !matches!(op, BinOp::And | BinOp::Or)) {
+            Shape::Quick(t)
+        } else if let Some((terms, slots)) = conj_terms(g, arity) {
+            Shape::Conj(terms, slots)
+        } else {
+            Shape::Chunk
+        };
+        lowered
+    }
+
+    /// The guard of the family's instance `row`.
+    fn instance(&self, row: usize) -> GuardCode {
+        let binding = self.family.binding(row);
+        match &self.shape {
+            Shape::Fixed(code) => code.clone(),
+            Shape::Quick(t) => {
+                let quick = self.quick(t, binding);
+                self.code(quick, None)
+            }
+            Shape::Conj(terms, slots) => self.code(None, self.conj(terms, slots, binding)),
+            Shape::Chunk => self.code(None, None),
+        }
+    }
+
+    fn code(&self, quick: Option<QuickGuard>, conj: Option<ConjGuard>) -> GuardCode {
+        GuardCode {
+            chunk: self.chunk,
+            needs_frame: quick.is_none() && self.reads_frame,
+            quick,
+            conj,
+            has_calls: self.has_calls,
+        }
+    }
+
+    fn conj(&self, terms: &[Term<'_>], slots: &[u32], binding: &[i64]) -> Option<ConjGuard> {
+        Some(ConjGuard {
+            slots: slots.to_vec(),
+            terms: terms
+                .iter()
+                .map(|t| self.quick(t, binding))
+                .collect::<Option<_>>()?,
+        })
+    }
+
+    /// A term for one binding row; `None` when an operand fails to
+    /// evaluate, which leaves the error to the chunk at run time.
+    fn quick(&self, t: &Term<'_>, binding: &[i64]) -> Option<QuickGuard> {
+        Some(match t {
+            Term::Const(e) => QuickGuard::Const(self.value(e, binding)?),
+            Term::Global(slot) => QuickGuard::Global { slot: *slot },
+            Term::Compare {
+                slot,
+                op,
+                k,
+                swapped,
+                span,
+            } => QuickGuard::GlobalOpConst {
+                slot: *slot,
+                op: *op,
+                k: self.value(k, binding)?,
+                swapped: *swapped,
+                span: *span,
+            },
+        })
+    }
+
+    /// Evaluate an expression over the bindings for one row.
+    fn value(&self, e: &CExpr, binding: &[i64]) -> Option<Value> {
+        let types = &self.module.analyzed.types;
+        let bound = |i: usize| {
+            crate::machine::ordinal_to_value(types, self.family.slot_types[i], binding[i])
+        };
+        match e {
+            CExpr::Const(v) => Some(v.clone()),
+            CExpr::Read(Slot::Local(i)) => Some(bound(*i)),
+            _ => {
+                let mut frame = (0..binding.len()).map(bound).collect();
+                crate::interp::eval_in_frame(self.module, e, &mut frame).ok()
+            }
+        }
+    }
+}
+
+/// True if `e` reads one of the first `arity` frame slots.
+fn reads_binding(e: &CExpr, arity: usize) -> bool {
+    let r = |x: &CExpr| reads_binding(x, arity);
+    match e {
+        CExpr::Const(_) | CExpr::Read(Slot::Global(_)) => false,
+        CExpr::Read(Slot::Local(i)) => *i < arity,
+        CExpr::Field(b, _) | CExpr::Deref(b) | CExpr::Unary(_, b, _) => r(b),
+        CExpr::Index { base, index, .. } => r(base) || r(index),
+        CExpr::Binary(_, a, b, _) => r(a) || r(b),
+        // Only call-free guards are asked; a call might read anything.
+        CExpr::Call(_) => true,
+        CExpr::SetCtor(elems, _) => elems.iter().any(|el| match el {
+            CSetElem::Single(x) => r(x),
+            CSetElem::Range(a, b) => r(a) || r(b),
+        }),
+    }
+}
+
+/// True if `e` reads nothing but constants and the first `arity` frame
+/// slots, so its value is fixed per binding row.
+fn over_bindings(e: &CExpr, arity: usize) -> bool {
+    match e {
+        CExpr::Const(_) => true,
+        CExpr::Read(Slot::Local(i)) => *i < arity,
+        CExpr::Unary(_, x, _) => over_bindings(x, arity),
+        CExpr::Binary(_, a, b, _) => over_bindings(a, arity) && over_bindings(b, arity),
+        _ => false,
+    }
+}
+
+/// A quick term: an expression over the bindings, a bare global read, or
+/// `global <op> e` / `e <op> global` with `e` over the bindings and
+/// `compare(op)`.
+fn term(e: &CExpr, arity: usize, compare: impl Fn(BinOp) -> bool) -> Option<Term<'_>> {
+    if over_bindings(e, arity) {
+        return Some(Term::Const(e));
+    }
+    let global = |x: &CExpr| match x {
+        CExpr::Read(Slot::Global(g)) => Some(*g as u32),
+        _ => None,
+    };
+    match e {
+        CExpr::Read(Slot::Global(g)) => Some(Term::Global(*g as u32)),
+        CExpr::Binary(op, l, r, span) if compare(*op) => {
+            let (slot, k, swapped) = match (global(l), global(r)) {
+                (Some(slot), _) if over_bindings(r, arity) => (slot, &**r, false),
+                (_, Some(slot)) if over_bindings(l, arity) => (slot, &**l, true),
+                _ => return None,
+            };
+            Some(Term::Compare {
+                slot,
+                op: *op,
+                k,
+                swapped,
+                span: *span,
+            })
+        }
+        _ => None,
+    }
+}
+
+/// The terms of a conjunction plan read off a call-free guard: an `and`
+/// chain of two or more comparison-shaped quick terms, and the global
+/// slots they read, deduplicated. Single terms are left to
 /// [`QuickGuard`] itself.
-fn conj_guard(e: &CExpr, const_locals: &[Value]) -> Option<ConjGuard> {
+fn conj_terms(e: &CExpr, arity: usize) -> Option<(Vec<Term<'_>>, Vec<u32>)> {
+    fn flatten<'e>(e: &'e CExpr, arity: usize, out: &mut Vec<Term<'e>>) -> Option<()> {
+        if let CExpr::Binary(BinOp::And, l, r, _) = e {
+            flatten(l, arity, out)?;
+            return flatten(r, arity, out);
+        }
+        let compare = |op| {
+            matches!(
+                op,
+                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+            )
+        };
+        out.push(term(e, arity, compare)?);
+        Some(())
+    }
     let mut terms = Vec::new();
-    flatten_and(e, const_locals, &mut terms)?;
+    flatten(e, arity, &mut terms)?;
     if terms.len() < 2 {
         return None;
     }
     let mut slots: Vec<u32> = Vec::new();
     for t in &terms {
-        let s = match t {
-            QuickGuard::Const(_) => continue,
-            QuickGuard::Global { slot } | QuickGuard::GlobalOpConst { slot, .. } => *slot,
-        };
-        if !slots.contains(&s) {
-            slots.push(s);
+        if let Term::Global(slot) | Term::Compare { slot, .. } = t {
+            if !slots.contains(slot) {
+                slots.push(*slot);
+            }
         }
     }
-    Some(ConjGuard { slots, terms })
-}
-
-fn flatten_and(e: &CExpr, const_locals: &[Value], out: &mut Vec<QuickGuard>) -> Option<()> {
-    if let CExpr::Binary(BinOp::And, l, r, _) = e {
-        flatten_and(l, const_locals, out)?;
-        flatten_and(r, const_locals, out)?;
-        return Some(());
-    }
-    out.push(conj_term(e, const_locals)?);
-    Some(())
-}
-
-/// A constant operand: a literal, or a read of a frozen `any` binding.
-fn const_operand(e: &CExpr, const_locals: &[Value]) -> Option<Value> {
-    match e {
-        CExpr::Const(v) => Some(v.clone()),
-        CExpr::Read(Slot::Local(i)) => const_locals.get(*i).cloned(),
-        _ => None,
-    }
-}
-
-fn conj_term(e: &CExpr, const_locals: &[Value]) -> Option<QuickGuard> {
-    match e {
-        CExpr::Read(Slot::Global(i)) => Some(QuickGuard::Global { slot: *i as u32 }),
-        CExpr::Binary(op, l, r, span)
-            if matches!(
-                op,
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            ) =>
-        {
-            if let CExpr::Read(Slot::Global(g)) = &**l {
-                if let Some(k) = const_operand(r, const_locals) {
-                    return Some(QuickGuard::GlobalOpConst {
-                        slot: *g as u32,
-                        op: *op,
-                        k,
-                        swapped: false,
-                        span: *span,
-                    });
-                }
-            }
-            if let CExpr::Read(Slot::Global(g)) = &**r {
-                if let Some(k) = const_operand(l, const_locals) {
-                    return Some(QuickGuard::GlobalOpConst {
-                        slot: *g as u32,
-                        op: *op,
-                        k,
-                        swapped: true,
-                        span: *span,
-                    });
-                }
-            }
-            None
-        }
-        other => const_operand(other, const_locals).map(QuickGuard::Const),
-    }
+    Some((terms, slots))
 }
 
 /// Recognize the trivial guard-chunk shapes that [`QuickGuard`] can
@@ -981,11 +1089,6 @@ struct FnCompiler<'m> {
     max_reg: u32,
     next_place: u32,
     max_place: u32,
-    /// Known-constant values for the leading frame slots (frozen `any`
-    /// bindings of a call-free guard): reads of these slots compile to
-    /// `Const` instead of `ReadL`, which in turn lets *Generate* skip
-    /// building the frame when no slot read survives.
-    const_locals: Vec<Value>,
 }
 
 impl<'m> FnCompiler<'m> {
@@ -1000,7 +1103,6 @@ impl<'m> FnCompiler<'m> {
             max_reg: 0,
             next_place: 0,
             max_place: 0,
-            const_locals: Vec::new(),
         }
     }
 
@@ -1108,15 +1210,10 @@ impl<'m> FnCompiler<'m> {
                 });
             }
             CExpr::Read(Slot::Local(i)) => {
-                if let Some(v) = self.const_locals.get(*i).cloned() {
-                    let k = self.kconst(v);
-                    self.emit(Op::Const { dst, k });
-                } else {
-                    self.emit(Op::ReadL {
-                        dst,
-                        slot: *i as u32,
-                    });
-                }
+                self.emit(Op::ReadL {
+                    dst,
+                    slot: *i as u32,
+                });
             }
             CExpr::Field(base, pos) => {
                 let src = self.expr(base);

@@ -11,9 +11,10 @@
 //!   `any` bindings);
 //! * constant folding (module constants, enum literals, arithmetic);
 //! * record-field → position and array-bounds caching;
-//! * expansion of `any` clauses into one [`CompiledTransition`] per value
-//!   combination — this is why the paper's LAPD reaches "over 800"
-//!   compiled transitions from far fewer declarations.
+//! * one [`TransitionFamily`] per declaration, whose `any` clauses expand
+//!   into a binding table with one [`CompiledTransition`] per row — this
+//!   is why the paper's LAPD reaches "over 800" compiled transitions from
+//!   far fewer declarations, while the guard and body are lowered once.
 
 use crate::error::{RtResult, RuntimeError};
 use crate::ir::*;
@@ -21,8 +22,9 @@ use crate::value::{SmallSet, Value};
 use estelle_ast::{BinOp, Expr, ExprKind, ForDirection, Stmt, StmtKind, UnOp};
 use estelle_frontend::sema::model::{AnalyzedModule, ConstValue, StateId};
 use estelle_frontend::sema::types::{Type, TypeId, TY_BOOLEAN, TY_INTEGER};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::fmt::Write as _;
 
 /// A fully compiled, executable module.
 #[derive(Clone, Debug)]
@@ -33,6 +35,10 @@ pub struct CompiledModule {
     pub routines: Vec<CompiledRoutine>,
     pub init_to: StateId,
     pub init_block: Vec<CStmt>,
+    /// One per transition declaration, in declaration order.
+    pub families: Vec<TransitionFamily>,
+    /// One per compiled transition, in compiled-index order: declaration
+    /// order, then binding order.
     pub transitions: Vec<CompiledTransition>,
     /// Global slot types, aligned with `analyzed.vars`.
     pub globals: Vec<TypeId>,
@@ -44,10 +50,40 @@ impl CompiledModule {
     pub fn transition_count(&self) -> usize {
         self.transitions.len()
     }
+
+    /// The family of compiled transition `index`.
+    pub fn family(&self, index: usize) -> &TransitionFamily {
+        &self.families[self.transitions[index].decl_index]
+    }
+
+    /// The family of compiled transition `index` and its binding row.
+    pub fn instance(&self, index: usize) -> (&TransitionFamily, &[i64]) {
+        let t = self.transitions[index];
+        let family = &self.families[t.decl_index];
+        (family, family.binding(t.row))
+    }
+
+    /// The display name of compiled transition `index`: the declaration
+    /// name, plus the bindings of an `any` instance (`Pad1[k=8]`),
+    /// rendered only for instances.
+    pub fn transition_name(&self, index: usize) -> Cow<'_, str> {
+        let decl = &self.analyzed.transitions[self.transitions[index].decl_index];
+        let binding = self.instance(index).1;
+        if binding.is_empty() {
+            return Cow::Borrowed(&decl.name);
+        }
+        let mut name = format!("{}[", decl.name);
+        for (i, ((var, _), v)) in decl.any.iter().zip(binding).enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(name, "{}{}={}", sep, var, v);
+        }
+        name.push(']');
+        Cow::Owned(name)
+    }
 }
 
-/// Compile an analyzed module. Failures indicate compiler bugs (semantic
-/// analysis already validated the module) or limits (e.g. `any` products).
+/// Compile an analyzed module. Semantic analysis has validated the module
+/// and bounded every `any` expansion, so failures indicate compiler bugs.
 pub fn compile(analyzed: AnalyzedModule) -> RtResult<CompiledModule> {
     let globals: Vec<TypeId> = analyzed.vars.iter().map(|v| v.ty).collect();
 
@@ -65,24 +101,24 @@ pub fn compile(analyzed: AnalyzedModule) -> RtResult<CompiledModule> {
     let init_block = cx.lower_block(&analyzed.initialize.block)?;
     let init_to = analyzed.initialize.to;
 
+    let mut families = Vec::with_capacity(analyzed.transitions.len());
     let mut transitions = Vec::new();
     for (decl_index, t) in analyzed.transitions.iter().enumerate() {
-        compile_transition(&analyzed, decl_index, t, &mut transitions)?;
+        let family = compile_family(&analyzed, t, transitions.len())?;
+        transitions.extend((0..family.rows).map(|row| CompiledTransition { decl_index, row }));
+        families.push(family);
     }
 
     Ok(CompiledModule {
         routines,
         init_to,
         init_block,
+        families,
         transitions,
         globals,
         analyzed,
     })
 }
-
-/// Hard cap on `any` expansion per declaration, defending against
-/// accidental cross-product blowups.
-const MAX_ANY_EXPANSION: usize = 4096;
 
 fn compile_routine(
     m: &AnalyzedModule,
@@ -121,20 +157,19 @@ fn compile_routine(
     })
 }
 
-fn compile_transition(
+/// Lower one transition declaration: its guard and body once, and its
+/// `any` clauses into the binding table.
+fn compile_family(
     m: &AnalyzedModule,
-    decl_index: usize,
     t: &estelle_frontend::sema::model::TransitionInfo,
-    out: &mut Vec<CompiledTransition>,
-) -> RtResult<()> {
+    first: usize,
+) -> RtResult<TransitionFamily> {
     // Frame layout: [any bindings..., when parameters...].
     let mut frame = HashMap::new();
     let mut slot_types = Vec::new();
-    let mut any_types = Vec::new();
     for (name, ty) in &t.any {
         frame.insert(name.clone(), (slot_types.len(), *ty));
         slot_types.push(*ty);
-        any_types.push(*ty);
     }
     let when = match t.when {
         None => None,
@@ -153,74 +188,49 @@ fn compile_transition(
         frame,
         consts: HashMap::new(),
     };
-    let provided = t
-        .provided
-        .as_ref()
-        .map(|p| cx.lower_expr(p).map(Arc::new))
-        .transpose()?;
-    let body: Arc<[CStmt]> = cx.lower_block(&t.block)?.into();
+    let provided = t.provided.as_ref().map(|p| cx.lower_expr(p)).transpose()?;
+    let body = cx.lower_block(&t.block)?;
 
-    // Expand `any` clauses into concrete bindings.
-    let mut domains = Vec::new();
-    let mut total: usize = 1;
+    // The binding table: every combination of the `any` domains, counted
+    // like an odometer. Sema bounded each domain and their product.
+    let mut domains = Vec::with_capacity(t.any.len());
+    let mut rows = 1usize;
     for (_, ty) in &t.any {
         let (lo, hi) = m
             .types
             .ordinal_range(*ty)
             .ok_or_else(|| RuntimeError::internal("`any` domain not finite"))?;
-        let n = (hi - lo + 1) as usize;
-        total = total.saturating_mul(n);
+        rows = rows.saturating_mul((hi.abs_diff(lo) as usize).saturating_add(1));
         domains.push((lo, hi));
     }
-    if total > MAX_ANY_EXPANSION {
-        return Err(RuntimeError::internal(format!(
-            "`any` expansion of transition `{}` would create {} instances (limit {})",
-            t.name, total, MAX_ANY_EXPANSION
-        )));
-    }
-
-    let mut bindings = vec![Vec::new()];
-    for (lo, hi) in &domains {
-        let mut next = Vec::with_capacity(bindings.len() * (*hi - *lo + 1) as usize);
-        for b in &bindings {
-            for v in *lo..=*hi {
-                let mut nb = b.clone();
-                nb.push(v);
-                next.push(nb);
+    let mut bindings = Vec::with_capacity(rows * domains.len());
+    let mut row: Vec<i64> = domains.iter().map(|&(lo, _)| lo).collect();
+    for _ in 0..rows {
+        bindings.extend_from_slice(&row);
+        for (v, &(lo, hi)) in row.iter_mut().zip(&domains).rev() {
+            if *v < hi {
+                *v += 1;
+                break;
             }
+            *v = lo;
         }
-        bindings = next;
     }
 
-    for binding in bindings {
-        let name = if binding.is_empty() {
-            t.name.clone()
-        } else {
-            let parts: Vec<String> = t
-                .any
-                .iter()
-                .zip(&binding)
-                .map(|((n, _), v)| format!("{}={}", n, v))
-                .collect();
-            format!("{}[{}]", t.name, parts.join(","))
-        };
-        out.push(CompiledTransition {
-            decl_index,
-            name,
-            from: t.from.clone(),
-            to: t.to,
-            when,
-            provided: provided.clone(),
-            priority: t.priority,
-            any_bindings: binding,
-            any_types: any_types.clone(),
-            frame_size: slot_types.len(),
-            slot_types: slot_types.clone(),
-            body: body.clone(),
-            span: t.span,
-        });
-    }
-    Ok(())
+    Ok(TransitionFamily {
+        from: t.from.clone(),
+        to: t.to,
+        when,
+        provided,
+        priority: t.priority,
+        arity: t.any.len(),
+        frame_size: slot_types.len(),
+        slot_types,
+        body,
+        span: t.span,
+        first,
+        rows,
+        bindings,
+    })
 }
 
 /// Expression typing produced during lowering; mirrors the checker's
@@ -727,9 +737,10 @@ mod tests {
         "#;
         let m = compiled(src);
         assert_eq!(m.transition_count(), 8);
-        assert_eq!(m.transitions[0].any_bindings, vec![0, 0]);
-        assert_eq!(m.transitions[7].any_bindings, vec![3, 1]);
-        assert!(m.transitions[5].name.contains('['));
+        assert_eq!(m.families.len(), 1, "one family, lowered once");
+        assert_eq!(m.instance(0).1, [0, 0]);
+        assert_eq!(m.instance(7).1, [3, 1]);
+        assert_eq!(m.transition_name(5), "t#1[i=2,j=1]");
     }
 
     #[test]
@@ -748,7 +759,7 @@ mod tests {
             end.
         "#;
         let m = compiled(src);
-        let t = &m.transitions[0];
+        let (t, _) = m.instance(0);
         assert_eq!(t.when, Some((0, 0, 2)));
         assert_eq!(t.frame_size, 2);
         assert!(t.provided.is_some());
@@ -807,6 +818,6 @@ mod tests {
         "#;
         let m = compiled(src);
         assert_eq!(m.transition_count(), 1);
-        assert_eq!(m.transitions[0].from.len(), 3);
+        assert_eq!(m.families[0].from.len(), 3);
     }
 }

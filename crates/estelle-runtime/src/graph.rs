@@ -63,8 +63,9 @@ fn render(module: &CompiledModule, heat: Option<(&[f64], &[String], &str)>) -> S
         writeln!(out, "  s{} [label=\"{}\", shape={}];", i, name, shape).unwrap();
     }
 
-    for (idx, t) in module.transitions.iter().enumerate() {
-        let mut label = t.name.clone();
+    for idx in 0..module.transition_count() {
+        let t = module.family(idx);
+        let mut label = module.transition_name(idx).into_owned();
         if let Some((ip, interaction, _)) = t.when {
             write!(
                 label,

@@ -175,14 +175,23 @@ impl<'m> Interp<'m> {
 /// Evaluate a closed constant expression with no state (used by tests and
 /// tooling to fold trace parameter literals).
 pub fn eval_const_expr(module: &crate::compile::CompiledModule, e: &CExpr) -> RtResult<Value> {
+    eval_in_frame(module, e, &mut Vec::new())
+}
+
+/// Evaluate an expression that reads no state but `frame`, such as an
+/// `any` family's guard operand over its bindings.
+pub fn eval_in_frame(
+    module: &crate::compile::CompiledModule,
+    e: &CExpr,
+    frame: &mut Vec<Value>,
+) -> RtResult<Value> {
     let mut globals = Vec::new();
     let mut heap = Heap::new();
     let mut store = Store {
         globals: &mut globals,
         heap: &mut heap,
     };
-    let mut frame = Vec::new();
     let mut sink = NullEnv::default();
     let interp = Interp::new(module, super::UndefinedPolicy::Error);
-    interp.eval(e, &mut store, &mut frame, &mut sink, 0)
+    interp.eval(e, &mut store, frame, &mut sink, 0)
 }

@@ -21,7 +21,7 @@ mod exec;
 pub(crate) mod place;
 pub(crate) mod scalar;
 
-pub use eval::eval_const_expr;
+pub use eval::{eval_const_expr, eval_in_frame};
 
 use crate::compile::CompiledModule;
 use crate::env::OutputSink;

@@ -10,7 +10,6 @@ use crate::value::Value;
 use estelle_ast::{BinOp, Span, UnOp};
 use estelle_frontend::sema::model::StateId;
 use estelle_frontend::sema::types::TypeId;
-use std::sync::Arc;
 
 /// Where a scalar variable lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,42 +135,52 @@ pub struct CompiledRoutine {
     pub body: Vec<CStmt>,
 }
 
-/// A compiled transition: one `any`-binding instance of a declaration.
+/// One transition declaration, lowered once. A declaration without `any`
+/// clauses is one compiled transition; with them it is a *family*, one
+/// compiled transition (an *instance*) per row of its binding table. The
+/// bindings live in the leading frame slots, so every instance runs the
+/// family's one guard and body.
 #[derive(Clone, Debug)]
-pub struct CompiledTransition {
-    /// Index of the source `TransitionInfo` declaration.
-    pub decl_index: usize,
-    /// Display name: the declaration name plus any `any` bindings, e.g.
-    /// `T7[k=2]`.
-    pub name: String,
+pub struct TransitionFamily {
     /// Source states; fireable only when the control state is a member.
     pub from: Vec<StateId>,
     /// `None` = `to same`.
     pub to: Option<StateId>,
     /// Input clause: (ip index, interaction index into that IP's inputs,
     /// number of parameters). The parameters are bound to frame slots
-    /// `any_bindings.len() ..` in declaration order.
+    /// `arity ..` in declaration order.
     pub when: Option<(usize, usize, usize)>,
-    /// The lowered guard and body are shared by the instances of one
-    /// `any` declaration: the bindings live in the frame, so every
-    /// instance lowers to the same code.
-    pub provided: Option<Arc<CExpr>>,
+    pub provided: Option<CExpr>,
     pub priority: u32,
-    /// Frozen `any` values, bound to the first frame slots.
-    pub any_bindings: Vec<i64>,
-    /// Types of the `any` slots (for display only; bindings are ordinals).
-    pub any_types: Vec<TypeId>,
-    /// Frame size for executing this transition: any bindings + when params
-    /// + for-loop temporaries.
+    /// Number of `any` variables: the first `arity` frame slots.
+    pub arity: usize,
+    /// Frame size for executing an instance: any bindings + when params.
     pub frame_size: usize,
+    /// Types of the frame slots; the first `arity` are the `any` types.
     pub slot_types: Vec<TypeId>,
-    pub body: Arc<[CStmt]>,
+    pub body: Vec<CStmt>,
     pub span: Span,
+    /// Compiled index of the first instance; row `r` is `first + r`.
+    pub first: usize,
+    /// Number of instances (1 without `any`).
+    pub rows: usize,
+    /// The binding table, row-major, `arity` ordinals a row, rows in
+    /// binding order (the last `any` variable varies fastest).
+    pub bindings: Vec<i64>,
 }
 
-impl CompiledTransition {
-    /// True if the transition needs no input interaction (spontaneous).
-    pub fn is_spontaneous(&self) -> bool {
-        self.when.is_none()
+impl TransitionFamily {
+    /// Row `r` of the binding table.
+    pub fn binding(&self, r: usize) -> &[i64] {
+        &self.bindings[r * self.arity..(r + 1) * self.arity]
     }
+}
+
+/// A compiled transition: one instance of a [`TransitionFamily`].
+#[derive(Clone, Copy, Debug)]
+pub struct CompiledTransition {
+    /// Index of the source declaration and of its family.
+    pub decl_index: usize,
+    /// Row in the family's binding table.
+    pub row: usize,
 }

@@ -17,6 +17,7 @@ use crate::vm::{self, Vm};
 use estelle_frontend::sema::model::StateId;
 use estelle_frontend::sema::types::{Type, TypeId};
 use estelle_frontend::{analyze, FrontendError};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -295,14 +296,9 @@ impl Machine {
         }
 
         // Priority filtering: keep only the smallest priority value.
-        if let Some(best) = out
-            .fireable
-            .iter()
-            .map(|f| self.module.transitions[f.trans].priority)
-            .min()
-        {
-            out.fireable
-                .retain(|f| self.module.transitions[f.trans].priority == best);
+        let priority = |f: &Fireable| self.module.family(f.trans).priority;
+        if let Some(best) = out.fireable.iter().map(priority).min() {
+            out.fireable.retain(|f| priority(f) == best);
         }
         // Stable order with fabricated inputs last: depth-first searches
         // try transitions explained by *observed* events before inventing
@@ -326,7 +322,8 @@ impl Machine {
     ) -> RtResult<()> {
         let interp = self.interp();
 
-        for (i, t) in self.module.transitions.iter().enumerate() {
+        for i in 0..self.module.transition_count() {
+            let (t, binding) = self.module.instance(i);
             if !t.from.contains(&st.control) {
                 continue;
             }
@@ -350,7 +347,7 @@ impl Machine {
             // Evaluate the guard with the transition frame (any bindings +
             // input parameters).
             if let Some(guard) = &t.provided {
-                let mut frame = self.transition_frame(t, &params);
+                let mut frame = self.transition_frame(t, binding, &params);
                 let enabled = if expr_has_calls(guard) {
                     // Guards containing function calls may have side
                     // effects; evaluate against a scratch copy.
@@ -607,11 +604,12 @@ impl Machine {
                 // constants, no surviving slot reads) skip the
                 // per-candidate frame allocation entirely.
                 let frame = if g.needs_frame {
-                    self.transition_frame(&self.module.transitions[i], &params)
+                    let (t, binding) = self.module.instance(i);
+                    self.transition_frame(t, binding, &params)
                 } else {
                     Vec::new()
                 };
-                let chunk = g.chunk.expect("only quick guards drop their chunk");
+                let chunk = g.chunk;
                 let mut sink = NullEnv::default();
                 let value = if g.has_calls {
                     // Guards containing function calls may have side
@@ -658,13 +656,13 @@ impl Machine {
         f: &Fireable,
         env: &mut dyn crate::env::MachineEnv,
     ) -> RtResult<FireOutcome> {
-        let t = &self.module.transitions[f.trans];
+        let (t, binding) = self.module.instance(f.trans);
         if let Some((ip, _, _)) = t.when {
             if !f.fabricated {
                 env.consume(ip);
             }
         }
-        let mut frame = self.transition_frame(t, &f.params);
+        let mut frame = self.transition_frame(t, binding, &f.params);
         let result = {
             let mut store = Store {
                 globals: &mut st.globals,
@@ -698,21 +696,22 @@ impl Machine {
         }
     }
 
-    /// Build a transition's frame: `any` bindings, then input parameters,
-    /// padded with defaults.
+    /// Build an instance's frame: its `any` bindings, then input
+    /// parameters, padded with defaults.
     fn transition_frame(
         &self,
-        t: &crate::ir::CompiledTransition,
+        t: &crate::ir::TransitionFamily,
+        binding: &[i64],
         params: &[Value],
     ) -> Vec<Value> {
+        let types = &self.module.analyzed.types;
         let mut frame: Vec<Value> = Vec::with_capacity(t.frame_size);
-        for (i, &ord) in t.any_bindings.iter().enumerate() {
-            frame.push(ordinal_to_value(
-                &self.module.analyzed.types,
-                t.any_types[i],
-                ord,
-            ));
-        }
+        frame.extend(
+            binding
+                .iter()
+                .zip(&t.slot_types)
+                .map(|(&ord, &ty)| ordinal_to_value(types, ty, ord)),
+        );
         frame.extend(params.iter().cloned());
         while frame.len() < t.frame_size {
             let ty = t.slot_types[frame.len()];
@@ -721,9 +720,10 @@ impl Machine {
         frame
     }
 
-    /// Names of the compiled transitions, for display and statistics.
-    pub fn transition_name(&self, index: usize) -> &str {
-        &self.module.transitions[index].name
+    /// Names of the compiled transitions, for display and statistics
+    /// ([`CompiledModule::transition_name`]).
+    pub fn transition_name(&self, index: usize) -> Cow<'_, str> {
+        self.module.transition_name(index)
     }
 
     /// A transition's when-clause observable as `(IP name, interaction
@@ -731,7 +731,8 @@ impl Machine {
     /// event stream to tag fire events with the trace event they consume.
     pub fn transition_observable(&self, index: usize) -> Option<(&str, &str)> {
         let m = &self.module.analyzed;
-        self.module.transitions[index]
+        self.module
+            .family(index)
             .when
             .map(|(ip, interaction, _)| {
                 (

@@ -25,6 +25,14 @@
 //! there is flagged `incomplete` by that family alone. The global `u` is
 //! guarded only by a family, so forcing it to `Undefined` exercises the
 //! fallback scan.
+//!
+//! [`RandSpec::with_family_guards`] adds, on top of those, families whose
+//! guards take the other shapes a family's one guard lowering derives per
+//! instance: a range compare over a binding, a guard over the binding
+//! alone (constant per instance), an `and`-chain mixing a binding and a
+//! global, and a function call taking the binding; their bodies read the
+//! binding. They draw from their own random stream, so the rest of the
+//! source is the [`RandSpec::with_any_families`] one.
 
 use estelle_runtime::Value;
 use tango::rng::SplitMix64;
@@ -36,6 +44,9 @@ pub struct RandSpec {
     pub seed: u64,
     /// Emit `any` families with `provided g = k` guards.
     pub any_families: bool,
+    /// Also emit families with range, binding-only, mixed `and` and
+    /// call guards.
+    pub family_guards: bool,
 }
 
 impl RandSpec {
@@ -43,6 +54,7 @@ impl RandSpec {
         RandSpec {
             seed,
             any_families: false,
+            family_guards: false,
         }
     }
 
@@ -52,6 +64,17 @@ impl RandSpec {
         RandSpec {
             seed,
             any_families: true,
+            family_guards: false,
+        }
+    }
+
+    /// [`RandSpec::with_any_families`] plus families whose guards are not
+    /// `global = k` (see the module docs).
+    pub fn with_family_guards(seed: u64) -> Self {
+        RandSpec {
+            seed,
+            any_families: true,
+            family_guards: true,
         }
     }
 
@@ -95,7 +118,14 @@ impl RandSpec {
             }
             s.push_str(&format!("S{}", i));
         }
-        s.push_str(";\n\tinitialize to S0 begin ");
+        s.push_str(";\n");
+        if self.family_guards {
+            s.push_str(
+                "\tfunction near(a, b : integer) : boolean;\n\
+                 \tbegin near := (a - b) mod 3 = 0 end;\n",
+            );
+        }
+        s.push_str("\tinitialize to S0 begin ");
         for v in 0..vars {
             s.push_str(&format!("v{} := {}; ", v, r.gen_index(5)));
         }
@@ -139,6 +169,10 @@ impl RandSpec {
         let q_family_state = self
             .any_families
             .then(|| gen_families(&mut r, &mut s, states, vars));
+        if self.family_guards {
+            let mut f = SplitMix64::new(self.seed ^ 0xbb67ae8584caa73b);
+            gen_guard_families(&mut f, &mut s, states, vars);
+        }
         // Progress catch-alls, one per state, declared last so guarded
         // transitions shadow them in declaration order but a step input
         // can always be consumed.
@@ -242,6 +276,40 @@ fn gen_families(r: &mut SplitMix64, s: &mut String, states: usize, vars: usize) 
     ef
 }
 
+/// The families of [`RandSpec::with_family_guards`], all on a step input
+/// so that each firing consumes one and the search drains; every body
+/// reads its binding `j`:
+/// * `RF`: `v < j`, a range compare whose instances are enabled together;
+/// * `BF`: `j > c`, over the binding alone, so each instance's guard is a
+///   constant, true for some instances and false for the others;
+/// * `AF`: `(v >= j) and (j <> c)`, an `and`-chain of a global compare
+///   and a binding-only term;
+/// * `CF`: `near(v, j)`, a function call taking the binding.
+fn gen_guard_families(r: &mut SplitMix64, s: &mut String, states: usize, vars: usize) {
+    let families = [
+        ("RF", format!("v{} < j", r.gen_index(vars))),
+        ("BF", format!("j > {}", r.gen_index(6))),
+        (
+            "AF",
+            format!("(v{} >= j) and (j <> {})", r.gen_index(vars), r.gen_index(6)),
+        ),
+        ("CF", format!("near(v{}, j)", r.gen_index(vars))),
+    ];
+    for (name, guard) in families {
+        let v = r.gen_index(vars);
+        s.push_str(&format!(
+            "\tfrom S{} to S{} when P.step any j : 0..5 do provided {} name {}: \
+             begin v{} := (v{} + j * k) mod 47; end;\n",
+            r.gen_index(states),
+            r.gen_index(states),
+            guard,
+            name,
+            v,
+            v
+        ));
+    }
+}
+
 /// A guard: either one comparison (the quick-guard shape) or an
 /// `and`-chain of two or three (the conj-guard shape). `with_k` allows
 /// terms over the interaction parameter.
@@ -323,6 +391,42 @@ mod tests {
                 .analyze(&trace, &AnalysisOptions::default())
                 .unwrap();
             assert_eq!(r.verdict, Verdict::Valid, "seed {}: self-trace", seed);
+        }
+    }
+
+    #[test]
+    fn family_guard_specs_build_and_self_analyze_valid() {
+        for seed in 0..20 {
+            let spec = RandSpec::with_family_guards(seed);
+            let src = spec.source();
+            let analyzer = Tango::generate(&src)
+                .unwrap_or_else(|e| panic!("seed {}: invalid spec: {}\n{}", seed, e, src));
+            let trace = analyzer
+                .generate_trace(&spec.workload(8), ChoicePolicy::First, 100_000)
+                .unwrap_or_else(|e| panic!("seed {}: workload stuck: {}\n{}", seed, e, src));
+            let r = analyzer
+                .analyze(&trace, &AnalysisOptions::default())
+                .unwrap();
+            assert_eq!(r.verdict, Verdict::Valid, "seed {}: self-trace", seed);
+        }
+    }
+
+    #[test]
+    fn family_guards_leave_the_other_sources_unchanged() {
+        // The extra families come from their own random stream: removing
+        // them (and the function they call) gives the family spec back.
+        for seed in 0..20 {
+            let plain = RandSpec::with_any_families(seed).source();
+            let extended = RandSpec::with_family_guards(seed).source();
+            let kept: Vec<&str> = extended
+                .lines()
+                .filter(|l| {
+                    ![" name RF:", " name BF:", " name AF:", " name CF:", "near"]
+                        .iter()
+                        .any(|m| l.contains(m))
+                })
+                .collect();
+            assert_eq!(kept.join("\n") + "\n", plain, "seed {}", seed);
         }
     }
 

@@ -14,6 +14,7 @@
 //! and replayed. Wall-clock data never enters the stream; timing lives
 //! in the metrics registry and the progress heartbeats instead.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Bumped on any change to event kinds, field names or field order.
@@ -54,14 +55,15 @@ pub enum SearchEvent<'a> {
         fanout: usize,
         incomplete: bool,
     },
-    /// One *Update* attempt (TE). `observable` is the when-clause
-    /// `ip.interaction` driving the transition, empty for spontaneous
-    /// ones; `fired` is whether the transition completed with all
-    /// outputs matched.
+    /// One *Update* attempt (TE). `name` is borrowed except for an `any`
+    /// instance, whose name is rendered for the event; `observable` is
+    /// the when-clause `ip.interaction` driving the transition, empty for
+    /// spontaneous ones; `fired` is whether the transition completed with
+    /// all outputs matched.
     Fire {
         depth: usize,
         trans: usize,
-        name: &'a str,
+        name: Cow<'a, str>,
         observable: Option<(&'a str, &'a str)>,
         fired: bool,
     },
@@ -242,7 +244,7 @@ mod tests {
         let ev = SearchEvent::Fire {
             depth: 3,
             trans: 7,
-            name: "t10",
+            name: "t10".into(),
             observable: Some(("U", "tconreq")),
             fired: true,
         };
@@ -281,7 +283,7 @@ mod tests {
         let line = SearchEvent::Fire {
             depth: 0,
             trans: 0,
-            name: "Init",
+            name: "Init".into(),
             observable: None,
             fired: false,
         }

@@ -540,3 +540,62 @@ fn any_family_names_counts_and_dispatch_plans_are_pinned() {
     ];
     assert_eq!(got, want);
 }
+
+#[test]
+fn lapd800_lowers_one_guard_per_padding_family() {
+    // The four `any k : 8..207` families are lowered as families: each
+    // has one guard chunk shared by its 200 instances, whose quick
+    // compares come from the binding rows.
+    let core = Machine::from_source(lapd::SOURCE).unwrap();
+    let m = Machine::from_source(&lapd::source_expanded()).unwrap();
+    let padding: Vec<_> = m.module.families.iter().filter(|f| f.rows > 1).collect();
+    assert_eq!(padding.len(), 4);
+    let mut guard_chunks = std::collections::BTreeSet::new();
+    for f in padding {
+        assert_eq!(f.rows, 200);
+        for i in f.first..f.first + f.rows {
+            let g = m.program.guards[i].as_ref().unwrap();
+            assert!(g.quick.is_some() && !g.needs_frame, "{}", m.transition_name(i));
+            assert_eq!(m.program.bodies[i], m.program.bodies[f.first]);
+            guard_chunks.insert(g.chunk);
+        }
+    }
+    assert_eq!(guard_chunks.len(), 4, "one guard lowering per family, not per instance");
+    assert_eq!(
+        m.program.chunks.len(),
+        core.program.chunks.len() + 8,
+        "each padding family adds one guard chunk and one body chunk"
+    );
+}
+
+#[test]
+fn family_guard_specs_match_the_tree_walker() {
+    // Families guarded by range compares, binding-only terms, mixed
+    // `and`-chains and calls: each instance's quick, conjunction or chunk
+    // guard comes from its family's one lowering. The event streams name
+    // the instances that fire.
+    let mut instances_fired = false;
+    for seed in 0..8 {
+        let spec = protocols::randspec::RandSpec::with_family_guards(seed);
+        let analyzer = tango::Tango::generate(&spec.source()).unwrap();
+        assert_plan_invariants(&analyzer.machine);
+        let trace = analyzer
+            .generate_trace(&spec.workload(10), ChoicePolicy::First, 100_000)
+            .unwrap();
+        let mut streams = Vec::new();
+        for exec in [ExecMode::Compiled, ExecMode::Interp] {
+            let (mut tel, buf) = traced_handle();
+            let report = on(&analyzer, exec)
+                .analyze_with(&trace, &AnalysisOptions::default(), &mut tel)
+                .unwrap();
+            tel.finalize(&report.stats);
+            assert_eq!(report.verdict, Verdict::Valid, "seed {} {}", seed, exec.name());
+            let stream = buf.contents();
+            assert_counts_match(&report, &stream);
+            streams.push(stream);
+        }
+        assert_eq!(streams[0], streams[1], "seed {}", seed);
+        instances_fired |= streams[0].contains("[j=");
+    }
+    assert!(instances_fired, "some family instance must fire");
+}

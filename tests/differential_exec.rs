@@ -13,7 +13,9 @@
 //! families the VM answers through equality runs (one lookup per family)
 //! while the tree walker still tests every instance; the machine-level
 //! check there also covers an `Undefined` key slot (the fallback scan)
-//! and every queue-head shape, `EmptyMayGrow` included.
+//! and every queue-head shape, `EmptyMayGrow` included. Both checks run
+//! again on [`RandSpec::with_family_guards`], whose families' guards are
+//! range compares, binding-only terms, mixed `and`-chains and calls.
 
 use estelle_runtime::{
     ExecMode, InputSource, Machine, MachineState, OutputSink, QueueHead, UndefinedPolicy, Value,
@@ -200,8 +202,9 @@ fn machine_level_fireable_sets_match_across_configurations() {
 
 /// The VM-vs-tree-walker analysis checks above, on one family spec: the
 /// self-generated valid trace and its corrupted variant.
-fn check_family_spec_analyses(seed: u64) {
-    let (analyzer, trace) = setup_spec(RandSpec::with_any_families(seed));
+fn check_family_spec_analyses(spec: RandSpec) {
+    let seed = spec.seed;
+    let (analyzer, trace) = setup_spec(spec);
     let interp = signature(&analyzer, &trace, ExecMode::Interp);
     assert_eq!(
         interp.verdict,
@@ -245,7 +248,14 @@ fn check_family_spec_analyses(seed: u64) {
 #[test]
 fn exec_configurations_agree_on_random_specs_with_any_families() {
     for seed in 0..SEEDS {
-        check_family_spec_analyses(seed);
+        check_family_spec_analyses(RandSpec::with_any_families(seed));
+    }
+}
+
+#[test]
+fn exec_configurations_agree_on_random_specs_with_family_guards() {
+    for seed in 0..SEEDS {
+        check_family_spec_analyses(RandSpec::with_family_guards(seed));
     }
 }
 
@@ -283,14 +293,14 @@ fn generated(m: &Machine, st: &MachineState, input: &dyn InputSource) -> String 
     }
 }
 
-/// Machine-level differential on the family specs: at every state of a
+/// Machine-level differential on a family spec: at every state of a
 /// scripted walk, the VM's fireable list and `incomplete` flag must equal
 /// the tree walker's for every pair of queue heads at `P` and `Q`
 /// (message, empty, empty but growing, unobserved), under both
 /// undefined-value policies, with the globals as reached and with every
-/// global forced `Undefined`.
-#[test]
-fn machine_level_generate_matches_on_any_families_for_every_head_and_policy() {
+/// global forced `Undefined`. Returns the spec's equality-run count.
+fn machine_level_generate_matches(spec: RandSpec) -> usize {
+    let seed = spec.seed;
     let heads = |k: i64| {
         [
             QueueHead::Message {
@@ -302,55 +312,66 @@ fn machine_level_generate_matches_on_any_families_for_every_head_and_policy() {
             QueueHead::Unobserved,
         ]
     };
-    let mut switched = 0;
-    for seed in 0..SEEDS {
-        let spec = RandSpec::with_any_families(seed);
-        let base = Machine::from_source(&spec.source()).expect("valid source");
-        switched += base
-            .program
-            .dispatch
-            .plans
-            .iter()
-            .flatten()
-            .filter(|p| matches!(p, estelle_runtime::bytecode::PlanStep::Switch(_)))
-            .count();
-        let mut st = base.initial_state().expect("initializes");
-        for (step, input) in spec.workload(8).iter().enumerate() {
-            let Value::Int(k) = input.params[0] else {
-                unreachable!("step inputs carry integers")
-            };
-            let mut undefined = st.clone();
-            undefined.globals.fill(Value::Undefined);
-            for policy in [UndefinedPolicy::Error, UndefinedPolicy::Propagate] {
-                let compiled = base.policy_view(policy);
-                let interp = compiled.exec_view(ExecMode::Interp);
-                for state in [&st, &undefined] {
-                    for p in heads(k) {
-                        for q in heads(k) {
-                            let src = FixedHeads([p.clone(), q]);
-                            assert_eq!(
-                                generated(&compiled, state, &src),
-                                generated(&interp, state, &src),
-                                "seed {} step {} {:?} heads {:?}",
-                                seed,
-                                step,
-                                policy,
-                                src.0
-                            );
-                        }
+    let base = Machine::from_source(&spec.source()).expect("valid source");
+    let switched = base
+        .program
+        .dispatch
+        .plans
+        .iter()
+        .flatten()
+        .filter(|p| matches!(p, estelle_runtime::bytecode::PlanStep::Switch(_)))
+        .count();
+    let mut st = base.initial_state().expect("initializes");
+    for (step, input) in spec.workload(8).iter().enumerate() {
+        let Value::Int(k) = input.params[0] else {
+            unreachable!("step inputs carry integers")
+        };
+        let mut undefined = st.clone();
+        undefined.globals.fill(Value::Undefined);
+        for policy in [UndefinedPolicy::Error, UndefinedPolicy::Propagate] {
+            let compiled = base.policy_view(policy);
+            let interp = compiled.exec_view(ExecMode::Interp);
+            for state in [&st, &undefined] {
+                for p in heads(k) {
+                    for q in heads(k) {
+                        let src = FixedHeads([p.clone(), q]);
+                        assert_eq!(
+                            generated(&compiled, state, &src),
+                            generated(&interp, state, &src),
+                            "seed {} step {} {:?} heads {:?}",
+                            seed,
+                            step,
+                            policy,
+                            src.0
+                        );
                     }
                 }
             }
-            // Advance on a message at the input's IP, firing the first
-            // candidate.
-            let mut src = FixedHeads([QueueHead::Empty, QueueHead::Empty]);
-            src.0[usize::from(input.ip == "Q")] = heads(k)[0].clone();
-            let g = base.generate(&mut st, &src).expect("generate");
-            let Some(first) = g.fireable.first().cloned() else {
-                break;
-            };
-            base.fire(&mut st, &first, &mut src).expect("fire");
         }
+        // Advance on a message at the input's IP, firing the first
+        // candidate.
+        let mut src = FixedHeads([QueueHead::Empty, QueueHead::Empty]);
+        src.0[usize::from(input.ip == "Q")] = heads(k)[0].clone();
+        let g = base.generate(&mut st, &src).expect("generate");
+        let Some(first) = g.fireable.first().cloned() else {
+            break;
+        };
+        base.fire(&mut st, &first, &mut src).expect("fire");
     }
+    switched
+}
+
+#[test]
+fn machine_level_generate_matches_on_any_families_for_every_head_and_policy() {
+    let switched: usize = (0..SEEDS)
+        .map(|seed| machine_level_generate_matches(RandSpec::with_any_families(seed)))
+        .sum();
     assert!(switched > 0, "the family specs must produce equality runs");
+}
+
+#[test]
+fn machine_level_generate_matches_on_family_guards_for_every_head_and_policy() {
+    for seed in 0..SEEDS {
+        machine_level_generate_matches(RandSpec::with_family_guards(seed));
+    }
 }
