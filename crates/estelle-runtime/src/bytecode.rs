@@ -292,13 +292,13 @@ pub struct RoutineCode {
     pub result_slot: Option<usize>,
 }
 
-/// A guard whose chunk collapsed to one of the trivial shapes that
-/// dominate large transition tables (`provided v = k` style clauses,
-/// boolean flags, folded constants). *Generate* evaluates these directly
-/// against the globals — same scalar semantics, no VM loop entry, no
-/// frame, no register window. Extracted by pattern-matching the finished
-/// chunk, so the fast path is correct by construction: it replays
-/// exactly the ops the VM would have run.
+/// A guard of one of the trivial shapes that dominate large transition
+/// tables (`provided v = k` style clauses, boolean flags, constants).
+/// Read off the guard expression, with any operand over an `any`
+/// family's bindings evaluated for the instance's row. *Generate*
+/// evaluates these directly against the globals, through the scalar
+/// layer the VM's ops use: no VM loop entry, no frame, no register
+/// window.
 #[derive(Clone, Debug)]
 pub enum QuickGuard {
     /// The whole clause constant-folded (`provided true`, `2 < 3`, …).
@@ -765,9 +765,6 @@ struct FamilyGuard<'a> {
 
 /// How a family's guard varies with the binding row.
 enum Shape<'a> {
-    /// Reads no binding (or calls a routine, which could take one by
-    /// `var` reference): every instance has this code.
-    Fixed(GuardCode),
     /// One quick term over the bindings.
     Quick(Term<'a>),
     /// An `and`-chain of two or more quick terms over the bindings; the
@@ -811,39 +808,30 @@ impl<'a> FamilyGuard<'a> {
             }
             _ => false,
         });
-        let quick = quick_guard(&chunk);
         chunks.push(chunk);
-        let mut lowered = FamilyGuard {
-            module,
-            family,
-            chunk: chunks.len() - 1,
-            has_calls,
-            reads_frame,
-            shape: Shape::Chunk,
-        };
+        // A term holds no call, so a guard with calls runs its chunk.
         let arity = family.arity;
-        lowered.shape = if has_calls || !reads_binding(g, arity) {
-            let conj = if has_calls {
-                None
-            } else {
-                conj_terms(g, arity).and_then(|(terms, slots)| lowered.conj(&terms, &slots, &[]))
-            };
-            Shape::Fixed(lowered.code(quick, conj))
-        } else if let Some(t) = term(g, arity, |op| !matches!(op, BinOp::And | BinOp::Or)) {
+        let shape = if let Some(t) = term(g, arity, |op| !matches!(op, BinOp::And | BinOp::Or)) {
             Shape::Quick(t)
         } else if let Some((terms, slots)) = conj_terms(g, arity) {
             Shape::Conj(terms, slots)
         } else {
             Shape::Chunk
         };
-        lowered
+        FamilyGuard {
+            module,
+            family,
+            chunk: chunks.len() - 1,
+            has_calls,
+            reads_frame,
+            shape,
+        }
     }
 
     /// The guard of the family's instance `row`.
     fn instance(&self, row: usize) -> GuardCode {
         let binding = self.family.binding(row);
         match &self.shape {
-            Shape::Fixed(code) => code.clone(),
             Shape::Quick(t) => {
                 let quick = self.quick(t, binding);
                 self.code(quick, None)
@@ -912,24 +900,6 @@ impl<'a> FamilyGuard<'a> {
     }
 }
 
-/// True if `e` reads one of the first `arity` frame slots.
-fn reads_binding(e: &CExpr, arity: usize) -> bool {
-    let r = |x: &CExpr| reads_binding(x, arity);
-    match e {
-        CExpr::Const(_) | CExpr::Read(Slot::Global(_)) => false,
-        CExpr::Read(Slot::Local(i)) => *i < arity,
-        CExpr::Field(b, _) | CExpr::Deref(b) | CExpr::Unary(_, b, _) => r(b),
-        CExpr::Index { base, index, .. } => r(base) || r(index),
-        CExpr::Binary(_, a, b, _) => r(a) || r(b),
-        // Only call-free guards are asked; a call might read anything.
-        CExpr::Call(_) => true,
-        CExpr::SetCtor(elems, _) => elems.iter().any(|el| match el {
-            CSetElem::Single(x) => r(x),
-            CSetElem::Range(a, b) => r(a) || r(b),
-        }),
-    }
-}
-
 /// True if `e` reads nothing but constants and the first `arity` frame
 /// slots, so its value is fixed per binding row.
 fn over_bindings(e: &CExpr, arity: usize) -> bool {
@@ -973,7 +943,7 @@ fn term(e: &CExpr, arity: usize, compare: impl Fn(BinOp) -> bool) -> Option<Term
     }
 }
 
-/// The terms of a conjunction plan read off a call-free guard: an `and`
+/// The terms of a conjunction plan read off a guard: an `and`
 /// chain of two or more comparison-shaped quick terms, and the global
 /// slots they read, deduplicated. Single terms are left to
 /// [`QuickGuard`] itself.
@@ -1006,72 +976,6 @@ fn conj_terms(e: &CExpr, arity: usize) -> Option<(Vec<Term<'_>>, Vec<u32>)> {
         }
     }
     Some((terms, slots))
-}
-
-/// Recognize the trivial guard-chunk shapes that [`QuickGuard`] can
-/// evaluate without entering the VM loop. The match is against the
-/// *finished* instruction stream (after constant folding and `any`
-/// substitution), so whatever it extracts is op-for-op what the VM would
-/// have executed.
-fn quick_guard(chunk: &Chunk) -> Option<QuickGuard> {
-    let result = chunk.result?;
-    match chunk.code.as_slice() {
-        [Op::Const { dst, k }, Op::Halt] if *dst == result => {
-            Some(QuickGuard::Const(chunk.consts[*k as usize].clone()))
-        }
-        [Op::ReadG { dst, slot }, Op::Halt] if *dst == result => {
-            Some(QuickGuard::Global { slot: *slot })
-        }
-        // The dominant `global <op> const` shape arrives fused (the
-        // peephole runs before extraction).
-        [Op::BinFused {
-            dst,
-            asrc,
-            bsrc,
-            op,
-            span,
-            ..
-        }, Op::Halt]
-            if *dst == result =>
-        {
-            let (slot, k, swapped) = match (asrc, bsrc) {
-                (FusedSrc::Global(slot), FusedSrc::Const(k)) => (*slot, *k, false),
-                (FusedSrc::Const(k), FusedSrc::Global(slot)) => (*slot, *k, true),
-                _ => return None,
-            };
-            Some(QuickGuard::GlobalOpConst {
-                slot,
-                op: *op,
-                k: chunk.consts[k as usize].clone(),
-                swapped,
-                span: *span,
-            })
-        }
-        // Unfused fallback (e.g. when register aliasing blocked fusion).
-        [first, second, Op::Binary { dst, a, b, op, span }, Op::Halt] if *dst == result => {
-            let (slot, k, swapped) = match (first, second) {
-                (Op::ReadG { dst: g, slot }, Op::Const { dst: c, k })
-                    if (*g, *c) == (*a, *b) =>
-                {
-                    (*slot, *k, false)
-                }
-                (Op::Const { dst: c, k }, Op::ReadG { dst: g, slot })
-                    if (*c, *g) == (*a, *b) =>
-                {
-                    (*slot, *k, true)
-                }
-                _ => return None,
-            };
-            Some(QuickGuard::GlobalOpConst {
-                slot,
-                op: *op,
-                k: chunk.consts[k as usize].clone(),
-                swapped,
-                span: *span,
-            })
-        }
-        _ => None,
-    }
 }
 
 /// Single-chunk compiler: a stack-discipline register allocator over a
@@ -1764,9 +1668,9 @@ mod tests {
         )
         .unwrap();
         let g = |i: usize| m.program.guards[i].as_ref().unwrap();
-        // The `any` instances: `n = k` with k frozen per instance — the
-        // binding substitutes as a constant, the chunk needs no frame,
-        // and the shape collapses to a VM-free global/const compare.
+        // The `any` instances: `n = k` with each instance's binding as
+        // the constant of a VM-free global/const compare, which needs no
+        // frame; the three share their family's one guard chunk.
         for (i, want_k) in [(0i64, 3i64), (1, 4), (2, 5)] {
             let gc = g(i as usize);
             assert!(!gc.needs_frame, "instance {} reads no frame slots", i);
@@ -1777,6 +1681,7 @@ mod tests {
                 }
                 other => panic!("instance {}: expected quick compare, got {:?}", i, other),
             }
+            assert_eq!(gc.chunk, g(0).chunk, "one guard lowering per family");
         }
         // A bare boolean global and a folded constant also go quick.
         assert!(matches!(g(3).quick, Some(QuickGuard::Global { .. })));
@@ -1820,7 +1725,7 @@ mod tests {
             "guard compare, counter updates and case arm all fuse: {}",
             m.program.fused_count()
         );
-        // The fused guard still pattern-matches to the VM-free quick path.
+        // The guard whose chunk fused still takes the VM-free quick path.
         assert!(matches!(
             m.program.guards[0].as_ref().unwrap().quick,
             Some(QuickGuard::GlobalOpConst { .. })

@@ -67,8 +67,9 @@ impl CompiledModule {
     /// name, plus the bindings of an `any` instance (`Pad1[k=8]`),
     /// rendered only for instances.
     pub fn transition_name(&self, index: usize) -> Cow<'_, str> {
-        let decl = &self.analyzed.transitions[self.transitions[index].decl_index];
-        let binding = self.instance(index).1;
+        let t = self.transitions[index];
+        let decl = &self.analyzed.transitions[t.decl_index];
+        let binding = self.families[t.decl_index].binding(t.row);
         if binding.is_empty() {
             return Cow::Borrowed(&decl.name);
         }

@@ -600,8 +600,7 @@ impl Machine {
                         continue;
                     }
                 }
-                // Frameless guards (frozen `any` bindings folded to
-                // constants, no surviving slot reads) skip the
+                // Guards whose chunk reads no frame slot skip the
                 // per-candidate frame allocation entirely.
                 let frame = if g.needs_frame {
                     let (t, binding) = self.module.instance(i);
