@@ -468,9 +468,7 @@ fn family_run(codes: &[Option<GuardCode>]) -> Option<EqualityRun> {
         }
         keys.push((key, row));
     }
-    if !keys.is_sorted() {
-        keys.sort_unstable();
-    }
+    keys.sort_unstable();
     if keys.windows(2).any(|w| w[0].0 == w[1].0) {
         return None;
     }
