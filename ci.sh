@@ -9,6 +9,14 @@
 set -eu
 cd "$(dirname "$0")"
 
+# A limit stop without --dump-file writes its post-mortem dump into the
+# working directory. No step may do that; the last step checks.
+dump_stamp() {
+    ls -l --time-style=full-iso tango-postmortem.tangodump \
+        crates/tango-cli/tango-postmortem.tangodump 2>/dev/null || true
+}
+DUMPS_BEFORE=$(dump_stamp)
+
 echo "== tier-1: release build =="
 cargo build --release
 
@@ -39,7 +47,7 @@ printf 'in U.tconreq\nin L.cc_ind\nin U.tdatreq(0)\nin U.tdatreq(1)\nin U.tdatre
 cargo run -q --release -p tango-cli -- generate specs/tp0.est "$CKPT_DIR/script.txt" \
     > "$CKPT_DIR/trace.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
-    --max-transitions 5 --checkpoint-file "$CKPT_DIR/run.ckpt" \
+    --max-transitions 5 --checkpoint-file "$CKPT_DIR/run.ckpt" --dump-file "$CKPT_DIR/run.tangodump" \
     && { echo "expected an inconclusive (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
 cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/run.ckpt" \
     > "$CKPT_DIR/run-info.txt"
@@ -52,7 +60,8 @@ cargo run -q --release -p tango-cli -- analyze specs/tp0.est --resume "$CKPT_DIR
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     > "$CKPT_DIR/unlimited.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
-    --max-mem 200 --spill off --checkpoint-file "$CKPT_DIR/mem.ckpt" > "$CKPT_DIR/mem-stop.txt" \
+    --max-mem 200 --spill off --checkpoint-file "$CKPT_DIR/mem.ckpt" \
+    --dump-file "$CKPT_DIR/mem.tangodump" > "$CKPT_DIR/mem-stop.txt" \
     && { echo "expected an inconclusive (exit 2) memory stop"; exit 1; } || [ "$?" -eq 2 ]
 grep -q "inconclusive (MemoryLimit)" "$CKPT_DIR/mem-stop.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est --resume "$CKPT_DIR/mem.ckpt" \
@@ -108,7 +117,7 @@ ls "$CKPT_DIR/spill"/spill-*.seg > /dev/null
 : > "$CKPT_DIR/not-a-dir"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     --max-mem 256 --spill on --spill-dir "$CKPT_DIR/not-a-dir" \
-    > "$CKPT_DIR/degraded.txt" 2> "$CKPT_DIR/degraded.err" \
+    --dump-file "$CKPT_DIR/degraded.tangodump" > "$CKPT_DIR/degraded.txt" 2> "$CKPT_DIR/degraded.err" \
     && { echo "expected a SpillFailure (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
 grep -q "SpillFailure" "$CKPT_DIR/degraded.txt"
 grep -q "spill fault:" "$CKPT_DIR/degraded.err"
@@ -121,7 +130,7 @@ echo "== chaos smoke (seeded fault plans) =="
 # TE/GE/RE/SA, and the run echoes its full plan for log-line replay.
 chaos_run() {
     cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
-        --chaos-seed 5 > "$1" 2> "$2" || [ "$?" -le 2 ]
+        --chaos-seed 5 --dump-file "$CKPT_DIR/chaos.tangodump" > "$1" 2> "$2" || [ "$?" -le 2 ]
 }
 chaos_run "$CKPT_DIR/chaos-a.txt" "$CKPT_DIR/chaos-a.err"
 chaos_run "$CKPT_DIR/chaos-b.txt" "$CKPT_DIR/chaos-b.err"
@@ -227,6 +236,7 @@ mdfs_step "1-worker and 4-worker verdict/counter lines match"
 mdfs_step "4-worker transition-limit stop writes a checkpoint (exit 2)"
 cargo run -q --release -p tango-cli -- online specs/lapd.est "$CKPT_DIR/lapd-trace.txt" \
     --workers 4 --max-transitions 5 --checkpoint-file "$CKPT_DIR/online.ckpt" \
+    --dump-file "$CKPT_DIR/online-limit.tangodump" \
     && { echo "expected an inconclusive (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
 mdfs_step "checkpoint-info describes the 4-worker front"
 cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/online.ckpt" \
@@ -247,37 +257,13 @@ echo "== VM vs tree-walker differential suites =="
 cargo test -q --test compiled_exec
 cargo test -q --test differential_exec
 
-echo "== generate_exec smoke (quick mode) =="
-# A/B the bytecode VM against the reference interpreter on reduced
-# workloads; the binary asserts identical verdicts and TE/GE/RE/SA per
-# row, then overwrites BENCH_generate.json. Keep the committed
-# full-size record; validate the quick one, then restore.
-cp BENCH_generate.json BENCH_generate.json.orig
-cargo run -q --release -p bench --bin generate_exec -- --quick
-cargo run -q --release -p bench --bin generate_exec -- --check BENCH_generate.json
-mv BENCH_generate.json.orig BENCH_generate.json
-cargo run -q --release -p bench --bin generate_exec -- --check BENCH_generate.json
-
-echo "== tps_by_spec_size smoke (quick mode) =="
-# The binary asserts identical search totals on both executors per row;
-# --check validates the record's schema.
-cp BENCH_tps.json BENCH_tps.json.orig
-cargo run -q --release -p bench --bin tps_by_spec_size -- --quick
-cargo run -q --release -p bench --bin tps_by_spec_size -- --check BENCH_tps.json
-mv BENCH_tps.json.orig BENCH_tps.json
-cargo run -q --release -p bench --bin tps_by_spec_size -- --check BENCH_tps.json
-
-echo "== spill bench smoke (quick mode) =="
-# Run the memory-tiering ladder on a reduced workload; the binary itself
-# asserts every spilled row reproduces the all-RAM verdict and
-# TE/GE/RE/SA and that the tightest budget without the tier still dies
-# Inconclusive(MemoryLimit). Keep the committed full-size record;
-# validate the quick one, then restore.
-cp BENCH_spill.json BENCH_spill.json.orig
-cargo run -q --release -p bench --bin spill -- --quick
-cargo run -q --release -p bench --bin spill -- --check BENCH_spill.json
-mv BENCH_spill.json.orig BENCH_spill.json
-cargo run -q --release -p bench --bin spill -- --check BENCH_spill.json
+echo "== paper tables (release) =="
+# bench's pin test compares every counter cell of EXPERIMENTS.md with
+# what the experiments code computes. A release build also runs the
+# searches of a million transitions or more (the NR 4+4 and 5+5
+# ablation rows, heap_cost 4+4, the on-line worker rows and the spill
+# ladder) that a debug build skips.
+cargo test -q --release -p bench
 
 echo "== benchmark self-tests and smoke =="
 # The benchmark is a workspace of its own under perfbench/: run its unit
@@ -311,5 +297,12 @@ timeout 10 target/release/tango check "$CKPT_DIR/wide_any.est" > "$CKPT_DIR/wide
     || wide_status=$?
 [ "$wide_status" -eq 1 ]
 grep -q 'error (sema) at 8:21: `any` domain too large' "$CKPT_DIR/wide_any.txt"
+
+echo "== no stray post-mortem dumps =="
+if [ "$(dump_stamp)" != "$DUMPS_BEFORE" ]; then
+    echo "a step wrote tango-postmortem.tangodump outside its temp dir:"
+    dump_stamp
+    exit 1
+fi
 
 echo "CI OK"

@@ -1,8 +1,8 @@
-//! Validate hand-rolled JSON artifacts: benchmark records, metrics
-//! documents and JSONL event streams.
+//! Validate hand-rolled JSON artifacts: metrics documents and JSONL
+//! event streams.
 //!
 //! The workspace vendors no JSON crate, so everything the tools emit —
-//! `BENCH_*.json`, `tango analyze --metrics-out`, `--trace-out` — is
+//! `tango analyze --metrics-out`, `--trace-out`, `/status` — is
 //! written by hand and kept honest by `bench::json::validate`. This
 //! binary is the command-line face of that checker for CI:
 //!

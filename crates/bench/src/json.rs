@@ -1,67 +1,10 @@
-//! Minimal dependency-free JSON support for the benchmark records.
+//! A dependency-free JSON well-formedness checker.
 //!
-//! The repo vendors no external crates (see PR 1), so the benchmark
-//! binaries write their `BENCH_*.json` records by hand and CI validates
-//! them with this tiny recursive-descent checker. The checker accepts
-//! exactly RFC 8259 JSON; it does not build a DOM — well-formedness is
-//! all `ci.sh` needs to keep a record from bit-rotting.
-
-/// Escape a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format an `f64` so it is valid JSON (no `NaN`/`inf` tokens).
-pub fn number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{:.3}", x)
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Format an `f64` at nanosecond precision (9 decimals) — for mean
-/// per-run durations, which on fast rows are far below the 3-decimal
-/// resolution of [`number`] and used to flatten to `0.000`.
-pub fn number_ns(x: f64) -> String {
-    if x.is_finite() {
-        format!("{:.9}", x)
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Extract every number that directly follows `"<key>": ` in a JSON
-/// text. A DOM-free helper for CI gates over the benchmark records
-/// (e.g. "no row's speedup is below 1.0").
-pub fn numbers_for_key(text: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{}\":", key);
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        let trimmed = rest.trim_start();
-        let end = trimmed
-            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-            .unwrap_or(trimmed.len());
-        if let Ok(v) = trimmed[..end].parse::<f64>() {
-            out.push(v);
-        }
-    }
-    out
-}
+//! The workspace vendors no external crates, so the documents the tools
+//! write by hand (the metrics export, the JSONL event stream, the dump's
+//! JSONL rendering, `/status`) are checked in CI by this small
+//! recursive-descent validator through the `json_check` binary. It
+//! accepts exactly RFC 8259 JSON and builds no DOM.
 
 /// Validate that `text` is one well-formed JSON document.
 pub fn validate(text: &str) -> Result<(), String> {
@@ -275,27 +218,5 @@ mod tests {
         ] {
             assert!(validate(bad).is_err(), "`{}` should be rejected", bad);
         }
-    }
-
-    #[test]
-    fn escape_round_trips_through_validation() {
-        let s = escape("line\n\"quoted\"\tand \\ control\u{1}");
-        assert!(validate(&format!("\"{}\"", s)).is_ok());
-        assert_eq!(number(f64::NAN), "null");
-        assert!(validate(&number(1.25)).is_ok());
-    }
-
-    #[test]
-    fn ns_precision_keeps_sub_millisecond_durations() {
-        assert_eq!(number_ns(0.000000420), "0.000000420");
-        assert_eq!(number_ns(f64::INFINITY), "null");
-        assert!(validate(&number_ns(1.5e-8)).is_ok());
-    }
-
-    #[test]
-    fn numbers_for_key_scrapes_all_occurrences() {
-        let doc = r#"{"rows": [{"s": 1.5, "x": 2}, {"s": 0.25}, {"t": {"s": -3e2}}]}"#;
-        assert_eq!(numbers_for_key(doc, "s"), vec![1.5, 0.25, -300.0]);
-        assert!(numbers_for_key(doc, "missing").is_empty());
     }
 }

@@ -29,8 +29,8 @@
 //! sequences below replicate the tree-walker's exact evaluation order —
 //! including guard side-effect isolation, copy-in/copy-out `var`
 //! parameters with *re*-resolution after the callee body, and per-policy
-//! undefined diagnostics. `tests/compiled_exec.rs` and the
-//! `BENCH_generate.json` harness enforce the contract end to end.
+//! undefined diagnostics. `tests/compiled_exec.rs` and
+//! `tests/differential_exec.rs` enforce the contract end to end.
 
 use crate::compile::CompiledModule;
 use crate::interp::eval_const_expr;

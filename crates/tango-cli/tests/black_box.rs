@@ -182,6 +182,8 @@ fn checkpoint_info_reports_fault_counters() {
         .arg(&trace)
         .args(["--max-transitions", "10", "--checkpoint-file"])
         .arg(&ckpt)
+        .arg("--dump-file")
+        .arg(dir.join("pm.tangodump"))
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
@@ -220,6 +222,8 @@ fn online_defaults_to_one_worker() {
             .args(extra)
             .args(["--max-transitions", "3", "--checkpoint-file"])
             .arg(&ckpt)
+            .arg("--dump-file")
+            .arg(dir.join("pm.tangodump"))
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
