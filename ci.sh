@@ -54,13 +54,13 @@ cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/run.ckpt" \
 grep -q "format version: 7" "$CKPT_DIR/run-info.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est --resume "$CKPT_DIR/run.ckpt"
 # The same round trip through the static engine's node-based memory
-# charging: a snapshot-memory stop with the spill tier off (exit 2), then
+# charging: a snapshot-memory stop with no spill directory (exit 2), then
 # a resume without the budget, which must print the unlimited run's
 # verdict and counters.
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     > "$CKPT_DIR/unlimited.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
-    --max-mem 200 --spill off --checkpoint-file "$CKPT_DIR/mem.ckpt" \
+    --max-mem 200 --checkpoint-file "$CKPT_DIR/mem.ckpt" \
     --dump-file "$CKPT_DIR/mem.tangodump" > "$CKPT_DIR/mem-stop.txt" \
     && { echo "expected an inconclusive (exit 2) memory stop"; exit 1; } || [ "$?" -eq 2 ]
 grep -q "inconclusive (MemoryLimit)" "$CKPT_DIR/mem-stop.txt"
@@ -102,21 +102,28 @@ TE_W2=$(sed -n 's/^verdict:.* TE=\([0-9]*\) .*/\1/p' "$CKPT_DIR/online-trace-w2.
 echo "== spill tiering smoke =="
 # All-RAM vs spilled-to-disk run of the same analysis: the tier changes
 # where bytes live, never what the search decides, so the verdict and
-# the TE/GE/RE/SA counters must come out identical. The library-level
-# equivalence and segment corruption-matrix suites run first.
+# the TE/GE/RE/SA counters must come out identical. The run's metrics
+# must show it wrote to disk, and the spill directory, scratch for that
+# one run, must hold no segment afterwards. The library-level
+# equivalence and segment-damage suites run first.
 cargo test -q --test spill_equivalence --test spill_codec
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     > "$CKPT_DIR/all-ram.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
-    --max-mem 256 --spill on --spill-dir "$CKPT_DIR/spill" > "$CKPT_DIR/spilled.txt"
+    --max-mem 256 --spill-dir "$CKPT_DIR/spill" --metrics-out "$CKPT_DIR/spill-metrics.json" \
+    > "$CKPT_DIR/spilled.txt"
 [ -n "$(verdict_and_counters "$CKPT_DIR/all-ram.txt")" ]
 [ "$(verdict_and_counters "$CKPT_DIR/all-ram.txt")" = "$(verdict_and_counters "$CKPT_DIR/spilled.txt")" ]
-ls "$CKPT_DIR/spill"/spill-*.seg > /dev/null
+SPILL_WRITES=$(sed -n 's/.*"spill\.writes": \([0-9]*\).*/\1/p' "$CKPT_DIR/spill-metrics.json")
+[ "${SPILL_WRITES:-0}" -gt 0 ]
+if ls "$CKPT_DIR/spill"/spill-*.seg > /dev/null 2>&1; then
+    echo "the spilled run left segments behind"; exit 1
+fi
 # An unusable spill directory (here: a regular file) must degrade to a
 # typed inconclusive with the fault on stderr — exit 2, never a panic.
 : > "$CKPT_DIR/not-a-dir"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
-    --max-mem 256 --spill on --spill-dir "$CKPT_DIR/not-a-dir" \
+    --max-mem 256 --spill-dir "$CKPT_DIR/not-a-dir" \
     --dump-file "$CKPT_DIR/degraded.tangodump" > "$CKPT_DIR/degraded.txt" 2> "$CKPT_DIR/degraded.err" \
     && { echo "expected a SpillFailure (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
 grep -q "SpillFailure" "$CKPT_DIR/degraded.txt"

@@ -13,7 +13,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 use tango::{
     AnalysisOptions, AnalysisReport, ChannelSource, ChoicePolicy, Event, Feed, InconclusiveReason,
-    OrderOptions, SpillMode, StaticSource, Trace, TraceAnalyzer, Verdict,
+    OrderOptions, StaticSource, Trace, TraceAnalyzer, Verdict,
 };
 
 pub mod json;
@@ -619,7 +619,6 @@ fn spill_ladder(tp0: &TraceAnalyzer, baseline: Option<&AnalysisReport>) -> Table
         let mut options = AnalysisOptions::with_order(OrderOptions::none());
         options.limits.max_state_bytes = Some(budget);
         if spill {
-            options.spill.mode = SpillMode::On;
             options.spill.dir = Some(dir.clone());
         }
         let r = tp0.analyze(&trace, &options).expect("analysis runs");

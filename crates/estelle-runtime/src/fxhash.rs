@@ -1,11 +1,9 @@
 //! A fast non-cryptographic streaming hasher (FxHash-style multiply-xor).
 //!
 //! The trace analyzer hashes whole machine states on every node under the
-//! visited-set extension and for every snapshot it spills to disk, and
-//! the heap hashes chunks of cells to maintain its cached content
-//! digests. SipHash's security margin would be pure overhead in all three
-//! places; collisions are survivable anyway — spill adoption verifies
-//! candidate records by length and checksum.
+//! visited-set extension, and the heap hashes chunks of cells to maintain
+//! its cached content digests. SipHash's security margin would be pure
+//! overhead in both places.
 
 use std::hash::Hasher;
 

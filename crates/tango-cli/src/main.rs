@@ -117,7 +117,7 @@ fn usage() -> String {
      [--unobserved-ip NAME] [--initial-state-search] [--state-hashing] \
      [--workers N (on-line; default 1, 0 = one per core)] \
      [--max-seconds F] [--max-mem N[k|m|g][b]] \
-     [--spill=on|off|auto] [--spill-dir PATH] \
+     [--spill-dir PATH (needs --max-mem)] \
      [--max-transitions N] [--checkpoint-file PATH] [--checkpoint-every N] \
      [--resume PATH] [--on-truncate restart|fail] [--seed N] \
      [--trace-out PATH] [--metrics-out PATH] [--progress SECS|jsonl[:SECS]] \
@@ -439,13 +439,6 @@ fn parse_options(
                 let v = it.next().ok_or("--max-mem needs a value")?;
                 options.limits.max_state_bytes = Some(parse_bytes(v)?);
             }
-            "--spill" => {
-                let v = it.next().ok_or("--spill needs on|off|auto")?;
-                options.spill.mode = v.parse()?;
-            }
-            flag if flag.starts_with("--spill=") => {
-                options.spill.mode = flag["--spill=".len()..].parse()?;
-            }
             "--spill-dir" => {
                 let v = it.next().ok_or("--spill-dir needs a path")?;
                 options.spill.dir = Some(PathBuf::from(v));
@@ -533,12 +526,9 @@ fn parse_options(
             "--listen" => {
                 let v = it.next().ok_or("--listen needs an address (host:port)")?;
                 tflags.listen = Some(v.clone());
-                options.listen = Some(v.clone());
             }
             flag if flag.starts_with("--listen=") => {
-                let v = flag["--listen=".len()..].to_string();
-                tflags.listen = Some(v.clone());
-                options.listen = Some(v);
+                tflags.listen = Some(flag["--listen=".len()..].to_string());
             }
             "--initial-state-search" => options.initial_state_search = true,
             "--state-hashing" => options.state_hashing = true,
@@ -560,15 +550,8 @@ fn parse_options(
             _ => positional.push(a.clone()),
         }
     }
-    if options.spill.mode == tango::SpillMode::On {
-        if options.spill.dir.is_none() {
-            return Err("--spill on requires --spill-dir PATH".to_string());
-        }
-        if options.limits.max_state_bytes.is_none() {
-            return Err(
-                "--spill on requires a --max-mem budget to tier against".to_string(),
-            );
-        }
+    if options.spill.dir.is_some() && options.limits.max_state_bytes.is_none() {
+        return Err("--spill-dir requires a --max-mem budget to tier against".to_string());
     }
     Ok((options, recovery, ckpt, tflags, positional, chaos))
 }
@@ -1051,53 +1034,34 @@ mod tests {
     }
 
     #[test]
-    fn spill_flag_both_spellings_and_validation() {
-        use tango::SpillMode;
-        let (opts, _, _, _, _, _) = parse_options(&["x".to_string()]).unwrap();
-        assert_eq!(opts.spill.mode, SpillMode::Auto, "auto is the default");
-        assert!(opts.spill.dir.is_none());
-
-        let args: Vec<String> = ["--spill=on", "--spill-dir", "/tmp/s", "--max-mem", "1m", "x"]
+    fn spill_dir_requires_a_memory_budget() {
+        let args: Vec<String> = ["--spill-dir", "/tmp/s", "--max-mem", "1m", "x"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let (opts, _, _, _, _, _) = parse_options(&args).unwrap();
-        assert_eq!(opts.spill.mode, SpillMode::On);
         assert_eq!(opts.spill.dir.as_deref(), Some(std::path::Path::new("/tmp/s")));
         assert_eq!(opts.limits.max_state_bytes, Some(1 << 20));
 
-        let args: Vec<String> = ["--spill", "off", "x"].iter().map(|s| s.to_string()).collect();
-        let (opts, _, _, _, _, _) = parse_options(&args).unwrap();
-        assert_eq!(opts.spill.mode, SpillMode::Off);
-
-        assert!(parse_options(&["--spill=sideways".to_string()]).is_err());
-        assert!(parse_options(&["--spill".to_string()]).is_err());
-        // `on` without a directory or without a budget is rejected up front.
-        let e = parse_options(
-            &["--spill=on".to_string(), "--max-mem".to_string(), "1m".to_string()],
-        )
-        .unwrap_err();
-        assert!(e.contains("--spill-dir"), "{}", e);
-        let e = parse_options(&[
-            "--spill=on".to_string(),
-            "--spill-dir".to_string(),
-            "/tmp/s".to_string(),
-        ])
-        .unwrap_err();
+        let e = parse_options(&["--spill-dir".to_string(), "/tmp/s".to_string()]).unwrap_err();
         assert!(e.contains("--max-mem"), "{}", e);
+        assert!(parse_options(&["--spill-dir".to_string()]).is_err());
     }
 
     #[test]
     fn executor_flags_are_unknown() {
         // The VM is the only production executor: there is no flag to
         // pick another one or to feed it a profile. Copy-on-write is the
-        // only snapshot policy, so there is no flag to turn it off.
+        // only snapshot policy, so there is no flag to turn it off. A
+        // spill directory is the one switch for the spill tier.
         for args in [
             vec!["--exec=interp", "x"],
             vec!["--pgo-in", "x", "y"],
             vec!["--pgo-out", "x", "y"],
             vec!["--cow=off", "x"],
             vec!["--cow", "on", "x"],
+            vec!["--spill=on", "x"],
+            vec!["--spill", "off", "x"],
         ] {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
             let e = parse_options(&args).unwrap_err();
@@ -1130,23 +1094,17 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let (opts, _, _, tflags, _, _) = parse_options(&args).unwrap();
+        let (_, _, _, tflags, _, _) = parse_options(&args).unwrap();
         assert_eq!(
             tflags.dump_path(),
             PathBuf::from("/tmp/d.tangodump"),
             "--dump-file overrides the default destination"
         );
         assert_eq!(tflags.listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(
-            opts.listen.as_deref(),
-            Some("127.0.0.1:0"),
-            "--listen threads through AnalysisOptions too"
-        );
 
-        let (opts, _, _, tflags, _, _) = parse_options(&["x".to_string()]).unwrap();
+        let (_, _, _, tflags, _, _) = parse_options(&["x".to_string()]).unwrap();
         assert_eq!(tflags.dump_path(), PathBuf::from(DEFAULT_DUMP_FILE));
         assert!(tflags.listen.is_none());
-        assert!(opts.listen.is_none());
         assert!(parse_options(&["--dump-file".to_string()]).is_err());
         assert!(parse_options(&["--listen".to_string()]).is_err());
     }

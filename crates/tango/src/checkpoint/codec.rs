@@ -261,8 +261,8 @@ impl Checkpoint {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the classic
 /// bitwise formulation; checkpoint I/O is nowhere near hot enough to
-/// justify a table. Shared with the spill-segment format, which
-/// checksums each record payload with the same function.
+/// justify a table. Shared with the spill tier, whose tickets carry
+/// each spilled record's CRC32.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in bytes {

@@ -62,9 +62,9 @@ pub mod trace;
 pub mod verdict;
 
 pub use analyzer::{Tango, TraceAnalyzer};
-/// The disk spill tier behind `--spill` (segment files, fault injection,
-/// the strict segment verifier) — re-exported at the crate root for
-/// integration tests and tooling.
+/// The disk spill tier behind `--spill-dir` (segment files, fault
+/// injection) — re-exported at the crate root for integration tests and
+/// tooling.
 pub use search::spill;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointInfo};
 pub use error::TangoError;
@@ -78,7 +78,7 @@ pub use fault::{
 };
 pub use genimpl::{ChoicePolicy, ScriptedInput};
 pub use options::{AnalysisOptions, OrderOptions, SearchLimits};
-pub use search::spill::{SpillError, SpillFaultPlan, SpillMode, SpillOptions};
+pub use search::spill::{SpillError, SpillFaultPlan, SpillOptions};
 pub use stats::SearchStats;
 pub use telemetry::{
     should_dump, DumpError, EventSink, FlightRecorder, IntrospectHandle, IntrospectionServer,

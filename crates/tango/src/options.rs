@@ -98,10 +98,13 @@ pub struct SearchLimits {
     /// Budget, in approximate bytes, for the saved state snapshots held
     /// by the search (nodes saved for backtracking, work and PG nodes).
     /// What happens on excess depends on [`AnalysisOptions::spill`]:
-    /// with spilling off the search stops with
-    /// `Inconclusive(MemoryLimit)` and a checkpoint; with spilling on,
-    /// cold snapshots are evicted to disk and the search continues at
-    /// disk bandwidth.
+    /// without a spill directory the search stops with
+    /// `Inconclusive(MemoryLimit)` and a checkpoint; with one, cold
+    /// snapshots are evicted to disk and the search continues at disk
+    /// bandwidth. With the tier on, a budget below the live set that
+    /// cannot be evicted is overrun, not enforced: the search runs over
+    /// it rather than stop (EXPERIMENTS.md's spill ladder peaks at 1,408
+    /// resident bytes under budgets of 1,297 and 648).
     pub max_state_bytes: Option<usize>,
 }
 
@@ -138,24 +141,13 @@ pub struct AnalysisOptions {
     /// (state, cursor) pairs in a hash table and prune repeats. Static
     /// analysis only: on-line analysis refuses it.
     pub state_hashing: bool,
-    /// §3.1.3 dynamic node reordering: when new input arrives, revived
-    /// PG-nodes go on *top* of the work stack ("putting the rest of the
-    /// search tree on hold"). Disable for the paper's basic MDFS, which
-    /// only reconsiders PG-nodes after the rest of the tree is exhausted.
-    pub mdfs_reorder: bool,
-    /// Disk spill tier for the snapshot store (CLI `--spill`,
-    /// `--spill-dir`): under a `max_state_bytes` budget, degrade to disk
+    /// Disk spill tier for the saved states (CLI `--spill-dir`): with a
+    /// directory and a `max_state_bytes` budget, degrade to disk
     /// bandwidth instead of stopping `Inconclusive(MemoryLimit)`.
     /// Verdicts and the TE/GE/RE/SA counters are identical either way.
-    /// The default (`auto` with no directory) leaves spilling off, so
-    /// budget-only runs keep their stop-with-checkpoint behavior.
+    /// The default (no directory) leaves spilling off, so budget-only
+    /// runs keep their stop-with-checkpoint behavior.
     pub spill: SpillOptions,
-    /// Live introspection endpoint (CLI `--listen ADDR`): when set, the
-    /// run binds a std-only HTTP responder on this address serving
-    /// `/metrics`, `/status` and `/profile`. `None` (default) binds
-    /// nothing. Threaded through options so a multi-session daemon can
-    /// mount one endpoint per analysis.
-    pub listen: Option<String>,
     /// On-line MDFS search workers (CLI `--workers N`). There is one
     /// engine: `1` (the default) runs its plain loop on the calling
     /// thread; `0` means "one per available core"; `N > 1` runs the same
@@ -177,9 +169,7 @@ impl Default for AnalysisOptions {
             initial_state_search: false,
             policy: UndefinedPolicy::Error,
             state_hashing: false,
-            mdfs_reorder: true,
             spill: SpillOptions::default(),
-            listen: None,
             workers: 1,
             limits: SearchLimits::default(),
         }
@@ -246,14 +236,9 @@ mod tests {
         assert_eq!(o.policy, UndefinedPolicy::Error);
         assert!(!o.initial_state_search);
         assert!(!o.state_hashing);
-        assert_eq!(
-            o.spill,
-            crate::search::spill::SpillOptions::default(),
-            "spilling defaults to auto with no directory — i.e. off"
-        );
         assert!(
-            !o.spill.enabled(Some(1 << 20)),
-            "a bare memory budget must keep its kill-switch semantics"
+            o.spill.dir.is_none(),
+            "no spill directory: a bare memory budget keeps its kill-switch semantics"
         );
         assert_eq!(
             o.workers, 1,

@@ -93,18 +93,17 @@ use crate::trace::source::{Poll, TraceSource};
 use crate::trace::ResolvedTrace;
 use crate::verdict::{AnalysisReport, BestEffort, InconclusiveReason, Verdict};
 use estelle_frontend::sema::model::{AnalyzedModule, StateId};
-use estelle_runtime::{FireOutcome, Fireable, Generated, Machine, MachineState, RuntimeError};
+use estelle_runtime::{
+    FireOutcome, Fireable, FxHasher, Generated, Machine, MachineState, RuntimeError,
+};
 use std::collections::{HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::path::SharedPath;
-use super::spill::{
-    hash_state, state_key, FxBuildHasher, FxHasher, SpillCounters, SpillError, SpillTicket,
-    SpillTier,
-};
+use super::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
 use super::{guard, is_fatal, record_error, MAX_RECORDED_ERRORS};
 
 /// How long an idle thief sleeps before re-scanning the deques.
@@ -248,7 +247,7 @@ fn spill_node(tier: &mut SpillTier, node: &mut Node) -> Result<usize, SpillError
         return Ok(0);
     };
     if node.ticket.is_none() {
-        match tier.write_state(state_key(&state), &state) {
+        match tier.write_state(&state) {
             Ok(t) => node.ticket = Some(Box::new(t)),
             Err(e) => {
                 node.state = Some(state);
@@ -398,11 +397,21 @@ fn node_from_ckpt(c: NodeCkpt) -> Node {
     n
 }
 
+/// Hasher for the visited set. Its keys are already well-mixed 64-bit
+/// content hashes; re-hashing them with SipHash would cost more than the
+/// set operation itself.
+type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
 /// Hash of (machine state, trace cursors) for the state-hashing visited
-/// set: the same content hasher as the spill record key.
+/// set: control, globals, heap and cursors. The heap feeds the hasher
+/// from cached per-chunk digests, so hashing a state is O(chunks), not
+/// O(cells); trace cursors are part of the key because the same state at
+/// another trace position is another search node.
 fn fingerprint(state: &MachineState, cursors: &Cursors) -> u64 {
     let mut h = FxHasher::default();
-    hash_state(&mut h, state);
+    state.control.hash(&mut h);
+    state.globals.hash(&mut h);
+    state.heap.hash(&mut h);
     cursors.hash(&mut h);
     h.finish()
 }
@@ -658,21 +667,15 @@ impl Stack {
     }
 
     /// Revive parked PG-nodes: fresh data may unblock output-blocked
-    /// transitions, so their blocked sets are cleared. With §3.1.3
-    /// reordering the revived nodes go on top of the LIFO work stack and
-    /// are searched immediately; basic MDFS queues them at the bottom,
-    /// after the rest of the known tree.
-    fn revive(&mut self, reorder: bool) {
+    /// transitions, so their blocked sets are cleared. §3.1.3 dynamic
+    /// node reordering: the revived nodes go on top of the LIFO work
+    /// stack and are searched immediately, putting the rest of the known
+    /// tree on hold.
+    fn revive(&mut self) {
         for n in self.pg.iter_mut() {
             n.blocked.clear();
         }
-        if reorder {
-            self.work.append(&mut self.pg);
-        } else {
-            let rest = std::mem::take(&mut self.work);
-            self.work.append(&mut self.pg);
-            self.work.extend(rest);
-        }
+        self.work.append(&mut self.pg);
     }
 }
 
@@ -1897,10 +1900,7 @@ pub(crate) fn run(
         ),
         Err(e) => (None, Some(e.to_string())),
     };
-    let mut spill_faults: Vec<String> = tier
-        .as_ref()
-        .map(|t| lock_tier(t).take_warnings())
-        .unwrap_or_default();
+    let mut spill_faults: Vec<String> = Vec::new();
 
     let mut stack = Stack {
         gauge: Gauge {
@@ -1986,7 +1986,7 @@ pub(crate) fn run(
             }
             if got_new || poll.eof {
                 // Dynamic node reordering: PG-nodes jump the queue.
-                stack.revive(options.mdfs_reorder);
+                stack.revive();
             }
         }
 
@@ -2037,7 +2037,7 @@ pub(crate) fn run(
                 break (Verdict::Invalid, None, None);
             }
             // EOF makes PG-nodes fully generated: process them once more.
-            stack.revive(options.mdfs_reorder);
+            stack.revive();
             continue;
         }
         if stack.pg.is_empty() {
@@ -2100,7 +2100,7 @@ pub(crate) fn run(
                 if p.eof {
                     lane.env.eof = true;
                 }
-                stack.revive(options.mdfs_reorder);
+                stack.revive();
                 break;
             }
             // Never sleep past the deadline — the expiry check above
@@ -2191,5 +2191,34 @@ mod tests {
         assert_eq!(again.path, [3, 1]);
         assert_eq!((again.tried, again.blocked), (vec![2, 7], vec![4, 9]));
         assert_eq!(again.cursors.output, [0, 2]);
+    }
+
+    #[test]
+    fn fingerprint_separates_states_and_cursors_and_ignores_sharing() {
+        let m = Machine::from_source(
+            "specification s; module M process; end; body MB for M; \
+             var n : integer; state S; initialize to S begin n := 0 end; end; end.",
+        )
+        .unwrap();
+        let state_with = |n: i64| {
+            let mut st = m.initial_state().unwrap();
+            st.globals[0] = estelle_runtime::Value::Int(n);
+            st
+        };
+        let at = |i: usize| Cursors {
+            input: vec![i],
+            output: vec![0],
+        };
+        let st = state_with(0);
+        assert_ne!(
+            fingerprint(&st, &at(0)),
+            fingerprint(&state_with(1), &at(0))
+        );
+        assert_ne!(fingerprint(&st, &at(0)), fingerprint(&st, &at(1)));
+        assert_eq!(
+            fingerprint(&st, &at(0)),
+            fingerprint(&st.snapshot(), &at(0)),
+            "a copy-on-write snapshot shares chunks but hashes the same"
+        );
     }
 }

@@ -65,8 +65,9 @@ pub struct SearchStats {
     pub spill_reads: u64,
     /// Transient spill I/O errors absorbed by retry + backoff.
     pub spill_retries: u64,
-    /// Snapshots evicted from RAM under the memory budget (disk writes
-    /// plus write-free adoptions of records already on disk).
+    /// Snapshots evicted from RAM under the memory budget: a disk write
+    /// the first time a node leaves RAM, write-free after that (its
+    /// record is still on disk).
     pub spill_evictions: u64,
     /// Approximate bytes of snapshots currently resident only in spill
     /// segments. Point-in-time residency, like `snapshot_bytes`.

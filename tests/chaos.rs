@@ -24,7 +24,7 @@ use protocols::randspec::RandSpec;
 use std::path::PathBuf;
 use tango::{
     AnalysisOptions, AnalysisReport, Checkpoint, ChoicePolicy, FaultPlan, InconclusiveReason,
-    RetryPolicy, SearchStats, SpillMode, Tango, Trace, TraceAnalyzer, TraceSource, Verdict,
+    RetryPolicy, SearchStats, Tango, Trace, TraceAnalyzer, TraceSource, Verdict,
 };
 
 /// 12 random specs × 9 plans = 108 composed fault plans, beyond the
@@ -87,7 +87,6 @@ fn chaos_options(plan: &FaultPlan, dir: &std::path::Path) -> AnalysisOptions {
     let mut o = base_options();
     if plan.spill.is_some() {
         o.limits.max_state_bytes = Some(256);
-        o.spill.mode = SpillMode::On;
         o.spill.dir = Some(dir.join("spill"));
     }
     plan.apply(&mut o);
@@ -334,7 +333,6 @@ fn chaos_spill_faults_under_four_workers() {
             // Fault-free sequential reference, spill engaged the same way.
             let mut ref_opts = base_options();
             ref_opts.limits.max_state_bytes = Some(256);
-            ref_opts.spill.mode = SpillMode::On;
             ref_opts.spill.dir = Some(dir.join("ref-spill"));
             let mut src = tango::StaticSource::new(valid.clone());
             let reference = analyzer

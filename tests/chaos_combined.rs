@@ -15,7 +15,7 @@ use protocols::tp0;
 use std::path::PathBuf;
 use tango::{
     AnalysisOptions, Checkpoint, FaultPlan, InconclusiveReason, RetryPolicy, SearchStats,
-    SpillMode, Trace, TraceSource, Verdict,
+    Trace, TraceSource, Verdict,
 };
 
 fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
@@ -46,7 +46,6 @@ fn all_three_sites_armed_still_match_the_fault_free_run() {
     let dir = scratch("combined");
     let mut opts = AnalysisOptions::default();
     opts.limits.max_state_bytes = Some(256);
-    opts.spill.mode = SpillMode::On;
     opts.spill.dir = Some(dir.join("spill-ref"));
     let reference = a.analyze(&bad, &opts).unwrap();
     assert_eq!(reference.verdict, Verdict::Invalid);

@@ -21,8 +21,9 @@ use tango::{
     Verdict,
 };
 
-/// The snapshot store's content hash: control state, globals and heap.
-fn state_key(st: &MachineState) -> u64 {
+/// A state's content hash, as the visited set takes it: control state,
+/// globals and heap.
+fn content_hash(st: &MachineState) -> u64 {
     let mut h = FxHasher::default();
     st.control.hash(&mut h);
     st.globals.hash(&mut h);
@@ -64,16 +65,16 @@ fn check_generate_is_pure(analyzer: &TraceAnalyzer, trace: &Trace, tag: &str) ->
         // The reference is the state's encoding, so it shares no heap
         // chunk with the state under test.
         let before = encoded(&st);
-        let key = state_key(&st);
+        let key = content_hash(&st);
         let mut fireable = None;
         for (label, m) in [("interp", &interp), ("compiled", &compiled)] {
             if m.generate_into(&mut st, &env, &mut gen).is_err() {
                 continue;
             }
             assert_eq!(
-                state_key(&st),
+                content_hash(&st),
                 key,
-                "{}: {} Generate moved the state key",
+                "{}: {} Generate moved the content hash",
                 tag,
                 label
             );

@@ -207,32 +207,6 @@ fn mdfs_agrees_with_dfs_on_static_traces() {
     assert_eq!(mdfs.verdict, Verdict::Invalid);
 }
 
-/// §3.1.3: basic MDFS and reordering MDFS agree on verdicts; reordering
-/// reaches them with no more saved states when fresh input extends the
-/// most recent partial solution.
-#[test]
-fn basic_and_reordering_mdfs_agree() {
-    let analyzer = protocols::ack::analyzer();
-    for reorder in [true, false] {
-        let (tx, mut source) = ChannelSource::pair();
-        for e in [
-            Event::input("A", "x", vec![]),
-            Event::input("A", "x", vec![]),
-            Event::input("B", "y", vec![]),
-            Event::output("A", "ack", vec![]),
-        ] {
-            tx.send(Feed::Event(e)).unwrap();
-        }
-        tx.send(Feed::Eof).unwrap();
-        let mut options = nr_options();
-        options.mdfs_reorder = reorder;
-        let report = analyzer
-            .analyze_online(&mut source, &options, &mut |_| true)
-            .unwrap();
-        assert_eq!(report.verdict, Verdict::Valid, "reorder={}", reorder);
-    }
-}
-
 /// Static analysis is on-line analysis of a complete trace: `analyze` and
 /// `analyze_online` fed the whole trace in one poll with eof agree on the
 /// verdict, the transitions executed and the witness, at one and two

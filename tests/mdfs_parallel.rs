@@ -13,7 +13,7 @@
 use protocols::{ack, tp0};
 use std::path::PathBuf;
 use tango::{
-    AnalysisOptions, Checkpoint, InconclusiveReason, OrderOptions, SearchStats, SpillMode,
+    AnalysisOptions, Checkpoint, InconclusiveReason, OrderOptions, SearchStats,
     StaticSource, Trace, Verdict,
 };
 
@@ -156,7 +156,6 @@ fn spilled_parallel_run_matches_all_ram_sequential() {
         let dir = spill_dir(&format!("w{}", n));
         let mut o = with_workers(&opts, n);
         o.limits.max_state_bytes = Some(256);
-        o.spill.mode = SpillMode::On;
         o.spill.dir = Some(dir.clone());
         let tiered = online(&a, &bad, &o);
         assert_eq!(tiered.verdict, baseline.verdict, "workers={}", n);

@@ -1,19 +1,24 @@
-//! Corruption matrix for the spill segment format.
+//! The spill tier's contract with the disk: a spill directory is scratch
+//! for one run.
 //!
-//! A spill directory outlives crashes, and nothing about the bytes on
-//! disk can be trusted when the tier reopens it. These tests damage a
-//! real segment file every way a disk can — truncation at every byte
-//! boundary, flipped bits in headers and payloads, a foreign file
-//! wearing the `.seg` suffix, a segment from a future format version —
-//! and require the strict verifier to answer with a *typed*
-//! [`SpillError`], never a panic, never garbage accepted as a snapshot.
+//! A segment is a bare run of encoded snapshots; the ticket each spilled
+//! node keeps in RAM is the only index, and its CRC32 is checked on every
+//! read. These tests damage a segment under a live tier — truncation at
+//! every byte boundary, flipped payload bytes, bit flips injected through
+//! the public fault plan — and require a *typed* [`SpillError`], never a
+//! panic, never garbage accepted as a snapshot. They also pin what the
+//! tier does to files it did not create (nothing: it never opens them
+//! and writes its own segments under fresh ids) and to those it did (it
+//! removes them when the run ends).
 
 use estelle_runtime::{Machine, MachineState, Value};
+use protocols::tp0;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use tango::spill::{
-    verify_segment_file, FaultySpillDir, FsSpillDir, SpillDir, SpillError, SpillFaultPlan,
-    SpillTicket, SpillTier, SPILL_MAGIC, SPILL_VERSION,
+    FaultySpillDir, FsSpillDir, SpillDir, SpillError, SpillFaultPlan, SpillTicket, SpillTier,
 };
+use tango::{AnalysisOptions, Verdict};
 
 const SPEC: &str = r#"
     specification s;
@@ -34,206 +39,142 @@ fn state_with(n: i64) -> MachineState {
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tango-spill-codec-{}-{}",
-        tag,
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("tango-spill-codec-{}-{}", tag, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-/// Write a three-record segment and return (segment path, its tickets).
-fn seed_segment(root: &Path) -> (PathBuf, Vec<SpillTicket>) {
+/// A tier with no retries (a damaged file fails at once) and three
+/// records in its first segment; returns (tier, segment path, tickets).
+fn seeded_tier(root: &Path) -> (SpillTier, PathBuf, Vec<SpillTicket>) {
     let mut tier = SpillTier::open(Box::new(FsSpillDir::new(root)), 64 << 20, 0).unwrap();
-    let mut tickets = Vec::new();
-    for n in 0..3 {
-        tickets.push(tier.write_state(n as u64, &state_with(n)).unwrap());
-    }
-    drop(tier);
-    (root.join("spill-00000000.seg"), tickets)
+    let tickets: Vec<SpillTicket> = (0..3)
+        .map(|n| tier.write_state(&state_with(n)).unwrap())
+        .collect();
+    assert!(tickets.iter().all(|t| t.segment == 0));
+    (tier, root.join("spill-00000000.seg"), tickets)
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+fn counters(r: &tango::AnalysisReport) -> (u64, u64, u64, u64) {
+    let s = &r.stats;
+    (s.transitions_executed, s.generates, s.restores, s.saves)
+}
+
+/// The invalid 4+4 TP0 trace, all in RAM and then spilled into `dir`
+/// under a budget small enough that nearly every snapshot leaves RAM.
+fn all_ram_and_spilled(dir: &Path) -> (tango::AnalysisReport, tango::AnalysisReport) {
+    let a = tp0::analyzer();
+    let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(4, 4, 1)).unwrap();
+    let all_ram = a.analyze(&bad, &AnalysisOptions::default()).unwrap();
+    let mut o = AnalysisOptions::default();
+    o.limits.max_state_bytes = Some(256);
+    o.spill.dir = Some(dir.to_path_buf());
+    let spilled = a.analyze(&bad, &o).unwrap();
+    assert!(
+        spilled.stats.spill_writes > 0,
+        "the budget must force writes"
+    );
+    assert!(
+        spilled.spill_faults.is_empty(),
+        "{:?}",
+        spilled.spill_faults
+    );
+    (all_ram, spilled)
 }
 
 #[test]
 fn intact_segment_verifies_and_reads_back() {
     let dir = tmpdir("intact");
-    let (seg, written) = seed_segment(&dir);
-    let verified = verify_segment_file(&seg).expect("undamaged segment verifies");
-    assert_eq!(verified, written, "the verifier sees exactly what was written");
-
-    // The tickets it returns are live: a reopened tier serves them.
-    let mut tier = SpillTier::open(Box::new(FsSpillDir::new(&dir)), 64 << 20, 0).unwrap();
-    assert_eq!(tier.adoptable_records(), 3, "reopen adopts every record");
-    for (n, t) in verified.iter().enumerate() {
+    let (mut tier, seg, tickets) = seeded_tier(&dir);
+    for (n, t) in tickets.iter().enumerate() {
         assert_eq!(tier.read_state(t).unwrap(), state_with(n as i64));
     }
+    // No header, no framing: the segment is the records back to back,
+    // exactly where the tickets say.
+    let bytes = std::fs::read(&seg).unwrap();
+    let mut at = 0;
+    for t in &tickets {
+        assert_eq!(t.offset, at);
+        at += u64::from(t.len);
+    }
+    assert_eq!(bytes.len() as u64, at);
+    drop(tier);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn truncation_at_every_prefix_is_a_typed_error_or_a_clean_shorter_file() {
     let dir = tmpdir("trunc");
-    let (seg, tickets) = seed_segment(&dir);
+    let (mut tier, seg, tickets) = seeded_tier(&dir);
     let bytes = std::fs::read(&seg).unwrap();
 
-    // The only prefixes at which a strict scan may still succeed: the
-    // empty file (created, never written), the bare header, and exact
-    // record boundaries — everything else must be a typed error.
-    let mut clean_cuts = vec![0u64, 12];
-    clean_cuts.extend(tickets.iter().map(|t| t.offset + u64::from(t.len)));
-
-    // Every byte boundary of the header and first record, then sparse
-    // samples through the rest so the matrix stays fast.
-    let first_end = (tickets[0].offset + u64::from(tickets[0].len)) as usize;
-    let cuts = (0..=first_end.min(bytes.len()))
+    // Every byte boundary of the first record, then sparse samples
+    // through the rest so the matrix stays fast.
+    let first_end = tickets[0].len as usize;
+    let cuts = (0..=first_end)
         .chain((first_end..bytes.len()).step_by(7))
         .chain(std::iter::once(bytes.len() - 1));
-    let victim = dir.join("cut.seg");
     for cut in cuts {
-        std::fs::write(&victim, &bytes[..cut]).unwrap();
-        match verify_segment_file(&victim) {
-            Ok(recovered) => assert!(
-                clean_cuts.contains(&(cut as u64)),
-                "cut at {} must not verify (got {} records)",
-                cut,
-                recovered.len()
-            ),
-            Err(
-                SpillError::Truncated { .. }
-                | SpillError::BadMagic { .. }
-                | SpillError::Corrupt { .. },
-            ) => assert!(
-                !clean_cuts.contains(&(cut as u64)),
-                "clean boundary {} must verify",
-                cut
-            ),
-            Err(other) => panic!("cut at {}: unexpected error {}", cut, other),
+        std::fs::write(&seg, &bytes[..cut]).unwrap();
+        for (n, t) in tickets.iter().enumerate() {
+            let whole = t.offset + u64::from(t.len) <= cut as u64;
+            match tier.read_state(t) {
+                Ok(st) => {
+                    assert!(whole, "cut at {}: record {} must not read back", cut, n);
+                    assert_eq!(st, state_with(n as i64));
+                }
+                Err(SpillError::Io { .. }) => {
+                    assert!(!whole, "cut at {}: intact record {} must read back", cut, n)
+                }
+                Err(other) => panic!("cut at {}: record {}: unexpected error {}", cut, n, other),
+            }
         }
     }
+    drop(tier);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn flipped_payload_bytes_fail_the_checksum() {
     let dir = tmpdir("flip-payload");
-    let (seg, tickets) = seed_segment(&dir);
+    let (mut tier, seg, tickets) = seeded_tier(&dir);
     let bytes = std::fs::read(&seg).unwrap();
-    let victim = dir.join("flip.seg");
     let t = tickets[1];
     for i in (t.offset..t.offset + u64::from(t.len)).step_by(3) {
         let mut damaged = bytes.clone();
         damaged[i as usize] ^= 0x40;
-        std::fs::write(&victim, &damaged).unwrap();
-        match verify_segment_file(&victim) {
+        std::fs::write(&seg, &damaged).unwrap();
+        match tier.read_state(&t) {
             Err(SpillError::Corrupt { offset, .. }) => {
                 assert_eq!(offset, t.offset, "corruption localizes to the record")
             }
             other => panic!(
                 "payload flip at byte {} must be Corrupt, got {:?}",
                 i,
-                other.map(|r| r.len())
+                other.map(|_| ())
             ),
         }
+        // The records around it are untouched and still read back.
+        assert_eq!(tier.read_state(&tickets[0]).unwrap(), state_with(0));
+        assert_eq!(tier.read_state(&tickets[2]).unwrap(), state_with(2));
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn flipped_record_header_bytes_never_panic_or_overallocate() {
-    let dir = tmpdir("flip-header");
-    let (seg, tickets) = seed_segment(&dir);
-    let bytes = std::fs::read(&seg).unwrap();
-    let victim = dir.join("flip.seg");
-    // The len and crc fields of the second record's header (the key is
-    // not integrity-protected — a flipped key still names *some* valid
-    // record, which adoption simply fails to match). A flipped length
-    // either points past end-of-file (Truncated — and the scan must
-    // validate that *before* allocating the claimed size) or reframes
-    // the payload so the checksum fails (Corrupt).
-    let header_at = tickets[1].offset - 16;
-    for i in (header_at + 8)..(header_at + 16) {
-        for bit in [0x01u8, 0x80] {
-            let mut damaged = bytes.clone();
-            damaged[i as usize] ^= bit;
-            std::fs::write(&victim, &damaged).unwrap();
-            match verify_segment_file(&victim) {
-                Err(SpillError::Truncated { .. }) | Err(SpillError::Corrupt { .. }) => {}
-                other => panic!(
-                    "header flip at byte {} (bit {:#x}) must be Truncated or Corrupt, got {:?}",
-                    i,
-                    bit,
-                    other.map(|r| r.len())
-                ),
-            }
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn wrong_magic_is_rejected() {
-    let dir = tmpdir("magic");
-    let (seg, _) = seed_segment(&dir);
-    let mut bytes = std::fs::read(&seg).unwrap();
-    assert_eq!(&bytes[..8], &SPILL_MAGIC);
-    bytes[3] ^= 0xFF;
-    std::fs::write(&seg, &bytes).unwrap();
-    match verify_segment_file(&seg) {
-        Err(SpillError::BadMagic { segment: 0 }) => {}
-        other => panic!("must be BadMagic, got {:?}", other.map(|r| r.len())),
-    }
-
-    // A foreign file wearing the suffix is the same story.
-    std::fs::write(&seg, b"not a segment at all, just text\n").unwrap();
-    assert!(matches!(
-        verify_segment_file(&seg),
-        Err(SpillError::BadMagic { .. })
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn future_format_version_is_refused_not_misread() {
-    let dir = tmpdir("version");
-    let (seg, _) = seed_segment(&dir);
-    let mut bytes = std::fs::read(&seg).unwrap();
-    bytes[8..12].copy_from_slice(&999u32.to_le_bytes());
-    std::fs::write(&seg, &bytes).unwrap();
-    match verify_segment_file(&seg) {
-        Err(SpillError::UnsupportedVersion {
-            found, supported, ..
-        }) => {
-            assert_eq!(found, 999);
-            assert_eq!(supported, SPILL_VERSION);
-        }
-        other => panic!("must be UnsupportedVersion, got {:?}", other.map(|r| r.len())),
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn reopen_skips_damage_but_serves_what_survived() {
-    let dir = tmpdir("reopen");
-    let (seg, tickets) = seed_segment(&dir);
-    // Corrupt the *last* record's payload: a lenient reopen keeps the
-    // two records before it and warns about the rest.
-    let mut bytes = std::fs::read(&seg).unwrap();
-    let last = tickets[2];
-    bytes[(last.offset + 2) as usize] ^= 0x10;
-    std::fs::write(&seg, &bytes).unwrap();
-
-    let mut tier = SpillTier::open(Box::new(FsSpillDir::new(&dir)), 64 << 20, 0).unwrap();
-    let warnings = tier.take_warnings();
-    assert_eq!(warnings.len(), 1, "{:?}", warnings);
-    assert!(warnings[0].contains("checksum"), "{}", warnings[0]);
-    assert_eq!(tier.adoptable_records(), 2);
-    assert_eq!(tier.read_state(&tickets[0]).unwrap(), state_with(0));
-    // The strict verifier, by contrast, refuses the whole file.
-    assert!(matches!(
-        verify_segment_file(&seg),
-        Err(SpillError::Corrupt { .. })
-    ));
+    drop(tier);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -255,7 +196,7 @@ fn injected_bit_flips_through_the_public_fault_plan_are_typed() {
     let faulty: Box<dyn SpillDir> =
         Box::new(FaultySpillDir::new(Box::new(FsSpillDir::new(&dir)), plan));
     let mut tier = SpillTier::open(faulty, 64 << 20, 0).unwrap();
-    let t = tier.write_state(1, &state_with(1)).unwrap();
+    let t = tier.write_state(&state_with(1)).unwrap();
     // Every second read is flipped: over a few attempts both the clean
     // and the corrupt path must appear, and the corrupt one is typed.
     let mut corrupt = 0;
@@ -273,6 +214,71 @@ fn injected_bit_flips_through_the_public_fault_plan_are_typed() {
             Err(other) => panic!("bit flip must surface as Corrupt, got {}", other),
         }
     }
-    assert!(clean > 0 && corrupt > 0, "clean={} corrupt={}", clean, corrupt);
+    assert!(
+        clean > 0 && corrupt > 0,
+        "clean={} corrupt={}",
+        clean,
+        corrupt
+    );
+    drop(tier);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn files_the_tier_did_not_create_are_never_touched() {
+    let dir = tmpdir("foreign");
+    // An intact segment another run wrote, a torn one, and garbage
+    // wearing a segment name — the leftovers of a killed run and worse.
+    let intact = {
+        let (tier, seg, _) = seeded_tier(&dir);
+        let bytes = std::fs::read(seg).unwrap();
+        drop(tier);
+        bytes
+    };
+    std::fs::write(dir.join("spill-00000000.seg"), &intact).unwrap();
+    std::fs::write(dir.join("spill-00000001.seg"), &intact[..intact.len() - 3]).unwrap();
+    std::fs::write(
+        dir.join("spill-00000002.seg"),
+        b"not a segment, just text\n",
+    )
+    .unwrap();
+    let before = contents(&dir);
+
+    // A tier in that directory writes under fresh ids, rotating through
+    // several segments, and reads its own records back.
+    let mut tier = SpillTier::open(Box::new(FsSpillDir::new(&dir)), 64, 0).unwrap();
+    let tickets: Vec<SpillTicket> = (0..6)
+        .map(|n| tier.write_state(&state_with(n)).unwrap())
+        .collect();
+    assert!(tickets.iter().all(|t| t.segment > 2), "{:?}", tickets);
+    assert!(
+        tickets.iter().any(|t| t.segment > 3),
+        "the 64-byte cap rotates"
+    );
+    for (n, t) in tickets.iter().enumerate() {
+        assert_eq!(tier.read_state(t).unwrap(), state_with(n as i64));
+    }
+    drop(tier);
+    assert_eq!(contents(&dir), before, "foreign files stay byte-identical");
+
+    // A whole analysis spilled into the same directory.
+    let (all_ram, spilled) = all_ram_and_spilled(&dir);
+    assert_eq!(spilled.verdict, Verdict::Invalid);
+    assert_eq!(spilled.verdict, all_ram.verdict);
+    assert_eq!(counters(&spilled), counters(&all_ram));
+    assert_eq!(contents(&dir), before, "foreign files stay byte-identical");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_completed_spilled_analysis_leaves_no_segments() {
+    let dir = tmpdir("cleanup");
+    let (all_ram, spilled) = all_ram_and_spilled(&dir);
+    assert_eq!(counters(&spilled), counters(&all_ram));
+    assert!(
+        contents(&dir).is_empty(),
+        "segments left behind: {:?}",
+        contents(&dir).keys().collect::<Vec<_>>()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,7 +11,7 @@
 
 use protocols::tp0;
 use std::path::PathBuf;
-use tango::{AnalysisOptions, Checkpoint, SearchStats, SpillMode, StaticSource, Trace, Verdict};
+use tango::{AnalysisOptions, Checkpoint, SearchStats, StaticSource, Trace, Verdict};
 
 fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
     (s.transitions_executed, s.generates, s.restores, s.saves)
@@ -37,7 +37,6 @@ fn spill_dir(tag: &str) -> PathBuf {
 fn spilled(opts: &AnalysisOptions, dir: PathBuf) -> AnalysisOptions {
     let mut o = opts.clone();
     o.limits.max_state_bytes = Some(256);
-    o.spill.mode = SpillMode::On;
     o.spill.dir = Some(dir);
     o
 }
@@ -184,7 +183,8 @@ fn stop_resume_through_disk_checkpoint_while_spilled_matches_baseline() {
     // Interrupt the spilled run partway with an absolute transition cap,
     // round-trip the checkpoint through a file (the cross-process path),
     // and finish under a fresh options value pointing at the *same*
-    // spill directory — the reopened tier adopts the earlier segments.
+    // spill directory — each round's tier writes its own segments and
+    // removes them when the round ends.
     let step = (baseline.stats.transitions_executed / 3).max(1);
     let mut cap = step;
     let mut limited = spilled(&opts, dir.clone());
