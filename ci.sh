@@ -250,7 +250,7 @@ cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/online.ckpt" \
     > "$CKPT_DIR/online-info.txt"
 grep -q "mode: mdfs" "$CKPT_DIR/online-info.txt"
 grep -q "workers at save: 4" "$CKPT_DIR/online-info.txt"
-grep -q "worker 0: deque=" "$CKPT_DIR/online-info.txt"
+grep -q "front: [0-9]* deque node(s), [0-9]* parked node(s)" "$CKPT_DIR/online-info.txt"
 mdfs_step "resume at 2 workers matches the uninterrupted totals"
 cargo run -q --release -p tango-cli -- online specs/lapd.est --resume "$CKPT_DIR/online.ckpt" \
     --workers 2 > "$CKPT_DIR/online-resumed.txt"

@@ -59,14 +59,16 @@
 
 use estelle_frontend::parse_specification;
 use estelle_runtime::normal_form::normalize_specification;
-use std::path::PathBuf;
+use std::fmt;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 use tango::{
-    should_dump, AnalysisOptions, AnalysisReport, Checkpoint, FaultPlan, FollowFileSource,
-    InconclusiveReason, IntrospectionServer, JsonlSink, OrderOptions, PostMortemDump,
-    ProgressMode, ProgressReporter, RecoveryPolicy, RetryPolicy, Tango, Telemetry,
-    TraceAnalyzer, TraceSource, Verdict, DEFAULT_RING_CAPACITY,
+    should_dump, AnalysisOptions, AnalysisReport, Checkpoint, CheckpointFaultInjector,
+    FaultPlan, FollowFileSource, InconclusiveReason, IntrospectionServer, JsonlSink,
+    OrderOptions, PostMortemDump, ProgressMode, ProgressReporter, RecoveryPolicy, RetryPolicy,
+    SearchStats, Tango, Telemetry, TraceAnalyzer, TraceSource, Verdict, DEFAULT_RING_CAPACITY,
 };
 
 /// Poll budget for draining a fault-injected source on a static chaos
@@ -75,6 +77,29 @@ const CHAOS_MAX_POLLS: usize = 1_000_000;
 
 /// Where the post-mortem dump lands unless `--dump-file` says otherwise.
 const DEFAULT_DUMP_FILE: &str = "tango-postmortem.tangodump";
+
+/// Write to standard output, the one path every stdout byte takes. A
+/// reader that went away (`tango analyze … | head -1`) is not an error:
+/// the write is dropped, and the command still ends with its own exit
+/// code. Any other write failure is.
+fn out(args: fmt::Arguments) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {}", e))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `print!` and `println!` through [`out`]; a write error returns from
+/// the enclosing function.
+macro_rules! out {
+    ($($arg:tt)*) => { out(format_args!($($arg)*))? };
+}
+macro_rules! outln {
+    ($($arg:tt)*) => { out(format_args!("{}\n", format_args!($($arg)*)))? };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -102,7 +127,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "dump-info" => dump_info(&args[1..]),
         "http-get" => http_get(args.get(1).map(String::as_str).ok_or_else(usage)?),
         "--help" | "-h" | "help" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown subcommand `{}`\n{}", other, usage())),
@@ -169,23 +194,23 @@ fn check(spec_path: &str) -> Result<ExitCode, String> {
         Err(e) => return Err(e.to_string()),
     };
     let m = analyzer.module();
-    println!("specification {} / module {}", m.spec_name, m.module_name);
-    println!("  states: {}", m.states.join(", "));
+    outln!("specification {} / module {}", m.spec_name, m.module_name);
+    outln!("  states: {}", m.states.join(", "));
     for ip in &m.ips {
-        println!(
+        outln!(
             "  ip {}: {} receivable, {} sendable interaction(s)",
             ip.name,
             ip.inputs.len(),
             ip.outputs.len()
         );
     }
-    println!(
+    outln!(
         "  {} transition declaration(s), {} compiled transition(s)",
         m.declared_transition_count(),
         analyzer.machine.module.transition_count()
     );
     for w in &m.warnings {
-        println!("  warning: {}", w);
+        outln!("  warning: {}", w);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -240,7 +265,7 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
     let trace = analyzer
         .generate_trace(&script, choice, 10_000_000)
         .map_err(|e| e.to_string())?;
-    print!(
+    out!(
         "{}",
         tango::render_trace(&trace, Some(analyzer.module()), true)
     );
@@ -251,7 +276,7 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
 fn graph(spec_path: &str) -> Result<ExitCode, String> {
     let source = read(spec_path)?;
     let analyzer = Tango::generate(&source).map_err(|e| e.to_string())?;
-    print!("{}", estelle_runtime::graph::to_dot(&analyzer.machine.module));
+    out!("{}", estelle_runtime::graph::to_dot(&analyzer.machine.module));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -259,7 +284,7 @@ fn normalize(spec_path: &str) -> Result<ExitCode, String> {
     let source = read(spec_path)?;
     let spec = parse_specification(&source).map_err(|e| e.render(&source))?;
     let normalized = normalize_specification(&spec).map_err(|e| e.to_string())?;
-    print!("{}", estelle_ast::print::print_specification(&normalized));
+    out!("{}", estelle_ast::print::print_specification(&normalized));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -560,8 +585,8 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     let (mut options, recovery, ckpt, tflags, positional, chaos) = parse_options(args)?;
     if online {
         // On-line mode runs one worker unless `--workers` asks for more
-        // (`--workers 0` = one per core): on two cores, two workers are
-        // about twice as slow as one.
+        // (`--workers 0` = one per core): on two cores, two workers take
+        // about 1.3 times as long as one on the TP0 on-line benchmark.
         // `--checkpoint-file`/`--resume` work on-line too (save on a limit
         // stop, resume an eof-reached front); only the autosave round loop
         // is static-only.
@@ -604,10 +629,11 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
 
     let report = if online {
         let mut on_status = |v: &Verdict| {
-            println!("interim: {}", v);
+            // A failed write here resurfaces when the report is written.
+            let _ = out(format_args!("interim: {}\n", v));
             true
         };
-        let report = match &ckpt.resume {
+        let mut report = match &ckpt.resume {
             Some(path) => {
                 let cp = Checkpoint::read_from(path).map_err(|e| e.to_string())?;
                 analyzer
@@ -634,18 +660,8 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
         // A limit stop after eof carries a resumable multi-worker front;
         // persist it like static mode's autosave (single-shot, no rounds).
         if let (Some(path), Some(cp)) = (&ckpt.file, report.checkpoint.as_deref()) {
-            let out = cp.write_to_with(path, &RetryPolicy::checkpoint(), None);
-            match out.result {
-                Ok(()) => tel.on_checkpoint(
-                    cp.stats().transitions_executed,
-                    &path.display().to_string(),
-                ),
-                Err(e) => eprintln!(
-                    "warning: checkpoint save to {} failed: {}",
-                    path.display(),
-                    e
-                ),
-            }
+            let (stats, faults) = (&mut report.stats, &mut report.checkpoint_faults);
+            save_checkpoint(cp, path, None, &mut tel, stats, faults);
         }
         report
     } else {
@@ -706,19 +722,19 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
             .map_err(|e| format!("cannot write {}: {}", path.display(), e))?;
     }
 
-    println!("{}", report);
+    outln!("{}", report);
     if tflags.profile {
         let p = tel.profile().expect("profile enabled by flag");
-        print!(
+        out!(
             "{}",
             p.render_table(&|i| analyzer.machine.transition_name(i).to_string())
         );
     }
     if let Some(w) = &report.witness {
-        println!("witness: {}", w.join(" -> "));
+        outln!("witness: {}", w.join(" -> "));
     }
     for e in report.spec_errors.iter().take(3) {
-        println!("note: branch abandoned with {}", e);
+        outln!("note: branch abandoned with {}", e);
     }
     for fault in &report.source_faults {
         eprintln!("source fault: {}", fault);
@@ -770,12 +786,9 @@ fn run_static(
     // checkpoint faults accumulate across every autosave, so both fold
     // into whichever report turns out to be final.
     let mut injector = chaos.and_then(|p| p.checkpoint_injector());
+    let mut counts = SearchStats::default();
     let mut source_faults: Vec<String> = Vec::new();
-    let mut source_retries = 0u64;
-    let mut source_giveups = 0u64;
     let mut ck_faults: Vec<String> = Vec::new();
-    let mut ck_retries = 0u64;
-    let mut ck_giveups = 0u64;
     // One search round: cap TE at the next autosave point, never above
     // the user's own limit.
     let round_options = |done: u64| {
@@ -805,8 +818,8 @@ fn run_static(
                         tango::fault::drain_source(&mut src, CHAOS_MAX_POLLS)
                             .map_err(|e| e.to_string())?;
                     source_faults = faults;
-                    source_retries = src.fault_retries();
-                    source_giveups = src.fault_giveups();
+                    counts.source_retries = src.fault_retries();
+                    counts.source_giveups = src.fault_giveups();
                     analyzer
                         .analyze_with(&trace, &round_options(0), tel)
                         .map_err(|e| e.to_string())?
@@ -819,33 +832,9 @@ fn run_static(
     };
 
     loop {
-        // Autosave on every limit stop, synthetic or genuine. A write
-        // failure (after the codec's own bounded retries) costs the
-        // durability of this round, not the analysis: warn and carry on.
+        // Autosave on every limit stop, synthetic or genuine.
         if let (Some(path), Some(cp)) = (&ckpt.file, report.checkpoint.as_deref()) {
-            let out = cp.write_to_with(path, &RetryPolicy::checkpoint(), injector.as_mut());
-            ck_retries += u64::from(out.retries);
-            match out.result {
-                Ok(()) => tel.on_checkpoint(
-                    cp.stats().transitions_executed,
-                    &path.display().to_string(),
-                ),
-                Err(e) => {
-                    ck_giveups += 1;
-                    let fault = format!(
-                        "autosave to {} at TE={} failed: {}",
-                        path.display(),
-                        cp.stats().transitions_executed,
-                        e
-                    );
-                    eprintln!(
-                        "warning: checkpoint {}; analysis continues \
-                         (rerun will not be resumable past the last good save)",
-                        fault
-                    );
-                    ck_faults.push(fault);
-                }
-            }
+            save_checkpoint(cp, path, injector.as_mut(), tel, &mut counts, &mut ck_faults);
         }
         // A synthetic stop is a transition-limit stop below the user's
         // own cap: continue the next round in-process. Anything else —
@@ -858,13 +847,13 @@ fn run_static(
             && report.stats.transitions_executed < user_cap
             && report.checkpoint.is_some();
         if !synthetic {
-            report.stats.source_retries += source_retries;
-            report.stats.source_giveups += source_giveups;
+            report.stats.source_retries += counts.source_retries;
+            report.stats.source_giveups += counts.source_giveups;
+            report.stats.checkpoint_retries += counts.checkpoint_retries;
+            report.stats.checkpoint_giveups += counts.checkpoint_giveups;
             if !source_faults.is_empty() {
                 report.source_faults = source_faults;
             }
-            report.stats.checkpoint_retries += ck_retries;
-            report.stats.checkpoint_giveups += ck_giveups;
             report.checkpoint_faults = ck_faults;
             return Ok(report);
         }
@@ -876,43 +865,70 @@ fn run_static(
     }
 }
 
+/// Save `cp` to `path` atomically on the checkpoint retry schedule, with
+/// `injector` deciding each attempt's fate on a chaos run. The retries
+/// and a giveup are counted in `stats` and a failure's text is added to
+/// `faults`: a failed save costs the durability of this save, not the
+/// analysis.
+fn save_checkpoint(
+    cp: &Checkpoint,
+    path: &Path,
+    injector: Option<&mut CheckpointFaultInjector>,
+    tel: &mut Telemetry,
+    stats: &mut SearchStats,
+    faults: &mut Vec<String>,
+) {
+    let te = cp.stats().transitions_executed;
+    let out = cp.write_to_with(path, &RetryPolicy::checkpoint(), injector);
+    stats.checkpoint_retries += u64::from(out.retries);
+    match out.result {
+        Ok(()) => tel.on_checkpoint(te, &path.display().to_string()),
+        Err(e) => {
+            stats.checkpoint_giveups += 1;
+            let fault = format!("save to {} at TE={} failed: {}", path.display(), te, e);
+            eprintln!(
+                "warning: checkpoint {}; a rerun cannot resume past the last good save",
+                fault
+            );
+            faults.push(fault);
+        }
+    }
+}
+
 /// Verify a checkpoint file and print its progress summary. Decodes only
 /// the META section: no machine state, trace or search stack is loaded.
 fn checkpoint_info(path: &str) -> Result<ExitCode, String> {
     let info = Checkpoint::read_info(std::path::Path::new(path))
         .map_err(|e| format!("{}: {}", path, e))?;
-    println!("checkpoint: {}", path);
-    println!("  format version: {}", info.version);
-    println!("  mode: {}", info.mode);
+    outln!("checkpoint: {}", path);
+    outln!("  format version: {}", info.version);
+    outln!("  mode: {}", info.mode);
     if let Some(n) = info.workers_at_save {
-        println!("  workers at save: {}", n);
-        let deque: usize = info.worker_loads.iter().map(|&(d, _)| d).sum();
-        let parked: usize = info.worker_loads.iter().map(|&(_, p)| p).sum();
-        println!("  front: {} deque node(s), {} parked node(s)", deque, parked);
-        for (i, &(d, p)) in info.worker_loads.iter().enumerate() {
-            println!("    worker {}: deque={} parked={}", i, d, p);
-        }
+        outln!("  workers at save: {}", n);
     }
-    println!("  depth: {}", info.depth);
-    println!("  pending frames: {}", info.pending_frames);
-    println!("  events: {}", info.events_total);
-    println!("  {}", info.stats);
+    if let Some((deque, parked)) = info.front {
+        outln!("  front: {} deque node(s), {} parked node(s)", deque, parked);
+    }
+    outln!("  depth: {}", info.depth);
+    outln!("  pending frames: {}", info.pending_frames);
+    outln!("  events: {}", info.events_total);
+    outln!("  {}", info.stats);
     // Codec v3 carries the fault/spill story; show it so a resumed run's
     // operator knows what the interrupted one survived.
     let s = &info.stats;
-    println!(
+    outln!(
         "  source faults: retries={} giveups={}",
         s.source_retries, s.source_giveups
     );
-    println!(
+    outln!(
         "  spill faults: retries={} giveups={}",
         s.spill_retries, s.spill_giveups
     );
-    println!(
+    outln!(
         "  checkpoint faults: retries={} giveups={}",
         s.checkpoint_retries, s.checkpoint_giveups
     );
-    println!(
+    outln!(
         "  peak memory: resident={} bytes, spilled={} bytes (peak_spilled_bytes)",
         s.peak_snapshot_bytes, s.peak_spilled_bytes
     );
@@ -941,10 +957,10 @@ fn dump_info(args: &[String]) -> Result<ExitCode, String> {
     let dump = PostMortemDump::read_from(std::path::Path::new(path))
         .map_err(|e| format!("{}: {}", path, e))?;
     if jsonl {
-        print!("{}", dump.render_jsonl());
+        out!("{}", dump.render_jsonl());
     } else {
-        println!("dump: {}", path);
-        print!("{}", dump.render_human());
+        outln!("dump: {}", path);
+        out!("{}", dump.render_human());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -986,7 +1002,7 @@ fn http_get(target: &str) -> Result<ExitCode, String> {
     if !ok {
         eprintln!("http-get: {}", status_line);
     }
-    print!("{}", body);
+    out!("{}", body);
     Ok(if ok { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 

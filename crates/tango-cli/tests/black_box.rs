@@ -296,10 +296,25 @@ fn listen_endpoint_serves_status_and_metrics_during_a_run() {
         }
     };
 
-    let (code, status) = fetch("/status");
+    // The first push replaces the `starting` document; from then on the
+    // rate is measured mid-run, not read off the unstamped wall time.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (mut code, mut status) = fetch("/status");
+    while status.contains("\"verdict\":\"starting\"") && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+        (code, status) = fetch("/status");
+    }
     assert_eq!(code, Some(0), "{}", status);
     assert!(status.contains("\"schema\":\"tango-status\""), "{}", status);
     assert!(status.contains("\"te\":"), "{}", status);
+    assert!(status.contains("\"verdict\":\"running\""), "{}", status);
+    let rate: f64 = status
+        .split("\"rate\":")
+        .nth(1)
+        .and_then(|r| r.split(',').next())
+        .and_then(|r| r.parse().ok())
+        .unwrap_or_else(|| panic!("no rate in {}", status));
+    assert!(rate > 0.0, "{}", status);
 
     let (code, metrics) = fetch("/metrics");
     assert_eq!(code, Some(0), "{}", metrics);

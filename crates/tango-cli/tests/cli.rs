@@ -279,3 +279,46 @@ fn generate_rejects_out_lines_in_scripts() {
     assert_eq!(out.status.code(), Some(3));
     assert!(String::from_utf8_lossy(&out.stderr).contains("`in` lines"));
 }
+
+/// A reader that goes away before the report is printed
+/// (`tango analyze … | head -1`) ends the output quietly: no panic, and
+/// the exit code is still the verdict's.
+#[test]
+fn a_closed_stdout_ends_quietly_with_the_verdicts_exit_code() {
+    use std::process::Stdio;
+    let dir = tmpdir();
+    let spec = write_file(&dir, "ack.est", ACK_SPEC);
+    let trace = write_file(&dir, "bad.trace", "in A.x\nout A.ack\n");
+    // A pipe whose only reader has exited: a usage error never reads it.
+    let mut gone = bin().stdin(Stdio::piped()).stderr(Stdio::null()).spawn().unwrap();
+    let closed = gone.stdin.take().unwrap();
+    gone.wait().unwrap();
+    let out = bin().arg("analyze").arg(&spec).arg(&trace).stdout(closed).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr);
+    assert!(!stderr.contains("panicked"), "{}", stderr);
+}
+
+/// An on-line checkpoint save that fails is counted like a failed
+/// autosave: it reaches the report's checkpoint giveups, and the dump.
+#[test]
+fn a_failed_online_checkpoint_save_is_counted_and_dumped() {
+    let dir = tmpdir();
+    let spec = write_file(&dir, "ack.est", ACK_SPEC);
+    let trace = write_file(&dir, "done.trace", "in A.x\nin B.y\nout A.ack\neof\n");
+    let (metrics, dump) = (dir.join("online.json"), dir.join("online.tangodump"));
+    let out = bin()
+        .args(["online".as_ref(), spec.as_os_str(), trace.as_os_str()])
+        .args(["--order", "nr", "--max-transitions", "1"])
+        .arg("--checkpoint-file")
+        .arg(dir.join("no-such-dir").join("online.ckpt"))
+        .args(["--metrics-out".as_ref(), metrics.as_os_str()])
+        .args(["--dump-file".as_ref(), dump.as_os_str()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    assert!(doc.contains("\"fault.checkpoint.giveups\": 1,"), "{}", doc);
+    let info = stdout(&bin().arg("dump-info").arg(&dump).output().unwrap());
+    assert!(info.contains("    checkpoint: save to "), "{}", info);
+}

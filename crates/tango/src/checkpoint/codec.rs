@@ -188,9 +188,9 @@ pub struct CheckpointInfo {
     pub events_total: usize,
     /// Worker count of the saving run (`mdfs` checkpoints only).
     pub workers_at_save: Option<u32>,
-    /// The frozen front's `(work stack, PG-list)` node counts, as one
-    /// entry (`mdfs` checkpoints only; empty for `dfs`).
-    pub worker_loads: Vec<(usize, usize)>,
+    /// The frozen front's `(work stack, PG-list)` node counts (`mdfs`
+    /// checkpoints only).
+    pub front: Option<(usize, usize)>,
     /// Counters accumulated up to the stop.
     pub stats: SearchStats,
 }
@@ -642,13 +642,13 @@ fn decode_meta(r: &mut ByteReader<'_>, version: u32) -> Result<CheckpointInfo, C
     let pending_frames = r.get_usize("pending frames")?;
     let events_total = r.get_usize("events total")?;
     let stats = decode_stats(r)?;
-    let (mode, workers_at_save, worker_loads) = match r.get_u8("mode")? {
-        MODE_DFS => ("dfs", None, Vec::new()),
+    let (mode, workers_at_save, front) = match r.get_u8("mode")? {
+        MODE_DFS => ("dfs", None, None),
         MODE_MDFS => {
             let workers_at_save = r.get_u32("workers at save")?;
             let work = r.get_usize("work stack length")?;
             let pg = r.get_usize("PG-list length")?;
-            ("mdfs", Some(workers_at_save), vec![(work, pg)])
+            ("mdfs", Some(workers_at_save), Some((work, pg)))
         }
         other => {
             return Err(CheckpointError::Malformed(format!(
@@ -664,7 +664,7 @@ fn decode_meta(r: &mut ByteReader<'_>, version: u32) -> Result<CheckpointInfo, C
         pending_frames,
         events_total,
         workers_at_save,
-        worker_loads,
+        front,
         stats,
     })
 }

@@ -11,9 +11,8 @@
 //! composes all three sites (plus the previously untestable
 //! checkpoint-write path) into one seeded, reproducible plan, and a
 //! [`RetryPolicy`] replaces the three divergent hand-rolled backoff
-//! loops with one implementation: bounded exponential backoff,
-//! optional deterministic jitter from [`crate::rng`], deadline-aware
-//! sleeps.
+//! loops with one implementation: bounded exponential backoff and
+//! deadline-aware sleeps.
 //!
 //! Everything here is zero-cost when no plan is armed, mirroring the
 //! telemetry layer's design: production paths carry an `Option` that
@@ -78,8 +77,7 @@ impl std::error::Error for FaultError {}
 /// I/O ([`RetryPolicy::spill`]) and idle source polling
 /// ([`RetryPolicy::source_poll`], via [`Backoff`]) — each keeping its
 /// exact historical schedule. The sleep for (1-based) attempt `k` is
-/// `min(base * 2^(k-1), cap)`, optionally stretched by deterministic
-/// jitter, and never extends past an armed deadline.
+/// `min(base * 2^(k-1), cap)`, and never extends past an armed deadline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt; `0` means fail fast.
@@ -88,10 +86,6 @@ pub struct RetryPolicy {
     pub base: Duration,
     /// Sleep ceiling.
     pub cap: Duration,
-    /// When set, sleeps are stretched by up to 25% pseudo-randomly —
-    /// deterministic per (seed, attempt), from [`crate::rng`] — so
-    /// synchronized retry storms decorrelate reproducibly.
-    pub jitter_seed: Option<u64>,
     /// When set, a sleep never extends past this instant and no retry
     /// is attempted after it — a retry loop cannot eat the wall-clock
     /// budget of the search around it.
@@ -104,7 +98,6 @@ impl RetryPolicy {
             max_retries,
             base,
             cap,
-            jitter_seed: None,
             deadline: None,
         }
     }
@@ -146,18 +139,13 @@ impl RetryPolicy {
         )
     }
 
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
-        self
-    }
-
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
     }
 
-    /// The sleep before (1-based) retry `attempt`, before jitter and
-    /// deadline clamping: `min(base * 2^(attempt-1), cap)`.
+    /// The sleep before (1-based) retry `attempt`, before deadline
+    /// clamping: `min(base * 2^(attempt-1), cap)`.
     pub fn sleep_for(&self, attempt: u32) -> Duration {
         let shift = attempt.saturating_sub(1).min(20);
         self.base
@@ -165,19 +153,10 @@ impl RetryPolicy {
             .map_or(self.cap, |d| d.min(self.cap))
     }
 
-    /// [`RetryPolicy::sleep_for`] with jitter applied (when a seed is
-    /// armed) and clamped to the remaining deadline budget.
+    /// [`RetryPolicy::sleep_for`] clamped to the remaining deadline
+    /// budget.
     pub fn delay_for(&self, attempt: u32) -> Duration {
         let mut d = self.sleep_for(attempt);
-        if let Some(seed) = self.jitter_seed {
-            // Stateless per (seed, attempt) so concurrent sites with the
-            // same seed still decorrelate and replays are exact.
-            let mut r = SplitMix64::new(
-                seed ^ (u64::from(attempt)).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            let stretch = r.gen_index(256) as u32; // 0..256 -> 0..25%
-            d += d.mul_f64(f64::from(stretch) / 1024.0);
-        }
         if let Some(deadline) = self.deadline {
             d = d.min(deadline.saturating_duration_since(Instant::now()));
         }
@@ -260,7 +239,7 @@ impl Backoff {
     }
 
     /// The delay the next [`Backoff::next_delay`] call would return
-    /// (pre-jitter) — for tests pinning the schedule.
+    /// (before deadline clamping) — for tests pinning the schedule.
     pub fn peek(&self) -> Duration {
         self.policy.sleep_for(self.attempt.saturating_add(1))
     }
@@ -749,21 +728,6 @@ mod tests {
         assert_eq!(out.result, Err("dead"));
         assert_eq!(calls, 4, "1 try + 3 retries");
         assert_eq!(out.retries, 3);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let p = RetryPolicy::new(3, Duration::from_millis(100), Duration::from_millis(100))
-            .with_jitter(42);
-        let a = p.delay_for(1);
-        let b = p.delay_for(1);
-        assert_eq!(a, b, "same (seed, attempt) must jitter identically");
-        assert!(a >= Duration::from_millis(100));
-        assert!(a <= Duration::from_millis(125), "jitter adds at most 25%: {:?}", a);
-        let c = RetryPolicy::new(3, Duration::from_millis(100), Duration::from_millis(100))
-            .with_jitter(43)
-            .delay_for(1);
-        assert_ne!(a, c, "different seeds decorrelate");
     }
 
     #[test]

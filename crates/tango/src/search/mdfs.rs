@@ -545,7 +545,7 @@ impl Sink for Telemetry {
     #[inline]
     fn record(&mut self, machine: &Machine, rec: StepRecord) {
         if self.hot() {
-            Telemetry::record(self, machine, self.worker(), rec);
+            Telemetry::record(self, machine, 0, rec);
         }
     }
 }
@@ -1641,8 +1641,8 @@ fn burst_worker(widx: usize, mut lane: Lane<'_>, sh: &Burst, mut sink: Buffered)
     }
 }
 
-/// Drive the progress heartbeat mid-burst from the live atomics overlaid
-/// on the cumulative base stats.
+/// Pulse the live views mid-burst from the live atomics overlaid on the
+/// cumulative base stats.
 fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &Burst, cap: u64) {
     let mut s = base.clone();
     s.transitions_executed = sh.te.load(Ordering::Relaxed);
@@ -1651,7 +1651,7 @@ fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &Burst, cap: u64) {
     s.saves = sh.sa.load(Ordering::Relaxed);
     s.max_depth = sh.depth.load(Ordering::Relaxed);
     s.snapshot_bytes = sh.resident.load(Ordering::Relaxed);
-    tel.tick(&s, cap);
+    tel.pulse(&s, cap);
 }
 
 /// One burst (`workers = N ≥ 2`): the trace is frozen while N scoped
@@ -1728,8 +1728,16 @@ fn burst(
             match rx.recv_timeout(Duration::from_millis(25)) {
                 Ok(batch) if keep => held.push(batch),
                 Ok((w, batch)) => batch.into_iter().for_each(|r| tel.record(machine, w, r)),
-                Err(mpsc::RecvTimeoutError::Timeout) => tick_par(tel, &lane.stats, shr, cap),
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    tick_par(tel, &lane.stats, shr, cap);
+                    continue;
+                }
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+            // A steady stream of batches may never time out: the live
+            // views pulse by the clock on every wake-up.
+            if tel.pulsing() {
+                tick_par(tel, &lane.stats, shr, cap);
             }
         }
         handles

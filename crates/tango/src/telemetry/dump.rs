@@ -164,6 +164,21 @@ pub struct HotspotRow {
     pub nanos: u64,
 }
 
+impl HotspotRow {
+    /// The row as JSON fields, as `/profile` and `dump-info --jsonl`
+    /// show it.
+    pub(crate) fn json_fields(&self) -> String {
+        format!(
+            "\"trans\":{},\"name\":\"{}\",\"fires\":{},\"fails\":{},\"nanos\":{}",
+            self.trans,
+            json_escape(&self.name),
+            self.fires,
+            self.fails,
+            self.nanos
+        )
+    }
+}
+
 /// The flight recorder's state frozen into a dump: lifetime accounting
 /// plus the retained tail, oldest record first.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -263,25 +278,7 @@ impl PostMortemDump {
             },
             None => RingCapture::default(),
         };
-        let hotspots = tel
-            .profile()
-            .map(|p| {
-                p.ranked()
-                    .into_iter()
-                    .take(HOTSPOT_TOP_K)
-                    .map(|id| {
-                        let e = p.entries()[id];
-                        HotspotRow {
-                            trans: id as u32,
-                            name: tel.transition_name(id).unwrap_or("?").to_string(),
-                            fires: e.fires,
-                            fails: e.fails,
-                            nanos: e.nanos,
-                        }
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        let hotspots = tel.hotspots(HOTSPOT_TOP_K);
         PostMortemDump {
             version: DUMP_FORMAT_VERSION,
             mode: tel.mode().to_string(),
@@ -526,16 +523,7 @@ impl PostMortemDump {
         }
         out.push_str("}\n");
         for h in &self.hotspots {
-            let _ = writeln!(
-                out,
-                "{{\"schema\":\"tango-dump-hotspot\",\"trans\":{},\"name\":\"{}\",\
-                 \"fires\":{},\"fails\":{},\"nanos\":{}}}",
-                h.trans,
-                json_escape(&h.name),
-                h.fires,
-                h.fails,
-                h.nanos
-            );
+            let _ = writeln!(out, "{{\"schema\":\"tango-dump-hotspot\",{}}}", h.json_fields());
         }
         for r in &self.ring.records {
             let _ = writeln!(

@@ -5,8 +5,9 @@
 //! serving three read-only JSON routes:
 //!
 //! * `/metrics`  — the metrics registry's `"tango-metrics"` document;
-//! * `/status`   — the heartbeat as JSON: verdict-so-far, TE/GE/RE/SA,
-//!   rate, ETA, retries, resident/spilled bytes;
+//! * `/status`   — the progress heartbeat's snapshot as JSON:
+//!   verdict-so-far, TE/GE/RE/SA, rate, ETA, retries, resident/spilled
+//!   bytes;
 //! * `/profile`  — the transition hot-spot table as rows.
 //!
 //! The search thread never blocks on the network: it *pushes* rendered
@@ -18,6 +19,7 @@
 //! fleet pollers (ROADMAP item 2) issue one GET per scrape, exactly
 //! what the future `tango-serve` daemon will mount per session.
 
+use super::progress::Heartbeat;
 use std::io::{Read, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,13 +41,11 @@ struct Snapshot {
 impl Default for Snapshot {
     fn default() -> Self {
         Snapshot {
-            status: format!(
-                "{{\"schema\":\"tango-status\",\"version\":{},\"verdict\":\"starting\",\
-                 \"te\":0,\"ge\":0,\"re\":0,\"sa\":0,\"depth\":0,\"rate\":0.0,\"eta_s\":null,\
-                 \"retries\":0,\"giveups\":0,\"resident_bytes\":0,\"spilled_bytes\":0,\
-                 \"done\":false}}",
-                STATUS_SCHEMA_VERSION
-            ),
+            status: Heartbeat {
+                verdict: "starting".to_string(),
+                ..Heartbeat::default()
+            }
+            .status_json(),
             metrics: "{\"schema\":\"tango-metrics\",\"version\":1,\"counters\":{},\
                       \"gauges\":{},\"histograms\":{}}"
                 .to_string(),
@@ -62,22 +62,24 @@ pub struct IntrospectHandle {
 }
 
 impl IntrospectHandle {
-    pub fn set_status(&self, json: String) {
+    /// Replace the served documents in one swap; a `None` document
+    /// stays as it was.
+    pub fn publish(&self, status: String, metrics: Option<String>, profile: Option<String>) {
         if let Ok(mut s) = self.shared.lock() {
-            s.status = json;
+            s.status = status;
+            if let Some(m) = metrics {
+                s.metrics = m;
+            }
+            if let Some(p) = profile {
+                s.profile = p;
+            }
         }
     }
 
-    pub fn set_metrics(&self, json: String) {
-        if let Ok(mut s) = self.shared.lock() {
-            s.metrics = json;
-        }
-    }
-
-    pub fn set_profile(&self, json: String) {
-        if let Ok(mut s) = self.shared.lock() {
-            s.profile = json;
-        }
+    /// The `/status` document currently served.
+    #[cfg(test)]
+    pub(crate) fn status(&self) -> String {
+        self.shared.lock().map(|s| s.status.clone()).unwrap_or_default()
     }
 }
 
@@ -253,7 +255,7 @@ mod tests {
     fn pushed_snapshots_replace_served_documents() {
         let server = IntrospectionServer::bind("127.0.0.1:0").expect("bind");
         let handle = server.handle();
-        handle.set_status("{\"schema\":\"tango-status\",\"te\":42}".to_string());
+        handle.publish("{\"schema\":\"tango-status\",\"te\":42}".to_string(), None, None);
         let (_, body) = get(server.local_addr(), "/status");
         assert!(body.contains("\"te\":42"), "{}", body);
     }

@@ -16,8 +16,10 @@
 //! * **Metrics registry** ([`metrics`]) — counters, gauges and
 //!   fixed-bucket histograms (fanout, depth, per-generate latency,
 //!   snapshot-bytes timeline) exported as one JSON document.
-//! * **Progress reporter** ([`progress`]) — periodic heartbeat with
-//!   rate and ETA against the transition cap, human or JSONL.
+//! * **Progress heartbeat** ([`progress`]) — one snapshot of the
+//!   running search with rate and ETA against the transition cap,
+//!   rendered as a human or JSONL line and as the live `/status`
+//!   document ([`http`]).
 //! * **Transition profile** ([`profile`]) — per-transition fire/fail
 //!   counts and cumulative fire time; renders a sorted hot-spot table
 //!   and the Graphviz heat overlay.
@@ -28,7 +30,8 @@
 //! `Telemetry::record`: the flight recorder stores it, the metrics and
 //! the profile read it, and the event stream renders it. The handle
 //! stamps every record with a monotonically increasing sequence number
-//! and a worker id, so multi-worker streams stay merge-ordered; it
+//! and the id of the worker that took the step (0 on the calling
+//! thread), so multi-worker streams stay merge-ordered; it
 //! survives stop/resume rounds, so a CLI autosave run produces one
 //! continuous stream.
 
@@ -56,10 +59,9 @@ pub use sink::{EventSink, JsonlSink};
 use crate::stats::SearchStats;
 use crate::verdict::Verdict;
 use estelle_runtime::Machine;
-use event::json_escape;
+use progress::{Heartbeat, Pulse};
 pub(crate) use recorder::StepRecord;
 use recorder::{KIND_FIRE, KIND_GENERATE, KIND_SAVE};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// The per-analysis telemetry handle. `Telemetry::off()` (also
@@ -74,12 +76,13 @@ pub struct Telemetry {
     /// The black-box ring (cheap enough for the CLI to default on).
     flight: Option<FlightRecorder>,
     /// Live endpoint push side, when `--listen` mounted one.
-    introspect: Option<Introspection>,
+    introspect: Option<IntrospectHandle>,
+    /// The clock behind the heartbeat line and `/status`; present while
+    /// either is on.
+    pulse: Option<Pulse>,
     /// Merge-order sequence number of the next event.
     seq: u64,
-    /// Worker id stamped on every event (MDFS workers; 0 for DFS).
-    worker: u16,
-    /// Cached: any of sink/metrics/profile/recorder is on (progress is
+    /// Cached: any of sink/metrics/profile/recorder is on (the pulse is
     /// checked separately — it ticks even when nothing else is enabled).
     active: bool,
     /// Cached: fire/generate steps should be timed (profile on, or
@@ -93,22 +96,6 @@ pub struct Telemetry {
     /// Compiled-transition display names, for dump hot-spot rows and the
     /// `/profile` endpoint (the ring stores indices only).
     transition_names: Vec<String>,
-}
-
-/// Push-side state for the live endpoint: rate-limits renders so the
-/// search pays one clock read every few hundred steps, not per step.
-struct Introspection {
-    handle: IntrospectHandle,
-    /// Step counter; the clock is consulted every 256 ticks.
-    ticks: u32,
-    last_push: Instant,
-    every: Duration,
-    /// Previous push's (instant, TE) for the status rate.
-    last_sample: Option<(Instant, u64)>,
-    /// Verdict-so-far shown by `/status` while the search runs.
-    verdict: String,
-    /// Transition cap from the most recent tick, for ETA.
-    cap: u64,
 }
 
 impl Telemetry {
@@ -143,27 +130,16 @@ impl Telemetry {
     /// Attach a progress reporter.
     pub fn with_progress(mut self, progress: ProgressReporter) -> Self {
         self.progress = Some(progress);
+        self.pulse.get_or_insert_with(Pulse::new);
         self
-    }
-
-    /// Set the worker id stamped on subsequent events.
-    pub fn with_worker(mut self, worker: u16) -> Self {
-        self.worker = worker;
-        self
-    }
-
-    /// The worker id stamped on the calling thread's events (a spawned
-    /// worker's records carry their own, see [`Telemetry::record`]).
-    pub(crate) fn worker(&self) -> u16 {
-        self.worker
     }
 
     /// Record the run's search worker count; surfaced on progress
     /// heartbeats (` workers=N`, only when N > 1, so single-worker
     /// heartbeats keep their exact historical shape).
     pub(crate) fn set_workers(&mut self, n: usize) {
-        if let Some(p) = &mut self.progress {
-            p.set_workers(n);
+        if let Some(p) = &mut self.pulse {
+            p.workers = n.max(1);
         }
     }
 
@@ -180,15 +156,8 @@ impl Telemetry {
     /// (and metrics/profile, when those facilities are on) documents are
     /// re-rendered into it at most every ~200ms.
     pub fn with_introspection(mut self, handle: IntrospectHandle) -> Self {
-        self.introspect = Some(Introspection {
-            handle,
-            ticks: 0,
-            last_push: Instant::now(),
-            every: Duration::from_millis(200),
-            last_sample: None,
-            verdict: "running".to_string(),
-            cap: 0,
-        });
+        self.introspect = Some(handle);
+        self.pulse.get_or_insert_with(Pulse::new);
         self
     }
 
@@ -266,7 +235,7 @@ impl Telemetry {
         }
         self.meta_emitted = true;
         let event = || Some(SearchEvent::Meta { mode, spec });
-        self.stamp(self.worker, &StepRecord::meta(), event);
+        self.stamp(0, &StepRecord::meta(), event);
     }
 
     /// The one entry point of a search step: the record reaches the
@@ -316,7 +285,7 @@ impl Telemetry {
     /// this after each autosave).
     pub fn on_checkpoint(&mut self, te: u64, path: &str) {
         let event = || Some(SearchEvent::Checkpoint { te, path });
-        self.stamp(self.worker, &StepRecord::checkpoint(te), event);
+        self.stamp(0, &StepRecord::checkpoint(te), event);
     }
 
     /// Terminal hook of one search: verdict event plus the forced final
@@ -334,149 +303,106 @@ impl Telemetry {
                     sa: stats.saves,
                 })
             };
-            self.stamp(self.worker, &StepRecord::verdict(te, ge), event);
+            self.stamp(0, &StepRecord::verdict(te, ge), event);
         }
-        if let Some(i) = &mut self.introspect {
-            i.verdict = verdict.to_string();
+        if let Some(p) = &mut self.pulse {
+            p.verdict = verdict.to_string();
+            p.cap = cap;
         }
-        if let Some(p) = &mut self.progress {
-            p.finish(stats, cap);
-        }
+        self.render(stats, self.progress.as_ref().map(|r| r.every), false, true);
     }
 
     /// MDFS only: the interim verdict changed (ValidSoFar ⇄
     /// LikelyInvalid) — keep `/status` truthful between heartbeats.
     pub(crate) fn on_interim_verdict(&mut self, verdict: &Verdict) {
-        if let Some(i) = &mut self.introspect {
-            i.verdict = verdict.to_string();
+        if let Some(p) = &mut self.pulse {
+            p.verdict = verdict.to_string();
         }
     }
 
-    /// Per-step progress tick (separate from [`Telemetry::hot`] — a
-    /// progress-only configuration still heartbeats). Also folds fault
-    /// deltas into the flight recorder and, every few hundred steps,
-    /// refreshes the live endpoint.
+    /// Per-step tick (separate from [`Telemetry::hot`] — a progress-only
+    /// configuration still heartbeats). Folds fault deltas into the
+    /// flight recorder and, every 256 steps, reads the clock to render
+    /// whichever live view is due.
     #[inline]
     pub(crate) fn tick(&mut self, stats: &SearchStats, cap: u64) {
-        if let Some(p) = &mut self.progress {
-            p.tick(stats, cap);
+        if self.pulse.as_mut().is_some_and(Pulse::gate) {
+            self.pulse(stats, cap);
+        } else if let Some(r) = &mut self.flight {
+            self.seq += r.note_faults(self.seq, stats);
         }
+    }
+
+    /// A tick by the clock: fold fault deltas into the flight recorder,
+    /// then render the live views that are due — a heartbeat line once
+    /// per progress interval, and `/status` (plus `/metrics` and
+    /// `/profile` when those facilities are on) once per 200 ms.
+    /// [`Telemetry::tick`] calls it every 256 steps; the burst
+    /// coordinator, which is woken by worker batches and 25 ms timeouts
+    /// rather than by steps, calls it on each timeout and, while
+    /// [`Telemetry::pulsing`], after each batch.
+    pub(crate) fn pulse(&mut self, stats: &SearchStats, cap: u64) {
         if let Some(r) = &mut self.flight {
             self.seq += r.note_faults(self.seq, stats);
         }
-        if self.introspect.is_some() {
-            self.introspect_tick(stats, cap, false);
+        if let Some(p) = &mut self.pulse {
+            p.cap = cap;
+        }
+        let every = self.progress.as_ref().map(|r| r.every);
+        self.render(stats, every, self.introspect.is_some(), false);
+    }
+
+    /// Whether anything pulses: progress or the live endpoint is on.
+    #[inline]
+    pub(crate) fn pulsing(&self) -> bool {
+        self.pulse.is_some()
+    }
+
+    /// Write the heartbeat line and push the live endpoint when the
+    /// pulse says they are due (see [`Pulse::due`]).
+    fn render(&mut self, stats: &SearchStats, every: Option<Duration>, listen: bool, done: bool) {
+        let Some(p) = &mut self.pulse else {
+            return;
+        };
+        let Some((hb, beat, push)) = p.due(Instant::now(), stats, every, listen, done) else {
+            return;
+        };
+        if let (true, Some(r)) = (beat, &mut self.progress) {
+            r.write(&hb);
+        }
+        if push {
+            self.push(&hb);
         }
     }
 
-    /// Rate-limited push of `/status` (plus `/metrics` and `/profile`
-    /// when those facilities are on). The per-step cost while idle is
-    /// one counter bump; the clock is read every 256 steps.
-    fn introspect_tick(&mut self, stats: &SearchStats, cap: u64, force: bool) {
-        let due = {
-            let i = self.introspect.as_mut().expect("introspect checked by caller");
-            i.cap = cap;
-            i.ticks = i.ticks.wrapping_add(1);
-            if !force && i.ticks & 0xFF != 0 {
-                return;
-            }
-            let now = Instant::now();
-            let due = force || now.duration_since(i.last_push) >= i.every;
-            if due {
-                i.last_push = now;
-            }
-            due
-        };
-        if !due {
+    /// Push `/status`, and `/metrics` and `/profile` when those
+    /// facilities are on, to the live endpoint.
+    fn push(&mut self, hb: &Heartbeat) {
+        let Some(handle) = &self.introspect else {
             return;
-        }
-        let status = self.render_status_json(stats, force);
-        let profile_json = self.profile.as_ref().map(|p| {
-            let names = &self.transition_names;
-            let mut out = String::from("{\"schema\":\"tango-profile\",\"version\":1,\"rows\":[");
-            for (n, id) in p.ranked().into_iter().take(32).enumerate() {
-                let e = p.entries()[id];
-                if n > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"trans\":{},\"name\":\"{}\",\"fires\":{},\"fails\":{},\"nanos\":{}}}",
-                    id,
-                    json_escape(names.get(id).map(String::as_str).unwrap_or("?")),
-                    e.fires,
-                    e.fails,
-                    e.nanos
-                );
-            }
-            out.push_str("]}");
-            out
+        };
+        let profile = self.profile.is_some().then(|| {
+            let rows: Vec<String> = self
+                .hotspots(32)
+                .iter()
+                .map(|h| format!("{{{}}}", h.json_fields()))
+                .collect();
+            format!(
+                "{{\"schema\":\"tango-profile\",\"version\":1,\"rows\":[{}]}}",
+                rows.join(",")
+            )
         });
-        let metrics_json = self.metrics.as_mut().map(|m| {
-            m.record_stats(stats);
+        let metrics = self.metrics.as_mut().map(|m| {
+            if !hb.done {
+                // Mid-run the search has not stamped its wall time yet.
+                m.record_stats(&SearchStats {
+                    wall_time: hb.elapsed,
+                    ..hb.stats.clone()
+                });
+            }
             m.to_json()
         });
-        let i = self.introspect.as_mut().expect("introspect checked above");
-        i.handle.set_status(status);
-        if let Some(p) = profile_json {
-            i.handle.set_profile(p);
-        }
-        if let Some(m) = metrics_json {
-            i.handle.set_metrics(m);
-        }
-        i.last_sample = Some((i.last_push, stats.transitions_executed));
-    }
-
-    /// Render the `/status` document: the progress heartbeat's fields as
-    /// one JSON object.
-    fn render_status_json(&self, stats: &SearchStats, done: bool) -> String {
-        let i = self.introspect.as_ref().expect("introspect checked by caller");
-        let te = stats.transitions_executed;
-        let rate = match i.last_sample {
-            Some((t0, te0)) if te >= te0 => {
-                let dt = i.last_push.duration_since(t0).as_secs_f64();
-                if dt > 0.0 {
-                    (te - te0) as f64 / dt
-                } else {
-                    stats.transitions_per_second()
-                }
-            }
-            _ => stats.transitions_per_second(),
-        };
-        let eta = if done || rate <= 0.0 || i.cap == u64::MAX || i.cap <= te {
-            None
-        } else {
-            Some((i.cap - te) as f64 / rate)
-        };
-        let mut out = format!(
-            "{{\"schema\":\"tango-status\",\"version\":{},\"verdict\":\"{}\",\
-             \"te\":{},\"ge\":{},\"re\":{},\"sa\":{},\"depth\":{},\"rate\":{:.1}",
-            STATUS_SCHEMA_VERSION,
-            json_escape(&i.verdict),
-            te,
-            stats.generates,
-            stats.restores,
-            stats.saves,
-            stats.max_depth,
-            rate
-        );
-        match eta {
-            Some(s) => {
-                let _ = write!(out, ",\"eta_s\":{:.0}", s);
-            }
-            None => out.push_str(",\"eta_s\":null"),
-        }
-        let _ = write!(
-            out,
-            ",\"retries\":{},\"giveups\":{},\"resident_bytes\":{},\"spilled_bytes\":{},\
-             \"done\":{}}}",
-            stats.total_fault_retries(),
-            stats.total_fault_giveups(),
-            stats.snapshot_bytes,
-            stats.spilled_bytes,
-            done
-        );
-        out
+        handle.publish(hb.status_json(), metrics, profile);
     }
 
     /// Fold the analysis's final counters into the metrics registry,
@@ -491,9 +417,7 @@ impl Telemetry {
         if let Some(r) = &mut self.flight {
             self.seq += r.note_faults(self.seq, stats);
         }
-        if self.introspect.is_some() {
-            self.introspect_tick(stats, self.introspect.as_ref().map_or(0, |i| i.cap), true);
-        }
+        self.render(stats, None, self.introspect.is_some(), true);
         self.flush();
     }
 
@@ -531,6 +455,25 @@ impl Telemetry {
     /// Specification module name remembered from `begin()`.
     pub fn spec(&self) -> &str {
         &self.spec
+    }
+
+    /// The `k` hottest transitions of the profile (none when profiling
+    /// is off), named where names were provided.
+    pub(crate) fn hotspots(&self, k: usize) -> Vec<HotspotRow> {
+        let Some(p) = &self.profile else {
+            return Vec::new();
+        };
+        let row = |id: usize| {
+            let e = p.entries()[id];
+            HotspotRow {
+                trans: id as u32,
+                name: self.transition_name(id).unwrap_or("?").to_string(),
+                fires: e.fires,
+                fails: e.fails,
+                nanos: e.nanos,
+            }
+        };
+        p.ranked().into_iter().take(k).map(row).collect()
     }
 
     /// Display name of a compiled transition, when names were provided.

@@ -1,23 +1,37 @@
-//! Live progress heartbeats for long-running searches.
+//! Live progress: one heartbeat snapshot, three renderings.
 //!
-//! A multi-hour LAPD analysis used to be a silent process; the reporter
-//! prints a periodic heartbeat with the paper's counters, the current
-//! search rate and an ETA against the transition cap, either
-//! human-readable (`progress: TE=… rate=…/s eta=…`) or as JSONL for
-//! machines driving the analyzer (`--progress jsonl`). A final
-//! heartbeat is always emitted when the search ends, so even a short
-//! run leaves one line — CI greps for it.
+//! A multi-hour LAPD analysis used to be a silent process. While a
+//! search runs, [`Pulse`] turns its counters into one [`Heartbeat`]:
+//! the paper's TE/GE/RE/SA, depth, one sliding-window rate and one ETA
+//! against the transition cap. That snapshot is rendered as the
+//! human-readable `progress: TE=… rate=…/s eta=…` line, as the JSONL
+//! heartbeat for machines driving the analyzer (`--progress jsonl`), and
+//! as the `/status` document of the live endpoint. A final heartbeat is
+//! always emitted when the search ends, so even a short run leaves one
+//! line — CI greps for it.
 
+use super::event::json_escape;
+use super::http::STATUS_SCHEMA_VERSION;
 use crate::stats::SearchStats;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-/// Beat samples retained for the sliding-window rate. Eight beats at
-/// the default interval cover the last ~minute of the run; a slow spill
+/// Snapshot samples retained for the sliding-window rate, one per
+/// snapshot: the last 16 s of the run at the default 2 s heartbeat, or
+/// the last 1.6 s while `/status` is pushed every 200 ms. A slow spill
 /// phase ages out of the window instead of dragging the rate (and the
 /// ETA) down for the rest of a multi-hour analysis.
 const RATE_WINDOW_BEATS: usize = 8;
+
+/// Search steps between two clock reads: a step pays one counter bump,
+/// and every 256th reads the clock to see whether a view is due.
+const CLOCK_GATE_TICKS: u32 = 256;
+
+/// Interval of the live endpoint's `/status`, `/metrics` and `/profile`
+/// pushes.
+const STATUS_EVERY: Duration = Duration::from_millis(200);
 
 /// Rate over the sliding window: TE gained between the oldest retained
 /// beat sample `(elapsed_secs, te)` and the current `(t, te)` point,
@@ -43,44 +57,19 @@ pub enum ProgressMode {
     Jsonl,
 }
 
-/// Periodic heartbeat printer. Owned by [`super::Telemetry`]; the
-/// searches call [`Telemetry::tick`](super::Telemetry::tick) once per
-/// loop iteration and the reporter rate-limits itself.
+/// Where heartbeat lines go, in which format and how often. Owned by
+/// [`super::Telemetry`], whose pulse decides when a line is due.
 pub struct ProgressReporter {
     mode: ProgressMode,
-    every: Duration,
+    pub(crate) every: Duration,
     out: Box<dyn Write + Send>,
-    started: Instant,
-    last_beat: Instant,
-    /// The last [`RATE_WINDOW_BEATS`] beat samples, oldest first.
-    window: VecDeque<(f64, u64)>,
-    /// Search workers feeding the counters. Multi-worker runs aggregate
-    /// all workers into one TE stream before ticking, so the window
-    /// still sees a single producer; the count is surfaced on the
-    /// heartbeat (and `> 1` arms the non-monotone sample purge — a
-    /// witness-aborted burst rolls TE back).
-    workers: usize,
 }
 
 impl ProgressReporter {
     /// A reporter writing to `out` every `every` (heartbeats are also
     /// forced on search end regardless of the interval).
     pub fn new(mode: ProgressMode, every: Duration, out: Box<dyn Write + Send>) -> Self {
-        let now = Instant::now();
-        ProgressReporter {
-            mode,
-            every,
-            out,
-            started: now,
-            last_beat: now,
-            window: VecDeque::with_capacity(RATE_WINDOW_BEATS + 1),
-            workers: 1,
-        }
-    }
-
-    /// Record the run's worker count (surfaced on heartbeats when > 1).
-    pub(crate) fn set_workers(&mut self, n: usize) {
-        self.workers = n.max(1);
+        ProgressReporter { mode, every, out }
     }
 
     /// A reporter on standard error — where the CLI points `--progress`
@@ -89,26 +78,209 @@ impl ProgressReporter {
         ProgressReporter::new(mode, every, Box::new(std::io::stderr()))
     }
 
-    /// Called on every search step; prints when the interval elapsed.
-    pub(crate) fn tick(&mut self, stats: &SearchStats, max_transitions: u64) {
-        let now = Instant::now();
-        if now.duration_since(self.last_beat) < self.every {
-            return;
+    /// Write one heartbeat line in this reporter's format.
+    pub(crate) fn write(&mut self, beat: &Heartbeat) {
+        let line = match self.mode {
+            ProgressMode::Human => beat.human(),
+            ProgressMode::Jsonl => beat.jsonl(),
+        };
+        let _ = self.out.write_all(line.as_bytes());
+        let _ = self.out.flush();
+    }
+}
+
+/// One moment of a running search, as every live view shows it: the
+/// counters (TE/GE/RE/SA, depth, spill, faults, bytes) plus what the
+/// pulse derives from them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Heartbeat {
+    pub stats: SearchStats,
+    /// Time since the pulse started: the run's wall time so far.
+    pub elapsed: Duration,
+    /// Transitions per second over the rate window.
+    pub rate: f64,
+    /// Seconds to the transition cap at `rate`; `None` when there is no
+    /// cap to reach, no rate to reach it at, or the search is over.
+    pub eta_s: Option<f64>,
+    pub workers: usize,
+    /// The verdict so far.
+    pub verdict: String,
+    pub done: bool,
+}
+
+impl Heartbeat {
+    // The optional heartbeat fields appear only once they carry news,
+    // so a one-worker, spill-free, fault-free heartbeat keeps its exact
+    // historical shape (and the pinned line prefixes). `/status` has a
+    // fixed schema and always shows its fields.
+
+    fn multi_worker(&self) -> Option<usize> {
+        (self.workers > 1).then_some(self.workers)
+    }
+
+    fn spill(&self) -> Option<(usize, u64)> {
+        let s = &self.stats;
+        (s.spill_writes + s.spill_reads + s.spill_evictions > 0)
+            .then_some((s.spilled_bytes, s.spill_evictions))
+    }
+
+    fn fault_retries(&self) -> Option<u64> {
+        Some(self.stats.total_fault_retries()).filter(|&r| r > 0)
+    }
+
+    /// `progress: TE=… GE=… RE=… SA=… depth=…[ workers=N] rate=…/s
+    /// eta=…s[ spilled=…B evict=…][ retries=…][ (done)]`; an unknown ETA
+    /// reads `0.0`.
+    pub(crate) fn human(&self) -> String {
+        let s = &self.stats;
+        let mut out = format!(
+            "progress: TE={} GE={} RE={} SA={} depth={}",
+            s.transitions_executed, s.generates, s.restores, s.saves, s.max_depth
+        );
+        if let Some(n) = self.multi_worker() {
+            let _ = write!(out, " workers={}", n);
         }
-        self.beat(now, stats, max_transitions, false);
+        let eta = self.eta_s.unwrap_or(0.0);
+        let _ = write!(out, " rate={:.0}/s eta={:.1}s", self.rate, eta);
+        if let Some((bytes, evictions)) = self.spill() {
+            let _ = write!(out, " spilled={}B evict={}", bytes, evictions);
+        }
+        if let Some(r) = self.fault_retries() {
+            let _ = write!(out, " retries={}", r);
+        }
+        out.push_str(if self.done { " (done)\n" } else { "\n" });
+        out
     }
 
-    /// Forced final heartbeat at search end.
-    pub(crate) fn finish(&mut self, stats: &SearchStats, max_transitions: u64) {
-        self.beat(Instant::now(), stats, max_transitions, true);
+    /// The JSONL heartbeat, optional fields in the same places as the
+    /// human line; an unknown ETA reads `0.0`.
+    pub(crate) fn jsonl(&self) -> String {
+        let s = &self.stats;
+        let mut out = format!(
+            "{{\"ev\":\"heartbeat\",\"te\":{},\"ge\":{},\"re\":{},\"sa\":{},\"depth\":{},",
+            s.transitions_executed, s.generates, s.restores, s.saves, s.max_depth
+        );
+        if let Some(n) = self.multi_worker() {
+            let _ = write!(out, "\"workers\":{},", n);
+        }
+        let eta = self.eta_s.unwrap_or(0.0);
+        let _ = write!(out, "\"rate\":{:.1},\"eta_s\":{:.1},", self.rate, eta);
+        if let Some((bytes, evictions)) = self.spill() {
+            let _ = write!(out, "\"spilled_bytes\":{},\"spill_evictions\":{},", bytes, evictions);
+        }
+        if let Some(r) = self.fault_retries() {
+            let _ = write!(out, "\"retries\":{},", r);
+        }
+        let _ = writeln!(out, "\"done\":{}}}", self.done);
+        out
     }
 
-    fn beat(&mut self, now: Instant, stats: &SearchStats, max_transitions: u64, done: bool) {
-        let t = now.duration_since(self.started).as_secs_f64();
+    /// The `/status` document: verdict so far, counters, rate, ETA
+    /// (`null` when unknown), faults and bytes.
+    pub(crate) fn status_json(&self) -> String {
+        let s = &self.stats;
+        let eta = self.eta_s.map_or("null".to_string(), |e| format!("{:.0}", e));
+        format!(
+            "{{\"schema\":\"tango-status\",\"version\":{},\"verdict\":\"{}\",\
+             \"te\":{},\"ge\":{},\"re\":{},\"sa\":{},\"depth\":{},\"rate\":{:.1},\"eta_s\":{},\
+             \"retries\":{},\"giveups\":{},\"resident_bytes\":{},\"spilled_bytes\":{},\
+             \"done\":{}}}",
+            STATUS_SCHEMA_VERSION,
+            json_escape(&self.verdict),
+            s.transitions_executed,
+            s.generates,
+            s.restores,
+            s.saves,
+            s.max_depth,
+            self.rate,
+            eta,
+            s.total_fault_retries(),
+            s.total_fault_giveups(),
+            s.snapshot_bytes,
+            s.spilled_bytes,
+            self.done
+        )
+    }
+}
+
+/// The clock and rate behind every heartbeat. [`super::Telemetry`] owns
+/// one while progress or the live endpoint is on: the search ticks it
+/// once per step, and it reads the clock once per [`CLOCK_GATE_TICKS`]
+/// ticks to see whether a view is due.
+pub(crate) struct Pulse {
+    started: Instant,
+    ticks: u32,
+    /// The last [`RATE_WINDOW_BEATS`] snapshot samples, oldest first.
+    window: VecDeque<(f64, u64)>,
+    /// When the last heartbeat line and the last `/status` push went out.
+    last_beat: Instant,
+    last_push: Instant,
+    /// Search workers feeding the counters. Multi-worker runs aggregate
+    /// all workers into one TE stream before ticking, so the window
+    /// still sees a single producer; a witness-aborted burst rolls that
+    /// TE back, which the sample purge absorbs.
+    pub(crate) workers: usize,
+    pub(crate) verdict: String,
+    /// Transition cap from the most recent tick, for the ETA.
+    pub(crate) cap: u64,
+}
+
+impl Pulse {
+    pub(crate) fn new() -> Self {
+        let now = Instant::now();
+        Pulse {
+            started: now,
+            ticks: 0,
+            window: VecDeque::with_capacity(RATE_WINDOW_BEATS + 1),
+            last_beat: now,
+            last_push: now,
+            workers: 1,
+            verdict: "running".to_string(),
+            cap: u64::MAX,
+        }
+    }
+
+    /// Count one search step; true on every [`CLOCK_GATE_TICKS`]th.
+    #[inline]
+    pub(crate) fn gate(&mut self) -> bool {
+        self.ticks = self.ticks.wrapping_add(1);
+        self.ticks.is_multiple_of(CLOCK_GATE_TICKS)
+    }
+
+    /// The snapshot of `stats` at `now` and the views it is due in
+    /// (heartbeat line, `/status` push), or `None` when neither is. A
+    /// line is due once `every`, the progress interval (`None` with
+    /// progress off), has passed since the last; a push once
+    /// [`STATUS_EVERY`] has, while `listening`. When the search is
+    /// `done`, every view asked for is due.
+    pub(crate) fn due(
+        &mut self,
+        now: Instant,
+        stats: &SearchStats,
+        every: Option<Duration>,
+        listening: bool,
+        done: bool,
+    ) -> Option<(Heartbeat, bool, bool)> {
+        let beat = every.is_some_and(|e| done || now.duration_since(self.last_beat) >= e);
+        let push = listening && (done || now.duration_since(self.last_push) >= STATUS_EVERY);
+        if beat {
+            self.last_beat = now;
+        }
+        if push {
+            self.last_push = now;
+        }
+        (beat || push).then(|| (self.snapshot(now, stats, done), beat, push))
+    }
+
+    /// The snapshot of `stats` at `now`, which also becomes the rate
+    /// window's newest sample.
+    fn snapshot(&mut self, now: Instant, stats: &SearchStats, done: bool) -> Heartbeat {
+        let elapsed = now.duration_since(self.started);
+        let t = elapsed.as_secs_f64();
         let te = stats.transitions_executed;
         // Sliding-window rate when the window is meaningful, lifetime
-        // average otherwise (first beat, or a forced final beat in the
-        // same instant as a periodic one).
+        // average since the pulse started otherwise (first snapshot, or
+        // one in the same instant as the previous).
         let rate = window_rate(&self.window, t, te).unwrap_or_else(|| {
             if t > 0.0 {
                 te as f64 / t
@@ -116,104 +288,28 @@ impl ProgressReporter {
                 0.0
             }
         });
-        let eta_s = if done || rate <= 0.0 || te >= max_transitions {
-            0.0
+        let eta_s = if done || rate <= 0.0 || self.cap == u64::MAX || te >= self.cap {
+            None
         } else {
-            (max_transitions - te) as f64 / rate
+            Some((self.cap - te) as f64 / rate)
         };
-        self.last_beat = now;
         self.push_sample(t, te);
-        // Spill-tier fields appear only once the tier did something, so
-        // spill-off heartbeats keep their exact historical shape (and
-        // the pinned line prefixes).
-        let spilling =
-            stats.spill_writes + stats.spill_reads + stats.spill_evictions > 0;
-        // Same gating for fault-retry totals: a clean run's heartbeat is
-        // byte-identical with the fault hooks compiled in.
-        let fault_retries = stats.total_fault_retries();
-        // And for the worker count: single-worker heartbeats keep their
-        // exact historical shape.
-        let multi = self.workers > 1;
-        let line = match self.mode {
-            ProgressMode::Human => {
-                let spill = if spilling {
-                    format!(
-                        " spilled={}B evict={}",
-                        stats.spilled_bytes, stats.spill_evictions
-                    )
-                } else {
-                    String::new()
-                };
-                let retries = if fault_retries > 0 {
-                    format!(" retries={}", fault_retries)
-                } else {
-                    String::new()
-                };
-                let workers = if multi {
-                    format!(" workers={}", self.workers)
-                } else {
-                    String::new()
-                };
-                format!(
-                    "progress: TE={} GE={} RE={} SA={} depth={}{} rate={:.0}/s eta={:.1}s{}{}{}\n",
-                    te,
-                    stats.generates,
-                    stats.restores,
-                    stats.saves,
-                    stats.max_depth,
-                    workers,
-                    rate,
-                    eta_s,
-                    spill,
-                    retries,
-                    if done { " (done)" } else { "" }
-                )
-            }
-            ProgressMode::Jsonl => {
-                let spill = if spilling {
-                    format!(
-                        "\"spilled_bytes\":{},\"spill_evictions\":{},",
-                        stats.spilled_bytes, stats.spill_evictions
-                    )
-                } else {
-                    String::new()
-                };
-                let retries = if fault_retries > 0 {
-                    format!("\"retries\":{},", fault_retries)
-                } else {
-                    String::new()
-                };
-                let workers = if multi {
-                    format!("\"workers\":{},", self.workers)
-                } else {
-                    String::new()
-                };
-                format!(
-                    "{{\"ev\":\"heartbeat\",\"te\":{},\"ge\":{},\"re\":{},\"sa\":{},\
-                     \"depth\":{},{}\"rate\":{:.1},\"eta_s\":{:.1},{}{}\"done\":{}}}\n",
-                    te,
-                    stats.generates,
-                    stats.restores,
-                    stats.saves,
-                    stats.max_depth,
-                    workers,
-                    rate,
-                    eta_s,
-                    spill,
-                    retries,
-                    done
-                )
-            }
-        };
-        let _ = self.out.write_all(line.as_bytes());
-        let _ = self.out.flush();
+        Heartbeat {
+            stats: stats.clone(),
+            elapsed,
+            rate,
+            eta_s,
+            workers: self.workers,
+            verdict: self.verdict.clone(),
+            done,
+        }
     }
 
-    /// Append one beat sample and evict beyond the window capacity.
-    /// Samples ahead of the current counter are purged first: a
-    /// multi-worker witness abort rolls the aggregated TE back to the
-    /// burst start, and keeping the inflated samples would wedge the
-    /// window rate on its fallback for up to a full window span.
+    /// Append one sample and evict beyond the window capacity. Samples
+    /// ahead of the current counter are purged first: a multi-worker
+    /// witness abort rolls the aggregated TE back to the burst start,
+    /// and keeping the inflated samples would wedge the window rate on
+    /// its fallback for up to a full window span.
     fn push_sample(&mut self, t: f64, te: u64) {
         while self.window.back().is_some_and(|&(_, te0)| te0 > te) {
             self.window.pop_back();
@@ -228,20 +324,8 @@ impl ProgressReporter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
-
-    /// A `Write` handle the test can read back out of the reporter.
-    #[derive(Clone, Default)]
-    struct Shared(Arc<Mutex<Vec<u8>>>);
-    impl Write for Shared {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
+    use crate::telemetry::{IntrospectionServer, Telemetry};
+    use crate::verdict::Verdict;
 
     fn stats(te: u64) -> SearchStats {
         SearchStats {
@@ -252,117 +336,107 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interval_gates_periodic_beats_but_not_finish() {
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Human,
-            Duration::from_secs(3600),
-            Box::new(buf.clone()),
-        );
-        for te in 0..50 {
-            p.tick(&stats(te), 1000);
-        }
-        assert!(buf.0.lock().unwrap().is_empty(), "interval not elapsed");
-        p.finish(&stats(50), 1000);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert!(text.contains("progress: TE=50"), "{}", text);
-        assert!(text.contains("(done)"));
+    /// A pulse `secs` into its run against transition cap `cap`.
+    fn pulse_at(secs: f64, cap: u64) -> (Pulse, Instant) {
+        let mut p = Pulse::new();
+        p.cap = cap;
+        let now = p.started + Duration::from_secs_f64(secs);
+        (p, now)
     }
 
     #[test]
-    fn jsonl_mode_emits_machine_readable_lines() {
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Jsonl,
-            Duration::ZERO,
-            Box::new(buf.clone()),
-        );
-        p.tick(&stats(10), 100);
-        p.finish(&stats(20), 100);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"ev\":\"heartbeat\",\"te\":10,"));
-        assert!(lines[1].contains("\"done\":true"));
+    fn the_three_renderings_of_one_snapshot_agree() {
+        let (mut p, now) = pulse_at(2.0, 1000);
+        let s = SearchStats {
+            restores: 7,
+            saves: 9,
+            ..stats(400)
+        };
+        let hb = p.snapshot(now, &s, false);
+        let human = "progress: TE=400 GE=200 RE=7 SA=9 depth=5 rate=200/s eta=3.0s";
+        assert!(hb.human().starts_with(human), "{}", hb.human());
+        let json = "\"te\":400,\"ge\":200,\"re\":7,\"sa\":9,\"depth\":5,\"rate\":200.0,\"eta_s\":3";
+        let jsonl = format!("{{\"ev\":\"heartbeat\",{}.0,", json);
+        assert!(hb.jsonl().starts_with(&jsonl), "{}", hb.jsonl());
+        let status = format!("\"verdict\":\"running\",{},", json);
+        assert!(hb.status_json().contains(&status), "{}", hb.status_json());
+        // An unknown ETA keeps each document's spelling.
+        let done = p.snapshot(now, &s, true);
+        assert!(done.human().ends_with(" eta=0.0s (done)\n"), "{}", done.human());
+        let end = "\"eta_s\":0.0,\"done\":true}\n";
+        assert!(done.jsonl().ends_with(end), "{}", done.jsonl());
+        assert!(done.status_json().contains("\"eta_s\":null,"), "{}", done.status_json());
+        let (mut p, now) = pulse_at(1.0, u64::MAX);
+        assert_eq!(p.snapshot(now, &s, false).eta_s, None, "no cap");
+        let (mut p, now) = pulse_at(1.0, 400);
+        assert_eq!(p.snapshot(now, &s, false).eta_s, None, "cap reached");
     }
 
     #[test]
     fn spill_fields_appear_only_under_spill_activity() {
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Human,
-            Duration::ZERO,
-            Box::new(buf.clone()),
-        );
+        let (mut p, now) = pulse_at(1.0, 100);
         let mut s = stats(10);
-        p.tick(&s, 100);
+        let quiet = p.snapshot(now, &s, false);
         s.spill_writes = 4;
         s.spill_evictions = 4;
         s.spilled_bytes = 4096;
-        p.finish(&s, 100);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(!lines[0].contains("spilled="), "{}", lines[0]);
-        assert!(lines[1].contains(" spilled=4096B evict=4 (done)"), "{}", lines[1]);
-
-        // JSONL keeps its pinned prefix and inserts before "done".
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Jsonl,
-            Duration::ZERO,
-            Box::new(buf.clone()),
+        let spilled = p.snapshot(now, &s, true);
+        assert!(!quiet.human().contains("spilled="), "{}", quiet.human());
+        assert!(!quiet.jsonl().contains("spilled"), "{}", quiet.jsonl());
+        assert!(
+            spilled.human().contains(" spilled=4096B evict=4 (done)"),
+            "{}",
+            spilled.human()
         );
-        p.finish(&s, 100);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        // JSONL keeps its pinned prefix and inserts before "done".
+        let text = spilled.jsonl();
         assert!(text.starts_with("{\"ev\":\"heartbeat\",\"te\":10,"), "{}", text);
         assert!(
             text.contains("\"spilled_bytes\":4096,\"spill_evictions\":4,\"done\":true"),
             "{}",
             text
         );
+        // `/status` always carries its byte fields.
+        assert!(quiet.status_json().contains("\"spilled_bytes\":0,"));
+        assert!(spilled.status_json().contains("\"spilled_bytes\":4096,"));
     }
 
     #[test]
     fn retry_field_appears_only_under_fault_activity() {
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Human,
-            Duration::ZERO,
-            Box::new(buf.clone()),
-        );
+        let (mut p, now) = pulse_at(1.0, 100);
         let mut s = stats(10);
-        p.tick(&s, 100);
+        let clean = p.snapshot(now, &s, false);
         s.source_retries = 2;
         s.spill_retries = 1;
         s.checkpoint_retries = 3;
-        p.finish(&s, 100);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(!lines[0].contains("retries="), "{}", lines[0]);
-        assert!(lines[1].contains(" retries=6 (done)"), "{}", lines[1]);
+        let faulty = p.snapshot(now, &s, true);
+        assert!(!clean.human().contains("retries="), "{}", clean.human());
+        assert!(!clean.jsonl().contains("retries"), "{}", clean.jsonl());
+        assert!(faulty.human().contains(" retries=6 (done)"), "{}", faulty.human());
+        assert!(faulty.jsonl().contains("\"retries\":6,\"done\":true"), "{}", faulty.jsonl());
+        assert!(clean.status_json().contains("\"retries\":0,"));
+        assert!(faulty.status_json().contains("\"retries\":6,"));
+    }
 
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Jsonl,
-            Duration::ZERO,
-            Box::new(buf.clone()),
+    #[test]
+    fn workers_field_appears_only_on_multi_worker_runs() {
+        let (mut p, now) = pulse_at(1.0, 100);
+        let one = p.snapshot(now, &stats(10), false);
+        p.workers = 4;
+        let four = p.snapshot(now, &stats(20), true);
+        assert!(!one.human().contains("workers="), "{}", one.human());
+        assert!(!one.jsonl().contains("workers"), "{}", one.jsonl());
+        assert!(four.human().contains(" depth=5 workers=4 rate="), "{}", four.human());
+        assert!(
+            four.jsonl().contains("\"depth\":5,\"workers\":4,\"rate\":"),
+            "{}",
+            four.jsonl()
         );
-        p.finish(&s, 100);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert!(text.contains("\"retries\":6,\"done\":true"), "{}", text);
     }
 
     #[test]
     fn window_rate_follows_the_recent_phase_after_eviction() {
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Human,
-            Duration::from_secs(3600),
-            Box::new(buf.clone()),
-        );
+        let mut p = Pulse::new();
         // A slow phase: one TE every 10 seconds for 8 beats …
         for i in 0..8u64 {
             p.push_sample(i as f64 * 10.0, i);
@@ -385,6 +459,10 @@ mod tests {
             "window rate must be the fast phase's 100/s, not the \
              cumulative ~10/s; got {rate}"
         );
+        // The snapshot reports the window's rate, not the lifetime one.
+        let now = p.started + Duration::from_secs(88);
+        let hb = p.snapshot(now, &stats(907), false);
+        assert!((hb.rate - 100.0).abs() < 1e-9, "{}", hb.rate);
     }
 
     #[test]
@@ -402,42 +480,8 @@ mod tests {
     }
 
     #[test]
-    fn workers_field_appears_only_on_multi_worker_runs() {
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Human,
-            Duration::ZERO,
-            Box::new(buf.clone()),
-        );
-        p.tick(&stats(10), 100);
-        p.set_workers(4);
-        p.finish(&stats(20), 100);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(!lines[0].contains("workers="), "{}", lines[0]);
-        assert!(lines[1].contains(" depth=5 workers=4 rate="), "{}", lines[1]);
-
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Jsonl,
-            Duration::ZERO,
-            Box::new(buf.clone()),
-        );
-        p.set_workers(4);
-        p.finish(&stats(20), 100);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert!(text.contains("\"depth\":5,\"workers\":4,\"rate\":"), "{}", text);
-    }
-
-    #[test]
     fn window_recovers_after_a_multi_worker_rollback() {
-        let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Human,
-            Duration::from_secs(3600),
-            Box::new(buf.clone()),
-        );
+        let mut p = Pulse::new();
         // Aggregated TE climbs, then a witness-aborted burst rolls it
         // back to the burst-start value …
         for i in 0..6u64 {
@@ -455,20 +499,118 @@ mod tests {
         assert!(rate > 0.0, "rate must be measurable right after rollback");
     }
 
-    #[test]
-    fn eta_counts_down_toward_the_cap() {
+    /// A `Write` handle the test can read back out of the reporter.
+    #[derive(Clone, Default)]
+    struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    impl Shared {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    fn progress(mode: ProgressMode, every: Duration) -> (Telemetry, Shared) {
         let buf = Shared::default();
-        let mut p = ProgressReporter::new(
-            ProgressMode::Jsonl,
-            Duration::ZERO,
-            Box::new(buf.clone()),
-        );
-        std::thread::sleep(Duration::from_millis(5));
-        p.tick(&stats(500), 100_000_000);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        // 500 TE over ~5ms against a distant cap leaves a clearly
-        // positive ETA at one-decimal rendering.
-        assert!(text.contains("\"eta_s\":"), "{}", text);
-        assert!(!text.contains("\"eta_s\":0.0"), "{}", text);
+        let reporter = ProgressReporter::new(mode, every, Box::new(buf.clone()));
+        (Telemetry::off().with_progress(reporter), buf)
+    }
+
+    /// Each mode's pinned start of the heartbeat line at TE=`te` (with
+    /// GE = TE/2), and its `done` line end.
+    fn line_shape(mode: ProgressMode, te: u64) -> (String, &'static str) {
+        match mode {
+            ProgressMode::Human => (format!("progress: TE={} GE={} ", te, te / 2), " (done)\n"),
+            ProgressMode::Jsonl => (
+                format!("{{\"ev\":\"heartbeat\",\"te\":{},\"ge\":{},", te, te / 2),
+                "\"done\":true}\n",
+            ),
+        }
+    }
+
+    #[test]
+    fn jsonl_mode_emits_machine_readable_lines() {
+        let (mut t, buf) = progress(ProgressMode::Jsonl, Duration::ZERO);
+        t.pulse(&stats(10), 100);
+        t.on_verdict(&Verdict::Valid, &stats(20), 100);
+        let text = buf.text();
+        let lines: Vec<_> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{}", text);
+        assert!(lines[0].starts_with("{\"ev\":\"heartbeat\",\"te\":10,"), "{}", text);
+        assert!(lines[0].ends_with("\"done\":false}"), "{}", text);
+        assert!(lines[1].starts_with("{\"ev\":\"heartbeat\",\"te\":20,"), "{}", text);
+        assert!(lines[1].ends_with("\"done\":true}"), "{}", text);
+    }
+
+    #[test]
+    fn interval_gates_periodic_beats_but_not_the_verdict() {
+        for mode in [ProgressMode::Human, ProgressMode::Jsonl] {
+            let (mut t, buf) = progress(mode, Duration::from_secs(3600));
+            for te in 0..1000 {
+                t.tick(&stats(te), 1000);
+            }
+            assert!(buf.text().is_empty(), "{:?}: interval not elapsed", mode);
+            t.on_verdict(&Verdict::Valid, &stats(1000), 1000);
+            let (start, end) = line_shape(mode, 1000);
+            let text = buf.text();
+            assert_eq!(text.lines().count(), 1, "{}", text);
+            assert!(text.starts_with(&start), "{}", text);
+            assert!(text.ends_with(end), "{}", text);
+        }
+    }
+
+    #[test]
+    fn steps_read_the_clock_once_per_256_ticks() {
+        for mode in [ProgressMode::Human, ProgressMode::Jsonl] {
+            let (mut t, buf) = progress(mode, Duration::ZERO);
+            for te in 0..255 {
+                t.tick(&stats(te), 1000);
+            }
+            assert!(buf.text().is_empty(), "the clock is not read before tick 256");
+            t.tick(&stats(255), 1000);
+            let (start, _) = line_shape(mode, 255);
+            assert!(buf.text().starts_with(&start), "{}", buf.text());
+            assert_eq!(buf.text().lines().count(), 1, "{}", buf.text());
+        }
+    }
+
+    #[test]
+    fn a_coordinator_pulsing_every_25ms_gets_its_heartbeat_on_time() {
+        // The burst coordinator wakes every 25 ms, far fewer times than
+        // the 256-tick gate needs; it pulses by the clock instead.
+        let (mut t, buf) = progress(ProgressMode::Human, Duration::from_secs(1));
+        let t0 = Instant::now();
+        while buf.text().is_empty() && t0.elapsed() < Duration::from_secs(3) {
+            std::thread::sleep(Duration::from_millis(25));
+            t.pulse(&stats(100), 1000);
+        }
+        let waited = t0.elapsed();
+        assert!(buf.text().starts_with("progress: TE=100 "), "{}", buf.text());
+        assert!(waited < Duration::from_secs(2), "heartbeat took {:?}", waited);
+    }
+
+    #[test]
+    fn the_first_pulse_of_a_fresh_run_has_a_rate_in_every_rendering() {
+        // The search stamps `wall_time` only when it ends: the rate and
+        // `/metrics`' wall seconds come from the pulse's own clock.
+        let server = IntrospectionServer::bind("127.0.0.1:0").expect("bind");
+        let (t, buf) = progress(ProgressMode::Human, Duration::ZERO);
+        let mut t = t.with_metrics().with_introspection(server.handle());
+        std::thread::sleep(STATUS_EVERY);
+        t.pulse(&stats(500), 100_000_000);
+        assert!(buf.text().starts_with("progress: TE=500 "), "{}", buf.text());
+        assert!(!buf.text().contains(" rate=0/s"), "{}", buf.text());
+        let status = server.handle().status();
+        assert!(status.contains("\"te\":500,"), "{}", status);
+        assert!(!status.contains("\"rate\":0.0,"), "{}", status);
+        assert!(!status.contains("\"eta_s\":null"), "{}", status);
+        let wall = t.metrics().unwrap().gauge("search.wall_seconds").unwrap();
+        assert!(wall >= STATUS_EVERY.as_secs_f64(), "{}", wall);
     }
 }
