@@ -5,7 +5,7 @@
 #
 # Tier-1 (the gate every change must keep green, see ROADMAP.md):
 #   cargo build --release && cargo test -q
-# plus the full workspace test suite and clippy with warnings denied.
+# plus the other workspace members' tests and clippy with warnings denied.
 set -eu
 cd "$(dirname "$0")"
 
@@ -24,7 +24,8 @@ echo "== tier-1: tests =="
 cargo test -q
 
 echo "== workspace tests =="
-cargo test -q --workspace
+# The root package's suites ran in the tier-1 step above.
+cargo test -q --workspace --exclude tango-repro
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -131,7 +132,7 @@ grep -q "spill fault:" "$CKPT_DIR/degraded.err"
 
 echo "== chaos smoke (seeded fault plans) =="
 # The seeded chaos matrix (108 composed plans over 12 random specs, all
-# three fault sites) and the combined-sites pin run with the workspace
+# three fault sites) and the combined-sites pin run with the tier-1
 # suite above; here the CLI surface gets its fixed-seed reproduction
 # check: the same --chaos-seed replays the identical verdict and
 # TE/GE/RE/SA, and the run echoes its full plan for log-line replay.

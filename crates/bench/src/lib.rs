@@ -89,8 +89,8 @@ pub fn experiments(full: bool) -> Experiments {
     let tp0 = tp0::analyzer();
     // The NR searches over the invalid 3+3 and 4+4 traces each feed
     // several tables; they run once.
-    let nr3 = analyze(&tp0, &invalid_tp0(3), OrderOptions::none(), false);
-    let nr4 = full.then(|| analyze(&tp0, &invalid_tp0(4), OrderOptions::none(), false));
+    let nr3 = analyze(&tp0, &tp0::invalid_trace(3, 3, SEED), OrderOptions::none(), false);
+    let nr4 = full.then(|| analyze(&tp0, &tp0::invalid_trace(4, 4, SEED), OrderOptions::none(), false));
     let (sweep, lapd800_speedup) = spec_size_sweep(full);
     let (mdfs, mdfs_wall) = mdfs_workers(full);
     Experiments {
@@ -120,22 +120,8 @@ fn seconds(r: &AnalysisReport) -> Cell {
     Cell::Time(format!("{:.3}", r.stats.wall_time.as_secs_f64()))
 }
 
-/// TE, GE, RE, SA.
-fn counters(r: &AnalysisReport) -> (u64, u64, u64, u64) {
-    let s = &r.stats;
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
 fn te_ge_re_sa(r: &AnalysisReport) -> [Cell; 4] {
-    let (te, ge, re, sa) = counters(r);
-    [te, ge, re, sa].map(count)
-}
-
-/// The paper's invalid TP0 trace: `n` data interactions each way, the
-/// last output parameter mutated.
-fn invalid_tp0(n: usize) -> Trace {
-    tp0::invalidate_last_data(&tp0::complete_valid_trace(n, n, SEED))
-        .expect("a complete trace has data outputs")
+    r.stats.counters().map(count)
 }
 
 fn analyze(a: &TraceAnalyzer, trace: &Trace, order: OrderOptions, hashing: bool) -> AnalysisReport {
@@ -190,7 +176,7 @@ fn fig4(tp0: &TraceAnalyzer, nr3: &AnalysisReport) -> Table {
             let r = if label == "NR" {
                 nr3
             } else {
-                other = analyze(tp0, &invalid_tp0(3), order, false);
+                other = analyze(tp0, &tp0::invalid_trace(3, 3, SEED), order, false);
                 &other
             };
             let mut row = vec![count(label), seconds(r)];
@@ -211,7 +197,7 @@ fn fig4_longer(tp0: &TraceAnalyzer) -> Table {
     let rows = [(3, 13, 173), (5, 21, 4021), (7, 29, 122202)]
         .into_iter()
         .map(|(n, depth, paper_te)| {
-            let r = analyze(tp0, &invalid_tp0(n), OrderOptions::full(), false);
+            let r = analyze(tp0, &tp0::invalid_trace(n, n, SEED), OrderOptions::full(), false);
             Some(vec![
                 count(format!("{n}+{n}")),
                 count(depth),
@@ -307,8 +293,8 @@ fn spec_size_sweep(full: bool) -> (Table, f64) {
         let (vm_report, vm_tps) = throughput(&vm, trace, full);
         let (walker_report, walker_tps) = throughput(&walker, trace, full);
         assert_eq!(
-            (&vm_report.verdict, counters(&vm_report)),
-            (&walker_report.verdict, counters(&walker_report)),
+            (&vm_report.verdict, vm_report.stats.counters()),
+            (&walker_report.verdict, walker_report.stats.counters()),
             "{spec}: both executors must do identical search work"
         );
         let speedup = vm_tps / walker_tps.max(1e-9);
@@ -385,7 +371,7 @@ fn fig2() -> Table {
         (0..3).for_each(|_| relay(tx));
     }
     fn final_line(r: &AnalysisReport) -> String {
-        let (te, ge, re, sa) = counters(r);
+        let [te, ge, re, sa] = r.stats.counters();
         format!("final: {}, TE={te} GE={ge} RE={re} SA={sa}", r.verdict)
     }
     let options = AnalysisOptions::with_order(OrderOptions::none());
@@ -455,11 +441,11 @@ fn ablation_hashing(
                 ("NR", 3, _) => nr3,
                 ("NR", 4, Some(nr4)) => nr4,
                 _ => {
-                    fresh = analyze(tp0, &invalid_tp0(n), order, false);
+                    fresh = analyze(tp0, &tp0::invalid_trace(n, n, SEED), order, false);
                     &fresh
                 }
             };
-            let hashed = analyze(tp0, &invalid_tp0(n), order, true);
+            let hashed = analyze(tp0, &tp0::invalid_trace(n, n, SEED), order, true);
             let capped =
                 plain.verdict == Verdict::Inconclusive(InconclusiveReason::TransitionLimit);
             let (te_plain, ratio) = if capped {
@@ -508,9 +494,9 @@ fn heap_cost(nr3: &AnalysisReport, nr4: Option<&AnalysisReport>) -> Table {
             rows.extend([None, None]);
             continue;
         };
-        let array = analyze(&bounded, &invalid_tp0(n), OrderOptions::none(), false);
+        let array = analyze(&bounded, &tp0::invalid_trace(n, n, SEED), OrderOptions::none(), false);
         for (variant, r) in [("heap", heap), ("array", &array)] {
-            let (te, _, _, sa) = counters(r);
+            let [te, _, _, sa] = r.stats.counters();
             rows.push(Some(vec![
                 count(variant),
                 count(format!("{n}+{n}")),
@@ -532,7 +518,7 @@ fn heap_cost(nr3: &AnalysisReport, nr4: Option<&AnalysisReport>) -> Table {
 /// count. Returns the table and each row's wall seconds.
 fn mdfs_workers(full: bool) -> (Table, Vec<(usize, f64)>) {
     let analyzer = tp0::analyzer();
-    let trace = invalid_tp0(4);
+    let trace = tp0::invalid_trace(4, 4, SEED);
     let mut rows = Vec::new();
     let mut walls = Vec::new();
     let mut first: Option<AnalysisReport> = None;
@@ -552,8 +538,8 @@ fn mdfs_workers(full: bool) -> (Table, Vec<(usize, f64)>) {
         let wall = start.elapsed().as_secs_f64();
         let base = first.get_or_insert_with(|| r.clone());
         assert_eq!(
-            (&r.verdict, counters(&r)),
-            (&base.verdict, counters(base)),
+            (&r.verdict, r.stats.counters()),
+            (&base.verdict, base.stats.counters()),
             "{n} workers changed the verdict or a TE/GE/RE/SA counter"
         );
         let mut row = vec![count(n)];
@@ -599,7 +585,7 @@ fn spill_ladder(tp0: &TraceAnalyzer, baseline: Option<&AnalysisReport>) -> Table
             rows: (0..6).map(|_| None).collect(),
         };
     };
-    let trace = invalid_tp0(4);
+    let trace = tp0::invalid_trace(4, 4, SEED);
     let row = |label: &str, budget: Option<usize>, r: &AnalysisReport| {
         let s = &r.stats;
         Some(vec![
@@ -636,8 +622,8 @@ fn spill_ladder(tp0: &TraceAnalyzer, baseline: Option<&AnalysisReport>) -> Table
         tightest = (baseline.stats.peak_snapshot_bytes * pct / 100).max(1);
         let r = run(tightest, true);
         assert_eq!(
-            (&r.verdict, counters(&r)),
-            (&baseline.verdict, counters(baseline)),
+            (&r.verdict, r.stats.counters()),
+            (&baseline.verdict, baseline.stats.counters()),
             "the tier must not change the verdict or TE/GE/RE/SA"
         );
         rows.push(row(&format!("spill-{pct}%"), Some(tightest), &r));

@@ -22,7 +22,6 @@
 //! * [`decl`] — declarations: constants, types, variables, channels,
 //!   interaction points, procedures/functions, states and transitions.
 //! * [`spec`] — the top-level specification node.
-//! * [`visit`] — a read-only visitor over the tree.
 //! * [`print()`](crate::print) — a pretty printer that renders a tree back to Estelle text.
 
 pub mod decl;
@@ -33,7 +32,6 @@ pub mod span;
 pub mod spec;
 pub mod stmt;
 pub mod types;
-pub mod visit;
 
 pub use decl::*;
 pub use expr::{BinOp, Expr, ExprKind, UnOp};

@@ -175,10 +175,6 @@ impl AnalyzedModule {
         self.ip_index.get(&name.to_ascii_lowercase()).copied()
     }
 
-    pub fn lookup_state(&self, name: &str) -> Option<StateId> {
-        self.state_index.get(&name.to_ascii_lowercase()).copied()
-    }
-
     /// Count of *declared* transitions (the paper's "transition
     /// declarations"); the runtime's compiled count after state-list and
     /// `any` expansion is usually larger.

@@ -109,10 +109,6 @@ impl ByteWriter {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
-
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
 }
 
 /// Cursor over a byte slice for decoding. Every read is bounds-checked
@@ -204,10 +200,6 @@ impl<'a> ByteReader<'a> {
         let bytes = self.take(n, context)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| CodecError::Malformed(format!("non-UTF-8 string in {}", context)))
-    }
-
-    pub fn get_bytes(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
-        self.take(n, context)
     }
 }
 

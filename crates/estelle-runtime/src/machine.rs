@@ -50,12 +50,6 @@ pub struct MachineState {
 }
 
 impl MachineState {
-    /// A rough size measure used by the search statistics (the paper's
-    /// §3.2 memory discussion).
-    pub fn size_estimate(&self) -> usize {
-        self.globals.len() + self.heap.slots()
-    }
-
     /// The paper's *Save*: a snapshot that can later be handed back to the
     /// search as *Restore*. Cheap — globals are copied (small: one `Value`
     /// per module variable) and the heap's chunk table is copied, while
@@ -197,12 +191,6 @@ impl Machine {
         let analyzed = analyze(source).map_err(BuildError::Frontend)?;
         let module = compile(analyzed).map_err(BuildError::Compile)?;
         Ok(Machine::new(module))
-    }
-
-    /// Use the partial-trace undefined policy (§5).
-    pub fn with_policy(mut self, policy: UndefinedPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     fn interp(&self) -> Interp<'_> {

@@ -20,6 +20,7 @@
 //! (`while`/`repeat`/`for`) are not eliminable this way — the paper notes
 //! supporting them "is impractical" — and are reported instead.
 
+use estelle_ast::expr::SetElem;
 use estelle_ast::*;
 use std::collections::HashSet;
 use std::fmt;
@@ -261,21 +262,41 @@ fn flatten_block(block: &[Stmt]) -> Vec<Stmt> {
 
 /// All root identifiers an expression reads.
 fn expr_names(e: &Expr) -> HashSet<String> {
-    struct Collect(HashSet<String>);
-    impl visit::Visitor for Collect {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let ExprKind::Name(n) = &e.kind {
-                self.0.insert(n.key().to_string());
+    let mut names = HashSet::new();
+    collect_names(e, &mut names);
+    names
+}
+
+fn collect_names(e: &Expr, names: &mut HashSet<String>) {
+    match &e.kind {
+        ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::NilLit => {}
+        ExprKind::Name(n) => {
+            names.insert(n.key().to_string());
+        }
+        ExprKind::Field(base, _) | ExprKind::Deref(base) | ExprKind::Unary(_, base) => {
+            collect_names(base, names)
+        }
+        ExprKind::Index(l, r) | ExprKind::Binary(_, l, r) => {
+            collect_names(l, names);
+            collect_names(r, names);
+        }
+        ExprKind::Call(_, args) => {
+            for a in args {
+                collect_names(a, names);
             }
-            visit::walk_expr(self, e);
+        }
+        ExprKind::SetCtor(elems) => {
+            for el in elems {
+                match el {
+                    SetElem::Single(x) => collect_names(x, names),
+                    SetElem::Range(lo, hi) => {
+                        collect_names(lo, names);
+                        collect_names(hi, names);
+                    }
+                }
+            }
         }
     }
-    let mut c = Collect(HashSet::new());
-    visit::walk_expr(&mut c, e);
-    if let ExprKind::Name(n) = &e.kind {
-        c.0.insert(n.key().to_string());
-    }
-    c.0
 }
 
 /// Conservative: can executing `s` modify any of `names`?

@@ -17,73 +17,8 @@
 use estelle_runtime::Value;
 use tango::{ChoicePolicy, ScriptedInput, Tango, Trace, TraceAnalyzer};
 
-/// The Estelle source of the ABP sender specification.
-pub const SOURCE: &str = r#"
-specification abp_sender;
-
-const maxretry = 3;
-
-type bit = 0..1;
-type byte = 0..255;
-
-channel US(user, snd);
-    by user: req(d : byte);
-    by snd: conf;
-end;
-
-channel LS(line, snd);
-    by line: ack(b : bit);
-    by snd: data(b : bit; d : byte);
-end;
-
-module Sender process;
-    ip U : US(snd);
-    ip L : LS(snd);
-end;
-
-body SenderBody for Sender;
-    var seq : bit;
-        cur : byte;
-        retries : integer;
-
-    state Idle, Wait;
-
-    initialize to Idle begin
-        seq := 0;
-        retries := 0;
-        cur := 0;
-    end;
-
-    trans
-    (* accept a send request, transmit the frame *)
-    from Idle to Wait when U.req name Send:
-    begin
-        cur := d;
-        retries := 0;
-        output L.data(seq, cur);
-    end;
-
-    (* spontaneous retransmission while waiting, up to the budget *)
-    from Wait to Wait provided retries < maxretry name Retransmit:
-    begin
-        retries := retries + 1;
-        output L.data(seq, cur);
-    end;
-
-    (* the right acknowledgement completes the exchange *)
-    from Wait to Idle when L.ack provided b = seq name GoodAck:
-    begin
-        seq := (seq + 1) mod 2;
-        output U.conf;
-    end;
-
-    (* a stale acknowledgement is ignored *)
-    from Wait to Wait when L.ack provided b <> seq name StaleAck:
-    begin end;
-
-end;
-end.
-"#;
+/// The Estelle source of the ABP sender specification, `specs/abp.est`.
+pub const SOURCE: &str = include_str!("../../../specs/abp.est");
 
 /// Generate the ABP trace analyzer.
 pub fn analyzer() -> TraceAnalyzer {

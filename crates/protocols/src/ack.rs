@@ -9,39 +9,8 @@
 
 use tango::{Tango, TraceAnalyzer};
 
-/// The Estelle source of the `ack` specification.
-pub const SOURCE: &str = r#"
-specification ackspec;
-
-channel ChA(env, m);
-    by env: x;
-    by m: ack;
-end;
-
-channel ChB(env, m);
-    by env: y;
-end;
-
-module M process;
-    ip A : ChA(m);
-    ip B : ChB(m);
-end;
-
-body MB for M;
-    state S1, S2;
-
-    initialize to S1 begin end;
-
-    trans
-    from S1 to S1 when A.x name T1:
-        begin end;
-    from S1 to S2 when A.x name T2:
-        begin end;
-    from S2 to S1 when B.y name T3:
-        begin output A.ack; end;
-end;
-end.
-"#;
+/// The Estelle source of the `ack` specification, `specs/ack.est`.
+pub const SOURCE: &str = include_str!("../../../specs/ack.est");
 
 /// Generate the trace analyzer for `ack`.
 pub fn analyzer() -> TraceAnalyzer {

@@ -20,143 +20,8 @@
 use estelle_runtime::Value;
 use tango::{ChoicePolicy, ScriptedInput, Tango, Trace, TraceAnalyzer};
 
-/// The Estelle source of the LAPD specification.
-pub const SOURCE: &str = r#"
-specification lapd;
-
-type seq = 0..7;
-type dataval = 0..255;
-
-channel DLS(user, dl);
-    by user: dl_est_req; dl_rel_req; dl_data_req(d : dataval);
-    by dl: dl_est_ind; dl_est_conf; dl_rel_conf; dl_rel_ind;
-           dl_data_ind(d : dataval);
-end;
-
-channel PHS(peer, station);
-    by peer, station: sabme; ua; dm; disc;
-        rr(nr : seq); rej(nr : seq);
-        iframe(ns : seq; nr : seq; d : dataval);
-end;
-
-module Lapd process;
-    ip U : DLS(dl);
-    ip L : PHS(station);
-end;
-
-body LapdBody for Lapd;
-    type cell = record d : dataval; next : ^cell end;
-    var vs, vr, va : seq;
-        ackpend : boolean;
-        sq_head, sq_tail, tmp : ^cell;
-
-    state TEI_ASSIGNED, AW_EST, AW_REL, MF_EST;
-
-    initialize to TEI_ASSIGNED begin
-        vs := 0; vr := 0; va := 0;
-        ackpend := false;
-        sq_head := nil; sq_tail := nil; tmp := nil;
-    end;
-
-    trans
-    (* ---- link establishment ---- *)
-    from TEI_ASSIGNED to AW_EST when U.dl_est_req name Tc1:
-        begin output L.sabme; end;
-    from AW_EST to MF_EST when L.ua name Tc2:
-        begin
-            output U.dl_est_conf;
-            vs := 0; vr := 0; va := 0; ackpend := false;
-        end;
-    from AW_EST to TEI_ASSIGNED when L.dm name Tc3:
-        begin output U.dl_rel_ind; end;
-    from TEI_ASSIGNED to MF_EST when L.sabme name Tc4:
-        begin
-            output L.ua;
-            output U.dl_est_ind;
-            vs := 0; vr := 0; va := 0; ackpend := false;
-        end;
-
-    (* ---- release (graceful: only once the send queue drained) ---- *)
-    from MF_EST to AW_REL when U.dl_rel_req provided sq_head = nil name Tr1:
-        begin output L.disc; end;
-    from AW_REL to TEI_ASSIGNED when L.ua name Tr2:
-        begin output U.dl_rel_conf; end;
-    from MF_EST to TEI_ASSIGNED when L.disc name Tr3:
-        begin
-            output L.ua;
-            output U.dl_rel_ind;
-            while sq_head <> nil do
-                begin tmp := sq_head; sq_head := sq_head^.next; dispose(tmp); end;
-            sq_tail := nil; tmp := nil;
-        end;
-
-    (* ---- user data: queue, then frame out ---- *)
-    from MF_EST to same when U.dl_data_req name Td1:
-        begin
-            new(tmp);
-            tmp^.d := d;
-            tmp^.next := nil;
-            if sq_head = nil then
-                begin sq_head := tmp; sq_tail := tmp; end
-            else
-                begin sq_tail^.next := tmp; sq_tail := tmp; end;
-            tmp := nil;
-        end;
-    from MF_EST to same provided sq_head <> nil name Td2:
-        begin
-            output L.iframe(vs, vr, sq_head^.d);
-            vs := (vs + 1) mod 8;
-            ackpend := false;
-            tmp := sq_head;
-            sq_head := sq_head^.next;
-            if sq_head = nil then sq_tail := nil;
-            dispose(tmp);
-            tmp := nil;
-        end;
-
-    (* ---- incoming I-frames: ack now (Td3) or piggyback later (Td4/Td5) ---- *)
-    from MF_EST to same when L.iframe provided ns = vr name Td3:
-        begin
-            vr := (vr + 1) mod 8;
-            va := nr;
-            output U.dl_data_ind(d);
-            output L.rr(vr);
-            ackpend := false;
-        end;
-    from MF_EST to same when L.iframe provided ns = vr name Td4:
-        begin
-            vr := (vr + 1) mod 8;
-            va := nr;
-            output U.dl_data_ind(d);
-            ackpend := true;
-        end;
-    from MF_EST to same provided ackpend name Td5:
-        begin output L.rr(vr); ackpend := false; end;
-    from MF_EST to same when L.iframe provided ns <> vr name Td6:
-        begin output L.rej(vr); end;
-
-    (* ---- acknowledgements from the peer ---- *)
-    from MF_EST to same when L.rr name Ta1:
-        begin va := nr; end;
-    from MF_EST to same when L.rej name Ta2:
-        begin va := nr; end;
-
-    (* ---- frames outside multiple-frame operation ---- *)
-    from TEI_ASSIGNED, AW_EST, AW_REL to same when L.rr name Ti1:
-        begin end;
-    from TEI_ASSIGNED, AW_EST, AW_REL to same when L.rej name Ti2:
-        begin end;
-    from TEI_ASSIGNED, AW_REL to same when L.iframe name Ti3:
-        begin end;
-    from TEI_ASSIGNED, AW_REL to same when L.dm name Ti4:
-        begin end;
-    from TEI_ASSIGNED to same when L.disc name Ti5:
-        begin output L.dm; end;
-    from TEI_ASSIGNED, AW_REL to same when U.dl_data_req name Ti6:
-        begin end;
-end;
-end.
-"#;
+/// The Estelle source of the LAPD specification, `specs/lapd.est`.
+pub const SOURCE: &str = include_str!("../../../specs/lapd.est");
 
 /// Generate the LAPD trace analyzer.
 pub fn analyzer() -> TraceAnalyzer {

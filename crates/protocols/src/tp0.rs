@@ -23,128 +23,8 @@
 use tango::{ChoicePolicy, ScriptedInput, Tango, Trace, TraceAnalyzer};
 use estelle_runtime::Value;
 
-/// The Estelle source of the TP0 specification.
-pub const SOURCE: &str = r#"
-specification tp0;
-
-channel TS(user, station);
-    by user: tconreq; tdatreq(d : integer); tdisreq;
-    by station: tconconf; tconind; tdatind(d : integer); tdisind;
-end;
-
-channel NS(net, station);
-    by net: cc_ind; cr_ind; dt_ind(d : integer); dr_ind;
-    by station: cr_req; cc_req; dt_req(d : integer); dr_req;
-end;
-
-module Tp0 process;
-    ip U : TS(station);
-    ip L : NS(station);
-end;
-
-body Tp0Body for Tp0;
-    type cell = record d : integer; next : ^cell end;
-    var b1head, b1tail, b2head, b2tail, tmp : ^cell;
-
-    state idle, wfcc, data;
-
-    initialize to idle begin
-        b1head := nil; b1tail := nil;
-        b2head := nil; b2tail := nil;
-        tmp := nil;
-    end;
-
-    trans
-    (* connection establishment, initiating side *)
-    from idle to wfcc when U.tconreq name t10:
-        begin output L.cr_req; end;
-    from wfcc to data when L.cc_ind name t11:
-        begin output U.tconconf; end;
-
-    (* connection establishment, responding side *)
-    from idle to data when L.cr_ind name t12:
-        begin output U.tconind; output L.cc_req; end;
-
-    (* t13: read data from the upper module into buffer2 *)
-    from data to same when U.tdatreq name t13:
-        begin
-            new(tmp);
-            tmp^.d := d;
-            tmp^.next := nil;
-            if b2head = nil then
-                begin b2head := tmp; b2tail := tmp; end
-            else
-                begin b2tail^.next := tmp; b2tail := tmp; end;
-            tmp := nil;
-        end;
-
-    (* t14: send from buffer2 to the lower module *)
-    from data to same provided b2head <> nil name t14:
-        begin
-            output L.dt_req(b2head^.d);
-            tmp := b2head;
-            b2head := b2head^.next;
-            if b2head = nil then b2tail := nil;
-            dispose(tmp);
-            tmp := nil;
-        end;
-
-    (* t15: read data from the lower module into buffer1 *)
-    from data to same when L.dt_ind name t15:
-        begin
-            new(tmp);
-            tmp^.d := d;
-            tmp^.next := nil;
-            if b1head = nil then
-                begin b1head := tmp; b1tail := tmp; end
-            else
-                begin b1tail^.next := tmp; b1tail := tmp; end;
-            tmp := nil;
-        end;
-
-    (* t16: send from buffer1 to the upper module *)
-    from data to same provided b1head <> nil name t16:
-        begin
-            output U.tdatind(b1head^.d);
-            tmp := b1head;
-            b1head := b1head^.next;
-            if b1head = nil then b1tail := nil;
-            dispose(tmp);
-            tmp := nil;
-        end;
-
-    (* t17: disconnect request from above, indication below — fireable
-       even while data remains buffered *)
-    from data to idle when U.tdisreq name t17:
-        begin
-            output L.dr_req;
-            while b1head <> nil do
-                begin tmp := b1head; b1head := b1head^.next; dispose(tmp); end;
-            while b2head <> nil do
-                begin tmp := b2head; b2head := b2head^.next; dispose(tmp); end;
-            b1tail := nil; b2tail := nil; tmp := nil;
-        end;
-
-    (* data or disconnect indications arriving after the connection is
-       gone are ignored — class 0 provides no recovery *)
-    from idle, wfcc to same when L.dt_ind name t19:
-        begin end;
-    from idle, wfcc to same when L.dr_ind name t20:
-        begin end;
-
-    (* disconnect from below *)
-    from data to idle when L.dr_ind name t18:
-        begin
-            output U.tdisind;
-            while b1head <> nil do
-                begin tmp := b1head; b1head := b1head^.next; dispose(tmp); end;
-            while b2head <> nil do
-                begin tmp := b2head; b2head := b2head^.next; dispose(tmp); end;
-            b1tail := nil; b2tail := nil; tmp := nil;
-        end;
-end;
-end.
-"#;
+/// The Estelle source of the TP0 specification, `specs/tp0.est`.
+pub const SOURCE: &str = include_str!("../../../specs/tp0.est");
 
 /// Generate the TP0 trace analyzer.
 pub fn analyzer() -> TraceAnalyzer {
@@ -226,6 +106,14 @@ pub fn invalidate_last_data(trace: &Trace) -> Option<Trace> {
         t.events[idx].params[0] = Value::Int(999);
     }
     Some(t)
+}
+
+/// The paper's invalid TP0 trace: the complete valid trace for `up`+`down`
+/// data interactions near `seed` ([`complete_valid_trace`]) with its last
+/// data parameter mutated ([`invalidate_last_data`]).
+pub fn invalid_trace(up: usize, down: usize, seed: u64) -> Trace {
+    invalidate_last_data(&complete_valid_trace(up, down, seed))
+        .expect("a complete TP0 trace has data outputs")
 }
 
 #[cfg(test)]

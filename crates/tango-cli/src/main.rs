@@ -222,13 +222,14 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
+        let (flag, inline) = split_flag(a);
+        match flag {
             "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
+                let v = flag_value(flag, inline, &mut it, "a value")?;
                 seed = Some(v.parse().map_err(|_| format!("bad seed `{}`", v))?);
             }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{}`", flag));
+            _ if flag.starts_with("--") => {
+                return Err(format!("unknown flag `{}`", a));
             }
             _ => positional.push(a.clone()),
         }
@@ -403,20 +404,41 @@ fn parse_progress(v: &str) -> Result<(ProgressMode, Duration), String> {
     Ok((mode, Duration::from_secs_f64(secs)))
 }
 
-#[allow(clippy::type_complexity)]
-fn parse_options(
-    args: &[String],
-) -> Result<
-    (
-        AnalysisOptions,
-        RecoveryPolicy,
-        CheckpointFlags,
-        TelemetryFlags,
-        Vec<String>,
-        Option<FaultPlan>,
-    ),
-    String,
-> {
+/// What `analyze` and `online` take from their command line.
+#[derive(Debug)]
+struct ParsedArgs {
+    options: AnalysisOptions,
+    recovery: RecoveryPolicy,
+    ckpt: CheckpointFlags,
+    tflags: TelemetryFlags,
+    positional: Vec<String>,
+    chaos: Option<FaultPlan>,
+}
+
+/// Split `--name=value` into the flag and its inline value; any other
+/// argument comes back whole. Every value flag takes both `--name value`
+/// and `--name=value`.
+fn split_flag(a: &str) -> (&str, Option<&str>) {
+    match a.split_once('=') {
+        Some((flag, v)) if flag.starts_with("--") => (flag, Some(v)),
+        _ => (a, None),
+    }
+}
+
+/// The value of a value flag: its `=value` part, or else the next
+/// argument.
+fn flag_value<'a>(
+    flag: &str,
+    inline: Option<&'a str>,
+    rest: &mut std::slice::Iter<'a, String>,
+    need: &str,
+) -> Result<&'a str, String> {
+    inline
+        .or_else(|| rest.next().map(String::as_str))
+        .ok_or_else(|| format!("{} needs {}", flag, need))
+}
+
+fn parse_options(args: &[String]) -> Result<ParsedArgs, String> {
     let mut options = AnalysisOptions::default();
     let mut recovery = RecoveryPolicy::default();
     let mut ckpt = CheckpointFlags::default();
@@ -425,17 +447,16 @@ fn parse_options(
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--checkpoint-file" => {
-                let v = it.next().ok_or("--checkpoint-file needs a path")?;
-                ckpt.file = Some(PathBuf::from(v));
+        let (flag, inline) = split_flag(a);
+        let mut value = |need: &str| flag_value(flag, inline, &mut it, need);
+        match flag {
+            "--profile" | "--initial-state-search" | "--state-hashing" if inline.is_some() => {
+                return Err(format!("{} takes no value", flag));
             }
-            "--resume" => {
-                let v = it.next().ok_or("--resume needs a path")?;
-                ckpt.resume = Some(PathBuf::from(v));
-            }
+            "--checkpoint-file" => ckpt.file = Some(PathBuf::from(value("a path")?)),
+            "--resume" => ckpt.resume = Some(PathBuf::from(value("a path")?)),
             "--checkpoint-every" => {
-                let v = it.next().ok_or("--checkpoint-every needs a value")?;
+                let v = value("a value")?;
                 let n: u64 = v
                     .parse()
                     .map_err(|_| format!("bad --checkpoint-every value `{}`", v))?;
@@ -445,13 +466,13 @@ fn parse_options(
                 ckpt.every = Some(n);
             }
             "--max-transitions" => {
-                let v = it.next().ok_or("--max-transitions needs a value")?;
+                let v = value("a value")?;
                 options.limits.max_transitions = v
                     .parse()
                     .map_err(|_| format!("bad --max-transitions value `{}`", v))?;
             }
             "--max-seconds" => {
-                let v = it.next().ok_or("--max-seconds needs a value")?;
+                let v = value("a value")?;
                 let secs: f64 = v
                     .parse()
                     .map_err(|_| format!("bad --max-seconds value `{}`", v))?;
@@ -460,25 +481,17 @@ fn parse_options(
                 }
                 options.limits.max_wall_time = Some(Duration::from_secs_f64(secs));
             }
-            "--max-mem" => {
-                let v = it.next().ok_or("--max-mem needs a value")?;
-                options.limits.max_state_bytes = Some(parse_bytes(v)?);
-            }
-            "--spill-dir" => {
-                let v = it.next().ok_or("--spill-dir needs a path")?;
-                options.spill.dir = Some(PathBuf::from(v));
-            }
+            "--max-mem" => options.limits.max_state_bytes = Some(parse_bytes(value("a value")?)?),
+            "--spill-dir" => options.spill.dir = Some(PathBuf::from(value("a path")?)),
             "--on-truncate" => {
-                let v = it.next().ok_or("--on-truncate needs a value")?;
-                recovery = match v.to_ascii_lowercase().as_str() {
+                recovery = match value("a value")?.to_ascii_lowercase().as_str() {
                     "restart" => RecoveryPolicy::Restart,
                     "fail" => RecoveryPolicy::Fail,
                     other => return Err(format!("unknown truncation policy `{}`", other)),
                 };
             }
             "--order" => {
-                let v = it.next().ok_or("--order needs a value")?;
-                options.order = match v.to_ascii_lowercase().as_str() {
+                options.order = match value("a value")?.to_ascii_lowercase().as_str() {
                     "nr" | "none" => OrderOptions::none(),
                     "io" => OrderOptions::io(),
                     "ip" => OrderOptions::ip(),
@@ -487,90 +500,44 @@ fn parse_options(
                 };
             }
             "--disable-ip" => {
-                let v = it.next().ok_or("--disable-ip needs a name")?;
-                options.disabled_ips.insert(v.to_ascii_lowercase());
+                options.disabled_ips.insert(value("a name")?.to_ascii_lowercase());
             }
             "--unobserved-ip" => {
-                let v = it.next().ok_or("--unobserved-ip needs a name")?;
-                options.unobserved_ips.insert(v.to_ascii_lowercase());
+                options.unobserved_ips.insert(value("a name")?.to_ascii_lowercase());
                 options.policy = estelle_runtime::UndefinedPolicy::Propagate;
             }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                tflags.trace_out = Some(PathBuf::from(v));
-            }
-            "--metrics-out" => {
-                let v = it.next().ok_or("--metrics-out needs a path")?;
-                tflags.metrics_out = Some(PathBuf::from(v));
-            }
+            "--trace-out" => tflags.trace_out = Some(PathBuf::from(value("a path")?)),
+            "--metrics-out" => tflags.metrics_out = Some(PathBuf::from(value("a path")?)),
             "--progress" => {
-                let v = it.next().ok_or("--progress needs SECS or jsonl[:SECS]")?;
-                tflags.progress = Some(parse_progress(v)?);
+                tflags.progress = Some(parse_progress(value("SECS or jsonl[:SECS]")?)?);
             }
             "--profile" => tflags.profile = true,
-            "--profile-dot" => {
-                let v = it.next().ok_or("--profile-dot needs a path")?;
-                tflags.profile_dot = Some(PathBuf::from(v));
-            }
+            "--profile-dot" => tflags.profile_dot = Some(PathBuf::from(value("a path")?)),
             "--chaos-seed" => {
-                let v = it.next().ok_or("--chaos-seed needs a value")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --chaos-seed value `{}`", v))?;
-                chaos = Some(FaultPlan::random(n));
-            }
-            flag if flag.starts_with("--chaos-seed=") => {
-                let v = &flag["--chaos-seed=".len()..];
+                let v = value("a value")?;
                 let n: u64 = v
                     .parse()
                     .map_err(|_| format!("bad --chaos-seed value `{}`", v))?;
                 chaos = Some(FaultPlan::random(n));
             }
             "--fault-plan" => {
-                let v = it.next().ok_or("--fault-plan needs a plan spec")?;
-                chaos = Some(FaultPlan::parse(v).map_err(|e| e.to_string())?);
+                chaos = Some(FaultPlan::parse(value("a plan spec")?).map_err(|e| e.to_string())?);
             }
-            flag if flag.starts_with("--fault-plan=") => {
-                let v = &flag["--fault-plan=".len()..];
-                chaos = Some(FaultPlan::parse(v).map_err(|e| e.to_string())?);
-            }
-            "--flight-recorder" => {
-                let v = it.next().ok_or("--flight-recorder needs on|off")?;
-                tflags.recorder_off = !parse_recorder(v)?;
-            }
-            flag if flag.starts_with("--flight-recorder=") => {
-                tflags.recorder_off = !parse_recorder(&flag["--flight-recorder=".len()..])?;
-            }
-            "--dump-file" => {
-                let v = it.next().ok_or("--dump-file needs a path")?;
-                tflags.dump_file = Some(PathBuf::from(v));
-            }
-            flag if flag.starts_with("--dump-file=") => {
-                tflags.dump_file = Some(PathBuf::from(&flag["--dump-file=".len()..]));
-            }
+            "--flight-recorder" => tflags.recorder_off = !parse_recorder(value("on|off")?)?,
+            "--dump-file" => tflags.dump_file = Some(PathBuf::from(value("a path")?)),
             "--listen" => {
-                let v = it.next().ok_or("--listen needs an address (host:port)")?;
-                tflags.listen = Some(v.clone());
-            }
-            flag if flag.starts_with("--listen=") => {
-                tflags.listen = Some(flag["--listen=".len()..].to_string());
+                tflags.listen = Some(value("an address (host:port)")?.to_string());
             }
             "--initial-state-search" => options.initial_state_search = true,
             "--state-hashing" => options.state_hashing = true,
             "--workers" => {
-                let v = it.next().ok_or("--workers needs a count (0 = one per core)")?;
+                let v = value("a count (0 = one per core)")?;
                 options.workers = v
                     .parse()
                     .map_err(|_| format!("bad --workers value `{}`", v))?;
             }
-            flag if flag.starts_with("--workers=") => {
-                let v = &flag["--workers=".len()..];
-                options.workers = v
-                    .parse()
-                    .map_err(|_| format!("bad --workers value `{}`", v))?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{}`", flag));
+            _ if flag.starts_with("--") => {
+                return Err(format!("unknown flag `{}`", a));
             }
             _ => positional.push(a.clone()),
         }
@@ -578,11 +545,25 @@ fn parse_options(
     if options.spill.dir.is_some() && options.limits.max_state_bytes.is_none() {
         return Err("--spill-dir requires a --max-mem budget to tier against".to_string());
     }
-    Ok((options, recovery, ckpt, tflags, positional, chaos))
+    Ok(ParsedArgs {
+        options,
+        recovery,
+        ckpt,
+        tflags,
+        positional,
+        chaos,
+    })
 }
 
 fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
-    let (mut options, recovery, ckpt, tflags, positional, chaos) = parse_options(args)?;
+    let ParsedArgs {
+        mut options,
+        recovery,
+        ckpt,
+        tflags,
+        positional,
+        chaos,
+    } = parse_options(args)?;
     if online {
         // On-line mode runs one worker unless `--workers` asks for more
         // (`--workers 0` = one per core): on two cores, two workers take
@@ -627,7 +608,7 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     // and /profile until the final (done=true) push lands in finalize.
     let (mut tel, _server) = tflags.build(&analyzer)?;
 
-    let report = if online {
+    let (report, saved) = if online {
         let mut on_status = |v: &Verdict| {
             // A failed write here resurfaces when the report is written.
             let _ = out(format_args!("interim: {}\n", v));
@@ -659,11 +640,14 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
         };
         // A limit stop after eof carries a resumable multi-worker front;
         // persist it like static mode's autosave (single-shot, no rounds).
-        if let (Some(path), Some(cp)) = (&ckpt.file, report.checkpoint.as_deref()) {
-            let (stats, faults) = (&mut report.stats, &mut report.checkpoint_faults);
-            save_checkpoint(cp, path, None, &mut tel, stats, faults);
-        }
-        report
+        let saved = match (&ckpt.file, report.checkpoint.as_deref()) {
+            (Some(path), Some(cp)) => {
+                let (stats, faults) = (&mut report.stats, &mut report.checkpoint_faults);
+                save_checkpoint(cp, path, None, &mut tel, stats, faults)
+            }
+            _ => false,
+        };
+        (report, saved)
     } else {
         run_static(
             &analyzer,
@@ -678,18 +662,16 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     // Fold the cumulative counters into the metrics registry and flush
     // the event stream, then write the requested artifacts.
     tel.finalize(&report.stats);
+    // The file a rerun can resume from: named only when this run stopped
+    // resumably and a save to it succeeded.
+    let saved_to = ckpt.file.as_deref().filter(|_| saved && report.checkpoint.is_some());
 
     // Black box: any non-completed outcome gets a post-mortem dump. The
     // autosave path is named inside the dump so `dump-info` can point
     // straight at the file to resume from.
     if tel.recorder().is_some() && should_dump(&report) {
         let dump_path = tflags.dump_path();
-        let resume_from = if report.checkpoint.is_some() {
-            ckpt.file.as_deref()
-        } else {
-            None
-        };
-        let dump = PostMortemDump::capture(&report, &tel, resume_from, chaos.as_ref());
+        let dump = PostMortemDump::capture(&report, &tel, saved_to, chaos.as_ref());
         match dump.write_to(&dump_path) {
             Ok(()) => eprintln!(
                 "note: post-mortem dump written to {}; inspect with \
@@ -746,7 +728,7 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
         eprintln!("checkpoint fault: {}", fault);
     }
     if report.checkpoint.is_some() {
-        match &ckpt.file {
+        match saved_to {
             Some(path) => eprintln!(
                 "note: search stopped on a resource limit; checkpoint saved to {}; \
                  rerun with --resume {} and raised limits to continue",
@@ -754,8 +736,8 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
                 path.display()
             ),
             None => eprintln!(
-                "note: search stopped on a resource limit; rerun with higher \
-                 --max-seconds/--max-mem limits to continue"
+                "note: search stopped on a resource limit; no checkpoint was saved; \
+                 rerun with higher --max-seconds/--max-mem limits to continue"
             ),
         }
     }
@@ -771,7 +753,8 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
 /// search in bounded rounds (each round ends on a *synthetic* transition
 /// cap, the frozen checkpoint is written atomically, and the search
 /// resumes in-process — the same stop/resume path a crashed process
-/// recovers through, so the totals are identical either way).
+/// recovers through, so the totals are identical either way). Returns
+/// the final report and whether any save succeeded.
 fn run_static(
     analyzer: &TraceAnalyzer,
     trace_path: Option<&str>,
@@ -779,7 +762,7 @@ fn run_static(
     ckpt: &CheckpointFlags,
     chaos: Option<&FaultPlan>,
     tel: &mut Telemetry,
-) -> Result<AnalysisReport, String> {
+) -> Result<(AnalysisReport, bool), String> {
     let user_cap = options.limits.max_transitions;
     // Chaos bookkeeping lives outside the round loop: the search rounds
     // replace `report`, but source faults happen once (at drain) and
@@ -789,6 +772,7 @@ fn run_static(
     let mut counts = SearchStats::default();
     let mut source_faults: Vec<String> = Vec::new();
     let mut ck_faults: Vec<String> = Vec::new();
+    let mut saved = false;
     // One search round: cap TE at the next autosave point, never above
     // the user's own limit.
     let round_options = |done: u64| {
@@ -834,7 +818,7 @@ fn run_static(
     loop {
         // Autosave on every limit stop, synthetic or genuine.
         if let (Some(path), Some(cp)) = (&ckpt.file, report.checkpoint.as_deref()) {
-            save_checkpoint(cp, path, injector.as_mut(), tel, &mut counts, &mut ck_faults);
+            saved |= save_checkpoint(cp, path, injector.as_mut(), tel, &mut counts, &mut ck_faults);
         }
         // A synthetic stop is a transition-limit stop below the user's
         // own cap: continue the next round in-process. Anything else —
@@ -855,7 +839,7 @@ fn run_static(
                 report.source_faults = source_faults;
             }
             report.checkpoint_faults = ck_faults;
-            return Ok(report);
+            return Ok((report, saved));
         }
         let cp = *report.checkpoint.take().expect("checked above");
         let done = cp.stats().transitions_executed;
@@ -869,7 +853,7 @@ fn run_static(
 /// `injector` deciding each attempt's fate on a chaos run. The retries
 /// and a giveup are counted in `stats` and a failure's text is added to
 /// `faults`: a failed save costs the durability of this save, not the
-/// analysis.
+/// analysis. Returns whether the save succeeded.
 fn save_checkpoint(
     cp: &Checkpoint,
     path: &Path,
@@ -877,12 +861,15 @@ fn save_checkpoint(
     tel: &mut Telemetry,
     stats: &mut SearchStats,
     faults: &mut Vec<String>,
-) {
+) -> bool {
     let te = cp.stats().transitions_executed;
     let out = cp.write_to_with(path, &RetryPolicy::checkpoint(), injector);
     stats.checkpoint_retries += u64::from(out.retries);
     match out.result {
-        Ok(()) => tel.on_checkpoint(te, &path.display().to_string()),
+        Ok(()) => {
+            tel.on_checkpoint(te, &path.display().to_string());
+            true
+        }
         Err(e) => {
             stats.checkpoint_giveups += 1;
             let fault = format!("save to {} at TE={} failed: {}", path.display(), te, e);
@@ -891,6 +878,7 @@ fn save_checkpoint(
                 fault
             );
             faults.push(fault);
+            false
         }
     }
 }
@@ -1055,7 +1043,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let (opts, _, _, _, _, _) = parse_options(&args).unwrap();
+        let opts = parse_options(&args).unwrap().options;
         assert_eq!(opts.spill.dir.as_deref(), Some(std::path::Path::new("/tmp/s")));
         assert_eq!(opts.limits.max_state_bytes, Some(1 << 20));
 
@@ -1087,18 +1075,19 @@ mod tests {
 
     #[test]
     fn flight_recorder_flag_both_spellings_and_default_on() {
-        let (_, _, _, tflags, _, _) = parse_options(&["x".to_string()]).unwrap();
+        let tflags = parse_options(&["x".to_string()]).unwrap().tflags;
         assert!(!tflags.recorder_off, "the black box is on by default");
 
-        let (_, _, _, tflags, _, _) =
-            parse_options(&["--flight-recorder=off".to_string(), "x".to_string()]).unwrap();
+        let tflags =
+            parse_options(&["--flight-recorder=off".to_string(), "x".to_string()]).unwrap().tflags;
         assert!(tflags.recorder_off);
-        let (_, _, _, tflags, _, _) = parse_options(&[
+        let tflags = parse_options(&[
             "--flight-recorder".to_string(),
             "on".to_string(),
             "x".to_string(),
         ])
-        .unwrap();
+        .unwrap()
+        .tflags;
         assert!(!tflags.recorder_off);
         assert!(parse_options(&["--flight-recorder=maybe".to_string()]).is_err());
         assert!(parse_options(&["--flight-recorder".to_string()]).is_err());
@@ -1110,7 +1099,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let (_, _, _, tflags, _, _) = parse_options(&args).unwrap();
+        let tflags = parse_options(&args).unwrap().tflags;
         assert_eq!(
             tflags.dump_path(),
             PathBuf::from("/tmp/d.tangodump"),
@@ -1118,7 +1107,7 @@ mod tests {
         );
         assert_eq!(tflags.listen.as_deref(), Some("127.0.0.1:0"));
 
-        let (_, _, _, tflags, _, _) = parse_options(&["x".to_string()]).unwrap();
+        let tflags = parse_options(&["x".to_string()]).unwrap().tflags;
         assert_eq!(tflags.dump_path(), PathBuf::from(DEFAULT_DUMP_FILE));
         assert!(tflags.listen.is_none());
         assert!(parse_options(&["--dump-file".to_string()]).is_err());
@@ -1129,21 +1118,36 @@ mod tests {
     fn chaos_flags_parse_and_round_trip() {
         // --chaos-seed derives the same plan the library derives.
         let args: Vec<String> = ["--chaos-seed", "7", "x"].iter().map(|s| s.to_string()).collect();
-        let (_, _, _, _, _, chaos) = parse_options(&args).unwrap();
+        let chaos = parse_options(&args).unwrap().chaos;
         let plan = chaos.expect("plan armed");
         assert_eq!(plan, FaultPlan::random(7));
 
         // The echoed describe() line re-arms the identical plan through
         // --fault-plan: log line → exact reproduction.
         let spec = plan.describe();
-        let (_, _, _, _, _, chaos) =
-            parse_options(&[format!("--fault-plan={}", spec), "x".to_string()]).unwrap();
+        let chaos =
+            parse_options(&[format!("--fault-plan={}", spec), "x".to_string()]).unwrap().chaos;
         assert_eq!(chaos.unwrap(), plan);
 
-        let (_, _, _, _, _, chaos) = parse_options(&["x".to_string()]).unwrap();
+        let chaos = parse_options(&["x".to_string()]).unwrap().chaos;
         assert!(chaos.is_none(), "unarmed by default");
         assert!(parse_options(&["--chaos-seed".to_string()]).is_err());
         assert!(parse_options(&["--chaos-seed=pi".to_string()]).is_err());
         assert!(parse_options(&["--fault-plan=bogus.knob=1".to_string()]).is_err());
+    }
+
+    #[test]
+    fn every_value_flag_takes_an_inline_value_and_no_switch_does() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let p = parse_options(&args(&["--max-transitions=5", "--order=full", "x"])).unwrap();
+        assert_eq!(p.options.limits.max_transitions, 5);
+        assert_eq!(p.options.order, OrderOptions::full());
+        assert_eq!(p.positional, ["x"]);
+        let e = parse_options(&args(&["--max-transitions=five", "x"])).unwrap_err();
+        assert_eq!(e, "bad --max-transitions value `five`");
+        for switch in ["--profile", "--initial-state-search", "--state-hashing"] {
+            let e = parse_options(&args(&[&format!("{}=1", switch), "x"])).unwrap_err();
+            assert_eq!(e, format!("{} takes no value", switch));
+        }
     }
 }

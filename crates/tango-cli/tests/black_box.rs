@@ -3,67 +3,17 @@
 //! `checkpoint-info`, and the live `--listen` endpoint fetched with the
 //! shipped `http-get` curl substitute.
 
+mod common;
+
+use common::{bin, scratch_dir, stderr_of, stdout_of, write_inputs};
 use std::io::Read;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::path::Path;
+use std::process::{Output, Stdio};
 use std::time::{Duration, Instant};
-
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_tango"))
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("tango-black-box-{}-{}", tag, std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Same doubling spec the chaos tests use: every `ping` has two
-/// indistinguishable firings, and the missing `pong` exhausts the tree.
-const FORK_SPEC: &str = r#"
-specification forker;
-channel C(user, station);
-    by user: ping;
-    by station: pong;
-end;
-module M process;
-    ip U : C(station);
-end;
-body MB for M;
-    state s0;
-    initialize to s0 begin end;
-    trans
-    from s0 to same when U.ping name ta: begin end;
-    from s0 to same when U.ping name tb: begin end;
-end;
-end.
-"#;
-
-fn write_inputs(dir: &Path, pings: usize) -> (PathBuf, PathBuf) {
-    let spec = dir.join("forker.est");
-    std::fs::write(&spec, FORK_SPEC).unwrap();
-    let mut trace = String::new();
-    for _ in 0..pings {
-        trace.push_str("in U.ping\n");
-    }
-    trace.push_str("out U.pong\n");
-    let trace_path = dir.join("trace.txt");
-    std::fs::write(&trace_path, trace).unwrap();
-    (spec, trace_path)
-}
-
-fn stdout_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).to_string()
-}
-
-fn stderr_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).to_string()
-}
 
 #[test]
 fn inconclusive_run_writes_a_dump_dump_info_reads_it_back() {
-    let dir = tmpdir("dump");
+    let dir = scratch_dir("dump");
     let (spec, trace) = write_inputs(&dir, 8);
     let dump = dir.join("pm.tangodump");
 
@@ -113,7 +63,7 @@ fn inconclusive_run_writes_a_dump_dump_info_reads_it_back() {
 
 #[test]
 fn corrupted_dump_is_a_typed_error_not_a_panic() {
-    let dir = tmpdir("corrupt");
+    let dir = scratch_dir("corrupt");
     let (spec, trace) = write_inputs(&dir, 8);
     let dump = dir.join("pm.tangodump");
     bin()
@@ -140,7 +90,7 @@ fn corrupted_dump_is_a_typed_error_not_a_panic() {
 
 #[test]
 fn flight_recorder_off_is_observably_identical_minus_the_dump() {
-    let dir = tmpdir("zero-cost");
+    let dir = scratch_dir("zero-cost");
     let (spec, trace) = write_inputs(&dir, 8);
     let dump_on = dir.join("on.tangodump");
     let dump_off = dir.join("off.tangodump");
@@ -172,7 +122,7 @@ fn flight_recorder_off_is_observably_identical_minus_the_dump() {
 
 #[test]
 fn checkpoint_info_reports_fault_counters() {
-    let dir = tmpdir("ckpt-info");
+    let dir = scratch_dir("ckpt-info");
     let (spec, trace) = write_inputs(&dir, 8);
     let ckpt = dir.join("state.bin");
 
@@ -208,7 +158,7 @@ fn checkpoint_info_reports_fault_counters() {
 /// the front, and `checkpoint-info` reports the saving run's workers.
 #[test]
 fn online_defaults_to_one_worker() {
-    let dir = tmpdir("workers");
+    let dir = scratch_dir("workers");
     let (spec, _) = write_inputs(&dir, 4);
     let trace = dir.join("online.txt");
     std::fs::write(&trace, "in U.ping\n".repeat(4) + "out U.pong\neof\n").unwrap();
@@ -242,7 +192,7 @@ fn online_defaults_to_one_worker() {
 
 #[test]
 fn listen_endpoint_serves_status_and_metrics_during_a_run() {
-    let dir = tmpdir("listen");
+    let dir = scratch_dir("listen");
     // Enough doubling to keep the search busy for the whole test; the
     // wall-clock limit is the safety net that ends it.
     let (spec, trace) = write_inputs(&dir, 40);
@@ -308,13 +258,18 @@ fn listen_endpoint_serves_status_and_metrics_during_a_run() {
     assert!(status.contains("\"schema\":\"tango-status\""), "{}", status);
     assert!(status.contains("\"te\":"), "{}", status);
     assert!(status.contains("\"verdict\":\"running\""), "{}", status);
-    let rate: f64 = status
-        .split("\"rate\":")
-        .nth(1)
-        .and_then(|r| r.split(',').next())
-        .and_then(|r| r.parse().ok())
-        .unwrap_or_else(|| panic!("no rate in {}", status));
-    assert!(rate > 0.0, "{}", status);
+    let number = |key: &str| -> f64 {
+        status
+            .split(&format!("\"{}\":", key))
+            .nth(1)
+            .and_then(|r| r.split(',').next())
+            .and_then(|r| r.parse().ok())
+            .unwrap_or_else(|| panic!("no {} in {}", key, status))
+    };
+    assert!(number("rate") > 0.0, "{}", status);
+    // The one-worker search reports its live snapshot residency, not
+    // the zero it starts from.
+    assert!(number("resident_bytes") > 0.0, "{}", status);
 
     let (code, metrics) = fetch("/metrics");
     assert_eq!(code, Some(0), "{}", metrics);

@@ -7,82 +7,16 @@
 //! replays the identical analysis — same verdict, same TE/GE/RE/SA.
 #![cfg(unix)]
 
+mod common;
+
+use common::{bin, parse_counters, scratch_dir, stderr_of, stdout_of, write_inputs};
 use std::os::unix::process::ExitStatusExt;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::process::{Output, Stdio};
 use std::time::{Duration, Instant};
-
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_tango"))
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tango-chaos-cli-{}-{}", tag, std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// The crash-recovery forker: two observationally identical transitions
-/// per `ping` double the search tree at every event, and the trailing
-/// never-produced `pong` forces a conclusive `invalid` that exhausts it.
-const FORK_SPEC: &str = r#"
-specification forker;
-channel C(user, station);
-    by user: ping;
-    by station: pong;
-end;
-module M process;
-    ip U : C(station);
-end;
-body MB for M;
-    state s0;
-    initialize to s0 begin end;
-    trans
-    from s0 to same when U.ping name ta: begin end;
-    from s0 to same when U.ping name tb: begin end;
-end;
-end.
-"#;
-
-fn write_inputs(dir: &Path, pings: usize) -> (PathBuf, PathBuf) {
-    let spec = dir.join("forker.est");
-    std::fs::write(&spec, FORK_SPEC).unwrap();
-    let mut trace = String::new();
-    for _ in 0..pings {
-        trace.push_str("in U.ping\n");
-    }
-    trace.push_str("out U.pong\n");
-    let trace_path = dir.join("trace.txt");
-    std::fs::write(&trace_path, trace).unwrap();
-    (spec, trace_path)
-}
-
-fn parse_counters(stdout: &str) -> (u64, u64, u64, u64) {
-    let grab = |key: &str| -> u64 {
-        let at = stdout
-            .find(key)
-            .unwrap_or_else(|| panic!("`{}` missing in output: {}", key, stdout));
-        stdout[at + key.len()..]
-            .split(|c: char| !c.is_ascii_digit())
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap()
-    };
-    (grab("TE="), grab("GE="), grab("RE="), grab("SA="))
-}
-
-fn stdout_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).to_string()
-}
-
-fn stderr_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).to_string()
-}
 
 #[test]
 fn chaos_seed_replays_identically_and_by_its_echoed_plan() {
-    let dir = tmpdir("repro");
+    let dir = scratch_dir("repro");
     let (spec, trace) = write_inputs(&dir, 6);
 
     let run = |args: &[&str]| -> Output {
@@ -126,7 +60,7 @@ fn chaos_seed_replays_identically_and_by_its_echoed_plan() {
 
 #[test]
 fn malformed_fault_plan_is_a_typed_cli_error() {
-    let dir = tmpdir("badplan");
+    let dir = scratch_dir("badplan");
     let (spec, trace) = write_inputs(&dir, 2);
     let out = bin()
         .arg("analyze")
@@ -149,7 +83,7 @@ fn malformed_fault_plan_is_a_typed_cli_error() {
 /// that landed: the totals must match an untouched run exactly.
 #[test]
 fn sigkill_under_checkpoint_faults_then_resume_reconverges() {
-    let dir = tmpdir("kill");
+    let dir = scratch_dir("kill");
     let (spec, trace) = write_inputs(&dir, 19);
 
     let baseline = bin()

@@ -1,22 +1,10 @@
 //! Integration tests driving the `tango` binary.
 
+mod common;
+
+use common::{bin, scratch_dir, stderr_of, stdout_of};
 use std::io::Write;
 use std::path::PathBuf;
-use std::process::{Command, Output};
-
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_tango"))
-}
-
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tango-cli-test-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn write_file(dir: &std::path::Path, name: &str, contents: &str) -> PathBuf {
     let path = dir.join(name);
@@ -24,36 +12,15 @@ fn write_file(dir: &std::path::Path, name: &str, contents: &str) -> PathBuf {
     path
 }
 
-const ACK_SPEC: &str = r#"
-specification ackspec;
-channel ChA(env, m); by env: x; by m: ack; end;
-channel ChB(env, m); by env: y; end;
-module M process;
-    ip A : ChA(m);
-    ip B : ChB(m);
-end;
-body MB for M;
-    state S1, S2;
-    initialize to S1 begin end;
-    trans
-    from S1 to S1 when A.x name T1: begin end;
-    from S1 to S2 when A.x name T2: begin end;
-    from S2 to S1 when B.y name T3: begin output A.ack; end;
-end;
-end.
-"#;
-
-fn stdout(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).to_string()
-}
+const ACK_SPEC: &str = include_str!("../../../specs/ack.est");
 
 #[test]
 fn check_prints_model_summary() {
-    let dir = tmpdir();
+    let dir = scratch_dir("check_prints_model_summary");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     let out = bin().arg("check").arg(&spec).output().unwrap();
     assert!(out.status.success());
-    let text = stdout(&out);
+    let text = stdout_of(&out);
     assert!(text.contains("module M"));
     assert!(text.contains("states: S1, S2"));
     assert!(text.contains("3 transition declaration(s)"));
@@ -61,7 +28,7 @@ fn check_prints_model_summary() {
 
 #[test]
 fn analyze_valid_trace_exits_zero() {
-    let dir = tmpdir();
+    let dir = scratch_dir("analyze_valid_trace_exits_zero");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     let trace = write_file(&dir, "good.trace", "in A.x\nin B.y\nout A.ack\n");
     let out = bin()
@@ -71,14 +38,14 @@ fn analyze_valid_trace_exits_zero() {
         .args(["--order", "nr"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    assert!(stdout(&out).contains("verdict: valid"));
-    assert!(stdout(&out).contains("witness:"));
+    assert_eq!(out.status.code(), Some(0), "{}", stdout_of(&out));
+    assert!(stdout_of(&out).contains("verdict: valid"));
+    assert!(stdout_of(&out).contains("witness:"));
 }
 
 #[test]
 fn analyze_invalid_trace_exits_one() {
-    let dir = tmpdir();
+    let dir = scratch_dir("analyze_invalid_trace_exits_one");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     let trace = write_file(&dir, "bad.trace", "in A.x\nout A.ack\n");
     let out = bin()
@@ -87,17 +54,17 @@ fn analyze_invalid_trace_exits_one() {
         .arg(&trace)
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    assert!(stdout(&out).contains("verdict: invalid"));
+    assert_eq!(out.status.code(), Some(1), "{}", stdout_of(&out));
+    assert!(stdout_of(&out).contains("verdict: invalid"));
 }
 
 #[test]
 fn syntax_errors_are_rendered_with_carets() {
-    let dir = tmpdir();
+    let dir = scratch_dir("syntax_errors_are_rendered_with_carets");
     let spec = write_file(&dir, "broken.est", "specification x; module end.");
     let out = bin().arg("check").arg(&spec).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
+    let err = stderr_of(&out);
     assert!(err.contains("error (parse)"), "stderr: {}", err);
     assert!(err.contains('^'));
 }
@@ -109,12 +76,12 @@ fn unknown_flags_are_rejected() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(3));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--frobnicate"));
+    assert!(stderr_of(&out).contains("--frobnicate"));
 }
 
 #[test]
 fn normalize_emits_reparsable_estelle() {
-    let dir = tmpdir();
+    let dir = scratch_dir("normalize_emits_reparsable_estelle");
     let branchy = r#"
 specification b;
 channel C(env, m); by env: put(n : integer); by m: lo; hi; end;
@@ -133,18 +100,18 @@ end.
     let spec = write_file(&dir, "branchy.est", branchy);
     let out = bin().arg("normalize").arg(&spec).output().unwrap();
     assert!(out.status.success());
-    let text = stdout(&out);
+    let text = stdout_of(&out);
     assert!(text.contains("T_nf1"));
     assert!(text.contains("T_nf2"));
     // The normal form must itself be a valid specification.
     let round = write_file(&dir, "normalized.est", &text);
     let out = bin().arg("check").arg(&round).output().unwrap();
-    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(out.status.success(), "{}", stdout_of(&out));
 }
 
 #[test]
 fn online_mode_follows_a_growing_file() {
-    let dir = tmpdir();
+    let dir = scratch_dir("online_mode_follows_a_growing_file");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     let trace_path = dir.join("live.trace");
     std::fs::write(&trace_path, "in A.x\n").unwrap();
@@ -168,8 +135,8 @@ fn online_mode_follows_a_growing_file() {
     drop(f);
 
     let out = child.wait_with_output().unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    assert!(stdout(&out).contains("verdict: valid"));
+    assert_eq!(out.status.code(), Some(0), "{}", stdout_of(&out));
+    assert!(stdout_of(&out).contains("verdict: valid"));
 }
 
 /// The visited set would make on-line counters depend on the worker
@@ -177,7 +144,7 @@ fn online_mode_follows_a_growing_file() {
 /// instead of being silently ignored.
 #[test]
 fn online_mode_refuses_state_hashing() {
-    let dir = tmpdir();
+    let dir = scratch_dir("online_mode_refuses_state_hashing");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     let trace = write_file(&dir, "done.trace", "in A.x\nin B.y\nout A.ack\neof\n");
     let out = bin()
@@ -187,15 +154,15 @@ fn online_mode_refuses_state_hashing() {
         .arg("--state-hashing")
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(3), "{}", stdout(&out));
-    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{}", stdout_of(&out));
+    let err = stderr_of(&out);
     assert!(err.contains("state hashing"), "{}", err);
-    assert!(!stdout(&out).contains("verdict"), "{}", stdout(&out));
+    assert!(!stdout_of(&out).contains("verdict"), "{}", stdout_of(&out));
 }
 
 #[test]
 fn disable_ip_flag_is_honored() {
-    let dir = tmpdir();
+    let dir = scratch_dir("disable_ip_flag_is_honored");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     // Without the ack output the trace is invalid...
     let trace = write_file(&dir, "quiet.trace", "in A.x\nin B.y\n");
@@ -214,16 +181,16 @@ fn disable_ip_flag_is_honored() {
         .args(["--disable-ip", "A"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert_eq!(out.status.code(), Some(0), "{}", stdout_of(&out));
 }
 
 #[test]
 fn graph_emits_dot() {
-    let dir = tmpdir();
+    let dir = scratch_dir("graph_emits_dot");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     let out = bin().arg("graph").arg(&spec).output().unwrap();
     assert!(out.status.success());
-    let text = stdout(&out);
+    let text = stdout_of(&out);
     assert!(text.starts_with("digraph M {"));
     assert!(text.contains("when A.x"));
     assert!(text.contains("/ A.ack"));
@@ -244,7 +211,7 @@ end.
 
 #[test]
 fn generate_round_trips_through_analyze() {
-    let dir = tmpdir();
+    let dir = scratch_dir("generate_round_trips_through_analyze");
     let spec = write_file(&dir, "echo.est", ECHO_SPEC);
     let script = write_file(&dir, "script.txt", "in P.req(1)\nin P.req(5)\nin P.req(9)\n");
     let out = bin()
@@ -254,9 +221,18 @@ fn generate_round_trips_through_analyze() {
         .args(["--seed", "7"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let trace_text = stdout(&out);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let trace_text = stdout_of(&out);
     assert!(trace_text.trim_end().ends_with("eof"));
+    // `--seed=7` is the same flag as `--seed 7`.
+    let inline = bin()
+        .args(["generate"])
+        .arg(&spec)
+        .arg(&script)
+        .arg("--seed=7")
+        .output()
+        .unwrap();
+    assert_eq!(stdout_of(&inline), trace_text, "{}", stderr_of(&inline));
 
     // The generated trace must be valid against the same spec.
     let trace = write_file(&dir, "generated.trace", &trace_text);
@@ -267,17 +243,17 @@ fn generate_round_trips_through_analyze() {
         .args(["--order", "full"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert_eq!(out.status.code(), Some(0), "{}", stdout_of(&out));
 }
 
 #[test]
 fn generate_rejects_out_lines_in_scripts() {
-    let dir = tmpdir();
+    let dir = scratch_dir("generate_rejects_out_lines_in_scripts");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     let script = write_file(&dir, "bad_script.txt", "in A.x\nout A.ack\n");
     let out = bin().args(["generate"]).arg(&spec).arg(&script).output().unwrap();
     assert_eq!(out.status.code(), Some(3));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("`in` lines"));
+    assert!(stderr_of(&out).contains("`in` lines"));
 }
 
 /// A reader that goes away before the report is printed
@@ -286,7 +262,7 @@ fn generate_rejects_out_lines_in_scripts() {
 #[test]
 fn a_closed_stdout_ends_quietly_with_the_verdicts_exit_code() {
     use std::process::Stdio;
-    let dir = tmpdir();
+    let dir = scratch_dir("a_closed_stdout_ends_quietly_with_the_verdicts_exit_code");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     let trace = write_file(&dir, "bad.trace", "in A.x\nout A.ack\n");
     // A pipe whose only reader has exited: a usage error never reads it.
@@ -294,16 +270,17 @@ fn a_closed_stdout_ends_quietly_with_the_verdicts_exit_code() {
     let closed = gone.stdin.take().unwrap();
     gone.wait().unwrap();
     let out = bin().arg("analyze").arg(&spec).arg(&trace).stdout(closed).output().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(1), "{}", stderr);
     assert!(!stderr.contains("panicked"), "{}", stderr);
 }
 
 /// An on-line checkpoint save that fails is counted like a failed
 /// autosave: it reaches the report's checkpoint giveups, and the dump.
+/// Neither the stop note nor the dump names the file as one to resume.
 #[test]
 fn a_failed_online_checkpoint_save_is_counted_and_dumped() {
-    let dir = tmpdir();
+    let dir = scratch_dir("a_failed_online_checkpoint_save_is_counted_and_dumped");
     let spec = write_file(&dir, "ack.est", ACK_SPEC);
     let trace = write_file(&dir, "done.trace", "in A.x\nin B.y\nout A.ack\neof\n");
     let (metrics, dump) = (dir.join("online.json"), dir.join("online.tangodump"));
@@ -316,9 +293,12 @@ fn a_failed_online_checkpoint_save_is_counted_and_dumped() {
         .args(["--dump-file".as_ref(), dump.as_os_str()])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    assert_eq!(out.status.code(), Some(2), "{}", stdout_of(&out));
+    let stderr = stderr_of(&out);
+    assert!(!stderr.contains("checkpoint saved to"), "{}", stderr);
     let doc = std::fs::read_to_string(&metrics).unwrap();
     assert!(doc.contains("\"fault.checkpoint.giveups\": 1,"), "{}", doc);
-    let info = stdout(&bin().arg("dump-info").arg(&dump).output().unwrap());
+    let info = stdout_of(&bin().arg("dump-info").arg(&dump).output().unwrap());
     assert!(info.contains("    checkpoint: save to "), "{}", info);
+    assert!(info.contains("resume from: (no checkpoint recorded)"), "{}", info);
 }

@@ -10,84 +10,17 @@
 //! counted once — which is why the totals still come out identical.
 #![cfg(unix)]
 
+mod common;
+
+use common::{bin, parse_counters, scratch_dir, stderr_of, stdout_of, write_inputs};
 use std::os::unix::process::ExitStatusExt;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::path::Path;
+use std::process::Stdio;
 use std::time::{Duration, Instant};
 
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_tango"))
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tango-crash-recovery-{}-{}",
-        tag,
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Two observationally identical transitions per consumed `ping`: the
-/// search tree doubles at every event, so `PINGS` events give a run long
-/// enough (seconds, debug profile) to kill reliably mid-flight, while
-/// the trailing never-produced `out U.pong` makes the verdict a
-/// conclusive `invalid` that requires exhausting the whole tree.
-const FORK_SPEC: &str = r#"
-specification forker;
-channel C(user, station);
-    by user: ping;
-    by station: pong;
-end;
-module M process;
-    ip U : C(station);
-end;
-body MB for M;
-    state s0;
-    initialize to s0 begin end;
-    trans
-    from s0 to same when U.ping name ta: begin end;
-    from s0 to same when U.ping name tb: begin end;
-end;
-end.
-"#;
-
+/// Forker pings per trace: the doubling tree makes the run long enough
+/// (seconds, debug profile) to kill reliably mid-flight.
 const PINGS: usize = 19;
-
-fn write_inputs(dir: &Path) -> (PathBuf, PathBuf) {
-    let spec = dir.join("forker.est");
-    std::fs::write(&spec, FORK_SPEC).unwrap();
-    let mut trace = String::new();
-    for _ in 0..PINGS {
-        trace.push_str("in U.ping\n");
-    }
-    trace.push_str("out U.pong\n");
-    let trace_path = dir.join("trace.txt");
-    std::fs::write(&trace_path, trace).unwrap();
-    (spec, trace_path)
-}
-
-/// The paper-table counters from the report line:
-/// `verdict: ... [CPUT=0.123s TE=1 GE=2 RE=3 SA=4]`.
-fn parse_counters(stdout: &str) -> (u64, u64, u64, u64) {
-    let grab = |key: &str| -> u64 {
-        let at = stdout
-            .find(key)
-            .unwrap_or_else(|| panic!("`{}` missing in output: {}", key, stdout));
-        stdout[at + key.len()..]
-            .split(|c: char| !c.is_ascii_digit())
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap()
-    };
-    (grab("TE="), grab("GE="), grab("RE="), grab("SA="))
-}
-
-fn stdout_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).to_string()
-}
 
 /// Kill the analysis once the checkpoint file exists (and, with
 /// `spill_dir`, while a segment file is in it), then resume from the
@@ -97,9 +30,9 @@ fn crash_and_resume(
     tag: &str,
     extra: &[&str],
     spill_dir: Option<&Path>,
-) -> (String, (u64, u64, u64, u64), SegmentFiles) {
-    let dir = tmpdir(tag);
-    let (spec, trace) = write_inputs(&dir);
+) -> (String, [u64; 4], SegmentFiles) {
+    let dir = scratch_dir(tag);
+    let (spec, trace) = write_inputs(&dir, PINGS);
     let ckpt = dir.join("autosave.bin");
     let _ = std::fs::remove_file(&ckpt);
 
@@ -164,7 +97,7 @@ fn crash_and_resume(
         info.status.success(),
         "autosaved checkpoint failed verification: {}{}",
         stdout_of(&info),
-        String::from_utf8_lossy(&info.stderr)
+        stderr_of(&info)
     );
     assert!(stdout_of(&info).contains("pending frames:"));
 
@@ -193,8 +126,8 @@ fn libc_sigkill() -> i32 {
 
 #[test]
 fn sigkill_mid_analysis_then_resume_matches_uninterrupted_run() {
-    let dir = tmpdir("baseline");
-    let (spec, trace) = write_inputs(&dir);
+    let dir = scratch_dir("baseline");
+    let (spec, trace) = write_inputs(&dir, PINGS);
     let baseline = bin()
         .arg("analyze")
         .arg(&spec)
@@ -216,8 +149,8 @@ fn sigkill_mid_analysis_then_resume_matches_uninterrupted_run() {
 
 #[test]
 fn sigkill_mid_spill_then_disk_resume_matches_uninterrupted_run() {
-    let dir = tmpdir("spill-baseline");
-    let (spec, trace) = write_inputs(&dir);
+    let dir = scratch_dir("spill-baseline");
+    let (spec, trace) = write_inputs(&dir, PINGS);
     let baseline = bin()
         .arg("analyze")
         .arg(&spec)
@@ -236,7 +169,7 @@ fn sigkill_mid_spill_then_disk_resume_matches_uninterrupted_run() {
     // them when it ends, and must still reproduce the uninterrupted
     // totals exactly — the tier changes where bytes live, never what
     // the search decides.
-    let spill_dir = tmpdir("spill-segments");
+    let spill_dir = scratch_dir("spill-segments");
     let spill = spill_dir.to_str().unwrap();
     let metrics = dir.join("resumed-metrics.json");
     let metrics_arg = metrics.to_str().unwrap();

@@ -108,16 +108,7 @@ impl TraceAnalyzer {
     }
 
     /// Analyze an already resolved trace (static mode), applying the
-    /// §2.4.1 initial-state search when enabled.
-    pub fn analyze_resolved(
-        &self,
-        trace: ResolvedTrace,
-        options: &AnalysisOptions,
-    ) -> Result<AnalysisReport, TangoError> {
-        self.analyze_resolved_with(trace, options, &mut Telemetry::off())
-    }
-
-    /// [`TraceAnalyzer::analyze_resolved`] with a telemetry handle. One
+    /// §2.4.1 initial-state search when enabled. One telemetry
     /// handle covers the whole analysis: initial-state-search rounds
     /// continue the same event stream (one `meta` line, monotone
     /// sequence numbers).

@@ -187,11 +187,6 @@ impl TraceEnv {
         }
     }
 
-    /// Whether an IP's inputs are unobserved (§5.2).
-    pub fn is_unobserved(&self, ip: usize) -> bool {
-        self.unobserved[ip]
-    }
-
     /// Count of checkable events already consumed/verified: the events
     /// the current branch explains. It depends on the cursors alone, so
     /// it does not move as a growing trace gets longer.

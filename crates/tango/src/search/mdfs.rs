@@ -1214,6 +1214,9 @@ fn drain<S: Sink>(
 ) -> Halt {
     let cap = lane.options.limits.max_transitions;
     loop {
+        // The live views read residency from the ticked stats; the end
+        // of the run stamps the same gauge.
+        lane.stats.snapshot_bytes = stack.gauge.resident;
         let step = match live.as_deref_mut() {
             None => {
                 let Some(node) = stack.work.pop() else {
@@ -1605,11 +1608,9 @@ fn burst_worker(widx: usize, mut lane: Lane<'_>, sh: &Burst, mut sink: Buffered)
             }
         };
         front.label = label;
-        let s = &lane.stats;
-        let before = [s.transitions_executed, s.generates, s.restores, s.saves];
+        let before = lane.stats.counters();
         let step = lane.step(&mut front, &mut sink, node);
-        let s = &lane.stats;
-        let after = [s.transitions_executed, s.generates, s.restores, s.saves];
+        let after = lane.stats.counters();
         for ((live, now), was) in [&sh.te, &sh.ge, &sh.re, &sh.sa]
             .into_iter()
             .zip(after)
@@ -1619,8 +1620,8 @@ fn burst_worker(widx: usize, mut lane: Lane<'_>, sh: &Burst, mut sink: Buffered)
                 live.fetch_add(now - was, Ordering::Relaxed);
             }
         }
-        if s.max_depth > depth {
-            depth = s.max_depth;
+        if lane.stats.max_depth > depth {
+            depth = lane.stats.max_depth;
             sh.depth.fetch_max(depth, Ordering::Relaxed);
         }
         if let Err(h) = step {

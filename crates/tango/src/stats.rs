@@ -97,6 +97,11 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
+    /// The paper's four table counters: TE, GE, RE, SA.
+    pub fn counters(&self) -> [u64; 4] {
+        [self.transitions_executed, self.generates, self.restores, self.saves]
+    }
+
     /// Average branching factor over the search.
     pub fn average_fanout(&self) -> f64 {
         if self.fanout_samples == 0 {

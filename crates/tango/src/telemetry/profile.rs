@@ -9,7 +9,6 @@
 //! overlay (`estelle_runtime::graph::to_dot_with_heat`).
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 /// Counters for one compiled transition.
 #[derive(Clone, Copy, Debug, Default)]
@@ -26,10 +25,6 @@ pub struct TransitionStats {
 impl TransitionStats {
     pub fn attempts(&self) -> u64 {
         self.fires + self.fails
-    }
-
-    pub fn total_time(&self) -> Duration {
-        Duration::from_nanos(self.nanos)
     }
 }
 

@@ -282,11 +282,6 @@ impl FollowFileSource {
         self
     }
 
-    /// Parse errors recorded so far (bounded; see [`Self::skipped_lines`]).
-    pub fn parse_errors(&self) -> &[String] {
-        &self.errors.kept
-    }
-
     /// Total lines skipped because they failed to parse, including ones
     /// whose messages were dropped from the bounded buffer.
     pub fn skipped_lines(&self) -> u64 {

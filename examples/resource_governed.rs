@@ -20,8 +20,7 @@ use tango_repro::protocols::tp0;
 
 fn main() {
     let analyzer = tp0::analyzer();
-    let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(4, 4, 1))
-        .expect("the complete trace has a data output to corrupt");
+    let bad = tp0::invalid_trace(4, 4, 1);
 
     // Reference: the same analysis with no limits at all.
     let options = AnalysisOptions::default();

@@ -33,7 +33,7 @@ fn main() {
         println!("  {}  {}", label, r);
     }
 
-    let bad = tp0::invalidate_last_data(&trace).expect("trace has data");
+    let bad = tp0::invalid_trace(4, 4, 42);
     println!("\nsame trace with the last data parameter mutated:");
     for (order, label) in [
         (OrderOptions::none(), "NR  "),

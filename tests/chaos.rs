@@ -20,21 +20,18 @@
 //! Every cell is reproducible from its log line alone:
 //! `tango analyze spec.est trace.txt --fault-plan '<describe()>'`.
 
+mod common;
+
 use protocols::randspec::RandSpec;
-use std::path::PathBuf;
 use tango::{
     AnalysisOptions, AnalysisReport, Checkpoint, ChoicePolicy, FaultPlan, InconclusiveReason,
-    RetryPolicy, SearchStats, Tango, Trace, TraceAnalyzer, TraceSource, Verdict,
+    RetryPolicy, Tango, Trace, TraceAnalyzer, TraceSource, Verdict,
 };
 
 /// 12 random specs × 9 plans = 108 composed fault plans, beyond the
 /// 10-spec / 100-plan floor the chaos gate promises.
 const SPEC_SEEDS: u64 = 12;
 const PLAN_SEEDS: u64 = 9;
-
-fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
 
 /// Build the analyzer and a self-generated valid trace for a seed.
 fn setup(seed: u64) -> (TraceAnalyzer, Trace) {
@@ -62,13 +59,6 @@ fn corrupted(trace: &Trace) -> Option<Trace> {
         t.events[idx].params[0] = Value::Int(1000);
     }
     Some(t)
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tango-chaos-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// A cap both the reference and the chaos run share, so pathological
@@ -197,7 +187,7 @@ fn check_cell(
     plan: &FaultPlan,
     tag: &str,
 ) {
-    let dir = scratch_dir(tag);
+    let dir = common::scratch_dir(tag);
     let report = run_chaos(analyzer, trace, plan, &dir);
     let ctx = || format!("cell {} plan `{}`", tag, plan.describe());
 
@@ -218,8 +208,8 @@ fn check_cell(
         // spilling, faulty autosaves and SIGKILL-resume chains.
         assert_eq!(report.verdict, reference.verdict, "{}", ctx());
         assert_eq!(
-            counters(&report.stats),
-            counters(&reference.stats),
+            report.stats.counters(),
+            reference.stats.counters(),
             "{}",
             ctx()
         );
@@ -290,7 +280,7 @@ fn chaos_fault_counters_reach_the_metrics_registry() {
     // retry the stats must count.
     let plan = FaultPlan::parse("seed=42,source.read_error_every=2,source.recovery=restart")
         .unwrap();
-    let dir = scratch_dir("metrics");
+    let dir = common::scratch_dir("metrics");
     let report = run_chaos(&analyzer, &valid, &plan, &dir);
     assert_eq!(report.verdict, Verdict::Valid);
     assert!(report.stats.source_retries > 0);
@@ -328,7 +318,7 @@ fn chaos_spill_faults_under_four_workers() {
         let plan = FaultPlan::parse(plan_spec).unwrap();
         for spec_seed in [0u64, 5, 9] {
             let (analyzer, valid) = setup(spec_seed);
-            let dir = scratch_dir(&format!("mdfs4-{}-{}", tag, spec_seed));
+            let dir = common::scratch_dir(&format!("mdfs4-{}-{}", tag, spec_seed));
 
             // Fault-free sequential reference, spill engaged the same way.
             let mut ref_opts = base_options();
@@ -356,8 +346,8 @@ fn chaos_spill_faults_under_four_workers() {
             } else {
                 assert_eq!(report.verdict, reference.verdict, "{}", ctx());
                 assert_eq!(
-                    counters(&report.stats),
-                    counters(&reference.stats),
+                    report.stats.counters(),
+                    reference.stats.counters(),
                     "{}",
                     ctx()
                 );
@@ -378,12 +368,12 @@ fn chaos_cells_are_reproducible_from_their_seed() {
         assert_eq!(FaultPlan::parse(&plan.describe()).unwrap(), plan);
 
         let (analyzer, valid) = setup(1);
-        let d1 = scratch_dir(&format!("repro-a-{}", seed));
-        let d2 = scratch_dir(&format!("repro-b-{}", seed));
+        let d1 = common::scratch_dir(&format!("repro-a-{}", seed));
+        let d2 = common::scratch_dir(&format!("repro-b-{}", seed));
         let a = run_chaos(&analyzer, &valid, &plan, &d1);
         let b = run_chaos(&analyzer, &valid, &plan, &d2);
         assert_eq!(a.verdict, b.verdict, "seed {}", seed);
-        assert_eq!(counters(&a.stats), counters(&b.stats), "seed {}", seed);
+        assert_eq!(a.stats.counters(), b.stats.counters(), "seed {}", seed);
         std::fs::remove_dir_all(&d1).ok();
         std::fs::remove_dir_all(&d2).ok();
     }

@@ -11,39 +11,23 @@
 //! that gives up is *recorded* in `AnalysisReport::checkpoint_faults`,
 //! not just printed and lost.
 
+mod common;
+
 use protocols::tp0;
-use std::path::PathBuf;
 use tango::{
-    AnalysisOptions, Checkpoint, FaultPlan, InconclusiveReason, RetryPolicy, SearchStats,
-    Trace, TraceSource, Verdict,
+    AnalysisOptions, Checkpoint, FaultPlan, InconclusiveReason, RetryPolicy,
+    TraceSource, Verdict,
 };
-
-fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
-fn invalid_tp0_trace() -> Trace {
-    tp0::invalidate_last_data(&tp0::complete_valid_trace(4, 4, 1))
-        .expect("complete trace has a data output to corrupt")
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("tango-chaos-combined-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 #[test]
 fn all_three_sites_armed_still_match_the_fault_free_run() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
 
     // Reference under the same spill configuration (the tier is
     // verdict-transparent, but sharing it keeps the comparison exact),
     // with no faults anywhere.
-    let dir = scratch("combined");
+    let dir = common::scratch_dir("combined");
     let mut opts = AnalysisOptions::default();
     opts.limits.max_state_bytes = Some(256);
     opts.spill.dir = Some(dir.join("spill-ref"));
@@ -117,7 +101,7 @@ fn all_three_sites_armed_still_match_the_fault_free_run() {
     // Pinned: the fault-free outcome, bit for bit on the paper's
     // counters, with every site's recovery work on the record.
     assert_eq!(report.verdict, reference.verdict);
-    assert_eq!(counters(&report.stats), counters(&reference.stats));
+    assert_eq!(report.stats.counters(), reference.stats.counters());
     assert!(report.stats.source_retries > 0, "source site exercised");
     assert!(report.stats.spill_retries > 0, "spill site exercised");
     assert!(
@@ -139,8 +123,8 @@ fn all_three_sites_armed_still_match_the_fault_free_run() {
 #[test]
 fn exhausted_autosave_is_recorded_not_just_printed() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
-    let dir = scratch("autosave-record");
+    let bad = tp0::invalid_trace(4, 4, 1);
+    let dir = common::scratch_dir("autosave-record");
     let cp_path = dir.join("checkpoint.bin");
 
     // Disk full after the very first write attempt: every autosave
@@ -174,7 +158,7 @@ fn exhausted_autosave_is_recorded_not_just_printed() {
     report.checkpoint_faults = faults;
 
     assert_eq!(report.verdict, reference.verdict);
-    assert_eq!(counters(&report.stats), counters(&reference.stats));
+    assert_eq!(report.stats.counters(), reference.stats.counters());
     assert!(report.stats.checkpoint_giveups > 0, "disk full must bite");
     assert!(
         !report.checkpoint_faults.is_empty(),

@@ -7,26 +7,17 @@
 //! typed [`CheckpointError`] — never a panic, and never a silent partial
 //! load that would resume a half-real search.
 
+mod common;
+
 use protocols::tp0;
 use std::path::PathBuf;
 use tango::{AnalysisOptions, Checkpoint, CheckpointError, Verdict};
-
-fn temp_file(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tango-checkpoint-codec-{}-{}",
-        tag,
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("checkpoint.bin")
-}
 
 /// Produce a real limit-stopped checkpoint (with frames and their
 /// states, a resolved trace and non-trivial counters) and its file.
 fn stopped_checkpoint() -> Checkpoint {
     let a = tp0::analyzer();
-    let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 1))
-        .expect("complete trace has a data output to corrupt");
+    let bad = tp0::invalid_trace(3, 3, 1);
     let full = a.analyze(&bad, &AnalysisOptions::default()).unwrap();
     let mut limited = AnalysisOptions::default();
     limited.limits.max_transitions = (full.stats.transitions_executed / 2).max(1);
@@ -37,7 +28,7 @@ fn stopped_checkpoint() -> Checkpoint {
 
 fn checkpoint_bytes(tag: &str) -> (Checkpoint, Vec<u8>, PathBuf) {
     let cp = stopped_checkpoint();
-    let path = temp_file(tag);
+    let path = common::scratch_dir(tag).join("checkpoint.bin");
     cp.write_to(&path).expect("checkpoint writes");
     let bytes = std::fs::read(&path).expect("checkpoint file exists");
     (cp, bytes, path)
@@ -78,7 +69,7 @@ fn deterministic_encoding() {
 
 #[test]
 fn zero_length_file_is_a_typed_error() {
-    let path = temp_file("zero");
+    let path = common::scratch_dir("zero").join("checkpoint.bin");
     std::fs::write(&path, b"").unwrap();
     match Checkpoint::read_from(&path) {
         Err(CheckpointError::Truncated { .. }) => {}
@@ -311,7 +302,7 @@ fn out_of_range_path_index_is_refused_at_resume() {
         .checkpoint
         .expect("limit stop must carry a checkpoint");
     assert_eq!(cp.depth(), 4);
-    let path = temp_file("path-index");
+    let path = common::scratch_dir("path-index").join("checkpoint.bin");
     cp.write_to(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
 

@@ -18,24 +18,13 @@ use protocols::{lapd, synthetic::SyntheticSpec, tp0};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use tango::{
-    AnalysisOptions, AnalysisReport, ChoicePolicy, JsonlSink, SearchStats, StaticSource,
+    AnalysisOptions, AnalysisReport, ChoicePolicy, JsonlSink, StaticSource,
     Telemetry, Trace, TraceAnalyzer, Verdict,
 };
-
-/// The counters the paper's tables report; `wall_time` is excluded since
-/// the two executors differ precisely in how long the same work takes.
-fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
 
 /// The same analyzer on the given executor.
 fn on(analyzer: &TraceAnalyzer, exec: ExecMode) -> TraceAnalyzer {
     TraceAnalyzer::from_machine(analyzer.machine.exec_view(exec))
-}
-
-fn invalid_tp0_trace() -> Trace {
-    tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 1))
-        .expect("complete trace has a data output to corrupt")
 }
 
 /// A `Write` target the test can still read after the sink is boxed away
@@ -95,7 +84,7 @@ fn matrix() -> Vec<(&'static str, TraceAnalyzer, Trace, Option<Verdict>)> {
         (
             "tp0-invalid",
             tp0::analyzer(),
-            invalid_tp0_trace(),
+            tp0::invalid_trace(3, 3, 1),
             Some(Verdict::Invalid),
         ),
         (
@@ -125,8 +114,8 @@ fn exec_modes_agree_across_the_protocol_matrix() {
         }
         assert_eq!(compiled.verdict, interp.verdict, "{}", name);
         assert_eq!(
-            counters(&compiled.stats),
-            counters(&interp.stats),
+            compiled.stats.counters(),
+            interp.stats.counters(),
             "{}: TE/GE/RE/SA must be identical across executors",
             name
         );
@@ -137,7 +126,7 @@ fn exec_modes_agree_across_the_protocol_matrix() {
 #[test]
 fn dfs_streams_are_byte_identical_across_exec_modes() {
     let analyzer = tp0::analyzer();
-    let trace = invalid_tp0_trace();
+    let trace = tp0::invalid_trace(3, 3, 1);
     let mut streams = Vec::new();
     for exec in [ExecMode::Compiled, ExecMode::Interp] {
         let (mut tel, buf) = traced_handle();
@@ -159,7 +148,7 @@ fn dfs_streams_are_byte_identical_across_exec_modes() {
 #[test]
 fn mdfs_streams_are_byte_identical_across_exec_modes() {
     let analyzer = tp0::analyzer();
-    let trace = invalid_tp0_trace();
+    let trace = tp0::invalid_trace(3, 3, 1);
     let mut streams = Vec::new();
     for exec in [ExecMode::Compiled, ExecMode::Interp] {
         let (mut tel, buf) = traced_handle();
@@ -187,7 +176,7 @@ fn mdfs_streams_are_byte_identical_across_exec_modes() {
 #[test]
 fn generate_latency_histogram_counts_ge_in_both_modes() {
     let analyzer = tp0::analyzer();
-    let trace = invalid_tp0_trace();
+    let trace = tp0::invalid_trace(3, 3, 1);
     let mut ge = Vec::new();
     for exec in [ExecMode::Compiled, ExecMode::Interp] {
         let mut tel = Telemetry::off().with_metrics();
@@ -216,7 +205,7 @@ fn generate_latency_histogram_counts_ge_in_both_modes() {
 #[test]
 fn profiler_attribution_is_identical_across_exec_modes() {
     let analyzer = tp0::analyzer();
-    let trace = invalid_tp0_trace();
+    let trace = tp0::invalid_trace(3, 3, 1);
     let n = analyzer.machine.module.transition_count();
     let mut attributions = Vec::new();
     for exec in [ExecMode::Compiled, ExecMode::Interp] {

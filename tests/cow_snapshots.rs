@@ -6,22 +6,12 @@
 //! charges every save its own bytes, never wraps across stop/resume.
 
 use protocols::tp0;
-use tango::{AnalysisOptions, SearchStats, Trace, Verdict};
-
-/// The counters the paper's tables report.
-fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
-fn invalid_tp0_trace() -> Trace {
-    tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 1))
-        .expect("complete trace has a data output to corrupt")
-}
+use tango::{AnalysisOptions, Verdict};
 
 #[test]
 fn checkpoint_resume_totals_match_uninterrupted_run() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(3, 3, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
     assert_eq!(baseline.verdict, Verdict::Invalid);
@@ -34,13 +24,13 @@ fn checkpoint_resume_totals_match_uninterrupted_run() {
     let resumed = a.analyze_resume(*cp, &opts).unwrap();
 
     assert_eq!(resumed.verdict, Verdict::Invalid);
-    assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
+    assert_eq!(resumed.stats.counters(), baseline.stats.counters());
 }
 
 #[test]
 fn snapshot_bytes_never_wraps_across_stop_resume_rounds() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(3, 3, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
 
@@ -73,7 +63,7 @@ fn snapshot_bytes_never_wraps_across_stop_resume_rounds() {
     }
     assert!(rounds >= 2, "the cap steps must actually interrupt the run");
     assert_eq!(report.verdict, Verdict::Invalid);
-    assert_eq!(counters(&report.stats), counters(&baseline.stats));
+    assert_eq!(report.stats.counters(), baseline.stats.counters());
     assert_eq!(
         report.stats.snapshot_bytes, 0,
         "an exhausted search must release every snapshot byte"

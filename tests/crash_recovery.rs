@@ -9,35 +9,17 @@
 //! `crates/tango-cli/tests/crash_recovery.rs`, next to the binary it
 //! kills.)
 
+mod common;
+
 use protocols::tp0;
-use std::path::PathBuf;
-use tango::{AnalysisOptions, Checkpoint, SearchStats, Trace, TraceAnalyzer, Verdict};
-
-fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
-fn invalid_tp0_trace() -> Trace {
-    tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 1))
-        .expect("complete trace has a data output to corrupt")
-}
-
-fn temp_file(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tango-crash-recovery-{}-{}",
-        tag,
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("checkpoint.bin")
-}
+use tango::{AnalysisOptions, Checkpoint, TraceAnalyzer, Verdict};
 
 /// Stop a third of the way in, write the checkpoint to disk, read it
 /// back, resume with raised limits: identical verdict and totals.
 #[test]
 fn resume_from_disk_with_raised_limits_matches_uninterrupted_run() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(3, 3, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
     assert_eq!(baseline.verdict, Verdict::Invalid);
@@ -47,14 +29,14 @@ fn resume_from_disk_with_raised_limits_matches_uninterrupted_run() {
     let stopped = a.analyze(&bad, &limited).unwrap();
     let cp = stopped.checkpoint.expect("limit stop must be resumable");
 
-    let path = temp_file("raised-limits");
+    let path = common::scratch_dir("raised-limits").join("checkpoint.bin");
     cp.write_to(&path).expect("checkpoint writes");
     drop(cp); // everything the resume uses comes from the file
 
     let cp = Checkpoint::read_from(&path).expect("checkpoint reads");
     let resumed = a.analyze_resume(cp, &opts).unwrap();
     assert_eq!(resumed.verdict, Verdict::Invalid);
-    assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
+    assert_eq!(resumed.stats.counters(), baseline.stats.counters());
 }
 
 /// A checkpoint carries search structure, not executor artifacts: a file
@@ -66,7 +48,7 @@ fn cross_exec_mode_save_and_resume_through_disk() {
     use estelle_runtime::ExecMode;
     let base = tp0::analyzer();
     let on = |exec| TraceAnalyzer::from_machine(base.machine.exec_view(exec));
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(3, 3, 1);
     let baseline = on(ExecMode::Compiled)
         .analyze(&bad, &AnalysisOptions::default())
         .unwrap();
@@ -81,11 +63,12 @@ fn cross_exec_mode_save_and_resume_through_disk() {
         let stopped = on(save_exec).analyze(&bad, &limited).unwrap();
         let cp = stopped.checkpoint.expect("limit stop must be resumable");
 
-        let path = temp_file(if save_exec == ExecMode::Interp {
+        let path = common::scratch_dir(if save_exec == ExecMode::Interp {
             "interp-to-compiled"
         } else {
             "compiled-to-interp"
-        });
+        })
+        .join("checkpoint.bin");
         cp.write_to(&path).expect("checkpoint writes");
         let cp = Checkpoint::read_from(&path).expect("checkpoint reads");
 
@@ -100,8 +83,8 @@ fn cross_exec_mode_save_and_resume_through_disk() {
             resume_exec.name()
         );
         assert_eq!(
-            counters(&resumed.stats),
-            counters(&baseline.stats),
+            resumed.stats.counters(),
+            baseline.stats.counters(),
             "save exec={} resume exec={}",
             save_exec.name(),
             resume_exec.name()
@@ -116,7 +99,7 @@ fn cross_exec_mode_save_and_resume_through_disk() {
 #[test]
 fn wall_time_accumulates_across_disk_resume_rounds() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(3, 3, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
 
@@ -125,7 +108,7 @@ fn wall_time_accumulates_across_disk_resume_rounds() {
     let mut limited = opts.clone();
     limited.limits.max_transitions = cap;
     let mut report = a.analyze(&bad, &limited).unwrap();
-    let path = temp_file("cpu-time");
+    let path = common::scratch_dir("cpu-time").join("checkpoint.bin");
     let mut rounds = 0;
     let mut last_cpu = report.stats.wall_time;
     while let Verdict::Inconclusive(_) = report.verdict {
@@ -153,7 +136,7 @@ fn wall_time_accumulates_across_disk_resume_rounds() {
     }
     assert!(rounds >= 2, "the cap steps must actually interrupt the run");
     assert_eq!(report.verdict, Verdict::Invalid);
-    assert_eq!(counters(&report.stats), counters(&baseline.stats));
+    assert_eq!(report.stats.counters(), baseline.stats.counters());
 }
 
 /// Saving the same stop twice and resuming each copy independently is
@@ -161,7 +144,7 @@ fn wall_time_accumulates_across_disk_resume_rounds() {
 #[test]
 fn checkpoint_file_is_reusable() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(3, 3, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
 
@@ -169,7 +152,7 @@ fn checkpoint_file_is_reusable() {
     limited.limits.max_transitions = (baseline.stats.transitions_executed / 2).max(1);
     let stopped = a.analyze(&bad, &limited).unwrap();
     let cp = stopped.checkpoint.expect("resumable");
-    let path = temp_file("reusable");
+    let path = common::scratch_dir("reusable").join("checkpoint.bin");
     cp.write_to(&path).unwrap();
 
     let first = a
@@ -179,6 +162,6 @@ fn checkpoint_file_is_reusable() {
         .analyze_resume(Checkpoint::read_from(&path).unwrap(), &opts)
         .unwrap();
     assert_eq!(first.verdict, second.verdict);
-    assert_eq!(counters(&first.stats), counters(&second.stats));
-    assert_eq!(counters(&first.stats), counters(&baseline.stats));
+    assert_eq!(first.stats.counters(), second.stats.counters());
+    assert_eq!(first.stats.counters(), baseline.stats.counters());
 }

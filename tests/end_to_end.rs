@@ -172,7 +172,7 @@ fn synthetic_specs_scale_to_large_transition_counts() {
 fn state_hashing_preserves_verdicts() {
     let analyzer = tp0::analyzer();
     let good = tp0::valid_trace(3, 3, 2);
-    let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 2)).unwrap();
+    let bad = tp0::invalid_trace(3, 3, 2);
     for trace in [&good, &bad] {
         let mut plain = AnalysisOptions::with_order(OrderOptions::io());
         plain.limits.max_transitions = 10_000_000;
@@ -221,7 +221,7 @@ fn analysis_reports_spec_errors_on_abandoned_branches() {
 fn invalid_traces_carry_failure_localization() {
     let analyzer = tp0::analyzer();
     let trace = tp0::complete_valid_trace(3, 3, 5);
-    let bad = tp0::invalidate_last_data(&trace).unwrap();
+    let bad = tp0::invalid_trace(3, 3, 5);
     let r = analyzer
         .analyze(&bad, &AnalysisOptions::with_order(OrderOptions::full()))
         .unwrap();
@@ -257,7 +257,7 @@ fn backtracking_invalid_cases() -> Vec<(
     usize,
     &'static str,
 )> {
-    let tp0_bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 9)).unwrap();
+    let tp0_bad = tp0::invalid_trace(3, 3, 9);
     let mut lapd_bad = lapd::valid_trace(5, 5, 1);
     let last_out = lapd_bad
         .events

@@ -7,28 +7,19 @@
 //! truncate or rotate — none of which may panic, wedge the monitor, or
 //! lose the diagnostic explaining what went wrong.
 
+mod common;
+
 use protocols::tp0;
 use std::time::Duration;
 use tango::{
     AnalysisOptions, FaultPlan, FaultySource, FollowFileSource, InconclusiveReason,
-    RecoveryPolicy, SearchStats, SourceFaultPlan, Trace, TraceSource, Verdict,
+    RecoveryPolicy, SourceFaultPlan, Trace, TraceSource, Verdict,
 };
-
-/// The counters the paper's tables report; `wall_time` is excluded since
-/// wall-clock obviously differs between interrupted and straight runs.
-fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
-fn invalid_tp0_trace() -> Trace {
-    tp0::invalidate_last_data(&tp0::complete_valid_trace(4, 4, 1))
-        .expect("complete trace has a data output to corrupt")
-}
 
 #[test]
 fn deadline_stops_with_checkpoint_and_resume_matches_uninterrupted() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let opts = AnalysisOptions::default();
 
     let baseline = a.analyze(&bad, &opts).unwrap();
@@ -47,7 +38,7 @@ fn deadline_stops_with_checkpoint_and_resume_matches_uninterrupted() {
     // Resume with the deadline lifted: same verdict, same totals.
     let resumed = a.analyze_resume(*cp, &opts).unwrap();
     assert_eq!(resumed.verdict, Verdict::Invalid);
-    assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
+    assert_eq!(resumed.stats.counters(), baseline.stats.counters());
     let (rb, bb) = (
         resumed.best_effort.expect("invalid verdict localizes"),
         baseline.best_effort.expect("invalid verdict localizes"),
@@ -59,7 +50,7 @@ fn deadline_stops_with_checkpoint_and_resume_matches_uninterrupted() {
 #[test]
 fn memory_budget_stops_with_checkpoint_and_resume_matches_uninterrupted() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let opts = AnalysisOptions::default();
 
     let baseline = a.analyze(&bad, &opts).unwrap();
@@ -77,13 +68,13 @@ fn memory_budget_stops_with_checkpoint_and_resume_matches_uninterrupted() {
 
     let resumed = a.analyze_resume(*cp, &opts).unwrap();
     assert_eq!(resumed.verdict, Verdict::Invalid);
-    assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
+    assert_eq!(resumed.stats.counters(), baseline.stats.counters());
 }
 
 #[test]
 fn chained_stop_resume_rounds_preserve_counter_totals() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
     assert_eq!(baseline.verdict, Verdict::Invalid);
@@ -111,7 +102,7 @@ fn chained_stop_resume_rounds_preserve_counter_totals() {
     }
     assert!(rounds >= 2, "the cap steps must actually interrupt the run");
     assert_eq!(report.verdict, Verdict::Invalid);
-    assert_eq!(counters(&report.stats), counters(&baseline.stats));
+    assert_eq!(report.stats.counters(), baseline.stats.counters());
     assert_eq!(
         report.best_effort.unwrap().events_explained,
         baseline.best_effort.unwrap().events_explained
@@ -286,16 +277,6 @@ fn short_reads_under_fail_policy_skip_and_diagnose() {
     assert_eq!(src.skipped_lines(), 0, "retried reads lose nothing");
 }
 
-fn temp_trace_path(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tango-fault-injection-{}-{}",
-        tag,
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("trace.txt")
-}
-
 /// The first two events of a valid TP0 run — a fully explainable prefix,
 /// so the monitor reaches a `ValidSoFar` interim verdict (which is when
 /// the `on_status` callback fires and the tests below mutate the file).
@@ -308,7 +289,7 @@ fn tp0_prefix_text(a: &tango::TraceAnalyzer) -> String {
 #[test]
 fn follow_file_truncation_fails_closed_with_diagnostic() {
     let a = tp0::analyzer();
-    let path = temp_trace_path("fail");
+    let path = common::scratch_dir("fail").join("trace.txt");
     std::fs::write(&path, tp0_prefix_text(&a)).unwrap();
 
     let mut src = FollowFileSource::new(&path, Some(a.module().clone()))
@@ -339,7 +320,7 @@ fn follow_file_truncation_fails_closed_with_diagnostic() {
 #[test]
 fn follow_file_rotation_restarts_from_the_top() {
     let a = tp0::analyzer();
-    let path = temp_trace_path("restart");
+    let path = common::scratch_dir("restart").join("trace.txt");
     std::fs::write(&path, tp0_prefix_text(&a)).unwrap();
 
     let mut src = FollowFileSource::new(&path, Some(a.module().clone()))

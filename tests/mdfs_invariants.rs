@@ -229,11 +229,9 @@ fn witness_survives_a_checkpoint_round_trip() {
             "save_at={} resume_at={} run {}",
             save_at, resume_at, i
         );
-        let counters =
-            |s: &tango::SearchStats| (s.transitions_executed, s.generates, s.restores, s.saves);
         assert_eq!(
-            counters(&resumed.stats),
-            counters(&whole.stats),
+            resumed.stats.counters(),
+            whole.stats.counters(),
             "save_at={} resume_at={} run {}",
             save_at,
             resume_at,

@@ -250,7 +250,7 @@ fn static_analysis_is_online_analysis_of_a_complete_trace() {
     let a = tp0::analyzer();
     for seed in [20, 13] {
         let valid = tp0::complete_valid_trace(3, 3, seed);
-        let invalid = tp0::invalidate_last_data(&valid).expect("a data output to corrupt");
+        let invalid = tp0::invalid_trace(3, 3, seed);
         for (order, name) in [(OrderOptions::none(), "NR"), (OrderOptions::full(), "FULL")] {
             let tag = format!("tp0 3+3 seed {} {}", seed, name);
             assert_eq!(
@@ -287,10 +287,7 @@ fn online_depth_limit_after_eof_resumes_to_the_uninterrupted_totals() {
     use tango::{Checkpoint, InconclusiveReason};
 
     let a = tp0::analyzer();
-    let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 20))
-        .expect("a data output to corrupt");
-    let counters =
-        |s: &tango::SearchStats| (s.transitions_executed, s.generates, s.restores, s.saves);
+    let bad = tp0::invalid_trace(3, 3, 20);
     let path = std::env::temp_dir().join(format!("tango-online-depth-{}.ckpt", std::process::id()));
     for workers in [1, 2] {
         let mut options = nr_options();
@@ -329,8 +326,8 @@ fn online_depth_limit_after_eof_resumes_to_the_uninterrupted_totals() {
             .unwrap();
         assert_eq!(resumed.verdict, Verdict::Invalid, "workers {}", workers);
         assert_eq!(
-            counters(&resumed.stats),
-            counters(&full.stats),
+            resumed.stats.counters(),
+            full.stats.counters(),
             "workers {}",
             workers
         );
@@ -361,8 +358,7 @@ fn online_best_effort_localization_is_identical_at_every_worker_count() {
 
     let a = tp0::analyzer();
     for seed in [20, 13, 1] {
-        let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, seed))
-            .expect("a data output to corrupt");
+        let bad = tp0::invalid_trace(3, 3, seed);
         let fixed = a.analyze(&bad, &nr_options()).unwrap();
         let want = fixed.best_effort.expect("static invalid verdicts localize");
         let mut per_poll = None;

@@ -10,26 +10,15 @@
 //! saved from an N-worker run must resume at any other worker count to
 //! the exact uninterrupted totals.
 
+mod common;
+
 use protocols::{ack, tp0};
-use std::path::PathBuf;
 use tango::{
-    AnalysisOptions, Checkpoint, InconclusiveReason, OrderOptions, SearchStats,
+    AnalysisOptions, Checkpoint, InconclusiveReason, OrderOptions,
     StaticSource, Trace, Verdict,
 };
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
-/// An invalid trace whose NR-order search backtracks hard: `up` data
-/// units each way gives ~90k transitions at 3+3 — enough work to spread
-/// over eight workers, small enough to run the whole matrix in seconds.
-fn invalid_tp0_trace(up: usize) -> Trace {
-    tp0::invalidate_last_data(&tp0::complete_valid_trace(up, up, 1))
-        .expect("complete trace has a data output to corrupt")
-}
 
 fn online(a: &tango::TraceAnalyzer, trace: &Trace, opts: &AnalysisOptions) -> tango::AnalysisReport {
     let mut src = StaticSource::new(trace.clone());
@@ -42,16 +31,6 @@ fn with_workers(opts: &AnalysisOptions, n: usize) -> AnalysisOptions {
     o
 }
 
-fn spill_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tango-mdfs-par-{}-{}",
-        tag,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// The backbone: DFS vs MDFS vs MDFS×{2,4,8} on a backtracking-heavy
 /// invalid trace and a complete valid one. DFS and MDFS are different
 /// engines with different GE/RE/SA bookkeeping (PG-node revival
@@ -61,7 +40,10 @@ fn spill_dir(tag: &str) -> PathBuf {
 #[test]
 fn worker_count_never_changes_verdict_or_counters() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace(3);
+    // The NR-order search of the invalid 3+3 trace backtracks hard: ~90k
+    // transitions, enough work to spread over eight workers, small
+    // enough to run the whole matrix in seconds.
+    let bad = tp0::invalid_trace(3, 3, 1);
     let good = tp0::complete_valid_trace(3, 3, 1);
 
     for order in [OrderOptions::none(), OrderOptions::full()] {
@@ -86,8 +68,8 @@ fn worker_count_never_changes_verdict_or_counters() {
                 let par = online(&a, trace, &with_workers(&opts, n));
                 assert_eq!(par.verdict, seq.verdict, "workers={} {}", n, tag);
                 assert_eq!(
-                    counters(&par.stats),
-                    counters(&seq.stats),
+                    par.stats.counters(),
+                    seq.stats.counters(),
                     "workers={} changed TE/GE/RE/SA ({})",
                     n,
                     tag
@@ -137,7 +119,7 @@ fn parallel_witness_is_the_sequential_witness() {
             "workers={} found a different witness",
             n
         );
-        assert_eq!(counters(&par.stats), counters(&seq.stats), "workers={}", n);
+        assert_eq!(par.stats.counters(), seq.stats.counters(), "workers={}", n);
     }
 }
 
@@ -147,21 +129,21 @@ fn parallel_witness_is_the_sequential_witness() {
 #[test]
 fn spilled_parallel_run_matches_all_ram_sequential() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace(2);
+    let bad = tp0::invalid_trace(2, 2, 1);
     let opts = AnalysisOptions::with_order(OrderOptions::none());
     let baseline = online(&a, &bad, &opts);
     assert_eq!(baseline.verdict, Verdict::Invalid);
 
     for n in WORKER_COUNTS {
-        let dir = spill_dir(&format!("w{}", n));
+        let dir = common::scratch_dir(&format!("w{}", n));
         let mut o = with_workers(&opts, n);
         o.limits.max_state_bytes = Some(256);
         o.spill.dir = Some(dir.clone());
         let tiered = online(&a, &bad, &o);
         assert_eq!(tiered.verdict, baseline.verdict, "workers={}", n);
         assert_eq!(
-            counters(&tiered.stats),
-            counters(&baseline.stats),
+            tiered.stats.counters(),
+            baseline.stats.counters(),
             "spill under workers={} changed TE/GE/RE/SA",
             n
         );
@@ -181,7 +163,7 @@ fn spilled_parallel_run_matches_all_ram_sequential() {
 #[test]
 fn checkpoint_saved_at_n_workers_resumes_at_m() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace(3);
+    let bad = tp0::invalid_trace(3, 3, 1);
     let opts = AnalysisOptions::with_order(OrderOptions::none());
     let uninterrupted = online(&a, &bad, &opts);
     assert_eq!(uninterrupted.verdict, Verdict::Invalid);
@@ -222,8 +204,8 @@ fn checkpoint_saved_at_n_workers_resumes_at_m() {
                 save_at, resume_at
             );
             assert_eq!(
-                counters(&resumed.stats),
-                counters(&uninterrupted.stats),
+                resumed.stats.counters(),
+                uninterrupted.stats.counters(),
                 "resume at a different worker count drifted (save_at={} resume_at={})",
                 save_at,
                 resume_at
@@ -238,7 +220,7 @@ fn checkpoint_saved_at_n_workers_resumes_at_m() {
 #[test]
 fn steal_counters_only_appear_on_multi_worker_runs() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace(3);
+    let bad = tp0::invalid_trace(3, 3, 1);
     let opts = AnalysisOptions::with_order(OrderOptions::none());
 
     let seq = online(&a, &bad, &opts);
@@ -248,5 +230,5 @@ fn steal_counters_only_appear_on_multi_worker_runs() {
     let par = online(&a, &bad, &with_workers(&opts, 4));
     // Steals are schedule-dependent; the *accounting* must at least be
     // internally consistent and the run observationally sequential.
-    assert_eq!(counters(&par.stats), counters(&seq.stats));
+    assert_eq!(par.stats.counters(), seq.stats.counters());
 }

@@ -15,20 +15,16 @@
 
 use protocols::tp0;
 use tango::trace::source::Poll;
-use tango::{AnalysisOptions, Dir, Event, OrderOptions, SearchStats, Trace, TraceSource, Verdict};
+use tango::{AnalysisOptions, Dir, Event, OrderOptions, Trace, TraceSource, Verdict};
 
 /// TE, GE, RE, SA.
-type Counters = (u64, u64, u64, u64);
-
-fn counters(s: &SearchStats) -> Counters {
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
+type Counters = [u64; 4];
 
 /// Figure 4, "None" row, as published.
-const PAPER_FIG4_NR: Counters = (88_329, 36_687, 51_642, 34_440);
+const PAPER_FIG4_NR: Counters = [88_329, 36_687, 51_642, 34_440];
 
 /// The same search when the mutated output is the last `U.tdatind`.
-const FIG4_NR_TDATIND: Counters = (95_034, 58_512, 54_902, 36_685);
+const FIG4_NR_TDATIND: Counters = [95_034, 58_512, 54_902, 36_685];
 
 /// A 3+3 base trace whose last data output is an `L.dt_req`.
 const DT_REQ_SEED: u64 = 20;
@@ -38,8 +34,7 @@ const TDATIND_SEED: u64 = 13;
 /// The invalid 3+3 trace for `seed`, checked to fall in the class named
 /// by `ip.interaction`.
 fn invalid_3_3(seed: u64, ip: &str, interaction: &str) -> Trace {
-    let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, seed))
-        .expect("a complete trace has data outputs");
+    let bad = tp0::invalid_trace(3, 3, seed);
     let last = bad
         .events
         .iter()
@@ -80,7 +75,7 @@ fn dfs_nr_reproduces_the_paper_on_the_dt_req_class() {
         .analyze(&invalid_3_3(DT_REQ_SEED, "L", "dt_req"), &nr())
         .unwrap();
     assert_eq!(r.verdict, Verdict::Invalid);
-    assert_eq!(counters(&r.stats), PAPER_FIG4_NR);
+    assert_eq!(r.stats.counters(), PAPER_FIG4_NR);
 }
 
 #[test]
@@ -90,7 +85,7 @@ fn dfs_nr_counters_on_the_tdatind_class_are_pinned() {
         .analyze(&invalid_3_3(TDATIND_SEED, "U", "tdatind"), &nr())
         .unwrap();
     assert_eq!(r.verdict, Verdict::Invalid);
-    assert_eq!(counters(&r.stats), FIG4_NR_TDATIND);
+    assert_eq!(r.stats.counters(), FIG4_NR_TDATIND);
 }
 
 /// TE, GE, RE, SA and PG of on-line MDFS fed one event per poll.
@@ -100,7 +95,7 @@ fn online_one_per_poll(trace: &Trace, workers: usize) -> (Verdict, Counters, u64
     opts.workers = workers;
     let mut src = OnePerPoll(trace.events.clone().into_iter());
     let r = a.analyze_online(&mut src, &opts, &mut |_| true).unwrap();
-    (r.verdict, counters(&r.stats), r.stats.pg_nodes)
+    (r.verdict, r.stats.counters(), r.stats.pg_nodes)
 }
 
 #[test]
@@ -110,14 +105,14 @@ fn online_one_event_per_poll_counters_are_pinned_at_one_and_two_workers() {
             DT_REQ_SEED,
             "L",
             "dt_req",
-            (102_962, 196_688, 210_362, 36_687),
+            [102_962, 196_688, 210_362, 36_687],
             74_582,
         ),
         (
             TDATIND_SEED,
             "U",
             "tdatind",
-            (124_936, 217_606, 230_580, 58_512),
+            [124_936, 217_606, 230_580, 58_512],
             72_826,
         ),
     ] {
@@ -168,21 +163,21 @@ fn static_stop_points_are_pinned_and_resume_to_the_paper_counters() {
         (
             InconclusiveReason::TransitionLimit,
             |o| o.limits.max_transitions = 30_000,
-            (30_001, 11_886, 18_115, 11_378),
+            [30_001, 11_886, 18_115, 11_378],
             13,
             6,
         ),
         (
             InconclusiveReason::MemoryLimit,
             |o| o.limits.max_state_bytes = Some(8_000),
-            (850, 310, 540, 308),
+            [850, 310, 540, 308],
             13,
             12,
         ),
         (
             InconclusiveReason::DepthLimit,
             |o| o.limits.max_depth = 12,
-            (17, 12, 5, 10),
+            [17, 12, 5, 10],
             12,
             10,
         ),
@@ -194,7 +189,7 @@ fn static_stop_points_are_pinned_and_resume_to_the_paper_counters() {
         assert_eq!(r.verdict, Verdict::Inconclusive(reason));
         let cp = r.checkpoint.expect("a limit stop is resumable");
         assert_eq!(
-            (counters(&r.stats), cp.depth(), cp.pending_frames()),
+            (r.stats.counters(), cp.depth(), cp.pending_frames()),
             (at_stop, depth, pending),
             "{:?}",
             reason
@@ -206,7 +201,7 @@ fn static_stop_points_are_pinned_and_resume_to_the_paper_counters() {
             .analyze_resume(Checkpoint::read_from(&path).unwrap(), &nr())
             .unwrap();
         assert_eq!(resumed.verdict, Verdict::Invalid, "{:?}", reason);
-        assert_eq!(counters(&resumed.stats), PAPER_FIG4_NR, "{:?}", reason);
+        assert_eq!(resumed.stats.counters(), PAPER_FIG4_NR, "{:?}", reason);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

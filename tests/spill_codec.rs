@@ -11,6 +11,8 @@
 //! and writes its own segments under fresh ids) and to those it did (it
 //! removes them when the run ends).
 
+mod common;
+
 use estelle_runtime::{Machine, MachineState, Value};
 use protocols::tp0;
 use std::collections::BTreeMap;
@@ -38,14 +40,6 @@ fn state_with(n: i64) -> MachineState {
     st
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("tango-spill-codec-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// A tier with no retries (a damaged file fails at once) and three
 /// records in its first segment; returns (tier, segment path, tickets).
 fn seeded_tier(root: &Path) -> (SpillTier, PathBuf, Vec<SpillTicket>) {
@@ -71,16 +65,11 @@ fn contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-fn counters(r: &tango::AnalysisReport) -> (u64, u64, u64, u64) {
-    let s = &r.stats;
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
 /// The invalid 4+4 TP0 trace, all in RAM and then spilled into `dir`
 /// under a budget small enough that nearly every snapshot leaves RAM.
 fn all_ram_and_spilled(dir: &Path) -> (tango::AnalysisReport, tango::AnalysisReport) {
     let a = tp0::analyzer();
-    let bad = tp0::invalidate_last_data(&tp0::complete_valid_trace(4, 4, 1)).unwrap();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let all_ram = a.analyze(&bad, &AnalysisOptions::default()).unwrap();
     let mut o = AnalysisOptions::default();
     o.limits.max_state_bytes = Some(256);
@@ -100,7 +89,7 @@ fn all_ram_and_spilled(dir: &Path) -> (tango::AnalysisReport, tango::AnalysisRep
 
 #[test]
 fn intact_segment_verifies_and_reads_back() {
-    let dir = tmpdir("intact");
+    let dir = common::scratch_dir("intact");
     let (mut tier, seg, tickets) = seeded_tier(&dir);
     for (n, t) in tickets.iter().enumerate() {
         assert_eq!(tier.read_state(t).unwrap(), state_with(n as i64));
@@ -120,7 +109,7 @@ fn intact_segment_verifies_and_reads_back() {
 
 #[test]
 fn truncation_at_every_prefix_is_a_typed_error_or_a_clean_shorter_file() {
-    let dir = tmpdir("trunc");
+    let dir = common::scratch_dir("trunc");
     let (mut tier, seg, tickets) = seeded_tier(&dir);
     let bytes = std::fs::read(&seg).unwrap();
 
@@ -152,7 +141,7 @@ fn truncation_at_every_prefix_is_a_typed_error_or_a_clean_shorter_file() {
 
 #[test]
 fn flipped_payload_bytes_fail_the_checksum() {
-    let dir = tmpdir("flip-payload");
+    let dir = common::scratch_dir("flip-payload");
     let (mut tier, seg, tickets) = seeded_tier(&dir);
     let bytes = std::fs::read(&seg).unwrap();
     let t = tickets[1];
@@ -180,7 +169,7 @@ fn flipped_payload_bytes_fail_the_checksum() {
 
 #[test]
 fn injected_bit_flips_through_the_public_fault_plan_are_typed() {
-    let dir = tmpdir("fault-plan");
+    let dir = common::scratch_dir("fault-plan");
     // Armed through the unified composable plan (the CLI's
     // `--fault-plan` language); the site-local SpillFaultPlan it carries
     // is what the tier consumes.
@@ -226,7 +215,7 @@ fn injected_bit_flips_through_the_public_fault_plan_are_typed() {
 
 #[test]
 fn files_the_tier_did_not_create_are_never_touched() {
-    let dir = tmpdir("foreign");
+    let dir = common::scratch_dir("foreign");
     // An intact segment another run wrote, a torn one, and garbage
     // wearing a segment name — the leftovers of a killed run and worse.
     let intact = {
@@ -265,16 +254,16 @@ fn files_the_tier_did_not_create_are_never_touched() {
     let (all_ram, spilled) = all_ram_and_spilled(&dir);
     assert_eq!(spilled.verdict, Verdict::Invalid);
     assert_eq!(spilled.verdict, all_ram.verdict);
-    assert_eq!(counters(&spilled), counters(&all_ram));
+    assert_eq!(spilled.stats.counters(), all_ram.stats.counters());
     assert_eq!(contents(&dir), before, "foreign files stay byte-identical");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn a_completed_spilled_analysis_leaves_no_segments() {
-    let dir = tmpdir("cleanup");
+    let dir = common::scratch_dir("cleanup");
     let (all_ram, spilled) = all_ram_and_spilled(&dir);
-    assert_eq!(counters(&spilled), counters(&all_ram));
+    assert_eq!(spilled.stats.counters(), all_ram.stats.counters());
     assert!(
         contents(&dir).is_empty(),
         "segments left behind: {:?}",

@@ -9,28 +9,11 @@
 //! checkpoint travels through a file while the spill directory persists
 //! across the "processes".
 
+mod common;
+
 use protocols::tp0;
 use std::path::PathBuf;
-use tango::{AnalysisOptions, Checkpoint, SearchStats, StaticSource, Trace, Verdict};
-
-fn counters(s: &SearchStats) -> (u64, u64, u64, u64) {
-    (s.transitions_executed, s.generates, s.restores, s.saves)
-}
-
-fn invalid_tp0_trace() -> Trace {
-    tp0::invalidate_last_data(&tp0::complete_valid_trace(4, 4, 1))
-        .expect("complete trace has a data output to corrupt")
-}
-
-fn spill_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tango-spill-equiv-{}-{}",
-        tag,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use tango::{AnalysisOptions, Checkpoint, StaticSource, Verdict};
 
 /// `opts` with a budget small enough that essentially every snapshot
 /// must leave RAM, spilling into `dir`.
@@ -44,7 +27,7 @@ fn spilled(opts: &AnalysisOptions, dir: PathBuf) -> AnalysisOptions {
 #[test]
 fn dfs_verdict_and_counters_identical_ram_vs_spill() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let good = tp0::complete_valid_trace(3, 3, 1);
     let opts = AnalysisOptions::default();
 
@@ -55,12 +38,12 @@ fn dfs_verdict_and_counters_identical_ram_vs_spill() {
         let baseline = a.analyze(trace, &opts).unwrap();
         assert_eq!(baseline.verdict, verdict);
 
-        let dir = spill_dir(&format!("dfs-{}", tag));
+        let dir = common::scratch_dir(&format!("dfs-{}", tag));
         let tiered = a.analyze(trace, &spilled(&opts, dir.clone())).unwrap();
         assert_eq!(tiered.verdict, baseline.verdict, "{}", tag);
         assert_eq!(
-            counters(&tiered.stats),
-            counters(&baseline.stats),
+            tiered.stats.counters(),
+            baseline.stats.counters(),
             "spill must not change TE/GE/RE/SA ({})",
             tag
         );
@@ -77,7 +60,7 @@ fn dfs_verdict_and_counters_identical_ram_vs_spill() {
 #[test]
 fn dfs_spilled_plus_resident_bytes_equal_all_ram_bytes_at_the_same_stop() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let full = a.analyze(&bad, &AnalysisOptions::default()).unwrap();
     let mut opts = AnalysisOptions::default();
     opts.limits.max_transitions = full.stats.transitions_executed / 2;
@@ -96,10 +79,10 @@ fn dfs_spilled_plus_resident_bytes_equal_all_ram_bytes_at_the_same_stop() {
         "the stop must hold saved frames"
     );
 
-    let dir = spill_dir("exact-bytes");
+    let dir = common::scratch_dir("exact-bytes");
     let tiered = a.analyze(&bad, &spilled(&opts, dir.clone())).unwrap();
     assert_eq!(tiered.verdict, ram.verdict);
-    assert_eq!(counters(&tiered.stats), counters(&ram.stats));
+    assert_eq!(tiered.stats.counters(), ram.stats.counters());
     assert!(
         tiered.stats.spilled_bytes > 0,
         "the 256-byte budget must spill"
@@ -114,11 +97,11 @@ fn dfs_spilled_plus_resident_bytes_equal_all_ram_bytes_at_the_same_stop() {
 #[test]
 fn dfs_best_effort_localization_identical_ram_vs_spill() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
 
-    let dir = spill_dir("best-effort");
+    let dir = common::scratch_dir("best-effort");
     let tiered = a.analyze(&bad, &spilled(&opts, dir.clone())).unwrap();
     let (b, t) = (
         baseline.best_effort.expect("invalid verdict localizes"),
@@ -132,7 +115,7 @@ fn dfs_best_effort_localization_identical_ram_vs_spill() {
 #[test]
 fn mdfs_verdict_and_counters_identical_ram_vs_spill() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let good = tp0::complete_valid_trace(3, 3, 1);
     let opts = AnalysisOptions::default();
 
@@ -144,15 +127,15 @@ fn mdfs_verdict_and_counters_identical_ram_vs_spill() {
         let baseline = a.analyze_online(&mut src, &opts, &mut |_| true).unwrap();
         assert_eq!(baseline.verdict, verdict);
 
-        let dir = spill_dir(&format!("mdfs-{}", tag));
+        let dir = common::scratch_dir(&format!("mdfs-{}", tag));
         let mut src = StaticSource::new(trace.clone());
         let tiered = a
             .analyze_online(&mut src, &spilled(&opts, dir.clone()), &mut |_| true)
             .unwrap();
         assert_eq!(tiered.verdict, baseline.verdict, "{}", tag);
         assert_eq!(
-            counters(&tiered.stats),
-            counters(&baseline.stats),
+            tiered.stats.counters(),
+            baseline.stats.counters(),
             "spill must not change MDFS TE/GE/RE/SA ({})",
             tag
         );
@@ -169,12 +152,12 @@ fn mdfs_verdict_and_counters_identical_ram_vs_spill() {
 #[test]
 fn stop_resume_through_disk_checkpoint_while_spilled_matches_baseline() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
     assert_eq!(baseline.verdict, Verdict::Invalid);
 
-    let dir = spill_dir("resume");
+    let dir = common::scratch_dir("resume");
     let tmp = std::env::temp_dir().join(format!(
         "tango-spill-equiv-resume-ckpt-{}.bin",
         std::process::id()
@@ -207,7 +190,7 @@ fn stop_resume_through_disk_checkpoint_while_spilled_matches_baseline() {
     }
     assert!(rounds >= 1, "the cap must actually interrupt the run");
     assert_eq!(report.verdict, Verdict::Invalid);
-    assert_eq!(counters(&report.stats), counters(&baseline.stats));
+    assert_eq!(report.stats.counters(), baseline.stats.counters());
     assert!(
         report.stats.spill_evictions > 0,
         "the resumed rounds keep spilling"
@@ -220,19 +203,19 @@ fn stop_resume_through_disk_checkpoint_while_spilled_matches_baseline() {
 #[test]
 fn memory_limit_never_fires_with_the_tier_enabled() {
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
 
     // The budget that used to kill the run (`max_state_bytes = 1` is the
     // fault_injection pin for Inconclusive(MemoryLimit)) now completes
     // with identical counters: the tier turns the limit into tiering.
-    let dir = spill_dir("no-memlimit");
+    let dir = common::scratch_dir("no-memlimit");
     let mut o = spilled(&opts, dir.clone());
     o.limits.max_state_bytes = Some(1);
     let report = a.analyze(&bad, &o).unwrap();
     assert_eq!(report.verdict, Verdict::Invalid);
-    assert_eq!(counters(&report.stats), counters(&baseline.stats));
+    assert_eq!(report.stats.counters(), baseline.stats.counters());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -244,11 +227,11 @@ fn memory_limit_never_fires_with_the_tier_enabled() {
 fn static_spill_write_failure_still_checkpoints_and_resumes() {
     use tango::{InconclusiveReason, SpillFaultPlan};
     let a = tp0::analyzer();
-    let bad = invalid_tp0_trace();
+    let bad = tp0::invalid_trace(4, 4, 1);
     let opts = AnalysisOptions::default();
     let baseline = a.analyze(&bad, &opts).unwrap();
 
-    let dir = spill_dir("dead-disk");
+    let dir = common::scratch_dir("dead-disk");
     let mut dead = spilled(&opts, dir.clone());
     dead.spill.fault_plan = Some(SpillFaultPlan {
         hard_writes_after: Some(3),
@@ -265,6 +248,6 @@ fn static_spill_write_failure_still_checkpoints_and_resumes() {
         .expect("a failed write keeps the front, so the stop checkpoints");
     let resumed = a.analyze_resume(*cp, &opts).unwrap();
     assert_eq!(resumed.verdict, baseline.verdict);
-    assert_eq!(counters(&resumed.stats), counters(&baseline.stats));
+    assert_eq!(resumed.stats.counters(), baseline.stats.counters());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,6 +10,11 @@
 //!   per-kind event counts: TE = fire events, GE = generate events,
 //!   RE = restore events, SA = save events, for both DFS and MDFS and at
 //!   every worker count.
+//!
+//! Most runs use the invalid TP0 3+3 trace (`tp0::invalid_trace`): the
+//! DFS backtracks over every interleaving before rejecting it, so the
+//! stream exercises generate, fire (both outcomes), save, restore and
+//! prune events.
 
 use protocols::tp0;
 use std::io::Write;
@@ -44,14 +49,6 @@ fn traced_handle() -> (Telemetry, SharedBuf) {
     let buf = SharedBuf::default();
     let tel = Telemetry::off().with_sink(Box::new(JsonlSink::new(buf.clone())));
     (tel, buf)
-}
-
-/// A trace whose last DATA is corrupted: the DFS backtracks over every
-/// interleaving before rejecting, so the stream exercises generate,
-/// fire (both outcomes), save, restore and prune events.
-fn invalid_trace() -> Trace {
-    tp0::invalidate_last_data(&tp0::complete_valid_trace(3, 3, 1))
-        .expect("complete trace ends in DATA")
 }
 
 fn dfs_run(trace: &Trace, options: &AnalysisOptions) -> (AnalysisReport, String) {
@@ -103,7 +100,7 @@ fn assert_counts_match(report: &AnalysisReport, stream: &str) {
 
 #[test]
 fn dfs_stream_is_byte_identical_across_runs() {
-    let trace = invalid_trace();
+    let trace = tp0::invalid_trace(3, 3, 1);
     let options = AnalysisOptions::with_order(OrderOptions::none());
     let (r1, s1) = dfs_run(&trace, &options);
     let (r2, s2) = dfs_run(&trace, &options);
@@ -116,7 +113,7 @@ fn dfs_stream_is_byte_identical_across_runs() {
 #[test]
 fn dfs_stream_headers_and_sequence_numbers() {
     let (_, stream) = dfs_run(
-        &invalid_trace(),
+        &tp0::invalid_trace(3, 3, 1),
         &AnalysisOptions::with_order(OrderOptions::none()),
     );
     let first = stream.lines().next().unwrap();
@@ -138,7 +135,7 @@ fn dfs_stream_headers_and_sequence_numbers() {
 #[test]
 fn dfs_event_counts_equal_final_stats() {
     let (report, stream) = dfs_run(
-        &invalid_trace(),
+        &tp0::invalid_trace(3, 3, 1),
         &AnalysisOptions::with_order(OrderOptions::none()),
     );
     assert!(report.stats.restores > 0, "workload must backtrack");
@@ -158,8 +155,8 @@ fn dfs_valid_trace_event_counts_equal_final_stats() {
 #[test]
 fn mdfs_stream_is_byte_identical_across_runs() {
     let options = AnalysisOptions::with_order(OrderOptions::none());
-    let (r1, s1) = mdfs_run(invalid_trace(), &options);
-    let (r2, s2) = mdfs_run(invalid_trace(), &options);
+    let (r1, s1) = mdfs_run(tp0::invalid_trace(3, 3, 1), &options);
+    let (r2, s2) = mdfs_run(tp0::invalid_trace(3, 3, 1), &options);
     assert_eq!(r1.verdict, r2.verdict);
     assert!(s1.lines().next().unwrap().contains("\"mode\":\"mdfs\""));
     assert_eq!(s1, s2, "static-source MDFS stream must be deterministic");
@@ -168,7 +165,10 @@ fn mdfs_stream_is_byte_identical_across_runs() {
 #[test]
 fn mdfs_event_counts_equal_final_stats() {
     let options = AnalysisOptions::with_order(OrderOptions::none());
-    for trace in [invalid_trace(), tp0::complete_valid_trace(3, 3, 1)] {
+    for trace in [
+        tp0::invalid_trace(3, 3, 1),
+        tp0::complete_valid_trace(3, 3, 1),
+    ] {
         let (report, stream) = mdfs_run(trace, &options);
         assert_counts_match(&report, &stream);
         let last = stream.lines().last().unwrap();
@@ -200,7 +200,12 @@ fn one_worker_mdfs_stream_is_pinned() {
     let mut options = AnalysisOptions::with_order(OrderOptions::none());
     options.workers = 1;
     let pins: [(Trace, u64, usize, usize); 2] = [
-        (invalid_trace(), 0x7c4e_92a8_f341_7c55, 301_676, 8_212),
+        (
+            tp0::invalid_trace(3, 3, 1),
+            0x7c4e_92a8_f341_7c55,
+            301_676,
+            8_212,
+        ),
         (
             tp0::complete_valid_trace(3, 3, 1),
             0x88fb_b342_ad68_cecb,
@@ -228,7 +233,7 @@ fn one_worker_mdfs_stream_is_pinned() {
 #[test]
 fn static_stream_is_pinned() {
     let tp0_nr = dfs_run(
-        &invalid_trace(),
+        &tp0::invalid_trace(3, 3, 1),
         &AnalysisOptions::with_order(OrderOptions::none()),
     );
     let lapd = protocols::lapd::analyzer();
@@ -289,7 +294,7 @@ fn n_worker_stream_and_recorder_equal_the_counters() {
                 let stream = buf.contents();
                 let s = &report.stats;
                 let r = tel.recorder().expect("recorder enabled");
-                let counters = [s.transitions_executed, s.generates, s.restores, s.saves];
+                let counters = s.counters();
                 let kinds = ["fire", "generate", "restore", "save"];
                 let events = kinds.map(|k| count_kind(&stream, k));
                 let recorded = [r.fires(), r.generates(), r.restores(), r.saves()];
