@@ -165,7 +165,7 @@ echo "== black box smoke (flight recorder / dump / dump-info) =="
 # Any non-completed outcome writes a versioned post-mortem dump. The
 # dump must verify and render both ways, with the JSONL form validating
 # under the dependency-free checker; the library/CLI suites run first.
-cargo test -q -p tango --test flight_recorder
+cargo test -q --test flight_recorder
 cargo test -q -p tango-cli --test black_box
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     --max-transitions 5 --dump-file "$CKPT_DIR/pm.tangodump" 2> "$CKPT_DIR/dump.err" \

@@ -168,12 +168,6 @@ impl Heap {
         self.live
     }
 
-    /// Total slots ever allocated (capacity measure for the §3.2.2
-    /// save/restore cost discussion).
-    pub fn slots(&self) -> usize {
-        self.total
-    }
-
     /// Number of storage chunks backing the heap.
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
@@ -417,7 +411,7 @@ mod tests {
         // Same slot, different generation: the old ref stays dead.
         assert!(h.get(a).is_err());
         assert_eq!(h.get(b).unwrap(), &Value::Int(2));
-        assert_eq!(h.slots(), 1);
+        assert_eq!(h.total, 1);
     }
 
     #[test]

@@ -65,10 +65,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 use tango::{
-    should_dump, AnalysisOptions, AnalysisReport, Checkpoint, CheckpointFaultInjector,
-    FaultPlan, FollowFileSource, InconclusiveReason, IntrospectionServer, JsonlSink,
-    OrderOptions, PostMortemDump, ProgressMode, ProgressReporter, RecoveryPolicy, RetryPolicy,
-    SearchStats, Tango, Telemetry, TraceAnalyzer, TraceSource, Verdict, DEFAULT_RING_CAPACITY,
+    should_dump, AnalysisOptions, AnalysisReport, Checkpoint, FaultPlan, FollowFileSource,
+    InconclusiveReason, IntrospectionServer, JsonlSink, OrderOptions, PostMortemDump,
+    ProgressMode, ProgressReporter, RecoveryPolicy, SearchStats, Tango, Telemetry, TraceAnalyzer,
+    TraceSource, Verdict, DEFAULT_RING_CAPACITY,
 };
 
 /// Poll budget for draining a fault-injected source on a static chaos
@@ -643,7 +643,7 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
         let saved = match (&ckpt.file, report.checkpoint.as_deref()) {
             (Some(path), Some(cp)) => {
                 let (stats, faults) = (&mut report.stats, &mut report.checkpoint_faults);
-                save_checkpoint(cp, path, None, &mut tel, stats, faults)
+                save_checkpoint(cp, path, &FaultPlan::default(), &mut 0, &mut tel, stats, faults)
             }
             _ => false,
         };
@@ -768,7 +768,8 @@ fn run_static(
     // replace `report`, but source faults happen once (at drain) and
     // checkpoint faults accumulate across every autosave, so both fold
     // into whichever report turns out to be final.
-    let mut injector = chaos.and_then(|p| p.checkpoint_injector());
+    let chaos_plan = chaos.copied().unwrap_or_default();
+    let mut ckpt_attempts = 0;
     let mut counts = SearchStats::default();
     let mut source_faults: Vec<String> = Vec::new();
     let mut ck_faults: Vec<String> = Vec::new();
@@ -818,7 +819,15 @@ fn run_static(
     loop {
         // Autosave on every limit stop, synthetic or genuine.
         if let (Some(path), Some(cp)) = (&ckpt.file, report.checkpoint.as_deref()) {
-            saved |= save_checkpoint(cp, path, injector.as_mut(), tel, &mut counts, &mut ck_faults);
+            saved |= save_checkpoint(
+                cp,
+                path,
+                &chaos_plan,
+                &mut ckpt_attempts,
+                tel,
+                &mut counts,
+                &mut ck_faults,
+            );
         }
         // A synthetic stop is a transition-limit stop below the user's
         // own cap: continue the next round in-process. Anything else —
@@ -850,20 +859,22 @@ fn run_static(
 }
 
 /// Save `cp` to `path` atomically on the checkpoint retry schedule, with
-/// `injector` deciding each attempt's fate on a chaos run. The retries
+/// the checkpoint rows of `plan` deciding each attempt's fate on a
+/// chaos run (`attempts` counts them across saves). The retries
 /// and a giveup are counted in `stats` and a failure's text is added to
 /// `faults`: a failed save costs the durability of this save, not the
 /// analysis. Returns whether the save succeeded.
 fn save_checkpoint(
     cp: &Checkpoint,
     path: &Path,
-    injector: Option<&mut CheckpointFaultInjector>,
+    plan: &FaultPlan,
+    attempts: &mut u64,
     tel: &mut Telemetry,
     stats: &mut SearchStats,
     faults: &mut Vec<String>,
 ) -> bool {
     let te = cp.stats().transitions_executed;
-    let out = cp.write_to_with(path, &RetryPolicy::checkpoint(), injector);
+    let out = cp.write_to_with(path, plan, attempts);
     stats.checkpoint_retries += u64::from(out.retries);
     match out.result {
         Ok(()) => {

@@ -27,24 +27,7 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 /// search tree doubles at every event, and the trailing never-produced
 /// `out U.pong` makes the verdict a conclusive `invalid` that requires
 /// exhausting the whole tree.
-pub const FORK_SPEC: &str = r#"
-specification forker;
-channel C(user, station);
-    by user: ping;
-    by station: pong;
-end;
-module M process;
-    ip U : C(station);
-end;
-body MB for M;
-    state s0;
-    initialize to s0 begin end;
-    trans
-    from s0 to same when U.ping name ta: begin end;
-    from s0 to same when U.ping name tb: begin end;
-end;
-end.
-"#;
+pub const FORK_SPEC: &str = include_str!("../../../../specs/forker.est");
 
 /// Write `forker.est` and a trace of `pings` pings and the missing pong
 /// into `dir`; returns (spec, trace).

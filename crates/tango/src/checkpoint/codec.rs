@@ -53,7 +53,7 @@ use estelle_runtime::codec::{decode_state, decode_value, encode_state, encode_va
 use estelle_runtime::{
     ByteReader, ByteWriter, CodecError, Fireable, RuntimeError, RuntimeErrorKind,
 };
-use crate::fault::{CheckpointFaultInjector, CheckpointWriteFault, RetryOutcome, RetryPolicy};
+use crate::fault::{Fault, FaultPlan, RetryOutcome, RetryPolicy};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -201,44 +201,40 @@ impl Checkpoint {
     /// contents of `path`, if any, are untouched. Transient failures
     /// retry on the [`RetryPolicy::checkpoint`] schedule.
     pub fn write_to(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.write_to_with(path, &RetryPolicy::checkpoint(), None)
-            .result
+        self.write_to_with(path, &FaultPlan::default(), &mut 0).result
     }
 
-    /// [`Checkpoint::write_to`] with an explicit retry policy and an
-    /// optional fault injector deciding the fate of each write attempt
-    /// (the chaos layer's checkpoint site). Injected short writes tear
-    /// the temp file only — the destination keeps its previous contents,
-    /// which is exactly the atomic-rename contract under test. Returns
-    /// the retry count alongside the result so autosave can feed
+    /// [`Checkpoint::write_to`] with the checkpoint rows of `faults`
+    /// deciding the fate of each write attempt (the chaos layer's
+    /// checkpoint site). `attempts` counts write attempts, retries
+    /// included; pass one counter across a run's saves so the schedule
+    /// spans all of them. Disk full outranks a short write, which
+    /// outranks an I/O error. Injected short writes tear the temp file
+    /// only — the destination keeps its previous contents, which is
+    /// exactly the atomic-rename contract under test. Returns the retry
+    /// count alongside the result so autosave can feed
     /// `SearchStats::checkpoint_retries`.
     pub fn write_to_with(
         &self,
         path: &Path,
-        policy: &RetryPolicy,
-        mut injector: Option<&mut CheckpointFaultInjector>,
+        faults: &FaultPlan,
+        attempts: &mut u64,
     ) -> RetryOutcome<(), CheckpointError> {
         let bytes = encode_checkpoint(self);
-        policy.run(&mut |_| {
-            let fault = injector
-                .as_mut()
-                .map_or(CheckpointWriteFault::Pass, |i| i.next_fault());
-            match fault {
-                CheckpointWriteFault::Pass => write_atomic_once(path, &bytes),
-                CheckpointWriteFault::IoError => Err(CheckpointError::Io(
-                    std::io::Error::other("checkpoint write I/O error (injected)"),
-                )),
-                CheckpointWriteFault::ShortWrite => {
-                    // The torn write of a crashing process: half the bytes
-                    // land in the temp file, the rename never happens.
-                    let _ = fs::write(tmp_path(path), &bytes[..bytes.len() / 2]);
-                    Err(CheckpointError::Io(std::io::Error::other(
-                        "checkpoint short write (injected)",
-                    )))
-                }
-                CheckpointWriteFault::DiskFull => Err(CheckpointError::Io(
-                    std::io::Error::other("no space left on device (injected)"),
-                )),
+        let injected = |what: &str| Err(CheckpointError::Io(std::io::Error::other(what)));
+        RetryPolicy::checkpoint().run(&mut |_| {
+            *attempts += 1;
+            if faults.due(Fault::CheckpointDiskFull, *attempts) {
+                injected("no space left on device (injected)")
+            } else if faults.due(Fault::CheckpointShortWrite, *attempts) {
+                // The torn write of a crashing process: half the bytes
+                // land in the temp file, the rename never happens.
+                let _ = fs::write(tmp_path(path), &bytes[..bytes.len() / 2]);
+                injected("checkpoint short write (injected)")
+            } else if faults.due(Fault::CheckpointIoError, *attempts) {
+                injected("checkpoint write I/O error (injected)")
+            } else {
+                write_atomic_once(path, &bytes)
             }
         })
     }
@@ -1030,6 +1026,72 @@ mod tests {
             vec![Duration::from_millis(4), Duration::from_millis(8)],
             "backoff must double between attempts"
         );
+    }
+
+    /// A checkpoint with an empty front: enough to exercise the writer.
+    fn empty_checkpoint() -> Checkpoint {
+        Checkpoint {
+            search: SearchCheckpoint {
+                complete: true,
+                workers_at_save: 1,
+                eof: true,
+                work: Vec::new(),
+                pg: Vec::new(),
+                visited: Vec::new(),
+                spec_errors: Vec::new(),
+                best: (0, Vec::new()),
+                events_total: 0,
+                depth: 0,
+            },
+            trace: ResolvedTrace::default(),
+            stats: SearchStats::default(),
+        }
+    }
+
+    #[test]
+    fn injected_faults_follow_the_plan_across_saves() {
+        let dir = std::env::temp_dir().join(format!("tango-ckpt-unit-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.bin");
+        let cp = empty_checkpoint();
+        let io_error = |e: Result<(), CheckpointError>| match e {
+            Err(CheckpointError::Io(e)) => e.to_string(),
+            other => panic!("expected an injected I/O error, got {:?}", other),
+        };
+
+        // Every 2nd attempt fails, counted across saves: attempts
+        // pass, fail, pass, fail, pass.
+        let plan = FaultPlan::default().with(Fault::CheckpointIoError, 2);
+        let mut attempts = 0;
+        for (retries, after) in [(0, 1), (1, 3), (1, 5)] {
+            let out = cp.write_to_with(&path, &plan, &mut attempts);
+            assert!(out.result.is_ok());
+            assert_eq!((out.retries, attempts), (retries, after));
+        }
+
+        // Disk full outranks a short write: from the 2nd attempt on
+        // every attempt is ENOSPC and no torn temp file appears.
+        let plan = FaultPlan::default()
+            .with(Fault::CheckpointDiskFull, 1)
+            .with(Fault::CheckpointShortWrite, 2);
+        let mut attempts = 0;
+        assert!(cp.write_to_with(&path, &plan, &mut attempts).result.is_ok());
+        let out = cp.write_to_with(&path, &plan, &mut attempts);
+        assert_eq!(io_error(out.result), "no space left on device (injected)");
+        assert_eq!((out.retries, attempts), (3, 5), "1 try + 3 retries");
+        assert!(!tmp_path(&path).exists(), "disk full must not tear a temp file");
+
+        // A short write outranks an I/O error: the temp file is torn,
+        // the destination keeps the last good save.
+        let plan = FaultPlan::default()
+            .with(Fault::CheckpointShortWrite, 1)
+            .with(Fault::CheckpointIoError, 1);
+        let out = cp.write_to_with(&path, &plan, &mut 0);
+        assert_eq!(io_error(out.result), "checkpoint short write (injected)");
+        assert!(tmp_path(&path).exists(), "the short write tears the temp file");
+        assert!(Checkpoint::read_from(&path).is_ok());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

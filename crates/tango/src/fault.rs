@@ -9,15 +9,18 @@
 //! [`FaultySpillDir`](crate::spill::FaultySpillDir) for the disk spill
 //! tier, and the SIGKILL harness for checkpoints. A [`FaultPlan`]
 //! composes all three sites (plus the previously untestable
-//! checkpoint-write path) into one seeded, reproducible plan, and a
+//! checkpoint-write path) into one seeded, reproducible plan: one
+//! schedule slot per row of the fault table `FAULTS`, asked through
+//! one rule, `FaultPlan::due`. A
 //! [`RetryPolicy`] replaces the three divergent hand-rolled backoff
 //! loops with one implementation: bounded exponential backoff and
 //! deadline-aware sleeps.
 //!
 //! Everything here is zero-cost when no plan is armed, mirroring the
 //! telemetry layer's design: production paths carry an `Option` that
-//! stays `None`, and the retry policies compile to the exact schedules
-//! the hand-rolled loops used.
+//! stays `None` (checkpoint writes an unarmed plan, whose rows never
+//! fire), and the retry policies compile to the exact schedules the
+//! hand-rolled loops used.
 //!
 //! The invariants the chaos runner (`tests/chaos.rs`) asserts over this
 //! module:
@@ -36,9 +39,6 @@ use crate::trace::Trace;
 use estelle_frontend::sema::model::AnalyzedModule;
 use std::fmt;
 use std::time::{Duration, Instant};
-
-pub use crate::search::spill::SpillFaultPlan;
-pub use crate::trace::source::SourceFaultPlan;
 
 // ------------------------------------------------------------- errors
 
@@ -250,138 +250,208 @@ impl Backoff {
     }
 }
 
-// -------------------------------------------- checkpoint write faults
+// --------------------------------------------------------- fault table
 
-/// Which faults to inject, and how often, on checkpoint atomic writes —
-/// the previously real-filesystem-only failure path of autosave.
-///
-/// Each `*_every` field counts write *attempts* (so retried writes
-/// advance the schedule); `0` disables that fault.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CheckpointFaultPlan {
-    /// Fail every n-th write attempt with a transient I/O error before
-    /// anything touches disk.
-    pub io_error_every: u64,
-    /// On every n-th write attempt, write only half the bytes to the
-    /// temp file, then fail — the torn write of a crashing process.
-    /// The destination is never touched, so this also proves the
-    /// atomic-rename contract holds under injection.
-    pub short_write_every: u64,
-    /// After this many write attempts, every further attempt fails
-    /// permanently — the disk-full (ENOSPC) model retries cannot save.
-    pub disk_full_after: Option<u64>,
-}
-
-impl CheckpointFaultPlan {
-    pub fn is_armed(&self) -> bool {
-        *self != CheckpointFaultPlan::default()
-    }
-}
-
-/// What a [`CheckpointFaultInjector`] decided for one write attempt.
+/// Every injectable fault: one variant per `--fault-plan` knob, in the
+/// row order of the fault table (DESIGN §6.11).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckpointWriteFault {
-    /// No fault: perform the real write.
-    Pass,
-    /// Fail with an injected transient I/O error.
-    IoError,
-    /// Tear the temp file (half the bytes), then fail.
-    ShortWrite,
-    /// Fail permanently: the device is full.
-    DiskFull,
+pub enum Fault {
+    /// Replace the line with unparseable garbage.
+    SourceCorrupt,
+    /// Deliver an event line twice (a duplicated observation).
+    SourceDuplicate,
+    /// Cut the line in half and deliver both halves (mid-line truncation
+    /// by a crashing writer).
+    SourceTruncate,
+    /// Stall for [`Fault::SourceStallPolls`] empty polls after a line.
+    SourceStall,
+    /// How many empty polls each stall lasts.
+    SourceStallPolls,
+    /// Fail a read attempt with an injected I/O error, handled per the
+    /// plan's [`RecoveryPolicy`]: `Restart` retries the line on the next
+    /// poll, `Fail` reads as end-of-trace. `read_error_every=1` under
+    /// `Restart` never makes progress.
+    SourceReadError,
+    /// Return the first half of the line on a read attempt: `Restart`
+    /// discards it and retries, `Fail` delivers it as-is.
+    SourceShortRead,
+    /// Fail a spill append with a transient I/O error.
+    SpillWriteError,
+    /// Append only half the record, then fail (a torn write).
+    SpillShortWrite,
+    /// Fail a spill read with a transient I/O error.
+    SpillReadError,
+    /// Flip one bit of a spill read: silent media corruption the CRC
+    /// must catch.
+    SpillFlipBit,
+    /// Fail every append permanently (the disk-full model retries
+    /// cannot save).
+    SpillHardWrites,
+    /// Fail a checkpoint write attempt before anything touches disk.
+    CheckpointIoError,
+    /// Write half the bytes to the temp file, then fail: the torn write
+    /// of a crashing process. The destination is never touched.
+    CheckpointShortWrite,
+    /// Fail every checkpoint write attempt permanently (ENOSPC).
+    CheckpointDiskFull,
 }
 
-/// The armed, stateful form of a [`CheckpointFaultPlan`]: one injector
-/// spans a whole run, so the schedule counts attempts across every
-/// autosave.
-#[derive(Debug)]
-pub struct CheckpointFaultInjector {
-    plan: CheckpointFaultPlan,
-    attempts: u64,
-    injected: u64,
-}
-
-impl CheckpointFaultInjector {
-    pub fn new(plan: CheckpointFaultPlan) -> Self {
-        CheckpointFaultInjector {
-            plan,
-            attempts: 0,
-            injected: 0,
-        }
-    }
-
-    pub fn plan(&self) -> CheckpointFaultPlan {
-        self.plan
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Decide the fate of the next write attempt. Permanent faults
-    /// (disk full) outrank scheduled transient ones.
-    pub fn next_fault(&mut self) -> CheckpointWriteFault {
-        self.attempts += 1;
-        if let Some(after) = self.plan.disk_full_after {
-            if self.attempts > after {
-                self.injected += 1;
-                return CheckpointWriteFault::DiskFull;
-            }
-        }
-        if every_due(self.attempts, self.plan.short_write_every) {
-            self.injected += 1;
-            return CheckpointWriteFault::ShortWrite;
-        }
-        if every_due(self.attempts, self.plan.io_error_every) {
-            self.injected += 1;
-            return CheckpointWriteFault::IoError;
-        }
-        CheckpointWriteFault::Pass
+impl Fault {
+    /// The site the fault strikes.
+    fn site(self) -> Site {
+        FAULTS[self as usize].1
     }
 }
 
-fn every_due(op: u64, every: u64) -> bool {
-    every > 0 && op.is_multiple_of(every)
+/// The three places a fault can strike, in `--fault-plan` key order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Site {
+    /// The trace feed ([`FaultySource`]).
+    Source,
+    /// The disk spill tier ([`crate::spill::FaultySpillDir`]).
+    Spill,
+    /// Autosave's atomic writes ([`crate::Checkpoint::write_to_with`]).
+    Checkpoint,
 }
+
+impl Site {
+    const ALL: [Site; 3] = [Site::Source, Site::Spill, Site::Checkpoint];
+
+    /// The site's `--fault-plan` key prefix.
+    fn name(self) -> &'static str {
+        match self {
+            Site::Source => "source",
+            Site::Spill => "spill",
+            Site::Checkpoint => "checkpoint",
+        }
+    }
+}
+
+/// How a plan value schedules its fault, counted in 1-based operations
+/// of the fault's site (see [`FaultPlan::due`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// Fires on every n-th operation; `0` never fires.
+    Every,
+    /// Fires on every operation after the first n (`0`: on all of them).
+    After,
+    /// No schedule: the length of each source stall, in polls.
+    Count,
+}
+
+/// Whether a fired fault changes which events the analysis sees.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Loss {
+    /// Recovered by retrying, degraded typed, or warn-and-continue.
+    Never,
+    /// The delivered trace differs from the written one.
+    Always,
+    /// Lossless under [`RecoveryPolicy::Restart`], lossy under `Fail`.
+    UnderFail,
+}
+
+/// The fault table (DESIGN §6.11): each fault's site, its `--fault-plan`
+/// field (the key is `site.field`), its [`Kind`] and its [`Loss`], in
+/// [`Fault`] declaration order. The operation a site counts: delivered
+/// lines (source line faults), read attempts (source read faults),
+/// appends and reads across every segment (spill), write attempts
+/// (checkpoint).
+#[rustfmt::skip]
+const FAULTS: [(Fault, Site, &str, Kind, Loss); 15] = [
+    (Fault::SourceCorrupt, Site::Source, "corrupt_every", Kind::Every, Loss::Always),
+    (Fault::SourceDuplicate, Site::Source, "duplicate_every", Kind::Every, Loss::Always),
+    (Fault::SourceTruncate, Site::Source, "truncate_every", Kind::Every, Loss::Always),
+    (Fault::SourceStall, Site::Source, "stall_every", Kind::Every, Loss::Never),
+    (Fault::SourceStallPolls, Site::Source, "stall_polls", Kind::Count, Loss::Never),
+    (Fault::SourceReadError, Site::Source, "read_error_every", Kind::Every, Loss::UnderFail),
+    (Fault::SourceShortRead, Site::Source, "short_read_every", Kind::Every, Loss::UnderFail),
+    (Fault::SpillWriteError, Site::Spill, "write_error_every", Kind::Every, Loss::Never),
+    (Fault::SpillShortWrite, Site::Spill, "short_write_every", Kind::Every, Loss::Never),
+    (Fault::SpillReadError, Site::Spill, "read_error_every", Kind::Every, Loss::Never),
+    (Fault::SpillFlipBit, Site::Spill, "flip_bit_every", Kind::Every, Loss::Never),
+    (Fault::SpillHardWrites, Site::Spill, "hard_writes_after", Kind::After, Loss::Never),
+    (Fault::CheckpointIoError, Site::Checkpoint, "io_error_every", Kind::Every, Loss::Never),
+    (Fault::CheckpointShortWrite, Site::Checkpoint, "short_write_every", Kind::Every, Loss::Never),
+    (Fault::CheckpointDiskFull, Site::Checkpoint, "disk_full_after", Kind::After, Loss::Never),
+];
 
 // ------------------------------------------------------- unified plan
 
-/// A composable, seeded fault plan arming any combination of the three
-/// fault sites in a single run:
+/// A composable, seeded fault plan: one schedule slot per [`Fault`],
+/// arming any combination of the three fault sites in a single run:
 ///
-/// * **source** — the trace feed ([`SourceFaultPlan`] /
-///   [`FaultySource`]): corrupt/duplicated/truncated lines, stalls,
-///   injected read errors and short reads, recovered per
-///   [`RecoveryPolicy`];
-/// * **spill** — the disk spill tier ([`SpillFaultPlan`] /
-///   [`crate::spill::FaultySpillDir`]): write/read I/O errors, short
-///   writes, bit flips, hard disk-full;
+/// * **source** — the trace feed ([`FaultySource`]): corrupt, duplicated
+///   and truncated lines, stalls, injected read errors and short reads,
+///   recovered per [`RecoveryPolicy`];
+/// * **spill** — the disk spill tier ([`crate::spill::FaultySpillDir`]):
+///   write/read I/O errors, short writes, bit flips, hard disk-full;
 /// * **checkpoint** — autosave atomic writes
-///   ([`CheckpointFaultPlan`]): I/O errors, torn temp files, ENOSPC.
+///   ([`crate::Checkpoint::write_to_with`]): I/O errors, torn temp
+///   files, ENOSPC.
 ///
-/// A plan is plain data: arming happens where each subsystem is built
-/// ([`FaultPlan::build_source`], [`FaultPlan::apply`],
-/// [`FaultPlan::checkpoint_injector`]), and every hook is zero-cost
-/// when the corresponding site is `None`.
+/// A site is armed when any of its slots is set, even to `0`. A plan is
+/// plain data: arming happens where each subsystem is built
+/// ([`FaultPlan::build_source`], [`FaultPlan::apply`], the checkpoint
+/// writer), and every hook is zero-cost when its site is unarmed.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// The seed this plan was composed from ([`FaultPlan::random`]);
     /// `0` for hand-built plans. Recorded so a failing chaos run is
     /// reproducible from its log line alone.
     pub seed: u64,
-    pub source: Option<SourceFaultPlan>,
-    /// Recovery policy for the fault-injected source (ignored unless
-    /// `source` is armed).
-    pub source_recovery: RecoveryPolicy,
-    pub spill: Option<SpillFaultPlan>,
-    pub checkpoint: Option<CheckpointFaultPlan>,
+    /// Recovery policy of the fault-injected source. Setting any source
+    /// slot sets it to the default ([`RecoveryPolicy::Fail`]) when
+    /// unset; `Some` alone arms the source site.
+    pub(crate) recovery: Option<RecoveryPolicy>,
+    schedule: [Option<u64>; FAULTS.len()],
 }
 
 impl FaultPlan {
+    /// This plan with `fault` scheduled at `value`: every n-th operation,
+    /// every operation after the first n, or the stall length in polls.
+    pub fn with(mut self, fault: Fault, value: u64) -> FaultPlan {
+        self.schedule[fault as usize] = Some(value);
+        if fault.site() == Site::Source {
+            self.recovery.get_or_insert_default();
+        }
+        self
+    }
+
+    /// This plan with the source site armed under `policy`.
+    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> FaultPlan {
+        self.recovery = Some(policy);
+        self
+    }
+
+    /// The value `fault` is scheduled at, `None` when unset.
+    pub(crate) fn get(&self, fault: Fault) -> Option<u64> {
+        self.schedule[fault as usize]
+    }
+
+    /// The one due rule every site asks: does `fault` fire on the site's
+    /// `op`-th operation (1-based)?
+    pub(crate) fn due(&self, fault: Fault, op: u64) -> bool {
+        match (self.get(fault), FAULTS[fault as usize].3) {
+            (Some(every), Kind::Every) => every > 0 && op.is_multiple_of(every),
+            (Some(after), Kind::After) => op > after,
+            _ => false,
+        }
+    }
+
     /// True when at least one fault site is armed.
     pub fn is_armed(&self) -> bool {
-        self.source.is_some() || self.spill.is_some() || self.checkpoint.is_some()
+        self.recovery.is_some() || self.schedule.iter().any(Option::is_some)
+    }
+
+    /// True when `site` is armed: the source by its recovery policy
+    /// (which setting any source slot sets), the others by any set slot.
+    pub fn armed(&self, site: Site) -> bool {
+        match site {
+            Site::Source => self.recovery.is_some(),
+            _ => FAULTS
+                .iter()
+                .any(|&(f, s, ..)| s == site && self.get(f).is_some()),
+        }
     }
 
     /// True when the plan cannot change *which events the analysis
@@ -393,16 +463,12 @@ impl FaultPlan {
     /// [`RecoveryPolicy::Fail`]) deliver a *different trace*, for which
     /// only the robustness invariants hold.
     pub fn is_lossless(&self) -> bool {
-        match &self.source {
-            None => true,
-            Some(s) => {
-                s.corrupt_every == 0
-                    && s.duplicate_every == 0
-                    && s.truncate_every == 0
-                    && (self.source_recovery == RecoveryPolicy::Restart
-                        || (s.read_error_every == 0 && s.short_read_every == 0))
-            }
-        }
+        let restart = self.recovery == Some(RecoveryPolicy::Restart);
+        FAULTS.iter().all(|&(f, .., loss)| {
+            self.get(f).unwrap_or(0) == 0
+                || loss == Loss::Never
+                || (loss == Loss::UnderFail && restart)
+        })
     }
 
     /// Compose a random plan from a seed: 1–3 sites armed, each with
@@ -410,6 +476,7 @@ impl FaultPlan {
     /// every composed plan terminates (no `read_error_every == 1`
     /// livelock under `Restart`, bounded stalls).
     pub fn random(seed: u64) -> FaultPlan {
+        use Fault::*;
         let mut r = SplitMix64::new(seed ^ 0xc3a5_c85c_97cb_3127);
         let mut plan = FaultPlan {
             seed,
@@ -417,57 +484,50 @@ impl FaultPlan {
         };
         let mask = 1 + r.gen_index(7); // 1..=7: at least one site armed
         if mask & 1 != 0 {
-            plan.source_recovery = if r.gen_bool() {
+            plan.recovery = Some(if r.gen_bool() {
                 RecoveryPolicy::Restart
             } else {
                 RecoveryPolicy::Fail
-            };
-            let mut s = SourceFaultPlan::default();
+            });
             // 1–2 kinds out of six; frequencies 2..=6 so schedules fire
             // repeatedly on small traces without livelocking.
             for _ in 0..(1 + r.gen_index(2)) {
-                let every = 2 + r.gen_index(5);
-                match r.gen_index(6) {
-                    0 => s.corrupt_every = every,
-                    1 => s.duplicate_every = every,
-                    2 => s.truncate_every = every,
-                    3 => {
-                        s.stall_every = every;
-                        s.stall_polls = 1 + r.gen_index(3);
-                    }
-                    4 => s.read_error_every = every,
-                    _ => s.short_read_every = every,
+                let every = 2 + r.gen_index(5) as u64;
+                let fault = [
+                    SourceCorrupt,
+                    SourceDuplicate,
+                    SourceTruncate,
+                    SourceStall,
+                    SourceReadError,
+                    SourceShortRead,
+                ][r.gen_index(6)];
+                plan = plan.with(fault, every);
+                if fault == SourceStall {
+                    plan = plan.with(SourceStallPolls, 1 + r.gen_index(3) as u64);
                 }
             }
-            plan.source = Some(s);
         }
         if mask & 2 != 0 {
-            let mut s = SpillFaultPlan::default();
             for _ in 0..(1 + r.gen_index(2)) {
                 let every = 2 + r.gen_index(5) as u64;
-                match r.gen_index(4) {
-                    0 => s.write_error_every = every,
-                    1 => s.short_write_every = every,
-                    2 => s.read_error_every = every,
-                    _ => s.flip_bit_every = every,
-                }
+                let fault =
+                    [SpillWriteError, SpillShortWrite, SpillReadError, SpillFlipBit][r.gen_index(4)];
+                plan = plan.with(fault, every);
             }
-            plan.spill = Some(s);
         }
         if mask & 4 != 0 {
-            let mut c = CheckpointFaultPlan::default();
-            match r.gen_index(3) {
-                0 => c.io_error_every = 2 + r.gen_index(3) as u64,
-                1 => c.short_write_every = 2 + r.gen_index(3) as u64,
-                _ => c.disk_full_after = Some(1 + r.gen_index(4) as u64),
-            }
-            plan.checkpoint = Some(c);
+            plan = match r.gen_index(3) {
+                0 => plan.with(CheckpointIoError, 2 + r.gen_index(3) as u64),
+                1 => plan.with(CheckpointShortWrite, 2 + r.gen_index(3) as u64),
+                _ => plan.with(CheckpointDiskFull, 1 + r.gen_index(4) as u64),
+            };
         }
         plan
     }
 
     /// Parse the `--fault-plan` syntax: comma-separated `key=value`
-    /// pairs where keys are `seed` or `site.field`, e.g.
+    /// pairs where keys are `seed`, `source.recovery` or a fault's
+    /// `site.field` key, e.g.
     /// `source.read_error_every=3,source.recovery=restart,spill.flip_bit_every=2,checkpoint.io_error_every=2`.
     /// Naming any `site.*` key arms that site. [`FaultPlan::describe`]
     /// emits exactly this syntax.
@@ -481,144 +541,73 @@ impl FaultPlan {
                 )));
             };
             let (key, value) = (key.trim(), value.trim());
-            let num = |what: &str| {
+            let num = || {
                 value.parse::<u64>().map_err(|_| {
-                    FaultError::Parse(format!("{} needs a number, got `{}`", what, value))
+                    FaultError::Parse(format!("{} needs a number, got `{}`", key, value))
                 })
             };
-            match key {
-                "seed" => plan.seed = num(key)?,
-                "source.recovery" => {
-                    plan.source_recovery = match value.to_ascii_lowercase().as_str() {
-                        "restart" => RecoveryPolicy::Restart,
-                        "fail" => RecoveryPolicy::Fail,
-                        other => {
-                            return Err(FaultError::Parse(format!(
-                                "source.recovery must be restart|fail, got `{}`",
-                                other
-                            )))
-                        }
-                    };
-                    plan.source.get_or_insert_with(SourceFaultPlan::default);
-                }
-                _ if key.starts_with("source.") => {
-                    let s = plan.source.get_or_insert_with(SourceFaultPlan::default);
-                    let v = num(key)? as usize;
-                    match &key["source.".len()..] {
-                        "corrupt_every" => s.corrupt_every = v,
-                        "duplicate_every" => s.duplicate_every = v,
-                        "truncate_every" => s.truncate_every = v,
-                        "stall_every" => s.stall_every = v,
-                        "stall_polls" => s.stall_polls = v,
-                        "read_error_every" => s.read_error_every = v,
-                        "short_read_every" => s.short_read_every = v,
-                        other => {
-                            return Err(FaultError::Parse(format!(
-                                "unknown source fault `{}`",
-                                other
-                            )))
-                        }
-                    }
-                }
-                _ if key.starts_with("spill.") => {
-                    let s = plan.spill.get_or_insert_with(SpillFaultPlan::default);
-                    let v = num(key)?;
-                    match &key["spill.".len()..] {
-                        "write_error_every" => s.write_error_every = v,
-                        "short_write_every" => s.short_write_every = v,
-                        "read_error_every" => s.read_error_every = v,
-                        "flip_bit_every" => s.flip_bit_every = v,
-                        "hard_writes_after" => s.hard_writes_after = Some(v),
-                        other => {
-                            return Err(FaultError::Parse(format!(
-                                "unknown spill fault `{}`",
-                                other
-                            )))
-                        }
-                    }
-                }
-                _ if key.starts_with("checkpoint.") => {
-                    let c = plan
-                        .checkpoint
-                        .get_or_insert_with(CheckpointFaultPlan::default);
-                    let v = num(key)?;
-                    match &key["checkpoint.".len()..] {
-                        "io_error_every" => c.io_error_every = v,
-                        "short_write_every" => c.short_write_every = v,
-                        "disk_full_after" => c.disk_full_after = Some(v),
-                        other => {
-                            return Err(FaultError::Parse(format!(
-                                "unknown checkpoint fault `{}`",
-                                other
-                            )))
-                        }
-                    }
-                }
-                other => {
-                    return Err(FaultError::Parse(format!(
-                        "unknown fault site in `{}` (expected seed, source.*, spill.* or checkpoint.*)",
-                        other
-                    )))
-                }
+            if key == "seed" {
+                plan.seed = num()?;
+                continue;
             }
+            if key == "source.recovery" {
+                plan.recovery = Some(match value.to_ascii_lowercase().as_str() {
+                    "restart" => RecoveryPolicy::Restart,
+                    "fail" => RecoveryPolicy::Fail,
+                    other => {
+                        return Err(FaultError::Parse(format!(
+                            "source.recovery must be restart|fail, got `{}`",
+                            other
+                        )))
+                    }
+                });
+                continue;
+            }
+            let Some((site, field)) = key.split_once('.').and_then(|(name, field)| {
+                let site = Site::ALL.into_iter().find(|s| s.name() == name)?;
+                Some((site, field))
+            }) else {
+                return Err(FaultError::Parse(format!(
+                    "unknown fault site in `{}` (expected seed, source.*, spill.* or checkpoint.*)",
+                    key
+                )));
+            };
+            let v = num()?;
+            let Some(&(fault, ..)) = FAULTS.iter().find(|r| r.1 == site && r.2 == field) else {
+                return Err(FaultError::Parse(format!(
+                    "unknown {} fault `{}`",
+                    site.name(),
+                    field
+                )));
+            };
+            plan = plan.with(fault, v);
         }
         Ok(plan)
     }
 
     /// Render the plan in the exact syntax [`FaultPlan::parse`]
     /// accepts, so `chaos:` log lines are replayable verbatim via
-    /// `--fault-plan`.
+    /// `--fault-plan`. Every-n and count slots set to `0` are left out;
+    /// `source.recovery` closes the source rows.
     pub fn describe(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
         if self.seed != 0 {
             parts.push(format!("seed={}", self.seed));
         }
-        if let Some(s) = &self.source {
-            for (name, v) in [
-                ("corrupt_every", s.corrupt_every),
-                ("duplicate_every", s.duplicate_every),
-                ("truncate_every", s.truncate_every),
-                ("stall_every", s.stall_every),
-                ("stall_polls", s.stall_polls),
-                ("read_error_every", s.read_error_every),
-                ("short_read_every", s.short_read_every),
-            ] {
-                if v > 0 {
-                    parts.push(format!("source.{}={}", name, v));
+        for site in Site::ALL {
+            for &(fault, _, field, kind, _) in FAULTS.iter().filter(|r| r.1 == site) {
+                if let Some(v) = self.get(fault).filter(|&v| v > 0 || kind == Kind::After) {
+                    parts.push(format!("{}.{}={}", site.name(), field, v));
                 }
             }
-            parts.push(format!(
-                "source.recovery={}",
-                match self.source_recovery {
-                    RecoveryPolicy::Restart => "restart",
-                    RecoveryPolicy::Fail => "fail",
-                }
-            ));
-        }
-        if let Some(s) = &self.spill {
-            for (name, v) in [
-                ("write_error_every", s.write_error_every),
-                ("short_write_every", s.short_write_every),
-                ("read_error_every", s.read_error_every),
-                ("flip_bit_every", s.flip_bit_every),
-            ] {
-                if v > 0 {
-                    parts.push(format!("spill.{}={}", name, v));
-                }
-            }
-            if let Some(after) = s.hard_writes_after {
-                parts.push(format!("spill.hard_writes_after={}", after));
-            }
-        }
-        if let Some(c) = &self.checkpoint {
-            if c.io_error_every > 0 {
-                parts.push(format!("checkpoint.io_error_every={}", c.io_error_every));
-            }
-            if c.short_write_every > 0 {
-                parts.push(format!("checkpoint.short_write_every={}", c.short_write_every));
-            }
-            if let Some(after) = c.disk_full_after {
-                parts.push(format!("checkpoint.disk_full_after={}", after));
+            if let (Site::Source, Some(recovery)) = (site, self.recovery) {
+                parts.push(format!(
+                    "source.recovery={}",
+                    match recovery {
+                        RecoveryPolicy::Restart => "restart",
+                        RecoveryPolicy::Fail => "fail",
+                    }
+                ));
             }
         }
         if parts.is_empty() {
@@ -628,32 +617,23 @@ impl FaultPlan {
         }
     }
 
-    /// Arm the spill site: install the spill sub-plan into the
-    /// analysis options (no-op when the site is not armed).
+    /// Arm the spill site: install this plan into the analysis options
+    /// (no-op when the site is not armed).
     pub fn apply(&self, options: &mut crate::options::AnalysisOptions) {
-        if self.spill.is_some() {
-            options.spill.fault_plan = self.spill;
+        if self.armed(Site::Spill) {
+            options.spill.fault_plan = Some(*self);
         }
     }
 
     /// Arm the source site: a [`FaultySource`] over rendered trace
-    /// text, with this plan's recovery policy. `None` when the site is
-    /// not armed.
+    /// text. `None` when the site is not armed.
     pub fn build_source(
         &self,
         trace_text: &str,
         module: Option<AnalyzedModule>,
     ) -> Option<FaultySource> {
-        self.source.map(|plan| {
-            FaultySource::new(trace_text, module, plan).with_recovery(self.source_recovery)
-        })
-    }
-
-    /// Arm the checkpoint site: the stateful injector autosave threads
-    /// through [`crate::Checkpoint::write_to_with`]. `None` when the
-    /// site is not armed.
-    pub fn checkpoint_injector(&self) -> Option<CheckpointFaultInjector> {
-        self.checkpoint.map(CheckpointFaultInjector::new)
+        self.armed(Site::Source)
+            .then(|| FaultySource::new(trace_text, module, *self))
     }
 }
 
@@ -760,29 +740,26 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_injector_schedules_and_counts() {
-        let mut inj = CheckpointFaultInjector::new(CheckpointFaultPlan {
-            io_error_every: 2,
-            ..CheckpointFaultPlan::default()
-        });
-        assert_eq!(inj.next_fault(), CheckpointWriteFault::Pass);
-        assert_eq!(inj.next_fault(), CheckpointWriteFault::IoError);
-        assert_eq!(inj.next_fault(), CheckpointWriteFault::Pass);
-        assert_eq!(inj.next_fault(), CheckpointWriteFault::IoError);
-        assert_eq!(inj.injected(), 2);
+    fn due_counts_one_based_operations() {
+        let plan = FaultPlan::default()
+            .with(Fault::CheckpointIoError, 2)
+            .with(Fault::SpillHardWrites, 1)
+            .with(Fault::CheckpointDiskFull, 0)
+            .with(Fault::SpillFlipBit, 0);
+        let fired = |f| (1..=5).filter(|&op| plan.due(f, op)).collect::<Vec<u64>>();
+        assert_eq!(fired(Fault::CheckpointIoError), vec![2, 4], "every 2nd");
+        assert_eq!(fired(Fault::SpillHardWrites), vec![2, 3, 4, 5], "after 1");
+        assert_eq!(fired(Fault::CheckpointDiskFull), vec![1, 2, 3, 4, 5], "after 0: all");
+        assert!(fired(Fault::SpillFlipBit).is_empty(), "every 0 never fires");
+        assert!(fired(Fault::SpillReadError).is_empty(), "unset never fires");
+    }
 
-        let mut inj = CheckpointFaultInjector::new(CheckpointFaultPlan {
-            disk_full_after: Some(1),
-            short_write_every: 2,
-            ..CheckpointFaultPlan::default()
-        });
-        assert_eq!(inj.next_fault(), CheckpointWriteFault::Pass);
-        assert_eq!(
-            inj.next_fault(),
-            CheckpointWriteFault::DiskFull,
-            "permanent faults outrank scheduled ones"
-        );
-        assert_eq!(inj.next_fault(), CheckpointWriteFault::DiskFull);
+    #[test]
+    fn fault_table_rows_follow_the_enum() {
+        for (i, &(fault, site, field, ..)) in FAULTS.iter().enumerate() {
+            assert_eq!(fault as usize, i, "row {} ({}) is out of order", i, field);
+            assert_eq!(fault.site(), site);
+        }
     }
 
     #[test]
@@ -792,14 +769,16 @@ mod tests {
             assert_eq!(p, FaultPlan::random(seed), "seed {} must replay", seed);
             assert!(p.is_armed(), "seed {} must arm at least one site", seed);
             assert_eq!(p.seed, seed);
-            if let Some(s) = &p.source {
-                assert!(
-                    s.read_error_every != 1,
-                    "seed {}: read_error_every=1 livelocks under Restart",
-                    seed
-                );
-                assert!(s.stall_polls <= 3, "seed {}: stalls stay bounded", seed);
-            }
+            assert!(
+                p.get(Fault::SourceReadError) != Some(1),
+                "seed {}: read_error_every=1 livelocks under Restart",
+                seed
+            );
+            assert!(
+                p.get(Fault::SourceStallPolls).unwrap_or(0) <= 3,
+                "seed {}: stalls stay bounded",
+                seed
+            );
         }
         assert_ne!(FaultPlan::random(1), FaultPlan::random(2));
     }
@@ -812,6 +791,45 @@ mod tests {
                 .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
             assert_eq!(parsed, p, "seed {}: describe() must parse back", seed);
         }
+    }
+
+    #[test]
+    fn every_table_key_parses_and_round_trips() {
+        // The keys of DESIGN §6.11, spelled out: the `--fault-plan`
+        // grammar must not drift with the table.
+        let keys = [
+            "source.corrupt_every",
+            "source.duplicate_every",
+            "source.truncate_every",
+            "source.stall_every",
+            "source.stall_polls",
+            "source.read_error_every",
+            "source.short_read_every",
+            "spill.write_error_every",
+            "spill.short_write_every",
+            "spill.read_error_every",
+            "spill.flip_bit_every",
+            "spill.hard_writes_after",
+            "checkpoint.io_error_every",
+            "checkpoint.short_write_every",
+            "checkpoint.disk_full_after",
+        ];
+        for (&(fault, _, _, kind, _), key) in FAULTS.iter().zip(keys) {
+            let spec = format!("{}=3", key);
+            let p = FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("{}: {}", key, e));
+            assert_eq!(p.get(fault), Some(3), "{}", key);
+            assert_eq!(FaultPlan::parse(&p.describe()).unwrap(), p, "{}", key);
+            if kind == Kind::After {
+                // `0` keeps its meaning: every operation fails.
+                let p = FaultPlan::parse(&format!("{}=0", key)).unwrap();
+                assert_eq!(p.describe(), format!("{}=0", key));
+                assert!(p.due(fault, 1), "{}=0 fires from the first operation", key);
+                assert_eq!(FaultPlan::parse(&p.describe()).unwrap(), p, "{}=0", key);
+            }
+        }
+        let p = FaultPlan::parse("source.recovery=restart").unwrap();
+        assert_eq!(p.describe(), "source.recovery=restart", "recovery alone arms the source");
+        assert!(p.build_source("eof\n", None).is_some());
     }
 
     #[test]
@@ -834,33 +852,21 @@ mod tests {
 
     #[test]
     fn lossless_classification() {
-        let mut p = FaultPlan {
-            source: Some(SourceFaultPlan {
-                read_error_every: 3,
-                stall_every: 2,
-                stall_polls: 1,
-                ..SourceFaultPlan::default()
-            }),
-            source_recovery: RecoveryPolicy::Restart,
-            ..FaultPlan::default()
-        };
+        let mut p = FaultPlan::default()
+            .with(Fault::SourceReadError, 3)
+            .with(Fault::SourceStall, 2)
+            .with(Fault::SourceStallPolls, 1)
+            .with_recovery(RecoveryPolicy::Restart);
         assert!(p.is_lossless(), "retried read faults deliver the full trace");
-        p.source_recovery = RecoveryPolicy::Fail;
+        p = p.with_recovery(RecoveryPolicy::Fail);
         assert!(!p.is_lossless(), "read faults under Fail cut the trace short");
-        p.source.as_mut().unwrap().read_error_every = 0;
-        p.source.as_mut().unwrap().short_read_every = 0;
+        p = p.with(Fault::SourceReadError, 0).with(Fault::SourceShortRead, 0);
         assert!(p.is_lossless(), "stalls alone never change the trace");
-        p.source.as_mut().unwrap().corrupt_every = 4;
+        p = p.with(Fault::SourceCorrupt, 4);
         assert!(!p.is_lossless(), "corruption always loses events");
-        p.source = None;
-        p.spill = Some(SpillFaultPlan {
-            hard_writes_after: Some(1),
-            ..SpillFaultPlan::default()
-        });
-        p.checkpoint = Some(CheckpointFaultPlan {
-            io_error_every: 1,
-            ..CheckpointFaultPlan::default()
-        });
+        let p = FaultPlan::default()
+            .with(Fault::SpillHardWrites, 1)
+            .with(Fault::CheckpointIoError, 1);
         assert!(
             p.is_lossless(),
             "spill/checkpoint faults degrade typed or warn-and-continue, never mis-verdict"
@@ -869,16 +875,11 @@ mod tests {
 
     #[test]
     fn drain_source_collects_the_delivered_trace() {
-        let plan = FaultPlan {
-            source: Some(SourceFaultPlan {
-                stall_every: 1,
-                stall_polls: 2,
-                read_error_every: 3,
-                ..SourceFaultPlan::default()
-            }),
-            source_recovery: RecoveryPolicy::Restart,
-            ..FaultPlan::default()
-        };
+        let plan = FaultPlan::default()
+            .with(Fault::SourceStall, 1)
+            .with(Fault::SourceStallPolls, 2)
+            .with(Fault::SourceReadError, 3)
+            .with_recovery(RecoveryPolicy::Restart);
         let mut src = plan
             .build_source("in A.x\nin A.y\nin A.x\neof\n", None)
             .expect("source site armed");
@@ -891,15 +892,10 @@ mod tests {
         );
 
         // A stall-forever plan exhausts the poll budget with a typed error.
-        let mut src = FaultySource::new(
-            "in A.x\neof\n",
-            None,
-            SourceFaultPlan {
-                stall_every: 1,
-                stall_polls: usize::MAX,
-                ..SourceFaultPlan::default()
-            },
-        );
+        let plan = FaultPlan::default()
+            .with(Fault::SourceStall, 1)
+            .with(Fault::SourceStallPolls, u64::MAX);
+        let mut src = FaultySource::new("in A.x\neof\n", None, plan);
         match drain_source(&mut src, 50) {
             Err(FaultError::SourceStalled { polls: 50 }) => {}
             other => panic!("expected SourceStalled, got {:?}", other.map(|_| ())),

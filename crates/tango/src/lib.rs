@@ -68,17 +68,14 @@ pub use analyzer::{Tango, TraceAnalyzer};
 pub use search::spill;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointInfo};
 pub use error::TangoError;
-/// The unified chaos layer: the composable [`FaultPlan`] (arming source,
-/// spill and checkpoint fault sites in one run), the shared
-/// [`RetryPolicy`]/[`Backoff`] every retry loop runs on, and the
-/// checkpoint-write injector.
-pub use fault::{
-    Backoff, CheckpointFaultInjector, CheckpointFaultPlan, CheckpointWriteFault, FaultError,
-    FaultPlan, RetryOutcome, RetryPolicy,
-};
+/// The unified chaos layer: the composable [`FaultPlan`] (one schedule
+/// slot per injectable [`Fault`], arming source, spill and checkpoint
+/// fault sites in one run) and the shared [`RetryPolicy`]/[`Backoff`]
+/// every retry loop runs on.
+pub use fault::{Backoff, Fault, FaultError, FaultPlan, RetryOutcome, RetryPolicy, Site};
 pub use genimpl::{ChoicePolicy, ScriptedInput};
 pub use options::{AnalysisOptions, OrderOptions, SearchLimits};
-pub use search::spill::{SpillError, SpillFaultPlan, SpillOptions};
+pub use search::spill::{SpillError, SpillOptions};
 pub use stats::SearchStats;
 pub use telemetry::{
     should_dump, DumpError, EventSink, FlightRecorder, IntrospectHandle, IntrospectionServer,
@@ -88,8 +85,8 @@ pub use telemetry::{
 };
 pub use trace::format::{parse_trace, render_trace};
 pub use trace::source::{
-    ChannelSource, FaultySource, Feed, FollowFileSource, RecoveryPolicy, SourceFaultPlan,
-    StaticSource, TraceSource,
+    ChannelSource, FaultySource, Feed, FollowFileSource, RecoveryPolicy, StaticSource,
+    TraceSource,
 };
 pub use trace::{Dir, Event, Trace};
 pub use verdict::{AnalysisReport, InconclusiveReason, Verdict};

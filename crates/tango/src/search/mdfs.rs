@@ -1828,6 +1828,28 @@ fn burst(
     })
 }
 
+/// Absorb one poll of the source into the trace: append its events, note
+/// its eof, and when it brought either, revive the PG-nodes (dynamic node
+/// reordering: they jump the queue). Returns whether it brought either.
+fn absorb(
+    poll: Poll,
+    env: &mut TraceEnv,
+    stack: &mut Stack,
+    module: &AnalyzedModule,
+) -> Result<bool, TangoError> {
+    for e in &poll.events {
+        env.trace
+            .push_event(e, module)
+            .map_err(TangoError::TraceResolve)?;
+    }
+    env.eof |= poll.eof;
+    let news = !poll.events.is_empty() || poll.eof;
+    if news {
+        stack.revive();
+    }
+    Ok(news)
+}
+
 /// One run of the engine, fresh or resumed. Over a trace that was
 /// complete when the analysis started, the complete-trace rule descends
 /// on one worker and no source is polled. Otherwise the on-line rule runs
@@ -1981,22 +2003,7 @@ pub(crate) fn run(
     let mut last_status: Option<Verdict> = None;
     let (verdict, witness, checkpoint) = 'search: loop {
         if !complete {
-            // Absorb anything the source produced.
-            let poll = source.poll();
-            let got_new = !poll.events.is_empty();
-            for e in &poll.events {
-                lane.env
-                    .trace
-                    .push_event(e, module)
-                    .map_err(TangoError::TraceResolve)?;
-            }
-            if poll.eof {
-                lane.env.eof = true;
-            }
-            if got_new || poll.eof {
-                // Dynamic node reordering: PG-nodes jump the queue.
-                stack.revive();
-            }
+            absorb(source.poll(), &mut lane.env, &mut stack, module)?;
         }
 
         // Search the known tree until it drains.
@@ -2081,7 +2088,10 @@ pub(crate) fn run(
         // this loop anew (i.e. after data arrived) starts over at the
         // minimum interval. Only the one-worker lane counts the sleeps
         // as its idle time; between bursts there are no workers.
-        let mut idle = Backoff::new(RetryPolicy::mdfs_poll());
+        let mut idle = Backoff::new(RetryPolicy {
+            deadline,
+            ..RetryPolicy::mdfs_poll()
+        });
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 let ckpt = freeze(
@@ -2098,27 +2108,12 @@ pub(crate) fn run(
                     ckpt,
                 );
             }
-            let p = source.poll();
-            if !p.events.is_empty() || p.eof {
-                for e in &p.events {
-                    lane.env
-                        .trace
-                        .push_event(e, module)
-                        .map_err(TangoError::TraceResolve)?;
-                }
-                if p.eof {
-                    lane.env.eof = true;
-                }
-                stack.revive();
+            if absorb(source.poll(), &mut lane.env, &mut stack, module)? {
                 break;
             }
-            // Never sleep past the deadline — the expiry check above
-            // stays exact to within scheduler latency.
-            let idle_sleep = idle.next_delay();
-            let sleep = match deadline {
-                Some(d) => idle_sleep.min(d.saturating_duration_since(Instant::now())),
-                None => idle_sleep,
-            };
+            // The policy never sleeps past the deadline, so the expiry
+            // check above stays exact to within scheduler latency.
+            let sleep = idle.next_delay();
             std::thread::sleep(sleep);
             if n_workers == 1 {
                 clocks[0].idle += sleep;

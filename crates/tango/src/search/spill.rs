@@ -37,9 +37,10 @@
 //! resident state, not the durability story — that is the checkpoint's
 //! job.
 //!
-//! [`FaultySpillDir`] wraps any [`SpillDir`] with a deterministic
-//! [`SpillFaultPlan`] (error-on-Nth-write/read, short writes, bit
-//! flips, hard disk-full) so every degradation path above is testable.
+//! [`FaultySpillDir`] wraps any [`SpillDir`] with the spill rows of a
+//! deterministic [`FaultPlan`] (error-on-Nth-write/read, short writes,
+//! bit flips, hard disk-full) so every degradation path above is
+//! testable.
 
 use estelle_runtime::codec::{decode_state, encode_state};
 use estelle_runtime::{ByteReader, ByteWriter, MachineState};
@@ -52,7 +53,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::checkpoint::codec::crc32;
-use crate::fault::RetryPolicy;
+use crate::fault::{Fault, FaultPlan, RetryPolicy};
 
 /// Segment size past which appends rotate to a fresh segment.
 const MAX_SEGMENT_BYTES: usize = 64 << 20;
@@ -203,30 +204,6 @@ impl SpillMedium for FsSegment {
 
 // ------------------------------------------------------ fault injection
 
-/// Which disk faults to inject, and how often, in a [`FaultySpillDir`].
-///
-/// Each `*_every` field counts in operations of that kind across all
-/// segments of the directory; `0` disables that fault. The schedule is
-/// deterministic, so spill fault-injection tests are exactly
-/// reproducible.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpillFaultPlan {
-    /// Fail every n-th append with a transient I/O error.
-    pub write_error_every: u64,
-    /// On every n-th append, write only half the data, then fail — the
-    /// torn write of a crashing or out-of-space filesystem.
-    pub short_write_every: u64,
-    /// Fail every n-th read with a transient I/O error.
-    pub read_error_every: u64,
-    /// Flip one bit in the buffer of every n-th read — silent media
-    /// corruption the CRC must catch.
-    pub flip_bit_every: u64,
-    /// After this many appends have been attempted, every further
-    /// append fails permanently — the disk-full (ENOSPC) model that
-    /// retries cannot save.
-    pub hard_writes_after: Option<u64>,
-}
-
 #[derive(Default)]
 struct FaultCounters {
     appends: u64,
@@ -237,21 +214,17 @@ fn injected(what: &str) -> io::Error {
     io::Error::other(format!("{} (injected)", what))
 }
 
-fn due(op: u64, every: u64) -> bool {
-    every > 0 && op.is_multiple_of(every)
-}
-
 /// A fault-injecting [`SpillDir`] wrapper for robustness testing. The
 /// operation counters are shared across every segment the directory
 /// hands out, so a plan describes the whole device, not one file.
 pub struct FaultySpillDir {
     inner: Box<dyn SpillDir>,
-    plan: SpillFaultPlan,
+    plan: FaultPlan,
     counters: Arc<Mutex<FaultCounters>>,
 }
 
 impl FaultySpillDir {
-    pub fn new(inner: Box<dyn SpillDir>, plan: SpillFaultPlan) -> Self {
+    pub fn new(inner: Box<dyn SpillDir>, plan: FaultPlan) -> Self {
         FaultySpillDir {
             inner,
             plan,
@@ -280,7 +253,7 @@ impl SpillDir for FaultySpillDir {
 
 struct FaultyMedium {
     inner: Box<dyn SpillMedium>,
-    plan: SpillFaultPlan,
+    plan: FaultPlan,
     counters: Arc<Mutex<FaultCounters>>,
 }
 
@@ -291,16 +264,14 @@ impl SpillMedium for FaultyMedium {
             c.appends += 1;
             c.appends
         };
-        if let Some(after) = self.plan.hard_writes_after {
-            if op > after {
-                return Err(injected("disk full"));
-            }
+        if self.plan.due(Fault::SpillHardWrites, op) {
+            return Err(injected("disk full"));
         }
-        if due(op, self.plan.short_write_every) {
+        if self.plan.due(Fault::SpillShortWrite, op) {
             self.inner.append(&data[..data.len() / 2])?;
             return Err(injected("short write"));
         }
-        if due(op, self.plan.write_error_every) {
+        if self.plan.due(Fault::SpillWriteError, op) {
             return Err(injected("write I/O error"));
         }
         self.inner.append(data)
@@ -312,11 +283,11 @@ impl SpillMedium for FaultyMedium {
             c.reads += 1;
             c.reads
         };
-        if due(op, self.plan.read_error_every) {
+        if self.plan.due(Fault::SpillReadError, op) {
             return Err(injected("read I/O error"));
         }
         self.inner.read_at(offset, buf)?;
-        if due(op, self.plan.flip_bit_every) && !buf.is_empty() {
+        if self.plan.due(Fault::SpillFlipBit, op) && !buf.is_empty() {
             let mid = buf.len() / 2;
             buf[mid] ^= 0x01;
         }
@@ -570,7 +541,7 @@ pub struct SpillOptions {
     /// set.
     pub dir: Option<PathBuf>,
     /// Deterministic fault injection for tests; `None` in production.
-    pub fault_plan: Option<SpillFaultPlan>,
+    pub fault_plan: Option<FaultPlan>,
 }
 
 impl SpillOptions {
@@ -625,7 +596,7 @@ mod tests {
         dir
     }
 
-    fn faulty_tier(root: &Path, plan: SpillFaultPlan, retries: u32) -> SpillTier {
+    fn faulty_tier(root: &Path, plan: FaultPlan, retries: u32) -> SpillTier {
         let faulty = FaultySpillDir::new(Box::new(FsSpillDir::new(root)), plan);
         SpillTier::open(Box::new(faulty), 64 << 20, retries).unwrap()
     }
@@ -667,10 +638,7 @@ mod tests {
     #[test]
     fn transient_write_errors_are_retried() {
         let dir = tmpdir("retry-write");
-        let plan = SpillFaultPlan {
-            write_error_every: 2,
-            ..SpillFaultPlan::default()
-        };
+        let plan = FaultPlan::default().with(Fault::SpillWriteError, 2);
         let mut tier = faulty_tier(&dir, plan, 3);
         let mut tickets = Vec::new();
         for n in 0..8 {
@@ -687,10 +655,7 @@ mod tests {
     #[test]
     fn short_writes_are_repaired_and_retried() {
         let dir = tmpdir("short-write");
-        let plan = SpillFaultPlan {
-            short_write_every: 3,
-            ..SpillFaultPlan::default()
-        };
+        let plan = FaultPlan::default().with(Fault::SpillShortWrite, 3);
         let mut tier = faulty_tier(&dir, plan, 3);
         let mut tickets = Vec::new();
         for n in 0..9 {
@@ -710,10 +675,7 @@ mod tests {
     #[test]
     fn transient_read_errors_are_retried() {
         let dir = tmpdir("retry-read");
-        let plan = SpillFaultPlan {
-            read_error_every: 2,
-            ..SpillFaultPlan::default()
-        };
+        let plan = FaultPlan::default().with(Fault::SpillReadError, 2);
         let mut tier = faulty_tier(&dir, plan, 3);
         let st = state_with(5);
         let t = tier.write_state(&st).unwrap();
@@ -727,10 +689,7 @@ mod tests {
     #[test]
     fn disk_full_exhausts_retries_into_a_typed_error() {
         let dir = tmpdir("enospc");
-        let plan = SpillFaultPlan {
-            hard_writes_after: Some(1),
-            ..SpillFaultPlan::default()
-        };
+        let plan = FaultPlan::default().with(Fault::SpillHardWrites, 1);
         let mut tier = faulty_tier(&dir, plan, 2);
         let a = tier.write_state(&state_with(1)).unwrap();
         match tier.write_state(&state_with(2)) {
@@ -748,10 +707,7 @@ mod tests {
     #[test]
     fn flipped_bit_on_read_is_caught_by_the_checksum() {
         let dir = tmpdir("flip");
-        let plan = SpillFaultPlan {
-            flip_bit_every: 1,
-            ..SpillFaultPlan::default()
-        };
+        let plan = FaultPlan::default().with(Fault::SpillFlipBit, 1);
         let mut tier = faulty_tier(&dir, plan, 0);
         let t = tier.write_state(&state_with(9)).unwrap();
         match tier.read_state(&t) {

@@ -17,12 +17,12 @@
 //!   parse-error buffer;
 //! * [`FaultySource`] — a fault-injection wrapper for testing: corrupts
 //!   lines, stalls, duplicates events and truncates lines mid-way
-//!   according to a deterministic [`SourceFaultPlan`] (usually armed
-//!   through the unified [`crate::fault::FaultPlan`]).
+//!   according to the source rows of a deterministic
+//!   [`crate::fault::FaultPlan`].
 
 use super::format::{parse_line, Line};
 use super::{Event, Trace};
-use crate::fault::{Backoff, RetryPolicy};
+use crate::fault::{Backoff, Fault, FaultPlan, RetryPolicy};
 use estelle_frontend::sema::model::AnalyzedModule;
 use std::collections::VecDeque;
 use std::fs::File;
@@ -216,6 +216,24 @@ impl ErrorBuf {
         self.kept.len() as u64 + self.dropped
     }
 
+    /// Read one trace `line` (newline included) into `out`: an event
+    /// that resolves against `module` is delivered and an `eof` line
+    /// sets `out.eof`. A line that does not parse, or an event that does
+    /// not resolve (an interaction the channel does not define, wrong
+    /// arity), is a glitch like any other: skipped with a diagnostic
+    /// here rather than wedging the monitor.
+    fn read_line(&mut self, line: &str, module: Option<&AnalyzedModule>, out: &mut Poll) {
+        match parse_line(line, module) {
+            Ok(Line::Blank) => {}
+            Ok(Line::Eof) => out.eof = true,
+            Ok(Line::Event(e)) => match module.map(|m| e.check_against(m)) {
+                None | Some(Ok(())) => out.events.push(e),
+                Some(Err(msg)) => self.push(msg),
+            },
+            Err(msg) => self.push(msg),
+        }
+    }
+
     fn render(&self) -> Vec<String> {
         let mut out = self.kept.clone();
         if self.dropped > 0 {
@@ -366,24 +384,10 @@ impl TraceSource for FollowFileSource {
                         break;
                     }
                     self.offset += n as u64;
-                    match parse_line(&line, self.module.as_ref()) {
-                        Ok(Line::Blank) => {}
-                        Ok(Line::Eof) => {
-                            self.eof = true;
-                            out.eof = true;
-                            break;
-                        }
-                        // An event that parses but does not resolve (an
-                        // interaction the channel does not define, wrong
-                        // arity) is a glitch like any other: skip it with
-                        // a diagnostic rather than wedge the monitor.
-                        Ok(Line::Event(e)) => {
-                            match self.module.as_ref().map(|m| e.check_against(m)) {
-                                None | Some(Ok(())) => out.events.push(e),
-                                Some(Err(msg)) => self.errors.push(msg),
-                            }
-                        }
-                        Err(msg) => self.errors.push(msg),
+                    self.errors.read_line(&line, self.module.as_ref(), &mut out);
+                    if out.eof {
+                        self.eof = true;
+                        break;
                     }
                 }
                 Err(_) => break,
@@ -425,63 +429,32 @@ impl FollowFileSource {
     }
 }
 
-/// Which fault to inject, and how often, in a [`FaultySource`].
-///
-/// Every `*_every` field counts in *delivered lines*; `0` disables that
-/// fault. The schedule is deterministic, so fault-injection tests are
-/// exactly reproducible.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SourceFaultPlan {
-    /// Replace every n-th line with unparseable garbage.
-    pub corrupt_every: usize,
-    /// Deliver every n-th event line twice (a duplicated observation).
-    pub duplicate_every: usize,
-    /// Cut every n-th line in half, delivering both halves as separate
-    /// lines (mid-line truncation by a crashing writer).
-    pub truncate_every: usize,
-    /// After every n-th line, stall: return `stall_polls` empty polls
-    /// before producing anything again.
-    pub stall_every: usize,
-    /// How many empty polls each stall lasts.
-    pub stall_polls: usize,
-    /// Fail every n-th *read attempt* with an injected I/O error (counted
-    /// in attempts, not delivered lines, so retried reads advance the
-    /// schedule). What happens next follows the source's
-    /// [`RecoveryPolicy`]: `Restart` retries the read on the next poll,
-    /// `Fail` treats the error as end-of-trace with a diagnostic.
-    /// `read_error_every: 1` under `Restart` never makes progress.
-    pub read_error_every: usize,
-    /// Return a short read — only the first half of the line — every n-th
-    /// read attempt. Under `Restart` the partial read is discarded and the
-    /// whole line retried; under `Fail` the partial data is delivered
-    /// as-is (and usually fails to parse), with a diagnostic either way.
-    pub short_read_every: usize,
-}
-
 /// A fault-injecting [`TraceSource`] for robustness testing.
 ///
 /// Feeds the lines of a rendered trace one per poll, mangling them per
-/// the [`SourceFaultPlan`]: corrupt lines, stalls, duplicated events,
-/// mid-line truncation. Lines are parsed exactly the way
+/// the source rows of a [`FaultPlan`]: corrupt lines, stalls, duplicated
+/// events, mid-line truncation, read errors and short reads, recovered
+/// per the plan's [`RecoveryPolicy`]. Line faults count delivered lines,
+/// read faults count read attempts (so retried reads advance them).
+/// Lines are parsed exactly the way
 /// [`FollowFileSource`] parses a followed file, with the same bounded
 /// error buffer, so the whole skip-and-diagnose path is exercised end to
 /// end.
 pub struct FaultySource {
     lines: VecDeque<String>,
     module: Option<AnalyzedModule>,
-    plan: SourceFaultPlan,
-    delivered: usize,
-    stall_left: usize,
+    plan: FaultPlan,
+    /// Lines delivered so far.
+    delivered: u64,
+    stall_left: u64,
     eof: bool,
     errors: ErrorBuf,
     /// Read-level fault diagnostics, kept apart from `errors` so
     /// [`Self::skipped_lines`] keeps counting only unparseable lines.
     read_faults: ErrorBuf,
     recovery: RecoveryPolicy,
-    /// 1-based count of read attempts (polls that reached the backing
-    /// store), driving the read-level fault schedule independently of
-    /// delivered lines so retried reads advance it.
-    read_attempts: usize,
+    /// Read attempts so far (polls that reached the backing store).
+    read_attempts: u64,
     /// Injected read faults recovered by retrying (Restart).
     retries: u64,
     /// Injected read faults that degraded the feed (Fail).
@@ -492,7 +465,7 @@ impl FaultySource {
     /// Build from trace text (one event per line, as rendered by
     /// [`crate::render_trace`]). An `eof` line is appended if missing so
     /// the analysis always terminates.
-    pub fn new(trace_text: &str, module: Option<AnalyzedModule>, plan: SourceFaultPlan) -> Self {
+    pub fn new(trace_text: &str, module: Option<AnalyzedModule>, plan: FaultPlan) -> Self {
         let mut lines: VecDeque<String> = trace_text
             .lines()
             .map(|l| l.to_string())
@@ -509,18 +482,11 @@ impl FaultySource {
             eof: false,
             errors: ErrorBuf::default(),
             read_faults: ErrorBuf::default(),
-            recovery: RecoveryPolicy::default(),
+            recovery: plan.recovery.unwrap_or_default(),
             read_attempts: 0,
             retries: 0,
             giveups: 0,
         }
-    }
-
-    /// What to do when an injected read-level fault fires (default
-    /// [`RecoveryPolicy::Fail`], matching [`FollowFileSource`]).
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
     }
 
     /// Total lines skipped as unparseable.
@@ -528,28 +494,19 @@ impl FaultySource {
         self.errors.total()
     }
 
-    fn due(&self, every: usize) -> bool {
-        every > 0 && self.delivered % every == every - 1
-    }
-
-    fn read_due(&self, every: usize) -> bool {
-        every > 0 && self.read_attempts.is_multiple_of(every)
-    }
-
     fn parse_into(&mut self, line: &str, out: &mut Poll) {
-        match parse_line(&format!("{}\n", line), self.module.as_ref()) {
-            Ok(Line::Blank) => {}
-            Ok(Line::Eof) => {
-                self.eof = true;
-                out.eof = true;
-            }
-            Ok(Line::Event(e)) => match self.module.as_ref().map(|m| e.check_against(m)) {
-                None | Some(Ok(())) => out.events.push(e),
-                Some(Err(msg)) => self.errors.push(msg),
-            },
-            Err(msg) => self.errors.push(msg),
-        }
+        self.errors
+            .read_line(&format!("{}\n", line), self.module.as_ref(), out);
+        self.eof |= out.eof;
     }
+}
+
+/// The last char boundary at or before the middle of `line`.
+fn half(line: &str) -> usize {
+    (0..=line.len() / 2)
+        .rev()
+        .find(|&i| line.is_char_boundary(i))
+        .unwrap_or(0)
 }
 
 impl TraceSource for FaultySource {
@@ -573,7 +530,7 @@ impl TraceSource for FaultySource {
         self.read_attempts += 1;
         // Read-level faults fire before the line-level ones: a read that
         // errors never yields a line to corrupt or duplicate.
-        if self.read_due(self.plan.read_error_every) {
+        if self.plan.due(Fault::SourceReadError, self.read_attempts) {
             match self.recovery {
                 RecoveryPolicy::Restart => {
                     self.read_faults.push(format!(
@@ -598,11 +555,11 @@ impl TraceSource for FaultySource {
                 }
             }
         }
-        if self.read_due(self.plan.short_read_every) && line.len() >= 2 && line.trim() != "eof" {
-            let mid = (0..=line.len() / 2)
-                .rev()
-                .find(|&i| line.is_char_boundary(i))
-                .unwrap_or(0);
+        let short_read = (self.plan.due(Fault::SourceShortRead, self.read_attempts)
+            && line.len() >= 2
+            && line.trim() != "eof")
+            .then(|| half(&line));
+        if let Some(mid) = short_read {
             match self.recovery {
                 RecoveryPolicy::Restart => {
                     self.read_faults.push(format!(
@@ -625,35 +582,32 @@ impl TraceSource for FaultySource {
                         line.len()
                     ));
                     self.giveups += 1;
-                    self.parse_into(&line[..mid], &mut out);
-                    self.delivered += 1;
-                    if self.due(self.plan.stall_every) {
-                        self.stall_left = self.plan.stall_polls;
-                    }
-                    return out;
                 }
             }
         }
-        if self.due(self.plan.corrupt_every) {
+        self.delivered += 1;
+        let op = self.delivered;
+        if let Some(mid) = short_read {
+            self.parse_into(&line[..mid], &mut out);
+        } else if self.plan.due(Fault::SourceCorrupt, op) {
             self.parse_into("§§ corrupted line %%%", &mut out);
-        } else if self.due(self.plan.truncate_every) && line.len() >= 2 && line.trim() != "eof" {
-            let mid = line.len() / 2;
-            let mid = (0..=mid)
-                .rev()
-                .find(|&i| line.is_char_boundary(i))
-                .unwrap_or(0);
-            let (a, b) = line.split_at(mid);
+        } else if self.plan.due(Fault::SourceTruncate, op)
+            && line.len() >= 2
+            && line.trim() != "eof"
+        {
+            let (a, b) = line.split_at(half(&line));
             self.parse_into(a, &mut out);
             self.parse_into(b, &mut out);
-        } else if self.due(self.plan.duplicate_every) && line.trim() != "eof" {
+        } else if self.plan.due(Fault::SourceDuplicate, op) && line.trim() != "eof" {
             self.parse_into(&line, &mut out);
             self.parse_into(&line, &mut out);
         } else {
             self.parse_into(&line, &mut out);
         }
-        self.delivered += 1;
-        if self.due(self.plan.stall_every) {
-            self.stall_left = self.plan.stall_polls;
+        // Stalls keep their historical phase, one line early: a stall
+        // follows each line whose successor is an n-th line.
+        if self.plan.due(Fault::SourceStall, op + 1) {
+            self.stall_left = self.plan.get(Fault::SourceStallPolls).unwrap_or(0);
         }
         out
     }
@@ -798,7 +752,7 @@ mod tests {
             garbage.push_str(&format!("?!bad line {}\n", i));
         }
         garbage.push_str("eof\n");
-        let mut s = FaultySource::new(&garbage, None, SourceFaultPlan::default());
+        let mut s = FaultySource::new(&garbage, None, FaultPlan::default());
         loop {
             if s.poll().eof {
                 break;
@@ -839,11 +793,9 @@ mod tests {
     #[test]
     fn faulty_source_duplicates_and_corrupts_deterministically() {
         let text = "in A.x\nin A.x\nin A.x\nin A.x\neof\n";
-        let plan = SourceFaultPlan {
-            corrupt_every: 3,
-            duplicate_every: 2,
-            ..SourceFaultPlan::default()
-        };
+        let plan = FaultPlan::default()
+            .with(Fault::SourceCorrupt, 3)
+            .with(Fault::SourceDuplicate, 2);
         let run = || {
             let mut s = FaultySource::new(text, None, plan);
             let mut events = 0;
@@ -868,24 +820,33 @@ mod tests {
 
     #[test]
     fn faulty_source_stalls() {
-        let plan = SourceFaultPlan {
-            stall_every: 1,
-            stall_polls: 2,
-            ..SourceFaultPlan::default()
-        };
+        let plan = FaultPlan::default()
+            .with(Fault::SourceStall, 1)
+            .with(Fault::SourceStallPolls, 2);
         let mut s = FaultySource::new("in A.x\neof\n", None, plan);
         assert_eq!(s.poll().events.len(), 1); // line 1 delivered, stall armed
         assert!(s.poll().events.is_empty()); // stall 1
         assert!(s.poll().events.is_empty()); // stall 2
         assert!(s.poll().eof); // eof line
+
+        // The historical phase: every 2nd stall follows lines 1, 3, ...
+        let plan = FaultPlan::default()
+            .with(Fault::SourceStall, 2)
+            .with(Fault::SourceStallPolls, 1);
+        let mut s = FaultySource::new("in A.x\nin A.x\nin A.x\neof\n", None, plan);
+        let polls: Vec<(usize, bool)> = (0..6)
+            .map(|_| {
+                let p = s.poll();
+                (p.events.len(), p.eof)
+            })
+            .collect();
+        let (line, stall) = ((1, false), (0, false));
+        assert_eq!(polls, vec![line, stall, line, line, stall, (0, true)]);
     }
 
     #[test]
     fn faulty_source_truncates_midline() {
-        let plan = SourceFaultPlan {
-            truncate_every: 1,
-            ..SourceFaultPlan::default()
-        };
+        let plan = FaultPlan::default().with(Fault::SourceTruncate, 1);
         // Midpoint falls before the dot, so neither half is a legal line:
         // `in Alpha` lacks the interaction, `betical.x` lacks a direction.
         let mut s = FaultySource::new("in Alphabetical.x\neof\n", None, plan);

@@ -25,7 +25,7 @@ mod common;
 use protocols::randspec::RandSpec;
 use tango::{
     AnalysisOptions, AnalysisReport, Checkpoint, ChoicePolicy, FaultPlan, InconclusiveReason,
-    RetryPolicy, Tango, Trace, TraceAnalyzer, TraceSource, Verdict,
+    Site, Tango, Trace, TraceAnalyzer, TraceSource, Verdict,
 };
 
 /// 12 random specs × 9 plans = 108 composed fault plans, beyond the
@@ -75,7 +75,7 @@ fn base_options() -> AnalysisOptions {
 /// actually engaged (tight budget, on-disk directory) to see any I/O.
 fn chaos_options(plan: &FaultPlan, dir: &std::path::Path) -> AnalysisOptions {
     let mut o = base_options();
-    if plan.spill.is_some() {
+    if plan.armed(Site::Spill) {
         o.limits.max_state_bytes = Some(256);
         o.spill.dir = Some(dir.join("spill"));
     }
@@ -112,11 +112,11 @@ fn run_chaos(
         None => trace.clone(),
     };
 
-    let mut report = if plan.checkpoint.is_some() {
+    let mut report = if plan.armed(Site::Checkpoint) {
         // Checkpoint site armed: run in capped rounds, autosave through
         // the injector, and abort ("SIGKILL") after every successful
         // save — the next round must re-converge from the file alone.
-        let mut injector = plan.checkpoint_injector();
+        let mut ck_attempts = 0;
         let cp_path = dir.join("checkpoint.bin");
         let mut ck_faults = Vec::new();
         let (mut ck_retries, mut ck_giveups) = (0u64, 0u64);
@@ -139,7 +139,7 @@ fn run_chaos(
                 break;
             }
             let cp = *r.checkpoint.take().expect("checked above");
-            let out = cp.write_to_with(&cp_path, &RetryPolicy::checkpoint(), injector.as_mut());
+            let out = cp.write_to_with(&cp_path, plan, &mut ck_attempts);
             ck_retries += u64::from(out.retries);
             cap = cap.saturating_add(step);
             let mut next = opts.clone();
@@ -196,7 +196,7 @@ fn check_cell(
     // the record — never a panic, never silence.
     let spill_degraded = report.verdict == Verdict::Inconclusive(InconclusiveReason::SpillFailure);
     if spill_degraded {
-        assert!(plan.spill.is_some(), "{}", ctx());
+        assert!(plan.armed(Site::Spill), "{}", ctx());
         assert!(
             !report.spill_faults.is_empty(),
             "{}: degraded run must carry its diagnostic",
@@ -376,5 +376,36 @@ fn chaos_cells_are_reproducible_from_their_seed() {
         assert_eq!(a.stats.counters(), b.stats.counters(), "seed {}", seed);
         std::fs::remove_dir_all(&d1).ok();
         std::fs::remove_dir_all(&d2).ok();
+    }
+}
+
+/// The chaos matrix is pinned, not just self-consistent: seeds 0–15
+/// compose exactly these plans, as `tango analyze --chaos-seed N` echoes
+/// them. A drifting `FaultPlan::random` would silently change every
+/// cell the matrix runs.
+#[test]
+fn chaos_plans_of_seeds_0_to_15_are_pinned() {
+    let pinned = [
+        "spill.short_write_every=4,checkpoint.short_write_every=3",
+        "seed=1,source.read_error_every=2,source.recovery=fail",
+        "seed=2,source.truncate_every=2,source.recovery=fail,checkpoint.short_write_every=4",
+        "seed=3,source.read_error_every=3,source.recovery=restart,checkpoint.short_write_every=3",
+        "seed=4,source.read_error_every=2,source.recovery=fail",
+        "seed=5,source.truncate_every=6,source.recovery=restart",
+        "seed=6,source.corrupt_every=6,source.stall_every=6,source.stall_polls=2,source.recovery=restart",
+        "seed=7,checkpoint.io_error_every=2",
+        "seed=8,source.duplicate_every=2,source.recovery=fail,spill.write_error_every=5,spill.short_write_every=2,checkpoint.io_error_every=3",
+        "seed=9,checkpoint.io_error_every=4",
+        "seed=10,spill.read_error_every=4",
+        "seed=11,source.short_read_every=4,source.recovery=restart",
+        "seed=12,checkpoint.io_error_every=4",
+        "seed=13,source.corrupt_every=3,source.truncate_every=6,source.recovery=fail,spill.flip_bit_every=5",
+        "seed=14,source.corrupt_every=6,source.recovery=restart,spill.write_error_every=5,spill.flip_bit_every=4,checkpoint.io_error_every=2",
+        "seed=15,source.read_error_every=2,source.short_read_every=5,source.recovery=restart,spill.write_error_every=6",
+    ];
+    for (seed, want) in pinned.iter().enumerate() {
+        let plan = FaultPlan::random(seed as u64);
+        assert_eq!(plan.describe(), *want, "seed {}", seed);
+        assert_eq!(FaultPlan::parse(want).unwrap(), plan, "seed {}", seed);
     }
 }

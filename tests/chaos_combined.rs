@@ -15,8 +15,7 @@ mod common;
 
 use protocols::tp0;
 use tango::{
-    AnalysisOptions, Checkpoint, FaultPlan, InconclusiveReason, RetryPolicy,
-    TraceSource, Verdict,
+    AnalysisOptions, Checkpoint, FaultPlan, InconclusiveReason, Site, TraceSource, Verdict,
 };
 
 #[test]
@@ -43,7 +42,7 @@ fn all_three_sites_armed_still_match_the_fault_free_run() {
     )
     .unwrap();
     assert!(plan.is_lossless());
-    assert!(plan.source.is_some() && plan.spill.is_some() && plan.checkpoint.is_some());
+    assert!(plan.armed(Site::Source) && plan.armed(Site::Spill) && plan.armed(Site::Checkpoint));
 
     // Source site: drain the trace text through the injector.
     let text = tango::render_trace(&bad, Some(a.module()), true);
@@ -61,7 +60,7 @@ fn all_three_sites_armed_still_match_the_fault_free_run() {
     let mut chaos_opts = opts.clone();
     chaos_opts.spill.dir = Some(dir.join("spill-chaos"));
     plan.apply(&mut chaos_opts);
-    let mut injector = plan.checkpoint_injector();
+    let mut ck_attempts = 0;
     let cp_path = dir.join("checkpoint.bin");
 
     let step = (reference.stats.transitions_executed / 4).max(1);
@@ -75,7 +74,7 @@ fn all_three_sites_armed_still_match_the_fault_free_run() {
         rounds += 1;
         assert!(rounds < 100, "must converge");
         let cp = *report.checkpoint.take().expect("limit stops are resumable");
-        let out = cp.write_to_with(&cp_path, &RetryPolicy::checkpoint(), injector.as_mut());
+        let out = cp.write_to_with(&cp_path, &plan, &mut ck_attempts);
         ck_retries += u64::from(out.retries);
         cap += step;
         let mut next = chaos_opts.clone();
@@ -130,7 +129,7 @@ fn exhausted_autosave_is_recorded_not_just_printed() {
     // Disk full after the very first write attempt: every autosave
     // fails permanently after its bounded retries.
     let plan = FaultPlan::parse("seed=1,checkpoint.disk_full_after=1").unwrap();
-    let mut injector = plan.checkpoint_injector();
+    let mut ck_attempts = 0;
     let opts = AnalysisOptions::default();
     let reference = a.analyze(&bad, &opts).unwrap();
 
@@ -143,7 +142,7 @@ fn exhausted_autosave_is_recorded_not_just_printed() {
     let mut giveups = 0u64;
     while let Verdict::Inconclusive(InconclusiveReason::TransitionLimit) = report.verdict {
         let cp = *report.checkpoint.take().unwrap();
-        let out = cp.write_to_with(&cp_path, &RetryPolicy::checkpoint(), injector.as_mut());
+        let out = cp.write_to_with(&cp_path, &plan, &mut ck_attempts);
         if let Err(e) = out.result {
             giveups += 1;
             faults.push(e.to_string());

@@ -12,8 +12,8 @@ mod common;
 use protocols::tp0;
 use std::time::Duration;
 use tango::{
-    AnalysisOptions, FaultPlan, FaultySource, FollowFileSource, InconclusiveReason,
-    RecoveryPolicy, SourceFaultPlan, Trace, TraceSource, Verdict,
+    AnalysisOptions, Fault, FaultPlan, FaultySource, FollowFileSource, InconclusiveReason,
+    RecoveryPolicy, Trace, TraceSource, Verdict,
 };
 
 #[test]
@@ -114,10 +114,7 @@ fn corrupted_online_feed_is_skipped_and_diagnosed() {
     let a = tp0::analyzer();
     let good = tp0::complete_valid_trace(2, 2, 1);
     let text = tango::render_trace(&good, Some(a.module()), true);
-    let plan = SourceFaultPlan {
-        corrupt_every: 5,
-        ..SourceFaultPlan::default()
-    };
+    let plan = FaultPlan::default().with(Fault::SourceCorrupt, 5);
     let mut src = FaultySource::new(&text, Some(a.module().clone()), plan);
     let report = a
         .analyze_online(&mut src, &AnalysisOptions::default(), &mut |_| true)
@@ -135,12 +132,10 @@ fn duplicating_and_stalling_online_feed_terminates() {
     let a = tp0::analyzer();
     let good = tp0::complete_valid_trace(1, 1, 1);
     let text = tango::render_trace(&good, Some(a.module()), true);
-    let plan = SourceFaultPlan {
-        duplicate_every: 3,
-        stall_every: 2,
-        stall_polls: 3,
-        ..SourceFaultPlan::default()
-    };
+    let plan = FaultPlan::default()
+        .with(Fault::SourceDuplicate, 3)
+        .with(Fault::SourceStall, 2)
+        .with(Fault::SourceStallPolls, 3);
     let mut src = FaultySource::new(&text, Some(a.module().clone()), plan);
     let report = a
         .analyze_online(&mut src, &AnalysisOptions::default(), &mut |_| true)
@@ -153,10 +148,7 @@ fn midline_truncation_in_feed_is_diagnosed() {
     let a = tp0::analyzer();
     let good = tp0::complete_valid_trace(1, 1, 1);
     let text = tango::render_trace(&good, Some(a.module()), true);
-    let plan = SourceFaultPlan {
-        truncate_every: 4,
-        ..SourceFaultPlan::default()
-    };
+    let plan = FaultPlan::default().with(Fault::SourceTruncate, 4);
     let mut src = FaultySource::new(&text, Some(a.module().clone()), plan);
     let report = a
         .analyze_online(&mut src, &AnalysisOptions::default(), &mut |_| true)
@@ -171,11 +163,9 @@ fn stalled_source_cannot_wedge_a_deadlined_monitor() {
     let a = tp0::analyzer();
     // One event, then the source stalls forever: without a deadline the
     // monitor would poll indefinitely waiting for the eof.
-    let plan = SourceFaultPlan {
-        stall_every: 1,
-        stall_polls: usize::MAX,
-        ..SourceFaultPlan::default()
-    };
+    let plan = FaultPlan::default()
+        .with(Fault::SourceStall, 1)
+        .with(Fault::SourceStallPolls, u64::MAX);
     let mut src = FaultySource::new("in U.tconreq\n", Some(a.module().clone()), plan);
     let mut opts = AnalysisOptions::default();
     opts.limits.max_wall_time = Some(Duration::from_millis(40));
@@ -193,12 +183,10 @@ fn injected_read_errors_retry_under_restart_policy() {
     let text = tango::render_trace(&good, Some(a.module()), true);
     // Every third read attempt errors; Restart retries the same line on
     // the next poll, so no data is lost and the verdict stays Valid.
-    let plan = SourceFaultPlan {
-        read_error_every: 3,
-        ..SourceFaultPlan::default()
-    };
-    let mut src = FaultySource::new(&text, Some(a.module().clone()), plan)
+    let plan = FaultPlan::default()
+        .with(Fault::SourceReadError, 3)
         .with_recovery(RecoveryPolicy::Restart);
+    let mut src = FaultySource::new(&text, Some(a.module().clone()), plan);
     let report = a
         .analyze_online(&mut src, &AnalysisOptions::default(), &mut |_| true)
         .unwrap();
@@ -218,10 +206,7 @@ fn injected_read_error_fails_closed_under_fail_policy() {
     let a = tp0::analyzer();
     let good = tp0::complete_valid_trace(2, 2, 1);
     let text = tango::render_trace(&good, Some(a.module()), true);
-    let plan = SourceFaultPlan {
-        read_error_every: 3,
-        ..SourceFaultPlan::default()
-    };
+    let plan = FaultPlan::default().with(Fault::SourceReadError, 3);
     // Default policy is Fail: the first injected error reads as
     // end-of-trace, so the analysis terminates conclusively on the
     // delivered prefix with the fault on the record.
@@ -245,10 +230,7 @@ fn short_reads_under_fail_policy_skip_and_diagnose() {
     let a = tp0::analyzer();
     let good = tp0::complete_valid_trace(2, 2, 1);
     let text = tango::render_trace(&good, Some(a.module()), true);
-    let plan = SourceFaultPlan {
-        short_read_every: 4,
-        ..SourceFaultPlan::default()
-    };
+    let plan = FaultPlan::default().with(Fault::SourceShortRead, 4);
     let mut src = FaultySource::new(&text, Some(a.module().clone()), plan);
     let report = a
         .analyze_online(&mut src, &AnalysisOptions::default(), &mut |_| true)
@@ -268,8 +250,8 @@ fn short_reads_under_fail_policy_skip_and_diagnose() {
 
     // Restart discards the partial read and redelivers the whole line:
     // nothing is lost and the trace stays Valid.
-    let mut src = FaultySource::new(&text, Some(a.module().clone()), plan)
-        .with_recovery(RecoveryPolicy::Restart);
+    let plan = plan.with_recovery(RecoveryPolicy::Restart);
+    let mut src = FaultySource::new(&text, Some(a.module().clone()), plan);
     let report = a
         .analyze_online(&mut src, &AnalysisOptions::default(), &mut |_| true)
         .unwrap();

@@ -2,36 +2,19 @@
 //! RING section, dump coverage of every inconclusive variant, and the
 //! recorder-counts-vs-final-stats consistency the dump format promises.
 
-use estelle_runtime::Value;
+use protocols::tp0;
 use std::time::Duration;
 use tango::trace::source::Poll;
 use tango::{
-    should_dump, AnalysisOptions, AnalysisReport, ChoicePolicy, Dir, Event, InconclusiveReason,
-    OrderOptions, PostMortemDump, ScriptedInput, SearchStats, Tango, Telemetry, Trace,
-    TraceAnalyzer, TraceSource, Verdict, DEFAULT_RING_CAPACITY,
+    should_dump, AnalysisOptions, AnalysisReport, Event, InconclusiveReason, OrderOptions,
+    PostMortemDump, SearchStats, Tango, Telemetry, TraceAnalyzer, TraceSource, Verdict,
+    DEFAULT_RING_CAPACITY,
 };
 
 /// Two observationally identical transitions per `ping` double the
 /// search tree at every event; the trailing never-produced `pong` forces
 /// a full exhaustion with plenty of saves, restores and prunes.
-const FORK_SPEC: &str = r#"
-specification forker;
-channel C(user, station);
-    by user: ping;
-    by station: pong;
-end;
-module M process;
-    ip U : C(station);
-end;
-body MB for M;
-    state s0;
-    initialize to s0 begin end;
-    trans
-    from s0 to same when U.ping name ta: begin end;
-    from s0 to same when U.ping name tb: begin end;
-end;
-end.
-"#;
+const FORK_SPEC: &str = include_str!("../specs/forker.est");
 
 fn forker() -> TraceAnalyzer {
     Tango::generate(FORK_SPEC).expect("valid specification")
@@ -208,37 +191,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The paper's §4.2 TP0 workload with 3 upper and 3 lower data
-/// interactions, run as an implementation until an interleaving in which
-/// all data is exchanged appears; the last output parameter is then
-/// bumped, the paper's invalid-trace construction.
-fn tp0_invalid_trace(tp0: &TraceAnalyzer) -> Trace {
-    let mut script = vec![
-        ScriptedInput::new("U", "tconreq", vec![]),
-        ScriptedInput::new("L", "cc_ind", vec![]),
-    ];
-    script.extend((0..3).map(|i| ScriptedInput::new("U", "tdatreq", vec![Value::Int(i)])));
-    script.extend((0..3).map(|i| ScriptedInput::new("L", "dt_ind", vec![Value::Int(100 + i)])));
-    script.push(ScriptedInput::new("U", "tdisreq", vec![]));
-    let mut trace = (1..5_000)
-        .map(|seed| {
-            tp0.generate_trace(&script, ChoicePolicy::Random(seed), 100_000)
-                .expect("TP0 consumes its whole workload")
-        })
-        .find(|t| t.len() == 6 + 2 * 6)
-        .expect("a complete interleaving");
-    let last = trace
-        .events
-        .iter_mut()
-        .rev()
-        .find(|e| e.dir == Dir::Out && !e.params.is_empty())
-        .expect("an output data interaction");
-    if let Value::Int(v) = last.params[0] {
-        last.params[0] = Value::Int(v + 1);
-    }
-    trace
-}
-
 /// Delivers one event per poll, then eof: every event starts a new round
 /// of parking and revival.
 struct OneByOne(std::vec::IntoIter<Event>);
@@ -260,8 +212,10 @@ impl TraceSource for OneByOne {
 /// order, or how a record is encoded shows up here.
 #[test]
 fn ring_section_is_pinned() {
-    let tp0 = Tango::generate(include_str!("../../../specs/tp0.est")).expect("valid TP0");
-    let trace = tp0_invalid_trace(&tp0);
+    let tp0 = tp0::analyzer();
+    // The paper's §4.2 invalid trace with 3 upper and 3 lower data
+    // interactions.
+    let trace = tp0::invalid_trace(3, 3, 1);
     let mut options = AnalysisOptions::with_order(OrderOptions::none());
     options.workers = 1;
 

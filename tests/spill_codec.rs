@@ -17,10 +17,8 @@ use estelle_runtime::{Machine, MachineState, Value};
 use protocols::tp0;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use tango::spill::{
-    FaultySpillDir, FsSpillDir, SpillDir, SpillError, SpillFaultPlan, SpillTicket, SpillTier,
-};
-use tango::{AnalysisOptions, Verdict};
+use tango::spill::{FaultySpillDir, FsSpillDir, SpillDir, SpillError, SpillTicket, SpillTier};
+use tango::{AnalysisOptions, Fault, FaultPlan, Verdict};
 
 const SPEC: &str = r#"
     specification s;
@@ -171,17 +169,9 @@ fn flipped_payload_bytes_fail_the_checksum() {
 fn injected_bit_flips_through_the_public_fault_plan_are_typed() {
     let dir = common::scratch_dir("fault-plan");
     // Armed through the unified composable plan (the CLI's
-    // `--fault-plan` language); the site-local SpillFaultPlan it carries
-    // is what the tier consumes.
-    let unified = tango::FaultPlan::parse("seed=0,spill.flip_bit_every=2").unwrap();
-    let plan = unified.spill.expect("spill site armed");
-    assert_eq!(
-        plan,
-        SpillFaultPlan {
-            flip_bit_every: 2,
-            ..SpillFaultPlan::default()
-        }
-    );
+    // `--fault-plan` language), which the tier consumes as it is.
+    let plan = FaultPlan::parse("seed=0,spill.flip_bit_every=2").unwrap();
+    assert_eq!(plan, FaultPlan::default().with(Fault::SpillFlipBit, 2));
     let faulty: Box<dyn SpillDir> =
         Box::new(FaultySpillDir::new(Box::new(FsSpillDir::new(&dir)), plan));
     let mut tier = SpillTier::open(faulty, 64 << 20, 0).unwrap();

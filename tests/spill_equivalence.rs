@@ -225,7 +225,7 @@ fn memory_limit_never_fires_with_the_tier_enabled() {
 /// checkpoint: resumed all in RAM, it reaches the uninterrupted totals.
 #[test]
 fn static_spill_write_failure_still_checkpoints_and_resumes() {
-    use tango::{InconclusiveReason, SpillFaultPlan};
+    use tango::{Fault, FaultPlan, InconclusiveReason};
     let a = tp0::analyzer();
     let bad = tp0::invalid_trace(4, 4, 1);
     let opts = AnalysisOptions::default();
@@ -233,10 +233,7 @@ fn static_spill_write_failure_still_checkpoints_and_resumes() {
 
     let dir = common::scratch_dir("dead-disk");
     let mut dead = spilled(&opts, dir.clone());
-    dead.spill.fault_plan = Some(SpillFaultPlan {
-        hard_writes_after: Some(3),
-        ..SpillFaultPlan::default()
-    });
+    dead.spill.fault_plan = Some(FaultPlan::default().with(Fault::SpillHardWrites, 3));
     let stopped = a.analyze(&bad, &dead).unwrap();
     assert_eq!(
         stopped.verdict,
