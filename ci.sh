@@ -52,12 +52,11 @@ cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.tx
     && { echo "expected an inconclusive (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
 cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/run.ckpt" \
     > "$CKPT_DIR/run-info.txt"
-grep -q "format version: 7" "$CKPT_DIR/run-info.txt"
+grep -q "format version: 8" "$CKPT_DIR/run-info.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est --resume "$CKPT_DIR/run.ckpt"
-# The same round trip through the static engine's node-based memory
-# charging: a snapshot-memory stop with no spill directory (exit 2), then
-# a resume without the budget, which must print the unlimited run's
-# verdict and counters.
+# The same round trip through the memory budget, the CLI's one memory
+# limit: a snapshot-memory stop (exit 2), then a resume without the
+# budget, which must print the unlimited run's verdict and counters.
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     > "$CKPT_DIR/unlimited.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
@@ -100,39 +99,9 @@ TE_W2=$(sed -n 's/^verdict:.* TE=\([0-9]*\) .*/\1/p' "$CKPT_DIR/online-trace-w2.
 [ -n "$TE_W2" ]
 [ "$(grep -c '"ev":"fire"' "$CKPT_DIR/events-w2.jsonl")" = "$TE_W2" ]
 
-echo "== spill tiering smoke =="
-# All-RAM vs spilled-to-disk run of the same analysis: the tier changes
-# where bytes live, never what the search decides, so the verdict and
-# the TE/GE/RE/SA counters must come out identical. The run's metrics
-# must show it wrote to disk, and the spill directory, scratch for that
-# one run, must hold no segment afterwards. The library-level
-# equivalence and segment-damage suites run first.
-cargo test -q --test spill_equivalence --test spill_codec
-cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
-    > "$CKPT_DIR/all-ram.txt"
-cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
-    --max-mem 256 --spill-dir "$CKPT_DIR/spill" --metrics-out "$CKPT_DIR/spill-metrics.json" \
-    > "$CKPT_DIR/spilled.txt"
-[ -n "$(verdict_and_counters "$CKPT_DIR/all-ram.txt")" ]
-[ "$(verdict_and_counters "$CKPT_DIR/all-ram.txt")" = "$(verdict_and_counters "$CKPT_DIR/spilled.txt")" ]
-SPILL_WRITES=$(sed -n 's/.*"spill\.writes": \([0-9]*\).*/\1/p' "$CKPT_DIR/spill-metrics.json")
-[ "${SPILL_WRITES:-0}" -gt 0 ]
-if ls "$CKPT_DIR/spill"/spill-*.seg > /dev/null 2>&1; then
-    echo "the spilled run left segments behind"; exit 1
-fi
-# An unusable spill directory (here: a regular file) must degrade to a
-# typed inconclusive with the fault on stderr — exit 2, never a panic.
-: > "$CKPT_DIR/not-a-dir"
-cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
-    --max-mem 256 --spill-dir "$CKPT_DIR/not-a-dir" \
-    --dump-file "$CKPT_DIR/degraded.tangodump" > "$CKPT_DIR/degraded.txt" 2> "$CKPT_DIR/degraded.err" \
-    && { echo "expected a SpillFailure (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
-grep -q "SpillFailure" "$CKPT_DIR/degraded.txt"
-grep -q "spill fault:" "$CKPT_DIR/degraded.err"
-
 echo "== chaos smoke (seeded fault plans) =="
-# The seeded chaos matrix (108 composed plans over 12 random specs, all
-# three fault sites) and the combined-sites pin run with the tier-1
+# The seeded chaos matrix (108 composed plans over 12 random specs, both
+# fault sites) and the combined-sites pin run with the tier-1
 # suite above; here the CLI surface gets its fixed-seed reproduction
 # check: the same --chaos-seed replays the identical verdict and
 # TE/GE/RE/SA, and the run echoes its full plan for log-line replay.
@@ -155,7 +124,7 @@ echo "== zero-cost-when-off gate =="
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     --fault-plan "" --metrics-out "$CKPT_DIR/unarmed-metrics.json" > "$CKPT_DIR/unarmed.txt" \
     2> "$CKPT_DIR/unarmed.err"
-[ "$(verdict_and_counters "$CKPT_DIR/all-ram.txt")" = "$(verdict_and_counters "$CKPT_DIR/unarmed.txt")" ]
+[ "$(verdict_and_counters "$CKPT_DIR/unlimited.txt")" = "$(verdict_and_counters "$CKPT_DIR/unarmed.txt")" ]
 if grep -q '"fault\.' "$CKPT_DIR/unarmed-metrics.json"; then
     echo "unarmed run exported fault.* metrics"; exit 1
 fi
@@ -181,11 +150,11 @@ grep -q '"schema":"tango-dump"' "$CKPT_DIR/dump.jsonl"
 
 echo "== black box zero-cost gate (--flight-recorder off) =="
 # Turning the recorder off must change nothing but the dump: identical
-# verdict and TE/GE/RE/SA to the plain all-RAM run, and no dump file
+# verdict and TE/GE/RE/SA to the plain unlimited run, and no dump file
 # ever appears.
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     --flight-recorder=off --dump-file "$CKPT_DIR/off.tangodump" > "$CKPT_DIR/rec-off.txt"
-[ "$(verdict_and_counters "$CKPT_DIR/all-ram.txt")" = "$(verdict_and_counters "$CKPT_DIR/rec-off.txt")" ]
+[ "$(verdict_and_counters "$CKPT_DIR/unlimited.txt")" = "$(verdict_and_counters "$CKPT_DIR/rec-off.txt")" ]
 [ ! -f "$CKPT_DIR/off.tangodump" ]
 
 echo "== live introspection smoke (--listen + http-get) =="
@@ -269,8 +238,8 @@ echo "== paper tables (release) =="
 # bench's pin test compares every counter cell of EXPERIMENTS.md with
 # what the experiments code computes. A release build also runs the
 # searches of a million transitions or more (the NR 4+4 and 5+5
-# ablation rows, heap_cost 4+4, the on-line worker rows and the spill
-# ladder) that a debug build skips.
+# ablation rows, heap_cost 4+4 and the on-line worker rows) that a debug
+# build skips.
 cargo test -q --release -p bench
 
 echo "== benchmark self-tests and smoke =="

@@ -105,7 +105,6 @@ pub fn experiments(full: bool) -> Experiments {
             ablation_hashing(&tp0, &nr3, nr4.as_ref()),
             heap_cost(&nr3, nr4.as_ref()),
             mdfs,
-            spill_ladder(&tp0, nr4.as_ref()),
         ],
         lapd800_speedup,
         mdfs_wall,
@@ -561,82 +560,4 @@ fn mdfs_workers(full: bool) -> (Table, Vec<(usize, f64)>) {
         rows,
     };
     (table, walls)
-}
-
-/// The spill tier under pressure: the all-RAM NR search over the invalid
-/// 4+4 trace, then snapshot budgets of 50/25/10/5% of its peak with the
-/// tier on, then the tightest budget with the tier off, which must stop
-/// `Inconclusive(MemoryLimit)`.
-fn spill_ladder(tp0: &TraceAnalyzer, baseline: Option<&AnalysisReport>) -> Table {
-    let header = vec![
-        "row",
-        "budget (bytes)",
-        "peak RAM (bytes)",
-        "peak disk (bytes)",
-        "evictions",
-        "TE",
-        "verdict",
-        "CPUT (s)",
-    ];
-    let Some(baseline) = baseline else {
-        return Table {
-            name: "spill",
-            header,
-            rows: (0..6).map(|_| None).collect(),
-        };
-    };
-    let trace = tp0::invalid_trace(4, 4, SEED);
-    let row = |label: &str, budget: Option<usize>, r: &AnalysisReport| {
-        let s = &r.stats;
-        Some(vec![
-            count(label),
-            count(budget.map_or("-".to_string(), |b| b.to_string())),
-            count(s.peak_snapshot_bytes),
-            count(s.peak_spilled_bytes),
-            count(s.spill_evictions),
-            count(s.transitions_executed),
-            count(&r.verdict),
-            seconds(r),
-        ])
-    };
-    let run = |budget: usize, spill: bool| {
-        let dir =
-            std::env::temp_dir().join(format!("tango-experiments-spill-{}", std::process::id()));
-        let mut options = AnalysisOptions::with_order(OrderOptions::none());
-        options.limits.max_state_bytes = Some(budget);
-        if spill {
-            options.spill.dir = Some(dir.clone());
-        }
-        let r = tp0.analyze(&trace, &options).expect("analysis runs");
-        std::fs::remove_dir_all(&dir).ok();
-        assert!(
-            r.spill_faults.is_empty(),
-            "a healthy disk must not fault: {:?}",
-            r.spill_faults
-        );
-        r
-    };
-    let mut rows = vec![row("all-ram", None, baseline)];
-    let mut tightest = 0;
-    for pct in [50, 25, 10, 5] {
-        tightest = (baseline.stats.peak_snapshot_bytes * pct / 100).max(1);
-        let r = run(tightest, true);
-        assert_eq!(
-            (&r.verdict, r.stats.counters()),
-            (&baseline.verdict, baseline.stats.counters()),
-            "the tier must not change the verdict or TE/GE/RE/SA"
-        );
-        rows.push(row(&format!("spill-{pct}%"), Some(tightest), &r));
-    }
-    let died = run(tightest, false);
-    assert_eq!(
-        died.verdict,
-        Verdict::Inconclusive(InconclusiveReason::MemoryLimit)
-    );
-    rows.push(row("no-spill", Some(tightest), &died));
-    Table {
-        name: "spill",
-        header,
-        rows,
-    }
 }

@@ -142,7 +142,6 @@ fn usage() -> String {
      [--unobserved-ip NAME] [--initial-state-search] [--state-hashing] \
      [--workers N (on-line; default 1, 0 = one per core)] \
      [--max-seconds F] [--max-mem N[k|m|g][b]] \
-     [--spill-dir PATH (needs --max-mem)] \
      [--max-transitions N] [--checkpoint-file PATH] [--checkpoint-every N] \
      [--resume PATH] [--on-truncate restart|fail] [--seed N] \
      [--trace-out PATH] [--metrics-out PATH] [--progress SECS|jsonl[:SECS]] \
@@ -482,7 +481,6 @@ fn parse_options(args: &[String]) -> Result<ParsedArgs, String> {
                 options.limits.max_wall_time = Some(Duration::from_secs_f64(secs));
             }
             "--max-mem" => options.limits.max_state_bytes = Some(parse_bytes(value("a value")?)?),
-            "--spill-dir" => options.spill.dir = Some(PathBuf::from(value("a path")?)),
             "--on-truncate" => {
                 recovery = match value("a value")?.to_ascii_lowercase().as_str() {
                     "restart" => RecoveryPolicy::Restart,
@@ -542,9 +540,6 @@ fn parse_options(args: &[String]) -> Result<ParsedArgs, String> {
             _ => positional.push(a.clone()),
         }
     }
-    if options.spill.dir.is_some() && options.limits.max_state_bytes.is_none() {
-        return Err("--spill-dir requires a --max-mem budget to tier against".to_string());
-    }
     Ok(ParsedArgs {
         options,
         recovery,
@@ -557,7 +552,7 @@ fn parse_options(args: &[String]) -> Result<ParsedArgs, String> {
 
 fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     let ParsedArgs {
-        mut options,
+        options,
         recovery,
         ckpt,
         tflags,
@@ -584,7 +579,6 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
         // Echo the full plan so any chaos run is reproducible from its
         // log alone: `--fault-plan '<this line>'` re-arms it exactly.
         eprintln!("chaos: plan={}", plan.describe());
-        plan.apply(&mut options);
     }
     // With --resume the trace travels inside the checkpoint, so only the
     // specification is required (it is not serialized — the checkpoint is
@@ -720,9 +714,6 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     }
     for fault in &report.source_faults {
         eprintln!("source fault: {}", fault);
-    }
-    for fault in &report.spill_faults {
-        eprintln!("spill fault: {}", fault);
     }
     for fault in &report.checkpoint_faults {
         eprintln!("checkpoint fault: {}", fault);
@@ -912,25 +903,18 @@ fn checkpoint_info(path: &str) -> Result<ExitCode, String> {
     outln!("  pending frames: {}", info.pending_frames);
     outln!("  events: {}", info.events_total);
     outln!("  {}", info.stats);
-    // Codec v3 carries the fault/spill story; show it so a resumed run's
-    // operator knows what the interrupted one survived.
+    // The stats block carries the fault story; show it so a resumed
+    // run's operator knows what the interrupted one survived.
     let s = &info.stats;
     outln!(
         "  source faults: retries={} giveups={}",
         s.source_retries, s.source_giveups
     );
     outln!(
-        "  spill faults: retries={} giveups={}",
-        s.spill_retries, s.spill_giveups
-    );
-    outln!(
         "  checkpoint faults: retries={} giveups={}",
         s.checkpoint_retries, s.checkpoint_giveups
     );
-    outln!(
-        "  peak memory: resident={} bytes, spilled={} bytes (peak_spilled_bytes)",
-        s.peak_snapshot_bytes, s.peak_spilled_bytes
-    );
+    outln!("  peak memory: resident={} bytes", s.peak_snapshot_bytes);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1049,34 +1033,16 @@ mod tests {
     }
 
     #[test]
-    fn spill_dir_requires_a_memory_budget() {
-        let args: Vec<String> = ["--spill-dir", "/tmp/s", "--max-mem", "1m", "x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let opts = parse_options(&args).unwrap().options;
-        assert_eq!(opts.spill.dir.as_deref(), Some(std::path::Path::new("/tmp/s")));
-        assert_eq!(opts.limits.max_state_bytes, Some(1 << 20));
-
-        let e = parse_options(&["--spill-dir".to_string(), "/tmp/s".to_string()]).unwrap_err();
-        assert!(e.contains("--max-mem"), "{}", e);
-        assert!(parse_options(&["--spill-dir".to_string()]).is_err());
-    }
-
-    #[test]
     fn executor_flags_are_unknown() {
         // The VM is the only production executor: there is no flag to
         // pick another one or to feed it a profile. Copy-on-write is the
-        // only snapshot policy, so there is no flag to turn it off. A
-        // spill directory is the one switch for the spill tier.
+        // only snapshot policy, so there is no flag to turn it off.
         for args in [
             vec!["--exec=interp", "x"],
             vec!["--pgo-in", "x", "y"],
             vec!["--pgo-out", "x", "y"],
             vec!["--cow=off", "x"],
             vec!["--cow", "on", "x"],
-            vec!["--spill=on", "x"],
-            vec!["--spill", "off", "x"],
         ] {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
             let e = parse_options(&args).unwrap_err();

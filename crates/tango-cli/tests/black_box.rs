@@ -109,15 +109,32 @@ fn flight_recorder_off_is_observably_identical_minus_the_dump() {
     let off = run("off", &dump_off);
 
     assert_eq!(on.status.code(), off.status.code());
+    // The measured `CPUT=…s` differs from run to run; every other byte
+    // must not.
     assert_eq!(
-        stdout_of(&on),
-        stdout_of(&off),
+        mask_cput(&stdout_of(&on)),
+        mask_cput(&stdout_of(&off)),
         "verdict and counters must be byte-identical with the recorder off"
     );
     assert!(dump_on.exists(), "recorder on ⇒ dump");
     assert!(!dump_off.exists(), "recorder off ⇒ no dump, ever");
     assert!(!stderr_of(&off).contains("post-mortem"), "{}", stderr_of(&off));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `text` with the number of every `CPUT=<seconds>s` replaced by `*`.
+fn mask_cput(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(i) = rest.find("CPUT=") {
+        let (head, tail) = rest.split_at(i + "CPUT=".len());
+        out.push_str(head);
+        let value = tail.find(|c: char| !(c.is_ascii_digit() || c == '.')).unwrap_or(tail.len());
+        out.push('*');
+        rest = &tail[value..];
+    }
+    out.push_str(rest);
+    out
 }
 
 #[test]
@@ -142,11 +159,10 @@ fn checkpoint_info_reports_fault_counters() {
     assert_eq!(info.status.code(), Some(0), "{}", stderr_of(&info));
     let text = stdout_of(&info);
     for needle in [
-        "format version: 7",
+        "format version: 8",
         "source faults: retries=0 giveups=0",
-        "spill faults: retries=0 giveups=0",
         "checkpoint faults: retries=0 giveups=0",
-        "peak_spilled_bytes",
+        "peak memory: resident=",
     ] {
         assert!(text.contains(needle), "missing `{}` in: {}", needle, text);
     }

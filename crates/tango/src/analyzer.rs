@@ -140,7 +140,6 @@ impl TraceAnalyzer {
                 let round = run(&self.machine, module, start, options, &mut |_| true, tel)?;
                 report.stats.absorb(&round.stats);
                 report.spec_errors.extend(round.spec_errors);
-                report.spill_faults.extend(round.spill_faults);
                 if round.verdict == Verdict::Valid {
                     report.verdict = Verdict::Valid;
                     report.witness = round.witness;

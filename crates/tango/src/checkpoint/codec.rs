@@ -81,8 +81,9 @@ pub const MAGIC: [u8; 8] = *b"TANGOCKP";
 /// gone, and the `SEARCH` section holds the work stack and the PG-list,
 /// node records with the pending candidate list, followed by the visited
 /// set, the spec errors and the best attempt; `META` counts the on-line
-/// front as one (work, PG-list) pair.
-pub const FORMAT_VERSION: u32 = 7;
+/// front as one (work, PG-list) pair. Version 8 drops the seven spill
+/// fields from the stats block with the retired disk spill tier.
+pub const FORMAT_VERSION: u32 = 8;
 
 const SEC_META: u32 = 1;
 const SEC_TRACE: u32 = 2;
@@ -257,9 +258,8 @@ impl Checkpoint {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the classic
 /// bitwise formulation; checkpoint I/O is nowhere near hot enough to
-/// justify a table. Shared with the spill tier, whose tickets carry
-/// each spilled record's CRC32.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+/// justify a table.
+fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in bytes {
         crc ^= u32::from(b);
@@ -319,17 +319,10 @@ pub(crate) fn encode_stats(w: &mut ByteWriter, s: &SearchStats) {
     w.put_u64(s.intern_hits);
     w.put_usize(s.snapshot_bytes);
     w.put_usize(s.peak_snapshot_bytes);
-    w.put_u64(s.spill_writes);
-    w.put_u64(s.spill_reads);
-    w.put_u64(s.spill_retries);
-    w.put_u64(s.spill_evictions);
-    w.put_usize(s.spilled_bytes);
-    w.put_usize(s.peak_spilled_bytes);
     w.put_u64(s.source_retries);
     w.put_u64(s.source_giveups);
     w.put_u64(s.checkpoint_retries);
     w.put_u64(s.checkpoint_giveups);
-    w.put_u64(s.spill_giveups);
     w.put_u64(s.steals);
     w.put_u64(s.steal_failures);
 }
@@ -682,17 +675,10 @@ pub(crate) fn decode_stats(r: &mut ByteReader<'_>) -> Result<SearchStats, CodecE
         intern_hits: r.get_u64("intern hits")?,
         snapshot_bytes: r.get_usize("snapshot bytes")?,
         peak_snapshot_bytes: r.get_usize("peak snapshot bytes")?,
-        spill_writes: r.get_u64("spill writes")?,
-        spill_reads: r.get_u64("spill reads")?,
-        spill_retries: r.get_u64("spill retries")?,
-        spill_evictions: r.get_u64("spill evictions")?,
-        spilled_bytes: r.get_usize("spilled bytes")?,
-        peak_spilled_bytes: r.get_usize("peak spilled bytes")?,
         source_retries: r.get_u64("source retries")?,
         source_giveups: r.get_u64("source giveups")?,
         checkpoint_retries: r.get_u64("checkpoint retries")?,
         checkpoint_giveups: r.get_u64("checkpoint giveups")?,
-        spill_giveups: r.get_u64("spill giveups")?,
         steals: r.get_u64("steals")?,
         steal_failures: r.get_u64("steal failures")?,
     })
@@ -971,17 +957,10 @@ mod tests {
             intern_hits: 19,
             snapshot_bytes: 4096,
             peak_snapshot_bytes: 8192,
-            spill_writes: 23,
-            spill_reads: 17,
-            spill_retries: 2,
-            spill_evictions: 25,
-            spilled_bytes: 2048,
-            peak_spilled_bytes: 3072,
             source_retries: 5,
             source_giveups: 1,
             checkpoint_retries: 4,
             checkpoint_giveups: 2,
-            spill_giveups: 3,
             steals: 31,
             steal_failures: 6,
         };
@@ -994,14 +973,10 @@ mod tests {
         assert_eq!(back.transitions_executed, s.transitions_executed);
         assert_eq!(back.wall_time, s.wall_time);
         assert_eq!(back.peak_snapshot_bytes, s.peak_snapshot_bytes);
-        assert_eq!(back.spill_writes, s.spill_writes);
-        assert_eq!(back.spill_evictions, s.spill_evictions);
-        assert_eq!(back.peak_spilled_bytes, s.peak_spilled_bytes);
         assert_eq!(back.source_retries, s.source_retries);
         assert_eq!(back.source_giveups, s.source_giveups);
         assert_eq!(back.checkpoint_retries, s.checkpoint_retries);
         assert_eq!(back.checkpoint_giveups, s.checkpoint_giveups);
-        assert_eq!(back.spill_giveups, s.spill_giveups);
         assert_eq!(back.steals, s.steals);
         assert_eq!(back.steal_failures, s.steal_failures);
     }

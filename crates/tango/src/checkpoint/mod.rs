@@ -75,9 +75,8 @@ pub(crate) struct SearchCheckpoint {
     pub(crate) depth: usize,
 }
 
-/// One frozen search node ("thread"). States are materialized at save
-/// time (spilled snapshots are faulted back in first), so the checkpoint
-/// file is self-contained.
+/// One frozen search node ("thread"). Every node carries its state
+/// inline, so the checkpoint file is self-contained.
 #[derive(Clone, Debug)]
 pub(crate) struct NodeCkpt {
     pub(crate) state: MachineState,

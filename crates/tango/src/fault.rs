@@ -4,17 +4,15 @@
 //! The engine's promise — a *generated* analyzer delivers the same
 //! verdict as the specification semantics — must hold under I/O faults,
 //! crashes and resource pressure, not just on clean runs. Before this
-//! module the fault tooling was three disconnected injectors, one per
-//! subsystem: [`FaultySource`](crate::FaultySource) for trace feeds,
-//! [`FaultySpillDir`](crate::spill::FaultySpillDir) for the disk spill
-//! tier, and the SIGKILL harness for checkpoints. A [`FaultPlan`]
-//! composes all three sites (plus the previously untestable
-//! checkpoint-write path) into one seeded, reproducible plan: one
-//! schedule slot per row of the fault table `FAULTS`, asked through
-//! one rule, `FaultPlan::due`. A
-//! [`RetryPolicy`] replaces the three divergent hand-rolled backoff
-//! loops with one implementation: bounded exponential backoff and
-//! deadline-aware sleeps.
+//! module the fault tooling was disconnected injectors, one per
+//! subsystem: [`FaultySource`](crate::FaultySource) for trace feeds and
+//! the SIGKILL harness for checkpoints. A [`FaultPlan`] composes both
+//! sites (the source and the checkpoint-write path) into one seeded,
+//! reproducible plan: one schedule slot per row of the fault table
+//! `FAULTS`, asked through one rule, `FaultPlan::due`. A [`RetryPolicy`]
+//! replaces the divergent hand-rolled backoff loops with one
+//! implementation: bounded exponential backoff and deadline-aware
+//! sleeps.
 //!
 //! Everything here is zero-cost when no plan is armed, mirroring the
 //! telemetry layer's design: production paths carry an `Option` that
@@ -72,12 +70,12 @@ impl std::error::Error for FaultError {}
 /// The shared retry/backoff policy: how many transient failures to
 /// absorb and how long to sleep between attempts.
 ///
-/// One implementation now serves the three formerly hand-rolled loops —
-/// checkpoint atomic writes ([`RetryPolicy::checkpoint`]), spill-tier
-/// I/O ([`RetryPolicy::spill`]) and idle source polling
-/// ([`RetryPolicy::source_poll`], via [`Backoff`]) — each keeping its
-/// exact historical schedule. The sleep for (1-based) attempt `k` is
-/// `min(base * 2^(k-1), cap)`, and never extends past an armed deadline.
+/// One implementation serves the formerly hand-rolled loops —
+/// checkpoint atomic writes ([`RetryPolicy::checkpoint`]) and idle
+/// polling ([`RetryPolicy::source_poll`] and [`RetryPolicy::mdfs_poll`],
+/// via [`Backoff`]) — each keeping its exact historical schedule. The
+/// sleep for (1-based) attempt `k` is `min(base * 2^(k-1), cap)`, and
+/// never extends past an armed deadline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt; `0` means fail fast.
@@ -108,16 +106,6 @@ impl RetryPolicy {
         RetryPolicy::new(3, Duration::from_millis(4), Duration::from_millis(32))
     }
 
-    /// The spill-tier I/O schedule for a configured retry budget:
-    /// 2/4/8/16 ms, capped at 16 (historically `(1 << attempt).min(16)`).
-    pub const fn spill(max_retries: u32) -> Self {
-        RetryPolicy::new(
-            max_retries,
-            Duration::from_millis(2),
-            Duration::from_millis(16),
-        )
-    }
-
     /// The idle-polling schedule of [`crate::FollowFileSource`]: 1 ms
     /// doubling to 100 ms. Unbounded — idle polling never "gives up".
     pub const fn source_poll() -> Self {
@@ -137,11 +125,6 @@ impl RetryPolicy {
             Duration::from_millis(1),
             Duration::from_millis(16),
         )
-    }
-
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// The sleep before (1-based) retry `attempt`, before deadline
@@ -275,18 +258,6 @@ pub enum Fault {
     /// Return the first half of the line on a read attempt: `Restart`
     /// discards it and retries, `Fail` delivers it as-is.
     SourceShortRead,
-    /// Fail a spill append with a transient I/O error.
-    SpillWriteError,
-    /// Append only half the record, then fail (a torn write).
-    SpillShortWrite,
-    /// Fail a spill read with a transient I/O error.
-    SpillReadError,
-    /// Flip one bit of a spill read: silent media corruption the CRC
-    /// must catch.
-    SpillFlipBit,
-    /// Fail every append permanently (the disk-full model retries
-    /// cannot save).
-    SpillHardWrites,
     /// Fail a checkpoint write attempt before anything touches disk.
     CheckpointIoError,
     /// Write half the bytes to the temp file, then fail: the torn write
@@ -303,25 +274,22 @@ impl Fault {
     }
 }
 
-/// The three places a fault can strike, in `--fault-plan` key order.
+/// The places a fault can strike, in `--fault-plan` key order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Site {
     /// The trace feed ([`FaultySource`]).
     Source,
-    /// The disk spill tier ([`crate::spill::FaultySpillDir`]).
-    Spill,
     /// Autosave's atomic writes ([`crate::Checkpoint::write_to_with`]).
     Checkpoint,
 }
 
 impl Site {
-    const ALL: [Site; 3] = [Site::Source, Site::Spill, Site::Checkpoint];
+    const ALL: [Site; 2] = [Site::Source, Site::Checkpoint];
 
     /// The site's `--fault-plan` key prefix.
     fn name(self) -> &'static str {
         match self {
             Site::Source => "source",
-            Site::Spill => "spill",
             Site::Checkpoint => "checkpoint",
         }
     }
@@ -342,7 +310,7 @@ enum Kind {
 /// Whether a fired fault changes which events the analysis sees.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Loss {
-    /// Recovered by retrying, degraded typed, or warn-and-continue.
+    /// Recovered by retrying, or warn-and-continue.
     Never,
     /// The delivered trace differs from the written one.
     Always,
@@ -354,10 +322,9 @@ enum Loss {
 /// field (the key is `site.field`), its [`Kind`] and its [`Loss`], in
 /// [`Fault`] declaration order. The operation a site counts: delivered
 /// lines (source line faults), read attempts (source read faults),
-/// appends and reads across every segment (spill), write attempts
-/// (checkpoint).
+/// write attempts (checkpoint).
 #[rustfmt::skip]
-const FAULTS: [(Fault, Site, &str, Kind, Loss); 15] = [
+const FAULTS: [(Fault, Site, &str, Kind, Loss); 10] = [
     (Fault::SourceCorrupt, Site::Source, "corrupt_every", Kind::Every, Loss::Always),
     (Fault::SourceDuplicate, Site::Source, "duplicate_every", Kind::Every, Loss::Always),
     (Fault::SourceTruncate, Site::Source, "truncate_every", Kind::Every, Loss::Always),
@@ -365,11 +332,6 @@ const FAULTS: [(Fault, Site, &str, Kind, Loss); 15] = [
     (Fault::SourceStallPolls, Site::Source, "stall_polls", Kind::Count, Loss::Never),
     (Fault::SourceReadError, Site::Source, "read_error_every", Kind::Every, Loss::UnderFail),
     (Fault::SourceShortRead, Site::Source, "short_read_every", Kind::Every, Loss::UnderFail),
-    (Fault::SpillWriteError, Site::Spill, "write_error_every", Kind::Every, Loss::Never),
-    (Fault::SpillShortWrite, Site::Spill, "short_write_every", Kind::Every, Loss::Never),
-    (Fault::SpillReadError, Site::Spill, "read_error_every", Kind::Every, Loss::Never),
-    (Fault::SpillFlipBit, Site::Spill, "flip_bit_every", Kind::Every, Loss::Never),
-    (Fault::SpillHardWrites, Site::Spill, "hard_writes_after", Kind::After, Loss::Never),
     (Fault::CheckpointIoError, Site::Checkpoint, "io_error_every", Kind::Every, Loss::Never),
     (Fault::CheckpointShortWrite, Site::Checkpoint, "short_write_every", Kind::Every, Loss::Never),
     (Fault::CheckpointDiskFull, Site::Checkpoint, "disk_full_after", Kind::After, Loss::Never),
@@ -378,21 +340,19 @@ const FAULTS: [(Fault, Site, &str, Kind, Loss); 15] = [
 // ------------------------------------------------------- unified plan
 
 /// A composable, seeded fault plan: one schedule slot per [`Fault`],
-/// arming any combination of the three fault sites in a single run:
+/// arming either or both fault sites in a single run:
 ///
 /// * **source** — the trace feed ([`FaultySource`]): corrupt, duplicated
 ///   and truncated lines, stalls, injected read errors and short reads,
 ///   recovered per [`RecoveryPolicy`];
-/// * **spill** — the disk spill tier ([`crate::spill::FaultySpillDir`]):
-///   write/read I/O errors, short writes, bit flips, hard disk-full;
 /// * **checkpoint** — autosave atomic writes
 ///   ([`crate::Checkpoint::write_to_with`]): I/O errors, torn temp
 ///   files, ENOSPC.
 ///
 /// A site is armed when any of its slots is set, even to `0`. A plan is
 /// plain data: arming happens where each subsystem is built
-/// ([`FaultPlan::build_source`], [`FaultPlan::apply`], the checkpoint
-/// writer), and every hook is zero-cost when its site is unarmed.
+/// ([`FaultPlan::build_source`], the checkpoint writer), and every hook
+/// is zero-cost when its site is unarmed.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// The seed this plan was composed from ([`FaultPlan::random`]);
@@ -455,8 +415,8 @@ impl FaultPlan {
     }
 
     /// True when the plan cannot change *which events the analysis
-    /// sees*: every armed fault either retry-recovers losslessly,
-    /// degrades to a typed `Inconclusive`, or is warn-and-continue.
+    /// sees*: every armed fault either retry-recovers losslessly or is
+    /// warn-and-continue.
     /// Only lossless plans promise verdict + TE/GE/RE/SA equivalence
     /// to the fault-free reference; lossy source faults (corruption,
     /// truncation, duplication, or read faults under
@@ -471,9 +431,9 @@ impl FaultPlan {
         })
     }
 
-    /// Compose a random plan from a seed: 1–3 sites armed, each with
-    /// 1–2 fault kinds at moderate frequencies. Deterministic per seed;
-    /// every composed plan terminates (no `read_error_every == 1`
+    /// Compose a random plan from a seed: one or both sites armed, the
+    /// source with 1–2 fault kinds at moderate frequencies. Deterministic
+    /// per seed; every composed plan terminates (no `read_error_every == 1`
     /// livelock under `Restart`, bounded stalls).
     pub fn random(seed: u64) -> FaultPlan {
         use Fault::*;
@@ -482,7 +442,7 @@ impl FaultPlan {
             seed,
             ..FaultPlan::default()
         };
-        let mask = 1 + r.gen_index(7); // 1..=7: at least one site armed
+        let mask = 1 + r.gen_index(3); // 1..=3: at least one site armed
         if mask & 1 != 0 {
             plan.recovery = Some(if r.gen_bool() {
                 RecoveryPolicy::Restart
@@ -508,14 +468,6 @@ impl FaultPlan {
             }
         }
         if mask & 2 != 0 {
-            for _ in 0..(1 + r.gen_index(2)) {
-                let every = 2 + r.gen_index(5) as u64;
-                let fault =
-                    [SpillWriteError, SpillShortWrite, SpillReadError, SpillFlipBit][r.gen_index(4)];
-                plan = plan.with(fault, every);
-            }
-        }
-        if mask & 4 != 0 {
             plan = match r.gen_index(3) {
                 0 => plan.with(CheckpointIoError, 2 + r.gen_index(3) as u64),
                 1 => plan.with(CheckpointShortWrite, 2 + r.gen_index(3) as u64),
@@ -528,7 +480,7 @@ impl FaultPlan {
     /// Parse the `--fault-plan` syntax: comma-separated `key=value`
     /// pairs where keys are `seed`, `source.recovery` or a fault's
     /// `site.field` key, e.g.
-    /// `source.read_error_every=3,source.recovery=restart,spill.flip_bit_every=2,checkpoint.io_error_every=2`.
+    /// `source.read_error_every=3,source.recovery=restart,checkpoint.io_error_every=2`.
     /// Naming any `site.*` key arms that site. [`FaultPlan::describe`]
     /// emits exactly this syntax.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultError> {
@@ -568,7 +520,7 @@ impl FaultPlan {
                 Some((site, field))
             }) else {
                 return Err(FaultError::Parse(format!(
-                    "unknown fault site in `{}` (expected seed, source.*, spill.* or checkpoint.*)",
+                    "unknown fault site in `{}` (expected seed, source.* or checkpoint.*)",
                     key
                 )));
             };
@@ -617,14 +569,6 @@ impl FaultPlan {
         }
     }
 
-    /// Arm the spill site: install this plan into the analysis options
-    /// (no-op when the site is not armed).
-    pub fn apply(&self, options: &mut crate::options::AnalysisOptions) {
-        if self.armed(Site::Spill) {
-            options.spill.fault_plan = Some(*self);
-        }
-    }
-
     /// Arm the source site: a [`FaultySource`] over rendered trace
     /// text. `None` when the site is not armed.
     pub fn build_source(
@@ -670,12 +614,6 @@ mod tests {
             vec![4, 8, 16, 32, 32],
             "checkpoint kept its 2<<tries schedule"
         );
-        let sp = RetryPolicy::spill(3);
-        assert_eq!(
-            (1..=5).map(|a| sp.sleep_for(a).as_millis()).collect::<Vec<_>>(),
-            vec![2, 4, 8, 16, 16],
-            "spill kept its (1<<attempt).min(16) schedule"
-        );
         let fp = RetryPolicy::source_poll();
         assert_eq!(fp.sleep_for(1).as_millis(), 1);
         assert_eq!(fp.sleep_for(8).as_millis(), 100, "caps at 100ms");
@@ -712,8 +650,10 @@ mod tests {
 
     #[test]
     fn deadline_stops_retries_and_clamps_sleeps() {
-        let p = RetryPolicy::new(100, Duration::from_millis(50), Duration::from_millis(50))
-            .with_deadline(Instant::now() + Duration::from_millis(5));
+        let p = RetryPolicy {
+            deadline: Some(Instant::now() + Duration::from_millis(5)),
+            ..RetryPolicy::new(100, Duration::from_millis(50), Duration::from_millis(50))
+        };
         let mut calls = 0;
         let t0 = Instant::now();
         let out: RetryOutcome<(), _> = p.run(&mut |_| {
@@ -743,15 +683,15 @@ mod tests {
     fn due_counts_one_based_operations() {
         let plan = FaultPlan::default()
             .with(Fault::CheckpointIoError, 2)
-            .with(Fault::SpillHardWrites, 1)
-            .with(Fault::CheckpointDiskFull, 0)
-            .with(Fault::SpillFlipBit, 0);
+            .with(Fault::CheckpointDiskFull, 1)
+            .with(Fault::SourceCorrupt, 0);
         let fired = |f| (1..=5).filter(|&op| plan.due(f, op)).collect::<Vec<u64>>();
         assert_eq!(fired(Fault::CheckpointIoError), vec![2, 4], "every 2nd");
-        assert_eq!(fired(Fault::SpillHardWrites), vec![2, 3, 4, 5], "after 1");
-        assert_eq!(fired(Fault::CheckpointDiskFull), vec![1, 2, 3, 4, 5], "after 0: all");
-        assert!(fired(Fault::SpillFlipBit).is_empty(), "every 0 never fires");
-        assert!(fired(Fault::SpillReadError).is_empty(), "unset never fires");
+        assert_eq!(fired(Fault::CheckpointDiskFull), vec![2, 3, 4, 5], "after 1");
+        let all = FaultPlan::default().with(Fault::CheckpointDiskFull, 0);
+        assert!((1..=5).all(|op| all.due(Fault::CheckpointDiskFull, op)), "after 0: all");
+        assert!(fired(Fault::SourceCorrupt).is_empty(), "every 0 never fires");
+        assert!(fired(Fault::CheckpointShortWrite).is_empty(), "unset never fires");
     }
 
     #[test]
@@ -805,11 +745,6 @@ mod tests {
             "source.stall_polls",
             "source.read_error_every",
             "source.short_read_every",
-            "spill.write_error_every",
-            "spill.short_write_every",
-            "spill.read_error_every",
-            "spill.flip_bit_every",
-            "spill.hard_writes_after",
             "checkpoint.io_error_every",
             "checkpoint.short_write_every",
             "checkpoint.disk_full_after",
@@ -838,7 +773,7 @@ mod tests {
             "nonsense",
             "source.read_error_every",
             "source.unknown_fault=2",
-            "spill.write_error_every=banana",
+            "checkpoint.io_error_every=banana",
             "orbit.decay_every=3",
             "source.recovery=sideways",
         ] {
@@ -865,11 +800,11 @@ mod tests {
         p = p.with(Fault::SourceCorrupt, 4);
         assert!(!p.is_lossless(), "corruption always loses events");
         let p = FaultPlan::default()
-            .with(Fault::SpillHardWrites, 1)
+            .with(Fault::CheckpointDiskFull, 1)
             .with(Fault::CheckpointIoError, 1);
         assert!(
             p.is_lossless(),
-            "spill/checkpoint faults degrade typed or warn-and-continue, never mis-verdict"
+            "checkpoint faults warn and continue, never mis-verdict"
         );
     }
 

@@ -62,20 +62,15 @@ pub mod trace;
 pub mod verdict;
 
 pub use analyzer::{Tango, TraceAnalyzer};
-/// The disk spill tier behind `--spill-dir` (segment files, fault
-/// injection) — re-exported at the crate root for integration tests and
-/// tooling.
-pub use search::spill;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointInfo};
 pub use error::TangoError;
 /// The unified chaos layer: the composable [`FaultPlan`] (one schedule
-/// slot per injectable [`Fault`], arming source, spill and checkpoint
+/// slot per injectable [`Fault`], arming source and checkpoint
 /// fault sites in one run) and the shared [`RetryPolicy`]/[`Backoff`]
 /// every retry loop runs on.
 pub use fault::{Backoff, Fault, FaultError, FaultPlan, RetryOutcome, RetryPolicy, Site};
 pub use genimpl::{ChoicePolicy, ScriptedInput};
 pub use options::{AnalysisOptions, OrderOptions, SearchLimits};
-pub use search::spill::{SpillError, SpillOptions};
 pub use stats::SearchStats;
 pub use telemetry::{
     should_dump, DumpError, EventSink, FlightRecorder, IntrospectHandle, IntrospectionServer,

@@ -5,7 +5,6 @@
 //! [`AnalysisOptions`]. The four preset combinations used in the paper's
 //! tables — NR, IO, IP and FULL — are provided as constructors.
 
-use crate::search::spill::SpillOptions;
 use estelle_runtime::UndefinedPolicy;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -97,14 +96,8 @@ pub struct SearchLimits {
     pub max_wall_time: Option<Duration>,
     /// Budget, in approximate bytes, for the saved state snapshots held
     /// by the search (nodes saved for backtracking, work and PG nodes).
-    /// What happens on excess depends on [`AnalysisOptions::spill`]:
-    /// without a spill directory the search stops with
-    /// `Inconclusive(MemoryLimit)` and a checkpoint; with one, cold
-    /// snapshots are evicted to disk and the search continues at disk
-    /// bandwidth. With the tier on, a budget below the live set that
-    /// cannot be evicted is overrun, not enforced: the search runs over
-    /// it rather than stop (EXPERIMENTS.md's spill ladder peaks at 1,408
-    /// resident bytes under budgets of 1,297 and 648).
+    /// Checked before every step; on excess the search stops with
+    /// `Inconclusive(MemoryLimit)` and a resumable checkpoint.
     pub max_state_bytes: Option<usize>,
 }
 
@@ -141,13 +134,6 @@ pub struct AnalysisOptions {
     /// (state, cursor) pairs in a hash table and prune repeats. Static
     /// analysis only: on-line analysis refuses it.
     pub state_hashing: bool,
-    /// Disk spill tier for the saved states (CLI `--spill-dir`): with a
-    /// directory and a `max_state_bytes` budget, degrade to disk
-    /// bandwidth instead of stopping `Inconclusive(MemoryLimit)`.
-    /// Verdicts and the TE/GE/RE/SA counters are identical either way.
-    /// The default (no directory) leaves spilling off, so budget-only
-    /// runs keep their stop-with-checkpoint behavior.
-    pub spill: SpillOptions,
     /// On-line MDFS search workers (CLI `--workers N`). There is one
     /// engine: `1` (the default) runs its plain loop on the calling
     /// thread; `0` means "one per available core"; `N > 1` runs the same
@@ -169,7 +155,6 @@ impl Default for AnalysisOptions {
             initial_state_search: false,
             policy: UndefinedPolicy::Error,
             state_hashing: false,
-            spill: SpillOptions::default(),
             workers: 1,
             limits: SearchLimits::default(),
         }
@@ -236,10 +221,6 @@ mod tests {
         assert_eq!(o.policy, UndefinedPolicy::Error);
         assert!(!o.initial_state_search);
         assert!(!o.state_hashing);
-        assert!(
-            o.spill.dir.is_none(),
-            "no spill directory: a bare memory budget keeps its kill-switch semantics"
-        );
         assert_eq!(
             o.workers, 1,
             "library callers get the single-threaded search unless they opt in"

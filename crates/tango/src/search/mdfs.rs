@@ -27,8 +27,8 @@
 //!
 //! # One engine, two expansion rules (DESIGN §6.13)
 //!
-//! One node record, [`Node`], one store ([`Stack`] with its charging rule
-//! and spill eviction), one governance check, one `generate` and one
+//! One node record, [`Node`], one store ([`Stack`] with its charging
+//! rule), one governance check, one `generate` and one
 //! `fire` helper, one step record (`StepRecord`) into one [`Sink`], one
 //! checkpoint body. Which rule expands a node depends only on whether the
 //! trace was complete when the analysis started:
@@ -103,7 +103,6 @@ use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::path::SharedPath;
-use super::spill::{SpillCounters, SpillError, SpillTicket, SpillTier};
 use super::{guard, is_fatal, record_error, MAX_RECORDED_ERRORS};
 
 /// How long an idle thief sleeps before re-scanning the deques.
@@ -154,17 +153,10 @@ impl TransSet {
 }
 
 /// One saved search-tree node ("thread").
-#[derive(Clone, Default)]
+#[derive(Clone)]
 struct Node {
-    /// The node's snapshot: resident in RAM, or (under memory pressure,
-    /// with a spill tier attached) parked in a segment file with the
-    /// claim check in `ticket`.
-    state: Option<MachineState>,
-    /// Segment record holding this node's snapshot, once written.
-    /// Snapshots are immutable, so re-evicting a ticketed node is
-    /// write-free. Boxed: only spilled nodes have one, and every node
-    /// record moves on each park and revive.
-    ticket: Option<Box<SpillTicket>>,
+    /// The node's snapshot.
+    state: MachineState,
     cursors: Cursors,
     /// Compiled-transition indices already explored from this node.
     tried: TransSet,
@@ -175,7 +167,8 @@ struct Node {
     /// Consecutive barren steps on the path to this node.
     barren: usize,
     path: SharedPath,
-    /// Snapshot bytes proper — the part that moves between RAM and disk.
+    /// Snapshot bytes proper, measured once: a saved snapshot is
+    /// immutable.
     state_bytes: usize,
     /// Complete-trace rule only: the node was saved for backtracking, and
     /// this is what remains of its one Generate.
@@ -194,11 +187,8 @@ impl Node {
     fn new(state: MachineState, cursors: Cursors, barren: usize, path: SharedPath) -> Self {
         Node {
             state_bytes: state.approx_bytes(),
-            state: Some(state),
             cursors,
-            barren,
-            path,
-            ..Node::default()
+            ..Node::live(state, barren, path)
         }
     }
 
@@ -207,94 +197,31 @@ impl Node {
     /// a stop freezes it through [`Node::new`].
     fn live(state: MachineState, barren: usize, path: SharedPath) -> Self {
         Node {
-            state: Some(state),
+            state,
+            cursors: Cursors::default(),
+            tried: TransSet::default(),
+            blocked: TransSet::default(),
             barren,
             path,
-            ..Node::default()
+            state_bytes: 0,
+            pending: None,
         }
     }
 
-    /// Cursor bytes — always RAM-resident.
-    fn meta_bytes(&self) -> usize {
-        (self.cursors.input.len() + self.cursors.output.len()) * std::mem::size_of::<usize>()
-    }
-
-    /// Bytes currently charged against the RAM gauge for this node.
+    /// Bytes charged against the gauge for this node: its snapshot and
+    /// its cursors.
     fn charged(&self) -> usize {
-        self.meta_bytes()
-            + if self.state.is_some() {
-                self.state_bytes
-            } else {
-                0
-            }
-    }
-
-    /// The resident snapshot. The search faults a popped node in before
-    /// expanding it, so this never observes a spilled node.
-    fn resident_state(&self) -> &MachineState {
-        self.state
-            .as_ref()
-            .expect("node is faulted in before expansion")
+        self.state_bytes
+            + (self.cursors.input.len() + self.cursors.output.len()) * std::mem::size_of::<usize>()
     }
 }
 
-/// Evict one node's snapshot to the spill tier. `Ok(bytes)` is what
-/// moved from the RAM gauge to the disk gauge (0 when already spilled).
-/// A write failure keeps the node resident, so the search can still
-/// finish or report from it.
-fn spill_node(tier: &mut SpillTier, node: &mut Node) -> Result<usize, SpillError> {
-    let Some(state) = node.state.take() else {
-        return Ok(0);
-    };
-    if node.ticket.is_none() {
-        match tier.write_state(&state) {
-            Ok(t) => node.ticket = Some(Box::new(t)),
-            Err(e) => {
-                node.state = Some(state);
-                return Err(e);
-            }
-        }
-    }
-    tier.counters_mut().evictions += 1;
-    Ok(node.state_bytes)
-}
-
-/// Fault a spilled node's snapshot back in (checksum-verified on read).
-/// `Ok(bytes)` is what moved from the disk gauge back to RAM.
-fn fault_in(tier: &mut SpillTier, node: &mut Node) -> Result<usize, SpillError> {
-    if node.state.is_some() {
-        return Ok(0);
-    }
-    let ticket = node.ticket.as_ref().expect("a spilled node holds a ticket");
-    node.state = Some(tier.read_state(ticket)?);
-    Ok(node.state_bytes)
-}
-
-fn lock_tier(tier: &Mutex<SpillTier>) -> std::sync::MutexGuard<'_, SpillTier> {
-    tier.lock().expect("spill tier lock")
-}
-
-/// Mirror the spill tier's counters and the disk gauge into the run's
-/// stats, on top of the counters a resumed run carried in (`base`), so
-/// cross-resume totals stay cumulative.
-fn stamp_spill(stats: &mut SearchStats, base: &SearchStats, c: SpillCounters, gauge: &Gauge) {
-    stats.spill_writes = base.spill_writes + c.writes;
-    stats.spill_reads = base.spill_reads + c.reads;
-    stats.spill_retries = base.spill_retries + c.retries;
-    stats.spill_evictions = base.spill_evictions + c.evictions;
-    stats.spill_giveups = base.spill_giveups + c.giveups;
-    stats.spilled_bytes = gauge.disk;
-    stats.peak_spilled_bytes = stats.peak_spilled_bytes.max(gauge.peak_disk);
-}
-
-/// The front's byte gauges: RAM-resident charges and spilled snapshot
-/// bytes, each with its high-water mark.
+/// The front's byte gauge: the sum of its charges and its high-water
+/// mark.
 #[derive(Clone, Copy, Default)]
 struct Gauge {
     resident: usize,
     peak: usize,
-    disk: usize,
-    peak_disk: usize,
 }
 
 /// One worker's accumulated busy/idle/steal wall-clock split.
@@ -323,7 +250,6 @@ fn finish(
     base_wall: Duration,
     mut clocks: Vec<Clock>,
     cap: u64,
-    spill_faults: Vec<String>,
     checkpoint: Option<SearchCheckpoint>,
     trace: &ResolvedTrace,
     tel: &mut Telemetry,
@@ -359,7 +285,6 @@ fn finish(
     r.witness = witness;
     r.spec_errors = spec_errors;
     r.source_faults = source.diagnostics();
-    r.spill_faults = spill_faults;
     r.checkpoint = checkpoint.map(|search| {
         Box::new(Checkpoint {
             search,
@@ -373,7 +298,7 @@ fn finish(
 /// Freeze one node into its checkpoint form.
 fn node_to_ckpt(n: Node) -> NodeCkpt {
     NodeCkpt {
-        state: n.state.expect("nodes are faulted in before freezing"),
+        state: n.state,
         cursors: n.cursors,
         tried: n.tried.0,
         blocked: n.blocked.0,
@@ -475,31 +400,21 @@ impl TraceSource for EofSource {
 /// park order, with the lane's visited set, spec errors and best attempt.
 /// The depth is DFS's under the complete-trace rule (the live node's, or
 /// that of the node whose expansion last failed) and the deepest node's
-/// on-line. Spilled nodes are faulted back in first (checkpoint files are
-/// self-contained); a read failure makes the stop un-checkpointable and
-/// is recorded as a spill fault instead.
+/// on-line.
 fn freeze(
     stack: &mut Stack,
     live: &mut Option<Node>,
     lane: &Lane<'_>,
     complete: bool,
     workers: usize,
-    spill_faults: &mut Vec<String>,
-) -> Option<SearchCheckpoint> {
+) -> SearchCheckpoint {
     // The live node freezes with its real record, uncharged.
     let live_depth = live.take().map(|n| {
         let depth = n.path.len();
-        let state = n.state.expect("the live node is resident");
-        let frozen = Node::new(state, lane.env.save(), n.barren, n.path);
+        let frozen = Node::new(n.state, lane.env.save(), n.barren, n.path);
         stack.work.push(frozen);
         depth
     });
-    for n in stack.work.iter_mut().chain(stack.pg.iter_mut()) {
-        if let Err(e) = lane.resident(n) {
-            spill_faults.push(format!("checkpoint save skipped: {}", e));
-            return None;
-        }
-    }
     let deepest = || {
         let nodes = stack.work.iter().chain(&stack.pg);
         nodes.map(|n| n.path.len()).max().unwrap_or(0)
@@ -508,7 +423,7 @@ fn freeze(
     let mut visited: Vec<u64> = lane.visited.iter().copied().collect();
     // Sorted for a deterministic encoding.
     visited.sort_unstable();
-    Some(SearchCheckpoint {
+    SearchCheckpoint {
         complete,
         workers_at_save: workers as u32,
         eof: lane.env.eof,
@@ -519,7 +434,7 @@ fn freeze(
         best: (lane.best.explained, lane.best.path.to_indices()),
         events_total: lane.env.explained() + lane.env.outstanding(),
         depth,
-    })
+    }
 }
 
 /// Where one lane's step records go: the [`Telemetry`] handle itself on
@@ -597,7 +512,7 @@ impl Sink for Buffered {
 trait Front {
     /// Transitions executed so far, for the limit check.
     fn te(&self, local: &SearchStats) -> u64;
-    /// The RAM gauge.
+    /// The snapshot gauge.
     fn resident(&self) -> usize;
     fn uncharge(&mut self, bytes: usize);
     /// Put a popped node back on this lane's work.
@@ -611,7 +526,7 @@ trait Front {
     }
     /// Push a fired child on top of its parent — or, when the parent has
     /// nothing left to explore (`None`), retire the parent. Returns the
-    /// RAM gauge after the charges.
+    /// gauge after the charges.
     fn push_child(&mut self, parent: Option<Node>, child: Node) -> usize;
     /// A popped node leaves the search for good.
     fn retire(&mut self);
@@ -620,26 +535,16 @@ trait Front {
     /// Park a PG-node; returns the PG total the park event reports
     /// (`pg_nodes` is the lane's own count).
     fn park(&mut self, node: Node, pg_nodes: u64) -> u64;
-    /// Under a spill tier: evict snapshots — parked PG-nodes first, then
-    /// the coldest work — until `resident + need` fits `cap`, or nothing
-    /// is left to evict.
-    fn evict(&mut self, tier: &Mutex<SpillTier>, cap: usize, need: usize)
-        -> Result<(), SpillError>;
-    /// A spilled node was faulted back in: its bytes left the disk.
-    fn unspill(&mut self, bytes: usize);
 }
 
 /// The one-worker front: the work stack (top = next pop), the PG-list in
-/// park order, and the byte gauges. Between bursts it is also the
+/// park order, and the byte gauge. Between bursts it is also the
 /// multi-worker search's front.
 #[derive(Default)]
 struct Stack {
     work: Vec<Node>,
     pg: Vec<Node>,
     gauge: Gauge,
-    /// A spill write that failed while the complete-trace rule saved a
-    /// node; the next step degrades the run.
-    fault: Option<String>,
 }
 
 impl Stack {
@@ -648,22 +553,6 @@ impl Stack {
         g.resident += bytes;
         g.peak = g.peak.max(g.resident);
         g.resident
-    }
-
-    /// Push a node the complete-trace rule saved, and return the RAM
-    /// gauge. Under a spill tier the budget holds from the save on: the
-    /// coldest nodes (this one last) are evicted before the high-water
-    /// mark moves. A failed write leaves the node resident and is kept
-    /// in `fault` for the next step.
-    fn save(&mut self, node: Node, tier: Option<&Mutex<SpillTier>>, cap: Option<usize>) -> usize {
-        self.gauge.resident += node.charged();
-        self.work.push(node);
-        if let (Some(tier), Some(cap)) = (tier, cap) {
-            if let Err(e) = self.evict(tier, cap, 0) {
-                self.fault = Some(e.to_string());
-            }
-        }
-        self.charge(0)
     }
 
     /// Revive parked PG-nodes: fresh data may unblock output-blocked
@@ -724,32 +613,6 @@ impl Front for Stack {
         self.pg.push(node);
         pg_nodes
     }
-
-    fn evict(
-        &mut self,
-        tier: &Mutex<SpillTier>,
-        cap: usize,
-        need: usize,
-    ) -> Result<(), SpillError> {
-        let mut tier = lock_tier(tier);
-        let g = &mut self.gauge;
-        for list in [&mut self.pg, &mut self.work] {
-            for n in list.iter_mut() {
-                if g.resident + need <= cap {
-                    return Ok(());
-                }
-                let moved = spill_node(&mut tier, n)?;
-                g.resident = g.resident.saturating_sub(moved);
-                g.disk += moved;
-                g.peak_disk = g.peak_disk.max(g.disk);
-            }
-        }
-        Ok(())
-    }
-
-    fn unspill(&mut self, bytes: usize) {
-        self.gauge.disk = self.gauge.disk.saturating_sub(bytes);
-    }
 }
 
 /// Why a step ends its lane's loop, and why the one-worker loop or a
@@ -764,8 +627,6 @@ enum Halt {
     /// `PgNodeLimit`, instead of its park); the node is back on the
     /// front, which is intact.
     Stop(InconclusiveReason),
-    /// A spill write or read failed; the stop is not checkpointable.
-    SpillFailure(String),
     /// A fatal runtime error (engine bug class) — propagated as `Err`.
     Fatal(RuntimeError),
 }
@@ -776,7 +637,6 @@ enum Halt {
 struct Lane<'a> {
     machine: &'a Machine,
     options: &'a AnalysisOptions,
-    tier: Option<&'a Mutex<SpillTier>>,
     deadline: Option<Instant>,
     env: TraceEnv,
     /// Per-lane *Generate* scratch, refilled in place by `generate_into`
@@ -800,7 +660,6 @@ impl<'a> Lane<'a> {
         Lane {
             machine: self.machine,
             options: self.options,
-            tier: self.tier,
             deadline: self.deadline,
             env,
             gen: Generated::default(),
@@ -817,13 +676,9 @@ impl<'a> Lane<'a> {
 
     /// The limits checked before every step, before it mutates anything,
     /// so a stop freezes an exactly resumable front. `need` is what the
-    /// step is about to add to the resident set (a spilled node faulted
-    /// back in). Under a spill tier the budget is a tiering policy, not a
-    /// stop condition: evict until the resident set plus `need` fits. If
-    /// the genuinely live set alone exceeds the budget there is nothing
-    /// left to evict and the search continues over budget — the tier's
-    /// contract is degradation, never a stop.
-    fn govern<F: Front>(&self, front: &mut F, need: usize) -> Result<(), Halt> {
+    /// step is about to add to the resident set (the popped node, under
+    /// the on-line rule).
+    fn govern<F: Front>(&self, front: &F, need: usize) -> Result<(), Halt> {
         let limits = &self.options.limits;
         if front.te(&self.stats) > limits.max_transitions {
             return Err(Halt::Stop(InconclusiveReason::TransitionLimit));
@@ -831,28 +686,13 @@ impl<'a> Lane<'a> {
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(Halt::Stop(InconclusiveReason::TimeLimit));
         }
-        if let Some(cap) = limits.max_state_bytes {
-            if let Some(tier) = self.tier {
-                front
-                    .evict(tier, cap, need)
-                    .map_err(|e| Halt::SpillFailure(e.to_string()))?;
-            } else if front.resident() + need > cap {
-                return Err(Halt::Stop(InconclusiveReason::MemoryLimit));
-            }
+        if limits
+            .max_state_bytes
+            .is_some_and(|cap| front.resident() + need > cap)
+        {
+            return Err(Halt::Stop(InconclusiveReason::MemoryLimit));
         }
         Ok(())
-    }
-
-    /// Fault a spilled node's snapshot back in before it is expanded;
-    /// `Ok(bytes)` moved from the disk gauge back to RAM.
-    fn resident(&self, node: &mut Node) -> Result<usize, String> {
-        if node.state.is_some() {
-            return Ok(0);
-        }
-        let tier = self
-            .tier
-            .expect("spilled nodes only exist with a spill tier");
-        fault_in(&mut lock_tier(tier), node).map_err(|e| e.to_string())
     }
 
     /// Record the node about to be expanded as the best attempt if it
@@ -943,11 +783,11 @@ impl<'a> Lane<'a> {
         &mut self,
         front: &mut F,
         sink: &mut S,
-        mut node: Node,
+        node: Node,
     ) -> Result<(), Halt> {
         front.uncharge(node.charged());
         // The budget check counts the node as resident: it is about to be.
-        let limit = match self.govern(front, node.meta_bytes() + node.state_bytes) {
+        let limit = match self.govern(front, node.charged()) {
             Err(Halt::Stop(reason)) => Some(reason),
             Err(h) => return Err(h),
             // Too deep to expand, unless everything is explained: a
@@ -962,12 +802,10 @@ impl<'a> Lane<'a> {
             front.push(node);
             return Err(Halt::Stop(reason));
         }
-        let moved = self.resident(&mut node).map_err(Halt::SpillFailure)?;
-        front.unspill(moved);
         self.expand(front, sink, node)
     }
 
-    /// Expand one governed, resident node: restore its cursors, park it
+    /// Expand one governed node: restore its cursors, park it
     /// or report it as a witness when everything is consumed, otherwise
     /// Generate on its own snapshot and fire the first untried candidate
     /// on a copy — the one copy an expansion makes.
@@ -1000,10 +838,7 @@ impl<'a> Lane<'a> {
         // Generate (or re-generate) this node's transition list,
         // directly on its snapshot: Generate never writes the state.
         let (tried, blocked) = (&node.tried, &node.blocked);
-        let st = node
-            .state
-            .as_mut()
-            .expect("node is faulted in before expansion");
+        let st = &mut node.state;
         let keep = |t| !tried.contains(t) && !blocked.contains(t);
         if !self.generate(sink, st, depth, keep).map_err(Halt::Fatal)? {
             front.retire();
@@ -1031,7 +866,7 @@ impl<'a> Lane<'a> {
 
         let f = self.gen.fireable.swap_remove(0);
         node.tried.insert(f.trans);
-        let mut child_state = node.resident_state().snapshot();
+        let mut child_state = node.state.snapshot();
         self.env.restore(&node.cursors);
         let before = self.env.outstanding();
         let fired = self
@@ -1100,7 +935,7 @@ impl<'a> Lane<'a> {
         if depth >= self.options.limits.max_depth {
             return Err(Halt::Stop(InconclusiveReason::DepthLimit));
         }
-        let st = node.state.as_mut().expect("the live node is resident");
+        let st = &mut node.state;
         if self.options.state_hashing && !self.visited.insert(fingerprint(st, &self.env.cursors)) {
             self.stats.hash_prunes += 1;
             sink.record(self.machine, StepRecord::prune(depth, PruneKind::Hash));
@@ -1124,14 +959,15 @@ impl<'a> Lane<'a> {
                 next: 1,
             });
             let bytes = saved.charged();
-            let resident = stack.save(saved, self.tier, self.options.limits.max_state_bytes);
+            let resident = stack.charge(bytes);
+            stack.work.push(saved);
             sink.record(self.machine, StepRecord::save(depth, bytes, resident));
         }
         self.descend(sink, live, &first, depth)
     }
 
-    /// The complete-trace rule on the saved node on top of the stack (the
-    /// caller faulted it in): one restore (RE) per sibling. The node stays
+    /// The complete-trace rule on the saved node on top of the stack: one
+    /// restore (RE) per sibling. The node stays
     /// on the stack while siblings remain; the last sibling takes its
     /// state instead of a copy.
     fn backtrack<S: Sink>(
@@ -1153,7 +989,7 @@ impl<'a> Lane<'a> {
         let f = p.fireable[p.next].clone();
         p.next += 1;
         *live = Some(if p.next < p.fireable.len() {
-            let state = top.resident_state().snapshot();
+            let state = top.state.snapshot();
             Node::live(state, top.barren, top.path.clone())
         } else {
             let mut node = stack.work.pop().expect("the top node");
@@ -1176,8 +1012,7 @@ impl<'a> Lane<'a> {
     ) -> Result<(), Halt> {
         let node = live.as_mut().expect("a live node to fire on");
         let before = self.env.outstanding();
-        let st = node.state.as_mut().expect("the live node is resident");
-        let fired = self.fire(sink, st, f, depth).map_err(Halt::Fatal)?;
+        let fired = self.fire(sink, &mut node.state, f, depth).map_err(Halt::Fatal)?;
         node.barren = if self.env.outstanding() < before {
             0
         } else {
@@ -1209,7 +1044,6 @@ fn drain<S: Sink>(
     lane: &mut Lane<'_>,
     stack: &mut Stack,
     sink: &mut S,
-    carry: &SearchStats,
     mut live: Option<&mut Option<Node>>,
 ) -> Halt {
     let cap = lane.options.limits.max_transitions;
@@ -1227,42 +1061,20 @@ fn drain<S: Sink>(
             }
             Some(live) => {
                 sink.tick(&lane.stats, cap);
-                if let Some(msg) = stack.fault.take() {
-                    return Halt::SpillFailure(msg);
-                }
-                // A spilled top is about to be faulted back in.
-                let need = match (&*live, stack.work.last()) {
-                    (None, Some(top)) if top.state.is_none() => top.state_bytes,
-                    _ => 0,
-                };
-                if let Err(h) = lane.govern(stack, need) {
+                if let Err(h) = lane.govern(stack, 0) {
                     return h;
                 }
                 if live.is_some() {
                     lane.expand_live(stack, sink, live)
+                } else if stack.work.is_empty() {
+                    return Halt::Drained;
                 } else {
-                    let Some(top) = stack.work.last_mut() else {
-                        return Halt::Drained;
-                    };
-                    // The top stays on the stack: faulting it in moves
-                    // its state bytes back onto the RAM gauge.
-                    match lane.resident(top) {
-                        Ok(moved) => {
-                            stack.unspill(moved);
-                            stack.charge(moved);
-                        }
-                        Err(msg) => return Halt::SpillFailure(msg),
-                    }
                     lane.backtrack(stack, sink, live)
                 }
             }
         };
         if let Err(h) = step {
             return h;
-        }
-        if let Some(t) = lane.tier {
-            let c = lock_tier(t).counters();
-            stamp_spill(&mut lane.stats, carry, c, &stack.gauge);
         }
     }
 }
@@ -1319,11 +1131,9 @@ struct Burst {
     /// Cumulative PG-node count, for park events.
     pg: AtomicU64,
     depth: AtomicUsize,
-    /// The shared byte gauges (see [`Gauge`]).
+    /// The shared byte gauge (see [`Gauge`]).
     resident: AtomicUsize,
     peak: AtomicUsize,
-    disk: AtomicUsize,
-    peak_disk: AtomicUsize,
 }
 
 impl Burst {
@@ -1351,8 +1161,6 @@ impl Burst {
             depth: AtomicUsize::new(stats.max_depth),
             resident: AtomicUsize::new(g.resident),
             peak: AtomicUsize::new(g.peak),
-            disk: AtomicUsize::new(g.disk),
-            peak_disk: AtomicUsize::new(g.peak_disk),
         }
     }
 
@@ -1393,24 +1201,12 @@ impl Burst {
         Gauge {
             resident: self.resident.load(Ordering::Relaxed),
             peak: self.peak.load(Ordering::Relaxed),
-            disk: self.disk.load(Ordering::Relaxed),
-            peak_disk: self.peak_disk.load(Ordering::Relaxed),
         }
-    }
-
-    /// Evict one node (held under its list's lock) and move its bytes
-    /// between the gauges.
-    fn spill(&self, tier: &Mutex<SpillTier>, node: &mut Node) -> Result<(), SpillError> {
-        let moved = spill_node(&mut lock_tier(tier), node)?;
-        self.resident.fetch_sub(moved, Ordering::Relaxed);
-        let disk = self.disk.fetch_add(moved, Ordering::Relaxed) + moved;
-        self.peak_disk.fetch_max(disk, Ordering::Relaxed);
-        Ok(())
     }
 }
 
-/// A worker's handle on the burst: its own deque for pushes, everyone's
-/// for eviction, and the label of the node it is expanding.
+/// A worker's handle on the burst: its own deque for pushes, and the
+/// label of the node it is expanding.
 struct Deques<'b> {
     sh: &'b Burst,
     widx: usize,
@@ -1500,50 +1296,6 @@ impl Front for Deques<'_> {
             .push((full, node));
         self.sh.pending.fetch_sub(1, Ordering::AcqRel);
         self.sh.pg.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn evict(
-        &mut self,
-        tier: &Mutex<SpillTier>,
-        cap: usize,
-        need: usize,
-    ) -> Result<(), SpillError> {
-        let sh = self.sh;
-        let fits = || sh.resident.load(Ordering::Relaxed) + need <= cap;
-        for (_, n) in sh.parked.lock().expect("parked lock").iter_mut() {
-            if fits() {
-                return Ok(());
-            }
-            sh.spill(tier, n)?;
-        }
-        // Unclaimed inputs are the coldest work, the last one coldest.
-        for (i, slot) in sh.inputs.iter().enumerate().rev() {
-            if fits() {
-                return Ok(());
-            }
-            let mut slot = slot.lock().expect("input lock");
-            if i < sh.next_input.load(Ordering::Relaxed) {
-                break;
-            }
-            if let Some(n) = slot.as_mut() {
-                sh.spill(tier, n)?;
-            }
-        }
-        // Each deque's front is its coldest end; it is reached under
-        // that deque's lock, so its owner never sees a half-evicted node.
-        for dq in &sh.deques {
-            for (n, _) in dq.lock().expect("deque lock").iter_mut() {
-                if fits() {
-                    return Ok(());
-                }
-                sh.spill(tier, n)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn unspill(&mut self, bytes: usize) {
-        self.sh.disk.fetch_sub(bytes, Ordering::Relaxed);
     }
 }
 
@@ -1666,7 +1418,6 @@ fn burst(
     module: &AnalyzedModule,
     tel: &mut Telemetry,
     clocks: &mut [Clock],
-    carry: &SearchStats,
 ) -> Result<Halt, TangoError> {
     let n_workers = clocks.len();
     let cap = lane.options.limits.max_transitions;
@@ -1778,13 +1529,9 @@ fn burst(
             lane.stats = stats;
             lane.spec_errors = errors;
             stack.work = inputs.rev().map(|n| n.expect("kept input")).collect();
-            let held = || stack.work.iter().chain(&stack.pg);
-            stack.gauge.resident = held().map(Node::charged).sum();
-            stack.gauge.disk = held()
-                .filter(|n| n.state.is_none())
-                .map(|n| n.state_bytes)
-                .sum();
-            return Ok(drain(lane, stack, tel, carry, None));
+            let held = stack.work.iter().chain(&stack.pg);
+            stack.gauge.resident = held.map(Node::charged).sum();
+            return Ok(drain(lane, stack, tel, None));
         }
         other => other,
     };
@@ -1907,36 +1654,15 @@ pub(crate) fn run(
         tel.set_workers(n_workers);
     }
     let base_wall = stats.wall_time;
-    let carry = stats.clone();
     let mut env = TraceEnv::new(module, trace, options)?;
     env.eof = complete || front.as_ref().is_some_and(|f| f.eof);
     // Per-worker clocks feed the on-line engine's busy/idle gauges; the
     // complete-trace rule reports none.
     let mut clocks = vec![Clock::default(); if complete { 0 } else { n_workers }];
 
-    // Disk spill tier: under a memory budget, park cold node snapshots
-    // in segment files instead of stopping `Inconclusive(MemoryLimit)`.
-    // An unusable spill directory degrades the run before it searches.
-    let (tier, mut tier_fault) = match options.spill.build_tier(options.limits.max_state_bytes) {
-        // Spill retry sleeps honor the same wall-clock deadline the
-        // search loop enforces.
-        Ok(t) => (
-            t.map(|mut t| {
-                if let Some(d) = deadline {
-                    t.set_deadline(d);
-                }
-                Mutex::new(t)
-            }),
-            None,
-        ),
-        Err(e) => (None, Some(e.to_string())),
-    };
-    let mut spill_faults: Vec<String> = Vec::new();
-
     let mut stack = Stack {
         gauge: Gauge {
             peak: stats.peak_snapshot_bytes,
-            peak_disk: stats.peak_spilled_bytes,
             ..Gauge::default()
         },
         ..Stack::default()
@@ -1944,7 +1670,6 @@ pub(crate) fn run(
     let mut lane = Lane {
         machine: &machine,
         options,
-        tier: tier.as_ref(),
         deadline,
         env,
         gen: Generated::default(),
@@ -1987,8 +1712,6 @@ pub(crate) fn run(
                 lane.env
                     .restore(&live.as_ref().expect("just popped").cursors);
             }
-            // The resumed nodes arrive resident (the save faulted
-            // everything in).
             for n in work {
                 stack.push(n);
             }
@@ -2007,13 +1730,11 @@ pub(crate) fn run(
         }
 
         // Search the known tree until it drains.
-        let halt = if let Some(msg) = tier_fault.take() {
-            Halt::SpillFailure(msg)
-        } else if n_workers == 1 {
+        let halt = if n_workers == 1 {
             let live = complete.then_some(&mut live);
-            drain(&mut lane, &mut stack, tel, &carry, live)
+            drain(&mut lane, &mut stack, tel, live)
         } else if !stack.work.is_empty() {
-            burst(&mut lane, &mut stack, module, tel, &mut clocks, &carry)?
+            burst(&mut lane, &mut stack, module, tel, &mut clocks)?
         } else {
             Halt::Drained
         };
@@ -2021,30 +1742,10 @@ pub(crate) fn run(
             Halt::Drained => {}
             Halt::Witness(path) => break (Verdict::Valid, Some(path.to_vec(&machine)), None),
             Halt::Stop(reason) => {
-                let ckpt = freeze(
-                    &mut stack,
-                    &mut live,
-                    &lane,
-                    complete,
-                    n_workers,
-                    &mut spill_faults,
-                );
-                break (Verdict::Inconclusive(reason), None, ckpt);
+                let ckpt = freeze(&mut stack, &mut live, &lane, complete, n_workers);
+                break (Verdict::Inconclusive(reason), None, Some(ckpt));
             }
             Halt::Fatal(e) => return Err(TangoError::Runtime(e)),
-            Halt::SpillFailure(msg) => {
-                spill_faults.push(msg);
-                // Under the complete-trace rule the front survives a spill
-                // failure (a node whose write failed stays resident, one
-                // whose read failed is read again by the freeze), so the
-                // stop still checkpoints; an on-line burst may have lost
-                // nodes in flight.
-                let ckpt = complete
-                    .then(|| freeze(&mut stack, &mut live, &lane, true, 1, &mut spill_faults))
-                    .flatten();
-                let reason = InconclusiveReason::SpillFailure;
-                break (Verdict::Inconclusive(reason), None, ckpt);
-            }
         }
 
         // The tree (as currently known) is exhausted.
@@ -2094,18 +1795,11 @@ pub(crate) fn run(
         });
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                let ckpt = freeze(
-                    &mut stack,
-                    &mut live,
-                    &lane,
-                    complete,
-                    n_workers,
-                    &mut spill_faults,
-                );
+                let ckpt = freeze(&mut stack, &mut live, &lane, complete, n_workers);
                 break 'search (
                     Verdict::Inconclusive(InconclusiveReason::TimeLimit),
                     None,
-                    ckpt,
+                    Some(ckpt),
                 );
             }
             if absorb(source.poll(), &mut lane.env, &mut stack, module)? {
@@ -2135,9 +1829,6 @@ pub(crate) fn run(
     } = lane;
     stats.snapshot_bytes = stack.gauge.resident;
     stats.peak_snapshot_bytes = stats.peak_snapshot_bytes.max(stack.gauge.peak);
-    if let Some(t) = tier.as_ref() {
-        stamp_spill(&mut stats, &carry, lock_tier(t).counters(), &stack.gauge);
-    }
     let mut report = finish(
         verdict,
         witness,
@@ -2148,7 +1839,6 @@ pub(crate) fn run(
         base_wall,
         clocks,
         cap,
-        spill_faults,
         checkpoint,
         &env.trace,
         tel,

@@ -5,7 +5,7 @@
 //!   traces that are still arriving, and, over a trace that is complete
 //!   before the search starts, the static-mode depth-first search of
 //!   §2.2 as its complete-trace expansion rule. Both rules share one node
-//!   record, one store with an optional disk [`spill`] tier, cooperative
+//!   record, one store with one snapshot-memory budget, cooperative
 //!   resource governance (wall-clock deadline, snapshot-memory budget,
 //!   transition and depth limits) and stop/resume checkpointing.
 //!
@@ -16,7 +16,6 @@
 
 pub mod mdfs;
 pub(crate) mod path;
-pub mod spill;
 
 use crate::stats::SearchStats;
 use estelle_runtime::{RuntimeError, RuntimeErrorKind};

@@ -58,22 +58,6 @@ pub struct SearchStats {
     pub snapshot_bytes: usize,
     /// High-water mark of `snapshot_bytes` over the run.
     pub peak_snapshot_bytes: usize,
-    /// Snapshot records written to disk spill segments (spill tier only;
-    /// always 0 with spilling off).
-    pub spill_writes: u64,
-    /// Spilled snapshots read (and checksum-verified) back from disk.
-    pub spill_reads: u64,
-    /// Transient spill I/O errors absorbed by retry + backoff.
-    pub spill_retries: u64,
-    /// Snapshots evicted from RAM under the memory budget: a disk write
-    /// the first time a node leaves RAM, write-free after that (its
-    /// record is still on disk).
-    pub spill_evictions: u64,
-    /// Approximate bytes of snapshots currently resident only in spill
-    /// segments. Point-in-time residency, like `snapshot_bytes`.
-    pub spilled_bytes: usize,
-    /// High-water mark of `spilled_bytes` over the run.
-    pub peak_spilled_bytes: usize,
     /// Trace-source faults absorbed losslessly by retrying (injected
     /// read errors under `RecoveryPolicy::Restart`, re-read rotations).
     pub source_retries: u64,
@@ -85,9 +69,6 @@ pub struct SearchStats {
     /// Checkpoint autosaves abandoned after exhausting retries
     /// (warn-and-continue; recorded in `checkpoint_faults`).
     pub checkpoint_giveups: u64,
-    /// Spill operations abandoned after exhausting retries (the search
-    /// then degrades to `Inconclusive(SpillFailure)`).
-    pub spill_giveups: u64,
     /// Search nodes taken from *another* worker's deque (multi-worker
     /// MDFS only; always 0 single-threaded).
     pub steals: u64,
@@ -150,17 +131,10 @@ impl SearchStats {
         // Last-writer-wins residency; see the doc comment above.
         self.snapshot_bytes = other.snapshot_bytes;
         self.peak_snapshot_bytes = self.peak_snapshot_bytes.max(other.peak_snapshot_bytes);
-        self.spill_writes += other.spill_writes;
-        self.spill_reads += other.spill_reads;
-        self.spill_retries += other.spill_retries;
-        self.spill_evictions += other.spill_evictions;
-        self.spilled_bytes = other.spilled_bytes;
-        self.peak_spilled_bytes = self.peak_spilled_bytes.max(other.peak_spilled_bytes);
         self.source_retries += other.source_retries;
         self.source_giveups += other.source_giveups;
         self.checkpoint_retries += other.checkpoint_retries;
         self.checkpoint_giveups += other.checkpoint_giveups;
-        self.spill_giveups += other.spill_giveups;
         self.steals += other.steals;
         self.steal_failures += other.steal_failures;
     }
@@ -168,7 +142,7 @@ impl SearchStats {
     /// Faults absorbed by retrying, across every site — the number the
     /// progress heartbeat reports as ` retries=`.
     pub fn total_fault_retries(&self) -> u64 {
-        self.source_retries + self.spill_retries + self.checkpoint_retries
+        self.source_retries + self.checkpoint_retries
     }
 
     /// Faults that exhausted their retries, across every site. Non-zero
@@ -176,7 +150,7 @@ impl SearchStats {
     /// treats any giveup as a dump-worthy outcome even when the verdict
     /// itself completed.
     pub fn total_fault_giveups(&self) -> u64 {
-        self.source_giveups + self.spill_giveups + self.checkpoint_giveups
+        self.source_giveups + self.checkpoint_giveups
     }
 }
 
@@ -252,27 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_spill_counters_flow_and_gauge_correctly() {
-        let mut total = SearchStats::default();
-        for (writes, spilled, peak) in [(3u64, 900usize, 900usize), (2, 100, 1200)] {
-            let round = SearchStats {
-                spill_writes: writes,
-                spill_reads: writes,
-                spill_retries: 1,
-                spill_evictions: writes,
-                spilled_bytes: spilled,
-                peak_spilled_bytes: peak,
-                ..Default::default()
-            };
-            total.absorb(&round);
-        }
-        assert_eq!(total.spill_writes, 5, "writes are a flow: they sum");
-        assert_eq!(total.spill_retries, 2);
-        assert_eq!(total.spilled_bytes, 100, "disk residency is last-writer-wins");
-        assert_eq!(total.peak_spilled_bytes, 1200, "peak is max over rounds");
-    }
-
-    #[test]
     fn absorb_sums_fault_counters_across_rounds() {
         let mut total = SearchStats::default();
         for _ in 0..2 {
@@ -281,8 +234,6 @@ mod tests {
                 source_giveups: 1,
                 checkpoint_retries: 2,
                 checkpoint_giveups: 1,
-                spill_retries: 4,
-                spill_giveups: 1,
                 ..Default::default()
             };
             total.absorb(&round);
@@ -291,11 +242,10 @@ mod tests {
         assert_eq!(total.source_giveups, 2);
         assert_eq!(total.checkpoint_retries, 4);
         assert_eq!(total.checkpoint_giveups, 2);
-        assert_eq!(total.spill_giveups, 2);
         assert_eq!(
             total.total_fault_retries(),
-            6 + 8 + 4,
-            "heartbeat total spans source+spill+checkpoint"
+            6 + 4,
+            "heartbeat total spans source+checkpoint"
         );
     }
 

@@ -54,13 +54,15 @@ pub const DUMP_MAGIC: [u8; 8] = *b"TANGODMP";
 
 /// Current dump format version. Bump on any change to the byte layout;
 /// a reader refuses every other version instead of misreading it.
-pub const DUMP_FORMAT_VERSION: u32 = 1;
+/// Version 2 drops the disk-tier byte gauge from `META`, and its `STATS`
+/// block is the checkpoint codec's version-8 block.
+pub const DUMP_FORMAT_VERSION: u32 = 2;
 
 /// Hot-spot rows captured per dump — enough to see where the time went
 /// without embedding the whole profile of a large specification.
 pub const HOTSPOT_TOP_K: usize = 16;
 
-/// Fault diagnostics retained per category (source/spill/checkpoint):
+/// Fault diagnostics retained per category (source/checkpoint):
 /// the first few tell the story; a thousand repeats of "no space left"
 /// do not.
 const FAULTS_CAP: usize = 8;
@@ -208,13 +210,12 @@ pub struct PostMortemDump {
     pub spec: String,
     /// The verdict line — why this dump exists.
     pub reason: String,
-    /// Gauges at capture: resident and spilled snapshot bytes.
+    /// The snapshot gauge at capture.
     pub resident_bytes: u64,
-    pub spilled_bytes: u64,
     /// Path of the newest autosaved checkpoint, when one exists — the
     /// resume handle this dump points its reader at.
     pub checkpoint_path: Option<String>,
-    /// First few fault diagnostics per site (source, spill, checkpoint).
+    /// First few fault diagnostics per site (source, checkpoint).
     pub faults: Vec<String>,
     /// Final cumulative counters.
     pub stats: SearchStats,
@@ -241,7 +242,6 @@ fn capped_faults(report: &AnalysisReport) -> Vec<String> {
     let mut out = Vec::new();
     for (site, list) in [
         ("source", &report.source_faults),
-        ("spill", &report.spill_faults),
         ("checkpoint", &report.checkpoint_faults),
     ] {
         for f in list.iter().take(FAULTS_CAP) {
@@ -285,7 +285,6 @@ impl PostMortemDump {
             spec: tel.spec().to_string(),
             reason: report.verdict.to_string(),
             resident_bytes: report.stats.snapshot_bytes as u64,
-            spilled_bytes: report.stats.spilled_bytes as u64,
             checkpoint_path: checkpoint_path.map(|p| p.display().to_string()),
             faults: capped_faults(report),
             stats: report.stats.clone(),
@@ -328,7 +327,6 @@ impl PostMortemDump {
         w.put_str(&self.spec);
         w.put_str(&self.reason);
         w.put_u64(self.resident_bytes);
-        w.put_u64(self.spilled_bytes);
         match &self.checkpoint_path {
             None => w.put_bool(false),
             Some(p) => {
@@ -398,11 +396,8 @@ impl PostMortemDump {
         let _ = writeln!(out, "  stats: {}", self.stats);
         let _ = writeln!(
             out,
-            "  memory: resident={}B spilled={}B (peaks {}B/{}B)",
-            self.resident_bytes,
-            self.spilled_bytes,
-            self.stats.peak_snapshot_bytes,
-            self.stats.peak_spilled_bytes
+            "  memory: resident={}B (peak {}B)",
+            self.resident_bytes, self.stats.peak_snapshot_bytes
         );
         let _ = writeln!(
             out,
@@ -492,7 +487,7 @@ impl PostMortemDump {
             out,
             "{{\"schema\":\"tango-dump\",\"version\":{},\"mode\":\"{}\",\"spec\":\"{}\",\
              \"reason\":\"{}\",\"te\":{},\"ge\":{},\"re\":{},\"sa\":{},\
-             \"resident_bytes\":{},\"spilled_bytes\":{},\"retries\":{},\"giveups\":{},\
+             \"resident_bytes\":{},\"retries\":{},\"giveups\":{},\
              \"ring_seen\":{},\"ring_retained\":{},\"ring_capacity\":{}",
             self.version,
             json_escape(&self.mode),
@@ -503,7 +498,6 @@ impl PostMortemDump {
             self.stats.restores,
             self.stats.saves,
             self.resident_bytes,
-            self.spilled_bytes,
             self.stats.total_fault_retries(),
             self.stats.total_fault_giveups(),
             self.ring.seen,
@@ -555,7 +549,6 @@ fn decode_dump(bytes: &[u8]) -> Result<PostMortemDump, DumpError> {
             spec: r.get_str("dump spec")?,
             reason: r.get_str("dump reason")?,
             resident_bytes: r.get_u64("resident bytes")?,
-            spilled_bytes: r.get_u64("spilled bytes")?,
             checkpoint_path: if r.get_bool("checkpoint-path tag")? {
                 Some(r.get_str("checkpoint path")?)
             } else {
@@ -639,9 +632,8 @@ mod tests {
             spec: "tp0".to_string(),
             reason: "inconclusive (TransitionLimit)".to_string(),
             resident_bytes: 4096,
-            spilled_bytes: 0,
             checkpoint_path: Some("out/tp0.ckpt".to_string()),
-            faults: vec!["spill: torn tail".to_string()],
+            faults: vec!["checkpoint: injected I/O error".to_string()],
             stats: SearchStats {
                 transitions_executed: 100,
                 generates: 60,
@@ -679,7 +671,7 @@ mod tests {
             }],
             plan: Some(PlanCapture {
                 seed: 42,
-                spec: "seed=42,spill.io_error=0.5".to_string(),
+                spec: "seed=42,checkpoint.io_error_every=2".to_string(),
             }),
         }
     }
@@ -715,6 +707,17 @@ mod tests {
             Err(DumpError::UnsupportedVersion { .. })
         ));
 
+        // Version 1 carried one more META gauge: refused, not misread.
+        let mut v1 = good.clone();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            decode_dump(&v1),
+            Err(DumpError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            })
+        ));
+
         assert!(matches!(
             decode_dump(&good[..good.len() / 2]),
             Err(DumpError::Truncated { .. })
@@ -747,7 +750,6 @@ mod tests {
             InconclusiveReason::PgNodeLimit,
             InconclusiveReason::TimeLimit,
             InconclusiveReason::MemoryLimit,
-            InconclusiveReason::SpillFailure,
         ] {
             let r = AnalysisReport::new(Verdict::Inconclusive(reason), SearchStats::default());
             assert!(should_dump(&r), "{:?} must dump", reason);
@@ -776,10 +778,10 @@ mod tests {
     #[test]
     fn fault_lists_are_capped_in_the_dump() {
         let mut r = AnalysisReport::new(
-            Verdict::Inconclusive(InconclusiveReason::SpillFailure),
+            Verdict::Inconclusive(InconclusiveReason::MemoryLimit),
             SearchStats::default(),
         );
-        r.spill_faults = (0..20).map(|i| format!("fault {}", i)).collect();
+        r.checkpoint_faults = (0..20).map(|i| format!("fault {}", i)).collect();
         let faults = capped_faults(&r);
         assert_eq!(faults.len(), FAULTS_CAP + 1);
         assert!(faults.last().unwrap().contains("12 more fault(s) elided"));

@@ -6,8 +6,7 @@
 //!
 //! * `/metrics`  — the metrics registry's `"tango-metrics"` document;
 //! * `/status`   — the progress heartbeat's snapshot as JSON:
-//!   verdict-so-far, TE/GE/RE/SA, rate, ETA, retries, resident/spilled
-//!   bytes;
+//!   verdict-so-far, TE/GE/RE/SA, rate, ETA, retries, resident bytes;
 //! * `/profile`  — the transition hot-spot table as rows.
 //!
 //! The search thread never blocks on the network: it *pushes* rendered
@@ -27,8 +26,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Schema identifier of the `/status` document.
-pub const STATUS_SCHEMA_VERSION: u32 = 1;
+/// Schema identifier of the `/status` document. Version 2 dropped the
+/// disk-tier byte gauge.
+pub const STATUS_SCHEMA_VERSION: u32 = 2;
 
 /// The three pre-rendered documents the server hands out. Defaults are
 /// valid JSON, so a scrape that races analysis startup still parses.

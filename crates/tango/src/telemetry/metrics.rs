@@ -203,34 +203,15 @@ impl MetricsRegistry {
             self.set_counter("mdfs.steals", stats.steals);
             self.set_counter("mdfs.steal_failures", stats.steal_failures);
         }
-        // Spill-tier series appear only when the tier did something, so
-        // spill-off runs export a byte-identical document.
-        if stats.spill_writes + stats.spill_reads + stats.spill_evictions > 0 {
-            self.set_counter("spill.writes", stats.spill_writes);
-            self.set_counter("spill.reads", stats.spill_reads);
-            self.set_counter("spill.retries", stats.spill_retries);
-            self.set_counter("spill.evictions", stats.spill_evictions);
-            self.set_gauge("spill.spilled_bytes", stats.spilled_bytes as f64);
-            self.set_gauge(
-                "spill.peak_spilled_bytes",
-                stats.peak_spilled_bytes as f64,
-            );
-        }
         // Per-site fault series, gated the same way: a site that saw no
         // faults exports nothing, so fault-free runs stay byte-identical
         // with the fault hooks compiled in.
-        let fault_sites: [(&'static str, &'static str, u64, u64); 3] = [
+        let fault_sites: [(&'static str, &'static str, u64, u64); 2] = [
             (
                 "fault.source.retries",
                 "fault.source.giveups",
                 stats.source_retries,
                 stats.source_giveups,
-            ),
-            (
-                "fault.spill.retries",
-                "fault.spill.giveups",
-                stats.spill_retries,
-                stats.spill_giveups,
             ),
             (
                 "fault.checkpoint.retries",
@@ -356,7 +337,6 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.record_stats(&clean);
         assert_eq!(m.counter("fault.source.retries"), None);
-        assert_eq!(m.counter("fault.spill.retries"), None);
         assert_eq!(m.counter("fault.checkpoint.retries"), None);
 
         let faulty = SearchStats {
@@ -369,10 +349,17 @@ mod tests {
         m.record_stats(&faulty);
         assert_eq!(m.counter("fault.source.retries"), Some(2));
         assert_eq!(m.counter("fault.source.giveups"), Some(0));
-        // Spill saw nothing — still absent.
-        assert_eq!(m.counter("fault.spill.retries"), None);
         assert_eq!(m.counter("fault.checkpoint.retries"), Some(1));
         assert_eq!(m.counter("fault.checkpoint.giveups"), Some(1));
+
+        let source_only = SearchStats {
+            source_retries: 1,
+            ..Default::default()
+        };
+        let mut m = MetricsRegistry::new();
+        m.record_stats(&source_only);
+        // The checkpoint site saw nothing — still absent.
+        assert_eq!(m.counter("fault.checkpoint.retries"), None);
     }
 
     #[test]

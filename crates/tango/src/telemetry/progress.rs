@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 /// Snapshot samples retained for the sliding-window rate, one per
 /// snapshot: the last 16 s of the run at the default 2 s heartbeat, or
-/// the last 1.6 s while `/status` is pushed every 200 ms. A slow spill
-/// phase ages out of the window instead of dragging the rate (and the
+/// the last 1.6 s while `/status` is pushed every 200 ms. A slow phase
+/// ages out of the window instead of dragging the rate (and the
 /// ETA) down for the rest of a multi-hour analysis.
 const RATE_WINDOW_BEATS: usize = 8;
 
@@ -90,7 +90,7 @@ impl ProgressReporter {
 }
 
 /// One moment of a running search, as every live view shows it: the
-/// counters (TE/GE/RE/SA, depth, spill, faults, bytes) plus what the
+/// counters (TE/GE/RE/SA, depth, faults, bytes) plus what the
 /// pulse derives from them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Heartbeat {
@@ -110,7 +110,7 @@ pub(crate) struct Heartbeat {
 
 impl Heartbeat {
     // The optional heartbeat fields appear only once they carry news,
-    // so a one-worker, spill-free, fault-free heartbeat keeps its exact
+    // so a one-worker, fault-free heartbeat keeps its exact
     // historical shape (and the pinned line prefixes). `/status` has a
     // fixed schema and always shows its fields.
 
@@ -118,18 +118,12 @@ impl Heartbeat {
         (self.workers > 1).then_some(self.workers)
     }
 
-    fn spill(&self) -> Option<(usize, u64)> {
-        let s = &self.stats;
-        (s.spill_writes + s.spill_reads + s.spill_evictions > 0)
-            .then_some((s.spilled_bytes, s.spill_evictions))
-    }
-
     fn fault_retries(&self) -> Option<u64> {
         Some(self.stats.total_fault_retries()).filter(|&r| r > 0)
     }
 
     /// `progress: TE=… GE=… RE=… SA=… depth=…[ workers=N] rate=…/s
-    /// eta=…s[ spilled=…B evict=…][ retries=…][ (done)]`; an unknown ETA
+    /// eta=…s[ retries=…][ (done)]`; an unknown ETA
     /// reads `0.0`.
     pub(crate) fn human(&self) -> String {
         let s = &self.stats;
@@ -142,9 +136,6 @@ impl Heartbeat {
         }
         let eta = self.eta_s.unwrap_or(0.0);
         let _ = write!(out, " rate={:.0}/s eta={:.1}s", self.rate, eta);
-        if let Some((bytes, evictions)) = self.spill() {
-            let _ = write!(out, " spilled={}B evict={}", bytes, evictions);
-        }
         if let Some(r) = self.fault_retries() {
             let _ = write!(out, " retries={}", r);
         }
@@ -165,9 +156,6 @@ impl Heartbeat {
         }
         let eta = self.eta_s.unwrap_or(0.0);
         let _ = write!(out, "\"rate\":{:.1},\"eta_s\":{:.1},", self.rate, eta);
-        if let Some((bytes, evictions)) = self.spill() {
-            let _ = write!(out, "\"spilled_bytes\":{},\"spill_evictions\":{},", bytes, evictions);
-        }
         if let Some(r) = self.fault_retries() {
             let _ = write!(out, "\"retries\":{},", r);
         }
@@ -183,7 +171,7 @@ impl Heartbeat {
         format!(
             "{{\"schema\":\"tango-status\",\"version\":{},\"verdict\":\"{}\",\
              \"te\":{},\"ge\":{},\"re\":{},\"sa\":{},\"depth\":{},\"rate\":{:.1},\"eta_s\":{},\
-             \"retries\":{},\"giveups\":{},\"resident_bytes\":{},\"spilled_bytes\":{},\
+             \"retries\":{},\"giveups\":{},\"resident_bytes\":{},\
              \"done\":{}}}",
             STATUS_SCHEMA_VERSION,
             json_escape(&self.verdict),
@@ -197,7 +185,6 @@ impl Heartbeat {
             s.total_fault_retries(),
             s.total_fault_giveups(),
             s.snapshot_bytes,
-            s.spilled_bytes,
             self.done
         )
     }
@@ -373,41 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn spill_fields_appear_only_under_spill_activity() {
-        let (mut p, now) = pulse_at(1.0, 100);
-        let mut s = stats(10);
-        let quiet = p.snapshot(now, &s, false);
-        s.spill_writes = 4;
-        s.spill_evictions = 4;
-        s.spilled_bytes = 4096;
-        let spilled = p.snapshot(now, &s, true);
-        assert!(!quiet.human().contains("spilled="), "{}", quiet.human());
-        assert!(!quiet.jsonl().contains("spilled"), "{}", quiet.jsonl());
-        assert!(
-            spilled.human().contains(" spilled=4096B evict=4 (done)"),
-            "{}",
-            spilled.human()
-        );
-        // JSONL keeps its pinned prefix and inserts before "done".
-        let text = spilled.jsonl();
-        assert!(text.starts_with("{\"ev\":\"heartbeat\",\"te\":10,"), "{}", text);
-        assert!(
-            text.contains("\"spilled_bytes\":4096,\"spill_evictions\":4,\"done\":true"),
-            "{}",
-            text
-        );
-        // `/status` always carries its byte fields.
-        assert!(quiet.status_json().contains("\"spilled_bytes\":0,"));
-        assert!(spilled.status_json().contains("\"spilled_bytes\":4096,"));
-    }
-
-    #[test]
     fn retry_field_appears_only_under_fault_activity() {
         let (mut p, now) = pulse_at(1.0, 100);
         let mut s = stats(10);
         let clean = p.snapshot(now, &s, false);
-        s.source_retries = 2;
-        s.spill_retries = 1;
+        s.source_retries = 3;
         s.checkpoint_retries = 3;
         let faulty = p.snapshot(now, &s, true);
         assert!(!clean.human().contains("retries="), "{}", clean.human());
@@ -416,6 +373,8 @@ mod tests {
         assert!(faulty.jsonl().contains("\"retries\":6,\"done\":true"), "{}", faulty.jsonl());
         assert!(clean.status_json().contains("\"retries\":0,"));
         assert!(faulty.status_json().contains("\"retries\":6,"));
+        // `/status` always carries its byte field.
+        assert!(clean.status_json().contains("\"resident_bytes\":0,"));
     }
 
     #[test]

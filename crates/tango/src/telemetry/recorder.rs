@@ -47,7 +47,7 @@ pub const KIND_COUNT: usize = 11;
 
 /// Fault sites for [`KIND_FAULT`] records (`flag` field).
 pub const FAULT_SITE_SOURCE: u8 = 1;
-pub const FAULT_SITE_SPILL: u8 = 2;
+// Site 2 is retired (the disk spill tier); never reuse it.
 pub const FAULT_SITE_CHECKPOINT: u8 = 3;
 
 pub(crate) fn kind_name(kind: u8) -> &'static str {
@@ -327,13 +327,12 @@ impl FlightRecorder {
     /// Fold the monotone fault counters of `stats` into delta records —
     /// one per site whose retries or giveups advanced since the last
     /// call. Called from the per-step tick, so the cost when nothing
-    /// changed is six integer compares. Returns how many records were
+    /// changed is four integer compares. Returns how many records were
     /// pushed (the caller advances its sequence counter by this).
     pub(crate) fn note_faults(&mut self, mut seq: u64, stats: &SearchStats) -> u64 {
         let start = seq;
         let sites = [
             (FAULT_SITE_SOURCE, stats.source_retries, stats.source_giveups),
-            (FAULT_SITE_SPILL, stats.spill_retries, stats.spill_giveups),
             (
                 FAULT_SITE_CHECKPOINT,
                 stats.checkpoint_retries,
@@ -471,14 +470,14 @@ mod tests {
         let mut s = SearchStats::default();
         r.note_faults(0, &s);
         assert_eq!(r.count(KIND_FAULT), 0, "no change, no record");
-        s.spill_retries = 3;
+        s.source_retries = 3;
         r.note_faults(1, &s);
         r.note_faults(2, &s);
         assert_eq!(r.count(KIND_FAULT), 1, "idempotent until counters move");
         let rec = r.records()[0];
-        assert_eq!(rec.flag, FAULT_SITE_SPILL);
+        assert_eq!(rec.flag, FAULT_SITE_SOURCE);
         assert_eq!(rec.a, 3, "delta, not absolute");
-        s.spill_retries = 5;
+        s.source_retries = 5;
         s.checkpoint_giveups = 1;
         r.note_faults(3, &s);
         assert_eq!(r.count(KIND_FAULT), 3);

@@ -59,10 +59,6 @@ pub enum InconclusiveReason {
     /// The snapshot-memory budget (`SearchLimits::max_state_bytes`) was
     /// exceeded.
     MemoryLimit,
-    /// The disk spill tier failed unrecoverably (out of space after
-    /// retries, or corruption detected on read-back). Details are in
-    /// [`AnalysisReport::spill_faults`].
-    SpillFailure,
 }
 
 impl Verdict {
@@ -112,10 +108,6 @@ pub struct AnalysisReport {
     /// Faults the dynamic trace source observed while feeding (parse
     /// errors, file truncation, a dead feeder …). Empty for static runs.
     pub source_faults: Vec<String>,
-    /// Faults from the disk spill tier: reopen warnings (torn crash
-    /// tails) and, on `Inconclusive(SpillFailure)`, the unrecoverable
-    /// error that degraded the run. Empty when spilling is off or clean.
-    pub spill_faults: Vec<String>,
     /// Checkpoint autosave failures. Autosave is warn-and-continue — a
     /// failing save must not kill a healthy search — but the failure has
     /// to outlive stderr: a run that dies later would otherwise resume
@@ -134,7 +126,6 @@ impl AnalysisReport {
             best_effort: None,
             checkpoint: None,
             source_faults: Vec::new(),
-            spill_faults: Vec::new(),
             checkpoint_faults: Vec::new(),
         }
     }

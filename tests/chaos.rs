@@ -1,9 +1,9 @@
 //! Seeded chaos runner: composed fault plans over random specifications.
 //!
 //! For every (spec seed × plan seed) cell, [`tango::FaultPlan::random`]
-//! composes 1–3 armed fault sites (source feed, disk spill tier,
-//! checkpoint writes) and the runner drives a full analysis through
-//! them, on valid and corrupted traces, with SIGKILL-style aborts
+//! arms one or both fault sites (source feed, checkpoint writes) and
+//! the runner drives a full analysis through them, on valid and
+//! corrupted traces, with SIGKILL-style aborts
 //! between checkpoint rounds (all in-memory state is dropped and the
 //! run resumes from the bytes on disk). The invariants, for every cell:
 //!
@@ -13,8 +13,7 @@
 //! - **lossless** plans (every armed fault retry-recovers or is
 //!   warn-and-continue, so the search sees the same events) must match
 //!   the fault-free reference's verdict and TE/GE/RE/SA counters
-//!   exactly — unless the spill tier degraded, which must surface as
-//!   `Inconclusive(SpillFailure)` with the fault on the record;
+//!   exactly;
 //! - crash+resume chains re-converge to the same totals.
 //!
 //! Every cell is reproducible from its log line alone:
@@ -71,18 +70,6 @@ fn base_options() -> AnalysisOptions {
     o
 }
 
-/// Arm the plan's sites onto the options: the spill site needs the tier
-/// actually engaged (tight budget, on-disk directory) to see any I/O.
-fn chaos_options(plan: &FaultPlan, dir: &std::path::Path) -> AnalysisOptions {
-    let mut o = base_options();
-    if plan.armed(Site::Spill) {
-        o.limits.max_state_bytes = Some(256);
-        o.spill.dir = Some(dir.join("spill"));
-    }
-    plan.apply(&mut o);
-    o
-}
-
 /// Drive one full chaos analysis: source drained through the injector,
 /// checkpoint rounds with faulty autosaves and SIGKILL-style aborts
 /// (resume strictly from the bytes on disk whenever a save landed).
@@ -92,7 +79,7 @@ fn run_chaos(
     plan: &FaultPlan,
     dir: &std::path::Path,
 ) -> AnalysisReport {
-    let opts = chaos_options(plan, dir);
+    let opts = base_options();
 
     // Source site: the search analyzes whatever the degraded feed
     // actually delivered.
@@ -191,21 +178,10 @@ fn check_cell(
     let report = run_chaos(analyzer, trace, plan, &dir);
     let ctx = || format!("cell {} plan `{}`", tag, plan.describe());
 
-    // Typed degradation: a spill-armed plan may exhaust the tier's
-    // retries, but only into the documented verdict with the fault on
-    // the record — never a panic, never silence.
-    let spill_degraded = report.verdict == Verdict::Inconclusive(InconclusiveReason::SpillFailure);
-    if spill_degraded {
-        assert!(plan.armed(Site::Spill), "{}", ctx());
-        assert!(
-            !report.spill_faults.is_empty(),
-            "{}: degraded run must carry its diagnostic",
-            ctx()
-        );
-    } else if plan.is_lossless() {
+    if plan.is_lossless() {
         // The search saw the same events as the reference: verdict and
         // the paper's counters must match exactly, across retries,
-        // spilling, faulty autosaves and SIGKILL-resume chains.
+        // faulty autosaves and SIGKILL-resume chains.
         assert_eq!(report.verdict, reference.verdict, "{}", ctx());
         assert_eq!(
             report.stats.counters(),
@@ -295,66 +271,11 @@ fn chaos_fault_counters_reach_the_metrics_registry() {
     );
     assert_eq!(m.counter("fault.source.giveups"), Some(0));
     assert_eq!(
-        m.counter("fault.spill.retries"),
+        m.counter("fault.checkpoint.retries"),
         None,
         "unarmed sites export nothing"
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The multi-core cell: a spill-armed plan under the work-stealing
-/// search. Four workers evict through one faulty disk tier; the run
-/// must either recover losslessly to the single-worker fault-free
-/// verdict and counters, or degrade into the typed
-/// `Inconclusive(SpillFailure)` with its diagnostic — never panic,
-/// never drift.
-#[test]
-fn chaos_spill_faults_under_four_workers() {
-    for (tag, plan_spec) in [
-        ("retry", "seed=11,spill.write_error_every=4"),
-        ("corrupt", "seed=12,spill.flip_bit_every=3"),
-        ("hard", "seed=13,spill.hard_writes_after=20"),
-    ] {
-        let plan = FaultPlan::parse(plan_spec).unwrap();
-        for spec_seed in [0u64, 5, 9] {
-            let (analyzer, valid) = setup(spec_seed);
-            let dir = common::scratch_dir(&format!("mdfs4-{}-{}", tag, spec_seed));
-
-            // Fault-free sequential reference, spill engaged the same way.
-            let mut ref_opts = base_options();
-            ref_opts.limits.max_state_bytes = Some(256);
-            ref_opts.spill.dir = Some(dir.join("ref-spill"));
-            let mut src = tango::StaticSource::new(valid.clone());
-            let reference = analyzer
-                .analyze_online(&mut src, &ref_opts, &mut |_| true)
-                .unwrap();
-            assert_eq!(reference.verdict, Verdict::Valid, "spec seed {}", spec_seed);
-
-            let mut opts = chaos_options(&plan, &dir);
-            opts.workers = 4;
-            let mut src = tango::StaticSource::new(valid.clone());
-            let report = analyzer
-                .analyze_online(&mut src, &opts, &mut |_| true)
-                .unwrap();
-            let ctx = || format!("mdfs4 cell {} spec {} plan `{}`", tag, spec_seed, plan.describe());
-            if report.verdict == Verdict::Inconclusive(InconclusiveReason::SpillFailure) {
-                assert!(
-                    !report.spill_faults.is_empty(),
-                    "{}: degraded run must carry its diagnostic",
-                    ctx()
-                );
-            } else {
-                assert_eq!(report.verdict, reference.verdict, "{}", ctx());
-                assert_eq!(
-                    report.stats.counters(),
-                    reference.stats.counters(),
-                    "{}",
-                    ctx()
-                );
-            }
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
 }
 
 /// Reproduce-by-seed: the same seed builds the same plan, and the
@@ -386,22 +307,22 @@ fn chaos_cells_are_reproducible_from_their_seed() {
 #[test]
 fn chaos_plans_of_seeds_0_to_15_are_pinned() {
     let pinned = [
-        "spill.short_write_every=4,checkpoint.short_write_every=3",
+        "source.truncate_every=4,source.recovery=restart,checkpoint.short_write_every=3",
         "seed=1,source.read_error_every=2,source.recovery=fail",
-        "seed=2,source.truncate_every=2,source.recovery=fail,checkpoint.short_write_every=4",
+        "seed=2,checkpoint.io_error_every=2",
         "seed=3,source.read_error_every=3,source.recovery=restart,checkpoint.short_write_every=3",
         "seed=4,source.read_error_every=2,source.recovery=fail",
         "seed=5,source.truncate_every=6,source.recovery=restart",
         "seed=6,source.corrupt_every=6,source.stall_every=6,source.stall_polls=2,source.recovery=restart",
         "seed=7,checkpoint.io_error_every=2",
-        "seed=8,source.duplicate_every=2,source.recovery=fail,spill.write_error_every=5,spill.short_write_every=2,checkpoint.io_error_every=3",
+        "seed=8,source.duplicate_every=2,source.recovery=fail,checkpoint.short_write_every=2",
         "seed=9,checkpoint.io_error_every=4",
-        "seed=10,spill.read_error_every=4",
+        "seed=10,source.duplicate_every=2,source.recovery=restart",
         "seed=11,source.short_read_every=4,source.recovery=restart",
         "seed=12,checkpoint.io_error_every=4",
-        "seed=13,source.corrupt_every=3,source.truncate_every=6,source.recovery=fail,spill.flip_bit_every=5",
-        "seed=14,source.corrupt_every=6,source.recovery=restart,spill.write_error_every=5,spill.flip_bit_every=4,checkpoint.io_error_every=2",
-        "seed=15,source.read_error_every=2,source.short_read_every=5,source.recovery=restart,spill.write_error_every=6",
+        "seed=13,checkpoint.short_write_every=4",
+        "seed=14,source.corrupt_every=6,source.recovery=restart,checkpoint.disk_full_after=2",
+        "seed=15,checkpoint.disk_full_after=4",
     ];
     for (seed, want) in pinned.iter().enumerate() {
         let plan = FaultPlan::random(seed as u64);

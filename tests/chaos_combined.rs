@@ -1,9 +1,9 @@
-//! All three fault sites armed in ONE run, pinned to the fault-free
-//! outcome — the composition guarantee of the unified chaos layer.
+//! Both fault sites armed in ONE run, pinned to the fault-free outcome
+//! — the composition guarantee of the unified chaos layer.
 //!
 //! A hand-built lossless plan arms the source feed (read errors under
-//! restart recovery), the disk spill tier (transient write errors) and
-//! the checkpoint writes (transient I/O errors) simultaneously; the
+//! restart recovery) and the checkpoint writes (transient I/O errors)
+//! simultaneously; the
 //! run must retry through every one of them and still produce the
 //! exact verdict and TE/GE/RE/SA counters of a pristine run, with
 //! every site's retries visible in the stats. Plus the regression test
@@ -19,30 +19,24 @@ use tango::{
 };
 
 #[test]
-fn all_three_sites_armed_still_match_the_fault_free_run() {
+fn all_sites_armed_still_match_the_fault_free_run() {
     let a = tp0::analyzer();
     let bad = tp0::invalid_trace(4, 4, 1);
 
-    // Reference under the same spill configuration (the tier is
-    // verdict-transparent, but sharing it keeps the comparison exact),
-    // with no faults anywhere.
+    // The reference, with no faults anywhere.
     let dir = common::scratch_dir("combined");
-    let mut opts = AnalysisOptions::default();
-    opts.limits.max_state_bytes = Some(256);
-    opts.spill.dir = Some(dir.join("spill-ref"));
+    let opts = AnalysisOptions::default();
     let reference = a.analyze(&bad, &opts).unwrap();
     assert_eq!(reference.verdict, Verdict::Invalid);
-    assert!(reference.stats.spill_evictions > 0, "budget must evict");
 
-    // One plan, three armed sites, all individually lossless.
+    // One plan, both sites armed, each lossless.
     let plan = FaultPlan::parse(
         "seed=7,source.read_error_every=3,source.short_read_every=4,source.recovery=restart,\
-         spill.write_error_every=3,spill.read_error_every=5,\
          checkpoint.io_error_every=2",
     )
     .unwrap();
     assert!(plan.is_lossless());
-    assert!(plan.armed(Site::Source) && plan.armed(Site::Spill) && plan.armed(Site::Checkpoint));
+    assert!(plan.armed(Site::Source) && plan.armed(Site::Checkpoint));
 
     // Source site: drain the trace text through the injector.
     let text = tango::render_trace(&bad, Some(a.module()), true);
@@ -55,17 +49,13 @@ fn all_three_sites_armed_still_match_the_fault_free_run() {
         "read faults under restart must retry"
     );
 
-    // Spill site rides on the options; checkpoint site on the autosaves
-    // of a stop/resume chain.
-    let mut chaos_opts = opts.clone();
-    chaos_opts.spill.dir = Some(dir.join("spill-chaos"));
-    plan.apply(&mut chaos_opts);
+    // The checkpoint site rides on the autosaves of a stop/resume chain.
     let mut ck_attempts = 0;
     let cp_path = dir.join("checkpoint.bin");
 
     let step = (reference.stats.transitions_executed / 4).max(1);
     let mut cap = step;
-    let mut round = chaos_opts.clone();
+    let mut round = opts.clone();
     round.limits.max_transitions = cap;
     let mut report = a.analyze(&effective, &round).unwrap();
     let (mut ck_retries, mut ck_giveups) = (0u64, 0u64);
@@ -77,7 +67,7 @@ fn all_three_sites_armed_still_match_the_fault_free_run() {
         let out = cp.write_to_with(&cp_path, &plan, &mut ck_attempts);
         ck_retries += u64::from(out.retries);
         cap += step;
-        let mut next = chaos_opts.clone();
+        let mut next = opts.clone();
         next.limits.max_transitions = cap;
         report = match out.result {
             Ok(()) => {
@@ -102,15 +92,14 @@ fn all_three_sites_armed_still_match_the_fault_free_run() {
     assert_eq!(report.verdict, reference.verdict);
     assert_eq!(report.stats.counters(), reference.stats.counters());
     assert!(report.stats.source_retries > 0, "source site exercised");
-    assert!(report.stats.spill_retries > 0, "spill site exercised");
     assert!(
         report.stats.checkpoint_retries > 0,
         "checkpoint site exercised"
     );
-    assert_eq!(report.stats.spill_giveups, 0, "lossless plan never gives up");
-    assert!(
-        report.stats.total_fault_retries()
-            >= report.stats.source_retries + report.stats.spill_retries,
+    assert_eq!(report.stats.checkpoint_giveups, 0, "lossless plan never gives up");
+    assert_eq!(
+        report.stats.total_fault_retries(),
+        report.stats.source_retries + report.stats.checkpoint_retries,
         "heartbeat total sums the sites"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -110,27 +110,27 @@ fn future_version_is_refused_not_misread() {
 
 #[test]
 fn previous_version_is_refused_not_misread() {
-    // Version 6 kept a separate DFS section for static checkpoints; its
-    // files are refused, not decoded with the v7 one-body layout.
-    let (_, mut bytes, path) = checkpoint_bytes("v6");
-    bytes[8..12].copy_from_slice(&6u32.to_le_bytes());
+    // Version 7's stats block is seven fields longer; its files are
+    // refused, not decoded with the v8 layout.
+    let (_, mut bytes, path) = checkpoint_bytes("v7");
+    bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let err = Checkpoint::read_from(&path).err();
     assert!(
         matches!(
             err,
             Some(CheckpointError::UnsupportedVersion {
-                found: 6,
-                supported: 7
+                found: 7,
+                supported: 8
             })
         ),
-        "v6 must be refused, got {:?}",
+        "v7 must be refused, got {:?}",
         err
     );
     assert!(err
         .unwrap()
         .to_string()
-        .contains("this build reads only version 7"));
+        .contains("this build reads only version 8"));
 }
 
 #[test]

@@ -13,7 +13,7 @@ use protocols::tp0;
 use std::time::Duration;
 use tango::{
     AnalysisOptions, Fault, FaultPlan, FaultySource, FollowFileSource, InconclusiveReason,
-    RecoveryPolicy, Trace, TraceSource, Verdict,
+    RecoveryPolicy, StaticSource, Trace, TraceSource, Verdict,
 };
 
 #[test]
@@ -47,28 +47,60 @@ fn deadline_stops_with_checkpoint_and_resume_matches_uninterrupted() {
     assert_eq!(rb.path, bb.path);
 }
 
+/// The memory budget is one stop-and-checkpoint limit under both
+/// expansion rules: the complete-trace rule, and the on-line rule at one
+/// and two workers. Every budget below the all-RAM peak (1 byte, 25% and
+/// 5% of the one-worker run's peak) stops with a checkpoint, and the
+/// stop resumed without a budget reaches the uninterrupted verdict and
+/// counters.
 #[test]
 fn memory_budget_stops_with_checkpoint_and_resume_matches_uninterrupted() {
     let a = tp0::analyzer();
     let bad = tp0::invalid_trace(4, 4, 1);
-    let opts = AnalysisOptions::default();
-
-    let baseline = a.analyze(&bad, &opts).unwrap();
-    assert_eq!(baseline.verdict, Verdict::Invalid);
-
-    let mut tiny = opts.clone();
-    tiny.limits.max_state_bytes = Some(1);
-    let stopped = a.analyze(&bad, &tiny).unwrap();
-    assert_eq!(
-        stopped.verdict,
-        Verdict::Inconclusive(InconclusiveReason::MemoryLimit)
-    );
-    assert!(stopped.stats.peak_snapshot_bytes > 1);
-    let cp = stopped.checkpoint.expect("limit stop must be resumable");
-
-    let resumed = a.analyze_resume(*cp, &opts).unwrap();
-    assert_eq!(resumed.verdict, Verdict::Invalid);
-    assert_eq!(resumed.stats.counters(), baseline.stats.counters());
+    let run = |workers: Option<usize>, budget: Option<usize>| {
+        let mut o = AnalysisOptions::default();
+        o.limits.max_state_bytes = budget;
+        match workers {
+            None => a.analyze(&bad, &o).unwrap(),
+            Some(n) => {
+                o.workers = n;
+                let mut src = StaticSource::new(bad.clone());
+                a.analyze_online(&mut src, &o, &mut |_| true).unwrap()
+            }
+        }
+    };
+    let mut peak = 0;
+    for workers in [None, Some(1), Some(2)] {
+        let baseline = run(workers, None);
+        assert_eq!(baseline.verdict, Verdict::Invalid, "{:?}", workers);
+        if workers != Some(2) {
+            peak = baseline.stats.peak_snapshot_bytes;
+            assert!(peak / 20 > 1, "three distinct budgets: peak {}", peak);
+        }
+        for budget in [1, peak / 4, peak / 20] {
+            let ctx = format!("workers {:?}, budget {} of peak {}", workers, budget, peak);
+            let stopped = run(workers, Some(budget));
+            assert_eq!(
+                stopped.verdict,
+                Verdict::Inconclusive(InconclusiveReason::MemoryLimit),
+                "{}",
+                ctx
+            );
+            assert!(stopped.stats.peak_snapshot_bytes > budget, "{}", ctx);
+            let cp = *stopped.checkpoint.expect("limit stop must be resumable");
+            let mut opts = AnalysisOptions::default();
+            let resumed = match workers {
+                None => a.analyze_resume(cp, &opts),
+                Some(n) => {
+                    opts.workers = n;
+                    a.analyze_online_resume(cp, &opts, &mut |_| true)
+                }
+            }
+            .unwrap();
+            assert_eq!(resumed.verdict, baseline.verdict, "{}", ctx);
+            assert_eq!(resumed.stats.counters(), baseline.stats.counters(), "{}", ctx);
+        }
+    }
 }
 
 #[test]

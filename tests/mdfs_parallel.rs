@@ -10,8 +10,6 @@
 //! saved from an N-worker run must resume at any other worker count to
 //! the exact uninterrupted totals.
 
-mod common;
-
 use protocols::{ack, tp0};
 use tango::{
     AnalysisOptions, Checkpoint, InconclusiveReason, OrderOptions,
@@ -120,40 +118,6 @@ fn parallel_witness_is_the_sequential_witness() {
             n
         );
         assert_eq!(par.stats.counters(), seq.stats.counters(), "workers={}", n);
-    }
-}
-
-/// Multi-worker eviction must keep the spill tier's guarantees: a 256-byte
-/// budget forces constant eviction, and still nothing about the verdict
-/// or the counters may move at any worker count.
-#[test]
-fn spilled_parallel_run_matches_all_ram_sequential() {
-    let a = tp0::analyzer();
-    let bad = tp0::invalid_trace(2, 2, 1);
-    let opts = AnalysisOptions::with_order(OrderOptions::none());
-    let baseline = online(&a, &bad, &opts);
-    assert_eq!(baseline.verdict, Verdict::Invalid);
-
-    for n in WORKER_COUNTS {
-        let dir = common::scratch_dir(&format!("w{}", n));
-        let mut o = with_workers(&opts, n);
-        o.limits.max_state_bytes = Some(256);
-        o.spill.dir = Some(dir.clone());
-        let tiered = online(&a, &bad, &o);
-        assert_eq!(tiered.verdict, baseline.verdict, "workers={}", n);
-        assert_eq!(
-            tiered.stats.counters(),
-            baseline.stats.counters(),
-            "spill under workers={} changed TE/GE/RE/SA",
-            n
-        );
-        assert!(
-            tiered.stats.spill_evictions > 0,
-            "a 256-byte budget must actually evict (workers={})",
-            n
-        );
-        assert!(tiered.spill_faults.is_empty(), "{:?}", tiered.spill_faults);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
