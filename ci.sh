@@ -98,6 +98,12 @@ cargo run -q --release -p bench --bin json_check -- --jsonl "$CKPT_DIR/events-w2
 TE_W2=$(sed -n 's/^verdict:.* TE=\([0-9]*\) .*/\1/p' "$CKPT_DIR/online-trace-w2.txt")
 [ -n "$TE_W2" ]
 [ "$(grep -c '"ev":"fire"' "$CKPT_DIR/events-w2.jsonl")" = "$TE_W2" ]
+# And the same trace at one worker must print the same verdict and
+# TE/GE/RE/SA.
+cargo run -q --release -p tango-cli -- online specs/lapd.est "$CKPT_DIR/lapd-tel-trace.txt" \
+    --workers 1 > "$CKPT_DIR/online-trace-w1.txt"
+[ -n "$(verdict_and_counters "$CKPT_DIR/online-trace-w1.txt")" ]
+[ "$(verdict_and_counters "$CKPT_DIR/online-trace-w1.txt")" = "$(verdict_and_counters "$CKPT_DIR/online-trace-w2.txt")" ]
 
 echo "== chaos smoke (seeded fault plans) =="
 # The seeded chaos matrix (108 composed plans over 12 random specs, both

@@ -7,6 +7,7 @@
 //! carried span when one is available.
 
 use estelle_ast::Span;
+use std::borrow::Cow;
 use std::fmt;
 
 pub type RtResult<T> = Result<T, RuntimeError>;
@@ -46,11 +47,12 @@ pub enum RuntimeErrorKind {
     Panic,
 }
 
-/// A runtime failure with an optional source location.
+/// A runtime failure with an optional source location. A fixed message
+/// is borrowed, so raising it allocates nothing.
 #[derive(Clone, Debug)]
 pub struct RuntimeError {
     pub kind: RuntimeErrorKind,
-    pub message: String,
+    pub message: Cow<'static, str>,
     pub span: Option<Span>,
 }
 
@@ -58,8 +60,18 @@ impl RuntimeError {
     pub fn new(kind: RuntimeErrorKind, message: impl Into<String>) -> Self {
         RuntimeError {
             kind,
-            message: message.into(),
+            message: Cow::Owned(message.into()),
             span: None,
+        }
+    }
+
+    /// An `output` the sink refused; the search backtracks on it, so it
+    /// is raised on every rejected output and must not allocate.
+    pub fn output_rejected(span: Span) -> Self {
+        RuntimeError {
+            kind: RuntimeErrorKind::OutputRejected,
+            message: Cow::Borrowed("output rejected by the trace matcher"),
+            span: Some(span),
         }
     }
 

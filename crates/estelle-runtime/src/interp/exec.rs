@@ -168,11 +168,7 @@ impl<'m> Interp<'m> {
                 if sink.emit(*ip, *interaction, params) {
                     Ok(())
                 } else {
-                    Err(RuntimeError::new(
-                        RuntimeErrorKind::OutputRejected,
-                        "output rejected by the trace matcher",
-                    )
-                    .with_span(*span))
+                    Err(RuntimeError::output_rejected(*span))
                 }
             }
             CStmt::Call(call) => {

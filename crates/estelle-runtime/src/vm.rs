@@ -525,11 +525,7 @@ impl<'p> Vm<'p> {
                     let params: Vec<Value> =
                         (0..*n as usize).map(|i| take(&mut s.regs[base + i])).collect();
                     if !sink.emit(*ip as usize, *interaction as usize, params) {
-                        return Err(RuntimeError::new(
-                            RuntimeErrorKind::OutputRejected,
-                            "output rejected by the trace matcher",
-                        )
-                        .with_span(*span));
+                        return Err(RuntimeError::output_rejected(*span));
                     }
                 }
                 Op::PlaceG { p, slot } => {

@@ -781,7 +781,7 @@ fn decode_spec_error(r: &mut ByteReader<'_>) -> Result<RuntimeError, CodecError>
     };
     Ok(RuntimeError {
         kind,
-        message,
+        message: message.into(),
         span,
     })
 }

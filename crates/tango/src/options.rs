@@ -137,8 +137,8 @@ pub struct AnalysisOptions {
     /// On-line MDFS search workers (CLI `--workers N`). There is one
     /// engine: `1` (the default) runs its plain loop on the calling
     /// thread; `0` means "one per available core"; `N > 1` runs the same
-    /// node expansion on N threads over per-worker work-stealing deques,
-    /// one burst per poll of the trace. Verdicts, witnesses and the
+    /// loop on N threads, each over a private stack, one burst per poll of
+    /// the trace. Verdicts, witnesses and the
     /// TE/GE/RE/SA counters are identical at every worker count (see
     /// DESIGN §6.13 for the determinism argument); only wall time and
     /// the memory peak differ. Static analysis runs one worker.

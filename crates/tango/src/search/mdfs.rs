@@ -39,36 +39,25 @@
 //!   fire the first candidate on the live node itself, and restore once
 //!   per sibling — so it counts the paper's TE/GE/RE/SA;
 //! * the **on-line rule**, [`Lane::step`], re-generates a popped node and
-//!   fires its first untried candidate on a copy. At `workers = 1` the
-//!   plain loop [`drain`] runs it on the calling thread; at `workers =
-//!   N ≥ 2` it runs in **bursts**: only the coordinator polls the source;
-//!   each burst (the work between two polls) runs N scoped threads over
-//!   per-worker work-stealing deques (owner pops LIFO, a dry worker claims
-//!   the burst's next input node, thieves steal FIFO from the top, short
-//!   parks when everything is empty); workers send their step records to
-//!   the coordinator in batches, and it hands them to the telemetry
-//!   handle.
+//!   fires its first untried candidate on a copy. The one loop [`drain`]
+//!   runs it, at `workers = 1` on the calling thread, and at `workers =
+//!   N ≥ 2` in **bursts**, the work between two polls of the source: N
+//!   scoped threads each drain private stacks in ordered segments
+//!   ([`Burst`]) and send their step records to the coordinator, which
+//!   hands them to the telemetry handle.
 //!
 //! Determinism: within a burst the trace is frozen, so each node's
-//! expansion is a pure function of (state, cursors, trace) and the search
-//! *tree* is schedule-independent; per-worker counter deltas merged at
-//! the barrier therefore equal the sequential totals exactly. Pre-eof
-//! bursts can never conclude `Valid` (an all-done node pre-eof parks as a
-//! PGAV), and parked nodes and best attempts are ordered by their
-//! deterministic labels ([`Label`]), so interim verdicts and best-effort
-//! localizations match too. A post-eof burst that finds a witness or
-//! hits a limit discards its deltas and its step records and is
-//! **replayed by the one-worker drain** from the burst's untouched input
-//! nodes — recovering the exact witness, or the exact stop point and
-//! front, the single-worker search would reach, so a resumed run ends
-//! with the uninterrupted totals at any worker count. A post-eof burst's
-//! records therefore reach the telemetry handle only at its barrier, and
-//! only when it is not replayed; the replay's own records stream live.
-//! An exhausted burst keeps the parallel deltas, which are exact by the
-//! tiling argument: every popped node-step either runs to completion
-//! (counters and records, children pushed) or the node is returned to a
-//! deque untouched. So at every worker count the event stream and the
-//! flight recorder count exactly TE/GE/RE/SA.
+//! expansion is a pure function of (state, cursors, trace), the search
+//! tree is schedule-independent, and the per-worker counter deltas sum
+//! to the sequential totals. Pre-eof bursts never conclude `Valid` (an
+//! all-done node parks as a PGAV), and segments merge in the one-worker
+//! order, so the PG-list, interim verdicts and best-effort localizations
+//! match too. A post-eof burst that finds a witness or hits a limit is
+//! **replayed by the one-worker drain** from its untouched inputs, so a
+//! resumed run ends with the uninterrupted totals at any worker count;
+//! its records reach the telemetry handle only when it is not replayed,
+//! so at every worker count the event stream and the flight recorder
+//! count exactly TE/GE/RE/SA.
 //!
 //! Resource governance: the wall-clock deadline is checked both in the
 //! search and in the idle polling loop, so a monitor fed by a stalled or
@@ -96,16 +85,16 @@ use estelle_frontend::sema::model::{AnalyzedModule, StateId};
 use estelle_runtime::{
     FireOutcome, Fireable, FxHasher, Generated, Machine, MachineState, RuntimeError,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use super::path::SharedPath;
 use super::{guard, is_fatal, record_error, MAX_RECORDED_ERRORS};
 
-/// How long an idle thief sleeps before re-scanning the deques.
+/// How long a dry burst worker waits for a donation before it looks again.
 const IDLE_PARK: Duration = Duration::from_micros(100);
 /// Buffered worker step records per flush. Every flush wakes the
 /// coordinator, which then competes with the workers for a core: at 64
@@ -264,19 +253,10 @@ fn finish(
             clocks[0].busy = elapsed.saturating_sub(clocks[0].idle);
         }
         for (i, c) in clocks.iter().enumerate() {
-            m.set_gauge(
-                &format!("mdfs.worker{}.busy_seconds", i),
-                c.busy.as_secs_f64(),
-            );
-            m.set_gauge(
-                &format!("mdfs.worker{}.idle_seconds", i),
-                c.idle.as_secs_f64(),
-            );
-            if !one {
-                m.set_gauge(
-                    &format!("mdfs.worker{}.steal_seconds", i),
-                    c.steal.as_secs_f64(),
-                );
+            let split = [("busy", c.busy), ("idle", c.idle), ("steal", c.steal)];
+            for (what, t) in &split[..if one { 2 } else { 3 }] {
+                let name = format!("mdfs.worker{}.{}_seconds", i, what);
+                m.set_gauge(&name, t.as_secs_f64());
             }
         }
     }
@@ -342,31 +322,11 @@ fn fingerprint(state: &MachineState, cursors: &Cursors) -> u64 {
 }
 
 /// The most-explaining attempt: how many events it explains and its
-/// path. Inside a burst it also keeps the pop label of the node it was
-/// read from, so ties break in sequential order whichever worker saw
-/// them; a best carried in from earlier has no label and wins every tie.
+/// path. The first one in sequential order wins a tie.
 #[derive(Clone, Default)]
 struct Best {
     explained: usize,
     path: SharedPath,
-    label: Option<Vec<u32>>,
-}
-
-impl Best {
-    /// Whether an attempt explaining `explained` events, read at the pop
-    /// label `at` (`key ++ [step]`, or `None` outside a burst), comes
-    /// before this one.
-    fn beaten_by(&self, explained: usize, at: Option<(&[u32], u32)>) -> bool {
-        if explained != self.explained {
-            return explained > self.explained;
-        }
-        match (at, &self.label) {
-            (Some((key, step)), Some(best)) => {
-                key.iter().copied().chain([step]).lt(best.iter().copied())
-            }
-            _ => false,
-        }
-    }
 }
 
 /// What a run starts from.
@@ -465,31 +425,49 @@ impl Sink for Telemetry {
     }
 }
 
-/// A spawned worker's sink: records batch up and go to the coordinator
+/// A burst worker's sink: records batch up and go to the coordinator
 /// every [`EVENT_FLUSH`] records and at the end of the burst. The
 /// `Telemetry` handle is not `Send`; a record is plain data, and names
 /// are resolved on the coordinator, only when the event stream is on.
-/// `on` is whether the coordinator's handle wants records at all.
-struct Buffered {
+/// `on` is whether the coordinator's handle wants records at all. A tick
+/// publishes the worker's progress to the burst's live counters.
+struct Buffered<'b> {
+    sh: &'b Burst,
     tx: mpsc::Sender<(u16, Vec<StepRecord>)>,
     worker: u16,
     buf: Vec<StepRecord>,
     on: bool,
     timed: bool,
+    /// TE/GE/RE/SA and depth as last published.
+    published: [u64; 4],
+    depth: usize,
 }
 
-impl Buffered {
+impl Buffered<'_> {
     fn flush(&mut self) {
         if !self.buf.is_empty() {
-            let _ = self.tx.send((self.worker, std::mem::take(&mut self.buf)));
+            let full = std::mem::replace(&mut self.buf, Vec::with_capacity(EVENT_FLUSH));
+            let _ = self.tx.send((self.worker, full));
         }
     }
 }
 
 /// Durations are only measured when the coordinator's handle times
 /// steps, which implies `on`.
-impl Sink for Buffered {
-    fn tick(&mut self, _stats: &SearchStats, _cap: u64) {}
+impl Sink for Buffered<'_> {
+    fn tick(&mut self, stats: &SearchStats, _cap: u64) {
+        let now = stats.counters();
+        for ((live, now), was) in self.sh.live.iter().zip(now).zip(self.published) {
+            if now > was {
+                live.fetch_add(now - was, Ordering::Relaxed);
+            }
+        }
+        self.published = now;
+        if stats.max_depth > self.depth {
+            self.depth = stats.max_depth;
+            self.sh.depth.fetch_max(self.depth, Ordering::Relaxed);
+        }
+    }
 
     fn timer(&self) -> Option<Instant> {
         self.timed.then(Instant::now)
@@ -505,36 +483,47 @@ impl Sink for Buffered {
     }
 }
 
-/// Where a step's nodes go: the one-worker [`Stack`], or a worker's
-/// handle on a burst's shared deques ([`Deques`]). A step uncharges the
-/// node it pops; every place the node (or its child) lands charges it
-/// again, so the gauge always holds the sum of the front's charges.
+/// Where a step's nodes go: the one-worker [`Stack`], or a burst
+/// worker's private stack ([`Private`]). A step uncharges the node it
+/// pops; every place the node (or its child) lands charges it again, so
+/// the gauge always holds the sum of the front's charges.
 trait Front {
     /// Transitions executed so far, for the limit check.
     fn te(&self, local: &SearchStats) -> u64;
     /// The snapshot gauge.
     fn resident(&self) -> usize;
+    /// Add to the gauge; returns it.
+    fn charge(&mut self, bytes: usize) -> usize;
     fn uncharge(&mut self, bytes: usize);
-    /// Put a popped node back on this lane's work.
-    fn push(&mut self, node: Node);
-    /// The popped node's expansion starts (it consumes one pop).
-    fn expanding(&mut self) {}
-    /// The expanding node's pop label, `key ++ [step]`: only a burst
-    /// worker has one.
-    fn pop_label(&self) -> Option<(&[u32], u32)> {
-        None
-    }
-    /// Push a fired child on top of its parent — or, when the parent has
-    /// nothing left to explore (`None`), retire the parent. Returns the
-    /// gauge after the charges.
-    fn push_child(&mut self, parent: Option<Node>, child: Node) -> usize;
-    /// A popped node leaves the search for good.
-    fn retire(&mut self);
+    /// The work stack (top = next pop).
+    fn work(&mut self) -> &mut Vec<Node>;
     /// PG-nodes parked so far, for the `max_pg_nodes` limit.
     fn pg_len(&self) -> usize;
     /// Park a PG-node; returns the PG total the park event reports
     /// (`pg_nodes` is the lane's own count).
     fn park(&mut self, node: Node, pg_nodes: u64) -> u64;
+
+    /// The next node to step, still charged; `None` when the front is dry.
+    fn pop(&mut self) -> Option<Node> {
+        self.work().pop()
+    }
+
+    /// Put a popped node back on the work.
+    fn push(&mut self, node: Node) {
+        self.charge(node.charged());
+        self.work().push(node);
+    }
+
+    /// Push a fired child on top of its parent, if the parent has more to
+    /// explore. Returns the gauge after the charges.
+    fn push_child(&mut self, parent: Option<Node>, child: Node) -> usize {
+        if let Some(p) = parent {
+            self.push(p);
+        }
+        let resident = self.charge(child.charged());
+        self.work().push(child);
+        resident
+    }
 }
 
 /// The one-worker front: the work stack (top = next pop), the PG-list in
@@ -548,13 +537,6 @@ struct Stack {
 }
 
 impl Stack {
-    fn charge(&mut self, bytes: usize) -> usize {
-        let g = &mut self.gauge;
-        g.resident += bytes;
-        g.peak = g.peak.max(g.resident);
-        g.resident
-    }
-
     /// Revive parked PG-nodes: fresh data may unblock output-blocked
     /// transitions, so their blocked sets are cleared. §3.1.3 dynamic
     /// node reordering: the revived nodes go on top of the LIFO work
@@ -577,6 +559,13 @@ impl Front for Stack {
         self.gauge.resident
     }
 
+    fn charge(&mut self, bytes: usize) -> usize {
+        let g = &mut self.gauge;
+        g.resident += bytes;
+        g.peak = g.peak.max(g.resident);
+        g.resident
+    }
+
     fn uncharge(&mut self, bytes: usize) {
         // The gauge is rebuilt from per-node charges across park/revive
         // cycles; saturate (and flag in debug builds) rather than ever
@@ -588,21 +577,9 @@ impl Front for Stack {
         self.gauge.resident = self.gauge.resident.saturating_sub(bytes);
     }
 
-    fn push(&mut self, node: Node) {
-        self.charge(node.charged());
-        self.work.push(node);
+    fn work(&mut self) -> &mut Vec<Node> {
+        &mut self.work
     }
-
-    fn push_child(&mut self, parent: Option<Node>, child: Node) -> usize {
-        if let Some(p) = parent {
-            self.push(p);
-        }
-        let resident = self.charge(child.charged());
-        self.work.push(child);
-        resident
-    }
-
-    fn retire(&mut self) {}
 
     fn pg_len(&self) -> usize {
         self.pg.len()
@@ -655,23 +632,31 @@ struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    /// A worker lane over its own cursor view, with zeroed counters.
-    fn fork(&self, env: TraceEnv) -> Lane<'a> {
+    /// A lane over `env` with zeroed counters and nothing recorded.
+    fn new(
+        machine: &'a Machine,
+        options: &'a AnalysisOptions,
+        deadline: Option<Instant>,
+        env: TraceEnv,
+    ) -> Self {
         Lane {
-            machine: self.machine,
-            options: self.options,
-            deadline: self.deadline,
+            machine,
+            options,
+            deadline,
             env,
             gen: Generated::default(),
             stats: SearchStats::default(),
             spec_errors: Vec::new(),
-            best: Best {
-                label: None,
-                ..self.best.clone()
-            },
+            best: Best::default(),
             visited: HashSet::default(),
             at: 0,
         }
+    }
+
+    /// A worker lane over its own cursor view, with zeroed counters.
+    fn fork(&self, env: TraceEnv) -> Lane<'a> {
+        let best = self.best.clone();
+        Lane { best, ..Lane::new(self.machine, self.options, self.deadline, env) }
     }
 
     /// The limits checked before every step, before it mutates anything,
@@ -696,19 +681,14 @@ impl<'a> Lane<'a> {
     }
 
     /// Record the node about to be expanded as the best attempt if it
-    /// explains more events than any before it — or as many, earlier in
-    /// sequential order. The lane's cursors stand at the node.
-    fn note_best<F: Front>(&mut self, front: &F, path: &SharedPath) {
+    /// explains more events than any before it. The lane's cursors stand
+    /// at the node.
+    fn note_best(&mut self, path: &SharedPath) {
         let explained = self.env.explained();
-        if explained < self.best.explained {
-            return;
-        }
-        let at = front.pop_label();
-        if self.best.beaten_by(explained, at) {
+        if explained > self.best.explained {
             self.best = Best {
                 explained,
                 path: path.clone(),
-                label: at.map(|(key, step)| extend(key.to_vec(), step)),
             };
         }
     }
@@ -818,11 +798,10 @@ impl<'a> Lane<'a> {
         let limits = &self.options.limits;
         let depth = node.path.len();
         self.stats.max_depth = self.stats.max_depth.max(depth);
-        front.expanding();
         self.env.restore(&node.cursors);
         self.stats.restores += 1;
         sink.record(self.machine, StepRecord::restore(depth));
-        self.note_best(front, &node.path);
+        self.note_best(&node.path);
 
         if self.env.all_done() {
             if self.env.eof {
@@ -841,7 +820,6 @@ impl<'a> Lane<'a> {
         let st = &mut node.state;
         let keep = |t| !tried.contains(t) && !blocked.contains(t);
         if !self.generate(sink, st, depth, keep).map_err(Halt::Fatal)? {
-            front.retire();
             return Ok(());
         }
         let is_pg = self.gen.incomplete;
@@ -858,8 +836,6 @@ impl<'a> Lane<'a> {
                 self.stats.pg_nodes += 1;
                 let total = front.park(node, self.stats.pg_nodes);
                 sink.record(self.machine, StepRecord::park(depth, total));
-            } else {
-                front.retire();
             }
             return Ok(());
         }
@@ -867,7 +843,6 @@ impl<'a> Lane<'a> {
         let f = self.gen.fireable.swap_remove(0);
         node.tried.insert(f.trans);
         let mut child_state = node.state.snapshot();
-        self.env.restore(&node.cursors);
         let before = self.env.outstanding();
         let fired = self
             .fire(sink, &mut child_state, &f, depth)
@@ -893,8 +868,6 @@ impl<'a> Lane<'a> {
             }
             if has_more {
                 front.push(node);
-            } else {
-                front.retire();
             }
             return Ok(());
         }
@@ -919,16 +892,16 @@ impl<'a> Lane<'a> {
     /// candidates only when there are siblings (SA), and fire the first
     /// candidate in place. The node stays in `live`, so a step down the
     /// tree moves no node record.
-    fn expand_live<S: Sink>(
+    fn expand_live<F: Front, S: Sink>(
         &mut self,
-        stack: &mut Stack,
+        stack: &mut F,
         sink: &mut S,
         live: &mut Option<Node>,
     ) -> Result<(), Halt> {
         let node = live.as_mut().expect("a live node to expand");
         let depth = node.path.len();
         self.at = depth;
-        self.note_best(stack, &node.path);
+        self.note_best(&node.path);
         if self.env.all_done() {
             return Err(Halt::Witness(node.path.clone()));
         }
@@ -960,7 +933,7 @@ impl<'a> Lane<'a> {
             });
             let bytes = saved.charged();
             let resident = stack.charge(bytes);
-            stack.work.push(saved);
+            stack.work().push(saved);
             sink.record(self.machine, StepRecord::save(depth, bytes, resident));
         }
         self.descend(sink, live, &first, depth)
@@ -970,15 +943,15 @@ impl<'a> Lane<'a> {
     /// restore (RE) per sibling. The node stays
     /// on the stack while siblings remain; the last sibling takes its
     /// state instead of a copy.
-    fn backtrack<S: Sink>(
+    fn backtrack<F: Front, S: Sink>(
         &mut self,
-        stack: &mut Stack,
+        stack: &mut F,
         sink: &mut S,
         live: &mut Option<Node>,
     ) -> Result<(), Halt> {
         self.stats.restores += 1;
         sink.record(self.machine, StepRecord::restore(self.at));
-        let top = stack.work.last_mut().expect("a saved node to restore");
+        let top = stack.work().last_mut().expect("a saved node to restore");
         let depth = top.path.len();
         self.at = depth;
         self.env.restore(&top.cursors);
@@ -992,7 +965,7 @@ impl<'a> Lane<'a> {
             let state = top.state.snapshot();
             Node::live(state, top.barren, top.path.clone())
         } else {
-            let mut node = stack.work.pop().expect("the top node");
+            let mut node = stack.work().pop().expect("the top node");
             stack.uncharge(node.charged());
             node.pending = None;
             node
@@ -1031,18 +1004,18 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// The one-worker loop on the calling thread: step until the work stack
-/// drains or a step halts the search.
+/// The one-worker loop: step until the work stack drains or a step halts
+/// the search.
 ///
 /// With `live` it runs the complete-trace rule, the paper's §2.2 DFS:
 /// each iteration is governed, then expands the live node or, when there
 /// is none, backtracks to the saved node on top of the stack. Only saved
 /// nodes are charged, and a stop leaves the live node in `live`. Without
-/// `live` it runs the on-line rule, for `workers = 1` and for the replay
-/// of an aborted burst.
-fn drain<S: Sink>(
+/// `live` it runs the on-line rule, for `workers = 1`, for the replay of
+/// an aborted burst, and for each burst segment on a private stack.
+fn drain<F: Front, S: Sink>(
     lane: &mut Lane<'_>,
-    stack: &mut Stack,
+    front: &mut F,
     sink: &mut S,
     mut live: Option<&mut Option<Node>>,
 ) -> Halt {
@@ -1050,26 +1023,26 @@ fn drain<S: Sink>(
     loop {
         // The live views read residency from the ticked stats; the end
         // of the run stamps the same gauge.
-        lane.stats.snapshot_bytes = stack.gauge.resident;
+        lane.stats.snapshot_bytes = front.resident();
         let step = match live.as_deref_mut() {
             None => {
-                let Some(node) = stack.work.pop() else {
+                let Some(node) = front.pop() else {
                     return Halt::Drained;
                 };
                 sink.tick(&lane.stats, cap);
-                lane.step(stack, sink, node)
+                lane.step(front, sink, node)
             }
             Some(live) => {
                 sink.tick(&lane.stats, cap);
-                if let Err(h) = lane.govern(stack, 0) {
+                if let Err(h) = lane.govern(front, 0) {
                     return h;
                 }
                 if live.is_some() {
-                    lane.expand_live(stack, sink, live)
-                } else if stack.work.is_empty() {
+                    lane.expand_live(front, sink, live)
+                } else if front.work().is_empty() {
                     return Halt::Drained;
                 } else {
-                    lane.backtrack(stack, sink, live)
+                    lane.backtrack(front, sink, live)
                 }
             }
         };
@@ -1079,339 +1052,334 @@ fn drain<S: Sink>(
     }
 }
 
-/// A node's park label inside a burst. The burst's input `i` (in
-/// sequential pop order) gets `key = [i]`, every pop of a node consumes
-/// one `step`, and a child created at its parent's step `s` gets
-/// `key = parent.key ++ [s]`. Sequential pop labels `key ++ [step]` are
-/// lexicographically increasing (a child's subtree is fully explored
-/// between its parent's pops `s` and `s+1`), so sorting by label
-/// reproduces the one-worker order no matter which worker holds a node.
-/// One worker never needs labels, so [`Node`] does not carry one.
+/// What the workers of a burst share under one lock: the inputs not yet
+/// claimed, in work-stack order, the donated stacks no one has taken,
+/// with their segment ids, the count of workers holding work, and why
+/// the burst stopped early.
 #[derive(Default)]
-struct Label {
-    key: Vec<u32>,
-    step: u32,
+struct Pool {
+    inputs: Vec<Node>,
+    /// Inputs claimed so far: the sequential position of the next claim.
+    claimed: usize,
+    stacks: Vec<(u32, Vec<Node>)>,
+    busy: usize,
+    /// The next donation's segment id; claims take the ids below the
+    /// input count.
+    next_id: u32,
+    /// The first cause wins, except that a fatal error outranks every
+    /// other.
+    stop: Option<Halt>,
 }
 
-/// `key ++ [step]`: a full park label, or a child's key.
-fn extend(mut key: Vec<u32>, step: u32) -> Vec<u32> {
-    key.push(step);
-    key
-}
-
-/// Shared state of one burst.
+/// Shared state of one burst (`workers = N ≥ 2`), whose N threads
+/// search the known tree in **ordered segments**: contiguous runs of the
+/// one-worker pop order, each searched by one worker as a plain [`drain`]
+/// of a private stack. A dry worker claims the next run of inputs, which
+/// starts a segment whose id is its first input's position; when none is
+/// left it waits for a donation. Between two steps, a busy worker with a
+/// waiting peer hands over the bottom half of its stack: the plain drain
+/// would pop everything above those nodes, children included, first, so
+/// they are the tail of the donor's segment, and the new segment comes
+/// right after the donor's current one, ahead of the segments earlier
+/// donations split off it. [`merge`] concatenates the segments' parks,
+/// spec errors and best attempts in that order: the one-worker order.
+#[derive(Default)]
 struct Burst {
-    /// The burst's input nodes in sequential pop order. A worker whose
-    /// deque runs dry claims the next one (input `i` has label `[i]`).
-    /// After eof the originals stay in place and workers search copies,
-    /// so a witness replay can restart from the untouched inputs.
-    inputs: Vec<Mutex<Option<Node>>>,
-    next_input: AtomicUsize,
+    workers: usize,
+    pool: Mutex<Pool>,
+    /// After eof the inputs stay in place and workers search copies, so
+    /// a witness or limit replay can restart from them untouched.
     keep_inputs: bool,
-    /// Per-worker deques: owner pushes/pops at the back (LIFO), thieves
-    /// pop at the front (FIFO — the coldest, usually largest subtree).
-    deques: Vec<Mutex<VecDeque<(Node, Label)>>>,
-    /// The burst's parks with their park labels.
-    parked: Mutex<Vec<(Vec<u32>, Node)>>,
-    /// Nodes alive in deques or being processed. A thief that finds
-    /// every deque empty checks this: zero means the burst is done
-    /// (nodes in flight are still counted until retired or parked).
-    pending: AtomicUsize,
-    /// Why the burst stopped early: the first cause wins, except that a
-    /// fatal error outranks every other.
-    stop: Mutex<Option<Halt>>,
+    /// Wakes a waiting worker when a donation arrives or the burst ends.
+    ready: Condvar,
+    /// Workers waiting for a donation, and donations not yet taken: a
+    /// busy worker donates while the first exceeds the second. Both
+    /// change under the pool lock only; donors read them without it.
+    hungry: AtomicUsize,
+    offered: AtomicUsize,
     stopped: AtomicBool,
-    /// Live TE/GE/RE/SA counters (seeded from the cumulative stats at
-    /// burst start) — the TE limit check and the progress heartbeat
-    /// read these; the authoritative merge uses per-worker deltas.
-    te: AtomicU64,
-    ge: AtomicU64,
-    re: AtomicU64,
-    sa: AtomicU64,
-    /// Cumulative PG-node count, for park events.
-    pg: AtomicU64,
+    /// Live TE/GE/RE/SA (seeded from the cumulative stats at burst
+    /// start), which the TE limit and the heartbeat read; the barrier
+    /// merges the per-worker deltas instead.
+    live: [AtomicU64; 4],
     depth: AtomicUsize,
+    /// Cumulative PG-node count, for park events, and its value at burst
+    /// start.
+    pg: AtomicU64,
+    pg_start: u64,
     /// The shared byte gauge (see [`Gauge`]).
     resident: AtomicUsize,
     peak: AtomicUsize,
 }
 
 impl Burst {
-    fn new(
-        workers: usize,
-        inputs: Vec<Node>,
-        keep_inputs: bool,
-        stats: &SearchStats,
-        g: &Gauge,
-    ) -> Self {
+    /// A burst over `inputs`, in work-stack order.
+    fn new(workers: usize, inputs: Vec<Node>, keep: bool, stats: &SearchStats, g: &Gauge) -> Self {
+        let (next_id, busy) = (inputs.len() as u32, workers);
         Burst {
-            pending: AtomicUsize::new(inputs.len()),
-            inputs: inputs.into_iter().map(|n| Mutex::new(Some(n))).collect(),
-            next_input: AtomicUsize::new(0),
-            keep_inputs,
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            parked: Mutex::new(Vec::new()),
-            stop: Mutex::new(None),
-            stopped: AtomicBool::new(false),
-            te: AtomicU64::new(stats.transitions_executed),
-            ge: AtomicU64::new(stats.generates),
-            re: AtomicU64::new(stats.restores),
-            sa: AtomicU64::new(stats.saves),
-            pg: AtomicU64::new(stats.pg_nodes),
+            workers,
+            pool: Mutex::new(Pool { inputs, next_id, busy, ..Pool::default() }),
+            keep_inputs: keep,
+            live: stats.counters().map(AtomicU64::new),
             depth: AtomicUsize::new(stats.max_depth),
+            pg: AtomicU64::new(stats.pg_nodes),
+            pg_start: stats.pg_nodes,
             resident: AtomicUsize::new(g.resident),
             peak: AtomicUsize::new(g.peak),
+            ..Burst::default()
         }
     }
 
-    /// Claim the next input in sequential pop order, or a copy of it
-    /// when the originals must survive for a witness replay.
-    fn claim(&self) -> Option<(Node, Label)> {
-        let i = self.next_input.fetch_add(1, Ordering::Relaxed);
-        let mut slot = self.inputs.get(i)?.lock().expect("input lock");
-        let node = if self.keep_inputs {
-            slot.clone()
-        } else {
-            slot.take()
+    /// The next segment for a dry worker, onto its empty `work` stack: a
+    /// claim of the next inputs in sequential order (a `1/(4N)` share of
+    /// what is left, at least one), else a donation, which it waits for.
+    /// `None` once the burst has stopped, or every worker is dry.
+    fn next_segment(
+        &self,
+        work: &mut Vec<Node>,
+        stats: &mut SearchStats,
+        clock: &mut Clock,
+    ) -> Option<u32> {
+        let mut pool = self.pool.lock().expect("pool lock");
+        let left = pool.inputs.len() - if self.keep_inputs { pool.claimed } else { 0 };
+        if left > 0 && !self.stopped.load(Ordering::Acquire) {
+            let run = (left / (4 * self.workers)).max(1);
+            let id = pool.claimed as u32;
+            pool.claimed += run;
+            if self.keep_inputs {
+                work.extend_from_slice(&pool.inputs[left - run..left]);
+            } else {
+                work.extend(pool.inputs.drain(left - run..));
+            }
+            return Some(id);
+        }
+        let t_idle = Instant::now();
+        pool.busy -= 1;
+        self.hungry.fetch_add(1, Ordering::Relaxed);
+        let segment = loop {
+            if self.stopped.load(Ordering::Acquire) {
+                break None;
+            }
+            if let Some((id, donated)) = pool.stacks.pop() {
+                pool.busy += 1;
+                self.offered.fetch_sub(1, Ordering::Relaxed);
+                stats.steals += 1;
+                *work = donated;
+                break Some(id);
+            }
+            if pool.busy == 0 {
+                self.ready.notify_all();
+                break None;
+            }
+            stats.steal_failures += 1;
+            pool = self.ready.wait_timeout(pool, IDLE_PARK).expect("pool lock").0;
         };
-        let label = Label {
-            key: vec![i as u32],
-            step: 0,
-        };
-        Some((node.expect("each input is claimed once"), label))
+        self.hungry.fetch_sub(1, Ordering::Relaxed);
+        clock.idle += t_idle.elapsed();
+        segment
     }
 
     fn set_stop(&self, cause: Halt) {
-        let mut s = self.stop.lock().expect("stop lock");
-        if s.is_none() || matches!(cause, Halt::Fatal(_)) {
-            *s = Some(cause);
+        let mut pool = self.pool.lock().expect("pool lock");
+        if pool.stop.is_none() || matches!(cause, Halt::Fatal(_)) {
+            pool.stop = Some(cause);
         }
         self.stopped.store(true, Ordering::Release);
-    }
-
-    fn charge(&self, bytes: usize) -> usize {
-        let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if now > self.peak.load(Ordering::Relaxed) {
-            self.peak.fetch_max(now, Ordering::Relaxed);
-        }
-        now
-    }
-
-    fn gauge(&self) -> Gauge {
-        Gauge {
-            resident: self.resident.load(Ordering::Relaxed),
-            peak: self.peak.load(Ordering::Relaxed),
-        }
+        self.ready.notify_all();
     }
 }
 
-/// A worker's handle on the burst: its own deque for pushes, and the
-/// label of the node it is expanding.
-struct Deques<'b> {
+/// A burst worker's front: its current segment's private stack, parks
+/// and the segments donated off it, in donation order; and the worker's
+/// time spent donating.
+struct Private<'b> {
     sh: &'b Burst,
-    widx: usize,
-    label: Label,
+    work: Vec<Node>,
+    parks: Vec<Node>,
+    donated: Vec<u32>,
+    steal: Duration,
 }
 
-impl Deques<'_> {
-    fn own(&self) -> std::sync::MutexGuard<'_, VecDeque<(Node, Label)>> {
-        self.sh.deques[self.widx].lock().expect("deque lock")
-    }
-}
-
-impl Front for Deques<'_> {
+impl Front for Private<'_> {
     fn te(&self, _local: &SearchStats) -> u64 {
-        self.sh.te.load(Ordering::Relaxed)
+        self.sh.live[0].load(Ordering::Relaxed)
     }
 
     fn resident(&self) -> usize {
         self.sh.resident.load(Ordering::Relaxed)
     }
 
+    fn charge(&mut self, bytes: usize) -> usize {
+        let sh = self.sh;
+        let now = sh.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        if now > sh.peak.load(Ordering::Relaxed) {
+            sh.peak.fetch_max(now, Ordering::Relaxed);
+        }
+        now
+    }
+
     fn uncharge(&mut self, bytes: usize) {
         self.sh.resident.fetch_sub(bytes, Ordering::Relaxed);
     }
 
-    fn push(&mut self, node: Node) {
-        self.sh.charge(node.charged());
-        let label = std::mem::take(&mut self.label);
-        self.own().push_back((node, label));
+    fn work(&mut self) -> &mut Vec<Node> {
+        &mut self.work
     }
 
-    fn expanding(&mut self) {
-        self.label.step += 1;
-    }
-
-    fn pop_label(&self) -> Option<(&[u32], u32)> {
-        Some((&self.label.key, self.label.step - 1))
-    }
-
-    fn push_child(&mut self, parent: Option<Node>, child: Node) -> usize {
-        // Count the child before it becomes visible (and before its
-        // parent retires) so `pending` never dips to zero while work
-        // remains.
-        self.sh.pending.fetch_add(1, Ordering::AcqRel);
-        let mut label = std::mem::take(&mut self.label);
-        let key = match parent {
-            Some(_) => label.key.clone(),
-            None => std::mem::take(&mut label.key),
-        };
-        let child_label = Label {
-            key: extend(key, label.step - 1),
-            step: 0,
-        };
-        let kept = parent.map(|p| {
-            self.sh.charge(p.charged());
-            (p, label)
-        });
-        let retired = kept.is_none();
-        let resident = self.sh.charge(child.charged());
-        {
-            let mut own = self.own();
-            own.extend(kept);
-            own.push_back((child, child_label));
+    /// Stop when the burst has; first, while a peer waits, hand it the
+    /// bottom half of the stack as a new segment.
+    fn pop(&mut self) -> Option<Node> {
+        let sh = self.sh;
+        if sh.stopped.load(Ordering::Acquire) {
+            return None;
         }
-        if retired {
-            self.retire();
+        let hungry = || sh.hungry.load(Ordering::Relaxed) > sh.offered.load(Ordering::Relaxed);
+        if self.work.len() >= 2 && hungry() {
+            let t0 = Instant::now();
+            let mut pool = sh.pool.lock().expect("pool lock");
+            if hungry() {
+                let (id, top) = (pool.next_id, self.work.split_off(self.work.len() / 2));
+                pool.stacks.push((id, std::mem::replace(&mut self.work, top)));
+                pool.next_id += 1;
+                self.donated.push(id);
+                sh.offered.fetch_add(1, Ordering::Relaxed);
+                sh.ready.notify_one();
+            }
+            drop(pool);
+            self.steal += t0.elapsed();
         }
-        resident
-    }
-
-    fn retire(&mut self) {
-        self.sh.pending.fetch_sub(1, Ordering::AcqRel);
+        self.work.pop()
     }
 
     fn pg_len(&self) -> usize {
-        self.sh.parked.lock().expect("parked lock").len()
+        (self.sh.pg.load(Ordering::Relaxed) - self.sh.pg_start) as usize
     }
 
     fn park(&mut self, node: Node, _pg_nodes: u64) -> u64 {
-        self.sh.charge(node.charged());
-        let label = std::mem::take(&mut self.label);
-        let full = extend(label.key, label.step - 1);
-        self.sh
-            .parked
-            .lock()
-            .expect("parked lock")
-            .push((full, node));
-        self.sh.pending.fetch_sub(1, Ordering::AcqRel);
+        self.charge(node.charged());
+        self.parks.push(node);
         self.sh.pg.fetch_add(1, Ordering::Relaxed) + 1
     }
 }
 
+/// What one segment leaves for the barrier: its parks, its spec errors,
+/// its best attempt (the one carried into the burst, unless it explained
+/// more), and the segments donated off it.
+struct Segment {
+    parks: Vec<Node>,
+    errors: Vec<RuntimeError>,
+    best: Best,
+    donated: Vec<u32>,
+}
+
 /// What one worker brings back from a burst: its counter delta (zero
-/// gauges — those live in the [`Burst`]), recorded spec errors and its
-/// wall-clock split.
+/// gauges — those live in the [`Burst`]), its segments by id, the
+/// private stack a stop left, and its wall-clock split.
 struct WorkerOut {
     delta: SearchStats,
-    spec_errors: Vec<RuntimeError>,
-    best: Best,
+    segments: Vec<(u32, Segment)>,
+    work: Vec<Node>,
     clock: Clock,
 }
 
-/// One worker's burst loop: pop own-LIFO, else claim the next input,
-/// else steal FIFO round-robin, park briefly when everything is empty,
-/// and run [`Lane::step`] on each node.
-/// A limit stop pushes its node back first, so the surviving front is
-/// complete whichever cause wins the stop race. Dropping the event
-/// sender at exit is what wakes the coordinator.
-fn burst_worker(widx: usize, mut lane: Lane<'_>, sh: &Burst, mut sink: Buffered) -> WorkerOut {
-    let n_workers = sh.deques.len();
-    let mut front = Deques {
+/// One worker's burst loop: take the next segment and [`drain`] it,
+/// until the burst is over or a step halts it. A limit stop pushes its
+/// node back first, so the surviving front is complete whichever cause
+/// wins the stop race.
+fn burst_worker<S: Sink>(mut lane: Lane<'_>, sh: &Burst, sink: &mut S) -> WorkerOut {
+    let carried = lane.best.clone();
+    let mut front = Private {
         sh,
-        widx,
-        label: Label::default(),
+        work: Vec::new(),
+        parks: Vec::new(),
+        donated: Vec::new(),
+        steal: Duration::ZERO,
     };
-    let mut clock = Clock::default();
-    let mut depth = 0;
-    let t_loop = Instant::now();
-    loop {
-        if sh.stopped.load(Ordering::Acquire) {
-            break;
-        }
-        let popped = front.own().pop_back();
-        let (node, label) = match popped.or_else(|| sh.claim()) {
-            Some(e) => e,
-            None => {
-                // Steal-then-park: scan the other deques round-robin
-                // from our right-hand neighbour, taking from the top.
-                let t_steal = Instant::now();
-                let stolen = (1..n_workers).find_map(|k| {
-                    let v = (widx + k) % n_workers;
-                    sh.deques[v].lock().expect("deque lock").pop_front()
-                });
-                clock.steal += t_steal.elapsed();
-                match stolen {
-                    Some(e) => {
-                        lane.stats.steals += 1;
-                        e
-                    }
-                    None => {
-                        lane.stats.steal_failures += 1;
-                        if sh.pending.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        let t_idle = Instant::now();
-                        std::thread::sleep(IDLE_PARK);
-                        clock.idle += t_idle.elapsed();
-                        continue;
-                    }
-                }
-            }
+    let (mut segments, mut clock, t_loop) = (Vec::new(), Clock::default(), Instant::now());
+    while let Some(id) = sh.next_segment(&mut front.work, &mut lane.stats, &mut clock) {
+        let halt = drain(&mut lane, &mut front, sink, None);
+        // Publish the segment's last step.
+        sink.tick(&lane.stats, 0);
+        let segment = Segment {
+            parks: std::mem::take(&mut front.parks),
+            errors: std::mem::take(&mut lane.spec_errors),
+            best: std::mem::replace(&mut lane.best, carried.clone()),
+            donated: std::mem::take(&mut front.donated),
         };
-        front.label = label;
-        let before = lane.stats.counters();
-        let step = lane.step(&mut front, &mut sink, node);
-        let after = lane.stats.counters();
-        for ((live, now), was) in [&sh.te, &sh.ge, &sh.re, &sh.sa]
-            .into_iter()
-            .zip(after)
-            .zip(before)
-        {
-            if now > was {
-                live.fetch_add(now - was, Ordering::Relaxed);
-            }
-        }
-        if lane.stats.max_depth > depth {
-            depth = lane.stats.max_depth;
-            sh.depth.fetch_max(depth, Ordering::Relaxed);
-        }
-        if let Err(h) = step {
-            sh.set_stop(h);
+        segments.push((id, segment));
+        if !matches!(halt, Halt::Drained) {
+            sh.set_stop(halt);
             break;
         }
     }
-    sink.flush();
-    clock.busy = t_loop
-        .elapsed()
-        .saturating_sub(clock.idle)
-        .saturating_sub(clock.steal);
+    clock.steal = front.steal;
+    clock.busy = t_loop.elapsed().saturating_sub(clock.idle + clock.steal);
     WorkerOut {
         delta: lane.stats,
-        spec_errors: lane.spec_errors,
-        best: lane.best,
+        segments,
+        work: front.work,
         clock,
     }
+}
+
+/// The barrier of an exhausted or stopped burst: absorb the workers'
+/// counter deltas and the shared gauge, and concatenate the segments'
+/// parks, spec errors and best attempts in segment order — the claims by
+/// first input, each followed by the segments donated off it, the latest
+/// first, recursively. After a stop the surviving front (private stacks,
+/// donations no one took, unclaimed inputs) becomes the work stack;
+/// before eof it is saved but cannot be resumed, so its order does not
+/// matter.
+fn merge(lane: &mut Lane<'_>, stack: &mut Stack, sh: Burst, outs: Vec<WorkerOut>) {
+    stack.gauge = Gauge { resident: sh.resident.into_inner(), peak: sh.peak.into_inner() };
+    let mut pool = sh.pool.into_inner().expect("pool lock");
+    if sh.keep_inputs {
+        pool.inputs.clear();
+    }
+    // The unclaimed inputs, in the buffer the burst took from the stack.
+    stack.work = pool.inputs;
+    stack.work.extend(pool.stacks.into_iter().flat_map(|(_, s)| s));
+    let parks = outs.iter().flat_map(|o| &o.segments).map(|(_, s)| s.parks.len());
+    stack.pg.reserve_exact(parks.sum());
+    let mut segments = HashMap::new();
+    for o in outs {
+        lane.stats.absorb(&o.delta);
+        stack.work.extend(o.work);
+        segments.extend(o.segments);
+    }
+    // Segments still to merge, the next on top.
+    let mut todo: Vec<u32> = (0..pool.claimed as u32).rev().collect();
+    while let Some(id) = todo.pop() {
+        let Some(mut seg) = segments.remove(&id) else {
+            continue;
+        };
+        todo.extend_from_slice(&seg.donated);
+        stack.pg.append(&mut seg.parks);
+        lane.spec_errors.append(&mut seg.errors);
+        if seg.best.explained > lane.best.explained {
+            lane.best = seg.best;
+        }
+    }
+    lane.spec_errors.truncate(MAX_RECORDED_ERRORS);
 }
 
 /// Pulse the live views mid-burst from the live atomics overlaid on the
 /// cumulative base stats.
 fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &Burst, cap: u64) {
     let mut s = base.clone();
-    s.transitions_executed = sh.te.load(Ordering::Relaxed);
-    s.generates = sh.ge.load(Ordering::Relaxed);
-    s.restores = sh.re.load(Ordering::Relaxed);
-    s.saves = sh.sa.load(Ordering::Relaxed);
+    [s.transitions_executed, s.generates, s.restores, s.saves] =
+        sh.live.each_ref().map(|a| a.load(Ordering::Relaxed));
     s.max_depth = sh.depth.load(Ordering::Relaxed);
     s.snapshot_bytes = sh.resident.load(Ordering::Relaxed);
     tel.pulse(&s, cap);
 }
 
 /// One burst (`workers = N ≥ 2`): the trace is frozen while N scoped
-/// threads drain the work stack. On return the burst's parks are on the
-/// PG-list in sequential park order and, after a limit stop, the
-/// surviving front is the work stack. After eof, a witness or a limit
-/// stop hands the burst to the one-worker drain instead.
+/// threads search the work stack in ordered segments ([`Burst`]). On
+/// return the burst's parks are on the PG-list in sequential park order
+/// and, after a limit stop, the surviving front is the work stack. After
+/// eof, a witness or a limit stop hands the burst to the one-worker
+/// drain instead.
 fn burst(
     lane: &mut Lane<'_>,
     stack: &mut Stack,
@@ -1421,13 +1389,12 @@ fn burst(
 ) -> Result<Halt, TangoError> {
     let n_workers = clocks.len();
     let cap = lane.options.limits.max_transitions;
-    let mut inputs = std::mem::take(&mut stack.work);
+    let inputs = std::mem::take(&mut stack.work);
     // The burst parks elsewhere: do not hold the revived PG-list's empty
     // buffer through it.
     stack.pg.shrink_to_fit();
-    // Sequential pop order. A post-eof burst may find a witness: keep
-    // its inputs, and the counters they start from, for the replay.
-    inputs.reverse();
+    // A post-eof burst may find a witness: keep its inputs, and the
+    // counters they start from, for the replay.
     let keep = lane.env.eof;
     let base = keep.then(|| (lane.stats.clone(), lane.spec_errors.clone()));
     let sh = Burst::new(n_workers, inputs, keep, &lane.stats, &stack.gauge);
@@ -1438,18 +1405,12 @@ fn burst(
     let (tx, rx) = mpsc::channel();
     let mut held: Vec<(u16, Vec<StepRecord>)> = Vec::new();
     let machine = lane.machine;
+    let (on, timed) = (tel.hot(), tel.timer().is_some());
     let mut lanes = Vec::with_capacity(n_workers);
-    for w in 0..n_workers {
+    for _ in 0..n_workers {
         let mut env = TraceEnv::new(module, lane.env.trace.clone(), lane.options)?;
         env.eof = lane.env.eof;
-        let sink = Buffered {
-            tx: tx.clone(),
-            worker: w as u16,
-            buf: Vec::new(),
-            on: tel.hot(),
-            timed: tel.timer().is_some(),
-        };
-        lanes.push((lane.fork(env), sink));
+        lanes.push((lane.fork(env), tx.clone()));
     }
     drop(tx);
 
@@ -1458,16 +1419,25 @@ fn burst(
         let handles: Vec<_> = lanes
             .into_iter()
             .enumerate()
-            .map(|(i, (wl, sink))| {
+            .map(|(i, (wl, tx))| {
                 s.spawn(move || {
-                    // Spec-level panics are already contained per step
-                    // (`search::guard`); this backstop covers
-                    // infrastructure panics, which would otherwise leave
-                    // `pending` forever non-zero and spin the surviving
-                    // workers. Flag the stop, then let the coordinator's
-                    // join re-raise the panic.
+                    // Spec-level panics are contained per step (`guard`).
+                    // An infrastructure panic flags the stop, so no worker
+                    // waits for it, and the coordinator's join re-raises it.
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        burst_worker(i, wl, shr, sink)
+                        let mut sink = Buffered {
+                            sh: shr,
+                            tx,
+                            worker: i as u16,
+                            buf: Vec::new(),
+                            on,
+                            timed,
+                            published: [0; 4],
+                            depth: 0,
+                        };
+                        let out = burst_worker(wl, shr, &mut sink);
+                        sink.flush();
+                        out
                     }));
                     r.unwrap_or_else(|p| {
                         shr.stopped.store(true, Ordering::Release);
@@ -1502,77 +1472,28 @@ fn burst(
         c.idle += o.clock.idle;
         c.steal += o.clock.steal;
     }
-    let gauge = sh.gauge();
-    let claimed = sh.next_input.load(Ordering::Relaxed);
-    let Burst {
-        inputs,
-        deques,
-        parked,
-        stop,
-        ..
-    } = sh;
-    let inputs = inputs
-        .into_iter()
-        .map(|m| m.into_inner().expect("input lock"));
-    let stop = match stop.into_inner().expect("stop lock") {
+    let stop = sh.pool.lock().expect("pool lock").stop.take();
+    if keep && matches!(stop, Some(Halt::Witness(_) | Halt::Stop(_))) {
         // After eof, a witness or a limit stop hands the burst to one
         // worker: parallel workers may have searched past the first
-        // witness, and that work must not be counted, nor may a front
-        // they left be what a resume starts from. Discard the burst's
-        // deltas, records and front, keep the honest clocks and peaks, and
-        // replay the untouched inputs on one worker, which now holds
-        // nothing else; its witness, or its stop point and front, and its
-        // records are exactly the one-worker run's.
-        Some(Halt::Witness(_) | Halt::Stop(_)) if keep => {
-            drop((deques, parked, outs, held));
-            let (stats, errors) = base.expect("inputs are kept after eof");
-            lane.stats = stats;
-            lane.spec_errors = errors;
-            stack.work = inputs.rev().map(|n| n.expect("kept input")).collect();
-            let held = stack.work.iter().chain(&stack.pg);
-            stack.gauge.resident = held.map(Node::charged).sum();
-            return Ok(drain(lane, stack, tel, None));
-        }
-        other => other,
-    };
+        // witness, and a resume must not start from a front they left.
+        // Discard their deltas, records and front, keep the clocks, and
+        // replay the untouched inputs: the witness, or stop point and
+        // front, and the records are exactly the one-worker run's.
+        drop((outs, held));
+        let (stats, errors) = base.expect("inputs are kept after eof");
+        lane.stats = stats;
+        lane.spec_errors = errors;
+        stack.work = sh.pool.into_inner().expect("pool lock").inputs;
+        let held = stack.work.iter().chain(&stack.pg);
+        stack.gauge.resident = held.map(Node::charged).sum();
+        return Ok(drain(lane, stack, tel, None));
+    }
     for (w, batch) in held {
         batch.into_iter().for_each(|r| tel.record(machine, w, r));
     }
-    // Exhausted or limited: the greedy per-worker deltas are exact, and
-    // the best attempts merge in sequential order.
-    for o in outs {
-        lane.stats.absorb(&o.delta);
-        lane.spec_errors.extend(o.spec_errors);
-        let at = o.best.label.as_deref().and_then(<[u32]>::split_last);
-        if lane
-            .best
-            .beaten_by(o.best.explained, at.map(|(step, key)| (key, *step)))
-        {
-            lane.best = o.best;
-        }
-    }
-    lane.best.label = None;
-    lane.spec_errors.truncate(MAX_RECORDED_ERRORS);
-    stack.gauge = gauge;
-    let mut parked = parked.into_inner().expect("parked lock");
-    parked.sort_by(|a, b| a.0.cmp(&b.0));
-    stack.pg.extend(parked.into_iter().map(|(_, n)| n));
-    Ok(match stop {
-        None => Halt::Drained,
-        Some(Halt::Stop(reason)) => {
-            // A stop before eof: the front (every deque, plus the inputs
-            // no worker claimed) is saved but cannot be resumed, so its
-            // order does not matter.
-            stack.work = deques
-                .into_iter()
-                .flat_map(|d| d.into_inner().expect("deque lock"))
-                .map(|(n, _)| n)
-                .chain(inputs.skip(claimed).flatten())
-                .collect();
-            Halt::Stop(reason)
-        }
-        Some(halt) => halt,
-    })
+    merge(lane, stack, sh, outs);
+    Ok(stop.unwrap_or(Halt::Drained))
 }
 
 /// Absorb one poll of the source into the trace: append its events, note
@@ -1668,16 +1589,8 @@ pub(crate) fn run(
         ..Stack::default()
     };
     let mut lane = Lane {
-        machine: &machine,
-        options,
-        deadline,
-        env,
-        gen: Generated::default(),
         stats,
-        spec_errors: Vec::new(),
-        best: Best::default(),
-        visited: HashSet::default(),
-        at: 0,
+        ..Lane::new(&machine, options, deadline, env)
     };
     // The complete-trace rule's live node: the node its descent stands
     // at, with the lane's cursors.
@@ -1850,7 +1763,87 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::format::parse_trace;
     use estelle_frontend::sema::model::StateId;
+
+    /// Three ways to consume each `x`: every path explains the same
+    /// events, so order alone decides the PG-list and the best attempt.
+    const FAN: &str = "specification fan; channel C(env, m); by env: x; end; \
+        module M process; ip P : C(m); end; body MB for M; state S; \
+        initialize to S begin end; trans \
+        from S to S when P.x name A: begin end; \
+        from S to S when P.x name B: begin end; \
+        from S to S when P.x name C: begin end; end; end.";
+
+    /// A sink that plays `waiters` peers who start waiting at step `at`
+    /// and never take a donation: from then on the worker donates
+    /// whenever its stack holds two nodes, off donated segments too.
+    struct Hunger<'b>(&'b Burst, u64, u64, usize);
+
+    impl Sink for Hunger<'_> {
+        fn tick(&mut self, _stats: &SearchStats, _cap: u64) {
+            self.1 += 1;
+            if self.1 == self.2 {
+                self.0.hungry.fetch_add(self.3, Ordering::Relaxed);
+            }
+        }
+
+        fn timer(&self) -> Option<Instant> {
+            None
+        }
+
+        fn record(&mut self, _machine: &Machine, _rec: StepRecord) {}
+    }
+
+    /// A burst whose one worker is made to donate from a chosen step on,
+    /// splitting its segments there, merges to exactly the one-worker
+    /// drain's PG-list (node by node), best attempt, counters and gauge
+    /// on the same inputs.
+    #[test]
+    fn segments_merge_in_the_one_worker_order() {
+        let machine = Machine::from_source(FAN).unwrap();
+        let module = &machine.module.analyzed;
+        let options = AnalysisOptions::default();
+        let events = parse_trace(&"in P.x\n".repeat(3), Some(module)).unwrap();
+        let trace = ResolvedTrace::resolve(&events, module).unwrap();
+        let lane = || {
+            let mut env = TraceEnv::new(module, trace.clone(), &options).unwrap();
+            env.eof = false;
+            Lane::new(&machine, &options, None, env)
+        };
+        // Four inputs that differ in what they have already tried, each
+        // the root of a tree whose 27 leaves park before eof.
+        let root = Node::new(machine.initial_state().unwrap(), lane().env.save(), 0, Default::default());
+        let inputs: Vec<Node> = [vec![], vec![0], vec![2], vec![0, 1]]
+            .map(|tried| Node { tried: TransSet(tried), ..root.clone() })
+            .into();
+        let mut one = lane();
+        let mut want = Stack::default();
+        inputs.iter().cloned().for_each(|n| want.push(n));
+        let gauge = want.gauge;
+        assert!(matches!(drain(&mut one, &mut want, &mut Telemetry::off(), None), Halt::Drained));
+        let order = |stack: &Stack, best: &Best| {
+            let pg = stack.pg.iter().map(|n| (n.path.to_indices(), n.tried.0.clone()));
+            (pg.collect::<Vec<_>>(), best.explained, best.path.to_indices(), stack.gauge.resident)
+        };
+        let want = order(&want, &one.best);
+        assert_eq!(want.0.len(), 27 + 18 + 18 + 9);
+
+        let mut donations = Vec::new();
+        for (at, waiters) in (1..=one.stats.restores).flat_map(|s| [(s, 1), (s, 3)]) {
+            let sh = Burst::new(1, inputs.clone(), false, &SearchStats::default(), &gauge);
+            let out = burst_worker(lane(), &sh, &mut Hunger(&sh, 0, at, waiters));
+            donations.push(out.delta.steals);
+            let (mut merged, mut front) = (lane(), Stack::default());
+            merge(&mut merged, &mut front, sh, vec![out]);
+            assert_eq!(order(&front, &merged.best), want, "{} from step {}", waiters, at);
+            assert_eq!(merged.stats.counters(), one.stats.counters());
+            assert!(front.work.is_empty(), "an exhausted burst leaves no front");
+        }
+        let split = donations.iter().filter(|&&d| d > 0).count();
+        assert!(split * 2 > donations.len(), "most steps split a segment: {:?}", donations);
+        assert!(donations.iter().any(|&d| d > 3), "{:?}", donations);
+    }
 
     #[test]
     fn a_node_freezes_and_thaws_with_its_path_and_sorted_sets() {

@@ -69,11 +69,11 @@ pub struct SearchStats {
     /// Checkpoint autosaves abandoned after exhausting retries
     /// (warn-and-continue; recorded in `checkpoint_faults`).
     pub checkpoint_giveups: u64,
-    /// Search nodes taken from *another* worker's deque (multi-worker
-    /// MDFS only; always 0 single-threaded).
+    /// Donations a dry worker took: stacks another worker handed over
+    /// (multi-worker MDFS only; always 0 single-threaded).
     pub steals: u64,
-    /// Steal sweeps that found every other deque empty (the worker then
-    /// parked until new work appeared or the burst ended).
+    /// Looks for a donation that found none (the worker then waited until
+    /// one arrived or the burst ended).
     pub steal_failures: u64,
 }
 

@@ -764,7 +764,7 @@ mod tests {
         let mut panicked = AnalysisReport::new(Verdict::Invalid, SearchStats::default());
         panicked.spec_errors.push(RuntimeError {
             kind: RuntimeErrorKind::Panic,
-            message: "isolated".to_string(),
+            message: "isolated".into(),
             span: None,
         });
         assert!(should_dump(&panicked), "an isolated panic dumps");

@@ -78,6 +78,32 @@ fn worker_count_never_changes_verdict_or_counters() {
     }
 }
 
+/// One poll brings the whole trace and its eof, so the search is one
+/// burst over one input: every worker but the first starts from a
+/// donation, which splits a segment. The verdict, the counters and the
+/// best-effort localization must still be the one-worker run's.
+#[test]
+fn donated_segments_keep_the_one_worker_best_effort() {
+    let a = tp0::analyzer();
+    let bad = tp0::invalid_trace(3, 3, 1);
+    let opts = AnalysisOptions::with_order(OrderOptions::none());
+    let localization = |r: &tango::AnalysisReport| {
+        let b = r.best_effort.as_ref().expect("an invalid complete trace is localized");
+        (b.events_explained, b.events_total, b.path.clone())
+    };
+    let seq = online(&a, &bad, &opts);
+    assert_eq!(seq.verdict, Verdict::Invalid);
+    let mut steals = 0;
+    for n in [2, 4, 8] {
+        let par = online(&a, &bad, &with_workers(&opts, n));
+        assert_eq!(par.verdict, seq.verdict, "workers={}", n);
+        assert_eq!(par.stats.counters(), seq.stats.counters(), "workers={}", n);
+        assert_eq!(localization(&par), localization(&seq), "workers={}", n);
+        steals += par.stats.steals;
+    }
+    assert!(steals > 0, "a one-input burst spreads only by donation");
+}
+
 /// §3.1's ack scenario needs PG-node revival to find T1 T2 T3 T1; the
 /// sequential-exact witness must survive any steal schedule (the replay
 /// pass reruns a witness-bearing burst single-threaded).
