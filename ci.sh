@@ -21,21 +21,31 @@ echo "== tier-1: release build =="
 cargo build --release
 
 echo "== tier-1: tests =="
+# Every root-package suite runs here, once: among them the crash
+# recovery, checkpoint codec, flight recorder and MDFS worker-matrix
+# suites the smokes below build on, and the VM vs tree-walker
+# differential suites (compiled_exec, differential_exec). The bytecode
+# VM is the executor and the tree-walking interpreter its oracle; those
+# suites check fireable sets, verdicts, counters, telemetry streams and
+# profiler attribution across both, on the bench protocols and on
+# seeded random specifications.
 cargo test -q
 
 echo "== workspace tests =="
-# The root package's suites ran in the tier-1 step above.
+# The root package's suites ran in the tier-1 step above; this step runs
+# every other member's, tango-cli's crash_recovery and black_box among
+# them.
 cargo test -q --workspace --exclude tango-repro
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== crash recovery (SIGKILL + resume) =="
-# Kill -9 the CLI mid-analysis, resume from the atomic autosave, and
-# require the exact verdict and TE/GE/RE/SA totals of an uninterrupted
-# run; plus the library-level disk-resume and corruption-matrix suites.
-cargo test -q -p tango-cli --test crash_recovery
-cargo test -q --test crash_recovery --test checkpoint_codec
+# Crash recovery (SIGKILL + resume): tango-cli's crash_recovery suite,
+# run in the workspace step, kills -9 the CLI mid-analysis, resumes from
+# the atomic autosave, and requires the exact verdict and TE/GE/RE/SA
+# totals of an uninterrupted run; the library-level disk-resume and
+# corruption-matrix suites (crash_recovery, checkpoint_codec) ran in the
+# tier-1 step.
 
 echo "== checkpoint-info round-trip smoke =="
 # Stop a real analysis on a transition limit, autosave the checkpoint,
@@ -139,9 +149,9 @@ grep -q "chaos: plan=unarmed" "$CKPT_DIR/unarmed.err"
 echo "== black box smoke (flight recorder / dump / dump-info) =="
 # Any non-completed outcome writes a versioned post-mortem dump. The
 # dump must verify and render both ways, with the JSONL form validating
-# under the dependency-free checker; the library/CLI suites run first.
-cargo test -q --test flight_recorder
-cargo test -q -p tango-cli --test black_box
+# under the dependency-free checker. The library suite (flight_recorder)
+# ran in the tier-1 step and the CLI suite (tango-cli's black_box) in the
+# workspace step.
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.txt" \
     --max-transitions 5 --dump-file "$CKPT_DIR/pm.tangodump" 2> "$CKPT_DIR/dump.err" \
     && { echo "expected an inconclusive (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
@@ -197,11 +207,10 @@ echo "== multi-core MDFS smoke (work-stealing online search) =="
 # 4-worker run stopped on a transition limit after eof must checkpoint a
 # worker-split front that checkpoint-info can describe and that resumes
 # at a different worker count to the uninterrupted totals; the library
-# suite runs the full worker matrix first. Each step echoes its name, so
-# a one-off failure names the step that failed.
+# suite's full worker matrix (tests/mdfs_parallel.rs) ran in the tier-1
+# step. Each step echoes its name, so a one-off failure names the step
+# that failed.
 mdfs_step() { echo "-- mdfs smoke: $1"; }
-mdfs_step "library worker matrix (tests/mdfs_parallel.rs)"
-cargo test -q --test mdfs_parallel
 mdfs_step "generate the LAPD trace"
 printf 'in U.dl_est_req\nin L.ua\nin U.dl_data_req(0)\nin U.dl_data_req(1)\nin U.dl_data_req(2)\n' \
     > "$CKPT_DIR/lapd-script.txt"
@@ -231,14 +240,6 @@ mdfs_step "resume at 2 workers matches the uninterrupted totals"
 cargo run -q --release -p tango-cli -- online specs/lapd.est --resume "$CKPT_DIR/online.ckpt" \
     --workers 2 > "$CKPT_DIR/online-resumed.txt"
 [ "$(verdict_and_counters "$CKPT_DIR/online-w1.txt")" = "$(verdict_and_counters "$CKPT_DIR/online-resumed.txt")" ]
-
-echo "== VM vs tree-walker differential suites =="
-# The bytecode VM is the executor; the tree-walking interpreter is its
-# oracle. The suites check fireable sets, verdicts, counters, telemetry
-# streams and profiler attribution across both, on the bench protocols
-# and on seeded random specifications.
-cargo test -q --test compiled_exec
-cargo test -q --test differential_exec
 
 echo "== paper tables (release) =="
 # bench's pin test compares every counter cell of EXPERIMENTS.md with

@@ -99,23 +99,6 @@ pub enum Op {
         op: BinOp,
         span: Span,
     },
-    /// Superinstruction: `load a; load b; Binary` fused into one dispatch.
-    /// The profile-guided peephole ([`fuse_superinstructions`]) collapses
-    /// the dominant three-op window of guard and body chunks (two
-    /// const/global/frame loads feeding a binary operator — the shape
-    /// every `provided v = k` clause and counter update lowers to). The
-    /// handler still writes both operand registers before the result, so
-    /// the machine state at every observable point (including on an
-    /// arithmetic error) is identical to the unfused sequence.
-    BinFused {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-        asrc: FusedSrc,
-        bsrc: FusedSrc,
-        op: BinOp,
-        span: Span,
-    },
     /// Short-circuit check for `and`/`or`: if `src` is decisive, write the
     /// result to `dst` and jump to `target` (past the right operand).
     LogicShort {
@@ -236,19 +219,6 @@ pub enum Op {
     Halt,
 }
 
-/// Where a fused operand of [`Op::BinFused`] loads from — the three
-/// side-effect-free load shapes ([`Op::Const`] / [`Op::ReadG`] /
-/// [`Op::ReadL`]) that may legally disappear into a superinstruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FusedSrc {
-    /// Constant pool index.
-    Const(u32),
-    /// Global slot.
-    Global(u32),
-    /// Transition/routine frame slot.
-    Local(u32),
-}
-
 /// One compiled call site: the callee and the registers holding the
 /// already-evaluated (or copied-in) actual arguments, in parameter order.
 #[derive(Clone, Debug)]
@@ -315,27 +285,6 @@ pub enum QuickGuard {
     },
 }
 
-/// A call-free guard that is a conjunction (`and` chain) of
-/// [`QuickGuard`]-shaped terms over globals and constants, e.g.
-/// `provided busy and vs = va and rc < 4`.
-///
-/// *Generate* evaluates the terms directly, short-circuiting on the first
-/// false — but **only after checking that every referenced global slot
-/// holds a defined value**. Over defined operands the terms are total
-/// (comparisons on ordinals and boolean reads never error and never
-/// produce `Undefined`), so evaluation order and short-circuiting are
-/// unobservable under either [`crate::interp::UndefinedPolicy`]. Any
-/// undefined slot or non-boolean term falls back to the full chunk in
-/// source order.
-#[derive(Clone, Debug)]
-pub struct ConjGuard {
-    /// Global slots any term reads, deduplicated — the definedness
-    /// precheck.
-    pub slots: Vec<u32>,
-    /// The conjuncts, in source order.
-    pub terms: Vec<QuickGuard>,
-}
-
 /// A compiled transition's `provided` guard: its family's one chunk plus
 /// the VM-free forms its binding row allows.
 #[derive(Clone, Debug)]
@@ -345,15 +294,12 @@ pub struct GuardCode {
     pub chunk: usize,
     /// VM-free evaluation for trivial shapes; `None` runs the VM.
     pub quick: Option<QuickGuard>,
-    /// VM-free short-circuit plan for call-free `and`-chains; tried when
-    /// `quick` is `None`, falls back to the chunk on undefined operands.
-    pub conj: Option<ConjGuard>,
     /// Guards containing routine calls may have side effects and are
     /// evaluated against a scratch state copy, exactly as in interp mode.
     pub has_calls: bool,
     /// Whether *Generate* must build the instance's frame: the guard is
-    /// not quick and its chunk touches the frame (`ReadL` / `PlaceL`, or a
-    /// fused frame load). Otherwise it skips building the frame entirely.
+    /// not quick and its chunk touches the frame (`ReadL` / `PlaceL`).
+    /// Otherwise it skips building the frame entirely.
     pub needs_frame: bool,
 }
 
@@ -533,12 +479,6 @@ impl DispatchIndex {
             _ => (&[], &[]),
         }
     }
-
-    /// Total entries across all buckets (each multi-source transition
-    /// counted once per source state).
-    pub fn entries(&self) -> usize {
-        self.by_state.iter().map(Vec::len).sum()
-    }
 }
 
 /// Everything the compiled execution mode needs, built once per machine
@@ -555,26 +495,6 @@ pub struct ExecProgram {
     /// Per transition: its family's action-block chunk.
     pub bodies: Vec<usize>,
     pub dispatch: DispatchIndex,
-}
-
-impl ExecProgram {
-    /// Total instructions across all chunks (for stats/tests).
-    pub fn code_len(&self) -> usize {
-        self.chunks.iter().map(|c| c.code.len()).sum()
-    }
-
-    /// Fused superinstructions across all chunks (for stats/tests).
-    pub fn fused_count(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|c| {
-                c.code
-                    .iter()
-                    .filter(|op| matches!(op, Op::BinFused { .. }))
-                    .count()
-            })
-            .sum()
-    }
 }
 
 /// Lower a compiled module to bytecode and build the dispatch index.
@@ -643,114 +563,14 @@ pub fn compile_program(module: &CompiledModule) -> ExecProgram {
     }
 }
 
-fn push_chunk(chunks: &mut Vec<Chunk>, mut chunk: Chunk) -> usize {
-    fuse_superinstructions(&mut chunk);
+fn push_chunk(chunks: &mut Vec<Chunk>, chunk: Chunk) -> usize {
     chunks.push(chunk);
     chunks.len() - 1
 }
 
-/// The superinstruction peephole: collapse every `load; load; Binary`
-/// window (loads being [`Op::Const`] / [`Op::ReadG`] / [`Op::ReadL`]) into
-/// one [`Op::BinFused`], then remap every branch target and case-table
-/// entry through the old→new pc map. Profiling both executors showed this
-/// three-op window is the hot shape of generated code — every
-/// `provided v = k` clause, `when`-parameter compare and counter update
-/// lowers to it — and each fused window saves two VM dispatches.
-///
-/// Fusion is skipped when a branch lands *inside* the window (the jump
-/// would skip the loads), when the operand registers alias, or when the
-/// destination aliases an operand — so the fused handler, which writes
-/// `a`, `b`, then `dst`, reproduces the unfused register file exactly,
-/// including at the error edge of a failing `Binary`.
-fn fuse_superinstructions(chunk: &mut Chunk) {
-    let old = std::mem::take(&mut chunk.code);
-    let n = old.len();
-    let mut is_target = vec![false; n + 1];
-    for op in &old {
-        match op {
-            Op::Jump { target }
-            | Op::BranchBool { target, .. }
-            | Op::LogicShort { target, .. } => is_target[*target as usize] = true,
-            Op::ForCheck { exit, .. } => is_target[*exit as usize] = true,
-            _ => {}
-        }
-    }
-    for t in &chunk.cases {
-        for (_, pc) in &t.arms {
-            is_target[*pc as usize] = true;
-        }
-        is_target[t.default as usize] = true;
-    }
-    let load_src = |op: &Op| -> Option<(Reg, FusedSrc)> {
-        match op {
-            Op::Const { dst, k } => Some((*dst, FusedSrc::Const(*k))),
-            Op::ReadG { dst, slot } => Some((*dst, FusedSrc::Global(*slot))),
-            Op::ReadL { dst, slot } => Some((*dst, FusedSrc::Local(*slot))),
-            _ => None,
-        }
-    };
-    let mut map = vec![0u32; n + 1];
-    let mut new = Vec::with_capacity(n);
-    let mut i = 0usize;
-    while i < n {
-        map[i] = new.len() as u32;
-        let fused = if i + 2 < n && !is_target[i + 1] && !is_target[i + 2] {
-            match &old[i + 2] {
-                Op::Binary { dst, a, b, op, span } => {
-                    match (load_src(&old[i]), load_src(&old[i + 1])) {
-                        (Some((d1, s1)), Some((d2, s2)))
-                            if d1 == *a && d2 == *b && a != b && dst != a && dst != b =>
-                        {
-                            Some(Op::BinFused {
-                                dst: *dst,
-                                a: *a,
-                                b: *b,
-                                asrc: s1,
-                                bsrc: s2,
-                                op: *op,
-                                span: *span,
-                            })
-                        }
-                        _ => None,
-                    }
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        if let Some(f) = fused {
-            map[i + 1] = map[i];
-            map[i + 2] = map[i];
-            new.push(f);
-            i += 3;
-        } else {
-            new.push(old[i].clone());
-            i += 1;
-        }
-    }
-    map[n] = new.len() as u32;
-    for op in &mut new {
-        match op {
-            Op::Jump { target }
-            | Op::BranchBool { target, .. }
-            | Op::LogicShort { target, .. } => *target = map[*target as usize],
-            Op::ForCheck { exit, .. } => *exit = map[*exit as usize],
-            _ => {}
-        }
-    }
-    for t in &mut chunk.cases {
-        for arm in &mut t.arms {
-            arm.1 = map[arm.1 as usize];
-        }
-        t.default = map[t.default as usize];
-    }
-    chunk.code = new;
-}
-
 /// A family's `provided` clause, lowered once. Every instance shares the
-/// chunk; its quick and conjunction forms follow from the guard's shape
-/// and the instance's binding row.
+/// chunk; its quick form follows from the guard's shape and the
+/// instance's binding row.
 struct FamilyGuard<'a> {
     module: &'a CompiledModule,
     family: &'a TransitionFamily,
@@ -758,18 +578,9 @@ struct FamilyGuard<'a> {
     has_calls: bool,
     /// Whether the chunk touches the frame.
     reads_frame: bool,
-    shape: Shape<'a>,
-}
-
-/// How a family's guard varies with the binding row.
-enum Shape<'a> {
-    /// One quick term over the bindings.
-    Quick(Term<'a>),
-    /// An `and`-chain of two or more quick terms over the bindings; the
-    /// global slots they read.
-    Conj(Vec<Term<'a>>, Vec<u32>),
-    /// Nothing VM-free: each instance runs the chunk on its frame.
-    Chunk,
+    /// The guard as one quick term over the bindings; `None` when each
+    /// instance runs the chunk on its frame.
+    term: Option<Term<'a>>,
 }
 
 /// A [`QuickGuard`] whose constants are expressions over the bindings,
@@ -797,66 +608,32 @@ impl<'a> FamilyGuard<'a> {
         let mut c = FnCompiler::new(module);
         let r = c.expr(g);
         c.emit(Op::Halt);
-        let mut chunk = c.finish(Some(r));
-        fuse_superinstructions(&mut chunk);
-        let reads_frame = chunk.code.iter().any(|op| match op {
-            Op::ReadL { .. } | Op::PlaceL { .. } => true,
-            Op::BinFused { asrc, bsrc, .. } => {
-                matches!(asrc, FusedSrc::Local(_)) || matches!(bsrc, FusedSrc::Local(_))
-            }
-            _ => false,
-        });
-        chunks.push(chunk);
-        // A term holds no call, so a guard with calls runs its chunk.
-        let arity = family.arity;
-        let shape = if let Some(t) = term(g, arity, |op| !matches!(op, BinOp::And | BinOp::Or)) {
-            Shape::Quick(t)
-        } else if let Some((terms, slots)) = conj_terms(g, arity) {
-            Shape::Conj(terms, slots)
-        } else {
-            Shape::Chunk
-        };
+        let chunk = c.finish(Some(r));
+        let reads_frame = chunk
+            .code
+            .iter()
+            .any(|op| matches!(op, Op::ReadL { .. } | Op::PlaceL { .. }));
         FamilyGuard {
             module,
             family,
-            chunk: chunks.len() - 1,
+            chunk: push_chunk(chunks, chunk),
             has_calls,
             reads_frame,
-            shape,
+            // A term holds no call, so a guard with calls runs its chunk.
+            term: term(g, family.arity),
         }
     }
 
     /// The guard of the family's instance `row`.
     fn instance(&self, row: usize) -> GuardCode {
         let binding = self.family.binding(row);
-        match &self.shape {
-            Shape::Quick(t) => {
-                let quick = self.quick(t, binding);
-                self.code(quick, None)
-            }
-            Shape::Conj(terms, slots) => self.code(None, self.conj(terms, slots, binding)),
-            Shape::Chunk => self.code(None, None),
-        }
-    }
-
-    fn code(&self, quick: Option<QuickGuard>, conj: Option<ConjGuard>) -> GuardCode {
+        let quick = self.term.as_ref().and_then(|t| self.quick(t, binding));
         GuardCode {
             chunk: self.chunk,
             needs_frame: quick.is_none() && self.reads_frame,
             quick,
-            conj,
             has_calls: self.has_calls,
         }
-    }
-
-    fn conj(&self, terms: &[Term<'_>], slots: &[u32], binding: &[i64]) -> Option<ConjGuard> {
-        Some(ConjGuard {
-            slots: slots.to_vec(),
-            terms: terms
-                .iter()
-                .map(|t| self.quick(t, binding))
-                .collect::<Option<_>>()?,
-        })
     }
 
     /// A term for one binding row; `None` when an operand fails to
@@ -911,9 +688,9 @@ fn over_bindings(e: &CExpr, arity: usize) -> bool {
 }
 
 /// A quick term: an expression over the bindings, a bare global read, or
-/// `global <op> e` / `e <op> global` with `e` over the bindings and
-/// `compare(op)`.
-fn term(e: &CExpr, arity: usize, compare: impl Fn(BinOp) -> bool) -> Option<Term<'_>> {
+/// `global <op> e` / `e <op> global` with `e` over the bindings and `op`
+/// not `and`/`or`.
+fn term(e: &CExpr, arity: usize) -> Option<Term<'_>> {
     if over_bindings(e, arity) {
         return Some(Term::Const(e));
     }
@@ -923,7 +700,7 @@ fn term(e: &CExpr, arity: usize, compare: impl Fn(BinOp) -> bool) -> Option<Term
     };
     match e {
         CExpr::Read(Slot::Global(g)) => Some(Term::Global(*g as u32)),
-        CExpr::Binary(op, l, r, span) if compare(*op) => {
+        CExpr::Binary(op, l, r, span) if !matches!(op, BinOp::And | BinOp::Or) => {
             let (slot, k, swapped) = match (global(l), global(r)) {
                 (Some(slot), _) if over_bindings(r, arity) => (slot, &**r, false),
                 (_, Some(slot)) if over_bindings(l, arity) => (slot, &**l, true),
@@ -939,41 +716,6 @@ fn term(e: &CExpr, arity: usize, compare: impl Fn(BinOp) -> bool) -> Option<Term
         }
         _ => None,
     }
-}
-
-/// The terms of a conjunction plan read off a guard: an `and`
-/// chain of two or more comparison-shaped quick terms, and the global
-/// slots they read, deduplicated. Single terms are left to
-/// [`QuickGuard`] itself.
-fn conj_terms(e: &CExpr, arity: usize) -> Option<(Vec<Term<'_>>, Vec<u32>)> {
-    fn flatten<'e>(e: &'e CExpr, arity: usize, out: &mut Vec<Term<'e>>) -> Option<()> {
-        if let CExpr::Binary(BinOp::And, l, r, _) = e {
-            flatten(l, arity, out)?;
-            return flatten(r, arity, out);
-        }
-        let compare = |op| {
-            matches!(
-                op,
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            )
-        };
-        out.push(term(e, arity, compare)?);
-        Some(())
-    }
-    let mut terms = Vec::new();
-    flatten(e, arity, &mut terms)?;
-    if terms.len() < 2 {
-        return None;
-    }
-    let mut slots: Vec<u32> = Vec::new();
-    for t in &terms {
-        if let Term::Global(slot) | Term::Compare { slot, .. } = t {
-            if !slots.contains(slot) {
-                slots.push(*slot);
-            }
-        }
-    }
-    Some((terms, slots))
 }
 
 /// Single-chunk compiler: a stack-discipline register allocator over a
@@ -1584,7 +1326,8 @@ mod tests {
         };
         assert_eq!(order(0), vec![0, 2], "state A: T1 then T3");
         assert_eq!(order(1), vec![1, 2], "state B: T2 then T3");
-        assert_eq!(idx.entries(), 4, "multi-source T3 appears in both buckets");
+        let entries: usize = idx.by_state.iter().map(Vec::len).sum();
+        assert_eq!(entries, 4, "multi-source T3 appears in both buckets");
     }
 
     #[test]
@@ -1630,7 +1373,8 @@ mod tests {
         "#,
         )
         .unwrap();
-        assert!(m.program.code_len() > 0);
+        let code_len: usize = m.program.chunks.iter().map(|c| c.code.len()).sum();
+        assert!(code_len > 0);
         for c in &m.program.chunks {
             assert!(c.n_regs <= 16, "tiny spec should need few registers");
         }
@@ -1660,6 +1404,7 @@ mod tests {
                 from S to S provided flag name Flag: begin n := 1 end;
                 from S to S provided true name Always: begin n := 2 end;
                 from S to S provided pos(n) name Calls: begin n := 3 end;
+                from S to S provided n > 5 name Above: begin n := 4 end;
             end;
             end.
         "#,
@@ -1690,95 +1435,54 @@ mod tests {
         // Guards with calls never take the fast path.
         assert!(g(5).quick.is_none());
         assert!(g(5).has_calls);
-    }
-
-    #[test]
-    fn superinstructions_fuse_load_load_binary_windows() {
-        let m = Machine::from_source(
-            r#"
-            specification f;
-            module M process; end;
-            body MB for M;
-                var a, b : integer;
-                state S;
-                initialize to S begin a := 0; b := 0 end;
-                trans
-                from S to S provided a > 5 name T: begin
-                    while a < 10 do begin
-                        a := a + 1;
-                        if b < a then b := b + 2;
-                    end;
-                    case a of
-                        10 : b := a - b
-                        else b := 0
-                    end;
-                end;
-            end;
-            end.
-        "#,
-        )
-        .unwrap();
-        assert!(
-            m.program.fused_count() >= 3,
-            "guard compare, counter updates and case arm all fuse: {}",
-            m.program.fused_count()
-        );
-        // The guard whose chunk fused still takes the VM-free quick path.
-        assert!(matches!(
-            m.program.guards[0].as_ref().unwrap().quick,
-            Some(QuickGuard::GlobalOpConst { .. })
-        ));
-        // Every branch target and case-table entry still lands on a real
-        // instruction after remapping.
-        for c in &m.program.chunks {
-            let n = c.code.len() as u32;
-            for op in &c.code {
-                match op {
-                    Op::Jump { target }
-                    | Op::BranchBool { target, .. }
-                    | Op::LogicShort { target, .. } => assert!(*target <= n),
-                    Op::ForCheck { exit, .. } => assert!(*exit <= n),
-                    _ => {}
-                }
+        // A plain `global > const` compare is quick too.
+        match &g(6).quick {
+            Some(QuickGuard::GlobalOpConst { op, k, swapped, .. }) => {
+                assert_eq!(*op, BinOp::Gt);
+                assert_eq!(*k, Value::Int(5));
+                assert!(!swapped);
             }
-            for t in &c.cases {
-                assert!(t.default <= n);
-                for (_, pc) in &t.arms {
-                    assert!(*pc <= n);
-                }
-            }
+            other => panic!("`n > 5`: expected quick compare, got {:?}", other),
         }
+        assert!(!g(6).needs_frame);
     }
 
     #[test]
-    fn conj_guard_extracted_for_call_free_and_chains() {
+    fn chunk_guards_need_a_frame_only_when_they_read_one() {
         let m = Machine::from_source(
             r#"
-            specification cj;
-            module M process; end;
+            specification nf;
+            channel C(env, m);
+                by env: step(k : integer);
+            end;
+            module M process; ip P : C(m); end;
             body MB for M;
-                var busy : boolean; vs, rc : integer;
+                var n, ns, vr : integer;
                 state S;
-                function pos(x : integer) : boolean; begin pos := x > 0 end;
-                initialize to S begin busy := true; vs := 0; rc := 0 end;
+                initialize to S begin n := 0; ns := 0; vr := 0 end;
                 trans
-                from S to S provided busy and (vs = 0) and (rc < 4) name Conj:
-                    begin vs := vs end;
-                from S to S provided busy and pos(vs) name WithCall:
-                    begin vs := vs end;
-                from S to S provided busy name Single: begin vs := vs end;
+                from S to S when P.step provided k > n name Param:
+                    begin n := k end;
+                from S to S any j : 0..3 do provided n + j > 2 name Mixed:
+                    begin n := 0 end;
+                from S to S provided ns = vr name Globals: begin ns := 1 end;
             end;
             end.
         "#,
         )
         .unwrap();
         let g = |i: usize| m.program.guards[i].as_ref().unwrap();
-        let cj = g(0).conj.as_ref().expect("and-chain gets a conj plan");
-        assert_eq!(cj.terms.len(), 3);
-        assert!(matches!(cj.terms[0], QuickGuard::Global { .. }));
-        assert!(matches!(cj.terms[1], QuickGuard::GlobalOpConst { .. }));
-        assert_eq!(cj.slots.len(), 3, "busy, vs, rc all prechecked");
-        assert!(g(1).conj.is_none(), "calls disqualify the conj plan");
-        assert!(g(2).conj.is_none(), "single terms stay QuickGuard");
+        // A `when`-parameter compare reads the parameter from the frame.
+        assert!(g(0).quick.is_none());
+        assert!(g(0).needs_frame, "`k > n` reads the when parameter");
+        // An `any` binding beside a global is no quick term: every
+        // instance runs the chunk, which reads the binding.
+        for i in 1..=4 {
+            assert!(g(i).quick.is_none(), "instance {}", i);
+            assert!(g(i).needs_frame, "instance {} reads its binding", i);
+        }
+        // Two globals: the chunk runs, but on an empty frame.
+        assert!(g(5).quick.is_none());
+        assert!(!g(5).needs_frame, "`ns = vr` reads globals only");
     }
 }

@@ -468,9 +468,8 @@ impl Machine {
 
     /// One pass over a candidate list for [`Machine::generate_compiled`]:
     /// resolve each entry's `when` clause against the cached queue heads,
-    /// evaluate its guard (quick shape → conjunction plan → bytecode
-    /// chunk, cheapest first), and push the enabled candidates in list
-    /// order.
+    /// evaluate its guard (quick shape, else bytecode chunk), and push
+    /// the enabled candidates in list order.
     #[allow(clippy::too_many_arguments)]
     fn generate_candidates(
         &self,
@@ -570,23 +569,6 @@ impl Machine {
                         fabricated,
                     });
                     continue;
-                }
-                // Conjunction plans short-circuit `and` chains VM-free
-                // when every referenced global is defined; otherwise
-                // fall through to the chunk for exact source-order
-                // undefined semantics.
-                if let Some(cj) = &g.conj {
-                    if let Some(enabled) = conj_eval(cj, &st.globals, self.policy) {
-                        if !enabled {
-                            continue;
-                        }
-                        out.fireable.push(Fireable {
-                            trans: i,
-                            params,
-                            fabricated,
-                        });
-                        continue;
-                    }
                 }
                 // Guards whose chunk reads no frame slot skip the
                 // per-candidate frame allocation entirely.
@@ -734,65 +716,6 @@ impl Machine {
     pub fn transition_count(&self) -> usize {
         self.module.transitions.len()
     }
-}
-
-/// Evaluate a [`crate::bytecode::ConjGuard`] plan against the globals:
-/// `Some(enabled)` when every referenced slot is defined and every term
-/// evaluates cleanly to a boolean — in that regime the terms are total
-/// and their order is unobservable.
-/// `None` sends the caller to the full chunk, which replays the guard in
-/// exact source order for undefined operands and error cases.
-fn conj_eval(
-    cj: &crate::bytecode::ConjGuard,
-    globals: &[Value],
-    policy: UndefinedPolicy,
-) -> Option<bool> {
-    for &slot in &cj.slots {
-        match globals.get(slot as usize) {
-            Some(Value::Undefined) | None => return None,
-            Some(_) => {}
-        }
-    }
-    use crate::bytecode::QuickGuard;
-    for t in &cj.terms {
-        let holds = match t {
-            QuickGuard::Const(Value::Bool(b)) => *b,
-            QuickGuard::Const(_) => return None,
-            QuickGuard::Global { slot } => match &globals[*slot as usize] {
-                Value::Bool(b) => *b,
-                _ => return None,
-            },
-            QuickGuard::GlobalOpConst {
-                slot,
-                op,
-                k,
-                swapped,
-                span,
-            } => {
-                let gv = &globals[*slot as usize];
-                let r = match (gv, k) {
-                    (Value::Int(g0), Value::Int(k0))
-                        if !matches!(op, estelle_ast::BinOp::In) =>
-                    {
-                        let (x, y) = if *swapped { (*k0, *g0) } else { (*g0, *k0) };
-                        crate::interp::scalar::apply_binary_ints(*op, x, y, *span)
-                    }
-                    _ => {
-                        let (l, r) = if *swapped { (k, gv) } else { (gv, k) };
-                        crate::interp::scalar::apply_binary(policy, *op, l, r, *span)
-                    }
-                };
-                match r {
-                    Ok(Value::Bool(b)) => b,
-                    _ => return None,
-                }
-            }
-        };
-        if !holds {
-            return Some(false);
-        }
-    }
-    Some(true)
 }
 
 /// Reify an ordinal as a value of the given scalar type.

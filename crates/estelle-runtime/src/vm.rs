@@ -16,7 +16,7 @@
 //! reused across runs via a thread-local ([`with_scratch`]); a machine
 //! step performs no per-run allocation beyond the Estelle frame itself.
 
-use crate::bytecode::{Chunk, ExecProgram, FusedSrc, Op};
+use crate::bytecode::{Chunk, ExecProgram, Op};
 use crate::env::{OutputSink, QueueHead};
 use crate::error::{RtResult, RuntimeError, RuntimeErrorKind};
 use crate::interp::place::{read_resolved, write_resolved, ResolvedPlace, Root};
@@ -237,70 +237,6 @@ impl<'p> Vm<'p> {
                     // Int-int fast path: same checked semantics as
                     // `apply_binary` (which itself delegates), minus the
                     // operand matching and policy checks it would redo.
-                    let out = if let (Value::Int(x), Value::Int(y)) = (
-                        &s.regs[reg_base + *a as usize],
-                        &s.regs[reg_base + *b as usize],
-                    ) {
-                        if matches!(op, BinOp::In) {
-                            scalar::apply_binary(
-                                policy,
-                                *op,
-                                &s.regs[reg_base + *a as usize],
-                                &s.regs[reg_base + *b as usize],
-                                *span,
-                            )?
-                        } else {
-                            scalar::apply_binary_ints(*op, *x, *y, *span)?
-                        }
-                    } else {
-                        scalar::apply_binary(
-                            policy,
-                            *op,
-                            &s.regs[reg_base + *a as usize],
-                            &s.regs[reg_base + *b as usize],
-                            *span,
-                        )?
-                    };
-                    s.regs[reg_base + *dst as usize] = out;
-                }
-                Op::BinFused {
-                    dst,
-                    a,
-                    b,
-                    asrc,
-                    bsrc,
-                    op,
-                    span,
-                } => {
-                    let load = |src: &FusedSrc,
-                                store: &Store<'_>,
-                                locals: &[Value],
-                                chunk: &Chunk|
-                     -> RtResult<Value> {
-                        match src {
-                            FusedSrc::Const(k) => Ok(chunk.consts[*k as usize].clone()),
-                            FusedSrc::Global(slot) => store
-                                .globals
-                                .get(*slot as usize)
-                                .cloned()
-                                .ok_or_else(|| {
-                                    RuntimeError::internal("global slot out of range")
-                                }),
-                            FusedSrc::Local(slot) => {
-                                locals.get(*slot as usize).cloned().ok_or_else(|| {
-                                    RuntimeError::internal("frame slot out of range")
-                                })
-                            }
-                        }
-                    };
-                    let av = load(asrc, store, &locals, chunk)?;
-                    let bv = load(bsrc, store, &locals, chunk)?;
-                    // Operand registers are written exactly as the unfused
-                    // load sequence would (fusion rejects aliased windows),
-                    // so the register file matches op-for-op — including
-                    // on the error edge of the operator below.
-                    s.regs[reg_base + *a as usize] = av;
-                    s.regs[reg_base + *b as usize] = bv;
                     let out = if let (Value::Int(x), Value::Int(y)) = (
                         &s.regs[reg_base + *a as usize],
                         &s.regs[reg_base + *b as usize],

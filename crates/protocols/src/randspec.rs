@@ -1,13 +1,12 @@
 //! Seeded random specification generator for differential testing.
 //!
-//! The two executors (tree walker and bytecode VM) and the auto
-//! selection layered on top must be observationally identical on *any*
-//! specification, not just the hand-written protocol families the
-//! benches use. This module generates small random — but deterministic
-//! per seed — Estelle specifications that exercise the shapes the
-//! compiler optimizes: quick guards (`global op const`), call-free
-//! conjunctive `and`-chains, `load;load;binary` superinstruction
-//! windows, `mod`/`div` arithmetic and `if`/`case` control flow.
+//! The two executors (tree walker and bytecode VM) must be
+//! observationally identical on *any* specification, not just the
+//! hand-written protocol families the benches use. This module generates
+//! small random — but deterministic per seed — Estelle specifications
+//! that exercise the shapes the compiler treats specially: quick guards
+//! (`global op const`), call-free `and`-chains (which run the guard
+//! chunk), `mod`/`div` arithmetic and `if`/`case` control flow.
 //!
 //! Every generated spec is progress-safe by construction: each state
 //! has one unguarded `when P.step` catch-all declared *after* the
@@ -138,7 +137,7 @@ impl RandSpec {
         }
         s.push_str("end;\n\ttrans\n");
 
-        // Random guarded input transitions: quick-guard and conj-guard
+        // Random guarded input transitions: quick-guard and `and`-chain
         // shapes over the integer globals, plus guards involving `k`.
         let guarded = 3 + r.gen_index(6); // 3..=8
         for t in 0..guarded {
@@ -311,7 +310,7 @@ fn gen_guard_families(r: &mut SplitMix64, s: &mut String, states: usize, vars: u
 }
 
 /// A guard: either one comparison (the quick-guard shape) or an
-/// `and`-chain of two or three (the conj-guard shape). `with_k` allows
+/// `and`-chain of two or three, which runs the guard chunk. `with_k` allows
 /// terms over the interaction parameter.
 fn gen_guard(r: &mut SplitMix64, vars: usize, with_k: bool) -> String {
     let terms = 1 + r.gen_index(3); // 1..=3

@@ -560,8 +560,8 @@ fn lapd800_lowers_one_guard_per_padding_family() {
 #[test]
 fn family_guard_specs_match_the_tree_walker() {
     // Families guarded by range compares, binding-only terms, mixed
-    // `and`-chains and calls: each instance's quick, conjunction or chunk
-    // guard comes from its family's one lowering. The event streams name
+    // `and`-chains and calls: each instance's quick or chunk guard comes
+    // from its family's one lowering. The event streams name
     // the instances that fire.
     let mut instances_fired = false;
     for seed in 0..8 {

@@ -2,8 +2,8 @@
 //! walker.
 //!
 //! `protocols::randspec` generates small deterministic-per-seed
-//! specifications covering the shapes the bytecode compiler optimizes
-//! (quick guards, conjunctive `and`-chains, superinstruction windows,
+//! specifications covering the shapes the bytecode compiler treats
+//! specially (quick guards, `and`-chains run by the guard chunk,
 //! `mod`/`div` arithmetic, `if`/`case` control flow). For every seed the
 //! VM must produce the same fireable sets, verdicts, witnesses and
 //! TE/GE/RE/SA counters as the tree walker, its oracle. This is the seed of the ROADMAP
