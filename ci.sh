@@ -206,7 +206,8 @@ echo "== multi-core MDFS smoke (work-stealing online search) =="
 # schedule may never leak into the verdict or TE/GE/RE/SA. Then a
 # 4-worker run stopped on a transition limit after eof must checkpoint a
 # worker-split front that checkpoint-info can describe and that resumes
-# at a different worker count to the uninterrupted totals; the library
+# at a different worker count, and through `analyze --resume`, to the
+# uninterrupted totals; the library
 # suite's full worker matrix (tests/mdfs_parallel.rs) ran in the tier-1
 # step. Each step echoes its name, so a one-off failure names the step
 # that failed.
@@ -240,6 +241,10 @@ mdfs_step "resume at 2 workers matches the uninterrupted totals"
 cargo run -q --release -p tango-cli -- online specs/lapd.est --resume "$CKPT_DIR/online.ckpt" \
     --workers 2 > "$CKPT_DIR/online-resumed.txt"
 [ "$(verdict_and_counters "$CKPT_DIR/online-w1.txt")" = "$(verdict_and_counters "$CKPT_DIR/online-resumed.txt")" ]
+mdfs_step "analyze --resume continues the on-line checkpoint to the same totals"
+cargo run -q --release -p tango-cli -- analyze specs/lapd.est --resume "$CKPT_DIR/online.ckpt" \
+    > "$CKPT_DIR/online-resumed-by-analyze.txt"
+[ "$(verdict_and_counters "$CKPT_DIR/online-w1.txt")" = "$(verdict_and_counters "$CKPT_DIR/online-resumed-by-analyze.txt")" ]
 
 echo "== paper tables (release) =="
 # bench's pin test compares every counter cell of EXPERIMENTS.md with

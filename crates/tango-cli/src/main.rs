@@ -42,11 +42,12 @@
 //!     body — a curl substitute for scripts and CI.
 //! ```
 //!
-//! Durable analysis (static mode): `--checkpoint-file PATH` autosaves
-//! the search every `--checkpoint-every N` executed transitions (and on
-//! any limit stop), atomically, so a killed process loses at most one
-//! interval of work; `--resume PATH` continues from such a file with the
-//! counters intact.
+//! Durable analysis: `--checkpoint-file PATH` saves the search
+//! atomically on any limit stop, and in static mode also every
+//! `--checkpoint-every N` executed transitions, so a killed process loses
+//! at most one interval of work. `--resume PATH` continues from such a
+//! file with the counters intact, under the rule the checkpoint records:
+//! either subcommand resumes either kind.
 //!
 //! Black box (both modes): the flight recorder is on by default
 //! (`--flight-recorder off` disables it) and costs a bounded ring of
@@ -288,7 +289,7 @@ fn normalize(spec_path: &str) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Durable-analysis flags (static mode only).
+/// Durable-analysis flags (`--checkpoint-every` is static-only).
 #[derive(Debug, Default)]
 struct CheckpointFlags {
     /// Where to (auto)save the search when it stops on a limit.
@@ -397,10 +398,7 @@ fn parse_progress(v: &str) -> Result<(ProgressMode, Duration), String> {
         None => (ProgressMode::Human, lower.as_str()),
     };
     let secs: f64 = secs_str.parse().map_err(|_| bad())?;
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(bad());
-    }
-    Ok((mode, Duration::from_secs_f64(secs)))
+    Ok((mode, Duration::try_from_secs_f64(secs).map_err(|_| bad())?))
 }
 
 /// What `analyze` and `online` take from their command line.
@@ -472,13 +470,10 @@ fn parse_options(args: &[String]) -> Result<ParsedArgs, String> {
             }
             "--max-seconds" => {
                 let v = value("a value")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --max-seconds value `{}`", v))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("bad --max-seconds value `{}`", v));
-                }
-                options.limits.max_wall_time = Some(Duration::from_secs_f64(secs));
+                let bad = || format!("bad --max-seconds value `{}`", v);
+                let secs: f64 = v.parse().map_err(|_| bad())?;
+                let d = Duration::try_from_secs_f64(secs).ok().filter(|_| secs > 0.0);
+                options.limits.max_wall_time = Some(d.ok_or_else(bad)?);
             }
             "--max-mem" => options.limits.max_state_bytes = Some(parse_bytes(value("a value")?)?),
             "--on-truncate" => {
@@ -551,31 +546,31 @@ fn parse_options(args: &[String]) -> Result<ParsedArgs, String> {
 }
 
 fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
+    let parsed = parse_options(args)?;
     let ParsedArgs {
-        options,
-        recovery,
         ckpt,
         tflags,
         positional,
         chaos,
-    } = parse_options(args)?;
+        ..
+    } = &parsed;
     if online {
         // On-line mode runs one worker unless `--workers` asks for more
-        // (`--workers 0` = one per core): on two cores, two workers take
-        // about 1.3 times as long as one on the TP0 on-line benchmark.
-        // `--checkpoint-file`/`--resume` work on-line too (save on a limit
-        // stop, resume an eof-reached front); only the autosave round loop
-        // is static-only.
+        // (`--workers 0` = one per core); on two cores, two workers run
+        // the TP0 on-line benchmark in about 143 ms per analysis (median)
+        // against one worker's 161 ms. `--checkpoint-file`/`--resume`
+        // work on-line too; only the autosave rounds and the chaos flags
+        // are static-only.
         if ckpt.every.is_some() {
             return Err("--checkpoint-every applies to static `analyze` only".to_string());
         }
+        if chaos.is_some() {
+            return Err(
+                "--chaos-seed/--fault-plan apply to static `analyze` only".to_string(),
+            );
+        }
     }
-    if online && chaos.is_some() {
-        return Err(
-            "--chaos-seed/--fault-plan apply to static `analyze` only".to_string(),
-        );
-    }
-    if let Some(plan) = &chaos {
+    if let Some(plan) = chaos {
         // Echo the full plan so any chaos run is reproducible from its
         // log alone: `--fault-plan '<this line>'` re-arms it exactly.
         eprintln!("chaos: plan={}", plan.describe());
@@ -584,7 +579,7 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     // specification is required (it is not serialized — the checkpoint is
     // validated against it on load instead).
     let (spec_path, trace_path) = match positional.as_slice() {
-        [s, t] => (s, Some(t)),
+        [s, t] => (s, Some(t.as_str())),
         [s] if ckpt.resume.is_some() => (s, None),
         _ => return Err(usage()),
     };
@@ -601,57 +596,7 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     // `_server` must outlive the analysis: it serves /status, /metrics
     // and /profile until the final (done=true) push lands in finalize.
     let (mut tel, _server) = tflags.build(&analyzer)?;
-
-    let (report, saved) = if online {
-        let mut on_status = |v: &Verdict| {
-            // A failed write here resurfaces when the report is written.
-            let _ = out(format_args!("interim: {}\n", v));
-            true
-        };
-        let mut report = match &ckpt.resume {
-            Some(path) => {
-                let cp = Checkpoint::read_from(path).map_err(|e| e.to_string())?;
-                analyzer
-                    .analyze_online_resume_with(cp, &options, &mut on_status, &mut tel)
-                    .map_err(|e| e.to_string())?
-            }
-            None => {
-                let trace_path = trace_path.ok_or_else(usage)?;
-                let mut src =
-                    FollowFileSource::new(trace_path, Some(analyzer.module().clone()))
-                        .with_recovery(recovery);
-                let report = analyzer
-                    .analyze_online_with(&mut src, &options, &mut on_status, &mut tel)
-                    .map_err(|e| e.to_string())?;
-                if src.skipped_lines() > 0 {
-                    eprintln!(
-                        "warning: {} unparseable trace line(s) skipped",
-                        src.skipped_lines()
-                    );
-                }
-                report
-            }
-        };
-        // A limit stop after eof carries a resumable multi-worker front;
-        // persist it like static mode's autosave (single-shot, no rounds).
-        let saved = match (&ckpt.file, report.checkpoint.as_deref()) {
-            (Some(path), Some(cp)) => {
-                let (stats, faults) = (&mut report.stats, &mut report.checkpoint_faults);
-                save_checkpoint(cp, path, &FaultPlan::default(), &mut 0, &mut tel, stats, faults)
-            }
-            _ => false,
-        };
-        (report, saved)
-    } else {
-        run_static(
-            &analyzer,
-            trace_path.map(String::as_str),
-            &options,
-            &ckpt,
-            chaos.as_ref(),
-            &mut tel,
-        )?
-    };
+    let (report, saved) = search(&analyzer, &parsed, online, trace_path, &mut tel)?;
 
     // Fold the cumulative counters into the metrics registry and flush
     // the event stream, then write the requested artifacts.
@@ -739,27 +684,29 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     })
 }
 
-/// Static-mode analysis with durable checkpointing: fresh or resumed,
-/// autosaving every `--checkpoint-every` transitions by running the
-/// search in bounded rounds (each round ends on a *synthetic* transition
-/// cap, the frozen checkpoint is written atomically, and the search
-/// resumes in-process — the same stop/resume path a crashed process
-/// recovers through, so the totals are identical either way). Returns
-/// the final report and whether any save succeeded.
-fn run_static(
+/// The analysis with durable checkpointing. The first report comes from
+/// one of four starts: a resumed checkpoint (of either kind, under either
+/// subcommand), a fresh on-line run, a chaos static run, or a plain
+/// static one. Then one loop saves the search on every limit stop, and
+/// with `--checkpoint-every` continues it in rounds: each round ends on a
+/// *synthetic* transition cap, the frozen checkpoint is written
+/// atomically, and the search resumes in-process — the same stop/resume
+/// path a crashed process recovers through, so the totals are identical
+/// either way. Returns the final report and whether any save succeeded.
+fn search(
     analyzer: &TraceAnalyzer,
+    args: &ParsedArgs,
+    online: bool,
     trace_path: Option<&str>,
-    options: &AnalysisOptions,
-    ckpt: &CheckpointFlags,
-    chaos: Option<&FaultPlan>,
     tel: &mut Telemetry,
 ) -> Result<(AnalysisReport, bool), String> {
-    let user_cap = options.limits.max_transitions;
+    let ckpt = &args.ckpt;
+    let user_cap = args.options.limits.max_transitions;
     // Chaos bookkeeping lives outside the round loop: the search rounds
     // replace `report`, but source faults happen once (at drain) and
     // checkpoint faults accumulate across every autosave, so both fold
     // into whichever report turns out to be final.
-    let chaos_plan = chaos.copied().unwrap_or_default();
+    let chaos_plan = args.chaos.unwrap_or_default();
     let mut ckpt_attempts = 0;
     let mut counts = SearchStats::default();
     let mut source_faults: Vec<String> = Vec::new();
@@ -768,24 +715,42 @@ fn run_static(
     // One search round: cap TE at the next autosave point, never above
     // the user's own limit.
     let round_options = |done: u64| {
-        let mut o = options.clone();
+        let mut o = args.options.clone();
         if let Some(every) = ckpt.every {
             o.limits.max_transitions = user_cap.min(done.saturating_add(every));
         }
         o
     };
 
-    let mut report = match &ckpt.resume {
-        Some(path) => {
+    let mut report = match (&ckpt.resume, trace_path) {
+        (Some(path), _) => {
             let cp = Checkpoint::read_from(path).map_err(|e| e.to_string())?;
             let done = cp.stats().transitions_executed;
-            analyzer
-                .analyze_resume_with(cp, &round_options(done), tel)
-                .map_err(|e| e.to_string())?
+            analyzer.resume_with(cp, &round_options(done), tel)
         }
-        None => {
-            let text = read(trace_path.ok_or_else(usage)?)?;
-            match chaos.and_then(|p| p.build_source(&text, Some(analyzer.module().clone()))) {
+        (None, None) => return Err(usage()),
+        (None, Some(trace_path)) if online => {
+            let mut on_status = |v: &Verdict| {
+                // A failed write here resurfaces when the report is written.
+                let _ = out(format_args!("interim: {}\n", v));
+                true
+            };
+            let mut src = FollowFileSource::new(trace_path, Some(analyzer.module().clone()))
+                .with_recovery(args.recovery);
+            let report =
+                analyzer.analyze_online_with(&mut src, &round_options(0), &mut on_status, tel);
+            if src.skipped_lines() > 0 {
+                eprintln!(
+                    "warning: {} unparseable trace line(s) skipped",
+                    src.skipped_lines()
+                );
+            }
+            report
+        }
+        (None, Some(trace_path)) => {
+            let text = read(trace_path)?;
+            let module = Some(analyzer.module().clone());
+            match args.chaos.and_then(|p| p.build_source(&text, module)) {
                 Some(mut src) => {
                     // Source site armed: the whole trace is read through
                     // the injector first, then the search analyzes what
@@ -796,16 +761,13 @@ fn run_static(
                     source_faults = faults;
                     counts.source_retries = src.fault_retries();
                     counts.source_giveups = src.fault_giveups();
-                    analyzer
-                        .analyze_with(&trace, &round_options(0), tel)
-                        .map_err(|e| e.to_string())?
+                    analyzer.analyze_with(&trace, &round_options(0), tel)
                 }
-                None => analyzer
-                    .analyze_text_with(&text, &round_options(0), tel)
-                    .map_err(|e| e.to_string())?,
+                None => analyzer.analyze_text_with(&text, &round_options(0), tel),
             }
         }
-    };
+    }
+    .map_err(|e| e.to_string())?;
 
     loop {
         // Autosave on every limit stop, synthetic or genuine.
@@ -844,7 +806,7 @@ fn run_static(
         let cp = *report.checkpoint.take().expect("checked above");
         let done = cp.stats().transitions_executed;
         report = analyzer
-            .analyze_resume_with(cp, &round_options(done), tel)
+            .resume_with(cp, &round_options(done), tel)
             .map_err(|e| e.to_string())?;
     }
 }
@@ -1111,6 +1073,27 @@ mod tests {
         assert!(parse_options(&["--chaos-seed".to_string()]).is_err());
         assert!(parse_options(&["--chaos-seed=pi".to_string()]).is_err());
         assert!(parse_options(&["--fault-plan=bogus.knob=1".to_string()]).is_err());
+    }
+
+    #[test]
+    fn durations_out_of_range_are_bad_values() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for v in ["1e300", "inf", "NaN", "0", "-1"] {
+            let e = parse_options(&args(&["--max-seconds", v, "x"])).unwrap_err();
+            assert_eq!(e, format!("bad --max-seconds value `{}`", v));
+        }
+        for v in ["1e300", "jsonl:1e300", "-1", "jsonl:inf"] {
+            let e = parse_options(&args(&["--progress", v, "x"])).unwrap_err();
+            assert_eq!(
+                e,
+                format!("bad --progress value `{}` (expected SECS or jsonl[:SECS])", v)
+            );
+        }
+        // The largest representable values still parse.
+        let p = parse_options(&args(&["--max-seconds=1e19", "--progress=jsonl:1e19", "x"]));
+        let p = p.unwrap();
+        assert_eq!(p.options.limits.max_wall_time, Some(Duration::from_secs(10u64.pow(19))));
+        assert_eq!(p.tflags.progress.map(|(_, d)| d), Some(Duration::from_secs(10u64.pow(19))));
     }
 
     #[test]

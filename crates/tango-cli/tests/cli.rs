@@ -302,3 +302,70 @@ fn a_failed_online_checkpoint_save_is_counted_and_dumped() {
     assert!(info.contains("    checkpoint: save to "), "{}", info);
     assert!(info.contains("resume from: (no checkpoint recorded)"), "{}", info);
 }
+
+/// The verdict word and TE/GE/RE/SA of a report on stdout.
+fn verdict_and_counters(out: &std::process::Output) -> (String, [u64; 4]) {
+    let text = stdout_of(out);
+    let verdict = text
+        .lines()
+        .find_map(|l| l.strip_prefix("verdict: "))
+        .unwrap_or_else(|| panic!("no verdict line in: {}", text));
+    let word = verdict.split_whitespace().next().unwrap().to_string();
+    (word, common::parse_counters(verdict))
+}
+
+/// Either subcommand resumes either kind of checkpoint, under the rule
+/// the checkpoint records: an on-line stop after eof resumes through
+/// `analyze --resume`, a static stop through `online --resume`, and each
+/// prints the uninterrupted run's verdict and counters.
+#[test]
+fn either_subcommand_resumes_either_kind_of_checkpoint() {
+    let dir = scratch_dir("either_subcommand_resumes_either_kind_of_checkpoint");
+    let specs = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let cases = [
+        (
+            "lapd",
+            "in U.dl_est_req\nin L.ua\nin U.dl_data_req(0)\nin U.dl_data_req(1)\n",
+            ["online", "analyze"],
+            &["--workers", "2"][..],
+        ),
+        (
+            "tp0",
+            "in U.tconreq\nin L.cc_ind\nin U.tdatreq(0)\nin U.tdatreq(1)\nin U.tdisreq\n",
+            ["analyze", "online"],
+            &[][..],
+        ),
+    ];
+    for (name, script, [stop_with, resume_with], extra) in cases {
+        let spec = specs.join(format!("{}.est", name));
+        let script = write_file(&dir, &format!("{}-script.txt", name), script);
+        let generated = bin().arg("generate").arg(&spec).arg(&script).output().unwrap();
+        assert!(generated.status.success(), "{}", stderr_of(&generated));
+        let trace = write_file(&dir, &format!("{}.trace", name), &stdout_of(&generated));
+        let ckpt = dir.join(format!("{}.ckpt", name));
+        let analysis = |cmd: &str| {
+            let mut c = bin();
+            c.arg(cmd).arg(&spec).args(extra);
+            c
+        };
+
+        let whole = analysis(stop_with).arg(&trace).output().unwrap();
+        assert!(stdout_of(&whole).contains("verdict: valid"), "{}", stdout_of(&whole));
+        let stopped = analysis(stop_with)
+            .arg(&trace)
+            .args(["--max-transitions", "5", "--flight-recorder", "off"])
+            .arg("--checkpoint-file")
+            .arg(&ckpt)
+            .output()
+            .unwrap();
+        assert_eq!(stopped.status.code(), Some(2), "{}: {}", name, stdout_of(&stopped));
+        let resumed = analysis(resume_with).arg("--resume").arg(&ckpt).output().unwrap();
+        assert_eq!(resumed.status.code(), Some(0), "{}: {}", name, stderr_of(&resumed));
+        assert_eq!(
+            verdict_and_counters(&resumed),
+            verdict_and_counters(&whole),
+            "{}",
+            name
+        );
+    }
+}

@@ -4,8 +4,10 @@
 //! Estelle specification: it produces a [`TraceAnalyzer`], the analog of
 //! the compiled TAM executable. The analyzer then checks traces in static
 //! mode ([`TraceAnalyzer::analyze`]) or on-line dynamic mode
-//! ([`TraceAnalyzer::analyze_online`]), supports the runtime options of
-//! §2.4, and doubles as an implementation generator (§4.1's methodology).
+//! ([`TraceAnalyzer::analyze_online`]), continues an analysis from a
+//! resource-limit stop ([`TraceAnalyzer::resume`]), supports the runtime
+//! options of §2.4, and doubles as an implementation generator (§4.1's
+//! methodology).
 
 use crate::checkpoint::Checkpoint;
 use crate::env::EnvError;
@@ -121,10 +123,9 @@ impl TraceAnalyzer {
         options: &AnalysisOptions,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        tel.begin("dfs", &self.module().module_name);
         let module = self.module();
         let start = Start::Static(trace.clone(), None);
-        let mut report = run(&self.machine, module, start, options, &mut |_| true, tel)?;
+        let mut report = run(&self.machine, module, start, options, tel)?;
 
         // §2.4.1: on failure, "backtrack to the point right after the
         // initialize transition was taken, choose another initial FSM
@@ -137,7 +138,7 @@ impl TraceAnalyzer {
                     continue;
                 }
                 let start = Start::Static(trace.clone(), Some(sid));
-                let round = run(&self.machine, module, start, options, &mut |_| true, tel)?;
+                let round = run(&self.machine, module, start, options, tel)?;
                 report.stats.absorb(&round.stats);
                 report.spec_errors.extend(round.spec_errors);
                 if round.verdict == Verdict::Valid {
@@ -155,44 +156,41 @@ impl TraceAnalyzer {
         Ok(report)
     }
 
-    /// Continue an analysis stopped on a resource limit (static mode).
+    /// Continue an analysis stopped on a resource limit, under the rule
+    /// the checkpoint records: the static (DFS) descent or the on-line
+    /// (MDFS) search.
     ///
     /// `checkpoint` comes from the [`AnalysisReport::checkpoint`] of the
-    /// stopped run; `options` should differ from the original ones only in
-    /// raised limits — the checking options must stay the same for the
-    /// combined verdict to be meaningful. Counters continue rather than
-    /// restart: after any number of stop/resume rounds, the final
-    /// TE/GE/RE/SA totals equal those of an uninterrupted run. The
-    /// §2.4.1 initial-state search is not re-entered on resume; resume the
-    /// default-state search to its own conclusion instead.
-    pub fn analyze_resume(
+    /// stopped run (or [`Checkpoint::read_from`]); `options` should differ
+    /// from the original ones only in raised limits — the checking options
+    /// must stay the same for the combined verdict to be meaningful.
+    /// Counters continue rather than restart: after any number of
+    /// stop/resume rounds, the final TE/GE/RE/SA totals equal those of an
+    /// uninterrupted run. The §2.4.1 initial-state search is not
+    /// re-entered on resume; resume the default-state search to its own
+    /// conclusion instead. An on-line checkpoint resumes at
+    /// `options.workers`, whatever count it was saved at: the saved front
+    /// is redistributed over the resolved worker set.
+    ///
+    /// Refused: a checkpoint that does not fit this specification, and an
+    /// on-line one saved before its source reached end-of-file (the
+    /// remaining events are unknowable, so the front could not be
+    /// replayed faithfully).
+    pub fn resume(
         &self,
         checkpoint: Checkpoint,
         options: &AnalysisOptions,
     ) -> Result<AnalysisReport, TangoError> {
-        self.analyze_resume_with(checkpoint, options, &mut Telemetry::off())
+        self.resume_with(checkpoint, options, &mut Telemetry::off())
     }
 
-    /// [`TraceAnalyzer::analyze_resume`] with a telemetry handle. Reusing
-    /// one handle across stop/resume rounds produces one continuous event
+    /// [`TraceAnalyzer::resume`] with a telemetry handle. Reusing one
+    /// handle across stop/resume rounds produces one continuous event
     /// stream for the whole logical analysis.
-    pub fn analyze_resume_with(
+    pub fn resume_with(
         &self,
         checkpoint: Checkpoint,
         options: &AnalysisOptions,
-        tel: &mut Telemetry,
-    ) -> Result<AnalysisReport, TangoError> {
-        self.resume(checkpoint, false, options, &mut |_| true, tel)
-    }
-
-    /// Resume `checkpoint` under the rule it stopped in, refusing one that
-    /// does not fit this specification or that the other mode saved.
-    fn resume(
-        &self,
-        checkpoint: Checkpoint,
-        online: bool,
-        options: &AnalysisOptions,
-        on_status: &mut dyn FnMut(&Verdict) -> bool,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
         let refuse = |m: &str| TangoError::Env(EnvError(format!("resume: {}", m)));
@@ -200,20 +198,11 @@ impl TraceAnalyzer {
         checkpoint
             .validate_against(self.module(), count)
             .map_err(|m| refuse(&m))?;
-        let search = &checkpoint.search;
-        if search.complete == online {
-            return Err(refuse(if online {
-                "static (DFS) checkpoint — use analyze_resume"
-            } else {
-                "on-line (MDFS) checkpoint — use analyze_online_resume"
-            }));
-        }
-        if !search.eof {
+        if !checkpoint.search.eof {
             return Err(refuse("only eof-reached on-line checkpoints are resumable"));
         }
-        tel.begin(checkpoint.mode(), &self.module().module_name);
         let start = Start::Resume(Box::new(checkpoint));
-        run(&self.machine, self.module(), start, options, on_status, tel)
+        run(&self.machine, self.module(), start, options, tel)
     }
 
     /// On-line analysis of a dynamic trace (§3): multi-threaded DFS with
@@ -239,36 +228,8 @@ impl TraceAnalyzer {
         on_status: &mut dyn FnMut(&Verdict) -> bool,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        tel.begin("mdfs", &self.module().module_name);
-        let start = Start::Online(source);
-        run(&self.machine, self.module(), start, options, on_status, tel)
-    }
-
-    /// Continue an on-line analysis stopped on a resource limit.
-    ///
-    /// Only checkpoints saved *after* the trace source reached end-of-file
-    /// are resumable (before eof the remaining events are unknowable, so a
-    /// saved front could not be replayed faithfully). The checkpoint may be
-    /// resumed at a different worker count than it was saved at: the saved
-    /// search front is redistributed over the resolved worker set.
-    pub fn analyze_online_resume(
-        &self,
-        checkpoint: Checkpoint,
-        options: &AnalysisOptions,
-        on_status: &mut dyn FnMut(&Verdict) -> bool,
-    ) -> Result<AnalysisReport, TangoError> {
-        self.analyze_online_resume_with(checkpoint, options, on_status, &mut Telemetry::off())
-    }
-
-    /// [`TraceAnalyzer::analyze_online_resume`] with a telemetry handle.
-    pub fn analyze_online_resume_with(
-        &self,
-        checkpoint: Checkpoint,
-        options: &AnalysisOptions,
-        on_status: &mut dyn FnMut(&Verdict) -> bool,
-        tel: &mut Telemetry,
-    ) -> Result<AnalysisReport, TangoError> {
-        self.resume(checkpoint, true, options, on_status, tel)
+        let start = Start::Online(source, on_status);
+        run(&self.machine, self.module(), start, options, tel)
     }
 
     /// Implementation-generation mode (§4.1 methodology): execute the

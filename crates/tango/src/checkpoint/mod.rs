@@ -16,11 +16,10 @@
 //! (state snapshot, trace cursors, tried/blocked transition sets, barren
 //! counter, path); a node the complete-trace rule saved for backtracking
 //! also carries its pending candidate list. The mode says which rule the
-//! search ran, so each resume entry point refuses the other kind:
-//! [`crate::TraceAnalyzer::analyze_resume`] takes static checkpoints,
-//! [`crate::TraceAnalyzer::analyze_online_resume`] on-line ones. An
-//! on-line checkpoint is **worker-count independent**: a run stopped at
-//! N workers resumes at any M, with the uninterrupted totals
+//! search ran, and [`crate::TraceAnalyzer::resume`], the one way back
+//! from a stop, continues under that rule whichever entry point stopped.
+//! An on-line checkpoint is **worker-count independent**: a run stopped
+//! at N workers resumes at any M, with the uninterrupted totals
 //! (DESIGN §6.13).
 
 pub mod codec;
@@ -35,8 +34,7 @@ use estelle_runtime::{Fireable, MachineState, RuntimeError};
 /// A resumable, stopped analysis. Opaque except for the progress
 /// accessors; produce with a limited [`crate::TraceAnalyzer::analyze`]
 /// (or `analyze_online`) call, consume with
-/// [`crate::TraceAnalyzer::analyze_resume`] (static checkpoints) or
-/// [`crate::TraceAnalyzer::analyze_online_resume`] (on-line ones).
+/// [`crate::TraceAnalyzer::resume`], which takes either kind.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     pub(crate) search: SearchCheckpoint,

@@ -71,9 +71,9 @@ impl std::error::Error for FaultError {}
 /// absorb and how long to sleep between attempts.
 ///
 /// One implementation serves the formerly hand-rolled loops —
-/// checkpoint atomic writes ([`RetryPolicy::checkpoint`]) and idle
-/// polling ([`RetryPolicy::source_poll`] and [`RetryPolicy::mdfs_poll`],
-/// via [`Backoff`]) — each keeping its exact historical schedule. The
+/// checkpoint atomic writes ([`RetryPolicy::checkpoint`]) and the
+/// on-line engine's idle polling ([`RetryPolicy::mdfs_poll`], via
+/// [`Backoff`]) — each keeping its exact historical schedule. The
 /// sleep for (1-based) attempt `k` is `min(base * 2^(k-1), cap)`, and
 /// never extends past an armed deadline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,19 +106,9 @@ impl RetryPolicy {
         RetryPolicy::new(3, Duration::from_millis(4), Duration::from_millis(32))
     }
 
-    /// The idle-polling schedule of [`crate::FollowFileSource`]: 1 ms
-    /// doubling to 100 ms. Unbounded — idle polling never "gives up".
-    pub const fn source_poll() -> Self {
-        RetryPolicy::new(
-            u32::MAX,
-            Duration::from_millis(1),
-            Duration::from_millis(100),
-        )
-    }
-
     /// The MDFS idle-poll schedule: 1 ms doubling to 16 ms, so a busy
     /// feed is picked up within a millisecond while a long-idle monitor
-    /// stops burning CPU.
+    /// stops burning CPU. Unbounded — idle polling never "gives up".
     pub const fn mdfs_poll() -> Self {
         RetryPolicy::new(
             u32::MAX,
@@ -201,8 +191,7 @@ pub struct RetryOutcome<T, E> {
 
 /// Stateful exponential backoff over a [`RetryPolicy`] schedule, for
 /// idle-polling sites where "attempts" are spread over time instead of
-/// wrapped in one loop ([`crate::FollowFileSource`], the MDFS poll
-/// loop).
+/// wrapped in one loop (the MDFS poll loop).
 #[derive(Clone, Copy, Debug)]
 pub struct Backoff {
     policy: RetryPolicy,
@@ -219,17 +208,6 @@ impl Backoff {
     pub fn next_delay(&mut self) -> Duration {
         self.attempt = self.attempt.saturating_add(1);
         self.policy.delay_for(self.attempt)
-    }
-
-    /// The delay the next [`Backoff::next_delay`] call would return
-    /// (before deadline clamping) — for tests pinning the schedule.
-    pub fn peek(&self) -> Duration {
-        self.policy.sleep_for(self.attempt.saturating_add(1))
-    }
-
-    /// Data arrived: start over at the base delay.
-    pub fn reset(&mut self) {
-        self.attempt = 0;
     }
 }
 
@@ -614,10 +592,6 @@ mod tests {
             vec![4, 8, 16, 32, 32],
             "checkpoint kept its 2<<tries schedule"
         );
-        let fp = RetryPolicy::source_poll();
-        assert_eq!(fp.sleep_for(1).as_millis(), 1);
-        assert_eq!(fp.sleep_for(8).as_millis(), 100, "caps at 100ms");
-        assert_eq!(fp.sleep_for(10_000).as_millis(), 100, "no overflow at depth");
     }
 
     #[test]
@@ -671,12 +645,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_resets() {
-        let mut b = Backoff::new(RetryPolicy::source_poll());
-        assert_eq!(b.peek(), Duration::from_millis(1));
-        let seq: Vec<u128> = (0..9).map(|_| b.next_delay().as_millis()).collect();
-        assert_eq!(seq, vec![1, 2, 4, 8, 16, 32, 64, 100, 100]);
-        b.reset();
-        assert_eq!(b.peek(), Duration::from_millis(1));
+        let mut b = Backoff::new(RetryPolicy::mdfs_poll());
+        let seq: Vec<u128> = (0..6).map(|_| b.next_delay().as_millis()).collect();
+        assert_eq!(seq, vec![1, 2, 4, 8, 16, 16]);
+        let deep = RetryPolicy::mdfs_poll().sleep_for(10_000).as_millis();
+        assert_eq!(deep, 16, "no overflow at depth");
     }
 
     #[test]

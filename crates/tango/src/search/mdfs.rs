@@ -331,8 +331,10 @@ struct Best {
 
 /// What a run starts from.
 pub(crate) enum Start<'s> {
-    /// A fresh on-line run: the trace arrives from the source.
-    Online(&'s mut dyn TraceSource),
+    /// A fresh on-line run: the trace arrives from the source, and the
+    /// callback sees every change of the interim verdict (returning
+    /// `false` stops the analysis and reports the interim verdict).
+    Online(&'s mut dyn TraceSource, &'s mut dyn FnMut(&Verdict) -> bool),
     /// A fresh static run over a complete trace, from this initial FSM
     /// state (`None`: the specification's).
     Static(ResolvedTrace, Option<StateId>),
@@ -1523,40 +1525,33 @@ fn absorb(
 /// on one worker and no source is polled. Otherwise the on-line rule runs
 /// at any worker count: poll, revive, search the known tree (one drain,
 /// or bursts), then conclude, report an interim verdict, or wait for
-/// input. `on_status` sees every change of the interim verdict;
-/// returning `false` stops the analysis and reports the interim verdict.
-/// An on-line run refuses state hashing: with two or more workers the
-/// visited set would make the counters depend on the schedule.
+/// input. Only a fresh on-line run reports interim verdicts: the others
+/// start at end-of-file. An on-line run refuses state hashing: with two
+/// or more workers the visited set would make the counters depend on
+/// the schedule.
 pub(crate) fn run(
     machine: &Machine,
     module: &AnalyzedModule,
     start: Start<'_>,
     options: &AnalysisOptions,
-    on_status: &mut dyn FnMut(&Verdict) -> bool,
     tel: &mut Telemetry,
 ) -> Result<AnalysisReport, TangoError> {
     let t0 = Instant::now();
-    let mut no_source = EofSource;
+    let no_source: &mut dyn TraceSource = &mut EofSource;
+    let go_on: &mut dyn FnMut(&Verdict) -> bool = &mut |_| true;
     let fresh = SearchStats::default;
-    let (complete, source, trace, stats, init, front): (bool, &mut dyn TraceSource, _, _, _, _) =
-        match start {
-            Start::Online(s) => {
-                let empty = ResolvedTrace::empty(module.ips.len());
-                (false, s, empty, fresh(), None, None)
-            }
-            Start::Static(t, init) => (true, &mut no_source, t, fresh(), init, None),
-            Start::Resume(c) => {
-                let complete = c.search.complete;
-                (
-                    complete,
-                    &mut no_source,
-                    c.trace,
-                    c.stats,
-                    None,
-                    Some(c.search),
-                )
-            }
-        };
+    let (complete, source, on_status, trace, stats, init, front) = match start {
+        Start::Online(s, on_status) => {
+            let empty = ResolvedTrace::empty(module.ips.len());
+            (false, s, on_status, empty, fresh(), None, None)
+        }
+        Start::Static(t, init) => (true, no_source, go_on, t, fresh(), init, None),
+        Start::Resume(c) => {
+            let complete = c.search.complete;
+            (complete, no_source, go_on, c.trace, c.stats, None, Some(c.search))
+        }
+    };
+    tel.begin(if complete { "dfs" } else { "mdfs" }, &module.module_name);
     if !complete && options.state_hashing {
         return Err(TangoError::Env(EnvError(
             "state hashing is a static-analysis option; on-line analysis does not support it"
@@ -1568,7 +1563,8 @@ pub(crate) fn run(
     } else {
         options.resolved_workers().max(1)
     };
-    let deadline = options.limits.max_wall_time.map(|d| t0 + d);
+    // A deadline the clock cannot represent is no deadline.
+    let deadline = options.limits.max_wall_time.and_then(|d| t0.checked_add(d));
     let cap = options.limits.max_transitions;
     let machine = machine.policy_view(options.policy);
     if n_workers > 1 {

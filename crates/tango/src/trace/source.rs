@@ -13,8 +13,7 @@
 //!   than hanging the monitor;
 //! * [`FollowFileSource`] — a trace file on disk that another process
 //!   appends to, polled for new lines, with truncation/rotation detection
-//!   ([`RecoveryPolicy`]), exponential polling backoff, and a bounded
-//!   parse-error buffer;
+//!   ([`RecoveryPolicy`]) and a bounded parse-error buffer;
 //! * [`FaultySource`] — a fault-injection wrapper for testing: corrupts
 //!   lines, stalls, duplicates events and truncates lines mid-way
 //!   according to the source rows of a deterministic
@@ -22,14 +21,13 @@
 
 use super::format::{parse_line, Line};
 use super::{Event, Trace};
-use crate::fault::{Backoff, Fault, FaultPlan, RetryPolicy};
+use crate::fault::{Fault, FaultPlan};
 use estelle_frontend::sema::model::AnalyzedModule;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::time::Instant;
 
 /// What one poll of a dynamic source produced.
 #[derive(Debug, Default, Clone)]
@@ -252,8 +250,9 @@ impl ErrorBuf {
 /// Fault tolerance:
 /// * file truncation/rotation (length below the saved offset) is detected
 ///   from metadata and handled per [`RecoveryPolicy`];
-/// * consecutive empty polls back off exponentially (1ms → 100ms) so an
-///   idle monitor does not spin on the filesystem;
+/// * every poll looks at the file: pacing idle polls is the caller's
+///   job (the on-line engine backs off 1 ms → 16 ms while the feed is
+///   silent);
 /// * parse errors are skipped (one glitch must not wedge the monitor) and
 ///   recorded in a bounded buffer with a dropped-count.
 pub struct FollowFileSource {
@@ -265,11 +264,6 @@ pub struct FollowFileSource {
     errors: ErrorBuf,
     /// Times the file was observed truncated/rotated.
     rotations: u64,
-    /// Idle-poll backoff on the shared [`RetryPolicy::source_poll`]
-    /// schedule (1ms doubling to 100ms).
-    idle: Backoff,
-    /// Skip filesystem work until this instant (backoff in effect).
-    next_poll_at: Option<Instant>,
     /// Rotations recovered by re-reading ([`RecoveryPolicy::Restart`]).
     retries: u64,
     /// Rotations that ended the feed ([`RecoveryPolicy::Fail`]).
@@ -286,8 +280,6 @@ impl FollowFileSource {
             recovery: RecoveryPolicy::default(),
             errors: ErrorBuf::default(),
             rotations: 0,
-            idle: Backoff::new(RetryPolicy::source_poll()),
-            next_poll_at: None,
             retries: 0,
             giveups: 0,
         }
@@ -321,15 +313,7 @@ impl TraceSource for FollowFileSource {
         if self.eof {
             return out;
         }
-        // Exponential backoff: after empty polls, skip the filesystem for
-        // a while instead of hammering it.
-        if let Some(t) = self.next_poll_at {
-            if Instant::now() < t {
-                return out;
-            }
-        }
         let Ok(mut f) = File::open(&self.path) else {
-            self.note_idle();
             return out; // not created yet — keep polling
         };
         // Truncation/rotation detection: a file shorter than our offset
@@ -363,13 +347,9 @@ impl TraceSource for FollowFileSource {
                 }
             }
             Ok(_) => {}
-            Err(_) => {
-                self.note_idle();
-                return out;
-            }
+            Err(_) => return out,
         }
         if f.seek(SeekFrom::Start(self.offset)).is_err() {
-            self.note_idle();
             return out;
         }
         let mut reader = BufReader::new(f);
@@ -393,12 +373,6 @@ impl TraceSource for FollowFileSource {
                 Err(_) => break,
             }
         }
-        if out.events.is_empty() && !out.eof {
-            self.note_idle();
-        } else {
-            self.idle.reset();
-            self.next_poll_at = None;
-        }
         out
     }
 
@@ -420,12 +394,6 @@ impl TraceSource for FollowFileSource {
 
     fn fault_giveups(&self) -> u64 {
         self.giveups
-    }
-}
-
-impl FollowFileSource {
-    fn note_idle(&mut self) {
-        self.next_poll_at = Some(Instant::now() + self.idle.next_delay());
     }
 }
 
@@ -763,31 +731,6 @@ mod tests {
         // kept lines + "dropped" summary line.
         assert_eq!(d.len(), MAX_SOURCE_ERRORS + 1);
         assert!(d.last().unwrap().contains("dropped"));
-    }
-
-    #[test]
-    fn idle_polls_back_off() {
-        let dir = tmpdir("backoff");
-        let path = dir.join("b.trace");
-        std::fs::write(&path, "").unwrap();
-        let mut s = FollowFileSource::new(&path, None);
-        assert!(s.poll().events.is_empty());
-        let first = s.next_poll_at.expect("backoff armed");
-        assert!(first > Instant::now() - Duration::from_secs(1));
-        // Polling again during the backoff window does no filesystem work
-        // and keeps the schedule.
-        assert!(s.poll().events.is_empty());
-        // Backoff doubles up to the RetryPolicy::source_poll cap (100ms).
-        for _ in 0..20 {
-            s.note_idle();
-        }
-        assert_eq!(s.idle.peek(), Duration::from_millis(100));
-        // Data resets the backoff to the 1ms base.
-        std::fs::write(&path, "in A.x\n").unwrap();
-        s.next_poll_at = None;
-        assert_eq!(s.poll().events.len(), 1);
-        assert_eq!(s.idle.peek(), Duration::from_millis(1));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -100,10 +100,11 @@ pub struct AnalysisReport {
     /// For invalid traces (on-line: after eof): the most-explaining path
     /// found, localizing where the trace stops being explainable.
     pub best_effort: Option<BestEffort>,
-    /// When a static analysis stopped on a resource limit: the frozen
-    /// search state. Feed it to [`crate::TraceAnalyzer::analyze_resume`]
-    /// with raised limits to continue exactly where the search stopped
-    /// (no work is repeated; counters continue rather than restart).
+    /// When an analysis stopped on a resource limit: the frozen search
+    /// state. Feed it to [`crate::TraceAnalyzer::resume`] with raised
+    /// limits to continue exactly where the search stopped (no work is
+    /// repeated; counters continue rather than restart). An on-line stop
+    /// before end-of-file carries one too, but it is not resumable.
     pub checkpoint: Option<Box<crate::checkpoint::Checkpoint>>,
     /// Faults the dynamic trace source observed while feeding (parse
     /// errors, file truncation, a dead feeder …). Empty for static runs.

@@ -42,9 +42,11 @@ fn main() {
         checkpoint.stats()
     );
 
-    // Resume with the deadline lifted; counters continue, not restart.
+    // Resume with the deadline lifted: `resume` continues under the rule
+    // the checkpoint records (here the static one); counters continue,
+    // not restart.
     let resumed = analyzer
-        .analyze_resume(checkpoint, &options)
+        .resume(checkpoint, &options)
         .expect("trace analyzable");
     println!("after resume:  {}", resumed);
 

@@ -137,7 +137,7 @@ fn run_chaos(
                     // the last save on disk.
                     drop(cp);
                     let from_disk = Checkpoint::read_from(&cp_path).expect("saved checkpoint reads back");
-                    analyzer.analyze_resume(from_disk, &next).unwrap()
+                    analyzer.resume(from_disk, &next).unwrap()
                 }
                 Err(e) => {
                     // The autosave gave up after its bounded retries —
@@ -145,7 +145,7 @@ fn run_chaos(
                     // carries on from memory (warn-and-continue).
                     ck_giveups += 1;
                     ck_faults.push(e.to_string());
-                    analyzer.analyze_resume(cp, &next).unwrap()
+                    analyzer.resume(cp, &next).unwrap()
                 }
             };
         }

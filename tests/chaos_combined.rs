@@ -74,11 +74,11 @@ fn all_sites_armed_still_match_the_fault_free_run() {
                 // Resume from disk — the crashed-process path.
                 drop(cp);
                 let from_disk = Checkpoint::read_from(&cp_path).unwrap();
-                a.analyze_resume(from_disk, &next).unwrap()
+                a.resume(from_disk, &next).unwrap()
             }
             Err(_) => {
                 ck_giveups += 1;
-                a.analyze_resume(cp, &next).unwrap()
+                a.resume(cp, &next).unwrap()
             }
         };
     }
@@ -140,7 +140,7 @@ fn exhausted_autosave_is_recorded_not_just_printed() {
         let mut next = opts.clone();
         next.limits.max_transitions = cap;
         // Warn-and-continue: the failed save never kills the search.
-        report = a.analyze_resume(cp, &next).unwrap();
+        report = a.resume(cp, &next).unwrap();
     }
     report.stats.checkpoint_giveups += giveups;
     report.checkpoint_faults = faults;

@@ -244,7 +244,7 @@ fn resume_refuses_a_checkpoint_from_a_different_specification() {
     )
     .expect("mini spec is valid");
     let err = other
-        .analyze_resume(cp, &AnalysisOptions::default())
+        .resume(cp, &AnalysisOptions::default())
         .expect_err("cross-spec resume must be refused");
     assert!(
         err.to_string().contains("resume"),
@@ -332,7 +332,7 @@ fn out_of_range_path_index_is_refused_at_resume() {
 
     let cp = Checkpoint::read_from(&path).expect("a well-formed file decodes");
     let err = analyzer
-        .analyze_resume(cp, &AnalysisOptions::default())
+        .resume(cp, &AnalysisOptions::default())
         .expect_err("an out-of-range path index must be refused");
     let msg = err.to_string();
     assert!(

@@ -21,7 +21,7 @@ fn checkpoint_resume_totals_match_uninterrupted_run() {
     limited.limits.max_transitions = (baseline.stats.transitions_executed / 3).max(1);
     let stopped = a.analyze(&bad, &limited).unwrap();
     let cp = stopped.checkpoint.expect("limit stop must be resumable");
-    let resumed = a.analyze_resume(*cp, &opts).unwrap();
+    let resumed = a.resume(*cp, &opts).unwrap();
 
     assert_eq!(resumed.verdict, Verdict::Invalid);
     assert_eq!(resumed.stats.counters(), baseline.stats.counters());
@@ -59,7 +59,7 @@ fn snapshot_bytes_never_wraps_across_stop_resume_rounds() {
         cap += step;
         let mut next = opts.clone();
         next.limits.max_transitions = cap;
-        report = a.analyze_resume(*cp, &next).unwrap();
+        report = a.resume(*cp, &next).unwrap();
     }
     assert!(rounds >= 2, "the cap steps must actually interrupt the run");
     assert_eq!(report.verdict, Verdict::Invalid);

@@ -34,7 +34,7 @@ fn resume_from_disk_with_raised_limits_matches_uninterrupted_run() {
     drop(cp); // everything the resume uses comes from the file
 
     let cp = Checkpoint::read_from(&path).expect("checkpoint reads");
-    let resumed = a.analyze_resume(cp, &opts).unwrap();
+    let resumed = a.resume(cp, &opts).unwrap();
     assert_eq!(resumed.verdict, Verdict::Invalid);
     assert_eq!(resumed.stats.counters(), baseline.stats.counters());
 }
@@ -73,7 +73,7 @@ fn cross_exec_mode_save_and_resume_through_disk() {
         let cp = Checkpoint::read_from(&path).expect("checkpoint reads");
 
         let resumed = on(resume_exec)
-            .analyze_resume(cp, &AnalysisOptions::default())
+            .resume(cp, &AnalysisOptions::default())
             .unwrap();
         assert_eq!(
             resumed.verdict,
@@ -125,7 +125,7 @@ fn wall_time_accumulates_across_disk_resume_rounds() {
         cap += step;
         let mut next = opts.clone();
         next.limits.max_transitions = cap;
-        report = a.analyze_resume(cp, &next).unwrap();
+        report = a.resume(cp, &next).unwrap();
         assert!(
             report.stats.wall_time >= last_cpu,
             "wall_time went backwards across a resume: {:?} -> {:?}",
@@ -156,10 +156,10 @@ fn checkpoint_file_is_reusable() {
     cp.write_to(&path).unwrap();
 
     let first = a
-        .analyze_resume(Checkpoint::read_from(&path).unwrap(), &opts)
+        .resume(Checkpoint::read_from(&path).unwrap(), &opts)
         .unwrap();
     let second = a
-        .analyze_resume(Checkpoint::read_from(&path).unwrap(), &opts)
+        .resume(Checkpoint::read_from(&path).unwrap(), &opts)
         .unwrap();
     assert_eq!(first.verdict, second.verdict);
     assert_eq!(first.stats.counters(), second.stats.counters());

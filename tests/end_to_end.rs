@@ -331,7 +331,7 @@ fn best_effort_localization_is_pinned_and_survives_stop_resume() {
             cp.write_to(&file).unwrap();
             let cp = tango::Checkpoint::read_from(&file).unwrap();
             limited.limits.max_transitions += step;
-            r = analyzer.analyze_resume(cp, &limited).unwrap();
+            r = analyzer.resume(cp, &limited).unwrap();
             rounds += 1;
         }
         let _ = std::fs::remove_file(&file);

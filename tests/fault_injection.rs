@@ -36,7 +36,7 @@ fn deadline_stops_with_checkpoint_and_resume_matches_uninterrupted() {
     assert_eq!(cp.events_total(), bad.len());
 
     // Resume with the deadline lifted: same verdict, same totals.
-    let resumed = a.analyze_resume(*cp, &opts).unwrap();
+    let resumed = a.resume(*cp, &opts).unwrap();
     assert_eq!(resumed.verdict, Verdict::Invalid);
     assert_eq!(resumed.stats.counters(), baseline.stats.counters());
     let (rb, bb) = (
@@ -45,6 +45,31 @@ fn deadline_stops_with_checkpoint_and_resume_matches_uninterrupted() {
     );
     assert_eq!(rb.events_explained, bb.events_explained);
     assert_eq!(rb.path, bb.path);
+}
+
+/// A deadline the clock cannot represent is no deadline: under
+/// `Duration::MAX` a static and an on-line run each reach the verdict
+/// and TE/GE/RE/SA of the run with no deadline at all.
+#[test]
+fn an_unrepresentable_deadline_is_no_deadline() {
+    let a = tp0::analyzer();
+    let bad = tp0::invalid_trace(2, 2, 1);
+    let none = AnalysisOptions::default();
+    let mut far = none.clone();
+    far.limits.max_wall_time = Some(Duration::MAX);
+    let online = |opts: &AnalysisOptions| {
+        let mut src = StaticSource::new(bad.clone());
+        a.analyze_online(&mut src, opts, &mut |_| true).unwrap()
+    };
+    let pairs = [
+        (a.analyze(&bad, &none).unwrap(), a.analyze(&bad, &far).unwrap()),
+        (online(&none), online(&far)),
+    ];
+    for (unlimited, limited) in pairs {
+        assert_eq!(unlimited.verdict, Verdict::Invalid);
+        assert_eq!(limited.verdict, unlimited.verdict);
+        assert_eq!(limited.stats.counters(), unlimited.stats.counters());
+    }
 }
 
 /// The memory budget is one stop-and-checkpoint limit under both
@@ -89,14 +114,10 @@ fn memory_budget_stops_with_checkpoint_and_resume_matches_uninterrupted() {
             assert!(stopped.stats.peak_snapshot_bytes > budget, "{}", ctx);
             let cp = *stopped.checkpoint.expect("limit stop must be resumable");
             let mut opts = AnalysisOptions::default();
-            let resumed = match workers {
-                None => a.analyze_resume(cp, &opts),
-                Some(n) => {
-                    opts.workers = n;
-                    a.analyze_online_resume(cp, &opts, &mut |_| true)
-                }
+            if let Some(n) = workers {
+                opts.workers = n;
             }
-            .unwrap();
+            let resumed = a.resume(cp, &opts).unwrap();
             assert_eq!(resumed.verdict, baseline.verdict, "{}", ctx);
             assert_eq!(resumed.stats.counters(), baseline.stats.counters(), "{}", ctx);
         }
@@ -130,7 +151,7 @@ fn chained_stop_resume_rounds_preserve_counter_totals() {
         cap += step;
         let mut next = opts.clone();
         next.limits.max_transitions = cap;
-        report = a.analyze_resume(*cp, &next).unwrap();
+        report = a.resume(*cp, &next).unwrap();
     }
     assert!(rounds >= 2, "the cap steps must actually interrupt the run");
     assert_eq!(report.verdict, Verdict::Invalid);

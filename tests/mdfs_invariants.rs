@@ -222,7 +222,7 @@ fn witness_survives_a_checkpoint_round_trip() {
         std::fs::remove_file(&file).ok();
         let mut resume = opts.clone();
         resume.workers = resume_at;
-        let resumed = a.analyze_online_resume(cp, &resume, &mut |_| true).unwrap();
+        let resumed = a.resume(cp, &resume).unwrap();
         assert_eq!(resumed.verdict, Verdict::Valid);
         assert_eq!(
             resumed.witness, whole.witness,

@@ -320,9 +320,7 @@ fn online_depth_limit_after_eof_resumes_to_the_uninterrupted_totals() {
         );
         cp.write_to(&path).unwrap();
         let resumed = a
-            .analyze_online_resume(Checkpoint::read_from(&path).unwrap(), &options, &mut |_| {
-                true
-            })
+            .resume(Checkpoint::read_from(&path).unwrap(), &options)
             .unwrap();
         assert_eq!(resumed.verdict, Verdict::Invalid, "workers {}", workers);
         assert_eq!(

@@ -186,7 +186,7 @@ fn checkpoint_saved_at_n_workers_resumes_at_m() {
             std::fs::remove_file(&tmp).ok();
 
             let resumed = a
-                .analyze_online_resume(cp, &with_workers(&opts, resume_at), &mut |_| true)
+                .resume(cp, &with_workers(&opts, resume_at))
                 .unwrap();
             assert_eq!(
                 resumed.verdict, uninterrupted.verdict,

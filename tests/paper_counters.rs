@@ -198,7 +198,7 @@ fn static_stop_points_are_pinned_and_resume_to_the_paper_counters() {
         cp.write_to(&path).unwrap();
         drop(cp);
         let resumed = a
-            .analyze_resume(Checkpoint::read_from(&path).unwrap(), &nr())
+            .resume(Checkpoint::read_from(&path).unwrap(), &nr())
             .unwrap();
         assert_eq!(resumed.verdict, Verdict::Invalid, "{:?}", reason);
         assert_eq!(resumed.stats.counters(), PAPER_FIG4_NR, "{:?}", reason);
