@@ -256,12 +256,15 @@ cargo test -q --release -p bench
 
 echo "== benchmark self-tests and smoke =="
 # The benchmark is a workspace of its own under perfbench/: run its unit
-# tests, then a 2-second on-line workload, which checks every analysis
-# against its known answer and must report itself correct.
+# tests, then the 2-second on-line workload at one worker and at two.
+# Each checks every analysis against its known answer, and its counters
+# against the other worker count's, and must report itself correct.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
-cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload online-tp0-w1 --seed 1 --seconds 2 --trace 0 > "$CKPT_DIR/perfbench.txt"
-grep -q '"correct": true' "$CKPT_DIR/perfbench.txt"
+for workload in online-tp0-w1 online-tp0-w2; do
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 > "$CKPT_DIR/perfbench.txt"
+    grep -q '"correct": true' "$CKPT_DIR/perfbench.txt"
+done
 
 echo "== full-range any domain (release build) =="
 # Release builds wrap integer overflow instead of panicking, so an `any`

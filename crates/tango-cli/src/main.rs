@@ -557,10 +557,11 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     if online {
         // On-line mode runs one worker unless `--workers` asks for more
         // (`--workers 0` = one per core); on two cores, two workers run
-        // the TP0 on-line benchmark in about 143 ms per analysis (median)
-        // against one worker's 161 ms. `--checkpoint-file`/`--resume`
-        // work on-line too; only the autosave rounds and the chaos flags
-        // are static-only.
+        // the TP0 on-line benchmark in about 132 ms per analysis (median)
+        // against one worker's 162 ms. `--checkpoint-file`/`--resume`
+        // work on-line too (a stop before eof saves nothing: it cannot be
+        // resumed); only the autosave rounds and the chaos flags are
+        // static-only.
         if ckpt.every.is_some() {
             return Err("--checkpoint-every applies to static `analyze` only".to_string());
         }
@@ -603,7 +604,8 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     tel.finalize(&report.stats);
     // The file a rerun can resume from: named only when this run stopped
     // resumably and a save to it succeeded.
-    let saved_to = ckpt.file.as_deref().filter(|_| saved && report.checkpoint.is_some());
+    let resumable = report.checkpoint.as_ref().is_some_and(|c| c.resumable());
+    let saved_to = ckpt.file.as_deref().filter(|_| saved && resumable);
 
     // Black box: any non-completed outcome gets a post-mortem dump. The
     // autosave path is named inside the dump so `dump-info` can point
@@ -670,6 +672,12 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
                  rerun with --resume {} and raised limits to continue",
                 path.display(),
                 path.display()
+            ),
+            None if !resumable => eprintln!(
+                "note: search stopped on a resource limit before the trace reached its \
+                 eof marker; no checkpoint was saved, because an on-line search resumes \
+                 only after eof (the rest of the trace is unknown); rerun with higher \
+                 limits to continue"
             ),
             None => eprintln!(
                 "note: search stopped on a resource limit; no checkpoint was saved; \
@@ -770,8 +778,9 @@ fn search(
     .map_err(|e| e.to_string())?;
 
     loop {
-        // Autosave on every limit stop, synthetic or genuine.
-        if let (Some(path), Some(cp)) = (&ckpt.file, report.checkpoint.as_deref()) {
+        // Autosave on every resumable limit stop, synthetic or genuine.
+        let resumable = report.checkpoint.as_deref().filter(|c| c.resumable());
+        if let (Some(path), Some(cp)) = (&ckpt.file, resumable) {
             saved |= save_checkpoint(
                 cp,
                 path,

@@ -369,3 +369,83 @@ fn either_subcommand_resumes_either_kind_of_checkpoint() {
         );
     }
 }
+
+/// An on-line stop before the trace's eof marker cannot be resumed (the
+/// rest of the trace is unknown), so the CLI neither saves its front nor
+/// tells the user to resume it, and says why instead.
+#[test]
+fn a_pre_eof_online_stop_saves_no_checkpoint_and_says_why() {
+    let dir = scratch_dir("a_pre_eof_online_stop_saves_no_checkpoint_and_says_why");
+    let spec = write_file(&dir, "ack.est", ACK_SPEC);
+    let trace = write_file(&dir, "live.trace", "in A.x\n");
+    let ckpt = dir.join("pre.ckpt");
+    let out = bin()
+        .args(["online".as_ref(), spec.as_os_str(), trace.as_os_str()])
+        .args(["--max-seconds", "0.2", "--checkpoint-file"])
+        .arg(&ckpt)
+        .arg("--dump-file")
+        .arg(dir.join("pre.tangodump"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", stdout_of(&out));
+    assert!(
+        stdout_of(&out).contains("inconclusive (TimeLimit)"),
+        "{}",
+        stdout_of(&out)
+    );
+    let stderr = stderr_of(&out);
+    assert!(!ckpt.exists(), "a pre-eof front was saved: {}", stderr);
+    assert!(!stderr.contains("--resume"), "{}", stderr);
+    assert!(
+        stderr.contains("before the trace reached its eof marker; no checkpoint was saved"),
+        "{}",
+        stderr
+    );
+}
+
+/// A checkpoint the analyzer refuses is reported as such, not as an
+/// option error, with the usage/spec exit code.
+#[test]
+fn a_refused_resume_names_the_checkpoint() {
+    let dir = scratch_dir("a_refused_resume_names_the_checkpoint");
+    let spec = write_file(&dir, "ack.est", ACK_SPEC);
+    let trace = write_file(&dir, "done.trace", "in A.x\nin B.y\nout A.ack\neof\n");
+    let ckpt = dir.join("ack.ckpt");
+    let stopped = bin()
+        .args(["online".as_ref(), spec.as_os_str(), trace.as_os_str()])
+        .args([
+            "--order",
+            "nr",
+            "--max-transitions",
+            "1",
+            "--checkpoint-file",
+        ])
+        .arg(&ckpt)
+        .arg("--dump-file")
+        .arg(dir.join("ack.tangodump"))
+        .output()
+        .unwrap();
+    assert_eq!(stopped.status.code(), Some(2), "{}", stderr_of(&stopped));
+    assert!(ckpt.exists(), "{}", stderr_of(&stopped));
+    // One IP where the checkpoint's trace has two.
+    let other = write_file(
+        &dir,
+        "one.est",
+        "specification one; channel C(env, m); by env: x; end; \
+         module M process; ip P : C(m); end; body MB for M; state S; \
+         initialize to S begin end; trans from S to S when P.x begin end; end; end.",
+    );
+    let out = bin()
+        .arg("analyze")
+        .arg(&other)
+        .arg("--resume")
+        .arg(&ckpt)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3), "{}", stdout_of(&out));
+    assert_eq!(
+        stderr_of(&out),
+        "error: cannot resume the checkpoint: checkpoint trace has 2 IP stream(s), \
+         specification has 1\n"
+    );
+}

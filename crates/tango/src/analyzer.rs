@@ -10,7 +10,6 @@
 //! methodology).
 
 use crate::checkpoint::Checkpoint;
-use crate::env::EnvError;
 use crate::error::TangoError;
 use crate::genimpl::{run_implementation, ChoicePolicy, ScriptedInput};
 use crate::options::AnalysisOptions;
@@ -193,13 +192,16 @@ impl TraceAnalyzer {
         options: &AnalysisOptions,
         tel: &mut Telemetry,
     ) -> Result<AnalysisReport, TangoError> {
-        let refuse = |m: &str| TangoError::Env(EnvError(format!("resume: {}", m)));
         let count = self.machine.module.transition_count();
         checkpoint
             .validate_against(self.module(), count)
-            .map_err(|m| refuse(&m))?;
-        if !checkpoint.search.eof {
-            return Err(refuse("only eof-reached on-line checkpoints are resumable"));
+            .map_err(TangoError::Resume)?;
+        if !checkpoint.resumable() {
+            return Err(TangoError::Resume(
+                "it was saved before its trace reached end-of-file; only on-line \
+                 checkpoints saved after eof can be resumed"
+                    .into(),
+            ));
         }
         let start = Start::Resume(Box::new(checkpoint));
         run(&self.machine, self.module(), start, options, tel)

@@ -120,6 +120,14 @@ impl Checkpoint {
         self.search.events_total
     }
 
+    /// Whether [`crate::TraceAnalyzer::resume`] can continue this
+    /// checkpoint: every static one does, and an on-line one saved after
+    /// its trace reached end-of-file. Before eof the source's read
+    /// position is not recorded, so the rest of the trace is unknowable.
+    pub fn resumable(&self) -> bool {
+        self.search.eof
+    }
+
     /// Counters accumulated up to the stop; resuming continues them.
     pub fn stats(&self) -> &SearchStats {
         &self.stats

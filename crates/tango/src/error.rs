@@ -17,6 +17,10 @@ pub enum TangoError {
     TraceResolve(TraceResolveError),
     /// Bad option/trace combination.
     Env(EnvError),
+    /// A checkpoint that [`crate::TraceAnalyzer::resume`] refuses: it
+    /// belongs to another specification or trace, or it was saved before
+    /// its on-line trace reached end-of-file.
+    Resume(String),
     /// A fatal runtime error (interpreter bug or exceeded hard limits).
     Runtime(RuntimeError),
     /// Implementation-generation mode failed (script/spec mismatch).
@@ -30,6 +34,7 @@ impl fmt::Display for TangoError {
             TangoError::TraceParse(e) => write!(f, "{}", e),
             TangoError::TraceResolve(e) => write!(f, "{}", e),
             TangoError::Env(e) => write!(f, "option error: {}", e),
+            TangoError::Resume(m) => write!(f, "cannot resume the checkpoint: {}", m),
             TangoError::Runtime(e) => write!(f, "{}", e),
             TangoError::Generator(m) => write!(f, "implementation generation: {}", m),
         }

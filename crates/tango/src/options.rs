@@ -141,7 +141,11 @@ pub struct AnalysisOptions {
     /// the trace. Verdicts, witnesses and the
     /// TE/GE/RE/SA counters are identical at every worker count (see
     /// DESIGN §6.13 for the determinism argument); only wall time and
-    /// the memory peak differ. Static analysis runs one worker.
+    /// the memory peak differ. At `N > 1` each worker folds its counters
+    /// into a slot of its own every 256 steps, so mid-burst the live
+    /// views (heartbeat, `/status`) lag by up to that many steps per
+    /// worker; near a limit every worker folds on every step. Static
+    /// analysis runs one worker.
     pub workers: usize,
     pub limits: SearchLimits,
 }

@@ -63,8 +63,11 @@
 //! search and in the idle polling loop, so a monitor fed by a stalled or
 //! dead source stops with `Inconclusive(TimeLimit)` instead of wedging
 //! silently. The snapshot-memory budget covers every saved node under one
-//! charging rule: a node charges its state bytes plus its cursor bytes,
-//! and the gauge is shared by every worker. Limit stops freeze the
+//! charging rule: a node charges its state bytes plus its cursor bytes.
+//! At `workers = N ≥ 2` each worker keeps its own counters and byte delta
+//! and folds them into its tally slot on a stride ([`Slot`]); the limits
+//! read the slots added up, and near a cap every worker folds on every
+//! step, so no limit trips later than on shared counters. Limit stops freeze the
 //! surviving front into a [`SearchCheckpoint`]; static and eof-reached
 //! on-line runs resume from it, the latter at any worker count. Whatever
 //! the verdict, [`TraceSource::diagnostics`] is folded into
@@ -75,7 +78,7 @@ use crate::checkpoint::{Checkpoint, NodeCkpt, SearchCheckpoint};
 use crate::env::{Cursors, EnvError, RejectReason, TraceEnv};
 use crate::error::TangoError;
 use crate::fault::{Backoff, RetryPolicy};
-use crate::options::AnalysisOptions;
+use crate::options::{AnalysisOptions, SearchLimits};
 use crate::stats::SearchStats;
 use crate::telemetry::{PruneKind, StepRecord, Telemetry};
 use crate::trace::source::{Poll, TraceSource};
@@ -87,7 +90,7 @@ use estelle_runtime::{
 };
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -101,6 +104,10 @@ const IDLE_PARK: Duration = Duration::from_micros(100);
 /// events a flush, the flight recorder cost two workers on two cores
 /// about 25% of their speed; at 1024 it costs a few percent.
 const EVENT_FLUSH: usize = 1024;
+/// Steps between two folds of a burst worker's tally into its [`Slot`].
+/// Readers see a peer's work up to this many steps late, so a worker
+/// near a cap folds on every step instead.
+const FOLD: u64 = 256;
 
 /// A node's set of compiled-transition indices. A node holds only a
 /// handful, so a sorted `Vec` beats a hash table: no hashing, and no
@@ -402,8 +409,9 @@ fn freeze(
 /// Where one lane's step records go: the [`Telemetry`] handle itself on
 /// the calling thread, or a [`Buffered`] batch on a spawned worker.
 trait Sink {
-    /// Per-step progress tick.
-    fn tick(&mut self, stats: &SearchStats, cap: u64);
+    /// Per-step progress tick. A burst worker's sink has none: its
+    /// front folds the worker's progress into its tally slot.
+    fn tick(&mut self, _stats: &SearchStats, _cap: u64) {}
     /// Start a step timer, when steps are timed.
     fn timer(&self) -> Option<Instant>;
     /// One search step, built once; `machine` resolves its names.
@@ -431,8 +439,9 @@ impl Sink for Telemetry {
 /// every [`EVENT_FLUSH`] records and at the end of the burst. The
 /// `Telemetry` handle is not `Send`; a record is plain data, and names
 /// are resolved on the coordinator, only when the event stream is on.
-/// `on` is whether the coordinator's handle wants records at all. A tick
-/// publishes the worker's progress to the burst's live counters.
+/// `on` is whether the coordinator's handle wants records at all. Each
+/// batch comes from the burst's spares, which the coordinator refills
+/// with the batches it has emptied.
 struct Buffered<'b> {
     sh: &'b Burst,
     tx: mpsc::Sender<(u16, Vec<StepRecord>)>,
@@ -440,16 +449,21 @@ struct Buffered<'b> {
     buf: Vec<StepRecord>,
     on: bool,
     timed: bool,
-    /// TE/GE/RE/SA and depth as last published.
-    published: [u64; 4],
-    depth: usize,
 }
 
 impl Buffered<'_> {
     fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            let full = std::mem::replace(&mut self.buf, Vec::with_capacity(EVENT_FLUSH));
-            let _ = self.tx.send((self.worker, full));
+        let full = std::mem::replace(&mut self.buf, self.sh.batch());
+        let _ = self.tx.send((self.worker, full));
+    }
+
+    /// At the worker's exit: send the last batch, or give an empty one
+    /// back.
+    fn close(self) {
+        if self.buf.is_empty() {
+            self.sh.give_back(self.buf);
+        } else {
+            let _ = self.tx.send((self.worker, self.buf));
         }
     }
 }
@@ -457,20 +471,6 @@ impl Buffered<'_> {
 /// Durations are only measured when the coordinator's handle times
 /// steps, which implies `on`.
 impl Sink for Buffered<'_> {
-    fn tick(&mut self, stats: &SearchStats, _cap: u64) {
-        let now = stats.counters();
-        for ((live, now), was) in self.sh.live.iter().zip(now).zip(self.published) {
-            if now > was {
-                live.fetch_add(now - was, Ordering::Relaxed);
-            }
-        }
-        self.published = now;
-        if stats.max_depth > self.depth {
-            self.depth = stats.max_depth;
-            self.sh.depth.fetch_max(self.depth, Ordering::Relaxed);
-        }
-    }
-
     fn timer(&self) -> Option<Instant> {
         self.timed.then(Instant::now)
     }
@@ -490,6 +490,10 @@ impl Sink for Buffered<'_> {
 /// pops; every place the node (or its child) lands charges it again, so
 /// the gauge always holds the sum of the front's charges.
 trait Front {
+    /// Per-step bookkeeping, before the step's pop: the one-worker
+    /// stack stamps its gauge into the stats the live views read; a
+    /// burst worker folds its tally and feeds a waiting peer.
+    fn tick(&mut self, stats: &mut SearchStats);
     /// Transitions executed so far, for the limit check.
     fn te(&self, local: &SearchStats) -> u64;
     /// The snapshot gauge.
@@ -553,6 +557,10 @@ impl Stack {
 }
 
 impl Front for Stack {
+    fn tick(&mut self, stats: &mut SearchStats) {
+        stats.snapshot_bytes = self.gauge.resident;
+    }
+
     fn te(&self, local: &SearchStats) -> u64 {
         local.transitions_executed
     }
@@ -1023,9 +1031,7 @@ fn drain<F: Front, S: Sink>(
 ) -> Halt {
     let cap = lane.options.limits.max_transitions;
     loop {
-        // The live views read residency from the ticked stats; the end
-        // of the run stamps the same gauge.
-        lane.stats.snapshot_bytes = front.resident();
+        front.tick(&mut lane.stats);
         let step = match live.as_deref_mut() {
             None => {
                 let Some(node) = front.pop() else {
@@ -1085,6 +1091,11 @@ struct Pool {
 /// right after the donor's current one, ahead of the segments earlier
 /// donations split off it. [`merge`] concatenates the segments' parks,
 /// spec errors and best attempts in that order: the one-worker order.
+///
+/// A step writes nothing another worker writes: each worker keeps its
+/// counters, parks and byte delta to itself and folds them into its own
+/// [`Slot`] every [`FOLD`] steps, at every segment end and before each
+/// donation. Readers add the slots up.
 #[derive(Default)]
 struct Burst {
     workers: usize,
@@ -1100,18 +1111,47 @@ struct Burst {
     hungry: AtomicUsize,
     offered: AtomicUsize,
     stopped: AtomicBool,
-    /// Live TE/GE/RE/SA (seeded from the cumulative stats at burst
-    /// start), which the TE limit and the heartbeat read; the barrier
-    /// merges the per-worker deltas instead.
-    live: [AtomicU64; 4],
-    depth: AtomicUsize,
-    /// Cumulative PG-node count, for park events, and its value at burst
-    /// start.
-    pg: AtomicU64,
+    /// Set by the first worker near a cap: from then on every worker
+    /// folds on every step.
+    near: AtomicBool,
+    /// The TE, PG count and byte gauge the burst started from; the slots
+    /// count on from them.
+    te_start: u64,
     pg_start: u64,
-    /// The shared byte gauge (see [`Gauge`]).
-    resident: AtomicUsize,
+    gauge: Gauge,
+    slots: Vec<Slot>,
+    /// Emptied record batches, for the workers' next flushes.
+    spare: Mutex<Vec<Vec<StepRecord>>>,
+}
+
+/// One burst worker's tally as of its last fold: its TE/GE/RE/SA, its
+/// deepest node, and the PG parks and net bytes it charged this burst,
+/// with the highest gauge it has seen. Only its worker writes it, with
+/// plain stores; readers add the slots up ([`Burst::tally`]). A slot has
+/// 128 bytes to itself, so a fold invalidates no other worker's cache
+/// line, nor the line an adjacent-line prefetch pairs with it.
+#[derive(Default)]
+#[repr(align(128))]
+struct Slot {
+    counters: [AtomicU64; 4],
+    depth: AtomicUsize,
+    parks: AtomicU64,
+    bytes: AtomicIsize,
     peak: AtomicUsize,
+    /// The worker is on the stride, so the slot may lag it by up to
+    /// [`FOLD`] steps; clear while it is idle, gone, or near a cap.
+    loose: AtomicBool,
+}
+
+/// Slots added up: the counters, parks and bytes summed, the depth and
+/// the peak the highest.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    counters: [u64; 4],
+    depth: usize,
+    parks: u64,
+    bytes: isize,
+    peak: usize,
 }
 
 impl Burst {
@@ -1122,13 +1162,50 @@ impl Burst {
             workers,
             pool: Mutex::new(Pool { inputs, next_id, busy, ..Pool::default() }),
             keep_inputs: keep,
-            live: stats.counters().map(AtomicU64::new),
-            depth: AtomicUsize::new(stats.max_depth),
-            pg: AtomicU64::new(stats.pg_nodes),
+            te_start: stats.transitions_executed,
             pg_start: stats.pg_nodes,
-            resident: AtomicUsize::new(g.resident),
-            peak: AtomicUsize::new(g.peak),
+            gauge: *g,
+            slots: (0..workers).map(|_| Slot::default()).collect(),
             ..Burst::default()
+        }
+    }
+
+    /// The slots added up, leaving out `skip`'s (a worker's own).
+    fn tally(&self, skip: Option<usize>) -> Tally {
+        let mut t = Tally::default();
+        for (i, s) in self.slots.iter().enumerate() {
+            if Some(i) == skip {
+                continue;
+            }
+            for (sum, c) in t.counters.iter_mut().zip(&s.counters) {
+                *sum += c.load(Ordering::Relaxed);
+            }
+            t.depth = t.depth.max(s.depth.load(Ordering::Relaxed));
+            t.parks += s.parks.load(Ordering::Relaxed);
+            t.bytes += s.bytes.load(Ordering::Relaxed);
+            t.peak = t.peak.max(s.peak.load(Ordering::Relaxed));
+        }
+        t
+    }
+
+    /// The gauge, `bytes` net charged since the burst started.
+    fn resident(&self, bytes: isize) -> usize {
+        (self.gauge.resident as isize + bytes).max(0) as usize
+    }
+
+    /// A batch for a worker's next records: a spare, or a new one.
+    fn batch(&self) -> Vec<StepRecord> {
+        let spare = self.spare.lock().expect("spare lock").pop();
+        spare.unwrap_or_else(|| Vec::with_capacity(EVENT_FLUSH))
+    }
+
+    /// Keep an emptied batch for a later flush: up to two per worker and
+    /// two more, as many as a burst has in flight.
+    fn give_back(&self, mut batch: Vec<StepRecord>) {
+        let mut spare = self.spare.lock().expect("spare lock");
+        if batch.capacity() > 0 && spare.len() < 2 * self.workers + 2 {
+            batch.clear();
+            spare.push(batch);
         }
     }
 
@@ -1192,56 +1269,152 @@ impl Burst {
 }
 
 /// A burst worker's front: its current segment's private stack, parks
-/// and the segments donated off it, in donation order; and the worker's
-/// time spent donating.
+/// and the segments donated off it, in donation order; the worker's
+/// time spent donating; and its tally, which it folds into its slot.
+/// Its views of the burst's totals (TE, PG count, gauge) add the peers'
+/// slots, as it read them at its last fold, to its own tally.
 struct Private<'b> {
     sh: &'b Burst,
+    /// This worker's slot.
+    me: usize,
+    limits: &'b SearchLimits,
     work: Vec<Node>,
     parks: Vec<Node>,
     donated: Vec<u32>,
     steal: Duration,
+    /// The peers' slots, added up at the last fold.
+    peers: Tally,
+    /// PG parks and net bytes charged this burst.
+    parked: u64,
+    bytes: isize,
+    /// The highest gauge this worker has seen, and its largest charge:
+    /// what one step can add to the gauge, as far as it knows.
+    high: usize,
+    unit: usize,
+    /// Steps since the last fold, and whether it folds on every step.
+    steps: u64,
+    near: bool,
+}
+
+impl<'b> Private<'b> {
+    fn new(sh: &'b Burst, me: usize, limits: &'b SearchLimits) -> Self {
+        Private {
+            sh,
+            me,
+            limits,
+            work: Vec::new(),
+            parks: Vec::new(),
+            donated: Vec::new(),
+            steal: Duration::ZERO,
+            peers: Tally::default(),
+            parked: 0,
+            bytes: 0,
+            high: 0,
+            unit: 0,
+            steps: 0,
+            near: false,
+        }
+    }
+
+    /// Write the tally to the worker's slot, with plain stores and no
+    /// read-modify-write, and read the peers' slots.
+    fn fold(&mut self, stats: &SearchStats) {
+        let slot = &self.sh.slots[self.me];
+        for (c, v) in slot.counters.iter().zip(stats.counters()) {
+            c.store(v, Ordering::Relaxed);
+        }
+        slot.depth.store(stats.max_depth, Ordering::Relaxed);
+        slot.parks.store(self.parked, Ordering::Relaxed);
+        slot.bytes.store(self.bytes, Ordering::Relaxed);
+        slot.peak.store(self.high, Ordering::Relaxed);
+        self.peers = self.sh.tally(Some(self.me));
+        self.steps = 0;
+    }
+
+    /// Start a segment: on the stride, the slot lags from now on, unless
+    /// this worker or a peer is near a cap. (Marking the slot before
+    /// reading the flag, while [`Private::go_near`] sets the flag before
+    /// reading the marks, means one of the two sees the other.)
+    fn begin(&mut self, stats: &SearchStats) {
+        let sh = self.sh;
+        if !self.near {
+            sh.slots[self.me].loose.store(true, Ordering::SeqCst);
+            self.peers = sh.tally(Some(self.me));
+            if sh.near.load(Ordering::SeqCst) || self.near_cap(stats) {
+                self.go_near(stats);
+            }
+        }
+    }
+
+    /// End a segment, or leave the stride: fold, and mark the slot
+    /// current. Clearing the mark releases the fold to a peer waiting in
+    /// [`Private::go_near`], whose load of the mark acquires it.
+    fn settle(&mut self, stats: &SearchStats) {
+        self.fold(stats);
+        self.sh.slots[self.me].loose.store(false, Ordering::SeqCst);
+    }
+
+    /// Fold on every step from now on, have every peer do the same, and
+    /// wait for those still on the stride to fold: from then on each cap
+    /// is checked against totals that miss only the peers' steps in
+    /// flight. A peer on the stride steps on, or goes idle, or the burst
+    /// stops, so the wait ends.
+    fn go_near(&mut self, stats: &SearchStats) {
+        let sh = self.sh;
+        self.near = true;
+        sh.near.store(true, Ordering::SeqCst);
+        self.settle(stats);
+        for (i, slot) in sh.slots.iter().enumerate() {
+            while i != self.me
+                && slot.loose.load(Ordering::SeqCst)
+                && !sh.stopped.load(Ordering::Acquire)
+            {
+                std::thread::yield_now();
+            }
+        }
+        self.peers = sh.tally(Some(self.me));
+    }
+
+    /// Whether this worker's view, fresh at a fold, is within
+    /// `2N·FOLD` steps' worth of a cap. Each peer may have up to `FOLD`
+    /// steps unfolded, and may fold another `FOLD` before this worker
+    /// looks again; a step adds at most one transition, one park and one
+    /// node's charge to the totals.
+    fn near_cap(&self, stats: &SearchStats) -> bool {
+        let (l, reach) = (self.limits, 2 * self.sh.workers as u64 * FOLD);
+        let bytes = reach as usize * self.unit;
+        self.te(stats).saturating_add(reach) > l.max_transitions
+            || self.pg_len() as u64 + reach >= l.max_pg_nodes as u64
+            || l.max_state_bytes
+                .is_some_and(|cap| self.resident() + bytes > cap)
+    }
 }
 
 impl Front for Private<'_> {
-    fn te(&self, _local: &SearchStats) -> u64 {
-        self.sh.live[0].load(Ordering::Relaxed)
-    }
-
-    fn resident(&self) -> usize {
-        self.sh.resident.load(Ordering::Relaxed)
-    }
-
-    fn charge(&mut self, bytes: usize) -> usize {
+    /// Fold when due, and look for a cap then; then, while a peer waits,
+    /// fold and hand it the bottom half of the stack as a new segment.
+    fn tick(&mut self, stats: &mut SearchStats) {
         let sh = self.sh;
-        let now = sh.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if now > sh.peak.load(Ordering::Relaxed) {
-            sh.peak.fetch_max(now, Ordering::Relaxed);
-        }
-        now
-    }
-
-    fn uncharge(&mut self, bytes: usize) {
-        self.sh.resident.fetch_sub(bytes, Ordering::Relaxed);
-    }
-
-    fn work(&mut self) -> &mut Vec<Node> {
-        &mut self.work
-    }
-
-    /// Stop when the burst has; first, while a peer waits, hand it the
-    /// bottom half of the stack as a new segment.
-    fn pop(&mut self) -> Option<Node> {
-        let sh = self.sh;
-        if sh.stopped.load(Ordering::Acquire) {
-            return None;
+        self.steps += 1;
+        if self.near {
+            self.fold(stats);
+        } else if sh.near.load(Ordering::Relaxed) {
+            self.go_near(stats);
+        } else if self.steps >= FOLD {
+            self.fold(stats);
+            if self.near_cap(stats) {
+                self.go_near(stats);
+            }
         }
         let hungry = || sh.hungry.load(Ordering::Relaxed) > sh.offered.load(Ordering::Relaxed);
         if self.work.len() >= 2 && hungry() {
             let t0 = Instant::now();
             let mut pool = sh.pool.lock().expect("pool lock");
             if hungry() {
+                self.fold(stats);
                 let (id, top) = (pool.next_id, self.work.split_off(self.work.len() / 2));
-                pool.stacks.push((id, std::mem::replace(&mut self.work, top)));
+                pool.stacks
+                    .push((id, std::mem::replace(&mut self.work, top)));
                 pool.next_id += 1;
                 self.donated.push(id);
                 sh.offered.fetch_add(1, Ordering::Relaxed);
@@ -1250,17 +1423,49 @@ impl Front for Private<'_> {
             drop(pool);
             self.steal += t0.elapsed();
         }
+    }
+
+    fn te(&self, local: &SearchStats) -> u64 {
+        self.sh.te_start + self.peers.counters[0] + local.transitions_executed
+    }
+
+    fn resident(&self) -> usize {
+        self.sh.resident(self.peers.bytes + self.bytes)
+    }
+
+    fn charge(&mut self, bytes: usize) -> usize {
+        self.bytes += bytes as isize;
+        self.unit = self.unit.max(bytes);
+        let now = self.resident();
+        self.high = self.high.max(now);
+        now
+    }
+
+    fn uncharge(&mut self, bytes: usize) {
+        self.bytes -= bytes as isize;
+    }
+
+    fn work(&mut self) -> &mut Vec<Node> {
+        &mut self.work
+    }
+
+    /// Stop when the burst has.
+    fn pop(&mut self) -> Option<Node> {
+        if self.sh.stopped.load(Ordering::Acquire) {
+            return None;
+        }
         self.work.pop()
     }
 
     fn pg_len(&self) -> usize {
-        (self.sh.pg.load(Ordering::Relaxed) - self.sh.pg_start) as usize
+        (self.peers.parks + self.parked) as usize
     }
 
-    fn park(&mut self, node: Node, _pg_nodes: u64) -> u64 {
+    fn park(&mut self, node: Node, pg_nodes: u64) -> u64 {
         self.charge(node.charged());
         self.parks.push(node);
-        self.sh.pg.fetch_add(1, Ordering::Relaxed) + 1
+        self.parked = pg_nodes;
+        self.sh.pg_start + self.peers.parks + pg_nodes
     }
 }
 
@@ -1274,9 +1479,9 @@ struct Segment {
     donated: Vec<u32>,
 }
 
-/// What one worker brings back from a burst: its counter delta (zero
-/// gauges — those live in the [`Burst`]), its segments by id, the
-/// private stack a stop left, and its wall-clock split.
+/// What one worker brings back from a burst: its counter delta (its
+/// bytes are in its slot), its segments by id, the private stack a stop
+/// left, and its wall-clock split.
 struct WorkerOut {
     delta: SearchStats,
     segments: Vec<(u32, Segment)>,
@@ -1288,20 +1493,15 @@ struct WorkerOut {
 /// until the burst is over or a step halts it. A limit stop pushes its
 /// node back first, so the surviving front is complete whichever cause
 /// wins the stop race.
-fn burst_worker<S: Sink>(mut lane: Lane<'_>, sh: &Burst, sink: &mut S) -> WorkerOut {
+fn burst_worker<S: Sink>(mut lane: Lane<'_>, sh: &Burst, me: usize, sink: &mut S) -> WorkerOut {
     let carried = lane.best.clone();
-    let mut front = Private {
-        sh,
-        work: Vec::new(),
-        parks: Vec::new(),
-        donated: Vec::new(),
-        steal: Duration::ZERO,
-    };
+    let options = lane.options;
+    let mut front = Private::new(sh, me, &options.limits);
     let (mut segments, mut clock, t_loop) = (Vec::new(), Clock::default(), Instant::now());
     while let Some(id) = sh.next_segment(&mut front.work, &mut lane.stats, &mut clock) {
+        front.begin(&lane.stats);
         let halt = drain(&mut lane, &mut front, sink, None);
-        // Publish the segment's last step.
-        sink.tick(&lane.stats, 0);
+        front.settle(&lane.stats);
         let segment = Segment {
             parks: std::mem::take(&mut front.parks),
             errors: std::mem::take(&mut lane.spec_errors),
@@ -1325,15 +1525,23 @@ fn burst_worker<S: Sink>(mut lane: Lane<'_>, sh: &Burst, sink: &mut S) -> Worker
 }
 
 /// The barrier of an exhausted or stopped burst: absorb the workers'
-/// counter deltas and the shared gauge, and concatenate the segments'
-/// parks, spec errors and best attempts in segment order — the claims by
-/// first input, each followed by the segments donated off it, the latest
-/// first, recursively. After a stop the surviving front (private stacks,
-/// donations no one took, unclaimed inputs) becomes the work stack;
-/// before eof it is saved but cannot be resumed, so its order does not
-/// matter.
+/// counter deltas and the gauge their slots add up to, and concatenate
+/// the segments' parks, spec errors and best attempts in segment order —
+/// the claims by first input, each followed by the segments donated off
+/// it, the latest first, recursively. After a stop the surviving front
+/// (private stacks, donations no one took, unclaimed inputs) becomes the
+/// work stack; before eof it is saved but cannot be resumed, so its order
+/// does not matter.
 fn merge(lane: &mut Lane<'_>, stack: &mut Stack, sh: Burst, outs: Vec<WorkerOut>) {
-    stack.gauge = Gauge { resident: sh.resident.into_inner(), peak: sh.peak.into_inner() };
+    let all = sh.tally(None);
+    let resident = sh.resident(all.bytes);
+    stack.gauge = Gauge {
+        resident,
+        peak: sh.gauge.peak.max(all.peak).max(resident),
+    };
+    let deltas = outs.iter().map(|o| o.delta.counters());
+    let summed = deltas.fold([0; 4], |a, d| std::array::from_fn(|i| a[i] + d[i]));
+    debug_assert_eq!(summed, all.counters, "every worker folds its last step");
     let mut pool = sh.pool.into_inner().expect("pool lock");
     if sh.keep_inputs {
         pool.inputs.clear();
@@ -1365,14 +1573,17 @@ fn merge(lane: &mut Lane<'_>, stack: &mut Stack, sh: Burst, outs: Vec<WorkerOut>
     lane.spec_errors.truncate(MAX_RECORDED_ERRORS);
 }
 
-/// Pulse the live views mid-burst from the live atomics overlaid on the
-/// cumulative base stats.
+/// Pulse the live views mid-burst: the cumulative stats the burst
+/// started from, plus the workers' slots.
 fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &Burst, cap: u64) {
+    let all = sh.tally(None);
     let mut s = base.clone();
+    let start = base.counters();
     [s.transitions_executed, s.generates, s.restores, s.saves] =
-        sh.live.each_ref().map(|a| a.load(Ordering::Relaxed));
-    s.max_depth = sh.depth.load(Ordering::Relaxed);
-    s.snapshot_bytes = sh.resident.load(Ordering::Relaxed);
+        std::array::from_fn(|i| start[i] + all.counters[i]);
+    s.max_depth = s.max_depth.max(all.depth);
+    s.pg_nodes += all.parks;
+    s.snapshot_bytes = sh.resident(all.bytes);
     tel.pulse(&s, cap);
 }
 
@@ -1381,13 +1592,15 @@ fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &Burst, cap: u64) {
 /// return the burst's parks are on the PG-list in sequential park order
 /// and, after a limit stop, the surviving front is the work stack. After
 /// eof, a witness or a limit stop hands the burst to the one-worker
-/// drain instead.
+/// drain instead. `spare` holds emptied record batches from one burst to
+/// the next.
 fn burst(
     lane: &mut Lane<'_>,
     stack: &mut Stack,
     module: &AnalyzedModule,
     tel: &mut Telemetry,
     clocks: &mut [Clock],
+    spare: &mut Vec<Vec<StepRecord>>,
 ) -> Result<Halt, TangoError> {
     let n_workers = clocks.len();
     let cap = lane.options.limits.max_transitions;
@@ -1399,7 +1612,10 @@ fn burst(
     // counters they start from, for the replay.
     let keep = lane.env.eof;
     let base = keep.then(|| (lane.stats.clone(), lane.spec_errors.clone()));
-    let sh = Burst::new(n_workers, inputs, keep, &lane.stats, &stack.gauge);
+    let sh = Burst {
+        spare: Mutex::new(std::mem::take(spare)),
+        ..Burst::new(n_workers, inputs, keep, &lane.stats, &stack.gauge)
+    };
     // Workers send record batches (when telemetry is on) and hang up on
     // exit; the last hang-up ends the coordinator's wait at once. A
     // post-eof burst may be redone by one worker, so its records reach
@@ -1431,14 +1647,12 @@ fn burst(
                             sh: shr,
                             tx,
                             worker: i as u16,
-                            buf: Vec::new(),
+                            buf: if on { shr.batch() } else { Vec::new() },
                             on,
                             timed,
-                            published: [0; 4],
-                            depth: 0,
                         };
-                        let out = burst_worker(wl, shr, &mut sink);
-                        sink.flush();
+                        let out = burst_worker(wl, shr, i, &mut sink);
+                        sink.close();
                         out
                     }));
                     r.unwrap_or_else(|p| {
@@ -1451,7 +1665,10 @@ fn burst(
         loop {
             match rx.recv_timeout(Duration::from_millis(25)) {
                 Ok(batch) if keep => held.push(batch),
-                Ok((w, batch)) => batch.into_iter().for_each(|r| tel.record(machine, w, r)),
+                Ok((w, mut batch)) => {
+                    batch.drain(..).for_each(|r| tel.record(machine, w, r));
+                    shr.give_back(batch);
+                }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     tick_par(tel, &lane.stats, shr, cap);
                     continue;
@@ -1482,7 +1699,9 @@ fn burst(
         // Discard their deltas, records and front, keep the clocks, and
         // replay the untouched inputs: the witness, or stop point and
         // front, and the records are exactly the one-worker run's.
-        drop((outs, held));
+        drop(outs);
+        held.into_iter().for_each(|(_, batch)| sh.give_back(batch));
+        *spare = std::mem::take(&mut *sh.spare.lock().expect("spare lock"));
         let (stats, errors) = base.expect("inputs are kept after eof");
         lane.stats = stats;
         lane.spec_errors = errors;
@@ -1491,9 +1710,11 @@ fn burst(
         stack.gauge.resident = held.map(Node::charged).sum();
         return Ok(drain(lane, stack, tel, None));
     }
-    for (w, batch) in held {
-        batch.into_iter().for_each(|r| tel.record(machine, w, r));
+    for (w, mut batch) in held {
+        batch.drain(..).for_each(|r| tel.record(machine, w, r));
+        sh.give_back(batch);
     }
+    *spare = std::mem::take(&mut *sh.spare.lock().expect("spare lock"));
     merge(lane, stack, sh, outs);
     Ok(stop.unwrap_or(Halt::Drained))
 }
@@ -1576,6 +1797,7 @@ pub(crate) fn run(
     // Per-worker clocks feed the on-line engine's busy/idle gauges; the
     // complete-trace rule reports none.
     let mut clocks = vec![Clock::default(); if complete { 0 } else { n_workers }];
+    let mut spare = Vec::new();
 
     let mut stack = Stack {
         gauge: Gauge {
@@ -1643,7 +1865,7 @@ pub(crate) fn run(
             let live = complete.then_some(&mut live);
             drain(&mut lane, &mut stack, tel, live)
         } else if !stack.work.is_empty() {
-            burst(&mut lane, &mut stack, module, tel, &mut clocks)?
+            burst(&mut lane, &mut stack, module, tel, &mut clocks, &mut spare)?
         } else {
             Halt::Drained
         };
@@ -1828,7 +2050,7 @@ mod tests {
         let mut donations = Vec::new();
         for (at, waiters) in (1..=one.stats.restores).flat_map(|s| [(s, 1), (s, 3)]) {
             let sh = Burst::new(1, inputs.clone(), false, &SearchStats::default(), &gauge);
-            let out = burst_worker(lane(), &sh, &mut Hunger(&sh, 0, at, waiters));
+            let out = burst_worker(lane(), &sh, 0, &mut Hunger(&sh, 0, at, waiters));
             donations.push(out.delta.steals);
             let (mut merged, mut front) = (lane(), Stack::default());
             merge(&mut merged, &mut front, sh, vec![out]);
@@ -1839,6 +2061,92 @@ mod tests {
         let split = donations.iter().filter(|&&d| d > 0).count();
         assert!(split * 2 > donations.len(), "most steps split a segment: {:?}", donations);
         assert!(donations.iter().any(|&d| d > 3), "{:?}", donations);
+    }
+
+    /// A sink that notes how far the burst's slots lag the worker's
+    /// restores at any step.
+    struct Lag<'b>(&'b Burst, u64);
+
+    impl Sink for Lag<'_> {
+        fn tick(&mut self, stats: &SearchStats, _cap: u64) {
+            let folded = self.0.tally(None).counters[2];
+            self.1 = self.1.max(stats.restores - folded);
+        }
+
+        fn timer(&self) -> Option<Instant> {
+            None
+        }
+
+        fn record(&mut self, _machine: &Machine, _rec: StepRecord) {}
+    }
+
+    /// A burst whose worker folds its slot at the edges of the stride —
+    /// runs of 1, `FOLD − 1`, `FOLD` and `FOLD + 1` steps — merges to
+    /// the counters, gauge and peak that `drain` gives on the same
+    /// inputs, and its slot never lags the worker by a stride.
+    #[test]
+    fn folds_at_the_stride_edges_merge_to_the_drain_totals() {
+        let machine = Machine::from_source(FAN).unwrap();
+        let module = &machine.module.analyzed;
+        let options = AnalysisOptions::default();
+        let events = parse_trace("in P.x\n", Some(module)).unwrap();
+        let trace = ResolvedTrace::resolve(&events, module).unwrap();
+        let lane = || {
+            let mut env = TraceEnv::new(module, trace.clone(), &options).unwrap();
+            env.eof = false;
+            Lane::new(&machine, &options, None, env)
+        };
+        // A root fires A, B and C, and each child, having explained the
+        // one event, parks in one step: a done node.
+        let root = Node::new(
+            machine.initial_state().unwrap(),
+            lane().env.save(),
+            0,
+            Default::default(),
+        );
+        let (mut probe, mut once) = (lane(), Stack::default());
+        once.push(root.clone());
+        assert!(matches!(
+            drain(&mut probe, &mut once, &mut Telemetry::off(), None),
+            Halt::Drained
+        ));
+        let (per_root, done) = (probe.stats.restores, once.pg[0].clone());
+
+        for steps in [1, FOLD - 1, FOLD, FOLD + 1] {
+            let roots = std::iter::repeat_n(root.clone(), (steps / per_root) as usize);
+            let dones = std::iter::repeat_n(done.clone(), (steps % per_root) as usize);
+            let inputs: Vec<Node> = roots.chain(dones).collect();
+            let (mut one, mut want) = (lane(), Stack::default());
+            inputs.iter().cloned().for_each(|n| want.push(n));
+            let gauge = want.gauge;
+            assert!(matches!(
+                drain(&mut one, &mut want, &mut Telemetry::off(), None),
+                Halt::Drained
+            ));
+            assert_eq!(one.stats.restores, steps);
+
+            let sh = Burst::new(1, inputs, false, &SearchStats::default(), &gauge);
+            let mut lag = Lag(&sh, 0);
+            let out = burst_worker(lane(), &sh, 0, &mut lag);
+            assert!(
+                lag.1 < FOLD,
+                "{} steps: the slot lagged {} steps",
+                steps,
+                lag.1
+            );
+            let (mut merged, mut front) = (lane(), Stack::default());
+            merge(&mut merged, &mut front, sh, vec![out]);
+            assert_eq!(
+                merged.stats.counters(),
+                one.stats.counters(),
+                "{} steps",
+                steps
+            );
+            assert_eq!(merged.stats.pg_nodes, one.stats.pg_nodes, "{} steps", steps);
+            assert_eq!(front.pg.len(), want.pg.len(), "{} steps", steps);
+            let g = |s: &Stack| (s.gauge.resident, s.gauge.peak);
+            assert_eq!(g(&front), g(&want), "{} steps: gauge and peak", steps);
+        }
     }
 
     #[test]

@@ -54,9 +54,14 @@ pub struct SearchStats {
     /// Approximate bytes of saved state snapshots currently held by the
     /// search (nodes saved for backtracking, work and PG nodes) — what
     /// the `max_state_bytes` budget governs. Each save charges its own
-    /// snapshot's full size plus its cursor metadata.
+    /// snapshot's full size plus its cursor metadata. With several
+    /// on-line workers, the burst's starting gauge plus the byte deltas
+    /// the workers fold every 256 steps: exact between bursts, that
+    /// stale mid-burst in the live views.
     pub snapshot_bytes: usize,
-    /// High-water mark of `snapshot_bytes` over the run.
+    /// High-water mark of `snapshot_bytes` over the run. With several
+    /// on-line workers: the highest gauge a worker saw at a charge, its
+    /// peers counted as of their last fold.
     pub peak_snapshot_bytes: usize,
     /// Trace-source faults absorbed losslessly by retrying (injected
     /// read errors under `RecoveryPolicy::Restart`, re-read rotations).

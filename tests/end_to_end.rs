@@ -364,3 +364,37 @@ fn best_effort_localization_is_pinned_and_survives_stop_resume() {
         );
     }
 }
+
+/// A checkpoint the analyzer cannot resume is refused with an error of
+/// its own, not an option error: here an on-line stop saved before eof,
+/// whose remaining trace is unknowable.
+#[test]
+fn a_pre_eof_checkpoint_is_refused_as_a_checkpoint() {
+    use tango::{ChannelSource, Event, Feed, InconclusiveReason};
+    let a = ack::analyzer();
+    let options = || {
+        let mut o = AnalysisOptions::with_order(OrderOptions::none());
+        o.limits.max_transitions = 0;
+        o
+    };
+    let (tx, mut source) = ChannelSource::pair();
+    tx.send(Feed::Event(Event::input("A", "x", vec![])))
+        .unwrap();
+    let stopped = a
+        .analyze_online(&mut source, &options(), &mut |_| true)
+        .unwrap();
+    drop(tx);
+    assert_eq!(
+        stopped.verdict,
+        Verdict::Inconclusive(InconclusiveReason::TransitionLimit)
+    );
+    let cp = stopped.checkpoint.expect("a limit stop freezes its front");
+    assert!(!cp.resumable());
+    let err = a.resume(*cp, &options()).unwrap_err();
+    assert!(matches!(err, TangoError::Resume(_)), "{:?}", err);
+    assert_eq!(
+        err.to_string(),
+        "cannot resume the checkpoint: it was saved before its trace reached \
+         end-of-file; only on-line checkpoints saved after eof can be resumed"
+    );
+}

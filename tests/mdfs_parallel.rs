@@ -222,3 +222,90 @@ fn steal_counters_only_appear_on_multi_worker_runs() {
     // internally consistent and the run observationally sequential.
     assert_eq!(par.stats.counters(), seq.stats.counters());
 }
+
+/// Delivers a trace one event per poll; end-of-file comes with the last
+/// event, so every event starts a burst.
+struct OnePerPoll(std::vec::IntoIter<tango::Event>);
+
+impl tango::TraceSource for OnePerPoll {
+    fn poll(&mut self) -> tango::trace::source::Poll {
+        let events: Vec<tango::Event> = self.0.next().into_iter().collect();
+        tango::trace::source::Poll {
+            events,
+            eof: self.0.len() == 0,
+        }
+    }
+}
+
+fn one_per_poll(
+    a: &tango::TraceAnalyzer,
+    trace: &Trace,
+    opts: &AnalysisOptions,
+) -> tango::AnalysisReport {
+    let mut src = OnePerPoll(trace.events.clone().into_iter());
+    a.analyze_online(&mut src, opts, &mut |_| true).unwrap()
+}
+
+/// At N ≥ 2 the byte gauge and its peak are added up from the workers'
+/// tally slots, which they fold on a stride. Fed one event per poll, the
+/// TP0 3+3 search peaks where the one-worker search does.
+#[test]
+fn one_event_per_poll_peaks_at_the_one_worker_peak() {
+    let a = tp0::analyzer();
+    let opts = AnalysisOptions::with_order(OrderOptions::none());
+    for seed in 1..=3 {
+        let trace = tp0::invalid_trace(3, 3, seed);
+        let peaks = [1, 2, 4].map(|n| {
+            let r = one_per_poll(&a, &trace, &with_workers(&opts, n));
+            assert_eq!(r.verdict, Verdict::Invalid, "seed {} workers {}", seed, n);
+            r.stats.peak_snapshot_bytes
+        });
+        assert_eq!(
+            peaks, [peaks[0]; 3],
+            "seed {}: peaks at 1, 2 and 4 workers",
+            seed
+        );
+    }
+}
+
+/// A transition-limit stop before eof is not replayed by one worker: the
+/// workers stop on their own view of TE. Within `N·FOLD` steps' worth of
+/// the cap every worker folds on every step, so the views miss only the
+/// peers' steps in flight, and the stop ends at most one transition per
+/// worker past the cap.
+#[test]
+fn pre_eof_transition_stops_overshoot_by_at_most_one_step_per_worker() {
+    let a = tp0::analyzer();
+    let trace = tp0::invalid_trace(3, 3, 1);
+    let opts = AnalysisOptions::with_order(OrderOptions::none());
+    for n in [2u64, 4] {
+        for cap in [100, 1_000, 10_000, 40_000] {
+            let mut limited = with_workers(&opts, n as usize);
+            limited.limits.max_transitions = cap;
+            let r = one_per_poll(&a, &trace, &limited);
+            assert_eq!(
+                r.verdict,
+                Verdict::Inconclusive(InconclusiveReason::TransitionLimit),
+                "workers {} cap {}",
+                n,
+                cap
+            );
+            let cp = r.checkpoint.expect("a limit stop freezes its front");
+            assert!(
+                !cp.resumable(),
+                "workers {} cap {}: the stop is before eof",
+                n,
+                cap
+            );
+            let te = r.stats.transitions_executed;
+            assert!(
+                cap < te && te <= cap + n,
+                "workers {} cap {}: TE {} overshoots by more than {}",
+                n,
+                cap,
+                te,
+                n
+            );
+        }
+    }
+}
