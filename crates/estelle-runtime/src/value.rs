@@ -74,16 +74,6 @@ impl SmallSet {
 }
 
 impl Value {
-    /// True if this value is (or contains, for composites) an undefined
-    /// component.
-    pub fn has_undefined(&self) -> bool {
-        match self {
-            Value::Undefined => true,
-            Value::Array(vs) | Value::Record(vs) => vs.iter().any(Value::has_undefined),
-            _ => false,
-        }
-    }
-
     /// Undefined-tolerant comparison used when matching generated output
     /// interactions against traced interactions: an undefined parameter is
     /// "equal to all values to which it is compared" (paper §5.1).
@@ -235,13 +225,5 @@ mod tests {
             hi: 1,
         });
         assert_eq!(default_value(&types, set), Value::Set(SmallSet::empty()));
-    }
-
-    #[test]
-    fn has_undefined_recurses() {
-        let v = Value::Array(vec![Value::Int(1), Value::Record(vec![Value::Undefined])]);
-        assert!(v.has_undefined());
-        let w = Value::Array(vec![Value::Int(1)]);
-        assert!(!w.has_undefined());
     }
 }

@@ -729,10 +729,24 @@ fn search(
         }
         o
     };
+    // The complete-trace rule searches on one worker (ROADMAP item 10):
+    // refuse a worker count it would ignore.
+    let one_worker = || match args.options.workers {
+        1 => Ok(()),
+        n => Err(format!(
+            "--workers {} is refused: a complete-trace search (static `analyze`, \
+             or the resume of its checkpoint) runs on one worker; to search on \
+             several, run `tango online` on the trace",
+            n
+        )),
+    };
 
     let mut report = match (&ckpt.resume, trace_path) {
         (Some(path), _) => {
             let cp = Checkpoint::read_from(path).map_err(|e| e.to_string())?;
+            if cp.mode() == "dfs" {
+                one_worker()?;
+            }
             let done = cp.stats().transitions_executed;
             analyzer.resume_with(cp, &round_options(done), tel)
         }
@@ -756,6 +770,7 @@ fn search(
             report
         }
         (None, Some(trace_path)) => {
+            one_worker()?;
             let text = read(trace_path)?;
             let module = Some(analyzer.module().clone());
             match args.chaos.and_then(|p| p.build_source(&text, module)) {
@@ -836,9 +851,10 @@ fn save_checkpoint(
     faults: &mut Vec<String>,
 ) -> bool {
     let te = cp.stats().transitions_executed;
+    let before = *attempts;
     let out = cp.write_to_with(path, plan, attempts);
-    stats.checkpoint_retries += u64::from(out.retries);
-    match out.result {
+    stats.checkpoint_retries += *attempts - before - 1;
+    match out {
         Ok(()) => {
             tel.on_checkpoint(te, &path.display().to_string());
             true

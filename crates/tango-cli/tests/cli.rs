@@ -370,6 +370,65 @@ fn either_subcommand_resumes_either_kind_of_checkpoint() {
     }
 }
 
+/// A complete trace is searched on one worker, so a worker count other
+/// than 1 is refused, with exit 3 and a pointer to `tango online`: on a
+/// fresh `analyze` of a trace file, and on the resume of a static
+/// checkpoint under either subcommand.
+#[test]
+fn workers_are_refused_on_complete_trace_runs() {
+    let dir = scratch_dir("workers_are_refused_on_complete_trace_runs");
+    let spec = write_file(&dir, "ack.est", ACK_SPEC);
+    let trace = write_file(&dir, "good.trace", "in A.x\nin B.y\nout A.ack\n");
+    let ckpt = dir.join("ack.ckpt");
+    let refused = |out: std::process::Output| {
+        assert_eq!(out.status.code(), Some(3), "{}", stdout_of(&out));
+        assert!(
+            stderr_of(&out).contains("`tango online`"),
+            "{}",
+            stderr_of(&out)
+        );
+        assert!(stdout_of(&out).is_empty(), "{}", stdout_of(&out));
+    };
+    for n in ["2", "0"] {
+        let mut fresh = bin();
+        fresh
+            .arg("analyze")
+            .arg(&spec)
+            .arg(&trace)
+            .args(["--workers", n]);
+        refused(fresh.output().unwrap());
+    }
+    let one = bin()
+        .arg("analyze")
+        .arg(&spec)
+        .arg(&trace)
+        .args(["--workers", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(one.status.code(), Some(0), "{}", stderr_of(&one));
+
+    let stopped = bin()
+        .arg("analyze")
+        .arg(&spec)
+        .arg(&trace)
+        .args(["--order", "nr", "--max-transitions", "1"])
+        .args(["--flight-recorder", "off", "--checkpoint-file"])
+        .arg(&ckpt)
+        .output()
+        .unwrap();
+    assert_eq!(stopped.status.code(), Some(2), "{}", stdout_of(&stopped));
+    for cmd in ["analyze", "online"] {
+        let mut resume = bin();
+        resume
+            .arg(cmd)
+            .arg(&spec)
+            .arg("--resume")
+            .arg(&ckpt)
+            .args(["--workers", "2"]);
+        refused(resume.output().unwrap());
+    }
+}
+
 /// An on-line stop before the trace's eof marker cannot be resumed (the
 /// rest of the trace is unknown), so the CLI neither saves its front nor
 /// tells the user to resume it, and says why instead.

@@ -53,7 +53,7 @@ use estelle_runtime::codec::{decode_state, decode_value, encode_state, encode_va
 use estelle_runtime::{
     ByteReader, ByteWriter, CodecError, Fireable, RuntimeError, RuntimeErrorKind,
 };
-use crate::fault::{Fault, FaultPlan, RetryOutcome, RetryPolicy};
+use crate::fault::{Fault, FaultPlan};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -196,36 +196,57 @@ pub struct CheckpointInfo {
     pub stats: SearchStats,
 }
 
+/// The sleeps before a failed write's retries: one attempt, then up to
+/// three retries after 4, 8 and 16 ms.
+const RETRY_SLEEPS: [Duration; 3] = [
+    Duration::from_millis(4),
+    Duration::from_millis(8),
+    Duration::from_millis(16),
+];
+
 impl Checkpoint {
     /// Serialize this checkpoint and atomically replace `path` with it.
     /// On return the file is durable (fsynced); on error the previous
-    /// contents of `path`, if any, are untouched. Transient failures
-    /// retry on the [`RetryPolicy::checkpoint`] schedule.
+    /// contents of `path`, if any, are untouched. A failed attempt is
+    /// retried up to three times, after 4, 8 and 16 ms.
     pub fn write_to(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.write_to_with(path, &FaultPlan::default(), &mut 0).result
+        self.write_to_with(path, &FaultPlan::default(), &mut 0)
     }
 
     /// [`Checkpoint::write_to`] with the checkpoint rows of `faults`
     /// deciding the fate of each write attempt (the chaos layer's
     /// checkpoint site). `attempts` counts write attempts, retries
     /// included; pass one counter across a run's saves so the schedule
-    /// spans all of them. Disk full outranks a short write, which
-    /// outranks an I/O error. Injected short writes tear the temp file
-    /// only — the destination keeps its previous contents, which is
-    /// exactly the atomic-rename contract under test. Returns the retry
-    /// count alongside the result so autosave can feed
-    /// `SearchStats::checkpoint_retries`.
+    /// spans all of them. The attempts a save adds, minus one, are its
+    /// retries: autosave feeds them to `SearchStats::checkpoint_retries`.
+    /// Disk full outranks a short write, which outranks an I/O error.
+    /// Injected short writes tear the temp file only — the destination
+    /// keeps its previous contents, which is exactly the atomic-rename
+    /// contract under test.
     pub fn write_to_with(
         &self,
         path: &Path,
         faults: &FaultPlan,
         attempts: &mut u64,
-    ) -> RetryOutcome<(), CheckpointError> {
+    ) -> Result<(), CheckpointError> {
+        self.write_sleeping(path, faults, attempts, &mut std::thread::sleep)
+    }
+
+    /// [`Checkpoint::write_to_with`], sleeping through `sleep` before
+    /// each retry.
+    fn write_sleeping(
+        &self,
+        path: &Path,
+        faults: &FaultPlan,
+        attempts: &mut u64,
+        sleep: &mut dyn FnMut(Duration),
+    ) -> Result<(), CheckpointError> {
         let bytes = encode_checkpoint(self);
         let injected = |what: &str| Err(CheckpointError::Io(std::io::Error::other(what)));
-        RetryPolicy::checkpoint().run(&mut |_| {
+        let mut naps = RETRY_SLEEPS.into_iter();
+        loop {
             *attempts += 1;
-            if faults.due(Fault::CheckpointDiskFull, *attempts) {
+            let result = if faults.due(Fault::CheckpointDiskFull, *attempts) {
                 injected("no space left on device (injected)")
             } else if faults.due(Fault::CheckpointShortWrite, *attempts) {
                 // The torn write of a crashing process: half the bytes
@@ -236,8 +257,12 @@ impl Checkpoint {
                 injected("checkpoint write I/O error (injected)")
             } else {
                 write_atomic_once(path, &bytes)
+            };
+            match (result, naps.next()) {
+                (Err(_), Some(nap)) => sleep(nap),
+                (result, _) => return result,
             }
-        })
+        }
     }
 
     /// Load a checkpoint written by [`Checkpoint::write_to`], verifying
@@ -896,7 +921,7 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// One write attempt: temp file in the same directory, fsync, rename
 /// over the destination, fsync the directory. A crash at any point
 /// leaves either the old file or the new one, never a mix. Retries are
-/// the caller's job, via [`RetryPolicy::checkpoint`] — each attempt is
+/// the caller's job ([`Checkpoint::write_to_with`]) — each attempt is
 /// this full sequence, so a retry never observes a half-written file.
 pub(crate) fn write_atomic_once(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     let tmp = tmp_path(path);
@@ -981,28 +1006,6 @@ mod tests {
         assert_eq!(back.steal_failures, s.steal_failures);
     }
 
-    #[test]
-    fn atomic_write_retries_transient_failures_with_backoff() {
-        let mut attempts = 0u32;
-        let mut slept: Vec<Duration> = Vec::new();
-        let out = RetryPolicy::checkpoint().run_with_sleep(&mut |d| slept.push(d), &mut |_| {
-            attempts += 1;
-            if attempts < 3 {
-                Err(CheckpointError::Io(std::io::Error::other("transient")))
-            } else {
-                Ok(())
-            }
-        });
-        assert!(out.result.is_ok(), "two transient failures must be absorbed");
-        assert_eq!(attempts, 3);
-        assert_eq!(out.retries, 2, "the outcome reports the retries it cost");
-        assert_eq!(
-            slept,
-            vec![Duration::from_millis(4), Duration::from_millis(8)],
-            "backoff must double between attempts"
-        );
-    }
-
     /// A checkpoint with an empty front: enough to exercise the writer.
     fn empty_checkpoint() -> Checkpoint {
         Checkpoint {
@@ -1040,9 +1043,10 @@ mod tests {
         let plan = FaultPlan::default().with(Fault::CheckpointIoError, 2);
         let mut attempts = 0;
         for (retries, after) in [(0, 1), (1, 3), (1, 5)] {
+            let before = attempts;
             let out = cp.write_to_with(&path, &plan, &mut attempts);
-            assert!(out.result.is_ok());
-            assert_eq!((out.retries, attempts), (retries, after));
+            assert!(out.is_ok());
+            assert_eq!((attempts - before - 1, attempts), (retries, after));
         }
 
         // Disk full outranks a short write: from the 2nd attempt on
@@ -1051,10 +1055,15 @@ mod tests {
             .with(Fault::CheckpointDiskFull, 1)
             .with(Fault::CheckpointShortWrite, 2);
         let mut attempts = 0;
-        assert!(cp.write_to_with(&path, &plan, &mut attempts).result.is_ok());
+        assert!(cp.write_to_with(&path, &plan, &mut attempts).is_ok());
+        let before = attempts;
         let out = cp.write_to_with(&path, &plan, &mut attempts);
-        assert_eq!(io_error(out.result), "no space left on device (injected)");
-        assert_eq!((out.retries, attempts), (3, 5), "1 try + 3 retries");
+        assert_eq!(io_error(out), "no space left on device (injected)");
+        assert_eq!(
+            (attempts - before - 1, attempts),
+            (3, 5),
+            "1 try + 3 retries"
+        );
         assert!(!tmp_path(&path).exists(), "disk full must not tear a temp file");
 
         // A short write outranks an I/O error: the temp file is torn,
@@ -1063,25 +1072,46 @@ mod tests {
             .with(Fault::CheckpointShortWrite, 1)
             .with(Fault::CheckpointIoError, 1);
         let out = cp.write_to_with(&path, &plan, &mut 0);
-        assert_eq!(io_error(out.result), "checkpoint short write (injected)");
+        assert_eq!(io_error(out), "checkpoint short write (injected)");
         assert!(tmp_path(&path).exists(), "the short write tears the temp file");
         assert!(Checkpoint::read_from(&path).is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn atomic_write_surfaces_persistent_failure_after_bounded_retries() {
-        let mut attempts = 0u32;
-        let out: RetryOutcome<(), _> =
-            RetryPolicy::checkpoint().run_with_sleep(&mut |_| {}, &mut |_| {
-                attempts += 1;
-                Err(CheckpointError::Io(std::io::Error::other("dead disk")))
-            });
-        match out.result {
-            Err(CheckpointError::Io(e)) => assert!(e.to_string().contains("dead disk")),
+    fn a_save_retries_three_times_after_4_8_and_16_ms() {
+        let dir = std::env::temp_dir().join(format!("tango-ckpt-retry-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.bin");
+        let cp = empty_checkpoint();
+        let ms = Duration::from_millis;
+
+        // Two transient failures are absorbed: attempts 3 (an I/O
+        // error) and 4 (a short write) fail, the retry after 4 and 8 ms
+        // succeeds.
+        let plan = FaultPlan::default()
+            .with(Fault::CheckpointIoError, 3)
+            .with(Fault::CheckpointShortWrite, 2);
+        let (mut attempts, mut slept) = (2, Vec::new());
+        let out = cp.write_sleeping(&path, &plan, &mut attempts, &mut |d| slept.push(d));
+        assert!(out.is_ok(), "{:?}", out);
+        assert_eq!((attempts, slept), (5, vec![ms(4), ms(8)]), "two retries");
+        assert!(
+            !tmp_path(&path).exists(),
+            "the good attempt renames the torn temp file away"
+        );
+
+        // A persistent failure surfaces after 1 try + 3 retries, the
+        // sleeps doubling from 4 ms.
+        let plan = FaultPlan::default().with(Fault::CheckpointDiskFull, 0);
+        let (mut attempts, mut slept) = (0, Vec::new());
+        match cp.write_sleeping(&path, &plan, &mut attempts, &mut |d| slept.push(d)) {
+            Err(CheckpointError::Io(e)) => assert!(e.to_string().contains("no space left")),
             other => panic!("persistent failure must surface as Io, got {:?}", other),
         }
-        assert_eq!(attempts, 4, "retries are bounded: 1 try + 3 retries");
+        assert_eq!((attempts, slept), (4, vec![ms(4), ms(8), ms(16)]));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Unified chaos-engineering layer: composable fault plans and the
-//! shared retry/backoff policy.
+//! Unified chaos-engineering layer: composable fault plans.
 //!
 //! The engine's promise — a *generated* analyzer delivers the same
 //! verdict as the specification semantics — must hold under I/O faults,
@@ -9,16 +8,12 @@
 //! the SIGKILL harness for checkpoints. A [`FaultPlan`] composes both
 //! sites (the source and the checkpoint-write path) into one seeded,
 //! reproducible plan: one schedule slot per row of the fault table
-//! `FAULTS`, asked through one rule, `FaultPlan::due`. A [`RetryPolicy`]
-//! replaces the divergent hand-rolled backoff loops with one
-//! implementation: bounded exponential backoff and deadline-aware
-//! sleeps.
+//! `FAULTS`, asked through one rule, `FaultPlan::due`.
 //!
 //! Everything here is zero-cost when no plan is armed, mirroring the
 //! telemetry layer's design: production paths carry an `Option` that
 //! stays `None` (checkpoint writes an unarmed plan, whose rows never
-//! fire), and the retry policies compile to the exact schedules the
-//! hand-rolled loops used.
+//! fire).
 //!
 //! The invariants the chaos runner (`tests/chaos.rs`) asserts over this
 //! module:
@@ -36,7 +31,6 @@ use crate::trace::source::{FaultySource, RecoveryPolicy, TraceSource};
 use crate::trace::Trace;
 use estelle_frontend::sema::model::AnalyzedModule;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 // ------------------------------------------------------------- errors
 
@@ -64,152 +58,6 @@ impl fmt::Display for FaultError {
 }
 
 impl std::error::Error for FaultError {}
-
-// ------------------------------------------------------- retry policy
-
-/// The shared retry/backoff policy: how many transient failures to
-/// absorb and how long to sleep between attempts.
-///
-/// One implementation serves the formerly hand-rolled loops —
-/// checkpoint atomic writes ([`RetryPolicy::checkpoint`]) and the
-/// on-line engine's idle polling ([`RetryPolicy::mdfs_poll`], via
-/// [`Backoff`]) — each keeping its exact historical schedule. The
-/// sleep for (1-based) attempt `k` is `min(base * 2^(k-1), cap)`, and
-/// never extends past an armed deadline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt; `0` means fail fast.
-    pub max_retries: u32,
-    /// Sleep before the first retry.
-    pub base: Duration,
-    /// Sleep ceiling.
-    pub cap: Duration,
-    /// When set, a sleep never extends past this instant and no retry
-    /// is attempted after it — a retry loop cannot eat the wall-clock
-    /// budget of the search around it.
-    pub deadline: Option<Instant>,
-}
-
-impl RetryPolicy {
-    pub const fn new(max_retries: u32, base: Duration, cap: Duration) -> Self {
-        RetryPolicy {
-            max_retries,
-            base,
-            cap,
-            deadline: None,
-        }
-    }
-
-    /// The checkpoint atomic-write schedule: 3 retries sleeping
-    /// 4/8/16/32 ms (historically `2 << tries` capped at 32).
-    pub const fn checkpoint() -> Self {
-        RetryPolicy::new(3, Duration::from_millis(4), Duration::from_millis(32))
-    }
-
-    /// The MDFS idle-poll schedule: 1 ms doubling to 16 ms, so a busy
-    /// feed is picked up within a millisecond while a long-idle monitor
-    /// stops burning CPU. Unbounded — idle polling never "gives up".
-    pub const fn mdfs_poll() -> Self {
-        RetryPolicy::new(
-            u32::MAX,
-            Duration::from_millis(1),
-            Duration::from_millis(16),
-        )
-    }
-
-    /// The sleep before (1-based) retry `attempt`, before deadline
-    /// clamping: `min(base * 2^(attempt-1), cap)`.
-    pub fn sleep_for(&self, attempt: u32) -> Duration {
-        let shift = attempt.saturating_sub(1).min(20);
-        self.base
-            .checked_mul(1u32 << shift)
-            .map_or(self.cap, |d| d.min(self.cap))
-    }
-
-    /// [`RetryPolicy::sleep_for`] clamped to the remaining deadline
-    /// budget.
-    pub fn delay_for(&self, attempt: u32) -> Duration {
-        let mut d = self.sleep_for(attempt);
-        if let Some(deadline) = self.deadline {
-            d = d.min(deadline.saturating_duration_since(Instant::now()));
-        }
-        d
-    }
-
-    /// True when the deadline (if any) has passed — no further retry
-    /// should be attempted.
-    pub fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Run `op` under this policy, sleeping through `sleep` (injected
-    /// so tests can observe the schedule). `op` receives the 0-based
-    /// attempt index.
-    pub fn run_with_sleep<T, E>(
-        &self,
-        sleep: &mut dyn FnMut(Duration),
-        op: &mut dyn FnMut(u32) -> Result<T, E>,
-    ) -> RetryOutcome<T, E> {
-        let mut attempt = 0u32;
-        loop {
-            match op(attempt) {
-                Ok(v) => {
-                    return RetryOutcome {
-                        result: Ok(v),
-                        retries: attempt,
-                    }
-                }
-                Err(e) => {
-                    if attempt >= self.max_retries || self.expired() {
-                        return RetryOutcome {
-                            result: Err(e),
-                            retries: attempt,
-                        };
-                    }
-                    attempt += 1;
-                    sleep(self.delay_for(attempt));
-                }
-            }
-        }
-    }
-
-    /// [`RetryPolicy::run_with_sleep`] sleeping on the current thread.
-    pub fn run<T, E>(&self, op: &mut dyn FnMut(u32) -> Result<T, E>) -> RetryOutcome<T, E> {
-        self.run_with_sleep(&mut std::thread::sleep, op)
-    }
-}
-
-/// What a [`RetryPolicy`] run produced: the final result plus how many
-/// retries it cost — the number fed into `fault.<site>.retries`.
-#[derive(Debug)]
-pub struct RetryOutcome<T, E> {
-    pub result: Result<T, E>,
-    /// Transient failures absorbed before the final result (0 on a
-    /// first-attempt success).
-    pub retries: u32,
-}
-
-/// Stateful exponential backoff over a [`RetryPolicy`] schedule, for
-/// idle-polling sites where "attempts" are spread over time instead of
-/// wrapped in one loop (the MDFS poll loop).
-#[derive(Clone, Copy, Debug)]
-pub struct Backoff {
-    policy: RetryPolicy,
-    attempt: u32,
-}
-
-impl Backoff {
-    pub fn new(policy: RetryPolicy) -> Self {
-        Backoff { policy, attempt: 0 }
-    }
-
-    /// The next idle delay: doubles per call from the policy's base up
-    /// to its cap.
-    pub fn next_delay(&mut self) -> Duration {
-        self.attempt = self.attempt.saturating_add(1);
-        self.policy.delay_for(self.attempt)
-    }
-}
 
 // --------------------------------------------------------- fault table
 
@@ -583,74 +431,6 @@ pub fn drain_source(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sleep_schedule_matches_the_historical_sites() {
-        let cp = RetryPolicy::checkpoint();
-        assert_eq!(
-            (1..=5).map(|a| cp.sleep_for(a).as_millis()).collect::<Vec<_>>(),
-            vec![4, 8, 16, 32, 32],
-            "checkpoint kept its 2<<tries schedule"
-        );
-    }
-
-    #[test]
-    fn run_counts_retries_and_bounds_attempts() {
-        let policy = RetryPolicy::new(3, Duration::from_millis(1), Duration::from_millis(4));
-        let mut slept = Vec::new();
-        let mut calls = 0;
-        let out = policy.run_with_sleep(&mut |d| slept.push(d), &mut |_| {
-            calls += 1;
-            if calls < 3 {
-                Err("transient")
-            } else {
-                Ok(calls)
-            }
-        });
-        assert_eq!(out.result, Ok(3));
-        assert_eq!(out.retries, 2);
-        assert_eq!(slept.len(), 2);
-
-        let mut calls = 0;
-        let out: RetryOutcome<(), _> =
-            policy.run_with_sleep(&mut |_| {}, &mut |_| {
-                calls += 1;
-                Err("dead")
-            });
-        assert_eq!(out.result, Err("dead"));
-        assert_eq!(calls, 4, "1 try + 3 retries");
-        assert_eq!(out.retries, 3);
-    }
-
-    #[test]
-    fn deadline_stops_retries_and_clamps_sleeps() {
-        let p = RetryPolicy {
-            deadline: Some(Instant::now() + Duration::from_millis(5)),
-            ..RetryPolicy::new(100, Duration::from_millis(50), Duration::from_millis(50))
-        };
-        let mut calls = 0;
-        let t0 = Instant::now();
-        let out: RetryOutcome<(), _> = p.run(&mut |_| {
-            calls += 1;
-            Err("down")
-        });
-        assert!(out.result.is_err());
-        assert!(calls < 100, "deadline must cut the retry budget: {}", calls);
-        assert!(
-            t0.elapsed() < Duration::from_millis(200),
-            "sleeps must clamp to the deadline: {:?}",
-            t0.elapsed()
-        );
-    }
-
-    #[test]
-    fn backoff_doubles_and_resets() {
-        let mut b = Backoff::new(RetryPolicy::mdfs_poll());
-        let seq: Vec<u128> = (0..6).map(|_| b.next_delay().as_millis()).collect();
-        assert_eq!(seq, vec![1, 2, 4, 8, 16, 16]);
-        let deep = RetryPolicy::mdfs_poll().sleep_for(10_000).as_millis();
-        assert_eq!(deep, 16, "no overflow at depth");
-    }
 
     #[test]
     fn due_counts_one_based_operations() {

@@ -66,9 +66,8 @@ pub use checkpoint::{Checkpoint, CheckpointError, CheckpointInfo};
 pub use error::TangoError;
 /// The unified chaos layer: the composable [`FaultPlan`] (one schedule
 /// slot per injectable [`Fault`], arming source and checkpoint
-/// fault sites in one run) and the shared [`RetryPolicy`]/[`Backoff`]
-/// every retry loop runs on.
-pub use fault::{Backoff, Fault, FaultError, FaultPlan, RetryOutcome, RetryPolicy, Site};
+/// fault sites in one run).
+pub use fault::{Fault, FaultError, FaultPlan, Site};
 pub use genimpl::{ChoicePolicy, ScriptedInput};
 pub use options::{AnalysisOptions, OrderOptions, SearchLimits};
 pub use stats::SearchStats;

@@ -77,12 +77,11 @@
 use crate::checkpoint::{Checkpoint, NodeCkpt, SearchCheckpoint};
 use crate::env::{Cursors, EnvError, RejectReason, TraceEnv};
 use crate::error::TangoError;
-use crate::fault::{Backoff, RetryPolicy};
 use crate::options::{AnalysisOptions, SearchLimits};
 use crate::stats::SearchStats;
 use crate::telemetry::{PruneKind, StepRecord, Telemetry};
-use crate::trace::source::{Poll, TraceSource};
-use crate::trace::ResolvedTrace;
+use crate::trace::source::{Poll, StaticSource, TraceSource};
+use crate::trace::{ResolvedTrace, Trace};
 use crate::verdict::{AnalysisReport, BestEffort, InconclusiveReason, Verdict};
 use estelle_frontend::sema::model::{AnalyzedModule, StateId};
 use estelle_runtime::{
@@ -347,21 +346,6 @@ pub(crate) enum Start<'s> {
     Static(ResolvedTrace, Option<StateId>),
     /// A stopped run, resumed under the rule it stopped in.
     Resume(Box<Checkpoint>),
-}
-
-/// The source behind a run that never waits for input: a static run, or
-/// a resumed one. Only eof-reached on-line checkpoints are resumable (a
-/// pre-eof source's read position cannot be re-established), so every
-/// poll just re-asserts end-of-file.
-struct EofSource;
-
-impl TraceSource for EofSource {
-    fn poll(&mut self) -> Poll {
-        Poll {
-            events: Vec::new(),
-            eof: true,
-        }
-    }
 }
 
 /// Freeze the search front for a stop's checkpoint: the work stack,
@@ -1741,6 +1725,33 @@ fn absorb(
     Ok(news)
 }
 
+/// The on-line idle wait: call `input` until it reports input (`true`),
+/// sleeping through `sleep` 1 ms after the first silent poll, doubling
+/// to 16 ms while the source stays silent. Each wait starts again at
+/// 1 ms, so a busy feed is picked up within a millisecond while a
+/// long-idle monitor stops burning CPU. No sleep ends past `deadline`,
+/// so the expiry check stays exact to within scheduler latency; returns
+/// `false` once the deadline has passed.
+fn idle_wait(
+    deadline: Option<Instant>,
+    input: &mut dyn FnMut() -> Result<bool, TangoError>,
+    sleep: &mut dyn FnMut(Duration),
+) -> Result<bool, TangoError> {
+    let mut nap = Duration::from_millis(1);
+    loop {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Ok(false);
+        }
+        if input()? {
+            return Ok(true);
+        }
+        sleep(deadline.map_or(nap, |d| {
+            nap.min(d.saturating_duration_since(Instant::now()))
+        }));
+        nap = (nap * 2).min(Duration::from_millis(16));
+    }
+}
+
 /// One run of the engine, fresh or resumed. Over a trace that was
 /// complete when the analysis started, the complete-trace rule descends
 /// on one worker and no source is polled. Otherwise the on-line rule runs
@@ -1758,7 +1769,12 @@ pub(crate) fn run(
     tel: &mut Telemetry,
 ) -> Result<AnalysisReport, TangoError> {
     let t0 = Instant::now();
-    let no_source: &mut dyn TraceSource = &mut EofSource;
+    // A static or resumed run never waits for input: its source is an
+    // empty trace at end-of-file. Only eof-reached on-line checkpoints
+    // are resumable (a pre-eof source's read position cannot be
+    // re-established).
+    let mut at_eof = StaticSource::new(Trace::new(Vec::new()));
+    let no_source: &mut dyn TraceSource = &mut at_eof;
     let go_on: &mut dyn FnMut(&Verdict) -> bool = &mut |_| true;
     let fresh = SearchStats::default;
     let (complete, source, on_status, trace, stats, init, front) = match start {
@@ -1914,35 +1930,26 @@ pub(crate) fn run(
         }
 
         // Block until the source has more to say — but never past the
-        // deadline: a stalled source must not wedge the monitor. Polls
-        // back off on the shared [`RetryPolicy::mdfs_poll`] schedule
-        // (1ms doubling to 16ms) while the source stays silent; entering
-        // this loop anew (i.e. after data arrived) starts over at the
-        // minimum interval. Only the one-worker lane counts the sleeps
-        // as its idle time; between bursts there are no workers.
-        let mut idle = Backoff::new(RetryPolicy {
+        // deadline: a stalled source must not wedge the monitor. Only
+        // the one-worker lane counts the sleeps as its idle time;
+        // between bursts there are no workers.
+        let input = idle_wait(
             deadline,
-            ..RetryPolicy::mdfs_poll()
-        });
-        loop {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                let ckpt = freeze(&mut stack, &mut live, &lane, complete, n_workers);
-                break 'search (
-                    Verdict::Inconclusive(InconclusiveReason::TimeLimit),
-                    None,
-                    Some(ckpt),
-                );
-            }
-            if absorb(source.poll(), &mut lane.env, &mut stack, module)? {
-                break;
-            }
-            // The policy never sleeps past the deadline, so the expiry
-            // check above stays exact to within scheduler latency.
-            let sleep = idle.next_delay();
-            std::thread::sleep(sleep);
-            if n_workers == 1 {
-                clocks[0].idle += sleep;
-            }
+            &mut || absorb(source.poll(), &mut lane.env, &mut stack, module),
+            &mut |nap| {
+                std::thread::sleep(nap);
+                if n_workers == 1 {
+                    clocks[0].idle += nap;
+                }
+            },
+        )?;
+        if !input {
+            let ckpt = freeze(&mut stack, &mut live, &lane, complete, n_workers);
+            break 'search (
+                Verdict::Inconclusive(InconclusiveReason::TimeLimit),
+                None,
+                Some(ckpt),
+            );
         }
     };
 
@@ -2211,5 +2218,47 @@ mod tests {
             fingerprint(&st.snapshot(), &at(0)),
             "a copy-on-write snapshot shares chunks but hashes the same"
         );
+    }
+
+    #[test]
+    fn the_idle_wait_sleeps_1_ms_doubling_to_16_and_never_past_the_deadline() {
+        let ms = Duration::from_millis;
+        // A source silent for 10,000 polls: 1, 2, 4, 8, 16, then 16 ms
+        // for as long as the silence lasts, with no overflow.
+        let (mut polls, mut slept) = (0, Vec::new());
+        let input = idle_wait(
+            None,
+            &mut || {
+                polls += 1;
+                Ok(polls == 10_001)
+            },
+            &mut |d| slept.push(d),
+        );
+        assert!(input.unwrap());
+        assert_eq!(slept[..6], [ms(1), ms(2), ms(4), ms(8), ms(16), ms(16)]);
+        assert_eq!(slept.len(), 10_000);
+        assert!(slept[5..].iter().all(|&d| d == ms(16)));
+
+        // The next wait starts again at 1 ms.
+        let mut slept = Vec::new();
+        let mut silent = true;
+        let input = idle_wait(
+            None,
+            &mut || Ok(!std::mem::replace(&mut silent, false)),
+            &mut |d| slept.push(d),
+        );
+        assert!(input.unwrap());
+        assert_eq!(slept, [ms(1)]);
+
+        // On a silent source the sleeps add up to no more than the time
+        // left to the deadline, and the wait ends there.
+        let (t0, mut slept) = (Instant::now(), Vec::new());
+        let input = idle_wait(Some(t0 + ms(20)), &mut || Ok(false), &mut |d| {
+            slept.push(d);
+            std::thread::sleep(d);
+        });
+        assert!(!input.unwrap());
+        assert!(t0.elapsed() >= ms(20));
+        assert!(slept.iter().sum::<Duration>() <= ms(20), "{:?}", slept);
     }
 }

@@ -14,9 +14,7 @@
 //! three strings, swapped wholesale), and the accept thread serves
 //! whatever snapshot is current. A slow or absent reader costs the
 //! analysis nothing beyond the rate-limited render; a burst of readers
-//! sees consistent documents. Responses are `Connection: close` —
-//! fleet pollers (ROADMAP item 2) issue one GET per scrape, exactly
-//! what the future `tango-serve` daemon will mount per session.
+//! sees consistent documents. Responses are `Connection: close`.
 
 use super::progress::Heartbeat;
 use std::io::{Read, Write as _};

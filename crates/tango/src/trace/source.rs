@@ -124,11 +124,6 @@ impl ChannelSource {
         let (tx, rx) = std::sync::mpsc::channel();
         (tx, ChannelSource::new(rx))
     }
-
-    /// True when the feeder died without a clean `eof`.
-    pub fn feeder_died(&self) -> bool {
-        self.disconnected
-    }
 }
 
 impl TraceSource for ChannelSource {
@@ -644,7 +639,6 @@ mod tests {
         let (tx, mut s) = ChannelSource::pair();
         drop(tx);
         assert!(s.poll().eof);
-        assert!(s.feeder_died());
         assert_eq!(s.diagnostics().len(), 1);
     }
 

@@ -126,12 +126,13 @@ fn run_chaos(
                 break;
             }
             let cp = *r.checkpoint.take().expect("checked above");
+            let before = ck_attempts;
             let out = cp.write_to_with(&cp_path, plan, &mut ck_attempts);
-            ck_retries += u64::from(out.retries);
+            ck_retries += ck_attempts - before - 1;
             cap = cap.saturating_add(step);
             let mut next = opts.clone();
             next.limits.max_transitions = cap.min(USER_CAP);
-            r = match out.result {
+            r = match out {
                 Ok(()) => {
                     // SIGKILL: nothing in memory survives; resume from
                     // the last save on disk.

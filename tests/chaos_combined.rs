@@ -64,12 +64,13 @@ fn all_sites_armed_still_match_the_fault_free_run() {
         rounds += 1;
         assert!(rounds < 100, "must converge");
         let cp = *report.checkpoint.take().expect("limit stops are resumable");
+        let before = ck_attempts;
         let out = cp.write_to_with(&cp_path, &plan, &mut ck_attempts);
-        ck_retries += u64::from(out.retries);
+        ck_retries += ck_attempts - before - 1;
         cap += step;
         let mut next = opts.clone();
         next.limits.max_transitions = cap;
-        report = match out.result {
+        report = match out {
             Ok(()) => {
                 // Resume from disk — the crashed-process path.
                 drop(cp);
@@ -132,7 +133,7 @@ fn exhausted_autosave_is_recorded_not_just_printed() {
     while let Verdict::Inconclusive(InconclusiveReason::TransitionLimit) = report.verdict {
         let cp = *report.checkpoint.take().unwrap();
         let out = cp.write_to_with(&cp_path, &plan, &mut ck_attempts);
-        if let Err(e) = out.result {
+        if let Err(e) = out {
             giveups += 1;
             faults.push(e.to_string());
         }
