@@ -256,11 +256,13 @@ cargo test -q --release -p bench
 
 echo "== benchmark self-tests and smoke =="
 # The benchmark is a workspace of its own under perfbench/: run its unit
-# tests, then the 2-second on-line workload at one worker and at two.
-# Each checks every analysis against its known answer, and its counters
-# against the other worker count's, and must report itself correct.
+# tests, then each of its four workloads for 2 seconds. Each checks every
+# analysis against its known answer and must report itself correct: the
+# static ones Figure 4's published counters and LAPD's verdicts in all
+# four order modes, the on-line ones their counters against the other
+# worker count's.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
-for workload in online-tp0-w1 online-tp0-w2; do
+for workload in fig4-tp0-nr fig3-lapd800 online-tp0-w1 online-tp0-w2; do
     cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 > "$CKPT_DIR/perfbench.txt"
     grep -q '"correct": true' "$CKPT_DIR/perfbench.txt"

@@ -85,6 +85,10 @@ pub enum Op {
     },
     /// Pointer dereference in expression position.
     Deref { dst: Reg, src: Reg },
+    /// `p^.f` in expression position: field `pos` of the record `src`
+    /// points at, read out of the heap cell without copying the record.
+    /// Errors and undefined handling are those of `Deref` then `Field`.
+    DerefField { dst: Reg, src: Reg, pos: u32 },
     Unary {
         dst: Reg,
         src: Reg,
@@ -860,12 +864,14 @@ impl<'m> FnCompiler<'m> {
                 });
             }
             CExpr::Field(base, pos) => {
-                let src = self.expr(base);
-                self.emit(Op::Field {
-                    dst,
-                    src,
-                    pos: *pos as u32,
-                });
+                let pos = *pos as u32;
+                if let CExpr::Deref(ptr) = &**base {
+                    let src = self.expr(ptr);
+                    self.emit(Op::DerefField { dst, src, pos });
+                } else {
+                    let src = self.expr(base);
+                    self.emit(Op::Field { dst, src, pos });
+                }
             }
             CExpr::Index {
                 base,

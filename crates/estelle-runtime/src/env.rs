@@ -43,7 +43,10 @@ pub trait OutputSink {
     /// Called for each executed `output ip.interaction(args)`. Returning
     /// `false` aborts the transition body: the trace analyzer uses this to
     /// fail a branch as soon as a generated output cannot be matched.
-    fn emit(&mut self, ip: usize, interaction: usize, params: Vec<Value>) -> bool;
+    /// `params` is borrowed from the executor (the VM's registers), so a
+    /// sink that only compares allocates nothing; one that keeps the
+    /// output copies it.
+    fn emit(&mut self, ip: usize, interaction: usize, params: &[Value]) -> bool;
 }
 
 /// A full machine environment: input queues plus an output sink. The
@@ -72,8 +75,8 @@ impl InputSource for NullEnv {
 }
 
 impl OutputSink for NullEnv {
-    fn emit(&mut self, ip: usize, interaction: usize, params: Vec<Value>) -> bool {
-        self.outputs.push((ip, interaction, params));
+    fn emit(&mut self, ip: usize, interaction: usize, params: &[Value]) -> bool {
+        self.outputs.push((ip, interaction, params.to_vec()));
         true
     }
 }
@@ -85,7 +88,7 @@ mod tests {
     #[test]
     fn null_env_collects_outputs() {
         let mut env = NullEnv::default();
-        assert!(env.emit(0, 1, vec![Value::Int(3)]));
+        assert!(env.emit(0, 1, &[Value::Int(3)]));
         assert_eq!(env.outputs.len(), 1);
         assert_eq!(env.head(0), QueueHead::Empty);
     }

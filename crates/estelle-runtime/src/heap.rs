@@ -134,14 +134,34 @@ impl PartialEq for Chunk {
 
 /// The dynamic-memory store of one machine state. Cloning snapshots it in
 /// O(chunk-table) time; the snapshot and the original then share chunks
-/// copy-on-write.
-#[derive(Clone, Debug, PartialEq, Default)]
+/// copy-on-write. `clone_from` does the same into the chunk table and
+/// free list the target already has, so a copy into a spare heap
+/// allocates nothing.
+#[derive(Debug, PartialEq, Default)]
 pub struct Heap {
     chunks: Vec<Chunk>,
     free: Vec<u32>,
     live: usize,
     /// Total cells across all chunks (the last chunk may be partial).
     total: usize,
+}
+
+impl Clone for Heap {
+    fn clone(&self) -> Self {
+        Heap {
+            chunks: self.chunks.clone(),
+            free: self.free.clone(),
+            live: self.live,
+            total: self.total,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.chunks.clone_from(&source.chunks);
+        self.free.clone_from(&source.free);
+        self.live = source.live;
+        self.total = source.total;
+    }
 }
 
 /// Content hash via the per-chunk digest cache. Consistent with
@@ -161,6 +181,16 @@ impl Hash for Heap {
 impl Heap {
     pub fn new() -> Self {
         Heap::default()
+    }
+
+    /// Empty the heap but keep its buffers: a spare that a later
+    /// `clone_from` fills, and that meanwhile holds no chunk, so it
+    /// makes no write elsewhere pay a copy-on-write break.
+    pub fn clear(&mut self) {
+        self.chunks.clear();
+        self.free.clear();
+        self.live = 0;
+        self.total = 0;
     }
 
     /// Number of live allocations.
@@ -444,6 +474,46 @@ mod tests {
         // The other cells of the broken chunk were copied, not lost.
         assert_eq!(h.get(refs[1]).unwrap(), &Value::Int(1));
         assert_eq!(snapshot.get(refs[0]).unwrap(), &Value::Int(0));
+    }
+
+    #[test]
+    fn clone_from_is_a_clone_into_the_targets_buffers() {
+        let mut h = Heap::new();
+        let refs: Vec<_> = (0..CHUNK_CELLS as i64 * 3)
+            .map(|i| h.alloc(Value::Int(i)))
+            .collect();
+        h.dispose(refs[5]).unwrap();
+        let shared_by_a_clone = {
+            let _clone = h.clone();
+            h.shared_chunks()
+        };
+        // A spare with room for the chunk table and the free list.
+        let mut spare = Heap::new();
+        let mut spare_refs: Vec<_> = (0..CHUNK_CELLS as i64 * 4)
+            .map(|i| spare.alloc(Value::Int(-i)))
+            .collect();
+        for r in spare_refs.drain(..3) {
+            spare.dispose(r).unwrap();
+        }
+        spare.clear();
+        assert_eq!(spare.shared_chunks(), 0);
+        let (table, free) = (spare.chunks.as_ptr(), spare.free.as_ptr());
+
+        spare.clone_from(&h);
+        assert_eq!(spare, h.clone());
+        assert_eq!(h.shared_chunks(), shared_by_a_clone);
+        assert_eq!(spare.shared_chunks(), shared_by_a_clone);
+        assert_eq!(spare.chunks.as_ptr(), table, "the chunk table is reused");
+        assert_eq!(spare.free.as_ptr(), free, "the free list is reused");
+
+        // A write into either side leaves the other as it was.
+        *spare.get_mut(refs[0]).unwrap() = Value::Int(100);
+        *h.get_mut(refs[1]).unwrap() = Value::Int(101);
+        spare.alloc(Value::Int(102));
+        assert_eq!(h.get(refs[0]).unwrap(), &Value::Int(0));
+        assert_eq!(spare.get(refs[1]).unwrap(), &Value::Int(1));
+        assert_eq!(h.live(), CHUNK_CELLS * 3 - 1);
+        assert_eq!(spare.live(), CHUNK_CELLS * 3);
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl<'m> Interp<'m> {
                     }
                     params.push(v);
                 }
-                if sink.emit(*ip, *interaction, params) {
+                if sink.emit(*ip, *interaction, &params) {
                     Ok(())
                 } else {
                     Err(RuntimeError::output_rejected(*span))

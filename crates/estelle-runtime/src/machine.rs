@@ -42,11 +42,29 @@ impl std::error::Error for BuildError {}
 /// The saved/restored TAM state (§2.3): control state, module variables
 /// and dynamic memory. The paper's *Save* operation is [`MachineState::snapshot`];
 /// `clone` is equivalent since the heap shares its chunks copy-on-write.
-#[derive(Clone, Debug, PartialEq)]
+/// `clone_from` copies into the target's own globals vector, chunk table
+/// and free list, which is how the search reuses a dead node's buffers.
+#[derive(Debug, PartialEq)]
 pub struct MachineState {
     pub control: StateId,
     pub globals: Vec<Value>,
     pub heap: crate::heap::Heap,
+}
+
+impl Clone for MachineState {
+    fn clone(&self) -> Self {
+        MachineState {
+            control: self.control,
+            globals: self.globals.clone(),
+            heap: self.heap.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.control = source.control;
+        self.globals.clone_from(&source.globals);
+        self.heap.clone_from(&source.heap);
+    }
 }
 
 impl MachineState {
@@ -54,7 +72,9 @@ impl MachineState {
     /// search as *Restore*. Cheap — globals are copied (small: one `Value`
     /// per module variable) and the heap's chunk table is copied, while
     /// the chunks themselves stay shared copy-on-write. Cost is
-    /// O(globals + touched chunks), not O(whole state).
+    /// O(globals + touched chunks), not O(whole state). This allocates
+    /// the copy's buffers; `spare.clone_from(&state)` makes the same copy
+    /// into buffers `spare` already has, and the search saves that way.
     pub fn snapshot(&self) -> MachineState {
         self.clone()
     }
@@ -793,11 +813,11 @@ mod tests {
     }
 
     impl OutputSink for Script {
-        fn emit(&mut self, ip: usize, interaction: usize, params: Vec<Value>) -> bool {
+        fn emit(&mut self, ip: usize, interaction: usize, params: &[Value]) -> bool {
             if self.reject_outputs {
                 return false;
             }
-            self.outputs.push((ip, interaction, params));
+            self.outputs.push((ip, interaction, params.to_vec()));
             true
         }
     }
@@ -904,6 +924,37 @@ mod tests {
         m.fire(&mut st, &g.fireable[0], &mut env).unwrap();
         assert_eq!(st.globals[0], Value::Int(5));
         assert_eq!(snap.globals[0], Value::Int(0));
+    }
+
+    #[test]
+    fn clone_from_is_a_clone_into_the_targets_buffers() {
+        let m = Machine::from_source(PINGPONG).unwrap();
+        let mut st = m.initial_state().unwrap();
+        let cell = st.heap.alloc(Value::Int(7));
+        let shared_by_a_clone = {
+            let _clone = st.clone();
+            st.heap.shared_chunks()
+        };
+        // A spare whose globals vector has room for the state's.
+        let mut spare = m.initial_state().unwrap();
+        spare.globals.push(Value::Int(0));
+        spare.heap.clear();
+        let globals = spare.globals.as_ptr();
+
+        spare.clone_from(&st);
+        assert_eq!(spare, st.clone());
+        assert_eq!(st.heap.shared_chunks(), shared_by_a_clone);
+        assert_eq!(spare.heap.shared_chunks(), shared_by_a_clone);
+        assert_eq!(spare.globals.as_ptr(), globals, "globals vector reused");
+
+        // A write into either side leaves the other as it was.
+        let mut env = Script::new(vec![(0, vec![Value::Int(5)])]);
+        let g = m.generate(&mut spare, &env).unwrap();
+        m.fire(&mut spare, &g.fireable[0], &mut env).unwrap();
+        *st.heap.get_mut(cell).unwrap() = Value::Int(8);
+        assert_eq!(st.globals[0], Value::Int(0));
+        assert_eq!(spare.globals[0], Value::Int(5));
+        assert_eq!(spare.heap.get(cell).unwrap(), &Value::Int(7));
     }
 
     #[test]

@@ -222,6 +222,39 @@ impl<'p> Vm<'p> {
                         }
                     };
                 }
+                Op::DerefField { dst, src, pos } => {
+                    let b = take(&mut s.regs[reg_base + *src as usize]);
+                    s.regs[reg_base + *dst as usize] = match b {
+                        Value::Pointer(Some(href)) => match store.heap.get(href)? {
+                            Value::Record(vs) => {
+                                vs.get(*pos as usize).cloned().ok_or_else(|| {
+                                    RuntimeError::internal("field position out of range")
+                                })?
+                            }
+                            Value::Undefined => Value::Undefined,
+                            other => {
+                                return Err(RuntimeError::internal(format!(
+                                    "field access on non-record {}",
+                                    other
+                                )))
+                            }
+                        },
+                        Value::Pointer(None) => {
+                            return Err(RuntimeError::dangling("dereference of nil"))
+                        }
+                        Value::Undefined => scalar::undefined_or(
+                            policy,
+                            "dereference of an undefined pointer",
+                            RuntimeErrorKind::UndefinedValue,
+                        )?,
+                        other => {
+                            return Err(RuntimeError::internal(format!(
+                                "dereference of non-pointer {}",
+                                other
+                            )))
+                        }
+                    };
+                }
                 Op::Unary { dst, src, op, span } => {
                     let v = take(&mut s.regs[reg_base + *src as usize]);
                     s.regs[reg_base + *dst as usize] =
@@ -458,8 +491,7 @@ impl<'p> Vm<'p> {
                     span,
                 } => {
                     let base = reg_base + *first as usize;
-                    let params: Vec<Value> =
-                        (0..*n as usize).map(|i| take(&mut s.regs[base + i])).collect();
+                    let params = &s.regs[base..base + *n as usize];
                     if !sink.emit(*ip as usize, *interaction as usize, params) {
                         return Err(RuntimeError::output_rejected(*span));
                     }

@@ -70,8 +70,8 @@ impl InputSource for Env {
 }
 
 impl OutputSink for Env {
-    fn emit(&mut self, _ip: usize, _interaction: usize, params: Vec<Value>) -> bool {
-        self.outputs.push(params);
+    fn emit(&mut self, _ip: usize, _interaction: usize, params: &[Value]) -> bool {
+        self.outputs.push(params.to_vec());
         true
     }
 }

@@ -229,7 +229,7 @@ fn machine_state_snapshot_independence() {
         }
     }
     impl estelle_runtime::OutputSink for OneShot {
-        fn emit(&mut self, _: usize, _: usize, _: Vec<Value>) -> bool {
+        fn emit(&mut self, _: usize, _: usize, _: &[Value]) -> bool {
             true
         }
     }

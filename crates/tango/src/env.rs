@@ -267,7 +267,7 @@ impl InputSource for TraceEnv {
 }
 
 impl OutputSink for TraceEnv {
-    fn emit(&mut self, ip: usize, interaction: usize, params: Vec<Value>) -> bool {
+    fn emit(&mut self, ip: usize, interaction: usize, params: &[Value]) -> bool {
         // §2.4.3 / §5.2: outputs at disabled or unobserved IPs are always
         // considered valid.
         if self.disabled[ip] || self.unobserved[ip] {
@@ -285,7 +285,7 @@ impl OutputSink for TraceEnv {
         let ev = &self.trace.events[gidx];
         if ev.interaction != interaction
             || ev.params.len() != params.len()
-            || !ev.params.iter().zip(&params).all(|(a, b)| a.matches(b))
+            || !ev.params.iter().zip(params).all(|(a, b)| a.matches(b))
         {
             self.last_reject = Some(RejectReason::Mismatch);
             return false;
@@ -382,7 +382,7 @@ mod tests {
         // consumed until the output has been produced.
         assert_eq!(env.head(0), QueueHead::Empty);
         env.begin_fire();
-        assert!(env.emit(0, 0, vec![Value::Int(0)]));
+        assert!(env.emit(0, 0, &[Value::Int(0)]));
         assert!(env.end_fire());
         assert!(matches!(env.head(0), QueueHead::Message { .. }));
     }
@@ -395,10 +395,10 @@ mod tests {
         );
         env.begin_fire();
         // Wrong parameter.
-        assert!(!env.emit(0, 0, vec![Value::Int(8)]));
+        assert!(!env.emit(0, 0, &[Value::Int(8)]));
         assert_eq!(env.last_reject, Some(RejectReason::Mismatch));
         // Right parameter.
-        assert!(env.emit(0, 0, vec![Value::Int(7)]));
+        assert!(env.emit(0, 0, &[Value::Int(7)]));
         assert_eq!(env.cursors.output[0], 1);
         // No inputs in the trace, and the only output is now verified.
         assert!(env.all_done());
@@ -411,14 +411,14 @@ mod tests {
             OrderOptions::none(),
         );
         env.begin_fire();
-        assert!(env.emit(0, 0, vec![Value::Int(42)]));
+        assert!(env.emit(0, 0, &[Value::Int(42)]));
     }
 
     #[test]
     fn exhausted_static_output_stream_is_mismatch() {
         let mut env = env_for(vec![], OrderOptions::none());
         env.begin_fire();
-        assert!(!env.emit(0, 0, vec![Value::Int(1)]));
+        assert!(!env.emit(0, 0, &[Value::Int(1)]));
         assert_eq!(env.last_reject, Some(RejectReason::Mismatch));
     }
 
@@ -430,7 +430,7 @@ mod tests {
             TraceEnv::new(&m, t, &AnalysisOptions::with_order(OrderOptions::none())).unwrap();
         env.eof = false;
         env.begin_fire();
-        assert!(!env.emit(0, 0, vec![Value::Int(1)]));
+        assert!(!env.emit(0, 0, &[Value::Int(1)]));
         assert_eq!(env.last_reject, Some(RejectReason::MayGrow));
     }
 
@@ -446,8 +446,8 @@ mod tests {
             OrderOptions::full(),
         );
         env.begin_fire();
-        assert!(env.emit(1, 0, vec![]));
-        assert!(env.emit(0, 0, vec![Value::Int(1)]));
+        assert!(env.emit(1, 0, &[]));
+        assert!(env.emit(0, 0, &[Value::Int(1)]));
         assert!(env.end_fire());
         assert!(env.all_done());
     }
@@ -463,7 +463,7 @@ mod tests {
         );
         // First fire produces only the *second* traced output.
         env.begin_fire();
-        assert!(env.emit(1, 0, vec![]));
+        assert!(env.emit(1, 0, &[]));
         assert!(!env.end_fire());
     }
 
@@ -477,10 +477,10 @@ mod tests {
             OrderOptions::none(),
         );
         env.begin_fire();
-        assert!(env.emit(1, 0, vec![]));
+        assert!(env.emit(1, 0, &[]));
         assert!(env.end_fire());
         env.begin_fire();
-        assert!(env.emit(0, 0, vec![Value::Int(1)]));
+        assert!(env.emit(0, 0, &[Value::Int(1)]));
         assert!(env.end_fire());
         assert!(env.all_done());
     }
@@ -497,7 +497,7 @@ mod tests {
         let saved = env.save();
         env.consume(0);
         env.begin_fire();
-        assert!(env.emit(0, 0, vec![Value::Int(1)]));
+        assert!(env.emit(0, 0, &[Value::Int(1)]));
         assert!(env.all_done());
         env.restore(&saved);
         assert!(!env.all_done());
@@ -511,7 +511,7 @@ mod tests {
         let opts = AnalysisOptions::with_order(OrderOptions::full()).disable_ip("L");
         let mut env = TraceEnv::new(&m, t, &opts).unwrap();
         env.begin_fire();
-        assert!(env.emit(1, 0, vec![]));
+        assert!(env.emit(1, 0, &[]));
         assert!(env.end_fire());
         assert!(env.all_done());
     }

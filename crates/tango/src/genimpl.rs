@@ -118,12 +118,12 @@ impl InputSource for ImplEnv<'_> {
 }
 
 impl OutputSink for ImplEnv<'_> {
-    fn emit(&mut self, ip: usize, interaction: usize, params: Vec<Value>) -> bool {
+    fn emit(&mut self, ip: usize, interaction: usize, params: &[Value]) -> bool {
         let info = &self.module.ips[ip];
         self.log.push(Event::output(
             &info.name,
             &info.outputs[interaction].name,
-            params,
+            params.to_vec(),
         ));
         true
     }

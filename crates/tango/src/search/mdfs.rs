@@ -107,6 +107,8 @@ const EVENT_FLUSH: usize = 1024;
 /// Readers see a peer's work up to this many steps late, so a worker
 /// near a cap folds on every step instead.
 const FOLD: u64 = 256;
+/// Spare buffers of each kind a lane keeps; it drops the rest.
+const SPARES: usize = 4;
 
 /// A node's set of compiled-transition indices. A node holds only a
 /// handful, so a sorted `Vec` beats a hash table: no hashing, and no
@@ -208,6 +210,81 @@ impl Node {
     fn charged(&self) -> usize {
         self.state_bytes
             + (self.cursors.input.len() + self.cursors.output.len()) * std::mem::size_of::<usize>()
+    }
+}
+
+/// Buffers of dead nodes, kept by a lane for its next copies: a save,
+/// a restore and an on-line child copy `clone_from` the state into a
+/// spare state (and a new node's cursors into spare cursors), and a
+/// saved node's candidate list trades places with a spare list. A spare
+/// belongs to no node, so the gauge never charges it and a checkpoint
+/// never freezes it.
+#[derive(Default)]
+struct Spares {
+    states: Vec<MachineState>,
+    cursors: Vec<Cursors>,
+    lists: Vec<Vec<Fireable>>,
+}
+
+impl Spares {
+    /// A copy of `state`, in a spare's buffers when there is one.
+    fn state(&mut self, state: &MachineState) -> MachineState {
+        match self.states.pop() {
+            Some(mut spare) => {
+                spare.clone_from(state);
+                spare
+            }
+            None => state.clone(),
+        }
+    }
+
+    /// A copy of `cursors`, in a spare's buffers when there is one.
+    fn cursors(&mut self, cursors: &Cursors) -> Cursors {
+        match self.cursors.pop() {
+            Some(mut spare) => {
+                spare.clone_from(cursors);
+                spare
+            }
+            None => cursors.clone(),
+        }
+    }
+
+    /// An empty candidate list, with a spare's capacity when there is one.
+    fn list(&mut self) -> Vec<Fireable> {
+        self.lists.pop().unwrap_or_default()
+    }
+
+    /// Keep a dead state's buffers. Its heap lets go of its chunks, so
+    /// that no chunk looks shared on a spare's account and no write pays
+    /// a copy-on-write break for it.
+    fn keep_state(&mut self, mut state: MachineState) {
+        if self.states.len() < SPARES {
+            state.heap.clear();
+            self.states.push(state);
+        }
+    }
+
+    /// Keep a dead node's cursors (the live node's hold no buffer).
+    fn keep_cursors(&mut self, cursors: Cursors) {
+        if self.cursors.len() < SPARES && cursors.input.capacity() > 0 {
+            self.cursors.push(cursors);
+        }
+    }
+
+    fn keep_list(&mut self, mut list: Vec<Fireable>) {
+        if self.lists.len() < SPARES && list.capacity() > 0 {
+            list.clear();
+            self.lists.push(list);
+        }
+    }
+
+    /// Keep what a dead node owns: its state, cursors and candidates.
+    fn keep(&mut self, node: Node) {
+        self.keep_state(node.state);
+        self.keep_cursors(node.cursors);
+        if let Some(p) = node.pending {
+            self.keep_list(p.fireable);
+        }
     }
 }
 
@@ -623,6 +700,8 @@ struct Lane<'a> {
     /// Complete-trace rule: the depth of the live node, or of the node
     /// whose expansion last failed — where the next backtrack leaves from.
     at: usize,
+    /// Dead nodes' buffers, for the next save, restore or child copy.
+    spares: Spares,
 }
 
 impl<'a> Lane<'a> {
@@ -644,6 +723,7 @@ impl<'a> Lane<'a> {
             best: Best::default(),
             visited: HashSet::default(),
             at: 0,
+            spares: Spares::default(),
         }
     }
 
@@ -814,6 +894,7 @@ impl<'a> Lane<'a> {
         let st = &mut node.state;
         let keep = |t| !tried.contains(t) && !blocked.contains(t);
         if !self.generate(sink, st, depth, keep).map_err(Halt::Fatal)? {
+            self.spares.keep(node);
             return Ok(());
         }
         let is_pg = self.gen.incomplete;
@@ -830,22 +911,28 @@ impl<'a> Lane<'a> {
                 self.stats.pg_nodes += 1;
                 let total = front.park(node, self.stats.pg_nodes);
                 sink.record(self.machine, StepRecord::park(depth, total));
+            } else {
+                self.spares.keep(node);
             }
             return Ok(());
         }
 
-        let f = self.gen.fireable.swap_remove(0);
-        node.tried.insert(f.trans);
-        let mut child_state = node.state.snapshot();
+        // The first candidate, fired by reference; the list is the
+        // lane's scratch and goes back to it.
+        let candidates = std::mem::take(&mut self.gen.fireable);
+        let f = &candidates[0];
+        let trans = f.trans;
+        node.tried.insert(trans);
+        let mut child_state = self.spares.state(&node.state);
         let before = self.env.outstanding();
-        let fired = self
-            .fire(sink, &mut child_state, &f, depth)
-            .map_err(Halt::Fatal)?;
+        let fired = self.fire(sink, &mut child_state, f, depth);
+        self.gen.fireable = candidates;
+        let fired = fired.map_err(Halt::Fatal)?;
         if !fired && self.env.last_reject == Some(RejectReason::MayGrow) {
             // The failure was "output not in the trace *yet*": park it
             // as blocked and retry once data arrives.
-            node.tried.remove(f.trans);
-            node.blocked.insert(f.trans);
+            node.tried.remove(trans);
+            node.blocked.insert(trans);
         }
 
         let has_more = untried > 1 || is_pg || !node.blocked.is_empty();
@@ -860,23 +947,32 @@ impl<'a> Lane<'a> {
                 let rec = StepRecord::prune(depth + 1, PruneKind::Barren);
                 sink.record(self.machine, rec);
             }
+            self.spares.keep_state(child_state);
             if has_more {
                 front.push(node);
+            } else {
+                self.spares.keep(node);
             }
             return Ok(());
         }
         self.stats.saves += 1;
         let child = Node::new(
             child_state,
-            self.env.save(),
+            self.spares.cursors(&self.env.cursors),
             child_barren,
-            node.path.push(f.trans as u32),
+            node.path.push(trans as u32),
         );
         let bytes = child.charged();
+        let parent = if has_more {
+            Some(node)
+        } else {
+            self.spares.keep(node);
+            None
+        };
         // Parent first, child last: the next pop is the child — the
         // depth-first order, which keeps the frontier (and the resident
         // set) small.
-        let resident = front.push_child(has_more.then_some(node), child);
+        let resident = front.push_child(parent, child);
         sink.record(self.machine, StepRecord::save(depth + 1, bytes, resident));
         Ok(())
     }
@@ -906,31 +1002,38 @@ impl<'a> Lane<'a> {
         if self.options.state_hashing && !self.visited.insert(fingerprint(st, &self.env.cursors)) {
             self.stats.hash_prunes += 1;
             sink.record(self.machine, StepRecord::prune(depth, PruneKind::Hash));
-            *live = None;
+            self.die(live);
             return Ok(());
         }
         self.stats.max_depth = self.stats.max_depth.max(depth);
         let generated = self
             .generate(sink, st, depth, |_| true)
             .map_err(Halt::Fatal)?;
-        let Some(first) = self.gen.fireable.first().filter(|_| generated).cloned() else {
-            *live = None;
+        if !generated || self.gen.fireable.is_empty() {
+            self.die(live);
             return Ok(());
-        };
-        if self.gen.fireable.len() > 1 {
-            self.stats.saves += 1;
-            let path = node.path.clone();
-            let mut saved = Node::new(st.snapshot(), self.env.save(), node.barren, path);
-            saved.pending = Some(Pending {
-                fireable: std::mem::take(&mut self.gen.fireable),
-                next: 1,
-            });
-            let bytes = saved.charged();
-            let resident = stack.charge(bytes);
-            stack.work().push(saved);
-            sink.record(self.machine, StepRecord::save(depth, bytes, resident));
         }
-        self.descend(sink, live, &first, depth)
+        if self.gen.fireable.len() == 1 {
+            // The first candidate, fired by reference; the list is the
+            // lane's scratch and goes back to it.
+            let candidates = std::mem::take(&mut self.gen.fireable);
+            let r = self.descend(sink, live, &candidates[0], depth);
+            self.gen.fireable = candidates;
+            return r;
+        }
+        self.stats.saves += 1;
+        let (state, cursors) = (self.spares.state(st), self.spares.cursors(&self.env.cursors));
+        let mut saved = Node::new(state, cursors, node.barren, node.path.clone());
+        // The candidates go with the saved node; Generate refills a spare.
+        let fireable = std::mem::replace(&mut self.gen.fireable, self.spares.list());
+        saved.pending = Some(Pending { fireable, next: 1 });
+        let bytes = saved.charged();
+        let resident = stack.charge(bytes);
+        stack.work().push(saved);
+        sink.record(self.machine, StepRecord::save(depth, bytes, resident));
+        let saved = stack.work().last().expect("the node just saved");
+        let first = &saved.pending.as_ref().expect("its candidates").fireable[0];
+        self.descend(sink, live, first, depth)
     }
 
     /// The complete-trace rule on the saved node on top of the stack: one
@@ -953,18 +1056,29 @@ impl<'a> Lane<'a> {
             .pending
             .as_mut()
             .expect("a saved node holds its candidates");
-        let f = p.fireable[p.next].clone();
+        let i = p.next;
         p.next += 1;
-        *live = Some(if p.next < p.fireable.len() {
-            let state = top.state.snapshot();
-            Node::live(state, top.barren, top.path.clone())
-        } else {
-            let mut node = stack.work().pop().expect("the top node");
-            stack.uncharge(node.charged());
-            node.pending = None;
-            node
-        });
-        self.descend(sink, live, &f, depth)
+        if p.next < p.fireable.len() {
+            let state = self.spares.state(&top.state);
+            *live = Some(Node::live(state, top.barren, top.path.clone()));
+            return self.descend(sink, live, &p.fireable[i], depth);
+        }
+        let mut node = stack.work().pop().expect("the top node");
+        stack.uncharge(node.charged());
+        let pending = node.pending.take().expect("a saved node holds its candidates");
+        // The live node's cursors are the lane's.
+        self.spares.keep_cursors(std::mem::take(&mut node.cursors));
+        *live = Some(node);
+        let r = self.descend(sink, live, &pending.fireable[i], depth);
+        self.spares.keep_list(pending.fireable);
+        r
+    }
+
+    /// The live node dies: its buffers become spares.
+    fn die(&mut self, live: &mut Option<Node>) {
+        if let Some(node) = live.take() {
+            self.spares.keep(node);
+        }
     }
 
     /// Fire `f` in place on the live node, at `depth`; it stays live as
@@ -990,7 +1104,7 @@ impl<'a> Lane<'a> {
                 self.stats.barren_prunes += 1;
                 sink.record(self.machine, StepRecord::prune(depth, PruneKind::Barren));
             }
-            *live = None;
+            self.die(live);
             return Ok(());
         }
         node.path.extend(f.trans as u32);
@@ -2154,6 +2268,15 @@ mod tests {
             let g = |s: &Stack| (s.gauge.resident, s.gauge.peak);
             assert_eq!(g(&front), g(&want), "{} steps: gauge and peak", steps);
         }
+    }
+
+    /// DESIGN §6.13 states the node record's size. A lane's spares live
+    /// beside its nodes, not in them.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_node_record_is_at_most_248_bytes() {
+        let size = std::mem::size_of::<Node>();
+        assert!(size <= 248, "Node is {} bytes", size);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! the dispatch index replaces the linear transition scan.
 
 use estelle_runtime::{
-    ExecMode, FireOutcome, InputSource, Machine, OutputSink, QueueHead, Value,
+    ExecMode, FireOutcome, InputSource, Machine, OutputSink, QueueHead, UndefinedPolicy, Value,
 };
 use protocols::{lapd, synthetic::SyntheticSpec, tp0};
 use std::io::Write;
@@ -267,8 +267,8 @@ impl InputSource for Env {
 }
 
 impl OutputSink for Env {
-    fn emit(&mut self, ip: usize, interaction: usize, params: Vec<Value>) -> bool {
-        self.outputs.push((ip, interaction, params));
+    fn emit(&mut self, ip: usize, interaction: usize, params: &[Value]) -> bool {
+        self.outputs.push((ip, interaction, params.to_vec()));
         true
     }
 }
@@ -587,4 +587,91 @@ fn family_guard_specs_match_the_tree_walker() {
         instances_fired |= streams[0].contains("[j=");
     }
     assert!(instances_fired, "some family instance must fire");
+}
+
+/// `p^.f` reads through every kind of pointer: nil, undefined, disposed,
+/// valid (with a nested `q^.next^.d`), onto a record field never set,
+/// and in guards behind an `and`.
+const POINTERS: &str = r#"
+    specification pointers;
+    channel C(env, m);
+        by env: go(k : integer);
+        by m: val(v : integer);
+    end;
+    module M process; ip P : C(m); end;
+    body MB for M;
+        type cell = record d : integer; next : ^cell end;
+        var p, q, u : ^cell; x : integer;
+        state S;
+        initialize to S begin p := nil; q := nil; x := 0 end;
+        trans
+        from S to S when P.go provided k = 0 name ThroughNil:
+            begin x := p^.d; output P.val(x) end;
+        from S to S when P.go provided k = 1 name Undef:
+            begin x := u^.d; output P.val(x) end;
+        from S to S when P.go provided k = 2 name Disposed:
+            begin new(q); q^.d := 5; p := q; dispose(q); x := p^.d; output P.val(x) end;
+        from S to S when P.go provided k = 3 name Valid:
+            begin
+                new(q); q^.d := 7; new(q^.next); q^.next^.d := 8;
+                x := q^.d + q^.next^.d; output P.val(x)
+            end;
+        from S to S when P.go provided k = 4 name Unset:
+            begin new(q); x := q^.d; output P.val(x) end;
+        from S to S when P.go provided (k = 5) and (p^.d = 0) name GuardNil:
+            begin end;
+        from S to S when P.go provided (k = 6) and (u^.d = 0) name GuardUndef:
+            begin end;
+    end;
+    end.
+"#;
+
+/// One `go(k)` step from the initial state: Generate's candidates or its
+/// error, then the first candidate's fire outcome or error (kind, message
+/// and span), the outputs and the globals.
+fn pointer_step(m: &Machine, k: i64) -> String {
+    let mut st = m.initial_state().unwrap();
+    let mut env = Env::new(vec![(0, vec![Value::Int(k)])]);
+    let g = match m.generate(&mut st, &env) {
+        Ok(g) => g,
+        Err(e) => return format!("generate: {:?}", e),
+    };
+    let Some(f) = g.fireable.first() else {
+        return "nothing fireable".to_string();
+    };
+    let fired = m.fire(&mut st, f, &mut env);
+    let name = m.transition_name(f.trans);
+    format!("{}: {:?} {:?} {:?}", name, fired, env.outputs, st.globals)
+}
+
+#[test]
+fn pointer_field_reads_match_the_tree_walker_under_both_policies() {
+    let machine = Machine::from_source(POINTERS).unwrap();
+    let at = |policy| machine.policy_view(policy);
+    for policy in [UndefinedPolicy::Error, UndefinedPolicy::Propagate] {
+        let vm = at(policy);
+        let walker = vm.exec_view(ExecMode::Interp);
+        for k in 0..=6 {
+            assert_eq!(
+                pointer_step(&vm, k),
+                pointer_step(&walker, k),
+                "{:?}, go({})",
+                policy,
+                k
+            );
+        }
+    }
+    // The outcomes compared are the ones each case is there for.
+    let (error, propagate) = (at(UndefinedPolicy::Error), at(UndefinedPolicy::Propagate));
+    for (m, k, shows) in [
+        (&error, 0, "dereference of nil"),
+        (&error, 1, "UndefinedValue"),
+        (&propagate, 1, "Ok(Completed) [(0, 0, [Undefined])]"),
+        (&error, 2, "dangling pointer"),
+        (&error, 3, "[(0, 0, [Int(15)])]"),
+        (&error, 5, "generate: "),
+    ] {
+        let step = pointer_step(m, k);
+        assert!(step.contains(shows), "go({}): {}", k, step);
+    }
 }

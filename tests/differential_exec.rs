@@ -271,7 +271,7 @@ impl InputSource for FixedHeads {
 }
 
 impl OutputSink for FixedHeads {
-    fn emit(&mut self, _ip: usize, _interaction: usize, _params: Vec<Value>) -> bool {
+    fn emit(&mut self, _ip: usize, _interaction: usize, _params: &[Value]) -> bool {
         true
     }
 }
