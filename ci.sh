@@ -62,7 +62,7 @@ cargo run -q --release -p tango-cli -- analyze specs/tp0.est "$CKPT_DIR/trace.tx
     && { echo "expected an inconclusive (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
 cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/run.ckpt" \
     > "$CKPT_DIR/run-info.txt"
-grep -q "format version: 8" "$CKPT_DIR/run-info.txt"
+grep -q "format version: 9" "$CKPT_DIR/run-info.txt"
 cargo run -q --release -p tango-cli -- analyze specs/tp0.est --resume "$CKPT_DIR/run.ckpt"
 # The same round trip through the memory budget, the CLI's one memory
 # limit: a snapshot-memory stop (exit 2), then a resume without the
@@ -204,10 +204,11 @@ echo "== multi-core MDFS smoke (work-stealing online search) =="
 # The same on-line analysis at 1 and 4 workers must print the identical
 # verdict/counter line on the heavyweight LAPD spec — the work-stealing
 # schedule may never leak into the verdict or TE/GE/RE/SA. Then a
-# 4-worker run stopped on a transition limit after eof must checkpoint a
-# worker-split front that checkpoint-info can describe and that resumes
-# at a different worker count, and through `analyze --resume`, to the
-# uninterrupted totals; the library
+# 4-worker run stopped on a transition limit after eof must checkpoint
+# its front (the stopped burst is replayed on one worker, so the front
+# is the one-worker front), which checkpoint-info can describe and which
+# resumes at a different worker count, and through `analyze --resume`,
+# to the uninterrupted totals; the library
 # suite's full worker matrix (tests/mdfs_parallel.rs) ran in the tier-1
 # step. Each step echoes its name, so a one-off failure names the step
 # that failed.
@@ -231,12 +232,12 @@ cargo run -q --release -p tango-cli -- online specs/lapd.est "$CKPT_DIR/lapd-tra
     --workers 4 --max-transitions 5 --checkpoint-file "$CKPT_DIR/online.ckpt" \
     --dump-file "$CKPT_DIR/online-limit.tangodump" \
     && { echo "expected an inconclusive (exit 2) stop"; exit 1; } || [ "$?" -eq 2 ]
-mdfs_step "checkpoint-info describes the 4-worker front"
+mdfs_step "checkpoint-info describes the front saved at 4 workers"
 cargo run -q --release -p tango-cli -- checkpoint-info "$CKPT_DIR/online.ckpt" \
     > "$CKPT_DIR/online-info.txt"
 grep -q "mode: mdfs" "$CKPT_DIR/online-info.txt"
 grep -q "workers at save: 4" "$CKPT_DIR/online-info.txt"
-grep -q "front: [0-9]* deque node(s), [0-9]* parked node(s)" "$CKPT_DIR/online-info.txt"
+grep -q "pending frames: [0-9]*" "$CKPT_DIR/online-info.txt"
 mdfs_step "resume at 2 workers matches the uninterrupted totals"
 cargo run -q --release -p tango-cli -- online specs/lapd.est --resume "$CKPT_DIR/online.ckpt" \
     --workers 2 > "$CKPT_DIR/online-resumed.txt"

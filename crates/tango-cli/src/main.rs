@@ -557,11 +557,11 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     if online {
         // On-line mode runs one worker unless `--workers` asks for more
         // (`--workers 0` = one per core); on two cores, two workers run
-        // the TP0 on-line benchmark in about 132 ms per analysis (median)
-        // against one worker's 162 ms. `--checkpoint-file`/`--resume`
-        // work on-line too (a stop before eof saves nothing: it cannot be
-        // resumed); only the autosave rounds and the chaos flags are
-        // static-only.
+        // the TP0 on-line benchmark in 134.2 ms per analysis (median)
+        // against one worker's 160.5 ms. `--checkpoint-file`/`--resume`
+        // work on-line too (a stop before eof returns no checkpoint, so
+        // it saves nothing); only the autosave rounds and the chaos flags
+        // are static-only.
         if ckpt.every.is_some() {
             return Err("--checkpoint-every applies to static `analyze` only".to_string());
         }
@@ -603,9 +603,9 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     // the event stream, then write the requested artifacts.
     tel.finalize(&report.stats);
     // The file a rerun can resume from: named only when this run stopped
-    // resumably and a save to it succeeded.
-    let resumable = report.checkpoint.as_ref().is_some_and(|c| c.resumable());
-    let saved_to = ckpt.file.as_deref().filter(|_| saved && resumable);
+    // with a checkpoint and a save to it succeeded.
+    let stopped = report.checkpoint.is_some();
+    let saved_to = ckpt.file.as_deref().filter(|_| saved && stopped);
 
     // Black box: any non-completed outcome gets a post-mortem dump. The
     // autosave path is named inside the dump so `dump-info` can point
@@ -665,7 +665,7 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
     for fault in &report.checkpoint_faults {
         eprintln!("checkpoint fault: {}", fault);
     }
-    if report.checkpoint.is_some() {
+    if stopped {
         match saved_to {
             Some(path) => eprintln!(
                 "note: search stopped on a resource limit; checkpoint saved to {}; \
@@ -673,17 +673,18 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
                 path.display(),
                 path.display()
             ),
-            None if !resumable => eprintln!(
-                "note: search stopped on a resource limit before the trace reached its \
-                 eof marker; no checkpoint was saved, because an on-line search resumes \
-                 only after eof (the rest of the trace is unknown); rerun with higher \
-                 limits to continue"
-            ),
             None => eprintln!(
                 "note: search stopped on a resource limit; no checkpoint was saved; \
                  rerun with higher --max-seconds/--max-mem limits to continue"
             ),
         }
+    } else if online && matches!(report.verdict, Verdict::Inconclusive(_)) {
+        eprintln!(
+            "note: search stopped on a resource limit before the trace reached its \
+             eof marker; no checkpoint was saved, because an on-line search resumes \
+             only after eof (the rest of the trace is unknown); rerun with higher \
+             limits to continue"
+        );
     }
     Ok(match report.verdict {
         Verdict::Valid => ExitCode::SUCCESS,
@@ -793,9 +794,9 @@ fn search(
     .map_err(|e| e.to_string())?;
 
     loop {
-        // Autosave on every resumable limit stop, synthetic or genuine.
-        let resumable = report.checkpoint.as_deref().filter(|c| c.resumable());
-        if let (Some(path), Some(cp)) = (&ckpt.file, resumable) {
+        // Autosave on every limit stop that froze a checkpoint, synthetic
+        // or genuine.
+        if let (Some(path), Some(cp)) = (&ckpt.file, report.checkpoint.as_deref()) {
             saved |= save_checkpoint(
                 cp,
                 path,
@@ -882,9 +883,6 @@ fn checkpoint_info(path: &str) -> Result<ExitCode, String> {
     outln!("  mode: {}", info.mode);
     if let Some(n) = info.workers_at_save {
         outln!("  workers at save: {}", n);
-    }
-    if let Some((deque, parked)) = info.front {
-        outln!("  front: {} deque node(s), {} parked node(s)", deque, parked);
     }
     outln!("  depth: {}", info.depth);
     outln!("  pending frames: {}", info.pending_frames);

@@ -171,10 +171,9 @@ impl TraceAnalyzer {
     /// `options.workers`, whatever count it was saved at: the saved front
     /// is redistributed over the resolved worker set.
     ///
-    /// Refused: a checkpoint that does not fit this specification, and an
-    /// on-line one saved before its source reached end-of-file (the
-    /// remaining events are unknowable, so the front could not be
-    /// replayed faithfully).
+    /// Every checkpoint a stop returns resumes: an on-line stop before
+    /// its source reached end-of-file returns none. Refused: a checkpoint
+    /// that does not fit this specification.
     pub fn resume(
         &self,
         checkpoint: Checkpoint,
@@ -196,13 +195,6 @@ impl TraceAnalyzer {
         checkpoint
             .validate_against(self.module(), count)
             .map_err(TangoError::Resume)?;
-        if !checkpoint.resumable() {
-            return Err(TangoError::Resume(
-                "it was saved before its trace reached end-of-file; only on-line \
-                 checkpoints saved after eof can be resumed"
-                    .into(),
-            ));
-        }
         let start = Start::Resume(Box::new(checkpoint));
         run(&self.machine, self.module(), start, options, tel)
     }

@@ -26,10 +26,10 @@
 //! Sections: `META` (progress numbers + [`SearchStats`] + the mode,
 //! readable without touching the machine state), `TRACE` (the resolved
 //! trace), then the frozen search itself: one `SEARCH` section for both
-//! modes, holding the work stack and the PG-list as node records with
-//! their states inline (a node saved for backtracking also carries its
-//! pending candidates), then the visited set, the spec errors and the
-//! best attempt. Each node's resident-byte charge is re-derived from its
+//! modes, holding the work stack as node records with their states
+//! inline (a node saved for backtracking also carries its pending
+//! candidates), then the visited set, the spec errors and the best
+//! attempt. Each node's resident-byte charge is re-derived from its
 //! state on reload, so the accounting continues exactly.
 //!
 //! **Failure is typed, never a panic.** Every way a file can be wrong —
@@ -83,7 +83,10 @@ pub const MAGIC: [u8; 8] = *b"TANGOCKP";
 /// set, the spec errors and the best attempt; `META` counts the on-line
 /// front as one (work, PG-list) pair. Version 8 drops the seven spill
 /// fields from the stats block with the retired disk spill tier.
-pub const FORMAT_VERSION: u32 = 8;
+/// Version 9 holds only fronts frozen after eof, where nothing is parked
+/// or blocked: `SEARCH` drops its eof flag, its PG-list and each node's
+/// blocked set, and `META` its work and PG-list lengths.
+pub const FORMAT_VERSION: u32 = 9;
 
 const SEC_META: u32 = 1;
 const SEC_TRACE: u32 = 2;
@@ -189,9 +192,6 @@ pub struct CheckpointInfo {
     pub events_total: usize,
     /// Worker count of the saving run (`mdfs` checkpoints only).
     pub workers_at_save: Option<u32>,
-    /// The frozen front's `(work stack, PG-list)` node counts (`mdfs`
-    /// checkpoints only).
-    pub front: Option<(usize, usize)>,
     /// Counters accumulated up to the stop.
     pub stats: SearchStats,
 }
@@ -318,8 +318,6 @@ fn encode_meta(cp: &Checkpoint) -> Vec<u8> {
     } else {
         w.put_u8(MODE_MDFS);
         w.put_u32(m.workers_at_save);
-        w.put_usize(m.work.len());
-        w.put_usize(m.pg.len());
     }
     w.into_bytes()
 }
@@ -458,10 +456,6 @@ fn encode_node(w: &mut ByteWriter, n: &NodeCkpt) {
     for &t in &n.tried {
         w.put_usize(t);
     }
-    w.put_u32(n.blocked.len() as u32);
-    for &t in &n.blocked {
-        w.put_usize(t);
-    }
     w.put_usize(n.barren);
     encode_path(w, &n.path);
     match &n.pending {
@@ -487,9 +481,7 @@ fn encode_nodes(w: &mut ByteWriter, nodes: &[NodeCkpt]) {
 /// The frozen search front, states inline per node.
 fn encode_search(m: &SearchCheckpoint) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_bool(m.eof);
     encode_nodes(&mut w, &m.work);
-    encode_nodes(&mut w, &m.pg);
     w.put_u32(m.visited.len() as u32);
     for &v in &m.visited {
         w.put_u64(v);
@@ -656,14 +648,9 @@ fn decode_meta(r: &mut ByteReader<'_>, version: u32) -> Result<CheckpointInfo, C
     let pending_frames = r.get_usize("pending frames")?;
     let events_total = r.get_usize("events total")?;
     let stats = decode_stats(r)?;
-    let (mode, workers_at_save, front) = match r.get_u8("mode")? {
-        MODE_DFS => ("dfs", None, None),
-        MODE_MDFS => {
-            let workers_at_save = r.get_u32("workers at save")?;
-            let work = r.get_usize("work stack length")?;
-            let pg = r.get_usize("PG-list length")?;
-            ("mdfs", Some(workers_at_save), Some((work, pg)))
-        }
+    let (mode, workers_at_save) = match r.get_u8("mode")? {
+        MODE_DFS => ("dfs", None),
+        MODE_MDFS => ("mdfs", Some(r.get_u32("workers at save")?)),
         other => {
             return Err(CheckpointError::Malformed(format!(
                 "unknown checkpoint mode {}",
@@ -678,7 +665,6 @@ fn decode_meta(r: &mut ByteReader<'_>, version: u32) -> Result<CheckpointInfo, C
         pending_frames,
         events_total,
         workers_at_save,
-        front,
         stats,
     })
 }
@@ -828,11 +814,6 @@ fn decode_node(r: &mut ByteReader<'_>) -> Result<NodeCkpt, CheckpointError> {
     for _ in 0..nt {
         tried.push(r.get_usize("tried transition")?);
     }
-    let nb = r.get_u32("blocked count")? as usize;
-    let mut blocked = Vec::with_capacity(nb.min(1024));
-    for _ in 0..nb {
-        blocked.push(r.get_usize("blocked transition")?);
-    }
     let barren = r.get_usize("node barren count")?;
     let path = decode_path(r)?;
     let pending = if r.get_bool("pending flag")? {
@@ -857,7 +838,6 @@ fn decode_node(r: &mut ByteReader<'_>) -> Result<NodeCkpt, CheckpointError> {
         state,
         cursors,
         tried,
-        blocked,
         barren,
         path,
         pending,
@@ -879,9 +859,7 @@ fn decode_search(
     r: &mut ByteReader<'_>,
     info: &CheckpointInfo,
 ) -> Result<SearchCheckpoint, CheckpointError> {
-    let eof = r.get_bool("eof flag")?;
     let work = decode_nodes(r)?;
-    let pg = decode_nodes(r)?;
     let nv = r.get_len(8, "visited set")?;
     let mut visited = Vec::with_capacity(nv);
     for _ in 0..nv {
@@ -897,9 +875,7 @@ fn decode_search(
     Ok(SearchCheckpoint {
         complete: info.mode == "dfs",
         workers_at_save: info.workers_at_save.unwrap_or(1),
-        eof,
         work,
-        pg,
         visited,
         spec_errors,
         best: (best_explained, best_path),
@@ -1012,9 +988,7 @@ mod tests {
             search: SearchCheckpoint {
                 complete: true,
                 workers_at_save: 1,
-                eof: true,
                 work: Vec::new(),
-                pg: Vec::new(),
                 visited: Vec::new(),
                 spec_errors: Vec::new(),
                 best: (0, Vec::new()),

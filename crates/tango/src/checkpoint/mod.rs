@@ -1,21 +1,26 @@
 //! Stop/resume checkpoints.
 //!
 //! When a search stops on a resource limit (transition count, depth,
-//! wall-clock deadline or snapshot-memory budget), the report carries a
-//! [`Checkpoint`]: the frozen search front plus the resolved trace and the
-//! counters accumulated so far. Resuming continues the search exactly
+//! wall-clock deadline or snapshot-memory budget) with its whole trace
+//! known — every static stop, and an on-line one after the trace's eof
+//! marker — the report carries a [`Checkpoint`]: the frozen search front
+//! plus the resolved trace and the counters accumulated so far. An
+//! on-line stop before eof carries none: the source's read position is
+//! not recorded, so the rest of the trace would be unknowable on resume.
+//! Resuming continues the search exactly
 //! where it stopped — no work is repeated, and the final TE/GE/RE/SA
 //! totals across stop + resume equal those of an uninterrupted run, so
 //! figures assembled from budgeted batch runs stay comparable with the
 //! paper's tables.
 //!
 //! Both expansion rules of the one search engine freeze the same body
-//! ([`SearchCheckpoint`]): the work stack and the PG-list as
-//! [`NodeCkpt`] records, plus the visited set, the recorded spec errors
-//! and the best attempt. Each frozen node is a complete search "thread"
-//! (state snapshot, trace cursors, tried/blocked transition sets, barren
-//! counter, path); a node the complete-trace rule saved for backtracking
-//! also carries its pending candidate list. The mode says which rule the
+//! ([`SearchCheckpoint`]): the work stack as [`NodeCkpt`] records, plus
+//! the visited set, the recorded spec errors and the best attempt. After
+//! eof the PG-list is empty and no output is blocked (nothing can grow),
+//! so neither is frozen. Each frozen node is a complete search "thread"
+//! (state snapshot, trace cursors, tried transition set, barren counter,
+//! path); a node the complete-trace rule saved for backtracking also
+//! carries its pending candidate list. The mode says which rule the
 //! search ran, and [`crate::TraceAnalyzer::resume`], the one way back
 //! from a stop, continues under that rule whichever entry point stopped.
 //! An on-line checkpoint is **worker-count independent**: a run stopped
@@ -33,7 +38,7 @@ use estelle_runtime::{Fireable, MachineState, RuntimeError};
 
 /// A resumable, stopped analysis. Opaque except for the progress
 /// accessors; produce with a limited [`crate::TraceAnalyzer::analyze`]
-/// (or `analyze_online`) call, consume with
+/// (or `analyze_online`, stopped after eof) call, consume with
 /// [`crate::TraceAnalyzer::resume`], which takes either kind.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
@@ -52,15 +57,8 @@ pub(crate) struct SearchCheckpoint {
     /// — resume redistributes the nodes over the *resuming* run's
     /// workers.
     pub(crate) workers_at_save: u32,
-    /// Whether the trace had reached end-of-file at the stop. Only
-    /// eof-reached checkpoints are resumable: a pre-eof source's read
-    /// position cannot be re-established without replaying events that
-    /// are already inside the checkpointed trace.
-    pub(crate) eof: bool,
     /// The work stack, bottom to top (next pop last).
     pub(crate) work: Vec<NodeCkpt>,
-    /// The PG-list, in park order.
-    pub(crate) pg: Vec<NodeCkpt>,
     /// State-hashing fingerprints already expanded, sorted.
     pub(crate) visited: Vec<u64>,
     pub(crate) spec_errors: Vec<RuntimeError>,
@@ -81,8 +79,6 @@ pub(crate) struct NodeCkpt {
     pub(crate) cursors: Cursors,
     /// Compiled-transition indices already explored, sorted.
     pub(crate) tried: Vec<usize>,
-    /// Output-blocked transitions awaiting new data, sorted.
-    pub(crate) blocked: Vec<usize>,
     pub(crate) barren: usize,
     /// Compiled-transition indices fired from the root.
     pub(crate) path: Vec<u32>,
@@ -111,21 +107,12 @@ impl Checkpoint {
     /// backtracking (static), or every frozen node (on-line).
     pub fn pending_frames(&self) -> usize {
         let m = &self.search;
-        let nodes = m.work.iter().chain(&m.pg);
-        nodes.filter(|n| !m.complete || n.pending.is_some()).count()
+        m.work.iter().filter(|n| !m.complete || n.pending.is_some()).count()
     }
 
     /// Checkable events in the trace under analysis.
     pub fn events_total(&self) -> usize {
         self.search.events_total
-    }
-
-    /// Whether [`crate::TraceAnalyzer::resume`] can continue this
-    /// checkpoint: every static one does, and an on-line one saved after
-    /// its trace reached end-of-file. Before eof the source's read
-    /// position is not recorded, so the rest of the trace is unknowable.
-    pub fn resumable(&self) -> bool {
-        self.search.eof
     }
 
     /// Counters accumulated up to the stop; resuming continues them.
@@ -199,14 +186,14 @@ impl Checkpoint {
         };
         let m = &self.search;
         check_path(&m.best.1, "best-effort path")?;
-        for (i, n) in m.work.iter().chain(&m.pg).enumerate() {
+        for (i, n) in m.work.iter().enumerate() {
             if n.state.control.0 >= state_count {
                 return Err(format!("node {} control state out of range", i));
             }
             check_cursors(&n.cursors, "node")?;
             check_path(&n.path, &format!("node {} path", i))?;
             let pending = n.pending.iter().flat_map(|(f, _)| f).map(|f| f.trans);
-            for t in n.tried.iter().chain(&n.blocked).copied().chain(pending) {
+            for t in n.tried.iter().copied().chain(pending) {
                 if t >= transition_count {
                     return Err(format!(
                         "node {} references transition {} of {}",

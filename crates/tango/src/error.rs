@@ -18,8 +18,7 @@ pub enum TangoError {
     /// Bad option/trace combination.
     Env(EnvError),
     /// A checkpoint that [`crate::TraceAnalyzer::resume`] refuses: it
-    /// belongs to another specification or trace, or it was saved before
-    /// its on-line trace reached end-of-file.
+    /// belongs to another specification or trace.
     Resume(String),
     /// A fatal runtime error (interpreter bug or exceeded hard limits).
     Runtime(RuntimeError),

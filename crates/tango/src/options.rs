@@ -90,14 +90,16 @@ pub struct SearchLimits {
     pub max_barren_steps: usize,
     /// Wall-clock deadline for one search. Checked cooperatively at the
     /// top of the search loop; on expiry the search stops with
-    /// `Inconclusive(TimeLimit)` and a checkpoint (on-line: also while
-    /// idle-polling a stalled source, so a dead feed can never wedge the
-    /// monitor).
+    /// `Inconclusive(TimeLimit)` and, when the whole trace is known, a
+    /// checkpoint. On-line it is also checked while idle-polling a
+    /// stalled source, so a dead feed can never wedge the monitor; that
+    /// expiry comes before eof and leaves no checkpoint.
     pub max_wall_time: Option<Duration>,
     /// Budget, in approximate bytes, for the saved state snapshots held
     /// by the search (nodes saved for backtracking, work and PG nodes).
     /// Checked before every step; on excess the search stops with
-    /// `Inconclusive(MemoryLimit)` and a resumable checkpoint.
+    /// `Inconclusive(MemoryLimit)` and, when the whole trace is known, a
+    /// checkpoint.
     pub max_state_bytes: Option<usize>,
 }
 

@@ -67,12 +67,15 @@
 //! At `workers = N ≥ 2` each worker keeps its own counters and byte delta
 //! and folds them into its tally slot on a stride ([`Slot`]); the limits
 //! read the slots added up, and near a cap every worker folds on every
-//! step, so no limit trips later than on shared counters. Limit stops freeze the
-//! surviving front into a [`SearchCheckpoint`]; static and eof-reached
-//! on-line runs resume from it, the latter at any worker count. Whatever
-//! the verdict, [`TraceSource::diagnostics`] is folded into
-//! [`AnalysisReport::source_faults`] so feed-level faults (parse errors,
-//! truncation, a dead feeder) survive into the report.
+//! step, so no limit trips later than on shared counters. A limit stop
+//! after eof, which every static stop is, freezes the surviving front
+//! into a [`SearchCheckpoint`], which resumes at any worker count; after
+//! eof nothing parks, so that front is the work stack alone. A stop
+//! before eof, the idle-poll deadline's among them, freezes nothing: the
+//! source's read position is not recorded, so no front frozen then could
+//! be resumed. Whatever the verdict, [`TraceSource::diagnostics`] is
+//! folded into [`AnalysisReport::source_faults`] so feed-level faults
+//! (parse errors, truncation, a dead feeder) survive into the report.
 
 use crate::checkpoint::{Checkpoint, NodeCkpt, SearchCheckpoint};
 use crate::env::{Cursors, EnvError, RejectReason, TraceEnv};
@@ -308,7 +311,7 @@ struct Clock {
 /// source's fault diagnostics + retry counters, report the per-worker
 /// busy/idle(/steal) splits into the metrics registry (idle-poll and
 /// steal-scan time is not search time), emit the verdict event and the
-/// final heartbeat, attach the frozen checkpoint (limit stops only),
+/// final heartbeat, attach the frozen checkpoint (limit stops after eof),
 /// then assemble the report. One worker's busy time is its elapsed time
 /// minus its idle-poll sleeps.
 #[allow(clippy::too_many_arguments)]
@@ -358,13 +361,14 @@ fn finish(
     r
 }
 
-/// Freeze one node into its checkpoint form.
+/// Freeze one node into its checkpoint form. After eof no node holds
+/// a blocked transition: an output blocks only while its stream may grow.
 fn node_to_ckpt(n: Node) -> NodeCkpt {
+    debug_assert!(n.blocked.is_empty(), "a node blocks only before eof");
     NodeCkpt {
         state: n.state,
         cursors: n.cursors,
         tried: n.tried.0,
-        blocked: n.blocked.0,
         barren: n.barren,
         path: n.path.to_indices(),
         pending: n.pending.map(|p| (p.fireable, p.next)),
@@ -380,7 +384,6 @@ fn node_from_ckpt(c: NodeCkpt) -> Node {
         SharedPath::from_indices(&c.path),
     );
     n.tried = TransSet::from_vec(c.tried);
-    n.blocked = TransSet::from_vec(c.blocked);
     n.pending = c.pending.map(|(fireable, next)| Pending { fireable, next });
     n
 }
@@ -425,12 +428,12 @@ pub(crate) enum Start<'s> {
     Resume(Box<Checkpoint>),
 }
 
-/// Freeze the search front for a stop's checkpoint: the work stack,
-/// with the complete-trace rule's live node on top, and the PG-list in
-/// park order, with the lane's visited set, spec errors and best attempt.
-/// The depth is DFS's under the complete-trace rule (the live node's, or
-/// that of the node whose expansion last failed) and the deepest node's
-/// on-line.
+/// Freeze the search front for a stop after eof: the work stack, with
+/// the complete-trace rule's live node on top, and the lane's visited
+/// set, spec errors and best attempt. The PG-list is empty: eof revived
+/// it, and nothing parks after eof. The depth is DFS's under the
+/// complete-trace rule (the live node's, or that of the node whose
+/// expansion last failed) and the deepest node's on-line.
 fn freeze(
     stack: &mut Stack,
     live: &mut Option<Node>,
@@ -445,10 +448,8 @@ fn freeze(
         stack.work.push(frozen);
         depth
     });
-    let deepest = || {
-        let nodes = stack.work.iter().chain(&stack.pg);
-        nodes.map(|n| n.path.len()).max().unwrap_or(0)
-    };
+    debug_assert!(lane.env.eof && stack.pg.is_empty(), "only a post-eof front freezes");
+    let deepest = || stack.work.iter().map(|n| n.path.len()).max().unwrap_or(0);
     let depth = live_depth.unwrap_or_else(|| if complete { lane.at } else { deepest() });
     let mut visited: Vec<u64> = lane.visited.iter().copied().collect();
     // Sorted for a deterministic encoding.
@@ -456,9 +457,7 @@ fn freeze(
     SearchCheckpoint {
         complete,
         workers_at_save: workers as u32,
-        eof: lane.env.eof,
         work: stack.work.drain(..).map(node_to_ckpt).collect(),
-        pg: stack.pg.drain(..).map(node_to_ckpt).collect(),
         visited,
         spec_errors: lane.spec_errors.clone(),
         best: (lane.best.explained, lane.best.path.to_indices()),
@@ -882,6 +881,7 @@ impl<'a> Lane<'a> {
                 return Err(Halt::Witness(node.path));
             }
             // PGAV: everything so far is explained; park the node.
+            debug_assert!(!self.env.eof, "nothing parks after eof");
             self.stats.pg_nodes += 1;
             let total = front.park(node, self.stats.pg_nodes);
             sink.record(self.machine, StepRecord::park(depth, total));
@@ -904,6 +904,7 @@ impl<'a> Lane<'a> {
 
         if untried == 0 {
             if is_pg || !node.blocked.is_empty() {
+                debug_assert!(!self.env.eof, "nothing parks after eof");
                 if front.pg_len() >= limits.max_pg_nodes {
                     front.push(node);
                     return Err(Halt::Stop(InconclusiveReason::PgNodeLimit));
@@ -1578,19 +1579,17 @@ struct Segment {
 }
 
 /// What one worker brings back from a burst: its counter delta (its
-/// bytes are in its slot), its segments by id, the private stack a stop
-/// left, and its wall-clock split.
+/// bytes are in its slot), its segments by id, and its wall-clock split.
 struct WorkerOut {
     delta: SearchStats,
     segments: Vec<(u32, Segment)>,
-    work: Vec<Node>,
     clock: Clock,
 }
 
 /// One worker's burst loop: take the next segment and [`drain`] it,
-/// until the burst is over or a step halts it. A limit stop pushes its
-/// node back first, so the surviving front is complete whichever cause
-/// wins the stop race.
+/// until the burst is over or a step halts it. What a stop leaves on its
+/// private stack is dropped: before eof no front is kept, and after eof
+/// the burst is replayed by one worker.
 fn burst_worker<S: Sink>(mut lane: Lane<'_>, sh: &Burst, me: usize, sink: &mut S) -> WorkerOut {
     let carried = lane.best.clone();
     let options = lane.options;
@@ -1617,7 +1616,6 @@ fn burst_worker<S: Sink>(mut lane: Lane<'_>, sh: &Burst, me: usize, sink: &mut S
     WorkerOut {
         delta: lane.stats,
         segments,
-        work: front.work,
         clock,
     }
 }
@@ -1626,10 +1624,8 @@ fn burst_worker<S: Sink>(mut lane: Lane<'_>, sh: &Burst, me: usize, sink: &mut S
 /// counter deltas and the gauge their slots add up to, and concatenate
 /// the segments' parks, spec errors and best attempts in segment order —
 /// the claims by first input, each followed by the segments donated off
-/// it, the latest first, recursively. After a stop the surviving front
-/// (private stacks, donations no one took, unclaimed inputs) becomes the
-/// work stack; before eof it is saved but cannot be resumed, so its order
-/// does not matter.
+/// it, the latest first, recursively. The work stack is left empty: an
+/// exhausted burst has no front, and a stopped one is not resumed.
 fn merge(lane: &mut Lane<'_>, stack: &mut Stack, sh: Burst, outs: Vec<WorkerOut>) {
     let all = sh.tally(None);
     let resident = sh.resident(all.bytes);
@@ -1641,18 +1637,14 @@ fn merge(lane: &mut Lane<'_>, stack: &mut Stack, sh: Burst, outs: Vec<WorkerOut>
     let summed = deltas.fold([0; 4], |a, d| std::array::from_fn(|i| a[i] + d[i]));
     debug_assert_eq!(summed, all.counters, "every worker folds its last step");
     let mut pool = sh.pool.into_inner().expect("pool lock");
-    if sh.keep_inputs {
-        pool.inputs.clear();
-    }
-    // The unclaimed inputs, in the buffer the burst took from the stack.
+    // The work stack gets back the buffer the burst took from it.
+    pool.inputs.clear();
     stack.work = pool.inputs;
-    stack.work.extend(pool.stacks.into_iter().flat_map(|(_, s)| s));
     let parks = outs.iter().flat_map(|o| &o.segments).map(|(_, s)| s.parks.len());
     stack.pg.reserve_exact(parks.sum());
     let mut segments = HashMap::new();
     for o in outs {
         lane.stats.absorb(&o.delta);
-        stack.work.extend(o.work);
         segments.extend(o.segments);
     }
     // Segments still to merge, the next on top.
@@ -1688,10 +1680,10 @@ fn tick_par(tel: &mut Telemetry, base: &SearchStats, sh: &Burst, cap: u64) {
 /// One burst (`workers = N ≥ 2`): the trace is frozen while N scoped
 /// threads search the work stack in ordered segments ([`Burst`]). On
 /// return the burst's parks are on the PG-list in sequential park order
-/// and, after a limit stop, the surviving front is the work stack. After
-/// eof, a witness or a limit stop hands the burst to the one-worker
-/// drain instead. `spare` holds emptied record batches from one burst to
-/// the next.
+/// and the work stack is empty. After eof, a witness or a limit stop
+/// hands the burst to the one-worker drain instead, so that a stop
+/// leaves the one-worker front. `spare` holds emptied record batches
+/// from one burst to the next.
 fn burst(
     lane: &mut Lane<'_>,
     stack: &mut Stack,
@@ -1804,8 +1796,7 @@ fn burst(
         lane.stats = stats;
         lane.spec_errors = errors;
         stack.work = sh.pool.into_inner().expect("pool lock").inputs;
-        let held = stack.work.iter().chain(&stack.pg);
-        stack.gauge.resident = held.map(Node::charged).sum();
+        stack.gauge.resident = stack.work.iter().map(Node::charged).sum();
         return Ok(drain(lane, stack, tel, None));
     }
     for (w, mut batch) in held {
@@ -1884,9 +1875,8 @@ pub(crate) fn run(
 ) -> Result<AnalysisReport, TangoError> {
     let t0 = Instant::now();
     // A static or resumed run never waits for input: its source is an
-    // empty trace at end-of-file. Only eof-reached on-line checkpoints
-    // are resumable (a pre-eof source's read position cannot be
-    // re-established).
+    // empty trace at end-of-file. Every checkpoint was frozen after eof.
+    let online = matches!(start, Start::Online(..));
     let mut at_eof = StaticSource::new(Trace::new(Vec::new()));
     let no_source: &mut dyn TraceSource = &mut at_eof;
     let go_on: &mut dyn FnMut(&Verdict) -> bool = &mut |_| true;
@@ -1923,7 +1913,7 @@ pub(crate) fn run(
     }
     let base_wall = stats.wall_time;
     let mut env = TraceEnv::new(module, trace, options)?;
-    env.eof = complete || front.as_ref().is_some_and(|f| f.eof);
+    env.eof = !online;
     // Per-worker clocks feed the on-line engine's busy/idle gauges; the
     // complete-trace rule reports none.
     let mut clocks = vec![Clock::default(); if complete { 0 } else { n_workers }];
@@ -1976,16 +1966,11 @@ pub(crate) fn run(
             for n in work {
                 stack.push(n);
             }
-            for c in f.pg {
-                let n = node_from_ckpt(c);
-                stack.charge(n.charged());
-                stack.pg.push(n);
-            }
         }
     }
 
     let mut last_status: Option<Verdict> = None;
-    let (verdict, witness, checkpoint) = 'search: loop {
+    let (verdict, witness, checkpoint) = loop {
         if !complete {
             absorb(source.poll(), &mut lane.env, &mut stack, module)?;
         }
@@ -2003,20 +1988,21 @@ pub(crate) fn run(
             Halt::Drained => {}
             Halt::Witness(path) => break (Verdict::Valid, Some(path.to_vec(&machine)), None),
             Halt::Stop(reason) => {
-                let ckpt = freeze(&mut stack, &mut live, &lane, complete, n_workers);
-                break (Verdict::Inconclusive(reason), None, Some(ckpt));
+                let ckpt = lane
+                    .env
+                    .eof
+                    .then(|| freeze(&mut stack, &mut live, &lane, complete, n_workers));
+                break (Verdict::Inconclusive(reason), None, ckpt);
             }
             Halt::Fatal(e) => return Err(TangoError::Runtime(e)),
         }
 
-        // The tree (as currently known) is exhausted.
+        // The tree (as currently known) is exhausted. EOF made the
+        // PG-nodes fully generated at the poll that brought it, and
+        // nothing parks after it.
         if lane.env.eof {
-            if stack.pg.is_empty() {
-                break (Verdict::Invalid, None, None);
-            }
-            // EOF makes PG-nodes fully generated: process them once more.
-            stack.revive();
-            continue;
+            debug_assert!(stack.pg.is_empty(), "nothing parks after eof");
+            break (Verdict::Invalid, None, None);
         }
         if stack.pg.is_empty() {
             // No PG-node can be revived by future input: conclusively
@@ -2044,7 +2030,8 @@ pub(crate) fn run(
         }
 
         // Block until the source has more to say — but never past the
-        // deadline: a stalled source must not wedge the monitor. Only
+        // deadline: a stalled source must not wedge the monitor. The
+        // deadline passes before eof, so it leaves no checkpoint. Only
         // the one-worker lane counts the sleeps as its idle time;
         // between bursts there are no workers.
         let input = idle_wait(
@@ -2058,12 +2045,7 @@ pub(crate) fn run(
             },
         )?;
         if !input {
-            let ckpt = freeze(&mut stack, &mut live, &lane, complete, n_workers);
-            break 'search (
-                Verdict::Inconclusive(InconclusiveReason::TimeLimit),
-                None,
-                Some(ckpt),
-            );
+            break (Verdict::Inconclusive(InconclusiveReason::TimeLimit), None, None);
         }
     };
 
@@ -2280,7 +2262,7 @@ mod tests {
     }
 
     #[test]
-    fn a_node_freezes_and_thaws_with_its_path_and_sorted_sets() {
+    fn a_node_freezes_and_thaws_with_its_path_and_sorted_set() {
         let state = MachineState {
             control: StateId(1),
             globals: Vec::new(),
@@ -2296,13 +2278,10 @@ mod tests {
             node.tried.insert(t);
         }
         node.tried.remove(5);
-        node.blocked.insert(9);
-        node.blocked.insert(4);
 
         let frozen = node_to_ckpt(node);
         assert_eq!(frozen.path, [3, 1]);
         assert_eq!(frozen.tried, [2, 7], "freeze writes the set sorted");
-        assert_eq!(frozen.blocked, [4, 9]);
 
         let thawed = node_from_ckpt(frozen);
         assert_eq!(thawed.path.len(), 2);
@@ -2310,7 +2289,7 @@ mod tests {
         assert!(thawed.tried.contains(7) && !thawed.tried.contains(5));
         let again = node_to_ckpt(thawed);
         assert_eq!(again.path, [3, 1]);
-        assert_eq!((again.tried, again.blocked), (vec![2, 7], vec![4, 9]));
+        assert_eq!(again.tried, [2, 7]);
         assert_eq!(again.cursors.output, [0, 2]);
     }
 

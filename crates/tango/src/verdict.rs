@@ -104,7 +104,8 @@ pub struct AnalysisReport {
     /// state. Feed it to [`crate::TraceAnalyzer::resume`] with raised
     /// limits to continue exactly where the search stopped (no work is
     /// repeated; counters continue rather than restart). An on-line stop
-    /// before end-of-file carries one too, but it is not resumable.
+    /// before end-of-file carries none: the rest of its trace is unknown,
+    /// so it could not be resumed.
     pub checkpoint: Option<Box<crate::checkpoint::Checkpoint>>,
     /// Faults the dynamic trace source observed while feeding (parse
     /// errors, file truncation, a dead feeder …). Empty for static runs.

@@ -110,27 +110,28 @@ fn future_version_is_refused_not_misread() {
 
 #[test]
 fn previous_version_is_refused_not_misread() {
-    // Version 7's stats block is seven fields longer; its files are
-    // refused, not decoded with the v8 layout.
-    let (_, mut bytes, path) = checkpoint_bytes("v7");
-    bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
+    // Version 8's search body carries an eof flag, a PG-list and a
+    // blocked set per node, and its META the front's lengths; its files
+    // are refused, not decoded with the v9 layout.
+    let (_, mut bytes, path) = checkpoint_bytes("v8");
+    bytes[8..12].copy_from_slice(&8u32.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let err = Checkpoint::read_from(&path).err();
     assert!(
         matches!(
             err,
             Some(CheckpointError::UnsupportedVersion {
-                found: 7,
-                supported: 8
+                found: 8,
+                supported: 9
             })
         ),
-        "v7 must be refused, got {:?}",
+        "v8 must be refused, got {:?}",
         err
     );
     assert!(err
         .unwrap()
         .to_string()
-        .contains("this build reads only version 8"));
+        .contains("this build reads only version 9"));
 }
 
 #[test]

@@ -365,36 +365,35 @@ fn best_effort_localization_is_pinned_and_survives_stop_resume() {
     }
 }
 
-/// A checkpoint the analyzer cannot resume is refused with an error of
-/// its own, not an option error: here an on-line stop saved before eof,
-/// whose remaining trace is unknowable.
+/// An on-line stop before the trace's eof marker returns no checkpoint:
+/// the source's read position is not recorded, so the rest of the trace
+/// would be unknowable on resume. So for the transition cap, the depth
+/// limit and the idle-poll deadline, at one, two and four workers.
 #[test]
-fn a_pre_eof_checkpoint_is_refused_as_a_checkpoint() {
-    use tango::{ChannelSource, Event, Feed, InconclusiveReason};
+fn a_pre_eof_stop_returns_no_checkpoint() {
+    use std::time::Duration;
+    use tango::{ChannelSource, Event, Feed, InconclusiveReason as Stop};
     let a = ack::analyzer();
-    let options = || {
-        let mut o = AnalysisOptions::with_order(OrderOptions::none());
-        o.limits.max_transitions = 0;
-        o
-    };
-    let (tx, mut source) = ChannelSource::pair();
-    tx.send(Feed::Event(Event::input("A", "x", vec![])))
-        .unwrap();
-    let stopped = a
-        .analyze_online(&mut source, &options(), &mut |_| true)
-        .unwrap();
-    drop(tx);
-    assert_eq!(
-        stopped.verdict,
-        Verdict::Inconclusive(InconclusiveReason::TransitionLimit)
-    );
-    let cp = stopped.checkpoint.expect("a limit stop freezes its front");
-    assert!(!cp.resumable());
-    let err = a.resume(*cp, &options()).unwrap_err();
-    assert!(matches!(err, TangoError::Resume(_)), "{:?}", err);
-    assert_eq!(
-        err.to_string(),
-        "cannot resume the checkpoint: it was saved before its trace reached \
-         end-of-file; only on-line checkpoints saved after eof can be resumed"
-    );
+    for reason in [Stop::TransitionLimit, Stop::DepthLimit, Stop::TimeLimit] {
+        for workers in [1, 2, 4] {
+            let mut options = AnalysisOptions::with_order(OrderOptions::none());
+            options.workers = workers;
+            let limits = &mut options.limits;
+            match reason {
+                Stop::TransitionLimit => limits.max_transitions = 0,
+                Stop::DepthLimit => limits.max_depth = 0,
+                _ => limits.max_wall_time = Some(Duration::from_millis(50)),
+            }
+            let (tx, mut source) = ChannelSource::pair();
+            tx.send(Feed::Event(Event::input("A", "x", vec![])))
+                .unwrap();
+            let stopped = a
+                .analyze_online(&mut source, &options, &mut |_| true)
+                .unwrap();
+            drop(tx);
+            let what = format!("{:?} at {} worker(s)", reason, workers);
+            assert_eq!(stopped.verdict, Verdict::Inconclusive(reason), "{}", what);
+            assert!(stopped.checkpoint.is_none(), "{}", what);
+        }
+    }
 }

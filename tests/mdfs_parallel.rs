@@ -149,59 +149,77 @@ fn parallel_witness_is_the_sequential_witness() {
 
 /// Stop an N-worker run on a transition limit after eof, round-trip the
 /// checkpoint through a file, resume at M workers: the final verdict and
-/// TE/GE/RE/SA must equal the uninterrupted run's, for every (N, M).
+/// TE/GE/RE/SA must equal the uninterrupted run's, for every (N, M). The
+/// trace comes all at once, 3 events a poll and 1 event a poll; a cap the
+/// search reaches before eof stops with no checkpoint, and every stop
+/// after it with one. Fed 1 event a poll, an invalid trace is refuted
+/// before its last event arrives, so that feed stops after eof only on a
+/// valid trace, one transition short of its witness.
 #[test]
 fn checkpoint_saved_at_n_workers_resumes_at_m() {
     let a = tp0::analyzer();
     let bad = tp0::invalid_trace(3, 3, 1);
+    let good = tp0::complete_valid_trace(2, 3, 1);
     let opts = AnalysisOptions::with_order(OrderOptions::none());
-    let uninterrupted = online(&a, &bad, &opts);
-    assert_eq!(uninterrupted.verdict, Verdict::Invalid);
-    let cap = uninterrupted.stats.transitions_executed / 2;
-    assert!(cap > 0, "workload too small to interrupt");
-
-    for save_at in [1usize, 4] {
-        for resume_at in [1usize, 2, 8] {
-            let mut limited = with_workers(&opts, save_at);
-            limited.limits.max_transitions = cap;
-            let stopped = online(&a, &bad, &limited);
-            assert_eq!(
-                stopped.verdict,
-                Verdict::Inconclusive(InconclusiveReason::TransitionLimit),
-                "save_at={}",
-                save_at
-            );
-            let cp = stopped
-                .checkpoint
-                .expect("a post-eof limit stop must be checkpointable");
-
-            let tmp = std::env::temp_dir().join(format!(
-                "tango-mdfs-par-ckpt-{}-{}-{}.bin",
-                save_at,
-                resume_at,
-                std::process::id()
-            ));
-            cp.write_to(&tmp).expect("checkpoint writes");
-            let cp = Checkpoint::read_from(&tmp).expect("checkpoint reads back");
-            std::fs::remove_file(&tmp).ok();
-
-            let resumed = a
-                .resume(cp, &with_workers(&opts, resume_at))
-                .unwrap();
-            assert_eq!(
-                resumed.verdict, uninterrupted.verdict,
-                "save_at={} resume_at={}",
-                save_at, resume_at
-            );
-            assert_eq!(
-                resumed.stats.counters(),
-                uninterrupted.stats.counters(),
-                "resume at a different worker count drifted (save_at={} resume_at={})",
-                save_at,
-                resume_at
-            );
+    // The caps, from the uninterrupted TE.
+    let half: fn(u64) -> Vec<u64> = |te| vec![te / 2];
+    let quarter_half: fn(u64) -> Vec<u64> = |te| vec![te / 4, te / 2];
+    let half_last: fn(u64) -> Vec<u64> = |te| vec![te / 2, te - 1];
+    let cases = [(usize::MAX, &bad, half), (3, &bad, quarter_half), (1, &good, half_last)];
+    let mut stops_before_eof = 0;
+    for (per_poll, trace, caps) in cases {
+        let (uninterrupted, _) = fed(&a, trace, per_poll, &opts);
+        let te = uninterrupted.stats.transitions_executed;
+        let mut resumed_any = false;
+        for cap in caps(te) {
+            assert!(cap > 0, "workload too small to interrupt");
+            for save_at in [1usize, 4] {
+                let what = format!("{} a poll, cap {}, save_at={}", per_poll, cap, save_at);
+                let mut limited = with_workers(&opts, save_at);
+                limited.limits.max_transitions = cap;
+                let (stopped, eof) = fed(&a, trace, per_poll, &limited);
+                assert_eq!(
+                    stopped.verdict,
+                    Verdict::Inconclusive(InconclusiveReason::TransitionLimit),
+                    "{}",
+                    what
+                );
+                assert_eq!(stopped.checkpoint.is_some(), eof, "{}: eof {}", what, eof);
+                let Some(cp) = stopped.checkpoint else {
+                    stops_before_eof += 1;
+                    continue;
+                };
+                let tmp = std::env::temp_dir().join(format!(
+                    "tango-mdfs-par-ckpt-{}-{}-{}-{}.bin",
+                    per_poll % 1000,
+                    cap,
+                    save_at,
+                    std::process::id()
+                ));
+                cp.write_to(&tmp).expect("checkpoint writes");
+                for resume_at in [1usize, 2, 8] {
+                    let cp = Checkpoint::read_from(&tmp).expect("checkpoint reads back");
+                    let resumed = a.resume(cp, &with_workers(&opts, resume_at)).unwrap();
+                    assert_eq!(
+                        resumed.verdict, uninterrupted.verdict,
+                        "{} resume_at={}",
+                        what, resume_at
+                    );
+                    assert_eq!(
+                        resumed.stats.counters(),
+                        uninterrupted.stats.counters(),
+                        "resume at a different worker count drifted ({} resume_at={})",
+                        what,
+                        resume_at
+                    );
+                }
+                std::fs::remove_file(&tmp).ok();
+                resumed_any = true;
+            }
         }
+        assert!(resumed_any, "{} a poll: no cap stopped after eof", per_poll);
     }
+    assert!(stops_before_eof > 0, "no cap stopped before eof");
 }
 
 /// Steal telemetry: a multi-worker run reports per-worker busy time and
@@ -223,18 +241,38 @@ fn steal_counters_only_appear_on_multi_worker_runs() {
     assert_eq!(par.stats.counters(), seq.stats.counters());
 }
 
-/// Delivers a trace one event per poll; end-of-file comes with the last
-/// event, so every event starts a burst.
-struct OnePerPoll(std::vec::IntoIter<tango::Event>);
+/// Delivers a trace `per_poll` events a poll; end-of-file comes with
+/// the last event, so every poll with events starts a burst.
+struct Chunks {
+    events: std::vec::IntoIter<tango::Event>,
+    per_poll: usize,
+    /// Whether a poll has reported end-of-file.
+    eof: bool,
+}
 
-impl tango::TraceSource for OnePerPoll {
+impl tango::TraceSource for Chunks {
     fn poll(&mut self) -> tango::trace::source::Poll {
-        let events: Vec<tango::Event> = self.0.next().into_iter().collect();
+        let events: Vec<tango::Event> = self.events.by_ref().take(self.per_poll).collect();
+        self.eof = self.events.len() == 0;
         tango::trace::source::Poll {
             events,
-            eof: self.0.len() == 0,
+            eof: self.eof,
         }
     }
+}
+
+/// The on-line analysis of `trace` fed `per_poll` events a poll, and
+/// whether the source had reported end-of-file when it returned.
+fn fed(
+    a: &tango::TraceAnalyzer,
+    trace: &Trace,
+    per_poll: usize,
+    opts: &AnalysisOptions,
+) -> (tango::AnalysisReport, bool) {
+    let events = trace.events.clone().into_iter();
+    let mut src = Chunks { events, per_poll, eof: false };
+    let report = a.analyze_online(&mut src, opts, &mut |_| true).unwrap();
+    (report, src.eof)
 }
 
 fn one_per_poll(
@@ -242,8 +280,7 @@ fn one_per_poll(
     trace: &Trace,
     opts: &AnalysisOptions,
 ) -> tango::AnalysisReport {
-    let mut src = OnePerPoll(trace.events.clone().into_iter());
-    a.analyze_online(&mut src, opts, &mut |_| true).unwrap()
+    fed(a, trace, 1, opts).0
 }
 
 /// At N ≥ 2 the byte gauge and its peak are added up from the workers'
@@ -290,10 +327,9 @@ fn pre_eof_transition_stops_overshoot_by_at_most_one_step_per_worker() {
                 n,
                 cap
             );
-            let cp = r.checkpoint.expect("a limit stop freezes its front");
             assert!(
-                !cp.resumable(),
-                "workers {} cap {}: the stop is before eof",
+                r.checkpoint.is_none(),
+                "workers {} cap {}: a stop before eof returns no checkpoint",
                 n,
                 cap
             );
