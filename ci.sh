@@ -261,12 +261,17 @@ echo "== benchmark self-tests and smoke =="
 # analysis against its known answer and must report itself correct: the
 # static ones Figure 4's published counters and LAPD's verdicts in all
 # four order modes, the on-line ones their counters against the other
-# worker count's.
+# worker count's. On Figure 4 the snapshot gauge's peak must read the
+# bytes of the saved states: a save that pushes a trail mark is still
+# charged the state it marks.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 for workload in fig4-tp0-nr fig3-lapd800 online-tp0-w1 online-tp0-w2; do
     cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 > "$CKPT_DIR/perfbench.txt"
     grep -q '"correct": true' "$CKPT_DIR/perfbench.txt"
+    if [ "$workload" = fig4-tp0-nr ]; then
+        grep -q '"peak_snapshot_bytes": {"value": 8212.0' "$CKPT_DIR/perfbench.txt"
+    fi
 done
 
 echo "== full-range any domain (release build) =="

@@ -12,7 +12,9 @@
 //! the first time a *write* (`alloc`, `dispose`, `get_mut`) lands in a
 //! chunk that is still shared with some snapshot. A search that saves a
 //! state and then touches three cells pays for one chunk, not for the
-//! whole heap.
+//! whole heap. A search that saves by trail marks instead
+//! ([`crate::trail`]) shares no chunk and copies none: `alloc` and
+//! `dispose` have exact undos.
 //!
 //! References carry a generation counter so a dangling pointer (use after
 //! `dispose`) is detected deterministically instead of reading stale data.
@@ -79,49 +81,62 @@ impl Cell {
     }
 }
 
-/// One storage chunk plus a cached content digest. The cache makes the
-/// *whole-heap* hash and byte estimate — the byte estimate is computed on
-/// every *Save* by the trace analyzer's snapshot store — O(chunks) instead
-/// of O(cells): only chunks written since the last digest are rescanned,
-/// which is the same "touched chunks" bound the copy-on-write clone gives
-/// the state copy itself.
+/// One storage chunk plus its cached content hash and byte count. The
+/// caches make the *whole-heap* hash and byte estimate O(chunks) instead
+/// of O(cells): only chunks written since they were last read are
+/// rescanned. The byte count is read on every *Save* (the gauge's
+/// charge), the hash only by state hashing, so each is computed on its
+/// own.
 #[derive(Clone, Debug)]
 struct Chunk {
     cells: Arc<Vec<Cell>>,
-    /// Cached (content hash, approx bytes) of `cells`; cleared by writes.
-    /// Caches travel with clones (same content ⇒ same digest) and never
-    /// cross them: invalidating one heap's cache leaves the snapshots
-    /// sharing the chunk untouched.
-    meta: std::cell::Cell<Option<(u64, usize)>>,
+    /// Cached content hash of `cells`; cleared by writes. Caches travel
+    /// with clones (same content ⇒ same digest) and never cross them:
+    /// invalidating one heap's cache leaves the snapshots sharing the
+    /// chunk untouched.
+    hash: std::cell::Cell<Option<u64>>,
+    /// Cached approximate bytes of `cells`, 0 until measured (a chunk
+    /// holding a cell measures more, and an empty one re-measures for
+    /// free); cleared by writes.
+    bytes: std::cell::Cell<usize>,
 }
 
 impl Chunk {
     fn new() -> Self {
         Chunk {
             cells: Arc::new(Vec::with_capacity(CHUNK_CELLS)),
-            meta: std::cell::Cell::new(None),
+            hash: std::cell::Cell::new(None),
+            bytes: std::cell::Cell::new(0),
         }
     }
 
-    /// The cached digest, recomputed only after a write invalidated it.
-    fn meta(&self) -> (u64, usize) {
-        if let Some(m) = self.meta.get() {
-            return m;
+    /// The cached content hash, recomputed only after a write cleared it.
+    fn hash(&self) -> u64 {
+        if let Some(h) = self.hash.get() {
+            return h;
         }
         let mut h = FxHasher::default();
-        let mut bytes = 0;
         for cell in self.cells.iter() {
             cell.hash(&mut h);
-            bytes += cell.approx_bytes();
         }
-        let m = (h.finish(), bytes);
-        self.meta.set(Some(m));
-        m
+        let h = h.finish();
+        self.hash.set(Some(h));
+        h
     }
 
-    /// Mutable cell access: clears the digest and breaks sharing.
+    /// The cached byte count, recomputed only after a write cleared it.
+    fn bytes(&self) -> usize {
+        if self.bytes.get() == 0 {
+            self.bytes
+                .set(self.cells.iter().map(Cell::approx_bytes).sum());
+        }
+        self.bytes.get()
+    }
+
+    /// Mutable cell access: clears both caches and breaks sharing.
     fn cells_mut(&mut self) -> &mut Vec<Cell> {
-        self.meta.set(None);
+        self.hash.set(None);
+        self.bytes.set(0);
         Arc::make_mut(&mut self.cells)
     }
 }
@@ -170,7 +185,7 @@ impl Clone for Heap {
 impl Hash for Heap {
     fn hash<H: Hasher>(&self, state: &mut H) {
         for chunk in &self.chunks {
-            state.write_u64(chunk.meta().0);
+            state.write_u64(chunk.hash());
         }
         self.free.hash(state);
         self.live.hash(state);
@@ -221,7 +236,7 @@ impl Heap {
     /// counted whether shared or not, so the analyzer's budget charges
     /// every saved snapshot its full logical size.
     pub fn approx_bytes(&self) -> usize {
-        let cells: usize = self.chunks.iter().map(|c| c.meta().1).sum();
+        let cells: usize = self.chunks.iter().map(Chunk::bytes).sum();
         cells
             + self.chunks.len() * std::mem::size_of::<Chunk>()
             + self.free.len() * std::mem::size_of::<u32>()
@@ -271,17 +286,63 @@ impl Heap {
 
     /// Free a cell, as `dispose(p)` does.
     pub fn dispose(&mut self, r: HeapRef) -> RtResult<()> {
+        self.take(r).map(drop)
+    }
+
+    /// [`Heap::dispose`], handing back the value the cell held.
+    pub(crate) fn take(&mut self, r: HeapRef) -> RtResult<Value> {
         match self.cell(r.index) {
             Some(Cell::Used { generation, .. }) if *generation == r.generation => {
-                *self.cell_mut(r.index).expect("cell just read") = Cell::Free {
-                    generation: r.generation,
-                };
+                let cell = self.cell_mut(r.index).expect("cell just read");
+                let freed = std::mem::replace(
+                    cell,
+                    Cell::Free {
+                        generation: r.generation,
+                    },
+                );
                 self.free.push(r.index);
                 self.live -= 1;
-                Ok(())
+                match freed {
+                    Cell::Used { value, .. } => Ok(value),
+                    Cell::Free { .. } => unreachable!("cell liveness checked above"),
+                }
             }
             _ => Err(RuntimeError::dangling("dispose of a dangling pointer")),
         }
+    }
+
+    /// Undo the [`Heap::alloc`] that returned `r`, the heap's newest
+    /// change. A fresh slot has generation 0 and is the last one; a
+    /// reused slot has a higher generation and goes back on the free
+    /// list, where it was last.
+    pub(crate) fn undo_alloc(&mut self, r: HeapRef) {
+        self.live -= 1;
+        if r.generation == 0 {
+            debug_assert_eq!(r.index as usize, self.total - 1, "a fresh slot is the last");
+            let last = self.chunks.last_mut().expect("the slot's chunk");
+            last.cells_mut().pop();
+            self.total -= 1;
+            if self.total.is_multiple_of(CHUNK_CELLS) {
+                self.chunks.pop();
+            }
+        } else {
+            *self.cell_mut(r.index).expect("an allocated slot") = Cell::Free {
+                generation: r.generation - 1,
+            };
+            self.free.push(r.index);
+        }
+    }
+
+    /// Undo the [`Heap::dispose`] of `r`, the heap's newest change,
+    /// putting back the value the cell held.
+    pub(crate) fn undo_dispose(&mut self, r: HeapRef, value: Value) {
+        debug_assert_eq!(self.free.last(), Some(&r.index), "the freed slot is the last");
+        self.free.pop();
+        self.live += 1;
+        *self.cell_mut(r.index).expect("a freed slot") = Cell::Used {
+            generation: r.generation,
+            value,
+        };
     }
 
     /// Read a cell.

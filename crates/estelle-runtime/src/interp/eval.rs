@@ -190,6 +190,7 @@ pub fn eval_in_frame(
     let mut store = Store {
         globals: &mut globals,
         heap: &mut heap,
+        trail: None,
     };
     let mut sink = NullEnv::default();
     let interp = Interp::new(module, super::UndefinedPolicy::Error);

@@ -176,9 +176,7 @@ impl<'m> Interp<'m> {
                 Ok(())
             }
             CStmt::New(place, pointee, _) => {
-                let fresh = store
-                    .heap
-                    .alloc(default_value(&self.module.analyzed.types, *pointee));
+                let fresh = store.alloc(default_value(&self.module.analyzed.types, *pointee));
                 self.write_place(
                     place,
                     Value::Pointer(Some(fresh)),
@@ -192,8 +190,7 @@ impl<'m> Interp<'m> {
                 let v = self.read_place(place, store, frame, sink, depth)?;
                 match v {
                     Value::Pointer(Some(href)) => {
-                        store.heap.dispose(href)?;
-                        Ok(())
+                        store.dispose(href)
                     }
                     Value::Pointer(None) => {
                         Err(RuntimeError::dangling("dispose of nil").with_span(*span))
@@ -254,7 +251,7 @@ impl<'m> Interp<'m> {
             if let CArg::Ref(place) = arg {
                 let out = callee[i].clone();
                 let r = self.resolve_place(place, store, frame, sink, depth)?;
-                *write_resolved(&r, store, frame)? = out;
+                write_resolved(&r, store, frame, out)?;
             }
         }
 

@@ -26,8 +26,9 @@ pub use eval::{eval_const_expr, eval_in_frame};
 use crate::compile::CompiledModule;
 use crate::env::OutputSink;
 use crate::error::RtResult;
-use crate::heap::Heap;
+use crate::heap::{Heap, HeapRef};
 use crate::ir::CExpr;
+use crate::trail::Trail;
 use crate::value::Value;
 
 /// How undefined values behave during evaluation.
@@ -40,10 +41,34 @@ pub enum UndefinedPolicy {
     Propagate,
 }
 
-/// The mutable part of a machine state the interpreter works on.
+/// The mutable part of a machine state the interpreter works on. Every
+/// write of either executor to it goes through `write_resolved`,
+/// [`Store::alloc`] or [`Store::dispose`]; with a `trail`, each of them
+/// records its undo there ([`crate::trail`]).
 pub struct Store<'a> {
     pub globals: &'a mut Vec<Value>,
     pub heap: &'a mut Heap,
+    pub trail: Option<&'a mut Trail>,
+}
+
+impl Store<'_> {
+    /// `new`: allocate a cell holding `value`.
+    pub(crate) fn alloc(&mut self, value: Value) -> HeapRef {
+        let r = self.heap.alloc(value);
+        if let Some(trail) = self.trail.as_deref_mut() {
+            trail.alloc(r);
+        }
+        r
+    }
+
+    /// `dispose`: free the cell `r` names.
+    pub(crate) fn dispose(&mut self, r: HeapRef) -> RtResult<()> {
+        let value = self.heap.take(r)?;
+        if let Some(trail) = self.trail.as_deref_mut() {
+            trail.dispose(r, value);
+        }
+        Ok(())
+    }
 }
 
 /// Interpreter limits, preventing non-terminating specifications from

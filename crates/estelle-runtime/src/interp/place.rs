@@ -10,6 +10,7 @@ use crate::env::OutputSink;
 use crate::error::{RtResult, RuntimeError};
 use crate::heap::HeapRef;
 use crate::ir::{CPlace, Slot};
+use crate::trail::Written;
 use crate::value::Value;
 
 /// Where a resolved place lives.
@@ -123,9 +124,7 @@ impl<'m> Interp<'m> {
         depth: usize,
     ) -> RtResult<()> {
         let r = self.resolve_place(place, store, frame, sink, depth)?;
-        let target = write_resolved(&r, store, frame)?;
-        *target = value;
-        Ok(())
+        write_resolved(&r, store, frame, value)
     }
 }
 
@@ -166,23 +165,46 @@ pub(crate) fn read_resolved<'v>(
     Ok(v)
 }
 
-/// Navigate to the mutable value a resolved place denotes.
-pub(crate) fn write_resolved<'v>(
+/// Overwrite the value a resolved place denotes with `value`. A write
+/// into a global or a heap cell moves the value it overwrites into the
+/// store's trail, when it has one; a frame slot is never trailed.
+pub(crate) fn write_resolved(
     r: &ResolvedPlace,
-    store: &'v mut Store<'_>,
-    frame: &'v mut [Value],
-) -> RtResult<&'v mut Value> {
-    let mut v: &mut Value = match &r.root {
-        Root::Global(i) => store
-            .globals
-            .get_mut(*i)
-            .ok_or_else(|| RuntimeError::internal("global slot out of range"))?,
-        Root::Local(i) => frame
-            .get_mut(*i)
-            .ok_or_else(|| RuntimeError::internal("frame slot out of range"))?,
-        Root::Heap(href) => store.heap.get_mut(*href)?,
+    store: &mut Store<'_>,
+    frame: &mut [Value],
+    value: Value,
+) -> RtResult<()> {
+    let Store {
+        globals,
+        heap,
+        trail,
+    } = store;
+    let (root, at) = match &r.root {
+        Root::Global(i) => (
+            globals
+                .get_mut(*i)
+                .ok_or_else(|| RuntimeError::internal("global slot out of range"))?,
+            Written::Global(*i),
+        ),
+        Root::Local(i) => {
+            let slot = frame
+                .get_mut(*i)
+                .ok_or_else(|| RuntimeError::internal("frame slot out of range"))?;
+            *component_mut(slot, &r.path)? = value;
+            return Ok(());
+        }
+        Root::Heap(href) => (heap.get_mut(*href)?, Written::Cell(*href)),
     };
-    for &pos in &r.path {
+    let old = std::mem::replace(component_mut(root, &r.path)?, value);
+    if let Some(trail) = trail {
+        trail.write(at, &r.path, old);
+    }
+    Ok(())
+}
+
+/// Navigate from `v` down `path` to a mutable component.
+pub(crate) fn component_mut<'v>(mut v: &'v mut Value, path: &[usize]) -> RtResult<&'v mut Value> {
+    for &pos in path {
         v = match v {
             Value::Array(vs) | Value::Record(vs) => vs
                 .get_mut(pos)

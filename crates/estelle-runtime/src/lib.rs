@@ -43,6 +43,7 @@ pub mod interp;
 pub mod ir;
 pub mod machine;
 pub mod normal_form;
+pub mod trail;
 pub mod value;
 pub mod vm;
 
@@ -55,4 +56,5 @@ pub use fxhash::FxHasher;
 pub use heap::{Heap, HeapRef, CHUNK_CELLS};
 pub use interp::UndefinedPolicy;
 pub use machine::{BuildError, ExecMode, FireOutcome, Fireable, Generated, Machine, MachineState};
+pub use trail::Trail;
 pub use value::Value;

@@ -4,14 +4,17 @@
 //! the current state, **Update** (fire) a transition, **Save** the state
 //! and **Restore** it. Save/restore are `MachineState::clone` and plain
 //! assignment — the state is a value (§2.3: FSM state, module variables,
-//! dynamic memory); queue cursors live with the trace analyzer that owns
-//! the trace.
+//! dynamic memory) — or, for a search whose saved states form a stack
+//! over one live state, a [`Trail`] mark and an undo to it
+//! ([`Machine::fire_trailed`]); queue cursors live with the trace
+//! analyzer that owns the trace.
 
 use crate::bytecode::{compile_program, ExecProgram};
 use crate::compile::{compile, CompiledModule};
 use crate::env::{InputSource, NullEnv, OutputSink, QueueHead};
 use crate::error::{RtResult, RuntimeError, RuntimeErrorKind};
 use crate::interp::{expr_has_calls, Interp, Store, UndefinedPolicy};
+use crate::trail::Trail;
 use crate::value::{default_value, Value};
 use crate::vm::{self, Vm};
 use estelle_frontend::sema::model::StateId;
@@ -231,6 +234,7 @@ impl Machine {
             let mut store = Store {
                 globals: &mut globals,
                 heap: &mut heap,
+                trail: None,
             };
             match self.exec {
                 ExecMode::Interp => {
@@ -364,6 +368,7 @@ impl Machine {
                     let mut store = Store {
                         globals: &mut globals,
                         heap: &mut heap,
+                        trail: None,
                     };
                     let mut sink = NullEnv::default();
                     interp.eval_guard(guard, &mut store, &mut frame, &mut sink)?
@@ -371,6 +376,7 @@ impl Machine {
                     let mut store = Store {
                         globals: &mut st.globals,
                         heap: &mut st.heap,
+                        trail: None,
                     };
                     let mut sink = NullEnv::default();
                     interp.eval_guard(guard, &mut store, &mut frame, &mut sink)?
@@ -609,12 +615,14 @@ impl Machine {
                     let mut store = Store {
                         globals: &mut globals,
                         heap: &mut heap,
+                        trail: None,
                     };
                     v.run(chunk, frame, &mut store, &mut sink, s)?
                 } else {
                     let mut store = Store {
                         globals: &mut st.globals,
                         heap: &mut st.heap,
+                        trail: None,
                     };
                     v.run(chunk, frame, &mut store, &mut sink, s)?
                 };
@@ -645,6 +653,21 @@ impl Machine {
         f: &Fireable,
         env: &mut dyn crate::env::MachineEnv,
     ) -> RtResult<FireOutcome> {
+        self.fire_trailed(st, None, f, env)
+    }
+
+    /// [`Machine::fire`] whose every write to `st`, the control-state
+    /// change included, records its undo in `trail` while the trail has
+    /// a mark, so that [`Trail::undo`] restores the state as it was at
+    /// the mark, whatever the fire's outcome.
+    pub fn fire_trailed(
+        &self,
+        st: &mut MachineState,
+        trail: Option<&mut Trail>,
+        f: &Fireable,
+        env: &mut dyn crate::env::MachineEnv,
+    ) -> RtResult<FireOutcome> {
+        let mut trail = trail.filter(|t| t.is_marked());
         let (t, binding) = self.module.instance(f.trans);
         if let Some((ip, _, _)) = t.when {
             if !f.fabricated {
@@ -656,6 +679,7 @@ impl Machine {
             let mut store = Store {
                 globals: &mut st.globals,
                 heap: &mut st.heap,
+                trail: trail.as_deref_mut(),
             };
             match self.exec {
                 ExecMode::Interp => {
@@ -674,6 +698,9 @@ impl Machine {
         match result {
             Ok(()) => {
                 if let Some(to) = t.to {
+                    if let Some(trail) = trail {
+                        trail.control(st.control);
+                    }
                     st.control = to;
                 }
                 Ok(FireOutcome::Completed)

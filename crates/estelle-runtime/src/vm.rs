@@ -569,11 +569,7 @@ impl<'p> Vm<'p> {
                 }
                 Op::WritePlace { p, src } => {
                     let v = take(&mut s.regs[reg_base + *src as usize]);
-                    *write_resolved(
-                        &s.places[place_base + *p as usize],
-                        store,
-                        &mut locals,
-                    )? = v;
+                    write_resolved(&s.places[place_base + *p as usize], store, &mut locals, v)?;
                 }
                 Op::Call { site } => {
                     if s.calls.len() >= self.limits.max_call_depth {
@@ -637,11 +633,7 @@ impl<'p> Vm<'p> {
                         .last()
                         .ok_or_else(|| RuntimeError::internal("copy-out without a call"))?;
                     let out = parked.frame[*slot as usize].clone();
-                    *write_resolved(
-                        &s.places[place_base + *p as usize],
-                        store,
-                        &mut locals,
-                    )? = out;
+                    write_resolved(&s.places[place_base + *p as usize], store, &mut locals, out)?;
                 }
                 Op::TakeResult { dst } => {
                     let parked = s
@@ -661,12 +653,12 @@ impl<'p> Vm<'p> {
                     s.rets.pop();
                 }
                 Op::Alloc { dst, template } => {
-                    let fresh = store.heap.alloc(chunk.consts[*template as usize].clone());
+                    let fresh = store.alloc(chunk.consts[*template as usize].clone());
                     s.regs[reg_base + *dst as usize] = Value::Pointer(Some(fresh));
                 }
                 Op::Dispose { src, span } => {
                     match take(&mut s.regs[reg_base + *src as usize]) {
-                        Value::Pointer(Some(href)) => store.heap.dispose(href)?,
+                        Value::Pointer(Some(href)) => store.dispose(href)?,
                         Value::Pointer(None) => {
                             return Err(
                                 RuntimeError::dangling("dispose of nil").with_span(*span)

@@ -685,6 +685,16 @@ fn analyze(args: &[String], online: bool) -> Result<ExitCode, String> {
              only after eof (the rest of the trace is unknown); rerun with higher \
              limits to continue"
         );
+    } else if parsed.options.initial_state_search
+        && matches!(report.verdict, Verdict::Inconclusive(_))
+    {
+        // A static stop without a checkpoint is one inside a round of
+        // the initial-state search after the default state's.
+        eprintln!(
+            "note: search stopped on a resource limit inside an initial-state search \
+             round; no checkpoint was saved, because a resume cannot re-enter the \
+             initial-state search; rerun with higher limits to continue"
+        );
     }
     Ok(match report.verdict {
         Verdict::Valid => ExitCode::SUCCESS,

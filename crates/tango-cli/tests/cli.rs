@@ -462,6 +462,40 @@ fn a_pre_eof_online_stop_saves_no_checkpoint_and_says_why() {
     );
 }
 
+/// A limit stop inside a round of the §2.4.1 initial-state search saves
+/// no checkpoint (a resume could not re-enter the rounds), and the CLI
+/// says so instead of staying silent.
+#[test]
+fn an_initial_state_round_stop_saves_no_checkpoint_and_says_why() {
+    let dir = scratch_dir("an_initial_state_round_stop_saves_no_checkpoint_and_says_why");
+    let spec = write_file(&dir, "lapd.est", include_str!("../../../specs/lapd.est"));
+    // Inexplicable from the default state at its first event, without a
+    // transition; a release from MF_EST explains it.
+    let trace = write_file(&dir, "release.trace", "in U.dl_rel_req\nout L.disc\n");
+    let ckpt = dir.join("ck0.ckpt");
+    let out = bin()
+        .args(["analyze".as_ref(), spec.as_os_str(), trace.as_os_str()])
+        .args(["--initial-state-search", "--max-transitions", "0"])
+        .arg("--checkpoint-file")
+        .arg(&ckpt)
+        .arg("--dump-file")
+        .arg(dir.join("ck0.tangodump"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", stdout_of(&out));
+    let stdout = stdout_of(&out);
+    assert!(stdout.contains("inconclusive (TransitionLimit)"), "{}", stdout);
+    assert!(stdout.contains("TE=1 "), "{}", stdout);
+    let stderr = stderr_of(&out);
+    assert!(!ckpt.exists(), "{}", stderr);
+    assert!(!stderr.contains("--resume"), "{}", stderr);
+    assert!(
+        stderr.contains("inside an initial-state search round; no checkpoint was saved"),
+        "{}",
+        stderr
+    );
+}
+
 /// A checkpoint the analyzer refuses is reported as such, not as an
 /// option error, with the usage/spec exit code.
 #[test]

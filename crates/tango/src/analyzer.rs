@@ -112,7 +112,9 @@ impl TraceAnalyzer {
     /// §2.4.1 initial-state search when enabled. One telemetry
     /// handle covers the whole analysis: initial-state-search rounds
     /// continue the same event stream (one `meta` line, monotone
-    /// sequence numbers).
+    /// sequence numbers), and `max_transitions` caps the rounds
+    /// together. A limit stop inside a round after the first returns no
+    /// checkpoint.
     ///
     /// Static analysis is the one search engine run over a trace that is
     /// complete before the search starts (DESIGN §6.13).
@@ -136,18 +138,29 @@ impl TraceAnalyzer {
                 if sid == default_init {
                     continue;
                 }
+                // The transition limit caps the analysis, not each round:
+                // a round gets what the rounds before it left.
+                let mut round_options = options.clone();
+                round_options.limits.max_transitions = options
+                    .limits
+                    .max_transitions
+                    .saturating_sub(report.stats.transitions_executed);
                 let start = Start::Static(trace.clone(), Some(sid));
-                let round = run(&self.machine, module, start, options, tel)?;
+                let round = run(&self.machine, module, start, &round_options, tel)?;
                 report.stats.absorb(&round.stats);
                 report.spec_errors.extend(round.spec_errors);
                 if round.verdict == Verdict::Valid {
                     report.verdict = Verdict::Valid;
+                    report.best_effort = None;
                     report.witness = round.witness;
                     report.initial_state_used = Some(module.state_name(sid).to_string());
                     break;
                 }
+                // A round's stop saves no checkpoint: resuming one could
+                // not re-enter the rounds after it.
                 if let Verdict::Inconclusive(r) = round.verdict {
                     report.verdict = Verdict::Inconclusive(r);
+                    report.best_effort = None;
                     break;
                 }
             }

@@ -24,10 +24,26 @@ use estelle_runtime::{InputSource, OutputSink, QueueHead, Value};
 
 /// Cursor state: the part of the environment saved and restored together
 /// with the machine state during backtracking (§2.3 "queue states").
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+/// `clone_from` copies into the target's own vectors, so a save into a
+/// spare allocates nothing.
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct Cursors {
     pub input: Vec<usize>,
     pub output: Vec<usize>,
+}
+
+impl Clone for Cursors {
+    fn clone(&self) -> Self {
+        Cursors {
+            input: self.input.clone(),
+            output: self.output.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.input.clone_from(&source.input);
+        self.output.clone_from(&source.output);
+    }
 }
 
 impl Cursors {
@@ -536,5 +552,24 @@ mod tests {
         .unwrap();
         let opts = AnalysisOptions::default().unobserved_ip("L");
         assert!(TraceEnv::new(&m, t, &opts).is_err());
+    }
+
+    #[test]
+    fn clone_from_is_a_clone_into_the_targets_buffers() {
+        let source = Cursors {
+            input: vec![3, 1],
+            output: vec![0, 2],
+        };
+        // A spare whose vectors have room for the source's.
+        let mut spare = Cursors {
+            input: vec![9; 4],
+            output: vec![9; 4],
+        };
+        let (input, output) = (spare.input.as_ptr(), spare.output.as_ptr());
+
+        spare.clone_from(&source);
+        assert_eq!(spare, source);
+        assert_eq!(spare.input.as_ptr(), input, "the input cursors are reused");
+        assert_eq!(spare.output.as_ptr(), output, "the output cursors are reused");
     }
 }

@@ -34,10 +34,11 @@
 //! trace was complete when the analysis started:
 //!
 //! * the **complete-trace rule** (static analysis, one worker) is DFS's
-//!   in-place descent: Generate once per node, save a snapshot holding
-//!   the remaining candidates ([`Pending`]) only when siblings remain,
-//!   fire the first candidate on the live node itself, and restore once
-//!   per sibling — so it counts the paper's TE/GE/RE/SA;
+//!   in-place descent: Generate once per node, save a node holding the
+//!   remaining candidates ([`Pending`]) and a trail mark only when
+//!   siblings remain, fire the first candidate on the live node itself,
+//!   and restore once per sibling by undoing the trail to the mark — so
+//!   it counts the paper's TE/GE/RE/SA;
 //! * the **on-line rule**, [`Lane::step`], re-generates a popped node and
 //!   fires its first untried candidate on a copy. The one loop [`drain`]
 //!   runs it, at `workers = 1` on the calling thread, and at `workers =
@@ -88,7 +89,7 @@ use crate::trace::{ResolvedTrace, Trace};
 use crate::verdict::{AnalysisReport, BestEffort, InconclusiveReason, Verdict};
 use estelle_frontend::sema::model::{AnalyzedModule, StateId};
 use estelle_runtime::{
-    FireOutcome, Fireable, FxHasher, Generated, Machine, MachineState, RuntimeError,
+    FireOutcome, Fireable, FxHasher, Generated, Heap, Machine, MachineState, RuntimeError, Trail,
 };
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -155,7 +156,10 @@ impl TransSet {
 /// One saved search-tree node ("thread").
 #[derive(Clone)]
 struct Node {
-    /// The node's snapshot.
+    /// The node's snapshot. A node the complete-trace rule saved holds a
+    /// trail mark instead, and an empty state here until [`freeze`]
+    /// undoes the trail to the mark; one thawed from a checkpoint holds
+    /// its state.
     state: MachineState,
     cursors: Cursors,
     /// Compiled-transition indices already explored from this node.
@@ -167,8 +171,8 @@ struct Node {
     /// Consecutive barren steps on the path to this node.
     barren: usize,
     path: SharedPath,
-    /// Snapshot bytes proper, measured once: a saved snapshot is
-    /// immutable.
+    /// Snapshot bytes proper, measured once, on the live state when the
+    /// node is a trail mark: a saved state is immutable.
     state_bytes: usize,
     /// Complete-trace rule only: the node was saved for backtracking, and
     /// this is what remains of its one Generate.
@@ -216,12 +220,11 @@ impl Node {
     }
 }
 
-/// Buffers of dead nodes, kept by a lane for its next copies: a save,
-/// a restore and an on-line child copy `clone_from` the state into a
-/// spare state (and a new node's cursors into spare cursors), and a
-/// saved node's candidate list trades places with a spare list. A spare
-/// belongs to no node, so the gauge never charges it and a checkpoint
-/// never freezes it.
+/// Buffers of dead nodes, kept by a lane for its next copies: an on-line
+/// child copy `clone_from`s the state into a spare state, a new node's
+/// cursors go into spare cursors, and a saved node's candidate list
+/// trades places with a spare list. A spare belongs to no node, so the
+/// gauge never charges it and a checkpoint never freezes it.
 #[derive(Default)]
 struct Spares {
     states: Vec<MachineState>,
@@ -281,13 +284,10 @@ impl Spares {
         }
     }
 
-    /// Keep what a dead node owns: its state, cursors and candidates.
+    /// Keep what a dead on-line node owns: its state and cursors.
     fn keep(&mut self, node: Node) {
         self.keep_state(node.state);
         self.keep_cursors(node.cursors);
-        if let Some(p) = node.pending {
-            self.keep_list(p.fireable);
-        }
     }
 }
 
@@ -375,6 +375,16 @@ fn node_to_ckpt(n: Node) -> NodeCkpt {
     }
 }
 
+/// The state field of a node the complete-trace rule saved: it holds a
+/// trail mark instead, until [`freeze`] undoes the trail to it.
+fn marked() -> MachineState {
+    MachineState {
+        control: StateId(0),
+        globals: Vec::new(),
+        heap: Heap::new(),
+    }
+}
+
 /// Thaw a checkpointed node.
 fn node_from_ckpt(c: NodeCkpt) -> Node {
     let mut n = Node::new(
@@ -437,10 +447,27 @@ pub(crate) enum Start<'s> {
 fn freeze(
     stack: &mut Stack,
     live: &mut Option<Node>,
-    lane: &Lane<'_>,
+    lane: &mut Lane<'_>,
     complete: bool,
     workers: usize,
 ) -> SearchCheckpoint {
+    // The top `depth` saved nodes hold trail marks: each gets its state
+    // by undoing the trail from the live state (or the dead one) down to
+    // its mark, top of the stack first. The nodes under them were thawed
+    // from a checkpoint and hold theirs.
+    let marked = lane.trail.depth();
+    if marked > 0 {
+        let mut state = match live {
+            Some(n) => n.state.clone(),
+            None => lane.dead.take().expect("the live state died before the stop"),
+        };
+        let n = stack.work.len();
+        for node in stack.work[n - marked..].iter_mut().rev() {
+            lane.trail.undo(&mut state);
+            lane.trail.pop_mark();
+            node.state = state.clone();
+        }
+    }
     // The live node freezes with its real record, uncharged.
     let live_depth = live.take().map(|n| {
         let depth = n.path.len();
@@ -699,8 +726,14 @@ struct Lane<'a> {
     /// Complete-trace rule: the depth of the live node, or of the node
     /// whose expansion last failed — where the next backtrack leaves from.
     at: usize,
-    /// Dead nodes' buffers, for the next save, restore or child copy.
+    /// Dead nodes' buffers, for the next save or child copy.
     spares: Spares,
+    /// Complete-trace rule: the undo log of the live state. A node it
+    /// saves holds a mark here, not a state (DESIGN §6.5).
+    trail: Trail,
+    /// Complete-trace rule: the state of the live node that died last,
+    /// which the next backtrack restores in place.
+    dead: Option<MachineState>,
 }
 
 impl<'a> Lane<'a> {
@@ -723,6 +756,8 @@ impl<'a> Lane<'a> {
             visited: HashSet::default(),
             at: 0,
             spares: Spares::default(),
+            trail: Trail::new(),
+            dead: None,
         }
     }
 
@@ -804,7 +839,9 @@ impl<'a> Lane<'a> {
     }
 
     /// Fire `f` on `state` from the lane's cursors; `Ok(true)` when the
-    /// transition completed and all of its outputs were matched.
+    /// transition completed and all of its outputs were matched. The
+    /// fire's writes go on the trail while it has a mark; the on-line
+    /// rule never marks it, so its fires record nothing.
     fn fire<S: Sink>(
         &mut self,
         sink: &mut S,
@@ -816,8 +853,8 @@ impl<'a> Lane<'a> {
         self.stats.transitions_executed += 1;
         let t0 = sink.timer();
         self.env.begin_fire();
-        let env = &mut self.env;
-        let fired = match guard("fire", || machine.fire(state, f, env)) {
+        let (env, trail) = (&mut self.env, &mut self.trail);
+        let fired = match guard("fire", || machine.fire_trailed(state, Some(trail), f, env)) {
             Ok(FireOutcome::Completed) => self.env.end_fire(),
             Ok(FireOutcome::OutputRejected) => false,
             Err(e) if is_fatal(&e) => return Err(e),
@@ -979,10 +1016,11 @@ impl<'a> Lane<'a> {
     }
 
     /// The complete-trace rule on the live node, whose cursors are the
-    /// lane's: Generate once (GE), save a snapshot with the remaining
+    /// lane's: Generate once (GE), save a node with the remaining
     /// candidates only when there are siblings (SA), and fire the first
-    /// candidate in place. The node stays in `live`, so a step down the
-    /// tree moves no node record.
+    /// candidate in place. The saved node holds a trail mark in place of
+    /// a state and is charged the live state's bytes. The node stays in
+    /// `live`, so a step down the tree moves no node record.
     fn expand_live<F: Front, S: Sink>(
         &mut self,
         stack: &mut F,
@@ -1023,11 +1061,15 @@ impl<'a> Lane<'a> {
             return r;
         }
         self.stats.saves += 1;
-        let (state, cursors) = (self.spares.state(st), self.spares.cursors(&self.env.cursors));
-        let mut saved = Node::new(state, cursors, node.barren, node.path.clone());
         // The candidates go with the saved node; Generate refills a spare.
         let fireable = std::mem::replace(&mut self.gen.fireable, self.spares.list());
-        saved.pending = Some(Pending { fireable, next: 1 });
+        let saved = Node {
+            state_bytes: st.approx_bytes(),
+            cursors: self.spares.cursors(&self.env.cursors),
+            pending: Some(Pending { fireable, next: 1 }),
+            ..Node::live(marked(), node.barren, node.path.clone())
+        };
+        self.trail.mark();
         let bytes = saved.charged();
         let resident = stack.charge(bytes);
         stack.work().push(saved);
@@ -1038,9 +1080,9 @@ impl<'a> Lane<'a> {
     }
 
     /// The complete-trace rule on the saved node on top of the stack: one
-    /// restore (RE) per sibling. The node stays
-    /// on the stack while siblings remain; the last sibling takes its
-    /// state instead of a copy.
+    /// restore (RE) per sibling. The node stays on the stack while
+    /// siblings remain; the last sibling takes its place as the live
+    /// node, and its trail mark goes.
     fn backtrack<F: Front, S: Sink>(
         &mut self,
         stack: &mut F,
@@ -1060,13 +1102,16 @@ impl<'a> Lane<'a> {
         let i = p.next;
         p.next += 1;
         if p.next < p.fireable.len() {
-            let state = self.spares.state(&top.state);
+            let state = self.restored(&top.state);
             *live = Some(Node::live(state, top.barren, top.path.clone()));
             return self.descend(sink, live, &p.fireable[i], depth);
         }
         let mut node = stack.work().pop().expect("the top node");
         stack.uncharge(node.charged());
         let pending = node.pending.take().expect("a saved node holds its candidates");
+        node.state = self.restored(&node.state);
+        // Its mark goes, when it holds one.
+        self.trail.pop_mark();
         // The live node's cursors are the lane's.
         self.spares.keep_cursors(std::mem::take(&mut node.cursors));
         *live = Some(node);
@@ -1075,10 +1120,29 @@ impl<'a> Lane<'a> {
         r
     }
 
-    /// The live node dies: its buffers become spares.
+    /// The state of the saved node on top of the stack, made from the
+    /// dead live state: the trail undone to its mark or, for a node a
+    /// checkpoint thawed (`saved` is then its full state), a copy.
+    fn restored(&mut self, saved: &MachineState) -> MachineState {
+        let dead = self.dead.take();
+        if self.trail.is_marked() {
+            let mut state = dead.expect("the live state died before its restore");
+            self.trail.undo(&mut state);
+            return state;
+        }
+        match dead {
+            Some(mut state) => {
+                state.clone_from(saved);
+                state
+            }
+            None => saved.clone(),
+        }
+    }
+
+    /// The live node dies: its state waits for the next restore.
     fn die(&mut self, live: &mut Option<Node>) {
         if let Some(node) = live.take() {
-            self.spares.keep(node);
+            self.dead = Some(node.state);
         }
     }
 
@@ -1991,7 +2055,7 @@ pub(crate) fn run(
                 let ckpt = lane
                     .env
                     .eof
-                    .then(|| freeze(&mut stack, &mut live, &lane, complete, n_workers));
+                    .then(|| freeze(&mut stack, &mut live, &mut lane, complete, n_workers));
                 break (Verdict::Inconclusive(reason), None, ckpt);
             }
             Halt::Fatal(e) => return Err(TangoError::Runtime(e)),
@@ -2249,6 +2313,50 @@ mod tests {
             assert_eq!(front.pg.len(), want.pg.len(), "{} steps", steps);
             let g = |s: &Stack| (s.gauge.resident, s.gauge.peak);
             assert_eq!(g(&front), g(&want), "{} steps: gauge and peak", steps);
+        }
+    }
+
+    /// A stop freezes every node the complete-trace rule saved with the
+    /// state and cursors its path reaches from the initial state: the
+    /// trail, undone from the top of the stack down, rebuilds what a
+    /// snapshot would have held. Checked by replaying each frozen path,
+    /// at stops all over an invalid TP0 search that allocates and
+    /// disposes buffer cells, under both executors.
+    #[test]
+    fn a_stop_freezes_each_saved_node_with_the_state_its_path_reaches() {
+        let tp0 = Machine::from_source(include_str!("../../../../specs/tp0.est")).unwrap();
+        let module = &tp0.module.analyzed;
+        let text = "in U.tconreq\nout L.cr_req\nin L.cc_ind\nout U.tconconf\n\
+            in U.tdatreq(0)\nin U.tdatreq(1)\nout L.dt_req(0)\nout L.dt_req(4)\n\
+            in L.dt_ind(7)\nin L.dt_ind(8)\nout U.tdatind(7)\nout U.tdatind(8)\n\
+            in U.tdisreq\nout L.dr_req\n";
+        let trace = ResolvedTrace::resolve(&parse_trace(text, Some(module)).unwrap(), module).unwrap();
+        let mut options = AnalysisOptions::with_order(crate::options::OrderOptions::none());
+        for exec in [estelle_runtime::ExecMode::Compiled, estelle_runtime::ExecMode::Interp] {
+            let machine = tp0.exec_view(exec);
+            let mut saved = 0;
+            for cap in (0..1044).step_by(7) {
+                options.limits.max_transitions = cap;
+                let start = Start::Static(trace.clone(), None);
+                let r = run(&machine, module, start, &options, &mut Telemetry::off()).unwrap();
+                let cp = r.checkpoint.expect("a static stop freezes its front");
+                for node in cp.search.work.iter().filter(|n| n.pending.is_some()) {
+                    let mut env = TraceEnv::new(module, trace.clone(), &options).unwrap();
+                    let mut st = machine.initial_state().unwrap();
+                    for &t in &node.path {
+                        let g = machine.generate(&mut st, &env).unwrap();
+                        let f = g.fireable.iter().find(|f| f.trans == t as usize).unwrap();
+                        env.begin_fire();
+                        let fired = machine.fire(&mut st, f, &mut env).unwrap();
+                        assert_eq!(fired, FireOutcome::Completed);
+                        assert!(env.end_fire());
+                    }
+                    assert!(st == node.state, "cap {}: depth {}", cap, node.path.len());
+                    assert_eq!(env.cursors, node.cursors, "cap {}", cap);
+                    saved += 1;
+                }
+            }
+            assert!(saved > 500, "{} saved nodes checked", saved);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Tests for the §2.4 runtime options: initial-state search, IP
 //! disabling, and the §5 partial-trace machinery.
 
-use tango::{AnalysisOptions, OrderOptions, Trace, Verdict};
+use tango::{AnalysisOptions, InconclusiveReason, OrderOptions, Trace, Verdict};
 use tango_repro::protocols::{lapd, tp0};
 
 /// §2.4.1: a trace collected after the IUT has been running — no
@@ -43,6 +43,71 @@ fn initial_state_search_cannot_recover_variable_state() {
     options.initial_state_search = true;
     let r = analyzer.analyze_text(trace, &options).unwrap();
     assert_eq!(r.verdict, Verdict::Invalid);
+}
+
+/// A round that explains the trace leaves nothing of the default
+/// round's best attempt behind: the valid verdict has its witness.
+#[test]
+fn a_valid_initial_state_round_reports_no_best_attempt() {
+    let analyzer = tp0::analyzer();
+    let trace = "in U.tdatreq(5)\nout L.dt_req(5)\n";
+    let mut options = AnalysisOptions::with_order(OrderOptions::full());
+    options.initial_state_search = true;
+    let r = analyzer.analyze_text(trace, &options).unwrap();
+    assert_eq!(r.verdict, Verdict::Valid);
+    assert!(r.witness.is_some());
+    assert!(r.best_effort.is_none());
+}
+
+/// `max_transitions` caps the §2.4.1 search as a whole: each round after
+/// the default state's gets what the rounds before it left, so the
+/// total overshoots the cap by at most the one transition that trips it.
+#[test]
+fn initial_state_search_rounds_share_one_transition_cap() {
+    let analyzer = tp0::analyzer();
+    // Invalid from every initial state; the default round fires one
+    // transition and the others most of the rest.
+    let trace = "\
+in U.tdatreq(5)
+in U.tdatreq(6)
+in L.dt_ind(1)
+out L.dt_req(5)
+out L.dt_req(7)
+out U.tdatind(1)
+";
+    let mut options = AnalysisOptions::with_order(OrderOptions::none());
+    options.initial_state_search = true;
+    let full = analyzer.analyze_text(trace, &options).unwrap();
+    assert_eq!(full.verdict, Verdict::Invalid);
+    let total = full.stats.transitions_executed;
+    let default_round = {
+        let mut o = options.clone();
+        o.initial_state_search = false;
+        analyzer.analyze_text(trace, &o).unwrap().stats.transitions_executed
+    };
+    assert!(default_round < total / 4, "{} of {}", default_round, total);
+
+    for cap in default_round..total {
+        let mut capped = options.clone();
+        capped.limits.max_transitions = cap;
+        let r = analyzer.analyze_text(trace, &capped).unwrap();
+        let te = r.stats.transitions_executed;
+        assert_eq!(
+            r.verdict,
+            Verdict::Inconclusive(InconclusiveReason::TransitionLimit),
+            "cap {}",
+            cap
+        );
+        assert!(te <= cap + 1, "cap {}: {} transitions across the rounds", cap, te);
+        assert!(r.checkpoint.is_none(), "cap {}: a round's stop saved a checkpoint", cap);
+        // The default round's best attempt explains no inconclusive end.
+        assert!(r.best_effort.is_none(), "cap {}", cap);
+    }
+    let mut capped = options.clone();
+    capped.limits.max_transitions = total;
+    let r = analyzer.analyze_text(trace, &capped).unwrap();
+    assert_eq!(r.verdict, Verdict::Invalid);
+    assert_eq!(r.stats.counters(), full.stats.counters());
 }
 
 /// §2.4.3: disabling an IP skips checking of its outputs entirely.
