@@ -89,6 +89,24 @@ pub enum Op {
     /// points at, read out of the heap cell without copying the record.
     /// Errors and undefined handling are those of `Deref` then `Field`.
     DerefField { dst: Reg, src: Reg, pos: u32 },
+    /// `g.f` for a global record: field `pos` read out of the slot
+    /// without copying the record. Errors and undefined handling are
+    /// those of `ReadG` then `Field`.
+    GlobalField {
+        dst: Reg,
+        slot: u32,
+        pos: u32,
+    },
+    /// `g[i]` for a global array, with a call-free index: the element
+    /// read out of the slot without copying the array. Errors and
+    /// undefined handling are those of `ReadG` then `Index`.
+    GlobalIndex {
+        dst: Reg,
+        slot: u32,
+        idx: Reg,
+        lo: i64,
+        len: u32,
+    },
     Unary {
         dst: Reg,
         src: Reg,
@@ -865,12 +883,19 @@ impl<'m> FnCompiler<'m> {
             }
             CExpr::Field(base, pos) => {
                 let pos = *pos as u32;
-                if let CExpr::Deref(ptr) = &**base {
-                    let src = self.expr(ptr);
-                    self.emit(Op::DerefField { dst, src, pos });
-                } else {
-                    let src = self.expr(base);
-                    self.emit(Op::Field { dst, src, pos });
+                match &**base {
+                    CExpr::Deref(ptr) => {
+                        let src = self.expr(ptr);
+                        self.emit(Op::DerefField { dst, src, pos });
+                    }
+                    CExpr::Read(Slot::Global(slot)) => {
+                        let slot = *slot as u32;
+                        self.emit(Op::GlobalField { dst, slot, pos });
+                    }
+                    _ => {
+                        let src = self.expr(base);
+                        self.emit(Op::Field { dst, src, pos });
+                    }
                 }
             }
             CExpr::Index {
@@ -879,15 +904,33 @@ impl<'m> FnCompiler<'m> {
                 lo,
                 len,
             } => {
-                let b = self.expr(base);
-                let i = self.expr(index);
-                self.emit(Op::Index {
-                    dst,
-                    base: b,
-                    idx: i,
-                    lo: *lo,
-                    len: *len as u32,
-                });
+                let (lo, len) = (*lo, *len as u32);
+                // A call in the index could write the global: the base is
+                // read before the index then, as the tree walker does.
+                match &**base {
+                    CExpr::Read(Slot::Global(slot)) if !crate::interp::expr_has_calls(index) => {
+                        let idx = self.expr(index);
+                        let slot = *slot as u32;
+                        self.emit(Op::GlobalIndex {
+                            dst,
+                            slot,
+                            idx,
+                            lo,
+                            len,
+                        });
+                    }
+                    _ => {
+                        let b = self.expr(base);
+                        let idx = self.expr(index);
+                        self.emit(Op::Index {
+                            dst,
+                            base: b,
+                            idx,
+                            lo,
+                            len,
+                        });
+                    }
+                }
             }
             CExpr::Deref(base) => {
                 let src = self.expr(base);

@@ -600,7 +600,9 @@ impl Machine {
                 // per-candidate frame allocation entirely.
                 let frame = if g.needs_frame {
                     let (t, binding) = self.module.instance(i);
-                    self.transition_frame(t, binding, &params)
+                    let mut frame = std::mem::take(&mut s.frame);
+                    self.fill_frame(t, binding, &params, &mut frame);
+                    frame
                 } else {
                     Vec::new()
                 };
@@ -674,7 +676,6 @@ impl Machine {
                 env.consume(ip);
             }
         }
-        let mut frame = self.transition_frame(t, binding, &f.params);
         let result = {
             let mut store = Store {
                 globals: &mut st.globals,
@@ -683,12 +684,15 @@ impl Machine {
             };
             match self.exec {
                 ExecMode::Interp => {
+                    let mut frame = self.transition_frame(t, binding, &f.params);
                     self.interp()
                         .exec_block(&t.body, &mut store, &mut frame, env, 0)
                 }
                 ExecMode::Compiled => {
                     let v = Vm::new(&self.program, self.policy);
                     vm::with_scratch(|s| {
+                        let mut frame = std::mem::take(&mut s.frame);
+                        self.fill_frame(t, binding, &f.params, &mut frame);
                         v.run(self.program.bodies[f.trans], frame, &mut store, env, s)
                     })
                     .map(|_| ())
@@ -720,8 +724,20 @@ impl Machine {
         binding: &[i64],
         params: &[Value],
     ) -> Vec<Value> {
+        let mut frame = Vec::with_capacity(t.frame_size);
+        self.fill_frame(t, binding, params, &mut frame);
+        frame
+    }
+
+    /// [`Machine::transition_frame`] into the empty `frame`'s buffer.
+    fn fill_frame(
+        &self,
+        t: &crate::ir::TransitionFamily,
+        binding: &[i64],
+        params: &[Value],
+        frame: &mut Vec<Value>,
+    ) {
         let types = &self.module.analyzed.types;
-        let mut frame: Vec<Value> = Vec::with_capacity(t.frame_size);
         frame.extend(
             binding
                 .iter()
@@ -733,7 +749,6 @@ impl Machine {
             let ty = t.slot_types[frame.len()];
             frame.push(default_value(&self.module.analyzed.types, ty));
         }
-        frame
     }
 
     /// Names of the compiled transitions, for display and statistics

@@ -15,6 +15,15 @@
 //! ([`crate::heap::Heap::alloc`]), `dispose`, and the control-state
 //! change at the end of [`crate::Machine::fire_trailed`]. While no mark
 //! exists no record is made.
+//!
+//! An undo to a mark needs only the oldest record of each place written
+//! since the mark. For globals that is cheap to know: the marks, undos
+//! and mark pops cut the trail into **segments**, and a whole-slot write
+//! stamps its slot with the current segment when it records. Until the
+//! next cut, every later write into that slot, whole or component,
+//! records nothing: the stamped record already holds the slot as it
+//! stood. (A specification body that writes `tmp := …` and then
+//! `tmp := nil` records one write, not two.) Heap cells are not stamped.
 
 use crate::heap::HeapRef;
 use crate::interp::place::component_mut;
@@ -55,6 +64,11 @@ pub struct Trail {
     positions: Vec<usize>,
     /// The record count at each mark, oldest first.
     marks: Vec<usize>,
+    /// The current segment: bumped by every mark, undo and mark pop.
+    segment: u64,
+    /// Per global slot, the segment in which a whole-slot write of it
+    /// was last recorded.
+    stamps: Vec<u64>,
 }
 
 impl Trail {
@@ -65,6 +79,7 @@ impl Trail {
     /// *Save*: from now on, writes record their undo back to this point.
     pub fn mark(&mut self) {
         self.marks.push(self.records.len());
+        self.segment += 1;
     }
 
     /// Marks pushed and not popped.
@@ -82,6 +97,7 @@ impl Trail {
     /// made to.
     pub fn undo(&mut self, st: &mut MachineState) {
         let mark = *self.marks.last().expect("a mark to undo to");
+        self.segment += 1;
         while self.records.len() > mark {
             match self.records.pop().expect("a record above the mark") {
                 Undo::Control(control) => st.control = control,
@@ -105,6 +121,7 @@ impl Trail {
     /// empties.
     pub fn pop_mark(&mut self) {
         self.marks.pop();
+        self.segment += 1;
         if self.marks.is_empty() {
             self.records.clear();
             self.positions.clear();
@@ -115,7 +132,20 @@ impl Trail {
         self.records.push(Undo::Control(old));
     }
 
+    /// Record a component write into `at`, unless its slot's value as of
+    /// the segment's start is already recorded.
     pub(crate) fn write(&mut self, at: Written, path: &[usize], old: Value) {
+        if let Written::Global(slot) = at {
+            if self.stamps.get(slot) == Some(&self.segment) {
+                return;
+            }
+            if path.is_empty() {
+                if slot >= self.stamps.len() {
+                    self.stamps.resize(slot + 1, 0);
+                }
+                self.stamps[slot] = self.segment;
+            }
+        }
         let from = self.positions.len();
         self.positions.extend_from_slice(path);
         self.records.push(Undo::Write { at, from, old });

@@ -54,6 +54,9 @@ pub struct VmScratch {
     /// Per-IP queue heads cached by the compiled *Generate* so every
     /// candidate sharing an IP compares against one environment query.
     pub(crate) heads: Vec<Option<QueueHead>>,
+    /// The buffer of the last top-level frame, handed back by its run
+    /// for the next frame a guard or a fire builds.
+    pub(crate) frame: Vec<Value>,
 }
 
 thread_local! {
@@ -74,6 +77,34 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut VmScratch) -> R) -> R {
 
 fn take(v: &mut Value) -> Value {
     std::mem::replace(v, Value::Undefined)
+}
+
+/// Global `slot` of the store.
+fn global<'s>(store: &'s Store<'_>, slot: u32) -> RtResult<&'s Value> {
+    store
+        .globals
+        .get(slot as usize)
+        .ok_or_else(|| RuntimeError::internal("global slot out of range"))
+}
+
+/// The offset of index value `v` into an array of `len` elements from
+/// `lo`, or the bounds error.
+fn offset(policy: UndefinedPolicy, v: &Value, lo: i64, len: u32) -> RtResult<usize> {
+    let ord = scalar::require_ordinal(policy, v, Span::DUMMY)?;
+    let off = ord - lo;
+    if off < 0 || off as usize >= len as usize {
+        return Err(RuntimeError::bounds(format!(
+            "index {} outside bounds {}..{}",
+            ord,
+            lo,
+            lo + len as i64 - 1
+        )));
+    }
+    Ok(off as usize)
+}
+
+fn non_array(v: &Value) -> RuntimeError {
+    RuntimeError::internal(format!("indexing non-array {}", v))
 }
 
 fn blank_place() -> ResolvedPlace {
@@ -136,11 +167,7 @@ impl<'p> Vm<'p> {
                     s.regs[reg_base + *dst as usize] = chunk.consts[*k as usize].clone();
                 }
                 Op::ReadG { dst, slot } => {
-                    s.regs[reg_base + *dst as usize] = store
-                        .globals
-                        .get(*slot as usize)
-                        .cloned()
-                        .ok_or_else(|| RuntimeError::internal("global slot out of range"))?;
+                    s.regs[reg_base + *dst as usize] = global(store, *slot)?.clone();
                 }
                 Op::ReadL { dst, slot } => {
                     s.regs[reg_base + *dst as usize] = locals
@@ -176,27 +203,41 @@ impl<'p> Vm<'p> {
                     lo,
                     len,
                 } => {
-                    let ord = scalar::require_ordinal(
-                        policy,
-                        &s.regs[reg_base + *idx as usize],
-                        Span::DUMMY,
-                    )?;
-                    let off = ord - lo;
-                    if off < 0 || off as usize >= *len as usize {
-                        return Err(RuntimeError::bounds(format!(
-                            "index {} outside bounds {}..{}",
-                            ord,
-                            lo,
-                            lo + *len as i64 - 1
-                        )));
-                    }
+                    let off = offset(policy, &s.regs[reg_base + *idx as usize], *lo, *len)?;
                     let b = take(&mut s.regs[reg_base + *base as usize]);
                     s.regs[reg_base + *dst as usize] = match b {
-                        Value::Array(mut vs) => vs.swap_remove(off as usize),
+                        Value::Array(mut vs) => vs.swap_remove(off),
+                        Value::Undefined => Value::Undefined,
+                        other => return Err(non_array(&other)),
+                    };
+                }
+                Op::GlobalIndex {
+                    dst,
+                    slot,
+                    idx,
+                    lo,
+                    len,
+                } => {
+                    let off = offset(policy, &s.regs[reg_base + *idx as usize], *lo, *len)?;
+                    s.regs[reg_base + *dst as usize] = match global(store, *slot)? {
+                        Value::Array(vs) => vs
+                            .get(off)
+                            .cloned()
+                            .ok_or_else(|| RuntimeError::internal("array shorter than its type"))?,
+                        Value::Undefined => Value::Undefined,
+                        other => return Err(non_array(other)),
+                    };
+                }
+                Op::GlobalField { dst, slot, pos } => {
+                    s.regs[reg_base + *dst as usize] = match global(store, *slot)? {
+                        Value::Record(vs) => vs
+                            .get(*pos as usize)
+                            .cloned()
+                            .ok_or_else(|| RuntimeError::internal("field position out of range"))?,
                         Value::Undefined => Value::Undefined,
                         other => {
                             return Err(RuntimeError::internal(format!(
-                                "indexing non-array {}",
+                                "field access on non-record {}",
                                 other
                             )))
                         }
@@ -680,9 +721,10 @@ impl<'p> Vm<'p> {
                     }
                 }
                 Op::Halt => {
-                    return Ok(chunk
-                        .result
-                        .map(|r| take(&mut s.regs[reg_base + r as usize])));
+                    let result = chunk.result.map(|r| take(&mut s.regs[reg_base + r as usize]));
+                    locals.clear();
+                    s.frame = locals;
+                    return Ok(result);
                 }
             }
         }

@@ -258,3 +258,105 @@ fn writes_before_the_first_mark_are_not_recorded() {
     undo_and_check(&mut trail, &mut st, &snap, "no records");
     assert_eq!(st.heap.live(), 1, "the write before the mark stays");
 }
+
+/// Whole and component writes to the same globals, repeated within one
+/// fire: a record written whole then in parts, an array written in parts
+/// then whole, through `var` parameters too, with outputs between them.
+const STAMP_SPEC: &str = r#"
+specification trailstamp;
+channel C(env, m);
+    by env: step(k : integer);
+    by m: echo(k : integer);
+end;
+module M process; ip P : C(m); end;
+body MB for M;
+    type pair = record x, y : integer end;
+    var r, q : pair; a, b : array [0..2] of integer; n : integer;
+    state S;
+    procedure bump(var x : integer; d : integer);
+    begin x := x + d end;
+    initialize to S begin
+        r.x := 0; r.y := 0; q.x := 1; q.y := 2; n := 0;
+        a[0] := 0; a[1] := 0; a[2] := 0; b[0] := 5; b[1] := 6; b[2] := 7;
+    end;
+    trans
+    from S to S when P.step provided k mod 3 = 0 name Whole:
+        begin
+            r := q; r.x := k; bump(r.y, k); r := r;
+            n := k; n := n + 1; q.y := n;
+        end;
+    from S to S when P.step provided k mod 3 = 1 name Parts:
+        begin
+            a[k mod 3] := k; a := b; a[1] := n; bump(a[2], k); b[0] := a[2];
+            output P.echo(a[1]);
+            n := n + k; r.x := n;
+        end;
+    from S to S when P.step provided k mod 3 = 2 name Again:
+        begin
+            n := k; output P.echo(n); n := n * 2; r := q; r.y := n;
+        end;
+end;
+end.
+"#;
+
+/// Accepts every output; offers `step(k)`.
+struct Accept(i64);
+
+impl InputSource for Accept {
+    fn head(&self, _ip: usize) -> QueueHead {
+        QueueHead::Message {
+            interaction: 0,
+            params: vec![Value::Int(self.0)],
+        }
+    }
+
+    fn consume(&mut self, _ip: usize) {}
+}
+
+impl OutputSink for Accept {
+    fn emit(&mut self, _ip: usize, _interaction: usize, _params: &[Value]) -> bool {
+        true
+    }
+}
+
+/// A later write into a global already written whole in the same stretch
+/// between two marks (or undos, or mark pops) records nothing; undoing
+/// still gives each mark's snapshot: in a scripted nest of marks, with
+/// an undo and a pop inside, and on random walks.
+#[test]
+fn repeated_and_component_writes_to_one_slot_undo_across_nested_marks() {
+    let m = Machine::from_source(STAMP_SPEC).expect("the stamp spec builds");
+    for exec in [ExecMode::Compiled, ExecMode::Interp] {
+        let m = m.exec_view(exec);
+        let mut st = m.initial_state().unwrap();
+        let mut trail = Trail::new();
+        let fire = |st: &mut MachineState, trail: &mut Trail, k: i64| {
+            let mut env = Accept(k);
+            let g = m.generate(st, &env).unwrap();
+            assert_eq!(g.fireable.len(), 1, "step({}) enables one transition", k);
+            let done = m.fire_trailed(st, Some(trail), &g.fireable[0], &mut env);
+            assert_eq!(done.unwrap(), FireOutcome::Completed);
+        };
+        let at = format!("{:?}", exec);
+        trail.mark();
+        let outer = (st.clone(), st.approx_bytes());
+        fire(&mut st, &mut trail, 0);
+        fire(&mut st, &mut trail, 1);
+        trail.mark();
+        let inner = (st.clone(), st.approx_bytes());
+        fire(&mut st, &mut trail, 3);
+        fire(&mut st, &mut trail, 5);
+        undo_and_check(&mut trail, &mut st, &inner, &format!("{}: inner", at));
+        fire(&mut st, &mut trail, 6);
+        fire(&mut st, &mut trail, 4);
+        // The inner mark goes; its writes undo to the outer one.
+        trail.pop_mark();
+        fire(&mut st, &mut trail, 8);
+        fire(&mut st, &mut trail, 9);
+        undo_and_check(&mut trail, &mut st, &outer, &format!("{}: outer", at));
+        trail.pop_mark();
+    }
+    for seed in 0..32u64 {
+        both_executors(&m, seed, 300);
+    }
+}

@@ -39,8 +39,11 @@
 //!   siblings remain, fire the first candidate on the live node itself,
 //!   and restore once per sibling by undoing the trail to the mark — so
 //!   it counts the paper's TE/GE/RE/SA;
-//! * the **on-line rule**, [`Lane::step`], re-generates a popped node and
-//!   fires its first untried candidate on a copy. The one loop [`drain`]
+//! * the **on-line rule**, [`Lane::step`], takes the candidate list a
+//!   popped node kept when it last went back on the front, or runs
+//!   Generate afresh when it kept none or the trace has since moved
+//!   under it ([`Stack::revive`]), and fires its first untried
+//!   candidate on a copy. The one loop [`drain`]
 //!   runs it, at `workers = 1` on the calling thread, and at `workers =
 //!   N ≥ 2` in **bursts**, the work between two polls of the source: N
 //!   scoped threads each drain private stacks in ordered segments
@@ -174,17 +177,22 @@ struct Node {
     /// Snapshot bytes proper, measured once, on the live state when the
     /// node is a trail mark: a saved state is immutable.
     state_bytes: usize,
-    /// Complete-trace rule only: the node was saved for backtracking, and
-    /// this is what remains of its one Generate.
+    /// The node's kept candidate list. Under the complete-trace rule the
+    /// node was saved for backtracking, and this is what remains of its
+    /// one Generate. Under the on-line rule it is its last Generate,
+    /// kept until the trace moves under the node ([`Stack::revive`]).
     pending: Option<Pending>,
 }
 
-/// The candidates of a saved node's one Generate and the index of the
-/// next one to fire — DFS's frame cursor.
+/// A node's kept candidates. Under the complete-trace rule, `next` is
+/// the index of the next one to fire — DFS's frame cursor; under the
+/// on-line rule, `incomplete` is its Generate's flag. No field of its
+/// own for either: a larger [`Node`] slows the on-line search.
 #[derive(Clone)]
 struct Pending {
     fireable: Vec<Fireable>,
-    next: usize,
+    next: u32,
+    incomplete: bool,
 }
 
 impl Node {
@@ -284,10 +292,13 @@ impl Spares {
         }
     }
 
-    /// Keep what a dead on-line node owns: its state and cursors.
+    /// Keep what a dead on-line node owns: its state, cursors and list.
     fn keep(&mut self, node: Node) {
         self.keep_state(node.state);
         self.keep_cursors(node.cursors);
+        if let Some(p) = node.pending {
+            self.keep_list(p.fireable);
+        }
     }
 }
 
@@ -363,7 +374,9 @@ fn finish(
 
 /// Freeze one node into its checkpoint form. After eof no node holds
 /// a blocked transition: an output blocks only while its stream may grow.
-fn node_to_ckpt(n: Node) -> NodeCkpt {
+/// An on-line node's kept list is not frozen: thawed, the node
+/// re-generates it.
+fn node_to_ckpt(n: Node, complete: bool) -> NodeCkpt {
     debug_assert!(n.blocked.is_empty(), "a node blocks only before eof");
     NodeCkpt {
         state: n.state,
@@ -371,7 +384,10 @@ fn node_to_ckpt(n: Node) -> NodeCkpt {
         tried: n.tried.0,
         barren: n.barren,
         path: n.path.to_indices(),
-        pending: n.pending.map(|p| (p.fireable, p.next)),
+        pending: n
+            .pending
+            .filter(|_| complete)
+            .map(|p| (p.fireable, p.next as usize)),
     }
 }
 
@@ -394,7 +410,11 @@ fn node_from_ckpt(c: NodeCkpt) -> Node {
         SharedPath::from_indices(&c.path),
     );
     n.tried = TransSet::from_vec(c.tried);
-    n.pending = c.pending.map(|(fireable, next)| Pending { fireable, next });
+    n.pending = c.pending.map(|(fireable, next)| Pending {
+        fireable,
+        next: next as u32,
+        incomplete: false,
+    });
     n
 }
 
@@ -484,7 +504,11 @@ fn freeze(
     SearchCheckpoint {
         complete,
         workers_at_save: workers as u32,
-        work: stack.work.drain(..).map(node_to_ckpt).collect(),
+        work: stack
+            .work
+            .drain(..)
+            .map(|n| node_to_ckpt(n, complete))
+            .collect(),
         visited,
         spec_errors: lane.spec_errors.clone(),
         best: (lane.best.explained, lane.best.path.to_indices()),
@@ -635,11 +659,35 @@ impl Stack {
     /// node reordering: the revived nodes go on top of the LIFO work
     /// stack and are searched immediately, putting the rest of the known
     /// tree on hold.
-    fn revive(&mut self) {
+    ///
+    /// Then drop the kept lists the new events change. An appended event
+    /// comes last, so it changes no queue head that is a message or that
+    /// an order predicate empties (the predicates compare global
+    /// positions); a head at a stream's end changes exactly when an
+    /// input arrives on that stream. `was` holds each input stream's
+    /// length before the poll. So a node whose input cursor stands at
+    /// the old end of a stream that grew re-generates, and eof keeps
+    /// every other list but makes it complete. A list filtered by a
+    /// blocked set that is cleared lacks those transitions, so it goes
+    /// too. Nodes revived by an earlier poll may still wait on the work
+    /// stack: they are checked with the rest.
+    fn revive(&mut self, trace: &ResolvedTrace, was: &[usize], eof: bool) {
         for n in self.pg.iter_mut() {
-            n.blocked.clear();
+            if !n.blocked.is_empty() {
+                n.blocked.clear();
+                n.pending = None;
+            }
         }
         self.work.append(&mut self.pg);
+        for n in self.work.iter_mut() {
+            let Some(p) = &mut n.pending else { continue };
+            let mut streams = n.cursors.input.iter().zip(was).zip(&trace.inputs);
+            if streams.any(|((&at, &end), now)| at == end && now.len() > end) {
+                n.pending = None;
+            } else if eof {
+                p.incomplete = false;
+            }
+        }
     }
 }
 
@@ -803,31 +851,52 @@ impl<'a> Lane<'a> {
 
     /// *Generate* on `state` into the lane's scratch list, keeping the
     /// candidates whose transition `keep` accepts, and report the
-    /// expansion. `Ok(false)`: Generate failed on a specification error,
-    /// which is recorded and reported as an expansion with no candidates.
+    /// expansion. A `kept` list (on-line rule) is the node's last
+    /// Generate, which nothing it read has changed since: it is counted
+    /// and reported as that Generate, not re-run. `Ok(false)`: Generate
+    /// failed on a specification error, which is recorded and reported
+    /// as an expansion with no candidates.
     fn generate<S: Sink>(
         &mut self,
         sink: &mut S,
         state: &mut MachineState,
         depth: usize,
+        kept: Option<Pending>,
         keep: impl Fn(usize) -> bool,
     ) -> Result<bool, RuntimeError> {
         let machine = self.machine;
         self.stats.generates += 1;
         let t0 = sink.timer();
-        let (env, gen) = (&self.env, &mut self.gen);
-        if let Err(e) = guard("generate", || machine.generate_into(state, env, gen)) {
-            if is_fatal(&e) {
-                return Err(e);
+        #[cfg(debug_assertions)]
+        let recalled = kept.is_some();
+        if let Some(p) = kept {
+            // Its buffer becomes the scratch; an empty one has none.
+            if p.fireable.capacity() > 0 {
+                let scratch = std::mem::replace(&mut self.gen.fireable, p.fireable);
+                self.spares.keep_list(scratch);
+            } else {
+                self.gen.fireable.clear();
             }
-            sink.record(machine, StepRecord::error(depth, e.kind));
-            record_error(&mut self.spec_errors, &mut self.stats, e);
-            // Keep GE == generate-events: a failed expansion is an event
-            // with zero fanout.
-            sink.record(machine, StepRecord::generate(depth, 0, false, t0));
-            return Ok(false);
+            self.gen.incomplete = p.incomplete;
+        } else {
+            let (env, gen) = (&self.env, &mut self.gen);
+            if let Err(e) = guard("generate", || machine.generate_into(state, env, gen)) {
+                if is_fatal(&e) {
+                    return Err(e);
+                }
+                sink.record(machine, StepRecord::error(depth, e.kind));
+                record_error(&mut self.spec_errors, &mut self.stats, e);
+                // Keep GE == generate-events: a failed expansion is an
+                // event with zero fanout.
+                sink.record(machine, StepRecord::generate(depth, 0, false, t0));
+                return Ok(false);
+            }
         }
         self.gen.fireable.retain(|f| keep(f.trans));
+        #[cfg(debug_assertions)]
+        if recalled {
+            self.check_kept(state, keep);
+        }
         let fanout = self.gen.fireable.len();
         let incomplete = self.gen.incomplete;
         sink.record(machine, StepRecord::generate(depth, fanout, incomplete, t0));
@@ -836,6 +905,34 @@ impl<'a> Lane<'a> {
             self.stats.fanout_samples += 1;
         }
         Ok(true)
+    }
+
+    /// Debug builds: a kept list, filtered by `keep`, and its flag are
+    /// what a fresh Generate gives. The check reuses one list per
+    /// thread, so that it adds only what a Generate allocates.
+    #[cfg(debug_assertions)]
+    fn check_kept(&self, state: &mut MachineState, keep: impl Fn(usize) -> bool) {
+        thread_local!(static FRESH: std::cell::RefCell<Generated> = Default::default());
+        FRESH.with_borrow_mut(|fresh| {
+            self.machine
+                .generate_into(state, &self.env, fresh)
+                .expect("a kept list's Generate succeeded");
+            fresh.fireable.retain(|f| keep(f.trans));
+            let same = |(a, b): (&Fireable, &Fireable)| {
+                (a.trans, &a.params, a.fabricated) == (b.trans, &b.params, b.fabricated)
+            };
+            let kept = &self.gen.fireable;
+            assert!(
+                kept.len() == fresh.fireable.len() && kept.iter().zip(&fresh.fireable).all(same),
+                "a kept list went stale: {:?}, fresh {:?}",
+                kept,
+                fresh.fireable
+            );
+            assert_eq!(
+                self.gen.incomplete, fresh.incomplete,
+                "a kept flag went stale"
+            );
+        });
     }
 
     /// Fire `f` on `state` from the lane's cursors; `Ok(true)` when the
@@ -897,8 +994,9 @@ impl<'a> Lane<'a> {
 
     /// Expand one governed node: restore its cursors, park it
     /// or report it as a witness when everything is consumed, otherwise
-    /// Generate on its own snapshot and fire the first untried candidate
-    /// on a copy — the one copy an expansion makes.
+    /// Generate on its own snapshot, or take the list it kept, and fire
+    /// the first untried candidate on a copy — the one copy an expansion
+    /// makes. A node that goes back on the front keeps the list.
     fn expand<F: Front, S: Sink>(
         &mut self,
         front: &mut F,
@@ -925,12 +1023,16 @@ impl<'a> Lane<'a> {
             return Ok(());
         }
 
-        // Generate (or re-generate) this node's transition list,
-        // directly on its snapshot: Generate never writes the state.
+        // Generate this node's transition list directly on its snapshot
+        // (Generate never writes the state), unless it kept one.
+        let kept = node.pending.take();
         let (tried, blocked) = (&node.tried, &node.blocked);
         let st = &mut node.state;
         let keep = |t| !tried.contains(t) && !blocked.contains(t);
-        if !self.generate(sink, st, depth, keep).map_err(Halt::Fatal)? {
+        if !self
+            .generate(sink, st, depth, kept, keep)
+            .map_err(Halt::Fatal)?
+        {
             self.spares.keep(node);
             return Ok(());
         }
@@ -946,6 +1048,13 @@ impl<'a> Lane<'a> {
                     front.push(node);
                     return Err(Halt::Stop(InconclusiveReason::PgNodeLimit));
                 }
+                // Its list is empty; a revival that clears blocked
+                // transitions drops it.
+                node.pending = Some(Pending {
+                    fireable: Vec::new(),
+                    next: 0,
+                    incomplete: is_pg,
+                });
                 self.stats.pg_nodes += 1;
                 let total = front.park(node, self.stats.pg_nodes);
                 sink.record(self.machine, StepRecord::park(depth, total));
@@ -987,6 +1096,7 @@ impl<'a> Lane<'a> {
             }
             self.spares.keep_state(child_state);
             if has_more {
+                self.keep_candidates(&mut node, is_pg);
                 front.push(node);
             } else {
                 self.spares.keep(node);
@@ -1002,6 +1112,7 @@ impl<'a> Lane<'a> {
         );
         let bytes = child.charged();
         let parent = if has_more {
+            self.keep_candidates(&mut node, is_pg);
             Some(node)
         } else {
             self.spares.keep(node);
@@ -1013,6 +1124,18 @@ impl<'a> Lane<'a> {
         let resident = front.push_child(parent, child);
         sink.record(self.machine, StepRecord::save(depth + 1, bytes, resident));
         Ok(())
+    }
+
+    /// Move the scratch list, this expansion's candidates, into the node
+    /// that goes back on the front; the fired one is filtered out at its
+    /// next pop, by `tried` or `blocked`. The scratch becomes a spare.
+    fn keep_candidates(&mut self, node: &mut Node, incomplete: bool) {
+        let fireable = std::mem::replace(&mut self.gen.fireable, self.spares.list());
+        node.pending = Some(Pending {
+            fireable,
+            next: 0,
+            incomplete,
+        });
     }
 
     /// The complete-trace rule on the live node, whose cursors are the
@@ -1046,7 +1169,7 @@ impl<'a> Lane<'a> {
         }
         self.stats.max_depth = self.stats.max_depth.max(depth);
         let generated = self
-            .generate(sink, st, depth, |_| true)
+            .generate(sink, st, depth, None, |_| true)
             .map_err(Halt::Fatal)?;
         if !generated || self.gen.fireable.is_empty() {
             self.die(live);
@@ -1066,7 +1189,11 @@ impl<'a> Lane<'a> {
         let saved = Node {
             state_bytes: st.approx_bytes(),
             cursors: self.spares.cursors(&self.env.cursors),
-            pending: Some(Pending { fireable, next: 1 }),
+            pending: Some(Pending {
+                fireable,
+                next: 1,
+                incomplete: false,
+            }),
             ..Node::live(marked(), node.barren, node.path.clone())
         };
         self.trail.mark();
@@ -1099,9 +1226,9 @@ impl<'a> Lane<'a> {
             .pending
             .as_mut()
             .expect("a saved node holds its candidates");
-        let i = p.next;
+        let i = p.next as usize;
         p.next += 1;
-        if p.next < p.fireable.len() {
+        if i + 1 < p.fireable.len() {
             let state = self.restored(&top.state);
             *live = Some(Node::live(state, top.barren, top.path.clone()));
             return self.descend(sink, live, &p.fireable[i], depth);
@@ -1881,17 +2008,19 @@ fn absorb(
     stack: &mut Stack,
     module: &AnalyzedModule,
 ) -> Result<bool, TangoError> {
+    let news = !poll.events.is_empty() || poll.eof;
+    if !news {
+        return Ok(false);
+    }
+    let was: Vec<usize> = env.trace.inputs.iter().map(Vec::len).collect();
     for e in &poll.events {
         env.trace
             .push_event(e, module)
             .map_err(TangoError::TraceResolve)?;
     }
     env.eof |= poll.eof;
-    let news = !poll.events.is_empty() || poll.eof;
-    if news {
-        stack.revive();
-    }
-    Ok(news)
+    stack.revive(&env.trace, &was, env.eof);
+    Ok(true)
 }
 
 /// The on-line idle wait: call `input` until it reports input (`true`),
@@ -2387,7 +2516,16 @@ mod tests {
         }
         node.tried.remove(5);
 
-        let frozen = node_to_ckpt(node);
+        let mut online = node.clone();
+        online.pending = Some(Pending {
+            fireable: Vec::new(),
+            next: 0,
+            incomplete: true,
+        });
+        let frozen = node_to_ckpt(online, false);
+        assert!(frozen.pending.is_none(), "an on-line list is not frozen");
+
+        let frozen = node_to_ckpt(node, true);
         assert_eq!(frozen.path, [3, 1]);
         assert_eq!(frozen.tried, [2, 7], "freeze writes the set sorted");
 
@@ -2395,7 +2533,7 @@ mod tests {
         assert_eq!(thawed.path.len(), 2);
         assert_eq!(thawed.barren, 2);
         assert!(thawed.tried.contains(7) && !thawed.tried.contains(5));
-        let again = node_to_ckpt(thawed);
+        let again = node_to_ckpt(thawed, true);
         assert_eq!(again.path, [3, 1]);
         assert_eq!(again.tried, [2, 7]);
         assert_eq!(again.cursors.output, [0, 2]);

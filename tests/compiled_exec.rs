@@ -629,7 +629,7 @@ const POINTERS: &str = r#"
 /// One `go(k)` step from the initial state: Generate's candidates or its
 /// error, then the first candidate's fire outcome or error (kind, message
 /// and span), the outputs and the globals.
-fn pointer_step(m: &Machine, k: i64) -> String {
+fn go_step(m: &Machine, k: i64) -> String {
     let mut st = m.initial_state().unwrap();
     let mut env = Env::new(vec![(0, vec![Value::Int(k)])]);
     let g = match m.generate(&mut st, &env) {
@@ -653,8 +653,8 @@ fn pointer_field_reads_match_the_tree_walker_under_both_policies() {
         let walker = vm.exec_view(ExecMode::Interp);
         for k in 0..=6 {
             assert_eq!(
-                pointer_step(&vm, k),
-                pointer_step(&walker, k),
+                go_step(&vm, k),
+                go_step(&walker, k),
                 "{:?}, go({})",
                 policy,
                 k
@@ -671,7 +671,87 @@ fn pointer_field_reads_match_the_tree_walker_under_both_policies() {
         (&error, 3, "[(0, 0, [Int(15)])]"),
         (&error, 5, "generate: "),
     ] {
-        let step = pointer_step(m, k);
+        let step = go_step(m, k);
+        assert!(step.contains(shows), "go({}): {}", k, step);
+    }
+}
+
+/// `g[i]` and `g.f` read one component of a global aggregate: in range,
+/// out of bounds, with an undefined index, from a partly set array, from
+/// an array and a record never set, in guards, and with a call in the
+/// index that writes the array it indexes (the array is read before the
+/// call).
+const GLOBAL_COMPONENTS: &str = r#"
+    specification globalcomponents;
+    channel C(env, m);
+        by env: go(k : integer);
+        by m: val(v : integer);
+    end;
+    module M process; ip P : C(m); end;
+    body MB for M;
+        var a, ua : array [1..3] of integer;
+            r, ur : record d, e : integer end;
+            i, x : integer;
+        state S;
+        function bump(j : integer) : integer;
+        begin a[1] := a[1] + 100; bump := j end;
+        initialize to S begin a[1] := 10; a[2] := 20; r.d := 1; r.e := 2; x := 0 end;
+        trans
+        from S to S when P.go provided k = 0 name InRange:
+            begin x := a[k + 2] + r.e; output P.val(x) end;
+        from S to S when P.go provided k = 1 name OutOfBounds:
+            begin x := a[k + 5]; output P.val(x) end;
+        from S to S when P.go provided k = 2 name UnsetElement:
+            begin x := a[k + 1]; output P.val(x) end;
+        from S to S when P.go provided k = 3 name UnsetArray:
+            begin x := ua[k - 1]; output P.val(x) end;
+        from S to S when P.go provided k = 4 name UndefinedIndex:
+            begin x := a[i]; output P.val(x) end;
+        from S to S when P.go provided k = 5 name UnsetRecord:
+            begin x := ur.d; output P.val(x) end;
+        from S to S when P.go provided k = 6 name CallInIndex:
+            begin x := a[bump(k - 5)]; output P.val(x) end;
+        from S to S when P.go provided (k = 7) and (a[k - 5] = 20) and (r.d = 1) name Guard:
+            begin end;
+        from S to S when P.go provided (k = 8) and (a[k] = 0) name GuardOutOfBounds:
+            begin end;
+        from S to S when P.go provided (k = 9) and (ua[k - 7] = 0) name GuardUnset:
+            begin end;
+    end;
+    end.
+"#;
+
+#[test]
+fn global_component_reads_match_the_tree_walker_under_both_policies() {
+    let machine = Machine::from_source(GLOBAL_COMPONENTS).unwrap();
+    let at = |policy| machine.policy_view(policy);
+    for policy in [UndefinedPolicy::Error, UndefinedPolicy::Propagate] {
+        let vm = at(policy);
+        let walker = vm.exec_view(ExecMode::Interp);
+        for k in 0..=9 {
+            assert_eq!(
+                go_step(&vm, k),
+                go_step(&walker, k),
+                "{:?}, go({})",
+                policy,
+                k
+            );
+        }
+    }
+    // The outcomes compared are the ones each case is there for.
+    let (error, propagate) = (at(UndefinedPolicy::Error), at(UndefinedPolicy::Propagate));
+    for (m, k, shows) in [
+        (&error, 0, "[(0, 0, [Int(22)])]"),
+        (&error, 1, "index 6 outside bounds 1..3"),
+        (&propagate, 2, "Ok(Completed) [(0, 0, [Undefined])]"),
+        (&propagate, 3, "Ok(Completed) [(0, 0, [Undefined])]"),
+        (&error, 4, "UndefinedValue"),
+        (&propagate, 5, "Ok(Completed) [(0, 0, [Undefined])]"),
+        (&error, 6, "[(0, 0, [Int(10)])]"),
+        (&error, 7, "Guard: Ok(Completed)"),
+        (&error, 8, "generate: "),
+    ] {
+        let step = go_step(m, k);
         assert!(step.contains(shows), "go({}): {}", k, step);
     }
 }

@@ -6,8 +6,9 @@
 //! stays inconclusive unless `t4`/`t5` exist).
 
 use protocols::{ack, ip3};
+use tango::trace::source::Poll;
 use tango::{
-    AnalysisOptions, ChannelSource, Event, Feed, OrderOptions, StaticSource, Verdict,
+    AnalysisOptions, ChannelSource, Dir, Event, Feed, OrderOptions, StaticSource, Trace, Verdict,
 };
 
 fn nr_options() -> AnalysisOptions {
@@ -393,4 +394,161 @@ fn online_best_effort_localization_is_identical_at_every_worker_count() {
             );
         }
     }
+}
+
+/// How a scripted feed splits a trace into polls. The run loop polls
+/// once before each drain and, after it, until a poll brings news; so a
+/// feed with an empty poll after each news poll brings one news poll per
+/// drain, and one without brings two. Eof always comes alone, last.
+#[derive(Clone, Copy, Debug)]
+enum Feeding {
+    /// One poll per drain, each an input with the outputs before it: at
+    /// every drain an input lands at a stream's end.
+    InputPerDrain,
+    /// One event per drain: the drains after an output see outputs
+    /// alone, which change no kept list.
+    EventPerDrain,
+    /// The whole trace in the first poll, then eof alone: the nodes
+    /// parked on it revive with their lists, now complete.
+    TraceThenEof,
+    /// One event per poll, two polls per drain: the second poll meets
+    /// the nodes the first revived still on the work stack.
+    TwoPollsPerDrain,
+}
+
+/// The polls `feeding` splits `trace` into.
+fn script(trace: &Trace, feeding: Feeding) -> Vec<Poll> {
+    let poll = |events: Vec<Event>| Poll { events, eof: false };
+    let mut batches: Vec<Vec<Event>> = Vec::new();
+    match feeding {
+        Feeding::InputPerDrain => {
+            let mut batch = Vec::new();
+            for e in &trace.events {
+                batch.push(e.clone());
+                if e.dir == Dir::In {
+                    batches.push(std::mem::take(&mut batch));
+                }
+            }
+            batches.push(batch);
+        }
+        Feeding::EventPerDrain | Feeding::TwoPollsPerDrain => {
+            batches.extend(trace.events.iter().map(|e| vec![e.clone()]));
+        }
+        Feeding::TraceThenEof => batches.push(trace.events.clone()),
+    }
+    let mut polls = Vec::new();
+    for (i, batch) in batches.into_iter().enumerate() {
+        polls.push(poll(batch));
+        if i > 0 && !matches!(feeding, Feeding::TwoPollsPerDrain) {
+            polls.push(poll(Vec::new()));
+        }
+    }
+    polls.push(Poll {
+        events: Vec::new(),
+        eof: true,
+    });
+    polls
+}
+
+/// Plays its polls in order, then eof for ever.
+struct Scripted(std::collections::VecDeque<Poll>);
+
+impl tango::TraceSource for Scripted {
+    fn poll(&mut self) -> Poll {
+        self.0.pop_front().unwrap_or(Poll {
+            events: Vec::new(),
+            eof: true,
+        })
+    }
+}
+
+/// Verdict, TE/GE/RE/SA and PG-nodes parked for TP0's invalid 2+2 trace
+/// and a valid LAPD trace, each under NR then FULL.
+type FeedPins = [(Verdict, [u64; 4], u64); 4];
+
+/// Run each spec, trace and order of [`FeedPins`] fed by `feeding`, at
+/// one and two workers, against the pins: the counters of re-running
+/// Generate at every pop. (Debug builds also compare every kept list
+/// with a fresh Generate.)
+fn check_feeding(feeding: Feeding, pins: &FeedPins) {
+    use protocols::{lapd, tp0};
+    let cases = [
+        ("TP0", tp0::analyzer(), tp0::invalid_trace(2, 2, 20)),
+        ("LAPD", lapd::analyzer(), lapd::valid_trace(2, 2, 7)),
+    ];
+    let orders = [("NR", OrderOptions::none()), ("FULL", OrderOptions::full())];
+    let runs = cases
+        .iter()
+        .flat_map(|c| orders.iter().map(move |o| (c, o)));
+    for (((spec, a, trace), (order, o)), want) in runs.zip(pins) {
+        for workers in [1, 2] {
+            let mut options = AnalysisOptions::with_order(*o);
+            options.workers = workers;
+            let mut source = Scripted(script(trace, feeding).into());
+            let r = a
+                .analyze_online(&mut source, &options, &mut |_| true)
+                .unwrap();
+            assert_eq!(
+                (&r.verdict, r.stats.counters(), r.stats.pg_nodes),
+                (&want.0, want.1, want.2),
+                "{:?}, {} under {}, {} workers",
+                feeding,
+                spec,
+                order,
+                workers
+            );
+        }
+    }
+}
+
+#[test]
+fn an_input_at_a_parked_nodes_stream_end_re_generates_it() {
+    check_feeding(
+        Feeding::InputPerDrain,
+        &[
+            (Verdict::Invalid, [1158, 2459, 2562, 439], 1026),
+            (Verdict::Invalid, [19, 42, 46, 10], 19),
+            (Verdict::Valid, [2643, 5827, 6874, 2111], 3535),
+            (Verdict::Valid, [86, 226, 258, 61], 147),
+        ],
+    );
+}
+
+#[test]
+fn outputs_alone_leave_the_kept_lists_in_use() {
+    check_feeding(
+        Feeding::EventPerDrain,
+        &[
+            (Verdict::Invalid, [1291, 3307, 3561, 439], 1891),
+            (Verdict::Invalid, [22, 57, 66, 10], 35),
+            (Verdict::Valid, [2647, 6012, 7118, 2111], 3774),
+            (Verdict::Valid, [90, 305, 360, 61], 235),
+        ],
+    );
+}
+
+#[test]
+fn eof_alone_completes_the_kept_lists_and_the_parked_nodes_die() {
+    check_feeding(
+        Feeding::TraceThenEof,
+        &[
+            (Verdict::Invalid, [1044, 1800, 1800, 439], 378),
+            (Verdict::Invalid, [15, 21, 21, 10], 3),
+            (Verdict::Valid, [2169, 2766, 3210, 2111], 1039),
+            (Verdict::Valid, [64, 88, 96, 61], 28),
+        ],
+    );
+}
+
+#[test]
+fn a_second_poll_before_the_drain_re_checks_the_revived_nodes() {
+    check_feeding(
+        Feeding::TwoPollsPerDrain,
+        &[
+            (Verdict::Invalid, [1189, 2267, 2431, 439], 864),
+            (Verdict::Invalid, [20, 42, 46, 10], 18),
+            (Verdict::Valid, [2177, 4490, 5432, 2111], 2560),
+            (Verdict::Valid, [72, 205, 239, 61], 134),
+        ],
+    );
 }
